@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle smoke chaossmoke fidelitysmoke fuzz vuln fieldalign check bench benchsmoke benchguard loadsmoke fig8 fmt
+.PHONY: build test vet race shuffle smoke chaossmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -58,11 +58,13 @@ clustersmoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
-# fuzz is a short smoke of the untrusted-input parsers (the trace reader).
-# An exec-count budget keeps the wall time stable on single-core CI runners;
-# long campaigns run the same target with a time budget instead.
+# fuzz is a short smoke of the untrusted-input decoders (the trace reader,
+# the store's object reader). An exec-count budget keeps the wall time
+# stable on single-core CI runners; long campaigns run the same targets with
+# a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.
@@ -90,16 +92,24 @@ fieldalign:
 
 # check is the CI gate: static analysis, the full suite under the race
 # detector and again in shuffled order, the sacd daemon smoke, the chaos /
-# crash-recovery smoke, a fuzz smoke of the parsers, a one-iteration
-# benchmark smoke, a 30-second load smoke of the batch serving path, and an
-# advisory vulnerability scan.
-check: vet fieldalign race shuffle smoke chaossmoke fidelitysmoke clustersmoke fuzz benchsmoke loadsmoke vuln
+# crash-recovery smoke, a fuzz smoke of the decoders, the nested benchmark
+# module's own vet + tests, a one-iteration benchmark smoke, a 30-second
+# load smoke of the batch serving path, and an advisory vulnerability scan.
+check: vet fieldalign race shuffle smoke chaossmoke fidelitysmoke clustersmoke fuzz benchcheck benchsmoke loadsmoke vuln
+
+# benchcheck builds and tests bench/, a module of its own that compiles
+# against internal/store, internal/server, internal/cluster and client but
+# that `go test ./...` at the root never sees: a signature it calls cannot
+# change without failing here (< 10 s).
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # benchsmoke compiles and executes the throughput-critical benchmarks for a
 # single iteration — it catches benchmarks broken by API drift without
 # paying for a measurement run.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'StepParallel|SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'StorePut' -benchtime 1x ./internal/store
 
 # loadsmoke is the serving-throughput gate: sacload drives an in-process sacd
 # over real loopback HTTP for 30 seconds and fails if the warm batch path

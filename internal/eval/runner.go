@@ -88,7 +88,8 @@ type Runner struct {
 	// before simulating and writes successful results back. A store hit
 	// still fires OnCellDone but does not count as an execution (Runs) nor
 	// toward SimCycles. Store failures degrade to simulation, never to an
-	// error.
+	// error: a failed write-back is counted by the store
+	// (sacd_store_put_errors_total) and the first one is reported on Log.
 	Store *store.Store
 
 	mu   sync.Mutex
@@ -100,6 +101,7 @@ type Runner struct {
 
 	storeHits   atomic.Int64 // cells served from the persistent Store
 	storeMisses atomic.Int64 // cells that consulted the Store and simulated
+	putErrOnce  sync.Once    // first failed Store write-back reported on Log
 
 	obsOnce sync.Once
 	obsM    *sweepMetrics
@@ -393,8 +395,15 @@ func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *
 	r.execs.Add(1)
 	r.simCycles.Add(res.Cycles)
 	if r.Store != nil {
-		// Best-effort write-back; a full disk must not fail the sweep.
-		_ = r.Store.PutRunAt(cfg, spec.Name, plan.Key(), fid, res)
+		// Best-effort write-back; a full disk must not fail the sweep, but
+		// it must not pass unseen either.
+		if err := r.Store.PutRunAt(cfg, spec.Name, plan.Key(), fid, res); err != nil && r.Log != nil {
+			r.putErrOnce.Do(func() {
+				r.mu.Lock()
+				fmt.Fprintf(r.Log, "# store write-back failed (reported once; the store counts the rest): %v\n", err)
+				r.mu.Unlock()
+			})
+		}
 	}
 	if r.Verbose && r.Log != nil {
 		r.mu.Lock()

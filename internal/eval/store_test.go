@@ -1,7 +1,11 @@
 package eval
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/llc"
@@ -107,5 +111,45 @@ func TestRunnerStoreHitFiresOnCellDone(t *testing.T) {
 	}
 	if cells[0].Err != nil || cells[0].Cycles == 0 {
 		t.Fatalf("store-hit cell result malformed: %+v", cells[0])
+	}
+}
+
+// TestRunnerReportsFirstStorePutFailure checks failed write-backs are no
+// longer silent: the sweep still succeeds, the store counts every failure,
+// and the Runner says so on Log exactly once.
+func TestRunnerReportsFirstStorePutFailure(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.ByName("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testRunner("BP")
+	r.Store = st
+	var log bytes.Buffer
+	r.Log = &log
+	reqs := []RunRequest{
+		{Cfg: r.Base.WithOrg(llc.MemorySide), Spec: spec},
+		{Cfg: r.Base.WithOrg(llc.SMSide), Spec: spec},
+	}
+	// A plain file where each cell's shard directory belongs makes the
+	// object write fail, even for root.
+	for _, q := range reqs {
+		key := store.Key(q.Cfg, spec.Name, "")
+		if err := os.WriteFile(filepath.Join(dir, "objects", key[:2]), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.RunAll(reqs); err != nil {
+		t.Fatalf("a failed write-back failed the sweep: %v", err)
+	}
+	if st.PutErrors() != 2 {
+		t.Fatalf("store counted %d put errors, want 2", st.PutErrors())
+	}
+	if n := strings.Count(log.String(), "store write-back failed"); n != 1 {
+		t.Fatalf("Log carries %d write-back reports, want exactly 1:\n%s", n, log.String())
 	}
 }

@@ -304,6 +304,7 @@ func New(cfg Config) *Server {
 			ChipWorkers: cfg.ChipWorkers,
 			Store:       cfg.Store,
 			Obs:         observer,
+			Log:         cfg.Log, // Verbose stays off: only the first failed write-back speaks
 		},
 		m:       newMetrics(cfg.Registry),
 		jobs:    make(map[string]*job),

@@ -9,16 +9,28 @@
 // directory and renamed into place, so a reader never observes a torn
 // write. Every object embeds a SHA-256 of its result payload, verified on
 // Get: bit rot, a torn write that still parses, or a hand-edited file is
-// caught before it deserializes into plausible garbage. The index (sizes +
-// recency for the LRU cap) is rewritten on every Put; recency bumps from
-// Get are flushed by Close and otherwise lost on a crash, which only
-// weakens eviction order, never correctness. A missing or corrupt index is
-// rebuilt by scanning the object directory; a corrupt or mismatched object
-// is quarantined (renamed to .corrupt, preserved for forensics), counted,
-// and reported as a miss. The store is safe
-// for concurrent use by multiple goroutines of one process; concurrent
-// processes sharing a directory stay correct (atomic renames) but may
-// double-simulate on a racing miss.
+// caught before it deserializes into plausible garbage. A corrupt or
+// mismatched object is quarantined (renamed to .corrupt, preserved for
+// forensics), counted, and reported as a miss.
+//
+// The index (sizes + recency for the LRU cap) lives in memory; committing a
+// result costs the same whether the store holds ten objects or a million.
+// index.json is a clean-shutdown snapshot: Close writes it, the next Open
+// loads it and removes it. A process that dies before Close therefore
+// leaves no snapshot, and Open falls back to scanning the object directory,
+// taking sizes from the files and recency from their mtimes (oldest = least
+// recent) — the same story the journal's clean-shutdown mark tells. What a
+// crash loses is only recency finer than mtime: reads since the last write
+// of an object do not count toward its age. It never loses an object, a
+// size, or correctness. Open also removes object-*.tmp / index-*.tmp files a
+// crash left between create and rename.
+//
+// The store is safe for concurrent use by multiple goroutines of one
+// process; concurrent processes sharing a directory stay correct (atomic
+// renames, every read verified) but may double-simulate on a racing miss,
+// account only the objects they know of against MaxBytes, and can lose one
+// write-back (counted, never served wrong) when another process's Open
+// sweeps its in-flight temp file.
 package store
 
 import (
@@ -31,6 +43,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -83,19 +97,33 @@ func materialAt(cfg gpu.Config, benchmark, faults, fidelity string) KeyMaterial 
 }
 
 func keyOf(m KeyMaterial) string {
+	_, key := marshalKey(m)
+	return key
+}
+
+// marshalKey returns m's canonical JSON and the key it hashes to, so Put can
+// embed the one and check the other from a single encoding.
+func marshalKey(m KeyMaterial) ([]byte, string) {
 	b, err := json.Marshal(m)
 	if err != nil {
 		// gpu.Config is a flat value struct; Marshal cannot fail on it.
 		panic(fmt.Sprintf("store: marshal key material: %v", err))
 	}
+	return b, hexSum(b)
+}
+
+func hexSum(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// envelope is the on-disk object layout. The key material is stored next to
-// the result so loads can verify the object against its address and so the
-// files are self-describing for debugging.
-type envelope struct {
+// rawEnvelope is the on-disk object layout. The key material is stored next
+// to the result so loads can verify the object against its address and so
+// the files are self-describing for debugging. The result payload stays raw
+// bytes: envelopeBytes embeds the canonical json.Marshal of the result
+// verbatim, so the RawMessage here is exactly the bytes Sum was computed
+// over and the content hash verifies without ever decoding the run.
+type rawEnvelope struct {
 	Version int         `json:"version"`
 	Key     KeyMaterial `json:"key"`
 	// Sum is the hex SHA-256 of the canonical Result JSON, written at Put
@@ -105,31 +133,32 @@ type envelope struct {
 	// counter without parsing the payload. Absent on pre-PR10 objects
 	// (GetRaw falls back to a partial decode); not covered by Sum, so a
 	// wrong value here can mislabel a status but never corrupt a result.
-	Cycles int64      `json:"cycles,omitempty"`
-	Result *stats.Run `json:"result"`
+	Cycles int64           `json:"cycles"`
+	Result json.RawMessage `json:"result"`
 }
 
-// rawEnvelope is envelope with the result payload left as raw bytes. Because
-// Put writes json.Marshal(envelope{...}) — which embeds the canonical
-// json.Marshal of the result verbatim — the RawMessage here is exactly the
-// bytes Sum was computed over, so the content hash verifies without ever
-// decoding the run.
-type rawEnvelope struct {
-	Version int             `json:"version"`
-	Key     KeyMaterial     `json:"key"`
-	Sum     string          `json:"sum"`
-	Cycles  int64           `json:"cycles"`
-	Result  json.RawMessage `json:"result"`
-}
-
-// resultSum computes the content hash stored in envelope.Sum.
-func resultSum(res *stats.Run) (string, error) {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return "", err
+// envelopeBytes builds one object from the already-canonical key and result
+// encodings. The layout is what encoding/json produces for rawEnvelope's
+// fields with the result inline (cycles omitted when zero), pinned byte for
+// byte by TestObjectBytesGolden against the struct encoding and a golden
+// file, so objects written before and after the splice are interchangeable.
+func envelopeBytes(keyJSON, resJSON []byte, cycles int64) []byte {
+	sum := sha256.Sum256(resJSON)
+	b := make([]byte, 0, len(keyJSON)+len(resJSON)+160)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, schemaVersion, 10)
+	b = append(b, `,"key":`...)
+	b = append(b, keyJSON...)
+	b = append(b, `,"sum":"`...)
+	b = hex.AppendEncode(b, sum[:])
+	b = append(b, '"')
+	if cycles != 0 {
+		b = append(b, `,"cycles":`...)
+		b = strconv.AppendInt(b, cycles, 10)
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	b = append(b, `,"result":`...)
+	b = append(b, resJSON...)
+	return append(b, '}')
 }
 
 // Options tune a Store.
@@ -143,8 +172,9 @@ type Options struct {
 	OnCorrupt func(key string)
 	// Registry, when set, exports the store's traffic counters as
 	// sacd_store_hits_total / sacd_store_misses_total /
-	// sacd_store_evictions_total, so warm-tier effectiveness is visible on
-	// /metrics instead of dead-ending in the Go accessors.
+	// sacd_store_evictions_total / sacd_store_put_errors_total, so warm-tier
+	// effectiveness and failing write-backs are visible on /metrics instead
+	// of dead-ending in the Go accessors.
 	Registry *obs.Registry
 	// HotBytes caps the in-memory tier of verified result bytes. A raw read
 	// that verified once is kept in memory (LRU by bytes) so repeat hits on
@@ -159,16 +189,23 @@ type Options struct {
 // next to a simulation's working set.
 const defaultHotBytes = 64 << 20
 
-// indexEntry is the per-object index record.
+// indexEntry is the per-object record of the index.json snapshot.
 type indexEntry struct {
 	Size int64 `json:"size"`
-	Used int64 `json:"used"` // logical recency clock; higher = more recent
+	Used int64 `json:"used"` // recency rank; higher = more recent
 }
 
-// indexFile is the persisted index layout.
+// indexFile is the index.json snapshot layout.
 type indexFile struct {
 	Clock   int64                 `json:"clock"`
 	Entries map[string]indexEntry `json:"entries"`
+}
+
+// diskEntry is one indexed object; it is the Value of an element of
+// Store.lru.
+type diskEntry struct {
+	key  string
+	size int64
 }
 
 // Store is an open result cache rooted at one directory.
@@ -178,16 +215,16 @@ type Store struct {
 	onCorrupt func(string)
 
 	mu    sync.Mutex
-	idx   map[string]indexEntry
-	clock int64
+	idx   map[string]*list.Element // key → element whose Value is *diskEntry
+	lru   *list.List               // front = most recently used
 	total int64
 
 	// Hot tier: verified result bytes kept in memory so repeat raw reads of
 	// a key cost a map lookup instead of a file read plus SHA-256. Entries
 	// are immutable once inserted (callers must treat the returned
 	// RawMessage as read-only, which every server path does — the bytes go
-	// straight to the wire). Guarded by its own mutex so a hot hit never
-	// contends with Put's index rewrite.
+	// straight to the wire). Guarded by its own mutex, taken after mu where
+	// both are held.
 	hotMu   sync.Mutex
 	hot     map[string]*list.Element // key → element whose Value is *hotEntry
 	hotLRU  *list.List               // front = most recently used
@@ -198,10 +235,11 @@ type Store struct {
 	misses    atomic.Int64
 	corrupt   atomic.Int64
 	evictions atomic.Int64
+	putErrors atomic.Int64
 
 	// Optional obs exports mirroring the atomics above; nil when Open ran
 	// without a Registry.
-	mHits, mMisses, mEvictions *obs.Metric
+	mHits, mMisses, mEvictions, mPutErrors *obs.Metric
 }
 
 // Open opens (creating if necessary) the store rooted at dir.
@@ -212,7 +250,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, max: opts.MaxBytes, onCorrupt: opts.OnCorrupt, idx: make(map[string]indexEntry)}
+	s := &Store{dir: dir, max: opts.MaxBytes, onCorrupt: opts.OnCorrupt}
 	s.hotMax = opts.HotBytes
 	if s.hotMax == 0 {
 		s.hotMax = defaultHotBytes
@@ -225,9 +263,19 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.mHits = reg.Counter("sacd_store_hits_total", "Store reads served from disk.")
 		s.mMisses = reg.Counter("sacd_store_misses_total", "Store reads that found nothing usable.")
 		s.mEvictions = reg.Counter("sacd_store_evictions_total", "Objects evicted by the LRU size cap.")
+		s.mPutErrors = reg.Counter("sacd_store_put_errors_total", "Result write-backs that failed.")
+	}
+	// Temp files a crash left between create and rename: never addressable,
+	// never counted against MaxBytes, so nothing else would ever reclaim them.
+	for _, pat := range []string{"object-*.tmp", "index-*.tmp"} {
+		orphans, _ := filepath.Glob(filepath.Join(dir, pat))
+		for _, o := range orphans {
+			os.Remove(o)
+		}
 	}
 	if err := s.loadIndex(); err != nil {
-		// Corrupt or missing index: rebuild from the objects on disk.
+		// No snapshot (first open, or the last process died before Close) or
+		// an unusable one: rebuild from the objects on disk.
 		s.rebuildIndex()
 	}
 	return s, nil
@@ -241,32 +289,36 @@ func (s *Store) objectPath(key string) string {
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
-// loadIndex reads the persisted index. Any decode problem is an error so
-// Open can fall back to a rebuild.
+// loadIndex consumes the clean-shutdown snapshot: read, removed, then
+// applied, so index.json exists only between a Close and the next Open and a
+// crash can never leave a stale one behind. Any problem — including a
+// snapshot that cannot be removed — is an error so Open falls back to the
+// scan, which trusts only the objects themselves.
 func (s *Store) loadIndex() error {
 	b, err := os.ReadFile(s.indexPath())
 	if err != nil {
+		return err
+	}
+	if err := os.Remove(s.indexPath()); err != nil {
 		return err
 	}
 	var f indexFile
 	if err := json.Unmarshal(b, &f); err != nil {
 		return err
 	}
-	if f.Entries == nil {
-		f.Entries = make(map[string]indexEntry)
+	recs := make([]indexRec, 0, len(f.Entries))
+	for k, e := range f.Entries {
+		recs = append(recs, indexRec{k, e.Size, e.Used})
 	}
-	s.idx, s.clock, s.total = f.Entries, f.Clock, 0
-	for _, e := range f.Entries {
-		s.total += e.Size
-	}
+	s.setIndex(recs)
 	return nil
 }
 
-// rebuildIndex scans the object tree and reconstitutes sizes; recency
-// restarts from zero (eviction order degrades gracefully).
+// rebuildIndex scans the object tree and reconstitutes sizes from the files
+// and recency from their mtimes, so a capped store still evicts roughly
+// oldest-first after a crash.
 func (s *Store) rebuildIndex() {
-	s.idx = make(map[string]indexEntry)
-	s.clock, s.total = 0, 0
+	var recs []indexRec
 	root := filepath.Join(s.dir, "objects")
 	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
@@ -276,38 +328,94 @@ func (s *Store) rebuildIndex() {
 		if err != nil {
 			return nil
 		}
-		key := d.Name()[:len(d.Name())-len(".json")]
-		s.idx[key] = indexEntry{Size: info.Size()}
-		s.total += info.Size()
+		key := strings.TrimSuffix(d.Name(), ".json")
+		if len(key) != hex.EncodedLen(sha256.Size) {
+			return nil // not an object Put wrote; objectPath could not address it
+		}
+		recs = append(recs, indexRec{key, info.Size(), info.ModTime().UnixNano()})
 		return nil
 	})
+	s.setIndex(recs)
 }
 
-// saveIndexLocked persists the index atomically. Best-effort: an index that
-// fails to write costs a rebuild on the next Open, never a wrong result.
-func (s *Store) saveIndexLocked() {
-	f := indexFile{Clock: s.clock, Entries: s.idx}
-	b, err := json.Marshal(f)
-	if err != nil {
-		return
+// indexRec is one object as Open learns of it: from the snapshot (age = its
+// recency rank) or from the scan (age = its mtime). Larger age = more
+// recently used.
+type indexRec struct {
+	key       string
+	size, age int64
+}
+
+// setIndex replaces the in-memory index with recs, least recent first (ties
+// by key, so the order is reproducible).
+func (s *Store) setIndex(recs []indexRec) {
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].age != recs[j].age {
+			return recs[i].age < recs[j].age
+		}
+		return recs[i].key < recs[j].key
+	})
+	s.idx = make(map[string]*list.Element, len(recs))
+	s.lru = list.New()
+	s.total = 0
+	for _, r := range recs {
+		s.indexLocked(r.key, r.size)
 	}
-	tmp, err := os.CreateTemp(s.dir, "index-*.tmp")
+}
+
+// indexLocked records key at size as the most recently used object,
+// replacing any previous record of it.
+func (s *Store) indexLocked(key string, size int64) {
+	if el, ok := s.idx[key]; ok {
+		e := el.Value.(*diskEntry)
+		s.total -= e.size
+		e.size = size
+		s.lru.MoveToFront(el)
+	} else {
+		s.idx[key] = s.lru.PushFront(&diskEntry{key: key, size: size})
+	}
+	s.total += size
+}
+
+// unindexLocked forgets key if it is indexed.
+func (s *Store) unindexLocked(key string) {
+	if el, ok := s.idx[key]; ok {
+		s.total -= s.lru.Remove(el).(*diskEntry).size
+		delete(s.idx, key)
+	}
+}
+
+// touch marks key most recently used.
+func (s *Store) touch(key string) {
+	s.mu.Lock()
+	if el, ok := s.idx[key]; ok {
+		s.lru.MoveToFront(el)
+	}
+	s.mu.Unlock()
+}
+
+// writeAtomic writes b to path through a temp file in the store root, so a
+// reader sees the old content or the new, never a torn write.
+func (s *Store) writeAtomic(pattern, path string, b []byte) error {
+	tmp, err := os.CreateTemp(s.dir, pattern)
 	if err != nil {
-		return
+		return err
 	}
 	name := tmp.Name()
 	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return
+		return err
 	}
-	if err := os.Rename(name, s.indexPath()); err != nil {
+	if err := os.Rename(name, path); err != nil {
 		os.Remove(name)
+		return err
 	}
+	return nil
 }
 
 // Get returns the stored result for key, or ok=false on a miss. Corrupt or
@@ -423,13 +531,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 		return nil, 0, false
 	}
 	if raw, cycles, ok := s.hotGet(key); ok {
-		s.mu.Lock()
-		if e, ok := s.idx[key]; ok {
-			s.clock++
-			e.Used = s.clock
-			s.idx[key] = e
-		}
-		s.mu.Unlock()
+		s.touch(key)
 		s.noteHit()
 		return raw, cycles, true
 	}
@@ -447,8 +549,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 		s.noteMiss()
 		return nil, 0, false
 	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.Sum {
+	if hexSum(env.Result) != env.Sum {
 		// The payload parsed but its content hash does not check out:
 		// bit rot or tampering that would otherwise be served as a
 		// plausible-looking result.
@@ -463,13 +564,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 		_ = json.Unmarshal(env.Result, &c)
 		env.Cycles = c.Cycles
 	}
-	s.mu.Lock()
-	if e, ok := s.idx[key]; ok {
-		s.clock++
-		e.Used = s.clock
-		s.idx[key] = e
-	}
-	s.mu.Unlock()
+	s.touch(key)
 	s.hotPut(key, env.Result, env.Cycles)
 	s.noteHit()
 	return env.Result, env.Cycles, true
@@ -477,62 +572,17 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 
 // Put stores res under key (as derived by Key from the same cell identity).
 // The write is atomic; an existing entry is replaced. Exceeding the size
-// cap evicts least-recently-used entries.
+// cap evicts least-recently-used entries. The cost does not depend on how
+// many objects the store holds.
 func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
 	if s == nil {
 		return nil
 	}
-	if res == nil {
-		return fmt.Errorf("store: nil result")
+	keyJSON, derived := marshalKey(m)
+	if derived != key {
+		return s.putFailed(fmt.Errorf("key %.12s does not address the supplied material", key))
 	}
-	if keyOf(m) != key {
-		return fmt.Errorf("store: key %.12s does not address the supplied material", key)
-	}
-	sum, err := resultSum(res)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	b, err := json.Marshal(envelope{Version: schemaVersion, Key: m, Sum: sum, Cycles: res.Cycles, Result: res})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "object-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.idx[key]; ok {
-		s.total -= old.Size
-		// Drop any resident bytes for the replaced object; the next raw read
-		// re-verifies from disk and repopulates.
-		s.hotDrop(key)
-	}
-	s.clock++
-	s.idx[key] = indexEntry{Size: int64(len(b)), Used: s.clock}
-	s.total += int64(len(b))
-	s.evictLocked()
-	s.saveIndexLocked()
-	return nil
+	return s.put(key, keyJSON, res)
 }
 
 // PutRun derives the key from the cycle-exact cell identity and stores res
@@ -544,33 +594,61 @@ func (s *Store) PutRun(cfg gpu.Config, benchmark, faults string, res *stats.Run)
 // PutRunAt is PutRun with an explicit fidelity rung ("" or "exact" = the
 // cycle-exact default).
 func (s *Store) PutRunAt(cfg gpu.Config, benchmark, faults, fidelity string, res *stats.Run) error {
-	m := materialAt(cfg, benchmark, faults, fidelity)
-	return s.Put(keyOf(m), m, res)
+	if s == nil {
+		return nil
+	}
+	keyJSON, key := marshalKey(materialAt(cfg, benchmark, faults, fidelity))
+	return s.put(key, keyJSON, res)
 }
 
-// evictLocked removes least-recently-used entries until under the cap.
+// put commits res under key, whose canonical material encoding is keyJSON.
+func (s *Store) put(key string, keyJSON []byte, res *stats.Run) error {
+	if res == nil {
+		return s.putFailed(fmt.Errorf("nil result"))
+	}
+	resJSON, err := json.Marshal(res)
+	if err != nil {
+		return s.putFailed(err)
+	}
+	b := envelopeBytes(keyJSON, resJSON, res.Cycles)
+	path := s.objectPath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return s.putFailed(err)
+	}
+	if err := s.writeAtomic("object-*.tmp", path, b); err != nil {
+		return s.putFailed(err)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.idx[key]; ok {
+		// Drop any resident bytes for the replaced object; the next raw read
+		// re-verifies from disk and repopulates.
+		s.hotDrop(key)
+	}
+	s.indexLocked(key, int64(len(b)))
+	s.evictLocked()
+	return nil
+}
+
+// putFailed counts one failed write-back and returns err in the package's
+// error form.
+func (s *Store) putFailed(err error) error {
+	s.putErrors.Add(1)
+	if s.mPutErrors != nil {
+		s.mPutErrors.Inc()
+	}
+	return fmt.Errorf("store: %w", err)
+}
+
+// evictLocked removes entries from the least-recently-used end until under
+// the cap.
 func (s *Store) evictLocked() {
-	if s.max <= 0 || s.total <= s.max {
-		return
-	}
-	type cand struct {
-		key  string
-		used int64
-		size int64
-	}
-	cands := make([]cand, 0, len(s.idx))
-	for k, e := range s.idx {
-		cands = append(cands, cand{k, e.Used, e.Size})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].used < cands[j].used })
-	for _, c := range cands {
-		if s.total <= s.max {
-			break
-		}
-		os.Remove(s.objectPath(c.key))
-		delete(s.idx, c.key)
-		s.hotDrop(c.key)
-		s.total -= c.size
+	for tail := s.lru.Back(); tail != nil && s.max > 0 && s.total > s.max; tail = s.lru.Back() {
+		key := tail.Value.(*diskEntry).key
+		os.Remove(s.objectPath(key))
+		s.unindexLocked(key)
+		s.hotDrop(key)
 		s.evictions.Add(1)
 		if s.mEvictions != nil {
 			s.mEvictions.Inc()
@@ -608,10 +686,7 @@ func (s *Store) quarantine(key string) {
 		os.Remove(path)
 	}
 	s.mu.Lock()
-	if e, ok := s.idx[key]; ok {
-		s.total -= e.Size
-		delete(s.idx, key)
-	}
+	s.unindexLocked(key)
 	s.mu.Unlock()
 	s.corrupt.Add(1)
 	if s.onCorrupt != nil {
@@ -653,6 +728,14 @@ func (s *Store) Evictions() int64 {
 	return s.evictions.Load()
 }
 
+// PutErrors returns the number of failed Put calls since Open.
+func (s *Store) PutErrors() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.putErrors.Load()
+}
+
 // Corrupt returns the number of objects quarantined by Get since Open.
 func (s *Store) Corrupt() int64 {
 	if s == nil {
@@ -664,14 +747,28 @@ func (s *Store) Corrupt() int64 {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close flushes the recency clock to the index. The store must not be used
-// after Close.
+// Close writes the index snapshot the next Open starts warm from: every
+// size, and recency as a rank (1 = least recently used). Without it — a
+// failed write, or a process that never reaches Close — the next Open scans
+// the object directory instead. The store must not be used after Close.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.saveIndexLocked()
+	f := indexFile{Entries: make(map[string]indexEntry, len(s.idx))}
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*diskEntry)
+		f.Clock++
+		f.Entries[e.key] = indexEntry{Size: e.size, Used: f.Clock}
+	}
+	b, err := json.Marshal(f)
+	if err != nil {
+		return fmt.Errorf("store: index snapshot: %w", err)
+	}
+	if err := s.writeAtomic("index-*.tmp", s.indexPath(), b); err != nil {
+		return fmt.Errorf("store: index snapshot: %w", err)
+	}
 	return nil
 }

@@ -419,8 +419,8 @@ func TestJSONIdentityAfterRoundTrip(t *testing.T) {
 }
 
 // TestObsCountersExported pins the Registry satellite: with a registry
-// wired at Open, hits, misses, and evictions move the exported counters in
-// lockstep with the Go accessors.
+// wired at Open, hits, misses, evictions, and failed Puts move the exported
+// counters in lockstep with the Go accessors.
 func TestObsCountersExported(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
@@ -451,15 +451,26 @@ func TestObsCountersExported(t *testing.T) {
 	if _, ok := s.Get(Key(cfg, "SN", "")); !ok {
 		t.Fatal("fresh entry missed")
 	}
+	// A plain file where the shard directory belongs makes the write-back
+	// fail (even for root): it must come back as an error and be counted.
+	blocked := Key(cfg, "CFD", "")
+	if err := os.WriteFile(filepath.Join(dir, "objects", blocked[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRun(cfg, "CFD", "", testRun("CFD", 1)); err == nil {
+		t.Fatal("Put into an unwritable shard reported success")
+	}
 
 	want := map[string]int64{
-		"sacd_store_hits_total":      s.Hits(),
-		"sacd_store_misses_total":    s.Misses(),
-		"sacd_store_evictions_total": s.Evictions(),
+		"sacd_store_hits_total":       s.Hits(),
+		"sacd_store_misses_total":     s.Misses(),
+		"sacd_store_evictions_total":  s.Evictions(),
+		"sacd_store_put_errors_total": s.PutErrors(),
 	}
-	if want["sacd_store_hits_total"] == 0 || want["sacd_store_misses_total"] == 0 ||
-		want["sacd_store_evictions_total"] == 0 {
-		t.Fatalf("test exercised nothing: %v", want)
+	for name, v := range want {
+		if v == 0 {
+			t.Fatalf("test exercised no %s: %v", name, want)
+		}
 	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
