@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle smoke chaossmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
+.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke epochmatrix fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -12,34 +12,53 @@ vet:
 	$(GO) vet ./...
 
 # The race run doubles as the parallel-engine exercise: the eval tests drive
-# the singleflight cache and worker pool from many goroutines.
+# the singleflight cache and worker pool from many goroutines. It is also
+# every contract gate at once: no test is -short- or tag-gated, so this runs
+# everything the smoke, chaossmoke, fidelitysmoke and clustersmoke shortcuts
+# below name. What it cannot reach is a configuration an environment variable
+# selects; syncsmoke and epochmatrix cover those. The timeout is raised
+# because on a two-core box internal/gpu (200 s under race alone) shares the
+# cores with the root package's tests and overruns go test's 10 minutes.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # shuffle reruns the suite with randomized test execution order, catching
 # tests that silently depend on a sibling running first.
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# smoke is the daemon gate: build the real sacd binary, start it on an
+# smoke is the daemon shortcut: build the real sacd binary, start it on an
 # ephemeral port, drive it over HTTP (concurrent dedup, byte-identity with
-# in-process sac.Run, SIGTERM drain + requeue, restart from the persistent
-# store), and require a clean exit.
+# in-process sac.Run, SIGTERM drain, restart from the journal and the
+# persistent store), and require a clean exit.
 smoke:
 	$(GO) test -count=1 -run TestDaemonEndToEnd ./cmd/sacd
 
-# chaossmoke is the crash-safety gate, run under the race detector: the
+# chaossmoke is the crash-safety shortcut, run under the race detector: the
 # in-process kill -9 simulation (zero accepted jobs lost, zero duplicate
 # executions), the journaled drain/restart exactly-once cycle, the chaos
-# soak (worker panics + dropped fsyncs + tight deadlines), and the real
-# SIGKILL of a sacd process. REPRO_JOURNAL_SYNC=1 exercises the fsync path.
-chaossmoke:
+# soak (worker panics + dropped fsyncs + tight deadlines), the
+# durable-before-visible ordering of terminal states, and the real SIGKILL
+# of a sacd process with fsync on.
+chaossmoke: syncsmoke
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal' \
+		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal|TestTerminalDurableBeforeVisible' \
 		./internal/server
+
+# syncsmoke SIGKILLs a real sacd with REPRO_JOURNAL_SYNC=1, the fsync path
+# the default (page-cache) journal mode never takes.
+syncsmoke:
 	REPRO_JOURNAL_SYNC=1 $(GO) test -race -count=1 -run 'TestCrashRecoveryE2E' ./cmd/sacd
 
-# fidelitysmoke is the fidelity-ladder gate: the estimate and sampled rungs
+# epochmatrix sweeps the chip-worker determinism test with multi-cycle ring
+# epochs forced off and capped (the default, unlimited, runs under race):
+# fusion changes how many barriers a parallel run takes, never what it
+# computes.
+epochmatrix:
+	REPRO_EPOCH_K=0 $(GO) test -race -count=1 -run TestChipWorkerDeterminism ./internal/gpu
+	REPRO_EPOCH_K=4 $(GO) test -race -count=1 -run TestChipWorkerDeterminism ./internal/gpu
+
+# fidelitysmoke is the fidelity-ladder shortcut: the estimate and sampled rungs
 # must reproduce the cycle-exact SAC org decision on all 16 Table-4
 # workloads, the sampled rung must stay byte-identical across chip-worker
 # counts, exact runs must stay unlabelled (byte-identical to pre-ladder
@@ -49,7 +68,7 @@ fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
 
-# clustersmoke is the fleet gate: the ring property tests (placement balance
+# clustersmoke is the fleet shortcut: the ring property tests (placement balance
 # within bound, minimal key movement on join/leave), the in-process
 # coordinator + two real workers with one induced worker kill (zero lost
 # cells), and the real-binary fleet e2e (saccoord + 2 sacd + sacsweep
@@ -59,12 +78,13 @@ clustersmoke:
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
 # fuzz is a short smoke of the untrusted-input decoders (the trace reader,
-# the store's object reader). An exec-count budget keeps the wall time
-# stable on single-core CI runners; long campaigns run the same targets with
-# a time budget instead.
+# the store's object reader, and the jobs HTTP surface sacd and saccoord
+# share). An exec-count budget keeps the wall time stable on single-core CI
+# runners; long campaigns run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzJobsHTTP -fuzztime 20000x ./internal/jobs
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.
@@ -91,11 +111,13 @@ fieldalign:
 	fi
 
 # check is the CI gate: static analysis, the full suite under the race
-# detector and again in shuffled order, the sacd daemon smoke, the chaos /
-# crash-recovery smoke, a fuzz smoke of the decoders, the nested benchmark
+# detector (every daemon, crash-recovery, fidelity and fleet contract — once)
+# and again in shuffled order, the two environment-selected configurations
+# race cannot reach, a fuzz smoke of the decoders, the nested benchmark
 # module's own vet + tests, a one-iteration benchmark smoke, a 30-second
-# load smoke of the batch serving path, and an advisory vulnerability scan.
-check: vet fieldalign race shuffle smoke chaossmoke fidelitysmoke clustersmoke fuzz benchcheck benchsmoke loadsmoke vuln
+# load smoke of the batch serving path, and the advisory layout and
+# vulnerability scans.
+check: vet race shuffle syncsmoke epochmatrix fuzz benchcheck benchsmoke loadsmoke fieldalign vuln
 
 # benchcheck builds and tests bench/, a module of its own that compiles
 # against internal/store, internal/server, internal/cluster and client but

@@ -6,7 +6,7 @@
 // backpressure, 5xx — with capped exponential backoff, propagates contexts
 // into every request, and exposes both the raw job lifecycle
 // (Submit/Status/Result) and a blocking convenience (Run) that submits,
-// polls, and fetches in one call.
+// waits on the daemon's long-poll, and fetches in one call.
 package client
 
 import (

@@ -51,7 +51,6 @@ type Client struct {
 	retries int
 	backoff time.Duration
 	maxWait time.Duration
-	poll    time.Duration
 }
 
 // Option configures a Client.
@@ -72,17 +71,14 @@ func WithBackoff(first, max time.Duration) Option {
 	}
 }
 
-// WithPollInterval sets how often Wait polls job status (default 50ms).
-func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
-
 // DefaultTransport returns the tuned *http.Transport New installs when no
 // WithHTTPClient override is given. Every phase of a round trip that can
 // hang on a dead or wedged daemon is bounded — dial, TLS handshake, and the
 // wait for response headers — so a vanished host fails fast into the retry
 // loop instead of parking a sweep, and the idle-connection pool is sized for
-// coordinator fan-out: a saccoord polling many jobs across a handful of
+// coordinator fan-out: a saccoord watching many jobs across a handful of
 // worker hosts reuses connections instead of burning a dial (and an
-// ephemeral port) per status check.
+// ephemeral port) per request.
 func DefaultTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -107,7 +103,6 @@ func New(baseURL string, opts ...Option) *Client {
 		retries: 4,
 		backoff: 100 * time.Millisecond,
 		maxWait: 2 * time.Second,
-		poll:    50 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -335,21 +330,28 @@ func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration)
 // remaining jobs instead of polling each — collection costs O(completions)
 // round trips, not O(jobs × poll-rate). An id the daemon does not know is an
 // error: the job aged out of retention before it was collected.
+//
+// A backpressured watch (429/503 after the retry loop gives up) does not
+// fail the wait: the jobs are accepted and will finish whether or not
+// watches get through, so WaitAll re-arms after the usual jittered backoff
+// with the daemon's Retry-After hint as a capped floor — the same pacing
+// rule the submit retries use — until ctx runs out.
 func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatus, error) {
 	out := make(map[string]JobStatus, len(ids))
-	pending := make([]string, 0, len(ids))
-	for _, id := range ids {
-		pending = append(pending, id)
-	}
+	pending := append([]string(nil), ids...)
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("sacd: %d jobs still pending: %w", len(pending), err)
 		}
-		chunk := pending
-		if len(chunk) > MaxBatch {
-			chunk = chunk[:MaxBatch]
+		resp, err := c.Watch(ctx, pending[:min(len(pending), MaxBatch)], 0)
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Temporary() {
+			select {
+			case <-ctx.Done():
+			case <-time.After(c.retryDelay(1, err)):
+			}
+			continue
 		}
-		resp, err := c.Watch(ctx, chunk, 0)
 		if err != nil {
 			return out, err
 		}
@@ -357,17 +359,13 @@ func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatu
 			return out, fmt.Errorf("sacd: %d watched jobs unknown to the daemon (first: %s)",
 				len(resp.Unknown), resp.Unknown[0])
 		}
-		if len(resp.Jobs) == 0 {
-			continue // long-poll timed out; re-arm
-		}
-		settled := make(map[string]bool, len(resp.Jobs))
+		// An empty response is a long-poll timeout: re-arm.
 		for _, st := range resp.Jobs {
 			out[st.ID] = st
-			settled[st.ID] = true
 		}
 		next := pending[:0]
 		for _, id := range pending {
-			if !settled[id] {
+			if _, settled := out[id]; !settled {
 				next = append(next, id)
 			}
 		}
@@ -407,38 +405,11 @@ func (c *Client) Result(ctx context.Context, id string) (*sac.Stats, error) {
 	return &run, nil
 }
 
-// Wait polls until the job reaches a terminal state (done or failed) or ctx
-// expires. A backpressured status poll (429/503 after the retry loop gives
-// up) does not fail the wait: the job is accepted and will finish whether or
-// not status checks get through, so Wait keeps polling with the daemon's
-// Retry-After hint as a capped floor on the interval — the same pacing rule
-// the submit backoff uses — until ctx runs out.
+// Wait blocks until the job reaches a terminal state or ctx expires: WaitAll
+// of one id, so it parks on the daemon's long-poll instead of polling.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	for {
-		st, err := c.Status(ctx, id)
-		interval := c.poll
-		if err != nil {
-			var apiErr *APIError
-			if !errors.As(err, &apiErr) || !apiErr.Temporary() || ctx.Err() != nil {
-				return JobStatus{}, err
-			}
-			if floor := apiErr.RetryAfter; floor > 0 {
-				if floor > maxRetryAfter {
-					floor = maxRetryAfter
-				}
-				if interval < floor {
-					interval = floor
-				}
-			}
-		} else if st.Done() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, fmt.Errorf("sacd: job %s still %s: %w", id, st.State, ctx.Err())
-		case <-time.After(interval):
-		}
-	}
+	out, err := c.WaitAll(ctx, []string{id})
+	return out[id], err
 }
 
 // Run submits a job, waits for it, and returns the result — the remote

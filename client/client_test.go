@@ -106,22 +106,26 @@ func TestConnectionErrorRetried(t *testing.T) {
 	}
 }
 
+// TestWaitPollsToTerminalState: Wait re-arms the long-poll on empty (timed
+// out) watch responses and returns the terminal status when one arrives.
 func TestWaitPollsToTerminalState(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		st := JobStatus{ID: "j1", State: StateRunning}
-		if calls.Add(1) >= 3 {
-			st.State = StateDone
-			st.Source = SourceSim
+		if r.URL.Path != "/v1/jobs:watch" || r.URL.Query().Get("ids") != "j1" {
+			t.Errorf("unexpected request %s", r.URL)
 		}
-		json.NewEncoder(w).Encode(st)
+		var resp WatchResponse
+		if calls.Add(1) >= 3 {
+			resp.Jobs = []JobStatus{{ID: "j1", State: StateDone, Source: SourceSim}}
+		}
+		json.NewEncoder(w).Encode(resp)
 	})
 	st, err := c.Wait(context.Background(), "j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || calls.Load() < 3 {
-		t.Fatalf("state=%s after %d polls", st.State, calls.Load())
+	if st.State != StateDone || calls.Load() != 3 {
+		t.Fatalf("state=%s after %d watches", st.State, calls.Load())
 	}
 }
 
@@ -275,10 +279,10 @@ func TestCancelAPI(t *testing.T) {
 	}
 }
 
-// TestWaitSurvivesBackpressuredStatusPoll pins the Wait backpressure
-// contract: a 429 status poll does not fail the wait — the daemon's
-// Retry-After hint becomes a floor on the poll interval, and the very next
-// poll after that pause sees the terminal state.
+// TestWaitSurvivesBackpressuredStatusPoll pins the WaitAll backpressure
+// contract (Wait is WaitAll of one id): a 429 watch does not fail the wait —
+// the daemon's Retry-After hint floors the pause before the re-arm, and the
+// very next watch after it sees the terminal state.
 func TestWaitSurvivesBackpressuredStatusPoll(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
@@ -288,12 +292,11 @@ func TestWaitSurvivesBackpressuredStatusPoll(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "overloaded"})
 			return
 		}
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateDone})
+		json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{{ID: "j1", State: StateDone}}})
 	})
-	// No transport-level retries: every Status call is one HTTP request, so
-	// the pacing we measure is Wait's own.
+	// No transport-level retries: every watch is one HTTP request, so the
+	// pacing we measure is WaitAll's own.
 	WithRetries(0)(c)
-	WithPollInterval(time.Millisecond)(c)
 
 	t0 := time.Now()
 	st, err := c.Wait(context.Background(), "j1")
@@ -304,16 +307,16 @@ func TestWaitSurvivesBackpressuredStatusPoll(t *testing.T) {
 		t.Fatalf("state %s, want done", st.State)
 	}
 	if calls.Load() != 2 {
-		t.Fatalf("%d status calls, want 2 (429 then done)", calls.Load())
+		t.Fatalf("%d watch calls, want 2 (429 then done)", calls.Load())
 	}
 	if elapsed := time.Since(t0); elapsed < 250*time.Millisecond {
-		t.Fatalf("wait re-polled after %v; Retry-After of 0.3s must floor the interval", elapsed)
+		t.Fatalf("wait re-armed after %v; Retry-After of 0.3s must floor the pause", elapsed)
 	}
 }
 
 // TestWaitPermanentStatusErrorFails checks the other side of that contract:
-// a non-temporary status error (the job genuinely is not there) still fails
-// the wait immediately instead of polling forever.
+// a non-temporary watch error still fails the wait immediately instead of
+// re-arming forever.
 func TestWaitPermanentStatusErrorFails(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {

@@ -99,9 +99,7 @@ func (p *proc) sigkill() {
 }
 
 func newClient(base string) *client.Client {
-	return client.New(base,
-		client.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
-		client.WithPollInterval(5*time.Millisecond))
+	return client.New(base, client.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 }
 
 // waitFleet polls /v1/fleet until n workers are live.

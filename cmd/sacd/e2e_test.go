@@ -145,9 +145,7 @@ func slowRequest(benchmark string, org sac.Org) client.JobRequest {
 }
 
 func newClient(d *daemon) *client.Client {
-	return client.New(d.base,
-		client.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
-		client.WithPollInterval(5*time.Millisecond))
+	return client.New(d.base, client.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 }
 
 // TestDaemonEndToEnd is the acceptance scenario: two concurrent clients

@@ -60,7 +60,7 @@ func main() {
 		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism per simulation, bit-identical at any value (0 = auto-budget against -workers, 1 = serial)")
 		queueCap    = flag.Int("queue", 256, "max queued jobs before submissions get 429")
 		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
-		journalPath = flag.String("journal", "", "durable job journal path (default <cache-dir>/journal.wal; \"off\" disables)")
+		journalPath = flag.String("journal", "", "durable job journal path (default <cache-dir>/journal.wal; none without a cache dir)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Minute, "how long a shutdown signal waits for in-flight jobs")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the API address")
 		quiet       = flag.Bool("q", false, "suppress per-job log lines")
@@ -128,14 +128,11 @@ func run(o options) error {
 		}
 		defer st.Close()
 		cfg.Store = st
-		cfg.RequeuePath = filepath.Join(cacheDir, "requeue.json")
 		if journalPath == "" {
 			journalPath = filepath.Join(cacheDir, "journal.wal")
 		}
 	}
-	if journalPath != "" && journalPath != "off" {
-		cfg.JournalPath = journalPath
-	}
+	cfg.JournalPath = journalPath
 
 	s := server.New(cfg)
 	if n, err := s.Recover(); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/client"
 	"repro/internal/gpu"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -93,8 +94,7 @@ func testCoordinator(t *testing.T, reg *obs.Registry) (*Coordinator, *httptest.S
 		Dial: func(url string) *client.Client {
 			return client.New(url,
 				client.WithRetries(1),
-				client.WithBackoff(2*time.Millisecond, 10*time.Millisecond),
-				client.WithPollInterval(2*time.Millisecond))
+				client.WithBackoff(2*time.Millisecond, 10*time.Millisecond))
 		},
 	})
 	hs := httptest.NewServer(c.Handler())
@@ -106,9 +106,7 @@ func testCoordinator(t *testing.T, reg *obs.Registry) (*Coordinator, *httptest.S
 }
 
 func newClient(url string) *client.Client {
-	return client.New(url,
-		client.WithBackoff(2*time.Millisecond, 20*time.Millisecond),
-		client.WithPollInterval(2*time.Millisecond))
+	return client.New(url, client.WithBackoff(2*time.Millisecond, 20*time.Millisecond))
 }
 
 // waitLive polls until n workers are in the ring.
@@ -329,27 +327,11 @@ func TestClusterFailedFlightRetries(t *testing.T) {
 }
 
 // TestClusterGC pins the memory bounds: done flights fall out of the memo
-// after MemoTTL and terminal jobs out of the table after Retention, and a
-// post-GC resubmission re-dispatches (served from the worker's store, not
-// the coordinator memo).
+// after jobs.MemoTTL and terminal jobs out of the table after
+// jobs.Retention, and a post-GC resubmission re-dispatches (served from the
+// worker's store, not the coordinator memo).
 func TestClusterGC(t *testing.T) {
-	c := New(Config{
-		Heartbeat: 20 * time.Millisecond,
-		Lapse:     250 * time.Millisecond,
-		MemoTTL:   50 * time.Millisecond,
-		Retention: 50 * time.Millisecond,
-		Dial: func(url string) *client.Client {
-			return client.New(url,
-				client.WithRetries(1),
-				client.WithBackoff(2*time.Millisecond, 10*time.Millisecond),
-				client.WithPollInterval(2*time.Millisecond))
-		},
-	})
-	hs := httptest.NewServer(c.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		c.Close()
-	})
+	c, hs := testCoordinator(t, nil)
 	startWorker(t, hs.URL, "worker-a")
 	waitLive(t, c, 1)
 	cc := newClient(hs.URL)
@@ -359,16 +341,13 @@ func TestClusterGC(t *testing.T) {
 	if _, err := cc.Run(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		fs := c.Fleet()
-		if fs.Jobs == 0 && fs.Flights == 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The lapse watcher's own sweeps, at the real clock, must keep both.
+	if fs := c.Fleet(); fs.Jobs != 1 || fs.Flights != 1 {
+		t.Fatalf("fresh job swept early: jobs=%d flights=%d", fs.Jobs, fs.Flights)
 	}
+	c.Sweep(time.Now().Add(jobs.Retention + time.Second))
 	if fs := c.Fleet(); fs.Jobs != 0 || fs.Flights != 0 {
-		t.Fatalf("GC never drained: jobs=%d flights=%d", fs.Jobs, fs.Flights)
+		t.Fatalf("sweep past the window kept jobs=%d flights=%d", fs.Jobs, fs.Flights)
 	}
 
 	// A post-GC resubmission must hit the worker again (dispatched climbs),
@@ -456,20 +435,16 @@ func TestClusterKeyAffinity(t *testing.T) {
 
 	req := tinyRequest("SN", "static", 0)
 	want := ownedBy(t, coord, req)
-	st, err := cc.Submit(ctx, req)
-	if err != nil {
+	if _, err := cc.Run(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
+	var ran []string
+	for _, ws := range coord.Fleet().Workers {
+		if ws.Dispatched > 0 {
+			ran = append(ran, ws.ID)
+		}
 	}
-	coord.mu.Lock()
-	j := coord.jobs[st.ID]
-	coord.mu.Unlock()
-	j.mu.Lock()
-	got := j.worker
-	j.mu.Unlock()
-	if got != want {
-		t.Fatalf("cell ran on %s, ring owner is %s", got, want)
+	if len(ran) != 1 || ran[0] != want {
+		t.Fatalf("cell was dispatched to %v, ring owner is %s", ran, want)
 	}
 }

@@ -1,20 +1,30 @@
+// Package cluster is the distributed sweep fabric: what the saccoord
+// coordinator adds to the shared job engine (internal/jobs), plus the
+// worker-side Agent that enrolls a sacd in a fleet. The engine owns the job
+// records, the fleet-wide singleflight, terminal transitions, retention and
+// the /v1/jobs routes — a coordinator answers them exactly as a sacd does, so
+// any client.Client works against either. This package supplies the
+// executor: consistent-hash placement of each cell on the worker that owns
+// its store key (ring.go), dispatch over the worker's own jobs API, and
+// stealing from workers that die, lapse or stall — and the worker table
+// behind it (registration, heartbeats, health-steered routing).
 package cluster
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/client"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/stats"
 )
 
 // Config tunes a Coordinator. The zero value is usable: defaults fill in.
@@ -35,17 +45,6 @@ type Config struct {
 	MaxAttempts int
 	// Vnodes is the ring's virtual-node count per worker (0 = DefaultVnodes).
 	Vnodes int
-	// MemoTTL bounds how long a completed flight's result stays pinned as a
-	// memo entry. Past it the flight is evicted; a later submission of the
-	// same key re-dispatches, which is cheap because the owning worker's
-	// content-addressed store still has the result (source "store" instead
-	// of "memo"). Default 15m.
-	MemoTTL time.Duration
-	// Retention bounds how long a terminal job stays queryable via
-	// Status/Result after it finishes; past it the job is garbage-collected
-	// so coordinator memory does not grow with every job ever accepted.
-	// Default 15m.
-	Retention time.Duration
 	// DefaultFidelity applies to requests that name no rung ("" = exact).
 	DefaultFidelity string
 	// Registry, when set, receives the coordinator's fleet metrics.
@@ -63,8 +62,8 @@ type Config struct {
 // burning the remaining attempts on other workers.
 var errPermanent = errors.New("permanent job failure")
 
-// ErrClosed is returned for submissions after Close.
-var ErrClosed = errors.New("coordinator closed")
+// ErrClosed refuses submissions after Close (HTTP 503).
+var ErrClosed = &jobs.AdmitError{Code: http.StatusServiceUnavailable, Msg: "coordinator closed"}
 
 // ErrNoWorkers is the terminal error for a job whose deadline passed (or
 // whose coordinator closed) while no eligible worker was registered.
@@ -85,84 +84,29 @@ type workerEntry struct {
 	attempts map[string]context.CancelFunc
 }
 
-// cflight is one fleet-wide singleflight execution: the first job for a key
-// leads (dispatches to workers), and every other job with the same key joins.
-type cflight struct {
-	done chan struct{}
-	// raw is the result in canonical wire form, exactly as the worker served
-	// it — the coordinator relays results without ever decoding them, so a
-	// warm fleet hit costs zero JSON round trips coordinator-side.
-	raw    json.RawMessage
-	err    error
-	source string // worker-reported source of the leader's result
-	cycles int64
-	// doneAt (guarded by Coordinator.mu) stamps successful completion; the
-	// GC sweeper evicts the flight MemoTTL after it. Failed flights never
-	// get a stamp — they are evicted immediately so resubmissions retry.
-	doneAt time.Time
-}
-
-// cjob is one accepted job at the coordinator.
-type cjob struct {
-	id  string
-	req client.JobRequest
-	res server.ResolvedJob
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// doneCh closes exactly once when the job reaches a terminal state; the
-	// shared watch endpoint (server.WatchJobs) parks on it.
-	doneCh   chan struct{}
-	doneOnce sync.Once
-
-	mu     sync.Mutex
-	state  string
-	source string
-	errMsg string
-	// raw is the done job's result in wire form, kept until Retention GC;
-	// run is its lazily-decoded form, built only for in-process Go callers.
-	raw       json.RawMessage
-	run       *stats.Run
-	cycles    int64
-	worker    string // worker that produced (or is producing) the result
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	deadline  time.Time
-}
-
 // coordMetrics are the coordinator's obs series.
 type coordMetrics struct {
 	workersLive *obs.Metric
-	jobs        *obs.Metric
 	dispatches  *obs.Metric
 	steals      *obs.Metric
 	rebalances  *obs.Metric
 	dedup       *obs.Metric
-	memo        *obs.Metric
-	failed      *obs.Metric
-	jobSeconds  *obs.Histogram
 }
 
-// Coordinator owns placement and dedup for a fleet of sacd workers. It
-// speaks the sacd jobs API verbatim (see Handler), so any client.Client —
-// including sacsweep -remote — can point at it unchanged.
+// Coordinator owns placement for a fleet of sacd workers. The embedded table
+// carries the jobs API: Submit, SubmitBatch, Status, ResultRaw, Cancel.
 type Coordinator struct {
+	*jobs.Table
 	cfg  Config
 	ring *Ring
+	m    coordMetrics
 
 	mu      sync.Mutex
 	workers map[string]*workerEntry
-	jobs    map[string]*cjob
-	flights map[string]*cflight
-	steals  int64
-	dedup   int64
 	closed  bool
 
 	closeCh chan struct{}
 	wg      sync.WaitGroup
-	m       *coordMetrics
 }
 
 // New returns a started Coordinator (its lapse watcher is running); Close
@@ -177,12 +121,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
 	}
-	if cfg.MemoTTL <= 0 {
-		cfg.MemoTTL = 15 * time.Minute
-	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 15 * time.Minute
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(url string) *client.Client {
 			// Short per-call retry budget: the steal loop is the real retry
@@ -190,28 +128,45 @@ func New(cfg Config) *Coordinator {
 			return client.New(url, client.WithRetries(1), client.WithBackoff(50*time.Millisecond, 200*time.Millisecond))
 		}
 	}
+	// Without a Registry the series stay private: Fleet reads its counters
+	// from them either way.
+	reg := cfg.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	c := &Coordinator{
 		cfg:     cfg,
 		ring:    NewRing(cfg.Vnodes),
 		workers: make(map[string]*workerEntry),
-		jobs:    make(map[string]*cjob),
-		flights: make(map[string]*cflight),
 		closeCh: make(chan struct{}),
-	}
-	if reg := cfg.Registry; reg != nil {
-		c.m = &coordMetrics{
+		m: coordMetrics{
 			workersLive: reg.Gauge("saccoord_workers_live", "Workers currently in the placement ring."),
-			jobs:        reg.Counter("saccoord_jobs_total", "Jobs accepted by the coordinator."),
 			dispatches:  reg.Counter("saccoord_dispatches_total", "Dispatch attempts sent to workers."),
 			steals:      reg.Counter("saccoord_steals_total", "Dispatches re-routed after a worker died, lapsed, or timed out."),
 			rebalances:  reg.Counter("saccoord_rebalances_total", "Ring rebalances (worker joins and departures)."),
 			dedup:       reg.Counter("saccoord_dedup_joins_total", "Jobs that joined another job's in-flight execution fleet-wide."),
-			memo:        reg.Counter("saccoord_memo_recalls_total", "Jobs answered from an already-completed flight."),
-			failed:      reg.Counter("saccoord_jobs_failed_total", "Jobs that reached a non-done terminal state."),
-			jobSeconds: reg.Histogram("saccoord_job_seconds", "Job latency from accept to terminal state.",
-				[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}),
-		}
+		},
 	}
+	failed := reg.Counter("saccoord_jobs_failed_total", "Jobs that reached a non-done terminal state.")
+	jcfg := jobs.Config{
+		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
+			return server.ResolveRequest(req, cfg.DefaultFidelity)
+		},
+		Admit:   c.admit,
+		Execute: c.execute,
+		Metrics: jobs.Metrics{
+			Accepted: reg.Counter("saccoord_jobs_total", "Jobs accepted by the coordinator."),
+			Failed:   failed, Expired: failed, Canceled: failed,
+			Dedup: c.m.dedup,
+			Memo:  reg.Counter("saccoord_memo_recalls_total", "Jobs answered from an already-completed flight."),
+			Latency: reg.Histogram("saccoord_job_seconds", "Job latency from accept to terminal state.",
+				[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}),
+		},
+	}
+	if cfg.Log != nil {
+		jcfg.Logf = c.logf
+	}
+	c.Table = jobs.New(jcfg)
 	c.wg.Add(1)
 	go c.watchLapses()
 	return c
@@ -221,15 +176,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log != nil {
 		fmt.Fprintf(c.cfg.Log, "saccoord: "+format+"\n", args...)
 	}
-}
-
-// newJobID draws a random 8-byte hex id.
-func newJobID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("cluster: rand: %v", err))
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // ---- worker table ----
@@ -326,19 +272,15 @@ func (c *Coordinator) markGoneLocked(id string, w *workerEntry, why string) {
 
 // noteRingLocked refreshes the rebalance counter and live-worker gauge.
 func (c *Coordinator) noteRingLocked() {
-	if c.m != nil {
-		c.m.rebalances.Inc()
-		c.m.workersLive.Set(float64(c.ring.Len()))
-	}
+	c.m.rebalances.Inc()
+	c.m.workersLive.Set(float64(c.ring.Len()))
 }
 
 // watchLapses is the heartbeat-lapse sweeper: a worker silent past Lapse is
 // declared gone (fast failure detection for SIGKILLed workers whose jobs
-// would otherwise hang until the per-attempt timeout). The same tick also
-// runs the memory GC: done flights past MemoTTL and terminal jobs past
-// Retention are evicted so the coordinator does not accrete every result
-// and job it has ever seen (workers' content-addressed stores keep evicted
-// results one cheap re-dispatch away).
+// would otherwise hang until the per-attempt timeout). The same tick runs
+// the engine's retention sweep; workers' content-addressed stores keep
+// evicted results one cheap re-dispatch away.
 func (c *Coordinator) watchLapses() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.Heartbeat)
@@ -347,269 +289,62 @@ func (c *Coordinator) watchLapses() {
 		select {
 		case <-c.closeCh:
 			return
-		case <-t.C:
-			now := time.Now()
+		case now := <-t.C:
 			c.mu.Lock()
 			for id, w := range c.workers {
 				if !w.gone && now.Sub(w.lastBeat) > c.cfg.Lapse {
 					c.markGoneLocked(id, w, fmt.Sprintf("heartbeat lapse >%s", c.cfg.Lapse))
 				}
 			}
-			c.gcLocked(now)
 			c.mu.Unlock()
+			c.Sweep(now)
 		}
 	}
 }
 
-// gcLocked evicts done flights older than MemoTTL and terminal jobs older
-// than Retention. Lock order is c.mu → j.mu, matching every other path
-// (no caller acquires c.mu while holding a job lock).
-func (c *Coordinator) gcLocked(now time.Time) {
-	for key, f := range c.flights {
-		if !f.doneAt.IsZero() && now.Sub(f.doneAt) > c.cfg.MemoTTL {
-			delete(c.flights, key)
-		}
-	}
-	for id, j := range c.jobs {
-		j.mu.Lock()
-		fin := j.finished
-		j.mu.Unlock()
-		if !fin.IsZero() && now.Sub(fin) > c.cfg.Retention {
-			delete(c.jobs, id)
-		}
-	}
-}
+// ---- execution ----
 
-// ---- job lifecycle ----
-
-// Submit accepts one job: resolves its identity, then leads or joins the
-// fleet-wide flight for its cache key. Exactly one worker execution happens
-// per unique key no matter how many clients submit it concurrently.
-func (c *Coordinator) Submit(req client.JobRequest) (client.JobStatus, error) {
-	rj, err := server.ResolveRequest(req, c.cfg.DefaultFidelity)
-	if err != nil {
-		return client.JobStatus{}, err
-	}
-	j := c.newCJob(req, rj)
+// admit is the engine's admission hook: an open coordinator admits
+// everything. A job whose key already completed is recalled on the spot, so
+// its submission response is terminal; every other job gets a goroutine that
+// leads or joins the fleet-wide flight for its key — exactly one worker
+// execution happens per unique key no matter how many clients, or items of
+// one batch, submit it.
+func (c *Coordinator) admit(batch []*jobs.Job) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		j.cancel()
-		return client.JobStatus{}, ErrClosed
+		return ErrClosed
 	}
-	c.jobs[j.id] = j
-	if c.m != nil {
-		c.m.jobs.Inc()
-	}
-	start := c.startJobLocked(j)
+	c.wg.Add(len(batch))
 	c.mu.Unlock()
-	start()
-	st, _ := c.Status(j.id)
-	return st, nil
-}
-
-// SubmitBatch accepts up to client.MaxBatch jobs, making every flight
-// decision in one pass under the lock — duplicates inside the batch join the
-// first item's flight exactly like duplicates across clients, so a sweep
-// submitted as one batch still costs one worker execution per unique key.
-// Semantics mirror server.SubmitBatch: all-or-nothing, with per-item
-// validation errors ("" = valid) when any request is bad.
-func (c *Coordinator) SubmitBatch(reqs []client.JobRequest) ([]client.JobStatus, []string, error) {
-	if len(reqs) == 0 {
-		return nil, nil, errors.New("empty batch")
-	}
-	if len(reqs) > client.MaxBatch {
-		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(reqs), client.MaxBatch)
-	}
-	rjs := make([]server.ResolvedJob, len(reqs))
-	itemErrs := make([]string, len(reqs))
-	bad := false
-	for i, req := range reqs {
-		rj, err := server.ResolveRequest(req, c.cfg.DefaultFidelity)
-		if err != nil {
-			itemErrs[i] = err.Error()
-			bad = true
+	for _, j := range batch {
+		if c.Recall(j) {
+			c.wg.Done()
 			continue
 		}
-		rjs[i] = rj
+		go func(j *jobs.Job) {
+			defer c.wg.Done()
+			c.Run(j)
+		}(j)
 	}
-	if bad {
-		return nil, itemErrs, nil
-	}
-	jobs := make([]*cjob, len(reqs))
-	starts := make([]func(), len(reqs))
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	for i, req := range reqs {
-		j := c.newCJob(req, rjs[i])
-		jobs[i] = j
-		c.jobs[j.id] = j
-		if c.m != nil {
-			c.m.jobs.Inc()
-		}
-		starts[i] = c.startJobLocked(j)
-	}
-	c.mu.Unlock()
-	for _, start := range starts {
-		start()
-	}
-	sts := make([]client.JobStatus, len(jobs))
-	for i, j := range jobs {
-		sts[i], _ = c.Status(j.id)
-	}
-	c.logf("accepted batch of %d", len(jobs))
-	return sts, nil, nil
+	return nil
 }
 
-// newCJob builds one accepted job with its lifecycle context.
-func (c *Coordinator) newCJob(req client.JobRequest, rj server.ResolvedJob) *cjob {
-	j := &cjob{
-		id:        newJobID(),
-		req:       req,
-		res:       rj,
-		doneCh:    make(chan struct{}),
-		state:     client.StateQueued,
-		submitted: time.Now(),
-	}
-	ctx := context.Background()
-	if req.TimeoutMS > 0 {
-		j.deadline = j.submitted.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
-		ctx, j.cancel = context.WithDeadline(ctx, j.deadline)
-	} else {
-		ctx, j.cancel = context.WithCancel(ctx)
-	}
-	j.ctx = ctx
-	return j
-}
-
-// startJobLocked makes the flight decision for one registered job — lead,
-// memo recall, or dedup join — and returns the action to invoke once c.mu
-// drops. The caller holds c.mu; deferring the action keeps goroutine spawns
-// and settle's j.mu acquisition outside the coordinator lock.
-func (c *Coordinator) startJobLocked(j *cjob) func() {
-	f := c.flights[j.res.Key]
-	switch {
-	case f == nil:
-		f = &cflight{done: make(chan struct{})}
-		c.flights[j.res.Key] = f
-		c.wg.Add(1)
-		return func() { go c.lead(j, f) }
-	case isDone(f):
-		// Completed flight: recall without touching the fleet.
-		if c.m != nil {
-			c.m.memo.Inc()
-		}
-		return func() { c.settle(j, f, client.SourceMemo) }
-	default:
-		c.dedup++
-		if c.m != nil {
-			c.m.dedup.Inc()
-		}
-		c.wg.Add(1)
-		return func() { go c.join(j, f) }
-	}
-}
-
-func isDone(f *cflight) bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// settle publishes a flight's outcome into one job. source overrides the
-// flight's own source for dedup joins and memo recalls. The terminal-state
-// channel closes here and only here — on the one call that actually
-// transitions the job — so watchers wake exactly once.
-func (c *Coordinator) settle(j *cjob, f *cflight, source string) {
-	j.mu.Lock()
-	if j.state == client.StateDone || j.state == client.StateFailed ||
-		j.state == client.StateExpired || j.state == client.StateCanceled {
-		j.mu.Unlock()
-		return
-	}
-	j.finished = time.Now()
-	switch {
-	case f.err == nil:
-		j.state = client.StateDone
-		if source == "" {
-			source = f.source
-		}
-		j.source = source
-		j.raw = f.raw
-		j.cycles = f.cycles
-	case errors.Is(f.err, context.DeadlineExceeded):
-		j.state = client.StateExpired
-		j.errMsg = "deadline exceeded"
-	case errors.Is(f.err, context.Canceled):
-		j.state = client.StateCanceled
-		j.errMsg = "canceled by client"
-	default:
-		j.state = client.StateFailed
-		j.errMsg = f.err.Error()
-	}
-	if c.m != nil {
-		if j.state != client.StateDone {
-			c.m.failed.Inc()
-		}
-		c.m.jobSeconds.Observe(j.finished.Sub(j.submitted).Seconds())
-	}
-	j.cancel()
-	j.mu.Unlock()
-	j.doneOnce.Do(func() { close(j.doneCh) })
-}
-
-// fail publishes a terminal error that did not come from the flight (joiner
-// deadline/cancel while the flight keeps running for others).
-func (c *Coordinator) fail(j *cjob, err error) {
-	c.settle(j, &cflight{err: err}, "")
-}
-
-// join waits for another job's flight. The joiner's own deadline and cancel
-// still apply: the flight keeps running for everyone else.
-func (c *Coordinator) join(j *cjob, f *cflight) {
-	defer c.wg.Done()
-	j.mu.Lock()
-	j.state = client.StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	select {
-	case <-f.done:
-		c.settle(j, f, client.SourceDedup)
-	case <-j.ctx.Done():
-		c.fail(j, j.ctx.Err())
-	case <-c.closeCh:
-		c.fail(j, ErrClosed)
-	}
-}
-
-// lead runs the flight: dispatch to the ring owner, steal on failure.
-func (c *Coordinator) lead(j *cjob, f *cflight) {
-	defer c.wg.Done()
-	defer close(f.done)
-	j.mu.Lock()
-	j.state = client.StateRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
+// execute is the engine's executor, run by a flight's leader: dispatch to
+// the ring owner, steal to the next successor on failure.
+func (c *Coordinator) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	tried := make(map[string]bool)
 	attempts := 0
 	var lastErr error
 	for {
-		if err := j.ctx.Err(); err != nil {
-			f.err = err
-			break
+		if err := ctx.Err(); err != nil {
+			return jobs.Outcome{Err: err}
 		}
 		if attempts >= c.cfg.MaxAttempts {
-			f.err = fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)
-			break
+			return jobs.Outcome{Err: fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)}
 		}
-		id, w, ok := c.pickWorker(j.res.Key, tried)
+		id, w, ok := c.pickWorker(j.Key, tried)
 		if !ok {
 			if len(tried) > 0 {
 				// Every live worker failed this job once; sweep them again.
@@ -618,50 +353,29 @@ func (c *Coordinator) lead(j *cjob, f *cflight) {
 			}
 			// Empty fleet: wait for a registration, bounded by the deadline.
 			select {
-			case <-j.ctx.Done():
-				f.err = fmt.Errorf("%w: %w", ErrNoWorkers, j.ctx.Err())
+			case <-ctx.Done():
+				return jobs.Outcome{Err: fmt.Errorf("%w: %w", ErrNoWorkers, ctx.Err())}
 			case <-c.closeCh:
-				f.err = ErrClosed
+				return jobs.Outcome{Err: ErrClosed}
 			case <-time.After(100 * time.Millisecond):
 				continue
 			}
-			break
 		}
 		attempts++
 		if attempts > 1 {
-			c.noteSteal()
-			c.logf("job %s stolen to worker %s (attempt %d): %v", j.id, id, attempts, lastErr)
+			c.m.steals.Inc()
+			c.logf("job %s stolen to worker %s (attempt %d): %v", j.ID, id, attempts, lastErr)
 		}
-		j.mu.Lock()
-		j.worker = id
-		j.mu.Unlock()
-		raw, st, err := c.dispatch(j, id, w)
+		raw, st, err := c.dispatch(ctx, j, id, w)
 		if err == nil {
-			f.raw, f.source, f.cycles = raw, st.Source, st.Cycles
-			break
+			return jobs.Outcome{Raw: raw, Source: st.Source, Cycles: st.Cycles, Worker: id}
 		}
 		if errors.Is(err, errPermanent) {
-			f.err = err
-			break
+			return jobs.Outcome{Err: err}
 		}
 		lastErr = err
 		tried[id] = true
 	}
-	c.mu.Lock()
-	if f.err != nil {
-		// Evict the failed flight so a resubmission retries instead of
-		// recalling the failure forever (parity with sacd's flight table).
-		// Joiners hold the flight pointer, so they still observe the error.
-		delete(c.flights, j.res.Key)
-	} else {
-		f.doneAt = time.Now()
-	}
-	c.mu.Unlock()
-	c.settle(j, f, "")
-	j.mu.Lock()
-	c.logf("job %s %s (%s/%s key=%.12s worker=%s source=%s)", j.id, j.state,
-		j.res.Spec.Name, j.res.Cfg.Org, j.res.Key, j.worker, j.source)
-	j.mu.Unlock()
 }
 
 // pickWorker walks the key's ring successors twice — healthy workers first,
@@ -690,13 +404,12 @@ func (c *Coordinator) pickWorker(key string, tried map[string]bool) (string, *wo
 // non-permanent error (network death, per-attempt timeout, worker-side
 // expiry) sends the caller back into the steal loop; a best-effort
 // steal-cancel tells the abandoned worker to stop burning cycles.
-func (c *Coordinator) dispatch(j *cjob, id string, w *workerEntry) (json.RawMessage, client.JobStatus, error) {
-	var ctx context.Context
+func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *workerEntry) (json.RawMessage, client.JobStatus, error) {
 	var cancel context.CancelFunc
 	if c.cfg.StealAfter > 0 {
-		ctx, cancel = context.WithTimeout(j.ctx, c.cfg.StealAfter)
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.StealAfter)
 	} else {
-		ctx, cancel = context.WithCancel(j.ctx)
+		ctx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 
@@ -705,25 +418,23 @@ func (c *Coordinator) dispatch(j *cjob, id string, w *workerEntry) (json.RawMess
 	// w.cl out from under a running dispatch.
 	c.mu.Lock()
 	cl := w.cl
-	w.attempts[j.res.Key] = cancel
+	w.attempts[j.Key] = cancel
 	w.inflight++
 	w.dispatched++
 	c.mu.Unlock()
-	if c.m != nil {
-		c.m.dispatches.Inc()
-	}
+	c.m.dispatches.Inc()
 	defer func() {
 		c.mu.Lock()
-		if w.attempts[j.res.Key] != nil {
-			delete(w.attempts, j.res.Key)
+		if w.attempts[j.Key] != nil {
+			delete(w.attempts, j.Key)
 		}
 		w.inflight--
 		c.mu.Unlock()
 	}()
 
-	req := j.req
-	if !j.deadline.IsZero() {
-		rem := time.Until(j.deadline).Milliseconds()
+	req := j.Req
+	if !j.Deadline.IsZero() {
+		rem := time.Until(j.Deadline).Milliseconds()
 		if rem <= 0 {
 			return nil, client.JobStatus{}, context.DeadlineExceeded
 		}
@@ -734,10 +445,10 @@ func (c *Coordinator) dispatch(j *cjob, id string, w *workerEntry) (json.RawMess
 		return nil, client.JobStatus{}, fmt.Errorf("worker %s: submit: %w", id, err)
 	}
 	st := sts[0]
-	if st.Key != "" && st.Key != j.res.Key {
+	if st.Key != "" && st.Key != j.Key {
 		// Placement and dedup both hang off this key; a worker computing a
 		// different one means version drift, which stealing cannot fix.
-		return nil, st, fmt.Errorf("%w: worker %s key mismatch: %s != %s", errPermanent, id, st.Key, j.res.Key)
+		return nil, st, fmt.Errorf("%w: worker %s key mismatch: %s != %s", errPermanent, id, st.Key, j.Key)
 	}
 	for !st.Done() {
 		resp, werr := cl.Watch(ctx, []string{st.ID}, 0)
@@ -794,158 +505,16 @@ func (c *Coordinator) stealCancel(cl *client.Client, jobID, workerID string) {
 	}()
 }
 
-func (c *Coordinator) noteSteal() {
-	c.mu.Lock()
-	c.steals++
-	c.mu.Unlock()
-	if c.m != nil {
-		c.m.steals.Inc()
-	}
-}
-
-// Cancel stops one job; ok is false for unknown IDs. Canceling a leader
-// cancels its flight (joiners see the cancellation too, mirroring sacd);
-// canceling a joiner detaches only that job.
-func (c *Coordinator) Cancel(id string) (client.JobStatus, bool) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return client.JobStatus{}, false
-	}
-	j.cancel()
-	// Cancellation is asynchronous: the status below may still read running,
-	// and the client polls until terminal — exactly like job expiry.
-	st, _ := c.Status(id)
-	return st, true
-}
-
-// Status reports one job; ok is false for unknown IDs.
-func (c *Coordinator) Status(id string) (client.JobStatus, bool) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return client.JobStatus{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := client.JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Benchmark:   j.res.Spec.Name,
-		Org:         j.res.Cfg.Org.String(),
-		Priority:    j.req.Priority,
-		Fidelity:    displayFidelity(j.res.Fidelity),
-		Key:         j.res.Key,
-		Source:      j.source,
-		Error:       j.errMsg,
-		Cycles:      j.cycles,
-		SubmittedAt: j.submitted,
-	}
-	if st.Priority == "" {
-		st.Priority = client.PriorityNormal
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
-	}
-	if !j.deadline.IsZero() {
-		t := j.deadline
-		st.DeadlineAt = &t
-	}
-	return st, true
-}
-
-func displayFidelity(fid string) string {
-	if fid == "" {
-		return client.FidelityExact
-	}
-	return fid
-}
-
-// Result returns a done job's result; ok is false for unknown IDs. The
-// result rides the job itself, not the flight table, so memo eviction never
-// strands a retained done job without its payload. The wire bytes are the
-// source of truth; the decode happens lazily here, once, only for in-process
-// Go callers (HTTP consumers go through ResultRaw and never pay it).
-func (c *Coordinator) Result(id string) (*stats.Run, client.JobStatus, bool) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return nil, client.JobStatus{}, false
-	}
-	st, _ := c.Status(id)
-	j.mu.Lock()
-	run := j.run
-	if run == nil && len(j.raw) > 0 {
-		var r stats.Run
-		if err := json.Unmarshal(j.raw, &r); err == nil {
-			j.run = &r
-			run = &r
-		}
-	}
-	j.mu.Unlock()
-	if st.State == client.StateDone && run != nil {
-		return run, st, true
-	}
-	return nil, st, true
-}
-
-// ResultRaw returns a done job's result in canonical wire form, untouched
-// since the worker served it. Nil raw with ok=true means no result (the job
-// is not done). Together with Status and DoneChan this satisfies
-// server.JobSource, so the coordinator mounts the same watch handler sacd
-// does.
-func (c *Coordinator) ResultRaw(id string) (json.RawMessage, client.JobStatus, bool) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return nil, client.JobStatus{}, false
-	}
-	st, _ := c.Status(id)
-	if st.State != client.StateDone {
-		return nil, st, true
-	}
-	j.mu.Lock()
-	raw := j.raw
-	if raw == nil && j.run != nil {
-		if b, err := json.Marshal(j.run); err == nil {
-			j.raw = b
-			raw = b
-		}
-	}
-	j.mu.Unlock()
-	return raw, st, true
-}
-
-// DoneChan exposes a job's terminal-state channel to the watch endpoint.
-func (c *Coordinator) DoneChan(id string) (<-chan struct{}, bool) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j == nil {
-		return nil, false
-	}
-	return j.doneCh, true
-}
-
 // Fleet snapshots the worker table and fleet counters.
 func (c *Coordinator) Fleet() client.FleetStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fs := client.FleetStatus{
 		Live:      c.ring.Len(),
-		Jobs:      len(c.jobs),
-		Flights:   len(c.flights),
-		Steals:    c.steals,
-		DedupHits: c.dedup,
+		Jobs:      c.Len(),
+		Flights:   c.Flights(),
+		Steals:    int64(c.m.steals.Value()),
+		DedupHits: int64(c.m.dedup.Value()),
 	}
 	for _, w := range c.workers {
 		fs.Workers = append(fs.Workers, client.WorkerStatus{
@@ -957,16 +526,8 @@ func (c *Coordinator) Fleet() client.FleetStatus {
 			Dispatched: w.dispatched,
 		})
 	}
-	sortWorkers(fs.Workers)
+	sort.Slice(fs.Workers, func(a, b int) bool { return fs.Workers[a].ID < fs.Workers[b].ID })
 	return fs
-}
-
-func sortWorkers(ws []client.WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for k := i; k > 0 && ws[k].ID < ws[k-1].ID; k-- {
-			ws[k], ws[k-1] = ws[k-1], ws[k]
-		}
-	}
 }
 
 // Close stops the coordinator: new submissions are rejected, every running
@@ -978,14 +539,8 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
-	jobs := make([]*cjob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
 	c.mu.Unlock()
 	close(c.closeCh)
-	for _, j := range jobs {
-		j.cancel()
-	}
+	c.CancelAll()
 	c.wg.Wait()
 }

@@ -152,10 +152,7 @@ func TestBatchMalformed(t *testing.T) {
 		}
 	}
 	// All-or-nothing: the valid item must not have been admitted.
-	s.mu.Lock()
-	admitted := len(s.jobs)
-	s.mu.Unlock()
-	if admitted != 0 {
+	if admitted := s.Len(); admitted != 0 {
 		t.Fatalf("%d jobs admitted from a rejected batch, want 0", admitted)
 	}
 }
@@ -164,23 +161,28 @@ func TestBatchMalformed(t *testing.T) {
 // mixed set returns as soon as any listed job is terminal, reporting only
 // the terminal ones.
 func TestWatchFirstTerminal(t *testing.T) {
+	// BeforeRun runs on the worker for the exact job and on the accepting
+	// goroutine for the estimate one; only the exact job's id wedges.
 	gate := make(chan struct{})
-	var gated bool
-	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(string) {
-		if !gated {
-			gated = true
+	var slowID string
+	known := make(chan struct{}) // closed once slowID is set
+	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(id string) {
+		<-known
+		if id == slowID {
 			<-gate
 		}
 	}}})
 	t.Cleanup(func() { close(gate) })
 	ctx := context.Background()
 
-	// The first exact job wedges in BeforeRun; the estimate job is terminal
-	// at submit.
+	// The exact job wedges in BeforeRun; the estimate job is terminal at
+	// submit.
 	slow, err := c.Submit(ctx, tinyRequest("BP", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowID = slow.ID
+	close(known)
 	est := tinyRequest("RN", "SAC")
 	est.Fidelity = client.FidelityEstimate
 	fast, err := c.Submit(ctx, est)

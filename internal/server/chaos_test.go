@@ -139,8 +139,8 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestDrainJournalExactlyOnce covers SIGTERM-mid-backlog: a drained server's
-// queued jobs stay live in the journal (no legacy requeue file), resume on
+// TestDrainJournalExactlyOnce covers SIGTERM-mid-backlog: a drained server
+// refuses new work, its queued jobs stay live in the journal, resume on
 // restart under their IDs, execute exactly once, and a third life finds
 // nothing left to restore plus a clean-shutdown mark.
 func TestDrainJournalExactlyOnce(t *testing.T) {
@@ -154,8 +154,7 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 
 	// Workers never started: the backlog stays queued so Drain must carry
 	// all of it across.
-	s1 := New(Config{Workers: 1, QueueCap: 16, JournalPath: jp, Store: st,
-		RequeuePath: filepath.Join(dir, "requeue.json")})
+	s1 := New(Config{Workers: 1, QueueCap: 16, JournalPath: jp, Store: st})
 	if _, err := s1.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +176,8 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 			t.Fatalf("job %s state %q after drain, want requeued", id, jst.State)
 		}
 	}
-	// The journal replaces the legacy spill file.
-	if _, err := os.Stat(filepath.Join(dir, "requeue.json")); !os.IsNotExist(err) {
-		t.Fatal("journaled drain wrote a legacy requeue file")
+	if _, err := s1.Submit(tinyRequest("RN", "SAC")); !errors.Is(err, ErrDraining) {
+		t.Fatalf("draining submit returned %v, want ErrDraining", err)
 	}
 
 	s2 := New(Config{Workers: 2, QueueCap: 16, JournalPath: jp, Store: st})

@@ -47,7 +47,7 @@ func (s *Server) oldestQueuedLocked(now time.Time) time.Duration {
 	var oldest time.Duration
 	for lane := range s.queues {
 		if q := s.queues[lane]; len(q) > 0 {
-			if age := now.Sub(q[0].submitted); age > oldest {
+			if age := now.Sub(q[0].Submitted); age > oldest {
 				oldest = age
 			}
 		}
@@ -78,11 +78,8 @@ func (s *Server) healthLocked(now time.Time) (string, []string) {
 			age.Round(time.Millisecond), s.degradedQueueAge()))
 	}
 	stalled := 0
-	for _, j := range s.running {
-		j.mu.Lock()
-		started := j.started
-		j.mu.Unlock()
-		if !started.IsZero() && now.Sub(started) >= s.stallAfter() {
+	for _, popped := range s.running {
+		if now.Sub(popped) >= s.stallAfter() {
 			stalled++
 		}
 	}
@@ -117,10 +114,8 @@ func (s *Server) noteHealthLocked(state string) {
 	}
 	s.logf("health: %s -> %s", s.lastHealth, state)
 	s.lastHealth = state
-	if s.m != nil {
-		s.m.healthState.Set(healthCode(state))
-		s.m.healthTransitions.Inc()
-	}
+	s.m.healthState.Set(healthCode(state))
+	s.m.healthTransitions.Inc()
 }
 
 // RetryAfterHint estimates, in whole seconds, when a rejected client should

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -52,9 +51,7 @@ func testDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	c := client.New(hs.URL,
-		client.WithBackoff(time.Millisecond, 8*time.Millisecond),
-		client.WithPollInterval(2*time.Millisecond))
+	c := client.New(hs.URL, client.WithBackoff(time.Millisecond, 8*time.Millisecond))
 	return s, c
 }
 
@@ -179,7 +176,7 @@ func TestPriorityPopOrder(t *testing.T) {
 	var order []string
 	for i := 0; i < 3; i++ {
 		j := s.pop()
-		order = append(order, j.id)
+		order = append(order, j.ID)
 	}
 	want := []string{ids[2], ids[1], ids[0]} // high, normal, batch
 	if !reflect.DeepEqual(order, want) {
@@ -301,84 +298,6 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 	if s2.runner.Runs() != 0 {
 		t.Fatalf("restarted daemon simulated %d cells, want 0", s2.runner.Runs())
-	}
-}
-
-// TestDrainRequeuesQueuedJobs drains a server with a deep queue and checks
-// the queued jobs land in the requeue file with their IDs, then that a new
-// server restores them and runs them to completion.
-func TestDrainRequeuesQueuedJobs(t *testing.T) {
-	dir := t.TempDir()
-	requeue := filepath.Join(dir, "requeue.json")
-
-	s1 := New(Config{Workers: 1, QueueCap: 16, RequeuePath: requeue})
-	// Workers never started: everything stays queued, so the drain must
-	// spill all of it.
-	var ids []string
-	for _, bm := range []string{"RN", "BP", "SN"} {
-		st, err := s1.Submit(tinyRequest(bm, "SAC"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids {
-		st, ok := s1.Status(id)
-		if !ok || st.State != client.StateRequeued {
-			t.Fatalf("job %s state %q after drain, want requeued", id, st.State)
-		}
-	}
-	b, err := os.ReadFile(requeue)
-	if err != nil {
-		t.Fatalf("requeue file not written: %v", err)
-	}
-	var rf requeueFile
-	if err := json.Unmarshal(b, &rf); err != nil {
-		t.Fatal(err)
-	}
-	if len(rf.Jobs) != len(ids) {
-		t.Fatalf("requeue file holds %d jobs, want %d", len(rf.Jobs), len(ids))
-	}
-
-	// A draining server rejects new submissions.
-	if _, err := s1.Submit(tinyRequest("RN", "SAC")); err != ErrDraining {
-		t.Fatalf("draining submit returned %v, want ErrDraining", err)
-	}
-
-	s2, _ := testDaemon(t, Config{Workers: 2, QueueCap: 16, RequeuePath: requeue})
-	n, err := s2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(ids) {
-		t.Fatalf("restored %d jobs, want %d", n, len(ids))
-	}
-	if _, err := os.Stat(requeue); !os.IsNotExist(err) {
-		t.Fatal("requeue file not deleted after restore")
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for _, id := range ids {
-		for {
-			st, ok := s2.Status(id)
-			if !ok {
-				t.Fatalf("restored server does not know job %s", id)
-			}
-			if st.Done() {
-				if st.State != client.StateDone {
-					t.Fatalf("restored job %s finished %s: %s", id, st.State, st.Error)
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("restored job %s still %s", id, st.State)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
 	}
 }
 

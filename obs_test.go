@@ -112,9 +112,9 @@ func TestGoldenChromeTrace(t *testing.T) {
 	checkGolden(t, "trace.json", b.Bytes())
 }
 
-// TestAPICompatWrappers proves the deprecated entry points are bit-identical
-// to the options-based Run: same workload, same stats, field for field.
-func TestAPICompatWrappers(t *testing.T) {
+// TestWithFaultsNilPlanIsPlainRun: a nil fault plan is exactly a plain Run,
+// field for field, and a real plan is not.
+func TestWithFaultsNilPlanIsPlainRun(t *testing.T) {
 	spec, err := sac.Benchmark("RN")
 	if err != nil {
 		t.Fatal(err)
@@ -124,35 +124,24 @@ func TestAPICompatWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaWorkload, err := sac.RunWorkload(cfg, spec)
+	viaNil, err := sac.Run(cfg, spec, sac.WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base, viaWorkload) {
-		t.Fatal("RunWorkload diverged from Run")
-	}
-	viaFaults, err := sac.RunWithFaults(cfg, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, viaFaults) {
-		t.Fatal("RunWithFaults(nil) diverged from Run")
+	if !reflect.DeepEqual(base, viaNil) {
+		t.Fatal("WithFaults(nil) diverged from Run")
 	}
 
 	plan, err := sac.ParseFaultPlan("dram:1.0@3000-9000*0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldStyle, err := sac.RunWithFaults(cfg, spec, plan)
+	faulted, err := sac.Run(cfg, spec, sac.WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	optStyle, err := sac.Run(cfg, spec, sac.WithFaults(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldStyle, optStyle) {
-		t.Fatal("WithFaults diverged from RunWithFaults")
+	if reflect.DeepEqual(base, faulted) {
+		t.Fatal("a DRAM fault plan left the run unchanged")
 	}
 }
 

@@ -60,7 +60,7 @@ func startBenchDaemon(tb testing.TB, universe []client.JobRequest) *client.Clien
 		_ = s.Drain(ctx)
 		st.Close()
 	})
-	c := client.New(hs.URL, client.WithPollInterval(2*time.Millisecond))
+	c := client.New(hs.URL)
 	ctx := context.Background()
 	for off := 0; off < len(universe); off += client.MaxBatch {
 		end := min(off+client.MaxBatch, len(universe))

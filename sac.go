@@ -210,13 +210,6 @@ func Run(cfg Config, w Workload, opts ...RunOption) (st *Stats, err error) {
 	return st, err
 }
 
-// RunWorkload executes an arbitrary workload source (e.g. a trace replay).
-//
-// Deprecated: Run accepts any Workload directly; call Run(cfg, w) instead.
-func RunWorkload(cfg Config, w Workload) (*Stats, error) {
-	return Run(cfg, w)
-}
-
 // System is a constructed simulator instance; use it instead of Run to
 // inspect state (mode, SAC decisions) after execution.
 type System = gpu.System
@@ -260,14 +253,6 @@ func LoadFaultPlan(path string) (*FaultPlan, error) { return fault.Load(path) }
 // events over the first horizon cycles, fully determined by seed.
 func GenerateFaultPlan(cfg Config, seed int64, n int, horizon int64) *FaultPlan {
 	return fault.Generate(seed, cfg.FaultShape(), n, horizon)
-}
-
-// RunWithFaults executes any workload source (a Spec or a trace replay) on
-// cfg with plan injected (nil or empty plan is exactly Run).
-//
-// Deprecated: call Run(cfg, w, WithFaults(plan)) instead.
-func RunWithFaults(cfg Config, w Workload, plan *FaultPlan) (*Stats, error) {
-	return Run(cfg, w, WithFaults(plan))
 }
 
 // StallError reports a watchdog abort: no request retired within

@@ -139,14 +139,14 @@ func TestFaultAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := sac.RunWithFaults(cfg.WithOrg(sac.SAC), spec, plan)
+	faulted, err := sac.Run(cfg.WithOrg(sac.SAC), spec, sac.WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if faulted.FaultEvents == 0 {
 		t.Fatal("fault plan injected no events")
 	}
-	healthy, err := sac.RunWithFaults(cfg.WithOrg(sac.SAC), spec, nil)
+	healthy, err := sac.Run(cfg.WithOrg(sac.SAC), spec, sac.WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := sac.NewSystem(cfg, spec); err == nil {
 		t.Fatal("invalid config accepted by NewSystem")
 	}
-	if _, err := sac.RunWithFaults(cfg, spec, nil); err == nil {
-		t.Fatal("invalid config accepted by RunWithFaults")
+	if _, err := sac.Run(cfg, spec, sac.WithFaults(nil)); err == nil {
+		t.Fatal("invalid config accepted by Run with a fault option")
 	}
 }
 
@@ -193,7 +193,7 @@ func (panicWorkload) Stream(m workload.Machine, ki, chip, sm, warp int) workload
 }
 
 func TestRunWorkloadContainsPanic(t *testing.T) {
-	_, err := sac.RunWorkload(fastConfig(), panicWorkload{})
+	_, err := sac.Run(fastConfig(), panicWorkload{})
 	if err == nil {
 		t.Fatal("panicking workload returned nil error")
 	}
