@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke epochmatrix fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
+.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -15,10 +15,12 @@ vet:
 # the singleflight cache and worker pool from many goroutines. It is also
 # every contract gate at once: no test is -short- or tag-gated, so this runs
 # everything the smoke, chaossmoke, fidelitysmoke and clustersmoke shortcuts
-# below name. What it cannot reach is a configuration an environment variable
-# selects; syncsmoke and epochmatrix cover those. The timeout is raised
-# because on a two-core box internal/gpu (200 s under race alone) shares the
-# cores with the root package's tests and overruns go test's 10 minutes.
+# below name — including the chip-worker determinism sweep with ring-epoch
+# fusion unlimited, off and capped. What it cannot reach is a configuration
+# an environment variable selects; syncsmoke covers the one there is. The
+# timeout is raised because on a two-core box internal/gpu (200 s under race
+# alone) shares the cores with the root package's tests and overruns go
+# test's 10 minutes.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -49,14 +51,6 @@ chaossmoke: syncsmoke
 # the default (page-cache) journal mode never takes.
 syncsmoke:
 	REPRO_JOURNAL_SYNC=1 $(GO) test -race -count=1 -run 'TestCrashRecoveryE2E' ./cmd/sacd
-
-# epochmatrix sweeps the chip-worker determinism test with multi-cycle ring
-# epochs forced off and capped (the default, unlimited, runs under race):
-# fusion changes how many barriers a parallel run takes, never what it
-# computes.
-epochmatrix:
-	REPRO_EPOCH_K=0 $(GO) test -race -count=1 -run TestChipWorkerDeterminism ./internal/gpu
-	REPRO_EPOCH_K=4 $(GO) test -race -count=1 -run TestChipWorkerDeterminism ./internal/gpu
 
 # fidelitysmoke is the fidelity-ladder shortcut: the estimate and sampled rungs
 # must reproduce the cycle-exact SAC org decision on all 16 Table-4
@@ -100,24 +94,25 @@ vuln:
 	fi
 
 # fieldalign runs the fieldalignment analyzer over the struct-of-arrays hot
-# packages (a padded layout there silently regresses the cache behaviour the
-# SoA refactor bought). Advisory like vuln: offline checkouts without the
+# packages — the cache array every L1 and LLC slice runs on, the cycle loop,
+# the ring (a padded layout there silently regresses the cache behaviour the
+# SoA layout bought). Advisory like vuln: offline checkouts without the
 # tool still pass.
 fieldalign:
 	@if command -v fieldalignment >/dev/null 2>&1; then \
-		fieldalignment ./internal/llc ./internal/gpu ./internal/xchip; \
+		fieldalignment ./internal/cache ./internal/gpu ./internal/xchip; \
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi
 
 # check is the CI gate: static analysis, the full suite under the race
 # detector (every daemon, crash-recovery, fidelity and fleet contract — once)
-# and again in shuffled order, the two environment-selected configurations
+# and again in shuffled order, the one environment-selected configuration
 # race cannot reach, a fuzz smoke of the decoders, the nested benchmark
 # module's own vet + tests, a one-iteration benchmark smoke, a 30-second
 # load smoke of the batch serving path, and the advisory layout and
 # vulnerability scans.
-check: vet race shuffle syncsmoke epochmatrix fuzz benchcheck benchsmoke loadsmoke fieldalign vuln
+check: vet race shuffle syncsmoke fuzz benchcheck benchsmoke loadsmoke fieldalign vuln
 
 # benchcheck builds and tests bench/, a module of its own that compiles
 # against internal/store, internal/server, internal/cluster and client but
@@ -130,7 +125,7 @@ benchcheck:
 # single iteration — it catches benchmarks broken by API drift without
 # paying for a measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'StepParallel|SimulatorThroughput$$|IdleFastForward|LLCLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'StepParallel|SimulatorThroughput$$|IdleFastForward|CacheLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'StorePut' -benchtime 1x ./internal/store
 
 # loadsmoke is the serving-throughput gate: sacload drives an in-process sacd

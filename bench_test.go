@@ -20,7 +20,6 @@ import (
 
 	sac "repro"
 	"repro/internal/cache"
-	"repro/internal/llc"
 )
 
 var (
@@ -398,38 +397,33 @@ func BenchmarkIdleFastForward(b *testing.B) {
 	}
 }
 
-// BenchmarkLLCLookup measures the slice-lookup hot path against both array
-// layouts: the pointer-per-line cache.Cache and the struct-of-arrays
-// llc.Array the phase-5 loop uses (split find/commit, as in the simulator).
-func BenchmarkLLCLookup(b *testing.B) {
-	cfg := cache.Config{Sets: 512, Ways: 16, LineBytes: 128, Sectors: 4, WriteBack: true}
-	lines := uint64(cfg.Lines())
-	fillBoth := func(fill func(line uint64, sector int)) {
-		lcg := uint64(1)
-		for i := uint64(0); i < lines; i++ {
-			lcg = lcg*6364136223846793005 + 1442695040888963407
-			fill(lcg%(2*lines), int(lcg>>60)&3)
-		}
+// BenchmarkCacheLookup measures the lookup hot path of the one
+// set-associative array at the two shapes the simulator builds it in: an
+// SM's private L1 and an LLC slice.
+func BenchmarkCacheLookup(b *testing.B) {
+	shapes := []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"l1", cache.Config{Sets: 16, Ways: 8, LineBytes: 128, Sectors: 1}},
+		{"llc", cache.Config{Sets: 512, Ways: 16, LineBytes: 128, Sectors: 4, WriteBack: true}},
 	}
-	b.Run("aos", func(b *testing.B) {
-		c := cache.New(cfg)
-		fillBoth(func(l uint64, s int) { c.Fill(l, s, cache.PartAll, false) })
-		lcg := uint64(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lcg = lcg*6364136223846793005 + 1442695040888963407
-			c.Lookup(lcg%(2*lines), int(lcg>>60)&3)
-		}
-	})
-	b.Run("soa", func(b *testing.B) {
-		a := llc.NewArray(cfg)
-		fillBoth(func(l uint64, s int) { a.Fill(l, s, cache.PartAll, false) })
-		lcg := uint64(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lcg = lcg*6364136223846793005 + 1442695040888963407
-			line, sector := lcg%(2*lines), int(lcg>>60)&3
-			a.CommitLookup(a.FindLine(line), sector)
-		}
-	})
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			c := cache.New(sh.cfg)
+			lines := uint64(sh.cfg.Lines())
+			sectorMask := sh.cfg.Sectors - 1
+			lcg := uint64(1)
+			for i := uint64(0); i < lines; i++ {
+				lcg = lcg*6364136223846793005 + 1442695040888963407
+				c.Fill(lcg%(2*lines), int(lcg>>60)&sectorMask, cache.PartAll, false)
+			}
+			lcg = 1
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lcg = lcg*6364136223846793005 + 1442695040888963407
+				c.Lookup(lcg%(2*lines), int(lcg>>60)&sectorMask)
+			}
+		})
+	}
 }

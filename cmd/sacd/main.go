@@ -57,7 +57,7 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "persistent result store directory (shared with sacsweep -cache-dir); empty = in-memory only")
 		cacheMax    = flag.Int64("cache-max-bytes", 0, "evict least-recently-used store entries beyond this many bytes (0 = unbounded)")
 		workers     = flag.Int("workers", 0, "max simulations in flight (0 = all cores)")
-		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism per simulation, bit-identical at any value (0 = auto-budget against -workers, 1 = serial)")
+		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism per simulation, bit-identical at any value (0 or 1 = serial, the default; n > 1 = n workers, at most one per chip)")
 		queueCap    = flag.Int("queue", 256, "max queued jobs before submissions get 429")
 		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
 		journalPath = flag.String("journal", "", "durable job journal path (default <cache-dir>/journal.wal; none without a cache dir)")

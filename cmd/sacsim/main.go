@@ -34,7 +34,7 @@ func main() {
 		orgName     = flag.String("org", "SAC", "LLC organization (or comma list for a comparison): memory-side | SM-side | static | dynamic | SAC")
 		scale       = flag.String("scale", "scaled", "machine scale: scaled | full")
 		parallel    = flag.Int("parallel", 0, "max simulations in flight for -org lists (0 = all cores)")
-		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism, bit-identical at any value (0 = auto: one worker per chip capped at GOMAXPROCS, 1 = serial)")
+		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism, bit-identical at any value (0 or 1 = serial, the default; n > 1 = n workers, at most one per chip)")
 		fidelity    = flag.String("fidelity", "", "simulation fidelity: estimate | sampled | exact (default exact)")
 		sectored    = flag.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
 		hardware    = flag.Bool("hw-coherence", false, "use hardware (directory) coherence")

@@ -1,6 +1,6 @@
-// Package cache implements the set-associative cache model used for both
-// the private L1s and the LLC slices of the multi-chip GPU, plus the MSHR
-// file that tracks outstanding misses.
+// Package cache implements the repository's one set-associative array — the
+// structure an SM's private L1 and a chip's LLC slice both are, at two
+// sizes — plus the MSHR file that tracks outstanding misses.
 //
 // The model is behavioural, not data-carrying: it tracks tags, LRU state,
 // dirty bits, per-line home-chip annotations (for the local-vs-remote
@@ -8,9 +8,19 @@
 // on, and way-partition masks (the mechanism behind the Static/L1.5 and
 // Dynamic LLC organizations, which reserve subsets of ways for local versus
 // remote data).
+//
+// The layout is struct-of-arrays: the per-way metadata is split into
+// parallel slices so a set scan walks contiguous packed tags, a per-set
+// bitmap of valid ways bounds that scan (hence Ways <= 64), and the lookup
+// is decomposed into FindLine / CommitLookup so a probe and the subsequent
+// counted access share one tag scan. The array-of-structs layout it replaced
+// lives on in aos_test.go as the oracle of the differential test.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Partition selects which subset of ways an access may allocate into.
 // The plain memory-side / SM-side organizations use PartAll; the Static and
@@ -26,10 +36,14 @@ const (
 	PartRemote
 )
 
+// MaxWays is the largest associativity New accepts: one bit per way in the
+// per-set valid bitmap.
+const MaxWays = 64
+
 // Config describes a cache instance.
 type Config struct {
 	Sets      int  // number of sets (power of two not required)
-	Ways      int  // associativity
+	Ways      int  // associativity, at most MaxWays
 	LineBytes int  // line size
 	Sectors   int  // >1 enables sectored mode: tags are per line, validity per sector
 	WriteBack bool // true for the LLC; the L1 is write-through and leaves this false
@@ -41,26 +55,39 @@ func (c Config) Lines() int { return c.Sets * c.Ways }
 // Bytes returns the total data capacity in bytes.
 func (c Config) Bytes() int { return c.Lines() * c.LineBytes }
 
-type way struct {
-	valid   bool
-	tag     uint64
-	dirty   bool
-	lastUse int64 // LRU timestamp
-	remote  bool  // line's home chip differs from the cache's chip (Fig 9 census)
-	sectors uint8 // per-sector valid bits (sectored mode); all-ones otherwise
+// Victim describes a line evicted by Fill.
+type Victim struct {
+	Line   uint64
+	Dirty  bool // needs a writeback (write-back caches only)
+	Remote bool
 }
 
-// Cache is a single set-associative cache array.
-type Cache struct {
-	cfg        Config
-	sets       [][]way
-	tick       int64
-	setMask    int // Sets-1 when Sets is a power of two, else -1
-	localWays  int // ways reserved for PartLocal; rest are PartRemote
-	partActive bool
-	usableWays int // ways not disabled by fault injection (Ways when healthy)
+const (
+	wValid  uint8 = 1 << 0
+	wDirty  uint8 = 1 << 1
+	wRemote uint8 = 1 << 2
+)
 
-	// Counters (reset by ResetStats).
+// Cache is a single set-associative cache array with struct-of-arrays
+// metadata. Way w of set s lives at flat index s*Ways+w in every slice.
+type Cache struct {
+	tags    []uint64 // line tag per way
+	lastUse []int64  // LRU timestamp per way
+	occ     []uint64 // per-set bitmap of valid ways (Ways <= MaxWays)
+	meta    []uint8  // wValid|wDirty|wRemote per way
+	sectors []uint8  // per-sector valid bits per way
+
+	cfg       Config
+	tick      int64
+	setMask   int // Sets-1 when Sets is a power of two, else -1
+	occLocal  int // valid lines with a local home (incremental Fig-9 census)
+	occRemote int // valid lines with a remote home
+
+	localWays  int // ways reserved for PartLocal; rest are PartRemote
+	usableWays int // ways not disabled by fault injection (Ways when healthy)
+	partActive bool
+
+	// Counters, the same at every level the array serves.
 	Hits        int64
 	Misses      int64
 	SectorMiss  int64 // tag hit but sector invalid (sectored mode only)
@@ -70,10 +97,14 @@ type Cache struct {
 }
 
 // New returns an empty cache. Panics on an invalid config, as caches are
-// constructed from static configuration.
+// constructed from static configuration (gpu.Config.Validate rejects the
+// geometries an outside caller could ask for).
 func New(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+	}
+	if cfg.Ways > MaxWays {
+		panic(fmt.Sprintf("cache: at most %d ways", MaxWays))
 	}
 	if cfg.Sectors <= 0 {
 		cfg.Sectors = 1
@@ -81,16 +112,22 @@ func New(cfg Config) *Cache {
 	if cfg.Sectors > 8 {
 		panic("cache: at most 8 sectors per line")
 	}
-	sets := make([][]way, cfg.Sets)
-	backing := make([]way, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	n := cfg.Sets * cfg.Ways
 	mask := -1
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		mask = cfg.Sets - 1
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: mask, localWays: cfg.Ways, usableWays: cfg.Ways}
+	return &Cache{
+		cfg:        cfg,
+		tags:       make([]uint64, n),
+		lastUse:    make([]int64, n),
+		occ:        make([]uint64, cfg.Sets),
+		meta:       make([]uint8, n),
+		sectors:    make([]uint8, n),
+		setMask:    mask,
+		localWays:  cfg.Ways,
+		usableWays: cfg.Ways,
+	}
 }
 
 // Cfg returns the cache's configuration.
@@ -146,6 +183,180 @@ func (c *Cache) wayRange(p Partition) (lo, hi int) {
 	return lo, hi
 }
 
+func sectorBit(sector int) uint8 { return 1 << uint(sector) }
+
+// FindLine returns the flat way index holding line, or -1. It touches no
+// LRU state and no counters; pair with CommitLookup (counted access) or use
+// alone as a probe.
+func (c *Cache) FindLine(line uint64) int {
+	set := c.setIndex(line)
+	base := set * c.cfg.Ways
+	for b := c.occ[set]; b != 0; b &= b - 1 {
+		wi := base + bits.TrailingZeros64(b)
+		if c.tags[wi] == line {
+			return wi
+		}
+	}
+	return -1
+}
+
+// SectorValid reports whether the given sector of the line at flat way wi is
+// valid (vacuously true for unsectored arrays).
+func (c *Cache) SectorValid(wi int, sector int) bool {
+	return c.cfg.Sectors <= 1 || c.sectors[wi]&sectorBit(sector) != 0
+}
+
+// CommitLookup applies the counter and LRU effects of one counted access to
+// the FindLine result wi (-1 = not present), returning whether it hit.
+// FindLine+CommitLookup ≡ Lookup.
+func (c *Cache) CommitLookup(wi int, sector int) bool {
+	c.tick++
+	if wi < 0 {
+		c.Misses++
+		return false
+	}
+	if c.cfg.Sectors > 1 && c.sectors[wi]&sectorBit(sector) == 0 {
+		c.SectorMiss++
+		c.Misses++
+		return false
+	}
+	c.lastUse[wi] = c.tick
+	c.Hits++
+	return true
+}
+
+// Lookup probes for a line (and sector, when sectored). It updates LRU on a
+// hit but never allocates. Returns whether the access hit.
+func (c *Cache) Lookup(line uint64, sector int) bool {
+	return c.CommitLookup(c.FindLine(line), sector)
+}
+
+// Probe reports whether the line (and sector) is present without touching
+// LRU or counters. Used by coherence and by the occupancy census.
+func (c *Cache) Probe(line uint64, sector int) bool {
+	wi := c.FindLine(line)
+	return wi >= 0 && c.SectorValid(wi, sector)
+}
+
+// Fill installs a line (or adds a sector to an already-present line) in the
+// partition's way range, evicting the LRU way of that range if needed.
+// remote annotates whether the line's home is another chip. The returned
+// victim is valid only when evicted is true.
+func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool) {
+	c.tick++
+	set := c.setIndex(line)
+	base := set * c.cfg.Ways
+	// Sector fill into an existing line?
+	if wi := c.FindLine(line); wi >= 0 {
+		c.sectors[wi] |= sectorBit(sector)
+		c.lastUse[wi] = c.tick
+		return Victim{}, false
+	}
+	lo, hi := c.wayRange(p)
+	if lo >= hi {
+		// No allocatable ways (slice disabled by fault injection): the line
+		// is served but not retained.
+		return Victim{}, false
+	}
+	// Free way in range? First invalid way by index.
+	// (1<<64 wraps to 0, so hi == 64 yields an all-ones upper mask.)
+	rangeMask := (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
+	if free := ^c.occ[set] & rangeMask; free != 0 {
+		w := bits.TrailingZeros64(free)
+		c.install(base+w, line, sector, remote)
+		c.occ[set] |= 1 << uint(w)
+		c.countInstall(remote)
+		return Victim{}, false
+	}
+	// Evict LRU in range.
+	lru := lo
+	for i := lo + 1; i < hi; i++ {
+		if c.lastUse[base+i] < c.lastUse[base+lru] {
+			lru = i
+		}
+	}
+	wi := base + lru
+	m := c.meta[wi]
+	victim = Victim{
+		Line:   c.tags[wi],
+		Dirty:  m&wDirty != 0 && c.cfg.WriteBack,
+		Remote: m&wRemote != 0,
+	}
+	c.Evictions++
+	if victim.Dirty {
+		c.Writebacks++
+	}
+	c.countEvict(m)
+	c.install(wi, line, sector, remote)
+	c.countInstall(remote)
+	return victim, true
+}
+
+func (c *Cache) install(wi int, line uint64, sector int, remote bool) {
+	c.tags[wi] = line
+	m := wValid
+	if remote {
+		m |= wRemote
+	}
+	c.meta[wi] = m
+	c.lastUse[wi] = c.tick
+	if c.cfg.Sectors > 1 {
+		c.sectors[wi] = sectorBit(sector)
+	} else {
+		c.sectors[wi] = 1
+	}
+}
+
+func (c *Cache) countInstall(remote bool) {
+	if remote {
+		c.occRemote++
+	} else {
+		c.occLocal++
+	}
+}
+
+func (c *Cache) countEvict(m uint8) {
+	if m&wRemote != 0 {
+		c.occRemote--
+	} else {
+		c.occLocal--
+	}
+}
+
+// MarkDirty sets the dirty bit of a present line (stores hitting a
+// write-back cache). It is a no-op when the line is absent.
+func (c *Cache) MarkDirty(line uint64) {
+	if wi := c.FindLine(line); wi >= 0 {
+		c.meta[wi] |= wDirty
+	}
+}
+
+// MarkDirtyWay sets the dirty bit of the (present) line at flat way wi —
+// the fused-lookup fast path, which already holds the FindLine result.
+func (c *Cache) MarkDirtyWay(wi int) { c.meta[wi] |= wDirty }
+
+// invalidateWay drops way wi of set; the caller accounts Writebacks and
+// Invalidates itself (flush variants differ in ordering).
+func (c *Cache) invalidateWay(set, wi int) {
+	c.countEvict(c.meta[wi])
+	c.meta[wi] &^= wValid | wDirty
+	c.occ[set] &^= 1 << uint(wi-set*c.cfg.Ways)
+}
+
+// Invalidate drops a line if present, returning whether it was dirty (the
+// caller is responsible for the writeback traffic). Used by hardware
+// coherence.
+func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
+	wi := c.FindLine(line)
+	if wi < 0 {
+		return false, false
+	}
+	c.Invalidates++
+	dirty := c.meta[wi]&wDirty != 0 && c.cfg.WriteBack
+	c.invalidateWay(c.setIndex(line), wi)
+	return true, dirty
+}
+
 // LimitWays restricts allocation to the first usable ways of every set —
 // the capacity-remapping model of a partially (or fully) disabled LLC
 // slice. Lines resident in the disabled ways are invalidated; dirty ones
@@ -161,20 +372,21 @@ func (c *Cache) LimitWays(usable int, onDirty func(line uint64, remote bool)) (d
 		usable = c.cfg.Ways
 	}
 	if usable < c.usableWays {
-		for s := range c.sets {
+		for s := 0; s < c.cfg.Sets; s++ {
+			base := s * c.cfg.Ways
 			for i := usable; i < c.usableWays; i++ {
-				w := &c.sets[s][i]
-				if !w.valid {
+				wi := base + i
+				m := c.meta[wi]
+				if m&wValid == 0 {
 					continue
 				}
-				if w.dirty && c.cfg.WriteBack {
+				if m&wDirty != 0 && c.cfg.WriteBack {
 					c.Writebacks++
 					if onDirty != nil {
-						onDirty(w.tag, w.remote)
+						onDirty(c.tags[wi], m&wRemote != 0)
 					}
 				}
-				w.valid = false
-				w.dirty = false
+				c.invalidateWay(s, wi)
 				c.Invalidates++
 				dropped++
 			}
@@ -184,182 +396,29 @@ func (c *Cache) LimitWays(usable int, onDirty func(line uint64, remote bool)) (d
 	return dropped
 }
 
-// UsableWays returns the ways not disabled by LimitWays (Ways when healthy).
-func (c *Cache) UsableWays() int { return c.usableWays }
-
-func sectorBit(sector int) uint8 { return 1 << uint(sector) }
-
-// Lookup probes for a line (and sector, when sectored). It updates LRU on a
-// hit but never allocates. Returns whether the access hit.
-func (c *Cache) Lookup(line uint64, sector int) bool {
-	c.tick++
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			if c.cfg.Sectors > 1 && w.sectors&sectorBit(sector) == 0 {
-				c.SectorMiss++
-				c.Misses++
-				return false
-			}
-			w.lastUse = c.tick
-			c.Hits++
-			return true
-		}
-	}
-	c.Misses++
-	return false
-}
-
-// Probe reports whether the line (and sector) is present without touching
-// LRU or counters. Used by coherence and by the occupancy census.
-func (c *Cache) Probe(line uint64, sector int) bool {
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			return c.cfg.Sectors <= 1 || w.sectors&sectorBit(sector) != 0
-		}
-	}
-	return false
-}
-
-// Victim describes a line evicted by Fill.
-type Victim struct {
-	Line   uint64
-	Dirty  bool // needs a writeback (write-back caches only)
-	Remote bool
-}
-
-// Fill installs a line (or adds a sector to an already-present line) in the
-// partition's way range, evicting the LRU way of that range if needed.
-// remote annotates whether the line's home is another chip. The returned
-// victim is valid only when evicted is true.
-func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool) {
-	c.tick++
-	set := c.sets[c.setIndex(line)]
-	// Sector fill into an existing line?
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			w.sectors |= sectorBit(sector)
-			w.lastUse = c.tick
-			return Victim{}, false
-		}
-	}
-	lo, hi := c.wayRange(p)
-	if lo >= hi {
-		// No allocatable ways (slice disabled by fault injection): the line
-		// is served but not retained.
-		return Victim{}, false
-	}
-	// Free way in range?
-	for i := lo; i < hi; i++ {
-		if !set[i].valid {
-			c.install(&set[i], line, sector, remote)
-			return Victim{}, false
-		}
-	}
-	// Evict LRU in range.
-	lru := lo
-	for i := lo + 1; i < hi; i++ {
-		if set[i].lastUse < set[lru].lastUse {
-			lru = i
-		}
-	}
-	w := &set[lru]
-	victim = Victim{Line: w.tag, Dirty: w.dirty && c.cfg.WriteBack, Remote: w.remote}
-	c.Evictions++
-	if victim.Dirty {
-		c.Writebacks++
-	}
-	c.install(w, line, sector, remote)
-	return victim, true
-}
-
-func (c *Cache) install(w *way, line uint64, sector int, remote bool) {
-	w.valid = true
-	w.tag = line
-	w.dirty = false
-	w.remote = remote
-	w.lastUse = c.tick
-	if c.cfg.Sectors > 1 {
-		w.sectors = sectorBit(sector)
-	} else {
-		w.sectors = 1
-	}
-}
-
-// MarkDirty sets the dirty bit of a present line (stores hitting a
-// write-back cache). It is a no-op when the line is absent.
-func (c *Cache) MarkDirty(line uint64) {
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].dirty = true
-			return
-		}
-	}
-}
-
-// Invalidate drops a line if present, returning whether it was dirty (the
-// caller is responsible for the writeback traffic). Used by hardware
-// coherence.
-func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			c.Invalidates++
-			dirty := w.dirty && c.cfg.WriteBack
-			w.valid = false
-			w.dirty = false
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
 // FlushAll invalidates every line and returns the number of dirty lines
 // that needed writing back — the cost SAC pays when reconfiguring away from
 // a configuration with dirty LLC state, and the cost software coherence
 // pays at kernel boundaries.
-func (c *Cache) FlushAll() (dirtyLines int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			w := &c.sets[s][i]
-			if w.valid {
-				if w.dirty && c.cfg.WriteBack {
-					dirtyLines++
-					c.Writebacks++
-				}
-				w.valid = false
-				w.dirty = false
-				c.Invalidates++
-			}
-		}
-	}
-	return dirtyLines
-}
+func (c *Cache) FlushAll() (dirtyLines int) { return c.FlushAllFunc(nil) }
 
-// FlushAllFunc invalidates every line like FlushAll, additionally invoking
-// onDirty for each dirty line so the caller can issue the writeback traffic.
+// FlushAllFunc invalidates every line, invoking onDirty for each dirty line
+// so the caller can issue the writeback traffic.
 func (c *Cache) FlushAllFunc(onDirty func(line uint64, remote bool)) (dirtyLines int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			w := &c.sets[s][i]
-			if w.valid {
-				if w.dirty && c.cfg.WriteBack {
-					dirtyLines++
-					c.Writebacks++
-					if onDirty != nil {
-						onDirty(w.tag, w.remote)
-					}
+	for s := 0; s < c.cfg.Sets; s++ {
+		base := s * c.cfg.Ways
+		for b := c.occ[s]; b != 0; b &= b - 1 {
+			wi := base + bits.TrailingZeros64(b)
+			m := c.meta[wi]
+			if m&wDirty != 0 && c.cfg.WriteBack {
+				dirtyLines++
+				c.Writebacks++
+				if onDirty != nil {
+					onDirty(c.tags[wi], m&wRemote != 0)
 				}
-				w.valid = false
-				w.dirty = false
-				c.Invalidates++
 			}
+			c.invalidateWay(s, wi)
+			c.Invalidates++
 		}
 	}
 	return dirtyLines
@@ -369,17 +428,18 @@ func (c *Cache) FlushAllFunc(onDirty func(line uint64, remote bool)) (dirtyLines
 // lines resident — the cost of SAC's memory-side → SM-side reconfiguration
 // under software coherence (§3.6 step 2).
 func (c *Cache) FlushDirty(onDirty func(line uint64, remote bool)) (dirtyLines int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			w := &c.sets[s][i]
-			if w.valid && w.dirty && c.cfg.WriteBack {
+	for s := 0; s < c.cfg.Sets; s++ {
+		base := s * c.cfg.Ways
+		for b := c.occ[s]; b != 0; b &= b - 1 {
+			wi := base + bits.TrailingZeros64(b)
+			m := c.meta[wi]
+			if m&wDirty != 0 && c.cfg.WriteBack {
 				dirtyLines++
 				c.Writebacks++
 				if onDirty != nil {
-					onDirty(w.tag, w.remote)
+					onDirty(c.tags[wi], m&wRemote != 0)
 				}
-				w.valid = false
-				w.dirty = false
+				c.invalidateWay(s, wi)
 				c.Invalidates++
 			}
 		}
@@ -388,47 +448,16 @@ func (c *Cache) FlushDirty(onDirty func(line uint64, remote bool)) (dirtyLines i
 }
 
 // Occupancy counts valid lines, split into local-homed and remote-homed —
-// the Figure 9 census.
-func (c *Cache) Occupancy() (local, remote int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			w := &c.sets[s][i]
-			if !w.valid {
-				continue
-			}
-			if w.remote {
-				remote++
-			} else {
-				local++
-			}
-		}
-	}
-	return local, remote
-}
+// the Figure 9 census. O(1): maintained incrementally on install and evict.
+func (c *Cache) Occupancy() (local, remote int) { return c.occLocal, c.occRemote }
 
 // DirtyLines counts lines with the dirty bit set.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				n++
-			}
+	for _, m := range c.meta {
+		if m&(wValid|wDirty) == wValid|wDirty {
+			n++
 		}
 	}
 	return n
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
-// ResetStats zeroes the counters without touching contents.
-func (c *Cache) ResetStats() {
-	c.Hits, c.Misses, c.SectorMiss, c.Evictions, c.Writebacks, c.Invalidates = 0, 0, 0, 0, 0, 0
 }

@@ -178,12 +178,8 @@ func TestDirtyLinesAndHitRate(t *testing.T) {
 	}
 	c.Lookup(1, 0)
 	c.Lookup(2, 0)
-	if got := c.HitRate(); got != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", got)
-	}
-	c.ResetStats()
-	if c.HitRate() != 0 || c.Hits != 0 {
-		t.Fatal("ResetStats incomplete")
+	if c.Hits != 1 || c.Misses != 1 {
+		t.Fatalf("hits %d misses %d, want 1 and 1 (hit rate 0.5)", c.Hits, c.Misses)
 	}
 }
 
@@ -212,6 +208,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 		{Sets: 1, Ways: 0, LineBytes: 128},
 		{Sets: 1, Ways: 1, LineBytes: 0},
 		{Sets: 1, Ways: 1, LineBytes: 128, Sectors: 9},
+		{Sets: 1, Ways: MaxWays + 1, LineBytes: 128},
 	}
 	for _, cfg := range bad {
 		func() {

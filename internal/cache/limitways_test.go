@@ -33,9 +33,6 @@ func TestLimitWaysDropsDisabledWays(t *testing.T) {
 	if len(dirty) != 1 || dirty[0] != lines[3] {
 		t.Fatalf("dirty writebacks = %v, want [%d]", dirty, lines[3])
 	}
-	if c.UsableWays() != 2 {
-		t.Fatalf("UsableWays = %d, want 2", c.UsableWays())
-	}
 	// Survivors hit; dropped lines miss.
 	for i, ln := range lines {
 		want := i < 2

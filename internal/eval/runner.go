@@ -45,12 +45,9 @@ type Runner struct {
 	// the first run; later changes have no effect.
 	Parallelism int
 	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (gpu.RunOpts.Workers); results are bit-identical at any value. 0
-	// auto-budgets against the cell pool: chip workers × Parallelism never
-	// exceeds GOMAXPROCS, so a wide sweep saturates cores with cells and
-	// runs each simulation serially, while a single-cell run (Parallelism 1)
-	// gets every core as chip workers. Like Parallelism, set it before the
-	// first run.
+	// (gpu.RunOpts.Workers); results are bit-identical at any value. 0 and
+	// 1 run each simulation serially — a sweep's parallelism is its cells.
+	// Like Parallelism, set it before the first run.
 	ChipWorkers int
 	// Faults, when set, injects this fault plan into every simulation
 	// (per-request plans in RunRequest override it). Plans key the memo, so
@@ -183,12 +180,6 @@ type RunRequest struct {
 	Spec workload.Spec
 	// Faults overrides the Runner's fault plan for this cell; nil inherits.
 	Faults *fault.Plan
-	// Ctx overrides the Runner's context for this cell (nil inherits):
-	// the sacd daemon passes each job's deadline through here so an
-	// expired job aborts its own simulation without cancelling the sweep.
-	// The context binds to the cell's *leader*; duplicate requests joining
-	// the same in-flight cell share the leader's cancellation.
-	Ctx context.Context
 	// Fidelity overrides the Runner's backend rung for this cell ("" =
 	// inherit; use "exact" to force cycle-exact on a Runner defaulted to a
 	// fast rung).
@@ -201,14 +192,6 @@ func (r *Runner) plan(q RunRequest) *fault.Plan {
 		return q.Faults
 	}
 	return r.Faults
-}
-
-// ctx resolves the effective context of a request.
-func (r *Runner) ctx(q RunRequest) context.Context {
-	if q.Ctx != nil {
-		return q.Ctx
-	}
-	return r.Ctx
 }
 
 // fidelity resolves the effective backend rung of a request: per-request
@@ -265,20 +248,6 @@ func (r *Runner) workers() chan struct{} {
 		r.sem = make(chan struct{}, n)
 	}
 	return r.sem
-}
-
-// chipWorkers resolves the per-simulation worker count against the shared
-// parallelism budget: cells × chip workers stays within GOMAXPROCS unless
-// the caller overrides ChipWorkers explicitly.
-func (r *Runner) chipWorkers() int {
-	if r.ChipWorkers != 0 {
-		return r.ChipWorkers
-	}
-	w := runtime.GOMAXPROCS(0) / cap(r.workers())
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // lookup finds or creates the entry for key. The second result reports
@@ -338,15 +307,14 @@ func (r *Runner) sim() func(gpu.Config, workload.Spec, gpu.RunOpts) (*stats.Run,
 // execute runs one simulation on behalf of entry e, bounded by the worker
 // pool, and publishes the result to all waiters. A panicking simulation is
 // contained: the entry fails with a CellError and the sweep continues.
-func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *fault.Plan, ctx context.Context, fid string) {
+func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *fault.Plan, fid string) {
 	defer close(e.done)
 	sem := r.workers()
 	sem <- struct{}{}
 	defer func() { <-sem }()
-	// Canceled sweep (or expired job deadline): queued cells fail fast
-	// instead of simulating.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	// Canceled sweep: queued cells fail fast instead of simulating.
+	if r.Ctx != nil {
+		if err := r.Ctx.Err(); err != nil {
 			e.err = &CellError{Benchmark: spec.Name, Org: cfg.Org.String(), Faults: plan.Key(), Err: err}
 			r.cellDone(e, spec, cfg, plan, fid)
 			return
@@ -386,7 +354,7 @@ func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *
 		}
 		r.cellDone(e, spec, cfg, plan, fid)
 	}()
-	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: ctx, Workers: r.chipWorkers(), Fidelity: fid})
+	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: r.Ctx, Workers: r.ChipWorkers, Fidelity: fid})
 	if err != nil {
 		e.err = &CellError{Benchmark: spec.Name, Org: cfg.Org.String(), Faults: plan.Key(), Err: err}
 		return
@@ -449,34 +417,11 @@ func (r *Runner) runReq(q RunRequest) (*stats.Run, error) {
 	fid := r.fidelity(q)
 	e, lead := r.lookup(runKey{q.Cfg, q.Spec.Name, plan.Key(), fid})
 	if lead {
-		r.execute(e, q.Cfg, q.Spec, plan, r.ctx(q), fid)
+		r.execute(e, q.Cfg, q.Spec, plan, fid)
 	} else {
 		<-e.done
 	}
 	return e.res, e.err
-}
-
-// Forget drops the memo entry for q if it has completed with an error, so
-// the next submission of the cell re-executes instead of recalling the
-// failure forever. The sacd daemon calls this after a failed job: a cell
-// that failed under injected chaos (or a since-lifted deadline) must be
-// retryable within the same daemon life. In-flight and successful entries
-// are left alone.
-func (r *Runner) Forget(q RunRequest) {
-	key := runKey{q.Cfg, q.Spec.Name, r.plan(q).Key(), r.fidelity(q)}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.memo[key]
-	if !ok {
-		return
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			delete(r.memo, key)
-		}
-	default:
-	}
 }
 
 // Prefetch submits a run-set to the worker pool without waiting. Keys
@@ -487,7 +432,7 @@ func (r *Runner) Prefetch(reqs []RunRequest) {
 		plan := r.plan(q)
 		fid := r.fidelity(q)
 		if e, lead := r.lookup(runKey{q.Cfg, q.Spec.Name, plan.Key(), fid}); lead {
-			go r.execute(e, q.Cfg, q.Spec, plan, r.ctx(q), fid)
+			go r.execute(e, q.Cfg, q.Spec, plan, fid)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // system's routing: bypassing requests go straight to the memory
 // controller's shared queue and never enter lookupQ.
 type llcSlice struct {
-	arr      *llc.Array
+	arr      *cache.Cache
 	mshr     *cache.MSHR
 	lookupQ  *bwsim.Queue[*memsys.Request]
 	bkt      *bwsim.TokenBucket
@@ -122,7 +122,7 @@ func newChip(cfg *Config, idx int) *chip {
 	c.slices = make([]*llcSlice, cfg.SlicesPerChip)
 	for s := range c.slices {
 		c.slices[s] = &llcSlice{
-			arr: llc.NewArray(cache.Config{
+			arr: cache.New(cache.Config{
 				Sets:      sliceLines / cfg.LLCWays,
 				Ways:      cfg.LLCWays,
 				LineBytes: cfg.Geom.LineBytes,

@@ -8,6 +8,7 @@ package gpu
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -191,8 +192,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: channels %d must divide slices %d", c.ChannelsPerChip, c.SlicesPerChip)
 	case c.LLCBytesPerChip <= 0 || c.L1BytesPerSM <= 0:
 		return fmt.Errorf("gpu: non-positive cache capacity")
-	case c.LLCWays < 2:
-		return fmt.Errorf("gpu: LLC needs >= 2 ways for partitioned organizations")
+	case c.LLCWays < 2 || c.LLCWays > cache.MaxWays:
+		return fmt.Errorf("gpu: LLCWays must be in 2..%d (>= 2 for the partitioned organizations), got %d", cache.MaxWays, c.LLCWays)
+	case c.L1Ways < 1 || c.L1Ways > cache.MaxWays:
+		return fmt.Errorf("gpu: L1Ways must be in 1..%d, got %d", cache.MaxWays, c.L1Ways)
 	case c.ClusterBW <= 0 || c.SliceBW <= 0 || c.RingLinkBW <= 0 || c.ChannelBW <= 0:
 		return fmt.Errorf("gpu: non-positive bandwidth")
 	case c.WorkloadScale < 1:

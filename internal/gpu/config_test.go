@@ -73,6 +73,43 @@ func TestValidateCatchesCacheGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateWaysRange pins that an associativity the set-associative array
+// cannot be built with — these values reach Validate from a POST /v1/jobs
+// body — is an error, never a panic in Validate or in the constructors
+// behind it.
+func TestValidateWaysRange(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"L1Ways 0", func(c *Config) { c.L1Ways = 0 }, false},
+		{"L1Ways -8", func(c *Config) { c.L1Ways = -8 }, false},
+		{"L1Ways 65", func(c *Config) { c.L1Ways = 65 }, false},
+		{"L1Ways 1", func(c *Config) { c.L1Ways = 1 }, true},
+		{"L1Ways 64", func(c *Config) { c.L1Ways = 64 }, true},
+		{"LLCWays 1", func(c *Config) { c.LLCWays = 1 }, false},
+		{"LLCWays 65", func(c *Config) { c.LLCWays = 65 }, false},
+		{"LLCWays 128", func(c *Config) { c.LLCWays = 128 }, false},
+		{"LLCWays 2", func(c *Config) { c.LLCWays = 2 }, true},
+		{"LLCWays 64", func(c *Config) { c.LLCWays = 64 }, true},
+	}
+	for _, tc := range cases {
+		cfg := ScaledConfig()
+		tc.set(&cfg)
+		err := cfg.Validate() // a panic here fails the test
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := New(cfg, tinyWorkload()); err != nil { // an accepted geometry must also build
+			t.Errorf("%s: New = %v", tc.name, err)
+		}
+	}
+}
+
 func TestSystemClassPresets(t *testing.T) {
 	mcm, ms, base := MCMConfig(), MultiSocketConfig(), ScaledConfig()
 	if err := mcm.Validate(); err != nil {

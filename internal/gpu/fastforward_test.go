@@ -115,9 +115,8 @@ func TestFastForwardSkipsIdleSpans(t *testing.T) {
 }
 
 // TestEpochBatchingDeterminism: parallel runs with ring-epoch fusion forced
-// off (K=0), capped (K=4), and unlimited (unset) are all bit-identical to
-// the serial run. REPRO_EPOCH_K is read at System construction, so each run
-// builds a fresh system under the environment.
+// off (K=0), forced to alternate (K=1), capped (K=4), and unlimited (K=-1)
+// are all bit-identical to the serial run.
 func TestEpochBatchingDeterminism(t *testing.T) {
 	spec := tinyWorkload()
 	for _, cfg := range []Config{
@@ -125,25 +124,14 @@ func TestEpochBatchingDeterminism(t *testing.T) {
 		tinyConfig().WithOrg(llc.Dynamic),
 	} {
 		want := runWorkers(t, cfg, spec, 1)
-		// "" behaves as unset: unlimited fusion, the default.
-		for _, k := range []string{"0", "1", "4", ""} {
-			t.Setenv("REPRO_EPOCH_K", k)
+		for _, k := range append([]int{1}, epochKs...) {
 			for _, workers := range []int{2, 4} {
-				got := runWorkers(t, cfg, spec, workers)
+				got := runWorkersEpoch(t, cfg, spec, workers, k)
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: REPRO_EPOCH_K=%q workers=%d diverged from serial:\nserial   %+v\nparallel %+v",
+					t.Errorf("%s: epochK=%d workers=%d diverged from serial:\nserial   %+v\nparallel %+v",
 						cfg.Org, k, workers, want, got)
 				}
 			}
 		}
-	}
-}
-
-// TestEpochKRejectsGarbage pins the parse contract: a malformed override is
-// a construction error, not a silent fallback.
-func TestEpochKRejectsGarbage(t *testing.T) {
-	t.Setenv("REPRO_EPOCH_K", "banana")
-	if _, err := New(tinyConfig(), tinyWorkload()); err == nil {
-		t.Fatal("REPRO_EPOCH_K=banana did not fail construction")
 	}
 }

@@ -29,9 +29,8 @@ type RunOpts struct {
 	Ctx context.Context
 	// Workers bounds intra-run chip parallelism: each cycle's per-chip
 	// phases tick concurrently on up to this many workers, bit-identical to
-	// serial at any count. 0 = auto (one worker per chip, capped at
-	// GOMAXPROCS); 1 = serial. Hardware-coherence configurations always run
-	// serially regardless.
+	// serial at any count. 0 and 1 = serial. Hardware-coherence
+	// configurations always run serially regardless.
 	Workers int
 	// Fidelity selects the backend rung ("estimate", "sampled", or
 	// "exact"/""). The cycle-exact engine itself ignores it — dispatch

@@ -76,18 +76,18 @@ type issuedReq struct {
 	cluster int
 }
 
-// SetWorkers requests n chip workers for subsequent Run calls. 0 means
-// auto: one worker per chip, capped at GOMAXPROCS. Results are
-// bit-identical at every worker count. Hardware-coherence configurations
-// always run serially: their directory updates mutate remote chips inline.
+// SetWorkers requests n chip workers for subsequent Run calls. 0 and 1 both
+// mean serial — the stepper a System nobody called SetWorkers on runs, and
+// the faster one wherever it has been measured (the phase-parallel stepper
+// at 2 workers takes 2.0-2.4x the serial wall on two cores); n > 1 runs n
+// workers, capped at one per chip. Results are bit-identical at every worker
+// count. Hardware-coherence configurations always run serially: their
+// directory updates mutate remote chips inline.
 func (s *System) SetWorkers(n int) { s.workers = n }
 
 // effectiveWorkers resolves the requested worker count against the machine.
 func (s *System) effectiveWorkers() int {
 	n := s.workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	if n > s.cfg.Chips {
 		n = s.cfg.Chips
 	}

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"reflect"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -15,9 +14,27 @@ import (
 // runWorkers runs spec on cfg with a fixed chip-worker count.
 func runWorkers(t *testing.T, cfg Config, spec workload.Spec, workers int) *stats.Run {
 	t.Helper()
-	r, err := RunWith(cfg, spec, RunOpts{Workers: workers})
+	return runWorkersEpoch(t, cfg, spec, workers, -1)
+}
+
+// epochKs is the fusion matrix the determinism tests sweep: unlimited (what
+// New sets), fusion off, and a small cap. Fusion changes how many barriers a
+// parallel run takes, never what it computes.
+var epochKs = []int{-1, 0, 4}
+
+// runWorkersEpoch is runWorkers with the cap on consecutive fused ring epochs
+// set to epochK.
+func runWorkersEpoch(t *testing.T, cfg Config, spec workload.Spec, workers, epochK int) *stats.Run {
+	t.Helper()
+	sys, err := New(cfg, spec)
 	if err != nil {
-		t.Fatalf("RunWith(%s, workers=%d): %v", cfg.Org, workers, err)
+		t.Fatal(err)
+	}
+	sys.SetWorkers(workers)
+	sys.epochK = epochK
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatalf("Run(%s, workers=%d, epochK=%d): %v", cfg.Org, workers, epochK, err)
 	}
 	return r
 }
@@ -25,18 +42,21 @@ func runWorkers(t *testing.T, cfg Config, spec workload.Spec, workers int) *stat
 // TestChipWorkerDeterminism is the core contract of the parallel stepper:
 // for every organization, a run with any chip-worker count produces a
 // stats.Run deeply equal to the serial run — including latency sums, ring
-// bytes, reconfiguration counts, and per-kernel records. Worker counts
-// beyond the chip count exercise the clamp.
+// bytes, reconfiguration counts, and per-kernel records — with ring-epoch
+// fusion unlimited, off and capped. Worker counts beyond the chip count
+// exercise the clamp.
 func TestChipWorkerDeterminism(t *testing.T) {
 	spec := tinyWorkload()
 	for _, org := range llc.Orgs() {
 		t.Run(org.String(), func(t *testing.T) {
 			cfg := tinyConfig().WithOrg(org)
 			serial := runWorkers(t, cfg, spec, 1)
-			for _, w := range []int{2, 3, 4, 8} {
-				got := runWorkers(t, cfg, spec, w)
-				if !reflect.DeepEqual(serial, got) {
-					t.Fatalf("workers=%d diverged from serial:\nserial %+v\ngot    %+v", w, serial, got)
+			for _, k := range epochKs {
+				for _, w := range []int{2, 3, 4, 8} {
+					got := runWorkersEpoch(t, cfg, spec, w, k)
+					if !reflect.DeepEqual(serial, got) {
+						t.Fatalf("workers=%d epochK=%d diverged from serial:\nserial %+v\ngot    %+v", w, k, serial, got)
+					}
 				}
 			}
 		})
@@ -80,15 +100,44 @@ func TestEffectiveWorkers(t *testing.T) {
 		t.Fatalf("oversized request resolved to %d, want chip count %d", w, cfg.Chips)
 	}
 	sys.SetWorkers(0)
-	want := runtime.GOMAXPROCS(0)
-	if want > cfg.Chips {
-		want = cfg.Chips
+	if w := sys.effectiveWorkers(); w != 1 {
+		t.Fatalf("0 workers resolved to %d, want 1 (serial)", w)
 	}
-	if want < 1 {
-		want = 1
-	}
-	if w := sys.effectiveWorkers(); w != want {
-		t.Fatalf("auto resolved to %d, want %d", w, want)
+}
+
+// TestDefaultStepperIsSerial pins that a System nobody called SetWorkers on
+// starts no worker group — it steps every chip on the calling goroutine —
+// while an explicit 2 still starts one.
+func TestDefaultStepperIsSerial(t *testing.T) {
+	for _, tc := range []struct {
+		workers   int // 0 = SetWorkers never called
+		wantGroup bool
+	}{{0, false}, {2, true}} {
+		sys, err := New(tinyConfig(), tinyWorkload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.workers != 0 {
+			sys.SetWorkers(tc.workers)
+		}
+		// Every cycle runs the early or the fused chip task; with a group
+		// attached they run on its workers, hence the atomic.
+		var sawGroup atomic.Bool
+		watch := func(task func(ci int)) func(ci int) {
+			return func(ci int) {
+				if sys.group != nil {
+					sawGroup.Store(true)
+				}
+				task(ci)
+			}
+		}
+		sys.earlyFn, sys.fusedFn = watch(sys.phaseEarly), watch(sys.phaseFused)
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if sawGroup.Load() != tc.wantGroup {
+			t.Errorf("workers=%d: worker group live during the run = %v, want %v", tc.workers, sawGroup.Load(), tc.wantGroup)
+		}
 	}
 }
 

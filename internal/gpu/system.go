@@ -3,8 +3,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -66,8 +64,8 @@ type System struct {
 	dramSinks   []func(*memsys.Request)
 	ringDeliver xchip.Sink
 
-	// Chip parallelism (parallel.go). workers is the requested count (0 =
-	// auto); group is the live worker pool (nil when running serially);
+	// Chip parallelism (parallel.go). workers is the requested count (0 and
+	// 1 = serial); group is the live worker pool (nil when running serially);
 	// staged is true inside the parallel phases, flipping the ring helpers
 	// from direct injection to per-chip lane staging. Request pools and ID
 	// counters live on the chips: each chip retires requests to its own pool
@@ -93,7 +91,9 @@ type System struct {
 	// Fused multi-cycle epochs (parallel.go): when the ring proves no
 	// inter-chip landing is due, per-chip tasks run their early phase, ring
 	// launch, and late phase back to back under a single barrier pair.
-	// epochK caps consecutive fused cycles (-1 = unlimited, 0 = disabled);
+	// epochK caps consecutive fused cycles (-1 = unlimited, what New sets;
+	// 0 = disabled and K > 0 = a full two-barrier cycle at least every K
+	// cycles are set only by the determinism tests);
 	// fusedStreak counts the current run of fused cycles; fusedFn is the
 	// bound per-chip task; fusedForce carries the coordinator's pre-phase
 	// ring-occupancy observation into the tasks (see Ring.FusedLaunch).
@@ -183,18 +183,7 @@ func New(cfg Config, spec Workload) (*System, error) {
 		c.nextID = uint64(i) << 56
 	}
 	s.earlyFn, s.lateFn, s.fusedFn = s.phaseEarly, s.phaseLate, s.phaseFused
-	// REPRO_EPOCH_K caps consecutive fused multi-cycle epochs: unset = -1
-	// (unlimited), 0 disables fusion, K > 0 forces a full two-barrier cycle
-	// at least every K cycles (the determinism matrix exercises 0 and small
-	// K against the default).
 	s.epochK = -1
-	if v := os.Getenv("REPRO_EPOCH_K"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, fmt.Errorf("gpu: invalid REPRO_EPOCH_K %q: %w", v, err)
-		}
-		s.epochK = k
-	}
 	if cfg.Org.Partitioned() {
 		for _, c := range s.chips {
 			c.setPartition(cfg.LLCWays / 2)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/client"
+	"repro/internal/gpu"
 	"repro/internal/jobs"
 	"repro/internal/server"
 )
@@ -50,6 +51,23 @@ func FuzzJobsHTTP(f *testing.F) {
 	f.Add(uint8(2), []byte(`ids=a,b,,c&timeout_ms=0&results=1`))
 	f.Add(uint8(2), []byte(`ids=%zz&timeout_ms=-5`))
 	f.Add(uint8(2), []byte(`timeout_ms=99999999999999999999`))
+
+	// A config replaces the preset wholesale, so the {"Chips":0} seed above
+	// fails at Validate's first check; only a complete config with one field
+	// off reaches the cache-geometry arithmetic behind it.
+	for _, set := range []func(*gpu.Config){
+		func(c *gpu.Config) { c.L1Ways = 0 },
+		func(c *gpu.Config) { c.L1Ways = -8 },
+		func(c *gpu.Config) { c.LLCWays = 128 },
+	} {
+		cfg := gpu.ScaledConfig()
+		set(&cfg)
+		body, err := json.Marshal(client.JobRequest{Benchmark: "RN", Org: "SAC", Config: &cfg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(0), body)
+	}
 
 	mux := http.NewServeMux()
 	stubTable().Mount(mux)

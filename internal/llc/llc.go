@@ -3,7 +3,9 @@
 // al.), Dynamic (the runtime way-partitioning of Milic et al.) and SAC — as
 // pure routing/allocation policy, plus the Dynamic organization's
 // way-rebalancing controller. The machinery that moves requests lives in
-// internal/gpu; everything here is deterministic policy that can be unit
+// internal/gpu and the set-associative array a slice is built from in
+// internal/cache (SAC reconfigures the routing in front of the slices, never
+// the array); everything here is deterministic policy that can be unit
 // tested in isolation.
 package llc
 

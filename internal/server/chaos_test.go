@@ -119,7 +119,7 @@ func TestCrashRecovery(t *testing.T) {
 		}
 	}
 	// No duplicate execution: four distinct cells, four simulations.
-	if got := s2.runner.Runs(); got != len(cells) {
+	if got := int(s2.sims.Load()); got != len(cells) {
 		t.Fatalf("restored server executed %d simulations, want %d", got, len(cells))
 	}
 	// The job done before the crash is answered from the store, not re-run.
@@ -130,7 +130,7 @@ func TestCrashRecovery(t *testing.T) {
 	if st := waitTerminal(t, s2, re.ID, 60*time.Second); st.Source != client.SourceStore {
 		t.Fatalf("pre-crash job re-answered with source %q, want store", st.Source)
 	}
-	if got := s2.runner.Runs(); got != len(cells) {
+	if got := int(s2.sims.Load()); got != len(cells) {
 		t.Fatalf("pre-crash job was re-executed (%d runs, want %d)", got, len(cells))
 	}
 	h := s2.HealthSnapshot()
@@ -194,7 +194,7 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 			t.Fatalf("restored job %s finished %s: %s", id, jst.State, jst.Error)
 		}
 	}
-	if got := s2.runner.Runs(); got != len(ids) {
+	if got := int(s2.sims.Load()); got != len(ids) {
 		t.Fatalf("restored jobs executed %d times, want exactly %d", got, len(ids))
 	}
 	drainCtx, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
@@ -239,7 +239,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	if fin.Error == "" || !strings.Contains(fin.Error, "deadline") {
 		t.Fatalf("expired job error %q does not mention the deadline", fin.Error)
 	}
-	if s.runner.Runs() != 0 {
+	if int(s.sims.Load()) != 0 {
 		t.Fatal("expired-in-queue job was simulated")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -10,10 +10,10 @@
 //   - the worker pool that pops the lanes and drives each job through the
 //     engine's flight table;
 //   - the executor: persistent store lookup (verified bytes, served without
-//     a decode), else a fresh simulation through the shared eval.Runner,
-//     written back to the store — byte-identical to an in-process sac.Run of
-//     the same cell. Estimate-rung cells answer in microseconds, so they run
-//     on the accepting goroutine and never queue;
+//     a decode), else a fresh simulation (backend.Run, every rung) written
+//     back to the store — byte-identical to an in-process sac.Run of the
+//     same cell. Estimate-rung cells answer in microseconds, so they run on
+//     the accepting goroutine and never queue;
 //   - crash-safe durability: every queued job is recorded in an append-only
 //     journal (internal/journal) before the client sees its 202, its done
 //     record is appended before its terminal state becomes visible, and a
@@ -31,11 +31,11 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/client"
 	"repro/internal/backend"
-	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
@@ -82,9 +82,8 @@ type Config struct {
 	// -fidelity flag); "" means exact. Unknown values fail at Submit.
 	DefaultFidelity string
 	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (bit-identical at any value). 0 auto-budgets against Workers so chip
-	// workers × concurrent simulations never oversubscribes cores; a daemon
-	// serving a single high-priority job at Workers=1 gets every core.
+	// (gpu.RunOpts.Workers; bit-identical at any value). 0 and 1 run each
+	// simulation serially.
 	ChipWorkers int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the API mux
 	// (the sacd -pprof flag), so CPU and heap profiles of live serving are
@@ -187,9 +186,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 // Submit, SubmitBatch, Status, ResultRaw, Cancel.
 type Server struct {
 	*jobs.Table
-	cfg    Config
-	runner *eval.Runner
-	m      *metrics
+	cfg  Config
+	m    *metrics
+	sims atomic.Int64 // simulations completed (store hits and joins excluded)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -220,20 +219,8 @@ func New(cfg Config) *Server {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256
 	}
-	var observer *obs.Observer
-	if cfg.Registry != nil {
-		observer = &obs.Observer{Metrics: cfg.Registry}
-	}
 	s := &Server{
-		cfg: cfg,
-		runner: &eval.Runner{
-			Base:        gpu.ScaledConfig(),
-			Parallelism: cfg.Workers,
-			ChipWorkers: cfg.ChipWorkers,
-			Store:       cfg.Store,
-			Obs:         observer,
-			Log:         cfg.Log, // Verbose stays off: only the first failed write-back speaks
-		},
+		cfg:        cfg,
 		m:          newMetrics(cfg.Registry),
 		running:    make(map[string]time.Time),
 		live:       make(map[string]*jobs.Job),
@@ -594,31 +581,22 @@ func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	return jobs.Outcome{Run: res, Cycles: res.Cycles, Source: client.SourceSim}
 }
 
-// simulate runs the cell and writes it back to the store.
+// simulate runs the cell on its rung and writes it back to the store. The
+// engine's flight table already deduplicates, memoizes (with a TTL) and
+// contains panics around it, and the caller holds a worker slot — or, for an
+// estimate cell, needs none — so nothing wraps the backend here.
 func (s *Server) simulate(ctx context.Context, j *jobs.Job) (*stats.Run, error) {
-	if j.Fidelity == backend.Estimate {
-		// Microseconds of work: it must not wait for a slot in the runner's
-		// pool behind exact simulations.
-		res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
-		if err == nil && s.cfg.Store != nil {
-			if perr := s.cfg.Store.PutRunAt(j.Cfg, j.Spec.Name, j.Plan.Key(), j.Fidelity, res); perr != nil {
-				s.logf("store: put %s: %v", j.ID, perr)
-			}
-		}
-		return res, err
-	}
-	// The runner executes through its worker pool (sized to ours, so it
-	// never queues beneath us) and writes the result back. Its own store
-	// check re-misses (we just checked), which is one cheap stat call.
-	q := eval.RunRequest{Cfg: j.Cfg, Spec: j.Spec, Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx}
-	runs, err := s.runner.RunAll([]eval.RunRequest{q})
+	res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx, Workers: s.cfg.ChipWorkers})
 	if err != nil {
-		// Drop the runner's memo of the failure along with the engine's
-		// flight, so a resubmission retries.
-		s.runner.Forget(q)
 		return nil, err
 	}
-	return runs[0], nil
+	s.sims.Add(1)
+	if s.cfg.Store != nil {
+		if perr := s.cfg.Store.PutRunAt(j.Cfg, j.Spec.Name, j.Plan.Key(), j.Fidelity, res); perr != nil {
+			s.logf("store: put %s: %v", j.ID, perr)
+		}
+	}
+	return res, nil
 }
 
 // ---- journal ----

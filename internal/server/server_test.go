@@ -88,7 +88,17 @@ func TestSubmitRunAndFetchResult(t *testing.T) {
 func TestValidationRejectedWith400(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1})
 	ctx := context.Background()
+	// A config body replaces the preset wholesale; these are valid but for an
+	// associativity the cache array cannot be built with.
+	ways := func(set func(*gpu.Config)) *gpu.Config {
+		cfg := gpu.ScaledConfig()
+		set(&cfg)
+		return &cfg
+	}
 	for _, req := range []client.JobRequest{
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.L1Ways = 0 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.L1Ways = -8 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.LLCWays = 128 })},
 		{Benchmark: "no-such-benchmark", Org: "SAC"},
 		{Benchmark: "RN", Org: "no-such-org"},
 		{Benchmark: "RN", Org: "SAC", Preset: "no-such-preset"},
@@ -241,8 +251,8 @@ func TestConcurrentDedup(t *testing.T) {
 	if sims != 1 {
 		t.Fatalf("%d jobs simulated, want exactly 1 (the rest dedup/memo)", sims)
 	}
-	if got := s.runner.Runs(); got != 1 {
-		t.Fatalf("runner executed %d simulations, want 1", got)
+	if got := int(s.sims.Load()); got != 1 {
+		t.Fatalf("daemon executed %d simulations, want 1", got)
 	}
 }
 
@@ -296,8 +306,8 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatal("result served from store differs from the original simulation")
 	}
-	if s2.runner.Runs() != 0 {
-		t.Fatalf("restarted daemon simulated %d cells, want 0", s2.runner.Runs())
+	if int(s2.sims.Load()) != 0 {
+		t.Fatalf("restarted daemon simulated %d cells, want 0", int(s2.sims.Load()))
 	}
 }
 

@@ -180,11 +180,9 @@ func WithContext(ctx context.Context) RunOption {
 
 // WithWorkers sets intra-run chip parallelism: each simulated cycle's
 // per-chip phases tick concurrently on up to n workers (clamped to the chip
-// count), with results bit-identical to serial at any n. 0 = auto (one
-// worker per chip, capped at GOMAXPROCS); 1 = serial. Hardware-coherence
-// configurations always run serially. When combining many concurrent runs
-// (a sweep), prefer the Runner's ChipWorkers budget so cells × chip workers
-// do not oversubscribe cores.
+// count), with results bit-identical to serial at any n. 0 and 1 are serial,
+// which is what a Run without this option does. Hardware-coherence
+// configurations always run serially.
 func WithWorkers(n int) RunOption {
 	return func(o *gpu.RunOpts) { o.Workers = n }
 }
