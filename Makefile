@@ -93,14 +93,15 @@ vuln:
 			| tee artifacts/govulncheck.txt; \
 	fi
 
-# fieldalign runs the fieldalignment analyzer over the struct-of-arrays hot
-# packages — the cache array every L1 and LLC slice runs on, the cycle loop,
-# the ring (a padded layout there silently regresses the cache behaviour the
-# SoA layout bought). Advisory like vuln: offline checkouts without the
-# tool still pass.
+# fieldalign runs the fieldalignment analyzer over the hot packages — the
+# cache array every L1 and LLC slice runs on, the cycle loop, and the
+# by-value records the loop walks every cycle: DRAM channels, crossbar ports,
+# ring links and the bwsim primitives embedded in them (a padded layout there
+# silently regresses the cache behaviour the layout bought). Advisory like
+# vuln: offline checkouts without the tool still pass.
 fieldalign:
 	@if command -v fieldalignment >/dev/null 2>&1; then \
-		fieldalignment ./internal/cache ./internal/gpu ./internal/xchip; \
+		fieldalignment ./internal/cache ./internal/gpu ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim; \
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi

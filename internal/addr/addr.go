@@ -58,8 +58,13 @@ func (p *PAE) Slice(line uint64) int {
 // Channel returns the DRAM channel index within the home chip's partition.
 // Slices have point-to-point links to their memory controllers, so the
 // channel is derived from the slice index to keep that pairing stable.
-func (p *PAE) Channel(line uint64) int {
-	return p.Slice(line) * p.channelsPerChip / p.slicesPerChip
+func (p *PAE) Channel(line uint64) int { return p.SliceChannel(p.Slice(line)) }
+
+// SliceChannel returns the DRAM channel paired with an LLC slice index — the
+// second half of Channel, for callers that already hashed the line to its
+// slice.
+func (p *PAE) SliceChannel(slice int) int {
+	return slice * p.channelsPerChip / p.slicesPerChip
 }
 
 // SlicesPerChip returns the configured slice count.
@@ -81,7 +86,15 @@ type PageTable struct {
 	// constants instead of re-deriving them from the geometry.
 	lpp       int
 	pageShift int
-	pages     map[uint64]*pageEntry
+	// Pages are indexed densely: dense[page] for page numbers below
+	// denseMaxPages (nil = untouched), grown on demand. Spec line spaces are
+	// dense from 0 (region bases stack), so every synthetic workload lives
+	// here and the per-dispatch Touch is a slice index, not a hash. The map
+	// holds only page numbers at or above the bound, which trace replays
+	// with arbitrary addresses can produce.
+	dense  []*pageEntry
+	sparse map[uint64]*pageEntry
+	count  int // allocated pages, dense and sparse
 
 	// One-entry memo of the most recently touched page: warp access streams
 	// are page-local, so consecutive Touch/Home calls usually hit the same
@@ -90,6 +103,11 @@ type PageTable struct {
 	lastPage  uint64
 	lastEntry *pageEntry
 }
+
+// denseMaxPages bounds the dense page index (the estimate rung's homeSlice
+// uses the same bound): 4 Mi pages is a 16 GiB line space at 4 KiB pages and
+// at most 32 MiB of index.
+const denseMaxPages = 1 << 22
 
 type pageEntry struct {
 	home       int
@@ -103,7 +121,7 @@ func NewPageTable(geom memsys.Geometry, chips int) *PageTable {
 	if chips <= 0 || chips > 8 {
 		panic("addr: chip count must be in 1..8")
 	}
-	t := &PageTable{geom: geom, chips: chips, lpp: geom.LinesPerPage(), pageShift: -1, pages: make(map[uint64]*pageEntry)}
+	t := &PageTable{geom: geom, chips: chips, lpp: geom.LinesPerPage(), pageShift: -1, sparse: make(map[uint64]*pageEntry)}
 	if t.lpp > 0 && geom.PageBytes%geom.LineBytes == 0 && t.lpp&(t.lpp-1) == 0 {
 		s := 0
 		for 1<<uint(s) < t.lpp {
@@ -125,17 +143,43 @@ func (t *PageTable) pageOf(line uint64) uint64 {
 	return t.geom.PageOfLine(line)
 }
 
+// entry returns a page's entry, or nil when the page was never touched.
+func (t *PageTable) entry(page uint64) *pageEntry {
+	if page < uint64(len(t.dense)) {
+		return t.dense[page]
+	}
+	if page < denseMaxPages {
+		return nil
+	}
+	return t.sparse[page]
+}
+
+// place allocates page to chip (its first toucher).
+func (t *PageTable) place(page uint64, chip int) *pageEntry {
+	e := &pageEntry{home: chip, lineChips: make([]uint8, t.lpp)}
+	t.count++
+	if page >= denseMaxPages {
+		t.sparse[page] = e
+		return e
+	}
+	if page >= uint64(len(t.dense)) {
+		n := min(max(2*uint64(len(t.dense)), page+1, 1024), denseMaxPages)
+		grown := make([]*pageEntry, n)
+		copy(grown, t.dense)
+		t.dense = grown
+	}
+	t.dense[page] = e
+	return e
+}
+
 // Touch records an access by chip to the given line and returns the page's
 // home chip, allocating the page to the toucher if this is the first access.
 func (t *PageTable) Touch(line uint64, chip int) (home int) {
 	page := t.pageOf(line)
 	e := t.lastEntry
 	if e == nil || page != t.lastPage {
-		var ok bool
-		e, ok = t.pages[page]
-		if !ok {
-			e = &pageEntry{home: chip, lineChips: make([]uint8, t.lpp)}
-			t.pages[page] = e
+		if e = t.entry(page); e == nil {
+			e = t.place(page, chip)
 		}
 		t.lastPage, t.lastEntry = page, e
 	}
@@ -154,15 +198,29 @@ func (t *PageTable) Home(line uint64) int {
 	if e := t.lastEntry; e != nil && page == t.lastPage {
 		return e.home
 	}
-	e, ok := t.pages[page]
-	if !ok {
+	e := t.entry(page)
+	if e == nil {
 		return -1
 	}
 	return e.home
 }
 
 // Pages returns the number of allocated pages.
-func (t *PageTable) Pages() int { return len(t.pages) }
+func (t *PageTable) Pages() int { return t.count }
+
+// each calls f for every allocated page (dense pages in page order, then
+// the sparse ones in map order; every caller computes an order-independent
+// sum).
+func (t *PageTable) each(f func(*pageEntry)) {
+	for _, e := range t.dense {
+		if e != nil {
+			f(e)
+		}
+	}
+	for _, e := range t.sparse {
+		f(e)
+	}
+}
 
 // SharingClass classifies a line according to the paper's §2.2 definitions.
 type SharingClass uint8
@@ -195,8 +253,8 @@ func (c SharingClass) String() string {
 // so far. Untouched lines classify as NonShared.
 func (t *PageTable) Classify(line uint64) SharingClass {
 	page := t.pageOf(line)
-	e, ok := t.pages[page]
-	if !ok {
+	e := t.entry(page)
+	if e == nil {
 		return NonShared
 	}
 	idx := int(line) - int(page)*t.lpp
@@ -217,7 +275,7 @@ func (t *PageTable) Classify(line uint64) SharingClass {
 // True-Shared and False-Shared columns.
 func (t *PageTable) FootprintBytes() (total, trueShared, falseShared int64) {
 	lineBytes := int64(t.geom.LineBytes)
-	for _, e := range t.pages {
+	t.each(func(e *pageEntry) {
 		for _, mask := range e.lineChips {
 			if mask == 0 {
 				continue
@@ -229,7 +287,7 @@ func (t *PageTable) FootprintBytes() (total, trueShared, falseShared int64) {
 				falseShared += lineBytes
 			}
 		}
-	}
+	})
 	return total, trueShared, falseShared
 }
 
@@ -238,16 +296,16 @@ func (t *PageTable) FootprintBytes() (total, trueShared, falseShared int64) {
 // scheduling.
 func (t *PageTable) HomeHistogram() []int {
 	h := make([]int, t.chips)
-	for _, e := range t.pages {
-		h[e.home]++
-	}
+	t.each(func(e *pageEntry) { h[e.home]++ })
 	return h
 }
 
 // Reset drops all placement and sharing state (between whole-application
 // runs; kernel boundaries do NOT reset placement).
 func (t *PageTable) Reset() {
-	t.pages = make(map[uint64]*pageEntry)
+	t.dense = nil
+	t.sparse = make(map[uint64]*pageEntry)
+	t.count = 0
 	t.lastPage, t.lastEntry = 0, nil
 }
 

@@ -3,6 +3,13 @@
 // bytes-per-cycle capacity, and bounded FIFO queues with cheap ring-buffer
 // semantics. NoC ports, inter-chip links, LLC slice pipelines and DRAM
 // channels are all a (queue, bucket) pair.
+//
+// The constructors return values, not pointers: a component embeds its
+// primitives in one record per port, link or channel and keeps the records
+// in one slice, so the per-cycle loop that decides whether a port has work
+// reads one cache line instead of chasing a pointer per primitive. The
+// methods have pointer receivers — call them on the addressable field or
+// slice element, never on a copy.
 package bwsim
 
 import "fmt"
@@ -19,11 +26,11 @@ type TokenBucket struct {
 // NewBucket returns a bucket with the given sustained rate. The burst cap is
 // two cycles' worth of bandwidth (at least one message of any size moves
 // eventually because Take accepts a partial debt of up to one burst).
-func NewBucket(bytesPerCycle float64) *TokenBucket {
+func NewBucket(bytesPerCycle float64) TokenBucket {
 	if bytesPerCycle <= 0 {
 		panic(fmt.Sprintf("bwsim: non-positive bandwidth %v", bytesPerCycle))
 	}
-	return &TokenBucket{
+	return TokenBucket{
 		bytesPerCycle: bytesPerCycle,
 		burst:         2 * bytesPerCycle,
 		credit:        bytesPerCycle,
@@ -108,12 +115,12 @@ type Queue[T any] struct {
 
 // NewQueue returns a queue whose Full threshold is bound entries.
 // bound <= 0 means unbounded.
-func NewQueue[T any](bound int) *Queue[T] {
+func NewQueue[T any](bound int) Queue[T] {
 	capHint := bound
 	if capHint <= 0 || capHint > 1024 {
 		capHint = 16
 	}
-	return &Queue[T]{buf: make([]T, ceilPow2(capHint)), bound: bound}
+	return Queue[T]{buf: make([]T, ceilPow2(capHint)), bound: bound}
 }
 
 // ceilPow2 returns the smallest power of two >= n, for n >= 1.
@@ -194,8 +201,8 @@ type delayEntry[T any] struct {
 
 // NewDelayLine returns an empty delay line. The pre-sized buffer length
 // must be a power of two (Queue indexes with a mask).
-func NewDelayLine[T any]() *DelayLine[T] {
-	return &DelayLine[T]{entries: Queue[delayEntry[T]]{buf: make([]delayEntry[T], 16)}}
+func NewDelayLine[T any]() DelayLine[T] {
+	return DelayLine[T]{entries: Queue[delayEntry[T]]{buf: make([]delayEntry[T], 16)}}
 }
 
 // Len returns the number of in-flight items.

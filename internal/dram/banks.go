@@ -46,8 +46,8 @@ type bankState struct {
 
 // banks is the per-channel bank array.
 type banks struct {
-	timing BankTiming
 	state  []bankState
+	timing BankTiming
 
 	RowHits   int64
 	RowMisses int64

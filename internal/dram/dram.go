@@ -43,16 +43,24 @@ type Config struct {
 	Timing          BankTiming // used when BanksPerChannel > 0
 }
 
+// channel is one DRAM channel: its request queue, data-bandwidth bucket and
+// access-latency pipeline held by value in one record, so Tick decides
+// whether a channel has work from one contiguous struct.
+type channel struct {
+	banks    *banks // nil when bank timing is disabled
+	queue    bwsim.Queue[*memsys.Request]
+	inFlight bwsim.DelayLine[*memsys.Request]
+	bucket   bwsim.TokenBucket
+	scale    float64 // residual health (1 = full bandwidth)
+	bytes    int64   // data bytes moved (the per-channel breakdown of BytesMoved)
+}
+
 // Partition is the memory system attached to one GPU chip.
 type Partition struct {
-	cfg      Config
-	queues   []*bwsim.Queue[*memsys.Request]
-	buckets  []*bwsim.TokenBucket
-	scales   []float64 // per-channel residual health (1 = full bandwidth)
-	inFlight []*bwsim.DelayLine[*memsys.Request]
-	banks    []*banks // nil entries when bank timing is disabled
-	pending  int
-	lastRef  int64
+	chans   []channel
+	cfg     Config
+	pending int
+	lastRef int64
 
 	// Stats.
 	Reads      int64
@@ -63,10 +71,6 @@ type Partition struct {
 	// NextEvent to an earlier cycle, so event schedulers that cache a
 	// NextEvent result refresh it when Enqueues changed.
 	Enqueues int64
-
-	// chBytes is the per-channel breakdown of BytesMoved; windowed deltas
-	// give channel occupancy (fraction of data bandwidth in use).
-	chBytes []int64
 }
 
 // New returns an idle partition.
@@ -80,22 +84,15 @@ func New(cfg Config) *Partition {
 	if cfg.BanksPerChannel > 0 && cfg.Timing.RowBytes <= 0 {
 		cfg.Timing = DefaultBankTiming()
 	}
-	p := &Partition{
-		cfg:      cfg,
-		queues:   make([]*bwsim.Queue[*memsys.Request], cfg.Channels),
-		buckets:  make([]*bwsim.TokenBucket, cfg.Channels),
-		scales:   make([]float64, cfg.Channels),
-		inFlight: make([]*bwsim.DelayLine[*memsys.Request], cfg.Channels),
-		banks:    make([]*banks, cfg.Channels),
-		chBytes:  make([]int64, cfg.Channels),
-	}
-	for c := 0; c < cfg.Channels; c++ {
-		p.queues[c] = bwsim.NewQueue[*memsys.Request](cfg.QueueBound)
-		p.buckets[c] = bwsim.NewBucket(cfg.ChannelBW)
-		p.scales[c] = 1
-		p.inFlight[c] = bwsim.NewDelayLine[*memsys.Request]()
+	p := &Partition{cfg: cfg, chans: make([]channel, cfg.Channels)}
+	for c := range p.chans {
+		ch := &p.chans[c]
+		ch.queue = bwsim.NewQueue[*memsys.Request](cfg.QueueBound)
+		ch.bucket = bwsim.NewBucket(cfg.ChannelBW)
+		ch.scale = 1
+		ch.inFlight = bwsim.NewDelayLine[*memsys.Request]()
 		if cfg.BanksPerChannel > 0 {
-			p.banks[c] = newBanks(cfg.BanksPerChannel, cfg.Timing)
+			ch.banks = newBanks(cfg.BanksPerChannel, cfg.Timing)
 		}
 	}
 	return p
@@ -118,33 +115,33 @@ func (p *Partition) SetChannelScale(ch int, scale float64) {
 	} else if scale > 1 {
 		scale = 1
 	}
-	p.scales[ch] = scale
-	p.buckets[ch].SetRate(p.cfg.ChannelBW * scale)
+	p.chans[ch].scale = scale
+	p.chans[ch].bucket.SetRate(p.cfg.ChannelBW * scale)
 }
 
 // ChannelScale returns the current residual scale of a channel.
-func (p *Partition) ChannelScale(ch int) float64 { return p.scales[ch] }
+func (p *Partition) ChannelScale(ch int) float64 { return p.chans[ch].scale }
 
 // ChannelBytes returns the total data bytes channel ch has moved; windowed
 // deltas give the channel's occupancy.
-func (p *Partition) ChannelBytes(ch int) int64 { return p.chBytes[ch] }
+func (p *Partition) ChannelBytes(ch int) int64 { return p.chans[ch].bytes }
 
 // ChannelQueueLen returns the instantaneous request-queue depth of one
 // channel (in-flight accesses excluded).
-func (p *Partition) ChannelQueueLen(ch int) int { return p.queues[ch].Len() }
+func (p *Partition) ChannelQueueLen(ch int) int { return p.chans[ch].queue.Len() }
 
 // CanAccept reports whether channel ch has queue space. This is the shared
 // memory-controller request queue of §3.1: both local LLC misses and
 // bypassing remote misses contend for it, and when it is full the selection
 // logic must hold the request in the queue ahead of the LLC slice.
-func (p *Partition) CanAccept(ch int) bool { return !p.queues[ch].Full() }
+func (p *Partition) CanAccept(ch int) bool { return !p.chans[ch].queue.Full() }
 
 // Enqueue submits a request to its channel. Callers must honor CanAccept.
 func (p *Partition) Enqueue(req *memsys.Request) {
 	if req.Channel < 0 || req.Channel >= p.cfg.Channels {
 		panic(fmt.Sprintf("dram: request channel %d outside %d channels", req.Channel, p.cfg.Channels))
 	}
-	p.queues[req.Channel].Push(req)
+	p.chans[req.Channel].queue.Push(req)
 	p.pending++
 	p.Enqueues++
 }
@@ -163,17 +160,18 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 	}
 	dt := now - p.lastRef
 	p.lastRef = now
-	for c := 0; c < p.cfg.Channels; c++ {
+	for c := range p.chans {
+		ch := &p.chans[c]
 		// A channel with nothing queued, nothing in flight, and its bucket
 		// parked at the burst cap does no work this cycle: the only state
 		// change would be the bucket advance, which at the cap only clamps.
 		// Skipping it is bit-exact.
-		if p.buckets[c].AtCap() && p.queues[c].Empty() && p.inFlight[c].Len() == 0 {
+		if ch.bucket.AtCap() && ch.queue.Empty() && ch.inFlight.Len() == 0 {
 			continue
 		}
 		// Completions first.
 		for {
-			req, ok := p.inFlight[c].PopDue(now)
+			req, ok := ch.inFlight.PopDue(now)
 			if !ok {
 				break
 			}
@@ -182,29 +180,27 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 		}
 		// Issue new accesses under the bandwidth gate (and, when enabled,
 		// the bank occupancy gate).
-		bkt := p.buckets[c]
-		bkt.Advance(dt)
-		q := p.queues[c]
-		for !q.Empty() && bkt.CanTake() {
-			head, _ := q.Peek()
+		ch.bucket.Advance(dt)
+		for !ch.queue.Empty() && ch.bucket.CanTake() {
 			extra := int64(0)
-			if p.banks[c] != nil {
-				e, ok := p.banks[c].admit(now, head, lineBytes)
+			if ch.banks != nil {
+				head, _ := ch.queue.Peek()
+				e, ok := ch.banks.admit(now, head, lineBytes)
 				if !ok {
 					break // head-of-line waits for its bank
 				}
 				extra = e
 			}
-			req, _ := q.Pop()
-			bkt.Take(lineBytes)
+			req, _ := ch.queue.Pop()
+			ch.bucket.Take(lineBytes)
 			p.BytesMoved += int64(lineBytes)
-			p.chBytes[c] += int64(lineBytes)
+			ch.bytes += int64(lineBytes)
 			if req.Kind == memsys.Write {
 				p.Writes++
 			} else {
 				p.Reads++
 			}
-			p.inFlight[c].Insert(now, p.cfg.Latency+extra, req)
+			ch.inFlight.Insert(now, p.cfg.Latency+extra, req)
 		}
 	}
 }
@@ -218,11 +214,12 @@ func (p *Partition) NextEvent(now int64) int64 {
 		return -1
 	}
 	next := int64(-1)
-	for c := 0; c < p.cfg.Channels; c++ {
-		if !p.queues[c].Empty() {
+	for c := range p.chans {
+		ch := &p.chans[c]
+		if !ch.queue.Empty() {
 			return now + 1
 		}
-		if due, ok := p.inFlight[c].NextDue(); ok && (next < 0 || due < next) {
+		if due, ok := ch.inFlight.NextDue(); ok && (next < 0 || due < next) {
 			next = due
 		}
 	}
@@ -232,7 +229,8 @@ func (p *Partition) NextEvent(now int64) int64 {
 // RowBufferStats aggregates bank statistics over the partition's channels
 // (zeros when bank timing is disabled).
 func (p *Partition) RowBufferStats() (hits, misses, conflicts int64) {
-	for _, b := range p.banks {
+	for c := range p.chans {
+		b := p.chans[c].banks
 		if b == nil {
 			continue
 		}
@@ -251,6 +249,6 @@ func (p *Partition) DrainWriteback(ch int, lineBytes int) {
 	}
 	p.Writes++
 	p.BytesMoved += int64(lineBytes)
-	p.chBytes[ch] += int64(lineBytes)
-	p.buckets[ch].Take(lineBytes)
+	p.chans[ch].bytes += int64(lineBytes)
+	p.chans[ch].bucket.Take(lineBytes)
 }

@@ -1,0 +1,127 @@
+package gpu
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/llc"
+	"repro/internal/stats"
+	"repro/internal/workload"
+)
+
+// checkActivity asserts, between two steps, that every activity word says
+// exactly what the components it summarises say: a stale word would make the
+// cycle loop skip a component with work (or visit an idle one, which is only
+// slow). Tests hang it on System.afterStep.
+func (s *System) checkActivity(t *testing.T) {
+	t.Helper()
+	for _, c := range s.chips {
+		for si := range c.slices {
+			sl := &c.slices[si]
+			if bit, queued := c.sliceBusy>>uint(si)&1 == 1, !sl.lookupQ.Empty(); bit != queued {
+				t.Fatalf("cycle %d chip %d slice %d: sliceBusy bit %v, lookup queue holds %d", s.now, c.idx, si, bit, sl.lookupQ.Len())
+			}
+			if n, occ := sl.mshr.Len(), sl.mshr.Occupied(); n != occ {
+				t.Fatalf("cycle %d chip %d slice %d: MSHR Len %d, occupied slots %d", s.now, c.idx, si, n, occ)
+			}
+		}
+		if c.sliceBusy>>uint(len(c.slices)) != 0 {
+			t.Fatalf("cycle %d chip %d: sliceBusy %b has bits past %d slices", s.now, c.idx, c.sliceBusy, len(c.slices))
+		}
+		for i, smu := range c.sms {
+			if c.smWake[i] != smu.SleepUntil() {
+				t.Fatalf("cycle %d chip %d SM %d: smWake %d, SleepUntil %d", s.now, c.idx, i, c.smWake[i], smu.SleepUntil())
+			}
+		}
+		if c.scr.dirty || c.scr.progress || c.scr.stats != (statsDelta{}) {
+			t.Fatalf("cycle %d chip %d: scratch left unmerged after the step: %+v", s.now, c.idx, c.scr.stats)
+		}
+	}
+}
+
+// runFaultsChecked is RunWithFaults with checkActivity after every step.
+func runFaultsChecked(t *testing.T, cfg Config, spec workload.Spec, plan *fault.Plan) (*stats.Run, error) {
+	t.Helper()
+	sys, err := New(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.InjectFaults(plan); err != nil {
+		return nil, err
+	}
+	sys.afterStep = func() { sys.checkActivity(t) }
+	return sys.Run()
+}
+
+// TestCycleLoopSteadyStateAllocs pins the property chipScratch's comment and
+// DESIGN.md §5.1 state: once the machine is warm, stepping it allocates
+// nothing. SN's kernel is invoked twice; the first invocation places the
+// pages and grows queues, arenas and request pools, and the window sits
+// inside the second.
+//
+// testing.AllocsPerRun over single steps must read 0. That figure is an
+// integer average, so the test also counts the window's allocations exactly
+// and bounds them: the only structures that may still allocate are the
+// growth-only ones (a queue or arena doubling its buffer, a request pool
+// running dry because requests retire into the pool of the chip they die
+// on), a handful of events however long the window. Anything per request or
+// per miss reads in the thousands here — the map-based MSHR file alone
+// allocated once per primary miss.
+func TestCycleLoopSteadyStateAllocs(t *testing.T) {
+	spec, err := workload.ByName("SN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Repeats = 2
+	cfg := ScaledConfig().WithOrg(llc.SMSide)
+	cfg.WorkloadScale *= 4
+	cfg.LLCBytesPerChip /= 4
+	cfg.L1BytesPerSM /= 4
+	sys, err := New(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		lead     = 1000 // steps into the second invocation before measuring
+		window   = 2000 // steps measured
+		maxGrown = 64   // growth-only events tolerated in the window
+	)
+	measured := false
+	steps := 0
+	sys.afterStep = func() {
+		if sys.kernelIdx != 1 || measured {
+			return
+		}
+		if steps++; steps < lead {
+			return
+		}
+		measured = true
+		ops0 := sys.run.MemOps
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		perStep := testing.AllocsPerRun(window, func() {
+			if sys.step() {
+				t.Fatal("kernel retired inside the measured window")
+			}
+			sys.fastForward()
+		})
+		runtime.ReadMemStats(&m1)
+		if perStep != 0 {
+			t.Errorf("steady-state cycle loop allocates %v times per step, want 0", perStep)
+		}
+		if total := m1.Mallocs - m0.Mallocs; total > maxGrown {
+			t.Errorf("%d allocations in %d steps, want at most %d (growth-only structures)", total, window, maxGrown)
+		}
+		if sys.run.MemOps == ops0 {
+			t.Error("the measured window issued no memory operations")
+		}
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !measured {
+		t.Fatal("run ended before the measured window")
+	}
+}

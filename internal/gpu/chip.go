@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"fmt"
+
 	"repro/internal/bwsim"
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -20,10 +22,10 @@ import (
 type llcSlice struct {
 	arr      *cache.Cache
 	mshr     *cache.MSHR
-	lookupQ  *bwsim.Queue[*memsys.Request]
-	bkt      *bwsim.TokenBucket
+	lookupQ  bwsim.Queue[*memsys.Request]
+	hitDelay bwsim.DelayLine[*memsys.Request]
+	bkt      bwsim.TokenBucket
 	lastRef  int64 // cycle of the last lookup-bucket refill (lazy catch-up)
-	hitDelay *bwsim.DelayLine[*memsys.Request]
 }
 
 // chip bundles one GPU chip's hardware.
@@ -32,7 +34,7 @@ type chip struct {
 	sms     []*sm.SM
 	reqNet  *noc.Crossbar
 	respNet *noc.Crossbar
-	slices  []*llcSlice
+	slices  []llcSlice
 	mem     *dram.Partition
 	dyn     *llc.DynamicController // Dynamic organization only
 	dir     *coherence.Directory   // hardware coherence only
@@ -59,9 +61,25 @@ type chip struct {
 	pipeSig int64
 	warpSig int64
 
-	// wakeHint caches the earliest cycle any of the chip's SMs may issue;
-	// issueChip skips the whole SM loop before it (deliverToSM lowers it).
-	wakeHint int64
+	// Activity words: what the per-cycle loop reads instead of visiting every
+	// component to learn it has nothing to do. Like the signatures above,
+	// each is written only from its own chip's phase task (or serially).
+	//
+	// smWake[i] mirrors sms[i].SleepUntil() — rewritten after every Issue,
+	// Receive and LoadStreams, the only calls that move it — so issueChip
+	// walks one contiguous array and touches an SM only when it may issue.
+	// smCluster[i] is SM i's request-NoC input port (i / SMsPerCluster).
+	// wakeHint is the minimum over smWake as of the last issue pass;
+	// issueChip skips the whole walk before it (deliverToSM lowers it).
+	smWake    []int64
+	smCluster []int32
+	wakeHint  int64
+	// sliceBusy has bit i set exactly while slices[i].lookupQ holds a
+	// request: set at the one Push (the request crossbar's delivery),
+	// cleared when tickSlice drains the queue. A slice with an empty queue
+	// does nothing in tickSlice — it even defers its bucket refill — so
+	// visiting only the set bits, in index order, is the same walk.
+	sliceBusy uint64
 
 	// hitInFlight counts requests in the chip's hit-latency pipelines
 	// (across slices); phaseEarly skips the per-slice drain scan when it is
@@ -91,7 +109,10 @@ func newChip(cfg *Config, idx int) *chip {
 	c.scr.clusterStaged = make([]int, clusters)
 
 	c.sms = make([]*sm.SM, cfg.SMsPerChip)
+	c.smWake = make([]int64, cfg.SMsPerChip)
+	c.smCluster = make([]int32, cfg.SMsPerChip)
 	for i := range c.sms {
+		c.smCluster[i] = int32(i / cfg.SMsPerCluster)
 		c.sms[i] = sm.New(sm.Config{
 			Chip:    idx,
 			Index:   i,
@@ -119,9 +140,12 @@ func newChip(cfg *Config, idx int) *chip {
 	})
 
 	sliceLines := cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip
-	c.slices = make([]*llcSlice, cfg.SlicesPerChip)
+	if cfg.SlicesPerChip > MaxSlicesPerChip {
+		panic(fmt.Sprintf("gpu: %d slices per chip exceed the %d the slice activity word holds", cfg.SlicesPerChip, MaxSlicesPerChip))
+	}
+	c.slices = make([]llcSlice, cfg.SlicesPerChip)
 	for s := range c.slices {
-		c.slices[s] = &llcSlice{
+		c.slices[s] = llcSlice{
 			arr: cache.New(cache.Config{
 				Sets:      sliceLines / cfg.LLCWays,
 				Ways:      cfg.LLCWays,
@@ -159,23 +183,24 @@ func newChip(cfg *Config, idx int) *chip {
 
 // setPartition applies a local/remote way split to every slice.
 func (c *chip) setPartition(localWays int) {
-	for _, s := range c.slices {
-		s.arr.SetPartition(localWays)
+	for i := range c.slices {
+		c.slices[i].arr.SetPartition(localWays)
 	}
 }
 
 // clearPartition removes way partitioning from every slice.
 func (c *chip) clearPartition() {
-	for _, s := range c.slices {
-		s.arr.ClearPartition()
+	for i := range c.slices {
+		c.slices[i].arr.ClearPartition()
 	}
 }
 
 // inflight counts requests resident in this chip's queues and pipelines
-// (excluding SM-level pending maps, which the system tracks separately).
+// (excluding the SMs' miss files, which the system tracks separately).
 func (c *chip) inflight() int {
 	n := c.reqNet.Pending() + c.respNet.Pending() + c.mem.Pending()
-	for _, s := range c.slices {
+	for i := range c.slices {
+		s := &c.slices[i]
 		n += s.lookupQ.Len() + s.hitDelay.Len() + s.mshr.Len()
 	}
 	return n
@@ -183,8 +208,8 @@ func (c *chip) inflight() int {
 
 // occupancy sums the Figure 9 census over the chip's slices.
 func (c *chip) occupancy() (local, remote int) {
-	for _, s := range c.slices {
-		l, r := s.arr.Occupancy()
+	for i := range c.slices {
+		l, r := c.slices[i].arr.Occupancy()
 		local += l
 		remote += r
 	}
@@ -193,9 +218,9 @@ func (c *chip) occupancy() (local, remote int) {
 
 // llcCounters sums hits/misses over slices.
 func (c *chip) llcCounters() (hits, misses int64) {
-	for _, s := range c.slices {
-		hits += s.arr.Hits
-		misses += s.arr.Misses
+	for i := range c.slices {
+		hits += c.slices[i].arr.Hits
+		misses += c.slices[i].arr.Misses
 	}
 	return hits, misses
 }

@@ -174,6 +174,10 @@ func MultiSocketConfig() Config {
 	return c
 }
 
+// MaxSlicesPerChip bounds SlicesPerChip: each chip tracks which slices hold
+// queued lookups in one 64-bit activity word (chip.sliceBusy).
+const MaxSlicesPerChip = 64
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	if err := c.Geom.Validate(); err != nil {
@@ -188,6 +192,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: SMsPerCluster %d must divide SMsPerChip %d", c.SMsPerCluster, c.SMsPerChip)
 	case c.SlicesPerChip < 1 || c.ChannelsPerChip < 1:
 		return fmt.Errorf("gpu: need slices and channels")
+	case c.SlicesPerChip > MaxSlicesPerChip:
+		return fmt.Errorf("gpu: SlicesPerChip must be at most %d, got %d", MaxSlicesPerChip, c.SlicesPerChip)
 	case c.SlicesPerChip%c.ChannelsPerChip != 0:
 		return fmt.Errorf("gpu: channels %d must divide slices %d", c.ChannelsPerChip, c.SlicesPerChip)
 	case c.LLCBytesPerChip <= 0 || c.L1BytesPerSM <= 0:
@@ -200,8 +206,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: non-positive bandwidth")
 	case c.WorkloadScale < 1:
 		return fmt.Errorf("gpu: workload scale must be >= 1")
-	case c.MSHRPerSlice < 1:
-		return fmt.Errorf("gpu: MSHRPerSlice must be >= 1, got %d", c.MSHRPerSlice)
+	case c.MSHRPerSlice < 1 || c.MSHRPerSlice > cache.MaxMSHREntries:
+		return fmt.Errorf("gpu: MSHRPerSlice must be in 1..%d (the MSHR table is sized eagerly), got %d", cache.MaxMSHREntries, c.MSHRPerSlice)
 	case c.QueueBound < 0:
 		return fmt.Errorf("gpu: negative QueueBound %d", c.QueueBound)
 	case c.MaxCycles <= 0:

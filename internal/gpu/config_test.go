@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/llc"
 )
 
@@ -105,6 +106,47 @@ func TestValidateWaysRange(t *testing.T) {
 			continue
 		}
 		if _, err := New(cfg, tinyWorkload()); err != nil { // an accepted geometry must also build
+			t.Errorf("%s: New = %v", tc.name, err)
+		}
+	}
+}
+
+// TestValidateStructuralLimits pins the upper bounds the fixed structures of
+// the cycle loop need — the MSHR table is sized eagerly from MSHRPerSlice and
+// a chip tracks its busy slices in one 64-bit word — as Validate errors. Both
+// fields reach Validate from a POST /v1/jobs body; an accepted value must
+// also build.
+func TestValidateStructuralLimits(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"MSHRPerSlice 0", func(c *Config) { c.MSHRPerSlice = 0 }, false},
+		{"MSHRPerSlice 1", func(c *Config) { c.MSHRPerSlice = 1 }, true},
+		{"MSHRPerSlice at the limit", func(c *Config) { c.MSHRPerSlice = cache.MaxMSHREntries }, true},
+		{"MSHRPerSlice one over", func(c *Config) { c.MSHRPerSlice = cache.MaxMSHREntries + 1 }, false},
+		{"MSHRPerSlice 1<<40", func(c *Config) { c.MSHRPerSlice = 1 << 40 }, false},
+		// 64 slices of 2 sets x 16 ways; one channel per slice keeps the pairing valid.
+		{"SlicesPerChip at the limit", func(c *Config) { c.SlicesPerChip, c.ChannelsPerChip = MaxSlicesPerChip, 2 }, true},
+		{"SlicesPerChip one over", func(c *Config) {
+			c.SlicesPerChip, c.ChannelsPerChip = MaxSlicesPerChip+1, 1
+			c.LLCBytesPerChip = (MaxSlicesPerChip + 1) * 16 * 128
+		}, false},
+		{"PaperConfig", func(c *Config) { *c = PaperConfig() }, true},
+		{"ScaledConfig", func(c *Config) {}, true},
+	}
+	for _, tc := range cases {
+		cfg := ScaledConfig()
+		tc.set(&cfg)
+		err := cfg.Validate() // a panic here fails the test
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := New(cfg, tinyWorkload()); err != nil {
 			t.Errorf("%s: New = %v", tc.name, err)
 		}
 	}

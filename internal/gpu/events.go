@@ -190,12 +190,15 @@ func (s *System) sourceNext(src int) int64 {
 // while any lookup queue holds a request (lookups are bandwidth-gated per
 // cycle), else the earliest hit-pipeline completion, or -1 when all idle.
 func pipesNext(c *chip, now int64) int64 {
+	if c.sliceBusy != 0 {
+		return now + 1
+	}
+	if c.hitInFlight == 0 {
+		return -1
+	}
 	next := int64(-1)
-	for _, sl := range c.slices {
-		if !sl.lookupQ.Empty() {
-			return now + 1
-		}
-		if due, ok := sl.hitDelay.NextDue(); ok && (next < 0 || due < next) {
+	for i := range c.slices {
+		if due, ok := c.slices[i].hitDelay.NextDue(); ok && (next < 0 || due < next) {
 			next = due
 		}
 	}

@@ -161,7 +161,8 @@ func (s *System) newStallError() *StallError {
 	for _, c := range s.chips {
 		fmt.Fprintf(&b, "  chip %d: reqNet=%d respNet=%d dram=%d", c.idx,
 			c.reqNet.Pending(), c.respNet.Pending(), c.mem.Pending())
-		for si, sl := range c.slices {
+		for si := range c.slices {
+			sl := &c.slices[si]
 			fmt.Fprintf(&b, " slice%d[q=%d mshr=%d fill=%d]", si,
 				sl.lookupQ.Len(), sl.mshr.Len(), sl.hitDelay.Len())
 		}

@@ -44,7 +44,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 	cfg := tinyConfig().WithOrg(llc.SAC)
 	spec := tinyWorkload()
 	plan := mixedPlan(t)
-	first, err := RunWithFaults(cfg, spec, plan)
+	first, err := runFaultsChecked(t, cfg, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFaultedRunsAllOrgs(t *testing.T) {
 	plan := mixedPlan(t)
 	base := mustRun(t, tinyConfig(), spec)
 	for _, org := range llc.Orgs() {
-		r, err := RunWithFaults(tinyConfig().WithOrg(org), spec, plan)
+		r, err := runFaultsChecked(t, tinyConfig().WithOrg(org), spec, plan)
 		if err != nil {
 			t.Fatalf("%s: %v", org, err)
 		}
@@ -85,7 +85,7 @@ func TestDeadSliceRunCompletes(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	base := mustRun(t, cfg, tinyWorkload())
-	r, err := RunWithFaults(cfg, tinyWorkload(), plan)
+	r, err := runFaultsChecked(t, cfg, tinyWorkload(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

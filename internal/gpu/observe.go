@@ -241,7 +241,8 @@ func (s *System) observeSample() {
 		var llcHits, llcMisses int64
 		for ci, c := range s.chips {
 			m.sacMode[ci].Set(modeVal)
-			for si, sl := range c.slices {
+			for si := range c.slices {
+				sl := &c.slices[si]
 				h, miss := sl.arr.Hits, sl.arr.Misses
 				llcHits += h
 				llcMisses += miss

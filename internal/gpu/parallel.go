@@ -34,6 +34,7 @@ package gpu
 // counts.
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -43,9 +44,10 @@ import (
 // chipScratch is one chip's staging area for a single cycle: everything a
 // parallel chip task must not write to shared state directly. All buffers
 // are preallocated and reused; the steady-state cycle loop stays
-// allocation-free.
+// allocation-free (TestCycleLoopSteadyStateAllocs pins it at zero).
 type chipScratch struct {
 	stats         statsDelta
+	dirty         bool      // stats or progress written this cycle: mergeScratch has work
 	progress      bool      // a request retired this cycle (watchdog food)
 	prof          []profRec // staged SAC profiler records (phase 5)
 	issued        []issuedReq
@@ -133,7 +135,8 @@ func (s *System) phaseEarly(ci int) {
 	now := s.now
 	c.mem.Tick(now, s.cfg.Geom.LineBytes, s.dramSinks[ci])
 	if c.hitInFlight > 0 {
-		for si, sl := range c.slices {
+		for si := range c.slices {
+			sl := &c.slices[si]
 			for {
 				req, ok := sl.hitDelay.PopDue(now)
 				if !ok {
@@ -151,8 +154,11 @@ func (s *System) phaseEarly(ci int) {
 // delivery, and the issue decision pass (dispatch is pass B, serial).
 func (s *System) phaseLate(ci int) {
 	c := s.chips[ci]
-	for si := range c.slices {
-		s.tickSlice(c, si)
+	// Only the slices holding a queued lookup, in index order. tickSlice
+	// clears the current slice's bit at most; new bits appear only in the
+	// request crossbar's delivery below.
+	for busy := c.sliceBusy; busy != 0; busy &= busy - 1 {
+		s.tickSlice(c, bits.TrailingZeros64(busy))
 	}
 	c.reqNet.Tick(s.now, s.reqSinks[ci])
 	if s.state == stRun {
@@ -201,22 +207,28 @@ func (s *System) issueChip(c *chip) {
 	}
 	d := &scr.stats
 	minWake := int64(1) << 62
-	for _, smu := range c.sms {
-		if w := smu.SleepUntil(); s.now < w {
+	// Walk the wake mirror in SM index order (the issue order first-touch
+	// placement depends on); an SM is touched only when it may issue.
+	for i, w := range c.smWake {
+		if s.now < w {
 			if w < minWake {
 				minWake = w
 			}
 			continue // no warp can issue yet (cleared by Receive)
 		}
-		cluster := smu.Index() / s.cfg.SMsPerCluster
+		smu := c.sms[i]
+		cluster := int(c.smCluster[i])
 		canInject := c.reqNet.CanInjectMore(cluster, scr.clusterStaged[cluster])
 		res := smu.Issue(s.now, canInject, &c.nextID)
-		if w := smu.SleepUntil(); w < minWake {
+		w = smu.SleepUntil()
+		c.smWake[i] = w
+		if w < minWake {
 			minWake = w // post-attempt hint: ≤ now when the SM stays hot
 		}
 		if !res.Issued {
 			continue
 		}
+		scr.dirty = true
 		d.memOps++
 		if res.IsWrite {
 			d.writes++
@@ -286,11 +298,16 @@ func (s *System) replayProfiler() {
 // mergeScratch folds every chip's statsDelta into stats.Run and advances
 // the progress watchdog if any chip retired a request this cycle. It runs
 // serially after the second barrier, before the control phase reads the
-// counters.
+// counters. A chip that wrote nothing this cycle (its dirty flag is clear)
+// has an all-zero delta: folding and re-zeroing it would change nothing.
 func (s *System) mergeScratch() {
 	progress := false
 	r := s.run
 	for _, c := range s.chips {
+		if !c.scr.dirty {
+			continue
+		}
+		c.scr.dirty = false
 		d := &c.scr.stats
 		r.MemOps += d.memOps
 		r.Reads += d.reads

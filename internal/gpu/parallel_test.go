@@ -23,7 +23,9 @@ func runWorkers(t *testing.T, cfg Config, spec workload.Spec, workers int) *stat
 var epochKs = []int{-1, 0, 4}
 
 // runWorkersEpoch is runWorkers with the cap on consecutive fused ring epochs
-// set to epochK.
+// set to epochK. Every run checks the activity-word invariants after every
+// step (checkActivity), so the determinism sweep — serial and at every worker
+// count, under make race too — is also the invariant sweep.
 func runWorkersEpoch(t *testing.T, cfg Config, spec workload.Spec, workers, epochK int) *stats.Run {
 	t.Helper()
 	sys, err := New(cfg, spec)
@@ -32,6 +34,7 @@ func runWorkersEpoch(t *testing.T, cfg Config, spec workload.Spec, workers, epoc
 	}
 	sys.SetWorkers(workers)
 	sys.epochK = epochK
+	sys.afterStep = func() { sys.checkActivity(t) }
 	r, err := sys.Run()
 	if err != nil {
 		t.Fatalf("Run(%s, workers=%d, epochK=%d): %v", cfg.Org, workers, epochK, err)

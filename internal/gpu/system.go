@@ -87,6 +87,10 @@ type System struct {
 	// against fast-forwarded runs).
 	events eventHeap
 	noFF   bool
+	// afterStep, when set, runs after every step of a kernel's cycle loop —
+	// the seam the invariant tests hang checkActivity on. Nothing outside
+	// the tests sets it.
+	afterStep func()
 
 	// Fused multi-cycle epochs (parallel.go): when the ring proves no
 	// inter-chip landing is due, per-chip tasks run their early phase, ring
@@ -165,8 +169,8 @@ func New(cfg Config, spec Workload) (*System, error) {
 	s.hwCoh = cfg.Coherence == coherence.Hardware
 	for _, c := range s.chips {
 		ch := c
-		s.reqSinks = append(s.reqSinks, s.reqSink(c))
-		s.respSinks = append(s.respSinks, s.respSink(c))
+		s.reqSinks = append(s.reqSinks, &reqSink{s: s, c: c, ringOut: c.ringOutReqPort(&cfg)})
+		s.respSinks = append(s.respSinks, &respSink{s: s, c: c, ringOut: c.ringOutRespPort(&cfg)})
 		s.dramSinks = append(s.dramSinks, func(req *memsys.Request) { s.dramDone(ch, req) })
 	}
 	s.ringDeliver = ringSink{s}
@@ -238,6 +242,7 @@ func (s *System) runKernel() error {
 				streams[w] = s.spec.Stream(m, s.kernelIdx, c.idx, smu.Index(), w)
 			}
 			smu.LoadStreams(streams)
+			c.smWake[smu.Index()] = smu.SleepUntil()
 		}
 	}
 	s.kernelStartCycle = s.now
@@ -280,7 +285,11 @@ func (s *System) runKernel() error {
 			return fmt.Errorf("gpu: %s kernel %d exceeded %d cycles (org %s, state %s)",
 				s.spec.SourceName(), s.kernelIdx, s.cfg.MaxCycles, s.cfg.Org, s.state)
 		}
-		if s.step() {
+		done := s.step()
+		if s.afterStep != nil {
+			s.afterStep()
+		}
+		if done {
 			break
 		}
 		s.fastForward()
@@ -387,13 +396,8 @@ func (s *System) fastForward() {
 	// the signature sweep below would be pure overhead. Sources go stale
 	// while these fire; they are refreshed before the heap is consulted.
 	for _, c := range s.chips {
-		if c.reqNet.Pending() > 0 || c.respNet.Pending() > 0 {
+		if c.reqNet.Pending() > 0 || c.respNet.Pending() > 0 || c.sliceBusy != 0 {
 			return
-		}
-		for _, sl := range c.slices {
-			if !sl.lookupQ.Empty() {
-				return
-			}
 		}
 	}
 	// Refresh the key of every source whose earlier-mover signature changed
@@ -472,6 +476,7 @@ func (s *System) fastForward() {
 // allocated it, which just migrates the object between pools.
 func (s *System) retire(c *chip, req *memsys.Request) {
 	c.scr.progress = true
+	c.scr.dirty = true
 	c.pool.Put(req)
 }
 
@@ -502,7 +507,7 @@ func (s *System) ringCanInject(c *chip, dst int, line uint64) bool {
 func (s *System) dispatch(c *chip, cluster int, req *memsys.Request) {
 	req.HomeChip = s.pages.Touch(req.Line, req.SrcChip)
 	req.Slice = s.pae.Slice(req.Line)
-	req.Channel = s.pae.Channel(req.Line)
+	req.Channel = s.pae.SliceChannel(req.Slice)
 	route := llc.RouteFor(s.mode, req.SrcChip, req.HomeChip)
 	req.ServeChip = route.LookupChip
 	req.Stage = memsys.StageNoCReq
@@ -517,30 +522,36 @@ func (s *System) dispatch(c *chip, cluster int, req *memsys.Request) {
 	})
 }
 
-// reqSink handles messages leaving a chip's request crossbar.
-func (s *System) reqSink(c *chip) noc.Sink {
-	ringOut := c.ringOutReqPort(&s.cfg)
-	return noc.SinkFunc{
-		CanAcceptF: func(out int, m noc.Message) bool {
-			if out == ringOut {
-				return s.ringCanInject(c, s.reqRingDst(m.Req), m.Req.Line)
-			}
-			return !c.slices[out].lookupQ.Full()
-		},
-		AcceptF: func(out int, m noc.Message) {
-			if out == ringOut {
-				m.Req.Stage = memsys.StageRingReq
-				s.ringInject(c, xchip.Message{
-					Req: m.Req, Src: c.idx, Dst: s.reqRingDst(m.Req),
-					Bytes: m.Bytes,
-				})
-				return
-			}
-			m.Req.Stage = memsys.StageLLC
-			c.slices[out].lookupQ.Push(m.Req)
-			c.pipeSig++
-		},
+// reqSink handles messages leaving a chip's request crossbar. It is a
+// concrete noc.Sink, not a pair of closures: the crossbar calls it once or
+// twice per moved message.
+type reqSink struct {
+	s       *System
+	c       *chip
+	ringOut int
+}
+
+func (k *reqSink) CanAccept(out int, m noc.Message) bool {
+	if out == k.ringOut {
+		return k.s.ringCanInject(k.c, k.s.reqRingDst(m.Req), m.Req.Line)
 	}
+	return !k.c.slices[out].lookupQ.Full()
+}
+
+func (k *reqSink) Accept(out int, m noc.Message) {
+	s, c := k.s, k.c
+	if out == k.ringOut {
+		m.Req.Stage = memsys.StageRingReq
+		s.ringInject(c, xchip.Message{
+			Req: m.Req, Src: c.idx, Dst: s.reqRingDst(m.Req),
+			Bytes: m.Bytes,
+		})
+		return
+	}
+	m.Req.Stage = memsys.StageLLC
+	c.slices[out].lookupQ.Push(m.Req)
+	c.sliceBusy |= 1 << uint(out)
+	c.pipeSig++
 }
 
 // reqRingDst returns the chip a request-side ring message is heading to.
@@ -555,26 +566,28 @@ func (s *System) reqRingDst(req *memsys.Request) int {
 }
 
 // respSink handles messages leaving a chip's response crossbar.
-func (s *System) respSink(c *chip) noc.Sink {
-	ringOut := c.ringOutRespPort(&s.cfg)
-	return noc.SinkFunc{
-		CanAcceptF: func(out int, m noc.Message) bool {
-			if out == ringOut {
-				return s.ringCanInject(c, m.Req.SrcChip, m.Req.Line)
-			}
-			return true // SMs always absorb responses
-		},
-		AcceptF: func(out int, m noc.Message) {
-			if out == ringOut {
-				m.Req.Stage = memsys.StageRingResp
-				s.ringInject(c, xchip.Message{
-					Req: m.Req, Src: c.idx, Dst: m.Req.SrcChip, Bytes: m.Bytes,
-				})
-				return
-			}
-			s.deliverToSM(c, m.Req)
-		},
+type respSink struct {
+	s       *System
+	c       *chip
+	ringOut int
+}
+
+func (k *respSink) CanAccept(out int, m noc.Message) bool {
+	if out == k.ringOut {
+		return k.s.ringCanInject(k.c, m.Req.SrcChip, m.Req.Line)
 	}
+	return true // SMs always absorb responses
+}
+
+func (k *respSink) Accept(out int, m noc.Message) {
+	if out == k.ringOut {
+		m.Req.Stage = memsys.StageRingResp
+		k.s.ringInject(k.c, xchip.Message{
+			Req: m.Req, Src: k.c.idx, Dst: m.Req.SrcChip, Bytes: m.Bytes,
+		})
+		return
+	}
+	k.s.deliverToSM(k.c, m.Req)
 }
 
 // deliverToSM completes a load at its SM.
@@ -584,9 +597,12 @@ func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 	smu := c.sms[req.SrcSM]
 	smu.Receive(s.now, req)
 	c.warpSig++
-	if w := smu.SleepUntil(); w < c.wakeHint {
+	w := smu.SleepUntil()
+	c.smWake[req.SrcSM] = w
+	if w < c.wakeHint {
 		c.wakeHint = w
 	}
+	c.scr.dirty = true
 	d := &c.scr.stats
 	d.respCount[req.Origin]++
 	d.respBytes[req.Origin] += int64(req.RespBytes(s.cfg.Geom.LineBytes))
@@ -623,6 +639,7 @@ func (rs ringSink) Accept(chipIdx int, m xchip.Message) {
 		// Hardware-coherence invalidation arriving at a sharer.
 		c.slices[req.Slice].arr.Invalidate(req.Line)
 		c.scr.stats.invalMessages++
+		c.scr.dirty = true
 		s.retire(c, req) // invalidations are absorbed here
 	case req.Stage == memsys.StageRingResp:
 		s.ringResponseArrived(c, req)
@@ -657,7 +674,7 @@ func (s *System) ringResponseArrived(c *chip, req *memsys.Request) {
 		// Memory-side remote response: no local install.
 		if req.Kind == memsys.Read {
 			c.respNet.Inject(noc.Message{
-				Req: req, In: c.ringInRespPort(&s.cfg), Out: req.SrcSM / s.cfg.SMsPerCluster,
+				Req: req, In: c.ringInRespPort(&s.cfg), Out: int(c.smCluster[req.SrcSM]),
 				Bytes: req.RespBytes(s.cfg.Geom.LineBytes),
 			})
 		}
@@ -667,7 +684,7 @@ func (s *System) ringResponseArrived(c *chip, req *memsys.Request) {
 // fillSlice installs a returning line into a slice of the requesting chip,
 // releases MSHR waiters and generates the responses.
 func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Partition, remote bool) {
-	sl := c.slices[si]
+	sl := &c.slices[si]
 	victim, evicted := sl.arr.Fill(req.Line, req.Sector, part, remote)
 	if evicted {
 		s.evict(c, victim)
@@ -716,7 +733,7 @@ func (s *System) respondAfterFill(c *chip, si int, req *memsys.Request) {
 		return
 	}
 	c.respNet.Inject(noc.Message{
-		Req: req, In: si, Out: req.SrcSM / s.cfg.SMsPerCluster,
+		Req: req, In: si, Out: int(c.smCluster[req.SrcSM]),
 		Bytes: req.RespBytes(s.cfg.Geom.LineBytes),
 	})
 }
@@ -752,7 +769,7 @@ func (s *System) writeback(c *chip, line uint64, home int) {
 	wb.HomeChip = home
 	wb.ServeChip = home
 	wb.Slice = s.pae.Slice(line)
-	wb.Channel = s.pae.Channel(line)
+	wb.Channel = s.pae.SliceChannel(wb.Slice)
 	wb.WB = true
 	wb.Bypass = true
 	wb.Stage = memsys.StageDRAM
@@ -767,22 +784,22 @@ func (s *System) writeback(c *chip, line uint64, home int) {
 	})
 }
 
-// tickSlice performs bandwidth-gated lookups at one slice. The lookup
-// bucket refills lazily against the global clock so fast-forwarded idle
-// spans credit it exactly as per-cycle refills would (the burst cap makes
-// the two identical).
+// tickSlice performs bandwidth-gated lookups at one slice whose lookup queue
+// holds a request (its sliceBusy bit is set — phaseLate visits no other).
+// The lookup bucket refills lazily against the global clock, so the cycles a
+// slice sat with an empty queue, and fast-forwarded idle spans, credit it
+// exactly as per-cycle refills would: the bucket's rate never changes, and
+// linear-with-cap accrual composes.
 func (s *System) tickSlice(c *chip, si int) {
-	sl := c.slices[si]
-	if sl.lookupQ.Empty() {
-		// Deferring the refill past empty cycles is exact: the slice bucket's
-		// rate never changes, and linear-with-cap accrual composes.
-		return
-	}
+	sl := &c.slices[si]
 	sl.bkt.Advance(s.now - sl.lastRef)
 	sl.lastRef = s.now
-	for !sl.lookupQ.Empty() && sl.bkt.CanTake() {
-		req, _ := sl.lookupQ.Peek()
-		done, dead, cost := s.lookup(c, si, req)
+	for sl.bkt.CanTake() {
+		req, ok := sl.lookupQ.Peek()
+		if !ok {
+			break
+		}
+		done, dead, cost := s.lookup(c, sl, si, req)
 		if !done {
 			sl.mshr.NoteStall()
 			return // head-of-line blocked: resources full downstream
@@ -793,6 +810,9 @@ func (s *System) tickSlice(c *chip, si int) {
 			s.retire(c, req) // write hit: absorbed at the slice, no response
 		}
 	}
+	if sl.lookupQ.Empty() {
+		c.sliceBusy &^= 1 << uint(si)
+	}
 }
 
 // lookup processes one request at a slice. It returns done=false when the
@@ -800,8 +820,7 @@ func (s *System) tickSlice(c *chip, si int) {
 // marks a request whose life ends at this lookup (write hits — absorbed,
 // no response), which the caller retires after popping it; cost is the
 // bandwidth cost of the lookup.
-func (s *System) lookup(c *chip, si int, req *memsys.Request) (done, dead bool, cost int) {
-	sl := c.slices[si]
+func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (done, dead bool, cost int) {
 	lineBytes := s.cfg.Geom.LineBytes
 	atHome := c.idx == req.HomeChip
 	secondLookup := req.Phase == 1 && atHome && req.SrcChip != c.idx
@@ -813,7 +832,10 @@ func (s *System) lookup(c *chip, si int, req *memsys.Request) (done, dead bool, 
 	// access is known to go through.
 	wi := sl.arr.FindLine(req.Line)
 	hit := wi >= 0 && sl.arr.SectorValid(wi, req.Sector)
-	if !hit && !s.missResourcesAvailable(c, sl, req, secondLookup) {
+	// A miss on a line already outstanding merges into its MSHR entry and
+	// needs no downstream resources; any other miss must find them free.
+	merge := !hit && !secondLookup && sl.mshr.Lookup(req.Line)
+	if !hit && !merge && !s.missResourcesAvailable(c, sl, req, secondLookup) {
 		return false, false, 0
 	}
 	sl.arr.CommitLookup(wi, req.Sector)
@@ -860,8 +882,8 @@ func (s *System) lookup(c *chip, si int, req *memsys.Request) (done, dead bool, 
 		return true, false, memsys.CtrlBytes
 	}
 
-	if sl.mshr.Lookup(req.Line) {
-		sl.mshr.Allocate(req) // secondary miss: merge
+	if merge {
+		sl.mshr.Allocate(req) // secondary miss
 		return true, false, memsys.CtrlBytes
 	}
 
@@ -899,15 +921,13 @@ func (s *System) lookup(c *chip, si int, req *memsys.Request) (done, dead bool, 
 	return true, false, memsys.CtrlBytes
 }
 
-// missResourcesAvailable reports whether a missing request can take its
-// miss path this cycle (§3.1 back-pressure: a full shared memory-controller
-// queue or ring link holds the request in the queue ahead of the slice).
+// missResourcesAvailable reports whether a missing request that does not
+// merge into an outstanding MSHR entry can take its miss path this cycle
+// (§3.1 back-pressure: a full shared memory-controller queue or ring link
+// holds the request in the queue ahead of the slice).
 func (s *System) missResourcesAvailable(c *chip, sl *llcSlice, req *memsys.Request, secondLookup bool) bool {
 	if secondLookup {
 		return c.mem.CanAccept(req.Channel)
-	}
-	if sl.mshr.Lookup(req.Line) {
-		return true // merge needs no downstream resources
 	}
 	atHome := c.idx == req.HomeChip
 	needMSHR := atHome || s.mode == llc.ModeSMSide || req.Kind == memsys.Read
@@ -955,7 +975,7 @@ func (s *System) writeInvalidate(c *chip, req *memsys.Request) {
 // respondFromSlice sends a hit response from a slice into the response
 // network (toward the local SM or across the ring).
 func (s *System) respondFromSlice(c *chip, si int, req *memsys.Request) {
-	out := req.SrcSM / s.cfg.SMsPerCluster
+	out := int(c.smCluster[req.SrcSM])
 	if req.SrcChip != c.idx {
 		out = c.ringOutRespPort(&s.cfg)
 	}
@@ -991,7 +1011,7 @@ func (s *System) dramDone(c *chip, req *memsys.Request) {
 	// The serving slice is on this chip: install and respond.
 	route := llc.RouteFor(s.mode, req.SrcChip, req.HomeChip)
 	part := route.HomePart
-	sl := c.slices[req.Slice]
+	sl := &c.slices[req.Slice]
 	victim, evicted := sl.arr.Fill(req.Line, req.Sector, part, false)
 	if evicted {
 		s.evict(c, victim)
@@ -1170,11 +1190,11 @@ func (s *System) flushLLC(full bool) {
 			s.writeback(ch, line, home)
 			s.run.DirtyFlushed++
 		}
-		for _, sl := range c.slices {
+		for i := range c.slices {
 			if full {
-				sl.arr.FlushAllFunc(onDirty)
+				c.slices[i].arr.FlushAllFunc(onDirty)
 			} else {
-				sl.arr.FlushDirty(onDirty)
+				c.slices[i].arr.FlushDirty(onDirty)
 			}
 		}
 		if c.dir != nil && full {

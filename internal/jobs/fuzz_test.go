@@ -54,11 +54,13 @@ func FuzzJobsHTTP(f *testing.F) {
 
 	// A config replaces the preset wholesale, so the {"Chips":0} seed above
 	// fails at Validate's first check; only a complete config with one field
-	// off reaches the cache-geometry arithmetic behind it.
+	// off reaches the cache-geometry arithmetic behind it — or the eagerly
+	// sized MSHR table an oversized MSHRPerSlice would ask for.
 	for _, set := range []func(*gpu.Config){
 		func(c *gpu.Config) { c.L1Ways = 0 },
 		func(c *gpu.Config) { c.L1Ways = -8 },
 		func(c *gpu.Config) { c.LLCWays = 128 },
+		func(c *gpu.Config) { c.MSHRPerSlice = 1 << 40 },
 	} {
 		cfg := gpu.ScaledConfig()
 		set(&cfg)

@@ -44,20 +44,30 @@ type Sink interface {
 	Accept(out int, m Message)
 }
 
+// inPort is one input port: its ingress queue and bandwidth bucket held by
+// value in one record. adv is the cycle the bucket last accrued credit to:
+// buckets accrue lazily — only when a Tick actually consults them — which is
+// exact because refill is linear-with-cap (deferred accrual composes) as
+// long as each span runs at one rate; SetInPortScale settles the bucket at
+// the old rate before switching.
+type inPort struct {
+	queue bwsim.Queue[Message]
+	bkt   bwsim.TokenBucket
+	adv   int64
+	scale float64 // residual health (1 = full bandwidth)
+}
+
+// outPort is one output port's bandwidth bucket and its lazy-accrual mark.
+type outPort struct {
+	bkt bwsim.TokenBucket
+	adv int64
+}
+
 // Crossbar is one network (request or response) of one chip.
 type Crossbar struct {
+	in      []inPort
+	out     []outPort
 	cfg     Config
-	ingress []*bwsim.Queue[Message]
-	inBkt   []*bwsim.TokenBucket
-	inScale []float64 // per-input-port residual health (1 = full bandwidth)
-	outBkt  []*bwsim.TokenBucket
-	// inAdv/outAdv: cycle each bucket last accrued credit to. Buckets accrue
-	// lazily — only when a Tick actually consults them — which is exact
-	// because refill is linear-with-cap (deferred accrual composes) as long
-	// as each span runs at one rate; SetInPortScale settles the bucket at the
-	// old rate before switching.
-	inAdv   []int64
-	outAdv  []int64
 	rr      int   // round-robin pointer over input ports
 	pending int   // queued messages across all input ports
 	lastRef int64 // cycle of the last active tick (rate-change settle point)
@@ -65,8 +75,12 @@ type Crossbar struct {
 	// port i), valid when InPorts <= 64. Tick walks its set bits in
 	// round-robin order instead of scanning every port; the bits it skips
 	// are exactly the ports the linear scan would have found empty, so
-	// arbitration order is unchanged.
+	// arbitration order is unchanged. wide marks a crossbar with more input
+	// ports than the word names (160 SMs per chip is a valid configuration):
+	// its Tick scans every port (a field, not a test of InPorts, so
+	// TestCrossbarWidePortsMatchMask can run both walks over one shape).
 	nonEmpty uint64
+	wide     bool
 
 	// Stats.
 	BytesMoved   int64
@@ -84,21 +98,20 @@ func New(cfg Config) *Crossbar {
 		panic(fmt.Sprintf("noc: invalid config %+v", cfg))
 	}
 	x := &Crossbar{
-		cfg:     cfg,
-		ingress: make([]*bwsim.Queue[Message], cfg.InPorts),
-		inBkt:   make([]*bwsim.TokenBucket, cfg.InPorts),
-		inScale: make([]float64, cfg.InPorts),
-		outBkt:  make([]*bwsim.TokenBucket, cfg.OutPorts),
-		inAdv:   make([]int64, cfg.InPorts),
-		outAdv:  make([]int64, cfg.OutPorts),
+		cfg:  cfg,
+		in:   make([]inPort, cfg.InPorts),
+		out:  make([]outPort, cfg.OutPorts),
+		wide: cfg.InPorts > 64,
 	}
-	for i := range x.ingress {
-		x.ingress[i] = bwsim.NewQueue[Message](cfg.IngressBound)
-		x.inBkt[i] = bwsim.NewBucket(cfg.InBW)
-		x.inScale[i] = 1
+	for i := range x.in {
+		x.in[i] = inPort{
+			queue: bwsim.NewQueue[Message](cfg.IngressBound),
+			bkt:   bwsim.NewBucket(cfg.InBW),
+			scale: 1,
+		}
 	}
-	for o := range x.outBkt {
-		x.outBkt[o] = bwsim.NewBucket(cfg.OutBW)
+	for o := range x.out {
+		x.out[o].bkt = bwsim.NewBucket(cfg.OutBW)
 	}
 	return x
 }
@@ -122,17 +135,18 @@ func (x *Crossbar) SetInPortScale(in int, scale float64) {
 	// Settle deferred accrual at the old rate up to the last active tick —
 	// exactly what eager per-tick refills would have credited by now — so
 	// the span after the change accrues wholly at the new rate.
-	x.inBkt[in].Advance(x.lastRef - x.inAdv[in])
-	x.inAdv[in] = x.lastRef
-	x.inScale[in] = scale
-	x.inBkt[in].SetRate(x.cfg.InBW * scale)
+	ip := &x.in[in]
+	ip.bkt.Advance(x.lastRef - ip.adv)
+	ip.adv = x.lastRef
+	ip.scale = scale
+	ip.bkt.SetRate(x.cfg.InBW * scale)
 }
 
 // InPortScale returns the current residual scale of an input port.
-func (x *Crossbar) InPortScale(in int) float64 { return x.inScale[in] }
+func (x *Crossbar) InPortScale(in int) float64 { return x.in[in].scale }
 
 // CanInject reports whether input port in has queue space.
-func (x *Crossbar) CanInject(in int) bool { return !x.ingress[in].Full() }
+func (x *Crossbar) CanInject(in int) bool { return !x.in[in].queue.Full() }
 
 // CanInjectMore reports whether input port in would still have queue space
 // after extra additional messages, for callers that stage injections and
@@ -140,7 +154,7 @@ func (x *Crossbar) CanInject(in int) bool { return !x.ingress[in].Full() }
 // staged messages already been injected (extra = 0 is exactly CanInject).
 func (x *Crossbar) CanInjectMore(in, extra int) bool {
 	b := x.cfg.IngressBound
-	return b <= 0 || x.ingress[in].Len()+extra < b
+	return b <= 0 || x.in[in].queue.Len()+extra < b
 }
 
 // Inject enqueues a message at its input port. Producers should honor
@@ -149,7 +163,7 @@ func (x *Crossbar) Inject(m Message) {
 	if m.In < 0 || m.In >= x.cfg.InPorts || m.Out < 0 || m.Out >= x.cfg.OutPorts {
 		panic(fmt.Sprintf("noc: message ports (%d,%d) outside %dx%d crossbar", m.In, m.Out, x.cfg.InPorts, x.cfg.OutPorts))
 	}
-	x.ingress[m.In].Push(m)
+	x.in[m.In].queue.Push(m)
 	x.pending++
 	x.Injects++
 	x.nonEmpty |= 1 << uint(m.In)
@@ -170,7 +184,7 @@ func (x *Crossbar) NextEvent(now int64) int64 {
 
 // InQueueLen returns the instantaneous depth of one input port's ingress
 // queue (the observability layer samples it on its metrics window).
-func (x *Crossbar) InQueueLen(in int) int { return x.ingress[in].Len() }
+func (x *Crossbar) InQueueLen(in int) int { return x.in[in].queue.Len() }
 
 // Tick moves messages for one cycle, delivering to sink. now is the global
 // cycle counter; cycle loops that fast-forward idle spans may call Tick with
@@ -186,7 +200,7 @@ func (x *Crossbar) Tick(now int64, sink Sink) {
 	// Buckets accrue lazily at first consultation this cycle: ports with no
 	// queued traffic (and output ports no head targets) skip their refill
 	// entirely, which deferred-composes to the same credit later.
-	if x.cfg.InPorts <= 64 {
+	if !x.wide {
 		// Walk only the non-empty ports: bits >= rr first, then the wrap.
 		// The skipped bits are exactly the ports the linear scan below finds
 		// empty, so the visit order — and the arbitration — is identical.
@@ -211,7 +225,7 @@ func (x *Crossbar) Tick(now int64, sink Sink) {
 			if in >= x.cfg.InPorts {
 				in -= x.cfg.InPorts
 			}
-			if x.ingress[in].Empty() {
+			if x.in[in].queue.Empty() {
 				continue
 			}
 			if x.drainPort(now, in, sink) {
@@ -231,23 +245,23 @@ func (x *Crossbar) Tick(now int64, sink Sink) {
 // whether its head-of-line blocked. The caller guarantees the port is
 // non-empty.
 func (x *Crossbar) drainPort(now int64, in int, sink Sink) bool {
-	q := x.ingress[in]
-	bkt := x.inBkt[in]
-	bkt.Advance(now - x.inAdv[in])
-	x.inAdv[in] = now
-	for !q.Empty() && bkt.CanTake() {
+	ip := &x.in[in]
+	q := &ip.queue
+	ip.bkt.Advance(now - ip.adv)
+	ip.adv = now
+	for !q.Empty() && ip.bkt.CanTake() {
 		head, _ := q.Peek()
 		out := head.Out
-		ob := x.outBkt[out]
-		ob.Advance(now - x.outAdv[out])
-		x.outAdv[out] = now
-		if !ob.CanTake() || !sink.CanAccept(out, head) {
+		op := &x.out[out]
+		op.bkt.Advance(now - op.adv)
+		op.adv = now
+		if !op.bkt.CanTake() || !sink.CanAccept(out, head) {
 			return true // head-of-line blocks this input port this cycle
 		}
 		q.Pop()
 		x.pending--
-		bkt.Take(head.Bytes)
-		ob.Take(head.Bytes)
+		ip.bkt.Take(head.Bytes)
+		op.bkt.Take(head.Bytes)
 		x.BytesMoved += int64(head.Bytes)
 		x.MsgsMoved++
 		sink.Accept(out, head)
@@ -257,20 +271,3 @@ func (x *Crossbar) drainPort(now int64, in int, sink Sink) bool {
 	}
 	return false
 }
-
-// SinkFunc adapts a pair of functions to the Sink interface.
-type SinkFunc struct {
-	CanAcceptF func(out int, m Message) bool
-	AcceptF    func(out int, m Message)
-}
-
-// CanAccept implements Sink.
-func (s SinkFunc) CanAccept(out int, m Message) bool {
-	if s.CanAcceptF == nil {
-		return true
-	}
-	return s.CanAcceptF(out, m)
-}
-
-// Accept implements Sink.
-func (s SinkFunc) Accept(out int, m Message) { s.AcceptF(out, m) }

@@ -1,10 +1,29 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/memsys"
 )
+
+// SinkFunc adapts a pair of functions to the Sink interface, for tests (the
+// simulator's own sinks are concrete structs).
+type SinkFunc struct {
+	CanAcceptF func(out int, m Message) bool
+	AcceptF    func(out int, m Message)
+}
+
+// CanAccept implements Sink.
+func (s SinkFunc) CanAccept(out int, m Message) bool {
+	if s.CanAcceptF == nil {
+		return true
+	}
+	return s.CanAcceptF(out, m)
+}
+
+// Accept implements Sink.
+func (s SinkFunc) Accept(out int, m Message) { s.AcceptF(out, m) }
 
 type collector struct {
 	got     [][]Message
@@ -209,5 +228,84 @@ func TestCrossbarConservationProperty(t *testing.T) {
 			t.Fatalf("per-input order violated on port %d: %d after %d", m.In, m.Req.ID, prev)
 		}
 		last[m.In] = m.Req.ID
+	}
+}
+
+// wideSink refuses deliveries to one output port on some cycles, so heads of
+// line block, and records what it accepted in order.
+type wideSink struct {
+	now      int64
+	accepted []Message
+}
+
+func (s *wideSink) CanAccept(out int, m Message) bool { return out != 3 || s.now%5 != 0 }
+func (s *wideSink) Accept(out int, m Message)         { s.accepted = append(s.accepted, m) }
+
+// TestCrossbarWidePortsMatchMask covers the fork a 160-SM chip selects and no
+// test built: with more than 64 input ports Tick scans every port instead of
+// walking the non-empty mask. The same seeded traffic through both walks of
+// a 40x12 crossbar must deliver in the same order with the same counters;
+// then a 65-port crossbar (only the scan can serve it) must move traffic
+// injected at its last port.
+func TestCrossbarWidePortsMatchMask(t *testing.T) {
+	cfg := Config{InPorts: 40, OutPorts: 12, InBW: 48, OutBW: 64, IngressBound: 4}
+	mask, scan := New(cfg), New(cfg)
+	scan.wide = true // force the linear scan on a crossbar the mask also serves
+	ms, ss := &wideSink{}, &wideSink{}
+	rng := rand.New(rand.NewSource(64))
+	var id uint64
+	for now := int64(1); now <= 4000; now++ {
+		if now%97 == 0 {
+			now += 40 // a fast-forwarded idle span: Tick sees a gap in now
+		}
+		for k := rng.Intn(6); k > 0; k-- {
+			in := rng.Intn(cfg.InPorts)
+			if mask.CanInject(in) != scan.CanInject(in) {
+				t.Fatalf("cycle %d: CanInject(%d) differs between the walks", now, in)
+			}
+			if !mask.CanInject(in) {
+				continue
+			}
+			id++
+			m := Message{Req: &memsys.Request{ID: id}, In: in, Out: rng.Intn(cfg.OutPorts), Bytes: 8 + 32*rng.Intn(5)}
+			mask.Inject(m)
+			scan.Inject(m)
+		}
+		ms.now, ss.now = now, now
+		mask.Tick(now, ms)
+		scan.Tick(now, ss)
+	}
+	if len(ms.accepted) == 0 || mask.BlockedCycle == 0 {
+		t.Fatalf("traffic too light: %d delivered, %d blocked cycles", len(ms.accepted), mask.BlockedCycle)
+	}
+	if len(ms.accepted) != len(ss.accepted) {
+		t.Fatalf("mask walk delivered %d messages, linear scan %d", len(ms.accepted), len(ss.accepted))
+	}
+	for i := range ms.accepted {
+		if ms.accepted[i] != ss.accepted[i] {
+			t.Fatalf("delivery %d: mask walk %+v, linear scan %+v", i, ms.accepted[i], ss.accepted[i])
+		}
+	}
+	if mask.BytesMoved != scan.BytesMoved || mask.MsgsMoved != scan.MsgsMoved ||
+		mask.BlockedCycle != scan.BlockedCycle || mask.Pending() != scan.Pending() || mask.Injects != scan.Injects {
+		t.Fatalf("counters differ: mask %d/%d/%d/%d, scan %d/%d/%d/%d",
+			mask.BytesMoved, mask.MsgsMoved, mask.BlockedCycle, mask.Pending(),
+			scan.BytesMoved, scan.MsgsMoved, scan.BlockedCycle, scan.Pending())
+	}
+
+	wide := New(Config{InPorts: 65, OutPorts: 2, InBW: 64, OutBW: 64})
+	if !wide.wide {
+		t.Fatal("a 65-port crossbar did not select the linear scan")
+	}
+	sink := &wideSink{}
+	for _, in := range []int{64, 0, 63} {
+		wide.Inject(Message{Req: &memsys.Request{ID: uint64(in)}, In: in, Out: in % 2, Bytes: 16})
+	}
+	for now := int64(1); now <= 4 && wide.Pending() > 0; now++ {
+		sink.now = now
+		wide.Tick(now, sink)
+	}
+	if wide.Pending() != 0 || len(sink.accepted) != 3 {
+		t.Fatalf("65-port crossbar delivered %d of 3 messages, %d still queued", len(sink.accepted), wide.Pending())
 	}
 }

@@ -89,7 +89,8 @@ func TestValidationRejectedWith400(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1})
 	ctx := context.Background()
 	// A config body replaces the preset wholesale; these are valid but for an
-	// associativity the cache array cannot be built with.
+	// associativity the cache array cannot be built with, or a structural
+	// limit past what the cycle loop's fixed tables hold.
 	ways := func(set func(*gpu.Config)) *gpu.Config {
 		cfg := gpu.ScaledConfig()
 		set(&cfg)
@@ -99,6 +100,8 @@ func TestValidationRejectedWith400(t *testing.T) {
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.L1Ways = 0 })},
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.L1Ways = -8 })},
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.LLCWays = 128 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.MSHRPerSlice = 1 << 40 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.SlicesPerChip = 128 })},
 		{Benchmark: "no-such-benchmark", Org: "SAC"},
 		{Benchmark: "RN", Org: "no-such-org"},
 		{Benchmark: "RN", Org: "SAC", Preset: "no-such-preset"},

@@ -6,9 +6,10 @@
 //
 // Loads that miss the L1 block their warp until the response returns;
 // same-line misses from other warps of the SM merge into the outstanding
-// entry (a per-SM MSHR). Stores are write-through and non-blocking. The
-// package is timing-free: the owning cycle loop calls Issue once per cycle
-// and Receive when responses arrive.
+// entry (a per-SM miss file of at most one line per warp, scanned linearly).
+// Stores are write-through and non-blocking. The package is timing-free: the
+// owning cycle loop calls Issue once per cycle and Receive when responses
+// arrive.
 package sm
 
 import (
@@ -48,6 +49,12 @@ func (w *warp) fetch() {
 	}
 }
 
+// pendingLine is one outstanding load miss and its chain of blocked warps.
+type pendingLine struct {
+	line       uint64
+	head, tail int32
+}
+
 // SM is one streaming multiprocessor.
 type SM struct {
 	cfg    Config
@@ -55,10 +62,13 @@ type SM struct {
 	warps  []warp
 	greedy int
 
-	// Outstanding L1 load misses: line -> blocked warp indexes.
-	pending map[uint64][]int
-	// freeWaiters recycles the per-line waiter slices of pending.
-	freeWaiters [][]int
+	// Outstanding L1 load misses. A blocked warp waits on exactly one line
+	// and cannot issue, so there are never more entries than warps: a small
+	// array scanned linearly, sized with the warps in LoadStreams. Each
+	// entry chains the warps blocked on its line, in merge order, through
+	// waitNext (indexed by warp, -1 ends a chain).
+	pending  []pendingLine
+	waitNext []int32
 
 	doneWarps  int
 	sleepUntil int64 // no warp can issue before this cycle (scheduler skip hint)
@@ -77,7 +87,6 @@ func New(cfg Config) *SM {
 			LineBytes: cfg.Geom.LineBytes,
 			// Write-through: WriteBack stays false.
 		}),
-		pending: make(map[uint64][]int),
 	}
 }
 
@@ -89,7 +98,14 @@ func (s *SM) Index() int { return s.cfg.Index }
 
 // LoadStreams installs one access stream per warp for a kernel invocation.
 func (s *SM) LoadStreams(streams []workload.AccessStream) {
-	s.warps = make([]warp, len(streams))
+	n := len(streams)
+	if cap(s.warps) < n {
+		s.warps = make([]warp, n)
+		s.pending = make([]pendingLine, 0, n)
+		s.waitNext = make([]int32, n)
+	}
+	s.warps = s.warps[:n]
+	s.pending = s.pending[:0]
 	s.doneWarps = 0
 	for i, st := range streams {
 		s.warps[i] = warp{stream: st}
@@ -100,7 +116,16 @@ func (s *SM) LoadStreams(streams []workload.AccessStream) {
 	}
 	s.greedy = 0
 	s.sleepUntil = 0
-	clear(s.pending)
+}
+
+// findPending returns the index of line's entry in the miss file, or -1.
+func (s *SM) findPending(line uint64) int {
+	for i := range s.pending {
+		if s.pending[i].line == line {
+			return i
+		}
+	}
+	return -1
 }
 
 // KernelDone reports whether every warp retired and no loads are in flight.
@@ -209,8 +234,11 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 			advance()
 			return IssueResult{Issued: true, L1Hit: true, Warp: wi}
 		}
-		if waiters, ok := s.pending[acc.Line]; ok {
-			s.pending[acc.Line] = append(waiters, wi)
+		if pi := s.findPending(acc.Line); pi >= 0 {
+			p := &s.pending[pi]
+			s.waitNext[p.tail] = int32(wi)
+			s.waitNext[wi] = -1
+			p.tail = int32(wi)
 			w.blocked = true
 			advance()
 			return IssueResult{Issued: true, Warp: wi, Merged: true}
@@ -220,7 +248,8 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 		}
 		*nextID++
 		req := s.newRequest(*nextID, memsys.Read, acc.Line, now, wi)
-		s.pending[acc.Line] = append(s.takeWaiters(), wi)
+		s.pending = append(s.pending, pendingLine{line: acc.Line, head: int32(wi), tail: int32(wi)})
+		s.waitNext[wi] = -1
 		w.blocked = true
 		advance()
 		return IssueResult{Req: req, Issued: true, Warp: wi}
@@ -256,24 +285,20 @@ func (s *SM) newRequest(id uint64, kind memsys.AccessKind, line uint64, now int6
 	return req
 }
 
-// takeWaiters returns an empty waiter slice, recycling retired ones.
-func (s *SM) takeWaiters() []int {
-	if n := len(s.freeWaiters); n > 0 {
-		w := s.freeWaiters[n-1]
-		s.freeWaiters = s.freeWaiters[:n-1]
-		return w
-	}
-	return make([]int, 0, 4)
-}
-
 // Receive delivers a load response: fill the L1, unblock every warp that
-// merged on the line. Each unblocked warp waits out the compute gap of its
-// next access before issuing again.
+// merged on the line (none, when no warp waits on it). Each unblocked warp
+// waits out the compute gap of its next access before issuing again.
 func (s *SM) Receive(now int64, req *memsys.Request) (unblocked int) {
 	s.l1.Fill(req.Line, 0, cache.PartAll, req.SrcChip != req.HomeChip)
-	waiters := s.pending[req.Line]
-	delete(s.pending, req.Line)
-	for _, wi := range waiters {
+	pi := s.findPending(req.Line)
+	if pi < 0 {
+		return 0
+	}
+	wi := s.pending[pi].head
+	last := len(s.pending) - 1
+	s.pending[pi] = s.pending[last]
+	s.pending = s.pending[:last]
+	for ; wi >= 0; wi = s.waitNext[wi] {
 		w := &s.warps[wi]
 		w.blocked = false
 		w.readyAt = now + 1
@@ -284,9 +309,6 @@ func (s *SM) Receive(now int64, req *memsys.Request) (unblocked int) {
 			s.sleepUntil = w.readyAt
 		}
 		unblocked++
-	}
-	if waiters != nil {
-		s.freeWaiters = append(s.freeWaiters, waiters[:0])
 	}
 	return unblocked
 }

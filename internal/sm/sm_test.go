@@ -133,10 +133,7 @@ func TestSleepHint(t *testing.T) {
 	if s.SleepUntil() <= 6000 {
 		t.Skip("warps did not all block")
 	}
-	for line := range s.pending {
-		s.Receive(7000, &memsys.Request{Line: line, Kind: memsys.Read, SrcChip: s.Chip()})
-		break
-	}
+	s.Receive(7000, &memsys.Request{Line: s.pending[0].line, Kind: memsys.Read, SrcChip: s.Chip()})
 	if s.SleepUntil() > 7010 {
 		t.Fatalf("sleep hint %d not cleared by Receive", s.SleepUntil())
 	}

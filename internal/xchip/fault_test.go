@@ -63,10 +63,10 @@ func TestSetLinkBWPreservesScale(t *testing.T) {
 	r := New(Config{Chips: 2, LinkBW: 32, HopLatency: 1})
 	r.SetLinkScale(0, CW, 0)
 	r.SetLinkBW(64) // sensitivity sweep reconfigure mid-outage
-	if r.bkt[0][CW].Rate() != 0 {
-		t.Fatalf("dead link revived by SetLinkBW: rate = %v", r.bkt[0][CW].Rate())
+	if r.links[0][CW].bkt.Rate() != 0 {
+		t.Fatalf("dead link revived by SetLinkBW: rate = %v", r.links[0][CW].bkt.Rate())
 	}
-	if r.bkt[1][CW].Rate() != 64 {
-		t.Fatalf("healthy link rate = %v, want 64", r.bkt[1][CW].Rate())
+	if r.links[1][CW].bkt.Rate() != 64 {
+		t.Fatalf("healthy link rate = %v, want 64", r.links[1][CW].bkt.Rate())
 	}
 }

@@ -51,18 +51,26 @@ type Config struct {
 	QueueBound int     // per-link egress queue back-pressure threshold
 }
 
+// link is one directional link, its primitives held by value in one record:
+// the egress queue of messages waiting to enter it, the bandwidth bucket
+// that gates them, and the wire (messages in flight toward the next chip).
+type link struct {
+	egress   bwsim.Queue[Message]
+	inFlight bwsim.DelayLine[Message]
+	bkt      bwsim.TokenBucket
+	// scale is the link's residual health (1 = healthy, 0 = dead); fault
+	// injection degrades links mid-run.
+	scale float64
+	// bytes that entered the link (the per-link breakdown of BytesMoved;
+	// utilization metrics window it).
+	bytes int64
+}
+
 // Ring is the inter-chip network.
 type Ring struct {
-	cfg   Config
 	lanes []Lane
-	// egress[chip][dir]: messages waiting to enter the link leaving chip in dir.
-	egress [][2]*bwsim.Queue[Message]
-	bkt    [][2]*bwsim.TokenBucket
-	// scale[chip][dir]: residual health of the link leaving chip in dir
-	// (1 = healthy, 0 = dead); fault injection degrades links mid-run.
-	scale [][2]float64
-	// inFlight[chip][dir]: messages on the wire leaving chip in dir.
-	inFlight [][2]*bwsim.DelayLine[Message]
+	// links[chip][dir]: the directional link leaving chip in dir.
+	links [][2]link
 
 	// pendingBy[chip]: messages held in chip's egress queues or on the wire
 	// leaving chip. Partitioned by holding chip so that the fused-epoch
@@ -75,24 +83,21 @@ type Ring struct {
 	// of chips with nothing due and NextLanding read 1 word per chip instead
 	// of peeking every delay line.
 	landDueBy []int64
-	lastRef   int64 // cycle of the last bucket refill
 
 	// Stats. Counters mutated on the per-chip launch path are partitioned by
-	// chip (msgsBy, injectsBy, linkBytes); the landing-phase counters stay
+	// chip (msgsBy, injectsBy, link.bytes); the landing-phase counters stay
 	// scalar because landings only ever run serially in Tick.
-	Arrivals  int64
 	msgsBy    []int64 // link traversals launched by each chip
 	injectsBy []int64 // Inject calls per source chip (monotone, for StateSig)
-	hopped    int64   // intermediate-hop re-queues (monotone, for StateSig)
-	refused   int64   // refused deliveries re-inserted (monotone, for StateSig)
-
 	// advanced[chip] marks chips whose buckets already caught up this fused
 	// cycle; FinishFused settles the rest and clears the marks.
 	advanced []bool
 
-	// linkBytes[chip][dir]: bytes that entered the link leaving chip in dir
-	// (the per-link breakdown of BytesMoved; utilization metrics window it).
-	linkBytes [][2]int64
+	cfg      Config
+	lastRef  int64 // cycle of the last bucket refill
+	Arrivals int64
+	hopped   int64 // intermediate-hop re-queues (monotone, for StateSig)
+	refused  int64 // refused deliveries re-inserted (monotone, for StateSig)
 }
 
 // New returns an idle ring.
@@ -105,24 +110,22 @@ func New(cfg Config) *Ring {
 	}
 	r := &Ring{
 		cfg:       cfg,
-		egress:    make([][2]*bwsim.Queue[Message], cfg.Chips),
-		bkt:       make([][2]*bwsim.TokenBucket, cfg.Chips),
-		scale:     make([][2]float64, cfg.Chips),
-		inFlight:  make([][2]*bwsim.DelayLine[Message], cfg.Chips),
+		links:     make([][2]link, cfg.Chips),
 		pendingBy: make([]int32, cfg.Chips),
 		landDueBy: make([]int64, cfg.Chips),
 		msgsBy:    make([]int64, cfg.Chips),
 		injectsBy: make([]int64, cfg.Chips),
 		advanced:  make([]bool, cfg.Chips),
-		linkBytes: make([][2]int64, cfg.Chips),
 	}
 	for c := 0; c < cfg.Chips; c++ {
 		r.landDueBy[c] = -1
 		for d := 0; d < 2; d++ {
-			r.egress[c][d] = bwsim.NewQueue[Message](cfg.QueueBound)
-			r.bkt[c][d] = bwsim.NewBucket(cfg.LinkBW)
-			r.scale[c][d] = 1
-			r.inFlight[c][d] = bwsim.NewDelayLine[Message]()
+			r.links[c][d] = link{
+				egress:   bwsim.NewQueue[Message](cfg.QueueBound),
+				inFlight: bwsim.NewDelayLine[Message](),
+				bkt:      bwsim.NewBucket(cfg.LinkBW),
+				scale:    1,
+			}
 		}
 	}
 	r.lanes = make([]Lane, cfg.Chips)
@@ -149,8 +152,8 @@ func (r *Ring) Lane(chip int) *Lane { return &r.lanes[chip] }
 // Lane stages ring injections for one chip. See Ring.Lane.
 type Lane struct {
 	r      *Ring
-	chip   int
 	staged [2][]Message
+	chip   int
 }
 
 // CanInject reports whether the lane's chip has egress queue space toward
@@ -158,7 +161,7 @@ type Lane struct {
 func (l *Lane) CanInject(dst int, line uint64) bool {
 	d := l.r.route(l.chip, dst, line)
 	b := l.r.cfg.QueueBound
-	return b <= 0 || l.r.egress[l.chip][d].Len()+len(l.staged[d]) < b
+	return b <= 0 || l.r.links[l.chip][d].egress.Len()+len(l.staged[d]) < b
 }
 
 // Inject stages a message sourced at the lane's chip.
@@ -192,9 +195,10 @@ func (r *Ring) Cfg() Config { return r.cfg }
 // sweeps). Per-link degradation scales are preserved.
 func (r *Ring) SetLinkBW(bw float64) {
 	r.cfg.LinkBW = bw
-	for c := range r.bkt {
+	for c := range r.links {
 		for d := 0; d < 2; d++ {
-			r.bkt[c][d].SetRate(bw * r.scale[c][d])
+			l := &r.links[c][d]
+			l.bkt.SetRate(bw * l.scale)
 		}
 	}
 }
@@ -212,19 +216,19 @@ func (r *Ring) SetLinkScale(chip int, dir Direction, scale float64) {
 	} else if scale > 1 {
 		scale = 1
 	}
-	r.scale[chip][dir] = scale
-	r.bkt[chip][dir].SetRate(r.cfg.LinkBW * scale)
+	r.links[chip][dir].scale = scale
+	r.links[chip][dir].bkt.SetRate(r.cfg.LinkBW * scale)
 }
 
 // LinkScale returns the current residual scale of a link.
-func (r *Ring) LinkScale(chip int, dir Direction) float64 { return r.scale[chip][dir] }
+func (r *Ring) LinkScale(chip int, dir Direction) float64 { return r.links[chip][dir].scale }
 
 // LinkBytes returns the total bytes that have entered the directional link
 // leaving chip in dir; windowed deltas give link utilization.
-func (r *Ring) LinkBytes(chip int, dir Direction) int64 { return r.linkBytes[chip][dir] }
+func (r *Ring) LinkBytes(chip int, dir Direction) int64 { return r.links[chip][dir].bytes }
 
 // LinkQueueLen returns the instantaneous egress-queue depth of a link.
-func (r *Ring) LinkQueueLen(chip int, dir Direction) int { return r.egress[chip][dir].Len() }
+func (r *Ring) LinkQueueLen(chip int, dir Direction) int { return r.links[chip][dir].egress.Len() }
 
 // route picks the travel direction from src to dst: shortest path, hash tie-break.
 func (r *Ring) route(src, dst int, line uint64) Direction {
@@ -254,7 +258,7 @@ func (r *Ring) Hops(src, dst int) int {
 
 // CanInject reports whether chip src has egress queue space toward dst.
 func (r *Ring) CanInject(src, dst int, line uint64) bool {
-	return !r.egress[src][r.route(src, dst, line)].Full()
+	return !r.links[src][r.route(src, dst, line)].egress.Full()
 }
 
 // Inject places a message on the ring at its source chip.
@@ -264,7 +268,7 @@ func (r *Ring) Inject(m Message) {
 	}
 	m.dir = r.route(m.Src, m.Dst, m.Req.Line)
 	m.Req.CrossedRing = true
-	r.egress[m.Src][m.dir].Push(m)
+	r.links[m.Src][m.dir].egress.Push(m)
 	r.pendingBy[m.Src]++
 	r.injectsBy[m.Src]++
 }
@@ -281,8 +285,8 @@ func (r *Ring) Pending() int {
 // BytesMoved returns the bytes that entered any link.
 func (r *Ring) BytesMoved() int64 {
 	var n int64
-	for c := range r.linkBytes {
-		n += r.linkBytes[c][0] + r.linkBytes[c][1]
+	for c := range r.links {
+		n += r.links[c][0].bytes + r.links[c][1].bytes
 	}
 	return n
 }
@@ -323,7 +327,7 @@ func (r *Ring) NextEvent(now int64) int64 {
 	}
 	next := int64(-1)
 	for c := 0; c < r.cfg.Chips; c++ {
-		if !r.egress[c][0].Empty() || !r.egress[c][1].Empty() {
+		if !r.links[c][0].egress.Empty() || !r.links[c][1].egress.Empty() {
 			return now + 1
 		}
 		if due := r.landDueBy[c]; due >= 0 {
@@ -358,10 +362,10 @@ func (r *Ring) NextLanding() int64 {
 // two delay-line heads, after the landing phase popped from them.
 func (r *Ring) recomputeLandDue(c int) {
 	due := int64(-1)
-	if d, ok := r.inFlight[c][0].NextDue(); ok {
+	if d, ok := r.links[c][0].inFlight.NextDue(); ok {
 		due = d
 	}
-	if d, ok := r.inFlight[c][1].NextDue(); ok && (due < 0 || d < due) {
+	if d, ok := r.links[c][1].inFlight.NextDue(); ok && (due < 0 || d < due) {
 		due = d
 	}
 	r.landDueBy[c] = due
@@ -389,8 +393,9 @@ func (r *Ring) Tick(now int64, sink Sink) {
 		}
 		for d := 0; d < 2; d++ {
 			dir := Direction(d)
+			wire := &r.links[c][d].inFlight
 			for {
-				m, ok := r.inFlight[c][d].PopDue(now)
+				m, ok := wire.PopDue(now)
 				if !ok {
 					break
 				}
@@ -403,12 +408,12 @@ func (r *Ring) Tick(now int64, sink Sink) {
 					} else {
 						// Destination busy: retry next cycle from a zero-
 						// latency in-flight slot (models an arrival buffer).
-						r.inFlight[c][d].Insert(now, 1, m)
+						wire.Insert(now, 1, m)
 						r.refused++
 						break
 					}
 				} else {
-					r.egress[at][d].Push(m)
+					r.links[at][d].egress.Push(m)
 					r.pendingBy[c]--
 					r.pendingBy[at]++
 					r.hopped++
@@ -427,13 +432,13 @@ func (r *Ring) Tick(now int64, sink Sink) {
 
 // launchChip advances chip c's directional buckets by dt and moves its
 // queued messages onto the wire, bandwidth permitting. It touches only
-// per-chip state (egress/bkt/inFlight/linkBytes/msgsBy of chip c), which is
+// per-chip state (the two links and msgsBy of chip c), which is
 // what makes FusedLaunch safe to run from per-chip goroutines.
 func (r *Ring) launchChip(now, dt int64, c int) {
 	launched := false
 	for d := 0; d < 2; d++ {
-		bkt := r.bkt[c][d]
-		q := r.egress[c][d]
+		l := &r.links[c][d]
+		bkt, q := &l.bkt, &l.egress
 		if q.Empty() {
 			// Advance on an at-cap bucket only clamps; skipping it leaves the
 			// exact credit value the old eager refill would have left.
@@ -449,9 +454,9 @@ func (r *Ring) launchChip(now, dt int64, c int) {
 				break
 			}
 			bkt.Take(m.Bytes)
-			r.linkBytes[c][d] += int64(m.Bytes)
+			l.bytes += int64(m.Bytes)
 			r.msgsBy[c]++
-			r.inFlight[c][d].Insert(now, r.cfg.HopLatency, m)
+			l.inFlight.Insert(now, r.cfg.HopLatency, m)
 			launched = true
 		}
 	}
@@ -481,7 +486,7 @@ func (r *Ring) launchChip(now, dt int64, c int) {
 // after all lanes flushed — together reproducing exactly the serial
 // advance-or-forfeit decision.
 func (r *Ring) FusedLaunch(now int64, chip int, force bool) {
-	if !force && r.egress[chip][0].Empty() && r.egress[chip][1].Empty() {
+	if !force && r.links[chip][0].egress.Empty() && r.links[chip][1].egress.Empty() {
 		return
 	}
 	r.advanced[chip] = true
@@ -497,8 +502,8 @@ func (r *Ring) FinishFused(now int64) {
 		dt := now - r.lastRef
 		for c := 0; c < r.cfg.Chips; c++ {
 			if !r.advanced[c] {
-				r.bkt[c][0].Advance(dt)
-				r.bkt[c][1].Advance(dt)
+				r.links[c][0].bkt.Advance(dt)
+				r.links[c][1].bkt.Advance(dt)
 			}
 			r.advanced[c] = false
 		}
