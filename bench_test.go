@@ -338,35 +338,6 @@ func BenchmarkStreamGeneration(b *testing.B) {
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "accesses/s")
 }
 
-// BenchmarkStepParallel measures the phase-parallel stepper against the
-// serial baseline on a ring-heavy configuration: SM-side placement sends
-// every remote-page miss across the ring, so the staged-exchange overhead
-// is maximally exposed. Results are bit-identical across worker counts (see
-// TestChipWorkerDeterminism); this benchmark answers only "how much faster".
-// On single-core machines the workers>1 variants measure pure barrier
-// overhead — read them next to GOMAXPROCS.
-func BenchmarkStepParallel(b *testing.B) {
-	cfg := sac.ScaledConfig().WithOrg(sac.SMSide)
-	spec, err := sac.Benchmark("SN")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var cycles int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run, err := sac.Run(cfg, spec, sac.WithWorkers(w))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += run.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-		})
-	}
-}
-
 // BenchmarkIdleFastForward measures the next-event scheduler on a
 // compute-gap-dominated workload: warps spend hundreds of cycles between
 // memory accesses, so almost all simulated time is idle spans the cycle

@@ -115,10 +115,9 @@ func TestFig8AllocGuard(t *testing.T) {
 	}
 }
 
-// TestSerialThroughputGuard gates the workers=1 stepper's speed against the
-// newest recorded sim_cycles_per_sec: the staging and scratch plumbing the
-// phase-parallel stepper added must not tax the serial path. Runs under
-// BENCH_GUARD=1 alongside the allocation gate.
+// TestSerialThroughputGuard gates the cycle loop's speed against the newest
+// recorded sim_cycles_per_sec. Runs under BENCH_GUARD=1 alongside the
+// allocation gate.
 func TestSerialThroughputGuard(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") != "1" {
 		t.Skip("set BENCH_GUARD=1 to run the throughput regression gate")
@@ -144,7 +143,7 @@ func TestSerialThroughputGuard(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		cycles = 0
 		for i := 0; i < b.N; i++ {
-			run, err := sac.Run(cfg, spec, sac.WithWorkers(1))
+			run, err := sac.Run(cfg, spec)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,7 +57,6 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "persistent result store directory (shared with sacsweep -cache-dir); empty = in-memory only")
 		cacheMax    = flag.Int64("cache-max-bytes", 0, "evict least-recently-used store entries beyond this many bytes (0 = unbounded)")
 		workers     = flag.Int("workers", 0, "max simulations in flight (0 = all cores)")
-		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism per simulation, bit-identical at any value (0 or 1 = serial, the default; n > 1 = n workers, at most one per chip)")
 		queueCap    = flag.Int("queue", 256, "max queued jobs before submissions get 429")
 		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
 		journalPath = flag.String("journal", "", "durable job journal path (default <cache-dir>/journal.wal; none without a cache dir)")
@@ -71,7 +70,7 @@ func main() {
 	flag.Parse()
 	o := options{
 		addr: *addr, cacheDir: *cacheDir, cacheMax: *cacheMax,
-		workers: *workers, chipWorkers: *chipWorkers, queueCap: *queueCap,
+		workers: *workers, queueCap: *queueCap,
 		fidelity: *fidelity, journalPath: *journalPath, drainGrace: *drainGrace,
 		pprofOn: *pprofOn, quiet: *quiet,
 		coordinator: *coord, advertise: *advertise, workerID: *workerID,
@@ -86,8 +85,7 @@ func main() {
 type options struct {
 	addr, cacheDir        string
 	cacheMax              int64
-	workers, chipWorkers  int
-	queueCap              int
+	workers, queueCap     int
 	fidelity, journalPath string
 	drainGrace            time.Duration
 	pprofOn, quiet        bool
@@ -97,12 +95,11 @@ type options struct {
 
 func run(o options) error {
 	addr, cacheDir, cacheMax := o.addr, o.cacheDir, o.cacheMax
-	workers, chipWorkers, queueCap := o.workers, o.chipWorkers, o.queueCap
+	workers, queueCap := o.workers, o.queueCap
 	fidelity, journalPath := o.fidelity, o.journalPath
 	drainGrace, pprofOn, quiet := o.drainGrace, o.pprofOn, o.quiet
 	cfg := server.Config{
 		Workers:         workers,
-		ChipWorkers:     chipWorkers,
 		QueueCap:        queueCap,
 		DefaultFidelity: fidelity,
 		EnablePprof:     pprofOn,

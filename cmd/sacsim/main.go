@@ -34,7 +34,6 @@ func main() {
 		orgName     = flag.String("org", "SAC", "LLC organization (or comma list for a comparison): memory-side | SM-side | static | dynamic | SAC")
 		scale       = flag.String("scale", "scaled", "machine scale: scaled | full")
 		parallel    = flag.Int("parallel", 0, "max simulations in flight for -org lists (0 = all cores)")
-		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism, bit-identical at any value (0 or 1 = serial, the default; n > 1 = n workers, at most one per chip)")
 		fidelity    = flag.String("fidelity", "", "simulation fidelity: estimate | sampled | exact (default exact)")
 		sectored    = flag.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
 		hardware    = flag.Bool("hw-coherence", false, "use hardware (directory) coherence")
@@ -104,7 +103,7 @@ func main() {
 		if *traceOut != "" {
 			fatal(fmt.Errorf("-trace-out requires a single -org (got %d)", len(orgs)))
 		}
-		compareOrgs(ctx, cfg, spec, orgs, plan, *parallel, *chipWorkers, *fidelity, *scale, *metricsAddr, *pprofOn)
+		compareOrgs(ctx, cfg, spec, orgs, plan, *parallel, *fidelity, *scale, *metricsAddr, *pprofOn)
 		return
 	}
 
@@ -130,7 +129,6 @@ func main() {
 		sac.WithFaults(plan),
 		sac.WithObserver(observer),
 		sac.WithMetricsWindow(*metricsWin),
-		sac.WithWorkers(*chipWorkers),
 		sac.WithFidelity(sac.Fidelity(*fidelity)),
 		sac.WithContext(ctx))
 	if err != nil {
@@ -197,10 +195,9 @@ func parseOrg(name string) llc.Org {
 
 // compareOrgs runs one benchmark under several organizations through the
 // parallel experiment engine and prints them side by side.
-func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.Org, plan *sac.FaultPlan, parallel, chipWorkers int, fidelity, scale string, metricsAddr string, pprofOn bool) {
+func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.Org, plan *sac.FaultPlan, parallel int, fidelity, scale string, metricsAddr string, pprofOn bool) {
 	r := sac.NewRunner()
 	r.Parallelism = parallel
-	r.ChipWorkers = chipWorkers
 	r.Faults = plan
 	r.Fidelity = fidelity
 	r.Ctx = ctx

@@ -37,7 +37,6 @@ func main() {
 		exp         = flag.String("exp", "fig8", "experiment id (or comma list; 'all' for everything)")
 		set         = flag.String("set", "all", "benchmark set: all | fast | comma-separated names")
 		parallel    = flag.Int("parallel", 0, "max simulations in flight (0 = all cores, 1 = serial)")
-		chipWorkers = flag.Int("chip-workers", 0, "intra-run chip parallelism per simulation, bit-identical at any value (0 or 1 = serial, the default; n > 1 = n workers, at most one per chip)")
 		fidelity    = flag.String("fidelity", "", "simulation fidelity for every cell: estimate | sampled | exact (default exact)")
 		verbose     = flag.Bool("v", false, "log each completed simulation")
 		jsonOut     = flag.Bool("json", false, "emit results as JSON instead of tables")
@@ -62,7 +61,6 @@ func main() {
 
 	r := sac.NewRunner()
 	r.Parallelism = *parallel
-	r.ChipWorkers = *chipWorkers
 	r.Fidelity = *fidelity
 	r.Verbose = *verbose
 	r.Log = os.Stderr

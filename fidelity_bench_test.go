@@ -23,7 +23,7 @@ func decisionSweep(b *testing.B, f sac.Fidelity) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			if _, err := sac.Run(cfg, spec, sac.WithFidelity(f), sac.WithWorkers(1)); err != nil {
+			if _, err := sac.Run(cfg, spec, sac.WithFidelity(f)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -53,7 +53,7 @@ func BenchmarkSampledRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sac.Run(cfg, spec, sac.WithFidelity(sac.FidelitySampled), sac.WithWorkers(1)); err != nil {
+		if _, err := sac.Run(cfg, spec, sac.WithFidelity(sac.FidelitySampled)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkExactRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sac.Run(cfg, spec, sac.WithWorkers(1)); err != nil {
+		if _, err := sac.Run(cfg, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

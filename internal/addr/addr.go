@@ -190,9 +190,8 @@ func (t *PageTable) Touch(line uint64, chip int) (home int) {
 }
 
 // Home returns the home chip of a line's page, or -1 when the page has never
-// been touched. Home runs inside parallel per-chip phases, so unlike Touch
-// (serial dispatch only) it consults the memo without refreshing it — it
-// must stay a pure reader.
+// been touched. It is a pure reader: it consults Touch's memo without
+// refreshing it.
 func (t *PageTable) Home(line uint64) int {
 	page := t.pageOf(line)
 	if e := t.lastEntry; e != nil && page == t.lastPage {

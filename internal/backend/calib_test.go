@@ -29,7 +29,7 @@ func TestCalibrateEstimateWarpSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := gpu.RunWith(cfg, spec, gpu.RunOpts{Workers: 0})
+		run, err := gpu.RunWith(cfg, spec, gpu.RunOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

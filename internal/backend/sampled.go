@@ -11,8 +11,7 @@ import (
 // sampledBackend is the interval-simulation rung: the real cycle-exact
 // engine runs each kernel's opening interval (enough to cover SAC's
 // profiling window, so decisions are taken by the genuine controller on
-// genuine traffic, bit-identical at any chip-worker count), and the
-// remainder of each kernel is fast-forwarded analytically by scaling the
+// genuine traffic), and the remainder of each kernel is fast-forwarded analytically by scaling the
 // simulated interval to the kernel's full op count.
 type sampledBackend struct{}
 
@@ -117,7 +116,7 @@ func runSampled(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, erro
 	// full op count; whole-run counters scale by the global ratio so rates
 	// (hit rates, IPC, average latencies) carry over unchanged. Everything
 	// here is arithmetic on the deterministic interval run, so sampled
-	// output stays byte-identical at any chip-worker count.
+	// output is deterministic too.
 	var sampledOps, sampledKCycles, fullOps, newKCycles int64
 	for i := range run.Kernels {
 		k := &run.Kernels[i]

@@ -44,10 +44,7 @@ type Runner struct {
 	// GOMAXPROCS; 1 recovers the fully serial engine. It must be set before
 	// the first run; later changes have no effect.
 	Parallelism int
-	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (gpu.RunOpts.Workers); results are bit-identical at any value. 0 and
-	// 1 run each simulation serially — a sweep's parallelism is its cells.
-	// Like Parallelism, set it before the first run.
+	// Deprecated: ChipWorkers has no effect (one stepper); removed with ROADMAP item 1.
 	ChipWorkers int
 	// Faults, when set, injects this fault plan into every simulation
 	// (per-request plans in RunRequest override it). Plans key the memo, so
@@ -354,7 +351,7 @@ func (r *Runner) execute(e *runEntry, cfg gpu.Config, spec workload.Spec, plan *
 		}
 		r.cellDone(e, spec, cfg, plan, fid)
 	}()
-	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: r.Ctx, Workers: r.ChipWorkers, Fidelity: fid})
+	res, err := r.sim()(cfg, spec, gpu.RunOpts{Faults: plan, Ctx: r.Ctx, Fidelity: fid})
 	if err != nil {
 		e.err = &CellError{Benchmark: spec.Name, Org: cfg.Org.String(), Faults: plan.Key(), Err: err}
 		return

@@ -11,7 +11,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/noc"
 	"repro/internal/sm"
-	"repro/internal/xchip"
 )
 
 // llcSlice is one LLC slice: a bandwidth-gated lookup queue in front of a
@@ -39,17 +38,6 @@ type chip struct {
 	dyn     *llc.DynamicController // Dynamic organization only
 	dir     *coherence.Directory   // hardware coherence only
 
-	// Per-chip request infrastructure. Chips tick concurrently during the
-	// parallel phases of step, so each owns its Request pool, its ID counter
-	// (namespaced by chip in the top byte — IDs are write-only after
-	// allocation, so disjoint ID spaces are observationally invisible), its
-	// staged ring lane, and a scratch area for stats/issue/profiling deltas
-	// merged serially between barriers.
-	pool   memsys.Pool
-	nextID uint64
-	lane   *xchip.Lane
-	scr    chipScratch
-
 	// Epoch accumulators for the Dynamic controller.
 	lastRingBytes int64
 	lastDRAMBytes int64
@@ -57,13 +45,12 @@ type chip struct {
 	// Earlier-mover signatures for the fast-forward event heap (events.go):
 	// pipeSig bumps when work enters a slice pipeline (lookupQ push,
 	// hit-delay insert), warpSig when a response delivery may lower an SM's
-	// wakeup. Each is only written from its own chip's phase task.
+	// wakeup.
 	pipeSig int64
 	warpSig int64
 
 	// Activity words: what the per-cycle loop reads instead of visiting every
-	// component to learn it has nothing to do. Like the signatures above,
-	// each is written only from its own chip's phase task (or serially).
+	// component to learn it has nothing to do.
 	//
 	// smWake[i] mirrors sms[i].SleepUntil() — rewritten after every Issue,
 	// Receive and LoadStreams, the only calls that move it — so issueChip
@@ -83,8 +70,7 @@ type chip struct {
 
 	// hitInFlight counts requests in the chip's hit-latency pipelines
 	// (across slices); phaseEarly skips the per-slice drain scan when it is
-	// zero. Inserted in the chip's late phase, popped in its early phase —
-	// both run on the chip's own task, so no synchronization is needed.
+	// zero. Inserted in the chip's late phase, popped in its early phase.
 	hitInFlight int
 }
 
@@ -102,11 +88,10 @@ func (c *chip) ringOutReqPort(cfg *Config) int  { return cfg.SlicesPerChip }
 func (c *chip) ringInRespPort(cfg *Config) int  { return cfg.SlicesPerChip }
 func (c *chip) ringOutRespPort(cfg *Config) int { return cfg.ClustersPerChip() }
 
-func newChip(cfg *Config, idx int) *chip {
+// newChip builds chip idx; its SMs allocate their requests from pool.
+func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
 	clusters := cfg.ClustersPerChip()
 	c := &chip{idx: idx}
-	c.scr.issued = make([]issuedReq, 0, cfg.SMsPerChip) // ≤1 issue per SM per cycle
-	c.scr.clusterStaged = make([]int, clusters)
 
 	c.sms = make([]*sm.SM, cfg.SMsPerChip)
 	c.smWake = make([]int64, cfg.SMsPerChip)
@@ -120,7 +105,7 @@ func newChip(cfg *Config, idx int) *chip {
 			L1Ways:  cfg.L1Ways,
 			Geom:    cfg.Geom,
 			Sectors: cfg.SectorCount(),
-			Pool:    &c.pool,
+			Pool:    pool,
 		})
 	}
 

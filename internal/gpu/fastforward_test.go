@@ -113,25 +113,3 @@ func TestFastForwardSkipsIdleSpans(t *testing.T) {
 		t.Fatalf("skipped %d of %d cycles", r.Skipped, r.Cycles)
 	}
 }
-
-// TestEpochBatchingDeterminism: parallel runs with ring-epoch fusion forced
-// off (K=0), forced to alternate (K=1), capped (K=4), and unlimited (K=-1)
-// are all bit-identical to the serial run.
-func TestEpochBatchingDeterminism(t *testing.T) {
-	spec := tinyWorkload()
-	for _, cfg := range []Config{
-		tinyConfig().WithOrg(llc.SAC),
-		tinyConfig().WithOrg(llc.Dynamic),
-	} {
-		want := runWorkers(t, cfg, spec, 1)
-		for _, k := range append([]int{1}, epochKs...) {
-			for _, workers := range []int{2, 4} {
-				got := runWorkersEpoch(t, cfg, spec, workers, k)
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: epochK=%d workers=%d diverged from serial:\nserial   %+v\nparallel %+v",
-						cfg.Org, k, workers, want, got)
-				}
-			}
-		}
-	}
-}

@@ -184,32 +184,3 @@ func TestDegradedArchStaysValid(t *testing.T) {
 		t.Fatalf("BInter %v not degraded", arch.BInter)
 	}
 }
-
-// Fault edges land in the serial pre-phase of the cycle, so a plan whose
-// throttle edges fire while ring traffic is in flight must produce the same
-// run at any chip-worker count. SM-side placement maximizes the cross-chip
-// traffic the xchip throttles act on.
-func TestFaultIdenticalAcrossChipWorkers(t *testing.T) {
-	cfg := tinyConfig().WithOrg(llc.SMSide)
-	spec := tinyWorkload()
-	plan := mixedPlan(t)
-	serial, err := RunWith(cfg, spec, RunOpts{Faults: plan, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.FaultEvents == 0 {
-		t.Fatal("plan applied no fault events")
-	}
-	if serial.RingBytes == 0 {
-		t.Fatal("no ring traffic: faults never coincided with cross-chip messages")
-	}
-	for _, w := range []int{4} {
-		got, err := RunWith(cfg, spec, RunOpts{Faults: plan, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("faulted run diverged at workers=%d:\nserial %+v\ngot    %+v", w, serial, got)
-		}
-	}
-}

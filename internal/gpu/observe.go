@@ -27,10 +27,7 @@ type RunOpts struct {
 	// Ctx cancels the run: the cycle loop polls it on a coarse stride and
 	// returns ctx.Err() (wrapped) from Run. Nil means uncancellable.
 	Ctx context.Context
-	// Workers bounds intra-run chip parallelism: each cycle's per-chip
-	// phases tick concurrently on up to this many workers, bit-identical to
-	// serial at any count. 0 and 1 = serial. Hardware-coherence
-	// configurations always run serially regardless.
+	// Deprecated: Workers has no effect (one stepper); removed with ROADMAP item 1.
 	Workers int
 	// Fidelity selects the backend rung ("estimate", "sampled", or
 	// "exact"/""). The cycle-exact engine itself ignores it — dispatch
@@ -39,6 +36,9 @@ type RunOpts struct {
 	// (sac.WithFidelity) needs no second options struct.
 	Fidelity string
 }
+
+// Deprecated: SetWorkers has no effect (one stepper); removed with ROADMAP item 1.
+func (s *System) SetWorkers(int) {}
 
 // RunWith builds a system, applies the options and runs it. Every package
 // entry point (Run, RunWithFaults) routes through here.
@@ -57,9 +57,6 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 	}
 	if o.Ctx != nil {
 		sys.SetContext(o.Ctx)
-	}
-	if o.Workers != 0 {
-		sys.SetWorkers(o.Workers)
 	}
 	return sys.Run()
 }

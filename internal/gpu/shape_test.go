@@ -158,7 +158,8 @@ func TestRemoteWritebacksCrossRing(t *testing.T) {
 }
 
 // The drain protocol guarantees nothing is in flight across kernel
-// boundaries: memory ops and responses must balance exactly.
+// boundaries: at each one every request is back in the pool, and memory ops
+// and responses balance exactly.
 func TestNoInflightLeaksAcrossKernels(t *testing.T) {
 	spec := spWorkload()
 	spec.Repeats = 3
@@ -167,13 +168,18 @@ func TestNoInflightLeaksAcrossKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := sys.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", org, err)
+		// System.Run's kernel loop, with the boundary checks between kernels.
+		for sys.kernelIdx = 0; sys.kernelIdx < spec.KernelCount(); sys.kernelIdx++ {
+			if err := sys.runKernel(); err != nil {
+				t.Fatalf("%s: %v", org, err)
+			}
+			if sys.inflight() {
+				t.Fatalf("%s: requests still in flight after kernel %d", org, sys.kernelIdx)
+			}
+			sys.checkConserved(t)
 		}
-		if sys.inflight() {
-			t.Fatalf("%s: requests still in flight after Run", org)
-		}
+		sys.finalize()
+		r := sys.run
 		var resp int64
 		for _, c := range r.RespCount {
 			resp += c

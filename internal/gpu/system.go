@@ -3,6 +3,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -64,19 +65,12 @@ type System struct {
 	dramSinks   []func(*memsys.Request)
 	ringDeliver xchip.Sink
 
-	// Chip parallelism (parallel.go). workers is the requested count (0 and
-	// 1 = serial); group is the live worker pool (nil when running serially);
-	// staged is true inside the parallel phases, flipping the ring helpers
-	// from direct injection to per-chip lane staging. Request pools and ID
-	// counters live on the chips: each chip retires requests to its own pool
-	// and allocates IDs from its own namespaced counter.
-	workers int
-	group   *workerGroup
-	staged  bool
-	// earlyFn/lateFn hold the phase method values, bound once: taking
-	// s.phaseEarly at the call site would allocate a closure every cycle.
-	earlyFn func(ci int)
-	lateFn  func(ci int)
+	// One request pool and one ID counter for the whole machine: every
+	// request is allocated from pool (SM issues, writebacks, invalidations)
+	// and retired into it, wherever in the machine its life ends. IDs are
+	// write-only after allocation.
+	pool   memsys.Pool
+	nextID uint64
 
 	run   *stats.Run
 	now   int64
@@ -91,20 +85,6 @@ type System struct {
 	// the seam the invariant tests hang checkActivity on. Nothing outside
 	// the tests sets it.
 	afterStep func()
-
-	// Fused multi-cycle epochs (parallel.go): when the ring proves no
-	// inter-chip landing is due, per-chip tasks run their early phase, ring
-	// launch, and late phase back to back under a single barrier pair.
-	// epochK caps consecutive fused cycles (-1 = unlimited, what New sets;
-	// 0 = disabled and K > 0 = a full two-barrier cycle at least every K
-	// cycles are set only by the determinism tests);
-	// fusedStreak counts the current run of fused cycles; fusedFn is the
-	// bound per-chip task; fusedForce carries the coordinator's pre-phase
-	// ring-occupancy observation into the tasks (see Ring.FusedLaunch).
-	epochK      int
-	fusedStreak int
-	fusedFn     func(ci int)
-	fusedForce  bool
 
 	// Fault injection (nil injector = healthy run).
 	inj            *fault.Injector
@@ -164,7 +144,7 @@ func New(cfg Config, spec Workload) (*System, error) {
 	}
 	s.chips = make([]*chip, cfg.Chips)
 	for i := range s.chips {
-		s.chips[i] = newChip(&cfg, i)
+		s.chips[i] = newChip(&cfg, i, &s.pool)
 	}
 	s.hwCoh = cfg.Coherence == coherence.Hardware
 	for _, c := range s.chips {
@@ -180,14 +160,6 @@ func New(cfg Config, spec Workload) (*System, error) {
 		HopLatency: cfg.RingHopLatency,
 		QueueBound: cfg.QueueBound,
 	})
-	for i, c := range s.chips {
-		c.lane = s.ring.Lane(i)
-		// Request IDs are write-only after allocation, so namespacing the
-		// counters by chip (top byte) keeps them unique without sharing.
-		c.nextID = uint64(i) << 56
-	}
-	s.earlyFn, s.lateFn, s.fusedFn = s.phaseEarly, s.phaseLate, s.phaseFused
-	s.epochK = -1
 	if cfg.Org.Partitioned() {
 		for _, c := range s.chips {
 			c.setPartition(cfg.LLCWays / 2)
@@ -217,13 +189,6 @@ func (s *System) Now() int64 { return s.now }
 // Run executes every kernel invocation of the benchmark and returns the
 // collected statistics.
 func (s *System) Run() (*stats.Run, error) {
-	if w := s.effectiveWorkers(); w > 1 {
-		s.group = newWorkerGroup(w, len(s.chips))
-		defer func() {
-			s.group.close()
-			s.group = nil
-		}()
-	}
 	for s.kernelIdx = 0; s.kernelIdx < s.spec.KernelCount(); s.kernelIdx++ {
 		if err := s.runKernel(); err != nil {
 			return nil, err
@@ -307,10 +272,9 @@ func (s *System) runKernel() error {
 }
 
 // step advances one cycle; it returns true when the kernel has fully
-// retired (including boundary flushes). Phases 1-3 and 5-7a run as per-chip
-// tasks (parallel when a worker group is attached, inline otherwise) with
-// cross-chip effects staged per chip and merged serially between barriers —
-// see parallel.go for why the result is bit-identical to the serial loop.
+// retired (including boundary flushes). The order is the contract every
+// golden pins: all chips' early phase in chip-index order, the ring, all
+// chips' late phase in chip-index order.
 func (s *System) step() bool {
 	s.now++
 
@@ -320,38 +284,18 @@ func (s *System) step() bool {
 	if s.inj != nil {
 		s.applyFaults()
 	}
-	if s.group != nil && s.epochK != 0 && s.canFuse() {
-		// Fused cycle: the ring has proven no inter-chip landing is due this
-		// cycle, so the landing phase is a no-op and launches touch only
-		// per-source-chip state — phases 1-3, the chip's ring launch, and
-		// phases 5-7a can run back to back in one per-chip task under a
-		// single barrier pair instead of two (parallel.go).
-		s.fusedStreak++
-		s.fusedForce = s.ring.Pending() > 0
-		s.runPhase(s.fusedFn)
-		s.ring.FinishFused(s.now)
-		s.mergeLanes()
-	} else {
-		s.fusedStreak = 0
-		// 1-3. Per chip: DRAM completions, LLC hit-pipeline drain,
-		// response-NoC delivery. Ring injections land in per-chip lanes.
-		s.runPhase(s.earlyFn)
-		s.mergeLanes()
-		// 4. Ring moves inter-chip traffic — serial: the ring is the only
-		// agent that touches more than one chip, and its one-cycle-minimum
-		// hop is the synchronization window that makes the surrounding
-		// phases independent.
-		s.ring.Tick(s.now, s.ringDeliver)
-		// 5-7a. Per chip: slice lookups, request-NoC delivery, issue decisions.
-		s.runPhase(s.lateFn)
-		s.mergeLanes()
+	// 1-3. Per chip: DRAM completions, LLC hit-pipeline drain, response-NoC
+	// delivery.
+	for _, c := range s.chips {
+		s.phaseEarly(c)
 	}
-	// 7b. Dispatch the buffered issues serially in chip-index order
-	// (first-touch page placement is order-sensitive), then fold the staged
-	// profiler records and stats deltas in before the controllers read them.
-	s.dispatchIssued()
-	s.replayProfiler()
-	s.mergeScratch()
+	// 4. Ring moves inter-chip traffic: the only agent that touches more than
+	// one chip.
+	s.ring.Tick(s.now, s.ringDeliver)
+	// 5-7. Per chip: slice lookups, request-NoC delivery, SM issue.
+	for _, c := range s.chips {
+		s.phaseLate(c)
+	}
 	// 8. Controllers, profiling, sampling, state transitions.
 	s.controlPhase()
 
@@ -363,17 +307,94 @@ func (s *System) step() bool {
 	return s.boundaryPhase()
 }
 
-// canFuse reports whether this cycle may run as a fused epoch: no in-flight
-// ring message lands at or before now (the conservative-lookahead window —
-// hop latency is at least one cycle, so nothing a chip does this cycle can
-// create a landing this cycle), and the consecutive-fused-cycle cap is not
-// exhausted.
-func (s *System) canFuse() bool {
-	if s.epochK > 0 && s.fusedStreak >= s.epochK {
-		return false
+// phaseEarly is phases 1-3 for one chip: DRAM completions, LLC hit-latency
+// pipelines draining into the response network, and response-NoC delivery.
+func (s *System) phaseEarly(c *chip) {
+	now := s.now
+	c.mem.Tick(now, s.cfg.Geom.LineBytes, s.dramSinks[c.idx])
+	if c.hitInFlight > 0 {
+		for si := range c.slices {
+			sl := &c.slices[si]
+			for {
+				req, ok := sl.hitDelay.PopDue(now)
+				if !ok {
+					break
+				}
+				c.hitInFlight--
+				s.respondFromSlice(c, si, req)
+			}
+		}
 	}
-	t := s.ring.NextLanding()
-	return t < 0 || t > s.now
+	c.respNet.Tick(now, s.respSinks[c.idx])
+}
+
+// phaseLate is phases 5-7 for one chip: slice lookups, request-NoC delivery,
+// and SM issue.
+func (s *System) phaseLate(c *chip) {
+	// Only the slices holding a queued lookup, in index order. tickSlice
+	// clears the current slice's bit at most; new bits appear only in the
+	// request crossbar's delivery below.
+	for busy := c.sliceBusy; busy != 0; busy &= busy - 1 {
+		s.tickSlice(c, bits.TrailingZeros64(busy))
+	}
+	c.reqNet.Tick(s.now, s.reqSinks[c.idx])
+	if s.state == stRun {
+		s.issueChip(c)
+	}
+}
+
+// issueChip lets every SM of one chip that may issue this cycle try to, in
+// SM index order, and dispatches each new request at the moment of issue:
+// dispatch calls PageTable.Touch, whose first-touch placement depends on
+// arrival order.
+func (s *System) issueChip(c *chip) {
+	if s.now < c.wakeHint {
+		// No SM of the chip can issue yet: the whole loop below would be
+		// side-effect-free skips. deliverToSM lowers the hint when a
+		// response may wake a warp earlier.
+		return
+	}
+	r := s.run
+	minWake := int64(1) << 62
+	// Walk the wake mirror; an SM is touched only when it may issue.
+	for i, w := range c.smWake {
+		if s.now < w {
+			if w < minWake {
+				minWake = w
+			}
+			continue // no warp can issue yet (cleared by Receive)
+		}
+		smu := c.sms[i]
+		cluster := int(c.smCluster[i])
+		res := smu.Issue(s.now, c.reqNet.CanInject(cluster), &s.nextID)
+		w = smu.SleepUntil()
+		c.smWake[i] = w
+		if w < minWake {
+			minWake = w // post-attempt hint: ≤ now when the SM stays hot
+		}
+		if !res.Issued {
+			continue
+		}
+		r.MemOps++
+		if res.IsWrite {
+			r.Writes++
+		} else {
+			r.Reads++
+			switch {
+			case res.L1Hit:
+				r.L1Hits++
+			case res.Merged:
+				r.L1Misses++
+				r.L1Merged++
+			default:
+				r.L1Misses++
+			}
+		}
+		if res.Req != nil {
+			s.dispatch(c, cluster, res.Req)
+		}
+	}
+	c.wakeHint = minWake
 }
 
 // fastForward advances the clock over idle spans: cycles in which no queue,
@@ -469,37 +490,11 @@ func (s *System) fastForward() {
 	s.lastProgress = s.now
 }
 
-// retire returns a dead request to the retiring chip's pool and marks
-// forward progress for the watchdog (folded into lastProgress when the
-// scratch areas merge at the end of the step). Every request death point
-// goes through it; a request may die on a different chip than the one that
-// allocated it, which just migrates the object between pools.
-func (s *System) retire(c *chip, req *memsys.Request) {
-	c.scr.progress = true
-	c.scr.dirty = true
-	c.pool.Put(req)
-}
-
-// ringInject places a message on the ring. Inside a staged phase it lands
-// in the chip's lane and merges at the next barrier; in serial context
-// (ring delivery, control-phase flushes) it goes straight in, exactly as
-// the pre-parallel loop did — same-cycle launch included.
-func (s *System) ringInject(c *chip, m xchip.Message) {
-	if s.staged {
-		c.lane.Inject(m)
-		return
-	}
-	s.ring.Inject(m)
-}
-
-// ringCanInject mirrors Ring.CanInject, counting the chip's staged lane
-// entries while inside a staged phase so back-pressure answers match the
-// serial loop's.
-func (s *System) ringCanInject(c *chip, dst int, line uint64) bool {
-	if s.staged {
-		return c.lane.CanInject(dst, line)
-	}
-	return s.ring.CanInject(c.idx, dst, line)
+// retire returns a dead request to the pool and marks forward progress for
+// the watchdog. Every request death point goes through it.
+func (s *System) retire(req *memsys.Request) {
+	s.lastProgress = s.now
+	s.pool.Put(req)
 }
 
 // dispatch resolves placement and injects a fresh SM request into the
@@ -533,7 +528,7 @@ type reqSink struct {
 
 func (k *reqSink) CanAccept(out int, m noc.Message) bool {
 	if out == k.ringOut {
-		return k.s.ringCanInject(k.c, k.s.reqRingDst(m.Req), m.Req.Line)
+		return k.s.ring.CanInject(k.c.idx, k.s.reqRingDst(m.Req), m.Req.Line)
 	}
 	return !k.c.slices[out].lookupQ.Full()
 }
@@ -542,7 +537,7 @@ func (k *reqSink) Accept(out int, m noc.Message) {
 	s, c := k.s, k.c
 	if out == k.ringOut {
 		m.Req.Stage = memsys.StageRingReq
-		s.ringInject(c, xchip.Message{
+		s.ring.Inject(xchip.Message{
 			Req: m.Req, Src: c.idx, Dst: s.reqRingDst(m.Req),
 			Bytes: m.Bytes,
 		})
@@ -574,7 +569,7 @@ type respSink struct {
 
 func (k *respSink) CanAccept(out int, m noc.Message) bool {
 	if out == k.ringOut {
-		return k.s.ringCanInject(k.c, m.Req.SrcChip, m.Req.Line)
+		return k.s.ring.CanInject(k.c.idx, m.Req.SrcChip, m.Req.Line)
 	}
 	return true // SMs always absorb responses
 }
@@ -582,7 +577,7 @@ func (k *respSink) CanAccept(out int, m noc.Message) bool {
 func (k *respSink) Accept(out int, m noc.Message) {
 	if out == k.ringOut {
 		m.Req.Stage = memsys.StageRingResp
-		k.s.ringInject(k.c, xchip.Message{
+		k.s.ring.Inject(xchip.Message{
 			Req: m.Req, Src: k.c.idx, Dst: m.Req.SrcChip, Bytes: m.Bytes,
 		})
 		return
@@ -602,13 +597,12 @@ func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 	if w < c.wakeHint {
 		c.wakeHint = w
 	}
-	c.scr.dirty = true
-	d := &c.scr.stats
-	d.respCount[req.Origin]++
-	d.respBytes[req.Origin] += int64(req.RespBytes(s.cfg.Geom.LineBytes))
-	d.readLatSum += s.now - req.IssueCycle
-	d.readLatN++
-	s.retire(c, req) // reads die at delivery
+	r := s.run
+	r.RespCount[req.Origin]++
+	r.RespBytes[req.Origin] += int64(req.RespBytes(s.cfg.Geom.LineBytes))
+	r.ReadLatencySum += s.now - req.IssueCycle
+	r.ReadLatencyN++
+	s.retire(req) // reads die at delivery
 }
 
 // ringSink adapts the system to the ring's delivery interface.
@@ -638,9 +632,8 @@ func (rs ringSink) Accept(chipIdx int, m xchip.Message) {
 	case req.Inval:
 		// Hardware-coherence invalidation arriving at a sharer.
 		c.slices[req.Slice].arr.Invalidate(req.Line)
-		c.scr.stats.invalMessages++
-		c.scr.dirty = true
-		s.retire(c, req) // invalidations are absorbed here
+		s.run.InvalMessages++
+		s.retire(req) // invalidations are absorbed here
 	case req.Stage == memsys.StageRingResp:
 		s.ringResponseArrived(c, req)
 	case req.Bypass || req.WB:
@@ -707,12 +700,12 @@ func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Part
 		}
 		s.respondAfterFill(c, si, w)
 		if w.Kind == memsys.Write {
-			s.retire(c, w) // write-through stores are absorbed at the fill
+			s.retire(w) // write-through stores are absorbed at the fill
 		}
 	}
 	// Retire a write primary only after the loop: waiters copy its Origin.
 	if req.Kind == memsys.Write {
-		s.retire(c, req)
+		s.retire(req)
 	}
 }
 
@@ -759,9 +752,9 @@ func (s *System) evict(c *chip, v cache.Victim) {
 
 // writeback issues a dirty-line writeback from chip c to the line's home.
 func (s *System) writeback(c *chip, line uint64, home int) {
-	c.nextID++
-	wb := c.pool.Get()
-	wb.ID = c.nextID
+	s.nextID++
+	wb := s.pool.Get()
+	wb.ID = s.nextID
 	wb.Kind = memsys.Write
 	wb.Line = line
 	wb.Addr = line * uint64(s.cfg.Geom.LineBytes)
@@ -778,7 +771,7 @@ func (s *System) writeback(c *chip, line uint64, home int) {
 		return
 	}
 	wb.Stage = memsys.StageRingReq
-	s.ringInject(c, xchip.Message{
+	s.ring.Inject(xchip.Message{
 		Req: wb, Src: c.idx, Dst: home,
 		Bytes: wb.ReqBytes(s.cfg.Geom.LineBytes),
 	})
@@ -807,7 +800,7 @@ func (s *System) tickSlice(c *chip, si int) {
 		sl.lookupQ.Pop()
 		sl.bkt.Take(cost)
 		if dead {
-			s.retire(c, req) // write hit: absorbed at the slice, no response
+			s.retire(req) // write hit: absorbed at the slice, no response
 		}
 	}
 	if sl.lookupQ.Empty() {
@@ -842,17 +835,8 @@ func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (don
 
 	// SAC profiling observes every first lookup (which, during the window,
 	// runs under the memory-side configuration: this chip is the home chip).
-	// Records are staged per chip and replayed in chip-index order after the
-	// barrier: the profiler's CRDs are shared cross-chip state.
 	if s.sac != nil && !secondLookup && s.sac.Profiling(s.now) {
-		if s.staged {
-			c.scr.prof = append(c.scr.prof, profRec{
-				line: req.Line, sector: req.Sector,
-				src: req.SrcChip, home: req.HomeChip, si: si, hit: hit,
-			})
-		} else {
-			s.sac.Profiler().Record(req.Line, req.Sector, req.SrcChip, req.HomeChip, si, hit)
-		}
+		s.sac.Profiler().Record(req.Line, req.Sector, req.SrcChip, req.HomeChip, si, hit)
 	}
 
 	if hit {
@@ -899,7 +883,7 @@ func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (don
 		sl.mshr.Allocate(req)
 		req.Bypass = true
 		req.Stage = memsys.StageRingReq
-		s.ringInject(c, xchip.Message{
+		s.ring.Inject(xchip.Message{
 			Req: req, Src: c.idx, Dst: req.HomeChip,
 			Bytes: req.ReqBytes(lineBytes),
 		})
@@ -913,7 +897,7 @@ func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (don
 		}
 		req.Phase = 1
 		req.Stage = memsys.StageRingReq
-		s.ringInject(c, xchip.Message{
+		s.ring.Inject(xchip.Message{
 			Req: req, Src: c.idx, Dst: req.HomeChip,
 			Bytes: req.ReqBytes(lineBytes),
 		})
@@ -937,7 +921,7 @@ func (s *System) missResourcesAvailable(c *chip, sl *llcSlice, req *memsys.Reque
 	if atHome {
 		return c.mem.CanAccept(req.Channel)
 	}
-	return s.ringCanInject(c, req.HomeChip, req.Line)
+	return s.ring.CanInject(c.idx, req.HomeChip, req.Line)
 }
 
 // writeInvalidate performs the hardware-coherence write action: update the
@@ -955,9 +939,9 @@ func (s *System) writeInvalidate(c *chip, req *memsys.Request) {
 		if sharer == c.idx {
 			continue
 		}
-		c.nextID++
-		inv := c.pool.Get()
-		inv.ID = c.nextID
+		s.nextID++
+		inv := s.pool.Get()
+		inv.ID = s.nextID
 		inv.Kind = memsys.Write
 		inv.Line = req.Line
 		inv.SrcChip = c.idx
@@ -966,7 +950,7 @@ func (s *System) writeInvalidate(c *chip, req *memsys.Request) {
 		inv.Slice = s.pae.Slice(req.Line)
 		inv.Inval = true
 		inv.Stage = memsys.StageRingReq
-		s.ringInject(c, xchip.Message{
+		s.ring.Inject(xchip.Message{
 			Req: inv, Src: c.idx, Dst: sharer, Bytes: memsys.CtrlBytes,
 		})
 	}
@@ -988,7 +972,7 @@ func (s *System) respondFromSlice(c *chip, si int, req *memsys.Request) {
 // dramDone handles a completed memory access at chip c (the home chip).
 func (s *System) dramDone(c *chip, req *memsys.Request) {
 	if req.WB {
-		s.retire(c, req) // writeback retired
+		s.retire(req) // writeback retired
 		return
 	}
 	if req.Origin == memsys.OriginNone {
@@ -1002,7 +986,7 @@ func (s *System) dramDone(c *chip, req *memsys.Request) {
 		// SM-side remote miss: the line returns to the requesting chip over
 		// the ring (the home LLC was bypassed).
 		req.Stage = memsys.StageRingResp
-		s.ringInject(c, xchip.Message{
+		s.ring.Inject(xchip.Message{
 			Req: req, Src: c.idx, Dst: req.SrcChip,
 			Bytes: req.RespBytes(s.cfg.Geom.LineBytes),
 		})
@@ -1034,12 +1018,12 @@ func (s *System) dramDone(c *chip, req *memsys.Request) {
 		}
 		s.respondMemFill(c, w)
 		if w.Kind == memsys.Write {
-			s.retire(c, w) // write-through stores are absorbed at the fill
+			s.retire(w) // write-through stores are absorbed at the fill
 		}
 	}
 	// Retire a write primary only after the loop: waiters copy its Origin.
 	if req.Kind == memsys.Write {
-		s.retire(c, req)
+		s.retire(req)
 	}
 }
 

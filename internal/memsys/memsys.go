@@ -235,6 +235,11 @@ func (p *Pool) Put(r *Request) {
 	p.free = append(p.free, r)
 }
 
+// Free returns how many retired requests the pool holds. With nothing in
+// flight it equals Allocs: every request ever allocated has been retired
+// exactly once.
+func (p *Pool) Free() int { return len(p.free) }
+
 // IsLocal reports whether the request targets the issuing chip's own memory
 // partition (R_local in the EAB model).
 func (r *Request) IsLocal() bool { return r.SrcChip == r.HomeChip }

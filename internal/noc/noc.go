@@ -148,15 +148,6 @@ func (x *Crossbar) InPortScale(in int) float64 { return x.in[in].scale }
 // CanInject reports whether input port in has queue space.
 func (x *Crossbar) CanInject(in int) bool { return !x.in[in].queue.Full() }
 
-// CanInjectMore reports whether input port in would still have queue space
-// after extra additional messages, for callers that stage injections and
-// replay them later: the answer matches what CanInject would return had the
-// staged messages already been injected (extra = 0 is exactly CanInject).
-func (x *Crossbar) CanInjectMore(in, extra int) bool {
-	b := x.cfg.IngressBound
-	return b <= 0 || x.in[in].queue.Len()+extra < b
-}
-
 // Inject enqueues a message at its input port. Producers should honor
 // CanInject; injection always succeeds so in-flight messages are never lost.
 func (x *Crossbar) Inject(m Message) {

@@ -81,9 +81,7 @@ type Config struct {
 	// DefaultFidelity is the rung applied to jobs that name none (the sacd
 	// -fidelity flag); "" means exact. Unknown values fail at Submit.
 	DefaultFidelity string
-	// ChipWorkers sets each simulation's intra-run chip parallelism
-	// (gpu.RunOpts.Workers; bit-identical at any value). 0 and 1 run each
-	// simulation serially.
+	// Deprecated: ChipWorkers has no effect (one stepper); removed with ROADMAP item 1.
 	ChipWorkers int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the API mux
 	// (the sacd -pprof flag), so CPU and heap profiles of live serving are
@@ -586,7 +584,7 @@ func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 // contains panics around it, and the caller holds a worker slot — or, for an
 // estimate cell, needs none — so nothing wraps the backend here.
 func (s *Server) simulate(ctx context.Context, j *jobs.Job) (*stats.Run, error) {
-	res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx, Workers: s.cfg.ChipWorkers})
+	res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

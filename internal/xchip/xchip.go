@@ -68,34 +68,22 @@ type link struct {
 
 // Ring is the inter-chip network.
 type Ring struct {
-	lanes []Lane
 	// links[chip][dir]: the directional link leaving chip in dir.
 	links [][2]link
 
-	// pendingBy[chip]: messages held in chip's egress queues or on the wire
-	// leaving chip. Partitioned by holding chip so that the fused-epoch
-	// launch path (FusedLaunch, one goroutine per chip) mutates only its own
-	// counter; Pending sums the partition.
-	pendingBy []int32
+	// pending counts the messages held in an egress queue or on a wire.
+	pending int
 	// landDueBy[chip]: earliest due cycle over the two in-flight delay lines
-	// leaving chip, -1 when both are empty. Partitioned by launching chip
-	// for the same reason as pendingBy; it lets Tick skip the landing scan
-	// of chips with nothing due and NextLanding read 1 word per chip instead
-	// of peeking every delay line.
+	// leaving chip, -1 when both are empty. It lets Tick skip the landing
+	// scan of chips with nothing due and NextEvent read one word per chip
+	// instead of peeking every delay line.
 	landDueBy []int64
-
-	// Stats. Counters mutated on the per-chip launch path are partitioned by
-	// chip (msgsBy, injectsBy, link.bytes); the landing-phase counters stay
-	// scalar because landings only ever run serially in Tick.
-	msgsBy    []int64 // link traversals launched by each chip
-	injectsBy []int64 // Inject calls per source chip (monotone, for StateSig)
-	// advanced[chip] marks chips whose buckets already caught up this fused
-	// cycle; FinishFused settles the rest and clears the marks.
-	advanced []bool
 
 	cfg      Config
 	lastRef  int64 // cycle of the last bucket refill
 	Arrivals int64
+	msgs     int64 // link traversals launched (a 2-hop message counts twice)
+	injects  int64 // Inject calls (monotone, for StateSig)
 	hopped   int64 // intermediate-hop re-queues (monotone, for StateSig)
 	refused  int64 // refused deliveries re-inserted (monotone, for StateSig)
 }
@@ -111,11 +99,7 @@ func New(cfg Config) *Ring {
 	r := &Ring{
 		cfg:       cfg,
 		links:     make([][2]link, cfg.Chips),
-		pendingBy: make([]int32, cfg.Chips),
 		landDueBy: make([]int64, cfg.Chips),
-		msgsBy:    make([]int64, cfg.Chips),
-		injectsBy: make([]int64, cfg.Chips),
-		advanced:  make([]bool, cfg.Chips),
 	}
 	for c := 0; c < cfg.Chips; c++ {
 		r.landDueBy[c] = -1
@@ -128,64 +112,7 @@ func New(cfg Config) *Ring {
 			}
 		}
 	}
-	r.lanes = make([]Lane, cfg.Chips)
-	for c := range r.lanes {
-		r.lanes[c] = Lane{r: r, chip: c}
-	}
 	return r
-}
-
-// Lane is chip's staged view of the ring, for phase-parallel cycle loops
-// that tick chips concurrently. A Lane's Inject appends to a private
-// per-direction buffer instead of touching shared ring state, and its
-// CanInject answers exactly what Ring.CanInject would answer had the staged
-// messages already been pushed — so back-pressure decisions match a serial
-// execution. Flush replays the buffers through Ring.Inject in staging
-// order; since each egress queue is per (source chip, direction) and a lane
-// only ever stages messages sourced at its own chip, flushing lanes in chip
-// index order reproduces the serial loop's egress-queue contents exactly.
-//
-// Each goroutine must use only its own chip's Lane, and Flush must only be
-// called from the coordinating goroutine between parallel phases.
-func (r *Ring) Lane(chip int) *Lane { return &r.lanes[chip] }
-
-// Lane stages ring injections for one chip. See Ring.Lane.
-type Lane struct {
-	r      *Ring
-	staged [2][]Message
-	chip   int
-}
-
-// CanInject reports whether the lane's chip has egress queue space toward
-// dst, counting messages already staged this phase as occupying slots.
-func (l *Lane) CanInject(dst int, line uint64) bool {
-	d := l.r.route(l.chip, dst, line)
-	b := l.r.cfg.QueueBound
-	return b <= 0 || l.r.links[l.chip][d].egress.Len()+len(l.staged[d]) < b
-}
-
-// Inject stages a message sourced at the lane's chip.
-func (l *Lane) Inject(m Message) {
-	if m.Src != l.chip {
-		panic(fmt.Sprintf("xchip: lane %d injection from chip %d", l.chip, m.Src))
-	}
-	d := l.r.route(m.Src, m.Dst, m.Req.Line)
-	l.staged[d] = append(l.staged[d], m)
-}
-
-// Staged returns the number of messages waiting in the lane.
-func (l *Lane) Staged() int { return len(l.staged[0]) + len(l.staged[1]) }
-
-// Flush replays the staged messages into the ring in staging order and
-// empties the lane (buffers are retained for reuse).
-func (l *Lane) Flush() {
-	for d := range l.staged {
-		for i := range l.staged[d] {
-			l.r.Inject(l.staged[d][i])
-			l.staged[d][i] = Message{}
-		}
-		l.staged[d] = l.staged[d][:0]
-	}
 }
 
 // Cfg returns the ring's configuration.
@@ -269,18 +196,12 @@ func (r *Ring) Inject(m Message) {
 	m.dir = r.route(m.Src, m.Dst, m.Req.Line)
 	m.Req.CrossedRing = true
 	r.links[m.Src][m.dir].egress.Push(m)
-	r.pendingBy[m.Src]++
-	r.injectsBy[m.Src]++
+	r.pending++
+	r.injects++
 }
 
 // Pending returns all messages queued or on the wire.
-func (r *Ring) Pending() int {
-	n := int32(0)
-	for _, p := range r.pendingBy {
-		n += p
-	}
-	return int(n)
-}
+func (r *Ring) Pending() int { return r.pending }
 
 // BytesMoved returns the bytes that entered any link.
 func (r *Ring) BytesMoved() int64 {
@@ -292,29 +213,17 @@ func (r *Ring) BytesMoved() int64 {
 }
 
 // MsgsMoved returns the total link traversals (a 2-hop message counts twice).
-func (r *Ring) MsgsMoved() int64 {
-	var n int64
-	for _, m := range r.msgsBy {
-		n += m
-	}
-	return n
-}
+func (r *Ring) MsgsMoved() int64 { return r.msgs }
 
 // Injects returns the total Inject calls since construction (monotone).
-func (r *Ring) Injects() int64 {
-	var n int64
-	for _, i := range r.injectsBy {
-		n += i
-	}
-	return n
-}
+func (r *Ring) Injects() int64 { return r.injects }
 
 // StateSig is a monotone signature that changes whenever any ring state
 // mutation could move NextEvent earlier: injections, launches, intermediate
 // hops, refused deliveries, and arrivals all bump at least one term. Event
 // schedulers cache it to detect staleness of a memoized NextEvent.
 func (r *Ring) StateSig() int64 {
-	return r.Injects() + r.MsgsMoved() + r.Arrivals + r.hopped + r.refused
+	return r.injects + r.msgs + r.Arrivals + r.hopped + r.refused
 }
 
 // NextEvent returns the earliest future cycle at which the ring can make
@@ -322,7 +231,7 @@ func (r *Ring) StateSig() int64 {
 // bandwidth-gated per cycle), else the earliest in-flight landing, or -1
 // when the ring is fully idle.
 func (r *Ring) NextEvent(now int64) int64 {
-	if r.Pending() == 0 {
+	if r.pending == 0 {
 		return -1
 	}
 	next := int64(-1)
@@ -339,20 +248,6 @@ func (r *Ring) NextEvent(now int64) int64 {
 			if next < 0 || due < next {
 				next = due
 			}
-		}
-	}
-	return next
-}
-
-// NextLanding returns the earliest in-flight landing cycle, or -1 when
-// nothing is on the wire. Unlike NextEvent it ignores egress queues: a fused
-// multi-cycle epoch only needs to know when a message can *arrive* at
-// another chip, because launches are per-source-chip local.
-func (r *Ring) NextLanding() int64 {
-	next := int64(-1)
-	for c := 0; c < r.cfg.Chips; c++ {
-		if due := r.landDueBy[c]; due >= 0 && (next < 0 || due < next) {
-			next = due
 		}
 	}
 	return next
@@ -381,7 +276,7 @@ func (r *Ring) next(chip int, d Direction) int {
 // Tick advances the ring one cycle. now is the global cycle counter.
 // An idle ring returns immediately; link credit catches up lazily.
 func (r *Ring) Tick(now int64, sink Sink) {
-	if r.Pending() == 0 {
+	if r.pending == 0 {
 		r.lastRef = now
 		return
 	}
@@ -404,7 +299,7 @@ func (r *Ring) Tick(now int64, sink Sink) {
 					if sink.CanAccept(at, m) {
 						sink.Accept(at, m)
 						r.Arrivals++
-						r.pendingBy[c]--
+						r.pending--
 					} else {
 						// Destination busy: retry next cycle from a zero-
 						// latency in-flight slot (models an arrival buffer).
@@ -414,8 +309,6 @@ func (r *Ring) Tick(now int64, sink Sink) {
 					}
 				} else {
 					r.links[at][d].egress.Push(m)
-					r.pendingBy[c]--
-					r.pendingBy[at]++
 					r.hopped++
 				}
 			}
@@ -431,9 +324,7 @@ func (r *Ring) Tick(now int64, sink Sink) {
 }
 
 // launchChip advances chip c's directional buckets by dt and moves its
-// queued messages onto the wire, bandwidth permitting. It touches only
-// per-chip state (the two links and msgsBy of chip c), which is
-// what makes FusedLaunch safe to run from per-chip goroutines.
+// queued messages onto the wire, bandwidth permitting.
 func (r *Ring) launchChip(now, dt int64, c int) {
 	launched := false
 	for d := 0; d < 2; d++ {
@@ -455,7 +346,7 @@ func (r *Ring) launchChip(now, dt int64, c int) {
 			}
 			bkt.Take(m.Bytes)
 			l.bytes += int64(m.Bytes)
-			r.msgsBy[c]++
+			r.msgs++
 			l.inFlight.Insert(now, r.cfg.HopLatency, m)
 			launched = true
 		}
@@ -469,48 +360,4 @@ func (r *Ring) launchChip(now, dt int64, c int) {
 			r.landDueBy[c] = due
 		}
 	}
-}
-
-// FusedLaunch runs the launch phase for one chip from inside a fused
-// multi-cycle epoch, where per-chip goroutines tick their chip without a
-// global ring Tick. Callers must guarantee no landing is due at or before
-// now (NextLanding() < 0 || > now) — then the landing phase is a no-op and
-// launches are independent per source chip.
-//
-// force preserves the serial idle-forfeit semantics: serial Tick advances
-// every bucket whenever global Pending() > 0 and forfeits accrual (lastRef
-// = now without Advance) when it is 0. The coordinator passes force =
-// (Pending() > 0) as observed before the parallel phase; chips whose egress
-// is empty then still catch their buckets up iff force. Chips left
-// unadvanced are settled by FinishFused, which recomputes global pending
-// after all lanes flushed — together reproducing exactly the serial
-// advance-or-forfeit decision.
-func (r *Ring) FusedLaunch(now int64, chip int, force bool) {
-	if !force && r.links[chip][0].egress.Empty() && r.links[chip][1].egress.Empty() {
-		return
-	}
-	r.advanced[chip] = true
-	r.launchChip(now, now-r.lastRef, chip)
-}
-
-// FinishFused completes a fused cycle from the coordinating goroutine after
-// every chip's FusedLaunch returned: chips that skipped their bucket
-// advance catch up iff the ring is still non-idle (matching serial Tick's
-// advance-all-or-forfeit rule), and lastRef moves to now.
-func (r *Ring) FinishFused(now int64) {
-	if r.Pending() > 0 {
-		dt := now - r.lastRef
-		for c := 0; c < r.cfg.Chips; c++ {
-			if !r.advanced[c] {
-				r.links[c][0].bkt.Advance(dt)
-				r.links[c][1].bkt.Advance(dt)
-			}
-			r.advanced[c] = false
-		}
-	} else {
-		for c := range r.advanced {
-			r.advanced[c] = false
-		}
-	}
-	r.lastRef = now
 }

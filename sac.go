@@ -178,11 +178,7 @@ func WithContext(ctx context.Context) RunOption {
 	return func(o *gpu.RunOpts) { o.Ctx = ctx }
 }
 
-// WithWorkers sets intra-run chip parallelism: each simulated cycle's
-// per-chip phases tick concurrently on up to n workers (clamped to the chip
-// count), with results bit-identical to serial at any n. 0 and 1 are serial,
-// which is what a Run without this option does. Hardware-coherence
-// configurations always run serially.
+// Deprecated: WithWorkers has no effect (one stepper); removed with ROADMAP item 1.
 func WithWorkers(n int) RunOption {
 	return func(o *gpu.RunOpts) { o.Workers = n }
 }
