@@ -15,14 +15,10 @@ vet:
 # the singleflight cache and worker pool from many goroutines. It is also
 # every contract gate at once: no test is -short- or tag-gated, so this runs
 # everything the smoke, chaossmoke, fidelitysmoke and clustersmoke shortcuts
-# below name — including the chip-worker determinism sweep with ring-epoch
-# fusion unlimited, off and capped. What it cannot reach is a configuration
-# an environment variable selects; syncsmoke covers the one there is. The
-# timeout is raised because on a two-core box internal/gpu (200 s under race
-# alone) shares the cores with the root package's tests and overruns go
-# test's 10 minutes.
+# below name. What it cannot reach is a configuration an environment variable
+# selects; syncsmoke covers the one there is.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race ./...
 
 # shuffle reruns the suite with randomized test execution order, catching
 # tests that silently depend on a sibling running first.
@@ -54,10 +50,9 @@ syncsmoke:
 
 # fidelitysmoke is the fidelity-ladder shortcut: the estimate and sampled rungs
 # must reproduce the cycle-exact SAC org decision on all 16 Table-4
-# workloads, the sampled rung must stay byte-identical across chip-worker
-# counts, exact runs must stay unlabelled (byte-identical to pre-ladder
-# output), and the 16-workload estimate sweep must finish in well under a
-# second.
+# workloads, the sampled rung must stay byte-identical run to run, exact runs
+# must stay unlabelled (byte-identical to pre-ladder output), and the
+# 16-workload estimate sweep must finish in well under a second.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
@@ -126,7 +121,7 @@ benchcheck:
 # single iteration — it catches benchmarks broken by API drift without
 # paying for a measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'StepParallel|SimulatorThroughput$$|IdleFastForward|CacheLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SimulatorThroughput$$|IdleFastForward|CacheLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'StorePut' -benchtime 1x ./internal/store
 
 # loadsmoke is the serving-throughput gate: sacload drives an in-process sacd
@@ -137,7 +132,7 @@ loadsmoke:
 
 # benchguard is the perf-regression gate: a full Fig 8 sweep with no
 # observer attached must stay within 1% of the newest recorded allocation
-# baseline, the serial stepper's sim-cycles/s must stay within tolerance of
+# baseline, the cycle loop's sim-cycles/s must stay within tolerance of
 # the newest recorded throughput, and the warmed batch serving path must
 # stay within tolerance of the newest recorded jobs/s (see
 # benchguard_test.go; baselines are the highest-_sequence BENCH_*.json).
