@@ -89,14 +89,15 @@ vuln:
 	fi
 
 # fieldalign runs the fieldalignment analyzer over the hot packages — the
-# cache array every L1 and LLC slice runs on, the cycle loop, and the
-# by-value records the loop walks every cycle: DRAM channels, crossbar ports,
+# cache array every L1 and LLC slice runs on, the cycle loop, the SM record
+# whose scheduler words it reads every step, and the by-value records the
+# loop walks every cycle: DRAM channels, crossbar ports,
 # ring links and the bwsim primitives embedded in them (a padded layout there
 # silently regresses the cache behaviour the layout bought). Advisory like
 # vuln: offline checkouts without the tool still pass.
 fieldalign:
 	@if command -v fieldalignment >/dev/null 2>&1; then \
-		fieldalignment ./internal/cache ./internal/gpu ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim; \
+		fieldalignment ./internal/cache ./internal/gpu ./internal/sm ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim; \
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi

@@ -223,13 +223,21 @@ func (d *DelayLine[T]) NextDue() (due int64, ok bool) {
 	return e.due, ok
 }
 
+// HeadDue reports whether the oldest in-flight item's due cycle has arrived.
+// It is the cheap half of a pop — small enough to inline at the call site, so
+// the common answer, "not yet", costs a compare instead of a call into the
+// generic PopDue.
+func (d *DelayLine[T]) HeadDue(now int64) bool {
+	q := &d.entries
+	return q.n > 0 && q.buf[q.head].due <= now
+}
+
 // PopDue removes and returns the oldest item whose due cycle has arrived.
+// Loops that usually find nothing due guard it with HeadDue.
 func (d *DelayLine[T]) PopDue(now int64) (v T, ok bool) {
-	e, ok := d.entries.Peek()
-	if !ok || e.due > now {
-		var zero T
-		return zero, false
+	if !d.HeadDue(now) {
+		return v, false
 	}
-	e2, _ := d.entries.Pop()
-	return e2.v, true
+	e, _ := d.entries.Pop()
+	return e.v, true
 }

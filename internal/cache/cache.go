@@ -10,11 +10,14 @@
 // remote data).
 //
 // The layout is struct-of-arrays: the per-way metadata is split into
-// parallel slices so a set scan walks contiguous packed tags, a per-set
-// bitmap of valid ways bounds that scan (hence Ways <= 64), and the lookup
-// is decomposed into FindLine / CommitLookup so a probe and the subsequent
-// counted access share one tag scan. The array-of-structs layout it replaced
-// lives on in aos_test.go as the oracle of the differential test.
+// parallel slices, a per-set bitmap marks the valid ways (hence Ways <= 64),
+// and a per-set row of 8-bit partial tags, eight ways to a word, answers a
+// tag lookup with one SWAR byte compare per word — a miss usually reads the
+// row and nothing else; a candidate is verified against the bitmap and the
+// full tag. The lookup is decomposed into FindLine / CommitLookup so a probe
+// and the subsequent counted access share one scan. The array-of-structs
+// layout it replaced lives on in aos_test.go as the oracle of the
+// differential test.
 package cache
 
 import (
@@ -74,12 +77,19 @@ type Cache struct {
 	tags    []uint64 // line tag per way
 	lastUse []int64  // LRU timestamp per way
 	occ     []uint64 // per-set bitmap of valid ways (Ways <= MaxWays)
-	meta    []uint8  // wValid|wDirty|wRemote per way
-	sectors []uint8  // per-sector valid bits per way
+	// ptag holds rowWords words per set: byte w%8 of word w/8 is the partial
+	// tag of way w (partialTag of its line) while the way is valid, anything
+	// otherwise — stale after an invalidation, zero in a never-filled way or
+	// the padding of the last word. Shares one backing array with tags and
+	// occ.
+	ptag    []uint64
+	meta    []uint8 // wValid|wDirty|wRemote per way
+	sectors []uint8 // per-sector valid bits per way
 
 	cfg       Config
 	tick      int64
 	setMask   int // Sets-1 when Sets is a power of two, else -1
+	rowWords  int // words per partial-tag row: ceil(Ways/8)
 	occLocal  int // valid lines with a local home (incremental Fig-9 census)
 	occRemote int // valid lines with a remote home
 
@@ -117,14 +127,18 @@ func New(cfg Config) *Cache {
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		mask = cfg.Sets - 1
 	}
+	rowWords := (cfg.Ways + 7) / 8
+	words := make([]uint64, n+cfg.Sets+cfg.Sets*rowWords)
 	return &Cache{
 		cfg:        cfg,
-		tags:       make([]uint64, n),
+		tags:       words[:n:n],
+		occ:        words[n : n+cfg.Sets : n+cfg.Sets],
+		ptag:       words[n+cfg.Sets:],
 		lastUse:    make([]int64, n),
-		occ:        make([]uint64, cfg.Sets),
 		meta:       make([]uint8, n),
 		sectors:    make([]uint8, n),
 		setMask:    mask,
+		rowWords:   rowWords,
 		localWays:  cfg.Ways,
 		usableWays: cfg.Ways,
 	}
@@ -153,14 +167,42 @@ func (c *Cache) ClearPartition() {
 // LocalWays returns the current local partition size (Ways when unpartitioned).
 func (c *Cache) LocalWays() int { return c.localWays }
 
-func (c *Cache) setIndex(line uint64) int {
+// locate returns line's set and its partial tag, both cut from one multiply:
+// the set index from the product's middle bits, the partial tag from its top
+// byte.
+func (c *Cache) locate(line uint64) (set int, ptag uint64) {
 	// Lines arriving here were already spread across slices by the PAE hash;
 	// a second small mix decorrelates the set index from the slice index.
-	h := int((line * 0x9e3779b97f4a7c15) >> 32)
+	m := line * 0x9e3779b97f4a7c15
+	h := int(m >> 32)
 	if c.setMask >= 0 {
-		return h & c.setMask // identical to % for power-of-two set counts
+		return h & c.setMask, m >> 56 // identical to % for power-of-two set counts
 	}
-	return h % c.cfg.Sets
+	return h % c.cfg.Sets, m >> 56
+}
+
+const (
+	swarOnes = 0x0101010101010101 // one in every byte: broadcasts a partial tag
+	swarLow7 = 0x7f7f7f7f7f7f7f7f // the low seven bits of every byte
+)
+
+// findInSet returns the flat way index holding line in set, or -1. Each word
+// of the set's partial-tag row is compared with the broadcast tag in one
+// step: x has a zero byte exactly where a way's partial tag equals ptag, and
+// the carry-free zero-byte test leaves that byte's top bit set and no other.
+func (c *Cache) findInSet(set int, line, ptag uint64) int {
+	pat := ptag * swarOnes
+	for k, word := range c.ptag[set*c.rowWords : (set+1)*c.rowWords] {
+		x := word ^ pat
+		for m := ^((x&swarLow7 + swarLow7) | x | swarLow7); m != 0; m &= m - 1 {
+			w := k*8 + bits.TrailingZeros64(m)>>3
+			// A valid way, not a stale or padding byte, and the whole tag.
+			if c.occ[set]>>uint(w)&1 != 0 && c.tags[set*c.cfg.Ways+w] == line {
+				return set*c.cfg.Ways + w
+			}
+		}
+	}
+	return -1
 }
 
 func (c *Cache) wayRange(p Partition) (lo, hi int) {
@@ -189,15 +231,8 @@ func sectorBit(sector int) uint8 { return 1 << uint(sector) }
 // LRU state and no counters; pair with CommitLookup (counted access) or use
 // alone as a probe.
 func (c *Cache) FindLine(line uint64) int {
-	set := c.setIndex(line)
-	base := set * c.cfg.Ways
-	for b := c.occ[set]; b != 0; b &= b - 1 {
-		wi := base + bits.TrailingZeros64(b)
-		if c.tags[wi] == line {
-			return wi
-		}
-	}
-	return -1
+	set, ptag := c.locate(line)
+	return c.findInSet(set, line, ptag)
 }
 
 // SectorValid reports whether the given sector of the line at flat way wi is
@@ -241,41 +276,44 @@ func (c *Cache) Probe(line uint64, sector int) bool {
 // Fill installs a line (or adds a sector to an already-present line) in the
 // partition's way range, evicting the LRU way of that range if needed.
 // remote annotates whether the line's home is another chip. The returned
-// victim is valid only when evicted is true.
-func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool) {
+// victim is valid only when evicted is true; wi is the flat way index now
+// holding the line (what FindLine would return), -1 when it was not retained.
+func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool, wi int) {
 	c.tick++
-	set := c.setIndex(line)
+	set, ptag := c.locate(line)
 	base := set * c.cfg.Ways
 	// Sector fill into an existing line?
-	if wi := c.FindLine(line); wi >= 0 {
+	if wi = c.findInSet(set, line, ptag); wi >= 0 {
 		c.sectors[wi] |= sectorBit(sector)
 		c.lastUse[wi] = c.tick
-		return Victim{}, false
+		return Victim{}, false, wi
 	}
 	lo, hi := c.wayRange(p)
 	if lo >= hi {
 		// No allocatable ways (slice disabled by fault injection): the line
 		// is served but not retained.
-		return Victim{}, false
+		return Victim{}, false, -1
 	}
 	// Free way in range? First invalid way by index.
 	// (1<<64 wraps to 0, so hi == 64 yields an all-ones upper mask.)
 	rangeMask := (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
 	if free := ^c.occ[set] & rangeMask; free != 0 {
 		w := bits.TrailingZeros64(free)
-		c.install(base+w, line, sector, remote)
+		c.install(set, w, line, ptag, sector, remote)
 		c.occ[set] |= 1 << uint(w)
 		c.countInstall(remote)
-		return Victim{}, false
+		return Victim{}, false, base + w
 	}
-	// Evict LRU in range.
+	// Evict LRU in range: the first way holding the oldest stamp.
 	lru := lo
-	for i := lo + 1; i < hi; i++ {
-		if c.lastUse[base+i] < c.lastUse[base+lru] {
-			lru = i
+	stamps := c.lastUse[base+lo : base+hi]
+	oldest := stamps[0]
+	for i, t := range stamps[1:] {
+		if t < oldest {
+			oldest, lru = t, lo+1+i
 		}
 	}
-	wi := base + lru
+	wi = base + lru
 	m := c.meta[wi]
 	victim = Victim{
 		Line:   c.tags[wi],
@@ -287,13 +325,19 @@ func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim 
 		c.Writebacks++
 	}
 	c.countEvict(m)
-	c.install(wi, line, sector, remote)
+	c.install(set, lru, line, ptag, sector, remote)
 	c.countInstall(remote)
-	return victim, true
+	return victim, true, wi
 }
 
-func (c *Cache) install(wi int, line uint64, sector int, remote bool) {
+// install writes line into way w of set: full tag, partial-tag byte, flags,
+// LRU stamp and the first valid sector.
+func (c *Cache) install(set, w int, line, ptag uint64, sector int, remote bool) {
+	wi := set*c.cfg.Ways + w
 	c.tags[wi] = line
+	row := &c.ptag[set*c.rowWords+w>>3]
+	shift := uint(w&7) * 8
+	*row = *row&^(0xff<<shift) | ptag<<shift
 	m := wValid
 	if remote {
 		m |= wRemote
@@ -323,17 +367,14 @@ func (c *Cache) countEvict(m uint8) {
 	}
 }
 
-// MarkDirty sets the dirty bit of a present line (stores hitting a
-// write-back cache). It is a no-op when the line is absent.
-func (c *Cache) MarkDirty(line uint64) {
-	if wi := c.FindLine(line); wi >= 0 {
+// MarkDirtyWay sets the dirty bit of the line at flat way wi, a FindLine or
+// Fill result (stores hitting or filling a write-back cache). A no-op for -1:
+// the line is not there to be marked.
+func (c *Cache) MarkDirtyWay(wi int) {
+	if wi >= 0 {
 		c.meta[wi] |= wDirty
 	}
 }
-
-// MarkDirtyWay sets the dirty bit of the (present) line at flat way wi —
-// the fused-lookup fast path, which already holds the FindLine result.
-func (c *Cache) MarkDirtyWay(wi int) { c.meta[wi] |= wDirty }
 
 // invalidateWay drops way wi of set; the caller accounts Writebacks and
 // Invalidates itself (flush variants differ in ordering).
@@ -347,13 +388,14 @@ func (c *Cache) invalidateWay(set, wi int) {
 // caller is responsible for the writeback traffic). Used by hardware
 // coherence.
 func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
-	wi := c.FindLine(line)
+	set, ptag := c.locate(line)
+	wi := c.findInSet(set, line, ptag)
 	if wi < 0 {
 		return false, false
 	}
 	c.Invalidates++
 	dirty := c.meta[wi]&wDirty != 0 && c.cfg.WriteBack
-	c.invalidateWay(c.setIndex(line), wi)
+	c.invalidateWay(set, wi)
 	return true, dirty
 }
 
@@ -450,6 +492,25 @@ func (c *Cache) FlushDirty(onDirty func(line uint64, remote bool)) (dirtyLines i
 // Occupancy counts valid lines, split into local-homed and remote-homed —
 // the Figure 9 census. O(1): maintained incrementally on install and evict.
 func (c *Cache) Occupancy() (local, remote int) { return c.occLocal, c.occRemote }
+
+// CheckRows verifies every set's partial-tag row against the state it
+// summarises: the byte of each way valid in occ is the partial tag of the line
+// in tags. Invariant tests call it between simulated cycles; nothing else
+// does.
+func (c *Cache) CheckRows() error {
+	for set, valid := range c.occ {
+		row := c.ptag[set*c.rowWords : (set+1)*c.rowWords]
+		for ; valid != 0; valid &= valid - 1 {
+			w := bits.TrailingZeros64(valid)
+			line := c.tags[set*c.cfg.Ways+w]
+			_, want := c.locate(line)
+			if got := row[w>>3] >> (uint(w&7) * 8) & 0xff; got != want {
+				return fmt.Errorf("cache: set %d way %d: partial tag %#x, line %#x has %#x", set, w, got, line, want)
+			}
+		}
+	}
+	return nil
+}
 
 // DirtyLines counts lines with the dirty bit set.
 func (c *Cache) DirtyLines() int {

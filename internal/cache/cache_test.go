@@ -30,7 +30,7 @@ func TestLRUEviction(t *testing.T) {
 	c.Fill(1, 0, PartAll, false)
 	c.Fill(2, 0, PartAll, false)
 	c.Lookup(1, 0) // 1 is now MRU
-	v, ev := c.Fill(3, 0, PartAll, false)
+	v, ev, _ := c.Fill(3, 0, PartAll, false)
 	if !ev || v.Line != 2 {
 		t.Fatalf("evicted %+v (ev=%v), want line 2", v, ev)
 	}
@@ -43,7 +43,7 @@ func TestDirtyWriteback(t *testing.T) {
 	c := New(Config{Sets: 1, Ways: 1, LineBytes: 128, WriteBack: true})
 	c.Fill(1, 0, PartAll, false)
 	c.MarkDirty(1)
-	v, ev := c.Fill(2, 0, PartAll, false)
+	v, ev, _ := c.Fill(2, 0, PartAll, false)
 	if !ev || !v.Dirty {
 		t.Fatalf("victim %+v, want dirty line 1", v)
 	}
@@ -56,7 +56,7 @@ func TestWriteThroughNeverDirty(t *testing.T) {
 	c := New(Config{Sets: 1, Ways: 1, LineBytes: 128, WriteBack: false})
 	c.Fill(1, 0, PartAll, false)
 	c.MarkDirty(1)
-	v, ev := c.Fill(2, 0, PartAll, false)
+	v, ev, _ := c.Fill(2, 0, PartAll, false)
 	if !ev || v.Dirty {
 		t.Fatalf("write-through cache produced dirty victim %+v", v)
 	}
@@ -78,7 +78,7 @@ func TestPartitionedAllocation(t *testing.T) {
 	if !c.Probe(2, 0) || !c.Probe(3, 0) {
 		t.Fatal("remote fill evicted local partition")
 	}
-	v, ev := c.Fill(102, 0, PartRemote, true)
+	v, ev, _ := c.Fill(102, 0, PartRemote, true)
 	if !ev || !v.Remote {
 		t.Fatalf("remote eviction %+v", v)
 	}
@@ -115,7 +115,7 @@ func TestSectoredCache(t *testing.T) {
 		t.Fatalf("SectorMiss = %d, want 1", c.SectorMiss)
 	}
 	// Sector fill into the same line must not evict.
-	if _, ev := c.Fill(7, 2, PartAll, false); ev {
+	if _, ev, _ := c.Fill(7, 2, PartAll, false); ev {
 		t.Fatal("sector fill evicted")
 	}
 	if !c.Lookup(7, 2) {
@@ -289,3 +289,7 @@ func TestFlushDirtyKeepsCleanLines(t *testing.T) {
 		t.Fatal("dirty lines remain")
 	}
 }
+
+// MarkDirty is the by-line form of MarkDirtyWay the tests use; a no-op when
+// the line is absent.
+func (c *Cache) MarkDirty(line uint64) { c.MarkDirtyWay(c.FindLine(line)) }

@@ -23,6 +23,32 @@ func checkSame(t *testing.T, step int, c *aosCache, a *Cache) {
 	if c.DirtyLines() != a.DirtyLines() {
 		t.Fatalf("step %d: dirty lines diverged: oracle %d array %d", step, c.DirtyLines(), a.DirtyLines())
 	}
+	if err := a.CheckRows(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+}
+
+// collidingLines returns n distinct lines that a maps to one set with one
+// partial tag — ptag, when some line below the search bound has it — so the
+// word compare of that set's row reports several candidates and only the full
+// tag tells them apart. ptag 0 also equals every never-filled and padding
+// byte of the row.
+func collidingLines(t *testing.T, a *Cache, ptag uint64, n int) []uint64 {
+	t.Helper()
+	var group []uint64
+	wantSet := -1
+	for cand := uint64(1 << 20); len(group) < n; cand++ {
+		if cand > 1<<28 {
+			t.Fatalf("no %d lines share a set and partial tag %#x", n, ptag)
+		}
+		set, p := a.locate(cand)
+		if p != ptag || (wantSet >= 0 && set != wantSet) {
+			continue
+		}
+		wantSet = set
+		group = append(group, cand)
+	}
+	return group
 }
 
 // TestArrayMatchesCache drives the array-of-structs oracle and Cache through
@@ -30,6 +56,11 @@ func checkSame(t *testing.T, step int, c *aosCache, a *Cache) {
 // every return value, every counter, the occupancy census, and the dirty
 // population. The stream covers lookups, probes, fills in all partitions,
 // dirty marking, invalidation, way limiting, and all three flush variants.
+// A quarter of the accesses go to two groups of lines that share one set and
+// one partial tag each (one of them tag 0, the value of a never-filled way),
+// more lines per group than the set has ways, so the partial-tag row is
+// probed with several equal bytes in it — valid, invalidated, never filled
+// and, at way counts that do not fill their last word, padding.
 func TestArrayMatchesCache(t *testing.T) {
 	configs := []Config{
 		{Sets: 16, Ways: 4, LineBytes: 128, WriteBack: true},
@@ -37,6 +68,9 @@ func TestArrayMatchesCache(t *testing.T) {
 		{Sets: 32, Ways: 2, LineBytes: 64, WriteBack: false},
 		{Sets: 3, Ways: 5, LineBytes: 128, Sectors: 8, WriteBack: true},
 		{Sets: 16, Ways: 8, LineBytes: 128}, // the L1 shape: write-through, unsectored
+		{Sets: 4, Ways: 12, LineBytes: 128, WriteBack: true},
+		{Sets: 2, Ways: 20, LineBytes: 128, Sectors: 2, WriteBack: true},
+		{Sets: 2, Ways: MaxWays, LineBytes: 128, WriteBack: true},
 	}
 	parts := []Partition{PartAll, PartLocal, PartRemote}
 	for ci, cfg := range configs {
@@ -44,6 +78,8 @@ func TestArrayMatchesCache(t *testing.T) {
 		a := New(cfg)
 		rng := rand.New(rand.NewSource(int64(1000 + ci)))
 		lines := uint64(cfg.Lines() * 3) // enough aliasing to force evictions
+		_, tagOfOne := a.locate(1)
+		colliding := append(collidingLines(t, a, 0, cfg.Ways+2), collidingLines(t, a, tagOfOne, cfg.Ways+2)...)
 		sectors := cfg.Sectors
 		if sectors <= 0 {
 			sectors = 1
@@ -51,6 +87,9 @@ func TestArrayMatchesCache(t *testing.T) {
 		partitioned := false
 		for step := 0; step < 20000; step++ {
 			line := rng.Uint64() % lines
+			if rng.Intn(4) == 0 {
+				line = colliding[rng.Intn(len(colliding))]
+			}
 			sector := rng.Intn(sectors)
 			switch op := rng.Intn(100); {
 			case op < 35: // counted lookup
@@ -77,10 +116,13 @@ func TestArrayMatchesCache(t *testing.T) {
 				}
 				remote := rng.Intn(2) == 1
 				v1, e1 := c.Fill(line, sector, p, remote)
-				v2, e2 := a.Fill(line, sector, p, remote)
+				v2, e2, wi := a.Fill(line, sector, p, remote)
 				if e1 != e2 || v1 != v2 {
 					t.Fatalf("cfg %d step %d: Fill(%d,%d,%v,%v) = (%+v,%v), oracle says (%+v,%v)",
 						ci, step, line, sector, p, remote, v2, e2, v1, e1)
+				}
+				if found := a.FindLine(line); wi != found {
+					t.Fatalf("cfg %d step %d: Fill(%d) reports way %d, FindLine finds %d", ci, step, line, wi, found)
 				}
 			case op < 90: // mark dirty (both paths)
 				c.MarkDirty(line)
@@ -167,12 +209,12 @@ func TestArrayEvictionIsLRU(t *testing.T) {
 	a := New(cfg)
 	// Lines hash to set 0 trivially (Sets=1).
 	for i := uint64(0); i < 4; i++ {
-		if _, ev := a.Fill(i, 0, PartAll, false); ev {
+		if _, ev, _ := a.Fill(i, 0, PartAll, false); ev {
 			t.Fatalf("fill %d evicted with free ways remaining", i)
 		}
 	}
 	a.Lookup(0, 0) // touch 0: LRU is now line 1
-	v, ev := a.Fill(100, 0, PartAll, false)
+	v, ev, _ := a.Fill(100, 0, PartAll, false)
 	if !ev || v.Line != 1 {
 		t.Fatalf("evicted %+v (ev=%v), want line 1", v, ev)
 	}

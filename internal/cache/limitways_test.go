@@ -3,14 +3,14 @@ package cache
 import "testing"
 
 // fillSet installs n distinct lines that all map to the same set by probing
-// line numbers until n of them share setIndex(base). Returns the lines.
+// line numbers until n of them share base's set. Returns the lines.
 func fillSameSet(t *testing.T, c *Cache, n int) []uint64 {
 	t.Helper()
 	base := uint64(1)
-	idx := c.setIndex(base)
+	idx, _ := c.locate(base)
 	lines := []uint64{base}
 	for cand := base + 1; len(lines) < n; cand++ {
-		if c.setIndex(cand) == idx {
+		if set, _ := c.locate(cand); set == idx {
 			lines = append(lines, cand)
 		}
 	}
@@ -61,7 +61,7 @@ func TestLimitWaysZeroKillsSlice(t *testing.T) {
 		t.Fatal("line survived a full slice disable")
 	}
 	// Fills are served but install nothing; no panic, no eviction.
-	if _, ev := c.Fill(2, 0, PartAll, false); ev {
+	if _, ev, _ := c.Fill(2, 0, PartAll, false); ev {
 		t.Fatal("dead slice reported an eviction")
 	}
 	if c.Probe(2, 0) {

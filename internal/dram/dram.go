@@ -55,12 +55,39 @@ type channel struct {
 	bytes    int64   // data bytes moved (the per-channel breakdown of BytesMoved)
 }
 
+// hot reports whether the channel needs its per-cycle visit even with no
+// completion due: a queued request may issue, or the bucket is below its cap
+// and an Advance would change its credit. A cold channel's visit would pop
+// nothing, clamp the bucket where it already sits and issue nothing.
+func (ch *channel) hot() bool { return !ch.queue.Empty() || !ch.bucket.AtCap() }
+
+// headDue returns the due cycle of the channel's oldest in-flight access —
+// the only one PopDue looks at — or noneDue.
+func (ch *channel) headDue() int64 {
+	if due, ok := ch.inFlight.NextDue(); ok {
+		return due
+	}
+	return noneDue
+}
+
+// noneDue is nextDue with nothing in flight.
+const noneDue = int64(1) << 62
+
 // Partition is the memory system attached to one GPU chip.
 type Partition struct {
 	chans   []channel
 	cfg     Config
 	pending int
 	lastRef int64
+
+	// What Tick reads instead of looping over the channels to learn that
+	// none has anything to do. hot counts the hot channels; nextDue is the
+	// earliest headDue over all channels. Both are exact between calls: Tick
+	// recomputes them, and the three calls that heat a channel outside Tick
+	// (Enqueue, SetChannelScale, DrainWriteback) adjust hot; accesses enter
+	// and leave flight only inside Tick.
+	hot     int
+	nextDue int64
 
 	// Stats.
 	Reads      int64
@@ -84,7 +111,8 @@ func New(cfg Config) *Partition {
 	if cfg.BanksPerChannel > 0 && cfg.Timing.RowBytes <= 0 {
 		cfg.Timing = DefaultBankTiming()
 	}
-	p := &Partition{cfg: cfg, chans: make([]channel, cfg.Channels)}
+	// Every bucket starts one cycle of credit below its cap: all channels hot.
+	p := &Partition{cfg: cfg, chans: make([]channel, cfg.Channels), hot: cfg.Channels, nextDue: noneDue}
 	for c := range p.chans {
 		ch := &p.chans[c]
 		ch.queue = bwsim.NewQueue[*memsys.Request](cfg.QueueBound)
@@ -115,8 +143,23 @@ func (p *Partition) SetChannelScale(ch int, scale float64) {
 	} else if scale > 1 {
 		scale = 1
 	}
-	p.chans[ch].scale = scale
-	p.chans[ch].bucket.SetRate(p.cfg.ChannelBW * scale)
+	c := &p.chans[ch]
+	was := c.hot()
+	c.scale = scale
+	c.bucket.SetRate(p.cfg.ChannelBW * scale)
+	p.rehot(c, was)
+}
+
+// rehot keeps the hot count exact across a change to channel ch's queue or
+// bucket; was is what ch.hot() read before the change.
+func (p *Partition) rehot(ch *channel, was bool) {
+	if is := ch.hot(); is != was {
+		if is {
+			p.hot++
+		} else {
+			p.hot--
+		}
+	}
 }
 
 // ChannelScale returns the current residual scale of a channel.
@@ -141,7 +184,10 @@ func (p *Partition) Enqueue(req *memsys.Request) {
 	if req.Channel < 0 || req.Channel >= p.cfg.Channels {
 		panic(fmt.Sprintf("dram: request channel %d outside %d channels", req.Channel, p.cfg.Channels))
 	}
-	p.chans[req.Channel].queue.Push(req)
+	ch := &p.chans[req.Channel]
+	was := ch.hot()
+	ch.queue.Push(req)
+	p.rehot(ch, was)
 	p.pending++
 	p.Enqueues++
 }
@@ -160,26 +206,32 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 	}
 	dt := now - p.lastRef
 	p.lastRef = now
+	if p.hot == 0 && now < p.nextDue {
+		// Every channel is cold and no completion is due: the loop below
+		// would pop nothing, clamp buckets that sit at their cap and issue
+		// nothing.
+		return
+	}
+	nextDue := noneDue
 	for c := range p.chans {
 		ch := &p.chans[c]
-		// A channel with nothing queued, nothing in flight, and its bucket
-		// parked at the burst cap does no work this cycle: the only state
-		// change would be the bucket advance, which at the cap only clamps.
-		// Skipping it is bit-exact.
-		if ch.bucket.AtCap() && ch.queue.Empty() && ch.inFlight.Len() == 0 {
+		// A cold channel with nothing in flight does no work this cycle: the
+		// only state change would be the bucket advance, which at the cap
+		// only clamps. Skipping it is bit-exact.
+		if ch.inFlight.Len() == 0 && !ch.hot() {
 			continue
 		}
-		// Completions first.
-		for {
-			req, ok := ch.inFlight.PopDue(now)
-			if !ok {
-				break
-			}
+		// Completions first. done may Enqueue on this partition (a fill's
+		// dirty victim written back to local memory); Enqueue keeps hot exact
+		// itself, and nothing below reads the channel's state from before it.
+		for ch.inFlight.HeadDue(now) {
+			req, _ := ch.inFlight.PopDue(now)
 			p.pending--
 			done(req)
 		}
 		// Issue new accesses under the bandwidth gate (and, when enabled,
 		// the bank occupancy gate).
+		was := ch.hot()
 		ch.bucket.Advance(dt)
 		for !ch.queue.Empty() && ch.bucket.CanTake() {
 			extra := int64(0)
@@ -202,7 +254,12 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 			}
 			ch.inFlight.Insert(now, p.cfg.Latency+extra, req)
 		}
+		p.rehot(ch, was)
+		if due := ch.headDue(); due < nextDue {
+			nextDue = due
+		}
 	}
+	p.nextDue = nextDue
 }
 
 // NextEvent returns the earliest future cycle at which the partition can
@@ -213,17 +270,34 @@ func (p *Partition) NextEvent(now int64) int64 {
 	if p.pending == 0 {
 		return -1
 	}
-	next := int64(-1)
 	for c := range p.chans {
-		ch := &p.chans[c]
-		if !ch.queue.Empty() {
+		if !p.chans[c].queue.Empty() {
 			return now + 1
 		}
-		if due, ok := ch.inFlight.NextDue(); ok && (next < 0 || due < next) {
-			next = due
+	}
+	if p.nextDue == noneDue {
+		return -1
+	}
+	return p.nextDue
+}
+
+// CheckActivity verifies hot and nextDue against the channels they summarise.
+// Invariant tests call it between simulated cycles; nothing else does.
+func (p *Partition) CheckActivity() error {
+	hot, nextDue := 0, noneDue
+	for c := range p.chans {
+		ch := &p.chans[c]
+		if ch.hot() {
+			hot++
+		}
+		if due := ch.headDue(); due < nextDue {
+			nextDue = due
 		}
 	}
-	return next
+	if hot != p.hot || nextDue != p.nextDue {
+		return fmt.Errorf("dram: hot %d nextDue %d, channels say %d and %d", p.hot, p.nextDue, hot, nextDue)
+	}
+	return nil
 }
 
 // RowBufferStats aggregates bank statistics over the partition's channels
@@ -249,6 +323,9 @@ func (p *Partition) DrainWriteback(ch int, lineBytes int) {
 	}
 	p.Writes++
 	p.BytesMoved += int64(lineBytes)
-	p.chans[ch].bytes += int64(lineBytes)
-	p.chans[ch].bucket.Take(lineBytes)
+	c := &p.chans[ch]
+	c.bytes += int64(lineBytes)
+	was := c.hot()
+	c.bucket.Take(lineBytes)
+	p.rehot(c, was)
 }

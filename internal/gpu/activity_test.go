@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/llc"
+	"repro/internal/sm"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -25,14 +26,33 @@ func (s *System) checkActivity(t *testing.T) {
 			if n, occ := sl.mshr.Len(), sl.mshr.Occupied(); n != occ {
 				t.Fatalf("cycle %d chip %d slice %d: MSHR Len %d, occupied slots %d", s.now, c.idx, si, n, occ)
 			}
+			if err := sl.arr.CheckRows(); err != nil {
+				t.Fatalf("cycle %d chip %d slice %d: %v", s.now, c.idx, si, err)
+			}
 		}
 		if c.sliceBusy>>uint(len(c.slices)) != 0 {
 			t.Fatalf("cycle %d chip %d: sliceBusy %b has bits past %d slices", s.now, c.idx, c.sliceBusy, len(c.slices))
 		}
+		var live [len(c.smLive)]uint64
 		for i, smu := range c.sms {
 			if c.smWake[i] != smu.SleepUntil() {
 				t.Fatalf("cycle %d chip %d SM %d: smWake %d, SleepUntil %d", s.now, c.idx, i, c.smWake[i], smu.SleepUntil())
 			}
+			if c.smWake[i] < sm.Never {
+				live[i>>6] |= 1 << uint(i&63)
+			}
+			if err := smu.CheckRunnable(); err != nil {
+				t.Fatalf("cycle %d: %v", s.now, err)
+			}
+			if err := smu.L1().CheckRows(); err != nil {
+				t.Fatalf("cycle %d chip %d SM %d L1: %v", s.now, c.idx, i, err)
+			}
+		}
+		if live != c.smLive {
+			t.Fatalf("cycle %d chip %d: live-SM set %b, smWake says %b", s.now, c.idx, c.smLive, live)
+		}
+		if err := c.mem.CheckActivity(); err != nil {
+			t.Fatalf("cycle %d chip %d: %v", s.now, c.idx, err)
 		}
 	}
 }

@@ -14,29 +14,62 @@ import (
 )
 
 // llcSlice is one LLC slice: a bandwidth-gated lookup queue in front of a
-// set-associative array with an MSHR file, plus the hit-latency pipeline.
-// The SAC bypass path (selection logic, mux/demux) is modelled in the
-// system's routing: bypassing requests go straight to the memory
-// controller's shared queue and never enter lookupQ.
+// set-associative array with an MSHR file; hits leave through the chip's
+// hit-latency pipeline (chip.hitDelay). The SAC bypass path (selection
+// logic, mux/demux) is modelled in the system's routing: bypassing requests
+// go straight to the memory controller's shared queue and never enter
+// lookupQ.
 type llcSlice struct {
-	arr      *cache.Cache
-	mshr     *cache.MSHR
-	lookupQ  bwsim.Queue[*memsys.Request]
-	hitDelay bwsim.DelayLine[*memsys.Request]
-	bkt      bwsim.TokenBucket
-	lastRef  int64 // cycle of the last lookup-bucket refill (lazy catch-up)
+	arr     *cache.Cache
+	mshr    *cache.MSHR
+	lookupQ bwsim.Queue[*memsys.Request]
+	bkt     bwsim.TokenBucket
+	lastRef int64 // cycle of the last lookup-bucket refill (lazy catch-up)
 }
 
-// chip bundles one GPU chip's hardware.
+// chip bundles one GPU chip's hardware. Fields holding pointers come first
+// (the layout the fieldalignment check asks for).
 type chip struct {
-	idx     int
-	sms     []*sm.SM
 	reqNet  *noc.Crossbar
 	respNet *noc.Crossbar
-	slices  []llcSlice
 	mem     *dram.Partition
 	dyn     *llc.DynamicController // Dynamic organization only
 	dir     *coherence.Directory   // hardware coherence only
+	sms     []*sm.SM
+	slices  []llcSlice
+
+	// Activity words: what the per-cycle loop reads instead of visiting every
+	// component to learn it has nothing to do.
+	//
+	// smWake[i] mirrors sms[i].SleepUntil() — rewritten (setWake) after
+	// every Issue, Receive and LoadStreams, the only calls that move it.
+	// smLive has bit i set exactly while smWake[i] is finite: an SM whose
+	// every live warp is blocked, or that has retired, sleeps until a
+	// Receive and is not worth a visit, so issueChip walks the set bits in
+	// SM index order and touches an SM only when it may issue.
+	// smCluster[i] is SM i's request-NoC input port (i / SMsPerCluster).
+	// wakeHint is the minimum over smWake as of the last issue pass;
+	// issueChip skips the whole walk before it (deliverToSM lowers it).
+	smWake    []int64
+	smCluster []int32
+	// hitDelay is the hit-latency pipeline of all the chip's slices: lookups
+	// that hit enter it in the late phase (slice index order within a cycle)
+	// and leave LLCLatency cycles later in the early phase, toward the
+	// response network port of their slice (req.Slice). One line per chip
+	// drains in the order per-slice lines scanned by index would: every
+	// cycle with a hit due is stepped, so all hits due at once entered in
+	// the same cycle.
+	hitDelay bwsim.DelayLine[*memsys.Request]
+	smLive   [MaxSMsPerChip / 64]uint64
+	wakeHint int64
+	// sliceBusy has bit i set exactly while slices[i].lookupQ holds a
+	// request: set at the one Push (the request crossbar's delivery),
+	// cleared when tickSlice drains the queue. A slice with an empty queue
+	// does nothing in tickSlice — it even defers its bucket refill — so
+	// visiting only the set bits, in index order, is the same walk.
+	sliceBusy uint64
+
+	idx int
 
 	// Epoch accumulators for the Dynamic controller.
 	lastRingBytes int64
@@ -48,30 +81,6 @@ type chip struct {
 	// wakeup.
 	pipeSig int64
 	warpSig int64
-
-	// Activity words: what the per-cycle loop reads instead of visiting every
-	// component to learn it has nothing to do.
-	//
-	// smWake[i] mirrors sms[i].SleepUntil() — rewritten after every Issue,
-	// Receive and LoadStreams, the only calls that move it — so issueChip
-	// walks one contiguous array and touches an SM only when it may issue.
-	// smCluster[i] is SM i's request-NoC input port (i / SMsPerCluster).
-	// wakeHint is the minimum over smWake as of the last issue pass;
-	// issueChip skips the whole walk before it (deliverToSM lowers it).
-	smWake    []int64
-	smCluster []int32
-	wakeHint  int64
-	// sliceBusy has bit i set exactly while slices[i].lookupQ holds a
-	// request: set at the one Push (the request crossbar's delivery),
-	// cleared when tickSlice drains the queue. A slice with an empty queue
-	// does nothing in tickSlice — it even defers its bucket refill — so
-	// visiting only the set bits, in index order, is the same walk.
-	sliceBusy uint64
-
-	// hitInFlight counts requests in the chip's hit-latency pipelines
-	// (across slices); phaseEarly skips the per-slice drain scan when it is
-	// zero. Inserted in the chip's late phase, popped in its early phase.
-	hitInFlight int
 }
 
 // Port layout of the request network:
@@ -88,9 +97,22 @@ func (c *chip) ringOutReqPort(cfg *Config) int  { return cfg.SlicesPerChip }
 func (c *chip) ringInRespPort(cfg *Config) int  { return cfg.SlicesPerChip }
 func (c *chip) ringOutRespPort(cfg *Config) int { return cfg.ClustersPerChip() }
 
+// setWake records SM i's wakeup cycle and whether it has one at all.
+func (c *chip) setWake(i int, w int64) {
+	c.smWake[i] = w
+	if w < sm.Never {
+		c.smLive[i>>6] |= 1 << uint(i&63)
+	} else {
+		c.smLive[i>>6] &^= 1 << uint(i&63)
+	}
+}
+
 // newChip builds chip idx; its SMs allocate their requests from pool.
 func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
 	clusters := cfg.ClustersPerChip()
+	if cfg.SMsPerChip > MaxSMsPerChip {
+		panic(fmt.Sprintf("gpu: %d SMs per chip exceed the %d the live-SM set holds", cfg.SMsPerChip, MaxSMsPerChip))
+	}
 	c := &chip{idx: idx}
 
 	c.sms = make([]*sm.SM, cfg.SMsPerChip)
@@ -138,12 +160,12 @@ func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
 				Sectors:   cfg.SectorCount(),
 				WriteBack: true,
 			}),
-			mshr:     cache.NewMSHR(cfg.MSHRPerSlice),
-			lookupQ:  bwsim.NewQueue[*memsys.Request](cfg.QueueBound),
-			bkt:      bwsim.NewBucket(cfg.SliceBW),
-			hitDelay: bwsim.NewDelayLine[*memsys.Request](),
+			mshr:    cache.NewMSHR(cfg.MSHRPerSlice),
+			lookupQ: bwsim.NewQueue[*memsys.Request](cfg.QueueBound),
+			bkt:     bwsim.NewBucket(cfg.SliceBW),
 		}
 	}
+	c.hitDelay = bwsim.NewDelayLine[*memsys.Request]()
 
 	c.mem = dram.New(dram.Config{
 		Channels:        cfg.ChannelsPerChip,
@@ -183,10 +205,10 @@ func (c *chip) clearPartition() {
 // inflight counts requests resident in this chip's queues and pipelines
 // (excluding the SMs' miss files, which the system tracks separately).
 func (c *chip) inflight() int {
-	n := c.reqNet.Pending() + c.respNet.Pending() + c.mem.Pending()
+	n := c.reqNet.Pending() + c.respNet.Pending() + c.mem.Pending() + c.hitDelay.Len()
 	for i := range c.slices {
 		s := &c.slices[i]
-		n += s.lookupQ.Len() + s.hitDelay.Len() + s.mshr.Len()
+		n += s.lookupQ.Len() + s.mshr.Len()
 	}
 	return n
 }

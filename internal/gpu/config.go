@@ -14,6 +14,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/llc"
 	"repro/internal/memsys"
+	"repro/internal/sm"
 	"repro/internal/workload"
 )
 
@@ -178,6 +179,16 @@ func MultiSocketConfig() Config {
 // queued lookups in one 64-bit activity word (chip.sliceBusy).
 const MaxSlicesPerChip = 64
 
+// MaxSMsPerChip bounds SMsPerChip: each chip tracks which SMs can wake on
+// their own in a fixed set of 64-bit words (chip.smLive). Four times the
+// paper's 64-SM chip, and past the 126 SMs at which a chip's crossbars take
+// their wide-port walk.
+const MaxSMsPerChip = 256
+
+// MaxWarpsPerSM bounds WarpsPerSM (the paper's value): an SM tracks its
+// runnable warps in one word.
+const MaxWarpsPerSM = sm.MaxWarps
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	if err := c.Geom.Validate(); err != nil {
@@ -186,8 +197,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.Chips < 2 || c.Chips > 8:
 		return fmt.Errorf("gpu: chips must be in 2..8, got %d", c.Chips)
-	case c.SMsPerChip < 1 || c.WarpsPerSM < 1:
-		return fmt.Errorf("gpu: need SMs and warps, got %d/%d", c.SMsPerChip, c.WarpsPerSM)
+	case c.SMsPerChip < 1 || c.SMsPerChip > MaxSMsPerChip:
+		return fmt.Errorf("gpu: SMsPerChip must be in 1..%d, got %d", MaxSMsPerChip, c.SMsPerChip)
+	case c.WarpsPerSM < 1 || c.WarpsPerSM > MaxWarpsPerSM:
+		return fmt.Errorf("gpu: WarpsPerSM must be in 1..%d, got %d", MaxWarpsPerSM, c.WarpsPerSM)
 	case c.SMsPerCluster < 1 || c.SMsPerChip%c.SMsPerCluster != 0:
 		return fmt.Errorf("gpu: SMsPerCluster %d must divide SMsPerChip %d", c.SMsPerCluster, c.SMsPerChip)
 	case c.SlicesPerChip < 1 || c.ChannelsPerChip < 1:

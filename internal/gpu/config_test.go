@@ -112,10 +112,12 @@ func TestValidateWaysRange(t *testing.T) {
 }
 
 // TestValidateStructuralLimits pins the upper bounds the fixed structures of
-// the cycle loop need — the MSHR table is sized eagerly from MSHRPerSlice and
-// a chip tracks its busy slices in one 64-bit word — as Validate errors. Both
-// fields reach Validate from a POST /v1/jobs body; an accepted value must
-// also build.
+// the cycle loop need — the MSHR table is sized eagerly from MSHRPerSlice, a
+// chip tracks its busy slices in one 64-bit word and its live SMs in a fixed
+// set of them, an SM its runnable warps in one word — as Validate errors.
+// Every one of these fields reaches Validate from a POST /v1/jobs body, and
+// SMsPerChip and WarpsPerSM size make calls behind it; an accepted value
+// must also build.
 func TestValidateStructuralLimits(t *testing.T) {
 	cases := []struct {
 		name string
@@ -133,6 +135,15 @@ func TestValidateStructuralLimits(t *testing.T) {
 			c.SlicesPerChip, c.ChannelsPerChip = MaxSlicesPerChip+1, 1
 			c.LLCBytesPerChip = (MaxSlicesPerChip + 1) * 16 * 128
 		}, false},
+		{"SMsPerChip 0", func(c *Config) { c.SMsPerChip = 0 }, false},
+		{"SMsPerChip at the limit", func(c *Config) { c.SMsPerChip = MaxSMsPerChip }, true},
+		{"SMsPerChip one over", func(c *Config) { c.SMsPerChip = MaxSMsPerChip + 1 }, false},
+		{"SMsPerChip one cluster over", func(c *Config) { c.SMsPerChip = MaxSMsPerChip + c.SMsPerCluster }, false},
+		{"SMsPerChip 1<<40", func(c *Config) { c.SMsPerChip = 1 << 40 }, false},
+		{"WarpsPerSM 0", func(c *Config) { c.WarpsPerSM = 0 }, false},
+		{"WarpsPerSM at the limit", func(c *Config) { c.WarpsPerSM = MaxWarpsPerSM }, true},
+		{"WarpsPerSM one over", func(c *Config) { c.WarpsPerSM = MaxWarpsPerSM + 1 }, false},
+		{"WarpsPerSM 1<<40", func(c *Config) { c.WarpsPerSM = 1 << 40 }, false},
 		{"PaperConfig", func(c *Config) { *c = PaperConfig() }, true},
 		{"ScaledConfig", func(c *Config) {}, true},
 	}

@@ -193,16 +193,10 @@ func pipesNext(c *chip, now int64) int64 {
 	if c.sliceBusy != 0 {
 		return now + 1
 	}
-	if c.hitInFlight == 0 {
-		return -1
+	if due, ok := c.hitDelay.NextDue(); ok {
+		return due
 	}
-	next := int64(-1)
-	for i := range c.slices {
-		if due, ok := c.slices[i].hitDelay.NextDue(); ok && (next < 0 || due < next) {
-			next = due
-		}
-	}
-	return next
+	return -1
 }
 
 // warpsNext is the next-event source over one chip's SMs: the earliest

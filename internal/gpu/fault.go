@@ -159,12 +159,11 @@ func (s *System) newStallError() *StallError {
 	}
 	b.WriteByte('\n')
 	for _, c := range s.chips {
-		fmt.Fprintf(&b, "  chip %d: reqNet=%d respNet=%d dram=%d", c.idx,
-			c.reqNet.Pending(), c.respNet.Pending(), c.mem.Pending())
+		fmt.Fprintf(&b, "  chip %d: reqNet=%d respNet=%d dram=%d hits=%d", c.idx,
+			c.reqNet.Pending(), c.respNet.Pending(), c.mem.Pending(), c.hitDelay.Len())
 		for si := range c.slices {
 			sl := &c.slices[si]
-			fmt.Fprintf(&b, " slice%d[q=%d mshr=%d fill=%d]", si,
-				sl.lookupQ.Len(), sl.mshr.Len(), sl.hitDelay.Len())
+			fmt.Fprintf(&b, " slice%d[q=%d mshr=%d]", si, sl.lookupQ.Len(), sl.mshr.Len())
 		}
 		b.WriteByte('\n')
 	}

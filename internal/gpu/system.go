@@ -14,6 +14,7 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/noc"
 	"repro/internal/obs"
+	"repro/internal/sm"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xchip"
@@ -207,7 +208,7 @@ func (s *System) runKernel() error {
 				streams[w] = s.spec.Stream(m, s.kernelIdx, c.idx, smu.Index(), w)
 			}
 			smu.LoadStreams(streams)
-			c.smWake[smu.Index()] = smu.SleepUntil()
+			c.setWake(smu.Index(), smu.SleepUntil())
 		}
 	}
 	s.kernelStartCycle = s.now
@@ -312,18 +313,9 @@ func (s *System) step() bool {
 func (s *System) phaseEarly(c *chip) {
 	now := s.now
 	c.mem.Tick(now, s.cfg.Geom.LineBytes, s.dramSinks[c.idx])
-	if c.hitInFlight > 0 {
-		for si := range c.slices {
-			sl := &c.slices[si]
-			for {
-				req, ok := sl.hitDelay.PopDue(now)
-				if !ok {
-					break
-				}
-				c.hitInFlight--
-				s.respondFromSlice(c, si, req)
-			}
-		}
+	for c.hitDelay.HeadDue(now) {
+		req, _ := c.hitDelay.PopDue(now)
+		s.respondFromSlice(c, req.Slice, req)
 	}
 	c.respNet.Tick(now, s.respSinks[c.idx])
 }
@@ -355,43 +347,49 @@ func (s *System) issueChip(c *chip) {
 		return
 	}
 	r := s.run
-	minWake := int64(1) << 62
-	// Walk the wake mirror; an SM is touched only when it may issue.
-	for i, w := range c.smWake {
-		if s.now < w {
+	minWake := sm.Never
+	// Walk the SMs that can wake on their own, in index order; one is touched
+	// only when it may issue. The others sleep until a Receive: they would
+	// add sm.Never to minWake, its initial value.
+	for word, live := range c.smLive {
+		for ; live != 0; live &= live - 1 {
+			i := word<<6 + bits.TrailingZeros64(live)
+			w := c.smWake[i]
+			if s.now < w {
+				if w < minWake {
+					minWake = w
+				}
+				continue // no warp can issue yet (lowered by Receive)
+			}
+			smu := c.sms[i]
+			cluster := int(c.smCluster[i])
+			res := smu.Issue(s.now, c.reqNet.CanInject(cluster), &s.nextID)
+			w = smu.SleepUntil()
+			c.setWake(i, w)
 			if w < minWake {
-				minWake = w
+				minWake = w // post-attempt hint: ≤ now when the SM stays hot
 			}
-			continue // no warp can issue yet (cleared by Receive)
-		}
-		smu := c.sms[i]
-		cluster := int(c.smCluster[i])
-		res := smu.Issue(s.now, c.reqNet.CanInject(cluster), &s.nextID)
-		w = smu.SleepUntil()
-		c.smWake[i] = w
-		if w < minWake {
-			minWake = w // post-attempt hint: ≤ now when the SM stays hot
-		}
-		if !res.Issued {
-			continue
-		}
-		r.MemOps++
-		if res.IsWrite {
-			r.Writes++
-		} else {
-			r.Reads++
-			switch {
-			case res.L1Hit:
-				r.L1Hits++
-			case res.Merged:
-				r.L1Misses++
-				r.L1Merged++
-			default:
-				r.L1Misses++
+			if !res.Issued {
+				continue
 			}
-		}
-		if res.Req != nil {
-			s.dispatch(c, cluster, res.Req)
+			r.MemOps++
+			if res.IsWrite {
+				r.Writes++
+			} else {
+				r.Reads++
+				switch {
+				case res.L1Hit:
+					r.L1Hits++
+				case res.Merged:
+					r.L1Misses++
+					r.L1Merged++
+				default:
+					r.L1Misses++
+				}
+			}
+			if res.Req != nil {
+				s.dispatch(c, cluster, res.Req)
+			}
 		}
 	}
 	c.wakeHint = minWake
@@ -518,35 +516,33 @@ func (s *System) dispatch(c *chip, cluster int, req *memsys.Request) {
 }
 
 // reqSink handles messages leaving a chip's request crossbar. It is a
-// concrete noc.Sink, not a pair of closures: the crossbar calls it once or
-// twice per moved message.
+// concrete noc.Sink, not a closure: the crossbar calls it once per offered
+// message.
 type reqSink struct {
 	s       *System
 	c       *chip
 	ringOut int
 }
 
-func (k *reqSink) CanAccept(out int, m noc.Message) bool {
-	if out == k.ringOut {
-		return k.s.ring.CanInject(k.c.idx, k.s.reqRingDst(m.Req), m.Req.Line)
-	}
-	return !k.c.slices[out].lookupQ.Full()
-}
-
-func (k *reqSink) Accept(out int, m noc.Message) {
+func (k *reqSink) Offer(out int, req *memsys.Request, bytes int) bool {
 	s, c := k.s, k.c
 	if out == k.ringOut {
-		m.Req.Stage = memsys.StageRingReq
-		s.ring.Inject(xchip.Message{
-			Req: m.Req, Src: c.idx, Dst: s.reqRingDst(m.Req),
-			Bytes: m.Bytes,
-		})
-		return
+		if !s.ring.CanInject(c.idx, s.reqRingDst(req), req.Line) {
+			return false
+		}
+		req.Stage = memsys.StageRingReq
+		s.ring.Inject(xchip.Message{Req: req, Src: c.idx, Dst: s.reqRingDst(req), Bytes: bytes})
+		return true
 	}
-	m.Req.Stage = memsys.StageLLC
-	c.slices[out].lookupQ.Push(m.Req)
+	sl := &c.slices[out]
+	if sl.lookupQ.Full() {
+		return false
+	}
+	req.Stage = memsys.StageLLC
+	sl.lookupQ.Push(req)
 	c.sliceBusy |= 1 << uint(out)
 	c.pipeSig++
+	return true
 }
 
 // reqRingDst returns the chip a request-side ring message is heading to.
@@ -567,22 +563,17 @@ type respSink struct {
 	ringOut int
 }
 
-func (k *respSink) CanAccept(out int, m noc.Message) bool {
+func (k *respSink) Offer(out int, req *memsys.Request, bytes int) bool {
 	if out == k.ringOut {
-		return k.s.ring.CanInject(k.c.idx, m.Req.SrcChip, m.Req.Line)
+		if !k.s.ring.CanInject(k.c.idx, req.SrcChip, req.Line) {
+			return false
+		}
+		req.Stage = memsys.StageRingResp
+		k.s.ring.Inject(xchip.Message{Req: req, Src: k.c.idx, Dst: req.SrcChip, Bytes: bytes})
+		return true
 	}
-	return true // SMs always absorb responses
-}
-
-func (k *respSink) Accept(out int, m noc.Message) {
-	if out == k.ringOut {
-		m.Req.Stage = memsys.StageRingResp
-		k.s.ring.Inject(xchip.Message{
-			Req: m.Req, Src: k.c.idx, Dst: m.Req.SrcChip, Bytes: m.Bytes,
-		})
-		return
-	}
-	k.s.deliverToSM(k.c, m.Req)
+	k.s.deliverToSM(k.c, req) // SMs always absorb responses
+	return true
 }
 
 // deliverToSM completes a load at its SM.
@@ -593,7 +584,7 @@ func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 	smu.Receive(s.now, req)
 	c.warpSig++
 	w := smu.SleepUntil()
-	c.smWake[req.SrcSM] = w
+	c.setWake(req.SrcSM, w)
 	if w < c.wakeHint {
 		c.wakeHint = w
 	}
@@ -678,12 +669,14 @@ func (s *System) ringResponseArrived(c *chip, req *memsys.Request) {
 // releases MSHR waiters and generates the responses.
 func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Partition, remote bool) {
 	sl := &c.slices[si]
-	victim, evicted := sl.arr.Fill(req.Line, req.Sector, part, remote)
+	// wi is the way now holding the line for the primary and every waiter
+	// (they all wait on req.Line); -1 when a disabled slice kept nothing.
+	victim, evicted, wi := sl.arr.Fill(req.Line, req.Sector, part, remote)
 	if evicted {
 		s.evict(c, victim)
 	}
 	if req.Kind == memsys.Write {
-		sl.arr.MarkDirty(req.Line)
+		sl.arr.MarkDirtyWay(wi)
 	}
 	if s.hwCoh {
 		if d := c.dirFor(s, req.Line); d != nil {
@@ -695,11 +688,9 @@ func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Part
 	for _, w := range waiters {
 		w.Origin = req.Origin
 		w.LLCHit = req.LLCHit
-		if w.Kind == memsys.Write {
-			sl.arr.MarkDirty(w.Line)
-		}
 		s.respondAfterFill(c, si, w)
 		if w.Kind == memsys.Write {
+			sl.arr.MarkDirtyWay(wi)
 			s.retire(w) // write-through stores are absorbed at the fill
 		}
 	}
@@ -851,8 +842,7 @@ func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (don
 			s.writeInvalidate(c, req)
 			return true, true, lineBytes // stores deposit a line of data and die here
 		}
-		sl.hitDelay.Insert(s.now, s.cfg.LLCLatency, req)
-		c.hitInFlight++
+		c.hitDelay.Insert(s.now, s.cfg.LLCLatency, req)
 		c.pipeSig++
 		return true, false, lineBytes
 	}
@@ -996,12 +986,13 @@ func (s *System) dramDone(c *chip, req *memsys.Request) {
 	route := llc.RouteFor(s.mode, req.SrcChip, req.HomeChip)
 	part := route.HomePart
 	sl := &c.slices[req.Slice]
-	victim, evicted := sl.arr.Fill(req.Line, req.Sector, part, false)
+	// wi: as in fillSlice.
+	victim, evicted, wi := sl.arr.Fill(req.Line, req.Sector, part, false)
 	if evicted {
 		s.evict(c, victim)
 	}
 	if req.Kind == memsys.Write {
-		sl.arr.MarkDirty(req.Line)
+		sl.arr.MarkDirtyWay(wi)
 		s.writeInvalidate(c, req)
 	}
 	if s.hwCoh {
@@ -1013,11 +1004,9 @@ func (s *System) dramDone(c *chip, req *memsys.Request) {
 	s.respondMemFill(c, req)
 	for _, w := range waiters {
 		w.Origin = req.Origin
-		if w.Kind == memsys.Write {
-			sl.arr.MarkDirty(w.Line)
-		}
 		s.respondMemFill(c, w)
 		if w.Kind == memsys.Write {
+			sl.arr.MarkDirtyWay(wi)
 			s.retire(w) // write-through stores are absorbed at the fill
 		}
 	}

@@ -55,12 +55,15 @@ func FuzzJobsHTTP(f *testing.F) {
 	// A config replaces the preset wholesale, so the {"Chips":0} seed above
 	// fails at Validate's first check; only a complete config with one field
 	// off reaches the cache-geometry arithmetic behind it — or the eagerly
-	// sized MSHR table an oversized MSHRPerSlice would ask for.
+	// sized MSHR table an oversized MSHRPerSlice would ask for, or the SM and
+	// warp slices an unbounded SMsPerChip or WarpsPerSM would.
 	for _, set := range []func(*gpu.Config){
 		func(c *gpu.Config) { c.L1Ways = 0 },
 		func(c *gpu.Config) { c.L1Ways = -8 },
 		func(c *gpu.Config) { c.LLCWays = 128 },
 		func(c *gpu.Config) { c.MSHRPerSlice = 1 << 40 },
+		func(c *gpu.Config) { c.SMsPerChip = 1 << 40 },
+		func(c *gpu.Config) { c.WarpsPerSM = 1 << 40 },
 	} {
 		cfg := gpu.ScaledConfig()
 		set(&cfg)

@@ -37,11 +37,13 @@ type Config struct {
 	IngressBound int     // per-input-queue back-pressure threshold (0 = unbounded)
 }
 
-// Sink receives messages leaving the crossbar. CanAccept lets the sink
-// back-pressure an output port; Accept must succeed after CanAccept.
+// Sink receives messages leaving the crossbar. Offer either takes delivery of
+// a message at output port out — its request and wire cost — and returns
+// true, or refuses it and returns false, which back-pressures the port: the
+// message stays at the head of its input queue and is offered again next
+// cycle. A refusal must leave no trace.
 type Sink interface {
-	CanAccept(out int, m Message) bool
-	Accept(out int, m Message)
+	Offer(out int, req *memsys.Request, bytes int) bool
 }
 
 // inPort is one input port: its ingress queue and bandwidth bucket held by
@@ -246,7 +248,7 @@ func (x *Crossbar) drainPort(now int64, in int, sink Sink) bool {
 		op := &x.out[out]
 		op.bkt.Advance(now - op.adv)
 		op.adv = now
-		if !op.bkt.CanTake() || !sink.CanAccept(out, head) {
+		if !op.bkt.CanTake() || !sink.Offer(out, head.Req, head.Bytes) {
 			return true // head-of-line blocks this input port this cycle
 		}
 		q.Pop()
@@ -255,7 +257,6 @@ func (x *Crossbar) drainPort(now int64, in int, sink Sink) bool {
 		op.bkt.Take(head.Bytes)
 		x.BytesMoved += int64(head.Bytes)
 		x.MsgsMoved++
-		sink.Accept(out, head)
 	}
 	if q.Empty() {
 		x.nonEmpty &^= 1 << uint(in)

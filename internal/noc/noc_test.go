@@ -7,23 +7,34 @@ import (
 	"repro/internal/memsys"
 )
 
+// offered rebuilds the message behind an Offer, for the test sinks that record
+// what they were handed. The input port is read back from Req.SrcSM, where
+// msg put it (tests that inject bare messages do not look at it).
+func offered(out int, req *memsys.Request, bytes int) Message {
+	m := Message{Req: req, Out: out, Bytes: bytes}
+	if req != nil {
+		m.In = req.SrcSM
+	}
+	return m
+}
+
 // SinkFunc adapts a pair of functions to the Sink interface, for tests (the
-// simulator's own sinks are concrete structs).
+// simulator's own sinks are concrete structs): an Offer is accepted, and
+// handed to AcceptF, unless CanAcceptF refuses it.
 type SinkFunc struct {
 	CanAcceptF func(out int, m Message) bool
 	AcceptF    func(out int, m Message)
 }
 
-// CanAccept implements Sink.
-func (s SinkFunc) CanAccept(out int, m Message) bool {
-	if s.CanAcceptF == nil {
-		return true
+// Offer implements Sink.
+func (s SinkFunc) Offer(out int, req *memsys.Request, bytes int) bool {
+	m := offered(out, req, bytes)
+	if s.CanAcceptF != nil && !s.CanAcceptF(out, m) {
+		return false
 	}
-	return s.CanAcceptF(out, m)
+	s.AcceptF(out, m)
+	return true
 }
-
-// Accept implements Sink.
-func (s SinkFunc) Accept(out int, m Message) { s.AcceptF(out, m) }
 
 type collector struct {
 	got     [][]Message
@@ -35,14 +46,17 @@ func newCollector(outs int) *collector {
 	return &collector{got: make([][]Message, outs), refuse: map[int]bool{}}
 }
 
-func (c *collector) CanAccept(out int, m Message) bool { return !c.refuse[out] }
-func (c *collector) Accept(out int, m Message) {
-	c.got[out] = append(c.got[out], m)
+func (c *collector) Offer(out int, req *memsys.Request, bytes int) bool {
+	if c.refuse[out] {
+		return false
+	}
+	c.got[out] = append(c.got[out], offered(out, req, bytes))
 	c.accepts++
+	return true
 }
 
 func msg(in, out, bytes int) Message {
-	return Message{Req: &memsys.Request{}, In: in, Out: out, Bytes: bytes}
+	return Message{Req: &memsys.Request{SrcSM: in}, In: in, Out: out, Bytes: bytes}
 }
 
 func TestCrossbarDelivers(t *testing.T) {
@@ -176,12 +190,15 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 func TestSinkFuncDefaults(t *testing.T) {
 	var got []Message
 	s := SinkFunc{AcceptF: func(_ int, m Message) { got = append(got, m) }}
-	if !s.CanAccept(3, msg(0, 0, 1)) {
+	if !s.Offer(3, &memsys.Request{}, 1) {
 		t.Fatal("nil CanAcceptF should accept")
 	}
-	s.Accept(0, msg(0, 0, 1))
 	if len(got) != 1 {
 		t.Fatal("AcceptF not invoked")
+	}
+	s.CanAcceptF = func(int, Message) bool { return false }
+	if s.Offer(3, &memsys.Request{}, 1) || len(got) != 1 {
+		t.Fatal("a refused offer was delivered")
 	}
 }
 
@@ -238,8 +255,13 @@ type wideSink struct {
 	accepted []Message
 }
 
-func (s *wideSink) CanAccept(out int, m Message) bool { return out != 3 || s.now%5 != 0 }
-func (s *wideSink) Accept(out int, m Message)         { s.accepted = append(s.accepted, m) }
+func (s *wideSink) Offer(out int, req *memsys.Request, bytes int) bool {
+	if out == 3 && s.now%5 == 0 {
+		return false
+	}
+	s.accepted = append(s.accepted, offered(out, req, bytes))
+	return true
+}
 
 // TestCrossbarWidePortsMatchMask covers the fork a 160-SM chip selects and no
 // test built: with more than 64 input ports Tick scans every port instead of

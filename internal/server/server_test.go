@@ -102,6 +102,8 @@ func TestValidationRejectedWith400(t *testing.T) {
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.LLCWays = 128 })},
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.MSHRPerSlice = 1 << 40 })},
 		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.SlicesPerChip = 128 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.SMsPerChip = 1 << 40 })},
+		{Benchmark: "RN", Org: "SAC", Config: ways(func(c *gpu.Config) { c.WarpsPerSM = 1 << 40 })},
 		{Benchmark: "no-such-benchmark", Org: "SAC"},
 		{Benchmark: "RN", Org: "no-such-org"},
 		{Benchmark: "RN", Org: "SAC", Preset: "no-such-preset"},

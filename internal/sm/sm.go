@@ -13,6 +13,9 @@
 package sm
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/addr"
 	"repro/internal/cache"
 	"repro/internal/memsys"
@@ -21,23 +24,23 @@ import (
 
 // Config sizes one SM.
 type Config struct {
+	// Pool, when non-nil, supplies recycled Request objects; the owning
+	// cycle loop retires them back at response delivery.
+	Pool    *memsys.Pool
+	Geom    memsys.Geometry
 	Chip    int
 	Index   int // SM index within the chip
 	L1Lines int
 	L1Ways  int
-	Geom    memsys.Geometry
 	Sectors int // effective LLC sectors (for the per-chip sector of requests)
-	// Pool, when non-nil, supplies recycled Request objects; the owning
-	// cycle loop retires them back at response delivery.
-	Pool *memsys.Pool
 }
 
 // warp is one warp's execution state.
 type warp struct {
 	stream  workload.AccessStream
 	next    workload.Access
-	hasNext bool
 	readyAt int64
+	hasNext bool
 	blocked bool
 	done    bool
 }
@@ -57,10 +60,8 @@ type pendingLine struct {
 
 // SM is one streaming multiprocessor.
 type SM struct {
-	cfg    Config
-	l1     *cache.Cache
-	warps  []warp
-	greedy int
+	l1    *cache.Cache
+	warps []warp
 
 	// Outstanding L1 load misses. A blocked warp waits on exactly one line
 	// and cannot issue, so there are never more entries than warps: a small
@@ -70,9 +71,24 @@ type SM struct {
 	pending  []pendingLine
 	waitNext []int32
 
+	cfg    Config
+	greedy int
+	// runnable has bit i set exactly while warp i is neither done nor
+	// blocked — the only warps the scheduler considers (hence MaxWarps).
+	// Written wherever either flag changes: LoadStreams, advance, block,
+	// Receive.
+	runnable   uint64
 	doneWarps  int
 	sleepUntil int64 // no warp can issue before this cycle (scheduler skip hint)
 }
+
+// MaxWarps is the most warps one SM schedules: one bit each in the runnable
+// word. gpu.Config.Validate bounds WarpsPerSM by it.
+const MaxWarps = 64
+
+// Never is the SleepUntil of an SM with no runnable warp: it cannot issue
+// until a Receive unblocks one (or ever, once its kernel has retired).
+const Never = int64(1) << 62
 
 // New builds an SM.
 func New(cfg Config) *SM {
@@ -99,6 +115,9 @@ func (s *SM) Index() int { return s.cfg.Index }
 // LoadStreams installs one access stream per warp for a kernel invocation.
 func (s *SM) LoadStreams(streams []workload.AccessStream) {
 	n := len(streams)
+	if n > MaxWarps {
+		panic(fmt.Sprintf("sm: %d warps exceed the %d the runnable word holds", n, MaxWarps))
+	}
 	if cap(s.warps) < n {
 		s.warps = make([]warp, n)
 		s.pending = make([]pendingLine, 0, n)
@@ -107,11 +126,14 @@ func (s *SM) LoadStreams(streams []workload.AccessStream) {
 	s.warps = s.warps[:n]
 	s.pending = s.pending[:0]
 	s.doneWarps = 0
+	s.runnable = 0
 	for i, st := range streams {
 		s.warps[i] = warp{stream: st}
 		s.warps[i].fetch()
 		if s.warps[i].done {
 			s.doneWarps++
+		} else {
+			s.runnable |= 1 << uint(i)
 		}
 	}
 	s.greedy = 0
@@ -148,13 +170,28 @@ func (s *SM) NextEvent(now int64) int64 {
 		return -1
 	}
 	w := s.sleepUntil
-	if w >= 1<<62 {
+	if w >= Never {
 		return -1
 	}
 	if w <= now {
 		return now + 1
 	}
 	return w
+}
+
+// CheckRunnable verifies the runnable word against the warps' own flags.
+// Invariant tests call it between simulated cycles; nothing else does.
+func (s *SM) CheckRunnable() error {
+	var want uint64
+	for i := range s.warps {
+		if w := &s.warps[i]; !w.done && !w.blocked {
+			want |= 1 << uint(i)
+		}
+	}
+	if s.runnable != want {
+		return fmt.Errorf("sm %d/%d: runnable %b, warps say %b", s.cfg.Chip, s.cfg.Index, s.runnable, want)
+	}
+	return nil
 }
 
 // FlushL1 invalidates the L1 (software coherence at kernel boundaries).
@@ -167,32 +204,36 @@ func (s *SM) L1() *cache.Cache { return s.l1 }
 func (s *SM) L1Stats() (hits, misses int64) { return s.l1.Hits, s.l1.Misses }
 
 // pickWarp applies GTO: the current warp while it can issue, else the
-// oldest (lowest index) ready warp.
-func (s *SM) pickWarp(now int64) int {
-	if len(s.warps) == 0 {
-		return -1
+// oldest (lowest index) ready warp. When no warp can issue it returns -1 and
+// the cycle the earliest runnable warp becomes ready — Never, without
+// touching a warp, when every live warp is blocked.
+func (s *SM) pickWarp(now int64) (wi int, wake int64) {
+	run := s.runnable
+	if run>>uint(s.greedy)&1 != 0 && s.warps[s.greedy].readyAt <= now {
+		return s.greedy, 0
 	}
-	g := &s.warps[s.greedy]
-	if !g.done && !g.blocked && g.readyAt <= now {
-		return s.greedy
-	}
-	for i := range s.warps {
-		w := &s.warps[i]
-		if !w.done && !w.blocked && w.readyAt <= now {
+	wake = Never
+	for ; run != 0; run &= run - 1 {
+		i := bits.TrailingZeros64(run)
+		at := s.warps[i].readyAt
+		if at <= now {
 			s.greedy = i
-			return i
+			return i, 0
+		}
+		if at < wake {
+			wake = at
 		}
 	}
-	return -1
+	return -1, wake
 }
 
 // IssueResult describes what the SM did in one cycle.
 type IssueResult struct {
 	Req     *memsys.Request // non-nil when a request must enter the NoC
+	Warp    int
 	L1Hit   bool
 	IsWrite bool
 	Issued  bool
-	Warp    int
 	Merged  bool // load miss merged into an outstanding same-SM miss
 }
 
@@ -204,54 +245,45 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 	if now < s.sleepUntil {
 		return IssueResult{}
 	}
-	wi := s.pickWarp(now)
+	wi, wake := s.pickWarp(now)
 	if wi < 0 {
 		// Record when the next unblocked warp becomes ready so the cycle
-		// loop can skip this SM until then (Receive clears the hint).
-		wake := int64(1) << 62
-		for i := range s.warps {
-			w := &s.warps[i]
-			if !w.done && !w.blocked && w.readyAt < wake {
-				wake = w.readyAt
-			}
-		}
+		// loop can skip this SM until then (Receive lowers the hint).
 		s.sleepUntil = wake
 		return IssueResult{}
 	}
 	w := &s.warps[wi]
 	acc := w.next
 
-	advance := func() {
-		w.fetch()
-		if w.done {
-			s.doneWarps++
-		}
-	}
-
 	if acc.Kind == memsys.Read {
-		if s.l1.Lookup(acc.Line, 0) {
-			w.readyAt = now + int64(acc.Gap) + 1
-			advance()
-			return IssueResult{Issued: true, L1Hit: true, Warp: wi}
+		// Probe first and count the access only once it goes through: a load
+		// miss the NoC port refuses retries every cycle and must not be
+		// re-counted.
+		way := s.l1.FindLine(acc.Line)
+		pi := -1
+		if way < 0 {
+			if pi = s.findPending(acc.Line); pi < 0 && !canInject {
+				return IssueResult{}
+			}
 		}
-		if pi := s.findPending(acc.Line); pi >= 0 {
+		switch {
+		case s.l1.CommitLookup(way, 0):
+			w.readyAt = now + int64(acc.Gap) + 1
+			s.advance(wi)
+			return IssueResult{Issued: true, L1Hit: true, Warp: wi}
+		case pi >= 0:
 			p := &s.pending[pi]
 			s.waitNext[p.tail] = int32(wi)
 			s.waitNext[wi] = -1
 			p.tail = int32(wi)
-			w.blocked = true
-			advance()
+			s.block(wi)
 			return IssueResult{Issued: true, Warp: wi, Merged: true}
-		}
-		if !canInject {
-			return IssueResult{}
 		}
 		*nextID++
 		req := s.newRequest(*nextID, memsys.Read, acc.Line, now, wi)
 		s.pending = append(s.pending, pendingLine{line: acc.Line, head: int32(wi), tail: int32(wi)})
 		s.waitNext[wi] = -1
-		w.blocked = true
-		advance()
+		s.block(wi)
 		return IssueResult{Req: req, Issued: true, Warp: wi}
 	}
 
@@ -262,8 +294,26 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 	*nextID++
 	req := s.newRequest(*nextID, memsys.Write, acc.Line, now, wi)
 	w.readyAt = now + int64(acc.Gap) + 1
-	advance()
+	s.advance(wi)
 	return IssueResult{Req: req, Issued: true, IsWrite: true, Warp: wi}
+}
+
+// advance moves warp wi to its next access; a warp whose stream ended
+// retires (possibly while blocked on its last load).
+func (s *SM) advance(wi int) {
+	w := &s.warps[wi]
+	w.fetch()
+	if w.done {
+		s.doneWarps++
+		s.runnable &^= 1 << uint(wi)
+	}
+}
+
+// block parks warp wi on the load it just issued or merged, then advances it.
+func (s *SM) block(wi int) {
+	s.warps[wi].blocked = true
+	s.runnable &^= 1 << uint(wi)
+	s.advance(wi)
 }
 
 func (s *SM) newRequest(id uint64, kind memsys.AccessKind, line uint64, now int64, wi int) *memsys.Request {
@@ -301,6 +351,9 @@ func (s *SM) Receive(now int64, req *memsys.Request) (unblocked int) {
 	for ; wi >= 0; wi = s.waitNext[wi] {
 		w := &s.warps[wi]
 		w.blocked = false
+		if !w.done {
+			s.runnable |= 1 << uint(wi)
+		}
 		w.readyAt = now + 1
 		if w.hasNext {
 			w.readyAt += int64(w.next.Gap)

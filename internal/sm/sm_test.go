@@ -151,15 +151,16 @@ func TestRespectsCanInject(t *testing.T) {
 
 func TestGTOGreedyThenOldest(t *testing.T) {
 	s := smUnderTest(t)
-	first := s.pickWarp(1)
+	first, _ := s.pickWarp(1)
 	if first < 0 {
 		t.Fatal("no warp ready")
 	}
-	if again := s.pickWarp(1); again != first {
+	if again, _ := s.pickWarp(1); again != first {
 		t.Fatalf("greedy pick changed: %d -> %d", first, again)
 	}
 	s.warps[first].blocked = true
-	next := s.pickWarp(1)
+	s.runnable &^= 1 << uint(first)
+	next, _ := s.pickWarp(1)
 	if next == first || next < 0 {
 		t.Fatalf("fallback pick %d", next)
 	}

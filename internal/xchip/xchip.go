@@ -289,11 +289,8 @@ func (r *Ring) Tick(now int64, sink Sink) {
 		for d := 0; d < 2; d++ {
 			dir := Direction(d)
 			wire := &r.links[c][d].inFlight
-			for {
-				m, ok := wire.PopDue(now)
-				if !ok {
-					break
-				}
+			for wire.HeadDue(now) {
+				m, _ := wire.PopDue(now)
 				at := r.next(c, dir)
 				if at == m.Dst {
 					if sink.CanAccept(at, m) {
