@@ -67,13 +67,14 @@ clustersmoke:
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
 # fuzz is a short smoke of the untrusted-input decoders (the trace reader,
-# the store's object reader, and the jobs HTTP surface sacd and saccoord
-# share). An exec-count budget keeps the wall time stable on single-core CI
+# the store's object reader, the jobs HTTP surface sacd and saccoord share,
+# and the journal's replay). An exec-count budget keeps the wall time stable on single-core CI
 # runners; long campaigns run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzJobsHTTP -fuzztime 20000x ./internal/jobs
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 20000x ./internal/journal
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.

@@ -7,7 +7,7 @@
 //	sacsweep -exp all -set fast       # every experiment
 //
 // Experiments: table4, fig1, fig8, fig9, fig10, fig11, fig12, fig13, fig14,
-// headline, ablation, all.
+// headline, ablation, noccost, eabval, all.
 package main
 
 import (
@@ -192,96 +192,58 @@ func emit(res printer, id string, jsonOut bool) error {
 	return enc.Encode(map[string]any{"experiment": id, "result": res})
 }
 
+// experiment adapts an experiment method to the table's common shape.
+func experiment[T printer](f func(*sac.Runner) (T, error)) func(*sac.Runner) (printer, error) {
+	return func(r *sac.Runner) (printer, error) {
+		res, err := f(r)
+		return res, err
+	}
+}
+
+// experiments maps an experiment id to the run that produces its result;
+// "ablation" is the one id that produces several (ablations).
+var experiments = map[string]func(*sac.Runner) (printer, error){
+	"table4":   experiment((*sac.Runner).Table4),
+	"fig1":     experiment((*sac.Runner).Fig1),
+	"fig8":     experiment((*sac.Runner).Fig8),
+	"fig9":     experiment((*sac.Runner).Fig9),
+	"fig10":    experiment((*sac.Runner).Fig10),
+	"fig11":    experiment((*sac.Runner).Fig11),
+	"fig12":    experiment((*sac.Runner).Fig12),
+	"fig13":    func(r *sac.Runner) (printer, error) { return r.Fig13(nil, nil) },
+	"fig14":    func(r *sac.Runner) (printer, error) { return r.Fig14(nil) },
+	"headline": experiment((*sac.Runner).Headline),
+	"noccost": func(*sac.Runner) (printer, error) {
+		return noccost.Compare(noccost.PaperShape(), noccost.Tech22()), nil
+	},
+	"eabval": experiment((*sac.Runner).ValidateEAB),
+}
+
+var ablations = []func(*sac.Runner) (printer, error){
+	experiment((*sac.Runner).AblateTheta),
+	experiment((*sac.Runner).AblateWindow),
+	experiment((*sac.Runner).AblateLSU),
+	experiment((*sac.Runner).AblateDecisionCache),
+	experiment((*sac.Runner).AblateReprofile),
+}
+
 func runExperiment(r *sac.Runner, id string, jsonOut bool) error {
-	out := os.Stdout
-	_ = out
-	switch id {
-	case "table4":
-		res, err := r.Table4()
+	runs := ablations
+	if id != "ablation" {
+		run, ok := experiments[id]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		runs = []func(*sac.Runner) (printer, error){run}
+	}
+	for _, run := range runs {
+		res, err := run(r)
 		if err != nil {
 			return err
 		}
-		return emit(res, id, jsonOut)
-	case "fig1":
-		res, err := r.Fig1()
-		if err != nil {
+		if err := emit(res, id, jsonOut); err != nil {
 			return err
 		}
-		return emit(res, id, jsonOut)
-	case "fig8":
-		res, err := r.Fig8()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig9":
-		res, err := r.Fig9()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig10":
-		res, err := r.Fig10()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig11":
-		res, err := r.Fig11()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig12":
-		res, err := r.Fig12()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig13":
-		res, err := r.Fig13(nil, nil)
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "fig14":
-		res, err := r.Fig14(nil)
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "headline":
-		res, err := r.Headline()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "noccost":
-		return emit(noccost.Compare(noccost.PaperShape(), noccost.Tech22()), id, jsonOut)
-	case "eabval":
-		res, err := r.ValidateEAB()
-		if err != nil {
-			return err
-		}
-		return emit(res, id, jsonOut)
-	case "ablation":
-		for _, f := range []func() (printer, error){
-			func() (printer, error) { return r.AblateTheta() },
-			func() (printer, error) { return r.AblateWindow() },
-			func() (printer, error) { return r.AblateLSU() },
-			func() (printer, error) { return r.AblateDecisionCache() },
-			func() (printer, error) { return r.AblateReprofile() },
-		} {
-			res, err := f()
-			if err != nil {
-				return err
-			}
-			if err := emit(res, id, jsonOut); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
 	}
 	return nil
 }

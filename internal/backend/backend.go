@@ -35,20 +35,6 @@ const (
 	Exact    = "exact"
 )
 
-// Backend is one rung of the fidelity ladder: anything that can turn a
-// configured workload into a complete run record. All three rungs are
-// deterministic — same inputs, same bytes out — which is what lets results
-// from any rung live in the content-addressed store.
-type Backend interface {
-	// Fidelity returns the rung's canonical name (Estimate, Sampled, or
-	// "" for the cycle-exact default).
-	Fidelity() string
-	// Run executes one simulation. o.Fidelity is ignored here — rung
-	// selection already happened; the other options (faults, observer,
-	// context, workers) apply where the rung supports them.
-	Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error)
-}
-
 // Normalize canonicalises a fidelity name: "" and "exact" both mean the
 // cycle-exact default and normalise to "" (so legacy store keys and wire
 // requests are unchanged); "estimate" and "sampled" pass through; anything
@@ -71,39 +57,25 @@ func Display(f string) string {
 	return f
 }
 
-// For returns the rung implementing a fidelity name.
-func For(f string) (Backend, error) {
-	n, err := Normalize(f)
-	if err != nil {
-		return nil, err
-	}
-	switch n {
-	case Estimate:
-		return estimateBackend{}, nil
-	case Sampled:
-		return sampledBackend{}, nil
-	}
-	return exactBackend{}, nil
-}
-
 // Run dispatches one simulation to the rung named by o.Fidelity. This is
 // the single entry point sac.Run and the experiment engine route through;
 // the exact path is a plain tail call into gpu.RunWith, so default-fidelity
-// behaviour is byte-identical to calling the engine directly.
+// behaviour is byte-identical to calling the engine directly. All three
+// rungs are deterministic — same inputs, same bytes out — which is what lets
+// results from any rung live in the content-addressed store. The rungs see
+// o.Fidelity cleared — selection already happened; the other options
+// (faults, observer, context) apply where the rung supports them.
 func Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	b, err := For(o.Fidelity)
+	f, err := Normalize(o.Fidelity)
 	if err != nil {
 		return nil, err
 	}
 	o.Fidelity = ""
-	return b.Run(cfg, w, o)
-}
-
-// exactBackend is the cycle-exact rung: gpu.RunWith, unchanged.
-type exactBackend struct{}
-
-func (exactBackend) Fidelity() string { return "" }
-
-func (exactBackend) Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
+	switch f {
+	case Estimate:
+		return runEstimate(cfg, w, o)
+	case Sampled:
+		return runSampled(cfg, w, o)
+	}
 	return gpu.RunWith(cfg, w, o)
 }

@@ -54,17 +54,6 @@ var estimateWarpSteps int64 = defaultEstimateWarpSteps
 // is still a breadth-first sample of every warp.
 const estimateBurst = 8
 
-// estimateBackend is the closed-form rung: profile a stream prefix through
-// tag-only cache models, evaluate both organizations' EABs, synthesize a
-// Stats from the analytical bandwidths. No cycle loop runs.
-type estimateBackend struct{}
-
-func (estimateBackend) Fidelity() string { return Estimate }
-
-func (estimateBackend) Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	return runEstimate(cfg, w, o)
-}
-
 // tagCache is a tag-only LRU set-associative cache: it answers hit/miss and
 // models capacity and conflict behaviour, but holds no data, latencies or
 // MSHRs. Both the L1 filter and the memory-side LLC model of the estimate
@@ -210,6 +199,9 @@ const llcSampleShift = 3
 // clear it, so the rung's benchmarked cost includes the sampler.
 const llcSampleMinSets = 64
 
+// runEstimate is the closed-form rung: profile a stream prefix through
+// tag-only cache models, evaluate both organizations' EABs, synthesize a
+// Stats from the analytical bandwidths. No cycle loop runs.
 func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -8,19 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// sampledBackend is the interval-simulation rung: the real cycle-exact
-// engine runs each kernel's opening interval (enough to cover SAC's
-// profiling window, so decisions are taken by the genuine controller on
-// genuine traffic), and the remainder of each kernel is fast-forwarded analytically by scaling the
-// simulated interval to the kernel's full op count.
-type sampledBackend struct{}
-
-func (sampledBackend) Fidelity() string { return Sampled }
-
-func (sampledBackend) Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	return runSampled(cfg, w, o)
-}
-
 // sampledWarpCap returns the per-warp, per-kernel access budget of the
 // simulated interval. It must outlive the SAC profiling window: truncating
 // a kernel before its decision point would silently flip it back to
@@ -89,6 +76,11 @@ func (s *truncatedStream) Next() (workload.Access, bool) {
 	return s.inner.Next()
 }
 
+// runSampled is the interval-simulation rung: the real cycle-exact engine
+// runs each kernel's opening interval (enough to cover SAC's profiling
+// window, so decisions are taken by the genuine controller on genuine
+// traffic), and the remainder of each kernel is fast-forwarded analytically
+// by scaling the simulated interval to the kernel's full op count.
 func runSampled(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
 	opts := sacDefaults(cfg.SACOpts)
 	m := cfg.Machine()

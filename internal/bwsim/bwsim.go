@@ -223,6 +223,19 @@ func (d *DelayLine[T]) NextDue() (due int64, ok bool) {
 	return e.due, ok
 }
 
+// MinDue scans every in-flight item for the earliest due cycle: what NextDue
+// reports from the head alone while inserts keep the line ordered. Invariant
+// tests compare the two between simulated cycles; nothing else calls it.
+func (d *DelayLine[T]) MinDue() (due int64, ok bool) {
+	q := &d.entries
+	for i := 0; i < q.n; i++ {
+		if e := &q.buf[(q.head+i)&(len(q.buf)-1)]; !ok || e.due < due {
+			due, ok = e.due, true
+		}
+	}
+	return due, ok
+}
+
 // HeadDue reports whether the oldest in-flight item's due cycle has arrived.
 // It is the cheap half of a pop — small enough to inline at the call site, so
 // the common answer, "not yet", costs a compare instead of a call into the

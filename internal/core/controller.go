@@ -252,21 +252,6 @@ func (c *Controller) NextTimedEvent() int64 {
 	return -1
 }
 
-// NextEvent returns the earliest future cycle at which a timed trigger can
-// first fire (now+1 when one is already due), or -1 when no timed trigger
-// is pending — the NextEvent convention shared by the simulator's
-// event-scheduled components.
-func (c *Controller) NextEvent(now int64) int64 {
-	t := c.NextTimedEvent()
-	if t < 0 {
-		return -1
-	}
-	if t <= now {
-		return now + 1
-	}
-	return t
-}
-
 // WindowElapsed reports whether the profiling window has ended without a
 // decision having been taken yet.
 func (c *Controller) WindowElapsed(now int64) bool {

@@ -93,11 +93,6 @@ type Partition struct {
 	Reads      int64
 	Writes     int64
 	BytesMoved int64
-	// Enqueues counts Enqueue calls (monotone). It is the partition's
-	// earlier-mover signature: Enqueue is the only mutation that can move
-	// NextEvent to an earlier cycle, so event schedulers that cache a
-	// NextEvent result refresh it when Enqueues changed.
-	Enqueues int64
 }
 
 // New returns an idle partition.
@@ -189,7 +184,6 @@ func (p *Partition) Enqueue(req *memsys.Request) {
 	ch.queue.Push(req)
 	p.rehot(ch, was)
 	p.pending++
-	p.Enqueues++
 }
 
 // Pending returns queued plus in-flight requests.

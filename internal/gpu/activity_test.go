@@ -13,8 +13,9 @@ import (
 
 // checkActivity asserts, between two steps, that every activity word says
 // exactly what the components it summarises say: a stale word would make the
-// cycle loop skip a component with work (or visit an idle one, which is only
-// slow). Tests hang it on System.afterStep.
+// cycle loop skip a component with work, or fastForward skip a cycle with a
+// due event (or visit an idle one, which is only slow). Tests hang it on
+// System.afterStep.
 func (s *System) checkActivity(t *testing.T) {
 	t.Helper()
 	for _, c := range s.chips {
@@ -41,6 +42,9 @@ func (s *System) checkActivity(t *testing.T) {
 			if c.smWake[i] < sm.Never {
 				live[i>>6] |= 1 << uint(i&63)
 			}
+			if smu.KernelDone() && smu.SleepUntil() != sm.Never {
+				t.Fatalf("cycle %d chip %d SM %d: retired but sleeps until %d, not Never", s.now, c.idx, i, smu.SleepUntil())
+			}
 			if err := smu.CheckRunnable(); err != nil {
 				t.Fatalf("cycle %d: %v", s.now, err)
 			}
@@ -54,6 +58,20 @@ func (s *System) checkActivity(t *testing.T) {
 		if err := c.mem.CheckActivity(); err != nil {
 			t.Fatalf("cycle %d chip %d: %v", s.now, c.idx, err)
 		}
+		if err := c.reqNet.CheckActivity(); err != nil {
+			t.Fatalf("cycle %d chip %d request net: %v", s.now, c.idx, err)
+		}
+		if err := c.respNet.CheckActivity(); err != nil {
+			t.Fatalf("cycle %d chip %d response net: %v", s.now, c.idx, err)
+		}
+		// fastForward reads the hit pipeline's head as its earliest due.
+		head, _ := c.hitDelay.NextDue()
+		if scan, _ := c.hitDelay.MinDue(); head != scan {
+			t.Fatalf("cycle %d chip %d: hit pipeline head due %d, earliest in flight %d", s.now, c.idx, head, scan)
+		}
+	}
+	if err := s.ring.CheckActivity(); err != nil {
+		t.Fatalf("cycle %d: %v", s.now, err)
 	}
 }
 

@@ -74,13 +74,6 @@ type chip struct {
 	// Epoch accumulators for the Dynamic controller.
 	lastRingBytes int64
 	lastDRAMBytes int64
-
-	// Earlier-mover signatures for the fast-forward event heap (events.go):
-	// pipeSig bumps when work enters a slice pipeline (lookupQ push,
-	// hit-delay insert), warpSig when a response delivery may lower an SM's
-	// wakeup.
-	pipeSig int64
-	warpSig int64
 }
 
 // Port layout of the request network:

@@ -77,11 +77,9 @@ type System struct {
 	now   int64
 	state runState
 
-	// Next-event heap over the fast-forward sources (events.go). noFF
-	// disables idle-span skipping entirely (regression tests compare stepped
-	// against fast-forwarded runs).
-	events eventHeap
-	noFF   bool
+	// noFF disables idle-span skipping entirely (regression tests compare
+	// stepped against fast-forwarded runs).
+	noFF bool
 	// afterStep, when set, runs after every step of a kernel's cycle loop —
 	// the seam the invariant tests hang checkActivity on. Nothing outside
 	// the tests sets it.
@@ -215,7 +213,6 @@ func (s *System) runKernel() error {
 	s.kernelStartOps = s.run.MemOps
 	s.lastProgress = s.now
 	s.state = stRun
-	s.resetEvents()
 	for _, c := range s.chips {
 		c.wakeHint = 0 // LoadStreams reset every SM's wakeup hint
 	}
@@ -410,49 +407,46 @@ func (s *System) fastForward() {
 	if s.state != stRun || s.noFF {
 		return
 	}
-	// Cheap busy-cycle early-outs: work queued in a crossbar or a slice
-	// lookup pipeline progresses every cycle, so no skip is possible and
-	// the signature sweep below would be pure overhead. Sources go stale
-	// while these fire; they are refreshed before the heap is consulted.
+	// Work queued in a crossbar or a slice lookup pipeline progresses every
+	// cycle: no skip is possible.
 	for _, c := range s.chips {
 		if c.reqNet.Pending() > 0 || c.respNet.Pending() > 0 || c.sliceBusy != 0 {
 			return
 		}
 	}
-	// Refresh the key of every source whose earlier-mover signature changed
-	// since it was last computed; keys of untouched sources stay cached
-	// (they can only be stale lower bounds, corrected at pop below).
-	ev := &s.events
-	for src := range ev.key {
-		if sig := s.sourceSig(src); sig != ev.sig[src] {
-			ev.sig[src] = sig
-			ev.set(src, s.sourceNext(src))
+	// The earliest scheduled event, read from the summaries the loop keeps
+	// (checkActivity verifies each after every step): the ring, then per chip
+	// the DRAM partition, the hit pipeline's head and the SMs that can wake
+	// on their own. An event at or before now+1 means the next cycle does
+	// real work.
+	next := sm.Never
+	if t := s.ring.NextEvent(s.now); t >= 0 {
+		next = t
+	}
+	for _, c := range s.chips {
+		if t := c.mem.NextEvent(s.now); t >= 0 && t < next {
+			next = t
+		}
+		if t, ok := c.hitDelay.NextDue(); ok && t < next {
+			next = t
+		}
+		for word, live := range c.smLive {
+			for ; live != 0; live &= live - 1 {
+				if w := c.smWake[word<<6+bits.TrailingZeros64(live)]; w < next {
+					next = w
+				}
+			}
+		}
+		if next <= s.now+1 {
+			return
 		}
 	}
-	// Pop-validate loop: recompute the minimum source's key; if it moved,
-	// re-key and retry (each source revalidates at most once — no state
-	// changes between steps). A validated minimum at or before now+1 means
-	// the next cycle does real work: no skip.
-	var next int64
-	for {
-		src, key, ok := ev.min()
-		if !ok {
-			// Every source idle: nothing can ever wake the system again;
-			// skipping would spin the MaxCycles watchdog instantly instead
-			// of letting it count real stalled cycles, so step normally and
-			// let it fire with context.
-			return
-		}
-		v := s.sourceNext(src)
-		if v != key {
-			ev.set(src, v)
-			continue
-		}
-		if v <= s.now+1 {
-			return
-		}
-		next = v
-		break
+	if next == sm.Never {
+		// Nothing is scheduled: nothing can ever wake the system again.
+		// Skipping would trip the MaxCycles watchdog instantly instead of
+		// letting it count real stalled cycles, so step normally and let it
+		// fire with context.
+		return
 	}
 	// Timed triggers cap the skip so their boundary cycle executes.
 	if census := (s.now/512 + 1) * 512; census < next {
@@ -541,7 +535,6 @@ func (k *reqSink) Offer(out int, req *memsys.Request, bytes int) bool {
 	req.Stage = memsys.StageLLC
 	sl.lookupQ.Push(req)
 	c.sliceBusy |= 1 << uint(out)
-	c.pipeSig++
 	return true
 }
 
@@ -582,7 +575,6 @@ func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 	req.DoneCycle = s.now
 	smu := c.sms[req.SrcSM]
 	smu.Receive(s.now, req)
-	c.warpSig++
 	w := smu.SleepUntil()
 	c.setWake(req.SrcSM, w)
 	if w < c.wakeHint {
@@ -599,23 +591,7 @@ func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 // ringSink adapts the system to the ring's delivery interface.
 type ringSink struct{ s *System }
 
-func (rs ringSink) CanAccept(chipIdx int, m xchip.Message) bool {
-	s := rs.s
-	c := s.chips[chipIdx]
-	req := m.Req
-	switch {
-	case req.Inval:
-		return true
-	case req.Stage == memsys.StageRingResp:
-		return true // fills/deliveries always absorb
-	case req.Bypass || req.WB:
-		return s.chips[chipIdx].mem.CanAccept(req.Channel) // §3.1 shared MC queue
-	default:
-		return c.reqNet.CanInject(c.ringInReqPort(&s.cfg))
-	}
-}
-
-func (rs ringSink) Accept(chipIdx int, m xchip.Message) {
+func (rs ringSink) Offer(chipIdx int, m xchip.Message) bool {
 	s := rs.s
 	c := s.chips[chipIdx]
 	req := m.Req
@@ -626,21 +602,29 @@ func (rs ringSink) Accept(chipIdx int, m xchip.Message) {
 		s.run.InvalMessages++
 		s.retire(req) // invalidations are absorbed here
 	case req.Stage == memsys.StageRingResp:
-		s.ringResponseArrived(c, req)
+		s.ringResponseArrived(c, req) // fills/deliveries always absorb
 	case req.Bypass || req.WB:
 		// SM-side remote miss or writeback: bypass the LLC slice into the
-		// shared memory-controller queue.
+		// shared memory-controller queue (§3.1), which may be full.
+		if !c.mem.CanAccept(req.Channel) {
+			return false
+		}
 		req.Stage = memsys.StageDRAM
 		c.mem.Enqueue(req)
 	default:
 		// Memory-side remote request or hybrid second lookup: traverse this
 		// chip's request NoC to the slice.
+		in := c.ringInReqPort(&s.cfg)
+		if !c.reqNet.CanInject(in) {
+			return false
+		}
 		req.Stage = memsys.StageNoCReq
 		c.reqNet.Inject(noc.Message{
-			Req: req, In: c.ringInReqPort(&s.cfg), Out: req.Slice,
+			Req: req, In: in, Out: req.Slice,
 			Bytes: req.ReqBytes(s.cfg.Geom.LineBytes),
 		})
 	}
+	return true
 }
 
 // ringResponseArrived handles a response reaching the requesting chip.
@@ -843,7 +827,6 @@ func (s *System) lookup(c *chip, sl *llcSlice, si int, req *memsys.Request) (don
 			return true, true, lineBytes // stores deposit a line of data and die here
 		}
 		c.hitDelay.Insert(s.now, s.cfg.LLCLatency, req)
-		c.pipeSig++
 		return true, false, lineBytes
 	}
 

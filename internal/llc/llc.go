@@ -208,17 +208,6 @@ func (d *DynamicController) LocalWays() int { return d.localWays }
 // boundary would shift every subsequent epoch).
 func (d *DynamicController) NextAdjust() int64 { return d.lastAdj + d.epoch }
 
-// NextEvent returns the earliest future cycle at which the controller can
-// act: the next epoch boundary, clamped to now+1 when it is already due.
-// A DynamicController always has a pending boundary, so there is no idle
-// sentinel case.
-func (d *DynamicController) NextEvent(now int64) int64 {
-	if t := d.NextAdjust(); t > now {
-		return t
-	}
-	return now + 1
-}
-
 // Observe accumulates one cycle's traffic for this chip.
 func (d *DynamicController) Observe(ringBytes, dramBytes int64) {
 	d.ringBytes += ringBytes

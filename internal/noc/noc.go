@@ -88,10 +88,6 @@ type Crossbar struct {
 	BytesMoved   int64
 	MsgsMoved    int64
 	BlockedCycle int64 // cycles in which at least one head-of-line was blocked
-	// Injects counts Inject calls (monotone). It is the crossbar's
-	// earlier-mover signature: injection is the only mutation that can move
-	// NextEvent to an earlier cycle.
-	Injects int64
 }
 
 // New returns an idle crossbar.
@@ -158,21 +154,27 @@ func (x *Crossbar) Inject(m Message) {
 	}
 	x.in[m.In].queue.Push(m)
 	x.pending++
-	x.Injects++
 	x.nonEmpty |= 1 << uint(m.In)
 }
 
 // Pending returns the number of queued messages across all input ports.
 func (x *Crossbar) Pending() int { return x.pending }
 
-// NextEvent returns the earliest future cycle at which the crossbar can make
-// progress — now+1 while any message is queued (movement is bandwidth-gated
-// per cycle) — or -1 when idle.
-func (x *Crossbar) NextEvent(now int64) int64 {
-	if x.pending == 0 {
-		return -1
+// CheckActivity verifies pending and the nonEmpty mask against the input
+// queues they summarise. Invariant tests call it between simulated cycles;
+// nothing else does.
+func (x *Crossbar) CheckActivity() error {
+	pending, nonEmpty := 0, uint64(0)
+	for i := range x.in {
+		if n := x.in[i].queue.Len(); n > 0 {
+			pending += n
+			nonEmpty |= 1 << uint(i)
+		}
 	}
-	return now + 1
+	if pending != x.pending || (!x.wide && nonEmpty != x.nonEmpty) {
+		return fmt.Errorf("noc: pending %d nonEmpty %b, queues say %d and %b", x.pending, x.nonEmpty, pending, nonEmpty)
+	}
+	return nil
 }
 
 // InQueueLen returns the instantaneous depth of one input port's ingress

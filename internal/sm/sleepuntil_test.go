@@ -36,11 +36,11 @@ func randomStream(rng *rand.Rand, n int) workload.AccessStream {
 	return &sliceStream{acc: acc}
 }
 
-// TestNextEventNeverLate: the SM's NextEvent(now) is a lower bound on the
-// first future cycle at which Issue can act (a warp issues or retires), and
-// -1 only when nothing can happen without a Receive. Probes freeze response
+// TestSleepUntilNeverLate: the SM's SleepUntil is a lower bound on the first
+// future cycle at which Issue can act (a warp issues or retires), and Never
+// only when nothing can happen without a Receive. Probes freeze response
 // delivery and brute-force step Issue to find the first action.
-func TestNextEventNeverLate(t *testing.T) {
+func TestSleepUntilNeverLate(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s := New(Config{
 		Chip: 0, Index: 0, L1Lines: 16, L1Ways: 2,
@@ -72,14 +72,8 @@ func TestNextEventNeverLate(t *testing.T) {
 			}
 		}
 
-		ne := s.NextEvent(now)
-		if ne != -1 && ne <= now {
-			t.Fatalf("probe %d: NextEvent %d not in the future of %d", probe, ne, now)
-		}
+		wake := s.SleepUntil()
 		if s.KernelDone() {
-			if ne != -1 {
-				t.Fatalf("probe %d: retired SM returned NextEvent %d, want -1", probe, ne)
-			}
 			break
 		}
 		change := int64(-1)
@@ -94,24 +88,30 @@ func TestNextEventNeverLate(t *testing.T) {
 		}
 		switch {
 		case change >= 0:
-			if ne == -1 || ne > change {
-				t.Fatalf("probe %d: NextEvent(%d) = %d but a warp issued at %d", probe, now, ne, change)
+			if wake > change {
+				t.Fatalf("probe %d: SleepUntil at %d was %d but a warp issued at %d", probe, now, wake, change)
 			}
 			now = change
 		default:
 			// No issue without deliveries: every live warp is blocked on a
-			// load. The probed NextEvent may have been a conservative now+1
-			// (the block hint updates lazily, on a failed Issue attempt), but
-			// after the attempts above the SM must report idle — Receive is
-			// the only thing that can wake it.
+			// load. The probed hint may have been a conservative cycle in the
+			// past (it updates lazily, on a failed Issue attempt), but after
+			// the attempts above the SM must report Never — Receive is the
+			// only thing that can wake it.
 			now += horizon
-			if ne := s.NextEvent(now); ne != -1 {
-				t.Fatalf("probe %d: blocked SM returned NextEvent %d after failed issue attempts, want -1",
-					probe, ne)
+			if wake := s.SleepUntil(); wake != Never {
+				t.Fatalf("probe %d: blocked SM sleeps until %d after failed issue attempts, want Never",
+					probe, wake)
 			}
 			if len(outstanding) == 0 {
 				t.Fatalf("probe %d: SM wedged with no outstanding loads to deliver", probe)
 			}
 		}
+	}
+	if !s.KernelDone() {
+		t.Fatal("kernel did not retire within the probe budget")
+	}
+	if wake := s.SleepUntil(); wake != Never {
+		t.Fatalf("retired SM sleeps until %d, want Never", wake)
 	}
 }

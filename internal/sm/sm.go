@@ -138,6 +138,7 @@ func (s *SM) LoadStreams(streams []workload.AccessStream) {
 	}
 	s.greedy = 0
 	s.sleepUntil = 0
+	s.parkIfDone()
 }
 
 // findPending returns the index of line's entry in the miss file, or -1.
@@ -157,26 +158,18 @@ func (s *SM) KernelDone() bool { return s.doneWarps == len(s.warps) && len(s.pen
 func (s *SM) Outstanding() int { return len(s.pending) }
 
 // SleepUntil returns the earliest cycle any warp may issue (a scheduling
-// hint; the cycle loop may skip the SM before it).
+// hint; the cycle loop may skip the SM before it, and an idle machine
+// fast-forwards to it): a cycle at or before now while a warp may be ready,
+// the wakeup cycle when all are waiting out compute gaps, Never when nothing
+// can happen without a Receive — every live warp blocked on a load, as of
+// the last failed Issue — or at all: a retired SM parks.
 func (s *SM) SleepUntil() int64 { return s.sleepUntil }
 
-// NextEvent returns the earliest future cycle at which the SM can act on
-// its own: now+1 if a warp may already be ready, the wakeup cycle when all
-// are waiting out compute gaps, or -1 when nothing can happen without an
-// external stimulus (kernel retired, or every live warp blocked on a load —
-// Receive is what unblocks those, and it lowers the hint it returns from).
-func (s *SM) NextEvent(now int64) int64 {
+// parkIfDone puts the SM to sleep for good once its kernel has retired.
+func (s *SM) parkIfDone() {
 	if s.KernelDone() {
-		return -1
+		s.sleepUntil = Never
 	}
-	w := s.sleepUntil
-	if w >= Never {
-		return -1
-	}
-	if w <= now {
-		return now + 1
-	}
-	return w
 }
 
 // CheckRunnable verifies the runnable word against the warps' own flags.
@@ -306,6 +299,7 @@ func (s *SM) advance(wi int) {
 	if w.done {
 		s.doneWarps++
 		s.runnable &^= 1 << uint(wi)
+		s.parkIfDone()
 	}
 }
 
@@ -363,6 +357,7 @@ func (s *SM) Receive(now int64, req *memsys.Request) (unblocked int) {
 		}
 		unblocked++
 	}
+	s.parkIfDone()
 	return unblocked
 }
 

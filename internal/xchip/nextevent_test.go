@@ -9,14 +9,23 @@ import (
 
 // TestNextEventNeverLate: the ring's NextEvent(now) is a lower bound on its
 // first observable state change (a launch, hop, delivery, or refused
-// delivery — everything StateSig folds in), and -1 exactly when nothing is
-// queued or on the wire. Probes freeze injection and brute-force step Tick.
+// delivery), and -1 exactly when nothing is queued or on the wire. Probes
+// freeze injection and brute-force step Tick.
 func TestNextEventNeverLate(t *testing.T) {
 	r := New(Config{Chips: 4, LinkBW: 64, HopLatency: 7})
 	rng := rand.New(rand.NewSource(31))
 	const horizon = 100 // a few hop latencies
 	s := newSink()
-	snap := func() [2]int64 { return [2]int64{int64(r.Pending()), r.StateSig()} }
+	// Launches move MsgsMoved, hops the egress depths (or MsgsMoved, when the
+	// hop launches in the same Tick), deliveries and refusals the sink's
+	// offer count.
+	snap := func() [4]int64 {
+		queued := 0
+		for c := 0; c < 4; c++ {
+			queued += r.LinkQueueLen(c, CW) + r.LinkQueueLen(c, CCW)
+		}
+		return [4]int64{int64(r.Pending()), r.MsgsMoved(), int64(queued), s.offers}
+	}
 
 	now := int64(0)
 	for probe := 0; probe < 200; probe++ {

@@ -35,12 +35,12 @@ type Message struct {
 	dir   Direction
 }
 
-// Sink receives messages that arrived at their destination chip.
+// Sink receives messages that arrived at their destination chip. Offer either
+// takes delivery of m at chip and returns true, or refuses it and returns
+// false, which back-pressures the arrival: the ring holds the message and
+// offers it again next cycle. A refusal must leave no trace.
 type Sink interface {
-	// CanAccept lets the destination chip back-pressure arrivals.
-	CanAccept(chip int, m Message) bool
-	// Accept delivers an arrived message.
-	Accept(chip int, m Message)
+	Offer(chip int, m Message) bool
 }
 
 // Config sizes the ring.
@@ -83,9 +83,6 @@ type Ring struct {
 	lastRef  int64 // cycle of the last bucket refill
 	Arrivals int64
 	msgs     int64 // link traversals launched (a 2-hop message counts twice)
-	injects  int64 // Inject calls (monotone, for StateSig)
-	hopped   int64 // intermediate-hop re-queues (monotone, for StateSig)
-	refused  int64 // refused deliveries re-inserted (monotone, for StateSig)
 }
 
 // New returns an idle ring.
@@ -197,7 +194,6 @@ func (r *Ring) Inject(m Message) {
 	m.Req.CrossedRing = true
 	r.links[m.Src][m.dir].egress.Push(m)
 	r.pending++
-	r.injects++
 }
 
 // Pending returns all messages queued or on the wire.
@@ -214,17 +210,6 @@ func (r *Ring) BytesMoved() int64 {
 
 // MsgsMoved returns the total link traversals (a 2-hop message counts twice).
 func (r *Ring) MsgsMoved() int64 { return r.msgs }
-
-// Injects returns the total Inject calls since construction (monotone).
-func (r *Ring) Injects() int64 { return r.injects }
-
-// StateSig is a monotone signature that changes whenever any ring state
-// mutation could move NextEvent earlier: injections, launches, intermediate
-// hops, refused deliveries, and arrivals all bump at least one term. Event
-// schedulers cache it to detect staleness of a memoized NextEvent.
-func (r *Ring) StateSig() int64 {
-	return r.injects + r.msgs + r.Arrivals + r.hopped + r.refused
-}
 
 // NextEvent returns the earliest future cycle at which the ring can make
 // progress: now+1 while any egress queue holds a message (launch is
@@ -253,9 +238,10 @@ func (r *Ring) NextEvent(now int64) int64 {
 	return next
 }
 
-// recomputeLandDue re-derives chip c's cached earliest landing due from its
-// two delay-line heads, after the landing phase popped from them.
-func (r *Ring) recomputeLandDue(c int) {
+// landDue derives chip c's earliest landing due from its two delay-line
+// heads (-1 when both are empty): what landDueBy[c] caches, re-derived after
+// the landing phase popped from them.
+func (r *Ring) landDue(c int) int64 {
 	due := int64(-1)
 	if d, ok := r.links[c][0].inFlight.NextDue(); ok {
 		due = d
@@ -263,7 +249,26 @@ func (r *Ring) recomputeLandDue(c int) {
 	if d, ok := r.links[c][1].inFlight.NextDue(); ok && (due < 0 || d < due) {
 		due = d
 	}
-	r.landDueBy[c] = due
+	return due
+}
+
+// CheckActivity verifies pending and landDueBy against the queues and wires
+// they summarise. Invariant tests call it between simulated cycles; nothing
+// else does.
+func (r *Ring) CheckActivity() error {
+	pending := 0
+	for c := range r.links {
+		for d := 0; d < 2; d++ {
+			pending += r.links[c][d].egress.Len() + r.links[c][d].inFlight.Len()
+		}
+		if due := r.landDue(c); r.landDueBy[c] != due {
+			return fmt.Errorf("xchip: chip %d landDueBy %d, wires say %d", c, r.landDueBy[c], due)
+		}
+	}
+	if pending != r.pending {
+		return fmt.Errorf("xchip: pending %d, links hold %d", r.pending, pending)
+	}
+	return nil
 }
 
 func (r *Ring) next(chip int, d Direction) int {
@@ -292,25 +297,21 @@ func (r *Ring) Tick(now int64, sink Sink) {
 			for wire.HeadDue(now) {
 				m, _ := wire.PopDue(now)
 				at := r.next(c, dir)
-				if at == m.Dst {
-					if sink.CanAccept(at, m) {
-						sink.Accept(at, m)
-						r.Arrivals++
-						r.pending--
-					} else {
-						// Destination busy: retry next cycle from a zero-
-						// latency in-flight slot (models an arrival buffer).
-						wire.Insert(now, 1, m)
-						r.refused++
-						break
-					}
-				} else {
+				if at != m.Dst {
 					r.links[at][d].egress.Push(m)
-					r.hopped++
+					continue
 				}
+				if !sink.Offer(at, m) {
+					// Destination busy: retry next cycle from a zero-
+					// latency in-flight slot (models an arrival buffer).
+					wire.Insert(now, 1, m)
+					break
+				}
+				r.Arrivals++
+				r.pending--
 			}
 		}
-		r.recomputeLandDue(c)
+		r.landDueBy[c] = r.landDue(c)
 	}
 	// Launch phase: move queued messages onto links, bandwidth permitting.
 	dt := now - r.lastRef

@@ -8,13 +8,20 @@ import (
 
 type sink struct {
 	arrived map[int][]Message
+	offers  int64 // Offer calls, taken or refused
 	refuse  bool
 }
 
 func newSink() *sink { return &sink{arrived: map[int][]Message{}} }
 
-func (s *sink) CanAccept(chip int, m Message) bool { return !s.refuse }
-func (s *sink) Accept(chip int, m Message)         { s.arrived[chip] = append(s.arrived[chip], m) }
+func (s *sink) Offer(chip int, m Message) bool {
+	s.offers++
+	if s.refuse {
+		return false
+	}
+	s.arrived[chip] = append(s.arrived[chip], m)
+	return true
+}
 
 func ringMsg(src, dst int, line uint64) Message {
 	return Message{Req: &memsys.Request{Line: line}, Src: src, Dst: dst, Bytes: 32}
