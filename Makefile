@@ -94,11 +94,15 @@ vuln:
 # whose scheduler words it reads every step, and the by-value records the
 # loop walks every cycle: DRAM channels, crossbar ports,
 # ring links and the bwsim primitives embedded in them (a padded layout there
-# silently regresses the cache behaviour the layout bought). Advisory like
-# vuln: offline checkouts without the tool still pass.
+# silently regresses the cache behaviour the layout bought), plus the
+# per-memop records: memsys.Request and the addr page index. internal/workload
+# is not listed though Stream is ordered to pass: the analyzer also wants
+# Spec's strings and slice moved ahead of CTAs and SMSide, and Spec's field
+# order is the byte order of every -json result. Advisory like vuln: offline
+# checkouts without the tool still pass.
 fieldalign:
 	@if command -v fieldalignment >/dev/null 2>&1; then \
-		fieldalignment ./internal/cache ./internal/gpu ./internal/sm ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim; \
+		fieldalignment ./internal/cache ./internal/gpu ./internal/sm ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim ./internal/memsys ./internal/addr; \
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi

@@ -1,11 +1,16 @@
 // Package addr implements the address-mapping substrate of the multi-chip
 // GPU: the PAE-style randomized hash that spreads lines across LLC slices
-// and DRAM channels (Liu et al., ISCA 2018), and the first-touch page table
+// and DRAM channels (Liu et al., ISCA 2018), the first-touch page table
 // that assigns each memory page to the memory partition of the chip that
-// first accesses it (Arunkumar et al., ISCA 2017).
+// first accesses it (Arunkumar et al., ISCA 2017), and the per-line sharing
+// census behind the paper's offline analyses (census.go).
 package addr
 
-import "repro/internal/memsys"
+import (
+	"math/bits"
+
+	"repro/internal/memsys"
+)
 
 // Mix64 is the splitmix64 finalizer, used throughout the simulator as a
 // deterministic hash. It is the only source of "randomness" in the repo.
@@ -73,246 +78,124 @@ func (p *PAE) SlicesPerChip() int { return p.slicesPerChip }
 // ChannelsPerChip returns the configured channel count.
 func (p *PAE) ChannelsPerChip() int { return p.channelsPerChip }
 
-// PageTable implements first-touch page placement: the first chip to access
-// any line of a page becomes the page's home. It also records, per page, a
-// bitmask of the chips that have accessed each line — the raw material for
-// classifying lines as non-shared, falsely shared or truly shared
-// (paper §2.2) and for the working-set analysis of Figure 11.
-type PageTable struct {
-	geom  memsys.Geometry
-	chips int
-	// lpp is geom.LinesPerPage() and pageShift its log2 (-1 when not a
-	// power of two), precomputed so the per-dispatch Touch path divides by
-	// constants instead of re-deriving them from the geometry.
-	lpp       int
-	pageShift int
-	// Pages are indexed densely: dense[page] for page numbers below
-	// denseMaxPages (nil = untouched), grown on demand. Spec line spaces are
-	// dense from 0 (region bases stack), so every synthetic workload lives
-	// here and the per-dispatch Touch is a slice index, not a hash. The map
-	// holds only page numbers at or above the bound, which trace replays
-	// with arbitrary addresses can produce.
-	dense  []*pageEntry
-	sparse map[uint64]*pageEntry
-	count  int // allocated pages, dense and sparse
-
-	// One-entry memo of the most recently touched page: warp access streams
-	// are page-local, so consecutive Touch/Home calls usually hit the same
-	// page and skip the map lookup. Purely an access-path cache — contents
-	// and results are unchanged.
-	lastPage  uint64
-	lastEntry *pageEntry
-}
-
-// denseMaxPages bounds the dense page index (the estimate rung's homeSlice
-// uses the same bound): 4 Mi pages is a 16 GiB line space at 4 KiB pages and
-// at most 32 MiB of index.
+// denseMaxPages bounds the dense page index: 4 Mi pages is a 16 GiB line
+// space at 4 KiB pages, and at most 4 MiB of placement index.
 const denseMaxPages = 1 << 22
 
-type pageEntry struct {
-	home       int
-	lineChips  []uint8 // per line within the page: bitmask of accessor chips
-	chipsTouch uint8   // union of accessor chips for the whole page
+// pageIndex maps page numbers to one slot of type S each; the zero S means
+// "never touched". Pages below denseMaxPages are indexed densely (dense[page],
+// grown on demand): Spec line spaces are dense from 0 (region bases stack),
+// so every synthetic workload lives there and a lookup is a slice index, not
+// a hash. The map holds only page numbers at or above the bound, which trace
+// replays with arbitrary addresses can produce. PageTable and Census are the
+// two slot types.
+type pageIndex[S comparable] struct {
+	// One-entry memo of the most recently touched page (valid when last is
+	// non-zero): warp access streams are page-local, so consecutive lookups
+	// usually hit the same page and skip the index. Purely an access-path
+	// cache — contents and results are unchanged. It leads the record so the
+	// memo hit reads one host line.
+	last     S
+	sparse   map[uint64]S
+	dense    []S
+	lastPage uint64
+	// lpp is geom.LinesPerPage() and pageShift its log2 (-1 when not a
+	// power of two), precomputed so the per-access path divides by constants
+	// instead of re-deriving them from the geometry.
+	pageShift int
+	lpp       int
+	count     int // touched pages, dense and sparse
+	geom      memsys.Geometry
 }
 
-// NewPageTable returns an empty first-touch page table for a system with the
-// given chip count (at most 8 chips fit the bitmask; the paper uses 4).
-func NewPageTable(geom memsys.Geometry, chips int) *PageTable {
+// newPageIndex returns an empty index for a system with the given chip count
+// (at most 8 chips fit the census's per-line bitmask; the paper uses 4).
+func newPageIndex[S comparable](geom memsys.Geometry, chips int) pageIndex[S] {
 	if chips <= 0 || chips > 8 {
 		panic("addr: chip count must be in 1..8")
 	}
-	t := &PageTable{geom: geom, chips: chips, lpp: geom.LinesPerPage(), pageShift: -1, sparse: make(map[uint64]*pageEntry)}
-	if t.lpp > 0 && geom.PageBytes%geom.LineBytes == 0 && t.lpp&(t.lpp-1) == 0 {
-		s := 0
-		for 1<<uint(s) < t.lpp {
-			s++
-		}
-		t.pageShift = s
+	x := pageIndex[S]{geom: geom, lpp: geom.LinesPerPage(), pageShift: -1, sparse: make(map[uint64]S)}
+	if x.lpp > 0 && geom.PageBytes%geom.LineBytes == 0 && x.lpp&(x.lpp-1) == 0 {
+		x.pageShift = bits.TrailingZeros(uint(x.lpp))
 	}
-	return t
+	return x
 }
 
 // pageOf returns the page index of a line — geom.PageOfLine with the
 // division strength-reduced to a shift when lines-per-page is a power of two
 // (line >> log2(lpp) == line*LineBytes/PageBytes exactly when LineBytes
 // divides PageBytes).
-func (t *PageTable) pageOf(line uint64) uint64 {
-	if t.pageShift >= 0 {
-		return line >> uint(t.pageShift)
+func (x *pageIndex[S]) pageOf(line uint64) uint64 {
+	if x.pageShift >= 0 {
+		return line >> uint(x.pageShift)
 	}
-	return t.geom.PageOfLine(line)
+	return x.geom.PageOfLine(line)
 }
 
-// entry returns a page's entry, or nil when the page was never touched.
-func (t *PageTable) entry(page uint64) *pageEntry {
-	if page < uint64(len(t.dense)) {
-		return t.dense[page]
+// get returns a page's slot, zero when the page was never touched. It is a
+// pure reader: it consults the memo without refreshing it.
+func (x *pageIndex[S]) get(page uint64) S {
+	var zero S
+	if page == x.lastPage && x.last != zero {
+		return x.last
+	}
+	if page < uint64(len(x.dense)) {
+		return x.dense[page]
 	}
 	if page < denseMaxPages {
-		return nil
+		return zero
 	}
-	return t.sparse[page]
+	return x.sparse[page]
 }
 
-// place allocates page to chip (its first toucher).
-func (t *PageTable) place(page uint64, chip int) *pageEntry {
-	e := &pageEntry{home: chip, lineChips: make([]uint8, t.lpp)}
-	t.count++
+// put stores the slot of a page on its first touch.
+func (x *pageIndex[S]) put(page uint64, s S) {
+	x.count++
 	if page >= denseMaxPages {
-		t.sparse[page] = e
-		return e
+		x.sparse[page] = s
+		return
 	}
-	if page >= uint64(len(t.dense)) {
-		n := min(max(2*uint64(len(t.dense)), page+1, 1024), denseMaxPages)
-		grown := make([]*pageEntry, n)
-		copy(grown, t.dense)
-		t.dense = grown
+	if page >= uint64(len(x.dense)) {
+		n := min(max(2*uint64(len(x.dense)), page+1, 1024), denseMaxPages)
+		grown := make([]S, n)
+		copy(grown, x.dense)
+		x.dense = grown
 	}
-	t.dense[page] = e
-	return e
+	x.dense[page] = s
 }
 
-// Touch records an access by chip to the given line and returns the page's
-// home chip, allocating the page to the toucher if this is the first access.
+// PageTable implements first-touch page placement: the first chip to access
+// any line of a page becomes the page's home. That is all it records — one
+// byte per page (home chip + 1), no per-line state; the sharing classes of
+// §2.2 are the Census's job.
+type PageTable struct {
+	idx pageIndex[uint8]
+}
+
+// NewPageTable returns an empty first-touch page table.
+func NewPageTable(geom memsys.Geometry, chips int) *PageTable {
+	return &PageTable{idx: newPageIndex[uint8](geom, chips)}
+}
+
+// Touch returns the home chip of the line's page, allocating the page to
+// chip if this is its first access.
 func (t *PageTable) Touch(line uint64, chip int) (home int) {
-	page := t.pageOf(line)
-	e := t.lastEntry
-	if e == nil || page != t.lastPage {
-		if e = t.entry(page); e == nil {
-			e = t.place(page, chip)
-		}
-		t.lastPage, t.lastEntry = page, e
+	x := &t.idx
+	page := x.pageOf(line)
+	h := x.get(page)
+	if h == 0 {
+		h = uint8(chip) + 1
+		x.put(page, h)
 	}
-	idx := int(line) - int(page)*t.lpp
-	e.lineChips[idx] |= 1 << uint(chip)
-	e.chipsTouch |= 1 << uint(chip)
-	return e.home
+	x.lastPage, x.last = page, h
+	return int(h) - 1
 }
 
 // Home returns the home chip of a line's page, or -1 when the page has never
-// been touched. It is a pure reader: it consults Touch's memo without
-// refreshing it.
+// been touched.
 func (t *PageTable) Home(line uint64) int {
-	page := t.pageOf(line)
-	if e := t.lastEntry; e != nil && page == t.lastPage {
-		return e.home
-	}
-	e := t.entry(page)
-	if e == nil {
-		return -1
-	}
-	return e.home
+	return int(t.idx.get(t.idx.pageOf(line))) - 1
 }
 
 // Pages returns the number of allocated pages.
-func (t *PageTable) Pages() int { return t.count }
-
-// each calls f for every allocated page (dense pages in page order, then
-// the sparse ones in map order; every caller computes an order-independent
-// sum).
-func (t *PageTable) each(f func(*pageEntry)) {
-	for _, e := range t.dense {
-		if e != nil {
-			f(e)
-		}
-	}
-	for _, e := range t.sparse {
-		f(e)
-	}
-}
-
-// SharingClass classifies a line according to the paper's §2.2 definitions.
-type SharingClass uint8
-
-const (
-	// NonShared — the line is accessed by one chip and no other line of its
-	// page is accessed by another chip.
-	NonShared SharingClass = iota
-	// FalseShared — the line is accessed by a single chip, but some other
-	// line of the same page is accessed by a different chip.
-	FalseShared
-	// TrueShared — the line is accessed by multiple chips.
-	TrueShared
-)
-
-func (c SharingClass) String() string {
-	switch c {
-	case NonShared:
-		return "non-shared"
-	case FalseShared:
-		return "false-shared"
-	case TrueShared:
-		return "true-shared"
-	default:
-		return "unknown"
-	}
-}
-
-// Classify returns the sharing class of a line given the accesses recorded
-// so far. Untouched lines classify as NonShared.
-func (t *PageTable) Classify(line uint64) SharingClass {
-	page := t.pageOf(line)
-	e := t.entry(page)
-	if e == nil {
-		return NonShared
-	}
-	idx := int(line) - int(page)*t.lpp
-	mask := e.lineChips[idx]
-	if popcount8(mask) > 1 {
-		return TrueShared
-	}
-	// Single accessor (or none): falsely shared if any chip other than that
-	// accessor touched some line of the page.
-	if e.chipsTouch&^mask != 0 && mask != 0 {
-		return FalseShared
-	}
-	return NonShared
-}
-
-// FootprintBytes returns the total bytes of all lines ever touched,
-// broken down by sharing class. This regenerates Table 4's Footprint,
-// True-Shared and False-Shared columns.
-func (t *PageTable) FootprintBytes() (total, trueShared, falseShared int64) {
-	lineBytes := int64(t.geom.LineBytes)
-	t.each(func(e *pageEntry) {
-		for _, mask := range e.lineChips {
-			if mask == 0 {
-				continue
-			}
-			total += lineBytes
-			if popcount8(mask) > 1 {
-				trueShared += lineBytes
-			} else if e.chipsTouch&^mask != 0 {
-				falseShared += lineBytes
-			}
-		}
-	})
-	return total, trueShared, falseShared
-}
-
-// HomeHistogram returns how many pages are homed on each chip — useful for
-// verifying that first-touch placement spreads pages under distributed CTA
-// scheduling.
-func (t *PageTable) HomeHistogram() []int {
-	h := make([]int, t.chips)
-	t.each(func(e *pageEntry) { h[e.home]++ })
-	return h
-}
-
-// Reset drops all placement and sharing state (between whole-application
-// runs; kernel boundaries do NOT reset placement).
-func (t *PageTable) Reset() {
-	t.dense = nil
-	t.sparse = make(map[uint64]*pageEntry)
-	t.count = 0
-	t.lastPage, t.lastEntry = 0, nil
-}
-
-func popcount8(x uint8) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func (t *PageTable) Pages() int { return t.idx.count }

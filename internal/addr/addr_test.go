@@ -97,7 +97,7 @@ func TestFirstTouchPlacement(t *testing.T) {
 }
 
 func TestSharingClassification(t *testing.T) {
-	pt := NewPageTable(testGeom, 4)
+	pt := NewCensus(testGeom, 4)
 	// Page 0: chip 0 touches line 0, chip 1 touches line 1 → both falsely shared.
 	pt.Touch(0, 0)
 	pt.Touch(1, 1)
@@ -131,7 +131,7 @@ func TestSharingClassification(t *testing.T) {
 }
 
 func TestFootprintBytes(t *testing.T) {
-	pt := NewPageTable(testGeom, 4)
+	pt := NewCensus(testGeom, 4)
 	pt.Touch(0, 0)  // false-shared (because of next touch)
 	pt.Touch(1, 1)  // false-shared
 	pt.Touch(32, 3) // non-shared
@@ -149,21 +149,6 @@ func TestFootprintBytes(t *testing.T) {
 	}
 }
 
-func TestHomeHistogramAndReset(t *testing.T) {
-	pt := NewPageTable(testGeom, 4)
-	pt.Touch(0, 0)
-	pt.Touch(32, 1)
-	pt.Touch(64, 1)
-	h := pt.HomeHistogram()
-	if h[0] != 1 || h[1] != 2 || h[2] != 0 || h[3] != 0 {
-		t.Fatalf("histogram = %v", h)
-	}
-	pt.Reset()
-	if pt.Pages() != 0 {
-		t.Fatal("Reset did not clear pages")
-	}
-}
-
 func TestNewPageTablePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -177,7 +162,7 @@ func TestNewPageTablePanics(t *testing.T) {
 // line from TrueShared.
 func TestClassifyMonotoneProperty(t *testing.T) {
 	f := func(touches []uint8) bool {
-		pt := NewPageTable(testGeom, 4)
+		pt := NewCensus(testGeom, 4)
 		seenTrue := map[uint64]bool{}
 		for _, tc := range touches {
 			line := uint64(tc % 64) // two pages

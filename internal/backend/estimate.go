@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -154,23 +153,6 @@ func (c *tagCache) reset() {
 	c.now = 0
 }
 
-// sacDefaults mirrors core.Options' internal defaulting (the paper's §3.2
-// and §3.5 values) so the estimate rung profiles over the same effective
-// window and decides with the same θ and minimum-sample guard as the exact
-// controller.
-func sacDefaults(o core.Options) core.Options {
-	if o.WindowCycles <= 0 {
-		o.WindowCycles = 2000
-	}
-	if o.Theta == 0 {
-		o.Theta = 0.05
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 64
-	}
-	return o
-}
-
 // kernelEstimate is one unique kernel's profiled window.
 type kernelEstimate struct {
 	replayed   int64 // raw accesses replayed (pre-L1)
@@ -210,13 +192,11 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		return nil, fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q or %q", Estimate, Sampled, Exact)
 	}
 	m := cfg.Machine()
-	if cm, ok := w.(interface{ CheckMachine(workload.Machine) error }); ok {
-		if err := cm.CheckMachine(m); err != nil {
-			return nil, err
-		}
+	if err := gpu.CheckMachine(w, m); err != nil {
+		return nil, err
 	}
 
-	opts := sacDefaults(cfg.SACOpts)
+	opts := cfg.SACOpts.WithDefaults()
 	arch := cfg.ArchParams()
 	issueWidth := int64(m.Chips * m.SMsPerChip)
 	lineBytes := float64(cfg.Geom.LineBytes)
@@ -240,36 +220,12 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 	}
 
 	// Shared address-translation state, persistent across kernels exactly
-	// like the simulator's: first-touch page placement and the PAE slice
-	// hash. The LLC model persists too (lines survive kernel boundaries);
-	// the L1 filters reset per kernel (kernel launch cold-starts the L1s).
-	// First-touch homes live in a plain page→chip map rather than the
-	// simulator's PageTable: the assignment rule is identical, but the
-	// estimate never reads the per-line sharing bitmaps the PageTable also
-	// maintains, and this path runs once per replayed access.
+	// like the simulator's, and the same types: first-touch page placement
+	// and the PAE slice hash. The LLC model persists too (lines survive
+	// kernel boundaries); the L1 filters reset per kernel (kernel launch
+	// cold-starts the L1s).
 	pae := addr.NewPAE(cfg.SlicesPerChip, cfg.ChannelsPerChip)
-	lpp := uint64(cfg.Geom.LinesPerPage())
-	// First-touch homes: Spec line spaces are dense from 0 (region bases
-	// stack), so a flat page-indexed slice replaces the map whenever the
-	// footprint bound is known and modest; -1 marks untouched pages. Other
-	// workloads (trace replays with arbitrary addresses) keep the map.
-	homes := make(map[uint64]int, 1<<10)
-	var homeSlice []int32
-	if sp, ok := w.(workload.Spec); ok && len(sp.Kernels) > 0 {
-		var maxLine uint64
-		for ki := range sp.Kernels {
-			l := sp.LayoutFor(ki, m)
-			if end := l.TrueBase + uint64(l.TrueLines); end > maxLine {
-				maxLine = end
-			}
-		}
-		if pages := maxLine/lpp + 1; pages <= 1<<22 {
-			homeSlice = make([]int32, pages)
-			for i := range homeSlice {
-				homeSlice[i] = -1
-			}
-		}
-	}
+	pages := addr.NewPageTable(cfg.Geom, cfg.Chips)
 	llcSets := cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip / cfg.LLCWays
 	modelSets, sampleMask := llcSets, uint64(0)
 	if llcSets >= llcSampleMinSets {
@@ -281,24 +237,13 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		llcModel[i] = newTagCache(modelSets, cfg.LLCWays)
 	}
 	l1Sets := cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways)
-	crdCfg := core.CRDConfig{
-		Sets: 8, Ways: 16,
-		Sectors:        sectors,
-		LLCSetsPerChip: llcSets * cfg.SlicesPerChip,
-	}
-	prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, crdCfg)
+	prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
 
-	pageShift := -1
-	if lpp&(lpp-1) == 0 {
-		pageShift = bits.TrailingZeros64(lpp)
-	}
 	type cursor struct {
-		stream   workload.AccessStream
-		steps    int64
-		lastPage uint64 // one-entry page→home memo; warp streams are page-local
-		lastHome int
-		chip     int
-		gsm      int // global SM index for the per-SM L1 filter
+		stream workload.AccessStream
+		steps  int64
+		chip   int
+		gsm    int // global SM index for the per-SM L1 filter
 	}
 	cursors := make([]cursor, 0, m.TotalWarps())
 	// The L1 filters are allocated once and tag-cleared per kernel: a kernel
@@ -331,10 +276,9 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 					// and the synthesis loop never rebuilds a stream.
 					ke.ops += s.Len()
 					cursors = append(cursors, cursor{
-						stream:   s,
-						lastPage: ^uint64(0),
-						chip:     chip,
-						gsm:      chip*m.SMsPerChip + smi,
+						stream: s,
+						chip:   chip,
+						gsm:    chip*m.SMsPerChip + smi,
 					})
 				}
 			}
@@ -373,27 +317,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 					if acc.Kind == memsys.Write {
 						ke.writes++
 					}
-					page := acc.Line / lpp
-					if pageShift >= 0 {
-						page = acc.Line >> uint(pageShift)
-					}
-					home := c.lastHome
-					if page != c.lastPage {
-						if homeSlice != nil && page < uint64(len(homeSlice)) {
-							if hs := homeSlice[page]; hs >= 0 {
-								home = int(hs)
-							} else {
-								home = c.chip
-								homeSlice[page] = int32(home)
-							}
-						} else if h, ok := homes[page]; ok {
-							home = h
-						} else {
-							home = c.chip
-							homes[page] = home
-						}
-						c.lastPage, c.lastHome = page, home
-					}
+					home := pages.Touch(acc.Line, c.chip)
 					si := pae.Slice(acc.Line)
 					sector := sm.ChipSector(acc.Line, c.chip, sectors)
 					// Probe the set-sampled memory-side model only for lines in

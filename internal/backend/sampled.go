@@ -45,10 +45,7 @@ func (t truncated) KernelCount() int        { return t.inner.KernelCount() }
 func (t truncated) KernelName(i int) string { return t.inner.KernelName(i) }
 
 func (t truncated) CheckMachine(m workload.Machine) error {
-	if cm, ok := t.inner.(interface{ CheckMachine(workload.Machine) error }); ok {
-		return cm.CheckMachine(m)
-	}
-	return nil
+	return gpu.CheckMachine(t.inner, m)
 }
 
 func (t truncated) Stream(m workload.Machine, ki, chip, sm, warp int) workload.AccessStream {
@@ -82,7 +79,7 @@ func (s *truncatedStream) Next() (workload.Access, bool) {
 // traffic), and the remainder of each kernel is fast-forwarded analytically
 // by scaling the simulated interval to the kernel's full op count.
 func runSampled(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	opts := sacDefaults(cfg.SACOpts)
+	opts := cfg.SACOpts.WithDefaults()
 	m := cfg.Machine()
 	cap := sampledWarpCap(opts.WindowCycles, m.WarpsPerSM)
 

@@ -144,7 +144,6 @@ func (m *MSHR) Allocate(req *memsys.Request) (primary bool) {
 		s.head = ni
 	}
 	s.tail = ni
-	req.MergedMSHR = true
 	m.Secondary++
 	return false
 }

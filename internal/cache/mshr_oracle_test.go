@@ -50,7 +50,6 @@ func (m *mapMSHR) Lookup(line uint64) bool {
 func (m *mapMSHR) Allocate(req *memsys.Request) (primary bool) {
 	if e, ok := m.entries[req.Line]; ok {
 		e.waiters = append(e.waiters, req)
-		req.MergedMSHR = true
 		m.Secondary++
 		return false
 	}
@@ -120,9 +119,6 @@ func TestMSHRMatchesMapOracle(t *testing.T) {
 				a, b := req(id, line), req(id, line)
 				if got, want := m.Allocate(a), o.Allocate(b); got != want {
 					t.Fatalf("cap %d step %d: Allocate(%d) primary = %v, oracle %v", capacity, step, line, got, want)
-				}
-				if a.MergedMSHR != b.MergedMSHR {
-					t.Fatalf("cap %d step %d: MergedMSHR = %v, oracle %v", capacity, step, a.MergedMSHR, b.MergedMSHR)
 				}
 			case op < 9: // fill (often of a line with no entry)
 				got, want := m.Fill(line), o.Fill(line)

@@ -19,9 +19,6 @@ func TestMSHRPrimaryAndSecondary(t *testing.T) {
 	if m.Allocate(r2) {
 		t.Fatal("same-line miss should merge")
 	}
-	if !r2.MergedMSHR {
-		t.Fatal("merged flag not set")
-	}
 	if !m.Allocate(r3) {
 		t.Fatal("different line should be primary")
 	}

@@ -125,7 +125,10 @@ type Options struct {
 	ReprofileEvery int64
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with the paper's §3.2 and §3.5 values in place of
+// zero fields: the effective window, θ and minimum-sample guard every rung
+// profiles and decides with.
+func (o Options) WithDefaults() Options {
 	if o.WindowCycles <= 0 {
 		o.WindowCycles = 2000
 	}
@@ -159,7 +162,7 @@ func NewController(arch ArchParams, prof *Profiler, opts Options) *Controller {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	return &Controller{
-		opts: opts.withDefaults(), arch: arch, prof: prof,
+		opts: opts.WithDefaults(), arch: arch, prof: prof,
 		cache: make(map[string]Decision),
 	}
 }

@@ -277,6 +277,16 @@ func (c Config) SectorCount() int {
 	return 1
 }
 
+// CRDConfig sizes the chip-request directory SAC profiles with: the paper's
+// 8 sets × 16 ways (§3.2), sampling this configuration's LLC sets.
+func (c Config) CRDConfig() core.CRDConfig {
+	return core.CRDConfig{
+		Sets: 8, Ways: 16,
+		Sectors:        c.SectorCount(),
+		LLCSetsPerChip: c.LLCBytesPerChip / c.Geom.LineBytes / c.SlicesPerChip / c.LLCWays * c.SlicesPerChip,
+	}
+}
+
 // WithOrg returns a copy running a different LLC organization.
 func (c Config) WithOrg(o llc.Org) Config {
 	c.Org = o

@@ -46,6 +46,16 @@ type Workload interface {
 	Stream(m workload.Machine, ki, chip, sm, warp int) workload.AccessStream
 }
 
+// CheckMachine lets a shape-bound workload (a trace replay) reject a machine
+// it was not captured for as a returned error, before any stream is
+// requested; other workloads accept every machine.
+func CheckMachine(w Workload, m workload.Machine) error {
+	if cm, ok := w.(interface{ CheckMachine(workload.Machine) error }); ok {
+		return cm.CheckMachine(m)
+	}
+	return nil
+}
+
 // System is one simulated multi-chip GPU executing one benchmark.
 type System struct {
 	cfg   Config
@@ -66,12 +76,10 @@ type System struct {
 	dramSinks   []func(*memsys.Request)
 	ringDeliver xchip.Sink
 
-	// One request pool and one ID counter for the whole machine: every
-	// request is allocated from pool (SM issues, writebacks, invalidations)
-	// and retired into it, wherever in the machine its life ends. IDs are
-	// write-only after allocation.
-	pool   memsys.Pool
-	nextID uint64
+	// One request pool for the whole machine: every request is allocated
+	// from pool (SM issues, writebacks, invalidations) and retired into it,
+	// wherever in the machine its life ends.
+	pool memsys.Pool
 
 	run   *stats.Run
 	now   int64
@@ -126,12 +134,8 @@ func New(cfg Config, spec Workload) (*System, error) {
 	if spec.KernelCount() == 0 {
 		return nil, fmt.Errorf("gpu: workload %q has no kernels", spec.SourceName())
 	}
-	// Shape-bound workloads (trace replays) reject mismatched machines here,
-	// as a returned error, instead of failing once streams are requested.
-	if cm, ok := spec.(interface{ CheckMachine(workload.Machine) error }); ok {
-		if err := cm.CheckMachine(cfg.Machine()); err != nil {
-			return nil, err
-		}
+	if err := CheckMachine(spec, cfg.Machine()); err != nil {
+		return nil, err
 	}
 	s := &System{
 		cfg:   cfg,
@@ -165,12 +169,7 @@ func New(cfg Config, spec Workload) (*System, error) {
 		}
 	}
 	if cfg.Org == llc.SAC {
-		crdCfg := core.CRDConfig{
-			Sets: 8, Ways: 16,
-			Sectors:        cfg.SectorCount(),
-			LLCSetsPerChip: cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip / cfg.LLCWays * cfg.SlicesPerChip,
-		}
-		prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, crdCfg)
+		prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
 		s.sac = core.NewController(cfg.ArchParams(), prof, cfg.SACOpts)
 	}
 	return s, nil
@@ -360,7 +359,7 @@ func (s *System) issueChip(c *chip) {
 			}
 			smu := c.sms[i]
 			cluster := int(c.smCluster[i])
-			res := smu.Issue(s.now, c.reqNet.CanInject(cluster), &s.nextID)
+			res := smu.Issue(s.now, c.reqNet.CanInject(cluster))
 			w = smu.SleepUntil()
 			c.setWake(i, w)
 			if w < minWake {
@@ -572,7 +571,6 @@ func (k *respSink) Offer(out int, req *memsys.Request, bytes int) bool {
 // deliverToSM completes a load at its SM.
 func (s *System) deliverToSM(c *chip, req *memsys.Request) {
 	req.Stage = memsys.StageDone
-	req.DoneCycle = s.now
 	smu := c.sms[req.SrcSM]
 	smu.Receive(s.now, req)
 	w := smu.SleepUntil()
@@ -727,12 +725,9 @@ func (s *System) evict(c *chip, v cache.Victim) {
 
 // writeback issues a dirty-line writeback from chip c to the line's home.
 func (s *System) writeback(c *chip, line uint64, home int) {
-	s.nextID++
 	wb := s.pool.Get()
-	wb.ID = s.nextID
 	wb.Kind = memsys.Write
 	wb.Line = line
-	wb.Addr = line * uint64(s.cfg.Geom.LineBytes)
 	wb.SrcChip = c.idx
 	wb.HomeChip = home
 	wb.ServeChip = home
@@ -912,9 +907,7 @@ func (s *System) writeInvalidate(c *chip, req *memsys.Request) {
 		if sharer == c.idx {
 			continue
 		}
-		s.nextID++
 		inv := s.pool.Get()
-		inv.ID = s.nextID
 		inv.Kind = memsys.Write
 		inv.Line = req.Line
 		inv.SrcChip = c.idx

@@ -151,42 +151,42 @@ func (g Geometry) Validate() error {
 
 // Request is a memory-system message. One allocation carries the transaction
 // through its whole life; components mutate the routing fields in place.
+// Word-sized fields come first and the byte-sized ones share the tail, so
+// the record has no interior padding (make fieldalign).
 type Request struct {
-	ID   uint64
-	Kind AccessKind
+	// ID tags a request for tests that assert ordering (crossbar per-input
+	// FIFO, DRAM completion order, MSHR waiter order); the simulator neither
+	// assigns nor reads it.
+	ID uint64
 
 	// Address identity.
-	Addr   uint64 // byte address
-	Line   uint64 // line index (Addr / LineBytes)
+	Line   uint64 // line index
 	Sector int    // sector within the line (sectored caches)
 
 	// Issuer.
 	SrcChip int // chip of the issuing SM
 	SrcSM   int // SM index within the chip
-	Warp    int // warp index within the SM
 
 	// Placement, filled by the address mapper when the request is created.
 	HomeChip int // chip owning the memory partition of the page
 	Slice    int // LLC slice index within the serving chip
 	Channel  int // DRAM channel index within the home chip
 
+	ServeChip  int   // chip whose LLC slice serves the request under the active org
+	IssueCycle int64 // cycle the SM injected the request
+
+	Kind AccessKind
+
 	// Routing state.
-	Stage     Stage
-	ServeChip int   // chip whose LLC slice serves the request under the active org
-	Bypass    bool  // true when the request must bypass the LLC slice (SM-side remote miss at the home chip)
-	Phase     uint8 // organization-specific progress marker (hybrid: 0 = first lookup, 1 = home lookup)
-	WB        bool  // dirty-eviction writeback: consumes bandwidth, no response
-	Inval     bool  // hardware-coherence invalidation control message
+	Stage  Stage
+	Bypass bool  // true when the request must bypass the LLC slice (SM-side remote miss at the home chip)
+	Phase  uint8 // organization-specific progress marker (hybrid: 0 = first lookup, 1 = home lookup)
+	WB     bool  // dirty-eviction writeback: consumes bandwidth, no response
+	Inval  bool  // hardware-coherence invalidation control message
 
 	// Outcome bookkeeping.
-	Origin      Origin
-	LLCHit      bool // set when the serving LLC slice hit
-	MergedMSHR  bool // set when the request was merged into an existing MSHR entry
-	CrossedRing bool // set when the request traversed at least one inter-chip link
-
-	// Timing.
-	IssueCycle int64 // cycle the SM injected the request
-	DoneCycle  int64 // cycle the response reached the SM
+	Origin Origin
+	LLCHit bool // set when the serving LLC slice hit
 
 	// pooled marks a request currently held by a Pool freelist; it guards
 	// against retiring the same request twice while a stale reference is

@@ -82,18 +82,18 @@ type warpCursor struct {
 }
 
 // Analyze measures spec. All kernel invocations are replayed back to back,
-// sharing the page table (as in the simulator).
+// into one sharing census.
 func (a *Analyzer) Analyze(spec workload.Spec) (Result, error) {
 	if len(spec.Kernels) == 0 {
 		return Result{}, fmt.Errorf("profile: spec %q has no kernels", spec.Name)
 	}
 	m := a.machine
-	pt := addr.NewPageTable(m.Geom, m.Chips)
+	census := addr.NewCensus(m.Geom, m.Chips)
 
 	res := Result{Benchmark: spec.Name, CapMB: a.capMB}
 	accs := make([]*windowAccumulator, len(a.windows))
 	for i, w := range a.windows {
-		accs[i] = newWindowAccumulator(w, a.capMB, m, pt)
+		accs[i] = newWindowAccumulator(w, a.capMB, m, census)
 	}
 
 	// First pass: build the complete sharing map (classification of a line
@@ -110,11 +110,11 @@ func (a *Analyzer) Analyze(spec workload.Spec) (Result, error) {
 					continue
 				}
 				live = true
-				pt.Touch(acc.Line, c.chip)
+				census.Touch(acc.Line, c.chip)
 			}
 		}
 	}
-	total, ts, fs := pt.FootprintBytes()
+	total, ts, fs := census.FootprintBytes()
 	scale := float64(m.Scale) / (1 << 20)
 	res.FootprintMB = float64(total) * scale
 	res.TrueSharedMB = float64(ts) * scale
@@ -166,7 +166,7 @@ type windowAccumulator struct {
 	window int64
 	capMB  float64
 	m      workload.Machine
-	pt     *addr.PageTable
+	census *addr.Census
 
 	cur     map[uint64]struct{}
 	curBase int64
@@ -175,9 +175,9 @@ type windowAccumulator struct {
 	n                         int
 }
 
-func newWindowAccumulator(window int64, capMB float64, m workload.Machine, pt *addr.PageTable) *windowAccumulator {
+func newWindowAccumulator(window int64, capMB float64, m workload.Machine, census *addr.Census) *windowAccumulator {
 	return &windowAccumulator{
-		window: window, capMB: capMB, m: m, pt: pt,
+		window: window, capMB: capMB, m: m, census: census,
 		cur: make(map[uint64]struct{}),
 	}
 }
@@ -196,7 +196,7 @@ func (w *windowAccumulator) flush() {
 	}
 	var t, f, n int
 	for line := range w.cur {
-		switch w.pt.Classify(line) {
+		switch w.census.Classify(line) {
 		case addr.TrueShared:
 			t++
 		case addr.FalseShared:

@@ -45,7 +45,6 @@ func TestPendingMatchesMapOracle(t *testing.T) {
 	s.LoadStreams(streams)
 	rng := rand.New(rand.NewSource(7))
 	oracle := map[uint64][]int{}
-	var id uint64
 	var merged, strays int
 
 	receive := func(now int64, line uint64) {
@@ -81,7 +80,7 @@ func TestPendingMatchesMapOracle(t *testing.T) {
 		for i := range s.warps {
 			next[i] = s.warps[i].next.Line
 		}
-		switch res := s.Issue(now, rng.Intn(4) != 0, &id); {
+		switch res := s.Issue(now, rng.Intn(4) != 0); {
 		case res.Merged:
 			oracle[next[res.Warp]] = append(oracle[next[res.Warp]], res.Warp)
 			merged++

@@ -48,7 +48,6 @@ func TestSchedulerMatchesLinearScan(t *testing.T) {
 	for _, warps := range []int{1, 8, MaxWarps} {
 		rng := rand.New(rand.NewSource(int64(40 + warps)))
 		s := New(Config{Chip: 0, Index: 0, L1Lines: 16, L1Ways: 2, Geom: testGeom, Sectors: 1})
-		var id uint64
 		var inflight []*memsys.Request
 		var failedPolls, retiredBlocked int
 		for kernel := 0; kernel < 3; kernel++ {
@@ -80,7 +79,7 @@ func TestSchedulerMatchesLinearScan(t *testing.T) {
 				}
 				s.greedy = greedyBefore
 
-				res := s.Issue(now, rng.Intn(4) != 0, &id)
+				res := s.Issue(now, rng.Intn(4) != 0)
 				if res.Req != nil && res.Req.Kind == memsys.Read {
 					inflight = append(inflight, res.Req)
 				}
@@ -125,16 +124,15 @@ func TestRefusedLoadCountedOnce(t *testing.T) {
 	s.LoadStreams([]workload.AccessStream{
 		&sliceStream{acc: []workload.Access{{Line: 5, Kind: memsys.Read}}},
 	})
-	var id uint64
 	for now := int64(1); now <= 50; now++ {
-		if res := s.Issue(now, false, &id); res.Issued {
+		if res := s.Issue(now, false); res.Issued {
 			t.Fatalf("cycle %d: load issued through a full port", now)
 		}
 	}
 	if h, m := s.L1Stats(); h != 0 || m != 0 {
 		t.Fatalf("50 refused retries counted %d hits, %d misses; want none", h, m)
 	}
-	if res := s.Issue(51, true, &id); res.Req == nil {
+	if res := s.Issue(51, true); res.Req == nil {
 		t.Fatal("load did not issue once the port opened")
 	}
 	if h, m := s.L1Stats(); h != 0 || m != 1 {

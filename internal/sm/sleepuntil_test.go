@@ -53,14 +53,13 @@ func TestSleepUntilNeverLate(t *testing.T) {
 	s.LoadStreams(streams)
 
 	const horizon = 200 // past the longest compute gap
-	var nextID uint64
 	var outstanding []*memsys.Request
 	now := int64(0)
 	for probe := 0; probe < 400 && !s.KernelDone(); probe++ {
 		// Run a burst with responses delivered at random delays.
 		for c := 1 + rng.Intn(12); c > 0; c-- {
 			now++
-			if res := s.Issue(now, rng.Intn(8) != 0, &nextID); res.Req != nil {
+			if res := s.Issue(now, rng.Intn(8) != 0); res.Req != nil {
 				if res.Req.Kind == memsys.Read {
 					outstanding = append(outstanding, res.Req)
 				}
@@ -78,7 +77,7 @@ func TestSleepUntilNeverLate(t *testing.T) {
 		}
 		change := int64(-1)
 		for tt := now + 1; tt <= now+horizon; tt++ {
-			if res := s.Issue(tt, true, &nextID); res.Issued {
+			if res := s.Issue(tt, true); res.Issued {
 				if res.Req != nil && res.Req.Kind == memsys.Read {
 					outstanding = append(outstanding, res.Req)
 				}

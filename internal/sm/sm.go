@@ -232,9 +232,8 @@ type IssueResult struct {
 
 // Issue attempts to issue one memory access at cycle now. canInject reports
 // whether the SM's NoC port accepts a new request this cycle; accesses that
-// need the NoC retry next cycle when it is full. nextID supplies request
-// IDs.
-func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
+// need the NoC retry next cycle when it is full.
+func (s *SM) Issue(now int64, canInject bool) IssueResult {
 	if now < s.sleepUntil {
 		return IssueResult{}
 	}
@@ -272,8 +271,7 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 			s.block(wi)
 			return IssueResult{Issued: true, Warp: wi, Merged: true}
 		}
-		*nextID++
-		req := s.newRequest(*nextID, memsys.Read, acc.Line, now, wi)
+		req := s.newRequest(memsys.Read, acc.Line, now)
 		s.pending = append(s.pending, pendingLine{line: acc.Line, head: int32(wi), tail: int32(wi)})
 		s.waitNext[wi] = -1
 		s.block(wi)
@@ -284,8 +282,7 @@ func (s *SM) Issue(now int64, canInject bool, nextID *uint64) IssueResult {
 	if !canInject {
 		return IssueResult{}
 	}
-	*nextID++
-	req := s.newRequest(*nextID, memsys.Write, acc.Line, now, wi)
+	req := s.newRequest(memsys.Write, acc.Line, now)
 	w.readyAt = now + int64(acc.Gap) + 1
 	s.advance(wi)
 	return IssueResult{Req: req, Issued: true, IsWrite: true, Warp: wi}
@@ -310,21 +307,18 @@ func (s *SM) block(wi int) {
 	s.advance(wi)
 }
 
-func (s *SM) newRequest(id uint64, kind memsys.AccessKind, line uint64, now int64, wi int) *memsys.Request {
+func (s *SM) newRequest(kind memsys.AccessKind, line uint64, now int64) *memsys.Request {
 	var req *memsys.Request
 	if s.cfg.Pool != nil {
 		req = s.cfg.Pool.Get()
 	} else {
 		req = &memsys.Request{}
 	}
-	req.ID = id
 	req.Kind = kind
-	req.Addr = line * uint64(s.cfg.Geom.LineBytes)
 	req.Line = line
 	req.Sector = ChipSector(line, s.cfg.Chip, s.cfg.Sectors)
 	req.SrcChip = s.cfg.Chip
 	req.SrcSM = s.cfg.Index
-	req.Warp = wi
 	req.IssueCycle = now
 	return req
 }

@@ -60,10 +60,9 @@ func TestIdentity(t *testing.T) {
 
 func TestIssuesAndBlocksOnLoadMiss(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	var req *memsys.Request
 	for now := int64(1); now < 1000 && req == nil; now++ {
-		res := s.Issue(now, true, &id)
+		res := s.Issue(now, true)
 		if res.Req != nil && res.Req.Kind == memsys.Read {
 			req = res.Req
 		}
@@ -88,22 +87,22 @@ func TestIssuesAndBlocksOnLoadMiss(t *testing.T) {
 
 func TestMergesMissesOnSameLine(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	var req *memsys.Request
+	var issuer int
 	for now := int64(1); now < 1000 && req == nil; now++ {
-		if res := s.Issue(now, true, &id); res.Req != nil && res.Req.Kind == memsys.Read {
-			req = res.Req
+		if res := s.Issue(now, true); res.Req != nil && res.Req.Kind == memsys.Read {
+			req, issuer = res.Req, res.Warp
 		}
 	}
 	if req == nil {
 		t.Fatal("no load miss issued")
 	}
-	other := (req.Warp + 1) % len(s.warps)
+	other := (issuer + 1) % len(s.warps)
 	w := &s.warps[other]
 	w.next = workload.Access{Line: req.Line, Kind: memsys.Read}
 	w.hasNext, w.blocked, w.done, w.readyAt = true, false, false, 0
 	s.greedy = other
-	res := s.Issue(5000, true, &id)
+	res := s.Issue(5000, true)
 	if !res.Merged || res.Req != nil {
 		t.Fatalf("expected a merged miss, got %+v", res)
 	}
@@ -115,9 +114,8 @@ func TestMergesMissesOnSameLine(t *testing.T) {
 
 func TestSleepHint(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	for now := int64(1); now < 5000; now++ {
-		s.Issue(now, true, &id)
+		s.Issue(now, true)
 		blocked := true
 		for i := range s.warps {
 			w := &s.warps[i]
@@ -129,7 +127,7 @@ func TestSleepHint(t *testing.T) {
 			break
 		}
 	}
-	s.Issue(6000, true, &id)
+	s.Issue(6000, true)
 	if s.SleepUntil() <= 6000 {
 		t.Skip("warps did not all block")
 	}
@@ -141,9 +139,8 @@ func TestSleepHint(t *testing.T) {
 
 func TestRespectsCanInject(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	for now := int64(1); now < 200; now++ {
-		if res := s.Issue(now, false, &id); res.Req != nil {
+		if res := s.Issue(now, false); res.Req != nil {
 			t.Fatal("request escaped a full port")
 		}
 	}
@@ -196,10 +193,9 @@ func TestChipSector(t *testing.T) {
 
 func TestKernelDoneRequiresDrainedLoads(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	var inflight []*memsys.Request
 	for now := int64(1); now < 200000 && s.doneWarps < len(s.warps); now++ {
-		res := s.Issue(now, true, &id)
+		res := s.Issue(now, true)
 		if res.Req != nil && res.Req.Kind == memsys.Read {
 			inflight = append(inflight, res.Req)
 		}
@@ -225,10 +221,9 @@ func TestKernelDoneRequiresDrainedLoads(t *testing.T) {
 
 func TestFlushL1(t *testing.T) {
 	s := smUnderTest(t)
-	var id uint64
 	var req *memsys.Request
 	for now := int64(1); now < 1000 && req == nil; now++ {
-		if res := s.Issue(now, true, &id); res.Req != nil && res.Req.Kind == memsys.Read {
+		if res := s.Issue(now, true); res.Req != nil && res.Req.Kind == memsys.Read {
 			req = res.Req
 		}
 	}

@@ -199,9 +199,10 @@ type AccessStream interface {
 // (deficit) scheduler over up to three region walks, so the region mix stays
 // smooth over time and all walks finish together.
 type Stream struct {
-	walks   []walker
-	credit  []int64
-	share   []int64
+	walks   [3]walker // the first n are set
+	credit  [3]int64
+	share   [3]int64
+	n       int
 	total   int64
 	emitted int64
 	salt    uint64
@@ -222,7 +223,7 @@ func (st *Stream) Next() (Access, bool) {
 	// Stride-schedule: pick the walk with the highest credit.
 	best := -1
 	var bestCredit int64
-	for i, w := range st.walks {
+	for i, w := range st.walks[:st.n] {
 		if w.remaining() <= 0 {
 			continue
 		}
@@ -589,11 +590,9 @@ func (s Spec) NewStream(m Machine, ki, chip, sm, warp int) *Stream {
 	if tw := newTrueWalker(l, m, warpInChip, k.ReuseTrue, k.SharersTrue); tw != nil {
 		st.addWalk(tw)
 	}
-	for _, w := range st.walks {
-		st.total += w.remaining()
-	}
-	for i, w := range st.walks {
+	for i, w := range st.walks[:st.n] {
 		st.share[i] = w.remaining()
+		st.total += st.share[i]
 	}
 	return st
 }
@@ -611,7 +610,6 @@ func (s Spec) Stream(m Machine, ki, chip, sm, warp int) AccessStream {
 }
 
 func (st *Stream) addWalk(w walker) {
-	st.walks = append(st.walks, w)
-	st.credit = append(st.credit, 0)
-	st.share = append(st.share, 0)
+	st.walks[st.n] = w
+	st.n++
 }

@@ -112,12 +112,25 @@ func TestStreamEndsAtLen(t *testing.T) {
 	}
 }
 
-// drive runs every warp's stream through a page table, reproducing what the
-// simulator's first-touch placement sees. Warps are interleaved round-robin
-// to mimic concurrent execution.
-func drive(t *testing.T, s Spec, m Machine, ki int) *addr.PageTable {
+// TestNewStreamAllocations pins per-warp stream set-up, which every cell of
+// every rung pays once per warp per kernel: the Stream record and one object
+// per region walk, nothing grown by append.
+func TestNewStreamAllocations(t *testing.T) {
+	s := tinySpec()
+	if st := s.NewStream(testMachine, 0, 1, 2, 3); st.n != 3 {
+		t.Fatalf("tiny spec builds %d walks, want all 3", st.n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.NewStream(testMachine, 0, 1, 2, 3) }); n > 4 {
+		t.Fatalf("NewStream allocates %v times, want <= 4", n)
+	}
+}
+
+// drive runs every warp's stream through a sharing census, recording which
+// chips touch which lines. Warps are interleaved round-robin to mimic
+// concurrent execution.
+func drive(t *testing.T, s Spec, m Machine, ki int) *addr.Census {
 	t.Helper()
-	pt := addr.NewPageTable(m.Geom, m.Chips)
+	pt := addr.NewCensus(m.Geom, m.Chips)
 	type ws struct {
 		chip int
 		st   *Stream

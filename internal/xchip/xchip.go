@@ -191,7 +191,6 @@ func (r *Ring) Inject(m Message) {
 		panic("xchip: message injected with src == dst")
 	}
 	m.dir = r.route(m.Src, m.Dst, m.Req.Line)
-	m.Req.CrossedRing = true
 	r.links[m.Src][m.dir].egress.Push(m)
 	r.pending++
 }

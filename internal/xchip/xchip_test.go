@@ -43,9 +43,6 @@ func TestNeighbourDelivery(t *testing.T) {
 	if len(s.arrived[1]) != 1 {
 		t.Fatalf("chip 1 got %d messages, want 1", len(s.arrived[1]))
 	}
-	if !s.arrived[1][0].Req.CrossedRing {
-		t.Fatal("CrossedRing not marked")
-	}
 	if r.Pending() != 0 {
 		t.Fatalf("Pending = %d after delivery", r.Pending())
 	}
