@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -48,7 +49,7 @@ func (t *mapPageTable) classify(line uint64) SharingClass {
 	}
 	mask := e.lineChips[line%uint64(t.lpp)]
 	switch {
-	case popcount8(mask) > 1:
+	case bits.OnesCount8(mask) > 1:
 		return TrueShared
 	case mask != 0 && e.chipsTouch&^mask != 0:
 		return FalseShared
@@ -62,7 +63,7 @@ func (t *mapPageTable) footprint(lineBytes int64) (total, trueShared, falseShare
 			switch {
 			case mask == 0:
 				continue
-			case popcount8(mask) > 1:
+			case bits.OnesCount8(mask) > 1:
 				trueShared += lineBytes
 			case e.chipsTouch&^mask != 0:
 				falseShared += lineBytes
@@ -71,15 +72,6 @@ func (t *mapPageTable) footprint(lineBytes int64) (total, trueShared, falseShare
 		}
 	}
 	return total, trueShared, falseShared
-}
-
-func popcount8(x uint8) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // straddlingLines returns a seeded picker of lines whose page numbers sit on

@@ -291,8 +291,8 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 				// Bursts of a few accesses per warp visit keep the replay
 				// breadth-first (every warp advances every round) while giving
 				// the page-table memo and the L1 tag model the access locality
-				// the per-warp streams actually have — strict one-access
-				// round-robin made every page lookup a cold map hit.
+				// the per-warp streams actually have — under strict one-access
+				// round-robin every page lookup misses the memo.
 				for b := int64(0); b < estimateBurst; b++ {
 					if estimateWarpSteps > 0 && c.steps >= estimateWarpSteps {
 						break
