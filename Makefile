@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check bench benchcheck benchsmoke benchguard loadsmoke fig8 fmt
+.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check benchcheck fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -68,13 +68,15 @@ clustersmoke:
 
 # fuzz is a short smoke of the untrusted-input decoders (the trace reader,
 # the store's object reader, the jobs HTTP surface sacd and saccoord share,
-# and the journal's replay). An exec-count budget keeps the wall time stable on single-core CI
+# the journal's replay, and the coordinator's worker register/heartbeat
+# bodies). An exec-count budget keeps the wall time stable on single-core CI
 # runners; long campaigns run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzJobsHTTP -fuzztime 20000x ./internal/jobs
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 20000x ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzWorkersHTTP -fuzztime 20000x ./internal/cluster
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.
@@ -111,10 +113,9 @@ fieldalign:
 # detector (every daemon, crash-recovery, fidelity and fleet contract — once)
 # and again in shuffled order, the one environment-selected configuration
 # race cannot reach, a fuzz smoke of the decoders, the nested benchmark
-# module's own vet + tests, a one-iteration benchmark smoke, a 30-second
-# load smoke of the batch serving path, and the advisory layout and
-# vulnerability scans.
-check: vet race shuffle syncsmoke fuzz benchcheck benchsmoke loadsmoke fieldalign vuln
+# module's own vet + tests (a smoke-size run of all four workloads), and the
+# advisory layout and vulnerability scans.
+check: vet race shuffle syncsmoke fuzz benchcheck fieldalign vuln
 
 # benchcheck builds and tests bench/, a module of its own that compiles
 # against internal/store, internal/server, internal/cluster and client but
@@ -122,34 +123,6 @@ check: vet race shuffle syncsmoke fuzz benchcheck benchsmoke loadsmoke fieldalig
 # change without failing here (< 10 s).
 benchcheck:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# benchsmoke compiles and executes the throughput-critical benchmarks for a
-# single iteration — it catches benchmarks broken by API drift without
-# paying for a measurement run.
-benchsmoke:
-	$(GO) test -run '^$$' -bench 'SimulatorThroughput$$|IdleFastForward|CacheLookup|Estimate$$|SampledRun$$|RemoteEstimateSweep$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'StorePut' -benchtime 1x ./internal/store
-
-# loadsmoke is the serving-throughput gate: sacload drives an in-process sacd
-# over real loopback HTTP for 30 seconds and fails if the warm batch path
-# sustains fewer than 2,000 jobs/s (the documented single-node floor).
-loadsmoke:
-	$(GO) run ./cmd/sacload -inprocess -duration 30s -concurrency 8 -batch 64 -min-rate 2000
-
-# benchguard is the perf-regression gate: a full Fig 8 sweep with no
-# observer attached must stay within 1% of the newest recorded allocation
-# baseline, the cycle loop's sim-cycles/s must stay within tolerance of
-# the newest recorded throughput, and the warmed batch serving path must
-# stay within tolerance of the newest recorded jobs/s (see
-# benchguard_test.go; baselines are the highest-_sequence BENCH_*.json).
-# Takes minutes; run before merging cycle-loop or serving-path changes.
-benchguard:
-	BENCH_GUARD=1 $(GO) test -run 'TestFig8AllocGuard|TestSerialThroughputGuard|TestRemoteSweepGuard' -timeout 60m -v .
-
-# bench regenerates every table/figure as Go benchmarks with allocation
-# stats. REPRO_SET=fast shrinks the benchmark sets for a quick pass.
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' -timeout 120m
 
 fig8:
 	$(GO) run ./cmd/sacsweep -exp fig8

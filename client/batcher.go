@@ -21,9 +21,7 @@ import (
 // result. A group shares its leader's context fate — Batcher is built for
 // callers that share one sweep context, not for isolating unrelated callers.
 type Batcher struct {
-	c      *Client
-	max    int
-	linger time.Duration
+	c *Client
 
 	mu  sync.Mutex
 	cur *group
@@ -40,19 +38,17 @@ type group struct {
 	seal chan struct{} // closed once the group stops accepting members
 }
 
-// NewBatcher wraps c. max bounds jobs per batch (0 = 256, capped at
-// MaxBatch); linger is how long a leader holds the window open for peers
-// (0 = 2ms — enough for a worker pool's worth of concurrent calls to pile
-// in, invisible next to a round trip).
-func NewBatcher(c *Client, max int, linger time.Duration) *Batcher {
-	if max <= 0 || max > MaxBatch {
-		max = 256
-	}
-	if linger <= 0 {
-		linger = 2 * time.Millisecond
-	}
-	return &Batcher{c: c, max: max, linger: linger}
-}
+const (
+	// batchMax bounds jobs per batch; it must not exceed MaxBatch.
+	batchMax = 256
+	// batchLinger is how long a leader holds the window open for peers:
+	// enough for a worker pool's worth of concurrent calls to pile in,
+	// invisible next to a round trip.
+	batchLinger = 2 * time.Millisecond
+)
+
+// NewBatcher wraps c.
+func NewBatcher(c *Client) *Batcher { return &Batcher{c: c} }
 
 // Run submits one cell through the current batch window and blocks until its
 // result arrives — the batched equivalent of Client.Run.
@@ -67,13 +63,13 @@ func (b *Batcher) Run(ctx context.Context, req JobRequest) (*sac.Stats, error) {
 	}
 	g.reqs = append(g.reqs, req)
 	g.outs = append(g.outs, out)
-	if len(g.reqs) >= b.max {
+	if len(g.reqs) >= batchMax {
 		b.sealLocked(g)
 	}
 	b.mu.Unlock()
 
 	if leader {
-		timer := time.NewTimer(b.linger)
+		timer := time.NewTimer(batchLinger)
 		select {
 		case <-g.seal: // filled by a member
 			timer.Stop()
@@ -110,7 +106,8 @@ func (b *Batcher) sealLocked(g *group) {
 }
 
 // execute runs a sealed group: one batch submit, then one shared watch loop
-// over whatever came back non-terminal.
+// over whatever came back non-terminal. Like WaitAll, the loop re-arms a
+// backpressured watch instead of failing the group.
 func (b *Batcher) execute(ctx context.Context, g *group) {
 	sts, err := b.c.SubmitBatch(ctx, g.reqs)
 	if err != nil {
@@ -140,6 +137,9 @@ func (b *Batcher) execute(ctx context.Context, g *group) {
 			return
 		}
 		resp, werr := b.c.Watch(ctx, pending, 0)
+		if b.c.rearm(ctx, werr) {
+			continue
+		}
 		if werr != nil {
 			fail(werr)
 			return

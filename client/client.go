@@ -325,17 +325,31 @@ func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration)
 	return resp, nil
 }
 
+// rearm is the rule for a backpressured watch (err is a 429/503 that outlived
+// the retry loop): it does not fail the wait. The watched jobs are accepted
+// and will finish whether or not watches get through, so the caller re-arms
+// after the usual jittered backoff with the daemon's Retry-After hint as a
+// capped floor — the same pacing rule the submit retries use — until ctx
+// runs out. rearm reports whether err was such a refusal, having slept the
+// delay (or until ctx ended) if so.
+func (c *Client) rearm(ctx context.Context, err error) bool {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || !apiErr.Temporary() {
+		return false
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(c.retryDelay(1, err)):
+	}
+	return true
+}
+
 // WaitAll blocks until every listed job is terminal (or ctx expires) and
 // returns the terminal statuses by id. It holds one open long-poll over the
 // remaining jobs instead of polling each — collection costs O(completions)
 // round trips, not O(jobs × poll-rate). An id the daemon does not know is an
-// error: the job aged out of retention before it was collected.
-//
-// A backpressured watch (429/503 after the retry loop gives up) does not
-// fail the wait: the jobs are accepted and will finish whether or not
-// watches get through, so WaitAll re-arms after the usual jittered backoff
-// with the daemon's Retry-After hint as a capped floor — the same pacing
-// rule the submit retries use — until ctx runs out.
+// error: the job aged out of retention before it was collected. A
+// backpressured watch re-arms (see rearm) instead of failing the wait.
 func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatus, error) {
 	out := make(map[string]JobStatus, len(ids))
 	pending := append([]string(nil), ids...)
@@ -344,12 +358,7 @@ func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatu
 			return out, fmt.Errorf("sacd: %d jobs still pending: %w", len(pending), err)
 		}
 		resp, err := c.Watch(ctx, pending[:min(len(pending), MaxBatch)], 0)
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Temporary() {
-			select {
-			case <-ctx.Done():
-			case <-time.After(c.retryDelay(1, err)):
-			}
+		if c.rearm(ctx, err) {
 			continue
 		}
 		if err != nil {

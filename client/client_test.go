@@ -333,3 +333,42 @@ func TestWaitPermanentStatusErrorFails(t *testing.T) {
 		t.Fatalf("404 polled %d times, want 1", calls.Load())
 	}
 }
+
+// TestBatcherSurvivesBackpressuredWatch pins for Batcher the contract
+// TestWaitSurvivesBackpressuredStatusPoll pins for WaitAll (both call
+// rearm): the batch is accepted, the first watch is shed with 503 and a
+// Retry-After, and the group re-arms after that floor instead of failing
+// every member.
+func TestBatcherSurvivesBackpressuredWatch(t *testing.T) {
+	var watches atomic.Int64
+	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			json.NewEncoder(w).Encode(BatchResponse{Jobs: []BatchItem{{Status: &JobStatus{ID: "j1", State: StateQueued}}}})
+			return
+		}
+		if watches.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0.3")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			json.NewEncoder(w).Encode(map[string]string{"error": "draining"})
+			return
+		}
+		json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{{
+			ID: "j1", State: StateDone, Result: json.RawMessage(`{"Cycles":7}`)}}})
+	})
+	WithRetries(0)(c) // every watch is one HTTP request: the pacing is the Batcher's own
+
+	t0 := time.Now()
+	res, err := NewBatcher(c).Run(context.Background(), JobRequest{Benchmark: "BP"})
+	if err != nil {
+		t.Fatalf("backpressured watch failed the group: %v", err)
+	}
+	if res.Cycles != 7 {
+		t.Fatalf("cycles %d, want 7", res.Cycles)
+	}
+	if watches.Load() != 2 {
+		t.Fatalf("%d watch calls, want 2 (503 then done)", watches.Load())
+	}
+	if elapsed := time.Since(t0); elapsed < 250*time.Millisecond {
+		t.Fatalf("group re-armed after %v; Retry-After of 0.3s must floor the pause", elapsed)
+	}
+}

@@ -214,7 +214,13 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("wave job %d (%s/%s) lost: state=%s err=%s", i, wave[i].Benchmark, wave[i].Org, st.State, st.Error)
 		}
 	}
+	// The steals above ride connection errors, so the wave can finish before
+	// the lapse watcher (3 heartbeats) evicts the corpse from the ring.
 	fs, err := cc.Fleet(ctx)
+	for deadline := time.Now().Add(5 * time.Second); err == nil && fs.Live != 1 && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		fs, err = cc.Fleet(ctx)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -262,7 +262,7 @@ type printer interface{ Print(w io.Writer) }
 // run locally — a sweep is never partial because one experiment synthesizes
 // workloads.
 func remoteExecutor(ctx context.Context, base string) func(gpu.Config, sac.Spec, gpu.RunOpts) (*sac.Stats, error) {
-	b := client.NewBatcher(client.New(base), 0, 0)
+	b := client.NewBatcher(client.New(base))
 	return func(cfg gpu.Config, spec sac.Spec, o gpu.RunOpts) (*sac.Stats, error) {
 		if _, err := workload.ByName(spec.Name); err != nil {
 			return backend.Run(cfg, spec, o)

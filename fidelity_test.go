@@ -136,8 +136,8 @@ func TestSampledDeterminism(t *testing.T) {
 
 // TestEstimateLatency is the estimate rung's speed contract: a full
 // 16-workload SAC decision sweep must complete in well under a second (the
-// recorded speedup against cycle-exact lives in BENCH_pr8.json; this bound
-// only catches the rung degenerating into a simulation).
+// rung's measured speed is bench/'s estimate_sweep workload; this bound only
+// catches the rung degenerating into a simulation).
 func TestEstimateLatency(t *testing.T) {
 	cfg := sac.ScaledConfig().WithOrg(sac.SAC)
 	start := time.Now()

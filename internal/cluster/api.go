@@ -7,7 +7,6 @@ import (
 	"repro/client"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 // Handler returns the coordinator's HTTP API: the engine's jobs routes
@@ -21,9 +20,6 @@ import (
 //	GET    /v1/fleet                   worker table + counters   → 200 FleetStatus
 //	GET    /v1/healthz                 coordinator health        → 200 Health
 //	GET    /metrics, /metrics.json     fleet metrics (when a Registry is set)
-//
-// Responses are gzip-compressed for clients that advertise support, same as
-// sacd.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	c.Mount(mux)
@@ -39,7 +35,7 @@ func (c *Coordinator) Handler() http.Handler {
 		mux.Handle("GET /metrics", h)
 		mux.Handle("GET /metrics.json", h)
 	}
-	return server.Gzip(mux)
+	return mux
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {

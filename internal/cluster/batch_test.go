@@ -122,9 +122,9 @@ func TestRemoteByteIdentity(t *testing.T) {
 		}
 	}
 
-	// All cells concurrently through one Batcher, so they coalesce into a
-	// single jobs:batch submission collected by one shared watch.
-	b := client.NewBatcher(newClient(hs.URL), 0, 20*time.Millisecond)
+	// All cells concurrently through one Batcher, so they coalesce into
+	// jobs:batch submissions collected by shared watches.
+	b := client.NewBatcher(newClient(hs.URL))
 	remote := make([][]byte, len(cells))
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup

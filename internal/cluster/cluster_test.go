@@ -61,7 +61,12 @@ func (w *testWorker) kill() {
 // startWorker boots a real server.Server over httptest and enrolls it.
 func startWorker(t *testing.T, coordURL, id string) *testWorker {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2})
+	return startWorkerWith(t, coordURL, id, server.Config{Workers: 2})
+}
+
+func startWorkerWith(t *testing.T, coordURL, id string, cfg server.Config) *testWorker {
+	t.Helper()
+	s := server.New(cfg)
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
 	agent, err := StartAgent(AgentConfig{
@@ -229,25 +234,33 @@ func runWave(t *testing.T, cc *client.Client, reqs []client.JobRequest) {
 func TestClusterGlobalDedup(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord, hs := testCoordinator(t, reg)
-	startWorker(t, hs.URL, "worker-a")
-	startWorker(t, hs.URL, "worker-b")
+	// The workers hold every execution until the coordinator has admitted
+	// both submissions, so the second always meets the first in flight — a
+	// cell that finished first would answer it from the memo instead.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before the workers' cleanup drains them
+	held := server.Config{Workers: 2, Chaos: server.Chaos{BeforeRun: func(string) { <-gate }}}
+	startWorkerWith(t, hs.URL, "worker-a", held)
+	startWorkerWith(t, hs.URL, "worker-b", held)
 	waitLive(t, coord, 2)
 	ctx := context.Background()
 
-	// A heavier cell so the second submission lands while the first is still
-	// in flight.
 	req := tinyRequest("RN", "SAC", 4096)
 	clients := []*client.Client{newClient(hs.URL), newClient(hs.URL)}
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		sources = map[string]int{}
+		wg       sync.WaitGroup
+		admitted sync.WaitGroup
+		mu       sync.Mutex
+		sources  = map[string]int{}
 	)
+	admitted.Add(len(clients))
 	for _, cc := range clients {
 		wg.Add(1)
 		go func(cc *client.Client) {
 			defer wg.Done()
 			st, err := cc.Submit(ctx, req)
+			admitted.Done()
 			if err == nil {
 				st, err = cc.Wait(ctx, st.ID)
 			}
@@ -264,6 +277,8 @@ func TestClusterGlobalDedup(t *testing.T) {
 			mu.Unlock()
 		}(cc)
 	}
+	admitted.Wait()
+	release()
 	wg.Wait()
 	if t.Failed() {
 		return

@@ -73,8 +73,8 @@ func TestRunnerStoreWarmCache(t *testing.T) {
 // same cell occupy distinct store slots.
 func TestRunnerStoreKeysFaultPlans(t *testing.T) {
 	cfg := testRunner("BP").Base
-	healthy := store.Key(cfg, "BP", "")
-	faulted := store.Key(cfg, "BP", "dram:0.0@100*0.5")
+	healthy := store.KeyAt(cfg, "BP", "", "")
+	faulted := store.KeyAt(cfg, "BP", "dram:0.0@100*0.5", "")
 	if healthy == faulted {
 		t.Fatal("fault plan does not separate store keys")
 	}
@@ -138,7 +138,7 @@ func TestRunnerReportsFirstStorePutFailure(t *testing.T) {
 	// A plain file where each cell's shard directory belongs makes the
 	// object write fail, even for root.
 	for _, q := range reqs {
-		key := store.Key(q.Cfg, spec.Name, "")
+		key := store.KeyAt(q.Cfg, spec.Name, "", "")
 		if err := os.WriteFile(filepath.Join(dir, "objects", key[:2]), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -86,8 +86,8 @@ func (s *System) checkConserved(t *testing.T) {
 	}
 }
 
-// runFaultsChecked is RunWithFaults with checkActivity after every step and
-// checkConserved after the run.
+// runFaultsChecked is RunWith under a fault plan with checkActivity after
+// every step and checkConserved after the run.
 func runFaultsChecked(t *testing.T, cfg Config, spec workload.Spec, plan *fault.Plan) (*stats.Run, error) {
 	t.Helper()
 	sys, err := New(cfg, spec)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/stats"
 	"repro/internal/xchip"
 )
 
@@ -176,9 +175,4 @@ func (s *System) newStallError() *StallError {
 		State:        s.state.String(),
 		Dump:         strings.TrimRight(b.String(), "\n"),
 	}
-}
-
-// RunWithFaults builds a system, arms it with a fault plan and runs it.
-func RunWithFaults(cfg Config, spec Workload, plan *fault.Plan) (*stats.Run, error) {
-	return RunWith(cfg, spec, RunOpts{Faults: plan})
 }

@@ -30,7 +30,7 @@ func TestZeroFaultPlanMatchesBaseline(t *testing.T) {
 	spec := tinyWorkload()
 	base := mustRun(t, cfg, spec)
 	for _, plan := range []*fault.Plan{nil, {}} {
-		r, err := RunWithFaults(cfg, spec, plan)
+		r, err := RunWith(cfg, spec, RunOpts{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 		t.Fatal("plan applied no fault events")
 	}
 	for i := 0; i < 2; i++ {
-		again, err := RunWithFaults(cfg, spec, plan)
+		again, err := RunWith(cfg, spec, RunOpts{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestWatchdogCatchesWedgedRing(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	cfg.WatchdogCycles = 20_000
-	_, err = RunWithFaults(cfg, tinyWorkload(), plan)
+	_, err = RunWith(cfg, tinyWorkload(), RunOpts{Faults: plan})
 	var stall *StallError
 	if !errors.As(err, &stall) {
 		t.Fatalf("wedged run returned %v, want a StallError", err)

@@ -19,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_runs.json from 
 
 const goldenRunsPath = "testdata/golden_runs.json"
 
-// runStepped is RunWithFaults with fast-forward off: every cycle is stepped.
+// runStepped is RunWith under a fault plan with fast-forward off: every
+// cycle is stepped.
 func runStepped(cfg Config, spec workload.Spec, plan *fault.Plan) (*stats.Run, error) {
 	sys, err := New(cfg, spec)
 	if err != nil {

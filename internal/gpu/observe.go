@@ -40,8 +40,8 @@ type RunOpts struct {
 // Deprecated: SetWorkers has no effect (one stepper); removed with ROADMAP item 1.
 func (s *System) SetWorkers(int) {}
 
-// RunWith builds a system, applies the options and runs it. Every package
-// entry point (Run, RunWithFaults) routes through here.
+// RunWith builds a system, applies the options and runs it: the package's
+// one build-and-run entry point.
 func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 	sys, err := New(cfg, w)
 	if err != nil {

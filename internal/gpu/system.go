@@ -1216,8 +1216,3 @@ func (s *System) finalize() {
 		s.observeSample() // close the partial final window
 	}
 }
-
-// Run is the package-level convenience: build a system and run it.
-func Run(cfg Config, spec Workload) (*stats.Run, error) {
-	return RunWith(cfg, spec, RunOpts{})
-}

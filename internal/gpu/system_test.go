@@ -48,7 +48,7 @@ func tinyWorkload() workload.Spec {
 
 func mustRun(t *testing.T, cfg Config, spec workload.Spec) *stats.Run {
 	t.Helper()
-	r, err := Run(cfg, spec)
+	r, err := RunWith(cfg, spec, RunOpts{})
 	if err != nil {
 		t.Fatalf("Run(%s, %s): %v", cfg.Org, spec.Name, err)
 	}
@@ -286,7 +286,7 @@ func TestDynamicAdjustsPartition(t *testing.T) {
 }
 
 func TestRunRejectsEmptySpec(t *testing.T) {
-	if _, err := Run(tinyConfig(), workload.Spec{Name: "empty"}); err == nil {
+	if _, err := RunWith(tinyConfig(), workload.Spec{Name: "empty"}, RunOpts{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }

@@ -126,51 +126,6 @@ func (h *Histogram) cumulative() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) from the bucket counts
-// by linear interpolation inside the bucket holding the target rank — the
-// same estimate Prometheus's histogram_quantile computes. Observations in
-// the +Inf bucket clamp to the highest finite bound (their true magnitude is
-// unknown), and an empty histogram returns NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	cum := h.cumulative()
-	total := cum[len(cum)-1]
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	b := 0
-	for b < len(cum)-1 && float64(cum[b]) < rank {
-		b++
-	}
-	if b >= len(h.bounds) {
-		// +Inf bucket: no finite upper edge to interpolate toward.
-		if len(h.bounds) == 0 {
-			return math.NaN()
-		}
-		return h.bounds[len(h.bounds)-1]
-	}
-	lo := 0.0
-	if b > 0 {
-		lo = h.bounds[b-1]
-	}
-	hi := h.bounds[b]
-	prev := uint64(0)
-	if b > 0 {
-		prev = cum[b-1]
-	}
-	in := float64(cum[b] - prev)
-	if in == 0 {
-		return hi
-	}
-	return lo + (hi-lo)*((rank-float64(prev))/in)
-}
-
 // series is one labelled instance of a family.
 type series struct {
 	labels []Label

@@ -15,8 +15,6 @@ import (
 //	GET  /metrics             Prometheus metrics (when a Registry is set)
 //	GET  /metrics.json        the same registry as JSON
 //	GET  /debug/pprof/...     net/http/pprof (when EnablePprof is set)
-//
-// Responses are gzip-compressed when the client advertises support.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.Mount(mux)
@@ -35,5 +33,5 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return Gzip(mux)
+	return mux
 }

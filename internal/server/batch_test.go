@@ -348,45 +348,3 @@ func TestResultServedFromRawBytes(t *testing.T) {
 		t.Fatalf("store-hit result bytes differ from sim-path bytes:\n%s\nvs\n%s", hitRaw, simRaw)
 	}
 }
-
-// TestGzipResponses checks that a client advertising gzip gets a compressed
-// result body that decodes to the same JSON an identity client sees.
-func TestGzipResponses(t *testing.T) {
-	s, c := testDaemon(t, Config{Workers: 1})
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	ctx := context.Background()
-
-	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = c.Wait(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	// Hand-rolled request so the transport neither adds Accept-Encoding nor
-	// transparently decompresses: we want to see the wire encoding.
-	tr := &http.Transport{DisableCompression: true}
-	defer tr.CloseIdleConnections()
-	req, _ := http.NewRequest("GET", hs.URL+"/v1/jobs/"+st.ID+"/result", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Fatalf("Content-Encoding %q, want gzip", got)
-	}
-
-	req2, _ := http.NewRequest("GET", hs.URL+"/v1/jobs/"+st.ID+"/result", nil)
-	resp2, err := tr.RoundTrip(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if got := resp2.Header.Get("Content-Encoding"); got != "" {
-		t.Fatalf("identity request got Content-Encoding %q", got)
-	}
-}

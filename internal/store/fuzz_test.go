@@ -15,12 +15,12 @@ import (
 // must end up quarantined, not left addressable.
 func FuzzStoreObject(f *testing.F) {
 	cfg := testConfig()
-	key := Key(cfg, "BP", "")
+	key := KeyAt(cfg, "BP", "", "")
 	s, err := Open(f.TempDir(), Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		f.Fatal(err)
 	}
 	path := s.objectPath(key)

@@ -76,15 +76,11 @@ type KeyMaterial struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// Key returns the content address of one cycle-exact simulation cell: a hex
-// SHA-256 of the canonical (config, workload, fault plan) encoding. faults
-// is the fault-plan fingerprint from fault.Plan.Key ("" = healthy).
-func Key(cfg gpu.Config, benchmark, faults string) string {
-	return KeyAt(cfg, benchmark, faults, "")
-}
-
-// KeyAt is Key with an explicit fidelity rung. "" and "exact" address the
-// same (legacy) exact keys; other rungs get distinct addresses.
+// KeyAt returns the content address of one simulation cell: a hex SHA-256
+// of the canonical (config, workload, fault plan, fidelity rung) encoding.
+// faults is the fault-plan fingerprint from fault.Plan.Key ("" = healthy).
+// "" and "exact" address the same (legacy) exact keys; other rungs get
+// distinct addresses.
 func KeyAt(cfg gpu.Config, benchmark, faults, fidelity string) string {
 	return keyOf(materialAt(cfg, benchmark, faults, fidelity))
 }
@@ -570,7 +566,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 	return env.Result, env.Cycles, true
 }
 
-// Put stores res under key (as derived by Key from the same cell identity).
+// Put stores res under key (as derived by KeyAt from the same cell identity).
 // The write is atomic; an existing entry is replaced. Exceeding the size
 // cap evicts least-recently-used entries. The cost does not depend on how
 // many objects the store holds.
@@ -585,14 +581,8 @@ func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
 	return s.put(key, keyJSON, res)
 }
 
-// PutRun derives the key from the cycle-exact cell identity and stores res
-// under it.
-func (s *Store) PutRun(cfg gpu.Config, benchmark, faults string, res *stats.Run) error {
-	return s.PutRunAt(cfg, benchmark, faults, "", res)
-}
-
-// PutRunAt is PutRun with an explicit fidelity rung ("" or "exact" = the
-// cycle-exact default).
+// PutRunAt derives the key from the cell identity, as KeyAt does, and
+// stores res under it.
 func (s *Store) PutRunAt(cfg gpu.Config, benchmark, faults, fidelity string, res *stats.Run) error {
 	if s == nil {
 		return nil

@@ -37,8 +37,8 @@ func testRun(bench string, cycles int64) *stats.Run {
 
 func TestKeyDeterministicAndSensitive(t *testing.T) {
 	cfg := testConfig()
-	k1 := Key(cfg, "BP", "")
-	k2 := Key(cfg, "BP", "")
+	k1 := KeyAt(cfg, "BP", "", "")
+	k2 := KeyAt(cfg, "BP", "", "")
 	if k1 != k2 {
 		t.Fatalf("same identity hashed differently: %s vs %s", k1, k2)
 	}
@@ -46,19 +46,19 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		t.Fatalf("key is not a hex sha256: %q", k1)
 	}
 	// Every component of the identity must change the key.
-	if Key(cfg, "RN", "") == k1 {
+	if KeyAt(cfg, "RN", "", "") == k1 {
 		t.Error("benchmark does not affect key")
 	}
-	if Key(cfg, "BP", "dram:0.0@100*0.5") == k1 {
+	if KeyAt(cfg, "BP", "dram:0.0@100*0.5", "") == k1 {
 		t.Error("fault plan does not affect key")
 	}
 	cfg2 := cfg
 	cfg2.RingLinkBW *= 2
-	if Key(cfg2, "BP", "") == k1 {
+	if KeyAt(cfg2, "BP", "", "") == k1 {
 		t.Error("config does not affect key")
 	}
 	org := cfg.WithOrg(gpu.ScaledConfig().Org + 1)
-	if Key(org, "BP", "") == k1 {
+	if KeyAt(org, "BP", "", "") == k1 {
 		t.Error("organization does not affect key")
 	}
 }
@@ -70,7 +70,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 func TestFidelityKeysDistinct(t *testing.T) {
 	cfg := testConfig()
 	exact := KeyAt(cfg, "BP", "", "exact")
-	if exact != Key(cfg, "BP", "") {
+	if exact != KeyAt(cfg, "BP", "", "") {
 		t.Fatal(`"exact" does not address the legacy exact key; pre-ladder caches would go cold`)
 	}
 	est := KeyAt(cfg, "BP", "", "estimate")
@@ -111,10 +111,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	cfg := testConfig()
 	want := testRun("BP", 12345)
-	if err := s.PutRun(cfg, "BP", "", want); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(Key(cfg, "BP", ""))
+	got, ok := s.Get(KeyAt(cfg, "BP", "", ""))
 	if !ok {
 		t.Fatal("fresh put is a miss")
 	}
@@ -124,7 +124,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if s.Hits() != 1 || s.Misses() != 0 {
 		t.Fatalf("hits=%d misses=%d, want 1/0", s.Hits(), s.Misses())
 	}
-	if _, ok := s.Get(Key(cfg, "RN", "")); ok {
+	if _, ok := s.Get(KeyAt(cfg, "RN", "", "")); ok {
 		t.Fatal("unstored key is a hit")
 	}
 	if s.Misses() != 1 {
@@ -139,7 +139,7 @@ func TestReopenSeesEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 99)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 99)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -153,7 +153,7 @@ func TestReopenSeesEntries(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("reopened store has %d entries, want 1", s2.Len())
 	}
-	if _, ok := s2.Get(Key(cfg, "BP", "")); !ok {
+	if _, ok := s2.Get(KeyAt(cfg, "BP", "", "")); !ok {
 		t.Fatal("reopened store misses a persisted entry")
 	}
 }
@@ -166,8 +166,8 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	key := KeyAt(cfg, "BP", "", "")
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate the object to simulate disk corruption.
@@ -192,7 +192,7 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	}
 	// The slot is writable again, and the quarantined sibling is invisible
 	// to a reopened store's index rebuild.
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); !ok {
@@ -218,8 +218,8 @@ func TestContentHashMismatchQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	key := KeyAt(cfg, "BP", "", "")
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	path := s.objectPath(key)
@@ -252,12 +252,12 @@ func TestMismatchedObjectRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	// Copy the BP object onto the RN address: content no longer matches it.
-	rnKey := Key(cfg, "RN", "")
-	b, err := os.ReadFile(s.objectPath(Key(cfg, "BP", "")))
+	rnKey := KeyAt(cfg, "RN", "", "")
+	b, err := os.ReadFile(s.objectPath(KeyAt(cfg, "BP", "", "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCorruptIndexRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("not json"), 0o644); err != nil {
@@ -292,7 +292,7 @@ func TestCorruptIndexRebuilds(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("rebuilt index has %d entries, want 1", s2.Len())
 	}
-	if _, ok := s2.Get(Key(cfg, "BP", "")); !ok {
+	if _, ok := s2.Get(KeyAt(cfg, "BP", "", "")); !ok {
 		t.Fatal("object unreachable after index rebuild")
 	}
 }
@@ -305,18 +305,18 @@ func TestLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.PutRun(cfg, "BP", "", testRun("BP", 1)); err != nil {
+	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
 		t.Fatal(err)
 	}
 	objSize := probe.SizeBytes()
-	probe.quarantine(Key(cfg, "BP", ""))
+	probe.quarantine(KeyAt(cfg, "BP", "", ""))
 
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []string{"BP", "RN", "SN"} {
-		if err := s.PutRun(cfg, b, "", testRun(b, 1)); err != nil {
+		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,11 +324,11 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("store holds %d objects over the cap, want 2", s.Len())
 	}
 	// BP was least recently used and must be the evicted one.
-	if _, ok := s.Get(Key(cfg, "BP", "")); ok {
+	if _, ok := s.Get(KeyAt(cfg, "BP", "", "")); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
 	for _, b := range []string{"RN", "SN"} {
-		if _, ok := s.Get(Key(cfg, b, "")); !ok {
+		if _, ok := s.Get(KeyAt(cfg, b, "", "")); !ok {
 			t.Fatalf("recently used %s evicted", b)
 		}
 	}
@@ -341,33 +341,33 @@ func TestGetBumpsRecency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.PutRun(cfg, "BP", "", testRun("BP", 1)); err != nil {
+	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
 		t.Fatal(err)
 	}
 	objSize := probe.SizeBytes()
-	probe.quarantine(Key(cfg, "BP", ""))
+	probe.quarantine(KeyAt(cfg, "BP", "", ""))
 
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 1)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "RN", "", testRun("RN", 1)); err != nil {
+	if err := s.PutRunAt(cfg, "RN", "", "", testRun("RN", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Touch BP so RN becomes the LRU victim.
-	if _, ok := s.Get(Key(cfg, "BP", "")); !ok {
+	if _, ok := s.Get(KeyAt(cfg, "BP", "", "")); !ok {
 		t.Fatal("warm entry missed")
 	}
-	if err := s.PutRun(cfg, "SN", "", testRun("SN", 1)); err != nil {
+	if err := s.PutRunAt(cfg, "SN", "", "", testRun("SN", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(Key(cfg, "BP", "")); !ok {
+	if _, ok := s.Get(KeyAt(cfg, "BP", "", "")); !ok {
 		t.Fatal("recently read entry evicted instead of LRU")
 	}
-	if _, ok := s.Get(Key(cfg, "RN", "")); ok {
+	if _, ok := s.Get(KeyAt(cfg, "RN", "", "")); ok {
 		t.Fatal("LRU entry survived")
 	}
 }
@@ -380,7 +380,7 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []string{"BP", "RN"} {
-		if err := s.PutRun(cfg, b, "", testRun(b, 1)); err != nil {
+		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,10 +404,10 @@ func TestJSONIdentityAfterRoundTrip(t *testing.T) {
 	}
 	cfg := testConfig()
 	want := testRun("BP", 123456789)
-	if err := s.PutRun(cfg, "BP", "", want); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(Key(cfg, "BP", ""))
+	got, ok := s.Get(KeyAt(cfg, "BP", "", ""))
 	if !ok {
 		t.Fatal("miss")
 	}
@@ -429,35 +429,35 @@ func TestObsCountersExported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.PutRun(cfg, "BP", "", testRun("BP", 1)); err != nil {
+	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
 		t.Fatal(err)
 	}
 	objSize := probe.SizeBytes()
-	probe.quarantine(Key(cfg, "BP", ""))
+	probe.quarantine(KeyAt(cfg, "BP", "", ""))
 
 	reg := obs.NewRegistry()
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(Key(cfg, "BP", "")); ok {
+	if _, ok := s.Get(KeyAt(cfg, "BP", "", "")); ok {
 		t.Fatal("quarantined entry came back")
 	}
 	for _, b := range []string{"BP", "RN", "SN"} {
-		if err := s.PutRun(cfg, b, "", testRun(b, 1)); err != nil {
+		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := s.Get(Key(cfg, "SN", "")); !ok {
+	if _, ok := s.Get(KeyAt(cfg, "SN", "", "")); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	// A plain file where the shard directory belongs makes the write-back
 	// fail (even for root): it must come back as an error and be counted.
-	blocked := Key(cfg, "CFD", "")
+	blocked := KeyAt(cfg, "CFD", "", "")
 	if err := os.WriteFile(filepath.Join(dir, "objects", blocked[:2]), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRun(cfg, "CFD", "", testRun("CFD", 1)); err == nil {
+	if err := s.PutRunAt(cfg, "CFD", "", "", testRun("CFD", 1)); err == nil {
 		t.Fatal("Put into an unwritable shard reported success")
 	}
 
@@ -494,10 +494,10 @@ func TestGetRawZeroCopyBytes(t *testing.T) {
 	}
 	cfg := testConfig()
 	want := testRun("BP", 12345)
-	if err := s.PutRun(cfg, "BP", "", want); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", want); err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
+	key := KeyAt(cfg, "BP", "", "")
 	raw, cycles, ok := s.GetRaw(key)
 	if !ok {
 		t.Fatal("fresh put is a GetRaw miss")
@@ -512,7 +512,7 @@ func TestGetRawZeroCopyBytes(t *testing.T) {
 	if s.Hits() != 1 {
 		t.Fatalf("hits=%d after GetRaw, want 1", s.Hits())
 	}
-	if _, _, ok := s.GetRaw(Key(cfg, "RN", "")); ok {
+	if _, _, ok := s.GetRaw(KeyAt(cfg, "RN", "", "")); ok {
 		t.Fatal("unstored key is a GetRaw hit")
 	}
 }
@@ -526,8 +526,8 @@ func TestGetRawVerifiesContentHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	key := KeyAt(cfg, "BP", "", "")
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
 	path := s.objectPath(key)
@@ -572,10 +572,10 @@ func TestHotTierServesRepeatReads(t *testing.T) {
 	}
 	cfg := testConfig()
 	want := testRun("BP", 99)
-	if err := s.PutRun(cfg, "BP", "", want); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", want); err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
+	key := KeyAt(cfg, "BP", "", "")
 	if s.HotLen() != 0 {
 		t.Fatalf("hot tier holds %d entries before any read, want 0 (reads verify from disk first)", s.HotLen())
 	}
@@ -611,10 +611,10 @@ func TestHotTierBytesBounded(t *testing.T) {
 	}
 	benches := []string{"BP", "RN", "SN"}
 	for _, b := range benches {
-		if err := s.PutRun(cfg, b, "", testRun(b, 5)); err != nil {
+		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 5)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := s.GetRaw(Key(cfg, b, "")); !ok {
+		if _, _, ok := s.GetRaw(KeyAt(cfg, b, "", "")); !ok {
 			t.Fatalf("read of %s missed", b)
 		}
 	}
@@ -626,10 +626,10 @@ func TestHotTierBytesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := off.PutRun(cfg, "BP", "", testRun("BP", 5)); err != nil {
+	if err := off.PutRunAt(cfg, "BP", "", "", testRun("BP", 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := off.GetRaw(Key(cfg, "BP", "")); !ok {
+	if _, _, ok := off.GetRaw(KeyAt(cfg, "BP", "", "")); !ok {
 		t.Fatal("read missed with the hot tier disabled")
 	}
 	if off.HotLen() != 0 {
@@ -645,10 +645,10 @@ func TestHotTierDroppedOnQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	if err := s.PutRun(cfg, "BP", "", testRun("BP", 7)); err != nil {
+	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
-	key := Key(cfg, "BP", "")
+	key := KeyAt(cfg, "BP", "", "")
 	if _, _, ok := s.GetRaw(key); !ok {
 		t.Fatal("read missed")
 	}

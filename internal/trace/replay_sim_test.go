@@ -40,11 +40,11 @@ func TestReplayMatchesSyntheticSimulation(t *testing.T) {
 	}
 
 	for _, org := range []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC} {
-		synth, err := gpu.Run(cfg.WithOrg(org), s)
+		synth, err := gpu.RunWith(cfg.WithOrg(org), s, gpu.RunOpts{})
 		if err != nil {
 			t.Fatalf("%s synthetic: %v", org, err)
 		}
-		replayed, err := gpu.Run(cfg.WithOrg(org), rep)
+		replayed, err := gpu.RunWith(cfg.WithOrg(org), rep, gpu.RunOpts{})
 		if err != nil {
 			t.Fatalf("%s replay: %v", org, err)
 		}

@@ -321,17 +321,12 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 	return store.Open(dir, store.Options{MaxBytes: maxBytes})
 }
 
-// CacheKey returns the content address a simulation cell is filed under in
-// a ResultCache (and reported as "key" by the sacd API). Any difference in
-// configuration, benchmark, or fault plan yields a different key.
-func CacheKey(cfg Config, benchmark string, plan *FaultPlan) string {
-	return store.Key(cfg, benchmark, plan.Key())
-}
-
-// CacheKeyAt is CacheKey with an explicit fidelity rung. "" and
-// FidelityExact address the same keys CacheKey does (exact results keep
-// their pre-ladder addresses); estimate and sampled results live under
-// distinct keys and can never alias an exact one.
+// CacheKeyAt returns the content address a simulation cell is filed under
+// in a ResultCache (and reported as "key" by the sacd API). Any difference
+// in configuration, benchmark, fault plan or fidelity rung yields a
+// different key, except that "" and FidelityExact address the same keys
+// (exact results keep their pre-ladder addresses): estimate and sampled
+// results can never alias an exact one.
 func CacheKeyAt(cfg Config, benchmark string, plan *FaultPlan, f Fidelity) string {
 	return store.KeyAt(cfg, benchmark, plan.Key(), string(f))
 }
