@@ -9,15 +9,15 @@ import "fmt"
 // requests' and the two per-slice request-counter arrays, and produces the
 // WorkloadInputs the EAB model consumes.
 type Profiler struct {
+	crd      []*CRD  // one per chip, observing lines homed there
+	memSlice []int64 // requests per global slice under memory-side routing
+	smSlice  []int64 // requests per global slice under SM-side routing
+
 	chips         int
 	slicesPerChip int
-	crd           []*CRD // one per chip, observing lines homed there
 
 	total int64
 	local int64
-
-	memSlice []int64 // requests per global slice under memory-side routing
-	smSlice  []int64 // requests per global slice under SM-side routing
 
 	llcLookups int64 // actual memory-side lookups in the window
 	llcHits    int64 // actual memory-side hits in the window
@@ -146,14 +146,14 @@ func (o Options) WithDefaults() Options {
 // the predicted advantage exceeds θ. At kernel end the gpu package reverts
 // to memory-side and calls StartKernel again.
 type Controller struct {
-	opts Options
-	arch ArchParams
-	prof *Profiler
+	prof  *Profiler
+	cache map[string]Decision
+	opts  Options
+	arch  ArchParams
 
 	kernelStart int64
-	decided     bool
 	lastDec     Decision
-	cache       map[string]Decision
+	decided     bool
 }
 
 // NewController builds a SAC controller.
