@@ -52,10 +52,16 @@ syncsmoke:
 # must reproduce the cycle-exact SAC org decision on all 16 Table-4
 # workloads, the sampled rung must stay byte-identical run to run, exact runs
 # must stay unlabelled (byte-identical to pre-ladder output), and the
-# 16-workload estimate sweep must finish in well under a second.
+# 16-workload estimate sweep must finish in well under a second. The second
+# line pins the estimate rung's bytes (the 256-cell universe, in order and
+# shuffled across goroutines through the pooled scratch, and the page-bound
+# straddle) and its allocations.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
+	$(GO) test -count=1 \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetKeepsVictimStamps' \
+		./internal/backend ./internal/workload ./internal/core
 
 # clustersmoke is the fleet shortcut: the ring property tests (placement balance
 # within bound, minimal key movement on join/leave), the in-process
@@ -97,14 +103,15 @@ vuln:
 # loop walks every cycle: DRAM channels, crossbar ports,
 # ring links and the bwsim primitives embedded in them (a padded layout there
 # silently regresses the cache behaviour the layout bought), plus the
-# per-memop records: memsys.Request and the addr page index. internal/workload
-# is not listed though Stream is ordered to pass: the analyzer also wants
-# Spec's strings and slice moved ahead of CTAs and SMSide, and Spec's field
-# order is the byte order of every -json result. Advisory like vuln: offline
+# per-memop records: memsys.Request and the addr page index; and the estimate
+# rung's by-value replay records: workload.Stream and its walkers, core's
+# crdBlock, backend's tagEntry. workload.Spec is left in its order, which the
+# analyzer reports: its field order is the key order of every -json result
+# (as gpu.Config's is of every store key). Advisory like vuln: offline
 # checkouts without the tool still pass.
 fieldalign:
 	@if command -v fieldalignment >/dev/null 2>&1; then \
-		fieldalignment ./internal/cache ./internal/gpu ./internal/sm ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim ./internal/memsys ./internal/addr; \
+		fieldalignment ./internal/cache ./internal/gpu ./internal/sm ./internal/xchip ./internal/dram ./internal/noc ./internal/bwsim ./internal/memsys ./internal/addr ./internal/workload ./internal/core ./internal/backend; \
 	else \
 		echo "fieldalignment not installed; skipping (go install golang.org/x/tools/go/analysis/passes/fieldalignment/cmd/fieldalignment@latest)"; \
 	fi
