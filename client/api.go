@@ -13,7 +13,8 @@ import (
 	"encoding/json"
 	"time"
 
-	sac "repro"
+	"repro/internal/backend"
+	"repro/internal/gpu"
 )
 
 // Job states reported by the daemon.
@@ -62,9 +63,9 @@ const (
 // answered synchronously on the accept path (the submission response is
 // already terminal), while sampled and exact jobs flow through the queue.
 const (
-	FidelityEstimate = string(sac.FidelityEstimate)
-	FidelitySampled  = string(sac.FidelitySampled)
-	FidelityExact    = string(sac.FidelityExact)
+	FidelityEstimate = backend.Estimate
+	FidelitySampled  = backend.Sampled
+	FidelityExact    = backend.Exact
 )
 
 // JobRequest names one simulation cell to run.
@@ -79,7 +80,7 @@ type JobRequest struct {
 	Preset string `json:"preset,omitempty"`
 	// Config overrides the preset entirely with an explicit configuration
 	// (its Org field is in turn overridden by Org above).
-	Config *sac.Config `json:"config,omitempty"`
+	Config *gpu.Config `json:"config,omitempty"`
 	// Faults is a fault plan in the compact DSL ("" = healthy run).
 	Faults string `json:"faults,omitempty"`
 	// Priority selects the queue lane; "" means normal.

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	sac "repro"
+	"repro/internal/stats"
 )
 
 // Batcher coalesces concurrent Run calls into jobs:batch submissions plus
@@ -28,7 +28,7 @@ type Batcher struct {
 }
 
 type batchOut struct {
-	res *sac.Stats
+	res *stats.Run
 	err error
 }
 
@@ -52,7 +52,7 @@ func NewBatcher(c *Client) *Batcher { return &Batcher{c: c} }
 
 // Run submits one cell through the current batch window and blocks until its
 // result arrives — the batched equivalent of Client.Run.
-func (b *Batcher) Run(ctx context.Context, req JobRequest) (*sac.Stats, error) {
+func (b *Batcher) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
 	out := make(chan batchOut, 1)
 	b.mu.Lock()
 	g := b.cur
@@ -169,7 +169,7 @@ func (b *Batcher) settle(ctx context.Context, st JobStatus) batchOut {
 	switch st.State {
 	case StateDone:
 		if len(st.Result) > 0 {
-			var run sac.Stats
+			var run stats.Run
 			if err := json.Unmarshal(st.Result, &run); err == nil {
 				return batchOut{&run, nil}
 			}

@@ -15,7 +15,7 @@ import (
 	"strings"
 	"time"
 
-	sac "repro"
+	"repro/internal/stats"
 )
 
 // APIError is a non-2xx response from the daemon.
@@ -406,8 +406,8 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // Result fetches the completed result of a job. A job that has not finished
 // yet comes back as a 409 *APIError; a failed job as a 500 carrying its
 // error text.
-func (c *Client) Result(ctx context.Context, id string) (*sac.Stats, error) {
-	var run sac.Stats
+func (c *Client) Result(ctx context.Context, id string) (*stats.Run, error) {
+	var run stats.Run
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &run, nil); err != nil {
 		return nil, err
 	}
@@ -423,7 +423,7 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 
 // Run submits a job, waits for it, and returns the result — the remote
 // equivalent of sac.Run for one cell.
-func (c *Client) Run(ctx context.Context, req JobRequest) (*sac.Stats, error) {
+func (c *Client) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		return nil, err
