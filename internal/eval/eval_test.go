@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -57,6 +59,30 @@ func TestFig1ProducesAllGroups(t *testing.T) {
 	f.Print(&buf)
 	if !strings.Contains(buf.String(), "Fig 1a") || !strings.Contains(buf.String(), "Fig 1c") {
 		t.Fatal("Print output incomplete")
+	}
+}
+
+// TestFig1EstimateIsFinite: the estimate rung fills no response bytes, so
+// Fig 1c's memory-side base is zero there. Every aggregate must still be
+// finite, or the -json output fails to encode.
+func TestFig1EstimateIsFinite(t *testing.T) {
+	r := testRunner()
+	r.Fidelity = "estimate"
+	f, err := r.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := json.Marshal(f); err != nil {
+		t.Fatalf("Fig 1 at the estimate rung does not marshal: %v", err)
+	}
+	for g, m := range f.Groups {
+		for org, a := range m {
+			for _, v := range []float64{a.HMSpeedup, a.MissRate, a.EffBW} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s/%s aggregate %+v is not finite", g, org, a)
+				}
+			}
+		}
 	}
 }
 
