@@ -38,7 +38,7 @@ func (r *Runner) ablate(axis string, variants []struct {
 		return nil, err
 	}
 	// Submit every variant's SAC runs plus the shared pure-organization
-	// baselines to the worker pool before scoring any variant.
+	// baselines to the engine before scoring any variant.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		reqs = append(reqs,

@@ -79,14 +79,11 @@ func TestFaultedAndHealthyRunsDoNotCollide(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := r.Base.WithOrg(llc.MemorySide)
-	healthy, err := r.runReq(RunRequest{Cfg: cfg, Spec: spec})
+	runs, err := r.RunAll([]RunRequest{{Cfg: cfg, Spec: spec}, {Cfg: cfg, Spec: spec, Faults: testPlan(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := r.runReq(RunRequest{Cfg: cfg, Spec: spec, Faults: testPlan(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	healthy, faulted := runs[0], runs[1]
 	if r.Runs() != 2 {
 		t.Fatalf("executed %d simulations, want 2 (healthy + faulted)", r.Runs())
 	}

@@ -52,8 +52,8 @@ func (r *Runner) Fig13(spFactors, mpFactors []float64) (*Fig13Result, error) {
 		return nil, err
 	}
 	res := &Fig13Result{SPFactors: spFactors, MPFactors: mpFactors}
-	// Submit the full sweep up front so the worker pool sees every point at
-	// once, then collect per point.
+	// Submit the full sweep up front so the engine sees every point at once,
+	// then collect per point.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		factors := mpFactors

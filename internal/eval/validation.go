@@ -56,9 +56,9 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 	res := &EABValidation{}
 	var predRatio, measRatio, speedups, latRatio []float64
 	correct := 0
-	// The pure-organization ground-truth runs go through the shared cache;
-	// the SAC runs need a System handle (to read the model's decision), so
-	// they bypass the cache but still fan out on the same worker pool.
+	// The pure-organization ground-truth runs go through the job engine; the
+	// SAC runs need a System handle (to read the model's decision), so they
+	// bypass it but still take the Runner's execution slots.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		reqs = append(reqs,
@@ -68,14 +68,14 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 	r.Prefetch(reqs)
 	sacSys := make([]*gpu.System, len(specs))
 	sacErr := make([]error, len(specs))
-	sem := r.workers()
+	r.table() // sizes the slots
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
 		go func(i int, spec workload.Spec) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			r.slots <- struct{}{}
+			defer func() { <-r.slots }()
 			sys, err := gpu.New(r.Base.WithOrg(llc.SAC), spec)
 			if err == nil {
 				_, err = sys.Run()

@@ -1,8 +1,8 @@
-// Package jobs is the job engine sacd and saccoord share: one job record,
-// one table of jobs, one singleflight table of executions keyed on the
-// result store's content address, one transition into a terminal state, one
-// status projection, one retention sweep, one batch admission pass and one
-// HTTP surface for the /v1/jobs routes (http.go).
+// Package jobs is the job engine sacd, saccoord and local sweeps share: one
+// job record, one table of jobs, one singleflight table of executions keyed
+// on the result store's content address, one transition into a terminal
+// state, one status projection, one retention sweep, one batch admission pass
+// and one HTTP surface for the /v1/jobs routes (http.go).
 //
 // A daemon supplies what differs through Config: how a request resolves to a
 // simulation identity, how an admitted batch is gated and started (sacd
@@ -10,7 +10,10 @@
 // how one execution produces a result (sacd simulates, saccoord dispatches to
 // a worker). Everything a client can observe about a job — its states, its
 // status JSON, when a watcher wakes, how long a finished job stays
-// queryable — is decided here.
+// queryable — is decided here. A local sweep (eval.Runner) skips admission:
+// it builds jobs for identities it resolved itself with NewJob, drives them
+// through Run and reads each Outcome, so it keeps no job records, only
+// flights.
 //
 // Lifecycle. Admission builds and registers the records and lets Config.Admit
 // accept or refuse the batch as a unit (a refused batch is unregistered). Whoever Admit handed a job to
@@ -18,8 +21,9 @@
 // key: the first job leads (Config.Execute runs under a context bound to the
 // job's deadline and cancel), a job arriving while the flight is open joins
 // it (source "dedup") for as long as its own deadline and cancel allow, and a
-// job arriving after it completed recalls the result (source "memo"). Failed
-// flights are evicted before their waiters wake, so a resubmission retries.
+// job arriving after it completed recalls the result (source "memo"). The
+// leader settles, and a failed flight is evicted, before the waiters wake, so
+// a resubmission retries a failure.
 //
 // Every path into a terminal state is settle: the daemon's durable hook runs
 // first (sacd appends the journal's done record), then the state is
@@ -40,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -49,6 +54,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -74,9 +80,9 @@ type Identity struct {
 }
 
 // Outcome is what one execution produced. Exactly one of Err, Run and Raw is
-// set: Run for a fresh simulation (marshaled lazily when a wire consumer
-// asks), Raw for bytes that are already in canonical wire form (a verified
-// store object, or a worker's answer relayed untouched).
+// set: Run for a decoded result (a fresh simulation, marshaled lazily when a
+// wire consumer asks), Raw for bytes that are already in canonical wire form
+// (a verified store object, or a worker's answer relayed untouched).
 type Outcome struct {
 	Run    *stats.Run
 	Raw    json.RawMessage
@@ -106,8 +112,9 @@ type Metrics struct {
 	RunLatency                      *obs.Histogram
 }
 
-// Config is what a daemon plugs into the engine. Resolve, Admit and Execute
-// are required.
+// Config is what a daemon plugs into the engine. Execute is required;
+// Resolve and Admit are required by the admission paths (Submit, SubmitBatch,
+// the HTTP surface and Restore).
 type Config struct {
 	// Resolve validates one request and resolves its identity; its error is
 	// the per-item 400 message.
@@ -123,9 +130,11 @@ type Config struct {
 
 	// OnStart runs when a job leaves the queue, before its flight decision.
 	OnStart func(j *Job)
-	// OnTerminal is the durable hook: it runs exactly once per job, before
-	// the terminal state becomes visible.
-	OnTerminal func(j *Job, state string)
+	// OnTerminal runs exactly once per job, on the goroutine that settles it
+	// and before the terminal state becomes visible, with what the job
+	// settled with (Source as Outcome reports it). sacd appends its journal's
+	// done record here; a local sweep reports each executed cell.
+	OnTerminal func(j *Job, state string, out Outcome)
 	// QueueAhead reports how many jobs are ahead of a still-queued one.
 	QueueAhead func(j *Job) int
 	// RetryAfter sizes the Retry-After header of an AdmitError, in seconds.
@@ -222,9 +231,15 @@ func newID() string {
 	return string(b[:])
 }
 
-func newJob(id string, req client.JobRequest, ident Identity, deadline, now time.Time) *Job {
+// NewJob builds a queued job, under a fresh id, for an identity the caller
+// already resolved: what admission does after Resolve. The caller sets Req,
+// Deadline or ID before the job is visible to anyone else. The job is not
+// registered — Submit, SubmitBatch and Restore do that, so that Status,
+// Cancel and Watch can find it — and a caller that drives its own jobs
+// through Run (a local sweep) leaves nothing behind but the flights.
+func NewJob(ident Identity) *Job {
 	return &Job{
-		ID: id, Req: req, Identity: ident, Deadline: deadline, Submitted: now,
+		ID: newID(), Identity: ident, Submitted: time.Now(),
 		cancelCh: make(chan struct{}),
 		doneCh:   make(chan struct{}),
 		state:    client.StateQueued,
@@ -266,7 +281,6 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 	if len(reqs) > client.MaxBatch {
 		return nil, nil, fmt.Errorf("batch of %d jobs exceeds the limit of %d", len(reqs), client.MaxBatch)
 	}
-	now := time.Now()
 	batch = make([]*Job, len(reqs))
 	for i, req := range reqs {
 		ident, rerr := t.cfg.Resolve(req)
@@ -277,11 +291,12 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 			itemErrs[i] = rerr.Error()
 			continue
 		}
-		var deadline time.Time
+		j := NewJob(ident)
+		j.Req = req
 		if req.TimeoutMS > 0 {
-			deadline = now.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
+			j.Deadline = j.Submitted.Add(time.Duration(req.TimeoutMS) * time.Millisecond)
 		}
-		batch[i] = newJob(newID(), req, ident, deadline, now)
+		batch[i] = j
 	}
 	if itemErrs != nil {
 		return nil, itemErrs, nil
@@ -330,7 +345,8 @@ func (t *Table) Restore(id string, req client.JobRequest, deadline time.Time) (*
 	if err != nil {
 		return nil, err
 	}
-	j := newJob(id, req, ident, deadline, time.Now())
+	j := NewJob(ident)
+	j.ID, j.Req, j.Deadline = id, req, deadline
 	t.register([]*Job{j})
 	inc(t.cfg.Metrics.Accepted)
 	return j, nil
@@ -363,8 +379,10 @@ func (t *Table) Run(j *Job) {
 			f.doneAt = time.Now()
 		}
 		t.mu.Unlock()
-		close(f.done)
+		// The leader settles first, so its terminal hook has run before any
+		// joiner wakes.
 		t.settle(j, f.out, "")
+		close(f.done)
 		return
 	}
 	t.mu.Unlock()
@@ -449,13 +467,26 @@ func (t *Table) begin(j *Job) bool {
 	return true
 }
 
+// PanicError is a panic the engine contained while executing a job: the
+// recovered value and the goroutine's stack at the panic site.
+type PanicError struct {
+	ID    string
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("jobs: panic executing %s: %v", e.ID, e.Value)
+}
+
 // exec calls the executor and contains its panics (chaos injection, poisoned
-// input): a failed execution is a failed job, not a dead daemon. A leader
-// gets a context its job's cancel and deadline reach.
+// input, a simulator bug in one sweep cell): a failed execution is a failed
+// job, not a dead process. A leader gets a context its job's cancel and
+// deadline reach.
 func (t *Table) exec(j *Job, lead bool) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Err: fmt.Errorf("jobs: panic executing %s: %v", j.ID, r)}
+			out = Outcome{Err: &PanicError{ID: j.ID, Value: r, Stack: debug.Stack()}}
 		}
 	}()
 	ctx := context.Background()
@@ -481,6 +512,25 @@ func (t *Table) exec(j *Job, lead bool) (out Outcome) {
 	return t.cfg.Execute(ctx, j)
 }
 
+// Simulate is the store-backed simulate step of the in-process executors,
+// sacd's and a local sweep's: the store's verified bytes when it holds j's
+// cell, otherwise sim's fresh result, written back. A failed write-back never
+// fails the job; the store counts it and logf (nil is silent) reports it. A
+// nil store makes this a plain simulation.
+func Simulate(j *Job, st *store.Store, sim func() (*stats.Run, error), logf func(format string, args ...any)) Outcome {
+	if raw, cycles, ok := st.GetRaw(j.Key); ok {
+		return Outcome{Raw: raw, Cycles: cycles, Source: client.SourceStore}
+	}
+	res, err := sim()
+	if err != nil {
+		return Outcome{Err: err}
+	}
+	if err := st.PutRunAt(j.Cfg, j.Spec.Name, j.Plan.Key(), j.Fidelity, res); err != nil && logf != nil {
+		logf("store: put %s/%s key=%.12s: %v", j.Spec.Name, j.Cfg.Org, j.Key, err)
+	}
+	return Outcome{Run: res, Cycles: res.Cycles, Source: client.SourceSim}
+}
+
 // settle is the one transition into a terminal state. The error decides the
 // state: a deadline error expires the job, a cancellation cancels it, any
 // other error fails it. source overrides the outcome's own for joins and
@@ -496,8 +546,8 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 	default:
 		state = client.StateFailed
 	}
-	if source == "" {
-		source = out.Source
+	if source != "" {
+		out.Source = source
 	}
 	j.mu.Lock()
 	if j.settled {
@@ -508,12 +558,12 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 	j.mu.Unlock()
 
 	if t.cfg.OnTerminal != nil {
-		t.cfg.OnTerminal(j, state)
+		t.cfg.OnTerminal(j, state, out)
 	}
 
 	now := time.Now()
 	j.mu.Lock()
-	j.state, j.finished, j.source, j.cancel = state, now, source, nil
+	j.state, j.finished, j.source, j.cancel = state, now, out.Source, nil
 	if out.Err != nil {
 		j.err = out.Err
 	} else {
@@ -541,8 +591,18 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 	}
 	if t.cfg.Logf != nil {
 		t.cfg.Logf("%s %s %s/%s key=%.12s source=%s worker=%s total=%.3fs",
-			state, j.ID, j.Spec.Name, j.Cfg.Org, j.Key, source, out.Worker, total)
+			state, j.ID, j.Spec.Name, j.Cfg.Org, j.Key, out.Source, out.Worker, total)
 	}
+}
+
+// Outcome returns what a terminal job settled with. Source says how the
+// result was obtained: sim or store for the job that executed, dedup or memo
+// for one that joined or recalled another's execution; a failed execution
+// has none.
+func (j *Job) Outcome() Outcome {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return Outcome{Run: j.run, Raw: j.raw, Cycles: j.cycles, Source: j.source, Err: j.err}
 }
 
 // Requeue marks a still-queued job as carried over to the daemon's next

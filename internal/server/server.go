@@ -553,9 +553,11 @@ func (s *Server) pop() *jobs.Job {
 	}
 }
 
-// execute is the engine's executor: the store's verified bytes when it has
-// the cell, otherwise a fresh simulation. It runs on a worker for a flight
-// leader and on the accepting goroutine for an estimate cell.
+// execute is the engine's executor: chaos hooks, then the shared
+// store-backed simulate step on the backend. A warm hit's verified bytes are
+// the wire-form result, so status and result responses never decode or
+// re-encode it. It runs on a worker for a flight leader and on the accepting
+// goroutine for an estimate cell; the engine contains its panics.
 func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	if hook := s.cfg.Chaos.BeforeRun; hook != nil {
 		hook(j.ID)
@@ -563,38 +565,20 @@ func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	if d := s.cfg.Chaos.RunDelay; d > 0 {
 		time.Sleep(d)
 	}
-	if raw, cycles, ok := s.cfg.Store.GetRaw(j.Key); ok {
-		// Warm hit: the verified on-disk bytes are the wire-form result, so
-		// status and result responses never decode or re-encode it.
-		s.m.hits.Inc()
-		return jobs.Outcome{Raw: raw, Cycles: cycles, Source: client.SourceStore}
-	}
-	if s.cfg.Store != nil {
-		s.m.misses.Inc()
-	}
-	res, err := s.simulate(ctx, j)
-	if err != nil {
-		return jobs.Outcome{Err: err}
-	}
-	return jobs.Outcome{Run: res, Cycles: res.Cycles, Source: client.SourceSim}
-}
-
-// simulate runs the cell on its rung and writes it back to the store. The
-// engine's flight table already deduplicates, memoizes (with a TTL) and
-// contains panics around it, and the caller holds a worker slot — or, for an
-// estimate cell, needs none — so nothing wraps the backend here.
-func (s *Server) simulate(ctx context.Context, j *jobs.Job) (*stats.Run, error) {
-	res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
-	if err != nil {
-		return nil, err
-	}
-	s.sims.Add(1)
-	if s.cfg.Store != nil {
-		if perr := s.cfg.Store.PutRunAt(j.Cfg, j.Spec.Name, j.Plan.Key(), j.Fidelity, res); perr != nil {
-			s.logf("store: put %s: %v", j.ID, perr)
+	out := jobs.Simulate(j, s.cfg.Store, func() (*stats.Run, error) {
+		if s.cfg.Store != nil {
+			s.m.misses.Inc()
 		}
+		res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
+		if err == nil {
+			s.sims.Add(1)
+		}
+		return res, err
+	}, s.logf)
+	if out.Source == client.SourceStore {
+		s.m.hits.Inc()
 	}
-	return res, nil
+	return out
 }
 
 // ---- journal ----
@@ -610,7 +594,7 @@ func (s *Server) journalStart(j *jobs.Job) {
 
 // journalDone is the engine's durable hook: a journaled job's done record is
 // on disk before anyone can observe its terminal state.
-func (s *Server) journalDone(j *jobs.Job, state string) {
+func (s *Server) journalDone(j *jobs.Job, state string, _ jobs.Outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.live[j.ID]; !ok {
