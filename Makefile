@@ -11,11 +11,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The race run doubles as the parallel-engine exercise: the eval tests drive
-# the singleflight cache and worker pool from many goroutines. It is also
-# every contract gate at once: no test is -short- or tag-gated, so this runs
-# everything the smoke, chaossmoke, fidelitysmoke and clustersmoke shortcuts
-# below name. What it cannot reach is a configuration an environment variable
+# The race run doubles as the job-engine exercise: the eval, server and
+# cluster tests drive internal/jobs' flight table from many goroutines. It
+# is also every contract gate at once: no test is -short- or tag-gated, so
+# this runs everything the smoke, chaossmoke, fidelitysmoke and clustersmoke
+# shortcuts below name. What it cannot reach is a configuration an environment variable
 # selects; syncsmoke covers the one there is.
 race:
 	$(GO) test -race ./...
@@ -55,13 +55,16 @@ syncsmoke:
 # 16-workload estimate sweep must finish in well under a second. The second
 # line pins the estimate rung's bytes (the 256-cell universe, in order and
 # shuffled across goroutines through the pooled scratch, and the page-bound
-# straddle) and its allocations.
+# straddle) and its allocations. The third pins sacsweep's -json bytes: every
+# experiment of the fast set at the estimate rung, and an exact Fig 8 cold and
+# warm from a result cache.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
 		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetKeepsVictimStamps' \
 		./internal/backend ./internal/workload ./internal/core
+	$(GO) test -count=1 -run TestSweepGolden ./cmd/sacsweep
 
 # clustersmoke is the fleet shortcut: the ring property tests (placement balance
 # within bound, minimal key movement on join/leave), the in-process
