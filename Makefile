@@ -78,12 +78,14 @@ clustersmoke:
 # fuzz is a short smoke of the untrusted-input decoders (the trace reader,
 # the store's object reader, the jobs HTTP surface sacd and saccoord share,
 # the journal's replay, and the coordinator's worker register/heartbeat
-# bodies). An exec-count budget keeps the wall time stable on single-core CI
-# runners; long campaigns run the same targets with a time budget instead.
+# bodies), plus the jobs status encoder against encoding/json. An exec-count
+# budget keeps the wall time stable on single-core CI runners; long campaigns
+# run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzJobsHTTP -fuzztime 20000x ./internal/jobs
+	$(GO) test -run '^$$' -fuzz FuzzStatusEncoding -fuzztime 20000x ./internal/jobs
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 20000x ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzWorkersHTTP -fuzztime 20000x ./internal/cluster
 

@@ -44,6 +44,7 @@ func stubTable() *jobs.Table {
 func FuzzJobsHTTP(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC"}`))
 	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","timeout_ms":-1}`))
+	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","timeout_ms":10000000000000}`))
 	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","config":{"Chips":0}}`))
 	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"BP","org":"SAC","fidelity":"estimate"},{"benchmark":"nope","org":"SAC"}]}`))
 	f.Add(uint8(1), []byte(`{"jobs":[]}`))

@@ -46,11 +46,18 @@ func (t *Table) Mount(mux *http.ServeMux) {
 }
 
 // WriteJSON writes v with a status code; encode failures are unrecoverable
-// mid-response and ignored.
+// mid-response and ignored. Bodies that carry a JobStatus go through the
+// status encoder instead (encode.go), which writes the same bytes.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeStatus writes one JobStatus body through the status encoder
+// (encode.go).
+func writeStatus(w http.ResponseWriter, code int, st *client.JobStatus) {
+	writeBody(w, code, func(b []byte) []byte { return appendStatus(b, st) })
 }
 
 // WriteError writes the {"error": ...} body every non-2xx response carries.
@@ -133,14 +140,24 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 		resp.Error = fmt.Sprintf("batch rejected: %d of %d jobs invalid", n, len(itemErrs))
 		WriteJSON(w, http.StatusBadRequest, resp)
 	case single:
-		WriteJSON(w, http.StatusAccepted, t.status(batch[0], wantResults(r)))
+		st := t.status(batch[0], wantResults(r))
+		writeStatus(w, http.StatusAccepted, &st)
 	default:
-		sts := t.statuses(batch, wantResults(r))
-		resp := client.BatchResponse{Jobs: make([]client.BatchItem, len(sts))}
-		for i := range sts {
-			resp.Jobs[i].Status = &sts[i]
-		}
-		WriteJSON(w, http.StatusAccepted, resp)
+		// A client.BatchResponse of accepted items: no error, every item a
+		// status.
+		withResults := wantResults(r)
+		writeBody(w, http.StatusAccepted, func(b []byte) []byte {
+			b = append(b, `{"jobs":[`...)
+			for i, j := range batch {
+				if i > 0 {
+					b = append(b, ',')
+				}
+				st := t.status(j, withResults)
+				b = append(b, `{"status":`...)
+				b = append(appendStatus(b, &st), '}')
+			}
+			return append(b, "]}"...)
+		})
 	}
 }
 
@@ -151,7 +168,7 @@ func (t *Table) handleStatus(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, &st)
 }
 
 // handleCancel answers with the job's (possibly already terminal) status:
@@ -163,7 +180,7 @@ func (t *Table) handleCancel(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, &st)
 }
 
 func (t *Table) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -202,7 +219,7 @@ func (t *Table) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// one left to answer.
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, func(b []byte) []byte { return appendWatch(b, &resp) })
 }
 
 // parseWatch extracts a jobs:watch request's id list (comma-separated ids=

@@ -271,7 +271,11 @@ func (t *Table) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, i
 	if batch == nil {
 		return nil, itemErrs, err
 	}
-	return t.statuses(batch, false), nil, nil
+	sts = make([]client.JobStatus, len(batch))
+	for i, j := range batch {
+		sts[i] = t.status(j, false)
+	}
+	return sts, nil, nil
 }
 
 func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string, err error) {
@@ -685,14 +689,6 @@ func (t *Table) status(j *Job, withResult bool) client.JobStatus {
 		st.QueueAhead = t.cfg.QueueAhead(j)
 	}
 	return st
-}
-
-func (t *Table) statuses(batch []*Job, withResults bool) []client.JobStatus {
-	sts := make([]client.JobStatus, len(batch))
-	for i, j := range batch {
-		sts[i] = t.status(j, withResults)
-	}
-	return sts
 }
 
 // rawLocked returns the result in canonical wire form, marshaling a fresh

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,8 +80,28 @@ func TestBatchSubmitDedup(t *testing.T) {
 // item is terminal in the submission response, the exact item queues and is
 // collected by WaitAll over the watch endpoint.
 func TestBatchMixedFidelity(t *testing.T) {
-	_, c := testDaemon(t, Config{Workers: 2})
+	// The one worker wedges on a blocker job, so the batch's exact item is
+	// still queued when the response is written, however long the inline
+	// estimate takes.
+	gate := make(chan struct{})
+	var blockerID string
+	known := make(chan struct{}) // closed once blockerID is set
+	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(id string) {
+		<-known
+		if id == blockerID {
+			<-gate
+		}
+	}}})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
 	ctx := context.Background()
+	blocker, err := c.Submit(ctx, tinyRequest("SN", "SAC"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockerID = blocker.ID
+	close(known)
 
 	est := tinyRequest("RN", "SAC")
 	est.Fidelity = client.FidelityEstimate
@@ -95,6 +116,7 @@ func TestBatchMixedFidelity(t *testing.T) {
 	if sts[1].Done() {
 		t.Fatalf("exact item already terminal at submit: %+v", sts[1])
 	}
+	release()
 	final, err := c.WaitAll(ctx, []string{sts[1].ID})
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -278,6 +279,10 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 // placement on Key without running a Server of its own.
 type ResolvedJob = jobs.Identity
 
+// maxTimeoutMS is the largest timeout_ms whose duration a time.Duration holds
+// (about 292 years).
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // ResolveRequest validates req and resolves its simulation identity.
 // defaultFidelity applies when the request names no rung ("" = exact).
 func ResolveRequest(req client.JobRequest, defaultFidelity string) (ResolvedJob, error) {
@@ -286,6 +291,10 @@ func ResolveRequest(req client.JobRequest, defaultFidelity string) (ResolvedJob,
 	}
 	if req.TimeoutMS < 0 {
 		return ResolvedJob{}, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
+	}
+	// Past this the deadline's duration would wrap into one already passed.
+	if req.TimeoutMS > maxTimeoutMS {
+		return ResolvedJob{}, fmt.Errorf("timeout_ms %d exceeds the limit of %d", req.TimeoutMS, maxTimeoutMS)
 	}
 	reqFid := req.Fidelity
 	if reqFid == "" {
@@ -463,10 +472,12 @@ func liveRecord(j *jobs.Job, started bool) (journal.LiveJob, error) {
 	return lj, nil
 }
 
-// runInline executes a batch's estimate cells with bounded parallelism,
-// first occurrence of each key first so in-batch duplicates land on the
-// store (a zero-copy raw hit) instead of simulating twice. They bypass the
-// flight table: the store is their dedup.
+// runInline executes a batch's estimate cells, first occurrence of each key
+// first so in-batch duplicates land on the store (a zero-copy raw hit)
+// instead of simulating twice. They bypass the flight table: the store is
+// their dedup. Each wave runs on min(Workers, len(wave)) goroutines pulling
+// cells off a shared index; a wave one goroutine would run stays on the
+// caller's.
 func (s *Server) runInline(estimates []*jobs.Job) {
 	if len(estimates) == 1 {
 		s.RunDirect(estimates[0])
@@ -482,17 +493,25 @@ func (s *Server) runInline(estimates []*jobs.Job) {
 		seen[j.Key] = true
 		firsts = append(firsts, j)
 	}
-	sem := make(chan struct{}, s.cfg.Workers)
 	for _, wave := range [][]*jobs.Job{firsts, dups} {
+		var next atomic.Int64
+		drain := func() {
+			for i := next.Add(1) - 1; i < int64(len(wave)); i = next.Add(1) - 1 {
+				s.RunDirect(wave[i])
+			}
+		}
+		n := min(s.cfg.Workers, len(wave))
+		if n <= 1 {
+			drain()
+			continue
+		}
 		var wg sync.WaitGroup
-		for _, j := range wave {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(j *jobs.Job) {
+		wg.Add(n)
+		for range n {
+			go func() {
 				defer wg.Done()
-				defer func() { <-sem }()
-				s.RunDirect(j)
-			}(j)
+				drain()
+			}()
 		}
 		wg.Wait()
 	}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +45,13 @@ func tinyRequest(benchmark, org string) client.JobRequest {
 // testDaemon starts a Server over httptest and returns a connected client.
 func testDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
 	t.Helper()
+	s, c, _ := testDaemonURL(t, cfg)
+	return s, c
+}
+
+// testDaemonURL is testDaemon that also returns the server's base URL.
+func testDaemonURL(t *testing.T, cfg Config) (*Server, *client.Client, string) {
+	t.Helper()
 	s := New(cfg)
 	s.Start()
 	hs := httptest.NewServer(s.Handler())
@@ -52,7 +62,7 @@ func testDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
 		_ = s.Drain(ctx)
 	})
 	c := client.New(hs.URL, client.WithBackoff(time.Millisecond, 8*time.Millisecond))
-	return s, c
+	return s, c, hs.URL
 }
 
 func TestSubmitRunAndFetchResult(t *testing.T) {
@@ -86,7 +96,7 @@ func TestSubmitRunAndFetchResult(t *testing.T) {
 }
 
 func TestValidationRejectedWith400(t *testing.T) {
-	_, c := testDaemon(t, Config{Workers: 1})
+	_, c, url := testDaemonURL(t, Config{Workers: 1})
 	ctx := context.Background()
 	// A config body replaces the preset wholesale; these are valid but for an
 	// associativity the cache array cannot be built with, or a structural
@@ -109,12 +119,34 @@ func TestValidationRejectedWith400(t *testing.T) {
 		{Benchmark: "RN", Org: "SAC", Preset: "no-such-preset"},
 		{Benchmark: "RN", Org: "SAC", Priority: "no-such-lane"},
 		{Benchmark: "RN", Org: "SAC", Faults: "not a fault plan"},
+		// A duration past ~292 years would wrap into a deadline already
+		// passed.
+		{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelityEstimate, TimeoutMS: 1e13},
 	} {
 		_, err := c.Submit(ctx, req)
 		var apiErr *client.APIError
 		if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 			t.Errorf("request %+v: want 400, got %v", req, err)
 		}
+	}
+
+	// The same timeout through the header, which fills timeout_ms before
+	// the request resolves. No client sets a deadline that far out, so the
+	// request is sent by hand.
+	body := strings.NewReader(`{"benchmark":"RN","org":"SAC","fidelity":"estimate"}`)
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set(client.TimeoutHeader, "10000000000000")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("%s: 1e13 ms: want 400, got %d %s", client.TimeoutHeader, resp.StatusCode, msg)
 	}
 }
 

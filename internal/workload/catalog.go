@@ -52,7 +52,8 @@ func mpKernel(name string, privMB, falseMB, trueMB, windowMB float64) Kernel {
 	}
 }
 
-// Catalog returns the 16 benchmarks of Table 4 in paper order (SP first).
+// Catalog returns the 16 benchmarks of Table 4 in paper order (SP first), in
+// a fresh slice the caller owns.
 func Catalog() []Spec {
 	return []Spec{
 		// --- SM-side preferred (top half of Table 4) ---
@@ -157,10 +158,16 @@ func Table4() []Table4Row {
 	}
 }
 
-// ByName returns the catalog spec with the given name.
+// catalog is the Table 4 catalog ByName searches, built once. Nothing
+// writes it: ByName hands out copies.
+var catalog = Catalog()
+
+// ByName returns the catalog spec with the given name. The spec's Kernels
+// slice is a fresh copy the caller owns.
 func ByName(name string) (Spec, error) {
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.Name == name {
+			s.Kernels = append([]Kernel(nil), s.Kernels...)
 			return s, nil
 		}
 	}

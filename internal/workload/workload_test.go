@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
@@ -319,6 +320,34 @@ func TestByNameAndNames(t *testing.T) {
 	}
 	if n := Names(); len(n) != 16 || n[0] != "RN" || n[15] != "NN" {
 		t.Fatalf("Names = %v", n)
+	}
+}
+
+// TestByNameReturnsOwnKernels pins that ByName hands out copies: a caller
+// writing the kernels of one lookup must not change the shared catalog, so
+// the next lookup of the same name still matches Catalog.
+func TestByNameReturnsOwnKernels(t *testing.T) {
+	for _, name := range []string{"RN", "BFS"} {
+		first, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.Kernels[0]
+		first.Kernels[0].TrueMB = -1
+		first.Kernels[0].Name = "mutated"
+		first.Kernels = append(first.Kernels[:1], Kernel{Name: "appended"})
+		second, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Kernels[0] != want {
+			t.Fatalf("%s: kernel 0 after a caller's write = %+v, want %+v", name, second.Kernels[0], want)
+		}
+		for _, s := range Catalog() {
+			if s.Name == name && !reflect.DeepEqual(s, second) {
+				t.Fatalf("%s: ByName = %+v, Catalog has %+v", name, second, s)
+			}
+		}
 	}
 }
 
