@@ -2,7 +2,7 @@
 // over result-store cache keys, places each submitted cell on the worker
 // that owns its key (so worker-local stores and singleflights stay hot),
 // deduplicates identical cells fleet-wide, and steals jobs from workers
-// that die, lapse, or stall.
+// that die, lapse, or leave.
 //
 // Usage:
 //
@@ -32,29 +32,23 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8440", "HTTP listen address (use :0 for an ephemeral port)")
-		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "heartbeat cadence advertised to workers")
-		lapse       = flag.Duration("lapse", 0, "silence after which a worker is declared dead and its jobs stolen (0 = 3x heartbeat)")
-		stealAfter  = flag.Duration("steal-after", 0, "per-attempt cap before a job is stolen from a slow worker (0 = only on death or deadline)")
-		maxAttempts = flag.Int("max-attempts", 4, "dispatch attempts per job before it fails")
-		vnodes      = flag.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per worker on the placement ring")
-		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
-		quiet       = flag.Bool("q", false, "suppress per-job log lines")
+		addr      = flag.String("addr", ":8440", "HTTP listen address (use :0 for an ephemeral port)")
+		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat cadence advertised to workers")
+		lapse     = flag.Duration("lapse", 0, "silence after which a worker is declared dead and its jobs stolen (0 = 3x heartbeat)")
+		fidelity  = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
+		quiet     = flag.Bool("q", false, "suppress per-job log lines")
 	)
 	flag.Parse()
-	if err := run(*addr, *heartbeat, *lapse, *stealAfter, *maxAttempts, *vnodes, *fidelity, *quiet); err != nil {
+	if err := run(*addr, *heartbeat, *lapse, *fidelity, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "saccoord:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, heartbeat, lapse, stealAfter time.Duration, maxAttempts, vnodes int, fidelity string, quiet bool) error {
+func run(addr string, heartbeat, lapse time.Duration, fidelity string, quiet bool) error {
 	cfg := cluster.Config{
 		Heartbeat:       heartbeat,
 		Lapse:           lapse,
-		StealAfter:      stealAfter,
-		MaxAttempts:     maxAttempts,
-		Vnodes:          vnodes,
 		DefaultFidelity: fidelity,
 		Registry:        obs.NewRegistry(),
 	}

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -274,6 +276,27 @@ func TestDaemonEndToEnd(t *testing.T) {
 	restartJSON, _ := json.Marshal(res)
 	if !bytes.Equal(restartJSON, localJSON) {
 		t.Fatal("result across daemon restart differs from in-process sac.Run")
+	}
+	// The store is the one owner of its traffic series on /metrics.
+	resp, err := http.Get(d2.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"hits", "misses", "evictions", "put_errors", "corrupt"} {
+		if !bytes.Contains(metrics, []byte("\nsacd_store_"+name+"_total ")) {
+			t.Errorf("/metrics lacks sacd_store_%s_total", name)
+		}
+	}
+	if bytes.Contains(metrics, []byte("\nsacd_store_hits_total 0\n")) {
+		t.Error("/metrics counts no store hit after one was served")
+	}
+	if bytes.Contains(metrics, []byte("sacd_cache_")) {
+		t.Error("/metrics still counts store traffic a second time as sacd_cache_*")
 	}
 
 	// Phase 5: account for every burst job. Requeued jobs were restored

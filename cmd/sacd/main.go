@@ -109,17 +109,8 @@ func run(o options) error {
 	if !quiet {
 		cfg.Log = os.Stderr
 	}
-	// Content-hash failures on store reads quarantine the object; count them
-	// so a decaying disk shows up on /metrics before it shows up as rerun
-	// simulations.
-	corrupt := cfg.Registry.Counter("sacd_store_corrupt_total",
-		"Store objects quarantined for failing content-hash verification.")
 	if cacheDir != "" {
-		st, err := store.Open(cacheDir, store.Options{
-			MaxBytes:  cacheMax,
-			OnCorrupt: func(string) { corrupt.Inc() },
-			Registry:  cfg.Registry,
-		})
+		st, err := store.Open(cacheDir, store.Options{MaxBytes: cacheMax, Registry: cfg.Registry})
 		if err != nil {
 			return err
 		}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	sac "repro"
+	"repro/internal/backend"
 	"repro/internal/coherence"
 	"repro/internal/fault"
 	"repro/internal/llc"
@@ -62,7 +63,11 @@ func main() {
 	}
 	var orgs []llc.Org
 	for _, name := range strings.Split(*orgName, ",") {
-		orgs = append(orgs, parseOrg(strings.TrimSpace(name)))
+		org, err := llc.ParseOrg(strings.TrimSpace(name))
+		if err != nil {
+			fatal(err)
+		}
+		orgs = append(orgs, org)
 	}
 	cfg.Org = orgs[0]
 	cfg.Sectored = *sectored
@@ -124,11 +129,10 @@ func main() {
 	}
 
 	fmt.Printf("running %s under %s (%s scale, %s fidelity)...\n",
-		spec.Name, cfg.Org, *scale, displayFidelity(*fidelity))
+		spec.Name, cfg.Org, *scale, backend.Display(*fidelity))
 	run, err := sac.Run(cfg, spec,
 		sac.WithFaults(plan),
 		sac.WithObserver(observer),
-		sac.WithMetricsWindow(*metricsWin),
 		sac.WithFidelity(sac.Fidelity(*fidelity)),
 		sac.WithContext(ctx))
 	if err != nil {
@@ -170,27 +174,6 @@ func main() {
 		fmt.Printf("  #%-3d %-10s %-12s %10d cycles %10d ops\n",
 			k.Index, k.Name, k.Org, k.Cycles, k.MemOps)
 	}
-}
-
-// displayFidelity renders a fidelity flag value for banners ("" = exact).
-func displayFidelity(f string) string {
-	if f == "" {
-		return "exact"
-	}
-	return f
-}
-
-// parseOrg resolves an organization name, accepting the upper-case "SAC"
-// spelling alongside llc.ParseOrg's canonical forms.
-func parseOrg(name string) llc.Org {
-	org, err := llc.ParseOrg(name)
-	if err != nil {
-		if name == "SAC" {
-			return llc.SAC
-		}
-		fatal(err)
-	}
-	return org
 }
 
 // compareOrgs runs one benchmark under several organizations through the

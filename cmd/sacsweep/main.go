@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		set         = fs.String("set", "all", "benchmark set: all | fast | comma-separated names")
 		parallel    = fs.Int("parallel", 0, "max simulations in flight (0 = all cores, 1 = serial)")
 		fidelity    = fs.String("fidelity", "", "simulation fidelity for every cell: estimate | sampled | exact (default exact)")
-		verbose     = fs.Bool("v", false, "log each completed simulation")
 		jsonOut     = fs.Bool("json", false, "emit results as JSON instead of tables")
 		faults      = fs.String("faults", "", "fault plan injected into every simulation: JSON file path or inline DSL")
 		maxCycles   = fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
@@ -81,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := sac.NewRunner()
 	r.Parallelism = *parallel
 	r.Fidelity = *fidelity
-	r.Verbose = *verbose
 	r.Log = stderr
 	r.Ctx = ctx
 	if *metricsAddr != "" {

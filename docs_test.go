@@ -29,12 +29,19 @@ var (
 	// cmd/<name> not preceded by a path element: ./cmd/sacsim is ours,
 	// golang.org/x/vuln/cmd/govulncheck is not.
 	cmdRe = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_-]*)`)
+	// A documented command line: go run ./cmd/<name>, then its arguments up
+	// to a comment, the end of a code span, or the next command.
+	goRunRe   = regexp.MustCompile("go run (?:\\./)?cmd/([a-z][a-z0-9_-]*)([^`#|;&>]*)")
+	argFlagRe = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+	// A flag a command declares: flag.Int("name", ...) or fs.Int("name", ...).
+	declFlagRe = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
 )
 
 // TestDocsNameWhatExists fails on a document that sends its reader to
 // something that is not there: a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
-// declares, or a cmd/ directory that does not exist.
+// declares, a cmd/ directory that does not exist, or a flag on a
+// `go run ./cmd/<name>` line that the command does not declare.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -72,6 +79,28 @@ func TestDocsNameWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	flags := map[string]map[string]bool{} // command name → declared flags
+	srcs, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range srcs {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(filepath.Dir(path))
+		if flags[name] == nil {
+			flags[name] = map[string]bool{}
+		}
+		for _, m := range declFlagRe.FindAllSubmatch(src, -1) {
+			flags[name][string(m[1])] = true
+		}
+	}
+
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -89,7 +118,20 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 		markdown, fenced := strings.HasSuffix(doc, ".md"), false
+		command := "" // the shell line so far, across trailing backslashes
 		for i, line := range strings.Split(string(raw), "\n") {
+			if command += line; strings.HasSuffix(command, "\\") {
+				command = strings.TrimSuffix(command, "\\") + " "
+			} else {
+				for _, m := range goRunRe.FindAllStringSubmatch(command, -1) {
+					for _, f := range argFlagRe.FindAllStringSubmatch(m[2], -1) {
+						if !flags[m[1]][f[1]] {
+							t.Errorf("%s:%d: go run ./cmd/%s: no -%s flag in cmd/%s", doc, i+1, m[1], f[1], m[1])
+						}
+					}
+				}
+				command = ""
+			}
 			if markdown && strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
 				continue

@@ -18,7 +18,7 @@ func main() {
 	r := sac.NewRunner()
 	r.Benchmarks = sac.FastSet() // 3 SP + 3 MP representative workloads
 	fmt.Printf("sweeping inter-chip bandwidth over %v\n", r.Benchmarks)
-	fmt.Println("(half an hour of cycles on one core; -v on sacsweep shows progress)")
+	fmt.Println("(half an hour of cycles on one core; -progress on sacsweep shows progress)")
 
 	res, err := r.Fig14([]sac.Axis{sac.AxisInterChipBW})
 	if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -61,14 +62,26 @@ func (w *testWorker) kill() {
 // startWorker boots a real server.Server over httptest and enrolls it.
 func startWorker(t *testing.T, coordURL, id string) *testWorker {
 	t.Helper()
-	return startWorkerWith(t, coordURL, id, server.Config{Workers: 2})
+	return startWorkerWith(t, coordURL, id, nil)
 }
 
-func startWorkerWith(t *testing.T, coordURL, id string, cfg server.Config) *testWorker {
+// startWorkerWith is startWorker whose job submissions wait until hold is
+// closed (nil holds nothing).
+func startWorkerWith(t *testing.T, coordURL, id string, hold <-chan struct{}) *testWorker {
 	t.Helper()
-	s := server.New(cfg)
+	s := server.New(server.Config{Workers: 2})
 	s.Start()
-	hs := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if hold != nil {
+		api := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				<-hold
+			}
+			api.ServeHTTP(w, r)
+		})
+	}
+	hs := httptest.NewServer(h)
 	agent, err := StartAgent(AgentConfig{
 		Coordinator: coordURL,
 		Info:        client.WorkerInfo{ID: id, URL: hs.URL},
@@ -92,10 +105,9 @@ func startWorkerWith(t *testing.T, coordURL, id string, cfg server.Config) *test
 func testCoordinator(t *testing.T, reg *obs.Registry) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	c := New(Config{
-		Heartbeat:   50 * time.Millisecond,
-		Lapse:       250 * time.Millisecond,
-		MaxAttempts: 8,
-		Registry:    reg,
+		Heartbeat: 50 * time.Millisecond,
+		Lapse:     250 * time.Millisecond,
+		Registry:  reg,
 		Dial: func(url string) *client.Client {
 			return client.New(url,
 				client.WithRetries(1),
@@ -234,15 +246,14 @@ func runWave(t *testing.T, cc *client.Client, reqs []client.JobRequest) {
 func TestClusterGlobalDedup(t *testing.T) {
 	reg := obs.NewRegistry()
 	coord, hs := testCoordinator(t, reg)
-	// The workers hold every execution until the coordinator has admitted
+	// The workers hold every dispatch until the coordinator has admitted
 	// both submissions, so the second always meets the first in flight — a
 	// cell that finished first would answer it from the memo instead.
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // before the workers' cleanup drains them
-	held := server.Config{Workers: 2, Chaos: server.Chaos{BeforeRun: func(string) { <-gate }}}
-	startWorkerWith(t, hs.URL, "worker-a", held)
-	startWorkerWith(t, hs.URL, "worker-b", held)
+	startWorkerWith(t, hs.URL, "worker-a", gate)
+	startWorkerWith(t, hs.URL, "worker-b", gate)
 	waitLive(t, coord, 2)
 	ctx := context.Background()
 

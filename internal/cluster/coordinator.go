@@ -6,7 +6,7 @@
 // any client.Client works against either. This package supplies the
 // executor: consistent-hash placement of each cell on the worker that owns
 // its store key (ring.go), dispatch over the worker's own jobs API, and
-// stealing from workers that die, lapse or stall — and the worker table
+// stealing from workers that die, lapse or leave — and the worker table
 // behind it (registration, heartbeats, health-steered routing).
 package cluster
 
@@ -36,15 +36,6 @@ type Config struct {
 	// removed from the ring, and its in-flight dispatches stolen. Default
 	// 3×Heartbeat.
 	Lapse time.Duration
-	// StealAfter caps one dispatch attempt: a worker that holds a job longer
-	// has it stolen by the next ring successor. 0 means attempts are bounded
-	// only by the job deadline and worker death.
-	StealAfter time.Duration
-	// MaxAttempts bounds dispatch attempts per job (steals included).
-	// Default 4; every attempt after the first increments the steal counter.
-	MaxAttempts int
-	// Vnodes is the ring's virtual-node count per worker (0 = DefaultVnodes).
-	Vnodes int
 	// DefaultFidelity applies to requests that name no rung ("" = exact).
 	DefaultFidelity string
 	// Registry, when set, receives the coordinator's fleet metrics.
@@ -56,6 +47,10 @@ type Config struct {
 	// retry layer — stealing — so per-call retries stay short).
 	Dial func(url string) *client.Client
 }
+
+// maxAttempts bounds dispatch attempts per job; every attempt after the
+// first is a steal.
+const maxAttempts = 4
 
 // errPermanent marks a dispatch failure that stealing cannot fix (the
 // simulation itself failed deterministically); the job reports it instead of
@@ -118,9 +113,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.Lapse <= 0 {
 		cfg.Lapse = 3 * cfg.Heartbeat
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(url string) *client.Client {
 			// Short per-call retry budget: the steal loop is the real retry
@@ -136,7 +128,7 @@ func New(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Vnodes),
+		ring:    NewRing(0),
 		workers: make(map[string]*workerEntry),
 		closeCh: make(chan struct{}),
 		m: coordMetrics{
@@ -278,7 +270,7 @@ func (c *Coordinator) noteRingLocked() {
 
 // watchLapses is the heartbeat-lapse sweeper: a worker silent past Lapse is
 // declared gone (fast failure detection for SIGKILLed workers whose jobs
-// would otherwise hang until the per-attempt timeout). The same tick runs
+// would otherwise hang until their deadline). The same tick runs
 // the engine's retention sweep; workers' content-addressed stores keep
 // evicted results one cheap re-dispatch away.
 func (c *Coordinator) watchLapses() {
@@ -341,7 +333,7 @@ func (c *Coordinator) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 		if err := ctx.Err(); err != nil {
 			return jobs.Outcome{Err: err}
 		}
-		if attempts >= c.cfg.MaxAttempts {
+		if attempts >= maxAttempts {
 			return jobs.Outcome{Err: fmt.Errorf("gave up after %d attempts: %w", attempts, lastErr)}
 		}
 		id, w, ok := c.pickWorker(j.Key, tried)
@@ -401,16 +393,11 @@ func (c *Coordinator) pickWorker(key string, tried map[string]bool) (string, *wo
 // dispatch runs one attempt on one worker: a single-item batch submit (so a
 // warm worker answers terminally, result inline, in one round trip), then a
 // long-poll watch until terminal — no ticker, no per-poll request storm. Any
-// non-permanent error (network death, per-attempt timeout, worker-side
+// non-permanent error (network death, the worker declared gone, worker-side
 // expiry) sends the caller back into the steal loop; a best-effort
 // steal-cancel tells the abandoned worker to stop burning cycles.
 func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *workerEntry) (json.RawMessage, client.JobStatus, error) {
-	var cancel context.CancelFunc
-	if c.cfg.StealAfter > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.StealAfter)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Snapshot the client under the lock: a concurrent re-registration (the

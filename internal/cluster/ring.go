@@ -23,10 +23,10 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the virtual-node count per member. 64 points per worker
-// keeps the expected per-worker share within ~±25% of fair at fleet sizes up
-// to 16 while keeping ring rebuilds trivially cheap.
-const DefaultVnodes = 64
+// vnodes is the virtual-node count per member. 64 points per worker keeps
+// the expected per-worker share within ~±25% of fair at fleet sizes up to 16
+// while keeping ring rebuilds trivially cheap.
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
 // member.
@@ -38,20 +38,15 @@ type ringPoint struct {
 // Ring is a consistent-hash ring mapping cache keys to member IDs. All
 // methods are safe for concurrent use.
 type Ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	points  []ringPoint // sorted by hash
 	members map[string]struct{}
 }
 
-// NewRing returns an empty ring with the given virtual-node count per member
-// (0 selects DefaultVnodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
+// NewRing returns an empty ring. Its argument is ignored; it stays only
+// because bench/ calls NewRing(0), and goes with ROADMAP item 1.
+func NewRing(int) *Ring {
+	return &Ring{members: make(map[string]struct{})}
 }
 
 // pointHash places one virtual node: sha256("<id>#<i>") folded to 64 bits.
@@ -87,7 +82,7 @@ func (r *Ring) Add(id string) {
 		return
 	}
 	r.members[id] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{pointHash(id, i), id})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })

@@ -26,7 +26,7 @@ func ringOf(n int) *Ring {
 
 // TestRingBalance pins the load-balance property: for every fleet size from
 // 2 to 16 workers, no worker owns more than 2x its fair share of 20k keys
-// (nor less than a quarter of it). DefaultVnodes is sized to keep this
+// (nor less than a quarter of it). vnodes is sized to keep this
 // bound; shrinking it will fail here, not in production skew.
 func TestRingBalance(t *testing.T) {
 	keys := testKeys(20000)

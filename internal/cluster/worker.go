@@ -26,9 +26,6 @@ type AgentConfig struct {
 	Health func() client.Health
 	// Log receives agent lifecycle lines; nil discards.
 	Log io.Writer
-	// Client overrides the coordinator client (tests); nil dials
-	// Coordinator with client.New.
-	Client *client.Client
 }
 
 // Agent keeps one sacd worker enrolled in a fleet: it registers with the
@@ -57,12 +54,9 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:  cfg,
-		cl:   cfg.Client,
+		cl:   client.New(cfg.Coordinator, client.WithRetries(1), client.WithBackoff(100*time.Millisecond, time.Second)),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	if a.cl == nil {
-		a.cl = client.New(cfg.Coordinator, client.WithRetries(1), client.WithBackoff(100*time.Millisecond, time.Second))
 	}
 	go a.run()
 	return a, nil

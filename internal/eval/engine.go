@@ -153,11 +153,8 @@ func (r *Runner) settled(j *jobs.Job, _ string, out jobs.Outcome) {
 		r.ok.Inc()
 		r.cycles.Add(float64(out.Cycles))
 	}
-	switch {
-	case out.Source == client.SourceStore:
+	if out.Source == client.SourceStore {
 		r.hits.Inc()
-	case r.Verbose && out.Err == nil:
-		r.logf("run %-10s %-12s cycles=%-10d ipc=%.4f", j.Spec.Name, j.Cfg.Org, out.Cycles, out.Run.IPC())
 	}
 	if r.OnCellDone != nil {
 		r.OnCellDone(c)

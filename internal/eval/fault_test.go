@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,5 +165,37 @@ func TestSweepReportsFailingCellOnce(t *testing.T) {
 	var cell *CellError
 	if !errors.As(err, &cell) || cell.PanicVal != nil || cell.Err == nil {
 		t.Fatalf("error shape wrong: %v", err)
+	}
+}
+
+// TestValidateEABAppliesFaultsAndContext: the EAB validation's SAC runs take
+// the Runner's fault plan, so a ring degraded from cycle 0 moves the model's
+// prediction off the healthy one, and its context, so a canceled sweep stops
+// them.
+func TestValidateEABAppliesFaultsAndContext(t *testing.T) {
+	validate := func(plan *fault.Plan) *EABValidation {
+		r := testRunner("RN")
+		r.Faults = plan
+		v, err := r.ValidateEAB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	plan, err := fault.Parse("xchip:0.cw@0*0.25; xchip:1.cw@0*0.25; xchip:2.cw@0*0.25; xchip:3.cw@0*0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, faulted := validate(nil).Rows[0], validate(plan).Rows[0]
+	if faulted.PredictedMemEAB == healthy.PredictedMemEAB && faulted.PredictedSMEAB == healthy.PredictedSMEAB {
+		t.Fatalf("a degraded ring left the SAC prediction at the healthy one: %+v", faulted)
+	}
+
+	r := testRunner("RN")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r.Ctx = ctx
+	if _, err := r.ValidateEAB(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ValidateEAB under a canceled context returned %v, want context.Canceled", err)
 	}
 }

@@ -43,10 +43,8 @@ type Runner struct {
 	// and healthy runs, or a fast rung's and an exact one, never collide.
 	Faults   *fault.Plan
 	Fidelity string
-	// Log receives failed store write-backs and, with Verbose, one line per
-	// simulated cell.
-	Verbose bool
-	Log     io.Writer
+	// Log receives one line per failed store write-back.
+	Log io.Writer
 	// Ctx cancels the sweep: cells not yet executing fail fast and running
 	// simulations abort at their next context poll, as CellErrors wrapping
 	// ctx's error. Nil means uncancellable.

@@ -58,7 +58,8 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 	correct := 0
 	// The pure-organization ground-truth runs go through the job engine; the
 	// SAC runs need a System handle (to read the model's decision), so they
-	// bypass it but still take the Runner's execution slots.
+	// bypass it but still take the Runner's execution slots, fault plan and
+	// context.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		reqs = append(reqs,
@@ -76,11 +77,7 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 			defer wg.Done()
 			r.slots <- struct{}{}
 			defer func() { <-r.slots }()
-			sys, err := gpu.New(r.Base.WithOrg(llc.SAC), spec)
-			if err == nil {
-				_, err = sys.Run()
-			}
-			sacSys[i], sacErr[i] = sys, err
+			sacSys[i], sacErr[i] = r.runSAC(spec)
 		}(i, spec)
 	}
 	wg.Wait()
@@ -127,6 +124,25 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 	res.CorrMeasuredBWVsSpeedup = pearson(measRatio, speedups)
 	res.CorrLatencyVsSpeedup = pearson(latRatio, speedups)
 	return res, nil
+}
+
+// runSAC runs spec under SAC with the Runner's fault plan and context, and
+// returns the system for its controller's decisions.
+func (r *Runner) runSAC(spec workload.Spec) (*gpu.System, error) {
+	sys, err := gpu.New(r.Base.WithOrg(llc.SAC), spec)
+	if err != nil {
+		return nil, err
+	}
+	if r.Faults != nil {
+		if err := sys.InjectFaults(r.Faults); err != nil {
+			return nil, err
+		}
+	}
+	if r.Ctx != nil {
+		sys.SetContext(r.Ctx)
+	}
+	_, err = sys.Run()
+	return sys, err
 }
 
 // pearson computes the sample correlation coefficient (0 for degenerate

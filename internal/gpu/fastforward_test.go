@@ -20,7 +20,7 @@ func runObserved(t *testing.T, window int64, noFF bool) (*stats.Run, *obs.Observ
 	}
 	sys.noFF = noFF
 	ob := obs.New(window)
-	sys.AttachObserver(ob, window)
+	sys.AttachObserver(ob)
 	r, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -18,12 +18,10 @@ import (
 type RunOpts struct {
 	// Faults is a deterministic fault plan (nil or empty = healthy run).
 	Faults *fault.Plan
-	// Observer receives windowed metrics and trace events. Nil costs one
-	// pointer check per guarded site and zero allocations.
+	// Observer receives windowed metrics and trace events, sampled every
+	// Observer.Window cycles. Nil costs one pointer check per guarded site
+	// and zero allocations.
 	Observer *obs.Observer
-	// MetricsWindow overrides the observer's sampling window in cycles
-	// (0 defers to Observer.Window, then obs.DefaultWindow).
-	MetricsWindow int64
 	// Ctx cancels the run: the cycle loop polls it on a coarse stride and
 	// returns ctx.Err() (wrapped) from Run. Nil means uncancellable.
 	Ctx context.Context
@@ -53,7 +51,7 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 		}
 	}
 	if o.Observer.Enabled() {
-		sys.AttachObserver(o.Observer, o.MetricsWindow)
+		sys.AttachObserver(o.Observer)
 	}
 	if o.Ctx != nil {
 		sys.SetContext(o.Ctx)
@@ -104,19 +102,16 @@ type obsMetrics struct {
 }
 
 // AttachObserver arms the observability layer: metrics are registered now
-// (one series per unit), samples land every window cycles plus once at
-// finalize. Must be called before Run; the fast-forward logic treats the
-// next sample cycle as a timed trigger so skipped idle spans never jump a
-// window boundary.
-func (s *System) AttachObserver(o *obs.Observer, window int64) {
+// (one series per unit), samples land every o.EffectiveWindow() cycles plus
+// once at finalize. Must be called before Run; the fast-forward logic treats
+// the next sample cycle as a timed trigger so skipped idle spans never jump
+// a window boundary.
+func (s *System) AttachObserver(o *obs.Observer) {
 	if !o.Enabled() {
 		return
 	}
 	s.obs = o
-	s.obsWindow = window
-	if s.obsWindow <= 0 {
-		s.obsWindow = o.EffectiveWindow()
-	}
+	s.obsWindow = o.EffectiveWindow()
 	s.obsLast = s.now
 	s.obsNext = s.now + s.obsWindow
 	if o.Metrics != nil {

@@ -86,7 +86,7 @@ func TestBatchMixedFidelity(t *testing.T) {
 	gate := make(chan struct{})
 	var blockerID string
 	known := make(chan struct{}) // closed once blockerID is set
-	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(id string) {
+	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(id string) {
 		<-known
 		if id == blockerID {
 			<-gate
@@ -188,7 +188,7 @@ func TestWatchFirstTerminal(t *testing.T) {
 	gate := make(chan struct{})
 	var slowID string
 	known := make(chan struct{}) // closed once slowID is set
-	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(id string) {
+	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(id string) {
 		<-known
 		if id == slowID {
 			<-gate
@@ -237,7 +237,7 @@ func TestWatchFirstTerminal(t *testing.T) {
 // watch armed while every listed job is pending parks until one finishes.
 func TestWatchBlocksUntilTerminal(t *testing.T) {
 	release := make(chan struct{})
-	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(string) { <-release }}})
+	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})
 	ctx := context.Background()
 
 	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
@@ -273,7 +273,7 @@ func TestWatchBlocksUntilTerminal(t *testing.T) {
 func TestWatchTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, _ := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(string) { <-release }}})
+	s, _ := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 
@@ -307,7 +307,7 @@ func TestWatchTimeout(t *testing.T) {
 func TestWatchCtxCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	_, c := testDaemon(t, Config{Workers: 1, Chaos: Chaos{BeforeRun: func(string) { <-release }}})
+	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})
 
 	st, err := c.Submit(context.Background(), tinyRequest("RN", "SAC"))
 	if err != nil {

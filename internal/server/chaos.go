@@ -1,25 +1,20 @@
 package server
 
-import "time"
-
-// Chaos wires fault injection into a Server so the chaos harness can attack
+// Chaos wires fault injection into a Server so the chaos tests can attack
 // the daemon at its real seams — the worker loop, the journal's fsync, the
 // execution path — instead of mocking them. The zero value injects nothing;
-// production code never sets it.
+// only this package's tests set it (Config.chaos).
 type Chaos struct {
 	// BeforeRun is called by the flight leader immediately before it
 	// executes its job (after the start record is journaled). A hook that
 	// panics models a worker dying mid-job (the worker survives, the job
 	// fails); a hook that blocks models a wedged worker — crash tests block
-	// here and abandon the server to simulate kill -9 with jobs in flight.
+	// here and abandon the server to simulate kill -9 with jobs in flight;
+	// a hook that sleeps stretches every execution.
 	BeforeRun func(jobID string)
 	// JournalSync replaces the journal's fsync (journal.Options.SyncHook):
 	// return an error to model a failing disk — the server goes unhealthy
 	// and stops acknowledging new work — or nil to model a sync quietly
 	// dropped by a lying disk. Effective only with Config.JournalSync.
 	JournalSync func() error
-	// RunDelay stretches every led execution by a fixed latency, inflating
-	// queue age so degraded-state load shedding is reachable in tests
-	// without a large machine.
-	RunDelay time.Duration
 }

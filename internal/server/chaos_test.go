@@ -55,7 +55,7 @@ func TestCrashRecovery(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block) // unwedge the abandoned workers at test end
 	s1 := New(Config{Workers: 2, QueueCap: 16, JournalPath: jp, Store: st,
-		Chaos: Chaos{BeforeRun: func(string) {
+		chaos: Chaos{BeforeRun: func(string) {
 			if crashMode.Load() {
 				stuck.Add(1)
 				<-block
@@ -252,7 +252,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 // up (chaos delay stretches the run) terminates "expired", not "failed".
 func TestDeadlineCancelsRunningJob(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16,
-		Chaos: Chaos{RunDelay: 60 * time.Millisecond}})
+		chaos: Chaos{BeforeRun: func(string) { time.Sleep(60 * time.Millisecond) }}})
 	s.Start()
 	req := tinyRequest("RN", "SAC")
 	req.TimeoutMS = 25
@@ -273,11 +273,12 @@ func TestDeadlineCancelsRunningJob(t *testing.T) {
 }
 
 // TestDegradedShedsBatchLane: once the oldest queued job outlives
-// DegradedQueueAge, the daemon reports degraded, keeps accepting
+// degradedQueueAge, the daemon reports degraded, keeps accepting
 // normal-lane work, sheds batch-lane work with 429 + Retry-After, and the
 // client surfaces the hint.
 func TestDegradedShedsBatchLane(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 16, DegradedQueueAge: 10 * time.Millisecond})
+	s := New(Config{Workers: 1, QueueCap: 16})
+	s.degradedQueueAge = 10 * time.Millisecond
 	// Workers never started: the queue only ages.
 	if _, err := s.Submit(tinyRequest("RN", "SAC")); err != nil {
 		t.Fatal(err)
@@ -318,6 +319,46 @@ func TestDegradedShedsBatchLane(t *testing.T) {
 	}
 }
 
+// TestStalledWorkersUnhealthy: once every worker has run one job past
+// stallAfter, the daemon reports unhealthy with both stall reasons and
+// refuses normal-lane work.
+func TestStalledWorkersUnhealthy(t *testing.T) {
+	wedged, release := make(chan struct{}), make(chan struct{})
+	s := New(Config{Workers: 1, QueueCap: 16, chaos: Chaos{BeforeRun: func(string) {
+		close(wedged)
+		<-release
+	}}})
+	s.stallAfter = 5 * time.Millisecond
+	s.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	t.Cleanup(func() { close(release) })
+
+	if _, err := s.Submit(tinyRequest("RN", "SAC")); err != nil {
+		t.Fatal(err)
+	}
+	<-wedged
+	h := s.HealthSnapshot()
+	for deadline := time.Now().Add(10 * time.Second); h.Status != client.HealthUnhealthy; h = s.HealthSnapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("health %q with the only worker wedged, want unhealthy: %v", h.Status, h.Reasons)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	reasons := strings.Join(h.Reasons, "; ")
+	for _, want := range []string{"running one job longer than", "every worker is stalled"} {
+		if !strings.Contains(reasons, want) {
+			t.Errorf("unhealthy reasons %q lack %q", reasons, want)
+		}
+	}
+	if _, err := s.Submit(tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
+		t.Fatalf("normal-lane submit to a stalled daemon returned %v, want ErrUnhealthy", err)
+	}
+}
+
 // TestJournalFailureUnhealthyAndHeals: a failing journal sync turns the
 // daemon unhealthy — acknowledging an accept it cannot make durable would
 // be a lie — and a recovered disk heals it on the next accept.
@@ -326,7 +367,7 @@ func TestJournalFailureUnhealthyAndHeals(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16,
 		JournalPath: filepath.Join(t.TempDir(), "journal.wal"),
 		JournalSync: true,
-		Chaos: Chaos{JournalSync: func() error {
+		chaos: Chaos{JournalSync: func() error {
 			if failing.Load() {
 				return fmt.Errorf("injected: disk on fire")
 			}
@@ -372,7 +413,7 @@ func TestJournalFailureUnhealthyAndHeals(t *testing.T) {
 func TestWorkerPanicContained(t *testing.T) {
 	var calls atomic.Int64
 	s := New(Config{Workers: 1, QueueCap: 16,
-		Chaos: Chaos{BeforeRun: func(string) {
+		chaos: Chaos{BeforeRun: func(string) {
 			if calls.Add(1) == 1 {
 				panic("chaos: worker killed mid-job")
 			}
@@ -429,16 +470,16 @@ func TestChaosSoak(t *testing.T) {
 	var runs, syncs atomic.Int64
 	s := New(Config{Workers: 4, QueueCap: 128, JournalPath: jp, Store: st,
 		JournalSync: true,
-		Chaos: Chaos{
+		chaos: Chaos{
 			BeforeRun: func(string) {
 				if runs.Add(1)%5 == 0 {
 					panic("chaos: periodic worker kill")
 				}
+				time.Sleep(time.Millisecond)
 			},
 			// Every other sync is silently dropped (a lying disk): appends
 			// must still succeed and the daemon must stay healthy.
 			JournalSync: func() error { syncs.Add(1); return nil },
-			RunDelay:    time.Millisecond,
 		}})
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestTerminalDurableBeforeVisible(t *testing.T) {
 	var s *Server
 	s = New(Config{Workers: 1, QueueCap: 16,
 		JournalPath: filepath.Join(t.TempDir(), "journal.wal"),
-		Chaos: Chaos{BeforeRun: func(id string) {
+		chaos: Chaos{BeforeRun: func(id string) {
 			st, _ := s.Status(id)
 			switch st.Benchmark {
 			case panicBench:
@@ -105,7 +105,7 @@ func TestServerForgets(t *testing.T) {
 	s, c := testDaemon(t, Config{Workers: 1, QueueCap: 16,
 		Store:       openTestStore(t, filepath.Join(dir, "cache")),
 		JournalPath: filepath.Join(dir, "journal.wal"),
-		Chaos: Chaos{BeforeRun: func(id string) {
+		chaos: Chaos{BeforeRun: func(id string) {
 			select {
 			case <-known:
 				if id == gated {

@@ -7,25 +7,15 @@ import (
 	"repro/client"
 )
 
-// Health thresholds when the corresponding Config field is zero.
+// Health thresholds.
 const (
-	defaultDegradedQueueAge = 30 * time.Second
-	defaultStallAfter       = 5 * time.Minute
+	// degradedQueueAge is how long the oldest queued job may wait before the
+	// daemon turns degraded and sheds batch-lane traffic.
+	degradedQueueAge = 30 * time.Second
+	// stallAfter is how long one job may run before its worker counts as
+	// stalled (degraded; unhealthy when every worker is).
+	stallAfter = 5 * time.Minute
 )
-
-func (s *Server) degradedQueueAge() time.Duration {
-	if s.cfg.DegradedQueueAge > 0 {
-		return s.cfg.DegradedQueueAge
-	}
-	return defaultDegradedQueueAge
-}
-
-func (s *Server) stallAfter() time.Duration {
-	if s.cfg.StallAfter > 0 {
-		return s.cfg.StallAfter
-	}
-	return defaultStallAfter
-}
 
 // healthCode maps health states to the sacd_health_state gauge value, in
 // degradation order.
@@ -60,7 +50,7 @@ func (s *Server) oldestQueuedLocked(now time.Time) time.Duration {
 //
 //	healthy   — accepting everything
 //	degraded  — still serving, but shedding batch-lane submissions (429):
-//	            queue age past DegradedQueueAge, or a stalled worker
+//	            queue age past degradedQueueAge, or a stalled worker
 //	draining  — shutting down; no new work (503)
 //	unhealthy — cannot guarantee durability or progress; no new work (503):
 //	            journal append/sync failing, or every worker stalled
@@ -71,22 +61,22 @@ func (s *Server) healthLocked(now time.Time) (string, []string) {
 	state := client.HealthHealthy
 	var reasons []string
 
-	if age := s.oldestQueuedLocked(now); age >= s.degradedQueueAge() {
+	if age := s.oldestQueuedLocked(now); age >= s.degradedQueueAge {
 		state = client.HealthDegraded
 		reasons = append(reasons, fmt.Sprintf(
 			"oldest queued job waiting %s (threshold %s)",
-			age.Round(time.Millisecond), s.degradedQueueAge()))
+			age.Round(time.Millisecond), s.degradedQueueAge))
 	}
 	stalled := 0
 	for _, popped := range s.running {
-		if now.Sub(popped) >= s.stallAfter() {
+		if now.Sub(popped) >= s.stallAfter {
 			stalled++
 		}
 	}
 	if stalled > 0 {
 		state = client.HealthDegraded
 		reasons = append(reasons, fmt.Sprintf(
-			"%d worker(s) running one job longer than %s", stalled, s.stallAfter()))
+			"%d worker(s) running one job longer than %s", stalled, s.stallAfter))
 		if stalled >= s.cfg.Workers {
 			state = client.HealthUnhealthy
 			reasons = append(reasons, "every worker is stalled")

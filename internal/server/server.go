@@ -91,19 +91,15 @@ type Config struct {
 	// QueueCap bounds queued-but-not-started jobs across all lanes; a full
 	// queue rejects submissions with ErrQueueFull. 0 means 256.
 	QueueCap int
-	// DegradedQueueAge is how long the oldest queued job may wait before
-	// the daemon turns degraded and sheds batch-lane traffic; 0 means 30s.
-	DegradedQueueAge time.Duration
-	// StallAfter is how long one job may run before its worker counts as
-	// stalled (degraded; unhealthy when every worker is); 0 means 5m.
-	StallAfter time.Duration
-	// Chaos injects faults for the chaos harness; zero injects nothing.
-	Chaos Chaos
-	// Registry receives serving metrics (queue depth, cache hit/miss, job
-	// latency, inflight workers); nil keeps them private to the server.
+	// Registry receives serving metrics (queue depth, job latency, inflight
+	// workers); nil keeps them private to the server.
 	Registry *obs.Registry
 	// Log receives one line per job transition; nil is silent.
 	Log io.Writer
+
+	// chaos injects faults for the package's chaos tests; zero injects
+	// nothing.
+	chaos Chaos
 }
 
 // lanes in pop order.
@@ -133,8 +129,6 @@ type metrics struct {
 	inflight          *obs.Metric
 	rejected          *obs.Metric
 	shed              *obs.Metric
-	hits              *obs.Metric
-	misses            *obs.Metric
 	requeued          *obs.Metric
 	recoveryErrs      *obs.Metric
 	jnlAppends        *obs.Metric
@@ -154,8 +148,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		inflight:          reg.Gauge("sacd_inflight_workers", "Jobs currently executing."),
 		rejected:          reg.Counter("sacd_jobs_rejected_total", "Jobs rejected by backpressure, shedding, or drain."),
 		shed:              reg.Counter("sacd_jobs_shed_total", "Batch-lane jobs shed while degraded."),
-		hits:              reg.Counter("sacd_cache_hits_total", "Jobs served from the persistent result store."),
-		misses:            reg.Counter("sacd_cache_misses_total", "Jobs that missed the store and simulated."),
 		requeued:          reg.Counter("sacd_jobs_requeued_total", "Queued jobs carried across a drain for the next daemon life."),
 		recoveryErrs:      reg.Counter("sacd_recovery_errors_total", "Data-loss signals at startup recovery: corrupt journal records and unrestorable jobs."),
 		jnlAppends:        reg.Counter("sacd_journal_appends_total", "Journal records appended."),
@@ -205,6 +197,9 @@ type Server struct {
 	closed         bool
 	lastHealth     string
 
+	// Health thresholds (health.go); tests shorten them.
+	degradedQueueAge, stallAfter time.Duration
+
 	stop chan struct{} // closed by Drain: stops the retention sweeper
 	wg   sync.WaitGroup
 }
@@ -219,12 +214,14 @@ func New(cfg Config) *Server {
 		cfg.QueueCap = 256
 	}
 	s := &Server{
-		cfg:        cfg,
-		m:          newMetrics(cfg.Registry),
-		running:    make(map[string]time.Time),
-		live:       make(map[string]*jobs.Job),
-		lastHealth: client.HealthHealthy,
-		stop:       make(chan struct{}),
+		cfg:              cfg,
+		m:                newMetrics(cfg.Registry),
+		running:          make(map[string]time.Time),
+		live:             make(map[string]*jobs.Job),
+		lastHealth:       client.HealthHealthy,
+		degradedQueueAge: degradedQueueAge,
+		stallAfter:       stallAfter,
+		stop:             make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	jcfg := jobs.Config{
@@ -578,26 +575,16 @@ func (s *Server) pop() *jobs.Job {
 // re-encode it. It runs on a worker for a flight leader and on the accepting
 // goroutine for an estimate cell; the engine contains its panics.
 func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
-	if hook := s.cfg.Chaos.BeforeRun; hook != nil {
+	if hook := s.cfg.chaos.BeforeRun; hook != nil {
 		hook(j.ID)
 	}
-	if d := s.cfg.Chaos.RunDelay; d > 0 {
-		time.Sleep(d)
-	}
-	out := jobs.Simulate(j, s.cfg.Store, func() (*stats.Run, error) {
-		if s.cfg.Store != nil {
-			s.m.misses.Inc()
-		}
+	return jobs.Simulate(j, s.cfg.Store, func() (*stats.Run, error) {
 		res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
 		if err == nil {
 			s.sims.Add(1)
 		}
 		return res, err
 	}, s.logf)
-	if out.Source == client.SourceStore {
-		s.m.hits.Inc()
-	}
-	return out
 }
 
 // ---- journal ----
@@ -780,7 +767,7 @@ func (s *Server) Recover() (int, error) {
 	}
 	jnl, rep, err := journal.Open(s.cfg.JournalPath, journal.Options{
 		Sync:     s.cfg.JournalSync,
-		SyncHook: s.cfg.Chaos.JournalSync,
+		SyncHook: s.cfg.chaos.JournalSync,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("server: opening journal: %w", err)

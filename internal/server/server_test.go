@@ -351,7 +351,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 func TestHealthAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir, store.Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +372,12 @@ func TestHealthAndMetrics(t *testing.T) {
 		t.Fatalf("store holds %d objects after one job, want 1", h.StoreObjects)
 	}
 
+	// c.Run wakes when the job turns terminal; the engine counts it done
+	// just after, and the worker leaves the inflight gauge after that.
+	inflight := reg.Gauge("sacd_inflight_workers", "")
+	for deadline := time.Now().Add(10 * time.Second); inflight.Value() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	snap := map[string]float64{}
 	for _, fam := range reg.Snapshot() {
 		for _, s := range fam.Series {
@@ -381,7 +387,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if snap["sacd_jobs_accepted_total"] != 1 || snap["sacd_jobs_done_total"] != 1 {
 		t.Fatalf("job counters wrong: %v", snap)
 	}
-	if snap["sacd_cache_misses_total"] != 1 {
+	if snap["sacd_store_misses_total"] != 1 {
 		t.Fatalf("first job should miss the store once: %v", snap)
 	}
 	if snap["sacd_inflight_workers"] != 0 {

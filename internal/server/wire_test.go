@@ -64,7 +64,7 @@ func sameAsEncodingJSON[T any](t *testing.T, route string, body []byte) T {
 func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	var fail sync.Map // job ids the chaos hook fails
 	s := New(Config{Workers: 1, Store: openTestStore(t, t.TempDir()),
-		Chaos: Chaos{BeforeRun: func(id string) {
+		chaos: Chaos{BeforeRun: func(id string) {
 			if _, ok := fail.Load(id); ok {
 				panic("chaos: <injected> failure & \"quoted\"")
 			}

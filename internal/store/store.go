@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -162,28 +161,19 @@ type Options struct {
 	// MaxBytes caps the total object bytes; the least-recently-used entries
 	// are evicted when a Put exceeds it. 0 means unbounded.
 	MaxBytes int64
-	// OnCorrupt, when set, is called (possibly concurrently) with the key
-	// of every object quarantined by Get — the sacd daemon counts these
-	// into sacd_store_corrupt_total.
-	OnCorrupt func(key string)
-	// Registry, when set, exports the store's traffic counters as
-	// sacd_store_hits_total / sacd_store_misses_total /
-	// sacd_store_evictions_total / sacd_store_put_errors_total, so warm-tier
-	// effectiveness and failing write-backs are visible on /metrics instead
-	// of dead-ending in the Go accessors.
+	// Registry receives the store's traffic counters —
+	// sacd_store_hits_total, sacd_store_misses_total,
+	// sacd_store_evictions_total, sacd_store_put_errors_total and
+	// sacd_store_corrupt_total — so warm-tier effectiveness, failing
+	// write-backs and a decaying disk show on /metrics. Nil keeps them in a
+	// registry of the store's own; the Go accessors read them either way.
 	Registry *obs.Registry
-	// HotBytes caps the in-memory tier of verified result bytes. A raw read
-	// that verified once is kept in memory (LRU by bytes) so repeat hits on
-	// the same key skip the file read and the SHA-256 — the dominant cost of
-	// a warm hit on the high-throughput serving path. 0 means the 64 MiB
-	// default; negative disables the tier entirely.
-	HotBytes int64
 }
 
-// defaultHotBytes is the in-memory verified-bytes budget when Options leaves
-// HotBytes zero: big enough to hold thousands of estimate results, small
-// next to a simulation's working set.
-const defaultHotBytes = 64 << 20
+// hotBytes is the in-memory tier's budget of verified result bytes: big
+// enough to hold thousands of estimate results, small next to a
+// simulation's working set.
+const hotBytes = 64 << 20
 
 // indexEntry is the per-object record of the index.json snapshot.
 type indexEntry struct {
@@ -206,9 +196,8 @@ type diskEntry struct {
 
 // Store is an open result cache rooted at one directory.
 type Store struct {
-	dir       string
-	max       int64
-	onCorrupt func(string)
+	dir string
+	max int64
 
 	mu    sync.Mutex
 	idx   map[string]*list.Element // key → element whose Value is *diskEntry
@@ -225,17 +214,9 @@ type Store struct {
 	hot     map[string]*list.Element // key → element whose Value is *hotEntry
 	hotLRU  *list.List               // front = most recently used
 	hotSize int64
-	hotMax  int64
+	hotMax  int64 // hotBytes; tests shrink it
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	corrupt   atomic.Int64
-	evictions atomic.Int64
-	putErrors atomic.Int64
-
-	// Optional obs exports mirroring the atomics above; nil when Open ran
-	// without a Registry.
-	mHits, mMisses, mEvictions, mPutErrors *obs.Metric
+	hits, misses, evictions, putErrors, corrupt *obs.Metric
 }
 
 // Open opens (creating if necessary) the store rooted at dir.
@@ -246,20 +227,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, max: opts.MaxBytes, onCorrupt: opts.OnCorrupt}
-	s.hotMax = opts.HotBytes
-	if s.hotMax == 0 {
-		s.hotMax = defaultHotBytes
+	reg := opts.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	if s.hotMax > 0 {
-		s.hot = make(map[string]*list.Element)
-		s.hotLRU = list.New()
-	}
-	if reg := opts.Registry; reg != nil {
-		s.mHits = reg.Counter("sacd_store_hits_total", "Store reads served from disk.")
-		s.mMisses = reg.Counter("sacd_store_misses_total", "Store reads that found nothing usable.")
-		s.mEvictions = reg.Counter("sacd_store_evictions_total", "Objects evicted by the LRU size cap.")
-		s.mPutErrors = reg.Counter("sacd_store_put_errors_total", "Result write-backs that failed.")
+	s := &Store{
+		dir: dir, max: opts.MaxBytes,
+		hot: make(map[string]*list.Element), hotLRU: list.New(), hotMax: hotBytes,
+		hits:      reg.Counter("sacd_store_hits_total", "Store reads served from disk."),
+		misses:    reg.Counter("sacd_store_misses_total", "Store reads that found nothing usable."),
+		evictions: reg.Counter("sacd_store_evictions_total", "Objects evicted by the LRU size cap."),
+		putErrors: reg.Counter("sacd_store_put_errors_total", "Result write-backs that failed."),
+		corrupt: reg.Counter("sacd_store_corrupt_total",
+			"Store objects quarantined for failing content-hash verification."),
 	}
 	// Temp files a crash left between create and rename: never addressable,
 	// never counted against MaxBytes, so nothing else would ever reclaim them.
@@ -429,7 +409,7 @@ func (s *Store) Get(key string) (*stats.Run, bool) {
 		// Unreachable for objects Put wrote (the hash just verified over
 		// valid JSON), but a defensive quarantine beats a panic.
 		s.quarantine(key)
-		s.noteMiss()
+		s.misses.Inc()
 		return nil, false
 	}
 	return &run, true
@@ -455,9 +435,6 @@ type hotEntry struct {
 
 // hotGet returns the resident bytes for key, bumping its recency.
 func (s *Store) hotGet(key string) (json.RawMessage, int64, bool) {
-	if s.hot == nil {
-		return nil, 0, false
-	}
 	s.hotMu.Lock()
 	defer s.hotMu.Unlock()
 	el, ok := s.hot[key]
@@ -473,7 +450,7 @@ func (s *Store) hotGet(key string) (json.RawMessage, int64, bool) {
 // tail past the byte budget. Oversized payloads are skipped rather than
 // allowed to flush the whole tier.
 func (s *Store) hotPut(key string, raw json.RawMessage, cycles int64) {
-	if s.hot == nil || int64(len(raw)) > s.hotMax/4 {
+	if int64(len(raw)) > s.hotMax/4 {
 		return
 	}
 	s.hotMu.Lock()
@@ -499,9 +476,6 @@ func (s *Store) hotPut(key string, raw json.RawMessage, cycles int64) {
 
 // hotDrop forgets key's resident bytes (quarantine, disk eviction).
 func (s *Store) hotDrop(key string) {
-	if s.hot == nil {
-		return
-	}
 	s.hotMu.Lock()
 	defer s.hotMu.Unlock()
 	if el, ok := s.hot[key]; ok {
@@ -513,7 +487,7 @@ func (s *Store) hotDrop(key string) {
 
 // HotLen returns the number of results resident in the in-memory tier.
 func (s *Store) HotLen() int {
-	if s == nil || s.hot == nil {
+	if s == nil {
 		return 0
 	}
 	s.hotMu.Lock()
@@ -528,13 +502,13 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 	}
 	if raw, cycles, ok := s.hotGet(key); ok {
 		s.touch(key)
-		s.noteHit()
+		s.hits.Inc()
 		return raw, cycles, true
 	}
 	path := s.objectPath(key)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		s.noteMiss()
+		s.misses.Inc()
 		return nil, 0, false
 	}
 	var env rawEnvelope
@@ -542,7 +516,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 		env.Version != schemaVersion || len(env.Result) == 0 ||
 		string(env.Result) == "null" || keyOf(env.Key) != key {
 		s.quarantine(key)
-		s.noteMiss()
+		s.misses.Inc()
 		return nil, 0, false
 	}
 	if hexSum(env.Result) != env.Sum {
@@ -550,7 +524,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 		// bit rot or tampering that would otherwise be served as a
 		// plausible-looking result.
 		s.quarantine(key)
-		s.noteMiss()
+		s.misses.Inc()
 		return nil, 0, false
 	}
 	if env.Cycles == 0 {
@@ -562,7 +536,7 @@ func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
 	}
 	s.touch(key)
 	s.hotPut(key, env.Result, env.Cycles)
-	s.noteHit()
+	s.hits.Inc()
 	return env.Result, env.Cycles, true
 }
 
@@ -624,10 +598,7 @@ func (s *Store) put(key string, keyJSON []byte, res *stats.Run) error {
 // putFailed counts one failed write-back and returns err in the package's
 // error form.
 func (s *Store) putFailed(err error) error {
-	s.putErrors.Add(1)
-	if s.mPutErrors != nil {
-		s.mPutErrors.Inc()
-	}
+	s.putErrors.Inc()
 	return fmt.Errorf("store: %w", err)
 }
 
@@ -639,34 +610,13 @@ func (s *Store) evictLocked() {
 		os.Remove(s.objectPath(key))
 		s.unindexLocked(key)
 		s.hotDrop(key)
-		s.evictions.Add(1)
-		if s.mEvictions != nil {
-			s.mEvictions.Inc()
-		}
-	}
-}
-
-// noteHit counts one Get served from disk, mirrored to the obs registry
-// when one was supplied at Open.
-func (s *Store) noteHit() {
-	s.hits.Add(1)
-	if s.mHits != nil {
-		s.mHits.Inc()
-	}
-}
-
-// noteMiss counts one Get that found nothing usable.
-func (s *Store) noteMiss() {
-	s.misses.Add(1)
-	if s.mMisses != nil {
-		s.mMisses.Inc()
+		s.evictions.Inc()
 	}
 }
 
 // quarantine sidelines one corrupt object: renamed to <object>.corrupt so
 // the evidence survives for forensics (rebuildIndex and Get both ignore
-// the suffix), dropped from the index so the slot heals, counted, and
-// reported through the OnCorrupt hook.
+// the suffix), dropped from the index so the slot heals, and counted.
 func (s *Store) quarantine(key string) {
 	s.hotDrop(key)
 	path := s.objectPath(key)
@@ -678,10 +628,7 @@ func (s *Store) quarantine(key string) {
 	s.mu.Lock()
 	s.unindexLocked(key)
 	s.mu.Unlock()
-	s.corrupt.Add(1)
-	if s.onCorrupt != nil {
-		s.onCorrupt(key)
-	}
+	s.corrupt.Inc()
 }
 
 // Len returns the number of stored objects.
@@ -705,17 +652,17 @@ func (s *Store) SizeBytes() int64 {
 }
 
 // Hits returns the number of Get calls served from disk.
-func (s *Store) Hits() int64 { return s.hits.Load() }
+func (s *Store) Hits() int64 { return int64(s.hits.Value()) }
 
 // Misses returns the number of Get calls that found nothing usable.
-func (s *Store) Misses() int64 { return s.misses.Load() }
+func (s *Store) Misses() int64 { return int64(s.misses.Value()) }
 
 // Evictions returns the number of objects evicted by the LRU cap since Open.
 func (s *Store) Evictions() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.evictions.Load()
+	return int64(s.evictions.Value())
 }
 
 // PutErrors returns the number of failed Put calls since Open.
@@ -723,7 +670,7 @@ func (s *Store) PutErrors() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.putErrors.Load()
+	return int64(s.putErrors.Value())
 }
 
 // Corrupt returns the number of objects quarantined by Get since Open.
@@ -731,7 +678,7 @@ func (s *Store) Corrupt() int64 {
 	if s == nil {
 		return 0
 	}
-	return s.corrupt.Load()
+	return int64(s.corrupt.Value())
 }
 
 // Dir returns the store's root directory.

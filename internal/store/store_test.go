@@ -161,8 +161,8 @@ func TestReopenSeesEntries(t *testing.T) {
 func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
-	var reported []string
-	s, err := Open(dir, Options{OnCorrupt: func(key string) { reported = append(reported, key) }})
+	reg := obs.NewRegistry()
+	s, err := Open(dir, Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("corrupt object not quarantined for forensics: %v", err)
 	}
-	if s.Corrupt() != 1 || len(reported) != 1 || reported[0] != key {
-		t.Fatalf("corruption accounting: Corrupt=%d reported=%v", s.Corrupt(), reported)
+	if got := reg.Counter("sacd_store_corrupt_total", "").Value(); s.Corrupt() != 1 || got != 1 {
+		t.Fatalf("corruption accounting: Corrupt=%d sacd_store_corrupt_total=%v", s.Corrupt(), got)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("index still holds %d entries after healing", s.Len())
@@ -598,17 +598,18 @@ func TestHotTierServesRepeatReads(t *testing.T) {
 	}
 }
 
-// TestHotTierBytesBounded checks the LRU byte budget: entries beyond
-// HotBytes push the oldest out, and a negative budget disables the tier.
+// TestHotTierBytesBounded checks the LRU byte budget: entries beyond it push
+// the oldest out.
 func TestHotTierBytesBounded(t *testing.T) {
 	cfg := testConfig()
 	one, _ := json.Marshal(testRun("BP", 1))
-	// Budget fits roughly two results (entries above budget/4 are skipped,
-	// so the budget must be comfortably larger than one object).
-	s, err := Open(t.TempDir(), Options{HotBytes: int64(len(one))*2 + 64})
+	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Budget fits roughly two results (entries above budget/4 are skipped,
+	// so the budget must be comfortably larger than one object).
+	s.hotMax = int64(len(one))*2 + 64
 	benches := []string{"BP", "RN", "SN"}
 	for _, b := range benches {
 		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 5)); err != nil {
@@ -620,20 +621,6 @@ func TestHotTierBytesBounded(t *testing.T) {
 	}
 	if got := s.HotLen(); got >= len(benches) {
 		t.Fatalf("hot tier holds %d entries, want < %d (budget must evict)", got, len(benches))
-	}
-
-	off, err := Open(t.TempDir(), Options{HotBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := off.PutRunAt(cfg, "BP", "", "", testRun("BP", 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := off.GetRaw(KeyAt(cfg, "BP", "", "")); !ok {
-		t.Fatal("read missed with the hot tier disabled")
-	}
-	if off.HotLen() != 0 {
-		t.Fatalf("disabled hot tier holds %d entries", off.HotLen())
 	}
 }
 

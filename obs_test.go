@@ -28,9 +28,8 @@ func goldenObserved(t *testing.T) *sac.Observer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := sac.NewObserver(0)
-	if _, err := sac.Run(fastConfig().WithOrg(sac.SAC), spec,
-		sac.WithObserver(ob), sac.WithMetricsWindow(2000)); err != nil {
+	ob := sac.NewObserver(2000)
+	if _, err := sac.Run(fastConfig().WithOrg(sac.SAC), spec, sac.WithObserver(ob)); err != nil {
 		t.Fatal(err)
 	}
 	return ob

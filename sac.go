@@ -164,13 +164,6 @@ func WithObserver(ob *Observer) RunOption {
 	return func(o *gpu.RunOpts) { o.Observer = ob }
 }
 
-// WithMetricsWindow sets the metrics sampling window in cycles (only
-// meaningful together with WithObserver; 0 keeps the observer's own window,
-// then the package default of obs.DefaultWindow cycles).
-func WithMetricsWindow(n int64) RunOption {
-	return func(o *gpu.RunOpts) { o.MetricsWindow = n }
-}
-
 // WithContext makes the run cancellable: the cycle loop polls ctx on a
 // coarse stride and a canceled run returns ctx's error wrapped in a
 // *CellError naming the benchmark and organization.
