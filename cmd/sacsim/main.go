@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,27 +30,50 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the simulation(s) and
+// returns the exit status (0 ok, 1 a run failed, 2 bad usage, 3 the
+// -timeout expired, which tells a wedged run from a broken one).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sacsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench       = flag.String("bench", "RN", "benchmark name (see sacworkloads)")
-		orgName     = flag.String("org", "SAC", "LLC organization (or comma list for a comparison): memory-side | SM-side | static | dynamic | SAC")
-		scale       = flag.String("scale", "scaled", "machine scale: scaled | full")
-		parallel    = flag.Int("parallel", 0, "max simulations in flight for -org lists (0 = all cores)")
-		fidelity    = flag.String("fidelity", "", "simulation fidelity: estimate | sampled | exact (default exact)")
-		sectored    = flag.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
-		hardware    = flag.Bool("hw-coherence", false, "use hardware (directory) coherence")
-		inputFactor = flag.Float64("input", 1, "input-set scale factor (Fig 13 axis)")
-		faults      = flag.String("faults", "", "fault plan: a JSON file path or an inline DSL string (e.g. 'xchip:0.cw@2000-30000*0.5')")
-		maxCycles   = flag.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
-		watchdog    = flag.Int64("watchdog", -1, "abort when no request retires for this many cycles (0 = off, -1 = preset default)")
-		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole invocation (0 = none; exceeding it exits 3)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics over HTTP at this address (/metrics Prometheus, /metrics.json)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file (open in Perfetto); single-org runs only")
-		metricsWin  = flag.Int64("metrics-window", 0, "metrics sampling window in cycles (0 = default)")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
-		printConfig = flag.Bool("print-config", false, "print the configuration (Table 3) and exit")
+		bench       = fs.String("bench", "RN", "benchmark name (see sacsweep -exp table4)")
+		orgName     = fs.String("org", "SAC", "LLC organization (or comma list for a comparison): memory-side | SM-side | static | dynamic | SAC")
+		scale       = fs.String("scale", "scaled", "machine scale: scaled | full")
+		parallel    = fs.Int("parallel", 0, "max simulations in flight for -org lists (0 = all cores)")
+		fidelity    = fs.String("fidelity", "", "simulation fidelity: estimate | sampled | exact (default exact)")
+		sectored    = fs.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
+		hardware    = fs.Bool("hw-coherence", false, "use hardware (directory) coherence")
+		inputFactor = fs.Float64("input", 1, "input-set scale factor (Fig 13 axis)")
+		faults      = fs.String("faults", "", "fault plan: a JSON file path or an inline DSL string (e.g. 'xchip:0.cw@2000-30000*0.5')")
+		maxCycles   = fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
+		watchdog    = fs.Int64("watchdog", -1, "abort when no request retires for this many cycles (0 = off, -1 = preset default)")
+		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the whole invocation (0 = none; exceeding it exits 3)")
+		metricsAddr = fs.String("metrics-addr", "", "serve live metrics over HTTP at this address (/metrics Prometheus, /metrics.json)")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file (open in Perfetto); single-org runs only")
+		metricsWin  = fs.Int64("metrics-window", 0, "metrics sampling window in cycles (0 = default)")
+		pprofOn     = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
+		printConfig = fs.Bool("print-config", false, "print the configuration (Table 3) and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "sacsim:", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sacsim:", err)
+		if errors.Is(err, context.DeadlineExceeded) {
+			return 3
+		}
+		return 1
+	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -57,15 +81,20 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := sac.ScaledConfig()
-	if *scale == "full" {
+	var cfg sac.Config
+	switch *scale {
+	case "scaled":
+		cfg = sac.ScaledConfig()
+	case "full":
 		cfg = sac.PaperConfig()
+	default:
+		return usage(fmt.Errorf("unknown -scale %q (want scaled or full)", *scale))
 	}
 	var orgs []llc.Org
 	for _, name := range strings.Split(*orgName, ",") {
 		org, err := llc.ParseOrg(strings.TrimSpace(name))
 		if err != nil {
-			fatal(err)
+			return usage(err)
 		}
 		orgs = append(orgs, org)
 	}
@@ -84,21 +113,21 @@ func main() {
 	if *faults != "" {
 		var err error
 		if plan, err = fault.ParseOrLoad(*faults); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := plan.Validate(cfg.FaultShape()); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	if *printConfig {
-		printTable3(cfg)
-		return
+		printTable3(stdout, cfg)
+		return 0
 	}
 
 	spec, err := sac.Benchmark(*bench)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *inputFactor != 1 {
 		spec = spec.ScaleInput(*inputFactor)
@@ -106,10 +135,12 @@ func main() {
 
 	if len(orgs) > 1 {
 		if *traceOut != "" {
-			fatal(fmt.Errorf("-trace-out requires a single -org (got %d)", len(orgs)))
+			return fail(fmt.Errorf("-trace-out requires a single -org (got %d)", len(orgs)))
 		}
-		compareOrgs(ctx, cfg, spec, orgs, plan, *parallel, *fidelity, *scale, *metricsAddr, *pprofOn)
-		return
+		if err := compareOrgs(ctx, stdout, cfg, spec, orgs, plan, *parallel, *fidelity, *scale, *metricsAddr, *pprofOn); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	// Observability: one observer feeds both the live /metrics endpoint and
@@ -122,63 +153,68 @@ func main() {
 			observer.Trace = nil // metrics only: don't buffer events
 		}
 		if *metricsAddr != "" {
-			defer serveMetrics(*metricsAddr, observer.Metrics, *pprofOn).Close()
+			ms, err := serveMetrics(stdout, *metricsAddr, observer.Metrics, *pprofOn)
+			if err != nil {
+				return fail(err)
+			}
+			defer ms.Close()
 		} else {
 			observer.Metrics = nil // trace only: don't register series
 		}
 	}
 
-	fmt.Printf("running %s under %s (%s scale, %s fidelity)...\n",
+	fmt.Fprintf(stdout, "running %s under %s (%s scale, %s fidelity)...\n",
 		spec.Name, cfg.Org, *scale, backend.Display(*fidelity))
-	run, err := sac.Run(cfg, spec,
+	st, err := sac.Run(cfg, spec,
 		sac.WithFaults(plan),
 		sac.WithObserver(observer),
 		sac.WithFidelity(sac.Fidelity(*fidelity)),
 		sac.WithContext(ctx))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, observer.Trace); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %d trace events to %s (open in ui.perfetto.dev)\n",
+		fmt.Fprintf(stdout, "wrote %d trace events to %s (open in ui.perfetto.dev)\n",
 			observer.Trace.Len(), *traceOut)
 	}
 
-	fmt.Printf("\ncycles            %12d\n", run.Cycles)
-	fmt.Printf("memory ops        %12d (%d reads, %d writes)\n", run.MemOps, run.Reads, run.Writes)
-	fmt.Printf("IPC (mem ops/cyc) %12.4f\n", run.IPC())
-	fmt.Printf("L1 hit rate       %12.4f\n", hitRate(run.L1Hits, run.L1Misses))
-	fmt.Printf("LLC hit rate      %12.4f\n", run.LLCHitRate())
-	fmt.Printf("eff. LLC BW       %12.2f B/cycle\n", run.EffectiveLLCBandwidth())
-	fmt.Printf("avg read latency  %12.1f cycles\n", run.AvgReadLatency())
-	fmt.Printf("ring traffic      %12d bytes\n", run.RingBytes)
-	fmt.Printf("DRAM traffic      %12d bytes\n", run.DRAMBytes)
-	fmt.Printf("LLC remote occup. %12.4f\n", run.RemoteOccupancy())
-	if run.Reconfigs > 0 || cfg.Org == llc.SAC {
-		fmt.Printf("reconfigurations  %12d (flushed %d dirty lines, %d drain cycles)\n",
-			run.Reconfigs, run.DirtyFlushed, run.DrainCycles)
+	fmt.Fprintf(stdout, "\ncycles            %12d\n", st.Cycles)
+	fmt.Fprintf(stdout, "memory ops        %12d (%d reads, %d writes)\n", st.MemOps, st.Reads, st.Writes)
+	fmt.Fprintf(stdout, "IPC (mem ops/cyc) %12.4f\n", st.IPC())
+	fmt.Fprintf(stdout, "L1 hit rate       %12.4f\n", hitRate(st.L1Hits, st.L1Misses))
+	fmt.Fprintf(stdout, "LLC hit rate      %12.4f\n", st.LLCHitRate())
+	fmt.Fprintf(stdout, "eff. LLC BW       %12.2f B/cycle\n", st.EffectiveLLCBandwidth())
+	fmt.Fprintf(stdout, "avg read latency  %12.1f cycles\n", st.AvgReadLatency())
+	fmt.Fprintf(stdout, "ring traffic      %12d bytes\n", st.RingBytes)
+	fmt.Fprintf(stdout, "DRAM traffic      %12d bytes\n", st.DRAMBytes)
+	fmt.Fprintf(stdout, "LLC remote occup. %12.4f\n", st.RemoteOccupancy())
+	if st.Reconfigs > 0 || cfg.Org == llc.SAC {
+		fmt.Fprintf(stdout, "reconfigurations  %12d (flushed %d dirty lines, %d drain cycles)\n",
+			st.Reconfigs, st.DirtyFlushed, st.DrainCycles)
 	}
 	if plan != nil {
-		fmt.Printf("fault events      %12d (plan %s)\n", run.FaultEvents, plan.Key())
+		fmt.Fprintf(stdout, "fault events      %12d (plan %s)\n", st.FaultEvents, plan.Key())
 	}
-	fmt.Println("\nresponse origin breakdown (bytes/cycle):")
-	bd := run.RespBreakdown()
+	fmt.Fprintln(stdout, "\nresponse origin breakdown (bytes/cycle):")
+	bd := st.RespBreakdown()
 	for _, o := range []memsys.Origin{memsys.OriginLocalLLC, memsys.OriginRemoteLLC,
 		memsys.OriginLocalMem, memsys.OriginRemoteMem} {
-		fmt.Printf("  %-10s %10.2f\n", o, bd[o])
+		fmt.Fprintf(stdout, "  %-10s %10.2f\n", o, bd[o])
 	}
-	fmt.Println("\nper-kernel records:")
-	for _, k := range run.Kernels {
-		fmt.Printf("  #%-3d %-10s %-12s %10d cycles %10d ops\n",
+	fmt.Fprintln(stdout, "\nper-kernel records:")
+	for _, k := range st.Kernels {
+		fmt.Fprintf(stdout, "  #%-3d %-10s %-12s %10d cycles %10d ops\n",
 			k.Index, k.Name, k.Org, k.Cycles, k.MemOps)
 	}
+	return 0
 }
 
 // compareOrgs runs one benchmark under several organizations through the
 // parallel experiment engine and prints them side by side.
-func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.Org, plan *sac.FaultPlan, parallel int, fidelity, scale string, metricsAddr string, pprofOn bool) {
+func compareOrgs(ctx context.Context, w io.Writer, cfg sac.Config, spec sac.Spec, orgs []llc.Org, plan *sac.FaultPlan, parallel int, fidelity, scale string, metricsAddr string, pprofOn bool) error {
 	r := sac.NewRunner()
 	r.Parallelism = parallel
 	r.Faults = plan
@@ -187,7 +223,11 @@ func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.
 	if metricsAddr != "" {
 		r.Obs = sac.NewObserver(0)
 		r.Obs.Trace = nil
-		defer serveMetrics(metricsAddr, r.Obs.Metrics, pprofOn).Close()
+		ms, err := serveMetrics(w, metricsAddr, r.Obs.Metrics, pprofOn)
+		if err != nil {
+			return err
+		}
+		defer ms.Close()
 	}
 	reqs := make([]sac.RunRequest, len(orgs))
 	for i, org := range orgs {
@@ -195,23 +235,23 @@ func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.
 		c.Org = org
 		reqs[i] = sac.RunRequest{Cfg: c, Spec: spec}
 	}
-	fmt.Printf("running %s under %d organizations (%s scale)...\n", spec.Name, len(orgs), scale)
+	fmt.Fprintf(w, "running %s under %d organizations (%s scale)...\n", spec.Name, len(orgs), scale)
 	runs, err := r.RunAll(reqs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-18s", "")
+	fmt.Fprintf(w, "\n%-18s", "")
 	for _, org := range orgs {
-		fmt.Printf("%14s", org)
+		fmt.Fprintf(w, "%14s", org)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	row := func(label string, f func(run *sac.Stats) string) {
-		fmt.Printf("%-18s", label)
+		fmt.Fprintf(w, "%-18s", label)
 		for _, run := range runs {
-			fmt.Printf("%14s", f(run))
+			fmt.Fprintf(w, "%14s", f(run))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	row("cycles", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.Cycles) })
 	row("IPC", func(run *sac.Stats) string { return fmt.Sprintf("%.4f", run.IPC()) })
@@ -222,6 +262,7 @@ func compareOrgs(ctx context.Context, cfg sac.Config, spec sac.Spec, orgs []llc.
 	row("ring bytes", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.RingBytes) })
 	row("DRAM bytes", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.DRAMBytes) })
 	row("reconfigs", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.Reconfigs) })
+	return nil
 }
 
 func hitRate(h, m int64) float64 {
@@ -231,47 +272,47 @@ func hitRate(h, m int64) float64 {
 	return float64(h) / float64(h+m)
 }
 
-func printTable3(cfg sac.Config) {
-	fmt.Println("Simulated configuration (paper Table 3 at the selected scale):")
-	fmt.Printf("  chips                  %d\n", cfg.Chips)
-	fmt.Printf("  SMs                    %d per chip, %d total\n", cfg.SMsPerChip, cfg.Chips*cfg.SMsPerChip)
-	fmt.Printf("  warps per SM           %d\n", cfg.WarpsPerSM)
-	fmt.Printf("  NoC                    %dx%d crossbar per chip, %.0f B/c per cluster port\n",
+func printTable3(w io.Writer, cfg sac.Config) {
+	fmt.Fprintln(w, "Simulated configuration (paper Table 3 at the selected scale):")
+	fmt.Fprintf(w, "  chips                  %d\n", cfg.Chips)
+	fmt.Fprintf(w, "  SMs                    %d per chip, %d total\n", cfg.SMsPerChip, cfg.Chips*cfg.SMsPerChip)
+	fmt.Fprintf(w, "  warps per SM           %d\n", cfg.WarpsPerSM)
+	fmt.Fprintf(w, "  NoC                    %dx%d crossbar per chip, %.0f B/c per cluster port\n",
 		cfg.ClustersPerChip()+1, cfg.SlicesPerChip+1, cfg.ClusterBW)
-	fmt.Printf("  inter-chip ring        %.0f B/c per pair per direction, hop latency %d\n",
+	fmt.Fprintf(w, "  inter-chip ring        %.0f B/c per pair per direction, hop latency %d\n",
 		cfg.RingLinkBW, cfg.RingHopLatency)
-	fmt.Printf("  LLC                    %d slices/chip x %.0f B/c, %d KB/chip, %d-way\n",
+	fmt.Fprintf(w, "  LLC                    %d slices/chip x %.0f B/c, %d KB/chip, %d-way\n",
 		cfg.SlicesPerChip, cfg.SliceBW, cfg.LLCBytesPerChip>>10, cfg.LLCWays)
-	fmt.Printf("  DRAM                   %d channels/chip x %.1f B/c, latency %d\n",
+	fmt.Fprintf(w, "  DRAM                   %d channels/chip x %.1f B/c, latency %d\n",
 		cfg.ChannelsPerChip, cfg.ChannelBW, cfg.DRAMLatency)
-	fmt.Printf("  L1                     %d KB per SM, %d-way, latency %d\n",
+	fmt.Fprintf(w, "  L1                     %d KB per SM, %d-way, latency %d\n",
 		cfg.L1BytesPerSM>>10, cfg.L1Ways, cfg.L1Latency)
-	fmt.Printf("  line/page              %d B / %d B, first-touch placement, PAE mapping\n",
+	fmt.Fprintf(w, "  line/page              %d B / %d B, first-touch placement, PAE mapping\n",
 		cfg.Geom.LineBytes, cfg.Geom.PageBytes)
-	fmt.Printf("  coherence              %s\n", cfg.Coherence)
-	fmt.Printf("  workload scale         1/%d of paper footprints\n", cfg.WorkloadScale)
+	fmt.Fprintf(w, "  coherence              %s\n", cfg.Coherence)
+	fmt.Fprintf(w, "  workload scale         1/%d of paper footprints\n", cfg.WorkloadScale)
 	a := cfg.ArchParams()
-	fmt.Printf("  EAB arch params        B_intra=%.0f B_inter=%.0f B_LLC=%.0f B_mem=%.0f (B/cycle)\n",
+	fmt.Fprintf(w, "  EAB arch params        B_intra=%.0f B_inter=%.0f B_LLC=%.0f B_mem=%.0f (B/cycle)\n",
 		a.BIntra, a.BInter, a.BLLC, a.BMem)
 	b := sac.HardwareBudget(cfg.Sectored)
-	fmt.Printf("  SAC counter budget     %d bytes per chip (CRD %d + LSU %d + scalars %d)\n",
+	fmt.Fprintf(w, "  SAC counter budget     %d bytes per chip (CRD %d + LSU %d + scalars %d)\n",
 		b.TotalBytes, b.CRDBytes, b.LSUBytes, b.ScalarBytes)
-	noccost.Compare(noccost.PaperShape(), noccost.Tech22()).Print(os.Stdout)
+	noccost.Compare(noccost.PaperShape(), noccost.Tech22()).Print(w)
 }
 
-// serveMetrics exposes a registry over HTTP; the returned server is closed
-// on exit so the listener shuts down cooperatively.
-func serveMetrics(addr string, reg *sac.MetricsRegistry, pprofOn bool) *obs.MetricsServer {
+// serveMetrics exposes a registry over HTTP; the caller closes the returned
+// server on exit so the listener shuts down cooperatively.
+func serveMetrics(w io.Writer, addr string, reg *sac.MetricsRegistry, pprofOn bool) (*obs.MetricsServer, error) {
 	var opts []obs.ServeOption
 	if pprofOn {
 		opts = append(opts, obs.WithPprof())
 	}
 	ms, err := obs.Serve(addr, reg, opts...)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	fmt.Printf("serving metrics at http://%s/metrics\n", ms.Addr())
-	return ms
+	fmt.Fprintf(w, "serving metrics at http://%s/metrics\n", ms.Addr())
+	return ms, nil
 }
 
 // writeTrace dumps the tracer's events as a Perfetto-loadable JSON file.
@@ -285,15 +326,4 @@ func writeTrace(path string, tr *sac.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// fatal reports a failure and exits. A run killed by the -timeout context
-// exits 3, distinguishing the supervisor kill from simulation errors (1) so
-// scripted pipelines can tell a wedged run from a broken one.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sacsim:", err)
-	if errors.Is(err, context.DeadlineExceeded) {
-		os.Exit(3)
-	}
-	os.Exit(1)
 }

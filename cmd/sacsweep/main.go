@@ -127,12 +127,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if c.Err != nil {
 				status = "FAILED"
 			}
-			fid := c.Fidelity
-			if fid == "" {
-				fid = "exact"
-			}
 			fmt.Fprintf(stderr, "# cell %-10s %-12s %-8s %-8s cycles=%d\n",
-				c.Benchmark, c.Org, fid, status, c.Cycles)
+				c.Benchmark, c.Org, c.Fidelity, status, c.Cycles)
 		}
 	}
 	if *maxCycles > 0 {

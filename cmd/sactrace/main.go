@@ -12,10 +12,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	sac "repro"
 	"repro/internal/fault"
@@ -23,37 +25,72 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// errUsage marks a malformed command line; run answers it with the usage
+// line and exit status 2.
+var errUsage = errors.New("usage")
+
+// run is the whole command: it dispatches the subcommand and returns the exit
+// status (0 ok, 1 failed, 2 bad usage, 3 the run's -timeout expired).
+func run(args []string, stdout, stderr io.Writer) int {
+	usage := func() int {
+		fmt.Fprintln(stderr, "usage: sactrace record|info|run [flags] [file]")
+		return 2
 	}
-	switch os.Args[1] {
+	if len(args) < 1 {
+		return usage()
+	}
+	var err error
+	switch args[0] {
 	case "record":
-		record(os.Args[2:])
+		err = record(args[1:], stdout, stderr)
 	case "info":
-		info(os.Args[2:])
+		err = info(args[1:], stdout)
 	case "run":
-		runTrace(os.Args[2:])
+		err = runTrace(args[1:], stdout, stderr)
 	default:
-		usage()
+		return usage()
 	}
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return usage()
+	}
+	fmt.Fprintln(stderr, "sactrace:", err)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return 3
+	}
+	return 1
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: sactrace record|info|run [flags] [file]")
-	os.Exit(2)
+// parse parses a subcommand's flags, reporting a bad flag as errUsage.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	return nil
 }
 
-func record(args []string) {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func record(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	bench := fs.String("bench", "RN", "benchmark to capture")
 	out := fs.String("out", "", "output file (default <bench>.sact)")
 	input := fs.Float64("input", 1, "input-set scale factor")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 
 	spec, err := sac.Benchmark(*bench)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *input != 1 {
 		spec = spec.ScaleInput(*input)
@@ -64,70 +101,79 @@ func record(args []string) {
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := trace.Capture(f, spec, sac.ScaledConfig().Machine()); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
-	st, _ := os.Stat(path)
-	fmt.Printf("captured %s to %s (%d bytes)\n", spec.Name, path, st.Size())
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "captured %s to %s (%d bytes)\n", spec.Name, path, st.Size())
+	return nil
 }
 
-func loadTrace(path string) *trace.Trace {
+func loadTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		fatal(err)
-	}
-	return tr
+	return trace.Read(f)
 }
 
-func info(args []string) {
+func info(args []string, stdout io.Writer) error {
 	if len(args) < 1 {
-		usage()
+		return errUsage
 	}
-	tr := loadTrace(args[0])
+	tr, err := loadTrace(args[0])
+	if err != nil {
+		return err
+	}
 	h := tr.Header
-	fmt.Printf("workload   %s\n", h.Name)
-	fmt.Printf("machine    %d chips x %d SMs x %d warps, %d B lines, %d B pages\n",
+	fmt.Fprintf(stdout, "workload   %s\n", h.Name)
+	fmt.Fprintf(stdout, "machine    %d chips x %d SMs x %d warps, %d B lines, %d B pages\n",
 		h.Chips, h.SMsPerChip, h.WarpsPerSM, h.LineBytes, h.PageBytes)
-	fmt.Printf("scale      1/%d of paper footprints\n", h.Scale)
-	fmt.Printf("kernels    %d\n", h.Kernels)
-	fmt.Printf("accesses   %d\n", tr.TotalAccesses())
+	fmt.Fprintf(stdout, "scale      1/%d of paper footprints\n", h.Scale)
+	fmt.Fprintf(stdout, "kernels    %d\n", h.Kernels)
+	fmt.Fprintf(stdout, "accesses   %d\n", tr.TotalAccesses())
+	return nil
 }
 
-func runTrace(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func runTrace(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	orgName := fs.String("org", "SAC", "LLC organization")
 	faults := fs.String("faults", "", "fault plan: JSON file path or inline DSL")
 	maxCycles := fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
 	watchdog := fs.Int64("watchdog", -1, "abort when no request retires for this many cycles (0 = off, -1 = preset default)")
-	timeout := fs.Duration("timeout", 0, "wall-clock limit (0 = none)")
+	timeout := fs.Duration("timeout", 0, "wall-clock limit for the replay (0 = none; exceeding it exits 3)")
 	if len(args) < 1 {
-		usage()
+		return errUsage
 	}
 	path := args[0]
-	fs.Parse(args[1:])
+	if err := parse(fs, args[1:], stderr); err != nil {
+		return err
+	}
+	ctx := context.Background()
 	if *timeout > 0 {
-		time.AfterFunc(*timeout, func() {
-			fmt.Fprintf(os.Stderr, "sactrace: wall-clock timeout after %v\n", *timeout)
-			os.Exit(3)
-		})
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 
 	org, err := llc.ParseOrg(*orgName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	tr := loadTrace(path)
+	tr, err := loadTrace(path)
+	if err != nil {
+		return err
+	}
 	rep := trace.NewReplay(tr)
 	cfg := sac.ScaledConfig().WithOrg(org)
 	if *maxCycles > 0 {
@@ -137,30 +183,26 @@ func runTrace(args []string) {
 		cfg.WatchdogCycles = *watchdog
 	}
 	if err := rep.CheckMachine(cfg.Machine()); err != nil {
-		fatal(err)
+		return err
 	}
 	var plan *sac.FaultPlan
 	if *faults != "" {
 		if plan, err = fault.ParseOrLoad(*faults); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := plan.Validate(cfg.FaultShape()); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	run, err := sac.Run(cfg, rep, sac.WithFaults(plan))
+	st, err := sac.Run(cfg, rep, sac.WithFaults(plan), sac.WithContext(ctx))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s under %s: %d cycles, IPC %.4f, LLC hit %.3f, ring %d B, DRAM %d B\n",
-		rep.SourceName(), org, run.Cycles, run.IPC(), run.LLCHitRate(),
-		run.RingBytes, run.DRAMBytes)
-	for _, k := range run.Kernels {
-		fmt.Printf("  #%-3d %-8s %-12s %10d cycles\n", k.Index, k.Name, k.Org, k.Cycles)
+	fmt.Fprintf(stdout, "%s under %s: %d cycles, IPC %.4f, LLC hit %.3f, ring %d B, DRAM %d B\n",
+		rep.SourceName(), org, st.Cycles, st.IPC(), st.LLCHitRate(),
+		st.RingBytes, st.DRAMBytes)
+	for _, k := range st.Kernels {
+		fmt.Fprintf(stdout, "  #%-3d %-8s %-12s %10d cycles\n", k.Index, k.Name, k.Org, k.Cycles)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sactrace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -29,9 +29,9 @@ var (
 	// cmd/<name> not preceded by a path element: ./cmd/sacsim is ours,
 	// golang.org/x/vuln/cmd/govulncheck is not.
 	cmdRe = regexp.MustCompile(`(?:^|[^\w/.])(?:\./)?cmd/([a-z][a-z0-9_-]*)`)
-	// A documented command line: go run ./cmd/<name>, then its arguments up
-	// to a comment, the end of a code span, or the next command.
-	goRunRe   = regexp.MustCompile("go run (?:\\./)?cmd/([a-z][a-z0-9_-]*)([^`#|;&>]*)")
+	// A documented command line: go run ./<path>, then its arguments up to
+	// a comment, the end of a code span, or the next command.
+	goRunRe   = regexp.MustCompile("go run \\./([\\w./-]+)([^`#|;&>]*)")
 	argFlagRe = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
 	// A flag a command declares: flag.Int("name", ...) or fs.Int("name", ...).
 	declFlagRe = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
@@ -40,8 +40,9 @@ var (
 // TestDocsNameWhatExists fails on a document that sends its reader to
 // something that is not there: a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
-// declares, a cmd/ directory that does not exist, or a flag on a
-// `go run ./cmd/<name>` line that the command does not declare.
+// declares, a cmd/ directory or `go run ./<path>` directory that does not
+// exist, or a flag on a `go run ./cmd/<name>` line that the command does not
+// declare.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -92,12 +93,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.Base(filepath.Dir(path))
-		if flags[name] == nil {
-			flags[name] = map[string]bool{}
+		dir := filepath.Dir(path)
+		if flags[dir] == nil {
+			flags[dir] = map[string]bool{}
 		}
 		for _, m := range declFlagRe.FindAllSubmatch(src, -1) {
-			flags[name][string(m[1])] = true
+			flags[dir][string(m[1])] = true
 		}
 	}
 
@@ -124,9 +125,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 				command = strings.TrimSuffix(command, "\\") + " "
 			} else {
 				for _, m := range goRunRe.FindAllStringSubmatch(command, -1) {
+					dir := filepath.Clean(m[1])
+					if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+						t.Errorf("%s:%d: go run ./%s: no such directory", doc, i+1, m[1])
+						continue
+					}
+					declared, isCmd := flags[dir]
+					if !isCmd {
+						continue
+					}
 					for _, f := range argFlagRe.FindAllStringSubmatch(m[2], -1) {
-						if !flags[m[1]][f[1]] {
-							t.Errorf("%s:%d: go run ./cmd/%s: no -%s flag in cmd/%s", doc, i+1, m[1], f[1], m[1])
+						if !declared[f[1]] {
+							t.Errorf("%s:%d: go run ./%s: no -%s flag in %s", doc, i+1, m[1], f[1], dir)
 						}
 					}
 				}

@@ -184,7 +184,7 @@ func TestTable4Measured(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := res.Rows[0]
-	if row.Name != "RN" || row.CTAs != 512 {
+	if row.Name != "RN" || row.Suite != "Tango" || row.Group != "SP" || row.CTAs != 512 || row.Kernels != 1 {
 		t.Fatalf("row %+v", row)
 	}
 	// Measured full-scale footprint should be within 2x of Table 4 even at

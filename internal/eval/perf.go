@@ -101,6 +101,15 @@ type Fig1Result struct {
 	Runs   []BenchRuns
 }
 
+// group labels a benchmark with its Figure 1 group: "SP" if the paper
+// finds it prefers the SM-side LLC, "MP" if memory-side.
+func group(spec workload.Spec) string {
+	if spec.SMSide {
+		return "SP"
+	}
+	return "MP"
+}
+
 // Fig1 runs the Figure 1 experiment.
 func (r *Runner) Fig1() (*Fig1Result, error) {
 	runs, err := r.matrix()
@@ -110,10 +119,7 @@ func (r *Runner) Fig1() (*Fig1Result, error) {
 	res := &Fig1Result{Groups: map[string]map[llc.Org]GroupAgg{}, Runs: runs}
 	groups := map[string][]BenchRuns{}
 	for _, br := range runs {
-		g := "MP"
-		if br.Spec.SMSide {
-			g = "SP"
-		}
+		g := group(br.Spec)
 		groups[g] = append(groups[g], br)
 		groups["ALL"] = append(groups["ALL"], br)
 	}

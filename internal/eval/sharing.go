@@ -18,9 +18,12 @@ type Table4Result struct {
 
 // Table4Cmp is one benchmark's measured-vs-paper row.
 type Table4Cmp struct {
-	Name  string
-	CTAs  int
-	Paper workload.Table4Row
+	Name    string
+	Suite   string
+	Group   string // "SP" or "MP", the paper's ground-truth grouping
+	CTAs    int
+	Kernels int // kernel invocations
+	Paper   workload.Table4Row
 	// Measured, in full-scale MB.
 	FootprintMB, TrueMB, FalseMB float64
 }
@@ -47,7 +50,10 @@ func (r *Runner) Table4() (*Table4Result, error) {
 		}
 		res.Rows = append(res.Rows, Table4Cmp{
 			Name:        spec.Name,
+			Suite:       spec.Suite,
+			Group:       group(spec),
 			CTAs:        spec.CTAs,
+			Kernels:     spec.KernelCount(),
 			Paper:       paper[spec.Name],
 			FootprintMB: p.FootprintMB,
 			TrueMB:      p.TrueSharedMB,
@@ -60,11 +66,11 @@ func (r *Runner) Table4() (*Table4Result, error) {
 // Print writes measured vs paper columns.
 func (t *Table4Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "\n== Table 4: workload characterization (measured at scale x Scale vs paper) ==\n")
-	fmt.Fprintf(w, "%-10s%8s %11s%11s %11s%11s %11s%11s\n",
-		"bench", "CTAs", "fp(meas)", "fp(paper)", "true(meas)", "true(ppr)", "false(meas)", "false(ppr)")
+	fmt.Fprintf(w, "%-10s%-10s%6s%8s%8s %11s%11s %11s%11s %11s%11s\n",
+		"bench", "suite", "group", "CTAs", "kernels", "fp(meas)", "fp(paper)", "true(meas)", "true(ppr)", "false(meas)", "false(ppr)")
 	for _, row := range t.Rows {
-		fmt.Fprintf(w, "%-10s%8d %11.1f%11.1f %11.1f%11.1f %11.1f%11.1f\n",
-			row.Name, row.CTAs,
+		fmt.Fprintf(w, "%-10s%-10s%6s%8d%8d %11.1f%11.1f %11.1f%11.1f %11.1f%11.1f\n",
+			row.Name, row.Suite, row.Group, row.CTAs, row.Kernels,
 			row.FootprintMB, row.Paper.FootprintMB,
 			row.TrueMB, row.Paper.TrueMB,
 			row.FalseMB, row.Paper.FalseMB)

@@ -25,25 +25,6 @@ func fastConfig() sac.Config {
 	return cfg
 }
 
-func TestPublicAPIQuickstart(t *testing.T) {
-	spec, err := sac.Benchmark("RN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	mem, err := sac.Run(cfg.WithOrg(sac.MemorySide), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := sac.Run(cfg.WithOrg(sac.SAC), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := sac.Speedup(dyn, mem); s <= 0 {
-		t.Fatalf("speedup %v", s)
-	}
-}
-
 func TestBenchmarkCatalog(t *testing.T) {
 	if got := len(sac.Benchmarks()); got != 16 {
 		t.Fatalf("catalog size %d", got)
