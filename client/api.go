@@ -1,12 +1,15 @@
-// Package client is the typed Go client for the sacd simulation daemon and
-// the single source of truth for its JSON wire types (internal/server
-// imports them, so daemon and client cannot drift).
+// Package client is the typed Go client for the sacd simulation daemon (and
+// saccoord, which speaks the same jobs API) and the single source of truth
+// for its JSON wire types (internal/jobs encodes them for both daemons, so
+// daemon and client cannot drift).
 //
 // The client retries transient failures — connection errors, 429
 // backpressure, 5xx — with capped exponential backoff, propagates contexts
-// into every request, and exposes both the raw job lifecycle
-// (Submit/Status/Result) and a blocking convenience (Run) that submits,
-// waits on the daemon's long-poll, and fetches in one call.
+// into every request, and exposes the raw job lifecycle (Submit/Status/
+// Result), the batch surface (SubmitBatch/Watch/WaitAll, whose terminal
+// statuses carry their results), a blocking convenience (Run) that submits,
+// waits on the daemon's long-poll, and fetches in one call, and Batcher,
+// which coalesces concurrent Runs into batches.
 package client
 
 import (
@@ -123,10 +126,10 @@ type JobStatus struct {
 	// only); preserved across daemon restarts.
 	DeadlineAt *time.Time `json:"deadline_at,omitempty"`
 
-	// Result carries a done job's completed run as raw JSON. Only the batch
-	// and watch endpoints populate it, and only when asked (?results=1), so
-	// a warm batch costs one round trip instead of one per job. The bytes
-	// are the store's canonical stats.Run encoding, served without a
+	// Result carries a done job's completed run as raw JSON. The batch and
+	// watch endpoints always populate it, so a warm batch costs one round
+	// trip instead of one per job; submit, status and cancel never do. The
+	// bytes are the store's canonical stats.Run encoding, served without a
 	// decode/re-encode cycle.
 	Result json.RawMessage `json:"result,omitempty"`
 }
@@ -239,7 +242,7 @@ type BatchItem struct {
 
 // BatchResponse answers a jobs:batch submission. Admission is all-or-
 // nothing: a 202 carries a status per item (estimate jobs are already
-// terminal, with results when ?results=1 was requested); a 400 sets Error
+// terminal, with their results inline); a 400 sets Error
 // and per-item errors on the offending items, and nothing was accepted —
 // one bad cell cannot half-land a sweep.
 type BatchResponse struct {

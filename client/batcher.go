@@ -120,7 +120,7 @@ func (b *Batcher) execute(ctx context.Context, g *group) {
 	var pending []string
 	for i, st := range sts {
 		if st.Done() {
-			g.outs[i] <- b.settle(ctx, st)
+			g.outs[i] <- settle(st)
 			continue
 		}
 		byID[st.ID] = i
@@ -152,7 +152,7 @@ func (b *Batcher) execute(ctx context.Context, g *group) {
 		}
 		for _, st := range resp.Jobs {
 			if i, ok := byID[st.ID]; ok {
-				g.outs[i] <- b.settle(ctx, st)
+				g.outs[i] <- settle(st)
 				delete(byID, st.ID)
 			}
 		}
@@ -163,19 +163,20 @@ func (b *Batcher) execute(ctx context.Context, g *group) {
 	}
 }
 
-// settle turns one terminal status into a member's outcome, preferring the
-// inline raw result over a follow-up fetch.
-func (b *Batcher) settle(ctx context.Context, st JobStatus) batchOut {
+// settle turns one terminal status into a member's outcome. Batch and watch
+// responses carry a done job's result inline, so a done status without one
+// is an error, not a reason for another round trip.
+func settle(st JobStatus) batchOut {
 	switch st.State {
 	case StateDone:
-		if len(st.Result) > 0 {
-			var run stats.Run
-			if err := json.Unmarshal(st.Result, &run); err == nil {
-				return batchOut{&run, nil}
-			}
+		if len(st.Result) == 0 {
+			return batchOut{nil, fmt.Errorf("sacd: job %s done without its result", st.ID)}
 		}
-		res, err := b.c.Result(ctx, st.ID)
-		return batchOut{res, err}
+		var run stats.Run
+		if err := json.Unmarshal(st.Result, &run); err != nil {
+			return batchOut{nil, fmt.Errorf("sacd: job %s result: %w", st.ID, err)}
+		}
+		return batchOut{&run, nil}
 	case StateFailed:
 		return batchOut{nil, fmt.Errorf("sacd: job %s failed: %s", st.ID, st.Error)}
 	default:

@@ -279,7 +279,7 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatu
 		}
 	}
 	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs:batch?results=1", b, &resp, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs:batch", b, &resp, hdr); err != nil {
 		return nil, err
 	}
 	sts := make([]JobStatus, len(resp.Jobs))
@@ -316,7 +316,6 @@ func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration)
 	q := url.Values{
 		"ids":        []string{strings.Join(ids, ",")},
 		"timeout_ms": []string{strconv.FormatInt(timeout.Milliseconds(), 10)},
-		"results":    []string{"1"},
 	}
 	var resp WatchResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs:watch?"+q.Encode(), nil, &resp, nil); err != nil {
@@ -381,17 +380,6 @@ func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatu
 		pending = next
 	}
 	return out, nil
-}
-
-// ResultRaw fetches a completed result as its raw JSON bytes — the store's
-// canonical stats.Run encoding, untouched by a decode/re-encode cycle — for
-// callers that relay or archive results without inspecting them.
-func (c *Client) ResultRaw(ctx context.Context, id string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &raw, nil); err != nil {
-		return nil, err
-	}
-	return raw, nil
 }
 
 // Status fetches the current status of a job.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -370,5 +371,27 @@ func TestBatcherSurvivesBackpressuredWatch(t *testing.T) {
 	}
 	if elapsed := time.Since(t0); elapsed < 250*time.Millisecond {
 		t.Fatalf("group re-armed after %v; Retry-After of 0.3s must floor the pause", elapsed)
+	}
+}
+
+// TestBatcherDoneWithoutResultFails: batch and watch responses carry a done
+// job's result, so a done status without one fails that cell instead of
+// costing a /result round trip.
+func TestBatcherDoneWithoutResultFails(t *testing.T) {
+	var fetches atomic.Int64
+	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			fetches.Add(1)
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		json.NewEncoder(w).Encode(BatchResponse{Jobs: []BatchItem{{Status: &JobStatus{ID: "j1", State: StateDone}}}})
+	})
+	_, err := NewBatcher(c).Run(context.Background(), JobRequest{Benchmark: "BP"})
+	if err == nil || !strings.Contains(err.Error(), "without its result") {
+		t.Fatalf("err %v, want a done-without-result error", err)
+	}
+	if fetches.Load() != 0 {
+		t.Fatalf("%d follow-up requests, want none", fetches.Load())
 	}
 }

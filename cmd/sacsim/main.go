@@ -47,11 +47,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sectored    = fs.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
 		hardware    = fs.Bool("hw-coherence", false, "use hardware (directory) coherence")
 		inputFactor = fs.Float64("input", 1, "input-set scale factor (Fig 13 axis)")
-		faults      = fs.String("faults", "", "fault plan: a JSON file path or an inline DSL string (e.g. 'xchip:0.cw@2000-30000*0.5')")
+		faults      = fs.String("faults", "", "fault plan in the DSL, e.g. 'xchip:0.cw@2000-30000*0.5'")
 		maxCycles   = fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
 		watchdog    = fs.Int64("watchdog", -1, "abort when no request retires for this many cycles (0 = off, -1 = preset default)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the whole invocation (0 = none; exceeding it exits 3)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live metrics over HTTP at this address (/metrics Prometheus, /metrics.json)")
+		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics over HTTP at this address (/metrics)")
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file (open in Perfetto); single-org runs only")
 		metricsWin  = fs.Int64("metrics-window", 0, "metrics sampling window in cycles (0 = default)")
 		pprofOn     = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var plan *sac.FaultPlan
 	if *faults != "" {
 		var err error
-		if plan, err = fault.ParseOrLoad(*faults); err != nil {
+		if plan, err = fault.Parse(*faults); err != nil {
 			return fail(err)
 		}
 		if err := plan.Validate(cfg.FaultShape()); err != nil {
@@ -303,11 +303,7 @@ func printTable3(w io.Writer, cfg sac.Config) {
 // serveMetrics exposes a registry over HTTP; the caller closes the returned
 // server on exit so the listener shuts down cooperatively.
 func serveMetrics(w io.Writer, addr string, reg *sac.MetricsRegistry, pprofOn bool) (*obs.MetricsServer, error) {
-	var opts []obs.ServeOption
-	if pprofOn {
-		opts = append(opts, obs.WithPprof())
-	}
-	ms, err := obs.Serve(addr, reg, opts...)
+	ms, err := obs.Serve(addr, reg, pprofOn)
 	if err != nil {
 		return nil, err
 	}

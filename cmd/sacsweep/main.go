@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel    = fs.Int("parallel", 0, "max simulations in flight (0 = all cores, 1 = serial)")
 		fidelity    = fs.String("fidelity", "", "simulation fidelity for every cell: estimate | sampled | exact (default exact)")
 		jsonOut     = fs.Bool("json", false, "emit results as JSON instead of tables")
-		faults      = fs.String("faults", "", "fault plan injected into every simulation: JSON file path or inline DSL")
+		faults      = fs.String("faults", "", "fault plan in the DSL, injected into every simulation")
 		maxCycles   = fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
 		watchdog    = fs.Int64("watchdog", -1, "abort a run when no request retires for this many cycles (0 = off, -1 = preset default)")
 		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the whole invocation (0 = none; exceeding it exits 3)")
@@ -85,11 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsAddr != "" {
 		r.Obs = sac.NewObserver(0)
 		r.Obs.Trace = nil
-		var opts []obs.ServeOption
-		if *pprofOn {
-			opts = append(opts, obs.WithPprof())
-		}
-		ms, err := obs.Serve(*metricsAddr, r.Obs.Metrics, opts...)
+		ms, err := obs.Serve(*metricsAddr, r.Obs.Metrics, *pprofOn)
 		if err != nil {
 			return fail(err)
 		}
@@ -138,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r.Base.WatchdogCycles = *watchdog
 	}
 	if *faults != "" {
-		plan, err := fault.ParseOrLoad(*faults)
+		plan, err := fault.Parse(*faults)
 		if err != nil {
 			return fail(err)
 		}

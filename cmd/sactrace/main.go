@@ -148,7 +148,7 @@ func info(args []string, stdout io.Writer) error {
 func runTrace(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	orgName := fs.String("org", "SAC", "LLC organization")
-	faults := fs.String("faults", "", "fault plan: JSON file path or inline DSL")
+	faults := fs.String("faults", "", "fault plan in the DSL")
 	maxCycles := fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
 	watchdog := fs.Int64("watchdog", -1, "abort when no request retires for this many cycles (0 = off, -1 = preset default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit for the replay (0 = none; exceeding it exits 3)")
@@ -187,7 +187,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 	}
 	var plan *sac.FaultPlan
 	if *faults != "" {
-		if plan, err = fault.ParseOrLoad(*faults); err != nil {
+		if plan, err = fault.Parse(*faults); err != nil {
 			return err
 		}
 		if err := plan.Validate(cfg.FaultShape()); err != nil {

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // docFiles are the documents that tell a reader what to run.
@@ -35,14 +37,16 @@ var (
 	argFlagRe = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
 	// A flag a command declares: flag.Int("name", ...) or fs.Int("name", ...).
 	declFlagRe = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
+	// A -faults argument: a quoted plan, or a bare word up to the next space.
+	faultsArgRe = regexp.MustCompile("-faults[ \t]+(?:'([^']*)'|([^\\s`'\"]+))")
 )
 
 // TestDocsNameWhatExists fails on a document that sends its reader to
 // something that is not there: a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
 // declares, a cmd/ directory or `go run ./<path>` directory that does not
-// exist, or a flag on a `go run ./cmd/<name>` line that the command does not
-// declare.
+// exist, a flag on a `go run ./cmd/<name>` line that the command does not
+// declare, or a -faults argument that is not a plan in the fault DSL.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -116,6 +120,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if !targets[w] {
 					t.Errorf("%s:%d: `make %s`: no such Makefile target", doc, line, w)
 				}
+			}
+		}
+		for _, m := range faultsArgRe.FindAllStringSubmatch(string(raw), -1) {
+			if _, err := fault.Parse(m[1] + m[2]); err != nil {
+				t.Errorf("%s: -faults %s: %v", doc, m[1]+m[2], err)
 			}
 		}
 		markdown, fenced := strings.HasSuffix(doc, ".md"), false

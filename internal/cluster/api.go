@@ -19,7 +19,7 @@ import (
 //	DELETE /v1/workers/{id}            deregister a worker       → 204
 //	GET    /v1/fleet                   worker table + counters   → 200 FleetStatus
 //	GET    /v1/healthz                 coordinator health        → 200 Health
-//	GET    /metrics, /metrics.json     fleet metrics (when a Registry is set)
+//	GET    /metrics                    fleet metrics (when a Registry is set)
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	c.Mount(mux)
@@ -30,11 +30,7 @@ func (c *Coordinator) Handler() http.Handler {
 		jobs.WriteJSON(w, http.StatusOK, c.Fleet())
 	})
 	mux.HandleFunc("GET /v1/healthz", c.handleHealth)
-	if c.cfg.Registry != nil {
-		h := obs.Handler(c.cfg.Registry)
-		mux.Handle("GET /metrics", h)
-		mux.Handle("GET /metrics.json", h)
-	}
+	obs.Mount(mux, c.cfg.Registry, false)
 	return mux
 }
 

@@ -60,9 +60,7 @@ func TestClusterBatchDedup(t *testing.T) {
 		if st.State != client.StateDone {
 			t.Fatalf("job %d finished %s: %s", i, st.State, st.Error)
 		}
-		if raws[i], err = cc.ResultRaw(ctx, id); err != nil {
-			t.Fatal(err)
-		}
+		raws[i] = st.Result
 	}
 	// Per duplicate pair: identical bytes, and only one member led a flight.
 	for p := 0; p < len(cells); p++ {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -444,6 +446,46 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 	if st.State != client.StateExpired {
 		t.Fatalf("state = %s, want expired", st.State)
+	}
+}
+
+// TestDispatchDoneWithoutResultFails: batch and watch responses carry a done
+// job's result, so a worker that answers done without one fails the
+// dispatch attempt instead of earning a /result round trip.
+func TestDispatchDoneWithoutResultFails(t *testing.T) {
+	var submits, fetches atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch":
+			submits.Add(1)
+			jobs.WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: []client.BatchItem{
+				{Status: &client.JobStatus{ID: "w1", State: client.StateDone}}}})
+		case strings.HasSuffix(r.URL.Path, "/result"):
+			fetches.Add(1)
+			jobs.WriteJSON(w, http.StatusOK, map[string]int{"Cycles": 7})
+		default:
+			jobs.WriteError(w, http.StatusNotFound, "no route")
+		}
+	}))
+	t.Cleanup(worker.Close)
+	c, hs := testCoordinator(t, nil)
+	if _, err := c.Register(client.WorkerInfo{ID: "fake", URL: worker.URL}); err != nil {
+		t.Fatal(err)
+	}
+	cc := newClient(hs.URL)
+	ctx := context.Background()
+	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = cc.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != client.StateFailed || !strings.Contains(st.Error, "without its result") {
+		t.Fatalf("job %s %q, want failed for a result-less done", st.State, st.Error)
+	}
+	if submits.Load() == 0 || fetches.Load() != 0 {
+		t.Fatalf("%d dispatches, %d /result fetches; want some and none", submits.Load(), fetches.Load())
 	}
 }
 

@@ -454,16 +454,12 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 	}
 	switch st.State {
 	case client.StateDone:
-		raw := st.Result
-		if len(raw) == 0 {
-			// The watch response inlines results; this fallback covers a
-			// worker answering without them.
-			raw, err = cl.ResultRaw(ctx, st.ID)
-			if err != nil {
-				return nil, st, fmt.Errorf("worker %s: result: %w", id, err)
-			}
+		// Batch and watch responses carry a done job's result inline; a
+		// worker that answers without one fails this attempt.
+		if len(st.Result) == 0 {
+			return nil, st, fmt.Errorf("worker %s: job %s done without its result", id, st.ID)
 		}
-		return raw, st, nil
+		return st.Result, st, nil
 	case client.StateFailed:
 		return nil, st, fmt.Errorf("%w: worker %s: %s", errPermanent, id, st.Error)
 	default:

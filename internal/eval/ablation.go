@@ -26,58 +26,43 @@ type AblationResult struct {
 	Points []AblationPoint
 }
 
-// ablate runs SAC with a mutated configuration across the selected
-// benchmarks and scores it against the per-benchmark oracle.
-func (r *Runner) ablate(axis string, variants []struct {
-	name     string
-	baseline bool
-	mutate   func(*gpu.Config)
-}) (*AblationResult, error) {
+// ablate runs SAC under each variant across the selected benchmarks and
+// scores it against the per-benchmark oracle. One run-set carries, per
+// benchmark, the shared pure-organization baselines and then each variant's
+// SAC cell.
+func (r *Runner) ablate(axis string, variants []variant) (*AblationResult, error) {
 	specs, err := r.specs()
 	if err != nil {
 		return nil, err
 	}
-	// Submit every variant's SAC runs plus the shared pure-organization
-	// baselines to the engine before scoring any variant.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		reqs = append(reqs,
 			RunRequest{Cfg: r.Base.WithOrg(llc.MemorySide), Spec: spec},
 			RunRequest{Cfg: r.Base.WithOrg(llc.SMSide), Spec: spec})
 		for _, v := range variants {
-			cfg := r.Base
-			v.mutate(&cfg)
-			reqs = append(reqs, RunRequest{Cfg: cfg.WithOrg(llc.SAC), Spec: spec})
+			reqs = append(reqs, RunRequest{Cfg: v.apply(r.Base).WithOrg(llc.SAC), Spec: spec})
 		}
 	}
-	r.Prefetch(reqs)
+	runs, err := r.RunAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	per := 2 + len(variants) // cells per benchmark
 	res := &AblationResult{Axis: axis}
-	for _, v := range variants {
-		cfg := r.Base
-		v.mutate(&cfg)
+	for vi, v := range variants {
 		var vsMem, vsOracle []float64
-		for _, spec := range specs {
-			mem, err := r.run(r.Base.WithOrg(llc.MemorySide), spec)
-			if err != nil {
-				return nil, err
-			}
-			sm, err := r.run(r.Base.WithOrg(llc.SMSide), spec)
-			if err != nil {
-				return nil, err
-			}
-			sac, err := r.run(cfg.WithOrg(llc.SAC), spec)
-			if err != nil {
-				return nil, err
-			}
+		for k := 0; k < len(runs); k += per {
+			mem, sm, sac := runs[k], runs[k+1], runs[k+2+vi]
 			oracle := mem
 			if sm.IPC() > mem.IPC() {
 				oracle = sm
 			}
-			vsMem = append(vsMem, speedupOf(sac, mem))
+			vsMem = append(vsMem, stats.Speedup(sac, mem))
 			vsOracle = append(vsOracle, sac.IPC()/oracle.IPC())
 		}
 		res.Points = append(res.Points, AblationPoint{
-			Name:       v.name,
+			Name:       v.label,
 			Baseline:   v.baseline,
 			HMSpeedup:  stats.HarmonicMeanSpeedup(vsMem),
 			OracleFrac: stats.HarmonicMeanSpeedup(vsOracle),
@@ -86,20 +71,13 @@ func (r *Runner) ablate(axis string, variants []struct {
 	return res, nil
 }
 
-type ablationVariant = struct {
-	name     string
-	baseline bool
-	mutate   func(*gpu.Config)
-}
-
 // AblateTheta sweeps the EAB comparison threshold θ (§3.5; the paper uses
 // 5% and omits its sensitivity analysis for space).
 func (r *Runner) AblateTheta() (*AblationResult, error) {
-	var vs []ablationVariant
+	var vs []variant
 	for _, th := range []float64{0.001, 0.05, 0.20} {
-		th := th
-		vs = append(vs, ablationVariant{
-			name:     fmt.Sprintf("theta=%.1f%%", th*100),
+		vs = append(vs, variant{
+			label:    fmt.Sprintf("theta=%.1f%%", th*100),
 			baseline: th == 0.05,
 			mutate:   func(c *gpu.Config) { c.SACOpts.Theta = th },
 		})
@@ -107,29 +85,32 @@ func (r *Runner) AblateTheta() (*AblationResult, error) {
 	return r.ablate("theta", vs)
 }
 
-// AblateWindow sweeps the profiling-window length (§3.2).
+// AblateWindow sweeps the profiling-window length (§3.2) at a third, one and
+// four times the configured window. The baseline leaves the window as
+// configured, so its SAC cells are the plain SAC runs of every other
+// experiment.
 func (r *Runner) AblateWindow() (*AblationResult, error) {
 	base := r.Base.SACOpts.WindowCycles
 	if base <= 0 {
 		base = 2000
 	}
-	var vs []ablationVariant
+	var vs []variant
 	for _, f := range []int64{1, 3, 12} {
-		w := base / 3 * f
-		vs = append(vs, ablationVariant{
-			name:     fmt.Sprintf("window=%d", w),
-			baseline: f == 3,
-			mutate:   func(c *gpu.Config) { c.SACOpts.WindowCycles = w },
-		})
+		w := base * f / 3
+		v := variant{label: fmt.Sprintf("window=%d", w), baseline: f == 3}
+		if !v.baseline {
+			v.mutate = func(c *gpu.Config) { c.SACOpts.WindowCycles = w }
+		}
+		vs = append(vs, v)
 	}
 	return r.ablate("profiling-window", vs)
 }
 
 // AblateLSU removes the LLC-slice-uniformity term from the EAB model.
 func (r *Runner) AblateLSU() (*AblationResult, error) {
-	return r.ablate("lsu-term", []ablationVariant{
-		{name: "with-LSU", baseline: true, mutate: func(*gpu.Config) {}},
-		{name: "no-LSU", mutate: func(c *gpu.Config) { c.SACOpts.DisableLSU = true }},
+	return r.ablate("lsu-term", []variant{
+		{label: "with-LSU", baseline: true},
+		{label: "no-LSU", mutate: func(c *gpu.Config) { c.SACOpts.DisableLSU = true }},
 	})
 }
 
@@ -150,9 +131,9 @@ func (a *AblationResult) Print(w io.Writer) {
 // the kernel-decision-cache extension (Options.ReuseKernelDecisions), which
 // re-uses a kernel's EAB decision on repeat invocations.
 func (r *Runner) AblateDecisionCache() (*AblationResult, error) {
-	return r.ablate("kernel-decision-cache", []ablationVariant{
-		{name: "re-profile", baseline: true, mutate: func(*gpu.Config) {}},
-		{name: "cached", mutate: func(c *gpu.Config) { c.SACOpts.ReuseKernelDecisions = true }},
+	return r.ablate("kernel-decision-cache", []variant{
+		{label: "re-profile", baseline: true},
+		{label: "cached", mutate: func(c *gpu.Config) { c.SACOpts.ReuseKernelDecisions = true }},
 	})
 }
 
@@ -160,12 +141,10 @@ func (r *Runner) AblateDecisionCache() (*AblationResult, error) {
 // and dismissed (§3.2): re-opening the profiling window every N cycles
 // (which requires reverting to memory-side for the window's duration).
 func (r *Runner) AblateReprofile() (*AblationResult, error) {
-	var vs []ablationVariant
-	vs = append(vs, ablationVariant{name: "once-per-kernel", baseline: true, mutate: func(*gpu.Config) {}})
+	vs := []variant{{label: "once-per-kernel", baseline: true}}
 	for _, period := range []int64{50_000, 200_000} {
-		period := period
-		vs = append(vs, ablationVariant{
-			name:   fmt.Sprintf("every-%dk", period/1000),
+		vs = append(vs, variant{
+			label:  fmt.Sprintf("every-%dk", period/1000),
 			mutate: func(c *gpu.Config) { c.SACOpts.ReprofileEvery = period },
 		})
 	}

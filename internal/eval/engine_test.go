@@ -31,7 +31,9 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.run(cfg, spec)
+			var runs []*stats.Run
+			runs, errs[i] = r.RunAll([]RunRequest{{Cfg: cfg, Spec: spec}})
+			results[i] = runs[0]
 		}(i)
 	}
 	wg.Wait()

@@ -357,6 +357,45 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestAblateWindowBaselineIsThePlainRun: at the paper's 2,000-cycle window
+// the variants are a third, one and four times it, and the asterisked one is
+// the configured window itself, so its SAC cells are the plain SAC runs
+// instead of cells of their own.
+func TestAblateWindowBaselineIsThePlainRun(t *testing.T) {
+	r := testRunner("RN", "BP")
+	r.Fidelity = "estimate"
+	r.Base.SACOpts.WindowCycles = 2000
+	res, err := r.AblateWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, p := range res.Points {
+		if p.Baseline {
+			p.Name += "*"
+		}
+		labels = append(labels, p.Name)
+	}
+	if got, want := strings.Join(labels, " "), "window=666 window=2000* window=8000"; got != want {
+		t.Fatalf("variants %q, want %q", got, want)
+	}
+	specs, err := r.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain []RunRequest
+	for _, spec := range specs {
+		plain = append(plain, RunRequest{Cfg: r.Base.WithOrg(llc.SAC), Spec: spec})
+	}
+	before := r.Runs()
+	if _, err := r.RunAll(plain); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Runs() - before; n != 0 {
+		t.Fatalf("the plain SAC runs simulated %d cells the baseline variant did not share", n)
+	}
+}
+
 func TestRunnerUnknownBenchmark(t *testing.T) {
 	r := testRunner("NOPE")
 	if _, err := r.Fig1(); err == nil {

@@ -187,9 +187,9 @@ func TestOnCellDoneExactlyOncePerCell(t *testing.T) {
 }
 
 // TestJoinersHoldNoSlot: Parallelism bounds executions, not waiters. At
-// Parallelism 1 a prefetched run-set is still executing while four times as
-// many requests for the same cells join or recall it; none of them may hold
-// the one slot the executions need.
+// Parallelism 1 a run-set is still executing while four times as many
+// requests for the same cells join or recall it; none of them may hold the
+// one slot the executions need.
 func TestJoinersHoldNoSlot(t *testing.T) {
 	r := testRunner()
 	r.Parallelism = 1
@@ -207,20 +207,22 @@ func TestJoinersHoldNoSlot(t *testing.T) {
 			reqs = append(reqs, RunRequest{Cfg: r.Base.WithOrg(org), Spec: spec})
 		}
 	}
-	r.Prefetch(reqs)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var wg sync.WaitGroup
+		run := func(reqs []RunRequest) {
+			defer wg.Done()
+			if _, err := r.RunAll(reqs); err != nil {
+				t.Error(err)
+			}
+		}
+		wg.Add(1)
+		go run(reqs)
 		for k := 0; k < 4; k++ {
-			for _, q := range reqs {
+			for i := range reqs {
 				wg.Add(1)
-				go func(q RunRequest) {
-					defer wg.Done()
-					if _, err := r.run(q.Cfg, q.Spec); err != nil {
-						t.Error(err)
-					}
-				}(q)
+				go run(reqs[i : i+1])
 			}
 		}
 		wg.Wait()

@@ -44,9 +44,6 @@ func (r *Runner) specs() ([]workload.Spec, error) {
 	return out, nil
 }
 
-// orderedOrgs is the paper's comparison order.
-func orderedOrgs() []llc.Org { return llc.Orgs() }
-
 // printHeader emits a table header row.
 func printHeader(w io.Writer, title string, cols []string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
@@ -65,7 +62,7 @@ func (r *Runner) matrix() ([]BenchRuns, error) {
 	if err != nil {
 		return nil, err
 	}
-	orgs := orderedOrgs()
+	orgs := llc.Orgs()
 	reqs := make([]RunRequest, 0, len(specs)*len(orgs))
 	for _, spec := range specs {
 		for _, org := range orgs {
@@ -125,7 +122,7 @@ func (r *Runner) Fig1() (*Fig1Result, error) {
 	}
 	for g, members := range groups {
 		res.Groups[g] = map[llc.Org]GroupAgg{}
-		for _, org := range orderedOrgs() {
+		for _, org := range llc.Orgs() {
 			var sp []float64
 			var miss, bw, bwBase float64
 			for _, br := range members {
@@ -161,7 +158,7 @@ func (f *Fig1Result) Print(w io.Writer) {
 		printHeader(w, panel.title, orgNames())
 		for _, g := range []string{"SP", "MP", "ALL"} {
 			fmt.Fprintf(w, "%-14s", g)
-			for _, org := range orderedOrgs() {
+			for _, org := range llc.Orgs() {
 				fmt.Fprintf(w, "%12.3f", panel.get(f.Groups[g][org]))
 			}
 			fmt.Fprintln(w)
@@ -171,7 +168,7 @@ func (f *Fig1Result) Print(w io.Writer) {
 
 func orgNames() []string {
 	var out []string
-	for _, o := range orderedOrgs() {
+	for _, o := range llc.Orgs() {
 		out = append(out, o.String())
 	}
 	return out
@@ -207,7 +204,7 @@ func (f *Fig8Result) Print(w io.Writer) {
 	maxSp := 1.0
 	for _, br := range f.Runs {
 		fmt.Fprintf(w, "%-14s", br.Spec.Name)
-		for _, org := range orderedOrgs() {
+		for _, org := range llc.Orgs() {
 			sp := br.Speedup(org)
 			if sp > maxSp {
 				maxSp = sp
@@ -218,7 +215,7 @@ func (f *Fig8Result) Print(w io.Writer) {
 	}
 	for _, g := range []string{"SP", "MP", "ALL"} {
 		fmt.Fprintf(w, "%-14s", "HM-"+g)
-		for _, org := range orderedOrgs() {
+		for _, org := range llc.Orgs() {
 			fmt.Fprintf(w, "%12.3f", f.HM[g][org])
 		}
 		fmt.Fprintln(w)
@@ -272,7 +269,7 @@ func (f *Fig9Result) Print(w io.Writer) {
 	printHeader(w, "Fig 9: fraction of LLC caching remote data", orgNames())
 	for _, br := range f.Runs {
 		fmt.Fprintf(w, "%-14s", br.Spec.Name)
-		for _, org := range orderedOrgs() {
+		for _, org := range llc.Orgs() {
 			fmt.Fprintf(w, "%12.3f", br.ByOrg[org].RemoteOccupancy())
 		}
 		fmt.Fprintln(w)
@@ -302,7 +299,7 @@ func (f *Fig10Result) Print(w io.Writer) {
 		if base == 0 {
 			base = 1
 		}
-		for _, org := range orderedOrgs() {
+		for _, org := range llc.Orgs() {
 			bd := br.ByOrg[org].RespBreakdown()
 			total := 0.0
 			fmt.Fprintf(w, "%-14s%-14s", br.Spec.Name, org)
@@ -333,7 +330,7 @@ func (r *Runner) Headline() (*Headline, error) {
 		return nil, err
 	}
 	h := &Headline{AvgOver: map[llc.Org]float64{}, MaxOver: map[llc.Org]float64{}}
-	for _, org := range orderedOrgs() {
+	for _, org := range llc.Orgs() {
 		if org == llc.SAC {
 			continue
 		}
@@ -361,7 +358,7 @@ func (h *Headline) Print(w io.Writer) {
 		llc.Static:     "+31% (max +92%)",
 		llc.Dynamic:    "+18% (max +27%)",
 	}
-	for _, org := range orderedOrgs() {
+	for _, org := range llc.Orgs() {
 		if org == llc.SAC {
 			continue
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
-	"repro/internal/llc"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -71,7 +70,7 @@ type Runner struct {
 	ok, failed, inflight, cycles, hits, misses *obs.Metric
 }
 
-// RunRequest names one simulation for Prefetch/RunAll.
+// RunRequest names one simulation for RunAll.
 type RunRequest struct {
 	Cfg  gpu.Config
 	Spec workload.Spec
@@ -83,13 +82,12 @@ type RunRequest struct {
 // NewRunner returns a Runner over the scaled baseline configuration.
 func NewRunner() *Runner { return &Runner{Base: gpu.ScaledConfig()} }
 
-// Prefetch starts a run-set without waiting; run and RunAll join or recall
-// its executions.
-func (r *Runner) Prefetch(reqs []RunRequest) { r.start(reqs) }
-
-// start runs one job per distinct cell of reqs, each on its own goroutine,
-// and returns every request's job: duplicates share one.
-func (r *Runner) start(reqs []RunRequest) []*jobs.Job {
+// RunAll runs a run-set and returns results in request order. Every distinct
+// cell runs as one job on its own goroutine, so duplicate requests share one
+// *stats.Run, and a cell another call is executing is joined, not rerun. A
+// failed cell is a nil slot, and the error joins one CellError per distinct
+// failed cell, in request order. Every experiment fans out through here.
+func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 	t := r.table()
 	js := make([]*jobs.Job, len(reqs))
 	byKey := make(map[string]*jobs.Job, len(reqs))
@@ -101,17 +99,10 @@ func (r *Runner) start(reqs []RunRequest) []*jobs.Job {
 			go t.Run(js[i])
 		}
 	}
-	return js
-}
-
-// RunAll runs a run-set and returns results in request order; duplicate
-// requests share one *stats.Run. A failed cell is a nil slot, and the error
-// joins one CellError per distinct failed cell, in request order.
-func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 	out := make([]*stats.Run, len(reqs))
 	var errs []error
 	reported := make(map[*jobs.Job]bool)
-	for i, j := range r.start(reqs) {
+	for i, j := range js {
 		<-j.Done()
 		o := j.Outcome()
 		if o.Err == nil {
@@ -122,22 +113,6 @@ func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 		}
 	}
 	return out, errors.Join(errs...)
-}
-
-// run executes, joins or recalls one cell on the calling goroutine.
-func (r *Runner) run(cfg gpu.Config, spec workload.Spec) (*stats.Run, error) {
-	j := jobs.NewJob(r.identity(RunRequest{Cfg: cfg, Spec: spec}))
-	r.table().Run(j)
-	o := j.Outcome()
-	if o.Err != nil {
-		return nil, cellError(j, o.Err)
-	}
-	return o.Run, nil
-}
-
-// runOrg is run with an organization override.
-func (r *Runner) runOrg(org llc.Org, spec workload.Spec) (*stats.Run, error) {
-	return r.run(r.Base.WithOrg(org), spec)
 }
 
 // Runs returns how many cells were simulated: store hits, joins and recalls

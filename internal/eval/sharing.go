@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/llc"
 	"repro/internal/profile"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -140,23 +138,11 @@ func (r *Runner) Fig12() (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Prefetch([]RunRequest{
-		{Cfg: r.Base.WithOrg(llc.MemorySide), Spec: spec},
-		{Cfg: r.Base.WithOrg(llc.SMSide), Spec: spec},
-		{Cfg: r.Base.WithOrg(llc.SAC), Spec: spec},
-	})
-	mem, err := r.runOrg(llc.MemorySide, spec)
+	runs, err := r.RunAll(trio(r.Base, spec))
 	if err != nil {
 		return nil, err
 	}
-	sm, err := r.runOrg(llc.SMSide, spec)
-	if err != nil {
-		return nil, err
-	}
-	sac, err := r.runOrg(llc.SAC, spec)
-	if err != nil {
-		return nil, err
-	}
+	mem, sm, sac := runs[0], runs[1], runs[2]
 	res := &Fig12Result{}
 	for i := range mem.Kernels {
 		res.KernelNames = append(res.KernelNames, mem.Kernels[i].Name)
@@ -187,6 +173,3 @@ func (f *Fig12Result) Print(w io.Writer) {
 			i, f.KernelNames[i], sm[i], sac[i], f.SACOrg[i])
 	}
 }
-
-// speedupOf is a small helper shared by the sweep experiments.
-func speedupOf(a, b *stats.Run) float64 { return stats.Speedup(a, b) }

@@ -51,9 +51,9 @@ func (r *Runner) Fig13(spFactors, mpFactors []float64) (*Fig13Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One run-set: each point's memory-side, SM-side and SAC cells, in
+	// point order.
 	res := &Fig13Result{SPFactors: spFactors, MPFactors: mpFactors}
-	// Submit the full sweep up front so the engine sees every point at once,
-	// then collect per point.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		factors := mpFactors
@@ -61,27 +61,31 @@ func (r *Runner) Fig13(spFactors, mpFactors []float64) (*Fig13Result, error) {
 			factors = spFactors
 		}
 		for _, f := range factors {
-			cfg, sw, _ := r.fig13Case(spec, f)
-			for _, org := range []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC} {
-				reqs = append(reqs, RunRequest{Cfg: cfg.WithOrg(org), Spec: sw})
-			}
+			cfg, sw, llcScaled := r.fig13Case(spec, f)
+			res.Points = append(res.Points, Fig13Point{Benchmark: spec.Name, Factor: f, LLCScaled: llcScaled})
+			reqs = append(reqs, trio(cfg, sw)...)
 		}
 	}
-	r.Prefetch(reqs)
-	for _, spec := range specs {
-		factors := mpFactors
-		if spec.SMSide {
-			factors = spFactors
-		}
-		for _, f := range factors {
-			pt, err := r.fig13Point(spec, f)
-			if err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, pt)
-		}
+	runs, err := r.RunAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Points {
+		mem, sm, sac := runs[3*i], runs[3*i+1], runs[3*i+2]
+		res.Points[i].SMSide = stats.Speedup(sm, mem)
+		res.Points[i].SAC = stats.Speedup(sac, mem)
 	}
 	return res, nil
+}
+
+// trio is one configuration's memory-side, SM-side and SAC cells, in that
+// order: the three organizations every sensitivity sweep compares.
+func trio(cfg gpu.Config, spec workload.Spec) []RunRequest {
+	return []RunRequest{
+		{Cfg: cfg.WithOrg(llc.MemorySide), Spec: spec},
+		{Cfg: cfg.WithOrg(llc.SMSide), Spec: spec},
+		{Cfg: cfg.WithOrg(llc.SAC), Spec: spec},
+	}
 }
 
 // fig13Case derives the configuration and workload for one sweep point: the
@@ -96,26 +100,6 @@ func (r *Runner) fig13Case(spec workload.Spec, factor float64) (gpu.Config, work
 		return cfg, spec, true
 	}
 	return cfg, spec.ScaleInput(factor), false
-}
-
-func (r *Runner) fig13Point(spec workload.Spec, factor float64) (Fig13Point, error) {
-	cfg, sw, llcScaled := r.fig13Case(spec, factor)
-	pt := Fig13Point{Benchmark: spec.Name, Factor: factor, LLCScaled: llcScaled}
-	mem, err := r.run(cfg.WithOrg(llc.MemorySide), sw)
-	if err != nil {
-		return pt, err
-	}
-	sm, err := r.run(cfg.WithOrg(llc.SMSide), sw)
-	if err != nil {
-		return pt, err
-	}
-	sac, err := r.run(cfg.WithOrg(llc.SAC), sw)
-	if err != nil {
-		return pt, err
-	}
-	pt.SMSide = speedupOf(sm, mem)
-	pt.SAC = speedupOf(sac, mem)
-	return pt, nil
 }
 
 // roundCap rounds an LLC capacity so slices still divide into whole ways.
@@ -177,29 +161,66 @@ func (r *Runner) Fig14(axes []Axis) (*Fig14Result, error) {
 		axes = []Axis{AxisInterChipBW, AxisLLCCapacity, AxisMemory,
 			AxisCoherence, AxisGPUCount, AxisSectored, AxisPageSize}
 	}
+	specs, err := r.specs()
+	if err != nil {
+		return nil, err
+	}
+	// One run-set: every axis's variants × benchmarks × the trio.
 	res := &Fig14Result{}
+	var reqs []RunRequest
 	for _, axis := range axes {
-		pts, err := r.sweepAxis(axis)
+		vs, err := axisVariants(axis)
 		if err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, pts...)
+		for _, v := range vs {
+			res.Points = append(res.Points, Fig14Point{Axis: axis, Label: v.label, Baseline: v.baseline})
+			cfg := v.apply(r.Base)
+			for _, spec := range specs {
+				reqs = append(reqs, trio(cfg, spec)...)
+			}
+		}
+	}
+	runs, err := r.RunAll(reqs)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Points {
+		var smSp, sacSp []float64
+		for k := 3 * len(specs) * i; k < 3*len(specs)*(i+1); k += 3 {
+			smSp = append(smSp, stats.Speedup(runs[k+1], runs[k]))
+			sacSp = append(sacSp, stats.Speedup(runs[k+2], runs[k]))
+		}
+		res.Points[i].SMSide = stats.HarmonicMeanSpeedup(smSp)
+		res.Points[i].SAC = stats.HarmonicMeanSpeedup(sacSp)
 	}
 	return res, nil
 }
 
-func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
-	type variant struct {
-		label    string
-		baseline bool
-		mutate   func(*gpu.Config)
+// variant is one configuration point of a sweep or an ablation: its label,
+// whether it is the paper's default (printed with an asterisk), and how it
+// changes the base configuration (nil leaves it as is).
+type variant struct {
+	label    string
+	baseline bool
+	mutate   func(*gpu.Config)
+}
+
+// apply returns base under v.
+func (v variant) apply(base gpu.Config) gpu.Config {
+	if v.mutate != nil {
+		v.mutate(&base)
 	}
+	return base
+}
+
+// axisVariants lists one Figure 14 axis's configuration points.
+func axisVariants(axis Axis) ([]variant, error) {
 	var variants []variant
 	switch axis {
 	case AxisInterChipBW:
 		// Paper: 48 GB/s (PCIe) … 768 GB/s unidirectional (MCM), default 96.
 		for _, f := range []float64{0.5, 1, 2, 4, 8} {
-			f := f
 			variants = append(variants, variant{
 				label:    fmt.Sprintf("%.0fGB/s", 96*f),
 				baseline: f == 1,
@@ -208,7 +229,6 @@ func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
 		}
 	case AxisLLCCapacity:
 		for _, f := range []float64{0.5, 1, 2} {
-			f := f
 			variants = append(variants, variant{
 				label:    fmt.Sprintf("%.0fMB/chip", 4*f),
 				baseline: f == 1,
@@ -219,7 +239,6 @@ func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
 		}
 	case AxisMemory:
 		for _, iface := range []dram.Interface{dram.GDDR5, dram.GDDR6, dram.HBM2} {
-			iface := iface
 			variants = append(variants, variant{
 				label:    iface.Name,
 				baseline: iface.Name == dram.GDDR6.Name,
@@ -236,7 +255,7 @@ func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
 		}
 	case AxisGPUCount:
 		variants = []variant{
-			{label: "4 GPUs", baseline: true, mutate: func(*gpu.Config) {}},
+			{label: "4 GPUs", baseline: true},
 			{label: "2 GPUs", mutate: func(c *gpu.Config) {
 				// Halving the GPU count keeps total inter-chip bandwidth:
 				// per-link bandwidth doubles (paper §5.6).
@@ -246,12 +265,11 @@ func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
 		}
 	case AxisSectored:
 		variants = []variant{
-			{label: "conventional", baseline: true, mutate: func(*gpu.Config) {}},
+			{label: "conventional", baseline: true},
 			{label: "sectored", mutate: func(c *gpu.Config) { c.Sectored = true }},
 		}
 	case AxisPageSize:
 		for _, pb := range []int{2048, 4096, 16384} {
-			pb := pb
 			variants = append(variants, variant{
 				label:    fmt.Sprintf("%dKB-page", pb/1024),
 				baseline: pb == 4096,
@@ -261,52 +279,7 @@ func (r *Runner) sweepAxis(axis Axis) ([]Fig14Point, error) {
 	default:
 		return nil, fmt.Errorf("eval: unknown axis %q", axis)
 	}
-
-	specs, err := r.specs()
-	if err != nil {
-		return nil, err
-	}
-	// Fan the whole axis (variants × benchmarks × 3 orgs) out to the worker
-	// pool before collecting any point.
-	var reqs []RunRequest
-	for _, v := range variants {
-		cfg := r.Base
-		v.mutate(&cfg)
-		for _, spec := range specs {
-			for _, org := range []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC} {
-				reqs = append(reqs, RunRequest{Cfg: cfg.WithOrg(org), Spec: spec})
-			}
-		}
-	}
-	r.Prefetch(reqs)
-	var out []Fig14Point
-	for _, v := range variants {
-		cfg := r.Base
-		v.mutate(&cfg)
-		var smSp, sacSp []float64
-		for _, spec := range specs {
-			mem, err := r.run(cfg.WithOrg(llc.MemorySide), spec)
-			if err != nil {
-				return nil, err
-			}
-			sm, err := r.run(cfg.WithOrg(llc.SMSide), spec)
-			if err != nil {
-				return nil, err
-			}
-			sac, err := r.run(cfg.WithOrg(llc.SAC), spec)
-			if err != nil {
-				return nil, err
-			}
-			smSp = append(smSp, speedupOf(sm, mem))
-			sacSp = append(sacSp, speedupOf(sac, mem))
-		}
-		out = append(out, Fig14Point{
-			Axis: axis, Label: v.label, Baseline: v.baseline,
-			SMSide: stats.HarmonicMeanSpeedup(smSp),
-			SAC:    stats.HarmonicMeanSpeedup(sacSp),
-		})
-	}
-	return out, nil
+	return variants, nil
 }
 
 // Print writes the sweep table; the baseline configuration carries the

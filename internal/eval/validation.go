@@ -58,38 +58,34 @@ func (r *Runner) ValidateEAB() (*EABValidation, error) {
 	correct := 0
 	// The pure-organization ground-truth runs go through the job engine; the
 	// SAC runs need a System handle (to read the model's decision), so they
-	// bypass it but still take the Runner's execution slots, fault plan and
-	// context.
+	// bypass it but run beside it, taking the Runner's execution slots, fault
+	// plan and context.
 	var reqs []RunRequest
 	for _, spec := range specs {
 		reqs = append(reqs,
 			RunRequest{Cfg: r.Base.WithOrg(llc.MemorySide), Spec: spec},
 			RunRequest{Cfg: r.Base.WithOrg(llc.SMSide), Spec: spec})
 	}
-	r.Prefetch(reqs)
 	sacSys := make([]*gpu.System, len(specs))
 	sacErr := make([]error, len(specs))
 	r.table() // sizes the slots
 	var wg sync.WaitGroup
 	for i, spec := range specs {
 		wg.Add(1)
-		go func(i int, spec workload.Spec) {
+		go func() {
 			defer wg.Done()
 			r.slots <- struct{}{}
 			defer func() { <-r.slots }()
 			sacSys[i], sacErr[i] = r.runSAC(spec)
-		}(i, spec)
+		}()
 	}
+	runs, err := r.RunAll(reqs)
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
 	for i, spec := range specs {
-		mem, err := r.runOrg(llc.MemorySide, spec)
-		if err != nil {
-			return nil, err
-		}
-		sm, err := r.runOrg(llc.SMSide, spec)
-		if err != nil {
-			return nil, err
-		}
+		mem, sm := runs[2*i], runs[2*i+1]
 		if sacErr[i] != nil {
 			return nil, fmt.Errorf("eval: %s under %s: %w", spec.Name, llc.SAC, sacErr[i])
 		}

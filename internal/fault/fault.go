@@ -1,8 +1,8 @@
 // Package fault defines deterministic fault-injection plans for the
 // multi-chip GPU simulator and the injector that replays them.
 //
-// A Plan is a seeded, serializable schedule of fault events against the
-// hardware health signals real multi-chip parts degrade on: inter-chip ring
+// A Plan is a schedule of fault events, written in a compact DSL (Parse)
+// or drawn from a seed (Generate), against the hardware health signals real multi-chip parts degrade on: inter-chip ring
 // links losing lanes or dropping out entirely, DRAM channels throttling or
 // failing, LLC slices losing ways (capacity remapping) or dying outright,
 // and NoC input ports stalling. Every event names an exact [Start, End)
@@ -19,11 +19,8 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,29 +71,16 @@ func ParseDomain(s string) (Domain, error) {
 	return 0, fmt.Errorf("fault: unknown domain %q (want xchip|dram|llc|noc)", s)
 }
 
-// MarshalText implements encoding.TextMarshaler so JSON plans carry names.
-func (d Domain) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler.
-func (d *Domain) UnmarshalText(b []byte) error {
-	v, err := ParseDomain(string(b))
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
-
 // Event is one fault: unit (Domain, Chip, Unit) runs at Scale of its healthy
 // capacity during cycles [Start, End). End 0 means permanent. Overlapping
 // events on the same unit compose multiplicatively.
 type Event struct {
-	Domain Domain  `json:"domain"`
-	Chip   int     `json:"chip"`
-	Unit   int     `json:"unit"`
-	Start  int64   `json:"start"`
-	End    int64   `json:"end,omitempty"` // 0 = never heals
-	Scale  float64 `json:"scale"`         // residual fraction in [0,1]
+	Domain Domain
+	Chip   int
+	Unit   int
+	Start  int64
+	End    int64   // 0 = never heals
+	Scale  float64 // residual fraction in [0,1]
 }
 
 // permanent reports whether the event never deactivates.
@@ -148,12 +132,10 @@ type Shape struct {
 	ClustersPerChip int
 }
 
-// Plan is a complete, serializable fault schedule.
+// Plan is a complete fault schedule; String renders it in the DSL Parse
+// reads.
 type Plan struct {
-	// Seed records how a generated plan was derived (0 for hand-written
-	// plans); it is carried through serialization for provenance.
-	Seed   int64   `json:"seed,omitempty"`
-	Events []Event `json:"events"`
+	Events []Event
 }
 
 // Validate checks every event, bounded by shape where its fields are set.
@@ -201,25 +183,6 @@ func (p *Plan) Key() string {
 
 // String renders the plan in the compact spec syntax Parse accepts.
 func (p *Plan) String() string { return p.Key() }
-
-// WriteJSON serializes the plan.
-func (p *Plan) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
-// ReadJSON loads a plan serialized by WriteJSON.
-func ReadJSON(r io.Reader) (*Plan, error) {
-	var p Plan
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("fault: bad plan JSON: %w", err)
-	}
-	if err := p.Validate(Shape{}); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
 
 // Parse reads the compact inline syntax: semicolon-separated events of the
 // form
@@ -320,25 +283,6 @@ func parseEvent(item string) (Event, error) {
 	return e, nil
 }
 
-// Load reads a plan from a JSON file.
-func Load(path string) (*Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
-}
-
-// ParseOrLoad resolves a CLI argument: an existing file path loads JSON,
-// anything else parses as the inline syntax.
-func ParseOrLoad(arg string) (*Plan, error) {
-	if _, err := os.Stat(arg); err == nil {
-		return Load(arg)
-	}
-	return Parse(arg)
-}
-
 // Generate derives a deterministic random plan from a seed: n events spread
 // over [0, horizon) cycles across every domain the shape exposes, with
 // degradation scales drawn from {0, 0.25, 0.5, 0.75} and window lengths
@@ -353,7 +297,7 @@ func Generate(seed int64, shape Shape, n int, horizon int64) *Plan {
 	if chips < 2 {
 		chips = 2
 	}
-	p := &Plan{Seed: seed}
+	p := &Plan{}
 	for i := 0; i < n; i++ {
 		var e Event
 		e.Domain = Domain(rng.Intn(int(numDomains)))

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -47,25 +46,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	p, err := Parse("xchip:1.ccw@10-20*0.5; dram:0.1@30*0.75")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Seed = 42
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, p2) {
-		t.Fatalf("JSON round trip: %+v vs %+v", p, p2)
 	}
 }
 

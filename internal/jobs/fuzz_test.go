@@ -49,7 +49,7 @@ func FuzzJobsHTTP(f *testing.F) {
 	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"BP","org":"SAC","fidelity":"estimate"},{"benchmark":"nope","org":"SAC"}]}`))
 	f.Add(uint8(1), []byte(`{"jobs":[]}`))
 	f.Add(uint8(1), []byte(`{"jobs":null`))
-	f.Add(uint8(2), []byte(`ids=a,b,,c&timeout_ms=0&results=1`))
+	f.Add(uint8(2), []byte(`ids=a,b,,c&timeout_ms=0`))
 	f.Add(uint8(2), []byte(`ids=%zz&timeout_ms=-5`))
 	f.Add(uint8(2), []byte(`timeout_ms=99999999999999999999`))
 
@@ -84,7 +84,7 @@ func FuzzJobsHTTP(f *testing.F) {
 			r.URL = &url.URL{Path: "/v1/jobs"}
 			r.Body = io.NopCloser(bytes.NewReader(data))
 		case 1:
-			r.URL = &url.URL{Path: "/v1/jobs:batch", RawQuery: "results=1"}
+			r.URL = &url.URL{Path: "/v1/jobs:batch"}
 			r.Body = io.NopCloser(bytes.NewReader(data))
 		case 2:
 			r.Method = http.MethodGet

@@ -75,11 +75,6 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func wantResults(r *http.Request) bool {
-	v := r.URL.Query().Get("results")
-	return v == "1" || v == "true"
-}
-
 func (t *Table) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req client.JobRequest
 	if DecodeBody(w, r, &req) {
@@ -97,9 +92,10 @@ func (t *Table) handleBatch(w http.ResponseWriter, r *http.Request) {
 // serveAdmit is the one submission handler; POST /v1/jobs is a batch of one
 // answered in the single-job shape. The X-Sacd-Timeout-Ms header is how a
 // client propagates its context deadline; it applies to every item that
-// names no timeout_ms of its own. With ?results=1, items already done in the
-// response (warm estimate cells, memo recalls) carry their result bytes
-// inline, so a warm batch is one round trip end to end.
+// names no timeout_ms of its own. A batch response's items that are already
+// done (warm estimate cells, memo recalls) carry their result bytes inline,
+// so a warm batch is one round trip end to end; the single-job shape carries
+// none.
 func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client.JobRequest, single bool) {
 	if v := r.Header.Get(client.TimeoutHeader); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
@@ -140,19 +136,18 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 		resp.Error = fmt.Sprintf("batch rejected: %d of %d jobs invalid", n, len(itemErrs))
 		WriteJSON(w, http.StatusBadRequest, resp)
 	case single:
-		st := t.status(batch[0], wantResults(r))
+		st := t.status(batch[0], false)
 		writeStatus(w, http.StatusAccepted, &st)
 	default:
 		// A client.BatchResponse of accepted items: no error, every item a
 		// status.
-		withResults := wantResults(r)
 		writeBody(w, http.StatusAccepted, func(b []byte) []byte {
 			b = append(b, `{"jobs":[`...)
 			for i, j := range batch {
 				if i > 0 {
 					b = append(b, ',')
 				}
-				st := t.status(j, withResults)
+				st := t.status(j, true)
 				b = append(b, `{"status":`...)
 				b = append(appendStatus(b, &st), '}')
 			}
@@ -213,7 +208,7 @@ func (t *Table) handleWatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp, err := t.Watch(r.Context(), ids, timeout, wantResults(r))
+	resp, err := t.Watch(r.Context(), ids, timeout)
 	if err != nil {
 		// Only ctx cancellation errors out: the client is gone, there is no
 		// one left to answer.
@@ -252,13 +247,13 @@ func parseWatch(r *http.Request) (ids []string, timeout time.Duration, err error
 
 // Watch blocks until at least one of ids reaches a terminal state, the
 // timeout passes, or ctx is canceled (a closed client connection), then
-// returns every terminal status among ids — results inline when withResults
-// — plus the ids the table does not hold. It answers immediately when any
+// returns every terminal status among ids, a done job's result bytes inline,
+// plus the ids the table does not hold. It answers immediately when any
 // watched job is already terminal or unknown. Ctx cancellation is an error;
 // a bare timeout is an empty Jobs list, so clients re-arm without
 // special-casing. One parked request replaces per-job interval polling: an
 // idle sweep holds one open connection instead of issuing O(jobs × rate).
-func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration, withResults bool) (client.WatchResponse, error) {
+func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) (client.WatchResponse, error) {
 	var resp client.WatchResponse
 	var pending []*Job
 	seen := make(map[string]bool, len(ids))
@@ -279,7 +274,7 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration, 
 		for _, j := range pending {
 			select {
 			case <-j.doneCh:
-				resp.Jobs = append(resp.Jobs, t.status(j, withResults))
+				resp.Jobs = append(resp.Jobs, t.status(j, true))
 			default:
 				still = append(still, j)
 			}

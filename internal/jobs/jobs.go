@@ -651,7 +651,7 @@ func priority(p string) string {
 }
 
 // status is the one projection of a job onto the wire. withResult inlines a
-// done job's result bytes (the ?results=1 path).
+// done job's result bytes, as batch and watch responses do.
 func (t *Table) status(j *Job, withResult bool) client.JobStatus {
 	j.mu.Lock()
 	st := client.JobStatus{

@@ -58,30 +58,6 @@ func TestHistogramLabelsMergeWithLE(t *testing.T) {
 	}
 }
 
-func TestHistogramJSONSnapshot(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "help", []float64{1, 2})
-	h.Observe(0.5)
-	h.Observe(5)
-	snap := r.Snapshot()
-	if len(snap) != 1 || len(snap[0].Series) != 1 {
-		t.Fatalf("unexpected snapshot shape: %+v", snap)
-	}
-	s := snap[0].Series[0]
-	if s.Sum == nil || *s.Sum != 5.5 || s.Count == nil || *s.Count != 2 {
-		t.Fatalf("sum/count wrong: %+v", s)
-	}
-	wantBuckets := []BucketJSON{{LE: "1", Count: 1}, {LE: "2", Count: 1}, {LE: "+Inf", Count: 2}}
-	if len(s.Buckets) != len(wantBuckets) {
-		t.Fatalf("buckets = %+v, want %+v", s.Buckets, wantBuckets)
-	}
-	for i, wb := range wantBuckets {
-		if s.Buckets[i] != wb {
-			t.Fatalf("bucket %d = %+v, want %+v", i, s.Buckets[i], wb)
-		}
-	}
-}
-
 func TestHistogramSameSeriesReturned(t *testing.T) {
 	r := NewRegistry()
 	a := r.Histogram("lat", "", []float64{1})
@@ -114,7 +90,7 @@ func mustPanic(t *testing.T, name string, f func()) {
 func TestServeHasTimeoutsAndCloses(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "help").Inc()
-	ms, err := Serve("127.0.0.1:0", r)
+	ms, err := Serve("127.0.0.1:0", r, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,26 @@ import (
 	"time"
 )
 
-// Handler serves a registry over HTTP: GET /metrics returns the Prometheus
-// text exposition, GET /metrics.json the JSON snapshot. The registry may be
-// scraped while a simulation writes it.
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
-	return mux
+// Mount registers a process's observability routes on mux: GET /metrics, the
+// registry's Prometheus text exposition (when r is set; it may be scraped
+// while a simulation writes it), and, when pprofOn, the net/http/pprof
+// handlers under /debug/pprof/. Profile endpoints expose internal state; keep
+// the listen address loopback-only when they are on. sacd, saccoord and Serve
+// all mount through here.
+func Mount(mux *http.ServeMux, r *Registry, pprofOn bool) {
+	if r != nil {
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_ = r.WritePrometheus(w)
+		})
+	}
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 }
 
 // MetricsServer is a running metrics endpoint. Callers shut it down
@@ -52,48 +58,22 @@ func (m *MetricsServer) Shutdown(ctx context.Context) error {
 	return m.srv.Shutdown(ctx)
 }
 
-// ServeOption configures Serve.
-type ServeOption func(*serveOptions)
-
-type serveOptions struct{ pprof bool }
-
-// WithPprof mounts the net/http/pprof handlers under /debug/pprof/ next to
-// the metrics routes, so CPU and heap profiles of a live simulation are one
-// curl away (see the README's profiling recipe). Profile endpoints expose
-// internal state; keep the listen address loopback-only when enabled.
-func WithPprof() ServeOption {
-	return func(o *serveOptions) { o.pprof = true }
-}
-
-// Serve starts an HTTP server for the registry on addr (e.g. ":9090"). It
-// returns once the listener is bound, so scrapes succeed immediately. The
-// server carries header/idle timeouts (a half-open scraper cannot pin a
-// connection open forever) and runs until the returned MetricsServer is
-// closed. The response path is deliberately not write-limited: a
-// /debug/pprof/profile?seconds=30 capture outlives any reasonable write
-// timeout.
-func Serve(addr string, r *Registry, opts ...ServeOption) (*MetricsServer, error) {
-	var so serveOptions
-	for _, opt := range opts {
-		opt(&so)
-	}
+// Serve starts an HTTP server on addr (e.g. ":9090") carrying Mount's routes
+// for r. It returns once the listener is bound, so scrapes succeed
+// immediately. The server carries header/idle timeouts (a half-open scraper
+// cannot pin a connection open forever) and runs until the returned
+// MetricsServer is closed. The response path is deliberately not
+// write-limited: a /debug/pprof/profile?seconds=30 capture outlives any
+// reasonable write timeout.
+func Serve(addr string, r *Registry, pprofOn bool) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	h := Handler(r)
-	if so.pprof {
-		mux := http.NewServeMux()
-		mux.Handle("/", h)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		h = mux
-	}
+	mux := http.NewServeMux()
+	Mount(mux, r, pprofOn)
 	srv := &http.Server{
-		Handler:           h,
+		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
 		IdleTimeout:       60 * time.Second,

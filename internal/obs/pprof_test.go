@@ -18,22 +18,22 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// WithPprof mounts the profile index next to the metrics routes; without it
-// the debug surface must not exist.
+// Serve mounts the profile index next to the metrics route only when asked;
+// without it the debug surface must not exist.
 func TestServePprofOptIn(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "help").Inc()
 
-	plain, err := Serve("127.0.0.1:0", r)
+	plain, err := Serve("127.0.0.1:0", r, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
 	if code, _ := get(t, "http://"+plain.Addr().String()+"/debug/pprof/"); code != http.StatusNotFound {
-		t.Fatalf("pprof reachable without WithPprof: status %d", code)
+		t.Fatalf("pprof reachable with pprof off: status %d", code)
 	}
 
-	prof, err := Serve("127.0.0.1:0", r, WithPprof())
+	prof, err := Serve("127.0.0.1:0", r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,7 @@ func TestServePprofOptIn(t *testing.T) {
 	if code, body := get(t, base+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index broken: status %d body %q", code, body)
 	}
-	// The metrics routes must survive the mux nesting.
 	if code, body := get(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, "c 1") {
-		t.Fatalf("metrics route lost under WithPprof: status %d body %q", code, body)
+		t.Fatalf("metrics route lost with pprof on: status %d body %q", code, body)
 	}
 }

@@ -1,5 +1,5 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// sampled on a cycle window and exportable as Prometheus text or JSON, plus
+// sampled on a cycle window and exported as Prometheus text, plus
 // an event tracer emitting Chrome trace_event JSON that loads directly in
 // Perfetto. The layer is strictly optional — a simulation with no Observer
 // attached takes a single nil-pointer check per guarded site and allocates
@@ -9,7 +9,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -128,7 +127,6 @@ func (h *Histogram) cumulative() []uint64 {
 
 // series is one labelled instance of a family.
 type series struct {
-	labels []Label
 	key    string // canonical {k="v",...} fragment, "" for the bare series
 	metric Metric
 	hist   *Histogram // non-nil only in histogram families
@@ -203,7 +201,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	if s, ok := f.byKey[key]; ok {
 		return s.hist
 	}
-	s := &series{labels: append([]Label(nil), labels...), key: key, hist: newHistogram(f.bounds)}
+	s := &series{key: key, hist: newHistogram(f.bounds)}
 	f.byKey[key] = s
 	f.series = append(f.series, s)
 	return s.hist
@@ -239,7 +237,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) *Metri
 	if s, ok := f.byKey[key]; ok {
 		return &s.metric
 	}
-	s := &series{labels: append([]Label(nil), labels...), key: key}
+	s := &series{key: key}
 	f.byKey[key] = s
 	f.series = append(f.series, s)
 	return &s.metric
@@ -358,73 +356,4 @@ func withLabel(key, name, value string) string {
 		return "{" + extra + "}"
 	}
 	return key[:len(key)-1] + "," + extra + "}"
-}
-
-// SeriesJSON is one exported series in the JSON snapshot.
-type SeriesJSON struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-	// Histogram series only: cumulative buckets, sum, and count.
-	Buckets []BucketJSON `json:"buckets,omitempty"`
-	Sum     *float64     `json:"sum,omitempty"`
-	Count   *uint64      `json:"count,omitempty"`
-}
-
-// BucketJSON is one cumulative histogram bucket in the JSON snapshot. LE is
-// rendered as a string so the +Inf bucket survives JSON encoding.
-type BucketJSON struct {
-	LE    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// FamilyJSON is one exported metric family in the JSON snapshot.
-type FamilyJSON struct {
-	Name   string       `json:"name"`
-	Kind   string       `json:"kind"`
-	Help   string       `json:"help,omitempty"`
-	Series []SeriesJSON `json:"series"`
-}
-
-// Snapshot returns a point-in-time copy of every family and series.
-func (r *Registry) Snapshot() []FamilyJSON {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FamilyJSON, 0, len(r.families))
-	for _, f := range r.families {
-		fj := FamilyJSON{Name: f.name, Kind: f.kind.String(), Help: f.help}
-		for _, s := range f.series {
-			var sj SeriesJSON
-			if f.kind == KindHistogram {
-				cum := s.hist.cumulative()
-				sj.Buckets = make([]BucketJSON, len(cum))
-				for i, n := range cum {
-					le := "+Inf"
-					if i < len(f.bounds) {
-						le = formatValue(f.bounds[i])
-					}
-					sj.Buckets[i] = BucketJSON{LE: le, Count: n}
-				}
-				sum, count := s.hist.Sum(), cum[len(cum)-1]
-				sj.Sum, sj.Count = &sum, &count
-			} else {
-				sj.Value = s.metric.Value()
-			}
-			if len(s.labels) > 0 {
-				sj.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					sj.Labels[l.Name] = l.Value
-				}
-			}
-			fj.Series = append(fj.Series, sj)
-		}
-		out = append(out, fj)
-	}
-	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{"metrics": r.Snapshot()})
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -91,35 +91,14 @@ func TestRegistryLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestRegistryJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "help a").Add(3)
-	r.Gauge("b", "", L("chip", "1")).Set(2.5)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Metrics []FamilyJSON `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(doc.Metrics) != 2 || doc.Metrics[0].Name != "a_total" || doc.Metrics[0].Series[0].Value != 3 {
-		t.Errorf("unexpected snapshot: %+v", doc)
-	}
-	if doc.Metrics[1].Series[0].Labels["chip"] != "1" {
-		t.Errorf("labels lost: %+v", doc.Metrics[1])
-	}
-}
-
 // TestConcurrentScrape exercises the writer/scraper race the live /metrics
 // endpoint creates (meaningful under -race).
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("hot", "")
 	c := r.Counter("hot_total", "")
-	h := Handler(r)
+	h := http.NewServeMux()
+	Mount(h, r, false)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -138,14 +117,10 @@ func TestConcurrentScrape(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		path := "/metrics"
-		if i%2 == 1 {
-			path = "/metrics.json"
-		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		if rec.Code != 200 {
-			t.Fatalf("scrape %s failed: %d", path, rec.Code)
+			t.Fatalf("scrape failed: %d", rec.Code)
 		}
 	}
 	close(done)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"net/http/pprof"
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -13,7 +12,6 @@ import (
 //
 //	GET  /v1/healthz          daemon health           → 200 Health
 //	GET  /metrics             Prometheus metrics (when a Registry is set)
-//	GET  /metrics.json        the same registry as JSON
 //	GET  /debug/pprof/...     net/http/pprof (when EnablePprof is set)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -21,17 +19,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteJSON(w, http.StatusOK, s.HealthSnapshot())
 	})
-	if s.cfg.Registry != nil {
-		h := obs.Handler(s.cfg.Registry)
-		mux.Handle("GET /metrics", h)
-		mux.Handle("GET /metrics.json", h)
-	}
-	if s.cfg.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	obs.Mount(mux, s.cfg.Registry, s.cfg.EnablePprof)
 	return mux
 }

@@ -333,11 +333,14 @@ func TestWatchCtxCancel(t *testing.T) {
 
 // TestResultServedFromRawBytes pins the zero-copy invariant end to end: the
 // result endpoint's body for a store-hit job is byte-identical to a
-// sim-path job's, and both decode to the same statistics.
+// sim-path job's, and both decode to the same statistics. The hit comes from
+// a second daemon over the same store, which has no flight of the first
+// daemon's to join.
 func TestResultServedFromRawBytes(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	_, c := testDaemon(t, Config{Workers: 2, Store: st})
+	_, c, url := testDaemonURL(t, Config{Workers: 2, Store: st})
+	_, c2, url2 := testDaemonURL(t, Config{Workers: 2, Store: st})
 	ctx := context.Background()
 
 	first, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
@@ -347,25 +350,19 @@ func TestResultServedFromRawBytes(t *testing.T) {
 	if first, err = c.Wait(ctx, first.ID); err != nil {
 		t.Fatal(err)
 	}
-	simRaw, err := c.ResultRaw(ctx, first.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simRaw := serve(t, "GET", url+"/v1/jobs/"+first.ID+"/result", "", 200)
 
-	second, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	second, err := c2.Submit(ctx, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second, err = c.Wait(ctx, second.ID); err != nil {
+	if second, err = c2.Wait(ctx, second.ID); err != nil {
 		t.Fatal(err)
 	}
-	if second.Source != client.SourceStore && second.Source != client.SourceMemo {
-		t.Fatalf("second job source %q, want a cache hit", second.Source)
+	if second.Source != client.SourceStore {
+		t.Fatalf("second job source %q, want a store hit", second.Source)
 	}
-	hitRaw, err := c.ResultRaw(ctx, second.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hitRaw := serve(t, "GET", url2+"/v1/jobs/"+second.ID+"/result", "", 200)
 	if !bytes.Equal(simRaw, hitRaw) {
 		t.Fatalf("store-hit result bytes differ from sim-path bytes:\n%s\nvs\n%s", hitRaw, simRaw)
 	}

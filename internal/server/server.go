@@ -270,28 +270,24 @@ func (s *Server) Start() {
 // Workers returns the worker-pool size.
 func (s *Server) Workers() int { return s.cfg.Workers }
 
-// ResolvedJob is a job request validated and resolved to its full
-// simulation identity. The cluster coordinator resolves submissions through
-// ResolveRequest too, to validate them and to compute consistent-hash
-// placement on Key without running a Server of its own.
-type ResolvedJob = jobs.Identity
-
 // maxTimeoutMS is the largest timeout_ms whose duration a time.Duration holds
 // (about 292 years).
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // ResolveRequest validates req and resolves its simulation identity.
-// defaultFidelity applies when the request names no rung ("" = exact).
-func ResolveRequest(req client.JobRequest, defaultFidelity string) (ResolvedJob, error) {
+// defaultFidelity applies when the request names no rung ("" = exact). The
+// cluster coordinator resolves submissions through it too, to validate them
+// and to place them on Key without running a Server of its own.
+func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identity, error) {
 	if _, err := laneIndex(req.Priority); err != nil {
-		return ResolvedJob{}, err
+		return jobs.Identity{}, err
 	}
 	if req.TimeoutMS < 0 {
-		return ResolvedJob{}, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
+		return jobs.Identity{}, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
 	}
 	// Past this the deadline's duration would wrap into one already passed.
 	if req.TimeoutMS > maxTimeoutMS {
-		return ResolvedJob{}, fmt.Errorf("timeout_ms %d exceeds the limit of %d", req.TimeoutMS, maxTimeoutMS)
+		return jobs.Identity{}, fmt.Errorf("timeout_ms %d exceeds the limit of %d", req.TimeoutMS, maxTimeoutMS)
 	}
 	reqFid := req.Fidelity
 	if reqFid == "" {
@@ -299,17 +295,17 @@ func ResolveRequest(req client.JobRequest, defaultFidelity string) (ResolvedJob,
 	}
 	fid, err := backend.Normalize(reqFid)
 	if err != nil {
-		return ResolvedJob{}, err
+		return jobs.Identity{}, err
 	}
 	cfg, spec, plan, err := resolve(req)
 	if err != nil {
-		return ResolvedJob{}, err
+		return jobs.Identity{}, err
 	}
 	if fid == backend.Estimate && !plan.Empty() {
-		return ResolvedJob{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q or %q",
+		return jobs.Identity{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q or %q",
 			backend.Estimate, backend.Sampled, backend.Exact)
 	}
-	return ResolvedJob{
+	return jobs.Identity{
 		Cfg: cfg, Spec: spec, Plan: plan, Fidelity: fid,
 		Key: store.KeyAt(cfg, spec.Name, plan.Key(), fid),
 	}, nil

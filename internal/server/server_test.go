@@ -378,20 +378,16 @@ func TestHealthAndMetrics(t *testing.T) {
 	for deadline := time.Now().Add(10 * time.Second); inflight.Value() != 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	snap := map[string]float64{}
-	for _, fam := range reg.Snapshot() {
-		for _, s := range fam.Series {
-			snap[fam.Name] += s.Value
-		}
+	accepted := reg.Counter("sacd_jobs_accepted_total", "").Value()
+	done := reg.Counter("sacd_jobs_done_total", "").Value()
+	if accepted != 1 || done != 1 {
+		t.Fatalf("job counters wrong: %v accepted, %v done", accepted, done)
 	}
-	if snap["sacd_jobs_accepted_total"] != 1 || snap["sacd_jobs_done_total"] != 1 {
-		t.Fatalf("job counters wrong: %v", snap)
+	if misses := reg.Counter("sacd_store_misses_total", "").Value(); misses != 1 {
+		t.Fatalf("first job should miss the store once, missed %v times", misses)
 	}
-	if snap["sacd_store_misses_total"] != 1 {
-		t.Fatalf("first job should miss the store once: %v", snap)
-	}
-	if snap["sacd_inflight_workers"] != 0 {
-		t.Fatalf("inflight gauge nonzero at rest: %v", snap)
+	if v := inflight.Value(); v != 0 {
+		t.Fatalf("inflight gauge %v at rest, want 0", v)
 	}
 }
 

@@ -57,7 +57,7 @@ func sameAsEncodingJSON[T any](t *testing.T, route string, body []byte) T {
 }
 
 // TestStatusRoutesMatchEncodingJSON drives every route that writes a
-// JobStatus — submit, batch and watch with results, status, cancel — over
+// JobStatus — submit, batch and watch (with results), status, cancel — over
 // jobs that carry a deadline, a queue position, a failure error, a
 // cancellation and inline results, and requires each body to be exactly what
 // encoding/json writes for the value it decodes to.
@@ -109,7 +109,7 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bresp := sameAsEncodingJSON[client.BatchResponse](t, "batch", serve(t, "POST", hs.URL+"/v1/jobs:batch?results=1", string(body), 202))
+	bresp := sameAsEncodingJSON[client.BatchResponse](t, "batch", serve(t, "POST", hs.URL+"/v1/jobs:batch", string(body), 202))
 	ids := []string{second.ID, "jnot<a>job"}
 	for _, item := range bresp.Jobs {
 		if item.Status == nil || item.Status.State != client.StateDone || len(item.Status.Result) == 0 {
@@ -124,12 +124,53 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("second job: %s %q, want failed by the chaos hook", failed.State, failed.Error)
 	}
 	watch := sameAsEncodingJSON[client.WatchResponse](t, "watch",
-		serve(t, "GET", hs.URL+"/v1/jobs:watch?results=1&timeout_ms=1000&ids="+strings.Join(ids, ","), "", 200))
+		serve(t, "GET", hs.URL+"/v1/jobs:watch?timeout_ms=1000&ids="+strings.Join(ids, ","), "", 200))
 	if len(watch.Jobs) != len(ids)-1 || len(watch.Unknown) != 1 {
 		t.Fatalf("watch: %d jobs, unknown %v; want %d and one", len(watch.Jobs), watch.Unknown, len(ids)-1)
 	}
 	sameAsEncodingJSON[client.JobStatus](t, "status", serve(t, "GET", hs.URL+"/v1/jobs/"+second.ID, "", 200))
 	sameAsEncodingJSON[client.JobStatus](t, "cancel", serve(t, "DELETE", hs.URL+"/v1/jobs/"+ids[2], "", 200))
+}
+
+// TestBatchAndWatchCarryResults: a jobs:batch POST and a jobs:watch GET that
+// ask for nothing but their jobs carry every done job's result bytes, equal
+// to what GET /v1/jobs/{id}/result serves for it — a store-less estimate
+// cell answered in the batch and an exact cell simulated on a worker.
+func TestBatchAndWatchCarryResults(t *testing.T) {
+	_, _, url := testDaemonURL(t, Config{Workers: 1})
+	sameAsResult := func(route string, st *client.JobStatus) {
+		t.Helper()
+		if st == nil || st.State != client.StateDone {
+			t.Fatalf("%s: status %+v, want done", route, st)
+		}
+		want := serve(t, "GET", url+"/v1/jobs/"+st.ID+"/result", "", 200)
+		if got := append(append([]byte(nil), st.Result...), '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%s: inline result %q, want the result route's %q", route, st.Result, want)
+		}
+	}
+	estimate := tinyRequest("BP", "SAC")
+	estimate.Fidelity = client.FidelityEstimate
+	body, err := json.Marshal(client.BatchRequest{Jobs: []client.JobRequest{estimate, tinyRequest("RN", "SAC")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bresp client.BatchResponse
+	if err := json.Unmarshal(serve(t, "POST", url+"/v1/jobs:batch", string(body), 202), &bresp); err != nil {
+		t.Fatal(err)
+	}
+	sameAsResult("batch", bresp.Jobs[0].Status)
+	exact := bresp.Jobs[1].Status.ID
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		var watch client.WatchResponse
+		if err := json.Unmarshal(serve(t, "GET", url+"/v1/jobs:watch?timeout_ms=1000&ids="+exact, "", 200), &watch); err != nil {
+			t.Fatal(err)
+		}
+		if len(watch.Jobs) == 1 {
+			sameAsResult("watch", &watch.Jobs[0])
+			return
+		}
+	}
+	t.Fatal("exact job never finished")
 }
 
 func ptr[T any](v T) *T { return &v }

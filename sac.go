@@ -210,7 +210,8 @@ func NewSystem(cfg Config, spec Spec) (s *System, err error) {
 // Fault injection — deterministic degradation of links, DRAM channels, LLC
 // slices, and NoC ports at exact cycles (DESIGN.md "Fault model").
 
-// FaultPlan is a seeded, serializable schedule of fault events. Plans are
+// FaultPlan is a schedule of fault events, written in the DSL
+// ParseFaultPlan reads or drawn from a seed by GenerateFaultPlan. Plans are
 // part of the simulation key: the same (config, workload, plan) triple is
 // bit-identical at any parallelism.
 type FaultPlan = fault.Plan
@@ -232,9 +233,6 @@ const (
 // ParseFaultPlan parses the compact fault DSL, e.g.
 // "xchip:0.cw@2000-30000*0.5; dram:1.0@1000*0".
 func ParseFaultPlan(s string) (*FaultPlan, error) { return fault.Parse(s) }
-
-// LoadFaultPlan reads a JSON fault plan from a file.
-func LoadFaultPlan(path string) (*FaultPlan, error) { return fault.Load(path) }
 
 // GenerateFaultPlan draws a reproducible random plan for cfg's shape: n
 // events over the first horizon cycles, fully determined by seed.
@@ -259,9 +257,9 @@ type CellError = eval.CellError
 // enable only the other.
 type Observer = obs.Observer
 
-// MetricsRegistry is a set of named counter/gauge series, exportable as
-// Prometheus text exposition (version 0.0.4) or JSON. Safe for concurrent
-// scraping while a simulation writes.
+// MetricsRegistry is a set of named counter/gauge/histogram series,
+// exported as Prometheus text exposition (version 0.0.4). Safe for
+// concurrent scraping while a simulation writes.
 type MetricsRegistry = obs.Registry
 
 // Tracer records trace events in Chrome trace_event JSON; its output opens
@@ -273,9 +271,13 @@ type Tracer = obs.Tracer
 // every window cycles (0 = the default window of obs.DefaultWindow cycles).
 func NewObserver(window int64) *Observer { return obs.New(window) }
 
-// MetricsHandler serves a registry over HTTP: GET /metrics (Prometheus) and
-// GET /metrics.json.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return obs.Handler(r) }
+// MetricsHandler serves a registry over HTTP: GET /metrics, the Prometheus
+// text exposition.
+func MetricsHandler(r *MetricsRegistry) http.Handler {
+	mux := http.NewServeMux()
+	obs.Mount(mux, r, false)
+	return mux
+}
 
 // Speedup returns a's performance relative to b (ratio of IPC).
 func Speedup(a, b *Stats) float64 { return stats.Speedup(a, b) }
@@ -290,7 +292,7 @@ func HarmonicMean(speedups []float64) float64 { return stats.HarmonicMeanSpeedup
 type Runner = eval.Runner
 
 // RunRequest names one (configuration, workload) simulation for
-// Runner.Prefetch / Runner.RunAll.
+// Runner.RunAll.
 type RunRequest = eval.RunRequest
 
 // CellResult is the per-cell progress record passed to Runner.OnCellDone.
