@@ -1,7 +1,8 @@
 // Package client is the typed Go client for the sacd simulation daemon (and
 // saccoord, which speaks the same jobs API) and the single source of truth
-// for its JSON wire types (internal/jobs encodes them for both daemons, so
-// daemon and client cannot drift).
+// for its JSON wire types and their codec (codec.go): the hand-written
+// encoders and Unmarshal that both daemons and this client use, each
+// pinned byte for byte to encoding/json, so daemon and client cannot drift.
 //
 // The client retries transient failures — connection errors, 429
 // backpressure, 5xx — with capped exponential backoff, propagates contexts

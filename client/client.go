@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // APIError is a non-2xx response from the daemon.
@@ -232,7 +233,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Every decoded string and result is a copy, so the buffer goes back to
+	// the pool.
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	b, err := wire.ReadAll(*bp, resp.Body)
+	*bp = b[:0]
+	if err != nil {
+		return err
+	}
+	return Unmarshal(b, out)
 }
 
 // Submit enqueues one job and returns its initial status. Backpressure
@@ -242,10 +252,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // propagated as the X-Sacd-Timeout-Ms header so the daemon expires the job
 // when the caller would have stopped waiting anyway.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (JobStatus, error) {
-	b, err := json.Marshal(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
+	b := AppendRequest(nil, &req)
 	var hdr http.Header
 	if req.TimeoutMS == 0 {
 		if dl, ok := ctx.Deadline(); ok {
@@ -268,10 +275,9 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (JobStatus, error) 
 // results inline (JobStatus.Result), so a warm batch needs no follow-up
 // fetches. The ctx deadline propagates exactly like Submit's.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatus, error) {
-	b, err := json.Marshal(BatchRequest{Jobs: reqs})
-	if err != nil {
-		return nil, err
-	}
+	// The transport may still read a request body after the round trip
+	// returns, so this buffer is the request's own, not a pooled one.
+	b := appendBatchRequest(make([]byte, 0, 1024*len(reqs)+16), reqs)
 	var hdr http.Header
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {

@@ -7,6 +7,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -217,6 +218,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: L1Ways must be in 1..%d, got %d", cache.MaxWays, c.L1Ways)
 	case c.ClusterBW <= 0 || c.SliceBW <= 0 || c.RingLinkBW <= 0 || c.ChannelBW <= 0:
 		return fmt.Errorf("gpu: non-positive bandwidth")
+	case !finite(c.ClusterBW, c.SliceBW, c.RingLinkBW, c.ChannelBW, c.SACOpts.Theta):
+		// NaN passes every comparison above, and neither a NaN nor an
+		// infinity has a JSON encoding, so no store key either.
+		return fmt.Errorf("gpu: bandwidths and SACOpts.Theta must be finite")
 	case c.WorkloadScale < 1:
 		return fmt.Errorf("gpu: workload scale must be >= 1")
 	case c.MSHRPerSlice < 1 || c.MSHRPerSlice > cache.MaxMSHREntries:
@@ -237,6 +242,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: L1 lines %d not divisible into %d ways", l1Lines, c.L1Ways)
 	}
 	return nil
+}
+
+func finite(fs ...float64) bool {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // ClustersPerChip returns the number of SM-cluster NoC ports per chip.

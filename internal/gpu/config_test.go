@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -71,6 +72,27 @@ func TestValidateCatchesCacheGeometry(t *testing.T) {
 	cfg.MaxCycles = 0
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("zero MaxCycles accepted")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every "<= 0" check, +Inf every
+// positive one, and neither has a JSON encoding, so no store key. Each of the
+// four bandwidths and SACOpts.Theta must be finite.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for name, field := range map[string]func(*Config) *float64{
+		"ClusterBW":  func(c *Config) *float64 { return &c.ClusterBW },
+		"SliceBW":    func(c *Config) *float64 { return &c.SliceBW },
+		"RingLinkBW": func(c *Config) *float64 { return &c.RingLinkBW },
+		"ChannelBW":  func(c *Config) *float64 { return &c.ChannelBW },
+		"Theta":      func(c *Config) *float64 { return &c.SACOpts.Theta },
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := ScaledConfig()
+			*field(&cfg) = v
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
 	}
 }
 

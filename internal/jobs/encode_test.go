@@ -26,7 +26,7 @@ func reference(t testing.TB, v any) []byte {
 func checkStatus(t testing.TB, name string, st client.JobStatus) {
 	t.Helper()
 	want := reference(t, st)
-	if got := append(appendStatus(nil, &st), '\n'); !bytes.Equal(got, want) {
+	if got := append(client.AppendStatus(nil, &st), '\n'); !bytes.Equal(got, want) {
 		t.Fatalf("%s:\n got %s\nwant %s", name, got, want)
 	}
 }
@@ -148,7 +148,7 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 		{Jobs: sts[:1], Unknown: []string{"a", "<b>", "c\xff", ""}},
 	} {
 		want := reference(t, resp)
-		if got := append(appendWatch(nil, &resp), '\n'); !bytes.Equal(got, want) {
+		if got := append(client.AppendWatch(nil, &resp), '\n'); !bytes.Equal(got, want) {
 			t.Fatalf("watch %+v:\n got %s\nwant %s", resp, got, want)
 		}
 	}
@@ -173,7 +173,7 @@ func TestResultSplicePrecondition(t *testing.T) {
 	// The splice is not a re-encoder: bytes outside the invariant go out
 	// as they are, so the precondition is what keeps the wire exact.
 	st := client.JobStatus{Result: json.RawMessage(`{ "a" : "<" }`)}
-	if got := appendStatus(nil, &st); bytes.Equal(append(got, '\n'), reference(t, st)) {
+	if got := client.AppendStatus(nil, &st); bytes.Equal(append(got, '\n'), reference(t, st)) {
 		t.Fatal("a non-canonical result matched encoding/json; the splice test above proves nothing")
 	}
 }
@@ -199,7 +199,7 @@ func FuzzStatusEncoding(f *testing.F) {
 		if present&4 != 0 {
 			st.DeadlineAt = &tm
 		}
-		// Only a result in canonical form is spliceable (see encode.go).
+		// Only a result in canonical form is spliceable (see client/codec.go).
 		if present&8 != 0 && json.Valid(result) {
 			canon, err := json.Marshal(json.RawMessage(result))
 			if err != nil {
@@ -213,11 +213,11 @@ func FuzzStatusEncoding(f *testing.F) {
 			// never reaches the encoder.
 			t.Skip(err)
 		}
-		if got := append(appendStatus(nil, &st), '\n'); !bytes.Equal(got, buf.Bytes()) {
+		if got := append(client.AppendStatus(nil, &st), '\n'); !bytes.Equal(got, buf.Bytes()) {
 			t.Fatalf("\n got %s\nwant %s", got, buf.Bytes())
 		}
 		resp := client.WatchResponse{Jobs: []client.JobStatus{st}, Unknown: []string{id, errText}}
-		if got := append(appendWatch(nil, &resp), '\n'); !bytes.Equal(got, reference(t, resp)) {
+		if got := append(client.AppendWatch(nil, &resp), '\n'); !bytes.Equal(got, reference(t, resp)) {
 			t.Fatalf("watch:\n got %s\nwant %s", got, reference(t, resp))
 		}
 	})

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/client"
@@ -74,6 +76,11 @@ func FuzzJobsHTTP(f *testing.F) {
 		}
 		f.Add(uint8(0), body)
 	}
+	// A value with anything after it is a 400, never a job and never a
+	// silently dropped second one.
+	for _, body := range trailingBodies {
+		f.Add(uint8(0), []byte(body))
+	}
 
 	mux := http.NewServeMux()
 	stubTable().Mount(mux)
@@ -97,6 +104,101 @@ func FuzzJobsHTTP(f *testing.F) {
 		}
 		if !json.Valid(w.Body.Bytes()) {
 			t.Fatalf("non-JSON body %q for route %d input %q", w.Body.Bytes(), route%3, data)
+		}
+	})
+}
+
+// snEstimate is a valid submission; trailingBodies follow it with bytes a
+// decoder must not ignore.
+const snEstimate = `{"benchmark":"SN","org":"SAC","fidelity":"estimate"}`
+
+var trailingBodies = []string{
+	snEstimate + ` this is not json`,
+	snEstimate + `{"benchmark":"BS","org":"SAC"}`,
+}
+
+// post sends body to route on a stub table and returns the response, which
+// must be JSON.
+func post(t *testing.T, route, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	mux := http.NewServeMux()
+	stubTable().Mount(mux)
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+	if !json.Valid(w.Body.Bytes()) {
+		t.Fatalf("%s: non-JSON body %q", route, w.Body.Bytes())
+	}
+	return w
+}
+
+// TestTrailingBytesRejected: a submission is one JSON value. Trailing text
+// and a second concatenated job are both 400s, with nothing admitted.
+func TestTrailingBytesRejected(t *testing.T) {
+	for _, body := range trailingBodies {
+		if w := post(t, "/v1/jobs", body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, w.Code, w.Body.Bytes())
+		}
+		batch := `{"jobs":[` + snEstimate + `]}` + strings.TrimPrefix(body, snEstimate)
+		if w := post(t, "/v1/jobs:batch", batch); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", batch, w.Code, w.Body.Bytes())
+		}
+	}
+}
+
+// TestBodyBounded: a body past MaxBodyBytes is a 413 with the usual error
+// body, even a valid submission padded with whitespace; at the bound the
+// same padded batch is admitted.
+func TestBodyBounded(t *testing.T) {
+	batch := `{"jobs":[` + snEstimate + `]}`
+	pad := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+	if w := post(t, "/v1/jobs:batch", pad(batch, jobs.MaxBodyBytes)); w.Code != http.StatusAccepted {
+		t.Fatalf("batch at the bound: %d %s, want 202", w.Code, w.Body.Bytes())
+	}
+	for route, body := range map[string]string{"/v1/jobs:batch": batch, "/v1/jobs": snEstimate} {
+		w := post(t, route, pad(body, jobs.MaxBodyBytes+1))
+		var e struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+			t.Fatalf("%s past the bound: %d %s, want 413 with an error", route, w.Code, w.Body.Bytes())
+		}
+	}
+}
+
+// FuzzRequestDecode is the request decoder's differential test: for any
+// bytes, the decoder both daemons read bodies with fails exactly when
+// json.Unmarshal does and otherwise yields the same JobRequest or
+// BatchRequest. It must never panic.
+func FuzzRequestDecode(f *testing.F) {
+	cfg := gpu.ScaledConfig()
+	for _, v := range []any{
+		client.JobRequest{Benchmark: "BP", Org: "SAC", Config: &cfg, Fidelity: "estimate", TimeoutMS: 5},
+		client.BatchRequest{Jobs: []client.JobRequest{{Benchmark: "RN", Org: "SM-side", Preset: "paper", Faults: "dram:0.0@100*0.5"}}},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(0), b)
+		f.Add(uint8(1), b)
+	}
+	f.Add(uint8(0), []byte(`{"Benchmark":"x","benchmark":"y","config":{"Chips":2},"config":{"SMsPerChip":1e0}}`))
+	f.Add(uint8(0), []byte(`{"org":"S\u0041C","config":{"ClusterBW":1e400,"Org":256,"Geom":{"Sectors":-0}}}`))
+	f.Add(uint8(0), []byte(`{"benchmark":"R\u004e","org":"SAC","faults":"a\\b"}`))
+	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"a"}],"jobs":[{"org":"b"}]}`))
+	f.Add(uint8(1), []byte(` {"jobs":null} `))
+	for _, body := range trailingBodies {
+		f.Add(uint8(0), []byte(body))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		var got, want any = new(client.JobRequest), new(client.JobRequest)
+		if kind%2 == 1 {
+			got, want = new(client.BatchRequest), new(client.BatchRequest)
+		}
+		err, wantErr := client.Unmarshal(data, got), json.Unmarshal(data, want)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q into %T: error %v, encoding/json's %v", data, got, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q into %T:\n got %+v\nwant %+v", data, got, got, want)
 		}
 	})
 }

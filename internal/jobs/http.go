@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/wire"
 )
 
 // Watch timeout bounds. A request naming no timeout_ms long-polls for
@@ -34,8 +35,8 @@ const (
 //
 // Every error response is JSON: {"error": "..."} with the status code
 // carrying the semantics (400 invalid request, 404 unknown job, 409 result
-// not ready, 410 job expired or canceled, 429 and 503 for an AdmitError,
-// with Retry-After when the daemon sizes one).
+// not ready, 410 job expired or canceled, 413 a body past MaxBodyBytes, 429
+// and 503 for an AdmitError, with Retry-After when the daemon sizes one).
 func (t *Table) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/jobs", t.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs:batch", t.handleBatch)
@@ -47,17 +48,29 @@ func (t *Table) Mount(mux *http.ServeMux) {
 
 // WriteJSON writes v with a status code; encode failures are unrecoverable
 // mid-response and ignored. Bodies that carry a JobStatus go through the
-// status encoder instead (encode.go), which writes the same bytes.
+// client package's hand-written encoder instead (writeBody), which writes the
+// same bytes.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeStatus writes one JobStatus body through the status encoder
-// (encode.go).
+// writeBody writes the JSON body fill appends, plus json.Encoder's trailing
+// newline, with a status code.
+func writeBody(w http.ResponseWriter, code int, fill func(b []byte) []byte) {
+	bp := wire.GetBuf()
+	b := append(fill(*bp), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(b)
+	*bp = b[:0]
+	wire.PutBuf(bp)
+}
+
+// writeStatus writes one JobStatus body.
 func writeStatus(w http.ResponseWriter, code int, st *client.JobStatus) {
-	writeBody(w, code, func(b []byte) []byte { return appendStatus(b, st) })
+	writeBody(w, code, func(b []byte) []byte { return client.AppendStatus(b, st) })
 }
 
 // WriteError writes the {"error": ...} body every non-2xx response carries.
@@ -65,10 +78,33 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// DecodeBody decodes a JSON request body into v, answering 400 itself on
-// failure.
+// MaxBodyBytes bounds every request body either daemon reads. The largest
+// body a client writes is a full batch: client.MaxBatch requests of about
+// 720 bytes each with an explicit config (a batch of 1024 is ≈ 740 KB).
+// Four KiB per request leaves room for long fault plans and for whitespace,
+// so the bound is client.MaxBatch × 4 KiB = 4 MiB; past it the route answers
+// 413 without reading further.
+const MaxBodyBytes = client.MaxBatch * 4 << 10
+
+// DecodeBody reads a JSON request body, bounded by MaxBodyBytes, and decodes
+// it into v with client.Unmarshal, answering 413 or 400 itself on failure.
+// Trailing bytes after the value are an error, as they are to
+// json.Unmarshal.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	bp := wire.GetBuf()
+	defer wire.PutBuf(bp)
+	b, err := wire.ReadAll(*bp, http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	*bp = b[:0]
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return false
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
+		return false
+	}
+	if err := client.Unmarshal(b, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
 	}
@@ -149,7 +185,7 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 				}
 				st := t.status(j, true)
 				b = append(b, `{"status":`...)
-				b = append(appendStatus(b, &st), '}')
+				b = append(client.AppendStatus(b, &st), '}')
 			}
 			return append(b, "]}"...)
 		})
@@ -214,7 +250,7 @@ func (t *Table) handleWatch(w http.ResponseWriter, r *http.Request) {
 		// one left to answer.
 		return
 	}
-	writeBody(w, http.StatusOK, func(b []byte) []byte { return appendWatch(b, &resp) })
+	writeBody(w, http.StatusOK, func(b []byte) []byte { return client.AppendWatch(b, &resp) })
 }
 
 // parseWatch extracts a jobs:watch request's id list (comma-separated ids=

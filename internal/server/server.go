@@ -24,7 +24,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -428,10 +427,7 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 	if s.jnl != nil {
 		if !journaled {
-			lj, err := liveRecord(j, false)
-			if err != nil {
-				return err
-			}
+			lj := liveRecord(j, false)
 			rec := journal.Record{Op: journal.OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline}
 			if jerr := s.jnl.Append(rec); jerr != nil {
 				// The accept may not be durable: refuse to acknowledge it.
@@ -453,16 +449,12 @@ func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 }
 
 // liveRecord renders a job the way the journal files it.
-func liveRecord(j *jobs.Job, started bool) (journal.LiveJob, error) {
-	raw, err := json.Marshal(j.Req)
-	if err != nil {
-		return journal.LiveJob{}, fmt.Errorf("server: encoding request: %w", err)
-	}
-	lj := journal.LiveJob{ID: j.ID, Req: raw, Started: started}
+func liveRecord(j *jobs.Job, started bool) journal.LiveJob {
+	lj := journal.LiveJob{ID: j.ID, Req: client.AppendRequest(nil, &j.Req), Started: started}
 	if !j.Deadline.IsZero() {
 		lj.Deadline = j.Deadline.UnixMilli()
 	}
-	return lj, nil
+	return lj
 }
 
 // runInline executes a batch's estimate cells, first occurrence of each key
@@ -641,12 +633,7 @@ func (s *Server) maybeCompactLocked() {
 	live := make([]journal.LiveJob, 0, len(s.live))
 	for id, j := range s.live {
 		_, started := s.running[id]
-		lj, err := liveRecord(j, started)
-		if err != nil {
-			s.logf("journal: compact: %v", err)
-			return
-		}
-		live = append(live, lj)
+		live = append(live, liveRecord(j, started))
 	}
 	if err := s.jnl.Compact(live); err != nil {
 		s.journalErr = err
@@ -783,7 +770,7 @@ func (s *Server) Recover() (int, error) {
 			deadline = time.UnixMilli(lj.Deadline)
 		}
 		var req client.JobRequest
-		if err := json.Unmarshal(lj.Req, &req); err != nil {
+		if err := client.Unmarshal(lj.Req, &req); err != nil {
 			s.dropUnrestorable(lj.ID, fmt.Errorf("undecodable request: %w", err))
 			continue
 		}

@@ -50,6 +50,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // schemaVersion is baked into every cache key: bump it when the meaning of
@@ -60,7 +61,8 @@ import (
 const schemaVersion = 2
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
-// deterministic JSON encoding yields the cache key.
+// deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields
+// the cache key.
 type KeyMaterial struct {
 	Schema    int        `json:"schema"`
 	Config    gpu.Config `json:"config"`
@@ -92,19 +94,31 @@ func materialAt(cfg gpu.Config, benchmark, faults, fidelity string) KeyMaterial 
 }
 
 func keyOf(m KeyMaterial) string {
-	_, key := marshalKey(m)
-	return key
+	var buf [1024]byte // a key's material is ≈ 700 bytes
+	return hexSum(m.appendJSON(buf[:0]))
 }
 
 // marshalKey returns m's canonical JSON and the key it hashes to, so Put can
 // embed the one and check the other from a single encoding.
 func marshalKey(m KeyMaterial) ([]byte, string) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		// gpu.Config is a flat value struct; Marshal cannot fail on it.
-		panic(fmt.Sprintf("store: marshal key material: %v", err))
-	}
+	b := m.appendJSON(nil)
 	return b, hexSum(b)
+}
+
+// appendJSON appends m's canonical encoding, byte-identical to
+// json.Marshal(m), so every key and every stored object stays what it was
+// when encoding/json wrote it.
+func (m *KeyMaterial) appendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"schema":`...), int64(m.Schema), 10)
+	b = m.Config.AppendJSON(append(b, `,"config":`...))
+	b = wire.AppendString(append(b, `,"benchmark":`...), m.Benchmark)
+	if m.Faults != "" {
+		b = wire.AppendString(append(b, `,"faults":`...), m.Faults)
+	}
+	if m.Fidelity != "" {
+		b = wire.AppendString(append(b, `,"fidelity":`...), m.Fidelity)
+	}
+	return append(b, '}')
 }
 
 func hexSum(b []byte) string {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -645,5 +647,70 @@ func TestHotTierDroppedOnQuarantine(t *testing.T) {
 	}
 	if _, _, ok := s.GetRaw(key); ok {
 		t.Fatal("quarantined key still served")
+	}
+}
+
+// TestKeyAtMatchesEncodingJSON pins the hand-written key encoder to
+// encoding/json over seeded random key material: every leaf of KeyMaterial,
+// its config's included, drawn from values that stress the encoding (large
+// and negative integers, floats in and out of exponent form, strings that
+// need escaping). The key must be the hex SHA-256 of json.Marshal's bytes,
+// so no store object moves.
+func TestKeyAtMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ints := []int64{0, 1, 7, 4096, -1, 1 << 40, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), 54.7, 1e-6, 9.99e-7, 1e21, 1e20, -3.5e-300, math.MaxFloat64, 5e-324}
+	strs := []string{"", "BP", "dram:0.0@100*0.5", "<a&b>", "quote\"back\\slash", "tab\tnul\x00", "ÜNÏ\xff", "a b"}
+	var leaves func(v reflect.Value) []reflect.Value
+	leaves = func(v reflect.Value) []reflect.Value {
+		var out []reflect.Value
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				out = append(out, leaves(f)...)
+			} else {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+	for i := 0; i < 2000; i++ {
+		var m KeyMaterial
+		for _, f := range leaves(reflect.ValueOf(&m).Elem()) {
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(ints[rng.Intn(len(ints))] + rng.Int63n(3) - 1)
+			case reflect.Uint8:
+				f.SetUint(uint64(rng.Intn(256)))
+			case reflect.Bool:
+				f.SetBool(rng.Intn(2) == 1)
+			case reflect.Float64:
+				v := floats[rng.Intn(len(floats))]
+				if rng.Intn(2) == 0 {
+					v = math.Float64frombits(rng.Uint64())
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					v = 1.5
+				}
+				f.SetFloat(v)
+			case reflect.String:
+				f.SetString(strs[rng.Intn(len(strs))])
+			default:
+				t.Fatalf("KeyMaterial leaf of kind %s has no random value", f.Kind())
+			}
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, key := marshalKey(m); !bytes.Equal(got, want) || key != hexSum(want) || keyOf(m) != key {
+			t.Fatalf("key material encodes differently from encoding/json:\n got %s\nwant %s", got, want)
+		}
+		m.Schema = schemaVersion
+		for _, fid := range []string{m.Fidelity, "exact"} {
+			want, _ := json.Marshal(materialAt(m.Config, m.Benchmark, m.Faults, fid))
+			if got := KeyAt(m.Config, m.Benchmark, m.Faults, fid); got != hexSum(want) {
+				t.Fatalf("KeyAt %s, want the SHA-256 of %s", got, want)
+			}
+		}
 	}
 }
