@@ -76,16 +76,18 @@ clustersmoke:
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
 # fuzz is a short smoke of the untrusted-input decoders (the trace reader,
-# the store's object reader, the jobs HTTP surface sacd and saccoord share,
-# the journal's replay, and the coordinator's worker register/heartbeat
-# bodies), plus the hand-written jobs wire codec against encoding/json: the
-# status encoder, the request decoder both daemons run and the client's
-# status decoder. An exec-count
+# the store's record reader and its segment scan, the fault-plan DSL, the
+# jobs HTTP surface sacd and saccoord share, the journal's replay, and the
+# coordinator's worker register/heartbeat bodies), plus the hand-written
+# jobs wire codec against encoding/json: the status encoder, the request
+# decoder both daemons run and the client's status decoder. An exec-count
 # budget keeps the wall time stable on single-core CI runners; long campaigns
 # run the same targets with a time budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime 20000x ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 20000x .
 	$(GO) test -run '^$$' -fuzz FuzzJobsHTTP -fuzztime 20000x ./internal/jobs
 	$(GO) test -run '^$$' -fuzz FuzzStatusEncoding -fuzztime 20000x ./internal/jobs
 	$(GO) test -run '^$$' -fuzz FuzzRequestDecode -fuzztime 20000x ./internal/jobs

@@ -168,8 +168,8 @@ type Health struct {
 	// Store statistics; zero values when the daemon runs without a store.
 	StoreObjects int   `json:"store_objects,omitempty"`
 	StoreBytes   int64 `json:"store_bytes,omitempty"`
-	// StoreCorrupt counts objects quarantined for failing content-hash
-	// verification since the store opened.
+	// StoreCorrupt counts store records dropped since the store opened:
+	// torn by a crash, damaged, or failing content-hash verification.
 	StoreCorrupt int64 `json:"store_corrupt,omitempty"`
 }
 

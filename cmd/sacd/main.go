@@ -55,7 +55,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8341", "HTTP listen address (use :0 for an ephemeral port)")
 		cacheDir    = flag.String("cache-dir", "", "persistent result store directory (shared with sacsweep -cache-dir); empty = in-memory only")
-		cacheMax    = flag.Int64("cache-max-bytes", 0, "evict least-recently-used store entries beyond this many bytes (0 = unbounded)")
+		cacheMax    = flag.Int64("cache-max-bytes", 0, "bound the live bytes of stored results, evicting least recently used; the directory stays under about twice this plus one segment (0 = unbounded)")
 		workers     = flag.Int("workers", 0, "max simulations in flight (0 = all cores)")
 		queueCap    = flag.Int("queue", 256, "max queued jobs before submissions get 429")
 		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")

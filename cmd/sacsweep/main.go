@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress    = fs.Bool("progress", false, "print one line per completed sweep cell to stderr")
 		cacheDir    = fs.String("cache-dir", "", "persistent result cache directory (shared with sacd); warm entries skip simulation")
 		remote      = fs.String("remote", "", "execute every cell through the saccoord coordinator (or single sacd) at this base URL instead of simulating in-process")
-		cacheMax    = fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this many bytes (0 = unbounded)")
+		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the live bytes of cached results, evicting least recently used; the directory stays under about twice this plus one segment (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -41,6 +41,23 @@ var (
 	faultsArgRe = regexp.MustCompile("-faults[ \t]+(?:'([^']*)'|([^\\s`'\"]+))")
 )
 
+// docFaultPlans returns the argument of every -faults flag the documents
+// show, in the order they show them.
+func docFaultPlans(t testing.TB) []string {
+	t.Helper()
+	var plans []string
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range faultsArgRe.FindAllStringSubmatch(string(raw), -1) {
+			plans = append(plans, m[1]+m[2])
+		}
+	}
+	return plans
+}
+
 // TestDocsNameWhatExists fails on a document that sends its reader to
 // something that is not there: a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
@@ -106,6 +123,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
+	for _, p := range docFaultPlans(t) {
+		if _, err := fault.Parse(p); err != nil {
+			t.Errorf("-faults %s: %v", p, err)
+		}
+	}
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -120,11 +142,6 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if !targets[w] {
 					t.Errorf("%s:%d: `make %s`: no such Makefile target", doc, line, w)
 				}
-			}
-		}
-		for _, m := range faultsArgRe.FindAllStringSubmatch(string(raw), -1) {
-			if _, err := fault.Parse(m[1] + m[2]); err != nil {
-				t.Errorf("%s: -faults %s: %v", doc, m[1]+m[2], err)
 			}
 		}
 		markdown, fenced := strings.HasSuffix(doc, ".md"), false

@@ -112,15 +112,26 @@ func TestRunnerStoreHitFiresOnCellDone(t *testing.T) {
 	if cells[0].Err != nil || cells[0].Cycles == 0 {
 		t.Fatalf("store-hit cell result malformed: %+v", cells[0])
 	}
+	if warm.Runs() != 0 || st.Hits() != 1 {
+		t.Fatalf("warm run: runs=%d store hits=%d, want 0/1 (a store hit)", warm.Runs(), st.Hits())
+	}
 }
 
 // TestRunnerReportsFirstStorePutFailure checks failed write-backs are not
 // silent: the sweep still succeeds, the store counts every failure, and Log
 // carries one line per failed put (sacd's write-back policy).
 func TestRunnerReportsFirstStorePutFailure(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store")
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// A plain file where the store directory belongs blocks the segment a
+	// write-back appends to, even for root.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := workload.ByName("BP")
@@ -134,14 +145,6 @@ func TestRunnerReportsFirstStorePutFailure(t *testing.T) {
 	reqs := []RunRequest{
 		{Cfg: r.Base.WithOrg(llc.MemorySide), Spec: spec},
 		{Cfg: r.Base.WithOrg(llc.SMSide), Spec: spec},
-	}
-	// A plain file where each cell's shard directory belongs makes the
-	// object write fail, even for root.
-	for _, q := range reqs {
-		key := store.KeyAt(q.Cfg, spec.Name, "", "")
-		if err := os.WriteFile(filepath.Join(dir, "objects", key[:2]), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if _, err := r.RunAll(reqs); err != nil {
 		t.Fatalf("a failed write-back failed the sweep: %v", err)

@@ -113,11 +113,11 @@ func (e Event) Validate() error {
 		return fmt.Errorf("fault: negative unit in %+v", e)
 	case e.Domain == XChip && e.Unit > 1:
 		return fmt.Errorf("fault: xchip unit must be 0 (cw) or 1 (ccw), got %d", e.Unit)
-	case e.Start < 0:
-		return fmt.Errorf("fault: negative start in %+v", e)
+	case e.Start < 0 || e.End < 0:
+		return fmt.Errorf("fault: negative cycle in %+v", e)
 	case !e.permanent() && e.End <= e.Start:
 		return fmt.Errorf("fault: empty window [%d,%d)", e.Start, e.End)
-	case e.Scale < 0 || e.Scale > 1:
+	case !(e.Scale >= 0 && e.Scale <= 1): // NaN too
 		return fmt.Errorf("fault: scale %v outside [0,1]", e.Scale)
 	}
 	return nil

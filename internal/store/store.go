@@ -1,51 +1,46 @@
 // Package store is a content-addressed, on-disk cache of simulation
-// results. Each entry is one completed *stats.Run keyed by a canonical
-// SHA-256 hash of the full simulation identity — configuration (which
-// includes the LLC organization), workload name, and fault-plan fingerprint
-// — so a result written by one process (an offline sacsweep, the sacd
-// daemon) is a warm hit for every later process given the same cell.
+// results, keyed by a SHA-256 of each cell's full identity (configuration,
+// workload, fault plan, fidelity rung) and shared by sacsweep and sacd.
 //
-// Durability model: objects are written to a temp file in the store
-// directory and renamed into place, so a reader never observes a torn
-// write. Every object embeds a SHA-256 of its result payload, verified on
-// Get: bit rot, a torn write that still parses, or a hand-edited file is
-// caught before it deserializes into plausible garbage. A corrupt or
-// mismatched object is quarantined (renamed to .corrupt, preserved for
-// forensics), counted, and reported as a miss.
+// Results live in append-only pack segments (<seq>.pack), one record per
+// line: the 64-hex key, a space, the JSON envelope, a newline. A Put is one
+// write to the segment this store life created at its first Put; a disk read
+// is one pread, verified (schema, key, SHA-256 of the result) every time. A
+// record that fails is counted, dropped and reported as a miss; the next Put
+// of its key heals it.
 //
-// The index (sizes + recency for the LRU cap) lives in memory; committing a
-// result costs the same whether the store holds ten objects or a million.
-// index.json is a clean-shutdown snapshot: Close writes it, the next Open
-// loads it and removes it. A process that dies before Close therefore
-// leaves no snapshot, and Open falls back to scanning the object directory,
-// taking sizes from the files and recency from their mtimes (oldest = least
-// recent) — the same story the journal's clean-shutdown mark tells. What a
-// crash loses is only recency finer than mtime: reads since the last write
-// of an object do not count toward its age. It never loses an object, a
-// size, or correctness. Open also removes object-*.tmp / index-*.tmp files a
-// crash left between create and rename.
+// Crashes: no life appends to an earlier life's segment, so a crash tears at
+// most the last record of a file nobody appends to again. Open scans the
+// segments in order (recency from write order) and drops and counts a torn
+// tail; index.json, recency written by Close, is laid over the scan.
 //
-// The store is safe for concurrent use by multiple goroutines of one
-// process; concurrent processes sharing a directory stay correct (atomic
-// renames, every read verified) but may double-simulate on a racing miss,
-// account only the objects they know of against MaxBytes, and can lose one
-// write-back (counted, never served wrong) when another process's Open
-// sweeps its in-flight temp file.
+// MaxBytes bounds the live record bytes (LRU eviction). A sealed segment with
+// no live record is deleted, and while sealed segments hold more dead than
+// live bytes the sparsest is compacted: the directory holds at most
+// 2×MaxBytes plus one segment. Pre-pack directories (objects/) start cold.
+//
+// Processes sharing a directory stay correct (none appends to another's
+// segment; every read is verified), but each sees the others' new results
+// only from its next Open, and one that reclaims a segment another still
+// appends to loses the writer's later records to future Opens.
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -53,11 +48,9 @@ import (
 	"repro/internal/wire"
 )
 
-// schemaVersion is baked into every cache key: bump it when the meaning of
-// a stored result changes (simulator semantics, stats layout, envelope
-// integrity fields), so stale entries become unreachable instead of wrong.
-// v2 added the content hash (envelope.Sum); v1 objects are simply never
-// addressed again and age out through LRU eviction.
+// schemaVersion is baked into every cache key: bump it when the meaning of a
+// stored result changes, so stale entries become unreachable instead of
+// wrong. v2 added the content hash (envelope.Sum).
 const schemaVersion = 2
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
@@ -68,20 +61,14 @@ type KeyMaterial struct {
 	Config    gpu.Config `json:"config"`
 	Benchmark string     `json:"benchmark"`
 	Faults    string     `json:"faults,omitempty"`
-	// Fidelity is the backend rung that produced the result ("estimate",
-	// "sampled"; "" = cycle-exact). It is part of the identity so results
-	// from different rungs can never alias: an estimate must never be
-	// served for an exact request. Empty (exact) omits the field entirely,
-	// keeping every pre-ladder exact key — and therefore every existing
-	// store object — addressable without a schema bump.
+	// Fidelity is the rung that produced the result ("estimate", "sampled";
+	// "" = cycle-exact, omitted so pre-ladder exact keys stand).
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// KeyAt returns the content address of one simulation cell: a hex SHA-256
-// of the canonical (config, workload, fault plan, fidelity rung) encoding.
-// faults is the fault-plan fingerprint from fault.Plan.Key ("" = healthy).
-// "" and "exact" address the same (legacy) exact keys; other rungs get
-// distinct addresses.
+// KeyAt returns the content address of one simulation cell: a hex SHA-256 of
+// its canonical encoding. faults is fault.Plan.Key ("" = healthy); fidelity
+// "" and "exact" address the same keys.
 func KeyAt(cfg gpu.Config, benchmark, faults, fidelity string) string {
 	return keyOf(materialAt(cfg, benchmark, faults, fidelity))
 }
@@ -126,104 +113,90 @@ func hexSum(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// rawEnvelope is the on-disk object layout. The key material is stored next
-// to the result so loads can verify the object against its address and so
-// the files are self-describing for debugging. The result payload stays raw
-// bytes: envelopeBytes embeds the canonical json.Marshal of the result
-// verbatim, so the RawMessage here is exactly the bytes Sum was computed
-// over and the content hash verifies without ever decoding the run.
+// rawEnvelope is the stored object layout: the key material, to verify the
+// object against its address, and the raw result, exactly the bytes Sum (hex
+// SHA-256, verified on every disk read) covers.
 type rawEnvelope struct {
 	Version int         `json:"version"`
 	Key     KeyMaterial `json:"key"`
-	// Sum is the hex SHA-256 of the canonical Result JSON, written at Put
-	// and verified at Get so corruption is caught rather than served.
-	Sum string `json:"sum"`
-	// Cycles mirrors Result.Cycles so raw reads can report the headline
-	// counter without parsing the payload. Absent on pre-PR10 objects
-	// (GetRaw falls back to a partial decode); not covered by Sum, so a
-	// wrong value here can mislabel a status but never corrupt a result.
+	Sum     string      `json:"sum"`
+	// Cycles mirrors Result.Cycles (omitted when zero) so raw reads need not
+	// parse the payload. Sum does not cover it.
 	Cycles int64           `json:"cycles"`
 	Result json.RawMessage `json:"result"`
 }
 
-// envelopeBytes builds one object from the already-canonical key and result
-// encodings. The layout is what encoding/json produces for rawEnvelope's
-// fields with the result inline (cycles omitted when zero), pinned byte for
-// byte by TestObjectBytesGolden against the struct encoding and a golden
-// file, so objects written before and after the splice are interchangeable.
-func envelopeBytes(keyJSON, resJSON []byte, cycles int64) []byte {
+// appendEnvelope appends one object built from the canonical key and result
+// encodings: what encoding/json produces for rawEnvelope's fields, pinned
+// byte for byte by TestObjectBytesGolden against a golden file.
+func appendEnvelope(b, keyJSON, resJSON []byte, cycles int64) []byte {
 	sum := sha256.Sum256(resJSON)
-	b := make([]byte, 0, len(keyJSON)+len(resJSON)+160)
-	b = append(b, `{"version":`...)
-	b = strconv.AppendInt(b, schemaVersion, 10)
-	b = append(b, `,"key":`...)
-	b = append(b, keyJSON...)
-	b = append(b, `,"sum":"`...)
-	b = hex.AppendEncode(b, sum[:])
-	b = append(b, '"')
+	b = strconv.AppendInt(append(b, `{"version":`...), schemaVersion, 10)
+	b = append(append(append(b, `,"key":`...), keyJSON...), `,"sum":"`...)
+	b = append(hex.AppendEncode(b, sum[:]), '"')
 	if cycles != 0 {
-		b = append(b, `,"cycles":`...)
-		b = strconv.AppendInt(b, cycles, 10)
+		b = strconv.AppendInt(append(b, `,"cycles":`...), cycles, 10)
 	}
-	b = append(b, `,"result":`...)
-	b = append(b, resJSON...)
-	return append(b, '}')
+	return append(append(append(b, `,"result":`...), resJSON...), '}')
 }
 
 // Options tune a Store.
 type Options struct {
-	// MaxBytes caps the total object bytes; the least-recently-used entries
+	// MaxBytes caps the live record bytes; the least-recently-used entries
 	// are evicted when a Put exceeds it. 0 means unbounded.
 	MaxBytes int64
-	// Registry receives the store's traffic counters —
-	// sacd_store_hits_total, sacd_store_misses_total,
-	// sacd_store_evictions_total, sacd_store_put_errors_total and
-	// sacd_store_corrupt_total — so warm-tier effectiveness, failing
-	// write-backs and a decaying disk show on /metrics. Nil keeps them in a
-	// registry of the store's own; the Go accessors read them either way.
+	// Registry receives the store's five sacd_store_*_total counters (hits,
+	// misses, evictions, put errors, corrupt records); nil keeps them in a
+	// registry of the store's own. The Go accessors read them either way.
 	Registry *obs.Registry
 }
 
-// hotBytes is the in-memory tier's budget of verified result bytes: big
-// enough to hold thousands of estimate results, small next to a
-// simulation's working set.
-const hotBytes = 64 << 20
+const (
+	// hotBytes is the in-memory tier's budget of verified result bytes:
+	// thousands of estimate results, small next to a simulation's.
+	hotBytes = 64 << 20
+	// segmentBytes is the size past which a store starts a new segment, and
+	// so the compaction grain; a capped store uses MaxBytes/8 if smaller.
+	segmentBytes = 32 << 20
+	keyLen       = 2 * sha256.Size // a record's first field, the hex key
+	packExt      = ".pack"
+)
 
-// indexEntry is the per-object record of the index.json snapshot.
-type indexEntry struct {
-	Size int64 `json:"size"`
-	Used int64 `json:"used"` // recency rank; higher = more recent
+// segment is one pack file, held open for preads. Only the active one is
+// ever appended to; every other is sealed.
+type segment struct {
+	f    *os.File
+	size int64 // bytes in the file
+	live int64 // bytes of the records the index points into it
 }
 
-// indexFile is the index.json snapshot layout.
-type indexFile struct {
-	Clock   int64                 `json:"clock"`
-	Entries map[string]indexEntry `json:"entries"`
-}
-
-// diskEntry is one indexed object; it is the Value of an element of
-// Store.lru.
+// diskEntry is where one indexed object's record lies; Store.lru holds them.
 type diskEntry struct {
-	key  string
-	size int64
+	key       string
+	seg       *segment
+	off, size int64 // the whole record: key, space, envelope, newline
 }
 
 // Store is an open result cache rooted at one directory.
 type Store struct {
-	dir string
-	max int64
+	dir    string
+	max    int64
+	segMax int64
 
-	mu    sync.Mutex
-	idx   map[string]*list.Element // key → element whose Value is *diskEntry
-	lru   *list.List               // front = most recently used
-	total int64
+	mu     sync.Mutex
+	idx    map[string]*list.Element // key → element whose Value is *diskEntry
+	lru    *list.List               // front = most recently used
+	total  int64                    // live record bytes
+	segs   []*segment
+	active *segment // nil until this life's first Put
+	// reclaiming admits one reclaim at a time; it copies without holding mu.
+	reclaiming sync.Mutex
+	nextSeq    atomic.Uint64
 
-	// Hot tier: verified result bytes kept in memory so repeat raw reads of
-	// a key cost a map lookup instead of a file read plus SHA-256. Entries
-	// are immutable once inserted (callers must treat the returned
-	// RawMessage as read-only, which every server path does — the bytes go
-	// straight to the wire). Guarded by its own mutex, taken after mu where
-	// both are held.
+	// Hot tier: verified result bytes kept in memory, so a repeat raw read
+	// costs a map lookup, not a pread plus SHA-256. Entries are immutable
+	// (callers treat a returned RawMessage as read-only). hotMu is taken
+	// after mu where both are held.
 	hotMu   sync.Mutex
 	hot     map[string]*list.Element // key → element whose Value is *hotEntry
 	hotLRU  *list.List               // front = most recently used
@@ -233,12 +206,13 @@ type Store struct {
 	hits, misses, evictions, putErrors, corrupt *obs.Metric
 }
 
-// Open opens (creating if necessary) the store rooted at dir.
+// Open opens (creating if necessary) the store rooted at dir. It creates no
+// file: the first Put creates this life's segment.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	reg := opts.Registry
@@ -246,198 +220,138 @@ func Open(dir string, opts Options) (*Store, error) {
 		reg = obs.NewRegistry()
 	}
 	s := &Store{
-		dir: dir, max: opts.MaxBytes,
+		dir: dir, max: opts.MaxBytes, segMax: segmentBytes,
+		idx: make(map[string]*list.Element), lru: list.New(),
 		hot: make(map[string]*list.Element), hotLRU: list.New(), hotMax: hotBytes,
 		hits:      reg.Counter("sacd_store_hits_total", "Store reads served from disk."),
 		misses:    reg.Counter("sacd_store_misses_total", "Store reads that found nothing usable."),
 		evictions: reg.Counter("sacd_store_evictions_total", "Objects evicted by the LRU size cap."),
 		putErrors: reg.Counter("sacd_store_put_errors_total", "Result write-backs that failed."),
-		corrupt: reg.Counter("sacd_store_corrupt_total",
-			"Store objects quarantined for failing content-hash verification."),
+		corrupt:   reg.Counter("sacd_store_corrupt_total", "Store records torn, damaged or failing verification."),
 	}
-	// Temp files a crash left between create and rename: never addressable,
-	// never counted against MaxBytes, so nothing else would ever reclaim them.
-	for _, pat := range []string{"object-*.tmp", "index-*.tmp"} {
-		orphans, _ := filepath.Glob(filepath.Join(dir, pat))
-		for _, o := range orphans {
-			os.Remove(o)
-		}
+	if s.max > 0 {
+		s.segMax = max(min(segmentBytes, s.max/8), 1)
 	}
-	if err := s.loadIndex(); err != nil {
-		// No snapshot (first open, or the last process died before Close) or
-		// an unusable one: rebuild from the objects on disk.
-		s.rebuildIndex()
+	// Snapshot temp files a crash left between create and rename.
+	orphans, _ := filepath.Glob(filepath.Join(dir, "index-*.tmp"))
+	for _, o := range orphans {
+		os.Remove(o)
 	}
+	s.scan()
+	s.loadRecency()
+	s.evictLocked() // the scan brings back records evicted but not yet reclaimed
 	return s, nil
 }
 
-// objectPath shards objects by the first byte of the hash to keep
-// directories small.
-func (s *Store) objectPath(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key+".json")
+// scan indexes every segment in sequence order, so a later record of a key
+// supersedes an earlier one and recency starts as write order. A line that is
+// not a record (a torn tail, a damaged frame) is dropped and counted.
+func (s *Store) scan() {
+	names, _ := filepath.Glob(filepath.Join(s.dir, "*"+packExt))
+	for _, name := range names { // Glob sorts, and the hex names sort by seq
+		base := filepath.Base(name)
+		seq, err := strconv.ParseUint(strings.TrimSuffix(base, packExt), 16, 64)
+		if err != nil || len(base) != 16+len(packExt) {
+			continue // not a segment this package names
+		}
+		s.nextSeq.Store(seq + 1)
+		buf, err := os.ReadFile(name)
+		if err != nil {
+			continue
+		}
+		f, err := os.Open(name)
+		if err != nil {
+			continue
+		}
+		g := &segment{f: f, size: int64(len(buf))}
+		s.segs = append(s.segs, g)
+		for off := 0; off < len(buf); {
+			nl := bytes.IndexByte(buf[off:], '\n')
+			if nl < 0 {
+				s.corrupt.Inc() // torn tail: a crash interrupted the last append
+				break
+			}
+			if line := buf[off : off+nl+1]; len(line) > keyLen+2 && line[keyLen] == ' ' {
+				s.indexLocked(string(line[:keyLen]), g, int64(off), int64(len(line)))
+			} else {
+				s.corrupt.Inc()
+			}
+			off += nl + 1
+		}
+	}
 }
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
-// loadIndex consumes the clean-shutdown snapshot: read, removed, then
-// applied, so index.json exists only between a Close and the next Open and a
-// crash can never leave a stale one behind. Any problem — including a
-// snapshot that cannot be removed — is an error so Open falls back to the
-// scan, which trusts only the objects themselves.
-func (s *Store) loadIndex() error {
+// loadRecency consumes the clean-shutdown snapshot — read, removed, laid over
+// the scan — so index.json exists only between a Close and the next Open.
+func (s *Store) loadRecency() {
+	var keys []string // least recently used first
 	b, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		return err
+	if err != nil || os.Remove(s.indexPath()) != nil || json.Unmarshal(b, &keys) != nil {
+		return
 	}
-	if err := os.Remove(s.indexPath()); err != nil {
-		return err
-	}
-	var f indexFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return err
-	}
-	recs := make([]indexRec, 0, len(f.Entries))
-	for k, e := range f.Entries {
-		recs = append(recs, indexRec{k, e.Size, e.Used})
-	}
-	s.setIndex(recs)
-	return nil
-}
-
-// rebuildIndex scans the object tree and reconstitutes sizes from the files
-// and recency from their mtimes, so a capped store still evicts roughly
-// oldest-first after a crash.
-func (s *Store) rebuildIndex() {
-	var recs []indexRec
-	root := filepath.Join(s.dir, "objects")
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
+	for _, k := range keys {
+		if el, ok := s.idx[k]; ok {
+			s.lru.MoveToFront(el)
 		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		key := strings.TrimSuffix(d.Name(), ".json")
-		if len(key) != hex.EncodedLen(sha256.Size) {
-			return nil // not an object Put wrote; objectPath could not address it
-		}
-		recs = append(recs, indexRec{key, info.Size(), info.ModTime().UnixNano()})
-		return nil
-	})
-	s.setIndex(recs)
-}
-
-// indexRec is one object as Open learns of it: from the snapshot (age = its
-// recency rank) or from the scan (age = its mtime). Larger age = more
-// recently used.
-type indexRec struct {
-	key       string
-	size, age int64
-}
-
-// setIndex replaces the in-memory index with recs, least recent first (ties
-// by key, so the order is reproducible).
-func (s *Store) setIndex(recs []indexRec) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].age != recs[j].age {
-			return recs[i].age < recs[j].age
-		}
-		return recs[i].key < recs[j].key
-	})
-	s.idx = make(map[string]*list.Element, len(recs))
-	s.lru = list.New()
-	s.total = 0
-	for _, r := range recs {
-		s.indexLocked(r.key, r.size)
 	}
 }
 
-// indexLocked records key at size as the most recently used object,
-// replacing any previous record of it.
-func (s *Store) indexLocked(key string, size int64) {
-	if el, ok := s.idx[key]; ok {
-		e := el.Value.(*diskEntry)
-		s.total -= e.size
-		e.size = size
-		s.lru.MoveToFront(el)
-	} else {
-		s.idx[key] = s.lru.PushFront(&diskEntry{key: key, size: size})
-	}
+// indexLocked records key's record at (g, off, size) as the most recently
+// used object, replacing, and so killing, any previous record of it.
+func (s *Store) indexLocked(key string, g *segment, off, size int64) {
+	s.unindexLocked(key)
+	s.idx[key] = s.lru.PushFront(&diskEntry{key: key, seg: g, off: off, size: size})
+	g.live += size
 	s.total += size
 }
 
-// unindexLocked forgets key if it is indexed.
+// unindexLocked forgets key if it is indexed; its record becomes dead.
 func (s *Store) unindexLocked(key string) {
 	if el, ok := s.idx[key]; ok {
-		s.total -= s.lru.Remove(el).(*diskEntry).size
+		e := s.lru.Remove(el).(*diskEntry)
+		e.seg.live -= e.size
+		s.total -= e.size
 		delete(s.idx, key)
 	}
 }
 
-// touch marks key most recently used.
-func (s *Store) touch(key string) {
+// touch marks key most recently used and returns where its record lies.
+func (s *Store) touch(key string) (at diskEntry, ok bool) {
 	s.mu.Lock()
-	if el, ok := s.idx[key]; ok {
+	defer s.mu.Unlock()
+	el, ok := s.idx[key]
+	if ok {
 		s.lru.MoveToFront(el)
+		at = *el.Value.(*diskEntry)
 	}
-	s.mu.Unlock()
+	return at, ok
 }
 
-// writeAtomic writes b to path through a temp file in the store root, so a
-// reader sees the old content or the new, never a torn write.
-func (s *Store) writeAtomic(pattern, path string, b []byte) error {
-	tmp, err := os.CreateTemp(s.dir, pattern)
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
-// Get returns the stored result for key, or ok=false on a miss. Corrupt or
-// mismatched objects — bad JSON, wrong schema, a key that does not address
-// the embedded material, or a result whose SHA-256 no longer matches its
-// recorded Sum — are quarantined as .corrupt files and reported as misses,
-// never deserialized into a caller's hands.
+// Get returns the stored result for key, or ok=false on a miss. A record that
+// fails a check (JSON, schema, key, Sum) is dropped, counted and missed.
 func (s *Store) Get(key string) (*stats.Run, bool) {
-	raw, _, ok := s.getRaw(key)
+	raw, _, at, ok := s.getRaw(key)
 	if !ok {
 		return nil, false
 	}
 	var run stats.Run
 	if err := json.Unmarshal(raw, &run); err != nil {
-		// Unreachable for objects Put wrote (the hash just verified over
-		// valid JSON), but a defensive quarantine beats a panic.
-		s.quarantine(key)
+		// Unreachable for records Put wrote; a quarantine beats a panic.
+		s.quarantine(at)
 		s.misses.Inc()
 		return nil, false
 	}
 	return &run, true
 }
 
-// GetRaw returns the stored result payload for key as verified raw JSON —
-// the exact canonical bytes Put wrote — plus its simulated cycle count, or
-// ok=false on a miss. The content hash is checked over the raw bytes (they
-// are, by construction, the bytes Sum was computed over), so callers may
-// serve them to the wire without a json.Unmarshal+Marshal round trip per
-// warm hit. Corruption handling matches Get: bad objects are quarantined as
-// .corrupt files and reported as misses.
+// GetRaw returns the stored result for key as verified raw JSON — the bytes
+// Put wrote — plus its simulated cycles, or ok=false on a miss, so a warm hit
+// goes to the wire without a decode. Corruption handling matches Get.
 func (s *Store) GetRaw(key string) (json.RawMessage, int64, bool) {
-	return s.getRaw(key)
+	raw, cycles, _, ok := s.getRaw(key)
+	return raw, cycles, ok
 }
 
 // hotEntry is one resident verified result.
@@ -460,38 +374,30 @@ func (s *Store) hotGet(key string) (json.RawMessage, int64, bool) {
 	return e.raw, e.cycles, true
 }
 
-// hotPut inserts (or refreshes) key's verified bytes, evicting from the LRU
-// tail past the byte budget. Oversized payloads are skipped rather than
-// allowed to flush the whole tier.
+// hotPut inserts (or refreshes) key's verified bytes, evicting past the byte
+// budget. Payloads over a quarter of it are skipped.
 func (s *Store) hotPut(key string, raw json.RawMessage, cycles int64) {
 	if int64(len(raw)) > s.hotMax/4 {
 		return
 	}
 	s.hotMu.Lock()
 	defer s.hotMu.Unlock()
-	if el, ok := s.hot[key]; ok {
-		s.hotSize -= int64(len(el.Value.(*hotEntry).raw))
-		s.hotLRU.Remove(el)
-		delete(s.hot, key)
-	}
+	s.hotDropLocked(key)
 	s.hot[key] = s.hotLRU.PushFront(&hotEntry{key: key, raw: raw, cycles: cycles})
 	s.hotSize += int64(len(raw))
 	for s.hotSize > s.hotMax {
-		tail := s.hotLRU.Back()
-		if tail == nil {
-			break
-		}
-		e := tail.Value.(*hotEntry)
-		s.hotLRU.Remove(tail)
-		delete(s.hot, e.key)
-		s.hotSize -= int64(len(e.raw))
+		s.hotDropLocked(s.hotLRU.Back().Value.(*hotEntry).key)
 	}
 }
 
-// hotDrop forgets key's resident bytes (quarantine, disk eviction).
+// hotDrop forgets key's resident bytes (quarantine, replacement, eviction).
 func (s *Store) hotDrop(key string) {
 	s.hotMu.Lock()
 	defer s.hotMu.Unlock()
+	s.hotDropLocked(key)
+}
+
+func (s *Store) hotDropLocked(key string) {
 	if el, ok := s.hot[key]; ok {
 		s.hotSize -= int64(len(el.Value.(*hotEntry).raw))
 		s.hotLRU.Remove(el)
@@ -509,55 +415,44 @@ func (s *Store) HotLen() int {
 	return len(s.hot)
 }
 
-// getRaw is the shared verified read beneath Get and GetRaw.
-func (s *Store) getRaw(key string) (json.RawMessage, int64, bool) {
+// getRaw is the shared verified read beneath Get and GetRaw; at is where the
+// bytes' record lay when they were read.
+func (s *Store) getRaw(key string) (raw json.RawMessage, cycles int64, at diskEntry, ok bool) {
 	if s == nil {
-		return nil, 0, false
+		return nil, 0, at, false
 	}
 	if raw, cycles, ok := s.hotGet(key); ok {
-		s.touch(key)
+		at, _ = s.touch(key)
 		s.hits.Inc()
-		return raw, cycles, true
+		return raw, cycles, at, true
 	}
-	path := s.objectPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		s.misses.Inc()
-		return nil, 0, false
+	for try := 0; try < 2; try++ {
+		if at, ok = s.touch(key); !ok {
+			break
+		}
+		b := make([]byte, at.size)
+		_, err := at.seg.f.ReadAt(b, at.off)
+		if errors.Is(err, os.ErrClosed) {
+			continue // a compaction moved the record: read it where it went
+		}
+		var env rawEnvelope
+		if err == nil && json.Unmarshal(b[keyLen+1:len(b)-1], &env) == nil &&
+			env.Version == schemaVersion && len(env.Result) > 0 &&
+			string(env.Result) != "null" && keyOf(env.Key) == key &&
+			hexSum(env.Result) == env.Sum {
+			s.hotPut(key, env.Result, env.Cycles)
+			s.hits.Inc()
+			return env.Result, env.Cycles, at, true
+		}
+		s.quarantine(at)
+		break
 	}
-	var env rawEnvelope
-	if err := json.Unmarshal(b, &env); err != nil ||
-		env.Version != schemaVersion || len(env.Result) == 0 ||
-		string(env.Result) == "null" || keyOf(env.Key) != key {
-		s.quarantine(key)
-		s.misses.Inc()
-		return nil, 0, false
-	}
-	if hexSum(env.Result) != env.Sum {
-		// The payload parsed but its content hash does not check out:
-		// bit rot or tampering that would otherwise be served as a
-		// plausible-looking result.
-		s.quarantine(key)
-		s.misses.Inc()
-		return nil, 0, false
-	}
-	if env.Cycles == 0 {
-		// Pre-PR10 object without the mirrored counter: one partial decode
-		// (no kernel records or counter tree allocated) recovers it.
-		var c struct{ Cycles int64 }
-		_ = json.Unmarshal(env.Result, &c)
-		env.Cycles = c.Cycles
-	}
-	s.touch(key)
-	s.hotPut(key, env.Result, env.Cycles)
-	s.hits.Inc()
-	return env.Result, env.Cycles, true
+	s.misses.Inc()
+	return nil, 0, at, false
 }
 
-// Put stores res under key (as derived by KeyAt from the same cell identity).
-// The write is atomic; an existing entry is replaced. Exceeding the size
-// cap evicts least-recently-used entries. The cost does not depend on how
-// many objects the store holds.
+// Put stores res under key (KeyAt of the same cell), replacing any existing
+// entry and evicting past the size cap.
 func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
 	if s == nil {
 		return nil
@@ -569,8 +464,7 @@ func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
 	return s.put(key, keyJSON, res)
 }
 
-// PutRunAt derives the key from the cell identity, as KeyAt does, and
-// stores res under it.
+// PutRunAt stores res under KeyAt(cfg, benchmark, faults, fidelity).
 func (s *Store) PutRunAt(cfg gpu.Config, benchmark, faults, fidelity string, res *stats.Run) error {
 	if s == nil {
 		return nil
@@ -579,7 +473,7 @@ func (s *Store) PutRunAt(cfg gpu.Config, benchmark, faults, fidelity string, res
 	return s.put(key, keyJSON, res)
 }
 
-// put commits res under key, whose canonical material encoding is keyJSON.
+// put appends res's record under key, whose material encodes as keyJSON.
 func (s *Store) put(key string, keyJSON []byte, res *stats.Run) error {
 	if res == nil {
 		return s.putFailed(fmt.Errorf("nil result"))
@@ -588,78 +482,187 @@ func (s *Store) put(key string, keyJSON []byte, res *stats.Run) error {
 	if err != nil {
 		return s.putFailed(err)
 	}
-	b := envelopeBytes(keyJSON, resJSON, res.Cycles)
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return s.putFailed(err)
-	}
-	if err := s.writeAtomic("object-*.tmp", path, b); err != nil {
-		return s.putFailed(err)
-	}
+	rec := make([]byte, 0, keyLen+len(keyJSON)+len(resJSON)+160)
+	rec = append(append(rec, key...), ' ')
+	rec = append(appendEnvelope(rec, keyJSON, resJSON, res.Cycles), '\n')
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.idx[key]; ok {
-		// Drop any resident bytes for the replaced object; the next raw read
-		// re-verifies from disk and repopulates.
-		s.hotDrop(key)
+	g, off, err := s.appendLocked(rec)
+	if err == nil {
+		s.hotDrop(key) // the next raw read verifies the new record from disk
+		s.indexLocked(key, g, off, int64(len(rec)))
+		s.evictLocked()
 	}
-	s.indexLocked(key, int64(len(b)))
-	s.evictLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return s.putFailed(err)
+	}
+	s.reclaim()
 	return nil
 }
 
-// putFailed counts one failed write-back and returns err in the package's
-// error form.
+// appendLocked writes rec to the active segment, first starting a new one if
+// rec would take it past segMax. A failed write seals it: rec is a tail.
+func (s *Store) appendLocked(rec []byte) (g *segment, off int64, err error) {
+	if g = s.active; g != nil && g.size > 0 && g.size+int64(len(rec)) > s.segMax {
+		s.active = nil
+	}
+	if s.active == nil {
+		if g, err = s.create(); err != nil {
+			return nil, 0, err
+		}
+		s.active = g
+		s.segs = append(s.segs, g)
+	}
+	g, off = s.active, s.active.size
+	n, err := g.f.WriteAt(rec, off)
+	g.size += int64(n)
+	if err != nil {
+		s.active = nil
+		return nil, 0, err
+	}
+	return g, off, nil
+}
+
+// create makes the next segment file. Exclusive creation keeps two processes
+// out of each other's segments: a name another process took is skipped.
+func (s *Store) create() (*segment, error) {
+	for {
+		name := filepath.Join(s.dir, fmt.Sprintf("%016x%s", s.nextSeq.Add(1)-1, packExt))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err == nil {
+			return &segment{f: f}, nil
+		} else if !errors.Is(err, fs.ErrExist) {
+			return nil, err
+		}
+	}
+}
+
+// putFailed counts one failed write-back and wraps err.
 func (s *Store) putFailed(err error) error {
 	s.putErrors.Inc()
 	return fmt.Errorf("store: %w", err)
 }
 
-// evictLocked removes entries from the least-recently-used end until under
-// the cap.
+// evictLocked kills records from the LRU end until the live bytes fit the cap.
 func (s *Store) evictLocked() {
 	for tail := s.lru.Back(); tail != nil && s.max > 0 && s.total > s.max; tail = s.lru.Back() {
 		key := tail.Value.(*diskEntry).key
-		os.Remove(s.objectPath(key))
 		s.unindexLocked(key)
 		s.hotDrop(key)
 		s.evictions.Inc()
 	}
 }
 
-// quarantine sidelines one corrupt object: renamed to <object>.corrupt so
-// the evidence survives for forensics (rebuildIndex and Get both ignore
-// the suffix), dropped from the index so the slot heals, and counted.
-func (s *Store) quarantine(key string) {
-	s.hotDrop(key)
-	path := s.objectPath(key)
-	if err := os.Rename(path, path+".corrupt"); err != nil {
-		// Rename failed (exotic filesystem, permissions): fall back to
-		// removal — a corrupt object must never stay addressable.
-		os.Remove(path)
+// reclaim deletes sealed segments with no live record and, while sealed
+// segments hold more dead than live bytes, compacts the sparsest. A failed
+// pass waits for the next Put.
+func (s *Store) reclaim() {
+	s.reclaiming.Lock()
+	defer s.reclaiming.Unlock()
+	for {
+		var dead int64
+		var g *segment
+		var moving []diskEntry // g's live records, least recently used first
+		s.mu.Lock()
+		for _, h := range s.segs {
+			if h != s.active {
+				dead += h.size - h.live
+				if g == nil || h.live*g.size < g.live*h.size {
+					g = h
+				}
+			}
+		}
+		more := g != nil && (g.live == 0 || dead > s.total)
+		for el := s.lru.Back(); more && el != nil; el = el.Prev() {
+			if e := el.Value.(*diskEntry); e.seg == g {
+				moving = append(moving, *e)
+			}
+		}
+		s.mu.Unlock()
+		if !more || s.compact(g, moving) != nil {
+			return
+		}
+	}
+}
+
+// compact copies the records moving from g to a new sealed segment, holding
+// mu only to point the index at the copies of those still live, and deletes
+// g. A record g cannot yield is quarantined, so it never stalls reclaiming.
+func (s *Store) compact(g *segment, moving []diskEntry) error {
+	var buf []byte
+	offs := make([]int64, len(moving)) // where each record's copy lies in buf
+	for i, e := range moving {
+		offs[i] = int64(len(buf))
+		buf = append(buf, make([]byte, e.size)...)
+		if _, err := g.f.ReadAt(buf[offs[i]:], e.off); err != nil {
+			buf = buf[:offs[i]]
+			s.quarantine(e)
+		}
+	}
+	var to *segment
+	if len(buf) > 0 {
+		var err error
+		if to, err = s.create(); err != nil {
+			return err
+		}
+		if _, err = to.f.WriteAt(buf, 0); err != nil {
+			to.f.Close()
+			os.Remove(to.f.Name())
+			return err
+		}
+		to.size = int64(len(buf))
 	}
 	s.mu.Lock()
-	s.unindexLocked(key)
+	if to != nil {
+		s.segs = append(s.segs, to)
+	}
+	for i, m := range moving {
+		if e := s.entryAtLocked(m); e != nil { // not evicted, replaced or dropped meanwhile
+			e.seg, e.off = to, offs[i]
+			g.live -= e.size
+			to.live += e.size
+		}
+	}
+	s.segs = slices.DeleteFunc(s.segs, func(h *segment) bool { return h == g })
+	s.mu.Unlock()
+	g.f.Close() // a reader still holding g's location retries at the copy's
+	os.Remove(g.f.Name())
+	return nil
+}
+
+// entryAtLocked returns at.key's index entry if it still points at at.
+func (s *Store) entryAtLocked(at diskEntry) *diskEntry {
+	if el, ok := s.idx[at.key]; ok {
+		if e := el.Value.(*diskEntry); e.seg == at.seg && e.off == at.off {
+			return e
+		}
+	}
+	return nil
+}
+
+// quarantine counts the record at, which failed a read or a check, and drops
+// it if the index still points at it: a record a concurrent Put has just
+// written for the key stays.
+func (s *Store) quarantine(at diskEntry) {
+	s.mu.Lock()
+	if s.entryAtLocked(at) != nil {
+		s.unindexLocked(at.key)
+		s.hotDrop(at.key)
+	}
 	s.mu.Unlock()
 	s.corrupt.Inc()
 }
 
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.idx)
 }
 
-// SizeBytes returns the total object bytes currently indexed.
+// SizeBytes returns the live record bytes currently indexed.
 func (s *Store) SizeBytes() int64 {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
@@ -672,54 +675,51 @@ func (s *Store) Hits() int64 { return int64(s.hits.Value()) }
 func (s *Store) Misses() int64 { return int64(s.misses.Value()) }
 
 // Evictions returns the number of objects evicted by the LRU cap since Open.
-func (s *Store) Evictions() int64 {
-	if s == nil {
-		return 0
-	}
-	return int64(s.evictions.Value())
-}
+func (s *Store) Evictions() int64 { return int64(s.evictions.Value()) }
 
 // PutErrors returns the number of failed Put calls since Open.
-func (s *Store) PutErrors() int64 {
-	if s == nil {
-		return 0
-	}
-	return int64(s.putErrors.Value())
-}
+func (s *Store) PutErrors() int64 { return int64(s.putErrors.Value()) }
 
-// Corrupt returns the number of objects quarantined by Get since Open.
-func (s *Store) Corrupt() int64 {
-	if s == nil {
-		return 0
-	}
-	return int64(s.corrupt.Value())
-}
+// Corrupt returns the number of torn, damaged or unverifiable records since Open.
+func (s *Store) Corrupt() int64 { return int64(s.corrupt.Value()) }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close writes the index snapshot the next Open starts warm from: every
-// size, and recency as a rank (1 = least recently used). Without it — a
-// failed write, or a process that never reaches Close — the next Open scans
-// the object directory instead. The store must not be used after Close.
+// Close closes the segments and writes the recency snapshot (every key, least
+// recently used first) the next Open lays over its scan. Do not use the store
+// after Close.
 func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.reclaiming.Lock()
+	defer s.reclaiming.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := indexFile{Entries: make(map[string]indexEntry, len(s.idx))}
+	var err error
+	for _, g := range s.segs {
+		err = errors.Join(err, g.f.Close())
+	}
+	keys := make([]string, 0, len(s.idx))
 	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*diskEntry)
-		f.Clock++
-		f.Entries[e.key] = indexEntry{Size: e.size, Used: f.Clock}
+		keys = append(keys, el.Value.(*diskEntry).key)
 	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("store: index snapshot: %w", err)
+	b, _ := json.Marshal(keys) // a []string always encodes
+	// Through a temp file, so the next Open reads a whole snapshot or none.
+	tmp, terr := os.CreateTemp(s.dir, "index-*.tmp")
+	if terr == nil {
+		_, terr = tmp.Write(b)
+		terr = errors.Join(terr, tmp.Close())
+		if terr == nil {
+			terr = os.Rename(tmp.Name(), s.indexPath())
+		}
+		if terr != nil {
+			os.Remove(tmp.Name())
+		}
 	}
-	if err := s.writeAtomic("index-*.tmp", s.indexPath(), b); err != nil {
-		return fmt.Errorf("store: index snapshot: %w", err)
+	if err = errors.Join(err, terr); err != nil {
+		return fmt.Errorf("store: close: %w", err)
 	}
 	return nil
 }

@@ -172,19 +172,10 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the object to simulate disk corruption.
-	path := s.objectPath(key)
-	if err := os.WriteFile(path, []byte(`{"version":1,"key":{`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Break the record's JSON on disk to simulate corruption.
+	tamper(t, s, key, `"result":`, `"result"!`)
 	if _, ok := s.Get(key); ok {
 		t.Fatal("corrupt object served as a hit")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt object still addressable")
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("corrupt object not quarantined for forensics: %v", err)
 	}
 	if got := reg.Counter("sacd_store_corrupt_total", "").Value(); s.Corrupt() != 1 || got != 1 {
 		t.Fatalf("corruption accounting: Corrupt=%d sacd_store_corrupt_total=%v", s.Corrupt(), got)
@@ -192,8 +183,8 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("index still holds %d entries after healing", s.Len())
 	}
-	// The slot is writable again, and the quarantined sibling is invisible
-	// to a reopened store's index rebuild.
+	// The key is writable again, and a reopened store's scan serves the
+	// healed record, not the corrupt one before it.
 	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +197,8 @@ func TestCorruptObjectQuarantinedAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("rebuilt index counts %d entries, want 1 (quarantine file leaked in)", s2.Len())
+	if _, ok := s2.Get(key); s2.Len() != 1 || !ok || s2.Corrupt() != 0 {
+		t.Fatalf("rebuilt index: Len=%d hit=%v Corrupt=%d, want 1/true/0", s2.Len(), ok, s2.Corrupt())
 	}
 }
 
@@ -224,26 +215,12 @@ func TestContentHashMismatchQuarantined(t *testing.T) {
 	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
-	path := s.objectPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(b), `"Cycles":7`, `"Cycles":8`, 1)
-	if tampered == string(b) {
-		t.Fatal("test setup: cycles field not found in object JSON")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tamper(t, s, key, `"Cycles":7`, `"Cycles":8`)
 	if _, ok := s.Get(key); ok {
 		t.Fatal("tampered result served as a hit")
 	}
-	if s.Corrupt() != 1 {
-		t.Fatalf("Corrupt=%d after tampered Get, want 1", s.Corrupt())
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("tampered object not quarantined: %v", err)
+	if s.Corrupt() != 1 || s.Len() != 0 {
+		t.Fatalf("Corrupt=%d Len=%d after tampered Get, want 1/0", s.Corrupt(), s.Len())
 	}
 }
 
@@ -257,20 +234,16 @@ func TestMismatchedObjectRejected(t *testing.T) {
 	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
-	// Copy the BP object onto the RN address: content no longer matches it.
+	// File the BP object under the RN address: content no longer matches it.
 	rnKey := KeyAt(cfg, "RN", "", "")
-	b, err := os.ReadFile(s.objectPath(KeyAt(cfg, "BP", "", "")))
+	env := envelopeOf(t, s, KeyAt(cfg, "BP", "", ""))
+	plantSegment(t, dir, append(append([]byte(rnKey+" "), env...), '\n'))
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Dir(s.objectPath(rnKey)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.objectPath(rnKey), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(rnKey); ok {
-		t.Fatal("object served under an address it does not hash to")
+	if _, ok := s2.Get(rnKey); ok || s2.Corrupt() != 1 {
+		t.Fatalf("object under an address it does not hash to: hit=%v Corrupt=%d", ok, s2.Corrupt())
 	}
 }
 
@@ -303,16 +276,7 @@ func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
 	// Size one object to derive a cap that holds exactly two.
-	probe, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
-		t.Fatal(err)
-	}
-	objSize := probe.SizeBytes()
-	probe.quarantine(KeyAt(cfg, "BP", "", ""))
-
+	objSize := recordSize(t)
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2})
 	if err != nil {
 		t.Fatal(err)
@@ -339,16 +303,7 @@ func TestLRUEviction(t *testing.T) {
 func TestGetBumpsRecency(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
-	probe, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
-		t.Fatal(err)
-	}
-	objSize := probe.SizeBytes()
-	probe.quarantine(KeyAt(cfg, "BP", "", ""))
-
+	objSize := recordSize(t)
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2})
 	if err != nil {
 		t.Fatal(err)
@@ -424,26 +379,34 @@ func TestJSONIdentityAfterRoundTrip(t *testing.T) {
 // wired at Open, hits, misses, evictions, and failed Puts move the exported
 // counters in lockstep with the Go accessors.
 func TestObsCountersExported(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store")
 	cfg := testConfig()
-	// Derive the single-object size so the capped store below holds two.
-	probe, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := probe.PutRunAt(cfg, "BP", "", "", testRun("BP", 1)); err != nil {
-		t.Fatal(err)
-	}
-	objSize := probe.SizeBytes()
-	probe.quarantine(KeyAt(cfg, "BP", "", ""))
-
+	objSize := recordSize(t) // the capped store below holds two
 	reg := obs.NewRegistry()
 	s, err := Open(dir, Options{MaxBytes: objSize*2 + objSize/2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(KeyAt(cfg, "BP", "", "")); ok {
-		t.Fatal("quarantined entry came back")
+	// A plain file where the store directory belongs blocks the segment the
+	// first Put creates (even for root): the write-back must come back as an
+	// error and be counted. With the directory back, Puts succeed again.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRunAt(cfg, "CFD", "", "", testRun("CFD", 1)); err == nil {
+		t.Fatal("Put into a blocked segment reported success")
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(KeyAt(cfg, "CFD", "", "")); ok {
+		t.Fatal("failed write-back came back")
 	}
 	for _, b := range []string{"BP", "RN", "SN"} {
 		if err := s.PutRunAt(cfg, b, "", "", testRun(b, 1)); err != nil {
@@ -452,15 +415,6 @@ func TestObsCountersExported(t *testing.T) {
 	}
 	if _, ok := s.Get(KeyAt(cfg, "SN", "", "")); !ok {
 		t.Fatal("fresh entry missed")
-	}
-	// A plain file where the shard directory belongs makes the write-back
-	// fail (even for root): it must come back as an error and be counted.
-	blocked := KeyAt(cfg, "CFD", "", "")
-	if err := os.WriteFile(filepath.Join(dir, "objects", blocked[:2]), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutRunAt(cfg, "CFD", "", "", testRun("CFD", 1)); err == nil {
-		t.Fatal("Put into an unwritable shard reported success")
 	}
 
 	want := map[string]int64{
@@ -488,7 +442,7 @@ func TestObsCountersExported(t *testing.T) {
 // TestGetRawZeroCopyBytes pins the zero-copy invariant GetRaw serves under:
 // the raw bytes a hit returns are exactly json.Marshal of the stored result
 // (what Put embedded), so servers can relay them without a decode/re-encode
-// round trip — and the legacy cycles sidecar decodes without touching them.
+// round trip — and the cycles sidecar comes without touching them.
 func TestGetRawZeroCopyBytes(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -532,26 +486,12 @@ func TestGetRawVerifiesContentHash(t *testing.T) {
 	if err := s.PutRunAt(cfg, "BP", "", "", testRun("BP", 7)); err != nil {
 		t.Fatal(err)
 	}
-	path := s.objectPath(key)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(string(b), `"Cycles":7`, `"Cycles":8`, 1)
-	if tampered == string(b) {
-		t.Fatal("test setup: cycles field not found in object JSON")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tamper(t, s, key, `"Cycles":7`, `"Cycles":8`)
 	if _, _, ok := s.GetRaw(key); ok {
 		t.Fatal("tampered object served raw")
 	}
-	if s.Corrupt() != 1 {
-		t.Fatalf("Corrupt=%d after tampered GetRaw, want 1", s.Corrupt())
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("tampered object not quarantined: %v", err)
+	if s.Corrupt() != 1 || s.Len() != 0 {
+		t.Fatalf("Corrupt=%d Len=%d after tampered GetRaw, want 1/0", s.Corrupt(), s.Len())
 	}
 }
 
@@ -566,7 +506,7 @@ func TestGetRawNilStore(t *testing.T) {
 
 // TestHotTierServesRepeatReads checks the in-memory tier: the first raw read
 // verifies from disk and goes resident, and repeat reads are served from
-// memory (observable: they survive the file vanishing underneath).
+// memory (observable: they survive the segment being emptied underneath).
 func TestHotTierServesRepeatReads(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -588,12 +528,12 @@ func TestHotTierServesRepeatReads(t *testing.T) {
 	if s.HotLen() != 1 {
 		t.Fatalf("hot tier holds %d entries after a verified read, want 1", s.HotLen())
 	}
-	if err := os.Remove(s.objectPath(key)); err != nil {
+	if err := os.Truncate(locate(t, s, key).seg.f.Name(), 0); err != nil {
 		t.Fatal(err)
 	}
 	second, cycles, ok := s.GetRaw(key)
 	if !ok {
-		t.Fatal("hot read missed after file removal")
+		t.Fatal("hot read missed after the segment was emptied")
 	}
 	if !bytes.Equal(first, second) || cycles != want.Cycles {
 		t.Fatal("hot read returned different bytes than the disk read")
@@ -641,7 +581,7 @@ func TestHotTierDroppedOnQuarantine(t *testing.T) {
 	if _, _, ok := s.GetRaw(key); !ok {
 		t.Fatal("read missed")
 	}
-	s.quarantine(key)
+	s.quarantine(locate(t, s, key))
 	if s.HotLen() != 0 {
 		t.Fatalf("hot tier still holds %d entries after quarantine", s.HotLen())
 	}

@@ -303,15 +303,18 @@ func NewRunner() *Runner { return eval.NewRunner() }
 
 // ResultCache is a persistent content-addressed result store: each
 // simulation's statistics are filed under a hash of (configuration,
-// benchmark, fault plan), so identical cells are simulated once across
-// processes and machine reboots. Attach one to Runner.Store, point
+// benchmark, fault plan, fidelity), so a cell one process simulated is a hit
+// for every process that opens the cache later, across machine reboots.
+// Results are appended to pack segments in the cache directory and verified
+// on every read; a crash can tear only the last one written. Attach one to Runner.Store, point
 // `sacsweep -cache-dir` at it, or serve it with the sacd daemon — all
 // three share the same on-disk format and key derivation.
 type ResultCache = store.Store
 
 // OpenResultCache opens (or creates) a result cache rooted at dir.
-// maxBytes > 0 bounds the cache: least-recently-used entries are evicted
-// past the limit; 0 means unbounded.
+// maxBytes > 0 bounds the live result bytes, evicting least recently used
+// entries past it; the directory then stays under about twice maxBytes plus
+// one segment. 0 means unbounded.
 func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 	return store.Open(dir, store.Options{MaxBytes: maxBytes})
 }
