@@ -66,11 +66,11 @@ fidelitysmoke:
 		./internal/backend ./internal/workload ./internal/core
 	$(GO) test -count=1 -run TestSweepGolden ./cmd/sacsweep
 
-# clustersmoke is the fleet shortcut: the ring property tests (placement balance
-# within bound, minimal key movement on join/leave), the in-process
-# coordinator + two real workers with one induced worker kill (zero lost
-# cells), and the real-binary fleet e2e (saccoord + 2 sacd + sacsweep
-# -remote byte-identity, SIGKILL steal, fleet-wide exactly-once).
+# clustersmoke is the fleet shortcut: ring properties (balance, minimal key
+# movement), an in-process coordinator + two workers (a worker kill loses no
+# cell; a remote RunAll is byte-identical to in-process runs), and the
+# real-binary fleet e2e (saccoord + 2 sacd + sacsweep -remote byte-identity,
+# SIGKILL steal, fleet-wide exactly-once).
 clustersmoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord

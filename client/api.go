@@ -8,9 +8,8 @@
 // backpressure, 5xx — with capped exponential backoff, propagates contexts
 // into every request, and exposes the raw job lifecycle (Submit/Status/
 // Result), the batch surface (SubmitBatch/Watch/WaitAll, whose terminal
-// statuses carry their results), a blocking convenience (Run) that submits,
-// waits on the daemon's long-poll, and fetches in one call, and Batcher,
-// which coalesces concurrent Runs into batches.
+// statuses carry their results, decoded by JobStatus.Outcome), and a blocking
+// convenience (Run) that submits and parks on the daemon's long-poll.
 package client
 
 import (

@@ -416,20 +416,38 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Run submits a job, waits for it, and returns the result — the remote
-// equivalent of sac.Run for one cell.
+// equivalent of sac.Run for one cell. The watched status carries the result,
+// so Run costs a submit and a wait, never a /result fetch.
 func (c *Client) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
 	st, err := c.Submit(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	st, err = c.Wait(ctx, st.ID)
-	if err != nil {
+	if st, err = c.Wait(ctx, st.ID); err != nil {
 		return nil, err
 	}
-	if st.State == StateFailed {
-		return nil, fmt.Errorf("sacd: job %s failed: %s", st.ID, st.Error)
+	return st.Outcome()
+}
+
+// Outcome decodes a terminal status into its result. Batch and watch carry a
+// done job's result, so a done status without one is an error, not a reason
+// for another round trip; any other state is an error that names it.
+func (s JobStatus) Outcome() (*stats.Run, error) {
+	switch s.State {
+	case StateDone:
+		if len(s.Result) == 0 {
+			return nil, fmt.Errorf("sacd: job %s done without its result", s.ID)
+		}
+		var run stats.Run
+		if err := json.Unmarshal(s.Result, &run); err != nil {
+			return nil, fmt.Errorf("sacd: job %s result: %w", s.ID, err)
+		}
+		return &run, nil
+	case StateFailed:
+		return nil, fmt.Errorf("sacd: job %s failed: %s", s.ID, s.Error)
+	default:
+		return nil, fmt.Errorf("sacd: job %s %s: %s", s.ID, s.State, s.Error)
 	}
-	return c.Result(ctx, st.ID)
 }
 
 // Health fetches the daemon's health summary.

@@ -335,63 +335,48 @@ func TestWaitPermanentStatusErrorFails(t *testing.T) {
 	}
 }
 
-// TestBatcherSurvivesBackpressuredWatch pins for Batcher the contract
-// TestWaitSurvivesBackpressuredStatusPoll pins for WaitAll (both call
-// rearm): the batch is accepted, the first watch is shed with 503 and a
-// Retry-After, and the group re-arms after that floor instead of failing
-// every member.
-func TestBatcherSurvivesBackpressuredWatch(t *testing.T) {
-	var watches atomic.Int64
-	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			json.NewEncoder(w).Encode(BatchResponse{Jobs: []BatchItem{{Status: &JobStatus{ID: "j1", State: StateQueued}}}})
-			return
-		}
-		if watches.Add(1) == 1 {
-			w.Header().Set("Retry-After", "0.3")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(map[string]string{"error": "draining"})
-			return
-		}
-		json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{{
-			ID: "j1", State: StateDone, Result: json.RawMessage(`{"Cycles":7}`)}}})
-	})
-	WithRetries(0)(c) // every watch is one HTTP request: the pacing is the Batcher's own
-
-	t0 := time.Now()
-	res, err := NewBatcher(c).Run(context.Background(), JobRequest{Benchmark: "BP"})
-	if err != nil {
-		t.Fatalf("backpressured watch failed the group: %v", err)
-	}
-	if res.Cycles != 7 {
-		t.Fatalf("cycles %d, want 7", res.Cycles)
-	}
-	if watches.Load() != 2 {
-		t.Fatalf("%d watch calls, want 2 (503 then done)", watches.Load())
-	}
-	if elapsed := time.Since(t0); elapsed < 250*time.Millisecond {
-		t.Fatalf("group re-armed after %v; Retry-After of 0.3s must floor the pause", elapsed)
-	}
-}
-
-// TestBatcherDoneWithoutResultFails: batch and watch responses carry a done
-// job's result, so a done status without one fails that cell instead of
-// costing a /result round trip.
-func TestBatcherDoneWithoutResultFails(t *testing.T) {
-	var fetches atomic.Int64
-	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			fetches.Add(1)
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(BatchResponse{Jobs: []BatchItem{{Status: &JobStatus{ID: "j1", State: StateDone}}}})
-	})
-	_, err := NewBatcher(c).Run(context.Background(), JobRequest{Benchmark: "BP"})
-	if err == nil || !strings.Contains(err.Error(), "without its result") {
-		t.Fatalf("err %v, want a done-without-result error", err)
-	}
-	if fetches.Load() != 0 {
-		t.Fatalf("%d follow-up requests, want none", fetches.Load())
+// TestClientRun drives Run against a daemon whose watch answers each
+// terminal state: the watched status settles the cell by itself, so no case
+// fetches /result, and every state but done-with-result is an error that
+// says which.
+func TestClientRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		final   JobStatus
+		cycles  int64
+		wantErr string
+	}{
+		{"done", JobStatus{State: StateDone, Result: json.RawMessage(`{"Cycles":7}`)}, 7, ""},
+		{"failed", JobStatus{State: StateFailed, Error: "boom"}, 0, "failed: boom"},
+		{"expired", JobStatus{State: StateExpired, Error: "deadline passed"}, 0, "expired: deadline passed"},
+		{"done without result", JobStatus{State: StateDone}, 0, "without its result"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fetches atomic.Int64
+			c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+					json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
+				case r.URL.Path == "/v1/jobs:watch":
+					st := tc.final
+					st.ID = "j1"
+					json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{st}})
+				default:
+					fetches.Add(1)
+					w.WriteHeader(http.StatusNotFound)
+				}
+			})
+			res, err := c.Run(context.Background(), JobRequest{Benchmark: "BP"})
+			if tc.wantErr == "" {
+				if err != nil || res.Cycles != tc.cycles {
+					t.Fatalf("got %+v, %v; want cycles %d", res, err, tc.cycles)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err %v, want one containing %q", err, tc.wantErr)
+			}
+			if fetches.Load() != 0 {
+				t.Fatalf("%d requests beyond submit and watch, want none", fetches.Load())
+			}
+		})
 	}
 }

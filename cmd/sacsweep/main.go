@@ -24,13 +24,10 @@ import (
 
 	sac "repro"
 	"repro/client"
-	"repro/internal/backend"
 	"repro/internal/fault"
-	"repro/internal/gpu"
 	"repro/internal/noccost"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -46,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		exp         = fs.String("exp", "fig8", "experiment id (or comma list; 'all' for everything)")
 		set         = fs.String("set", "all", "benchmark set: all | fast | comma-separated names")
-		parallel    = fs.Int("parallel", 0, "max simulations in flight (0 = all cores, 1 = serial)")
+		parallel    = fs.Int("parallel", 0, "max local simulations in flight (0 = all cores, 1 = serial)")
 		fidelity    = fs.String("fidelity", "", "simulation fidelity for every cell: estimate | sampled | exact (default exact)")
 		jsonOut     = fs.Bool("json", false, "emit results as JSON instead of tables")
 		faults      = fs.String("faults", "", "fault plan in the DSL, injected into every simulation")
@@ -57,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofOn     = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
 		progress    = fs.Bool("progress", false, "print one line per completed sweep cell to stderr")
 		cacheDir    = fs.String("cache-dir", "", "persistent result cache directory (shared with sacd); warm entries skip simulation")
-		remote      = fs.String("remote", "", "execute every cell through the saccoord coordinator (or single sacd) at this base URL instead of simulating in-process")
+		remote      = fs.String("remote", "", "send cells missing from the cache to the saccoord coordinator (or single sacd) at this base URL, in batches of 64, instead of simulating in-process")
 		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the live bytes of cached results, evicting least recently used; the directory stays under about twice this plus one segment (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,13 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sacsweep: serving metrics at http://%s/metrics\n", ms.Addr())
 	}
 	if *remote != "" {
-		r.Simulate = remoteExecutor(ctx, *remote)
-		if *parallel == 0 {
-			// Remote cells burn no local CPU, so the cores-bound default
-			// starves batching; results are bit-identical at any parallelism,
-			// and wide concurrency is what fills each batch window.
-			r.Parallelism = 64
-		}
+		r.Remote = client.New(*remote)
 		fmt.Fprintf(stderr, "sacsweep: executing cells remotely via %s\n", *remote)
 	}
 	if *cacheDir != "" {
@@ -268,36 +259,3 @@ func runExperiment(w io.Writer, r *sac.Runner, id string, jsonOut bool) error {
 
 // printer is the common surface of every experiment result.
 type printer interface{ Print(w io.Writer) }
-
-// remoteExecutor plugs a fleet into the Runner: each cell becomes one job
-// against a saccoord coordinator (or a single sacd daemon — the APIs are
-// identical), shipped with its full explicit config so the remote cache key
-// equals the local one and results come back byte-identical to an
-// in-process sweep. Concurrent cells coalesce through a client.Batcher into
-// jobs:batch submissions collected by one shared jobs:watch long-poll, so a
-// sweep's protocol cost is per batch, not per cell. Cells the remote cannot
-// name (ScaleInput variants exist only in this process's catalog) quietly
-// run locally — a sweep is never partial because one experiment synthesizes
-// workloads.
-func remoteExecutor(ctx context.Context, base string) func(gpu.Config, sac.Spec, gpu.RunOpts) (*sac.Stats, error) {
-	b := client.NewBatcher(client.New(base))
-	return func(cfg gpu.Config, spec sac.Spec, o gpu.RunOpts) (*sac.Stats, error) {
-		if _, err := workload.ByName(spec.Name); err != nil {
-			return backend.Run(cfg, spec, o)
-		}
-		req := client.JobRequest{
-			Benchmark: spec.Name,
-			Org:       cfg.Org.String(),
-			Config:    &cfg,
-			Fidelity:  o.Fidelity,
-		}
-		if !o.Faults.Empty() {
-			req.Faults = o.Faults.String()
-		}
-		cctx := o.Ctx
-		if cctx == nil {
-			cctx = ctx
-		}
-		return b.Run(cctx, req)
-	}
-}

@@ -2,16 +2,23 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"hash"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/server"
 )
 
 // goldenPath pins, per sweep, one sha256 per experiment of its -json output.
@@ -57,9 +64,31 @@ func digests(t *testing.T, out string) map[string]string {
 	return sums
 }
 
+// daemon starts an in-process sacd and returns its URL and a count of the
+// requests it has served.
+func daemon(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
+	s := server.New(server.Config{})
+	s.Start()
+	api := s.Handler()
+	var requests atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		api.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	return hs.URL, &requests
+}
+
 // TestSweepGolden pins the bytes of two sweeps: every experiment of the fast
-// set at the estimate rung (serial and at the default parallelism) and an
-// exact Fig 8 over SN and BP, cold and then warm from a result cache.
+// set at the estimate rung (serial, at the default parallelism, and through
+// a sacd) and an exact Fig 8 over SN and BP, cold and then warm from a
+// result cache.
 func TestSweepGolden(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -76,6 +105,28 @@ func TestSweepGolden(t *testing.T) {
 	got["estimate_all_fast"] = digests(t, out)
 	if serial, _ := sweep(t, append(estimate, "-parallel", "1")...); serial != out {
 		t.Error("estimate sweep differs between -parallel 1 and the default")
+	}
+
+	// The same sweep through a sacd, warming a cache; a rerun from that cache
+	// answers every cell locally and sends the daemon nothing.
+	url, requests := daemon(t)
+	remote := append(estimate, "-remote", url, "-cache-dir", t.TempDir())
+	if cold, _ := sweep(t, remote...); cold != out {
+		t.Error("remote estimate sweep differs from the local one")
+	}
+	sent := requests.Load()
+	if sent == 0 {
+		t.Error("the remote sweep sent the daemon nothing")
+	}
+	rerun, rerunLog := sweep(t, append(remote, "-progress")...)
+	if rerun != out {
+		t.Error("warm remote estimate sweep differs from the local one")
+	}
+	if !strings.Contains(rerunLog, " hits, 0 misses") {
+		t.Errorf("warm remote rerun missed the cache:\n%s", rerunLog)
+	}
+	if n := requests.Load() - sent; n != 0 {
+		t.Errorf("warm remote rerun sent the daemon %d requests, want none", n)
 	}
 
 	exact := []string{"-exp", "fig8", "-set", "SN,BP", "-json", "-cache-dir", t.TempDir()}

@@ -1,6 +1,9 @@
 package sac_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,7 +14,8 @@ import (
 	"repro/internal/fault"
 )
 
-// docFiles are the documents that tell a reader what to run.
+// docFiles are the documents that tell a reader what to run; the first
+// three are also checked for the Go identifiers they name.
 var docFiles = []string{
 	"README.md", "DESIGN.md", "EXPERIMENTS.md",
 	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
@@ -39,7 +43,70 @@ var (
 	declFlagRe = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
 	// A -faults argument: a quoted plan, or a bare word up to the next space.
 	faultsArgRe = regexp.MustCompile("-faults[ \t]+(?:'([^']*)'|([^\\s`'\"]+))")
+	// A code span, and a qualified identifier in one that is not part of a
+	// path or of a longer selector: `store.KeyAt`, `(*gpu.System).Run`.
+	codeSpanRe  = regexp.MustCompile("`[^`\n]+`")
+	qualIdentRe = regexp.MustCompile(`(?:^|[^\w/.])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
 )
+
+// moduleIdents maps each package name of this module (the root is sac; main
+// packages and bench/, a module of its own, are left out) to every name its
+// non-test files declare: funcs, methods, types, struct fields, interface
+// methods, vars and consts.
+func moduleIdents(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	idents := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			return nil
+		}
+		names := idents[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			idents[f.Name.Name] = names
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names[n.Name.Name] = true
+				return false
+			case *ast.TypeSpec:
+				names[n.Name.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idents
+}
 
 // docFaultPlans returns the argument of every -faults flag the documents
 // show, in the order they show them.
@@ -63,7 +130,9 @@ func docFaultPlans(t testing.TB) []string {
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
 // declares, a cmd/ directory or `go run ./<path>` directory that does not
 // exist, a flag on a `go run ./cmd/<name>` line that the command does not
-// declare, or a -faults argument that is not a plan in the fault DSL.
+// declare, a -faults argument that is not a plan in the fault DSL, or a
+// `pkg.Ident` in README, DESIGN or EXPERIMENTS whose package of this module
+// declares no such name.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -120,6 +189,25 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		for _, m := range declFlagRe.FindAllSubmatch(src, -1) {
 			flags[dir][string(m[1])] = true
+		}
+	}
+
+	idents := moduleIdents(t)
+	for _, doc := range docFiles[:3] {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, span := range codeSpanRe.FindAllString(line, -1) {
+				for _, m := range qualIdentRe.FindAllStringSubmatch(span, -1) {
+					pkg, name := m[1], m[2]
+					// A keyword cannot be declared: `sac.go` names a file.
+					if declared, ours := idents[pkg]; ours && !token.IsKeyword(name) && !declared[name] {
+						t.Errorf("%s:%d: %s.%s: package %s declares no %s", doc, i+1, pkg, name, pkg, name)
+					}
+				}
+			}
 		}
 	}
 

@@ -8,12 +8,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/internal/backend"
+	"repro/internal/eval"
 	"repro/internal/gpu"
 	"repro/internal/llc"
 	"repro/internal/workload"
@@ -81,37 +81,37 @@ func TestClusterBatchDedup(t *testing.T) {
 	}
 }
 
-// TestRemoteByteIdentity pins the promise sacsweep -remote rests on, over
-// the batch path it now uses: cells shipped through a client.Batcher against
-// a fleet come back byte-identical to in-process simulation — and duplicate
-// concurrent cells still match even though they dedup onto one flight.
+// TestRemoteByteIdentity pins the promise sacsweep -remote rests on: a
+// run-set shipped through Runner.RunAll to a fleet comes back byte-identical
+// to in-process simulation. A duplicate cell shares its twin's result, and a
+// ScaleInput variant, which the fleet cannot name, simulates here and is
+// never submitted.
 func TestRemoteByteIdentity(t *testing.T) {
 	coord, hs := testCoordinator(t, nil)
 	startWorker(t, hs.URL, "worker-a")
 	startWorker(t, hs.URL, "worker-b")
 	waitLive(t, coord, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 
-	cells := []client.JobRequest{
-		tinyRequest("BP", "SAC", 0),
-		tinyRequest("RN", "memory-side", 0),
-		tinyRequest("BP", "SAC", 600),
-		tinyRequest("BP", "SAC", 0), // duplicate: joins the first cell's flight
+	bp, err := workload.ByName("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, err := workload.ByName("RN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, wide := tinyConfig(), tinyConfig()
+	wide.WorkloadScale = 600
+	cells := []eval.RunRequest{
+		{Cfg: cfg.WithOrg(llc.SAC), Spec: bp},
+		{Cfg: cfg.WithOrg(llc.MemorySide), Spec: rn},
+		{Cfg: wide.WithOrg(llc.SAC), Spec: bp},
+		{Cfg: cfg.WithOrg(llc.SAC), Spec: bp}, // duplicate: shares the first cell's result
+		{Cfg: cfg.WithOrg(llc.SAC), Spec: bp.ScaleInput(0.5)},
 	}
 	local := make([][]byte, len(cells))
-	for i, req := range cells {
-		spec, err := workload.ByName(req.Benchmark)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := *req.Config
-		org, err := llc.ParseOrg(req.Org)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Org = org
-		res, err := backend.Run(cfg, spec, gpu.RunOpts{})
+	for i, q := range cells {
+		res, err := backend.Run(q.Cfg, q.Spec, gpu.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,32 +120,25 @@ func TestRemoteByteIdentity(t *testing.T) {
 		}
 	}
 
-	// All cells concurrently through one Batcher, so they coalesce into
-	// jobs:batch submissions collected by shared watches.
-	b := client.NewBatcher(newClient(hs.URL))
-	remote := make([][]byte, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	for i, req := range cells {
-		wg.Add(1)
-		go func(i int, req client.JobRequest) {
-			defer wg.Done()
-			res, err := b.Run(ctx, req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			remote[i], errs[i] = json.Marshal(res)
-		}(i, req)
+	r := &eval.Runner{Remote: newClient(hs.URL)}
+	runs, err := r.RunAll(cells)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	for i := range cells {
-		if errs[i] != nil {
-			t.Fatalf("cell %d: %v", i, errs[i])
+		remote, err := json.Marshal(runs[i])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(remote[i], local[i]) {
+		if !bytes.Equal(remote, local[i]) {
 			t.Fatalf("cell %d (%s/%s scale=%d): remote result differs from in-process:\nremote %s\nlocal  %s",
-				i, cells[i].Benchmark, cells[i].Org, cells[i].Config.WorkloadScale, remote[i], local[i])
+				i, cells[i].Spec.Name, cells[i].Cfg.Org, cells[i].Cfg.WorkloadScale, remote, local[i])
 		}
+	}
+	if runs[0] != runs[3] {
+		t.Error("the duplicate cell did not share its twin's result")
+	}
+	if jobs := coord.Fleet().Jobs; jobs != 3 {
+		t.Errorf("the fleet accepted %d jobs, want the 3 distinct cells it can name", jobs)
 	}
 }

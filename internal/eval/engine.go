@@ -103,17 +103,26 @@ func (r *Runner) identity(q RunRequest) jobs.Identity {
 }
 
 // execute is the Runner's executor: it takes one of Parallelism slots, which
-// settled gives back, and runs the shared store-backed step over Simulate. A
-// store hit is decoded here, once, so every request of the cell shares one
-// *stats.Run.
+// settled gives back, and runs the shared store-backed step over Simulate,
+// or takes a remote run-set's answer (writing a fleet result back). A store
+// hit is decoded here, once, so every request of the cell shares one *stats.Run.
 func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 	r.slots <- struct{}{}
 	if r.Ctx != nil && r.Ctx.Err() != nil {
 		return jobs.Outcome{Err: r.Ctx.Err()}
 	}
-	out := jobs.Simulate(j, r.Store, func() (*stats.Run, error) {
+	a, answered := jobs.Outcome{}, r.Remote != nil
+	if answered { // take what the remote run-set holds for j, if anything
+		var v any
+		v, answered = r.answers.LoadAndDelete(j)
+		a, _ = v.(jobs.Outcome)
+	}
+	sim := func() (*stats.Run, error) {
 		if r.Store != nil {
 			r.misses.Inc()
+		}
+		if answered {
+			return a.Run, a.Err
 		}
 		r.inflight.Add(1)
 		defer r.inflight.Add(-1)
@@ -122,7 +131,14 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 			return r.Simulate(j.Cfg, j.Spec, o)
 		}
 		return backend.Run(j.Cfg, j.Spec, o)
-	}, r.logf)
+	}
+	out := a // a store hit
+	switch {
+	case !answered:
+		out = jobs.Simulate(j, r.Store, sim, r.logf)
+	case a.Source != client.SourceStore:
+		out = jobs.WriteBack(j, r.Store, sim, r.logf)
+	}
 	if out.Raw != nil {
 		run := new(stats.Run)
 		if err := json.Unmarshal(out.Raw, run); err != nil {

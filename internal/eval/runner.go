@@ -6,11 +6,13 @@
 package eval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"io"
 	"sync"
 
+	"repro/client"
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
@@ -60,9 +62,14 @@ type Runner struct {
 	// an executing cell reads it, and writes a fresh result back.
 	Store *store.Store
 	// Simulate is the simulate step; nil selects backend.Run. Tests swap it
-	// for failing or panicking cells, sacsweep -remote for a fleet executor.
+	// for failing or panicking cells, bench for its traced pass.
 	Simulate func(gpu.Config, workload.Spec, gpu.RunOpts) (*stats.Run, error)
+	// Remote, when set, is the fleet (a saccoord, or one sacd) that RunAll
+	// ships store-missing cells to; see RunAll.
+	Remote *client.Client
 
+	// answers maps a remote run-set's *jobs.Job to its jobs.Outcome.
+	answers                                    sync.Map
 	once                                       sync.Once
 	t                                          *jobs.Table
 	slots                                      chan struct{}
@@ -87,17 +94,30 @@ func NewRunner() *Runner { return &Runner{Base: gpu.ScaledConfig()} }
 // *stats.Run, and a cell another call is executing is joined, not rerun. A
 // failed cell is a nil slot, and the error joins one CellError per distinct
 // failed cell, in request order. Every experiment fans out through here.
+//
+// With Remote set, each distinct cell the table cannot recall is answered by
+// one Store read, else by the fleet in batches of remoteBatch, and settles
+// through execute like any other; a cell the fleet cannot name (a ScaleInput
+// variant) simulates here.
 func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 	t := r.table()
 	js := make([]*jobs.Job, len(reqs))
 	byKey := make(map[string]*jobs.Job, len(reqs))
+	var distinct []*jobs.Job
 	for i, q := range reqs {
 		id := r.identity(q)
 		if js[i] = byKey[id.Key]; js[i] == nil {
 			js[i] = jobs.NewJob(id)
 			byKey[id.Key] = js[i]
-			go t.Run(js[i])
+			if r.Remote == nil {
+				go t.Run(js[i])
+			} else {
+				distinct = append(distinct, js[i])
+			}
 		}
+	}
+	if distinct != nil {
+		r.ship(t, distinct)
 	}
 	out := make([]*stats.Run, len(reqs))
 	var errs []error
@@ -112,7 +132,74 @@ func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 			errs = append(errs, cellError(j, o.Err))
 		}
 	}
+	for _, j := range distinct {
+		r.answers.Delete(j) // a cell that joined another call's flight left its answer
+	}
 	return out, errors.Join(errs...)
+}
+
+// remoteBatch bounds a remote run-set's outstanding cells: sacd admits a
+// batch all or nothing against its QueueCap (256 by default), so RunAll sends
+// at most this many per SubmitBatch and collects them before the next.
+const remoteBatch = 64
+
+// ship answers and starts a remote run-set's distinct cells (see RunAll).
+func (r *Runner) ship(t *jobs.Table, cells []*jobs.Job) {
+	var misses []*jobs.Job
+	for _, j := range cells {
+		switch _, err := workload.ByName(j.Spec.Name); {
+		case t.Recall(j):
+		case err != nil: // the fleet cannot name it
+			go t.Run(j)
+		default:
+			if raw, cycles, ok := r.Store.GetRaw(j.Key); ok {
+				r.answers.Store(j, jobs.Outcome{Raw: raw, Cycles: cycles, Source: client.SourceStore})
+				go t.Run(j)
+			} else {
+				misses = append(misses, j)
+			}
+		}
+	}
+	for len(misses) > 0 {
+		batch := misses[:min(len(misses), remoteBatch)]
+		misses = misses[len(batch):]
+		r.fetch(cmp.Or(r.Ctx, context.Background()), t, batch)
+	}
+}
+
+// fetch answers a batch from the fleet, one SubmitBatch and one WaitAll, and
+// starts its cells. A cell ships with its full explicit config, so its remote
+// key is its local one and its bytes are an in-process run's.
+func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
+	reqs := make([]client.JobRequest, len(batch))
+	for i, j := range batch {
+		reqs[i] = client.JobRequest{Benchmark: j.Spec.Name, Org: j.Cfg.Org.String(), Config: &j.Cfg,
+			Faults: j.Plan.String(), Fidelity: j.Fidelity}
+	}
+	sts, err := r.Remote.SubmitBatch(ctx, reqs)
+	if err == nil {
+		var pending []string
+		for _, st := range sts {
+			if !st.Done() {
+				pending = append(pending, st.ID)
+			}
+		}
+		var final map[string]client.JobStatus
+		final, err = r.Remote.WaitAll(ctx, pending)
+		for i, st := range sts {
+			if f, ok := final[st.ID]; ok {
+				sts[i] = f
+			}
+		}
+	}
+	for i, j := range batch {
+		a := jobs.Outcome{Err: err}
+		if i < len(sts) && sts[i].Done() {
+			a.Run, a.Err = sts[i].Outcome()
+		}
+		r.answers.Store(j, a)
+		go t.Run(j)
+	}
 }
 
 // Runs returns how many cells were simulated: store hits, joins and recalls

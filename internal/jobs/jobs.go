@@ -525,6 +525,13 @@ func Simulate(j *Job, st *store.Store, sim func() (*stats.Run, error), logf func
 	if raw, cycles, ok := st.GetRaw(j.Key); ok {
 		return Outcome{Raw: raw, Cycles: cycles, Source: client.SourceStore}
 	}
+	return WriteBack(j, st, sim, logf)
+}
+
+// WriteBack is Simulate past a store miss the caller has already taken (a
+// remote sweep reads the store once, before it ships its misses): sim's
+// result, written back.
+func WriteBack(j *Job, st *store.Store, sim func() (*stats.Run, error), logf func(format string, args ...any)) Outcome {
 	res, err := sim()
 	if err != nil {
 		return Outcome{Err: err}
