@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofOn     = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics-addr server")
 		progress    = fs.Bool("progress", false, "print one line per completed sweep cell to stderr")
 		cacheDir    = fs.String("cache-dir", "", "persistent result cache directory (shared with sacd); warm entries skip simulation")
-		remote      = fs.String("remote", "", "send cells missing from the cache to the saccoord coordinator (or single sacd) at this base URL, in batches of 64, instead of simulating in-process")
+		remote      = fs.String("remote", "", "send cells missing from the cache to the saccoord coordinator (or single sacd) at this base URL, in batches of 64 (two outstanding), instead of simulating in-process")
 		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the live bytes of cached results, evicting least recently used; the directory stays under about twice this plus one segment (0 = unbounded)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/client"
+	"repro/internal/jobs"
 	"repro/internal/llc"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -126,14 +130,15 @@ func TestRemoteRoundTrips(t *testing.T) {
 	}
 }
 
-// TestRemoteRunSetOverQueueCap sends three batches' worth of exact cells to
-// a sacd whose queue holds one batch: sacd admits a batch all or nothing, so
-// this completes only because RunAll keeps one batch outstanding.
+// TestRemoteRunSetOverQueueCap sends one more batch than may be outstanding,
+// all exact cells, to a sacd whose queue holds exactly the outstanding ones:
+// sacd admits a batch all or nothing, so this completes only because RunAll
+// holds the last batch back until an earlier one is collected.
 func TestRemoteRunSetOverQueueCap(t *testing.T) {
-	cc, n := countingDaemon(t, remoteBatch)
+	cc, n := countingDaemon(t, remoteBatches*remoteBatch)
 	r := testRunner("BP")
 	r.Remote = cc
-	reqs := distinctCells(t, r, 3*remoteBatch)
+	reqs := distinctCells(t, r, (remoteBatches+1)*remoteBatch)
 	runs, err := r.RunAll(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +148,33 @@ func TestRemoteRunSetOverQueueCap(t *testing.T) {
 			t.Fatalf("cell %d has no result", i)
 		}
 	}
-	if n.batches.Load() != 3 {
-		t.Fatalf("%d submits, want 3", n.batches.Load())
+	if n.batches.Load() != remoteBatches+1 {
+		t.Fatalf("%d submits, want %d", n.batches.Load(), remoteBatches+1)
+	}
+}
+
+// TestRemoteShortBatchFails answers a batch with fewer statuses than cells:
+// every cell fails with an error that says so, and none is simulated here.
+func TestRemoteShortBatchFails(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/jobs:batch" {
+			t.Errorf("unexpected request %s", req.URL.Path)
+			http.NotFound(w, req)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, `{"jobs":[{"status":{"id":"j1","state":"done"}}]}`)
+	}))
+	defer hs.Close()
+	r := testRunner("BP")
+	r.Remote = client.New(hs.URL)
+	runs, err := r.RunAll(distinctCells(t, r, 2))
+	if runs[0] != nil || runs[1] != nil || err == nil || !strings.Contains(err.Error(), "answered with 1 statuses") {
+		t.Fatalf("runs %v, err %v; want two failed cells naming the short batch", runs, err)
+	}
+	var pe *jobs.PanicError
+	if errors.As(err, &pe) || r.Runs() != 0 {
+		t.Fatalf("err %v, %d local runs; want the batch's error and none", err, r.Runs())
 	}
 }
 

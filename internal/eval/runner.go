@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 
@@ -96,9 +97,9 @@ func NewRunner() *Runner { return &Runner{Base: gpu.ScaledConfig()} }
 // failed cell, in request order. Every experiment fans out through here.
 //
 // With Remote set, each distinct cell the table cannot recall is answered by
-// one Store read, else by the fleet in batches of remoteBatch, and settles
-// through execute like any other; a cell the fleet cannot name (a ScaleInput
-// variant) simulates here.
+// one Store read, else by the fleet in batches of remoteBatch (remoteBatches
+// outstanding), and settles through execute like any other; a cell the fleet
+// cannot name (a ScaleInput variant) simulates here.
 func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 	t := r.table()
 	js := make([]*jobs.Job, len(reqs))
@@ -138,10 +139,11 @@ func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 	return out, errors.Join(errs...)
 }
 
-// remoteBatch bounds a remote run-set's outstanding cells: sacd admits a
-// batch all or nothing against its QueueCap (256 by default), so RunAll sends
-// at most this many per SubmitBatch and collects them before the next.
-const remoteBatch = 64
+// remoteBatch cells go out per SubmitBatch, and remoteBatches batches are
+// outstanding at once: sacd admits a batch all or nothing against its
+// QueueCap (256 by default), so at most 128 remote cells are in flight, and
+// while one batch waits on its slowest cell the other keeps the fleet busy.
+const remoteBatch, remoteBatches = 64, 2
 
 // ship answers and starts a remote run-set's distinct cells (see RunAll).
 func (r *Runner) ship(t *jobs.Table, cells []*jobs.Job) {
@@ -160,10 +162,13 @@ func (r *Runner) ship(t *jobs.Table, cells []*jobs.Job) {
 			}
 		}
 	}
+	ctx := cmp.Or(r.Ctx, context.Background())
+	outstanding := make(chan struct{}, remoteBatches)
 	for len(misses) > 0 {
 		batch := misses[:min(len(misses), remoteBatch)]
 		misses = misses[len(batch):]
-		r.fetch(cmp.Or(r.Ctx, context.Background()), t, batch)
+		outstanding <- struct{}{}
+		go func() { r.fetch(ctx, t, batch); <-outstanding }()
 	}
 }
 
@@ -177,6 +182,9 @@ func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
 			Faults: j.Plan.String(), Fidelity: j.Fidelity}
 	}
 	sts, err := r.Remote.SubmitBatch(ctx, reqs)
+	if err == nil && len(sts) != len(batch) {
+		sts, err = nil, fmt.Errorf("sacd: a batch of %d cells was answered with %d statuses", len(batch), len(sts))
+	}
 	if err == nil {
 		var pending []string
 		for _, st := range sts {
@@ -194,8 +202,8 @@ func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
 	}
 	for i, j := range batch {
 		a := jobs.Outcome{Err: err}
-		if i < len(sts) && sts[i].Done() {
-			a.Run, a.Err = sts[i].Outcome()
+		if i < len(sts) && (err == nil || sts[i].Done()) {
+			a.Run, a.Err = sts[i].Outcome() // a status left unsettled is an error naming its state
 		}
 		r.answers.Store(j, a)
 		go t.Run(j)
