@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 	"time"
@@ -18,8 +19,9 @@ import (
 //   - Unmarshal reads JobRequest, BatchRequest, JobStatus, BatchResponse and
 //     WatchResponse by hand while the input stays inside internal/wire's
 //     canonical subset, which is everything these encoders write, and
-//     otherwise hands the same bytes to json.Unmarshal. Either way the result
-//     (value or error) is json.Unmarshal's.
+//     otherwise hands the same bytes to json.Unmarshal, or for a request to
+//     a json.Decoder that disallows unknown fields. Either way the result
+//     (value or error) is that reference's.
 //
 // Status strings are copied as they are when they need no escaping and
 // otherwise go through json.Marshal; times are RFC 3339 with nanoseconds, as
@@ -34,10 +36,20 @@ import (
 
 // Unmarshal decodes data into v exactly as json.Unmarshal does, by hand when
 // v is one of the jobs wire types and data stays inside the canonical
-// subset. v must point to a zero value.
+// subset. v must point to a zero value. A JobRequest or BatchRequest naming a
+// field its type lacks is an error: answering it for the model the known
+// fields describe would answer a question it did not ask.
 func Unmarshal(data []byte, v any) error {
 	if decodeFast(data, v) {
 		return nil
+	}
+	switch v.(type) {
+	case *JobRequest, *BatchRequest:
+		if json.Valid(data) { // one value: the decoder reads all of data
+			d := json.NewDecoder(bytes.NewReader(data))
+			d.DisallowUnknownFields()
+			return d.Decode(v)
+		}
 	}
 	return json.Unmarshal(data, v)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -20,7 +21,8 @@ import (
 // FuzzFaultPlan feeds arbitrary text to the fault DSL, the one plan encoding,
 // which arrives from untrusted HTTP (JobRequest.Faults) and from three CLI
 // flags. Parse must never panic. A plan it accepts must round-trip:
-// Parse(p.String()) gives the same events and the same Key. A plan it
+// Parse(p.String()) gives the same events and the same Key. Its events
+// written in reverse must give the same Key and the same replay. A plan it
 // rejects must be refused before any cell is keyed: POST /v1/jobs answers
 // 400 and the request never resolves, resolving being the only path to
 // store.KeyAt. The seeds are every -faults plan the documents show.
@@ -54,6 +56,14 @@ func FuzzFaultPlan(f *testing.F) {
 			if !reflect.DeepEqual(q.Events, p.Events) || q.Key() != p.Key() {
 				t.Fatalf("Parse(%q) does not round-trip through %q:\n got %+v\nwant %+v", s, p.String(), q.Events, p.Events)
 			}
+			rev := make([]string, len(p.Events))
+			for i, e := range p.Events {
+				rev[len(rev)-1-i] = e.String()
+			}
+			r, err := fault.Parse(strings.Join(rev, ";"))
+			if err != nil || r.Key() != p.Key() || !reflect.DeepEqual(replay(r), replay(p)) {
+				t.Fatalf("Parse(%q) reversed is another plan (%v): %q vs %q", s, err, r.Key(), p.Key())
+			}
 			return
 		}
 		if s == "" || !utf8.ValidString(s) {
@@ -70,4 +80,15 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatalf("rejected plan %q: POST /v1/jobs answered %d, resolved=%v: %s", s, w.Code, resolved, w.Body.Bytes())
 		}
 	})
+}
+
+// replay returns every batch of changes an injector for p reports, edge by
+// edge.
+func replay(p *fault.Plan) [][]fault.Change {
+	in := fault.NewInjector(p)
+	var all [][]fault.Change
+	for now := int64(0); now >= 0; now = in.NextEdge(now) {
+		all = append(all, in.Advance(now))
+	}
+	return all
 }

@@ -423,7 +423,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 			ke.inputs.SMSide.LSU = 1
 		}
 		ke.decision = core.Decide(arch, ke.inputs, opts.Theta)
-		if prof.Samples() < opts.MinSamples {
+		if prof.Samples() < core.MinSamples {
 			// Mirror the exact controller: too little traffic to trust the
 			// model, stay memory-side.
 			ke.decision.PickSM = false

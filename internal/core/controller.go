@@ -103,11 +103,14 @@ func (p *Profiler) Reset() {
 	}
 }
 
+// MinSamples is the fewest profiled accesses a window needs before its EAB
+// decision is trusted; below it every rung stays memory-side.
+const MinSamples = 64
+
 // Options tune the SAC controller; zero values select the paper's defaults.
 type Options struct {
 	WindowCycles int64   // profiling window (default 2000, §3.2)
 	Theta        float64 // EAB comparison threshold (default 0.05, §3.5)
-	MinSamples   int64   // below this many profiled accesses, stay memory-side
 	DisableLSU   bool    // ablation: force LSU = 1 in both configurations
 
 	// ReuseKernelDecisions is an extension beyond the paper: cache the EAB
@@ -126,17 +129,14 @@ type Options struct {
 }
 
 // WithDefaults returns o with the paper's §3.2 and §3.5 values in place of
-// zero fields: the effective window, θ and minimum-sample guard every rung
-// profiles and decides with.
+// zero fields: the effective window and θ every rung profiles and decides
+// with.
 func (o Options) WithDefaults() Options {
 	if o.WindowCycles <= 0 {
 		o.WindowCycles = 2000
 	}
 	if o.Theta == 0 {
 		o.Theta = 0.05
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 64
 	}
 	return o
 }
@@ -271,7 +271,7 @@ func (c *Controller) Decide() Decision {
 		inputs.SMSide.LSU = 1
 	}
 	d := Decide(c.arch, inputs, c.opts.Theta)
-	if c.prof.Samples() < c.opts.MinSamples {
+	if c.prof.Samples() < MinSamples {
 		// Too little traffic to trust the model: stay memory-side.
 		d.PickSM = false
 	}

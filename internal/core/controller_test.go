@@ -33,7 +33,7 @@ func TestControllerWindowLifecycle(t *testing.T) {
 func TestControllerDefaults(t *testing.T) {
 	c := newTestController(Options{})
 	o := c.Options()
-	if o.WindowCycles != 2000 || o.Theta != 0.05 || o.MinSamples != 64 {
+	if o.WindowCycles != 2000 || o.Theta != 0.05 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
@@ -85,11 +85,20 @@ func TestControllerStaysMemorySideForLocalStreams(t *testing.T) {
 }
 
 func TestControllerMinSamples(t *testing.T) {
-	c := newTestController(Options{WindowCycles: 100, MinSamples: 1000})
+	c := newTestController(Options{WindowCycles: 100})
 	c.StartKernel(0)
-	feedSharedHot(c.Profiler(), 10) // 40*... < 1000 samples
-	if c.Profiler().Samples() >= 1000 {
-		t.Skip("sample count unexpectedly high")
+	// A four-line hot set every chip reads: replicas hit from the second
+	// round on, so only the sample count stands between it and SM-side.
+	for i := 0; i < (MinSamples-1)/4; i++ {
+		for chip := 0; chip < 4; chip++ {
+			c.Profiler().Record(uint64(i%4), 0, chip, 0, i%4, true)
+		}
+	}
+	if n := c.Profiler().Samples(); n >= MinSamples {
+		t.Fatalf("fed %d samples, want fewer than %d", n, MinSamples)
+	}
+	if !Decide(c.Arch(), c.Profiler().Inputs(), c.Options().Theta).PickSM {
+		t.Fatal("the window's inputs alone do not pick SM-side; the guard is untested")
 	}
 	if d := c.Decide(); d.PickSM {
 		t.Fatal("controller switched with too few samples")

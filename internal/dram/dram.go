@@ -36,18 +36,12 @@ type Config struct {
 	ChannelBW  float64 // bytes/cycle per channel
 	Latency    int64   // access latency in cycles
 	QueueBound int     // per-channel queue back-pressure threshold
-
-	// BanksPerChannel > 0 enables bank-level row-buffer timing (see
-	// banks.go); 0 keeps the pure bandwidth + fixed-latency model.
-	BanksPerChannel int
-	Timing          BankTiming // used when BanksPerChannel > 0
 }
 
 // channel is one DRAM channel: its request queue, data-bandwidth bucket and
 // access-latency pipeline held by value in one record, so Tick decides
 // whether a channel has work from one contiguous struct.
 type channel struct {
-	banks    *banks // nil when bank timing is disabled
 	queue    bwsim.Queue[*memsys.Request]
 	inFlight bwsim.DelayLine[*memsys.Request]
 	bucket   bwsim.TokenBucket
@@ -103,9 +97,6 @@ func New(cfg Config) *Partition {
 	if cfg.Latency < 1 {
 		cfg.Latency = 1
 	}
-	if cfg.BanksPerChannel > 0 && cfg.Timing.RowBytes <= 0 {
-		cfg.Timing = DefaultBankTiming()
-	}
 	// Every bucket starts one cycle of credit below its cap: all channels hot.
 	p := &Partition{cfg: cfg, chans: make([]channel, cfg.Channels), hot: cfg.Channels, nextDue: noneDue}
 	for c := range p.chans {
@@ -114,9 +105,6 @@ func New(cfg Config) *Partition {
 		ch.bucket = bwsim.NewBucket(cfg.ChannelBW)
 		ch.scale = 1
 		ch.inFlight = bwsim.NewDelayLine[*memsys.Request]()
-		if cfg.BanksPerChannel > 0 {
-			ch.banks = newBanks(cfg.BanksPerChannel, cfg.Timing)
-		}
 	}
 	return p
 }
@@ -163,10 +151,6 @@ func (p *Partition) ChannelScale(ch int) float64 { return p.chans[ch].scale }
 // ChannelBytes returns the total data bytes channel ch has moved; windowed
 // deltas give the channel's occupancy.
 func (p *Partition) ChannelBytes(ch int) int64 { return p.chans[ch].bytes }
-
-// ChannelQueueLen returns the instantaneous request-queue depth of one
-// channel (in-flight accesses excluded).
-func (p *Partition) ChannelQueueLen(ch int) int { return p.chans[ch].queue.Len() }
 
 // CanAccept reports whether channel ch has queue space. This is the shared
 // memory-controller request queue of §3.1: both local LLC misses and
@@ -223,20 +207,10 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 			p.pending--
 			done(req)
 		}
-		// Issue new accesses under the bandwidth gate (and, when enabled,
-		// the bank occupancy gate).
+		// Issue new accesses under the bandwidth gate.
 		was := ch.hot()
 		ch.bucket.Advance(dt)
 		for !ch.queue.Empty() && ch.bucket.CanTake() {
-			extra := int64(0)
-			if ch.banks != nil {
-				head, _ := ch.queue.Peek()
-				e, ok := ch.banks.admit(now, head, lineBytes)
-				if !ok {
-					break // head-of-line waits for its bank
-				}
-				extra = e
-			}
 			req, _ := ch.queue.Pop()
 			ch.bucket.Take(lineBytes)
 			p.BytesMoved += int64(lineBytes)
@@ -246,7 +220,7 @@ func (p *Partition) Tick(now int64, lineBytes int, done func(*memsys.Request)) {
 			} else {
 				p.Reads++
 			}
-			ch.inFlight.Insert(now, p.cfg.Latency+extra, req)
+			ch.inFlight.Insert(now, p.cfg.Latency, req)
 		}
 		p.rehot(ch, was)
 		if due := ch.headDue(); due < nextDue {
@@ -292,21 +266,6 @@ func (p *Partition) CheckActivity() error {
 		return fmt.Errorf("dram: hot %d nextDue %d, channels say %d and %d", p.hot, p.nextDue, hot, nextDue)
 	}
 	return nil
-}
-
-// RowBufferStats aggregates bank statistics over the partition's channels
-// (zeros when bank timing is disabled).
-func (p *Partition) RowBufferStats() (hits, misses, conflicts int64) {
-	for c := range p.chans {
-		b := p.chans[c].banks
-		if b == nil {
-			continue
-		}
-		hits += b.RowHits
-		misses += b.RowMisses
-		conflicts += b.Conflicts
-	}
-	return hits, misses, conflicts
 }
 
 // DrainWriteback accounts for a background writeback (e.g. during an LLC

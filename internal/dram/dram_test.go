@@ -124,82 +124,3 @@ func TestPresets(t *testing.T) {
 		}
 	}
 }
-
-func TestBankRowBufferHits(t *testing.T) {
-	p := New(Config{
-		Channels: 1, ChannelBW: 1e6, Latency: 10,
-		BanksPerChannel: 4,
-		Timing:          BankTiming{RowBytes: 2048, HitBusy: 2, MissBusy: 20, MissExtra: 40},
-	})
-	var done int
-	cb := func(*memsys.Request) { done++ }
-	// Sixteen accesses to consecutive lines of one row: 1 miss + 15 hits.
-	for i := 0; i < 16; i++ {
-		p.Enqueue(&memsys.Request{ID: uint64(i), Line: 1000*16 + uint64(i), Channel: 0, Kind: memsys.Read})
-	}
-	for now := int64(0); now < 200; now++ {
-		p.Tick(now, 128, cb)
-	}
-	hits, misses, _ := p.RowBufferStats()
-	if done != 16 {
-		t.Fatalf("completed %d", done)
-	}
-	if misses != 1 || hits != 15 {
-		t.Fatalf("row hits=%d misses=%d, want 15/1", hits, misses)
-	}
-}
-
-func TestBankConflictsSerialize(t *testing.T) {
-	// Two alternating rows on the SAME bank: every access is a row miss and
-	// the bank occupancy (20 cycles each) dominates completion time.
-	cfgFast := Config{Channels: 1, ChannelBW: 1e6, Latency: 1}
-	cfgBank := cfgFast
-	cfgBank.BanksPerChannel = 1
-	cfgBank.Timing = BankTiming{RowBytes: 2048, HitBusy: 2, MissBusy: 20, MissExtra: 0}
-
-	run := func(cfg Config) int64 {
-		p := New(cfg)
-		var done int
-		cb := func(*memsys.Request) { done++ }
-		for i := 0; i < 10; i++ {
-			row := uint64(i%2) * 1000 // alternate rows
-			p.Enqueue(&memsys.Request{ID: uint64(i), Line: row*16 + uint64(i), Channel: 0, Kind: memsys.Read})
-		}
-		var now int64
-		for ; now < 10000 && done < 10; now++ {
-			p.Tick(now, 128, cb)
-		}
-		if done != 10 {
-			t.Fatalf("stuck: %d done", done)
-		}
-		return now
-	}
-	fast := run(cfgFast)
-	banked := run(cfgBank)
-	if banked < fast+9*18 {
-		t.Fatalf("bank conflicts did not serialize: %d vs %d cycles", banked, fast)
-	}
-	// And PAE-spread lines across many banks avoid the serialization.
-	cfgSpread := cfgBank
-	cfgSpread.BanksPerChannel = 16
-	spreadP := New(cfgSpread)
-	var done int
-	for i := 0; i < 10; i++ {
-		spreadP.Enqueue(&memsys.Request{ID: uint64(i), Line: uint64(i) * 977, Channel: 0, Kind: memsys.Read})
-	}
-	var now int64
-	for ; now < 10000 && done < 10; now++ {
-		spreadP.Tick(now, 128, func(*memsys.Request) { done++ })
-	}
-	if now >= banked {
-		t.Fatalf("spread accesses (%d cycles) not faster than single-bank conflicts (%d)", now, banked)
-	}
-}
-
-func TestBanksDisabledByDefault(t *testing.T) {
-	p := New(Config{Channels: 1, ChannelBW: 64, Latency: 5})
-	h, m, c := p.RowBufferStats()
-	if h+m+c != 0 {
-		t.Fatal("bank stats present without bank timing")
-	}
-}

@@ -14,10 +14,10 @@ import (
 // random traffic with probes; at each probe it freezes injection and steps
 // Tick cycle by cycle to find the first actual state change.
 func TestNextEventNeverLate(t *testing.T) {
-	p := New(Config{Channels: 2, ChannelBW: 48, Latency: 40, QueueBound: 8, BanksPerChannel: 4})
+	p := New(Config{Channels: 2, ChannelBW: 48, Latency: 40, QueueBound: 8})
 	rng := rand.New(rand.NewSource(7))
 	const lineBytes = 128
-	const horizon = 2000 // comfortably past latency + bank conflict serialization
+	const horizon = 2000 // comfortably past latency + queueing
 	var done int64
 	sink := func(*memsys.Request) { done++ }
 	snap := func() [5]int64 {

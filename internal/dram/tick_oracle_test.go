@@ -34,15 +34,6 @@ func loopTick(p *Partition, now int64, lineBytes int, done func(*memsys.Request)
 		}
 		ch.bucket.Advance(dt)
 		for !ch.queue.Empty() && ch.bucket.CanTake() {
-			extra := int64(0)
-			if ch.banks != nil {
-				head, _ := ch.queue.Peek()
-				e, ok := ch.banks.admit(now, head, lineBytes)
-				if !ok {
-					break
-				}
-				extra = e
-			}
 			req, _ := ch.queue.Pop()
 			ch.bucket.Take(lineBytes)
 			p.BytesMoved += int64(lineBytes)
@@ -52,7 +43,7 @@ func loopTick(p *Partition, now int64, lineBytes int, done func(*memsys.Request)
 			} else {
 				p.Reads++
 			}
-			ch.inFlight.Insert(now, p.cfg.Latency+extra, req)
+			ch.inFlight.Insert(now, p.cfg.Latency, req)
 		}
 	}
 }
@@ -88,7 +79,7 @@ func TestTickMatchesChannelLoop(t *testing.T) {
 	configs := []Config{
 		{Channels: 2, ChannelBW: 54.7, Latency: 200, QueueBound: 64},
 		{Channels: 8, ChannelBW: 54.7, Latency: 40, QueueBound: 4},
-		{Channels: 3, ChannelBW: 48, Latency: 30, QueueBound: 8, BanksPerChannel: 4},
+		{Channels: 3, ChannelBW: 48, Latency: 30, QueueBound: 8},
 	}
 	const lineBytes = 128
 	for ci, cfg := range configs {

@@ -19,8 +19,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,8 +134,23 @@ type Shape struct {
 	ClustersPerChip int
 }
 
+// compareEvents is the canonical event order: by unit (domain, chip, unit),
+// then window, then scale.
+func compareEvents(a, b Event) int {
+	return cmp.Or(
+		cmp.Compare(a.Domain, b.Domain),
+		cmp.Compare(a.Chip, b.Chip),
+		cmp.Compare(a.Unit, b.Unit),
+		cmp.Compare(a.Start, b.Start),
+		cmp.Compare(a.End, b.End),
+		cmp.Compare(a.Scale, b.Scale),
+	)
+}
+
 // Plan is a complete fault schedule; String renders it in the DSL Parse
-// reads.
+// reads. Parse and Generate return Events in canonical order (compareEvents),
+// so a plan's Key and its replay depend on its set of events, not on the
+// order they were written in.
 type Plan struct {
 	Events []Event
 }
@@ -169,7 +186,8 @@ func (p *Plan) Validate(shape Shape) error {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Key returns a canonical fingerprint of the plan, suitable as part of a
-// memoization key: two plans with the same events produce the same key.
+// memoization key: two plans with the same events in the same order produce
+// the same key, and Parse and Generate order events canonically.
 func (p *Plan) Key() string {
 	if p.Empty() {
 		return ""
@@ -211,6 +229,7 @@ func Parse(s string) (*Plan, error) {
 	if err := p.Validate(Shape{}); err != nil {
 		return nil, err
 	}
+	slices.SortFunc(p.Events, compareEvents)
 	return p, nil
 }
 
@@ -224,6 +243,9 @@ func parseEvent(item string) (Event, error) {
 		v, err := strconv.ParseFloat(rest[i+1:], 64)
 		if err != nil {
 			return bad("unparsable scale")
+		}
+		if v == 0 {
+			v = 0 // -0 and 0 are one scale: one spelling, one key
 		}
 		e.Scale = v
 		rest = rest[:i]
@@ -320,6 +342,7 @@ func Generate(seed int64, shape Shape, n int, horizon int64) *Plan {
 		e.Scale = float64(rng.Intn(4)) * 0.25
 		p.Events = append(p.Events, e)
 	}
+	slices.SortFunc(p.Events, compareEvents)
 	return p
 }
 
@@ -365,8 +388,8 @@ type Injector struct {
 	plan   *Plan
 	edges  []edge
 	next   int
-	active map[unitKey]map[int]float64 // unit -> active event index -> scale
-	scales map[unitKey]float64         // current composed scale per touched unit
+	active map[unitKey][]int   // unit -> its active events' indices, ascending
+	scales map[unitKey]float64 // current composed scale per touched unit
 }
 
 // NewInjector compiles a plan into its edge schedule. A nil or empty plan
@@ -374,7 +397,7 @@ type Injector struct {
 func NewInjector(p *Plan) *Injector {
 	in := &Injector{
 		plan:   p,
-		active: make(map[unitKey]map[int]float64),
+		active: make(map[unitKey][]int),
 		scales: make(map[unitKey]float64),
 	}
 	if p != nil {
@@ -411,7 +434,9 @@ func (in *Injector) NextEdge(now int64) int64 {
 
 // Advance applies every edge due at or before now and returns the composed
 // per-unit scale changes in a deterministic order (sorted by domain, chip,
-// unit). It returns nil when no edge fired.
+// unit). A unit's scale is the product of its active events' scales taken
+// in plan order: float products depend on their order. It returns nil when
+// no edge fired.
 func (in *Injector) Advance(now int64) []Change {
 	if in.next >= len(in.edges) || in.edges[in.next].at > now {
 		return nil
@@ -423,20 +448,18 @@ func (in *Injector) Advance(now int64) []Change {
 		e := in.plan.Events[ed.ev]
 		k := unitKey{e.Domain, e.Chip, e.Unit}
 		touched[k] = struct{}{}
+		i, _ := slices.BinarySearch(in.active[k], ed.ev)
 		if ed.on {
-			if in.active[k] == nil {
-				in.active[k] = make(map[int]float64)
-			}
-			in.active[k][ed.ev] = e.Scale
+			in.active[k] = slices.Insert(in.active[k], i, ed.ev)
 		} else {
-			delete(in.active[k], ed.ev)
+			in.active[k] = slices.Delete(in.active[k], i, i+1)
 		}
 	}
 	changes := make([]Change, 0, len(touched))
 	for k := range touched {
 		scale := 1.0
-		for _, s := range in.active[k] {
-			scale *= s
+		for _, ev := range in.active[k] {
+			scale *= in.plan.Events[ev].Scale
 		}
 		if len(in.active[k]) == 0 {
 			delete(in.scales, k)

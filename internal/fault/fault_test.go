@@ -145,3 +145,24 @@ func TestInjectorEmptyPlan(t *testing.T) {
 		t.Fatal("empty plan key not empty")
 	}
 }
+
+// TestCompositionDeterministic pins the composed scale of three overlapping
+// events on one unit: float products depend on their order, so every
+// injector must multiply in one order (the plan's) to give every run of one
+// key one answer.
+func TestCompositionDeterministic(t *testing.T) {
+	p, err := Parse("xchip:0.cw@100-900*0.1; xchip:0.cw@100-900*0.1; xchip:0.cw@100-900*0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1.0
+	for _, e := range p.Events {
+		want *= e.Scale
+	}
+	for i := 0; i < 200; i++ {
+		ch := NewInjector(p).Advance(100)
+		if len(ch) != 1 || ch[0].Scale != want {
+			t.Fatalf("injector %d composed %+v, want scale %v", i, ch, want)
+		}
+	}
+}

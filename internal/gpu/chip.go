@@ -161,11 +161,10 @@ func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
 	c.hitDelay = bwsim.NewDelayLine[*memsys.Request]()
 
 	c.mem = dram.New(dram.Config{
-		Channels:        cfg.ChannelsPerChip,
-		ChannelBW:       cfg.ChannelBW,
-		Latency:         cfg.DRAMLatency,
-		QueueBound:      cfg.QueueBound,
-		BanksPerChannel: cfg.BanksPerChannel,
+		Channels:   cfg.ChannelsPerChip,
+		ChannelBW:  cfg.ChannelBW,
+		Latency:    cfg.DRAMLatency,
+		QueueBound: cfg.QueueBound,
 	})
 
 	if cfg.Org == llc.Dynamic {

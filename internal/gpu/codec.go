@@ -38,7 +38,6 @@ func (c *Config) AppendJSON(b []byte) []byte {
 	b = wire.AppendFloat(append(b, `,"RingLinkBW":`...), c.RingLinkBW)
 	b = wire.AppendFloat(append(b, `,"ChannelBW":`...), c.ChannelBW)
 	b = appendInt(b, `,"ChannelsPerChip":`, c.ChannelsPerChip)
-	b = appendInt(b, `,"BanksPerChannel":`, c.BanksPerChannel)
 	b = appendInt(b, `,"L1Latency":`, c.L1Latency)
 	b = appendInt(b, `,"LLCLatency":`, c.LLCLatency)
 	b = appendInt(b, `,"DRAMLatency":`, c.DRAMLatency)
@@ -48,7 +47,6 @@ func (c *Config) AppendJSON(b []byte) []byte {
 	o := &c.SACOpts
 	b = appendInt(b, `,"SACOpts":{"WindowCycles":`, o.WindowCycles)
 	b = wire.AppendFloat(append(b, `,"Theta":`...), o.Theta)
-	b = appendInt(b, `,"MinSamples":`, o.MinSamples)
 	b = strconv.AppendBool(append(b, `,"DisableLSU":`...), o.DisableLSU)
 	b = strconv.AppendBool(append(b, `,"ReuseKernelDecisions":`...), o.ReuseKernelDecisions)
 	b = appendInt(b, `,"ReprofileEvery":`, o.ReprofileEvery)
@@ -104,8 +102,6 @@ func (c *Config) DecodeJSON(r *wire.Reader) {
 			c.ChannelBW = r.Float64()
 		case "ChannelsPerChip":
 			c.ChannelsPerChip = r.Int()
-		case "BanksPerChannel":
-			c.BanksPerChannel = r.Int()
 		case "L1Latency":
 			c.L1Latency = r.Int64()
 		case "LLCLatency":
@@ -164,8 +160,6 @@ func (c *Config) decodeSACOpts(r *wire.Reader) {
 			o.WindowCycles = r.Int64()
 		case "Theta":
 			o.Theta = r.Float64()
-		case "MinSamples":
-			o.MinSamples = r.Int64()
 		case "DisableLSU":
 			o.DisableLSU = r.Bool()
 		case "ReuseKernelDecisions":

@@ -44,10 +44,6 @@ type Config struct {
 	ChannelBW  float64 // per DRAM channel
 
 	ChannelsPerChip int
-	// BanksPerChannel > 0 enables DRAM bank/row-buffer timing (see
-	// internal/dram); the default presets keep it 0 (pure bandwidth +
-	// latency), matching the recorded experiments.
-	BanksPerChannel int
 
 	// Latencies, cycles.
 	L1Latency      int64

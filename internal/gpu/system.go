@@ -392,7 +392,7 @@ func (s *System) issueChip(c *chip) {
 }
 
 // fastForward advances the clock over idle spans: cycles in which no queue,
-// pipeline, DRAM bank, ring link or warp can make progress. It runs between
+// pipeline, DRAM channel, ring link or warp can make progress. It runs between
 // steps and moves s.now to one cycle before the earliest future event, so
 // the next step executes exactly that event's cycle. Skipping is restricted
 // to stRun (drain states bill DrainCycles per cycle) and is bounded by every

@@ -333,17 +333,3 @@ func TestPeriodicReprofilingExtension(t *testing.T) {
 		t.Fatalf("reconfig counts: plain %d, reprofiling %d", plain.Reconfigs, re.Reconfigs)
 	}
 }
-
-func TestBankTimingEndToEnd(t *testing.T) {
-	cfg := tinyConfig().WithOrg(llc.MemorySide)
-	cfg.BanksPerChannel = 8
-	banked := mustRun(t, cfg, tinyWorkload())
-	plain := mustRun(t, tinyConfig().WithOrg(llc.MemorySide), tinyWorkload())
-	if banked.MemOps != plain.MemOps {
-		t.Fatalf("bank timing changed retired work: %d vs %d", banked.MemOps, plain.MemOps)
-	}
-	// Bank occupancy can only slow things down (same bandwidth, extra gate).
-	if banked.Cycles < plain.Cycles {
-		t.Fatalf("bank timing sped the run up: %d vs %d", banked.Cycles, plain.Cycles)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +146,33 @@ func TestTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected: a submission naming a field the request or its
+// config does not have, such as a misspelling or a field an older model had,
+// is a 400 on both routes, never an answer for the model its known fields
+// describe.
+func TestUnknownFieldRejected(t *testing.T) {
+	cfg := gpu.ScaledConfig()
+	explicit, err := json.Marshal(client.JobRequest{Benchmark: "SN", Org: "SAC", Fidelity: "estimate", Config: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, "/v1/jobs", string(explicit)); w.Code != http.StatusAccepted {
+		t.Fatalf("%s: %d %s, want 202", explicit, w.Code, w.Body.Bytes())
+	}
+	for _, body := range []string{
+		strings.Replace(string(explicit), `"config":{`, `"config":{"BanksPerChanel":4,`, 1),
+		strings.Replace(string(explicit), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1),
+		strings.TrimSuffix(snEstimate, "}") + `,"priority2":"batch"}`,
+	} {
+		if w := post(t, "/v1/jobs", body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, w.Code, w.Body.Bytes())
+		}
+		if batch := `{"jobs":[` + body + `]}`; post(t, "/v1/jobs:batch", batch).Code != http.StatusBadRequest {
+			t.Errorf("batch of %s: want 400", body)
+		}
+	}
+}
+
 // TestBodyBounded: a body past MaxBodyBytes is a 413 with the usual error
 // body, even a valid submission padded with whitespace; at the bound the
 // same padded batch is admitted.
@@ -165,7 +193,7 @@ func TestBodyBounded(t *testing.T) {
 
 // FuzzRequestDecode is the request decoder's differential test: for any
 // bytes, the decoder both daemons read bodies with fails exactly when
-// json.Unmarshal does and otherwise yields the same JobRequest or
+// strictUnmarshal does and otherwise yields the same JobRequest or
 // BatchRequest. It must never panic.
 func FuzzRequestDecode(f *testing.F) {
 	cfg := gpu.ScaledConfig()
@@ -185,6 +213,8 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"benchmark":"R\u004e","org":"SAC","faults":"a\\b"}`))
 	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"a"}],"jobs":[{"org":"b"}]}`))
 	f.Add(uint8(1), []byte(` {"jobs":null} `))
+	f.Add(uint8(0), []byte(`{"benchmark":"BP","org":"SAC","config":{"BanksPerChanel":4}}`))
+	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"BP","org":"SAC","MinSamples":64}]}`))
 	for _, body := range trailingBodies {
 		f.Add(uint8(0), []byte(body))
 	}
@@ -193,12 +223,27 @@ func FuzzRequestDecode(f *testing.F) {
 		if kind%2 == 1 {
 			got, want = new(client.BatchRequest), new(client.BatchRequest)
 		}
-		err, wantErr := client.Unmarshal(data, got), json.Unmarshal(data, want)
+		err, wantErr := client.Unmarshal(data, got), strictUnmarshal(data, want)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q into %T: error %v, encoding/json's %v", data, got, err, wantErr)
+			t.Fatalf("%q into %T: error %v, the reference's %v", data, got, err, wantErr)
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q into %T:\n got %+v\nwant %+v", data, got, got, want)
 		}
 	})
+}
+
+// strictUnmarshal is the request decoder's reference: encoding/json with
+// unknown fields disallowed, and, as json.Unmarshal requires, nothing but
+// whitespace after the value.
+func strictUnmarshal(data []byte, v any) error {
+	d := json.NewDecoder(bytes.NewReader(data))
+	d.DisallowUnknownFields()
+	if err := d.Decode(v); err != nil {
+		return err
+	}
+	if rest := data[d.InputOffset():]; len(bytes.TrimLeft(rest, " \t\r\n")) != 0 {
+		return fmt.Errorf("%d bytes after the value", len(rest))
+	}
+	return nil
 }

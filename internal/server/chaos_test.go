@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -553,8 +554,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestCorruptJournalSurfacesRecoveryErrors scribbles over a journal record
-// and checks recovery proceeds, the loss is counted, and healthz reports it.
+// TestCorruptJournalSurfacesRecoveryErrors scribbles over a journal record,
+// and journals a request naming a config field this model does not have,
+// and checks recovery proceeds, both losses are counted, and healthz reports
+// them.
 func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "journal.wal")
@@ -584,6 +587,21 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	if err := os.WriteFile(jp, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	req, err := json.Marshal(tinyRequest("RN", "SAC"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req = []byte(strings.Replace(string(req), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
+	jnl, _, err := journal.Open(jp, journal.Options{NoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "unknown-field", Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := New(Config{Workers: 1, QueueCap: 16, JournalPath: jp})
 	n, err := s2.Recover()
@@ -591,10 +609,10 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(ids)-1 {
-		t.Fatalf("restored %d jobs, want %d (one record corrupted)", n, len(ids)-1)
+		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field)", n, len(ids)-1)
 	}
 	h := s2.HealthSnapshot()
-	if h.RecoveryErrors != 1 {
-		t.Fatalf("healthz recovery_errors = %d, want 1", h.RecoveryErrors)
+	if h.RecoveryErrors != 2 {
+		t.Fatalf("healthz recovery_errors = %d, want 2", h.RecoveryErrors)
 	}
 }

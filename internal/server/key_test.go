@@ -32,8 +32,9 @@ func keyOfBody(t *testing.T, body string) string {
 // TestKeyCanonical is the store key's canonicality property over
 // ResolveRequest: every spelling of one cell — a preset or the explicit
 // config it names, fidelity "" or "exact", the org by name whatever the
-// config's own Org says, any priority or deadline, and any JSON spelling of
-// the body, inside the hand codec's subset or not — resolves to one key, and
+// config's own Org says, any priority or deadline, a fault plan's events in
+// any order, and any JSON spelling of the body, inside the hand codec's subset
+// or not — resolves to one key, and
 // flipping any single hashed field (each config field, the benchmark, the
 // org, the fault plan, the rung) resolves to another. A wrong cache hit is
 // the worst failure a result service has.
@@ -80,6 +81,11 @@ func TestKeyCanonical(t *testing.T) {
 	distinct("benchmark", client.JobRequest{Benchmark: "BP", Org: "SAC"})
 	distinct("org", client.JobRequest{Benchmark: "RN", Org: "memory-side"})
 	distinct("fault plan", client.JobRequest{Benchmark: "RN", Org: "SAC", Faults: "dram:0.0@100*0.5"})
+	distinct("two-event plan", client.JobRequest{Benchmark: "RN", Org: "SAC", Faults: "dram:0.0@100*0.5;xchip:1.ccw@50-90*0"})
+	reordered := client.JobRequest{Benchmark: "RN", Org: "SAC", Faults: " xchip:1.ccw@50-90*-0; dram:0.0@100*0.5"}
+	if got := keyOf(t, reordered); seen[got] != "two-event plan" {
+		t.Errorf("%+v keys %.12s, not the key of its events in plan order", reordered, got)
+	}
 	distinct("estimate", client.JobRequest{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelityEstimate})
 	distinct("sampled", client.JobRequest{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelitySampled})
 

@@ -1,0 +1,58 @@
+package store
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// goldenFiles pin the bytes of results and of their keys: a model change
+// shows up as a re-recording of one of them.
+var goldenFiles = []string{
+	"../gpu/testdata/golden_runs.json",
+	"../backend/testdata/estimate_universe.json",
+	"../backend/testdata/estimate_straddle.json",
+	"../../cmd/sacsweep/testdata/sweep_golden.json",
+	"testdata/object_bp_12345.golden.json",
+}
+
+// schemaGoldens holds one entry per schemaVersion since the protocol began:
+// the version and the digest of goldenFiles it was recorded with.
+var schemaGoldens = []struct {
+	version int
+	digest  string
+}{
+	{3, "9d4fe1c26cbf9459d0525c9fd9ec8425713e40c478b653f7634eba1423b79ec5"},
+}
+
+// TestSchemaPinsGoldens is the protocol for touching the model: goldens
+// re-recorded under an unchanged schemaVersion would let an old result
+// store answer for the new model. So the golden files' digest must be the
+// one the last entry records, and the last entry's version must be
+// schemaVersion; re-recording a golden takes a bump and a new entry.
+func TestSchemaPinsGoldens(t *testing.T) {
+	h := sha256.New()
+	for _, name := range goldenFiles {
+		b, err := os.ReadFile(filepath.FromSlash(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(b))
+		h.Write(b)
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	for i := 1; i < len(schemaGoldens); i++ {
+		if schemaGoldens[i].version <= schemaGoldens[i-1].version {
+			t.Fatalf("schemaGoldens entry %d: version %d does not follow %d", i, schemaGoldens[i].version, schemaGoldens[i-1].version)
+		}
+	}
+	last := schemaGoldens[len(schemaGoldens)-1]
+	if last.version != schemaVersion || last.digest != digest {
+		next := max(schemaVersion, last.version+1)
+		t.Fatalf("the golden files hash to %s under schemaVersion %d, but the last schemaGoldens entry is {%d, %s}:\n"+
+			"set schemaVersion to %d and append {%d, %q}", digest, schemaVersion, last.version, last.digest, next, next, digest)
+	}
+}

@@ -50,8 +50,10 @@ import (
 
 // schemaVersion is baked into every cache key: bump it when the meaning of a
 // stored result changes, so stale entries become unreachable instead of
-// wrong. v2 added the content hash (envelope.Sum).
-const schemaVersion = 2
+// wrong. v2 added the content hash (envelope.Sum); v3 dropped two unused
+// config fields and made fault-plan keys canonical. TestSchemaPinsGoldens
+// fails when a golden result file is re-recorded without a bump.
+const schemaVersion = 3
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields

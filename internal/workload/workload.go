@@ -122,9 +122,6 @@ type Layout struct {
 	FalseWindowPages int // falsely-shared window, in pages
 }
 
-// TotalLines returns the kernel's total footprint in lines.
-func (l Layout) TotalLines() int { return l.PrivLines + l.FalseLines + l.TrueLines }
-
 func mbToLines(mb float64, scale int, lineBytes int) int {
 	lines := int(mb * 1024 * 1024 / float64(scale) / float64(lineBytes))
 	return lines
