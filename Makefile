@@ -55,15 +55,20 @@ syncsmoke:
 # 16-workload estimate sweep must finish in well under a second. The second
 # line pins the estimate rung's bytes (the 256-cell universe, in order and
 # shuffled across goroutines through the pooled scratch, and the page-bound
-# straddle) and its allocations. The third pins sacsweep's -json bytes: every
-# experiment of the fast set at the estimate rung, and an exact Fig 8 cold and
-# warm from a result cache.
+# straddle), its allocations, the replay-invariant config fields, and that a
+# canceled replay is never handed on to a run-set mate. The third holds a sacd
+# batch and a sweep's RunAll to the same bytes with one replay per (machine,
+# spec). The fourth pins sacsweep's -json bytes: every experiment of the fast
+# set at the estimate rung, and an exact Fig 8 cold and warm from a result
+# cache.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetKeepsVictimStamps' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetKeepsVictimStamps|TestProfileInvariantFields|TestRunSetCancelNotShared' \
 		./internal/backend ./internal/workload ./internal/core
+	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles' \
+		./internal/server ./internal/eval
 	$(GO) test -count=1 -run TestSweepGolden ./cmd/sacsweep
 
 # clustersmoke is the fleet shortcut: ring properties (balance, minimal key

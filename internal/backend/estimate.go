@@ -166,11 +166,11 @@ type replayShape struct {
 	warps, sms, l1Sets, l1Ways, slices, llcSets, llcWays int
 }
 
-// replayScratch is the per-call working set of runEstimate — the tag models,
-// a Spec's warp streams, the warp cursors and the kernel estimates — reused
+// replayScratch is the per-call working set of profile — the tag models, a
+// Spec's warp streams, the warp cursors and the kernel profiles — reused
 // across calls through a pool per shape. Every call starts it from the state
 // a fresh allocation has: the LLC models are cleared on entry, the L1s at
-// every kernel, the streams, cursors and estimates are rebuilt. The profiler
+// every kernel, the streams, cursors and profiles are rebuilt. The profiler
 // is not part of it: core.CRD.Reset keeps each way's LRU stamp
 // (TestCRDResetKeepsVictimStamps), so a reused profiler would not start
 // where a fresh one does.
@@ -179,7 +179,7 @@ type replayScratch struct {
 	llc     []tagCache
 	streams []workload.Stream
 	cursors []cursor
-	kes     []kernelEstimate
+	kps     []kernelProfile
 }
 
 var scratchPools struct {
@@ -208,16 +208,37 @@ func scratchPool(sh replayShape) *sync.Pool {
 	return p
 }
 
-// kernelEstimate is one unique kernel's profiled window.
-type kernelEstimate struct {
+// takeScratch takes a scratch of cfg's shape from its pool; the caller hands
+// it back with giveScratch once nothing reads its kernel profiles.
+func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
+	m := cfg.Machine()
+	modelSets, _ := llcSampling(cfg)
+	pool := scratchPool(replayShape{
+		warps: m.TotalWarps(), sms: m.Chips * m.SMsPerChip,
+		l1Sets: cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways), l1Ways: cfg.L1Ways,
+		slices: cfg.Chips * cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
+	})
+	return pool, pool.Get().(*replayScratch)
+}
+
+func giveScratch(pool *sync.Pool, sc *replayScratch) {
+	clear(sc.cursors) // drop stream references before pooling
+	pool.Put(sc)
+}
+
+// kernelProfile is one unique kernel's profiled window: what the replay
+// measured, before any organization, bandwidth or threshold prices it.
+type kernelProfile struct {
 	replayed   int64 // raw accesses replayed (pre-L1)
 	llcAcc     int64 // accesses that reached the LLC model (post-L1)
 	writes     int64 // raw write accesses in the window
 	ops        int64 // full per-invocation op count, from the stream lengths
 	llcLookups int64 // sampled-set LLC probes
 	llcHits    int64 // sampled-set LLC hits
-	inputs     core.WorkloadInputs
-	decision   core.Decision
+	samples    int64 // accesses the profiler recorded (the core.MinSamples guard)
+	// inputs are the profiler's, with the memory-side hit rate taken from
+	// the set-sampled model; the DisableLSU override is synthesize's.
+	inputs core.WorkloadInputs
 }
 
 // llcSampleShift set-samples the memory-side LLC model: only lines in a
@@ -236,31 +257,102 @@ const llcSampleShift = 3
 // clear it, so the rung's benchmarked cost includes the sampler.
 const llcSampleMinSets = 64
 
+// llcSampling returns the set count per slice of cfg's memory-side LLC
+// model and the line-hash mask that selects its sample (0: every line is
+// probed).
+func llcSampling(cfg gpu.Config) (sets int, sampleMask uint64) {
+	sets = cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip / cfg.LLCWays
+	if sets >= llcSampleMinSets {
+		return sets >> llcSampleShift, 1<<llcSampleShift - 1
+	}
+	return sets, 0
+}
+
 // runEstimate is the closed-form rung: profile a stream prefix through
-// tag-only cache models, evaluate both organizations' EABs, synthesize a
-// Stats from the analytical bandwidths. No cycle loop runs.
+// tag-only cache models, then synthesize a Stats from the analytical
+// bandwidths of both organizations' EABs. No cycle loop runs. The profile is
+// read out of the pooled scratch, so a call allocates no more than the
+// replay and the run record need.
 func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkEstimate(cfg, w, o); err != nil {
 		return nil, err
+	}
+	pool, sc := takeScratch(cfg)
+	defer giveScratch(pool, sc)
+	kps, err := profile(cfg, w, o, sc)
+	if err != nil {
+		return nil, err
+	}
+	return synthesize(cfg, w, kps), nil
+}
+
+// checkEstimate is what every estimate cell checks for itself before it
+// profiles, or reuses a run-set mate's profile: a valid configuration, no
+// fault plan, and a workload the machine can run.
+func checkEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if !o.Faults.Empty() {
-		return nil, fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q or %q", Estimate, Sampled, Exact)
+		return fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q or %q", Estimate, Sampled, Exact)
 	}
-	m := cfg.Machine()
-	if err := gpu.CheckMachine(w, m); err != nil {
-		return nil, err
-	}
+	return gpu.CheckMachine(w, cfg.Machine())
+}
 
-	opts := cfg.SACOpts.WithDefaults()
-	arch := cfg.ArchParams()
+// profileKeyOf is the key a RunSet shares profiles under: cfg with the
+// replay-invariant set zeroed, and the workload's name.
+//
+// The replay-invariant set is the fields of gpu.Config that profile never
+// reads, so configurations differing only in them replay identically:
+//
+//   - Org, ClusterBW, SliceBW, RingLinkBW, ChannelBW, SMsPerCluster and
+//     SACOpts.{Theta, DisableLSU}: synthesize prices them (the EAB model's
+//     architecture inputs, the θ comparison, the LSU ablation, the org's
+//     side);
+//   - L1Latency, LLCLatency, DRAMLatency, RingHopLatency, Coherence,
+//     SACOpts.{ReuseKernelDecisions, ReprofileEvery}, DynamicEpoch,
+//     MSHRPerSlice, QueueBound, MaxCycles and WatchdogCycles: only the
+//     cycle-exact engine reads them.
+//
+// ChannelsPerChip stays out: the replay builds its PAE mapper from it,
+// though the slice hash, the mapper's one call here, does not read it
+// today. TestProfileInvariantFields perturbs each field of the set, requires
+// byte-identical profile output, and requires this key to zero exactly the
+// set; it is the authority over this list.
+func profileKeyOf(cfg gpu.Config, name string) profileKey {
+	cfg.Org = 0
+	cfg.ClusterBW, cfg.SliceBW, cfg.RingLinkBW, cfg.ChannelBW = 0, 0, 0, 0
+	cfg.SMsPerCluster = 0
+	cfg.SACOpts.Theta, cfg.SACOpts.DisableLSU = 0, false
+	cfg.L1Latency, cfg.LLCLatency, cfg.DRAMLatency, cfg.RingHopLatency = 0, 0, 0, 0
+	cfg.Coherence = 0
+	cfg.SACOpts.ReuseKernelDecisions, cfg.SACOpts.ReprofileEvery = false, 0
+	cfg.DynamicEpoch, cfg.MSHRPerSlice, cfg.QueueBound = 0, 0, 0
+	cfg.MaxCycles, cfg.WatchdogCycles = 0, 0
+	return profileKey{cfg: cfg, name: name}
+}
+
+// profileKey names one replay: a configuration with its replay-invariant
+// fields zeroed, and the workload's name.
+type profileKey struct {
+	cfg  gpu.Config
+	name string
+}
+
+// profile replays a bounded stream prefix of every unique kernel of w on
+// cfg's machine through tag-only cache models and the counter architecture,
+// and returns one kernelProfile per unique kernel, held in sc. It reads no
+// field of the replay-invariant set (profileKeyOf) and assumes checkEstimate
+// passed.
+func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) ([]kernelProfile, error) {
+	m := cfg.Machine()
 	issueWidth := int64(m.Chips * m.SMsPerChip)
-	lineBytes := float64(cfg.Geom.LineBytes)
 	sectors := cfg.SectorCount()
 
 	// The profiled window in replay steps: the same cycle convention as
 	// internal/profile (gapless round-robin, one access per warp per step,
 	// cycle = step / issue width), bounded by the global cap.
-	maxSteps := opts.WindowCycles * issueWidth
+	maxSteps := cfg.SACOpts.WithDefaults().WindowCycles * issueWidth
 	if maxSteps > estimateMaxProfiled {
 		maxSteps = estimateMaxProfiled
 	}
@@ -268,8 +360,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 	// Only unique kernels are profiled: invocation ki of a Spec replays
 	// kernel ki % len(Kernels) with a different stream salt but the same
 	// layout, so its profile — and therefore its decision — is shared.
-	total := w.KernelCount()
-	uniq := total
+	uniq := w.KernelCount()
 	spec, isSpec := w.(workload.Spec)
 	if isSpec && len(spec.Kernels) > 0 && len(spec.Kernels) < uniq {
 		uniq = len(spec.Kernels)
@@ -282,37 +373,23 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 	// cold-starts the L1s).
 	pae := addr.NewPAE(cfg.SlicesPerChip, cfg.ChannelsPerChip)
 	pages := addr.NewPageTable(cfg.Geom, cfg.Chips)
-	llcSets := cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip / cfg.LLCWays
-	modelSets, sampleMask := llcSets, uint64(0)
-	if llcSets >= llcSampleMinSets {
-		modelSets = llcSets >> llcSampleShift
-		sampleMask = 1<<llcSampleShift - 1
-	}
+	_, sampleMask := llcSampling(cfg)
 	prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
 
 	// The tag models (~90 KB at ScaledConfig), streams, cursors and
-	// estimates come from a pool, so a warm call allocates none of them. The
-	// L1 filters are tag-cleared per kernel (a kernel launch cold-starts the
-	// L1s); the LLC models persist across kernels, so they are cleared here.
-	pool := scratchPool(replayShape{
-		warps: m.TotalWarps(), sms: m.Chips * m.SMsPerChip,
-		l1Sets: cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways), l1Ways: cfg.L1Ways,
-		slices: cfg.Chips * cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
-	})
-	sc := pool.Get().(*replayScratch)
-	defer func() {
-		clear(sc.cursors) // drop stream references before pooling
-		pool.Put(sc)
-	}()
+	// profiles come from the scratch, so a warm call allocates none of them.
+	// The L1 filters are tag-cleared per kernel (a kernel launch cold-starts
+	// the L1s); the LLC models persist across kernels, so they are cleared
+	// here.
 	l1, llcModel := sc.l1, sc.llc
 	for i := range llcModel {
 		llcModel[i].reset()
 	}
-	if cap(sc.kes) < uniq {
-		sc.kes = make([]kernelEstimate, uniq)
+	if cap(sc.kps) < uniq {
+		sc.kps = make([]kernelProfile, uniq)
 	}
-	kes := sc.kes[:uniq]
-	clear(kes)
+	kps := sc.kps[:uniq]
+	clear(kps)
 
 	for ki := 0; ki < uniq; ki++ {
 		if o.Ctx != nil {
@@ -324,7 +401,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		for i := range l1 {
 			l1[i].reset()
 		}
-		ke := &kes[ki]
+		kp := &kps[ki]
 		// A Spec builds the kernel's streams into the scratch's storage in
 		// one call; any other workload (a trace replay) hands out its own.
 		if isSpec {
@@ -343,7 +420,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 					// Stream lengths are salt-independent, so invocation
 					// ki+n*uniq has exactly this op count too — record it here
 					// and the synthesis loop never rebuilds a stream.
-					ke.ops += s.Len()
+					kp.ops += s.Len()
 					cursors = append(cursors, cursor{
 						stream: s,
 						chip:   chip,
@@ -354,7 +431,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		}
 		sc.cursors = cursors
 		live := true
-		for live && ke.replayed < maxSteps {
+		for live && kp.replayed < maxSteps {
 			live = false
 			for i := range cursors {
 				c := &cursors[i]
@@ -373,7 +450,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 					}
 					live = true
 					c.steps++
-					ke.replayed++
+					kp.replayed++
 					// One line hash serves the L1 set index, the LLC sample
 					// check and the LLC set index — they all consumed the same
 					// Mix64(line) value when computed separately.
@@ -385,7 +462,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 						continue // load filtered by the L1, never reaches the LLC
 					}
 					if acc.Kind == memsys.Write {
-						ke.writes++
+						kp.writes++
 					}
 					home := pages.Touch(acc.Line, c.chip)
 					si := pae.Slice(acc.Line)
@@ -397,44 +474,47 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 					hit := false
 					if sampleMask == 0 || lh>>48&sampleMask == 0 {
 						hit = llcModel[home*cfg.SlicesPerChip+si].access(lh)
-						ke.llcLookups++
+						kp.llcLookups++
 						if hit {
-							ke.llcHits++
+							kp.llcHits++
 						}
 					}
 					prof.Record(acc.Line, sector, c.chip, home, si, hit)
-					ke.llcAcc++
+					kp.llcAcc++
 				}
-				if ke.replayed >= maxSteps {
+				if kp.replayed >= maxSteps {
 					break
 				}
 			}
 		}
-		ke.inputs = prof.Inputs()
+		kp.samples = prof.Samples()
+		kp.inputs = prof.Inputs()
 		// The memory-side hit rate comes from the set-sampled model's own
 		// counters (the profiler's full-population counters saw "miss" for
 		// every unsampled line).
-		ke.inputs.MemSide.LLCHit = 0
-		if ke.llcLookups > 0 {
-			ke.inputs.MemSide.LLCHit = float64(ke.llcHits) / float64(ke.llcLookups)
-		}
-		if opts.DisableLSU {
-			ke.inputs.MemSide.LSU = 1
-			ke.inputs.SMSide.LSU = 1
-		}
-		ke.decision = core.Decide(arch, ke.inputs, opts.Theta)
-		if prof.Samples() < core.MinSamples {
-			// Mirror the exact controller: too little traffic to trust the
-			// model, stay memory-side.
-			ke.decision.PickSM = false
+		kp.inputs.MemSide.LLCHit = 0
+		if kp.llcLookups > 0 {
+			kp.inputs.MemSide.LLCHit = float64(kp.llcHits) / float64(kp.llcLookups)
 		}
 	}
+	return kps, nil
+}
 
-	// Synthesize the run record from the analytical model. Every cycle
-	// figure below is an estimate: the bandwidth-bound term divides the
-	// predicted post-L1 traffic by the chosen organization's EAB, the
-	// issue-bound term assumes each SM retires at most one memory op per
-	// cycle; the larger of the two bounds each kernel.
+// synthesize prices a profile under cfg and writes the run record: each
+// kernel's EAB decision, under cfg's bandwidths, θ and LSU setting, and the
+// analytical model's cycles and counters. Every cycle figure is an estimate:
+// the bandwidth-bound term divides the predicted post-L1 traffic by the
+// chosen organization's EAB, the issue-bound term assumes each SM retires at
+// most one memory op per cycle; the larger of the two bounds each kernel.
+// kps holds one profile per unique kernel; invocation ki reads kps[ki %
+// len(kps)]. synthesize never writes kps, so run-set mates share one.
+func synthesize(cfg gpu.Config, w gpu.Workload, kps []kernelProfile) *stats.Run {
+	opts := cfg.SACOpts.WithDefaults()
+	arch := cfg.ArchParams()
+	issueWidth := int64(cfg.Chips * cfg.SMsPerChip)
+	lineBytes := float64(cfg.Geom.LineBytes)
+	total := w.KernelCount()
+
 	run := &stats.Run{
 		Benchmark: w.SourceName(),
 		Org:       cfg.Org.String(),
@@ -444,15 +524,25 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		run.Kernels = make([]stats.KernelRec, 0, total)
 	}
 	for ki := 0; ki < total; ki++ {
-		ke := &kes[ki%uniq]
-		ops := ke.ops
-		missFrac, writeFrac := 0.0, 0.0
-		if ke.replayed > 0 {
-			missFrac = float64(ke.llcAcc) / float64(ke.replayed)
-			writeFrac = float64(ke.writes) / float64(ke.replayed)
+		kp := &kps[ki%len(kps)]
+		in := kp.inputs
+		if opts.DisableLSU {
+			in.MemSide.LSU = 1
+			in.SMSide.LSU = 1
 		}
-		pickSM := ke.decision.PickSM
-		eab, hitRate := orgEAB(cfg.Org, ke, pickSM)
+		d := core.Decide(arch, in, opts.Theta)
+		if kp.samples < core.MinSamples {
+			// Mirror the exact controller: too little traffic to trust the
+			// model, stay memory-side.
+			d.PickSM = false
+		}
+		ops := kp.ops
+		missFrac, writeFrac := 0.0, 0.0
+		if kp.replayed > 0 {
+			missFrac = float64(kp.llcAcc) / float64(kp.replayed)
+			writeFrac = float64(kp.writes) / float64(kp.replayed)
+		}
+		eab, hitRate := orgEAB(cfg.Org, d, in)
 		llcOps := math.Round(float64(ops) * missFrac)
 		bwCycles := llcOps * lineBytes / eab
 		issueCycles := float64(ops) / float64(issueWidth)
@@ -475,8 +565,8 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		// Ring traffic estimate: under memory-side routing every remote-homed
 		// LLC access crosses the ring; under SM-side only misses do (hits are
 		// served from the local replica).
-		remote := 1 - ke.inputs.RLocal
-		if pickSM || cfg.Org == llc.SMSide {
+		remote := 1 - in.RLocal
+		if d.PickSM || cfg.Org == llc.SMSide {
 			run.RingBytes += int64(math.Round(float64(misses)*remote)) * int64(lineBytes)
 		} else {
 			run.RingBytes += int64(math.Round(llcOps*remote)) * int64(lineBytes)
@@ -485,7 +575,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 		run.Kernels = append(run.Kernels, stats.KernelRec{
 			Index:  ki,
 			Name:   w.KernelName(ki),
-			Org:    kernelOrgString(cfg.Org, pickSM),
+			Org:    kernelOrgString(cfg.Org, d.PickSM),
 			Cycles: kCycles,
 			MemOps: ops,
 		})
@@ -493,7 +583,7 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 	if run.Cycles < 1 {
 		run.Cycles = 1
 	}
-	return run, nil
+	return run
 }
 
 // orgEAB returns the effective aggregate bandwidth (bytes/cycle) and the
@@ -501,21 +591,21 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 // kernel under. SAC uses the chosen side; the hybrid organizations (Static,
 // Dynamic) cache both locally and at home, so the better side's EAB bounds
 // them — a deliberate coarse approximation, documented in DESIGN.md §14.
-func orgEAB(org llc.Org, ke *kernelEstimate, pickSM bool) (eab, hitRate float64) {
-	mem := ke.decision.MemSide.Total
-	smSide := ke.decision.SMSide.Total
+func orgEAB(org llc.Org, d core.Decision, in core.WorkloadInputs) (eab, hitRate float64) {
+	mem := d.MemSide.Total
+	smSide := d.SMSide.Total
 	switch org {
 	case llc.MemorySide:
-		return mem, ke.inputs.MemSide.LLCHit
+		return mem, in.MemSide.LLCHit
 	case llc.SMSide:
-		return smSide, ke.inputs.SMSide.LLCHit
+		return smSide, in.SMSide.LLCHit
 	case llc.SAC:
-		if pickSM {
-			return smSide, ke.inputs.SMSide.LLCHit
+		if d.PickSM {
+			return smSide, in.SMSide.LLCHit
 		}
-		return mem, ke.inputs.MemSide.LLCHit
+		return mem, in.MemSide.LLCHit
 	default: // Static, Dynamic: hybrid
-		return math.Max(mem, smSide), math.Max(ke.inputs.MemSide.LLCHit, ke.inputs.SMSide.LLCHit)
+		return math.Max(mem, smSide), math.Max(in.MemSide.LLCHit, in.SMSide.LLCHit)
 	}
 }
 

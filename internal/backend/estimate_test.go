@@ -134,7 +134,9 @@ func TestEstimateStraddleGolden(t *testing.T) {
 
 // TestEstimateSteadyStateAllocs pins the pooled replay: once a call has
 // warmed the scratch pool, an estimate cell allocates only its profiler,
-// page table and result record, not its streams or tag models.
+// page table and result record, not its streams, tag models or kernel
+// profiles (20 allocations). Under -race the pool drops scratches at random,
+// so the rebuilt ones count too and the pin is the looser 32.
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	spec, err := workload.ByName("RN")
 	if err != nil {
@@ -147,8 +149,14 @@ func TestEstimateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run()
-	if n := testing.AllocsPerRun(20, run); n > 32 {
-		t.Fatalf("estimate cell allocates %v times in steady state, want <= 32", n)
+	limit := 22.0
+	if raceEnabled {
+		limit = 32
+	}
+	n := testing.AllocsPerRun(20, run)
+	t.Logf("%v allocs per cell", n)
+	if n > limit {
+		t.Fatalf("estimate cell allocates %v times in steady state, want <= %v", n, limit)
 	}
 }
 

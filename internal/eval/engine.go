@@ -130,7 +130,7 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 		if r.Simulate != nil {
 			return r.Simulate(j.Cfg, j.Spec, o)
 		}
-		return backend.Run(j.Cfg, j.Spec, o)
+		return r.runs.Run(j.Cfg, j.Spec, o)
 	}
 	out := a // a store hit
 	switch {

@@ -1,10 +1,15 @@
 package eval
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/backend"
+	"repro/internal/gpu"
 	"repro/internal/llc"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -126,5 +131,51 @@ func TestRunAllOrderAndDedup(t *testing.T) {
 	}
 	if got := r.Runs(); got != 2 {
 		t.Fatalf("executed %d simulations, want 2 (one per distinct key)", got)
+	}
+}
+
+// TestRunAllSharesEstimateProfiles runs a Fig-14 variant set at the estimate
+// rung through RunAll: every cell's bytes must equal a lone backend.Run's,
+// and the Runner's run-set must replay each spec once per distinct replay
+// geometry (base, ½ and 2× LLC, 2 GPUs, sectored, 2 KB and 16 KB pages) —
+// not once per org, bandwidth, memory interface or coherence protocol.
+func TestRunAllSharesEstimateProfiles(t *testing.T) {
+	r := &Runner{Base: gpu.ScaledConfig(), Benchmarks: []string{"RN", "BP", "GEMM"}, Parallelism: 4, Fidelity: "estimate"}
+	var replays atomic.Int64
+	r.runs.OnReplay = func() { replays.Add(1) }
+	specs, err := r.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []RunRequest
+	for _, axis := range []Axis{AxisInterChipBW, AxisLLCCapacity, AxisMemory,
+		AxisCoherence, AxisGPUCount, AxisSectored, AxisPageSize} {
+		vs, err := axisVariants(axis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			for _, spec := range specs {
+				reqs = append(reqs, trio(v.apply(r.Base), spec)...)
+			}
+		}
+	}
+	runs, err := r.RunAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range reqs {
+		lone, err := backend.Run(q.Cfg, q.Spec, gpu.RunOpts{Fidelity: backend.Estimate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(runs[i])
+		want, _ := json.Marshal(lone)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s/%s: RunAll bytes differ from a lone backend.Run's", q.Spec.Name, q.Cfg.Org)
+		}
+	}
+	if n, want := replays.Load(), int64(7*len(specs)); n != want {
+		t.Fatalf("%d replays for %d cells, want %d: one per spec and replay geometry", n, len(reqs), want)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/client"
+	"repro/internal/backend"
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
@@ -62,15 +63,21 @@ type Runner struct {
 	// Store, when set, is the result cache sacd and sacsweep -cache-dir share:
 	// an executing cell reads it, and writes a fresh result back.
 	Store *store.Store
-	// Simulate is the simulate step; nil selects backend.Run. Tests swap it
-	// for failing or panicking cells, bench for its traced pass.
+	// Simulate is the simulate step; nil runs each cell through the Runner's
+	// backend.RunSet, so the estimate cells of one (machine, spec) replay
+	// once. Tests swap it for failing or panicking cells, bench for its
+	// traced pass.
 	Simulate func(gpu.Config, workload.Spec, gpu.RunOpts) (*stats.Run, error)
 	// Remote, when set, is the fleet (a saccoord, or one sacd) that RunAll
 	// ships store-missing cells to; see RunAll.
 	Remote *client.Client
 
 	// answers maps a remote run-set's *jobs.Job to its jobs.Outcome.
-	answers                                    sync.Map
+	answers sync.Map
+	// runs shares estimate replays among the cells it simulates, for as long
+	// as the Runner's flights live.
+	runs backend.RunSet
+
 	once                                       sync.Once
 	t                                          *jobs.Table
 	slots                                      chan struct{}

@@ -29,7 +29,7 @@ func stubTable() *jobs.Table {
 		},
 		Admit: func(batch []*jobs.Job) error {
 			for _, j := range batch {
-				t.RunDirect(j)
+				t.RunDirect(context.Background(), j)
 			}
 			return nil
 		},

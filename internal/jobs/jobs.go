@@ -124,8 +124,8 @@ type Config struct {
 	// the batch. It runs on the submitting goroutine and may block.
 	Admit func(batch []*Job) error
 	// Execute produces the result for one job: on behalf of a flight (ctx is
-	// bound to the job's cancel and deadline) or directly (ctx is never
-	// canceled). A panic inside it fails the job, not the caller.
+	// bound to the job's cancel and deadline) or directly (ctx is the one
+	// RunDirect was given). A panic inside it fails the job, not the caller.
 	Execute func(ctx context.Context, j *Job) Outcome
 
 	// OnStart runs when a job leaves the queue, before its flight decision.
@@ -373,7 +373,7 @@ func (t *Table) Run(j *Job) {
 		f = &flight{done: make(chan struct{})}
 		t.flights[j.Key] = f
 		t.mu.Unlock()
-		f.out = t.exec(j, true)
+		f.out = t.exec(context.Background(), j, true)
 		t.mu.Lock()
 		if f.out.Err != nil {
 			// Evicted before the waiters wake: a resubmission retries
@@ -440,10 +440,12 @@ func (t *Table) Recall(j *Job) bool {
 }
 
 // RunDirect executes j on the calling goroutine without touching the flight
-// table — for cells so cheap that the store is dedup enough.
-func (t *Table) RunDirect(j *Job) {
+// table — for cells so cheap that the store is dedup enough. Execute gets
+// ctx as it is: sacd hands a batch's cells one context carrying the batch's
+// run-set.
+func (t *Table) RunDirect(ctx context.Context, j *Job) {
 	if t.begin(j) {
-		t.settle(j, t.exec(j, false), "")
+		t.settle(j, t.exec(ctx, j, false), "")
 	}
 }
 
@@ -485,15 +487,14 @@ func (e *PanicError) Error() string {
 
 // exec calls the executor and contains its panics (chaos injection, poisoned
 // input, a simulator bug in one sweep cell): a failed execution is a failed
-// job, not a dead process. A leader gets a context its job's cancel and
-// deadline reach.
-func (t *Table) exec(j *Job, lead bool) (out Outcome) {
+// job, not a dead process. A leader runs under ctx bound to its job's cancel
+// and deadline.
+func (t *Table) exec(ctx context.Context, j *Job, lead bool) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = Outcome{Err: &PanicError{ID: j.ID, Value: r, Stack: debug.Stack()}}
 		}
 	}()
-	ctx := context.Background()
 	if lead {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)

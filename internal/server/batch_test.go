@@ -15,7 +15,12 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/backend"
+	"repro/internal/gpu"
+	"repro/internal/llc"
+	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // openTestStore opens a persistent store in dir and closes it with the test.
@@ -365,5 +370,52 @@ func TestResultServedFromRawBytes(t *testing.T) {
 	hitRaw := serve(t, "GET", url2+"/v1/jobs/"+second.ID+"/result", "", 200)
 	if !bytes.Equal(simRaw, hitRaw) {
 		t.Fatalf("store-hit result bytes differ from sim-path bytes:\n%s\nvs\n%s", hitRaw, simRaw)
+	}
+}
+
+// TestBatchSharesProfiles submits the 256-cell estimate universe (16 specs
+// × {SAC, memory-side, SM-side, static} × workload scale {256, 384, 512,
+// 640} on ScaledConfig) as one batch to a fresh daemon. The batch's cells
+// share replays — one per (spec, scale), 64 in all, as
+// sacd_estimate_replays_total counts them — and sharing is invisible: every
+// status carries a lone backend.Run's bytes.
+func TestBatchSharesProfiles(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, c := testDaemon(t, Config{Workers: 4, Store: openTestStore(t, t.TempDir()), Registry: reg})
+	var reqs []client.JobRequest
+	var want [][]byte
+	for _, spec := range workload.Catalog() {
+		for _, org := range []llc.Org{llc.SAC, llc.MemorySide, llc.SMSide, llc.Static} {
+			for _, scale := range []int{256, 384, 512, 640} {
+				cfg := gpu.ScaledConfig().WithOrg(org)
+				cfg.WorkloadScale = scale
+				run, err := backend.Run(cfg, spec, gpu.RunOpts{Fidelity: backend.Estimate})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(run)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, b)
+				reqs = append(reqs, client.JobRequest{Benchmark: spec.Name, Org: org.String(),
+					Config: &cfg, Fidelity: client.FidelityEstimate})
+			}
+		}
+	}
+	sts, err := c.SubmitBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range sts {
+		if st.State != client.StateDone || st.Source != client.SourceSim {
+			t.Fatalf("%s/%s: %s from %q (%s), want done from a simulation", st.Benchmark, st.Org, st.State, st.Source, st.Error)
+		}
+		if !bytes.Equal(st.Result, want[i]) {
+			t.Errorf("%s/%s: result bytes differ from a lone backend.Run's", st.Benchmark, st.Org)
+		}
+	}
+	if n := reg.Counter("sacd_estimate_replays_total", "").Value(); n != 64 {
+		t.Fatalf("%v replays for 256 cells, want 64: one per (spec, workload scale)", n)
 	}
 }

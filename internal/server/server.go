@@ -135,6 +135,7 @@ type metrics struct {
 	jnlRecords        *obs.Metric
 	healthState       *obs.Metric
 	healthTransitions *obs.Metric
+	replays           *obs.Metric
 	engine            jobs.Metrics
 }
 
@@ -154,6 +155,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		jnlRecords:        reg.Gauge("sacd_journal_records", "Records in the journal file."),
 		healthState:       reg.Gauge("sacd_health_state", "Health state: 0 healthy, 1 degraded, 2 draining, 3 unhealthy."),
 		healthTransitions: reg.Counter("sacd_health_transitions_total", "Health-state machine transitions."),
+		replays:           reg.Counter("sacd_estimate_replays_total", "Estimate-rung replays run; cells that reused a batch-mate's profile are not counted."),
 		engine: jobs.Metrics{
 			Accepted:   reg.Counter("sacd_jobs_accepted_total", "Jobs accepted into the queue."),
 			Done:       reg.Counter("sacd_jobs_done_total", "Jobs that finished successfully."),
@@ -179,6 +181,9 @@ type Server struct {
 	cfg  Config
 	m    *metrics
 	sims atomic.Int64 // simulations completed (store hits and joins excluded)
+	// countReplay counts one estimate replay; built once, so a batch's
+	// run-set costs no closure.
+	countReplay func()
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -223,6 +228,7 @@ func New(cfg Config) *Server {
 		stop:             make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.countReplay = s.m.replays.Inc
 	jcfg := jobs.Config{
 		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
 			return ResolveRequest(req, cfg.DefaultFidelity)
@@ -448,6 +454,14 @@ func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 	return nil
 }
 
+// inlineBatch is the context an admitted batch's estimate cells execute
+// under: never canceled, and carrying the batch's run-set, so the cells of
+// one (machine, spec) replay once (backend.RunSet). It dies with the batch.
+type inlineBatch struct {
+	context.Context
+	runs backend.RunSet
+}
+
 // liveRecord renders a job the way the journal files it.
 func liveRecord(j *jobs.Job, started bool) journal.LiveJob {
 	lj := journal.LiveJob{ID: j.ID, Req: client.AppendRequest(nil, &j.Req), Started: started}
@@ -460,12 +474,15 @@ func liveRecord(j *jobs.Job, started bool) journal.LiveJob {
 // runInline executes a batch's estimate cells, first occurrence of each key
 // first so in-batch duplicates land on the store (a zero-copy raw hit)
 // instead of simulating twice. They bypass the flight table: the store is
-// their dedup. Each wave runs on min(Workers, len(wave)) goroutines pulling
+// their dedup. The cells that miss the store share one run-set, so a
+// (machine, spec) replays once for every org and bandwidth point the batch
+// prices. Each wave runs on min(Workers, len(wave)) goroutines pulling
 // cells off a shared index; a wave one goroutine would run stays on the
 // caller's.
 func (s *Server) runInline(estimates []*jobs.Job) {
+	batch := &inlineBatch{Context: context.Background(), runs: backend.RunSet{OnReplay: s.countReplay}}
 	if len(estimates) == 1 {
-		s.RunDirect(estimates[0])
+		s.RunDirect(batch, estimates[0])
 		return
 	}
 	var firsts, dups []*jobs.Job
@@ -482,7 +499,7 @@ func (s *Server) runInline(estimates []*jobs.Job) {
 		var next atomic.Int64
 		drain := func() {
 			for i := next.Add(1) - 1; i < int64(len(wave)); i = next.Add(1) - 1 {
-				s.RunDirect(wave[i])
+				s.RunDirect(batch, wave[i])
 			}
 		}
 		n := min(s.cfg.Workers, len(wave))
@@ -560,14 +577,19 @@ func (s *Server) pop() *jobs.Job {
 // execute is the engine's executor: chaos hooks, then the shared
 // store-backed simulate step on the backend. A warm hit's verified bytes are
 // the wire-form result, so status and result responses never decode or
-// re-encode it. It runs on a worker for a flight leader and on the accepting
-// goroutine for an estimate cell; the engine contains its panics.
+// re-encode it, and never touch a run-set. It runs on a worker for a flight
+// leader and on the accepting goroutine for an estimate cell, which
+// simulates through its batch's run-set; the engine contains its panics.
 func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 	if hook := s.cfg.chaos.BeforeRun; hook != nil {
 		hook(j.ID)
 	}
 	return jobs.Simulate(j, s.cfg.Store, func() (*stats.Run, error) {
-		res, err := backend.Run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
+		run := backend.Run
+		if b, ok := ctx.(*inlineBatch); ok {
+			run = b.runs.Run
+		}
+		res, err := run(j.Cfg, j.Spec, gpu.RunOpts{Faults: j.Plan, Fidelity: j.Fidelity, Ctx: ctx})
 		if err == nil {
 			s.sims.Add(1)
 		}
