@@ -36,12 +36,15 @@ smoke:
 # in-process kill -9 simulation (zero accepted jobs lost, zero duplicate
 # executions), the journaled drain/restart exactly-once cycle, the chaos
 # soak (worker panics + dropped fsyncs + tight deadlines), the
-# durable-before-visible ordering of terminal states, and the real SIGKILL
-# of a sacd process with fsync on.
+# durable-before-visible ordering of terminal states, restored jobs keeping
+# their accept order across a runtime compaction, and the real SIGKILL of a
+# sacd process with fsync on. The second line replays a journal in the older
+# format (start records) and compacts one in accept order.
 chaossmoke: syncsmoke
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal|TestTerminalDurableBeforeVisible' \
+		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal|TestTerminalDurableBeforeVisible|TestCompactionKeepsAcceptOrder' \
 		./internal/server
+	$(GO) test -race -count=1 -run 'TestReplayLiveSet|TestRuntimeCompaction' ./internal/journal
 
 # syncsmoke SIGKILLs a real sacd with REPRO_JOURNAL_SYNC=1, the fsync path
 # the default (page-cache) journal mode never takes.

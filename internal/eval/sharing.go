@@ -36,13 +36,9 @@ func (r *Runner) Table4() (*Table4Result, error) {
 	for _, row := range workload.Table4() {
 		paper[row.Name] = row
 	}
-	an, err := profile.New(r.Base.Machine(), []int64{1 << 62}, 0) // one giant window
-	if err != nil {
-		return nil, err
-	}
 	res := &Table4Result{}
 	for _, spec := range specs {
-		p, err := an.Analyze(spec)
+		p, err := profile.Footprint(r.Base.Machine(), spec)
 		if err != nil {
 			return nil, err
 		}

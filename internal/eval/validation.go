@@ -15,7 +15,8 @@ import (
 // its profiling window against what actually happened.
 type EABValRow struct {
 	Benchmark string
-	// Model outputs at the first kernel's decision point.
+	// Model outputs at the SAC run's last decision point: on a multi-kernel
+	// spec, that of the last kernel to reach one, not the first.
 	PredictedMemEAB float64 // bytes/cycle
 	PredictedSMEAB  float64
 	PredictedPickSM bool

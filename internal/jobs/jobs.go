@@ -128,8 +128,6 @@ type Config struct {
 	// RunDirect was given). A panic inside it fails the job, not the caller.
 	Execute func(ctx context.Context, j *Job) Outcome
 
-	// OnStart runs when a job leaves the queue, before its flight decision.
-	OnStart func(j *Job)
 	// OnTerminal runs exactly once per job, on the goroutine that settles it
 	// and before the terminal state becomes visible, with what the job
 	// settled with (Source as Outcome reports it). sacd appends its journal's
@@ -363,9 +361,6 @@ func (t *Table) Restore(id string, req client.JobRequest, deadline time.Time) (*
 func (t *Table) Run(j *Job) {
 	if !t.begin(j) {
 		return
-	}
-	if t.cfg.OnStart != nil {
-		t.cfg.OnStart(j)
 	}
 	t.mu.Lock()
 	f := t.flights[j.Key]

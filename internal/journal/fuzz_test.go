@@ -15,14 +15,13 @@ type liveView struct {
 	ID       string
 	Req      any
 	Deadline int64
-	Started  bool
 }
 
 func viewLive(t *testing.T, live []LiveJob) []liveView {
 	t.Helper()
 	out := make([]liveView, len(live))
 	for i, lj := range live {
-		out[i] = liveView{ID: lj.ID, Deadline: lj.Deadline, Started: lj.Started}
+		out[i] = liveView{ID: lj.ID, Deadline: lj.Deadline}
 		if len(lj.Req) > 0 {
 			if err := json.Unmarshal(lj.Req, &out[i].Req); err != nil {
 				t.Fatalf("live job %q carries an undecodable request %q: %v", lj.ID, lj.Req, err)
@@ -35,14 +34,15 @@ func viewLive(t *testing.T, live []LiveJob) []liveView {
 // FuzzJournalReplay plants arbitrary bytes as the journal file and opens it.
 // The file is whatever the previous life's crash left, so replay must never
 // panic or fail; every line is either a valid record or counted in
-// Replay.Corrupt; no live job is nameless; and the file Open leaves behind
-// replays clean, to the same live set.
+// Replay.Corrupt; no live job is nameless; the journal holds the replayed
+// live set; and the file Open leaves behind replays clean, to the same live
+// set.
 func FuzzJournalReplay(f *testing.F) {
 	var clean []byte
 	for _, rec := range []Record{
 		{Op: OpAccept, ID: "a", Req: json.RawMessage(`{"benchmark":"BP"}`), Deadline: 1700000000000},
 		{Op: OpAccept, ID: "b", Req: json.RawMessage(`{"benchmark":"RN"}`)},
-		{Op: OpStart, ID: "a"},
+		{Op: "start", ID: "a"},
 		{Op: OpAccept, ID: "c"},
 		{Op: OpDone, ID: "b", State: "done"},
 		{Op: OpMark, State: MarkShutdown},
@@ -60,6 +60,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(clean)
 	f.Add(clean[:len(clean)/2]) // truncated mid-record
 	f.Add(flipped)
+	f.Add(olderJournal(f))
 
 	path := filepath.Join(f.TempDir(), "journal.wal")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,6 +70,9 @@ func FuzzJournalReplay(f *testing.F) {
 		j, rep, err := Open(path, Options{})
 		if err != nil {
 			t.Fatalf("Open failed on %q: %v", data, err)
+		}
+		if j.Live() != len(rep.Live) {
+			t.Fatalf("journal holds %d live jobs, replay found %d: %q", j.Live(), len(rep.Live), data)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)

@@ -7,19 +7,20 @@
 // sees its 202.
 //
 // Replay semantics: a job is *live* — and must be re-enqueued by the next
-// daemon life — iff an accept record exists with no matching done record.
-// Start records only annotate (a live job with a start record was mid-run
-// at the crash); a clean shutdown appends a mark record, which replay
-// reports so operators can tell a crash from a graceful drain. Corrupt or
-// torn records never wedge recovery: a torn tail (the crash interrupted the
-// last write) is truncated away, a corrupt interior record is skipped and
-// counted, and both surface in Replay.Corrupt so silent data loss is
-// observable rather than silent.
+// daemon life — iff an accept record exists with no done record after it. A
+// clean shutdown appends a mark record, which replay reports so operators
+// can tell a crash from a graceful drain. A line of any other op is a valid
+// record that changes nothing, so older journals, which also carry start
+// records, replay the same way. Corrupt or torn records never wedge
+// recovery: a torn tail (the crash interrupted the last write) is truncated
+// away, a corrupt interior record is skipped and counted, and both surface
+// in Replay.Corrupt so silent data loss is observable rather than silent.
 //
-// The journal compacts itself: opening rewrites the file down to exactly
-// the live set (dead accept/start/done triples and shutdown marks drop
-// out), and ShouldCompact tells the owner when the live set is small
-// relative to the record count so it can Compact during operation.
+// The journal owns the live set: replay seeds it, and every appended accept
+// adds to it and every done drops from it. Opening rewrites the file down to
+// exactly the live set, in accept order (dead accept/done pairs and shutdown
+// marks drop out), and ShouldCompact tells the owner when the live set is
+// small relative to the record count, so it can Compact during operation.
 package journal
 
 import (
@@ -43,9 +44,8 @@ const (
 	// OpAccept records a job entering the queue; Req carries the full
 	// request so replay can reconstruct it.
 	OpAccept Op = "accept"
-	// OpStart records a worker beginning execution.
-	OpStart Op = "start"
-	// OpDone records a terminal state (State: done/failed/expired).
+	// OpDone records a terminal state (State: done/failed/expired). A done
+	// for a job the journal does not hold is not written.
 	OpDone Op = "done"
 	// OpMark is a non-job annotation; State "shutdown" marks a clean drain.
 	OpMark Op = "mark"
@@ -59,8 +59,8 @@ type Record struct {
 	Op Op     `json:"op"`
 	ID string `json:"id,omitempty"`
 	// State carries the terminal state on done records ("done", "failed",
-	// "expired"), "started" on compacted accept records for jobs that were
-	// mid-run, and the mark kind on mark records.
+	// "expired") and the mark kind on mark records; replay ignores it on
+	// accept records.
 	State string `json:"state,omitempty"`
 	// Req is the accepted request, opaque to the journal.
 	Req json.RawMessage `json:"req,omitempty"`
@@ -76,14 +76,13 @@ type LiveJob struct {
 	ID       string
 	Req      json.RawMessage
 	Deadline int64 // unix ms, 0 = none
-	Started  bool  // the job was mid-run when the previous life ended
 }
 
 // Replay is the result of reading a journal at Open.
 type Replay struct {
 	// Live lists accepted-but-unfinished jobs in accept order.
 	Live []LiveJob
-	// Records counts valid records read (before compaction).
+	// Records counts valid records read, in the file as Open found it.
 	Records int
 	// Corrupt counts records dropped: checksum mismatches, undecodable
 	// payloads, and a torn final line.
@@ -106,14 +105,10 @@ type Options struct {
 	// return an error to model a failing disk, return nil to model a
 	// dropped sync). Called only when Sync is true.
 	SyncHook func() error
-	// NoCompact disables the rewrite at Open (tests that want to inspect
-	// the raw record stream).
-	NoCompact bool
 }
 
-// Journal is an open write-ahead log. All methods are safe for concurrent
-// use; callers that need append/compact atomicity with their own state
-// (the server's queue) serialize externally.
+// Journal is an open write-ahead log and the live set it holds. All methods
+// are safe for concurrent use.
 type Journal struct {
 	path string
 	opt  Options
@@ -122,8 +117,12 @@ type Journal struct {
 	f       *os.File
 	w       *bufio.Writer
 	records int
-	live    int
-	closed  bool
+	// live holds the accepted-but-unfinished jobs by id. order holds every
+	// accept since the last rewrite; the ones still in live are the live
+	// set in accept order.
+	live   map[string]*LiveJob
+	order  []*LiveJob
+	closed bool
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -163,10 +162,9 @@ func decode(line []byte) (Record, bool) {
 }
 
 // Open reads (replaying) and opens the journal at path, creating it if
-// absent. Unless Options.NoCompact is set, the file is rewritten down to
-// the live set — so the returned journal starts with Records() ==
-// len(Replay.Live) and the caller must NOT re-append accepts for the live
-// jobs it re-enqueues.
+// absent, and rewrites the file down to the live set — so the returned
+// journal starts with Records() == len(Replay.Live) and the caller must NOT
+// re-append accepts for the live jobs it re-enqueues.
 func Open(path string, opt Options) (*Journal, *Replay, error) {
 	if path == "" {
 		return nil, nil, fmt.Errorf("journal: empty path")
@@ -174,53 +172,38 @@ func Open(path string, opt Options) (*Journal, *Replay, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	rep, err := replayFile(path)
+	j := &Journal{path: path, opt: opt, live: make(map[string]*LiveJob)}
+	rep, err := j.replay()
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{path: path, opt: opt}
-
-	if !opt.NoCompact && (rep.Records != len(rep.Live) || rep.Corrupt > 0) {
-		if err := j.rewrite(rep.Live); err != nil {
+	rep.Live = j.liveLocked()
+	if err := j.reopen(); err != nil {
+		return nil, nil, err
+	}
+	j.records = rep.Records
+	if rep.Records != len(rep.Live) || rep.Corrupt > 0 {
+		if err := j.Compact(); err != nil {
+			j.f.Close()
 			return nil, nil, err
 		}
 		rep.Compacted = true
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	if rep.Compacted {
-		j.records, j.live = len(rep.Live), len(rep.Live)
-	} else {
-		j.records, j.live = rep.Records, len(rep.Live)
-	}
 	return j, rep, nil
 }
 
-// replayFile reads every record of the file at path. A torn final line is
-// healed by truncating the file to the last good offset.
-func replayFile(path string) (*Replay, error) {
+// replay applies every record of the file to the live set. A torn final
+// line is healed by truncating the file to the last good offset.
+func (j *Journal) replay() (*Replay, error) {
 	rep := &Replay{}
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(j.path)
 	if os.IsNotExist(err) {
 		return rep, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-
-	type state struct {
-		live *LiveJob
-		idx  int
-	}
-	jobs := make(map[string]*state)
-	var order []string
-	lastIsMark := false
 	goodEnd := 0 // offset just past the last well-formed line
-
 	for off := 0; off < len(b); {
 		nl := bytes.IndexByte(b[off:], '\n')
 		if nl < 0 {
@@ -230,53 +213,70 @@ func replayFile(path string) (*Replay, error) {
 		}
 		line := b[off : off+nl]
 		off += nl + 1
+		// A corrupt interior record is skipped, not fatal: later records
+		// still parse, and losing a done record only re-runs a job the store
+		// already answers for.
+		goodEnd = off
 		rec, ok := decode(line)
 		if !ok {
 			rep.Corrupt++
-			// A corrupt interior record is skipped, not fatal: later
-			// records still parse, and losing a done record only re-runs
-			// a job the store already answers for.
-			goodEnd = off
 			continue
 		}
-		goodEnd = off
 		rep.Records++
-		lastIsMark = false
-		switch rec.Op {
-		case OpAccept:
-			if _, dup := jobs[rec.ID]; dup || rec.ID == "" {
-				break
-			}
-			jobs[rec.ID] = &state{live: &LiveJob{
-				ID: rec.ID, Req: rec.Req, Deadline: rec.Deadline,
-				Started: rec.State == "started",
-			}}
-			order = append(order, rec.ID)
-		case OpStart:
-			if st := jobs[rec.ID]; st != nil && st.live != nil {
-				st.live.Started = true
-			}
-		case OpDone:
-			if st := jobs[rec.ID]; st != nil {
-				st.live = nil
-			}
-		case OpMark:
-			lastIsMark = rec.State == MarkShutdown
-		}
+		j.apply(rec)
+		rep.CleanShutdown = rec.Op == OpMark && rec.State == MarkShutdown
 	}
-	rep.CleanShutdown = lastIsMark
 	if goodEnd < len(b) {
 		// Heal the tail so the next append starts on a clean line.
-		if err := os.Truncate(path, int64(goodEnd)); err != nil {
+		if err := os.Truncate(j.path, int64(goodEnd)); err != nil {
 			return nil, fmt.Errorf("journal: healing torn tail: %w", err)
 		}
 	}
-	for _, id := range order {
-		if st := jobs[id]; st.live != nil {
-			rep.Live = append(rep.Live, *st.live)
+	return rep, nil
+}
+
+// writes reports whether rec is written: a done for a job the journal does
+// not hold, and a second accept of a live one, are not.
+func (j *Journal) writes(rec Record) bool {
+	_, live := j.live[rec.ID]
+	switch rec.Op {
+	case OpAccept:
+		return !live && rec.ID != ""
+	case OpDone:
+		return live
+	}
+	return true
+}
+
+// apply is one record's effect on the live set.
+func (j *Journal) apply(rec Record) {
+	if !j.writes(rec) {
+		return
+	}
+	switch rec.Op {
+	case OpAccept:
+		lj := &LiveJob{ID: rec.ID, Req: rec.Req, Deadline: rec.Deadline}
+		j.live[rec.ID] = lj
+		j.order = append(j.order, lj)
+	case OpDone:
+		delete(j.live, rec.ID)
+	}
+}
+
+// liveLocked returns the live set in accept order, dropping the finished
+// jobs from order as it goes.
+func (j *Journal) liveLocked() []LiveJob {
+	out := make([]LiveJob, 0, len(j.live))
+	kept := j.order[:0]
+	for _, lj := range j.order {
+		if j.live[lj.ID] == lj {
+			kept = append(kept, lj)
+			out = append(out, *lj)
 		}
 	}
-	return rep, nil
+	clear(j.order[len(kept):])
+	j.order = kept
+	return out
 }
 
 // rewrite atomically replaces the file with accept records for live.
@@ -289,11 +289,7 @@ func (j *Journal) rewrite(live []LiveJob) error {
 	w := bufio.NewWriter(f)
 	now := time.Now().UnixMilli()
 	for _, lj := range live {
-		rec := Record{Op: OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline, Unix: now}
-		if lj.Started {
-			rec.State = "started"
-		}
-		line, err := encode(rec)
+		line, err := encode(Record{Op: OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline, Unix: now})
 		if err == nil {
 			_, err = w.Write(line)
 		}
@@ -326,6 +322,16 @@ func (j *Journal) rewrite(live []LiveJob) error {
 	return nil
 }
 
+// reopen opens the file for appending.
+func (j *Journal) reopen() error {
+	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	j.f, j.w = f, bufio.NewWriter(f)
+	return nil
+}
+
 // syncFile runs the configured fsync (or its chaos replacement) on f.
 func (j *Journal) syncFile(f *os.File) error {
 	if j.opt.SyncHook != nil {
@@ -341,8 +347,11 @@ func (j *Journal) syncFile(f *os.File) error {
 }
 
 // Append writes one record and (with Sync) makes it durable before
-// returning. An Append error means the record may not be durable; the owner
-// should stop acknowledging work that depends on it.
+// returning; an accept joins the live set and a done leaves it. A done for a
+// job the journal does not hold, and a second accept of a live one, write
+// nothing. An Append error means the record may not be durable, and leaves
+// the live set as it was; the owner should stop acknowledging work that
+// depends on it.
 func (j *Journal) Append(rec Record) error {
 	if rec.Unix == 0 {
 		rec.Unix = time.Now().UnixMilli()
@@ -356,6 +365,9 @@ func (j *Journal) Append(rec Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
+	if !j.writes(rec) {
+		return nil
+	}
 	if _, err := j.w.Write(line); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -368,15 +380,17 @@ func (j *Journal) Append(rec Record) error {
 		}
 	}
 	j.records++
-	switch rec.Op {
-	case OpAccept:
-		j.live++
-	case OpDone:
-		if j.live > 0 {
-			j.live--
-		}
-	}
+	j.apply(rec)
 	return nil
+}
+
+// Holds reports whether the journal holds id as live, so a done for it
+// would be written.
+func (j *Journal) Holds(id string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, ok := j.live[id]
+	return ok
 }
 
 // Records returns the record count of the current file.
@@ -386,12 +400,11 @@ func (j *Journal) Records() int {
 	return j.records
 }
 
-// Live returns the journal's running estimate of accepted-but-unfinished
-// jobs (exact while all appends go through this process).
+// Live returns how many accepted-but-unfinished jobs the journal holds.
 func (j *Journal) Live() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.live
+	return len(j.live)
 }
 
 // ShouldCompact reports whether dead records dominate the file: compaction
@@ -400,13 +413,11 @@ func (j *Journal) Live() int {
 func (j *Journal) ShouldCompact() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.records > 64 && j.records > 4*j.live
+	return j.records > 64 && j.records > 4*len(j.live)
 }
 
-// Compact rewrites the journal to exactly the supplied live set. The caller
-// owns consistency between live and any records it appended concurrently —
-// the server compacts under the same lock it appends under.
-func (j *Journal) Compact(live []LiveJob) error {
+// Compact rewrites the journal to exactly its live set, in accept order.
+func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -418,22 +429,17 @@ func (j *Journal) Compact(live []LiveJob) error {
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := j.rewrite(live); err != nil {
-		// The old fd is gone; reopen in append mode regardless so the
-		// journal stays usable even if the rewrite failed.
-		f, ferr := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr == nil {
-			j.f, j.w = f, bufio.NewWriter(f)
-		}
-		return err
+	live := j.liveLocked()
+	err := j.rewrite(live)
+	if err == nil {
+		j.records = len(live)
 	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	// The old fd is gone; reopen in append mode regardless so the journal
+	// stays usable even if the rewrite failed.
+	if rerr := j.reopen(); err == nil {
+		err = rerr
 	}
-	j.f, j.w = f, bufio.NewWriter(f)
-	j.records, j.live = len(live), len(live)
-	return nil
+	return err
 }
 
 // Path returns the journal's file path.

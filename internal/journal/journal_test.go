@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -27,50 +28,72 @@ func accept(id string) Record {
 	return Record{Op: OpAccept, ID: id, Req: json.RawMessage(fmt.Sprintf(`{"benchmark":%q}`, id))}
 }
 
-func TestReplayLiveSet(t *testing.T) {
-	j, path := openFresh(t, Options{})
+// olderJournal is a journal as sacd wrote it while it still journaled start
+// records: a start line per executed job, and a compacted accept of a job
+// that was mid-run at the rewrite, marked "state":"started".
+func olderJournal(tb testing.TB) []byte {
+	tb.Helper()
+	started := accept("j0")
+	started.State = "started"
+	var b []byte
 	for _, rec := range []Record{
+		started,
 		accept("j1"),
 		accept("j2"),
-		{Op: OpStart, ID: "j1"},
+		{Op: "start", ID: "j1"},
 		{Op: OpDone, ID: "j1", State: "done"},
 		accept("j3"),
-		{Op: OpStart, ID: "j3"},
+		{Op: "start", ID: "j3"},
 	} {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
+		line, err := encode(rec)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		b = append(b, line...)
 	}
-	if j.Live() != 2 {
-		t.Fatalf("live estimate %d, want 2", j.Live())
-	}
-	if err := j.Close(); err != nil {
+	return b
+}
+
+func TestReplayLiveSet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	if err := os.WriteFile(path, olderJournal(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	j2, rep, err := Open(path, Options{})
+	j, rep, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if len(rep.Live) != 2 {
-		t.Fatalf("replay found %d live jobs, want 2: %+v", len(rep.Live), rep.Live)
+	if rep.Records != 7 || rep.Corrupt != 0 {
+		t.Fatalf("replay read %d records, %d corrupt; want 7, 0", rep.Records, rep.Corrupt)
 	}
-	if rep.Live[0].ID != "j2" || rep.Live[1].ID != "j3" {
-		t.Fatalf("live order %v, want [j2 j3]", rep.Live)
+	var ids []string
+	for _, lj := range rep.Live {
+		ids = append(ids, lj.ID)
 	}
-	if rep.Live[0].Started || !rep.Live[1].Started {
-		t.Fatalf("started flags wrong: %+v", rep.Live)
+	if strings.Join(ids, " ") != "j0 j2 j3" {
+		t.Fatalf("live set %v, want [j0 j2 j3] in accept order", ids)
 	}
-	if string(rep.Live[0].Req) != `{"benchmark":"j2"}` {
-		t.Fatalf("request payload lost: %s", rep.Live[0].Req)
+	if string(rep.Live[1].Req) != `{"benchmark":"j2"}` {
+		t.Fatalf("request payload lost: %s", rep.Live[1].Req)
 	}
 	if rep.CleanShutdown {
 		t.Fatal("no shutdown mark was written but replay reports a clean shutdown")
 	}
-	// Open compacted 6 records down to the 2 live ones.
-	if !rep.Compacted || j2.Records() != 2 {
-		t.Fatalf("compacted=%v records=%d, want true/2", rep.Compacted, j2.Records())
+	// Open compacted 7 records down to the 3 live ones, which the journal
+	// now holds.
+	if !rep.Compacted || j.Records() != 3 || j.Live() != 3 || !j.Holds("j0") || j.Holds("j1") {
+		t.Fatalf("compacted=%v records=%d live=%d, want true/3/3 holding j0, not j1",
+			rep.Compacted, j.Records(), j.Live())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, again, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Compacted || !reflect.DeepEqual(again.Live, rep.Live) {
+		t.Fatalf("compacted file replays to %+v, want %+v", again.Live, rep.Live)
 	}
 }
 
@@ -131,7 +154,7 @@ func TestTornTailHealed(t *testing.T) {
 }
 
 func TestCorruptInteriorRecordSkipped(t *testing.T) {
-	j, path := openFresh(t, Options{NoCompact: true})
+	j, path := openFresh(t, Options{})
 	j.Append(accept("j1"))
 	j.Append(accept("j2"))
 	j.Append(Record{Op: OpDone, ID: "j1", State: "done"})
@@ -164,23 +187,32 @@ func TestCorruptInteriorRecordSkipped(t *testing.T) {
 
 func TestRuntimeCompaction(t *testing.T) {
 	j, path := openFresh(t, Options{})
+	var want []string
 	for i := 0; i < 100; i++ {
 		id := fmt.Sprintf("j%d", i)
 		j.Append(accept(id))
+		if i%25 == 0 {
+			want = append(want, id)
+			continue
+		}
 		j.Append(Record{Op: OpDone, ID: id, State: "done"})
 	}
-	j.Append(accept("live1"))
-	if !j.ShouldCompact() {
-		t.Fatalf("201 records, 1 live: ShouldCompact=false")
+	// A done for a job the journal does not hold writes nothing.
+	n := j.Records()
+	if err := j.Append(Record{Op: OpDone, ID: "estimate-cell", State: "done"}); err != nil || j.Records() != n {
+		t.Fatalf("done for an unheld job: err %v, records %d -> %d", err, n, j.Records())
 	}
-	if err := j.Compact([]LiveJob{{ID: "live1", Req: json.RawMessage(`{}`)}}); err != nil {
+	if !j.ShouldCompact() {
+		t.Fatalf("%d records, %d live: ShouldCompact=false", j.Records(), j.Live())
+	}
+	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Records() != 1 || j.ShouldCompact() {
-		t.Fatalf("post-compact records=%d shouldCompact=%v", j.Records(), j.ShouldCompact())
+	if j.Records() != len(want) || j.Live() != len(want) || j.ShouldCompact() {
+		t.Fatalf("post-compact records=%d live=%d shouldCompact=%v", j.Records(), j.Live(), j.ShouldCompact())
 	}
 	// Appends keep working after the rewrite swapped the fd.
-	if err := j.Append(Record{Op: OpDone, ID: "live1", State: "done"}); err != nil {
+	if err := j.Append(Record{Op: OpDone, ID: want[0], State: "done"}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -188,8 +220,12 @@ func TestRuntimeCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Live) != 0 || rep.Corrupt != 0 {
-		t.Fatalf("replay after compaction %+v, want empty", rep)
+	var got []string
+	for _, lj := range rep.Live {
+		got = append(got, lj.ID)
+	}
+	if rep.Corrupt != 0 || !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("replay after compaction: live %v, corrupt %d; want %v in accept order, 0", got, rep.Corrupt, want[1:])
 	}
 }
 

@@ -81,84 +81,89 @@ type warpCursor struct {
 	stream *workload.Stream
 }
 
-// Analyze measures spec. All kernel invocations are replayed back to back,
-// into one sharing census.
+// Analyze measures spec: its footprint (Footprint's census pass), then a
+// second replay that accounts each window with the census's final
+// classification.
 func (a *Analyzer) Analyze(spec workload.Spec) (Result, error) {
-	if len(spec.Kernels) == 0 {
-		return Result{}, fmt.Errorf("profile: spec %q has no kernels", spec.Name)
-	}
 	m := a.machine
-	census := addr.NewCensus(m.Geom, m.Chips)
-
-	res := Result{Benchmark: spec.Name, CapMB: a.capMB}
+	res, census, err := footprint(m, spec)
+	if err != nil {
+		return Result{}, err
+	}
+	res.CapMB = a.capMB
 	accs := make([]*windowAccumulator, len(a.windows))
 	for i, w := range a.windows {
 		accs[i] = newWindowAccumulator(w, a.capMB, m, census)
 	}
-
-	// First pass: build the complete sharing map (classification of a line
-	// can only be final once all accessors are known; the paper's analysis
-	// is similarly post-hoc).
-	for ki := 0; ki < spec.KernelCount(); ki++ {
-		cursors := a.cursors(spec, ki)
-		live := true
-		for live {
-			live = false
-			for _, c := range cursors {
-				acc, ok := c.stream.Next()
-				if !ok {
-					continue
-				}
-				live = true
-				census.Touch(acc.Line, c.chip)
-			}
-		}
-	}
-	total, ts, fs := census.FootprintBytes()
-	scale := float64(m.Scale) / (1 << 20)
-	res.FootprintMB = float64(total) * scale
-	res.TrueSharedMB = float64(ts) * scale
-	res.FalseSharedMB = float64(fs) * scale
-
-	// Second pass: window accounting with the final classification.
 	issueWidth := int64(m.Chips * m.SMsPerChip) // accesses per simulated cycle
 	step := int64(0)
-	for ki := 0; ki < spec.KernelCount(); ki++ {
-		cursors := a.cursors(spec, ki)
-		live := true
-		for live {
-			live = false
-			for _, c := range cursors {
-				acc, ok := c.stream.Next()
-				if !ok {
-					continue
-				}
-				live = true
-				step++
-				cycle := step / issueWidth
-				for _, w := range accs {
-					w.record(cycle, acc.Line)
-				}
-			}
+	replay(m, spec, func(_ int, line uint64) {
+		step++
+		cycle := step / issueWidth
+		for _, w := range accs {
+			w.record(cycle, line)
 		}
-	}
+	})
 	for _, w := range accs {
 		res.Windows = append(res.Windows, w.finish())
 	}
 	return res, nil
 }
 
-func (a *Analyzer) cursors(spec workload.Spec, ki int) []warpCursor {
-	m := a.machine
-	var out []warpCursor
-	for chip := 0; chip < m.Chips; chip++ {
-		for sm := 0; sm < m.SMsPerChip; sm++ {
-			for w := 0; w < m.WarpsPerSM; w++ {
-				out = append(out, warpCursor{chip, spec.NewStream(m, ki, chip, sm, w)})
+// Footprint measures spec's whole-run footprint by sharing class on m: the
+// Table 4 columns of a Result, without windows. It is Analyze's first pass
+// alone.
+func Footprint(m workload.Machine, spec workload.Spec) (Result, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, err
+	}
+	res, _, err := footprint(m, spec)
+	return res, err
+}
+
+// footprint replays all of spec's kernel invocations back to back into one
+// sharing census. A line's class is final only once all its accessors are
+// known, so the census is complete before any window is accounted (the
+// paper's analysis is similarly post-hoc).
+func footprint(m workload.Machine, spec workload.Spec) (Result, *addr.Census, error) {
+	if len(spec.Kernels) == 0 {
+		return Result{}, nil, fmt.Errorf("profile: spec %q has no kernels", spec.Name)
+	}
+	census := addr.NewCensus(m.Geom, m.Chips)
+	replay(m, spec, func(chip int, line uint64) { census.Touch(line, chip) })
+	total, ts, fs := census.FootprintBytes()
+	scale := float64(m.Scale) / (1 << 20)
+	return Result{
+		Benchmark:     spec.Name,
+		FootprintMB:   float64(total) * scale,
+		TrueSharedMB:  float64(ts) * scale,
+		FalseSharedMB: float64(fs) * scale,
+	}, census, nil
+}
+
+// replay hands every access of spec's kernel invocations, in order, to
+// visit: within a kernel the warps interleave round-robin, one access per
+// warp per step.
+func replay(m workload.Machine, spec workload.Spec, visit func(chip int, line uint64)) {
+	for ki := 0; ki < spec.KernelCount(); ki++ {
+		var cursors []warpCursor
+		for chip := 0; chip < m.Chips; chip++ {
+			for sm := 0; sm < m.SMsPerChip; sm++ {
+				for w := 0; w < m.WarpsPerSM; w++ {
+					cursors = append(cursors, warpCursor{chip, spec.NewStream(m, ki, chip, sm, w)})
+				}
+			}
+		}
+		for live := true; live; {
+			live = false
+			for _, c := range cursors {
+				if acc, ok := c.stream.Next(); ok {
+					live = true
+					visit(c.chip, acc.Line)
+				}
 			}
 		}
 	}
-	return out
 }
 
 // windowAccumulator tracks unique lines per window of fixed cycle length.

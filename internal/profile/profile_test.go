@@ -50,6 +50,28 @@ func TestAnalyzeFootprintMatchesSpec(t *testing.T) {
 	}
 }
 
+func TestFootprintMatchesAnalyze(t *testing.T) {
+	a, err := New(m, []int64{1000}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := a.Analyze(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := Footprint(m, spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp.Benchmark != full.Benchmark || fp.FootprintMB != full.FootprintMB ||
+		fp.TrueSharedMB != full.TrueSharedMB || fp.FalseSharedMB != full.FalseSharedMB {
+		t.Fatalf("census-only footprint %+v, Analyze's %+v", fp, full)
+	}
+	if len(fp.Windows) != 0 {
+		t.Fatalf("census-only footprint measured %d windows", len(fp.Windows))
+	}
+}
+
 func TestWindowMonotoneInSize(t *testing.T) {
 	// Larger windows must see at least as much working set.
 	a, _ := New(m, []int64{500, 5000, 50000}, 0)

@@ -204,11 +204,13 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Third life: nothing live, clean shutdown visible in the replay.
-	_, rep, err := journal.Open(jp, journal.Options{NoCompact: true})
+	// Third life: nothing live, clean shutdown visible in the replay (read
+	// before Open's rewrite drops the mark).
+	jnl, rep, err := journal.Open(jp, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer jnl.Close()
 	if len(rep.Live) != 0 {
 		t.Fatalf("journal still holds %d live jobs after a full drain cycle", len(rep.Live))
 	}
@@ -574,7 +576,24 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		}
 		ids = append(ids, jst.ID)
 	}
-	// Abandon s1 (crash) and corrupt the middle accept record on disk.
+	// Abandon s1 (crash), journal the unknown-field request beside its
+	// accepts, then corrupt the middle accept record on disk — after this
+	// last Open, whose rewrite would drop a corrupt record.
+	req, err := json.Marshal(tinyRequest("RN", "SAC"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req = []byte(strings.Replace(string(req), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
+	jnl, _, err := journal.Open(jp, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "unknown-field", Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
 	b, err := os.ReadFile(jp)
 	if err != nil {
 		t.Fatal(err)
@@ -585,21 +604,6 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	}
 	lines[1] = strings.Replace(lines[1], "accept", "ACCEPT", 1)
 	if err := os.WriteFile(jp, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	req, err := json.Marshal(tinyRequest("RN", "SAC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req = []byte(strings.Replace(string(req), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
-	jnl, _, err := journal.Open(jp, journal.Options{NoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "unknown-field", Req: req}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -614,5 +618,52 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	h := s2.HealthSnapshot()
 	if h.RecoveryErrors != 2 {
 		t.Fatalf("healthz recovery_errors = %d, want 2", h.RecoveryErrors)
+	}
+}
+
+// TestCompactionKeepsAcceptOrder crosses the journal's compaction threshold
+// at runtime by canceling queued journaled jobs, then recovers in a new
+// Server: the jobs that stayed live must come back queued in the order they
+// were accepted, whatever order the compaction found them in.
+func TestCompactionKeepsAcceptOrder(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal.wal")
+	// Workers never started: every job stays queued until canceled.
+	s1 := New(Config{Workers: 1, QueueCap: 256, JournalPath: jp})
+	if _, err := s1.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for i := 0; i < 16; i++ {
+		st, err := s1.Submit(tinyRequest("RN", "SAC"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, st.ID)
+	}
+	for i := 0; i < 40; i++ {
+		st, err := s1.Submit(tinyRequest("BP", "SAC"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s1.Cancel(st.ID); !ok {
+			t.Fatalf("cancel of queued job %s reported it unknown", st.ID)
+		}
+	}
+	if n := s1.m.jnlCompactions.Value(); n == 0 {
+		t.Fatalf("no runtime compaction after %d journal records", s1.jnl.Records())
+	}
+
+	// Abandon s1 (crash) and recover.
+	s2 := New(Config{Workers: 1, QueueCap: 256, JournalPath: jp})
+	n, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored []string
+	for _, j := range s2.queues[laneOf(s2.Get(kept[0]))] {
+		restored = append(restored, j.ID)
+	}
+	if n != len(kept) || strings.Join(restored, " ") != strings.Join(kept, " ") {
+		t.Fatalf("restored %d jobs queued as\n%v\nwant accept order\n%v", n, restored, kept)
 	}
 }

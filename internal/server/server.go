@@ -190,10 +190,7 @@ type Server struct {
 	queues [3][]*jobs.Job
 	queued int
 	// running maps each job a worker holds to when it was popped.
-	running map[string]time.Time
-	// live is the journal's live set as this process knows it: journaled
-	// accepts without a done record yet. Compaction rewrites the file to it.
-	live           map[string]*jobs.Job
+	running        map[string]time.Time
 	jnl            *journal.Journal
 	journalErr     error
 	recoveryErrors int
@@ -221,7 +218,6 @@ func New(cfg Config) *Server {
 		cfg:              cfg,
 		m:                newMetrics(cfg.Registry),
 		running:          make(map[string]time.Time),
-		live:             make(map[string]*jobs.Job),
 		lastHealth:       client.HealthHealthy,
 		degradedQueueAge: degradedQueueAge,
 		stallAfter:       stallAfter,
@@ -235,7 +231,6 @@ func New(cfg Config) *Server {
 		},
 		Admit:      s.admit,
 		Execute:    s.execute,
-		OnStart:    s.journalStart,
 		OnTerminal: s.journalDone,
 		QueueAhead: s.queueAhead,
 		RetryAfter: s.RetryAfterHint,
@@ -431,20 +426,19 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 // disk) and queues the job in its lane. The caller holds s.mu; on error
 // nothing was enqueued.
 func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
-	if s.jnl != nil {
-		if !journaled {
-			lj := liveRecord(j, false)
-			rec := journal.Record{Op: journal.OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline}
-			if jerr := s.jnl.Append(rec); jerr != nil {
-				// The accept may not be durable: refuse to acknowledge it.
-				// journalErr flips the health state to unhealthy so the
-				// client's retry meets a 503 instead of a broken promise.
-				s.journalErr = jerr
-				return fmt.Errorf("%w: %v", ErrUnhealthy, jerr)
-			}
-			s.noteAppendLocked()
+	if s.jnl != nil && !journaled {
+		rec := journal.Record{Op: journal.OpAccept, ID: j.ID, Req: client.AppendRequest(nil, &j.Req)}
+		if !j.Deadline.IsZero() {
+			rec.Deadline = j.Deadline.UnixMilli()
 		}
-		s.live[j.ID] = j
+		if jerr := s.jnl.Append(rec); jerr != nil {
+			// The accept may not be durable: refuse to acknowledge it.
+			// journalErr flips the health state to unhealthy so the client's
+			// retry meets a 503 instead of a broken promise.
+			s.journalErr = jerr
+			return fmt.Errorf("%w: %v", ErrUnhealthy, jerr)
+		}
+		s.noteAppendLocked()
 	}
 	lane := laneOf(j)
 	s.queues[lane] = append(s.queues[lane], j)
@@ -460,15 +454,6 @@ func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 type inlineBatch struct {
 	context.Context
 	runs backend.RunSet
-}
-
-// liveRecord renders a job the way the journal files it.
-func liveRecord(j *jobs.Job, started bool) journal.LiveJob {
-	lj := journal.LiveJob{ID: j.ID, Req: client.AppendRequest(nil, &j.Req), Started: started}
-	if !j.Deadline.IsZero() {
-		lj.Deadline = j.Deadline.UnixMilli()
-	}
-	return lj
 }
 
 // runInline executes a batch's estimate cells, first occurrence of each key
@@ -599,24 +584,15 @@ func (s *Server) execute(ctx context.Context, j *jobs.Job) jobs.Outcome {
 
 // ---- journal ----
 
-// journalStart is the engine's OnStart hook.
-func (s *Server) journalStart(j *jobs.Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.live[j.ID]; ok {
-		s.journalLocked(journal.Record{Op: journal.OpStart, ID: j.ID})
-	}
-}
-
 // journalDone is the engine's durable hook: a journaled job's done record is
-// on disk before anyone can observe its terminal state.
+// on disk before anyone can observe its terminal state. A job the journal
+// does not hold, an estimate cell, has nothing to record.
 func (s *Server) journalDone(j *jobs.Job, state string, _ jobs.Outcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.live[j.ID]; !ok {
+	if s.jnl == nil || !s.jnl.Holds(j.ID) {
 		return
 	}
-	delete(s.live, j.ID)
 	s.journalLocked(journal.Record{Op: journal.OpDone, ID: j.ID, State: state})
 	s.maybeCompactLocked()
 }
@@ -625,8 +601,7 @@ func (s *Server) journalDone(j *jobs.Job, state string, _ jobs.Outcome) {
 // the server unhealthy (durability is compromised) but does not block the
 // job — its terminal state is already decided, and the store still carries
 // results. A later successful append heals journalErr. The caller holds
-// s.mu; appends and compaction are serialized under it, so the live set a
-// compaction writes can never miss a record appended beside it.
+// s.mu.
 func (s *Server) journalLocked(rec journal.Record) {
 	if s.jnl == nil {
 		return
@@ -645,27 +620,23 @@ func (s *Server) noteAppendLocked() {
 	s.m.jnlRecords.Set(float64(s.jnl.Records()))
 }
 
-// maybeCompactLocked rewrites the journal down to the live set once dead
+// maybeCompactLocked rewrites the journal down to its live set once dead
 // records dominate it, so a long-lived daemon's journal stays proportional
 // to its backlog instead of its history. The caller holds s.mu.
 func (s *Server) maybeCompactLocked() {
-	if s.jnl == nil || !s.jnl.ShouldCompact() {
+	if !s.jnl.ShouldCompact() {
 		return
 	}
-	live := make([]journal.LiveJob, 0, len(s.live))
-	for id, j := range s.live {
-		_, started := s.running[id]
-		live = append(live, liveRecord(j, started))
-	}
-	if err := s.jnl.Compact(live); err != nil {
+	if err := s.jnl.Compact(); err != nil {
 		s.journalErr = err
 		s.logf("journal: compact: %v", err)
 		return
 	}
 	s.journalErr = nil
 	s.m.jnlCompactions.Inc()
-	s.m.jnlRecords.Set(float64(s.jnl.Records()))
-	s.logf("journal: compacted to %d live records", len(live))
+	n := s.jnl.Records()
+	s.m.jnlRecords.Set(float64(n))
+	s.logf("journal: compacted to %d live records", n)
 }
 
 // HealthSnapshot summarizes the server for /v1/healthz.
