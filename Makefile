@@ -58,17 +58,17 @@ syncsmoke:
 # 16-workload estimate sweep must finish in well under a second. The second
 # line pins the estimate rung's bytes (the 256-cell universe, in order and
 # shuffled across goroutines through the pooled scratch, and the page-bound
-# straddle), its allocations, the replay-invariant config fields, and that a
-# canceled replay is never handed on to a run-set mate. The third holds a sacd
-# batch and a sweep's RunAll to the same bytes with one replay per (machine,
-# spec). The fourth pins sacsweep's -json bytes: every experiment of the fast
-# set at the estimate rung, and an exact Fig 8 cold and warm from a result
-# cache.
+# straddle), its allocations, a CRD that is cold after Reset, the
+# replay-invariant config fields, and that a canceled replay is never handed
+# on to a run-set mate. The third holds a sacd batch and a sweep's RunAll to
+# the same bytes with one replay per (machine, spec). The fourth pins
+# sacsweep's -json bytes: every experiment of the fast set at the estimate
+# rung, and an exact Fig 8 cold and warm from a result cache.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetKeepsVictimStamps|TestProfileInvariantFields|TestRunSetCancelNotShared' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared' \
 		./internal/backend ./internal/workload ./internal/core
 	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles' \
 		./internal/server ./internal/eval
@@ -88,9 +88,11 @@ clustersmoke:
 # jobs HTTP surface sacd and saccoord share, the journal's replay, and the
 # coordinator's worker register/heartbeat bodies), plus the hand-written
 # jobs wire codec against encoding/json: the status encoder, the request
-# decoder both daemons run and the client's status decoder. An exec-count
-# budget keeps the wall time stable on single-core CI runners; long campaigns
-# run the same targets with a time budget instead.
+# decoder both daemons run and the client's status decoder, and the
+# profiler's Reset against a fresh profiler (the estimate rung pools one
+# across calls). An exec-count budget keeps the wall time stable on
+# single-core CI runners; long campaigns run the same targets with a time
+# budget instead.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
@@ -102,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStatusDecode -fuzztime 20000x ./client
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 20000x ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzWorkersHTTP -fuzztime 20000x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzProfilerReset -fuzztime 20000x ./internal/core
 
 # vuln scans dependencies with govulncheck when it is installed; the gate is
 # advisory so offline checkouts (no way to install the tool) still pass.

@@ -40,9 +40,9 @@ const estimateMaxProfiled = 1 << 15
 // Calibrated against the cycle-exact engine on the 16 Table-4 workloads
 // (TestCalibrateEstimateWarpSteps): depths 16 and 32 reproduce the exact SAC
 // decision 16/16; depths >=64 (and unbounded replay) flip blocked/tiled
-// workloads (SRAD, GEMM, STEN, BP, DWT, NN) to SM-side on intra-warp
-// temporal reuse the real latency-bound window never observes, and depths
-// <=8 starve BS of samples. 32 ships: the deepest calibrated depth that
+// workloads (SRAD, STEN, BP, DWT, NN) to SM-side on intra-warp temporal
+// reuse the real latency-bound window never observes, and depths <=8
+// starve BS of samples. 32 ships: the deepest calibrated depth that
 // stays faithful, so each warp contributes the most samples it can.
 const defaultEstimateWarpSteps = 32
 
@@ -160,23 +160,25 @@ type cursor struct {
 	gsm    int // global SM index for the per-SM L1 filter
 }
 
-// replayShape is what sizes a replay scratch: the machine and its cache
-// geometry.
+// replayShape is what sizes a replay scratch: the machine, its cache
+// geometry and its counter architecture.
 type replayShape struct {
-	warps, sms, l1Sets, l1Ways, slices, llcSets, llcWays int
+	warps, sms, l1Sets, l1Ways int
+	chips, slicesPerChip       int
+	llcSets, llcWays           int
+	crd                        core.CRDConfig
 }
 
-// replayScratch is the per-call working set of profile — the tag models, a
-// Spec's warp streams, the warp cursors and the kernel profiles — reused
-// across calls through a pool per shape. Every call starts it from the state
-// a fresh allocation has: the LLC models are cleared on entry, the L1s at
-// every kernel, the streams, cursors and profiles are rebuilt. The profiler
-// is not part of it: core.CRD.Reset keeps each way's LRU stamp
-// (TestCRDResetKeepsVictimStamps), so a reused profiler would not start
-// where a fresh one does.
+// replayScratch is the per-call working set of profile — the tag models, the
+// profiler, a Spec's warp streams, the warp cursors and the kernel profiles —
+// reused across calls through a pool per shape. Every call starts it from
+// the state a fresh allocation has: the LLC models are cleared on entry, the
+// L1s and the profiler at every kernel (a reset profiler is a fresh one,
+// FuzzProfilerReset), the streams, cursors and profiles are rebuilt.
 type replayScratch struct {
 	l1      []tagCache
 	llc     []tagCache
+	prof    *core.Profiler
 	streams []workload.Stream
 	cursors []cursor
 	kps     []kernelProfile
@@ -199,7 +201,8 @@ func scratchPool(sh replayShape) *sync.Pool {
 		p = &sync.Pool{New: func() any {
 			return &replayScratch{
 				l1:      newTagCaches(sh.sms, sh.l1Sets, sh.l1Ways),
-				llc:     newTagCaches(sh.slices, sh.llcSets, sh.llcWays),
+				llc:     newTagCaches(sh.chips*sh.slicesPerChip, sh.llcSets, sh.llcWays),
+				prof:    core.NewProfiler(sh.chips, sh.slicesPerChip, sh.crd),
 				cursors: make([]cursor, 0, sh.warps),
 			}
 		}}
@@ -216,7 +219,8 @@ func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
 	pool := scratchPool(replayShape{
 		warps: m.TotalWarps(), sms: m.Chips * m.SMsPerChip,
 		l1Sets: cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways), l1Ways: cfg.L1Ways,
-		slices: cfg.Chips * cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
+		chips: cfg.Chips, slicesPerChip: cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
+		crd: cfg.CRDConfig(),
 	})
 	return pool, pool.Get().(*replayScratch)
 }
@@ -374,14 +378,13 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 	pae := addr.NewPAE(cfg.SlicesPerChip, cfg.ChannelsPerChip)
 	pages := addr.NewPageTable(cfg.Geom, cfg.Chips)
 	_, sampleMask := llcSampling(cfg)
-	prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
 
-	// The tag models (~90 KB at ScaledConfig), streams, cursors and
-	// profiles come from the scratch, so a warm call allocates none of them.
-	// The L1 filters are tag-cleared per kernel (a kernel launch cold-starts
-	// the L1s); the LLC models persist across kernels, so they are cleared
-	// here.
-	l1, llcModel := sc.l1, sc.llc
+	// The tag models (~90 KB at ScaledConfig), the profiler, streams, cursors
+	// and profiles come from the scratch, so a warm call allocates none of
+	// them. The L1 filters and the profiler are reset per kernel (a kernel
+	// launch cold-starts the L1s and opens a profiling window); the LLC
+	// models persist across kernels, so they are cleared here.
+	l1, llcModel, prof := sc.l1, sc.llc, sc.prof
 	for i := range llcModel {
 		llcModel[i].reset()
 	}

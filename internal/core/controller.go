@@ -91,7 +91,8 @@ func (p *Profiler) Inputs() WorkloadInputs {
 // Samples returns the number of recorded accesses.
 func (p *Profiler) Samples() int64 { return p.total }
 
-// Reset clears all counters and the CRDs for the next kernel's window.
+// Reset empties the counters and the CRDs for the next kernel's window: a
+// reset profiler is in the state NewProfiler returns (FuzzProfilerReset).
 func (p *Profiler) Reset() {
 	p.total, p.local, p.llcLookups, p.llcHits = 0, 0, 0, 0
 	for i := range p.memSlice {

@@ -130,13 +130,11 @@ func (c *CRD) PredictedHitRate() float64 {
 	return float64(c.HitsN) / float64(c.Requests)
 }
 
-// Reset clears contents and counters for a new profiling window. It keeps
-// each block's lastUse stamp, which the install scan still reads (see
-// TestCRDResetKeepsVictimStamps).
+// Reset empties the CRD for a new profiling window: contents, LRU stamps
+// and counters, so a reset CRD is in the state NewCRD returns
+// (TestCRDResetIsCold).
 func (c *CRD) Reset() {
-	for i := range c.blocks {
-		c.blocks[i].valid = false
-	}
+	clear(c.blocks)
 	clear(c.masks)
 	c.Requests, c.HitsN, c.tick = 0, 0, 0
 }

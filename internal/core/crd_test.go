@@ -99,18 +99,12 @@ func TestCRDReset(t *testing.T) {
 	}
 }
 
-// TestCRDResetKeepsVictimStamps pins a known deviation rather than
-// endorsing it. Reset clears the valid bits but keeps each way's lastUse
-// stamp, and the install scan takes way 0 as its first victim candidate
-// without checking that way 0 is valid, then compares later ways against
-// way 0's stale stamp. After a Reset, way 0 is not refilled until the new
-// window's ticks pass its old stamp, so every profiling window after the
-// first thrashes one way short: a 4-way set re-touching 4 lines keeps all 4
-// when the CRD is fresh and none after a Reset. The one-line fix is for
-// Reset to zero the whole block (c.blocks[i] = crdBlock{}). It waits for
-// ROADMAP item 4(c)'s protocol because it moves exact results, including
-// bench/golden/exact.json.
-func TestCRDResetKeepsVictimStamps(t *testing.T) {
+// TestCRDResetIsCold: a profiling window after Reset starts from the CRD
+// NewCRD returns. Reset zeroes each way's LRU stamp with its tag; a stale
+// stamp would keep the install scan, which takes way 0 as its first victim
+// candidate, from refilling way 0 until the new window's ticks pass it, so a
+// 4-way set re-touching 4 lines would keep none of them after a Reset.
+func TestCRDResetIsCold(t *testing.T) {
 	c := NewCRD(CRDConfig{Sets: 1, Ways: 4, Chips: 1, Sectors: 1, LLCSetsPerChip: 1})
 	// window touches lines 1..4 twice and counts the second round's hits.
 	window := func() (kept int) {
@@ -127,8 +121,8 @@ func TestCRDResetKeepsVictimStamps(t *testing.T) {
 		t.Fatalf("fresh CRD kept %d of 4 lines, want 4", kept)
 	}
 	c.Reset()
-	if kept := window(); kept != 0 {
-		t.Fatalf("CRD after Reset kept %d of 4 lines; the pinned deviation keeps 0 (did Reset start zeroing lastUse?)", kept)
+	if kept := window(); kept != 4 {
+		t.Fatalf("CRD after Reset kept %d of 4 lines, want 4", kept)
 	}
 }
 

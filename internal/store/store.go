@@ -51,9 +51,11 @@ import (
 // schemaVersion is baked into every cache key: bump it when the meaning of a
 // stored result changes, so stale entries become unreachable instead of
 // wrong. v2 added the content hash (envelope.Sum); v3 dropped two unused
-// config fields and made fault-plan keys canonical. TestSchemaPinsGoldens
-// fails when a golden result file is re-recorded without a bump.
-const schemaVersion = 3
+// config fields and made fault-plan keys canonical; v4 made the CRD cold
+// after every Reset, which moves SAC's later profiling windows.
+// TestSchemaPinsGoldens fails when a golden result file is re-recorded
+// without a bump.
+const schemaVersion = 4
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields
