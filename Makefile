@@ -58,9 +58,10 @@ syncsmoke:
 # 16-workload estimate sweep must finish in well under a second. The second
 # line pins the estimate rung's bytes (the 256-cell universe, in order and
 # shuffled across goroutines through the pooled scratch, and the page-bound
-# straddle), its allocations, a CRD that is cold after Reset, the
-# replay-invariant config fields, and that a canceled replay is never handed
-# on to a run-set mate. The third holds a sacd batch and a sweep's RunAll to
+# straddle), its held-out decisions (the 64 SAC cells of that universe against
+# exact, counting only disagreements whose exact margin exceeds θ), its
+# allocations, a CRD that is cold after Reset, the replay-invariant config
+# fields, and that a canceled replay is never handed on to a run-set mate. The third holds a sacd batch and a sweep's RunAll to
 # the same bytes with one replay per (machine, spec). The fourth pins
 # sacsweep's -json bytes: every experiment of the fast set at the estimate
 # rung, and an exact Fig 8 cold and warm from a result cache.
@@ -68,7 +69,7 @@ fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestSampledDeterminism|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared' \
 		./internal/backend ./internal/workload ./internal/core
 	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles' \
 		./internal/server ./internal/eval
@@ -126,8 +127,8 @@ vuln:
 # ring links and the bwsim primitives embedded in them (a padded layout there
 # silently regresses the cache behaviour the layout bought), plus the
 # per-memop records: memsys.Request and the addr page index; and the estimate
-# rung's by-value replay records: workload.Stream and its walkers, core's
-# crdBlock, backend's tagEntry. workload.Spec is left in its order, which the
+# rung's by-value replay records: workload.Stream and its walkers and core's
+# crdBlock. workload.Spec is left in its order, which the
 # analyzer reports: its field order is the key order of every -json result
 # (as gpu.Config's is of every store key). Advisory like vuln: offline
 # checkouts without the tool still pass.

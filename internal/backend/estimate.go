@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/llc"
@@ -32,125 +33,25 @@ const estimateMaxProfiled = 1 << 15
 // unbounded). The real profiling window is latency-bound: each warp advances
 // only a handful of accesses before the window closes, so the window samples
 // the workload broadly (every warp's opening accesses) rather than deeply
-// (one warp's whole stream). A depth-heavy replay sees intra-warp temporal
-// reuse the real window never observes and overestimates the CRD's SM-side
-// hit rate; capping replay depth per warp reproduces the breadth-first
-// sample. Variable for calibration tests; the default is the shipped value.
+// (one warp's whole stream). Capping replay depth per warp reproduces that
+// breadth-first sample. Variable for calibration tests; the default is the
+// shipped value.
 //
 // Calibrated against the cycle-exact engine on the 16 Table-4 workloads
 // (TestCalibrateEstimateWarpSteps): depths 16 and 32 reproduce the exact SAC
-// decision 16/16; depths >=64 (and unbounded replay) flip blocked/tiled
-// workloads (SRAD, STEN, BP, DWT, NN) to SM-side on intra-warp temporal
-// reuse the real latency-bound window never observes, and depths <=8
-// starve BS of samples. 32 ships: the deepest calibrated depth that
-// stays faithful, so each warp contributes the most samples it can.
+// decision 16/16; depths >=64 (and unbounded replay) flip BP to SM-side,
+// and depths <=8 starve BS of samples. 32 ships: the deepest calibrated
+// depth that stays faithful, so each warp contributes the most samples it
+// can.
 const defaultEstimateWarpSteps = 32
 
 var estimateWarpSteps int64 = defaultEstimateWarpSteps
 
 // estimateBurst is how many accesses one warp advances per replay visit.
-// Bursting amortizes the page-table and tag-model locality a warp's stream
+// Bursting amortizes the page-table and L1-model locality a warp's stream
 // naturally has; it stays well under the per-warp depth cap so the replay
 // is still a breadth-first sample of every warp.
 const estimateBurst = 8
-
-// tagCache is a tag-only LRU set-associative cache: it answers hit/miss and
-// models capacity and conflict behaviour, but holds no data, latencies or
-// MSHRs. Both the L1 filter and the memory-side LLC model of the estimate
-// rung are built from it. Tag and recency interleave in one 8-byte entry so
-// a set probe walks contiguous memory: the tag is the high 32 bits of the
-// line hash (the set index uses the low bits, so together they retain 32+
-// distinguishing bits; a residual alias needs two lines agreeing on all 64
-// hash bits' relevant parts, ~2^-32 per way-compare — deterministic and far
-// below the rung's set-sampling noise), and recency is a 32-bit tick, ample
-// for the bounded replay. Power-of-two set counts (the usual case for both
-// caches) index with a mask instead of a per-access divide — layout-only
-// tuning; hit/miss behaviour is plain LRU either way.
-type tagEntry struct {
-	tag  uint32 // high 32 bits of Mix64(line); valid iff tick != 0
-	tick uint32
-}
-
-type tagCache struct {
-	ents []tagEntry
-	sets int
-	mask int // sets-1 when sets is a power of two, else -1
-	ways int
-	now  uint32
-}
-
-// newTagCaches returns n empty caches of one geometry, carved out of one
-// backing array.
-func newTagCaches(n, sets, ways int) []tagCache {
-	if sets < 1 {
-		sets = 1
-	}
-	if ways < 1 {
-		ways = 1
-	}
-	// Reshape wide caches to 4-way at identical capacity: every probe LRU-
-	// scans its whole set, so 16-way sets cost 4x the compares of 4-way ones,
-	// and under the Mix64 set hash the extra associativity changes conflict
-	// behaviour only marginally (calibration stays 16/16, see
-	// TestCalibrateEstimateWarpSteps). Power-of-two inputs stay power-of-two.
-	for ways > 4 && ways%2 == 0 {
-		ways /= 2
-		sets *= 2
-	}
-	mask := -1
-	if sets&(sets-1) == 0 {
-		mask = sets - 1
-	}
-	size := sets * ways
-	ents := make([]tagEntry, n*size)
-	cs := make([]tagCache, n)
-	for i := range cs {
-		cs[i] = tagCache{ents: ents[i*size : (i+1)*size : (i+1)*size], sets: sets, mask: mask, ways: ways}
-	}
-	return cs
-}
-
-// access touches the line whose hash is h (Mix64(line), which the caller
-// has already computed for its other uses), returning whether it hit; on a
-// miss the LRU way of the set is replaced.
-func (c *tagCache) access(h uint64) bool {
-	var set int
-	if c.mask >= 0 {
-		set = int(h) & c.mask
-	} else {
-		set = int(h % uint64(c.sets))
-	}
-	key := uint32(h >> 32)
-	c.now++
-	ents := c.ents[set*c.ways : set*c.ways+c.ways]
-	empty, lru := -1, -1
-	for i := range ents {
-		switch {
-		case ents[i].tick == 0:
-			if empty < 0 {
-				empty = i
-			}
-		case ents[i].tag == key:
-			ents[i].tick = c.now
-			return true
-		case lru < 0 || ents[i].tick < ents[lru].tick:
-			lru = i
-		}
-	}
-	victim := empty
-	if victim < 0 {
-		victim = lru
-	}
-	ents[victim] = tagEntry{tag: key, tick: c.now}
-	return false
-}
-
-// reset invalidates every entry without touching the backing array, so a
-// per-kernel cold start costs no allocation.
-func (c *tagCache) reset() {
-	clear(c.ents)
-	c.now = 0
-}
 
 // cursor is one warp's place in the replay.
 type cursor struct {
@@ -166,18 +67,19 @@ type replayShape struct {
 	warps, sms, l1Sets, l1Ways int
 	chips, slicesPerChip       int
 	llcSets, llcWays           int
+	lineBytes                  int
 	crd                        core.CRDConfig
 }
 
-// replayScratch is the per-call working set of profile — the tag models, the
+// replayScratch is the per-call working set of profile — the cache models, the
 // profiler, a Spec's warp streams, the warp cursors and the kernel profiles —
 // reused across calls through a pool per shape. Every call starts it from
-// the state a fresh allocation has: the LLC models are cleared on entry, the
+// the state a fresh allocation has: the LLC models are flushed on entry, the
 // L1s and the profiler at every kernel (a reset profiler is a fresh one,
 // FuzzProfilerReset), the streams, cursors and profiles are rebuilt.
 type replayScratch struct {
-	l1      []tagCache
-	llc     []tagCache
+	l1      []cache.Cache
+	llc     []cache.Cache
 	prof    *core.Profiler
 	streams []workload.Stream
 	cursors []cursor
@@ -200,8 +102,8 @@ func scratchPool(sh replayShape) *sync.Pool {
 		}
 		p = &sync.Pool{New: func() any {
 			return &replayScratch{
-				l1:      newTagCaches(sh.sms, sh.l1Sets, sh.l1Ways),
-				llc:     newTagCaches(sh.chips*sh.slicesPerChip, sh.llcSets, sh.llcWays),
+				l1:      cache.NewN(sh.sms, cache.Config{Sets: sh.l1Sets, Ways: sh.l1Ways, LineBytes: sh.lineBytes}),
+				llc:     cache.NewN(sh.chips*sh.slicesPerChip, cache.Config{Sets: sh.llcSets, Ways: sh.llcWays, LineBytes: sh.lineBytes}),
 				prof:    core.NewProfiler(sh.chips, sh.slicesPerChip, sh.crd),
 				cursors: make([]cursor, 0, sh.warps),
 			}
@@ -220,7 +122,7 @@ func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
 		warps: m.TotalWarps(), sms: m.Chips * m.SMsPerChip,
 		l1Sets: cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways), l1Ways: cfg.L1Ways,
 		chips: cfg.Chips, slicesPerChip: cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
-		crd: cfg.CRDConfig(),
+		lineBytes: cfg.Geom.LineBytes, crd: cfg.CRDConfig(),
 	})
 	return pool, pool.Get().(*replayScratch)
 }
@@ -379,14 +281,14 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 	pages := addr.NewPageTable(cfg.Geom, cfg.Chips)
 	_, sampleMask := llcSampling(cfg)
 
-	// The tag models (~90 KB at ScaledConfig), the profiler, streams, cursors
-	// and profiles come from the scratch, so a warm call allocates none of
-	// them. The L1 filters and the profiler are reset per kernel (a kernel
-	// launch cold-starts the L1s and opens a profiling window); the LLC
-	// models persist across kernels, so they are cleared here.
+	// The cache models, the profiler, streams, cursors and profiles come
+	// from the scratch, so a warm call allocates none of them. The L1 filters
+	// and the profiler are reset per kernel (a kernel launch cold-starts the
+	// L1s and opens a profiling window); the LLC models persist across
+	// kernels, so they are flushed here.
 	l1, llcModel, prof := sc.l1, sc.llc, sc.prof
 	for i := range llcModel {
-		llcModel[i].reset()
+		llcModel[i].FlushAll()
 	}
 	if cap(sc.kps) < uniq {
 		sc.kps = make([]kernelProfile, uniq)
@@ -402,7 +304,7 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 		}
 		prof.Reset()
 		for i := range l1 {
-			l1[i].reset()
+			l1[i].FlushAll()
 		}
 		kp := &kps[ki]
 		// A Spec builds the kernel's streams into the scratch's storage in
@@ -440,7 +342,7 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 				c := &cursors[i]
 				// Bursts of a few accesses per warp visit keep the replay
 				// breadth-first (every warp advances every round) while giving
-				// the page-table memo and the L1 tag model the access locality
+				// the page-table memo and the L1 model the access locality
 				// the per-warp streams actually have — under strict one-access
 				// round-robin every page lookup misses the memo.
 				for b := int64(0); b < estimateBurst; b++ {
@@ -454,14 +356,10 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 					live = true
 					c.steps++
 					kp.replayed++
-					// One line hash serves the L1 set index, the LLC sample
-					// check and the LLC set index — they all consumed the same
-					// Mix64(line) value when computed separately.
-					lh := addr.Mix64(acc.Line)
 					// Mirror the SM's L1 semantics: stores are write-through and
 					// no-allocate (every one reaches the LLC, none installs in the
 					// L1); loads filter through the L1 and install on miss.
-					if acc.Kind != memsys.Write && l1[c.gsm].access(lh) {
+					if acc.Kind != memsys.Write && l1[c.gsm].Access(acc.Line, 0, cache.PartAll, false) {
 						continue // load filtered by the L1, never reaches the LLC
 					}
 					if acc.Kind == memsys.Write {
@@ -475,8 +373,8 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 					// overridden below by the sampled rate, so unsampled lines
 					// recording "miss" never reaches a decision.
 					hit := false
-					if sampleMask == 0 || lh>>48&sampleMask == 0 {
-						hit = llcModel[home*cfg.SlicesPerChip+si].access(lh)
+					if sampleMask == 0 || addr.Mix64(acc.Line)>>48&sampleMask == 0 {
+						hit = llcModel[home*cfg.SlicesPerChip+si].Access(acc.Line, 0, cache.PartAll, false)
 						kp.llcLookups++
 						if hit {
 							kp.llcHits++

@@ -134,11 +134,11 @@ func TestEstimateStraddleGolden(t *testing.T) {
 
 // TestEstimateSteadyStateAllocs pins the pooled replay: once a call has
 // warmed the scratch pool, an estimate cell allocates only its page table
-// and result record, not its profiler, streams, tag models or kernel
+// and result record, not its profiler, streams, cache models or kernel
 // profiles (4 allocations). Under -race the pool drops one scratch in four
-// at random, and a rebuilt one, profiler included, costs about 24
-// allocations; 20 calls read 5-15 per cell, so the pin there is the looser
-// 24.
+// at random, and a rebuilt one, profiler included, costs 26 more
+// allocations; 20 calls read about 10 per cell, so the pin there is the
+// looser 24.
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	spec, err := workload.ByName("RN")
 	if err != nil {

@@ -1,6 +1,7 @@
 // Package cache implements the repository's one set-associative array — the
 // structure an SM's private L1 and a chip's LLC slice both are, at two
-// sizes — plus the MSHR file that tracks outstanding misses.
+// sizes, in the simulator and in the estimate rung's replay — plus the MSHR
+// file that tracks outstanding misses.
 //
 // The model is behavioural, not data-carrying: it tracks tags, LRU state,
 // dirty bits, per-line home-chip annotations (for the local-vs-remote
@@ -106,12 +107,18 @@ type Cache struct {
 	Invalidates int64
 }
 
-// New returns an empty cache. Panics on an invalid config, as caches are
-// constructed from static configuration (gpu.Config.Validate rejects the
-// geometries an outside caller could ask for).
-func New(cfg Config) *Cache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
-		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+// New returns an empty cache: NewN's one-cache case. Panics on an invalid
+// config, as caches are constructed from static configuration
+// (gpu.Config.Validate rejects the geometries an outside caller could ask
+// for).
+func New(cfg Config) *Cache { return &NewN(1, cfg)[0] }
+
+// NewN returns n empty caches of one geometry, carved out of one backing
+// array per metadata type, so building any number of them costs the same
+// four allocations.
+func NewN(n int, cfg Config) []Cache {
+	if n <= 0 || cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
+		panic(fmt.Sprintf("cache: invalid config %+v (n=%d)", cfg, n))
 	}
 	if cfg.Ways > MaxWays {
 		panic(fmt.Sprintf("cache: at most %d ways", MaxWays))
@@ -122,26 +129,35 @@ func New(cfg Config) *Cache {
 	if cfg.Sectors > 8 {
 		panic("cache: at most 8 sectors per line")
 	}
-	n := cfg.Sets * cfg.Ways
+	lines := cfg.Sets * cfg.Ways
 	mask := -1
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		mask = cfg.Sets - 1
 	}
 	rowWords := (cfg.Ways + 7) / 8
-	words := make([]uint64, n+cfg.Sets+cfg.Sets*rowWords)
-	return &Cache{
-		cfg:        cfg,
-		tags:       words[:n:n],
-		occ:        words[n : n+cfg.Sets : n+cfg.Sets],
-		ptag:       words[n+cfg.Sets:],
-		lastUse:    make([]int64, n),
-		meta:       make([]uint8, n),
-		sectors:    make([]uint8, n),
-		setMask:    mask,
-		rowWords:   rowWords,
-		localWays:  cfg.Ways,
-		usableWays: cfg.Ways,
+	nw := lines + cfg.Sets + cfg.Sets*rowWords // tags, occ, ptag
+	words := make([]uint64, n*nw)
+	stamps := make([]int64, n*lines)
+	flags := make([]uint8, 2*n*lines) // meta, sectors
+	cs := make([]Cache, n)
+	for i := range cs {
+		w := words[i*nw : (i+1)*nw : (i+1)*nw]
+		f := flags[2*i*lines : 2*(i+1)*lines : 2*(i+1)*lines]
+		cs[i] = Cache{
+			cfg:        cfg,
+			tags:       w[:lines:lines],
+			occ:        w[lines : lines+cfg.Sets : lines+cfg.Sets],
+			ptag:       w[lines+cfg.Sets:],
+			lastUse:    stamps[i*lines : (i+1)*lines : (i+1)*lines],
+			meta:       f[:lines:lines],
+			sectors:    f[lines:],
+			setMask:    mask,
+			rowWords:   rowWords,
+			localWays:  cfg.Ways,
+			usableWays: cfg.Ways,
+		}
 	}
+	return cs
 }
 
 // Cfg returns the cache's configuration.
@@ -281,9 +297,28 @@ func (c *Cache) Probe(line uint64, sector int) bool {
 func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool, wi int) {
 	c.tick++
 	set, ptag := c.locate(line)
+	return c.fill(set, c.findInSet(set, line, ptag), line, ptag, sector, p, remote)
+}
+
+// Access is Lookup followed, on a miss, by Fill, from a single probe of the
+// set. It reports whether the access hit.
+func (c *Cache) Access(line uint64, sector int, p Partition, remote bool) (hit bool) {
+	set, ptag := c.locate(line)
+	wi := c.findInSet(set, line, ptag)
+	if c.CommitLookup(wi, sector) {
+		return true
+	}
+	c.tick++
+	c.fill(set, wi, line, ptag, sector, p, remote)
+	return false
+}
+
+// fill is Fill once the set has been probed: wi is the flat way holding the
+// line, -1 when it is absent.
+func (c *Cache) fill(set, wi int, line, ptag uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool, _ int) {
 	base := set * c.cfg.Ways
 	// Sector fill into an existing line?
-	if wi = c.findInSet(set, line, ptag); wi >= 0 {
+	if wi >= 0 {
 		c.sectors[wi] |= sectorBit(sector)
 		c.lastUse[wi] = c.tick
 		return Victim{}, false, wi
@@ -447,9 +482,9 @@ func (c *Cache) FlushAll() (dirtyLines int) { return c.FlushAllFunc(nil) }
 // FlushAllFunc invalidates every line, invoking onDirty for each dirty line
 // so the caller can issue the writeback traffic.
 func (c *Cache) FlushAllFunc(onDirty func(line uint64, remote bool)) (dirtyLines int) {
-	for s := 0; s < c.cfg.Sets; s++ {
+	for s, valid := range c.occ {
 		base := s * c.cfg.Ways
-		for b := c.occ[s]; b != 0; b &= b - 1 {
+		for b := valid; b != 0; b &= b - 1 {
 			wi := base + bits.TrailingZeros64(b)
 			m := c.meta[wi]
 			if m&wDirty != 0 && c.cfg.WriteBack {
@@ -459,10 +494,13 @@ func (c *Cache) FlushAllFunc(onDirty func(line uint64, remote bool)) (dirtyLines
 					onDirty(c.tags[wi], m&wRemote != 0)
 				}
 			}
-			c.invalidateWay(s, wi)
-			c.Invalidates++
+			c.meta[wi] = m &^ (wValid | wDirty)
 		}
+		c.Invalidates += int64(bits.OnesCount64(valid))
+		c.occ[s] = 0
 	}
+	// Every line left, so the census empties with them.
+	c.occLocal, c.occRemote = 0, 0
 	return dirtyLines
 }
 

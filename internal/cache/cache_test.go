@@ -220,6 +220,12 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			New(cfg)
 		}()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewN(0, ...) did not panic")
+		}
+	}()
+	NewN(0, small(4))
 }
 
 func TestConfigHelpers(t *testing.T) {
@@ -293,3 +299,50 @@ func TestFlushDirtyKeepsCleanLines(t *testing.T) {
 // MarkDirty is the by-line form of MarkDirtyWay the tests use; a no-op when
 // the line is absent.
 func (c *Cache) MarkDirty(line uint64) { c.MarkDirtyWay(c.FindLine(line)) }
+
+// TestNewNCarvesIndependentCaches holds the carving constructor to n
+// separate caches: a fill or a flush in one is invisible in every other,
+// and building them costs the same allocations whatever n is.
+func TestNewNCarvesIndependentCaches(t *testing.T) {
+	for _, cfg := range []Config{small(4), {Sets: 3, Ways: 12, LineBytes: 128, Sectors: 4}} {
+		cs := NewN(3, cfg)
+		for i := range cs {
+			for line := uint64(0); line < 64; line++ {
+				cs[i].Fill(line*3+uint64(i), int(line&1), PartAll, i == 1)
+			}
+		}
+		for i := range cs {
+			if err := cs[i].CheckRows(); err != nil {
+				t.Fatalf("cache %d: %v", i, err)
+			}
+			for j := range cs {
+				for line := uint64(0); line < 64; line++ {
+					if i != j && cs[i].FindLine(line*3+uint64(j)) >= 0 {
+						t.Fatalf("%+v: cache %d holds line %d filled into cache %d", cfg, i, line*3+uint64(j), j)
+					}
+				}
+			}
+		}
+		l0, r0 := cs[0].Occupancy()
+		cs[1].FlushAll()
+		if l, r := cs[0].Occupancy(); l != l0 || r != r0 || l0 == 0 {
+			t.Fatalf("%+v: flushing cache 1 moved cache 0's occupancy %d/%d to %d/%d", cfg, l0, r0, l, r)
+		}
+		if l, r := cs[2].Occupancy(); l == 0 || r != 0 {
+			t.Fatalf("%+v: flushing cache 1 moved cache 2's occupancy to %d/%d", cfg, l, r)
+		}
+	}
+
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() { NewN(n, small(8)) })
+	}
+	one := allocs(1)
+	for _, n := range []int{2, 64, 320} {
+		if got := allocs(n); got != one {
+			t.Fatalf("NewN(%d) allocates %v times, NewN(1) %v", n, got, one)
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() { New(small(8)) }); got != one {
+		t.Fatalf("New allocates %v times, NewN(1) %v", got, one)
+	}
+}

@@ -55,7 +55,8 @@ func collidingLines(t *testing.T, a *Cache, ptag uint64, n int) []uint64 {
 // identical random operation streams and asserts bit-identical observable behaviour:
 // every return value, every counter, the occupancy census, and the dirty
 // population. The stream covers lookups, probes, fills in all partitions,
-// dirty marking, invalidation, way limiting, and all three flush variants.
+// accesses (a lookup that fills on a miss), dirty marking, invalidation, way
+// limiting, and all three flush variants.
 // A quarter of the accesses go to two groups of lines that share one set and
 // one partial tag each (one of them tag 0, the value of a never-filled way),
 // more lines per group than the set has ways, so the partial-tag row is
@@ -108,6 +109,19 @@ func TestArrayMatchesCache(t *testing.T) {
 			case op < 55: // probe
 				if got, want := a.Probe(line, sector), c.Probe(line, sector); got != want {
 					t.Fatalf("cfg %d step %d: Probe(%d,%d) = %v, oracle says %v", ci, step, line, sector, got, want)
+				}
+			case op < 85 && rng.Intn(4) == 0: // access: lookup, fill on a miss
+				p := parts[rng.Intn(len(parts))]
+				if !partitioned {
+					p = PartAll
+				}
+				remote := rng.Intn(2) == 1
+				want := c.Lookup(line, sector)
+				if !want {
+					c.Fill(line, sector, p, remote)
+				}
+				if got := a.Access(line, sector, p, remote); got != want {
+					t.Fatalf("cfg %d step %d: Access(%d,%d,%v,%v) = %v, oracle says %v", ci, step, line, sector, p, remote, got, want)
 				}
 			case op < 85: // fill
 				p := parts[rng.Intn(len(parts))]

@@ -52,10 +52,11 @@ import (
 // stored result changes, so stale entries become unreachable instead of
 // wrong. v2 added the content hash (envelope.Sum); v3 dropped two unused
 // config fields and made fault-plan keys canonical; v4 made the CRD cold
-// after every Reset, which moves SAC's later profiling windows.
+// after every Reset, which moves SAC's later profiling windows; v5 moved
+// the estimate rung's cache models onto cache.Cache at their real geometry.
 // TestSchemaPinsGoldens fails when a golden result file is re-recorded
 // without a bump.
-const schemaVersion = 4
+const schemaVersion = 5
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields
