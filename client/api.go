@@ -64,10 +64,9 @@ const (
 // Fidelity rungs a job may request (sac.Fidelity values). Exact is the
 // default and the only rung whose results are bit-exact; estimate jobs are
 // answered synchronously on the accept path (the submission response is
-// already terminal), while sampled and exact jobs flow through the queue.
+// already terminal), while exact jobs flow through the queue.
 const (
 	FidelityEstimate = backend.Estimate
-	FidelitySampled  = backend.Sampled
 	FidelityExact    = backend.Exact
 )
 
@@ -88,8 +87,8 @@ type JobRequest struct {
 	Faults string `json:"faults,omitempty"`
 	// Priority selects the queue lane; "" means normal.
 	Priority string `json:"priority,omitempty"`
-	// Fidelity selects the simulation rung: "estimate", "sampled", or
-	// "exact" ("" = exact). Unknown values are rejected with HTTP 400.
+	// Fidelity selects the simulation rung: "estimate" or "exact"
+	// ("" = exact). Unknown values are rejected with HTTP 400.
 	// Estimate jobs never queue — the daemon answers them synchronously and
 	// the submission response is already in a terminal state.
 	Fidelity string `json:"fidelity,omitempty"`
@@ -107,7 +106,7 @@ type JobStatus struct {
 	Benchmark string `json:"benchmark"`
 	Org       string `json:"org"`
 	Priority  string `json:"priority"`
-	// Fidelity is the rung the job ran at ("estimate", "sampled", "exact").
+	// Fidelity is the rung the job ran at ("estimate" or "exact").
 	Fidelity string `json:"fidelity"`
 	// Key is the content address of the job's cell in the result store.
 	Key string `json:"key,omitempty"`

@@ -405,7 +405,7 @@ func init() {
 	for _, s := range []string{
 		StateQueued, StateRunning, StateDone, StateFailed, StateExpired, StateCanceled, StateRequeued,
 		SourceSim, SourceStore, SourceDedup, SourceMemo, PriorityHigh, PriorityNormal, PriorityBatch,
-		FidelityEstimate, FidelitySampled, FidelityExact, "SAC", "memory-side", "SM-side", "static", "dynamic",
+		FidelityEstimate, FidelityExact, "SAC", "memory-side", "SM-side", "static", "dynamic",
 	} {
 		vocabulary[s] = s
 	}

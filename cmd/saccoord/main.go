@@ -26,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
@@ -35,7 +36,7 @@ func main() {
 		addr      = flag.String("addr", ":8440", "HTTP listen address (use :0 for an ephemeral port)")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat cadence advertised to workers")
 		lapse     = flag.Duration("lapse", 0, "silence after which a worker is declared dead and its jobs stolen (0 = 3x heartbeat)")
-		fidelity  = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
+		fidelity  = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | exact (default exact)")
 		quiet     = flag.Bool("q", false, "suppress per-job log lines")
 	)
 	flag.Parse()
@@ -46,6 +47,9 @@ func main() {
 }
 
 func run(addr string, heartbeat, lapse time.Duration, fidelity string, quiet bool) error {
+	if _, err := backend.Normalize(fidelity); err != nil {
+		return err
+	}
 	cfg := cluster.Config{
 		Heartbeat:       heartbeat,
 		Lapse:           lapse,

@@ -45,6 +45,7 @@ import (
 
 	"repro/client"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -58,7 +59,7 @@ func main() {
 		cacheMax    = flag.Int64("cache-max-bytes", 0, "bound the live bytes of stored results, evicting least recently used; the directory stays under about twice this plus one segment (0 = unbounded)")
 		workers     = flag.Int("workers", 0, "max simulations in flight (0 = all cores)")
 		queueCap    = flag.Int("queue", 256, "max queued jobs before submissions get 429")
-		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | sampled | exact (default exact)")
+		fidelity    = flag.String("fidelity", "", "fidelity applied to jobs that name none: estimate | exact (default exact)")
 		journalPath = flag.String("journal", "", "durable job journal path (default <cache-dir>/journal.wal; none without a cache dir)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Minute, "how long a shutdown signal waits for in-flight jobs")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the API address")
@@ -98,6 +99,9 @@ func run(o options) error {
 	workers, queueCap := o.workers, o.queueCap
 	fidelity, journalPath := o.fidelity, o.journalPath
 	drainGrace, pprofOn, quiet := o.drainGrace, o.pprofOn, o.quiet
+	if _, err := backend.Normalize(fidelity); err != nil {
+		return err
+	}
 	cfg := server.Config{
 		Workers:         workers,
 		QueueCap:        queueCap,

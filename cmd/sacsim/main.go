@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		orgName     = fs.String("org", "SAC", "LLC organization (or comma list for a comparison): memory-side | SM-side | static | dynamic | SAC")
 		scale       = fs.String("scale", "scaled", "machine scale: scaled | full")
 		parallel    = fs.Int("parallel", 0, "max simulations in flight for -org lists (0 = all cores)")
-		fidelity    = fs.String("fidelity", "", "simulation fidelity: estimate | sampled | exact (default exact)")
+		fidelity    = fs.String("fidelity", "", "simulation fidelity: estimate | exact (default exact)")
 		sectored    = fs.Bool("sectored", false, "use a sectored LLC (4 sectors/line)")
 		hardware    = fs.Bool("hw-coherence", false, "use hardware (directory) coherence")
 		inputFactor = fs.Float64("input", 1, "input-set scale factor (Fig 13 axis)")
@@ -73,6 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 3
 		}
 		return 1
+	}
+	if _, err := backend.Normalize(*fidelity); err != nil {
+		return fail(err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

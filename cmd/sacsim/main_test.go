@@ -98,6 +98,7 @@ func TestSacsim(t *testing.T) {
 		{"bad org", []string{"-org", "L2"}, 2},
 		{"bad scale", []string{"-bench", "RN", "-scale", "paper"}, 2},
 		{"bad flag", []string{"-no-such-flag"}, 2},
+		{"bad fidelity", []string{"-fidelity", "sampled"}, 1},
 		{"timeout", []string{"-bench", "BFS", "-timeout", "1ns"}, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 
 	sac "repro"
 	"repro/client"
+	"repro/internal/backend"
 	"repro/internal/fault"
 	"repro/internal/noccost"
 	"repro/internal/obs"
@@ -44,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp         = fs.String("exp", "fig8", "experiment id (or comma list; 'all' for everything)")
 		set         = fs.String("set", "all", "benchmark set: all | fast | comma-separated names")
 		parallel    = fs.Int("parallel", 0, "max local simulations in flight (0 = all cores, 1 = serial)")
-		fidelity    = fs.String("fidelity", "", "simulation fidelity for every cell: estimate | sampled | exact (default exact)")
+		fidelity    = fs.String("fidelity", "", "simulation fidelity for every cell: estimate | exact (default exact)")
 		jsonOut     = fs.Bool("json", false, "emit results as JSON instead of tables")
 		faults      = fs.String("faults", "", "fault plan in the DSL, injected into every simulation")
 		maxCycles   = fs.Int64("max-cycles", 0, "override the per-kernel cycle limit (0 = preset default)")
@@ -66,6 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sacsweep:", err)
 		return 1
+	}
+	if _, err := backend.Normalize(*fidelity); err != nil {
+		return fail(err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -145,3 +145,18 @@ func TestSweepGolden(t *testing.T) {
 		t.Fatalf("sweep bytes changed; if the change is meant, %s becomes:\n%s", goldenPath, b)
 	}
 }
+
+// TestUnknownFidelityFailsFirst pins that a rung the ladder does not have is
+// one error before any work, not a table followed by one error per cell.
+func TestUnknownFidelityFailsFirst(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-exp", "table4,fig8", "-set", "fast", "-fidelity", "sampled"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s", code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("wrote output before rejecting the rung:\n%s", out.String())
+	}
+	if lines := strings.Count(errOut.String(), "\n"); lines != 1 || !strings.Contains(errOut.String(), `unknown fidelity "sampled"`) {
+		t.Errorf("want one unknown-fidelity line on stderr, got %d:\n%s", lines, errOut.String())
+	}
+}

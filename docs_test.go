@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/fault"
 )
 
@@ -43,6 +44,9 @@ var (
 	declFlagRe = regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([^"]+)"`)
 	// A -faults argument: a quoted plan, or a bare word up to the next space.
 	faultsArgRe = regexp.MustCompile("-faults[ \t]+(?:'([^']*)'|([^\\s`'\"]+))")
+	// A -fidelity argument, also across a wrapped line; "per-fidelity" is
+	// prose, not the flag.
+	fidelityArgRe = regexp.MustCompile("(?:^|[^\\w-])-fidelity\\s+([^\\s`'\"]+)")
 	// A code span, and a qualified identifier in one that is not part of a
 	// path or of a longer selector: `store.KeyAt`, `(*gpu.System).Run`.
 	codeSpanRe  = regexp.MustCompile("`[^`\n]+`")
@@ -108,21 +112,21 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 	return idents
 }
 
-// docFaultPlans returns the argument of every -faults flag the documents
-// show, in the order they show them.
-func docFaultPlans(t testing.TB) []string {
+// docFlagArgs returns the argument of every flag re matches in the
+// documents, in the order they show them (re's groups are alternatives).
+func docFlagArgs(t testing.TB, re *regexp.Regexp) []string {
 	t.Helper()
-	var plans []string
+	var args []string
 	for _, doc := range docFiles {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range faultsArgRe.FindAllStringSubmatch(string(raw), -1) {
-			plans = append(plans, m[1]+m[2])
+		for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
+			args = append(args, strings.Join(m[1:], ""))
 		}
 	}
-	return plans
+	return args
 }
 
 // TestDocsNameWhatExists fails on a document that sends its reader to
@@ -130,9 +134,9 @@ func docFaultPlans(t testing.TB) []string {
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
 // declares, a cmd/ directory or `go run ./<path>` directory that does not
 // exist, a flag on a `go run ./cmd/<name>` line that the command does not
-// declare, a -faults argument that is not a plan in the fault DSL, or a
-// `pkg.Ident` in README, DESIGN or EXPERIMENTS whose package of this module
-// declares no such name.
+// declare, a -faults argument that is not a plan in the fault DSL, a
+// -fidelity argument that is not a rung, or a `pkg.Ident` in README, DESIGN
+// or EXPERIMENTS whose package of this module declares no such name.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -211,9 +215,14 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
-	for _, p := range docFaultPlans(t) {
+	for _, p := range docFlagArgs(t, faultsArgRe) {
 		if _, err := fault.Parse(p); err != nil {
 			t.Errorf("-faults %s: %v", p, err)
+		}
+	}
+	for _, f := range docFlagArgs(t, fidelityArgRe) {
+		if _, err := backend.Normalize(f); err != nil {
+			t.Errorf("-fidelity %s: %v", f, err)
 		}
 	}
 	for _, doc := range docFiles {

@@ -27,7 +27,7 @@ import (
 // 400 and the request never resolves, resolving being the only path to
 // store.KeyAt. The seeds are every -faults plan the documents show.
 func FuzzFaultPlan(f *testing.F) {
-	for _, p := range docFaultPlans(f) {
+	for _, p := range docFlagArgs(f, faultsArgRe) {
 		f.Add(p)
 	}
 	for _, p := range []string{";", "xchip:0.cw@5-1*0.5", "dram:0.0@100--3", "llc:1.2@0*NaN", "noc:0@1e3"} {

@@ -21,24 +21,10 @@ func kernelOrgs(st *sac.Stats) []string {
 	return out
 }
 
-// pickedSM reports the workload-level SAC decision: whether any kernel ran
-// SM-side.
-func pickedSM(orgs []string) bool {
-	for _, o := range orgs {
-		if o == "SM-side" {
-			return true
-		}
-	}
-	return false
-}
-
 // TestCrossFidelityDecisions is the fidelity ladder's contract: the
-// estimate and sampled rungs must reproduce the exact engine's SAC org
-// decision on all 16 Table-4 workloads. The sampled rung simulates the real
-// profiling window on the real controller, so it must match the exact
-// per-kernel decision sequence verbatim; the estimate rung replays an
-// analytical profile, so it is held to the workload-level decision (does
-// SAC ever reconfigure to SM-side for this workload).
+// estimate rung must reproduce the exact engine's per-kernel SAC org
+// decisions verbatim on all 16 Table-4 workloads, from an analytical
+// profile where exact runs the real controller on the real traffic.
 func TestCrossFidelityDecisions(t *testing.T) {
 	cfg := sac.ScaledConfig().WithOrg(sac.SAC)
 	names := sac.BenchmarkNames()
@@ -47,8 +33,8 @@ func TestCrossFidelityDecisions(t *testing.T) {
 	}
 
 	type cell struct {
-		exact, sampled, estimate []string
-		err                      error
+		exact, estimate []string
+		err             error
 	}
 	cells := make([]cell, len(names))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -64,18 +50,15 @@ func TestCrossFidelityDecisions(t *testing.T) {
 				cells[i].err = err
 				return
 			}
-			for _, f := range []sac.Fidelity{sac.FidelityExact, sac.FidelitySampled, sac.FidelityEstimate} {
+			for _, f := range []sac.Fidelity{sac.FidelityExact, sac.FidelityEstimate} {
 				st, err := sac.Run(cfg, spec, sac.WithFidelity(f))
 				if err != nil {
 					cells[i].err = fmt.Errorf("%s at %s: %w", name, f, err)
 					return
 				}
-				switch f {
-				case sac.FidelityExact:
+				if f == sac.FidelityExact {
 					cells[i].exact = kernelOrgs(st)
-				case sac.FidelitySampled:
-					cells[i].sampled = kernelOrgs(st)
-				case sac.FidelityEstimate:
+				} else {
 					cells[i].estimate = kernelOrgs(st)
 				}
 			}
@@ -90,48 +73,13 @@ func TestCrossFidelityDecisions(t *testing.T) {
 			t.Errorf("%s: %v", name, c.err)
 			continue
 		}
-		if fmt.Sprint(c.sampled) != fmt.Sprint(c.exact) {
-			t.Errorf("%s: sampled decisions %v != exact %v", name, c.sampled, c.exact)
-			continue
-		}
-		if got, want := pickedSM(c.estimate), pickedSM(c.exact); got != want {
-			t.Errorf("%s: estimate workload decision SM-side=%v, exact SM-side=%v (estimate %v, exact %v)",
-				name, got, want, c.estimate, c.exact)
+		if fmt.Sprint(c.estimate) != fmt.Sprint(c.exact) {
+			t.Errorf("%s: estimate decisions %v != exact %v", name, c.estimate, c.exact)
 			continue
 		}
 		matched++
 	}
 	t.Logf("cross-fidelity decisions matched on %d/%d workloads", matched, len(names))
-}
-
-// TestSampledDeterminism pins the sampled rung byte-identical run to run:
-// the interval simulation inherits the exact engine's determinism and the
-// extrapolation is pure arithmetic, so the marshalled result must not vary.
-func TestSampledDeterminism(t *testing.T) {
-	cfg := sac.ScaledConfig().WithOrg(sac.SAC)
-	spec, err := sac.Benchmark("SN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for run := 0; run < 2; run++ {
-		st, err := sac.Run(cfg, spec, sac.WithFidelity(sac.FidelitySampled))
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if st.Fidelity != string(sac.FidelitySampled) {
-			t.Fatalf("run %d: Fidelity = %q, want %q", run, st.Fidelity, sac.FidelitySampled)
-		}
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = b
-		} else if string(b) != string(want) {
-			t.Fatal("sampled output differs between two identical runs")
-		}
-	}
 }
 
 // TestEstimateLatency is the estimate rung's speed contract: a full

@@ -72,12 +72,6 @@ func (p *PAE) SliceChannel(slice int) int {
 	return slice * p.channelsPerChip / p.slicesPerChip
 }
 
-// SlicesPerChip returns the configured slice count.
-func (p *PAE) SlicesPerChip() int { return p.slicesPerChip }
-
-// ChannelsPerChip returns the configured channel count.
-func (p *PAE) ChannelsPerChip() int { return p.channelsPerChip }
-
 // denseMaxPages bounds the dense page index: 4 Mi pages is a 16 GiB line
 // space at 4 KiB pages, and at most 4 MiB of placement index.
 const denseMaxPages = 1 << 22

@@ -200,7 +200,7 @@ func checkEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) error {
 		return err
 	}
 	if !o.Faults.Empty() {
-		return fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q or %q", Estimate, Sampled, Exact)
+		return fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q", Estimate, Exact)
 	}
 	return gpu.CheckMachine(w, cfg.Machine())
 }

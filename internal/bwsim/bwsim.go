@@ -141,9 +141,6 @@ func (q *Queue[T]) Empty() bool { return q.n == 0 }
 // Full reports whether the queue has reached its back-pressure bound.
 func (q *Queue[T]) Full() bool { return q.bound > 0 && q.n >= q.bound }
 
-// Bound returns the configured back-pressure threshold (0 = unbounded).
-func (q *Queue[T]) Bound() int { return q.bound }
-
 // Push appends v. It always succeeds; callers honoring back-pressure should
 // consult Full before producing new work.
 func (q *Queue[T]) Push(v T) {

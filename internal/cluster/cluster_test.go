@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -514,5 +515,22 @@ func TestClusterKeyAffinity(t *testing.T) {
 	}
 	if len(ran) != 1 || ran[0] != want {
 		t.Fatalf("cell was dispatched to %v, ring owner is %s", ran, want)
+	}
+}
+
+// TestClusterRejectsUnknownFidelity: the coordinator resolves a request
+// before placing it, so a rung the ladder does not have is a 400 naming
+// both rungs, even with no worker in the fleet.
+func TestClusterRejectsUnknownFidelity(t *testing.T) {
+	_, hs := testCoordinator(t, nil)
+	req := tinyRequest("RN", "SAC", 0)
+	req.Fidelity = "sampled"
+	_, err := newClient(hs.URL).Submit(context.Background(), req)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("want 400, got %v", err)
+	}
+	if !strings.Contains(apiErr.Message, `"estimate"`) || !strings.Contains(apiErr.Message, `"exact"`) {
+		t.Fatalf("error %q does not name both rungs", apiErr.Message)
 	}
 }

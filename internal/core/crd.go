@@ -67,13 +67,10 @@ func NewCRD(cfg CRDConfig) *CRD {
 }
 
 // llcSet returns the line's LLC set index among the sampleOf sets the CRD
-// samples from.
+// samples from. A line is sampled when its index is below c.sets: sampling
+// keys off the LLC set index so the CRD sees the same pressure the sampled
+// sets see.
 func (c *CRD) llcSet(line uint64) int { return int(addr.Mix64(line) % uint64(c.sampleOf)) }
-
-// Sampled reports whether a line falls on one of the CRD's sampled sets.
-// Sampling keys off the line's LLC set index so the CRD sees the same
-// pressure the sampled sets see.
-func (c *CRD) Sampled(line uint64) bool { return c.llcSet(line) < c.sets }
 
 // Access records a profiling-window access to line by chip (and sector for
 // sectored caches). Non-sampled lines are ignored. It returns whether the

@@ -68,7 +68,7 @@ func TestCRDSampling(t *testing.T) {
 	sampled := 0
 	const lines = 100000
 	for l := uint64(0); l < lines; l++ {
-		if c.Sampled(l) {
+		if c.llcSet(l) < c.sets {
 			sampled++
 		}
 	}

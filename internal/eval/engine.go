@@ -21,7 +21,7 @@ type CellResult struct {
 	Benchmark string
 	Org       string
 	Faults    string // fault-plan fingerprint ("" = healthy)
-	Fidelity  string // backend rung the cell ran on ("exact", "sampled", "estimate")
+	Fidelity  string // backend rung the cell ran on ("exact" or "estimate")
 	Cycles    int64  // simulated cycles (0 on failure)
 	Err       error  // nil on success
 }

@@ -187,13 +187,6 @@ func (c *chip) setPartition(localWays int) {
 	}
 }
 
-// clearPartition removes way partitioning from every slice.
-func (c *chip) clearPartition() {
-	for i := range c.slices {
-		c.slices[i].arr.ClearPartition()
-	}
-}
-
 // inflight counts requests resident in this chip's queues and pipelines
 // (excluding the SMs' miss files, which the system tracks separately).
 func (c *chip) inflight() int {

@@ -27,10 +27,10 @@ type RunOpts struct {
 	Ctx context.Context
 	// Deprecated: Workers has no effect (one stepper); removed with ROADMAP item 1.
 	Workers int
-	// Fidelity selects the backend rung ("estimate", "sampled", or
-	// "exact"/""). The cycle-exact engine itself ignores it — dispatch
-	// happens in internal/backend, which strips the field before handing an
-	// exact run to RunWith. It lives here so the public option plumbing
+	// Fidelity selects the backend rung ("estimate" or "exact"/""). The
+	// cycle-exact engine itself ignores it — dispatch happens in
+	// internal/backend, which strips the field before handing an exact run
+	// to RunWith. It lives here so the public option plumbing
 	// (sac.WithFidelity) needs no second options struct.
 	Fidelity string
 }

@@ -442,9 +442,6 @@ func (j *Journal) Compact() error {
 	return err
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close flushes and closes the file. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

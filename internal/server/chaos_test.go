@@ -557,9 +557,9 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestCorruptJournalSurfacesRecoveryErrors scribbles over a journal record,
-// and journals a request naming a config field this model does not have,
-// and checks recovery proceeds, both losses are counted, and healthz reports
-// them.
+// journals a request naming a config field this model does not have and one
+// naming a fidelity rung it does not have, and checks recovery proceeds, all
+// three losses are counted, and healthz reports them.
 func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "journal.wal")
@@ -576,19 +576,24 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		}
 		ids = append(ids, jst.ID)
 	}
-	// Abandon s1 (crash), journal the unknown-field request beside its
-	// accepts, then corrupt the middle accept record on disk — after this
-	// last Open, whose rewrite would drop a corrupt record.
-	req, err := json.Marshal(tinyRequest("RN", "SAC"))
+	// Abandon s1 (crash), journal the unknown-field request and one naming
+	// a rung the ladder no longer has beside its accepts, then corrupt the
+	// middle accept record on disk — after this last Open, whose rewrite
+	// would drop a corrupt record.
+	base, err := json.Marshal(tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req = []byte(strings.Replace(string(req), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
+	req := []byte(strings.Replace(string(base), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
+	retired := []byte(strings.Replace(string(base), "{", `{"fidelity":"sampled",`, 1))
 	jnl, _, err := journal.Open(jp, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "unknown-field", Req: req}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "retired-rung", Req: retired}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Close(); err != nil {
@@ -613,11 +618,11 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(ids)-1 {
-		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field)", n, len(ids)-1)
+		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field, one unknown fidelity)", n, len(ids)-1)
 	}
 	h := s2.HealthSnapshot()
-	if h.RecoveryErrors != 2 {
-		t.Fatalf("healthz recovery_errors = %d, want 2", h.RecoveryErrors)
+	if h.RecoveryErrors != 3 {
+		t.Fatalf("healthz recovery_errors = %d, want 3", h.RecoveryErrors)
 	}
 }
 

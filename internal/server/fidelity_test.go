@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/client"
@@ -94,63 +95,69 @@ func TestEstimateUsesStore(t *testing.T) {
 	}
 }
 
-// TestFidelityValidation pins the HTTP error contract: unknown rungs and
-// estimate-with-faults are client errors (400), not queue states.
+// TestFidelityValidation pins the HTTP error contract: unknown rungs (the
+// retired "sampled" among them) and estimate-with-faults are client errors
+// (400), not queue states, and an unknown rung's error names both rungs.
 func TestFidelityValidation(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	bad := tinyRequest("RN", "SAC")
-	bad.Fidelity = "cheap"
-	_, err := c.Submit(ctx, bad)
 	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
-		t.Fatalf("unknown fidelity: want 400, got %v", err)
+	for _, rung := range []string{"cheap", "sampled"} {
+		bad := tinyRequest("RN", "SAC")
+		bad.Fidelity = rung
+		_, err := c.Submit(ctx, bad)
+		if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
+			t.Fatalf("fidelity %q: want 400, got %v", rung, err)
+		}
+		if !strings.Contains(apiErr.Message, `"estimate"`) || !strings.Contains(apiErr.Message, `"exact"`) {
+			t.Fatalf("fidelity %q: error %q does not name both rungs", rung, apiErr.Message)
+		}
 	}
 
 	faulted := tinyRequest("RN", "SAC")
 	faulted.Fidelity = client.FidelityEstimate
 	faulted.Faults = "dram:0.5@100*0.5"
-	_, err = c.Submit(ctx, faulted)
+	_, err := c.Submit(ctx, faulted)
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("estimate with faults: want 400, got %v", err)
 	}
 }
 
-// TestFidelityProvenanceAndKeys checks that queued rungs carry their
-// fidelity through JobStatus and that the same cell at different rungs
+// TestFidelityProvenanceAndKeys checks that both rungs carry their
+// fidelity through JobStatus and that the same cell at the two rungs
 // resolves to distinct dedup/store keys.
 func TestFidelityProvenanceAndKeys(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 2})
 	ctx := context.Background()
 
-	sampled := tinyRequest("RN", "SAC")
-	sampled.Fidelity = client.FidelitySampled
-	sub, err := c.Submit(ctx, sampled)
+	estimate := tinyRequest("RN", "SAC")
+	estimate.Fidelity = client.FidelityEstimate
+	sub, err := c.Submit(ctx, estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := c.Wait(ctx, sub.ID)
+	est, err := c.Wait(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Fidelity != "sampled" {
-		t.Fatalf("sampled job Fidelity = %q", ss.Fidelity)
+	if est.Fidelity != "estimate" {
+		t.Fatalf("estimate job Fidelity = %q", est.Fidelity)
 	}
 
 	sub, err = c.Submit(ctx, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := c.Wait(ctx, sub.ID)
+	ex, err := c.Wait(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es.Fidelity != "exact" {
-		t.Fatalf("default job Fidelity = %q, want %q", es.Fidelity, "exact")
+	if ex.Fidelity != "exact" {
+		t.Fatalf("default job Fidelity = %q, want %q", ex.Fidelity, "exact")
 	}
-	if es.Key == ss.Key {
-		t.Fatal("exact and sampled runs of the same cell share a key; dedup would cross fidelities")
+	if ex.Key == est.Key {
+		t.Fatal("exact and estimate runs of the same cell share a key; dedup would cross fidelities")
 	}
 }
 

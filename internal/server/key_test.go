@@ -87,7 +87,6 @@ func TestKeyCanonical(t *testing.T) {
 		t.Errorf("%+v keys %.12s, not the key of its events in plan order", reordered, got)
 	}
 	distinct("estimate", client.JobRequest{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelityEstimate})
-	distinct("sampled", client.JobRequest{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelitySampled})
 
 	// Every config field but Org (the request's org overrides it, above),
 	// flipped alone to the first nearby value that still validates.

@@ -302,8 +302,8 @@ func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identit
 		return jobs.Identity{}, err
 	}
 	if fid == backend.Estimate && !plan.Empty() {
-		return jobs.Identity{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q or %q",
-			backend.Estimate, backend.Sampled, backend.Exact)
+		return jobs.Identity{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q",
+			backend.Estimate, backend.Exact)
 	}
 	return jobs.Identity{
 		Cfg: cfg, Spec: spec, Plan: plan, Fidelity: fid,

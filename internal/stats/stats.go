@@ -11,10 +11,10 @@ type Run struct {
 	Benchmark string
 	Org       string
 	// Fidelity records which backend rung produced this Run: "estimate"
-	// (closed-form EAB evaluation), "sampled" (windowed simulation with
-	// analytical fast-forward), or "" for the cycle-exact engine. The tag is
-	// omitted from JSON when empty so exact-mode output — and every stored
-	// result's content hash — stays byte-identical to pre-ladder builds.
+	// (closed-form EAB evaluation) or "" for the cycle-exact engine. The tag
+	// is omitted from JSON when empty so exact-mode output — and every
+	// stored result's content hash — stays byte-identical to pre-ladder
+	// builds.
 	Fidelity string `json:",omitempty"`
 
 	Cycles  int64

@@ -66,8 +66,8 @@ type KeyMaterial struct {
 	Config    gpu.Config `json:"config"`
 	Benchmark string     `json:"benchmark"`
 	Faults    string     `json:"faults,omitempty"`
-	// Fidelity is the rung that produced the result ("estimate", "sampled";
-	// "" = cycle-exact, omitted so pre-ladder exact keys stand).
+	// Fidelity is the rung that produced the result ("estimate"; "" =
+	// cycle-exact, omitted so pre-ladder exact keys stand).
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
@@ -456,19 +456,6 @@ func (s *Store) getRaw(key string) (raw json.RawMessage, cycles int64, at diskEn
 	return nil, 0, at, false
 }
 
-// Put stores res under key (KeyAt of the same cell), replacing any existing
-// entry and evicting past the size cap.
-func (s *Store) Put(key string, m KeyMaterial, res *stats.Run) error {
-	if s == nil {
-		return nil
-	}
-	keyJSON, derived := marshalKey(m)
-	if derived != key {
-		return s.putFailed(fmt.Errorf("key %.12s does not address the supplied material", key))
-	}
-	return s.put(key, keyJSON, res)
-}
-
 // PutRunAt stores res under KeyAt(cfg, benchmark, faults, fidelity).
 func (s *Store) PutRunAt(cfg gpu.Config, benchmark, faults, fidelity string, res *stats.Run) error {
 	if s == nil {
@@ -687,9 +674,6 @@ func (s *Store) PutErrors() int64 { return int64(s.putErrors.Value()) }
 
 // Corrupt returns the number of torn, damaged or unverifiable records since Open.
 func (s *Store) Corrupt() int64 { return int64(s.corrupt.Value()) }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close closes the segments and writes the recency snapshot (every key, least
 // recently used first) the next Open lays over its scan. Do not use the store

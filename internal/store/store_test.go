@@ -76,9 +76,8 @@ func TestFidelityKeysDistinct(t *testing.T) {
 		t.Fatal(`"exact" does not address the legacy exact key; pre-ladder caches would go cold`)
 	}
 	est := KeyAt(cfg, "BP", "", "estimate")
-	smp := KeyAt(cfg, "BP", "", "sampled")
-	if est == exact || smp == exact || est == smp {
-		t.Fatalf("fidelity rungs collide: exact=%.12s estimate=%.12s sampled=%.12s", exact, est, smp)
+	if est == exact {
+		t.Fatalf("fidelity rungs collide: exact=%.12s estimate=%.12s", exact, est)
 	}
 
 	s, err := Open(t.TempDir(), Options{})
@@ -88,21 +87,23 @@ func TestFidelityKeysDistinct(t *testing.T) {
 	if err := s.PutRunAt(cfg, "BP", "", "estimate", testRun("BP", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutRunAt(cfg, "BP", "", "sampled", testRun("BP", 200)); err != nil {
+	if _, ok := s.Get(exact); ok {
+		t.Fatal("estimate result answered an exact lookup")
+	}
+	if err := s.PutRunAt(cfg, "BP", "", "exact", testRun("BP", 200)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 2 {
 		t.Fatalf("same cell at two fidelities stored %d objects, want 2", s.Len())
 	}
-	if _, ok := s.Get(exact); ok {
-		t.Fatal("fast-fidelity result answered an exact lookup")
-	}
-	got, ok := s.Get(est)
-	if !ok {
-		t.Fatal("estimate put is a miss")
-	}
-	if got.Cycles != 100 {
-		t.Fatalf("estimate lookup returned cycles=%d, want the estimate object (100)", got.Cycles)
+	for key, want := range map[string]int64{est: 100, exact: 200} {
+		got, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("put of %.12s is a miss", key)
+		}
+		if got.Cycles != want {
+			t.Fatalf("lookup of %.12s returned cycles=%d, want %d", key, got.Cycles, want)
+		}
 	}
 }
 

@@ -114,10 +114,10 @@ func guard(err *error) {
 type Workload = gpu.Workload
 
 // Fidelity selects one rung of the simulation fidelity ladder: how much
-// accuracy a Run buys with how much time. All three rungs are deterministic
-// and share the decision contract pinned by the cross-fidelity tests: the
-// fast rungs predict the exact engine's SAC org decision on all 16 Table-4
-// workloads.
+// accuracy a Run buys with how much time. Both rungs are deterministic and
+// share the decision contract pinned by the cross-fidelity test: the
+// estimate rung predicts the exact engine's per-kernel SAC org decisions on
+// all 16 Table-4 workloads.
 type Fidelity string
 
 // The fidelity rungs, cheapest first.
@@ -127,12 +127,6 @@ const (
 	// low milliseconds per workload. Cycle counts are closed-form estimates;
 	// fault plans are not supported.
 	FidelityEstimate Fidelity = backend.Estimate
-	// FidelitySampled cycle-simulates each kernel's opening interval on the
-	// real engine (covering SAC's profiling window, so decisions are taken
-	// by the genuine controller) and extrapolates the remainder
-	// analytically. Typically one to two orders of magnitude faster than
-	// exact.
-	FidelitySampled Fidelity = backend.Sampled
 	// FidelityExact is the unmodified cycle-exact simulator — the default,
 	// byte-identical to a Run without WithFidelity.
 	FidelityExact Fidelity = backend.Exact
@@ -145,8 +139,8 @@ type RunOption func(*gpu.RunOpts)
 
 // WithFidelity selects the backend rung a Run executes on ("" keeps the
 // cycle-exact default). Results carry their rung in Stats.Fidelity, and the
-// result cache keys estimate/sampled/exact results separately, so a fast
-// rung's answer is never served for an exact request.
+// result cache keys estimate and exact results separately, so an estimate
+// is never served for an exact request.
 func WithFidelity(f Fidelity) RunOption {
 	return func(o *gpu.RunOpts) { o.Fidelity = string(f) }
 }
@@ -323,8 +317,8 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 // in a ResultCache (and reported as "key" by the sacd API). Any difference
 // in configuration, benchmark, fault plan or fidelity rung yields a
 // different key, except that "" and FidelityExact address the same keys
-// (exact results keep their pre-ladder addresses): estimate and sampled
-// results can never alias an exact one.
+// (exact results keep their pre-ladder addresses): estimate results can
+// never alias an exact one.
 func CacheKeyAt(cfg Config, benchmark string, plan *FaultPlan, f Fidelity) string {
 	return store.KeyAt(cfg, benchmark, plan.Key(), string(f))
 }
