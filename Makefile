@@ -61,17 +61,22 @@ syncsmoke:
 # straddle), its held-out decisions (the 64 SAC cells of that universe against
 # exact, counting only disagreements whose exact margin exceeds θ), its
 # allocations, a CRD that is cold after Reset, the replay-invariant config
-# fields, and that a canceled replay is never handed on to a run-set mate. The third holds a sacd batch and a sweep's RunAll to
-# the same bytes with one replay per (machine, spec). The fourth pins
-# sacsweep's -json bytes: every experiment of the fast set at the estimate
-# rung, and an exact Fig 8 cold and warm from a result cache.
+# fields, that a canceled replay is never handed on to a run-set mate, and
+# the rung's declared coverage against what synthesize fills. The third holds
+# a sacd batch and a sweep's RunAll to the same bytes with one replay per
+# (machine, spec), and holds the experiments outside the rung's coverage to a
+# refusal before any cell runs. The fourth pins sacsweep's -json bytes: every
+# experiment the estimate rung covers over the fast set (the six it does not
+# are one skip line each), and an exact Fig 8 cold and warm from a result
+# cache. On a 2-vCPU Xeon the target takes about 31 s wall with compiles,
+# and TestSweepGolden about 11 CPU-s of it.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers' \
 		./internal/backend ./internal/workload ./internal/core
-	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles' \
+	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles|TestEstimateRefusesUncovered' \
 		./internal/server ./internal/eval
 	$(GO) test -count=1 -run TestSweepGolden ./cmd/sacsweep
 

@@ -74,9 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
-	if _, err := backend.Normalize(*fidelity); err != nil {
-		return fail(err)
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -100,6 +97,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage(err)
 		}
 		orgs = append(orgs, org)
+	}
+	// An unknown rung, or an org the rung does not price, fails before any work.
+	if err := backend.Covers(*fidelity, orgs); err != nil {
+		return fail(err)
 	}
 	cfg.Org = orgs[0]
 	cfg.Sectored = *sectored
@@ -189,23 +190,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "IPC (mem ops/cyc) %12.4f\n", st.IPC())
 	fmt.Fprintf(stdout, "L1 hit rate       %12.4f\n", hitRate(st.L1Hits, st.L1Misses))
 	fmt.Fprintf(stdout, "LLC hit rate      %12.4f\n", st.LLCHitRate())
-	fmt.Fprintf(stdout, "eff. LLC BW       %12.2f B/cycle\n", st.EffectiveLLCBandwidth())
-	fmt.Fprintf(stdout, "avg read latency  %12.1f cycles\n", st.AvgReadLatency())
+	fmt.Fprintf(modeled(stdout, *fidelity, "RespBytes"), "eff. LLC BW       %12.2f B/cycle\n", st.EffectiveLLCBandwidth())
+	fmt.Fprintf(modeled(stdout, *fidelity, "ReadLatencySum", "ReadLatencyN"), "avg read latency  %12.1f cycles\n", st.AvgReadLatency())
 	fmt.Fprintf(stdout, "ring traffic      %12d bytes\n", st.RingBytes)
 	fmt.Fprintf(stdout, "DRAM traffic      %12d bytes\n", st.DRAMBytes)
-	fmt.Fprintf(stdout, "LLC remote occup. %12.4f\n", st.RemoteOccupancy())
+	fmt.Fprintf(modeled(stdout, *fidelity, "OccLocalSum", "OccRemoteSum"), "LLC remote occup. %12.4f\n", st.RemoteOccupancy())
 	if st.Reconfigs > 0 || cfg.Org == llc.SAC {
-		fmt.Fprintf(stdout, "reconfigurations  %12d (flushed %d dirty lines, %d drain cycles)\n",
+		fmt.Fprintf(modeled(stdout, *fidelity, "Reconfigs"), "reconfigurations  %12d (flushed %d dirty lines, %d drain cycles)\n",
 			st.Reconfigs, st.DirtyFlushed, st.DrainCycles)
 	}
 	if plan != nil {
 		fmt.Fprintf(stdout, "fault events      %12d (plan %s)\n", st.FaultEvents, plan.Key())
 	}
-	fmt.Fprintln(stdout, "\nresponse origin breakdown (bytes/cycle):")
+	origins := modeled(stdout, *fidelity, "RespBytes")
+	fmt.Fprintln(origins, "\nresponse origin breakdown (bytes/cycle):")
 	bd := st.RespBreakdown()
 	for _, o := range []memsys.Origin{memsys.OriginLocalLLC, memsys.OriginRemoteLLC,
 		memsys.OriginLocalMem, memsys.OriginRemoteMem} {
-		fmt.Fprintf(stdout, "  %-10s %10.2f\n", o, bd[o])
+		fmt.Fprintf(origins, "  %-10s %10.2f\n", o, bd[o])
 	}
 	fmt.Fprintln(stdout, "\nper-kernel records:")
 	for _, k := range st.Kernels {
@@ -249,7 +251,8 @@ func compareOrgs(ctx context.Context, w io.Writer, cfg sac.Config, spec sac.Spec
 		fmt.Fprintf(w, "%14s", org)
 	}
 	fmt.Fprintln(w)
-	row := func(label string, f func(run *sac.Stats) string) {
+	row := func(label string, f func(run *sac.Stats) string, fields ...string) {
+		w := modeled(w, fidelity, fields...)
 		fmt.Fprintf(w, "%-18s", label)
 		for _, run := range runs {
 			fmt.Fprintf(w, "%14s", f(run))
@@ -260,12 +263,20 @@ func compareOrgs(ctx context.Context, w io.Writer, cfg sac.Config, spec sac.Spec
 	row("IPC", func(run *sac.Stats) string { return fmt.Sprintf("%.4f", run.IPC()) })
 	row("speedup", func(run *sac.Stats) string { return fmt.Sprintf("%.3fx", stats.Speedup(run, runs[0])) })
 	row("LLC hit rate", func(run *sac.Stats) string { return fmt.Sprintf("%.4f", run.LLCHitRate()) })
-	row("eff. LLC BW", func(run *sac.Stats) string { return fmt.Sprintf("%.2f B/c", run.EffectiveLLCBandwidth()) })
-	row("read latency", func(run *sac.Stats) string { return fmt.Sprintf("%.1f", run.AvgReadLatency()) })
+	row("eff. LLC BW", func(run *sac.Stats) string { return fmt.Sprintf("%.2f B/c", run.EffectiveLLCBandwidth()) }, "RespBytes")
+	row("read latency", func(run *sac.Stats) string { return fmt.Sprintf("%.1f", run.AvgReadLatency()) }, "ReadLatencySum", "ReadLatencyN")
 	row("ring bytes", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.RingBytes) })
 	row("DRAM bytes", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.DRAMBytes) })
-	row("reconfigs", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.Reconfigs) })
+	row("reconfigs", func(run *sac.Stats) string { return fmt.Sprintf("%d", run.Reconfigs) }, "Reconfigs")
 	return nil
+}
+
+// modeled is w if the rung fills the named stats.Run fields, else io.Discard.
+func modeled(w io.Writer, fidelity string, fields ...string) io.Writer {
+	if backend.Covers(fidelity, nil, fields...) != nil {
+		return io.Discard
+	}
+	return w
 }
 
 func hitRate(h, m int64) float64 {

@@ -41,7 +41,8 @@ func usageLines(t *testing.T) [][]string {
 
 // TestSacsim runs every usage line of the package doc at the estimate rung
 // (the listener and the trace file moved to a free port and a temporary
-// directory), one exact run checked against sac.Run, and the usage errors.
+// directory), which reports nothing the rung does not model; one exact run
+// checked against sac.Run; and the usage errors.
 func TestSacsim(t *testing.T) {
 	for _, args := range usageLines(t) {
 		args = append(args, "-fidelity", "estimate")
@@ -62,6 +63,9 @@ func TestSacsim(t *testing.T) {
 			}
 			if out == "" {
 				t.Fatal("no output")
+			}
+			if strings.Contains(out, "response origin") {
+				t.Fatalf("the estimate rung reported response origins it does not model:\n%s", out)
 			}
 			if trace != "" {
 				raw, err := os.ReadFile(trace)
@@ -94,16 +98,19 @@ func TestSacsim(t *testing.T) {
 		name string
 		args []string
 		code int
+		want string // on stderr
 	}{
-		{"bad org", []string{"-org", "L2"}, 2},
-		{"bad scale", []string{"-bench", "RN", "-scale", "paper"}, 2},
-		{"bad flag", []string{"-no-such-flag"}, 2},
-		{"bad fidelity", []string{"-fidelity", "sampled"}, 1},
-		{"timeout", []string{"-bench", "BFS", "-timeout", "1ns"}, 3},
+		{"bad org", []string{"-org", "L2"}, 2, ""},
+		{"bad scale", []string{"-bench", "RN", "-scale", "paper"}, 2, ""},
+		{"bad flag", []string{"-no-such-flag"}, 2, ""},
+		{"bad fidelity", []string{"-fidelity", "sampled"}, 1, ""},
+		{"uncovered org", []string{"-org", "static", "-fidelity", "estimate"}, 1,
+			`fidelity "estimate" does not model the static organization`},
+		{"timeout", []string{"-bench", "BFS", "-timeout", "1ns"}, 3, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if code, _, errOut := sacsim(c.args...); code != c.code {
-				t.Fatalf("exit %d, want %d:\n%s", code, c.code, errOut)
+			if code, _, errOut := sacsim(c.args...); code != c.code || !strings.Contains(errOut, c.want) {
+				t.Fatalf("exit %d, want %d and %q:\n%s", code, c.code, c.want, errOut)
 			}
 		})
 	}

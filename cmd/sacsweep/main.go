@@ -153,13 +153,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"fig12", "fig13", "fig14", "headline", "ablation", "noccost", "eabval"}
 	}
 	// One failing experiment does not abort the sweep: report it, keep
-	// going, and exit non-zero at the end if anything failed. A sweep killed
-	// by the -timeout context exits 3 (the historical supervisor-kill code),
-	// distinguishing a wedged run from a broken one.
+	// going, and exit non-zero at the end if anything failed. Under -exp all,
+	// an experiment the rung does not cover is skipped, not failed. A sweep
+	// killed by the -timeout context exits 3 (the historical supervisor-kill
+	// code), distinguishing a wedged run from a broken one.
 	failed, timedOut := 0, false
 	for _, id := range ids {
 		t0 := time.Now()
 		if err := runExperiment(stdout, r, strings.TrimSpace(id), *jsonOut); err != nil {
+			var uncovered *backend.CoverageError
+			if *exp == "all" && errors.As(err, &uncovered) {
+				fmt.Fprintf(stderr, "sacsweep: %s skipped: %v\n", id, err)
+				continue
+			}
 			fmt.Fprintf(stderr, "sacsweep: %s failed: %v\n", id, err)
 			failed++
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -176,7 +182,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	if failed > 0 {
-		fmt.Fprintf(stderr, "sacsweep: %d of %d experiments failed\n", failed, len(ids))
+		if len(ids) > 1 {
+			fmt.Fprintf(stderr, "sacsweep: %d of %d experiments failed\n", failed, len(ids))
+		}
 		return 1
 	}
 	return 0

@@ -85,10 +85,10 @@ func daemon(t *testing.T) (string, *atomic.Int64) {
 	return hs.URL, &requests
 }
 
-// TestSweepGolden pins the bytes of two sweeps: every experiment of the fast
-// set at the estimate rung (serial, at the default parallelism, and through
-// a sacd) and an exact Fig 8 over SN and BP, cold and then warm from a
-// result cache.
+// TestSweepGolden pins the bytes of two sweeps: every experiment the
+// estimate rung covers over the fast set, with one skip line for each it
+// does not (serial, at the default parallelism, and through a sacd), and an
+// exact Fig 8 over SN and BP, cold and then warm from a result cache.
 func TestSweepGolden(t *testing.T) {
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -101,8 +101,17 @@ func TestSweepGolden(t *testing.T) {
 	got := map[string]map[string]string{}
 
 	estimate := []string{"-exp", "all", "-set", "fast", "-fidelity", "estimate", "-json"}
-	out, _ := sweep(t, estimate...)
+	out, log := sweep(t, estimate...)
 	got["estimate_all_fast"] = digests(t, out)
+	var skipped []string
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(line, "sacsweep: "), " skipped: fidelity \"estimate\" does not model "); ok {
+			skipped = append(skipped, id)
+		}
+	}
+	if ids, want := strings.Join(skipped, " "), "fig1 fig8 fig9 fig10 headline eabval"; ids != want {
+		t.Errorf("the estimate sweep skipped %q, want %q:\n%s", ids, want, log)
+	}
 	if serial, _ := sweep(t, append(estimate, "-parallel", "1")...); serial != out {
 		t.Error("estimate sweep differs between -parallel 1 and the default")
 	}
@@ -143,6 +152,21 @@ func TestSweepGolden(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		b, _ := json.MarshalIndent(got, "", "  ")
 		t.Fatalf("sweep bytes changed; if the change is meant, %s becomes:\n%s", goldenPath, b)
+	}
+}
+
+// TestUncoveredExperimentFails: an experiment named explicitly that the
+// rung does not cover fails with one error line and prints no table.
+func TestUncoveredExperimentFails(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-exp", "fig9", "-set", "BP", "-fidelity", "estimate"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s", code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed a table for a refused experiment:\n%s", out.String())
+	}
+	if want := "sacsweep: fig9 failed: fidelity \"estimate\" does not model the static organization; use \"exact\"\n"; errOut.String() != want {
+		t.Errorf("stderr %q, want %q", errOut.String(), want)
 	}
 }
 

@@ -18,8 +18,10 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
+	"repro/internal/llc"
 	"repro/internal/stats"
 )
 
@@ -51,6 +53,44 @@ func Display(f string) string {
 		return Exact
 	}
 	return f
+}
+
+// What each rung answers: exact, every stats.Run field under every
+// organization; estimate, the fields synthesize writes (every other field of
+// its runs is zero) under the organizations it prices from a measured side.
+// TestEstimateCoverage pins estimateFields to synthesize.
+var (
+	estimateFields = []string{"Cycles", "MemOps", "Reads", "Writes", "L1Hits", "L1Misses",
+		"LLCHits", "LLCMisses", "RingBytes", "DRAMBytes", "Kernels"}
+	estimateOrgs = []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC}
+)
+
+// CoverageError is a question a rung does not model: an organization it
+// does not price (Org), else a stats.Run field it does not fill (Field).
+type CoverageError struct{ Fidelity, Org, Field string }
+
+func (e *CoverageError) Error() string {
+	if e.Org != "" {
+		return fmt.Sprintf("fidelity %q does not model the %s organization; use %q", e.Fidelity, e.Org, Exact)
+	}
+	return fmt.Sprintf("fidelity %q does not model stats.Run.%s; use %q", e.Fidelity, e.Field, Exact)
+}
+
+// Covers asks a rung for every organization in orgs and every named stats.Run
+// field: nil at exact, a *CoverageError naming the first missing organization
+// (else field) at estimate, and Normalize's error for a rung the ladder lacks.
+func Covers(fidelity string, orgs []llc.Org, fields ...string) error {
+	f, err := Normalize(fidelity)
+	if err != nil || f == "" {
+		return err
+	}
+	if i := slices.IndexFunc(orgs, func(o llc.Org) bool { return !slices.Contains(estimateOrgs, o) }); i >= 0 {
+		return &CoverageError{Fidelity: f, Org: orgs[i].String()}
+	}
+	if i := slices.IndexFunc(fields, func(n string) bool { return !slices.Contains(estimateFields, n) }); i >= 0 {
+		return &CoverageError{Fidelity: f, Field: fields[i]}
+	}
+	return nil
 }
 
 // Run dispatches one simulation to the rung named by o.Fidelity. This is

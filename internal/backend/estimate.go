@@ -489,9 +489,9 @@ func synthesize(cfg gpu.Config, w gpu.Workload, kps []kernelProfile) *stats.Run 
 
 // orgEAB returns the effective aggregate bandwidth (bytes/cycle) and the
 // predicted LLC hit rate of the configuration the organization runs the
-// kernel under. SAC uses the chosen side; the hybrid organizations (Static,
-// Dynamic) cache both locally and at home, so the better side's EAB bounds
-// them — a deliberate coarse approximation, documented in DESIGN.md §14.
+// kernel under. SAC uses the chosen side. Static and Dynamic are outside the
+// rung's coverage (Covers): their max of both sides is an oracle, priced only
+// because bench/'s estimate universe submits static here (ROADMAP item 1).
 func orgEAB(org llc.Org, d core.Decision, in core.WorkloadInputs) (eab, hitRate float64) {
 	mem := d.MemSide.Total
 	smSide := d.SMSide.Total

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/backend"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -65,14 +66,14 @@ func (w *testWorker) kill() {
 // startWorker boots a real server.Server over httptest and enrolls it.
 func startWorker(t *testing.T, coordURL, id string) *testWorker {
 	t.Helper()
-	return startWorkerWith(t, coordURL, id, nil)
+	return startWorkerWith(t, coordURL, id, nil, "")
 }
 
 // startWorkerWith is startWorker whose job submissions wait until hold is
-// closed (nil holds nothing).
-func startWorkerWith(t *testing.T, coordURL, id string, hold <-chan struct{}) *testWorker {
+// closed (nil holds nothing), and whose default rung is fidelity.
+func startWorkerWith(t *testing.T, coordURL, id string, hold <-chan struct{}, fidelity string) *testWorker {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2})
+	s := server.New(server.Config{Workers: 2, DefaultFidelity: fidelity})
 	s.Start()
 	h := s.Handler()
 	if hold != nil {
@@ -107,10 +108,17 @@ func startWorkerWith(t *testing.T, coordURL, id string, hold <-chan struct{}) *t
 // testCoordinator boots a coordinator with test-speed heartbeats.
 func testCoordinator(t *testing.T, reg *obs.Registry) (*Coordinator, *httptest.Server) {
 	t.Helper()
+	return testCoordinatorAt(t, reg, "")
+}
+
+// testCoordinatorAt is testCoordinator whose default rung is fidelity.
+func testCoordinatorAt(t *testing.T, reg *obs.Registry, fidelity string) (*Coordinator, *httptest.Server) {
+	t.Helper()
 	c := New(Config{
-		Heartbeat: 50 * time.Millisecond,
-		Lapse:     250 * time.Millisecond,
-		Registry:  reg,
+		Heartbeat:       50 * time.Millisecond,
+		Lapse:           250 * time.Millisecond,
+		Registry:        reg,
+		DefaultFidelity: fidelity,
 		Dial: func(url string) *client.Client {
 			return client.New(url,
 				client.WithRetries(1),
@@ -255,8 +263,8 @@ func TestClusterGlobalDedup(t *testing.T) {
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release() // before the workers' cleanup drains them
-	startWorkerWith(t, hs.URL, "worker-a", gate)
-	startWorkerWith(t, hs.URL, "worker-b", gate)
+	startWorkerWith(t, hs.URL, "worker-a", gate, "")
+	startWorkerWith(t, hs.URL, "worker-b", gate, "")
 	waitLive(t, coord, 2)
 	ctx := context.Background()
 
@@ -515,6 +523,31 @@ func TestClusterKeyAffinity(t *testing.T) {
 	}
 	if len(ran) != 1 || ran[0] != want {
 		t.Fatalf("cell was dispatched to %v, ring owner is %s", ran, want)
+	}
+}
+
+// TestClusterForwardsResolvedFidelity: a request that names no rung takes
+// the coordinator's default, and the worker runs that rung whatever its own
+// default, in both directions.
+func TestClusterForwardsResolvedFidelity(t *testing.T) {
+	for _, c := range []struct{ coord, worker string }{
+		{"estimate", "exact"},
+		{"exact", "estimate"},
+	} {
+		t.Run("coordinator "+c.coord+", worker "+c.worker, func(t *testing.T) {
+			coord, hs := testCoordinatorAt(t, nil, c.coord)
+			startWorkerWith(t, hs.URL, "w1", nil, c.worker)
+			waitLive(t, coord, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			st, err := newClient(hs.URL).Run(ctx, tinyRequest("RN", "SAC", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := backend.Display(st.Fidelity), c.coord; got != want {
+				t.Fatalf("the cell ran at %q, want the coordinator's %q", got, want)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/backend"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -419,7 +420,9 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 		c.mu.Unlock()
 	}()
 
+	// The rung resolved here travels, so no worker default re-resolves it.
 	req := j.Req
+	req.Fidelity = backend.Display(j.Fidelity)
 	if !j.Deadline.IsZero() {
 		rem := time.Until(j.Deadline).Milliseconds()
 		if rem <= 0 {

@@ -31,7 +31,7 @@ type AblationResult struct {
 // benchmark, the shared pure-organization baselines and then each variant's
 // SAC cell.
 func (r *Runner) ablate(axis string, variants []variant) (*AblationResult, error) {
-	specs, err := r.specs()
+	specs, err := r.specsCovered(trioOrgs, "Cycles", "MemOps")
 	if err != nil {
 		return nil, err
 	}

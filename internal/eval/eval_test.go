@@ -2,11 +2,11 @@ package eval
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/gpu"
 	"repro/internal/llc"
 )
@@ -62,27 +62,38 @@ func TestFig1ProducesAllGroups(t *testing.T) {
 	}
 }
 
-// TestFig1EstimateIsFinite: the estimate rung fills no response bytes, so
-// Fig 1c's memory-side base is zero there. Every aggregate must still be
-// finite, or the -json output fails to encode.
-func TestFig1EstimateIsFinite(t *testing.T) {
+// TestEstimateRefusesUncovered: at the estimate rung, the experiments that
+// read an organization or a field the rung does not model refuse with a
+// *backend.CoverageError before any work: no cell runs, and eabval builds
+// no gpu.System (a refusal allocates only its error). The experiments inside
+// the rung's coverage still answer.
+func TestEstimateRefusesUncovered(t *testing.T) {
 	r := testRunner()
 	r.Fidelity = "estimate"
-	f, err := r.Fig1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := json.Marshal(f); err != nil {
-		t.Fatalf("Fig 1 at the estimate rung does not marshal: %v", err)
-	}
-	for g, m := range f.Groups {
-		for org, a := range m {
-			for _, v := range []float64{a.HMSpeedup, a.MissRate, a.EffBW} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("%s/%s aggregate %+v is not finite", g, org, a)
-				}
-			}
+	for name, run := range map[string]func() error{
+		"Fig1":        func() error { _, err := r.Fig1(); return err },
+		"Fig8":        func() error { _, err := r.Fig8(); return err },
+		"Fig9":        func() error { _, err := r.Fig9(); return err },
+		"Fig10":       func() error { _, err := r.Fig10(); return err },
+		"Headline":    func() error { _, err := r.Headline(); return err },
+		"ValidateEAB": func() error { _, err := r.ValidateEAB(); return err },
+	} {
+		var ce *backend.CoverageError
+		if err := run(); !errors.As(err, &ce) || ce.Fidelity != "estimate" {
+			t.Errorf("%s at the estimate rung returned %v, want a coverage error", name, err)
 		}
+		if allocs := testing.AllocsPerRun(1, func() { _ = run() }); allocs > 10 {
+			t.Errorf("%s refused after %.0f allocations, want no work", name, allocs)
+		}
+	}
+	if n := r.Runs(); n != 0 {
+		t.Fatalf("refused experiments ran %d cells", n)
+	}
+	if _, err := r.Fig12(); err != nil {
+		t.Fatalf("Fig 12 is inside the estimate rung's coverage: %v", err)
+	}
+	if _, err := r.AblateLSU(); err != nil {
+		t.Fatalf("the ablations are inside the estimate rung's coverage: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/backend"
 	"repro/internal/llc"
 	"repro/internal/memsys"
 	"repro/internal/stats"
@@ -44,6 +45,14 @@ func (r *Runner) specs() ([]workload.Spec, error) {
 	return out, nil
 }
 
+// specsCovered is specs, after asking the rung for orgs and the fields read.
+func (r *Runner) specsCovered(orgs []llc.Org, fields ...string) ([]workload.Spec, error) {
+	if err := backend.Covers(r.Fidelity, orgs, fields...); err != nil {
+		return nil, err
+	}
+	return r.specs()
+}
+
 // printHeader emits a table header row.
 func printHeader(w io.Writer, title string, cols []string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
@@ -54,15 +63,16 @@ func printHeader(w io.Writer, title string, cols []string) {
 	fmt.Fprintln(w)
 }
 
-// matrix runs every selected benchmark under every organization. The whole
+// matrix runs every selected benchmark under every organization, once the
+// rung covers them all and the stats.Run fields its caller reads. The whole
 // benchmark × organization grid is submitted to the engine up front, so
 // Fig 1/8/9/10 and Headline share one fan-out.
-func (r *Runner) matrix() ([]BenchRuns, error) {
-	specs, err := r.specs()
+func (r *Runner) matrix(fields ...string) ([]BenchRuns, error) {
+	orgs := llc.Orgs()
+	specs, err := r.specsCovered(orgs, fields...)
 	if err != nil {
 		return nil, err
 	}
-	orgs := llc.Orgs()
 	reqs := make([]RunRequest, 0, len(specs)*len(orgs))
 	for _, spec := range specs {
 		for _, org := range orgs {
@@ -109,7 +119,7 @@ func group(spec workload.Spec) string {
 
 // Fig1 runs the Figure 1 experiment.
 func (r *Runner) Fig1() (*Fig1Result, error) {
-	runs, err := r.matrix()
+	runs, err := r.matrix("Cycles", "MemOps", "LLCHits", "LLCMisses", "RespBytes")
 	if err != nil {
 		return nil, err
 	}
@@ -130,10 +140,6 @@ func (r *Runner) Fig1() (*Fig1Result, error) {
 				miss += br.ByOrg[org].LLCMissRate()
 				bw += br.ByOrg[org].EffectiveLLCBandwidth()
 				bwBase += br.ByOrg[llc.MemorySide].EffectiveLLCBandwidth()
-			}
-			if bwBase == 0 {
-				// The estimate rung fills no response bytes.
-				bwBase = 1
 			}
 			res.Groups[g][org] = GroupAgg{
 				HMSpeedup: stats.HarmonicMeanSpeedup(sp),
@@ -183,7 +189,7 @@ type Fig8Result struct {
 
 // Fig8 runs the Figure 8 experiment.
 func (r *Runner) Fig8() (*Fig8Result, error) {
-	f1, err := r.Fig1() // same runs; reuse aggregation
+	f1, err := r.Fig1() // same runs and fields; reuse aggregation
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +263,7 @@ type Fig9Result struct{ Runs []BenchRuns }
 
 // Fig9 runs the Figure 9 experiment.
 func (r *Runner) Fig9() (*Fig9Result, error) {
-	runs, err := r.matrix()
+	runs, err := r.matrix("OccLocalSum", "OccRemoteSum")
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +288,7 @@ type Fig10Result struct{ Runs []BenchRuns }
 
 // Fig10 runs the Figure 10 experiment.
 func (r *Runner) Fig10() (*Fig10Result, error) {
-	runs, err := r.matrix()
+	runs, err := r.matrix("Cycles", "RespBytes")
 	if err != nil {
 		return nil, err
 	}
@@ -296,9 +302,6 @@ func (f *Fig10Result) Print(w io.Writer) {
 		"benchmark", "org", "localLLC", "remoteLLC", "localMem", "remoteMem", "total")
 	for _, br := range f.Runs {
 		base := br.ByOrg[llc.MemorySide].EffectiveLLCBandwidth()
-		if base == 0 {
-			base = 1
-		}
 		for _, org := range llc.Orgs() {
 			bd := br.ByOrg[org].RespBreakdown()
 			total := 0.0
@@ -325,7 +328,7 @@ type Headline struct {
 
 // Headline computes the headline comparison.
 func (r *Runner) Headline() (*Headline, error) {
-	runs, err := r.matrix()
+	runs, err := r.matrix("Cycles", "MemOps")
 	if err != nil {
 		return nil, err
 	}

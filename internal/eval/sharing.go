@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/backend"
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
@@ -130,6 +131,9 @@ type Fig12Result struct {
 
 // Fig12 runs BFS under the three relevant organizations.
 func (r *Runner) Fig12() (*Fig12Result, error) {
+	if err := backend.Covers(r.Fidelity, trioOrgs, "Kernels"); err != nil {
+		return nil, err
+	}
 	spec, err := workload.ByName("BFS")
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func (r *Runner) Fig13(spFactors, mpFactors []float64) (*Fig13Result, error) {
 	if len(mpFactors) == 0 {
 		mpFactors = []float64{1, 0.25, 0.0625, 0.03125}
 	}
-	specs, err := r.specs()
+	specs, err := r.specsCovered(trioOrgs, "Cycles", "MemOps")
 	if err != nil {
 		return nil, err
 	}
@@ -78,14 +78,15 @@ func (r *Runner) Fig13(spFactors, mpFactors []float64) (*Fig13Result, error) {
 	return res, nil
 }
 
-// trio is one configuration's memory-side, SM-side and SAC cells, in that
-// order: the three organizations every sensitivity sweep compares.
-func trio(cfg gpu.Config, spec workload.Spec) []RunRequest {
-	return []RunRequest{
-		{Cfg: cfg.WithOrg(llc.MemorySide), Spec: spec},
-		{Cfg: cfg.WithOrg(llc.SMSide), Spec: spec},
-		{Cfg: cfg.WithOrg(llc.SAC), Spec: spec},
+// trioOrgs are the three organizations every sensitivity sweep compares.
+var trioOrgs = []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC}
+
+// trio is one configuration's cells under trioOrgs, in that order.
+func trio(cfg gpu.Config, spec workload.Spec) (reqs []RunRequest) {
+	for _, org := range trioOrgs {
+		reqs = append(reqs, RunRequest{Cfg: cfg.WithOrg(org), Spec: spec})
 	}
+	return reqs
 }
 
 // fig13Case derives the configuration and workload for one sweep point: the
@@ -161,7 +162,7 @@ func (r *Runner) Fig14(axes []Axis) (*Fig14Result, error) {
 		axes = []Axis{AxisInterChipBW, AxisLLCCapacity, AxisMemory,
 			AxisCoherence, AxisGPUCount, AxisSectored, AxisPageSize}
 	}
-	specs, err := r.specs()
+	specs, err := r.specsCovered(trioOrgs, "Cycles", "MemOps")
 	if err != nil {
 		return nil, err
 	}

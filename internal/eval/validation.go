@@ -50,7 +50,7 @@ type EABValidation struct {
 
 // ValidateEAB runs the experiment over the selected benchmarks.
 func (r *Runner) ValidateEAB() (*EABValidation, error) {
-	specs, err := r.specs()
+	specs, err := r.specsCovered(trioOrgs, "Cycles", "MemOps", "RespBytes", "ReadLatencySum", "ReadLatencyN")
 	if err != nil {
 		return nil, err
 	}

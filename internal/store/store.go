@@ -53,10 +53,10 @@ import (
 // wrong. v2 added the content hash (envelope.Sum); v3 dropped two unused
 // config fields and made fault-plan keys canonical; v4 made the CRD cold
 // after every Reset, which moves SAC's later profiling windows; v5 moved
-// the estimate rung's cache models onto cache.Cache at their real geometry.
-// TestSchemaPinsGoldens fails when a golden result file is re-recorded
-// without a bump.
-const schemaVersion = 5
+// the estimate rung's cache models onto cache.Cache at their real geometry;
+// v6 dropped the estimate rung's refused experiments from the sweep golden.
+// TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
+const schemaVersion = 6
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields
