@@ -62,21 +62,26 @@ syncsmoke:
 # exact, counting only disagreements whose exact margin exceeds θ), its
 # allocations, a CRD that is cold after Reset, the replay-invariant config
 # fields, that a canceled replay is never handed on to a run-set mate, and
-# the rung's declared coverage against what synthesize fills. The third holds
-# a sacd batch and a sweep's RunAll to the same bytes with one replay per
-# (machine, spec), and holds the experiments outside the rung's coverage to a
-# refusal before any cell runs. The fourth pins sacsweep's -json bytes: every
+# the rung's declared coverage against what synthesize fills; and the exact
+# rung's memory-side twin: a SAC run that never left memory-side equals the
+# memory-side run byte for byte, a run whose window end cut a fast-forward
+# short or that switched offers none, and a run-set hands a twin only to its
+# memory-side cell. The third holds a sacd batch and a sweep's RunAll to the
+# same bytes with one replay per (machine, spec), a sweep's RunAll to lone
+# runs' bytes with its twinned memory-side cells not simulated (exact_sweep's
+# 21 cells: 18 simulations), and the experiments outside the rung's coverage
+# to a refusal before any cell runs. The fourth pins sacsweep's -json bytes: every
 # experiment the estimate rung covers over the fast set (the six it does not
 # are one skip line each), and an exact Fig 8 cold and warm from a result
-# cache. On a 2-vCPU Xeon the target takes about 31 s wall with compiles,
+# cache. On a 2-vCPU Xeon the target takes about 57 s wall with compiles,
 # and TestSweepGolden about 11 CPU-s of it.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers' \
-		./internal/backend ./internal/workload ./internal/core
-	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles|TestEstimateRefusesUncovered' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers|TestMemorySideTwinLaw|TestMemorySideTwinWithheld|TestRunSetSharesTwins' \
+		./internal/backend ./internal/workload ./internal/core ./internal/gpu
+	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles|TestRunAllSharesTwins|TestEstimateRefusesUncovered' \
 		./internal/server ./internal/eval
 	$(GO) test -count=1 -run TestSweepGolden ./cmd/sacsweep
 

@@ -60,6 +60,22 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}
 }
 
+// TestAPIErrorString: a daemon's error reads as its message and status code.
+func TestAPIErrorString(t *testing.T) {
+	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(map[string]string{"error": `unknown job "j-1"`})
+	})
+	_, err := c.Status(context.Background(), "j-1")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("want an APIError, got %v", err)
+	}
+	if got, want := apiErr.Error(), `sacd: unknown job "j-1" (HTTP 404)`; got != want {
+		t.Fatalf("APIError reads %q, want %q", got, want)
+	}
+}
+
 func TestRetriesExhaust(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {

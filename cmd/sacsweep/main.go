@@ -115,8 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *progress {
 		r.OnCellDone = func(c sac.CellResult) {
 			status := "ok"
-			if c.Err != nil {
+			switch {
+			case c.Err != nil:
 				status = "FAILED"
+			case c.Twin:
+				status = "twin"
 			}
 			fmt.Fprintf(stderr, "# cell %-10s %-12s %-8s %-8s cycles=%d\n",
 				c.Benchmark, c.Org, c.Fidelity, status, c.Cycles)

@@ -7,28 +7,49 @@ import (
 	"sync"
 
 	"repro/internal/gpu"
+	"repro/internal/llc"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // RunSet runs the cells of one run-set — a sacd batch, a sweep — and shares
-// estimate-rung replays among them. SAC profiles a kernel under the
-// memory-side configuration before it prices either organization (§3.2–3.3),
-// so the replay depends on the machine and the workload, not on the org, the
-// bandwidths or θ: the first estimate cell of a profile key (profileKeyOf)
-// replays, and its groupmates price the same profile. Each cell still runs
-// its own checks, and its bytes are those of a lone Run. A replay that fails
-// or is canceled is not shared: its groupmates replay for themselves. Every
-// other cell — another rung, a trace replay — is a plain Run.
+// work among them that the rungs would otherwise repeat. SAC profiles a
+// kernel under the memory-side configuration before it prices either
+// organization, and changes only the routing once it picks SM-side
+// (§3.2–3.3). So:
 //
-// Profiles live as long as the set: it is scoped to one run-set, not the
-// process. The zero RunSet is ready to use, and safe for concurrent use.
+//   - an estimate replay depends on the machine and the workload, not on the
+//     org, the bandwidths or θ: the first estimate cell of a profile key
+//     (profileKeyOf) replays, and its groupmates price the same profile. A
+//     replay that fails or is canceled is not shared: its groupmates replay
+//     for themselves;
+//   - an exact SAC run that stayed the memory-side run (gpu.RunWithTwin)
+//     publishes its twin under the memory-side cell's identity — the same
+//     config but for Org, the same workload, the same fault plan — and an
+//     unobserved exact memory-side cell of that identity takes it instead of
+//     simulating. A failed, canceled or panicked SAC run publishes nothing.
+//
+// Each cell still runs its own checks, and its bytes are those of a lone
+// Run. Only workload.Spec cells share; a trace replay is a plain Run.
+//
+// Profiles and twins live as long as the set: it is scoped to one run-set,
+// not the process. The zero RunSet is ready to use, and safe for concurrent
+// use.
 type RunSet struct {
 	// OnReplay, when set, is called once per replay the set runs.
 	OnReplay func()
 
-	mu       sync.Mutex
+	// mu guards both maps.
 	profiles map[profileKey]*sharedProfile
+	twins    map[twinKey]*stats.Run
+	mu       sync.Mutex
+}
+
+// twinKey names the memory-side cell a SAC run's twin answers: its config
+// (Org memory-side), its workload's name and its fault plan's key.
+type twinKey struct {
+	cfg        gpu.Config
+	name, plan string
 }
 
 // sharedProfile is one replay of a RunSet: kps and err are written before
@@ -45,18 +66,63 @@ var errReplayAbandoned = errors.New("backend: estimate replay abandoned")
 
 // Run runs one cell of the set and answers what the package's Run answers.
 func (s *RunSet) Run(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
+	run, _, err := s.RunCell(cfg, w, o)
+	return run, err
+}
+
+// RunCell is Run that also reports twin: the cell took a SAC run's
+// published twin instead of simulating.
+func (s *RunSet) RunCell(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (run *stats.Run, twin bool, err error) {
 	spec, isSpec := w.(workload.Spec)
-	if f, err := Normalize(o.Fidelity); err != nil || f != Estimate || !isSpec {
-		return Run(cfg, w, o)
+	f, err := Normalize(o.Fidelity)
+	switch {
+	case err != nil || !isSpec:
+		run, err = Run(cfg, w, o)
+		return run, false, err
+	case f == "":
+		return s.exact(cfg, spec, o)
 	}
 	if err := checkEstimate(cfg, w, o); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	kps, err := s.profile(profileKeyOf(cfg, spec.Name), cfg, w, o)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return synthesize(cfg, w, kps), nil
+	return synthesize(cfg, w, kps), false, nil
+}
+
+// exact runs an exact cell: a SAC one publishes its twin, an unobserved
+// memory-side one takes a published twin, and either runs gpu.RunWith's
+// bytes otherwise.
+func (s *RunSet) exact(cfg gpu.Config, spec workload.Spec, o gpu.RunOpts) (*stats.Run, bool, error) {
+	o.Fidelity = ""
+	key := twinKey{cfg: cfg.WithOrg(llc.MemorySide), name: spec.Name, plan: o.Faults.Key()}
+	switch cfg.Org {
+	case llc.MemorySide:
+		if !o.Observer.Enabled() {
+			s.mu.Lock()
+			twin := s.twins[key]
+			delete(s.twins, key)
+			s.mu.Unlock()
+			if twin != nil {
+				return twin, true, nil
+			}
+		}
+	case llc.SAC:
+		run, twin, err := gpu.RunWithTwin(cfg, spec, o)
+		if twin != nil {
+			s.mu.Lock()
+			if s.twins == nil {
+				s.twins = make(map[twinKey]*stats.Run)
+			}
+			s.twins[key] = twin
+			s.mu.Unlock()
+		}
+		return run, false, err
+	}
+	run, err := gpu.RunWith(cfg, spec, o)
+	return run, false, err
 }
 
 // profile returns key's profile: the set's, once its replay has succeeded,

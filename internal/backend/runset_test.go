@@ -16,6 +16,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/gpu"
 	"repro/internal/llc"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -199,5 +200,65 @@ func TestRunSetCancelNotShared(t *testing.T) {
 	}
 	if n := replays.Load(); n != 2 {
 		t.Fatalf("%d replays, want 2: the canceled one and its groupmate's own", n)
+	}
+}
+
+// TestRunSetSharesTwins: an exact SAC cell that stayed memory-side publishes
+// its twin, and the memory-side cell of the same config, workload and fault
+// plan takes it once, with a lone Run's bytes. A SAC run that fails shares
+// nothing, and a memory-side cell of another identity, or one observed,
+// takes nothing.
+func TestRunSetSharesTwins(t *testing.T) {
+	spec, err := workload.ByName("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gpu.ScaledConfig()
+	cfg.WorkloadScale *= 4
+	cfg.LLCBytesPerChip /= 4
+	cfg.L1BytesPerSM /= 4
+	lone, err := Run(cfg.WithOrg(llc.MemorySide), spec, gpu.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(lone)
+	cell := func(rs *RunSet, cfg gpu.Config, o gpu.RunOpts) ([]byte, bool) {
+		t.Helper()
+		run, twin, err := rs.RunCell(cfg, spec, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(run)
+		return b, twin
+	}
+
+	var rs RunSet
+	if _, twin := cell(&rs, cfg.WithOrg(llc.SAC), gpu.RunOpts{}); twin {
+		t.Fatal("a SAC cell reported taking a twin")
+	}
+	other := cfg.WithOrg(llc.MemorySide)
+	other.MaxCycles++
+	if _, twin := cell(&rs, other, gpu.RunOpts{}); twin {
+		t.Fatal("a memory-side cell of another config took the twin")
+	}
+	if _, twin := cell(&rs, cfg.WithOrg(llc.MemorySide), gpu.RunOpts{Observer: &obs.Observer{Metrics: obs.NewRegistry()}}); twin {
+		t.Fatal("an observed memory-side cell took the twin: its series would be empty")
+	}
+	got, twin := cell(&rs, cfg.WithOrg(llc.MemorySide), gpu.RunOpts{Fidelity: Exact})
+	if !twin || !bytes.Equal(got, want) {
+		t.Fatalf("memory-side cell: twin %v, bytes equal to a lone Run's %v; want both", twin, bytes.Equal(got, want))
+	}
+	if got, twin := cell(&rs, cfg.WithOrg(llc.MemorySide), gpu.RunOpts{}); twin || !bytes.Equal(got, want) {
+		t.Fatalf("second memory-side cell: twin %v, bytes equal %v; want a simulation with a lone Run's bytes", twin, bytes.Equal(got, want))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var failed RunSet
+	if _, _, err := failed.RunCell(cfg.WithOrg(llc.SAC), spec, gpu.RunOpts{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled SAC cell: err %v, want context.Canceled", err)
+	}
+	if _, twin := cell(&failed, cfg.WithOrg(llc.MemorySide), gpu.RunOpts{}); twin {
+		t.Fatal("a canceled SAC run published a twin")
 	}
 }

@@ -458,6 +458,29 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 }
 
+// TestCoordinatorHealth: GET /v1/healthz reads degraded, with its reason,
+// while no worker is live, and healthy with the live count once two are.
+func TestCoordinatorHealth(t *testing.T) {
+	c, hs := testCoordinator(t, nil)
+	cc := newClient(hs.URL)
+	h, err := cc.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != client.HealthDegraded || h.Workers != 0 || len(h.Reasons) != 1 || h.Reasons[0] != "no live workers" {
+		t.Fatalf("empty fleet: health %+v, want degraded for no live workers", h)
+	}
+	startWorker(t, hs.URL, "worker-a")
+	startWorker(t, hs.URL, "worker-b")
+	waitLive(t, c, 2)
+	if h, err = cc.Health(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if h.Status != client.HealthHealthy || h.Workers != 2 || len(h.Reasons) != 0 {
+		t.Fatalf("two live workers: health %+v, want healthy with 2 workers", h)
+	}
+}
+
 // TestDispatchDoneWithoutResultFails: batch and watch responses carry a done
 // job's result, so a worker that answers done without one fails the
 // dispatch attempt instead of earning a /result round trip.

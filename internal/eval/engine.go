@@ -23,6 +23,7 @@ type CellResult struct {
 	Faults    string // fault-plan fingerprint ("" = healthy)
 	Fidelity  string // backend rung the cell ran on ("exact" or "estimate")
 	Cycles    int64  // simulated cycles (0 on failure)
+	Twin      bool   // answered by its SAC twin's run, not simulated
 	Err       error  // nil on success
 }
 
@@ -74,7 +75,8 @@ func (r *Runner) table() *jobs.Table {
 		r.inflight = reg.Gauge("sacsweep_cells_inflight", "Simulations currently executing.")
 		r.cycles = reg.Counter("sacsweep_sim_cycles_total", "Simulated cycles across all completed cells.")
 		r.hits = reg.Counter("sacsweep_store_hits_total", "Cells served from the persistent result store.")
-		r.misses = reg.Counter("sacsweep_store_misses_total", "Cells that missed the persistent result store and simulated.")
+		r.misses = reg.Counter("sacsweep_store_misses_total", "Cells that missed the persistent result store.")
+		r.twins = reg.Counter("sacsweep_cells_twinned_total", "Memory-side cells answered by their SAC twin's run instead of simulating.")
 		n := r.Parallelism
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
@@ -105,7 +107,8 @@ func (r *Runner) identity(q RunRequest) jobs.Identity {
 // execute is the Runner's executor: it takes one of Parallelism slots, which
 // settled gives back, and runs the shared store-backed step over Simulate,
 // or takes a remote run-set's answer (writing a fleet result back). A store
-// hit is decoded here, once, so every request of the cell shares one *stats.Run.
+// hit is decoded here, once, so every request of the cell shares one
+// *stats.Run. A cell that took its SAC twin's run settles with sourceTwin.
 func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 	r.slots <- struct{}{}
 	if r.Ctx != nil && r.Ctx.Err() != nil {
@@ -117,7 +120,8 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 		v, answered = r.answers.LoadAndDelete(j)
 		a, _ = v.(jobs.Outcome)
 	}
-	sim := func() (*stats.Run, error) {
+	twin := false
+	sim := func() (run *stats.Run, err error) {
 		if r.Store != nil {
 			r.misses.Inc()
 		}
@@ -130,7 +134,8 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 		if r.Simulate != nil {
 			return r.Simulate(j.Cfg, j.Spec, o)
 		}
-		return r.runs.Run(j.Cfg, j.Spec, o)
+		run, twin, err = r.runs.RunCell(j.Cfg, j.Spec, o)
+		return run, err
 	}
 	out := a // a store hit
 	switch {
@@ -138,6 +143,9 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 		out = jobs.Simulate(j, r.Store, sim, r.logf)
 	case a.Source != client.SourceStore:
 		out = jobs.WriteBack(j, r.Store, sim, r.logf)
+	}
+	if twin {
+		out.Source = sourceTwin
 	}
 	if out.Raw != nil {
 		run := new(stats.Run)
@@ -148,6 +156,11 @@ func (r *Runner) execute(_ context.Context, j *jobs.Job) jobs.Outcome {
 	}
 	return out
 }
+
+// sourceTwin is the Source a Runner cell settles with when it took its SAC
+// twin's run: it executed, and simulated nothing. Only the Runner's own
+// table, which no client reads, carries it.
+const sourceTwin = "twin"
 
 // settled is the Runner's terminal hook. It runs on the executing goroutine
 // before any request of the cell returns. For a cell that executed — even by
@@ -169,8 +182,12 @@ func (r *Runner) settled(j *jobs.Job, _ string, out jobs.Outcome) {
 		r.ok.Inc()
 		r.cycles.Add(float64(out.Cycles))
 	}
-	if out.Source == client.SourceStore {
+	switch out.Source {
+	case client.SourceStore:
 		r.hits.Inc()
+	case sourceTwin:
+		r.twins.Inc()
+		c.Twin = true
 	}
 	if r.OnCellDone != nil {
 		r.OnCellDone(c)

@@ -179,3 +179,59 @@ func TestRunAllSharesEstimateProfiles(t *testing.T) {
 		t.Fatalf("%d replays for %d cells, want %d: one per spec and replay geometry", n, len(reqs), want)
 	}
 }
+
+// TestRunAllSharesTwins runs exact_sweep's 21 cells — the fast set and BFS
+// under memory-side, SM-side and SAC on ScaledConfig with footprints, LLC
+// and L1 divided by 4 — through RunAll with every memory-side cell requested
+// first, at Parallelism 1 and then 2. SAC never switches on BP, DWT or GEMM
+// there, so those three memory-side cells take their SAC twin's run: 18
+// simulations, every result a lone run's bytes, and no deadlock though each
+// twinned cell is requested before the cell it waits on.
+func TestRunAllSharesTwins(t *testing.T) {
+	cfg := gpu.ScaledConfig()
+	cfg.WorkloadScale *= 4
+	cfg.LLCBytesPerChip /= 4
+	cfg.L1BytesPerSM /= 4
+	var reqs []RunRequest
+	for _, org := range []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC} {
+		for _, name := range append(FastSet(), "BFS") {
+			spec, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, RunRequest{Cfg: cfg.WithOrg(org), Spec: spec})
+		}
+	}
+	want := make([][]byte, len(reqs))
+	for i, q := range reqs {
+		lone, err := gpu.RunWith(q.Cfg, q.Spec, gpu.RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i], _ = json.Marshal(lone)
+	}
+	for _, par := range []int{1, 2} {
+		r := &Runner{Base: cfg, Parallelism: par}
+		var twins []string
+		var mu sync.Mutex
+		r.OnCellDone = func(c CellResult) {
+			if c.Twin {
+				mu.Lock()
+				twins = append(twins, c.Benchmark+"/"+c.Org)
+				mu.Unlock()
+			}
+		}
+		runs, err := r.RunAll(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range reqs {
+			if got, _ := json.Marshal(runs[i]); !bytes.Equal(got, want[i]) {
+				t.Errorf("Parallelism %d: %s/%s differs from a lone run", par, q.Spec.Name, q.Cfg.Org)
+			}
+		}
+		if n := r.Runs(); n != 18 || len(twins) != 3 {
+			t.Errorf("Parallelism %d: %d simulations and twins %v, want 18 and BP, DWT and GEMM under memory-side", par, n, twins)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/jobs"
+	"repro/internal/llc"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -55,8 +56,8 @@ type Runner struct {
 	// Obs receives the sacsweep_* series. Observe one simulation through a
 	// direct sac.Run instead: parallel cells would interleave its series.
 	Obs *obs.Observer
-	// OnCellDone is called once per execution — a simulation, a store hit or
-	// a contained panic, never a join or a recall — on the executing
+	// OnCellDone is called once per execution — a simulation, a store hit, a
+	// twin or a contained panic, never a join or a recall — on the executing
 	// goroutine, before any request of the cell returns. It must be safe for
 	// concurrent use at the Runner's parallelism.
 	OnCellDone func(CellResult)
@@ -65,8 +66,8 @@ type Runner struct {
 	Store *store.Store
 	// Simulate is the simulate step; nil runs each cell through the Runner's
 	// backend.RunSet, so the estimate cells of one (machine, spec) replay
-	// once. Tests swap it for failing or panicking cells, bench for its
-	// traced pass.
+	// once and an exact memory-side cell takes its SAC twin's run. Tests swap
+	// it for failing or panicking cells, bench for its traced pass.
 	Simulate func(gpu.Config, workload.Spec, gpu.RunOpts) (*stats.Run, error)
 	// Remote, when set, is the fleet (a saccoord, or one sacd) that RunAll
 	// ships store-missing cells to; see RunAll.
@@ -74,15 +75,15 @@ type Runner struct {
 
 	// answers maps a remote run-set's *jobs.Job to its jobs.Outcome.
 	answers sync.Map
-	// runs shares estimate replays among the cells it simulates, for as long
-	// as the Runner's flights live.
+	// runs shares estimate replays and memory-side twins among the cells it
+	// simulates, for as long as the Runner's flights live.
 	runs backend.RunSet
 
-	once                                       sync.Once
-	t                                          *jobs.Table
-	slots                                      chan struct{}
-	logMu                                      sync.Mutex
-	ok, failed, inflight, cycles, hits, misses *obs.Metric
+	once                                              sync.Once
+	t                                                 *jobs.Table
+	slots                                             chan struct{}
+	logMu                                             sync.Mutex
+	ok, failed, inflight, cycles, hits, misses, twins *obs.Metric
 }
 
 // RunRequest names one simulation for RunAll.
@@ -103,6 +104,11 @@ func NewRunner() *Runner { return &Runner{Base: gpu.ScaledConfig()} }
 // failed cell is a nil slot, and the error joins one CellError per distinct
 // failed cell, in request order. Every experiment fans out through here.
 //
+// Locally, an exact memory-side cell whose SAC twin is in the run-set waits
+// for that cell to settle before it takes an execution slot, so it takes the
+// twin the SAC run publishes (backend.RunSet) instead of simulating beside
+// it. No SAC cell waits, so no Parallelism deadlocks.
+//
 // With Remote set, each distinct cell the table cannot recall is answered by
 // one Store read, else by the fleet in batches of remoteBatch (remoteBatches
 // outstanding), and settles through execute like any other; a cell the fleet
@@ -117,15 +123,19 @@ func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 		if js[i] = byKey[id.Key]; js[i] == nil {
 			js[i] = jobs.NewJob(id)
 			byKey[id.Key] = js[i]
-			if r.Remote == nil {
-				go t.Run(js[i])
-			} else {
-				distinct = append(distinct, js[i])
-			}
+			distinct = append(distinct, js[i])
 		}
 	}
-	if distinct != nil {
+	if r.Remote != nil {
 		r.ship(t, distinct)
+	} else {
+		for _, j := range distinct {
+			if sac := r.twinOf(j, byKey); sac != nil {
+				go func() { <-sac.Done(); t.Run(j) }()
+			} else {
+				go t.Run(j)
+			}
+		}
 	}
 	out := make([]*stats.Run, len(reqs))
 	var errs []error
@@ -140,10 +150,22 @@ func (r *Runner) RunAll(reqs []RunRequest) ([]*stats.Run, error) {
 			errs = append(errs, cellError(j, o.Err))
 		}
 	}
-	for _, j := range distinct {
-		r.answers.Delete(j) // a cell that joined another call's flight left its answer
+	if r.Remote != nil {
+		for _, j := range distinct {
+			r.answers.Delete(j) // a cell that joined another call's flight left its answer
+		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// twinOf returns the SAC cell of byKey whose twin j, an exact memory-side
+// cell the Runner's run-set simulates, can take: the same config but for
+// Org, the same workload and the same fault plan. Else nil.
+func (r *Runner) twinOf(j *jobs.Job, byKey map[string]*jobs.Job) *jobs.Job {
+	if j.Cfg.Org != llc.MemorySide || j.Fidelity != "" || r.Simulate != nil {
+		return nil
+	}
+	return byKey[store.KeyAt(j.Cfg.WithOrg(llc.SAC), j.Spec.Name, j.Plan.Key(), j.Fidelity)]
 }
 
 // remoteBatch cells go out per SubmitBatch, and remoteBatches batches are
@@ -217,9 +239,9 @@ func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
 	}
 }
 
-// Runs returns how many cells were simulated: store hits, joins and recalls
-// excluded.
+// Runs returns how many cells were simulated: store hits, twins, joins and
+// recalls excluded.
 func (r *Runner) Runs() int {
 	r.table()
-	return int(r.ok.Value() - r.hits.Value())
+	return int(r.ok.Value() - r.hits.Value() - r.twins.Value())
 }

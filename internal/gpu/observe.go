@@ -41,13 +41,21 @@ func (s *System) SetWorkers(int) {}
 // RunWith builds a system, applies the options and runs it: the package's
 // one build-and-run entry point.
 func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
+	run, _, err := RunWithTwin(cfg, w, o)
+	return run, err
+}
+
+// RunWithTwin is RunWith that also answers a SAC run's memory-side twin: the
+// memory-side run of the same config (Org aside), workload and options,
+// when the SAC run stayed it, else nil. A failed run answers no twin.
+func RunWithTwin(cfg Config, w Workload, o RunOpts) (run, twin *stats.Run, err error) {
 	sys, err := New(cfg, w)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if o.Faults != nil {
 		if err := sys.InjectFaults(o.Faults); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if o.Observer.Enabled() {
@@ -56,7 +64,10 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 	if o.Ctx != nil {
 		sys.SetContext(o.Ctx)
 	}
-	return sys.Run()
+	if run, err = sys.Run(); err != nil {
+		return nil, nil, err
+	}
+	return run, sys.memorySideTwin(), nil
 }
 
 // ctxCheckStride is how many cycles pass between context polls. ctx.Err is

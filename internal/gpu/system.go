@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -96,6 +97,11 @@ type System struct {
 	// Fault injection (nil injector = healthy run).
 	inj            *fault.Injector
 	faultReprofile bool // SAC must re-profile against a changed topology
+
+	// leftMemorySide records that this SAC run stopped being the memory-side
+	// run of its config (memorySideTwin): a kernel began a switch, or a SAC
+	// timed event cut a fast-forward short.
+	leftMemorySide bool
 
 	// Progress watchdog: cycle of the last retirement or skippable span.
 	lastProgress int64
@@ -225,6 +231,7 @@ func (s *System) runKernel() error {
 			// after the (possibly empty) flush.
 			s.state = stDrainSwitch
 			s.drainStart = s.now
+			s.leftMemorySide = true
 			s.traceAdopt(d.PickSM)
 		}
 	}
@@ -451,11 +458,6 @@ func (s *System) fastForward() {
 	if census := (s.now/512 + 1) * 512; census < next {
 		next = census
 	}
-	if s.sac != nil {
-		if t := s.sac.NextTimedEvent(); t > s.now && t < next {
-			next = t
-		}
-	}
 	if s.cfg.Org == llc.Dynamic {
 		for _, c := range s.chips {
 			if t := c.dyn.NextAdjust(); t > s.now && t < next {
@@ -470,6 +472,13 @@ func (s *System) fastForward() {
 	}
 	if s.obs != nil && s.obsNext > s.now && s.obsNext < next {
 		next = s.obsNext // metrics windows sample on their exact boundary
+	}
+	// SAC's window end and re-profile cap last: one that binds steps a cycle
+	// the memory-side run of the same config skips, so the run leaves it.
+	if s.sac != nil && next > s.now+1 {
+		if t := s.sac.NextTimedEvent(); t > s.now && t < next {
+			next, s.leftMemorySide = t, true
+		}
 	}
 	if next <= s.now+1 {
 		return
@@ -1025,6 +1034,7 @@ func (s *System) controlPhase() {
 		if d.PickSM && s.mode != llc.ModeSMSide {
 			s.state = stDrainSwitch
 			s.drainStart = s.now
+			s.leftMemorySide = true
 		}
 	}
 
@@ -1200,6 +1210,24 @@ func (s *System) boundaryPhase() bool {
 		return true
 	}
 	return false
+}
+
+// memorySideTwin returns, after a successful Run, the memory-side
+// organization's result for the same config, workload and fault plan when
+// this SAC run stayed that run: no kernel switched (an adopted decision
+// included) and no SAC timed event cut a fast-forward short. SAC profiles
+// under memory-side routing and its counters watch without steering
+// (§3.2–3.3), so such a run is the memory-side run cycle for cycle; the twin
+// is its result with Org relabelled, sharing no memory with it. Every other
+// run answers nil.
+func (s *System) memorySideTwin() *stats.Run {
+	if s.sac == nil || s.leftMemorySide {
+		return nil
+	}
+	twin := *s.run
+	twin.Org = llc.MemorySide.String()
+	twin.Kernels = slices.Clone(s.run.Kernels)
+	return &twin
 }
 
 // finalize folds component counters into the run statistics.
