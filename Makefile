@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check benchcheck fig8 fmt
+.PHONY: build test vet race shuffle cover smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check benchcheck fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,24 @@ race:
 # tests that silently depend on a sibling running first.
 shuffle:
 	$(GO) test -shuffle=on ./...
+
+# cover is the coverage ledger: the whole suite with every package
+# instrumented, its total statement coverage, and a gate on the functions no
+# test reaches. A function at 0.0% outside cmd/*/main.go fails the gate
+# unless testdata/zero_coverage.txt lists it ("<file> <func>" lines, sorted
+# bytewise); a listed function that a test now reaches is named, so its line
+# can be dropped and the list only shrinks. Subprocess tests (the real
+# binaries) count for nothing here. Profile and tables land in artifacts/.
+cover:
+	@mkdir -p artifacts
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=artifacts/cover.out ./...
+	@$(GO) tool cover -func=artifacts/cover.out > artifacts/cover.txt
+	@grep '^total:' artifacts/cover.txt
+	@awk '$$NF == "0.0%" && $$1 !~ /\/cmd\/[^\/]+\/main\.go:/ { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
+		artifacts/cover.txt | LC_ALL=C sort > artifacts/zero_coverage.txt
+	@LC_ALL=C comm -13 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: now covered, drop from testdata\/zero_coverage.txt: /'
+	@LC_ALL=C comm -23 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: at 0% and not in testdata\/zero_coverage.txt: /' > artifacts/cover-gate.txt
+	@cat artifacts/cover-gate.txt; test ! -s artifacts/cover-gate.txt
 
 # smoke is the daemon shortcut: build the real sacd binary, start it on an
 # ephemeral port, drive it over HTTP (concurrent dedup, byte-identity with
@@ -152,10 +170,10 @@ fieldalign:
 # check is the CI gate: static analysis, the full suite under the race
 # detector (every daemon, crash-recovery, fidelity and fleet contract — once)
 # and again in shuffled order, the one environment-selected configuration
-# race cannot reach, a fuzz smoke of the decoders, the nested benchmark
-# module's own vet + tests (a smoke-size run of all four workloads), and the
-# advisory layout and vulnerability scans.
-check: vet race shuffle syncsmoke fuzz benchcheck fieldalign vuln
+# race cannot reach, a fuzz smoke of the decoders, the coverage ledger, the
+# nested benchmark module's own vet + tests (a smoke-size run of all four
+# workloads), and the advisory layout and vulnerability scans.
+check: vet race shuffle syncsmoke fuzz cover benchcheck fieldalign vuln
 
 # benchcheck builds and tests bench/, a module of its own that compiles
 # against internal/store, internal/server, internal/cluster and client but

@@ -247,7 +247,6 @@ var ablations = []func(*sac.Runner) (printer, error){
 	experiment((*sac.Runner).AblateTheta),
 	experiment((*sac.Runner).AblateWindow),
 	experiment((*sac.Runner).AblateLSU),
-	experiment((*sac.Runner).AblateDecisionCache),
 	experiment((*sac.Runner).AblateReprofile),
 }
 

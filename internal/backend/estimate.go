@@ -216,9 +216,8 @@ func checkEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) error {
 //     architecture inputs, the θ comparison, the LSU ablation, the org's
 //     side);
 //   - L1Latency, LLCLatency, DRAMLatency, RingHopLatency, Coherence,
-//     SACOpts.{ReuseKernelDecisions, ReprofileEvery}, DynamicEpoch,
-//     MSHRPerSlice, QueueBound, MaxCycles and WatchdogCycles: only the
-//     cycle-exact engine reads them.
+//     SACOpts.ReprofileEvery, DynamicEpoch, MSHRPerSlice, QueueBound,
+//     MaxCycles and WatchdogCycles: only the cycle-exact engine reads them.
 //
 // ChannelsPerChip stays out: the replay builds its PAE mapper from it,
 // though the slice hash, the mapper's one call here, does not read it
@@ -232,7 +231,7 @@ func profileKeyOf(cfg gpu.Config, name string) profileKey {
 	cfg.SACOpts.Theta, cfg.SACOpts.DisableLSU = 0, false
 	cfg.L1Latency, cfg.LLCLatency, cfg.DRAMLatency, cfg.RingHopLatency = 0, 0, 0, 0
 	cfg.Coherence = 0
-	cfg.SACOpts.ReuseKernelDecisions, cfg.SACOpts.ReprofileEvery = false, 0
+	cfg.SACOpts.ReprofileEvery = 0
 	cfg.DynamicEpoch, cfg.MSHRPerSlice, cfg.QueueBound = 0, 0, 0
 	cfg.MaxCycles, cfg.WatchdogCycles = 0, 0
 	return profileKey{cfg: cfg, name: name}

@@ -23,26 +23,25 @@ import (
 // replayInvariant perturbs each field of the replay-invariant set to another
 // valid value. Its keys are the fields profileKeyOf zeroes, by path.
 var replayInvariant = map[string]func(*gpu.Config){
-	"Org":                          func(c *gpu.Config) { c.Org = llc.SMSide },
-	"ClusterBW":                    func(c *gpu.Config) { c.ClusterBW *= 3 },
-	"SliceBW":                      func(c *gpu.Config) { c.SliceBW *= 3 },
-	"RingLinkBW":                   func(c *gpu.Config) { c.RingLinkBW *= 3 },
-	"ChannelBW":                    func(c *gpu.Config) { c.ChannelBW *= 3 },
-	"SMsPerCluster":                func(c *gpu.Config) { c.SMsPerCluster = 1 },
-	"SACOpts.Theta":                func(c *gpu.Config) { c.SACOpts.Theta = 0.3 },
-	"SACOpts.DisableLSU":           func(c *gpu.Config) { c.SACOpts.DisableLSU = true },
-	"SACOpts.ReuseKernelDecisions": func(c *gpu.Config) { c.SACOpts.ReuseKernelDecisions = true },
-	"SACOpts.ReprofileEvery":       func(c *gpu.Config) { c.SACOpts.ReprofileEvery = 100_000 },
-	"L1Latency":                    func(c *gpu.Config) { c.L1Latency += 13 },
-	"LLCLatency":                   func(c *gpu.Config) { c.LLCLatency += 17 },
-	"DRAMLatency":                  func(c *gpu.Config) { c.DRAMLatency += 19 },
-	"RingHopLatency":               func(c *gpu.Config) { c.RingHopLatency += 23 },
-	"Coherence":                    func(c *gpu.Config) { c.Coherence = coherence.Hardware },
-	"DynamicEpoch":                 func(c *gpu.Config) { c.DynamicEpoch += 1000 },
-	"MSHRPerSlice":                 func(c *gpu.Config) { c.MSHRPerSlice += 3 },
-	"QueueBound":                   func(c *gpu.Config) { c.QueueBound += 5 },
-	"MaxCycles":                    func(c *gpu.Config) { c.MaxCycles += 1_000_000 },
-	"WatchdogCycles":               func(c *gpu.Config) { c.WatchdogCycles += 100_000 },
+	"Org":                    func(c *gpu.Config) { c.Org = llc.SMSide },
+	"ClusterBW":              func(c *gpu.Config) { c.ClusterBW *= 3 },
+	"SliceBW":                func(c *gpu.Config) { c.SliceBW *= 3 },
+	"RingLinkBW":             func(c *gpu.Config) { c.RingLinkBW *= 3 },
+	"ChannelBW":              func(c *gpu.Config) { c.ChannelBW *= 3 },
+	"SMsPerCluster":          func(c *gpu.Config) { c.SMsPerCluster = 1 },
+	"SACOpts.Theta":          func(c *gpu.Config) { c.SACOpts.Theta = 0.3 },
+	"SACOpts.DisableLSU":     func(c *gpu.Config) { c.SACOpts.DisableLSU = true },
+	"SACOpts.ReprofileEvery": func(c *gpu.Config) { c.SACOpts.ReprofileEvery = 100_000 },
+	"L1Latency":              func(c *gpu.Config) { c.L1Latency += 13 },
+	"LLCLatency":             func(c *gpu.Config) { c.LLCLatency += 17 },
+	"DRAMLatency":            func(c *gpu.Config) { c.DRAMLatency += 19 },
+	"RingHopLatency":         func(c *gpu.Config) { c.RingHopLatency += 23 },
+	"Coherence":              func(c *gpu.Config) { c.Coherence = coherence.Hardware },
+	"DynamicEpoch":           func(c *gpu.Config) { c.DynamicEpoch += 1000 },
+	"MSHRPerSlice":           func(c *gpu.Config) { c.MSHRPerSlice += 3 },
+	"QueueBound":             func(c *gpu.Config) { c.QueueBound += 5 },
+	"MaxCycles":              func(c *gpu.Config) { c.MaxCycles += 1_000_000 },
+	"WatchdogCycles":         func(c *gpu.Config) { c.WatchdogCycles += 100_000 },
 }
 
 // profileBytes is the binary encoding of spec's profile on cfg.

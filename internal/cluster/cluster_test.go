@@ -436,6 +436,85 @@ func TestClusterHeartbeatRevival(t *testing.T) {
 	}
 }
 
+// lockedLog is an io.Writer the agent's goroutine and the test share.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// slowLapseCoordinator boots a coordinator whose heartbeat is fast but whose
+// lapse is an hour, so no worker in a test can leave the ring by lapsing.
+func slowLapseCoordinator() *Coordinator {
+	return New(Config{Heartbeat: 20 * time.Millisecond, Lapse: time.Hour})
+}
+
+// TestAgentCloseDeregisters: Agent.Close says goodbye, so the worker leaves
+// the ring the moment Close returns, not a lapse later.
+func TestAgentCloseDeregisters(t *testing.T) {
+	c := slowLapseCoordinator()
+	hs := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		c.Close()
+	})
+	a, err := StartAgent(AgentConfig{Coordinator: hs.URL, Info: client.WorkerInfo{ID: "w1", URL: "http://unused"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitLive(t, c, 1)
+	a.Close()
+	fs := c.Fleet()
+	if fs.Live != 0 || len(fs.Workers) != 1 || fs.Workers[0].Health != "gone" {
+		t.Fatalf("fleet after Agent.Close: %+v, want no live worker and w1 gone", fs)
+	}
+}
+
+// TestAgentReregistersWhenForgotten: a coordinator restarted on the same
+// address has an empty worker table, so it answers the agent's next
+// heartbeat with 404; the agent takes that as its cue and registers again.
+func TestAgentReregistersWhenForgotten(t *testing.T) {
+	first, second := slowLapseCoordinator(), slowLapseCoordinator()
+	var current atomic.Pointer[http.Handler]
+	before, after := first.Handler(), second.Handler()
+	current.Store(&before)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	var log lockedLog
+	a, err := StartAgent(AgentConfig{
+		Coordinator: hs.URL,
+		Info:        client.WorkerInfo{ID: "w1", URL: "http://unused"},
+		Log:         &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		a.Close()
+		hs.Close()
+		first.Close()
+		second.Close()
+	})
+	waitLive(t, first, 1)
+	current.Store(&after)
+	waitLive(t, second, 1)
+	if out := log.String(); !strings.Contains(out, "coordinator forgot us, re-registering") {
+		t.Fatalf("agent re-registered without reading the 404 as forgotten; log:\n%s", out)
+	}
+}
+
 // TestClusterNoWorkers pins the empty-fleet behavior: a deadlined job waits
 // for a worker and expires instead of failing instantly.
 func TestClusterNoWorkers(t *testing.T) {

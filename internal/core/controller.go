@@ -114,13 +114,6 @@ type Options struct {
 	Theta        float64 // EAB comparison threshold (default 0.05, §3.5)
 	DisableLSU   bool    // ablation: force LSU = 1 in both configurations
 
-	// ReuseKernelDecisions is an extension beyond the paper: cache the EAB
-	// decision per kernel (keyed by kernel name) and skip re-profiling on
-	// repeat invocations. The paper profiles every invocation (§3.2);
-	// caching removes that recurring overhead for iterative applications
-	// such as BFS at the risk of staleness across input-dependent phases.
-	ReuseKernelDecisions bool
-
 	// ReprofileEvery re-runs the profiling window periodically during long
 	// kernels (the paper explored 100K- and 1M-cycle periods and found it
 	// unnecessary for its workloads, §3.2; off when 0). Re-profiling
@@ -147,10 +140,9 @@ func (o Options) WithDefaults() Options {
 // the predicted advantage exceeds θ. At kernel end the gpu package reverts
 // to memory-side and calls StartKernel again.
 type Controller struct {
-	prof  *Profiler
-	cache map[string]Decision
-	opts  Options
-	arch  ArchParams
+	prof *Profiler
+	opts Options
+	arch ArchParams
 
 	kernelStart int64
 	lastDec     Decision
@@ -162,10 +154,7 @@ func NewController(arch ArchParams, prof *Profiler, opts Options) *Controller {
 	if err := arch.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	return &Controller{
-		opts: opts.WithDefaults(), arch: arch, prof: prof,
-		cache: make(map[string]Decision),
-	}
+	return &Controller{opts: opts.WithDefaults(), arch: arch, prof: prof}
 }
 
 // Options returns the effective options.
@@ -194,29 +183,6 @@ func (c *Controller) StartKernel(now int64) {
 	c.kernelStart = now
 	c.decided = false
 	c.prof.Reset()
-}
-
-// AdoptCached applies a previously cached decision for the named kernel,
-// skipping this invocation's profiling window. It reports whether a cached
-// decision existed (always false unless ReuseKernelDecisions is set).
-func (c *Controller) AdoptCached(kernel string) (Decision, bool) {
-	if !c.opts.ReuseKernelDecisions {
-		return Decision{}, false
-	}
-	d, ok := c.cache[kernel]
-	if !ok {
-		return Decision{}, false
-	}
-	c.decided = true
-	c.lastDec = d
-	return d, true
-}
-
-// StoreDecision records a kernel's decision for future invocations.
-func (c *Controller) StoreDecision(kernel string, d Decision) {
-	if c.opts.ReuseKernelDecisions {
-		c.cache[kernel] = d
-	}
 }
 
 // Profiling reports whether cycle now is inside the profiling window.

@@ -158,40 +158,6 @@ func TestNewProfilerPanics(t *testing.T) {
 	NewProfiler(0, 4, CRDConfig{Sets: 1, Ways: 1})
 }
 
-func TestDecisionCacheDisabledByDefault(t *testing.T) {
-	c := newTestController(Options{WindowCycles: 100})
-	c.StartKernel(0)
-	feedSharedHot(c.Profiler(), 200)
-	d := c.Decide()
-	c.StoreDecision("k", d)
-	c.StartKernel(1000)
-	if _, ok := c.AdoptCached("k"); ok {
-		t.Fatal("cache active without ReuseKernelDecisions")
-	}
-}
-
-func TestDecisionCacheRoundTrip(t *testing.T) {
-	c := newTestController(Options{WindowCycles: 100, ReuseKernelDecisions: true})
-	c.StartKernel(0)
-	feedSharedHot(c.Profiler(), 200)
-	d := c.Decide()
-	if !d.PickSM {
-		t.Skip("inputs no longer SM-shaped")
-	}
-	c.StoreDecision("k2", d)
-	c.StartKernel(1000)
-	got, ok := c.AdoptCached("k2")
-	if !ok || got.PickSM != d.PickSM {
-		t.Fatalf("AdoptCached = %+v, %v", got, ok)
-	}
-	if c.Profiling(1001) {
-		t.Fatal("still profiling after adopting a cached decision")
-	}
-	if _, ok := c.AdoptCached("unknown"); ok {
-		t.Fatal("unknown kernel had a cached decision")
-	}
-}
-
 func TestReprofileDueAndRearm(t *testing.T) {
 	c := newTestController(Options{WindowCycles: 100, ReprofileEvery: 1000})
 	c.StartKernel(0)

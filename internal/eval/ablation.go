@@ -127,16 +127,6 @@ func (a *AblationResult) Print(w io.Writer) {
 	}
 }
 
-// AblateDecisionCache compares the paper's per-invocation profiling against
-// the kernel-decision-cache extension (Options.ReuseKernelDecisions), which
-// re-uses a kernel's EAB decision on repeat invocations.
-func (r *Runner) AblateDecisionCache() (*AblationResult, error) {
-	return r.ablate("kernel-decision-cache", []variant{
-		{label: "re-profile", baseline: true},
-		{label: "cached", mutate: func(c *gpu.Config) { c.SACOpts.ReuseKernelDecisions = true }},
-	})
-}
-
 // AblateReprofile evaluates the periodic re-profiling the paper explored
 // and dismissed (§3.2): re-opening the profiling window every N cycles
 // (which requires reverting to memory-side for the window's duration).

@@ -342,7 +342,7 @@ func TestHeadlineComputes(t *testing.T) {
 func TestAblations(t *testing.T) {
 	r := testRunner("RN")
 	for _, run := range []func() (*AblationResult, error){
-		r.AblateTheta, r.AblateWindow, r.AblateLSU, r.AblateDecisionCache, r.AblateReprofile,
+		r.AblateTheta, r.AblateWindow, r.AblateLSU, r.AblateReprofile,
 	} {
 		res, err := run()
 		if err != nil {

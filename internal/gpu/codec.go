@@ -48,7 +48,6 @@ func (c *Config) AppendJSON(b []byte) []byte {
 	b = appendInt(b, `,"SACOpts":{"WindowCycles":`, o.WindowCycles)
 	b = wire.AppendFloat(append(b, `,"Theta":`...), o.Theta)
 	b = strconv.AppendBool(append(b, `,"DisableLSU":`...), o.DisableLSU)
-	b = strconv.AppendBool(append(b, `,"ReuseKernelDecisions":`...), o.ReuseKernelDecisions)
 	b = appendInt(b, `,"ReprofileEvery":`, o.ReprofileEvery)
 	b = appendInt(b, `},"DynamicEpoch":`, c.DynamicEpoch)
 	b = appendInt(b, `,"MSHRPerSlice":`, c.MSHRPerSlice)
@@ -162,8 +161,6 @@ func (c *Config) decodeSACOpts(r *wire.Reader) {
 			o.Theta = r.Float64()
 		case "DisableLSU":
 			o.DisableLSU = r.Bool()
-		case "ReuseKernelDecisions":
-			o.ReuseKernelDecisions = r.Bool()
 		case "ReprofileEvery":
 			o.ReprofileEvery = r.Int64()
 		default:

@@ -330,13 +330,6 @@ func (s *System) traceSACDecision(pickSM bool, advantage float64, samples int64)
 		obs.A("pick_sm", pickSM), obs.A("advantage", advantage))
 }
 
-// traceAdopt emits the cached-decision adoption instant.
-func (s *System) traceAdopt(pickSM bool) {
-	if t := s.obsTrace(); t != nil {
-		t.Instant("sac", "adopt-cached", s.now, obs.TIDSAC, obs.A("pick_sm", pickSM))
-	}
-}
-
 // traceReconfig emits a completed mode-switch drain span.
 func (s *System) traceReconfig(to llc.Mode) {
 	if t := s.obsTrace(); t != nil {

@@ -187,9 +187,6 @@ func (s *System) Mode() llc.Mode { return s.mode }
 // SAC returns the SAC controller, or nil for other organizations.
 func (s *System) SAC() *core.Controller { return s.sac }
 
-// Now returns the current cycle.
-func (s *System) Now() int64 { return s.now }
-
 // Run executes every kernel invocation of the benchmark and returns the
 // collected statistics.
 func (s *System) Run() (*stats.Run, error) {
@@ -224,16 +221,6 @@ func (s *System) runKernel() error {
 	if s.cfg.Org == llc.SAC {
 		s.mode = llc.ModeMemorySide
 		s.sac.StartKernel(s.now)
-		if d, ok := s.sac.AdoptCached(s.spec.KernelName(s.kernelIdx)); ok && d.PickSM {
-			// Extension (Options.ReuseKernelDecisions): a repeat invocation
-			// adopts its cached decision without re-profiling. Nothing is in
-			// flight at kernel start, so the switch happens immediately
-			// after the (possibly empty) flush.
-			s.state = stDrainSwitch
-			s.drainStart = s.now
-			s.leftMemorySide = true
-			s.traceAdopt(d.PickSM)
-		}
 	}
 	s.kernelMode = s.mode
 
@@ -1030,7 +1017,6 @@ func (s *System) controlPhase() {
 		samples := s.sac.Profiler().Samples()
 		d := s.sac.Decide()
 		s.traceSACDecision(d.PickSM, d.Advantage, samples)
-		s.sac.StoreDecision(s.spec.KernelName(s.kernelIdx), d)
 		if d.PickSM && s.mode != llc.ModeSMSide {
 			s.state = stDrainSwitch
 			s.drainStart = s.now
@@ -1214,8 +1200,8 @@ func (s *System) boundaryPhase() bool {
 
 // memorySideTwin returns, after a successful Run, the memory-side
 // organization's result for the same config, workload and fault plan when
-// this SAC run stayed that run: no kernel switched (an adopted decision
-// included) and no SAC timed event cut a fast-forward short. SAC profiles
+// this SAC run stayed that run: no kernel switched and no SAC timed event
+// cut a fast-forward short. SAC profiles
 // under memory-side routing and its counters watch without steering
 // (§3.2–3.3), so such a run is the memory-side run cycle for cycle; the twin
 // is its result with Org relabelled, sharing no memory with it. Every other

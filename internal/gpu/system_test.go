@@ -291,29 +291,6 @@ func TestRunRejectsEmptySpec(t *testing.T) {
 	}
 }
 
-func TestKernelDecisionCacheExtension(t *testing.T) {
-	spec := tinyWorkload()
-	spec.Repeats = 3
-	base := tinyConfig().WithOrg(llc.SAC)
-	cached := base
-	cached.SACOpts.ReuseKernelDecisions = true
-
-	plain := mustRun(t, base, spec)
-	fast := mustRun(t, cached, spec)
-	// Same decisions on every invocation...
-	for i := range plain.Kernels {
-		if plain.Kernels[i].Org != fast.Kernels[i].Org {
-			t.Fatalf("kernel %d: decision changed with cache (%s vs %s)",
-				i, plain.Kernels[i].Org, fast.Kernels[i].Org)
-		}
-	}
-	// ...but repeat invocations skip the profiling window, so when the
-	// decision is SM-side the cached run must not be slower overall.
-	if fast.Kernels[0].Org == "SM-side" && fast.Cycles > plain.Cycles {
-		t.Fatalf("decision cache slowed the run: %d vs %d cycles", fast.Cycles, plain.Cycles)
-	}
-}
-
 func TestPeriodicReprofilingExtension(t *testing.T) {
 	spec := tinyWorkload()
 	cfg := tinyConfig().WithOrg(llc.SAC)

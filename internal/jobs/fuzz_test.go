@@ -162,6 +162,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	for _, body := range []string{
 		strings.Replace(string(explicit), `"config":{`, `"config":{"BanksPerChanel":4,`, 1),
 		strings.Replace(string(explicit), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1),
+		strings.Replace(string(explicit), `"SACOpts":{`, `"SACOpts":{"ReuseKernelDecisions":false,`, 1),
 		strings.TrimSuffix(snEstimate, "}") + `,"priority2":"batch"}`,
 	} {
 		if w := post(t, "/v1/jobs", body); w.Code != http.StatusBadRequest {

@@ -576,16 +576,21 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		}
 		ids = append(ids, jst.ID)
 	}
-	// Abandon s1 (crash), journal the unknown-field request and one naming
-	// a rung the ladder no longer has beside its accepts, then corrupt the
-	// middle accept record on disk — after this last Open, whose rewrite
-	// would drop a corrupt record.
+	// Abandon s1 (crash), journal the unknown-field request, one naming a
+	// rung the ladder no longer has and one whose config carries a field the
+	// config no longer has (written by a build that still had it) beside its
+	// accepts, then corrupt the middle accept record on disk — after this
+	// last Open, whose rewrite would drop a corrupt record.
 	base, err := json.Marshal(tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := []byte(strings.Replace(string(base), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
 	retired := []byte(strings.Replace(string(base), "{", `{"fidelity":"sampled",`, 1))
+	oldConfig := []byte(strings.Replace(string(base), `"DisableLSU":false,`, `"DisableLSU":false,"ReuseKernelDecisions":false,`, 1))
+	if string(oldConfig) == string(base) {
+		t.Fatalf("request %s has no SACOpts.DisableLSU to follow", base)
+	}
 	jnl, _, err := journal.Open(jp, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -594,6 +599,9 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "retired-rung", Req: retired}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "retired-field", Req: oldConfig}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Close(); err != nil {
@@ -618,11 +626,19 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(ids)-1 {
-		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field, one unknown fidelity)", n, len(ids)-1)
+		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field, one unknown fidelity, one retired config field)", n, len(ids)-1)
+	}
+	for _, id := range []string{"unknown-field", "retired-rung", "retired-field"} {
+		if _, ok := s2.Status(id); ok {
+			t.Errorf("unrestorable job %s was restored", id)
+		}
 	}
 	h := s2.HealthSnapshot()
-	if h.RecoveryErrors != 3 {
-		t.Fatalf("healthz recovery_errors = %d, want 3", h.RecoveryErrors)
+	if h.RecoveryErrors != 4 {
+		t.Fatalf("healthz recovery_errors = %d, want 4", h.RecoveryErrors)
+	}
+	if h.Status != client.HealthHealthy {
+		t.Fatalf("healthz status = %s %v after dropping unrestorable records, want healthy", h.Status, h.Reasons)
 	}
 }
 

@@ -54,9 +54,11 @@ import (
 // config fields and made fault-plan keys canonical; v4 made the CRD cold
 // after every Reset, which moves SAC's later profiling windows; v5 moved
 // the estimate rung's cache models onto cache.Cache at their real geometry;
-// v6 dropped the estimate rung's refused experiments from the sweep golden.
+// v6 dropped the estimate rung's refused experiments from the sweep golden;
+// v7 dropped the SAC option that reused a kernel's decision across
+// invocations from the config encoding.
 // TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
-const schemaVersion = 6
+const schemaVersion = 7
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields
