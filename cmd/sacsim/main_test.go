@@ -39,12 +39,43 @@ func usageLines(t *testing.T) [][]string {
 	return lines
 }
 
-// TestSacsim runs every usage line of the package doc at the estimate rung
-// (the listener and the trace file moved to a free port and a temporary
-// directory), which reports nothing the rung does not model; one exact run
-// checked against sac.Run; and the usage errors.
+// readmeLines returns the argument lists of README's `go run ./cmd/sacsim`
+// lines, backslash continuations joined and a trailing comment or `&` cut.
+// Lines naming -faults are left out: only the exact rung injects faults, and
+// TestDocsNameWhatExists already parses their plans.
+func readmeLines(t *testing.T) [][]string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]string
+	command := ""
+	for _, line := range strings.Split(string(src), "\n") {
+		if command += line; strings.HasSuffix(command, "\\") {
+			command = strings.TrimSuffix(command, "\\") + " "
+			continue
+		}
+		cmd, ok := strings.CutPrefix(strings.TrimSpace(command), "go run ./cmd/sacsim ")
+		command = ""
+		if !ok || strings.Contains(cmd, "-faults") {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		lines = append(lines, strings.Fields(strings.TrimSuffix(strings.TrimSpace(cmd), "&")))
+	}
+	if len(lines) == 0 {
+		t.Fatal("no go run ./cmd/sacsim lines in README.md")
+	}
+	return lines
+}
+
+// TestSacsim runs every usage line of the package doc and every sacsim line
+// of README at the estimate rung (the listener and the trace file moved to a
+// free port and a temporary directory), which reports nothing the rung does
+// not model; one exact run checked against sac.Run; and the usage errors.
 func TestSacsim(t *testing.T) {
-	for _, args := range usageLines(t) {
+	for _, args := range append(usageLines(t), readmeLines(t)...) {
 		args = append(args, "-fidelity", "estimate")
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			trace := ""

@@ -1,6 +1,7 @@
 package sac_test
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -51,7 +52,22 @@ var (
 	// path or of a longer selector: `store.KeyAt`, `(*gpu.System).Run`.
 	codeSpanRe  = regexp.MustCompile("`[^`\n]+`")
 	qualIdentRe = regexp.MustCompile(`(?:^|[^\w/.])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+	// A numbered heading of DESIGN.md ("## 12. Serving", "### 12.4 The
+	// result store"): its number and its title.
+	designHeadingRe = regexp.MustCompile(`(?m)^##+ (\d+(?:\.\d+)?)\.? (.+)$`)
+	// A reference to a DESIGN.md section from another file, also across a
+	// wrapped line or comment: a section number, or the start of a heading's
+	// title in quotes.
+	designRefRe = regexp.MustCompile(`DESIGN(?:\.md)?[\s/]+(?:§(\d+(?:\.\d+)?)|"([^"\n]+)")`)
+	// A section reference inside DESIGN.md: its own unless it says "paper".
+	sectionRefRe = regexp.MustCompile(`(paper )?§(\d+(?:\.\d+)?)`)
+	prRe         = regexp.MustCompile(`\bPRs? \d+`)
 )
+
+// designBudget bounds DESIGN.md in bytes: half of the 81,042 it had grown to
+// before it was rewritten to say each thing once. A change that raises it
+// says why in its CHANGES entry.
+const designBudget = 40_500
 
 // moduleIdents maps each package name of this module (the root is sac; main
 // packages and bench/, a module of its own, are left out) to every name its
@@ -130,13 +146,17 @@ func docFlagArgs(t testing.TB, re *regexp.Regexp) []string {
 }
 
 // TestDocsNameWhatExists fails on a document that sends its reader to
-// something that is not there: a `make` target the Makefile does not define,
+// something that is not there: a DESIGN.md section that no heading numbers
+// or titles (referenced from a document, from a Go file outside bench/, or
+// from DESIGN.md itself), a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
 // declares, a cmd/ directory or `go run ./<path>` directory that does not
 // exist, a flag on a `go run ./cmd/<name>` line that the command does not
 // declare, a -faults argument that is not a plan in the fault DSL, a
 // -fidelity argument that is not a rung, or a `pkg.Ident` in README, DESIGN
-// or EXPERIMENTS whose package of this module declares no such name.
+// or EXPERIMENTS whose package of this module declares no such name. It also
+// holds DESIGN.md to designBudget and to describing the system rather than
+// its history: no "PR n".
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -148,6 +168,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 
 	funcs := map[string]bool{}
+	goSrcs := map[string][]byte{} // the Go files outside bench/
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -168,11 +189,15 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range goFuncRe.FindAllSubmatch(src, -1) {
 			funcs[string(m[1])] = true
 		}
+		if !strings.HasPrefix(path, "bench"+string(filepath.Separator)) {
+			goSrcs[path] = src
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDesignRefs(t, goSrcs)
 
 	flags := map[string]map[string]bool{} // command name → declared flags
 	srcs, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
@@ -284,6 +309,66 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if st, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !st.IsDir() {
 					t.Errorf("%s:%d: cmd/%s does not exist", doc, i+1, m[1])
 				}
+			}
+		}
+	}
+}
+
+// checkDesignRefs resolves every DESIGN.md section reference, in DESIGN.md
+// itself, in docFiles and in srcs, against DESIGN.md's headings, and holds
+// DESIGN.md to its byte budget and its present tense.
+func checkDesignRefs(t *testing.T, srcs map[string][]byte) {
+	t.Helper()
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(design) > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte budget", len(design), designBudget)
+	}
+	sections := map[string]bool{}
+	var titles []string
+	for _, m := range designHeadingRe.FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+		titles = append(titles, m[2])
+	}
+	titled := func(title string) bool {
+		for _, h := range titles {
+			if strings.HasPrefix(h, title) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, line := range strings.Split(string(design), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, m := range sectionRefRe.FindAllStringSubmatch(line, -1) {
+			if m[1] == "" && !sections[m[2]] {
+				t.Errorf("DESIGN.md:%d: §%s: no such section", i+1, m[2])
+			}
+		}
+		if pr := prRe.FindString(line); pr != "" {
+			t.Errorf("DESIGN.md:%d: %q: DESIGN describes the system, not its history", i+1, pr)
+		}
+	}
+
+	for _, doc := range docFiles {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[doc] = raw
+	}
+	for path, raw := range srcs {
+		for _, m := range designRefRe.FindAllSubmatchIndex(raw, -1) {
+			line := 1 + bytes.Count(raw[:m[0]], []byte("\n"))
+			switch {
+			case m[2] >= 0 && !sections[string(raw[m[2]:m[3]])]:
+				t.Errorf("%s:%d: DESIGN.md §%s: no such section", path, line, raw[m[2]:m[3]])
+			case m[4] >= 0 && !titled(string(raw[m[4]:m[5]])):
+				t.Errorf("%s:%d: DESIGN.md %q: no heading has that title", path, line, raw[m[4]:m[5]])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sac_test
 
 import (
 	"fmt"
+	"os"
 
 	sac "repro"
 )
@@ -92,4 +93,45 @@ func ExampleDecideEAB() {
 	// EAB memory-side 3058 (local 2290 + remote 768)
 	// EAB SM-side     8753 (local 3193 + remote 5560)
 	// advantage 186.3%, reconfigure: true
+}
+
+// ExampleOpenResultCache files one estimate cell in a result cache and
+// answers it from there: the cell lies under the content address CacheKeyAt
+// names, and a second Runner on the same cache simulates nothing.
+func ExampleOpenResultCache() {
+	dir, err := os.MkdirTemp("", "sac-cache")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	cache, err := sac.OpenResultCache(dir, 0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer cache.Close()
+
+	cfg := sac.ScaledConfig().WithOrg(sac.SAC)
+	spec, err := sac.Benchmark("BP")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	cell := []sac.RunRequest{{Cfg: cfg, Spec: spec, Fidelity: string(sac.FidelityEstimate)}}
+	for i := 1; i <= 2; i++ {
+		r := sac.NewRunner()
+		r.Store = cache
+		res, err := r.RunAll(cell)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		stored, ok := cache.Get(sac.CacheKeyAt(cfg, spec.Name, nil, sac.FidelityEstimate))
+		fmt.Printf("Runner %d: %d run(s), cached under its key: %v, same cycles: %v\n",
+			i, r.Runs(), ok, ok && stored.Cycles == res[0].Cycles)
+	}
+	// Output:
+	// Runner 1: 1 run(s), cached under its key: true, same cycles: true
+	// Runner 2: 0 run(s), cached under its key: true, same cycles: true
 }

@@ -600,6 +600,70 @@ func TestDispatchDoneWithoutResultFails(t *testing.T) {
 	}
 }
 
+// TestCancelReachesWorker: a job canceled at the coordinator while its
+// dispatch waits on a worker's watch is canceled on that worker too — the
+// steal-cancel DELETE names the id the worker accepted it under.
+func TestCancelReachesWorker(t *testing.T) {
+	watching := make(chan struct{}, 1)
+	deleted := make(chan string, 1)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch":
+			jobs.WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: []client.BatchItem{
+				{Status: &client.JobStatus{ID: "worker-job", State: client.StateQueued}}}})
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs:watch":
+			select {
+			case watching <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+		case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+			id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
+			select {
+			case deleted <- id:
+			default:
+			}
+			jobs.WriteJSON(w, http.StatusOK, client.JobStatus{ID: id, State: client.StateCanceled})
+		default:
+			jobs.WriteError(w, http.StatusNotFound, "no route")
+		}
+	}))
+	t.Cleanup(worker.Close)
+	// The fake never heartbeats: an hour's lapse keeps it in the ring, so
+	// only the cancel can end the dispatch.
+	c := New(Config{Heartbeat: time.Hour})
+	hs := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		c.Close()
+	})
+	if _, err := c.Register(client.WorkerInfo{ID: "fake", URL: worker.URL}); err != nil {
+		t.Fatal(err)
+	}
+	cc := newClient(hs.URL)
+	ctx := context.Background()
+	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-watching:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator never watched the worker's job")
+	}
+	if _, err := cc.Cancel(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-deleted:
+		if id != "worker-job" {
+			t.Fatalf("worker told to cancel %q, want the job it accepted, worker-job", id)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never received DELETE /v1/jobs/worker-job")
+	}
+}
+
 // TestClusterKeyAffinity pins placement: with a stable fleet, every
 // submission of the same cell lands on the ring owner, and distinct cells
 // spread across workers.

@@ -160,6 +160,9 @@ func TestRingBasics(t *testing.T) {
 	if id, _ := r.Owner("abc"); id != "only" {
 		t.Fatalf("owner = %s, want only", id)
 	}
+	if got, want := r.String(), fmt.Sprintf("ring{1 members, %d points}", vnodes); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
 	sum := r.Checksum()
 	r.Remove("absent")
 	if r.Checksum() != sum {

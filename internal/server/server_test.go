@@ -355,8 +355,11 @@ func TestHealthAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c := testDaemon(t, Config{Workers: 3, Store: st, Registry: reg})
+	srv, c := testDaemon(t, Config{Workers: 3, Store: st, Registry: reg})
 	ctx := context.Background()
+	if srv.Workers() != 3 {
+		t.Fatalf("Workers() = %d, want the configured 3", srv.Workers())
+	}
 
 	if _, err := c.Run(ctx, tinyRequest("RN", "SAC")); err != nil {
 		t.Fatal(err)

@@ -104,6 +104,26 @@ func TestRunnerSurface(t *testing.T) {
 	}
 }
 
+// TestPresetsAndNoCCostSurface: the two fabric presets validate and sit on
+// either side of the scaled baseline's ring bandwidth (MCM above, multi-socket
+// below), and the NoC cost report prices the SM-side design above memory-side.
+func TestPresetsAndNoCCostSurface(t *testing.T) {
+	mcm, scaled, socket := sac.MCMConfig(), sac.ScaledConfig(), sac.MultiSocketConfig()
+	for name, cfg := range map[string]sac.Config{"MCM": mcm, "multi-socket": socket} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s preset: %v", name, err)
+		}
+	}
+	if !(mcm.RingLinkBW > scaled.RingLinkBW && scaled.RingLinkBW > socket.RingLinkBW) {
+		t.Fatalf("ring link bandwidth MCM %v, scaled %v, multi-socket %v: want strictly decreasing",
+			mcm.RingLinkBW, scaled.RingLinkBW, socket.RingLinkBW)
+	}
+	r := sac.NoCCost()
+	if r.SMAreaOverhead() <= 0 || r.SMPowerOverhead() <= 0 {
+		t.Fatalf("SM-side NoC overheads area %v, power %v: want both positive", r.SMAreaOverhead(), r.SMPowerOverhead())
+	}
+}
+
 func TestHarmonicMeanSurface(t *testing.T) {
 	if hm := sac.HarmonicMean([]float64{1, 1}); hm != 1 {
 		t.Fatalf("HM = %v", hm)
