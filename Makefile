@@ -76,7 +76,8 @@ syncsmoke:
 # second. The second
 # line pins the estimate rung's bytes (the 256-cell universe, in order and
 # shuffled across goroutines through the pooled scratch, and the page-bound
-# straddle), its held-out decisions (the 64 SAC cells of that universe against
+# straddle), memory-side and SM-side estimates that θ does not move, its
+# held-out decisions (the 64 SAC cells of that universe against
 # exact, counting only disagreements whose exact margin exceeds θ), its
 # allocations, a CRD that is cold after Reset, the replay-invariant config
 # fields, that a canceled replay is never handed on to a run-set mate, and
@@ -84,20 +85,25 @@ syncsmoke:
 # rung's memory-side twin: a SAC run that never left memory-side equals the
 # memory-side run byte for byte, a run whose window end cut a fast-forward
 # short or that switched offers none, and a run-set hands a twin only to its
-# memory-side cell. The third holds a sacd batch and a sweep's RunAll to the
+# memory-side cell; and the exact rung's pooled machines: re-armed machines
+# answer fresh ones' bytes across organizations, protocols, benchmarks and
+# two goroutines, perturbing any armed config field between runs on one
+# machine does too, the shape key zeroes exactly the armed fields, only a
+# plain clean run hands its machine back, and a re-armed run allocates only
+# its answer. The third holds a sacd batch and a sweep's RunAll to the
 # same bytes with one replay per (machine, spec), a sweep's RunAll to lone
 # runs' bytes with its twinned memory-side cells not simulated (exact_sweep's
 # 21 cells: 18 simulations), and the experiments outside the rung's coverage
 # to a refusal before any cell runs. The fourth pins sacsweep's -json bytes: every
 # experiment the estimate rung covers over the fast set (the six it does not
 # are one skip line each), and an exact Fig 8 cold and warm from a result
-# cache. On a 2-vCPU Xeon the target takes about 57 s wall with compiles,
-# and TestSweepGolden about 11 CPU-s of it.
+# cache. On a 2-vCPU host the target takes about 36 s wall with a warm build
+# cache, the internal/gpu tests about 12 s of it.
 fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers|TestMemorySideTwinLaw|TestMemorySideTwinWithheld|TestRunSetSharesTwins' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateFixedOrgsIgnoreTheta|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers|TestMemorySideTwinLaw|TestMemorySideTwinWithheld|TestRunSetSharesTwins|TestRearmDifferential|TestArmInvariantFields|TestHandBackRule|TestExactSteadyStateAllocs' \
 		./internal/backend ./internal/workload ./internal/core ./internal/gpu
 	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles|TestRunAllSharesTwins|TestEstimateRefusesUncovered' \
 		./internal/server ./internal/eval

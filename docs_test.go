@@ -148,7 +148,7 @@ func docFlagArgs(t testing.TB, re *regexp.Regexp) []string {
 // TestDocsNameWhatExists fails on a document that sends its reader to
 // something that is not there: a DESIGN.md section that no heading numbers
 // or titles (referenced from a document, from a Go file outside bench/, or
-// from DESIGN.md itself), a `make` target the Makefile does not define,
+// from DESIGN.md itself; outside DESIGN.md only by title), a `make` target the Makefile does not define,
 // a Test/Benchmark/Fuzz function no Go file in the tree (bench/ included)
 // declares, a cmd/ directory or `go run ./<path>` directory that does not
 // exist, a flag on a `go run ./cmd/<name>` line that the command does not
@@ -316,7 +316,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 
 // checkDesignRefs resolves every DESIGN.md section reference, in DESIGN.md
 // itself, in docFiles and in srcs, against DESIGN.md's headings, and holds
-// DESIGN.md to its byte budget and its present tense.
+// DESIGN.md to its byte budget and its present tense. Outside DESIGN.md a
+// reference quotes a heading's title: a section number is refused.
 func checkDesignRefs(t *testing.T, srcs map[string][]byte) {
 	t.Helper()
 	design, err := os.ReadFile("DESIGN.md")
@@ -365,6 +366,8 @@ func checkDesignRefs(t *testing.T, srcs map[string][]byte) {
 		for _, m := range designRefRe.FindAllSubmatchIndex(raw, -1) {
 			line := 1 + bytes.Count(raw[:m[0]], []byte("\n"))
 			switch {
+			case m[2] >= 0 && path != "DESIGN.md":
+				t.Errorf("%s:%d: DESIGN.md §%s: cite a DESIGN section by its heading's title, which survives renumbering", path, line, raw[m[2]:m[3]])
 			case m[2] >= 0 && !sections[string(raw[m[2]:m[3]])]:
 				t.Errorf("%s:%d: DESIGN.md §%s: no such section", path, line, raw[m[2]:m[3]])
 			case m[4] >= 0 && !titled(string(raw[m[4]:m[5]])):

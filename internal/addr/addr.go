@@ -171,6 +171,15 @@ func NewPageTable(geom memsys.Geometry, chips int) *PageTable {
 	return &PageTable{idx: newPageIndex[uint8](geom, chips)}
 }
 
+// Reset empties the table into the state NewPageTable built it in, keeping
+// the dense index's storage.
+func (t *PageTable) Reset() {
+	x := &t.idx
+	clear(x.dense)
+	clear(x.sparse)
+	x.last, x.lastPage, x.count = 0, 0, 0
+}
+
 // Touch returns the home chip of the line's page, allocating the page to
 // chip if this is its first access.
 func (t *PageTable) Touch(line uint64, chip int) (home int) {

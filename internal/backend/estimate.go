@@ -86,45 +86,32 @@ type replayScratch struct {
 	kps     []kernelProfile
 }
 
-var scratchPools struct {
-	byShape map[replayShape]*sync.Pool
-	sync.Mutex
-}
+// scratches pools replay scratches by replayShape.
+var scratches gpu.ShapePools[replayShape]
 
-// scratchPool returns the pool of scratches of one shape.
-func scratchPool(sh replayShape) *sync.Pool {
-	scratchPools.Lock()
-	defer scratchPools.Unlock()
-	p := scratchPools.byShape[sh]
-	if p == nil {
-		if scratchPools.byShape == nil {
-			scratchPools.byShape = make(map[replayShape]*sync.Pool)
-		}
-		p = &sync.Pool{New: func() any {
-			return &replayScratch{
-				l1:      cache.NewN(sh.sms, cache.Config{Sets: sh.l1Sets, Ways: sh.l1Ways, LineBytes: sh.lineBytes}),
-				llc:     cache.NewN(sh.chips*sh.slicesPerChip, cache.Config{Sets: sh.llcSets, Ways: sh.llcWays, LineBytes: sh.lineBytes}),
-				prof:    core.NewProfiler(sh.chips, sh.slicesPerChip, sh.crd),
-				cursors: make([]cursor, 0, sh.warps),
-			}
-		}}
-		scratchPools.byShape[sh] = p
-	}
-	return p
-}
-
-// takeScratch takes a scratch of cfg's shape from its pool; the caller hands
-// it back with giveScratch once nothing reads its kernel profiles.
+// takeScratch takes a scratch of cfg's shape from its pool, built when the
+// pool has none; the caller hands it back with giveScratch once nothing
+// reads its kernel profiles.
 func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
 	m := cfg.Machine()
 	modelSets, _ := llcSampling(cfg)
-	pool := scratchPool(replayShape{
+	sh := replayShape{
 		warps: m.TotalWarps(), sms: m.Chips * m.SMsPerChip,
 		l1Sets: cfg.L1BytesPerSM / (cfg.Geom.LineBytes * cfg.L1Ways), l1Ways: cfg.L1Ways,
 		chips: cfg.Chips, slicesPerChip: cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
 		lineBytes: cfg.Geom.LineBytes, crd: cfg.CRDConfig(),
-	})
-	return pool, pool.Get().(*replayScratch)
+	}
+	pool := scratches.Of(sh)
+	sc, _ := pool.Get().(*replayScratch)
+	if sc == nil {
+		sc = &replayScratch{
+			l1:      cache.NewN(sh.sms, cache.Config{Sets: sh.l1Sets, Ways: sh.l1Ways, LineBytes: sh.lineBytes}),
+			llc:     cache.NewN(sh.chips*sh.slicesPerChip, cache.Config{Sets: sh.llcSets, Ways: sh.llcWays, LineBytes: sh.lineBytes}),
+			prof:    core.NewProfiler(sh.chips, sh.slicesPerChip, sh.crd),
+			cursors: make([]cursor, 0, sh.warps),
+		}
+	}
+	return pool, sc
 }
 
 func giveScratch(pool *sync.Pool, sc *replayScratch) {
@@ -464,9 +451,11 @@ func synthesize(cfg gpu.Config, w gpu.Workload, kps []kernelProfile) *stats.Run 
 		run.DRAMBytes += misses * int64(lineBytes)
 		// Ring traffic estimate: under memory-side routing every remote-homed
 		// LLC access crosses the ring; under SM-side only misses do (hits are
-		// served from the local replica).
+		// served from the local replica). SAC routes the side it picks; Static
+		// and Dynamic, outside the rung's coverage, are charged by the same
+		// decision.
 		remote := 1 - in.RLocal
-		if d.PickSM || cfg.Org == llc.SMSide {
+		if cfg.Org == llc.SMSide || cfg.Org != llc.MemorySide && d.PickSM {
 			run.RingBytes += int64(math.Round(float64(misses)*remote)) * int64(lineBytes)
 		} else {
 			run.RingBytes += int64(math.Round(llcOps*remote)) * int64(lineBytes)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -159,6 +160,41 @@ func TestEstimateSteadyStateAllocs(t *testing.T) {
 	t.Logf("%v allocs per cell", n)
 	if n > limit {
 		t.Fatalf("estimate cell allocates %v times in steady state, want <= %v", n, limit)
+	}
+}
+
+// TestEstimateFixedOrgsIgnoreTheta: memory-side and SM-side route one way
+// whatever SAC would decide, so θ — which moves only SAC's decision — moves
+// no byte of their results. θ = 1e6 keeps every SAC kernel memory-side, so
+// the two values flip the decision of every spec whose SAC estimate picks
+// SM-side on some kernel; the test requires some spec to flip.
+func TestEstimateFixedOrgsIgnoreTheta(t *testing.T) {
+	estimate := func(cfg gpu.Config, spec workload.Spec) *stats.Run {
+		t.Helper()
+		run, err := Run(cfg, spec, gpu.RunOpts{Fidelity: Estimate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	flipped := 0
+	for _, spec := range workload.Catalog() {
+		cfg := gpu.ScaledConfig()
+		high := cfg
+		high.SACOpts.Theta = 1e6
+		if a, b := estimate(cfg.WithOrg(llc.SAC), spec), estimate(high.WithOrg(llc.SAC), spec); !reflect.DeepEqual(a.Kernels, b.Kernels) {
+			flipped++
+		}
+		for _, org := range []llc.Org{llc.MemorySide, llc.SMSide} {
+			a, _ := json.Marshal(estimate(cfg.WithOrg(org), spec))
+			b, _ := json.Marshal(estimate(high.WithOrg(org), spec))
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s %s: θ moved the estimate\nθ default %s\nθ 1e6     %s", spec.Name, org, a, b)
+			}
+		}
+	}
+	if flipped == 0 {
+		t.Fatal("no spec's SAC decision flips between the two θ values: the test pins nothing")
 	}
 }
 

@@ -132,6 +132,13 @@ func ceilPow2(n int) int {
 	return p
 }
 
+// Reset empties the queue and sets its Full threshold to bound, keeping the
+// buffer: a reset queue behaves as NewQueue(bound) does.
+func (q *Queue[T]) Reset(bound int) {
+	clear(q.buf)
+	q.head, q.n, q.bound = 0, 0, bound
+}
+
 // Len returns the number of queued entries.
 func (q *Queue[T]) Len() int { return q.n }
 
@@ -201,6 +208,9 @@ type delayEntry[T any] struct {
 func NewDelayLine[T any]() DelayLine[T] {
 	return DelayLine[T]{entries: Queue[delayEntry[T]]{buf: make([]delayEntry[T], 16)}}
 }
+
+// Reset empties the line, keeping its buffer.
+func (d *DelayLine[T]) Reset() { d.entries.Reset(0) }
 
 // Len returns the number of in-flight items.
 func (d *DelayLine[T]) Len() int { return d.entries.Len() }

@@ -160,6 +160,22 @@ func NewN(n int, cfg Config) []Cache {
 	return cs
 }
 
+// Reset empties the cache into the state NewN built it in: no line, no
+// partition, every way usable, counters and LRU clock at zero.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.lastUse)
+	clear(c.occ)
+	clear(c.ptag)
+	clear(c.meta)
+	clear(c.sectors)
+	*c = Cache{
+		cfg: c.cfg, tags: c.tags, occ: c.occ, ptag: c.ptag, lastUse: c.lastUse,
+		meta: c.meta, sectors: c.sectors, setMask: c.setMask, rowWords: c.rowWords,
+		localWays: c.cfg.Ways, usableWays: c.cfg.Ways,
+	}
+}
+
 // Cfg returns the cache's configuration.
 func (c *Cache) Cfg() Config { return c.cfg }
 

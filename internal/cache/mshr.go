@@ -66,6 +66,18 @@ func NewMSHR(capacity int) *MSHR {
 	}
 }
 
+// Reset empties the file into the state NewMSHR built it in, keeping the
+// waiter arena's and the fill buffer's storage.
+func (m *MSHR) Reset() {
+	clear(m.slots)
+	clear(m.nodes)
+	clear(m.filled)
+	*m = MSHR{
+		slots: m.slots, nodes: m.nodes[:0], filled: m.filled[:0],
+		free: -1, capacity: m.capacity, shift: m.shift,
+	}
+}
+
 // home is the slot a line's probe sequence starts at. The lines one slice
 // sees already agree on the low bits of the PAE hash that picked the slice,
 // so the table uses its own multiplicative (Fibonacci) hash of the line.

@@ -118,5 +118,9 @@ func (d *Directory) WriteInvalidate(line uint64, writerChip int) []int {
 // Lines returns the number of tracked lines (for overhead reporting).
 func (d *Directory) Lines() int { return len(d.sharers) }
 
-// Reset clears all sharer state (kernel boundary or reconfiguration).
-func (d *Directory) Reset() { d.sharers = make(map[uint64]uint8) }
+// Reset clears all sharer state and the counters: a reset directory is in
+// the state NewDirectory returns.
+func (d *Directory) Reset() {
+	clear(d.sharers)
+	d.Invalidations, d.WriteMisses = 0, 0
+}

@@ -151,10 +151,19 @@ type Controller struct {
 
 // NewController builds a SAC controller.
 func NewController(arch ArchParams, prof *Profiler, opts Options) *Controller {
+	c := &Controller{prof: prof}
+	c.Reset(arch, opts)
+	return c
+}
+
+// Reset gives c the state NewController(arch, c.Profiler(), opts) returns,
+// with the profiler reset.
+func (c *Controller) Reset(arch ArchParams, opts Options) {
 	if err := arch.Validate(); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	return &Controller{opts: opts.WithDefaults(), arch: arch, prof: prof}
+	*c = Controller{opts: opts.WithDefaults(), arch: arch, prof: c.prof}
+	c.prof.Reset()
 }
 
 // Options returns the effective options.

@@ -91,22 +91,36 @@ type Partition struct {
 
 // New returns an idle partition.
 func New(cfg Config) *Partition {
-	if cfg.Channels <= 0 || cfg.ChannelBW <= 0 {
+	if cfg.Channels <= 0 {
 		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
+	}
+	p := &Partition{chans: make([]channel, cfg.Channels)}
+	for c := range p.chans {
+		p.chans[c].queue = bwsim.NewQueue[*memsys.Request](cfg.QueueBound)
+		p.chans[c].inFlight = bwsim.NewDelayLine[*memsys.Request]()
+	}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the partition to the state New(cfg) builds, keeping its
+// queue buffers. cfg must have the channel count it was built with.
+func (p *Partition) Reset(cfg Config) {
+	if cfg.Channels != len(p.chans) || cfg.ChannelBW <= 0 {
+		panic(fmt.Sprintf("dram: config %+v does not fit a %d-channel partition", cfg, len(p.chans)))
 	}
 	if cfg.Latency < 1 {
 		cfg.Latency = 1
 	}
 	// Every bucket starts one cycle of credit below its cap: all channels hot.
-	p := &Partition{cfg: cfg, chans: make([]channel, cfg.Channels), hot: cfg.Channels, nextDue: noneDue}
+	*p = Partition{cfg: cfg, chans: p.chans, hot: cfg.Channels, nextDue: noneDue}
 	for c := range p.chans {
 		ch := &p.chans[c]
-		ch.queue = bwsim.NewQueue[*memsys.Request](cfg.QueueBound)
-		ch.bucket = bwsim.NewBucket(cfg.ChannelBW)
-		ch.scale = 1
-		ch.inFlight = bwsim.NewDelayLine[*memsys.Request]()
+		q, f := ch.queue, ch.inFlight
+		q.Reset(cfg.QueueBound)
+		f.Reset()
+		*ch = channel{queue: q, inFlight: f, bucket: bwsim.NewBucket(cfg.ChannelBW), scale: 1}
 	}
-	return p
 }
 
 // Cfg returns the partition's configuration.

@@ -105,7 +105,7 @@ func runFaultsChecked(t *testing.T, cfg Config, spec workload.Spec, plan *fault.
 	return r, err
 }
 
-// TestCycleLoopSteadyStateAllocs pins the property DESIGN.md §10 states:
+// TestCycleLoopSteadyStateAllocs pins the property DESIGN.md "The cycle loop" states:
 // once the machine is warm, stepping it allocates nothing. SN's kernel is
 // invoked twice; the first invocation places the pages and grows queues,
 // arenas and the request pool, and the window sits inside the second.

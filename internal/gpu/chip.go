@@ -33,8 +33,7 @@ type chip struct {
 	reqNet  *noc.Crossbar
 	respNet *noc.Crossbar
 	mem     *dram.Partition
-	dyn     *llc.DynamicController // Dynamic organization only
-	dir     *coherence.Directory   // hardware coherence only
+	dir     *coherence.Directory // read under hardware coherence only
 	sms     []*sm.SM
 	slices  []llcSlice
 
@@ -69,6 +68,8 @@ type chip struct {
 	// visiting only the set bits, in index order, is the same walk.
 	sliceBusy uint64
 
+	dyn llc.DynamicController // read under the Dynamic organization only
+
 	idx int
 
 	// Epoch accumulators for the Dynamic controller.
@@ -100,11 +101,14 @@ func (c *chip) setWake(i int, w int64) {
 	}
 }
 
-// newChip builds chip idx; its SMs allocate their requests from pool.
+// newChip builds chip idx of cfg's shape, for System.arm to arm; its SMs
+// allocate their requests from pool.
 func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
-	clusters := cfg.ClustersPerChip()
 	if cfg.SMsPerChip > MaxSMsPerChip {
 		panic(fmt.Sprintf("gpu: %d SMs per chip exceed the %d the live-SM set holds", cfg.SMsPerChip, MaxSMsPerChip))
+	}
+	if cfg.SlicesPerChip > MaxSlicesPerChip {
+		panic(fmt.Sprintf("gpu: %d slices per chip exceed the %d the slice activity word holds", cfg.SlicesPerChip, MaxSlicesPerChip))
 	}
 	c := &chip{idx: idx}
 
@@ -123,61 +127,92 @@ func newChip(cfg *Config, idx int, pool *memsys.Pool) *chip {
 			Pool:    pool,
 		})
 	}
+	c.reqNet = noc.New(reqNetConfig(cfg))
+	c.respNet = noc.New(respNetConfig(cfg))
 
-	c.reqNet = noc.New(noc.Config{
-		InPorts:      clusters + 1,
+	sliceLines := cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip
+	arrs := cache.NewN(cfg.SlicesPerChip, cache.Config{
+		Sets:      sliceLines / cfg.LLCWays,
+		Ways:      cfg.LLCWays,
+		LineBytes: cfg.Geom.LineBytes,
+		Sectors:   cfg.SectorCount(),
+		WriteBack: true,
+	})
+	c.slices = make([]llcSlice, cfg.SlicesPerChip)
+	for s := range c.slices {
+		c.slices[s] = llcSlice{
+			arr:     &arrs[s],
+			mshr:    cache.NewMSHR(cfg.MSHRPerSlice),
+			lookupQ: bwsim.NewQueue[*memsys.Request](cfg.QueueBound),
+		}
+	}
+	c.hitDelay = bwsim.NewDelayLine[*memsys.Request]()
+	c.mem = dram.New(dramConfig(cfg))
+	c.dir = coherence.NewDirectory(cfg.Chips)
+	return c
+}
+
+// arm gives the chip the state newChip builds for cfg, which has the chip's
+// shape (shapeKeyOf): every component empty, its counters at zero, its
+// bandwidths, latencies and controllers set from cfg.
+func (c *chip) arm(cfg *Config) {
+	for _, smu := range c.sms {
+		smu.Reset()
+	}
+	clear(c.smWake)
+	c.smLive = [len(c.smLive)]uint64{}
+	c.wakeHint, c.sliceBusy = 0, 0
+	c.lastRingBytes, c.lastDRAMBytes = 0, 0
+	c.reqNet.Reset(reqNetConfig(cfg))
+	c.respNet.Reset(respNetConfig(cfg))
+	for i := range c.slices {
+		sl := &c.slices[i]
+		sl.arr.Reset()
+		sl.mshr.Reset()
+		sl.lookupQ.Reset(cfg.QueueBound)
+		sl.bkt = bwsim.NewBucket(cfg.SliceBW)
+		sl.lastRef = 0
+	}
+	c.hitDelay.Reset()
+	c.mem.Reset(dramConfig(cfg))
+	c.dir.Reset()
+	c.dyn.Reset(cfg.LLCWays, cfg.DynamicEpoch, 2*cfg.RingLinkBW, float64(cfg.ChannelsPerChip)*cfg.ChannelBW)
+	if cfg.Org.Partitioned() {
+		c.setPartition(cfg.LLCWays / 2)
+	}
+}
+
+// reqNetConfig sizes a chip's request crossbar: the SM clusters and the ring
+// ingress feed the slices and the ring egress.
+func reqNetConfig(cfg *Config) noc.Config {
+	return noc.Config{
+		InPorts:      cfg.ClustersPerChip() + 1,
 		OutPorts:     cfg.SlicesPerChip + 1,
 		InBW:         cfg.ClusterBW,
 		OutBW:        cfg.SliceBW,
 		IngressBound: cfg.QueueBound,
-	})
-	c.respNet = noc.New(noc.Config{
+	}
+}
+
+// respNetConfig sizes a chip's response crossbar, the request crossbar
+// mirrored.
+func respNetConfig(cfg *Config) noc.Config {
+	return noc.Config{
 		InPorts:      cfg.SlicesPerChip + 1,
-		OutPorts:     clusters + 1,
+		OutPorts:     cfg.ClustersPerChip() + 1,
 		InBW:         cfg.SliceBW,
 		OutBW:        cfg.ClusterBW,
 		IngressBound: 0, // responses always drain (sized response path)
-	})
-
-	sliceLines := cfg.LLCBytesPerChip / cfg.Geom.LineBytes / cfg.SlicesPerChip
-	if cfg.SlicesPerChip > MaxSlicesPerChip {
-		panic(fmt.Sprintf("gpu: %d slices per chip exceed the %d the slice activity word holds", cfg.SlicesPerChip, MaxSlicesPerChip))
 	}
-	c.slices = make([]llcSlice, cfg.SlicesPerChip)
-	for s := range c.slices {
-		c.slices[s] = llcSlice{
-			arr: cache.New(cache.Config{
-				Sets:      sliceLines / cfg.LLCWays,
-				Ways:      cfg.LLCWays,
-				LineBytes: cfg.Geom.LineBytes,
-				Sectors:   cfg.SectorCount(),
-				WriteBack: true,
-			}),
-			mshr:    cache.NewMSHR(cfg.MSHRPerSlice),
-			lookupQ: bwsim.NewQueue[*memsys.Request](cfg.QueueBound),
-			bkt:     bwsim.NewBucket(cfg.SliceBW),
-		}
-	}
-	c.hitDelay = bwsim.NewDelayLine[*memsys.Request]()
+}
 
-	c.mem = dram.New(dram.Config{
+func dramConfig(cfg *Config) dram.Config {
+	return dram.Config{
 		Channels:   cfg.ChannelsPerChip,
 		ChannelBW:  cfg.ChannelBW,
 		Latency:    cfg.DRAMLatency,
 		QueueBound: cfg.QueueBound,
-	})
-
-	if cfg.Org == llc.Dynamic {
-		c.dyn = llc.NewDynamicController(
-			cfg.LLCWays, cfg.DynamicEpoch,
-			2*cfg.RingLinkBW,
-			float64(cfg.ChannelsPerChip)*cfg.ChannelBW,
-		)
 	}
-	if cfg.Coherence == coherence.Hardware {
-		c.dir = coherence.NewDirectory(cfg.Chips)
-	}
-	return c
 }
 
 // setPartition applies a local/remote way split to every slice.

@@ -118,7 +118,7 @@ func PaperConfig() Config {
 }
 
 // ScaledConfig returns the laptop-scale preset the test suite and benches
-// use (DESIGN.md §7): per-chip compute and bandwidth divided by 4, cache
+// use (DESIGN.md "Scale presets"): per-chip compute and bandwidth divided by 4, cache
 // capacities and workload footprints divided by 8. Every ratio the EAB model
 // consumes — intra:inter bandwidth, footprint:LLC capacity, DRAM:LLC
 // bandwidth — matches the paper configuration.

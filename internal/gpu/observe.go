@@ -3,6 +3,7 @@ package gpu
 import (
 	"context"
 	"strconv"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/llc"
@@ -48,11 +49,22 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 // RunWithTwin is RunWith that also answers a SAC run's memory-side twin: the
 // memory-side run of the same config (Org aside), workload and options,
 // when the SAC run stayed it, else nil. A failed run answers no twin.
+//
+// It runs on a machine of cfg's shape from machines, built when the pool
+// has none, armed either way. The machine goes back to the pool only after
+// a plain run that finished cleanly — no error (a cancel and a watchdog trip
+// are errors), no panic, no fault plan, no observer — so a pooled machine
+// never carries what such a run leaves behind.
 func RunWithTwin(cfg Config, w Workload, o RunOpts) (run, twin *stats.Run, err error) {
-	sys, err := New(cfg, w)
-	if err != nil {
+	if err := check(cfg, w); err != nil {
 		return nil, nil, err
 	}
+	pool := machines.Of(shapeKeyOf(cfg))
+	sys, _ := pool.Get().(*System)
+	if sys == nil {
+		sys = build(cfg)
+	}
+	sys.arm(cfg, w)
 	if o.Faults != nil {
 		if err := sys.InjectFaults(o.Faults); err != nil {
 			return nil, nil, err
@@ -67,7 +79,22 @@ func RunWithTwin(cfg Config, w Workload, o RunOpts) (run, twin *stats.Run, err e
 	if run, err = sys.Run(); err != nil {
 		return nil, nil, err
 	}
-	return run, sys.memorySideTwin(), nil
+	twin = sys.memorySideTwin()
+	if o.Faults.Empty() && !o.Observer.Enabled() {
+		handBack(pool, sys)
+	}
+	return run, twin, nil
+}
+
+// machines pools built machines by shapeKeyOf.
+var machines ShapePools[Config]
+
+// handBack returns a machine whose plain run finished cleanly to its shape's
+// pool, dropping what the run referenced. Tests wrap it to watch hand-backs;
+// nothing else sets it.
+var handBack = func(pool *sync.Pool, s *System) {
+	*s = System{machine: s.machine}
+	pool.Put(s)
 }
 
 // ctxCheckStride is how many cycles pass between context polls. ctx.Err is

@@ -110,7 +110,7 @@ func TestInputGrowthFlipsPreference(t *testing.T) {
 	}
 }
 
-// Scale invariance (DESIGN.md §7): dividing machine bandwidth, capacities
+// Scale invariance (DESIGN.md "Scale presets"): dividing machine bandwidth, capacities
 // and footprints by the same factor preserves the organization preference.
 func TestScaleInvariancePreservesPreference(t *testing.T) {
 	base := tinyConfig()

@@ -57,30 +57,17 @@ func CheckMachine(w Workload, m workload.Machine) error {
 	return nil
 }
 
-// System is one simulated multi-chip GPU executing one benchmark.
+// System is one simulated multi-chip GPU executing one benchmark: a built
+// machine, armed for one run.
 type System struct {
-	cfg   Config
-	spec  Workload
-	chips []*chip
-	ring  *xchip.Ring
-	pae   *addr.PAE
-	pages *addr.PageTable
+	machine
+
+	cfg  Config
+	spec Workload
 
 	mode  llc.Mode
-	sac   *core.Controller
+	sac   *core.Controller // machine.sacCtl under SAC, else nil
 	hwCoh bool
-
-	reqSinks  []noc.Sink
-	respSinks []noc.Sink
-	// Preallocated per-tick sinks: building these inside step would allocate
-	// a closure (dramSinks) or an interface box (ringDeliver) every cycle.
-	dramSinks   []func(*memsys.Request)
-	ringDeliver xchip.Sink
-
-	// One request pool for the whole machine: every request is allocated
-	// from pool (SM issues, writebacks, invalidations) and retired into it,
-	// wherever in the machine its life ends.
-	pool memsys.Pool
 
 	run   *stats.Run
 	now   int64
@@ -129,33 +116,92 @@ type System struct {
 	kernelMode       llc.Mode // mode the kernel (mostly) ran under, for Figure 12
 }
 
-// New builds a system for one benchmark run.
+// machine is what build allocates for one machine shape (shapeKeyOf), and
+// what every run of that shape may reuse: arm re-arms it in place.
+type machine struct {
+	chips  []*chip
+	ring   *xchip.Ring
+	pae    *addr.PAE
+	pages  *addr.PageTable
+	sacCtl *core.Controller
+
+	reqSinks  []noc.Sink
+	respSinks []noc.Sink
+	// Preallocated per-tick sinks: building these inside step would allocate
+	// a closure (dramSinks) or an interface box (ringDeliver) every cycle.
+	dramSinks   []func(*memsys.Request)
+	ringDeliver xchip.Sink
+
+	// One request pool for the whole machine: every request is allocated
+	// from pool (SM issues, writebacks, invalidations) and retired into it,
+	// wherever in the machine its life ends. Its free list outlives a run.
+	pool memsys.Pool
+
+	// A kernel's warp streams, one per warp in (chip, SM, warp) order:
+	// warpStreams is what the SMs load; a workload.Spec builds the streams
+	// themselves into streams, in place.
+	streams     []workload.Stream
+	warpStreams []workload.AccessStream
+}
+
+// New builds a system for one benchmark run: a fresh machine, armed.
 func New(cfg Config, spec Workload) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := check(cfg, spec); err != nil {
 		return nil, err
+	}
+	s := build(cfg)
+	s.arm(cfg, spec)
+	return s, nil
+}
+
+// check is what every run checks before it takes a machine.
+func check(cfg Config, spec Workload) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if err := cfg.Machine().Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if spec.KernelCount() == 0 {
-		return nil, fmt.Errorf("gpu: workload %q has no kernels", spec.SourceName())
+		return fmt.Errorf("gpu: workload %q has no kernels", spec.SourceName())
 	}
-	if err := CheckMachine(spec, cfg.Machine()); err != nil {
-		return nil, err
-	}
-	s := &System{
-		cfg:   cfg,
-		spec:  spec,
-		pae:   addr.NewPAE(cfg.SlicesPerChip, cfg.ChannelsPerChip),
-		pages: addr.NewPageTable(cfg.Geom, cfg.Chips),
-		mode:  cfg.Org.InitialMode(),
-		run:   &stats.Run{Benchmark: spec.SourceName(), Org: cfg.Org.String()},
-	}
+	return CheckMachine(spec, cfg.Machine())
+}
+
+// shapeKeyOf is the key a built machine is pooled under: cfg with the armed
+// set zeroed.
+//
+// The armed set is the fields of Config that size nothing build allocates,
+// so arm gives a built machine any value of them:
+//
+//   - Org, Coherence, SACOpts and DynamicEpoch: the routing mode, the SAC and
+//     Dynamic controllers, the Static partition;
+//   - ClusterBW, SliceBW, RingLinkBW and ChannelBW: the bucket rates;
+//   - L1Latency, LLCLatency, DRAMLatency and RingHopLatency;
+//   - WorkloadScale (the streams), MaxCycles and WatchdogCycles.
+//
+// Every other field sizes an array: chips, SMs, warps, clusters, slices,
+// the cache geometry, channels, MSHRPerSlice and QueueBound.
+// TestArmInvariantFields perturbs each field of the set between two runs on
+// one machine, requires fresh machines' bytes, and requires this key to zero
+// exactly the set; it is the authority over this list.
+func shapeKeyOf(cfg Config) Config {
+	cfg.Org, cfg.Coherence, cfg.SACOpts, cfg.DynamicEpoch = 0, 0, core.Options{}, 0
+	cfg.ClusterBW, cfg.SliceBW, cfg.RingLinkBW, cfg.ChannelBW = 0, 0, 0, 0
+	cfg.L1Latency, cfg.LLCLatency, cfg.DRAMLatency, cfg.RingHopLatency = 0, 0, 0, 0
+	cfg.WorkloadScale, cfg.MaxCycles, cfg.WatchdogCycles = 0, 0, 0
+	return cfg
+}
+
+// build allocates a machine of cfg's shape (cfg passed check).
+func build(cfg Config) *System {
+	s := &System{}
+	s.pae = addr.NewPAE(cfg.SlicesPerChip, cfg.ChannelsPerChip)
+	s.pages = addr.NewPageTable(cfg.Geom, cfg.Chips)
 	s.chips = make([]*chip, cfg.Chips)
 	for i := range s.chips {
 		s.chips[i] = newChip(&cfg, i, &s.pool)
 	}
-	s.hwCoh = cfg.Coherence == coherence.Hardware
 	for _, c := range s.chips {
 		ch := c
 		s.reqSinks = append(s.reqSinks, &reqSink{s: s, c: c, ringOut: c.ringOutReqPort(&cfg)})
@@ -163,22 +209,47 @@ func New(cfg Config, spec Workload) (*System, error) {
 		s.dramSinks = append(s.dramSinks, func(req *memsys.Request) { s.dramDone(ch, req) })
 	}
 	s.ringDeliver = ringSink{s}
-	s.ring = xchip.New(xchip.Config{
+	s.ring = xchip.New(ringConfig(&cfg))
+	prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
+	s.sacCtl = core.NewController(cfg.ArchParams(), prof, cfg.SACOpts)
+	s.warpStreams = make([]workload.AccessStream, cfg.Machine().TotalWarps())
+	return s
+}
+
+// arm gives a built machine exactly the state a fresh one has for (cfg,
+// spec): cfg has the machine's shape and passed check. It keeps the request
+// pool's free list and the buffers the components grew.
+func (s *System) arm(cfg Config, spec Workload) {
+	*s = System{
+		machine: s.machine,
+		cfg:     cfg,
+		spec:    spec,
+		mode:    cfg.Org.InitialMode(),
+		hwCoh:   cfg.Coherence == coherence.Hardware,
+		run: &stats.Run{
+			Benchmark: spec.SourceName(),
+			Org:       cfg.Org.String(),
+			Kernels:   make([]stats.KernelRec, 0, spec.KernelCount()),
+		},
+	}
+	s.pages.Reset()
+	for _, c := range s.chips {
+		c.arm(&s.cfg)
+	}
+	s.ring.Reset(ringConfig(&s.cfg))
+	if cfg.Org == llc.SAC {
+		s.sacCtl.Reset(cfg.ArchParams(), cfg.SACOpts)
+		s.sac = s.sacCtl
+	}
+}
+
+func ringConfig(cfg *Config) xchip.Config {
+	return xchip.Config{
 		Chips:      cfg.Chips,
 		LinkBW:     cfg.RingLinkBW,
 		HopLatency: cfg.RingHopLatency,
 		QueueBound: cfg.QueueBound,
-	})
-	if cfg.Org.Partitioned() {
-		for _, c := range s.chips {
-			c.setPartition(cfg.LLCWays / 2)
-		}
 	}
-	if cfg.Org == llc.SAC {
-		prof := core.NewProfiler(cfg.Chips, cfg.SlicesPerChip, cfg.CRDConfig())
-		s.sac = core.NewController(cfg.ArchParams(), prof, cfg.SACOpts)
-	}
-	return s, nil
 }
 
 // Mode returns the system's current routing mode.
@@ -200,17 +271,7 @@ func (s *System) Run() (*stats.Run, error) {
 }
 
 func (s *System) runKernel() error {
-	m := s.cfg.Machine()
-	for _, c := range s.chips {
-		for _, smu := range c.sms {
-			streams := make([]workload.AccessStream, s.cfg.WarpsPerSM)
-			for w := range streams {
-				streams[w] = s.spec.Stream(m, s.kernelIdx, c.idx, smu.Index(), w)
-			}
-			smu.LoadStreams(streams)
-			c.setWake(smu.Index(), smu.SleepUntil())
-		}
-	}
+	s.loadStreams()
 	s.kernelStartCycle = s.now
 	s.kernelStartOps = s.run.MemOps
 	s.lastProgress = s.now
@@ -260,6 +321,32 @@ func (s *System) runKernel() error {
 	})
 	s.traceKernel()
 	return nil
+}
+
+// loadStreams hands every SM its warps' streams for the current kernel. A
+// workload.Spec builds them in place into the machine's storage; any other
+// workload (a trace replay) hands out its own.
+func (s *System) loadStreams() {
+	m := s.cfg.Machine()
+	ws := s.warpStreams
+	if spec, ok := s.spec.(workload.Spec); ok {
+		s.streams = spec.AppendStreams(s.streams[:0], m, s.kernelIdx)
+		for i := range ws {
+			ws[i] = &s.streams[i]
+		}
+	} else {
+		for i := range ws {
+			chip, smi, warp := i/m.WarpsPerChip(), i/m.WarpsPerSM%m.SMsPerChip, i%m.WarpsPerSM
+			ws[i] = s.spec.Stream(m, s.kernelIdx, chip, smi, warp)
+		}
+	}
+	for _, c := range s.chips {
+		for _, smu := range c.sms {
+			first := (c.idx*m.SMsPerChip + smu.Index()) * m.WarpsPerSM
+			smu.LoadStreams(ws[first : first+m.WarpsPerSM])
+			c.setWake(smu.Index(), smu.SleepUntil())
+		}
+	}
 }
 
 // step advances one cycle; it returns true when the kernel has fully
@@ -679,7 +766,8 @@ func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Part
 }
 
 // dirFor returns the hardware-coherence directory responsible for a line
-// (at the line's home chip), or nil under software coherence.
+// (at the line's home chip), or nil when the line's page was never touched.
+// Only hardware coherence reads the directories.
 func (c *chip) dirFor(s *System, line uint64) *coherence.Directory {
 	home := s.pages.Home(line)
 	if home < 0 {
@@ -1142,7 +1230,7 @@ func (s *System) flushLLC(full bool) {
 				c.slices[i].arr.FlushDirty(onDirty)
 			}
 		}
-		if c.dir != nil && full {
+		if s.hwCoh && full {
 			c.dir.Reset()
 		}
 	}

@@ -279,7 +279,10 @@ func (j *Journal) liveLocked() []LiveJob {
 	return out
 }
 
-// rewrite atomically replaces the file with accept records for live.
+// rewrite atomically replaces the file with accept records for live: it
+// writes them to a temporary file, fsyncs that (with Sync) and renames it
+// over the journal. On failure the temporary file is removed and the
+// journal file is left as it was.
 func (j *Journal) rewrite(live []LiveJob) error {
 	tmp := j.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -289,35 +292,25 @@ func (j *Journal) rewrite(live []LiveJob) error {
 	w := bufio.NewWriter(f)
 	now := time.Now().UnixMilli()
 	for _, lj := range live {
-		line, err := encode(Record{Op: OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline, Unix: now})
-		if err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("journal: %w", err)
-		}
+		// Every live request was decoded from, or encoded into, a record
+		// already, so encoding it again cannot fail. A failed write sticks
+		// in w, and Flush reports it.
+		line, _ := encode(Record{Op: OpAccept, ID: lj.ID, Req: lj.Req, Deadline: lj.Deadline, Unix: now})
+		w.Write(line)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	err = w.Flush()
+	if err == nil && j.opt.Sync {
+		err = j.syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, j.path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if j.opt.Sync {
-		if err := j.syncFile(f); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: compact: %w", err)
 	}
 	return nil
 }
@@ -334,14 +327,12 @@ func (j *Journal) reopen() error {
 
 // syncFile runs the configured fsync (or its chaos replacement) on f.
 func (j *Journal) syncFile(f *os.File) error {
+	fsync := f.Sync
 	if j.opt.SyncHook != nil {
-		if err := j.opt.SyncHook(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-		return nil
+		fsync = j.opt.SyncHook
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+	if err := fsync(); err != nil {
+		return fmt.Errorf("sync: %w", err)
 	}
 	return nil
 }
@@ -376,7 +367,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	if j.opt.Sync {
 		if err := j.syncFile(j.f); err != nil {
-			return err
+			return fmt.Errorf("journal: %w", err)
 		}
 	}
 	j.records++

@@ -275,3 +275,137 @@ func TestDeadlinePreserved(t *testing.T) {
 		j2.Close()
 	}
 }
+
+// compactFails compacts j, which must fail, and checks that the failure
+// left nothing behind: no temporary file, and a journal file that replays
+// to the live set it held before.
+func compactFails(t *testing.T, j *Journal, path string) error {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cerr := j.Compact()
+	if cerr == nil {
+		t.Fatal("Compact succeeded")
+	}
+	if _, err := os.Lstat(path + ".compact"); !os.IsNotExist(err) {
+		t.Errorf("a failed compaction left its temporary file behind (%v)", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Errorf("a failed compaction changed the journal:\nbefore %q\nafter  %q", before, after)
+	}
+	return cerr
+}
+
+// openWithDead opens a journal holding live job j0 and a finished job j1,
+// so a compaction has a record to drop.
+func openWithDead(t *testing.T, opt Options) (*Journal, string) {
+	t.Helper()
+	j, path := openFresh(t, opt)
+	for _, rec := range []Record{accept("j0"), accept("j1"), {Op: OpDone, ID: "j1", State: "done"}} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return j, path
+}
+
+// TestCompactOpenFails: a temporary file that cannot be created fails the
+// compaction and costs nothing: the journal keeps appending to its file.
+func TestCompactOpenFails(t *testing.T) {
+	j, path := openWithDead(t, Options{})
+	if err := os.Mkdir(path+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err == nil {
+		t.Fatal("Compact succeeded with a directory in its temporary file's place")
+	}
+	if err := j.Append(accept("j2")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.Remove(path + ".compact"); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Live) != 2 || rep.Records != 4 {
+		t.Fatalf("replay after a failed compaction: %d live of %d records, want 2 of 4", len(rep.Live), rep.Records)
+	}
+}
+
+// fullDevice plants /dev/full in the temporary file's place: writes to it
+// fail with ENOSPC, an fsync with EINVAL.
+func fullDevice(t *testing.T, path string) {
+	t.Helper()
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	if err := os.Symlink("/dev/full", path+".compact"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactWriteFails: a temporary file the live set cannot be written to
+// fails the compaction, which removes it.
+func TestCompactWriteFails(t *testing.T) {
+	j, path := openWithDead(t, Options{})
+	fullDevice(t, path)
+	if err := compactFails(t, j, path); !strings.Contains(err.Error(), "no space") {
+		t.Errorf("Compact returned %v, want the write's ENOSPC", err)
+	}
+}
+
+// TestCompactFsyncFails: with Sync on and no hook, the temporary file's own
+// fsync failing fails the compaction, which removes the file. The live set
+// is empty, so nothing is written before the fsync.
+func TestCompactFsyncFails(t *testing.T) {
+	j, path := openFresh(t, Options{Sync: true})
+	for _, rec := range []Record{accept("j0"), {Op: OpDone, ID: "j0", State: "done"}} {
+		if err := j.Append(rec); err != nil { // a real fsync, which succeeds
+			t.Fatal(err)
+		}
+	}
+	fullDevice(t, path)
+	if err := compactFails(t, j, path); !strings.Contains(err.Error(), "sync") {
+		t.Errorf("Compact returned %v, want the fsync's error", err)
+	}
+}
+
+// TestCompactSyncHookFails: a failing sync hook fails the compaction, which
+// removes its temporary file.
+func TestCompactSyncHookFails(t *testing.T) {
+	boom := errors.New("disk on fire")
+	failing := false
+	j, path := openWithDead(t, Options{Sync: true, SyncHook: func() error {
+		if failing {
+			return boom
+		}
+		return nil
+	}})
+	failing = true
+	if err := compactFails(t, j, path); !errors.Is(err, boom) {
+		t.Errorf("Compact returned %v, want %v", err, boom)
+	}
+}
+
+// TestCompactRenameFails: a journal path the temporary file cannot be
+// renamed over fails the compaction, which removes the temporary file.
+func TestCompactRenameFails(t *testing.T) {
+	j, path := openWithDead(t, Options{})
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err == nil || !strings.Contains(err.Error(), "compact") {
+		t.Fatalf("Compact over a directory returned %v, want the rename's error", err)
+	}
+	if _, err := os.Lstat(path + ".compact"); !os.IsNotExist(err) {
+		t.Errorf("a failed rename left the temporary file behind (%v)", err)
+	}
+}

@@ -180,13 +180,21 @@ type DynamicController struct {
 
 // NewDynamicController returns a controller starting at the half/half split.
 func NewDynamicController(ways int, epoch int64, ringCap, dramCap float64) *DynamicController {
+	d := new(DynamicController)
+	d.Reset(ways, epoch, ringCap, dramCap)
+	return d
+}
+
+// Reset gives d the state NewDynamicController returns for the same
+// arguments.
+func (d *DynamicController) Reset(ways int, epoch int64, ringCap, dramCap float64) {
 	if ways < 2 {
 		panic("llc: dynamic controller needs >= 2 ways")
 	}
 	if epoch <= 0 {
 		epoch = 4096
 	}
-	return &DynamicController{
+	*d = DynamicController{
 		ways: ways, localWays: ways / 2, epoch: epoch,
 		// The partition moves at most a quarter of the ways from the
 		// half/half start in either direction: the design keeps both

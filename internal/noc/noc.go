@@ -92,26 +92,35 @@ type Crossbar struct {
 
 // New returns an idle crossbar.
 func New(cfg Config) *Crossbar {
-	if cfg.InPorts <= 0 || cfg.OutPorts <= 0 || cfg.InBW <= 0 || cfg.OutBW <= 0 {
+	if cfg.InPorts <= 0 || cfg.OutPorts <= 0 {
 		panic(fmt.Sprintf("noc: invalid config %+v", cfg))
 	}
 	x := &Crossbar{
-		cfg:  cfg,
-		in:   make([]inPort, cfg.InPorts),
-		out:  make([]outPort, cfg.OutPorts),
-		wide: cfg.InPorts > 64,
+		in:  make([]inPort, cfg.InPorts),
+		out: make([]outPort, cfg.OutPorts),
 	}
 	for i := range x.in {
-		x.in[i] = inPort{
-			queue: bwsim.NewQueue[Message](cfg.IngressBound),
-			bkt:   bwsim.NewBucket(cfg.InBW),
-			scale: 1,
-		}
+		x.in[i].queue = bwsim.NewQueue[Message](cfg.IngressBound)
+	}
+	x.Reset(cfg)
+	return x
+}
+
+// Reset returns the crossbar to the state New(cfg) builds, keeping its queue
+// buffers. cfg must have the port counts the crossbar was built with.
+func (x *Crossbar) Reset(cfg Config) {
+	if cfg.InPorts != len(x.in) || cfg.OutPorts != len(x.out) || cfg.InBW <= 0 || cfg.OutBW <= 0 {
+		panic(fmt.Sprintf("noc: config %+v does not fit a %dx%d crossbar", cfg, len(x.in), len(x.out)))
+	}
+	*x = Crossbar{cfg: cfg, in: x.in, out: x.out, wide: cfg.InPorts > 64}
+	for i := range x.in {
+		q := x.in[i].queue
+		q.Reset(cfg.IngressBound)
+		x.in[i] = inPort{queue: q, bkt: bwsim.NewBucket(cfg.InBW), scale: 1}
 	}
 	for o := range x.out {
-		x.out[o].bkt = bwsim.NewBucket(cfg.OutBW)
+		x.out[o] = outPort{bkt: bwsim.NewBucket(cfg.OutBW)}
 	}
-	return x
 }
 
 // Cfg returns the crossbar's configuration.

@@ -106,6 +106,14 @@ func New(cfg Config) *SM {
 	}
 }
 
+// Reset returns the SM to the state New built it in: an empty L1 and no
+// warps (it keeps their storage, dropping their streams).
+func (s *SM) Reset() {
+	s.l1.Reset()
+	clear(s.warps)
+	*s = SM{cfg: s.cfg, l1: s.l1, warps: s.warps[:0], pending: s.pending[:0], waitNext: s.waitNext}
+}
+
 // Chip returns the SM's chip index.
 func (s *SM) Chip() int { return s.cfg.Chip }
 

@@ -56,9 +56,10 @@ import (
 // the estimate rung's cache models onto cache.Cache at their real geometry;
 // v6 dropped the estimate rung's refused experiments from the sweep golden;
 // v7 dropped the SAC option that reused a kernel's decision across
-// invocations from the config encoding.
+// invocations from the config encoding; v8 charged an estimated memory-side
+// run every remote-homed LLC access on the ring, whatever SAC would decide.
 // TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
-const schemaVersion = 7
+const schemaVersion = 8
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields

@@ -34,7 +34,7 @@ import (
 )
 
 // Machine describes the shape of the simulated GPU the streams are built
-// for. Scale divides all full-scale region sizes (see DESIGN.md §7).
+// for. Scale divides all full-scale region sizes (see DESIGN.md "Scale presets").
 type Machine struct {
 	Chips      int
 	SMsPerChip int

@@ -87,29 +87,43 @@ type Ring struct {
 
 // New returns an idle ring.
 func New(cfg Config) *Ring {
-	if cfg.Chips < 2 || cfg.LinkBW <= 0 {
+	if cfg.Chips < 2 {
 		panic(fmt.Sprintf("xchip: invalid config %+v", cfg))
+	}
+	r := &Ring{
+		links:     make([][2]link, cfg.Chips),
+		landDueBy: make([]int64, cfg.Chips),
+	}
+	for c := range r.links {
+		for d := range r.links[c] {
+			r.links[c][d].egress = bwsim.NewQueue[Message](cfg.QueueBound)
+			r.links[c][d].inFlight = bwsim.NewDelayLine[Message]()
+		}
+	}
+	r.Reset(cfg)
+	return r
+}
+
+// Reset returns the ring to the state New(cfg) builds, keeping its queue
+// buffers. cfg must have the chip count the ring was built with.
+func (r *Ring) Reset(cfg Config) {
+	if cfg.Chips != len(r.links) || cfg.LinkBW <= 0 {
+		panic(fmt.Sprintf("xchip: config %+v does not fit a %d-chip ring", cfg, len(r.links)))
 	}
 	if cfg.HopLatency < 1 {
 		cfg.HopLatency = 1
 	}
-	r := &Ring{
-		cfg:       cfg,
-		links:     make([][2]link, cfg.Chips),
-		landDueBy: make([]int64, cfg.Chips),
-	}
-	for c := 0; c < cfg.Chips; c++ {
+	*r = Ring{cfg: cfg, links: r.links, landDueBy: r.landDueBy}
+	for c := range r.links {
 		r.landDueBy[c] = -1
-		for d := 0; d < 2; d++ {
-			r.links[c][d] = link{
-				egress:   bwsim.NewQueue[Message](cfg.QueueBound),
-				inFlight: bwsim.NewDelayLine[Message](),
-				bkt:      bwsim.NewBucket(cfg.LinkBW),
-				scale:    1,
-			}
+		for d := range r.links[c] {
+			l := &r.links[c][d]
+			q, f := l.egress, l.inFlight
+			q.Reset(cfg.QueueBound)
+			f.Reset()
+			*l = link{egress: q, inFlight: f, bkt: bwsim.NewBucket(cfg.LinkBW), scale: 1}
 		}
 	}
-	return r
 }
 
 // Cfg returns the ring's configuration.

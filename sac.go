@@ -55,7 +55,7 @@ type Config = gpu.Config
 func PaperConfig() Config { return gpu.PaperConfig() }
 
 // ScaledConfig returns the laptop-scale preset with all of the paper's
-// bandwidth and capacity ratios preserved (DESIGN.md §7).
+// bandwidth and capacity ratios preserved (DESIGN.md "Scale presets").
 func ScaledConfig() Config { return gpu.ScaledConfig() }
 
 // MCMConfig returns the interposer-class multi-chip-module variant (high
