@@ -90,10 +90,12 @@ syncsmoke:
 # two goroutines, perturbing any armed config field between runs on one
 # machine does too, the shape key zeroes exactly the armed fields, only a
 # plain clean run hands its machine back, and a re-armed run allocates only
-# its answer. The third holds a sacd batch and a sweep's RunAll to the
-# same bytes with one replay per (machine, spec), a sweep's RunAll to lone
-# runs' bytes with its twinned memory-side cells not simulated (exact_sweep's
-# 21 cells: 18 simulations), and the experiments outside the rung's coverage
+# its answer, also after two collections on a fresh goroutine (the shape
+# pool keeps what it is given, up to its peak). The third holds a sacd batch
+# and a sweep's RunAll to the same bytes with one replay per (machine, spec),
+# a sweep's RunAll to lone runs' bytes with its twinned memory-side cells not
+# simulated (exact_sweep's 21 cells: 18 simulations), and the experiments
+# outside the rung's coverage
 # to a refusal before any cell runs. The fourth pins sacsweep's -json bytes: every
 # experiment the estimate rung covers over the fast set (the six it does not
 # are one skip line each), and an exact Fig 8 cold and warm from a result
@@ -103,7 +105,7 @@ fidelitysmoke:
 	$(GO) test -count=1 \
 		-run 'TestCrossFidelityDecisions|TestEstimateLatency|TestFidelityRoundTrip' .
 	$(GO) test -count=1 \
-		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateFixedOrgsIgnoreTheta|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers|TestMemorySideTwinLaw|TestMemorySideTwinWithheld|TestRunSetSharesTwins|TestRearmDifferential|TestArmInvariantFields|TestHandBackRule|TestExactSteadyStateAllocs' \
+		-run 'TestEstimateUniverseGolden|TestEstimateStraddleGolden|TestEstimateFixedOrgsIgnoreTheta|TestEstimateHeldOutDecisions|TestEstimateSteadyStateAllocs|TestNewStreamAllocations|TestAppendStreamsMatchesNewStream|TestCRDResetIsCold|TestProfileInvariantFields|TestRunSetCancelNotShared|TestEstimateCoverage|TestCovers|TestMemorySideTwinLaw|TestMemorySideTwinWithheld|TestRunSetSharesTwins|TestRearmDifferential|TestArmInvariantFields|TestHandBackRule|TestExactSteadyStateAllocs|TestPooledMachineOutlivesGC|TestShapePoolsKeepPeak' \
 		./internal/backend ./internal/workload ./internal/core ./internal/gpu
 	$(GO) test -count=1 -run 'TestBatchSharesProfiles|TestRunAllSharesEstimateProfiles|TestRunAllSharesTwins|TestEstimateRefusesUncovered' \
 		./internal/server ./internal/eval
@@ -118,10 +120,10 @@ clustersmoke:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -count=1 -run TestFleetEndToEnd ./cmd/saccoord
 
-# fuzz is a short smoke of the untrusted-input decoders (the trace reader,
-# the store's record reader and its segment scan, the fault-plan DSL, the
-# jobs HTTP surface sacd and saccoord share, the journal's replay, and the
-# coordinator's worker register/heartbeat bodies), plus the hand-written
+# fuzz is a short smoke of the untrusted-input decoders (the store's record
+# reader and its segment scan, the fault-plan DSL, the jobs HTTP surface sacd
+# and saccoord share, the journal's replay, and the coordinator's worker
+# register/heartbeat bodies), plus the hand-written
 # jobs wire codec against encoding/json: the status encoder, the request
 # decoder both daemons run and the client's status decoder, and the
 # profiler's Reset against a fresh profiler (the estimate rung pools one
@@ -129,7 +131,6 @@ clustersmoke:
 # single-core CI runners; long campaigns run the same targets with a time
 # budget instead.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzTraceRead -fuzztime 20000x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzStoreObject -fuzztime 20000x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzPackScan -fuzztime 20000x ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime 20000x .

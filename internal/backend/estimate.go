@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/cache"
@@ -87,12 +86,12 @@ type replayScratch struct {
 }
 
 // scratches pools replay scratches by replayShape.
-var scratches gpu.ShapePools[replayShape]
+var scratches gpu.ShapePools[replayShape, *replayScratch]
 
 // takeScratch takes a scratch of cfg's shape from its pool, built when the
 // pool has none; the caller hands it back with giveScratch once nothing
 // reads its kernel profiles.
-func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
+func takeScratch(cfg gpu.Config) (replayShape, *replayScratch) {
 	m := cfg.Machine()
 	modelSets, _ := llcSampling(cfg)
 	sh := replayShape{
@@ -101,9 +100,8 @@ func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
 		chips: cfg.Chips, slicesPerChip: cfg.SlicesPerChip, llcSets: modelSets, llcWays: cfg.LLCWays,
 		lineBytes: cfg.Geom.LineBytes, crd: cfg.CRDConfig(),
 	}
-	pool := scratches.Of(sh)
-	sc, _ := pool.Get().(*replayScratch)
-	if sc == nil {
+	sc, ok := scratches.Get(sh)
+	if !ok {
 		sc = &replayScratch{
 			l1:      cache.NewN(sh.sms, cache.Config{Sets: sh.l1Sets, Ways: sh.l1Ways, LineBytes: sh.lineBytes}),
 			llc:     cache.NewN(sh.chips*sh.slicesPerChip, cache.Config{Sets: sh.llcSets, Ways: sh.llcWays, LineBytes: sh.lineBytes}),
@@ -111,12 +109,12 @@ func takeScratch(cfg gpu.Config) (*sync.Pool, *replayScratch) {
 			cursors: make([]cursor, 0, sh.warps),
 		}
 	}
-	return pool, sc
+	return sh, sc
 }
 
-func giveScratch(pool *sync.Pool, sc *replayScratch) {
+func giveScratch(sh replayShape, sc *replayScratch) {
 	clear(sc.cursors) // drop stream references before pooling
-	pool.Put(sc)
+	scratches.Put(sh, sc)
 }
 
 // kernelProfile is one unique kernel's profiled window: what the replay
@@ -167,11 +165,11 @@ func llcSampling(cfg gpu.Config) (sets int, sampleMask uint64) {
 // read out of the pooled scratch, so a call allocates no more than the
 // replay and the run record need.
 func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, error) {
-	if err := checkEstimate(cfg, w, o); err != nil {
+	if err := checkEstimate(cfg, o); err != nil {
 		return nil, err
 	}
-	pool, sc := takeScratch(cfg)
-	defer giveScratch(pool, sc)
+	sh, sc := takeScratch(cfg)
+	defer giveScratch(sh, sc)
 	kps, err := profile(cfg, w, o, sc)
 	if err != nil {
 		return nil, err
@@ -180,16 +178,16 @@ func runEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (*stats.Run, err
 }
 
 // checkEstimate is what every estimate cell checks for itself before it
-// profiles, or reuses a run-set mate's profile: a valid configuration, no
-// fault plan, and a workload the machine can run.
-func checkEstimate(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) error {
+// profiles, or reuses a run-set mate's profile: a valid configuration and no
+// fault plan.
+func checkEstimate(cfg gpu.Config, o gpu.RunOpts) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if !o.Faults.Empty() {
 		return fmt.Errorf("backend: fidelity %q cannot apply a fault plan; use %q", Estimate, Exact)
 	}
-	return gpu.CheckMachine(w, cfg.Machine())
+	return nil
 }
 
 // profileKeyOf is the key a RunSet shares profiles under: cfg with the
@@ -294,7 +292,7 @@ func profile(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts, sc *replayScratch) (
 		}
 		kp := &kps[ki]
 		// A Spec builds the kernel's streams into the scratch's storage in
-		// one call; any other workload (a trace replay) hands out its own.
+		// one call; any other workload hands out its own.
 		if isSpec {
 			sc.streams = spec.AppendStreams(sc.streams[:0], m, ki)
 		}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/llc"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -27,11 +26,16 @@ const (
 	universeGoldenPath = "testdata/estimate_universe.json"
 )
 
-// straddleReplay is a trace replay whose pages sit on both sides of the
-// page table's dense bound (page 1<<22): a small synthetic spec's streams,
-// every line shifted so that private, falsely-shared and truly-shared
-// regions all cross the bound.
-func straddleReplay(t *testing.T, m workload.Machine) *trace.Replay {
+// straddle is a workload whose pages sit on both sides of the page table's
+// dense bound (page 1<<22): a small synthetic spec's streams, every line
+// shifted so that private, falsely-shared and truly-shared regions all
+// cross the bound.
+type straddle struct {
+	spec  workload.Spec
+	shift uint64 // lines added to every access
+}
+
+func newStraddle(t *testing.T, m workload.Machine) straddle {
 	t.Helper()
 	spec := workload.Spec{
 		Name: "straddle", CTAs: 8, Repeats: 2,
@@ -47,52 +51,48 @@ func straddleReplay(t *testing.T, m workload.Machine) *trace.Replay {
 	// Centre the spec's line space on the bound: the falsely-shared region
 	// (the middle one) starts half its length below page 1<<22.
 	mid := (l.FalseBase + uint64(l.FalseLines)/2) / lpp
-	shift := (uint64(1)<<22 - mid) * lpp
+	w := straddle{spec: spec, shift: (uint64(1)<<22 - mid) * lpp}
 
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{
-		Chips: int32(m.Chips), SMsPerChip: int32(m.SMsPerChip), WarpsPerSM: int32(m.WarpsPerSM),
-		LineBytes: int32(m.Geom.LineBytes), PageBytes: int32(m.Geom.PageBytes),
-		Scale: int32(m.Scale), Kernels: int32(spec.KernelCount()), Name: spec.Name,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var below, above int
-	for ki := 0; ki < spec.KernelCount(); ki++ {
-		for chip := 0; chip < m.Chips; chip++ {
-			for smi := 0; smi < m.SMsPerChip; smi++ {
-				for warp := 0; warp < m.WarpsPerSM; warp++ {
-					var accs []trace.Access
-					s := spec.NewStream(m, ki, chip, smi, warp)
-					for a, ok := s.Next(); ok; a, ok = s.Next() {
-						a.Line += shift
-						if a.Line/lpp < 1<<22 {
-							below++
-						} else {
-							above++
-						}
-						accs = append(accs, a)
-					}
-					if err := w.WarpStream(accs); err != nil {
-						t.Fatal(err)
-					}
+	for ki := 0; ki < w.KernelCount(); ki++ {
+		for i := 0; i < m.TotalWarps(); i++ {
+			s := w.Stream(m, ki, i/m.WarpsPerChip(), i/m.WarpsPerSM%m.SMsPerChip, i%m.WarpsPerSM)
+			for a, ok := s.Next(); ok; a, ok = s.Next() {
+				if a.Line/lpp < 1<<22 {
+					below++
+				} else {
+					above++
 				}
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if below == 0 || above == 0 {
-		t.Fatalf("trace does not straddle the bound: %d accesses below, %d above", below, above)
+		t.Fatalf("workload does not straddle the bound: %d accesses below, %d above", below, above)
 	}
-	tr, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return trace.NewReplay(tr)
+	return w
 }
+
+func (w straddle) SourceName() string      { return w.spec.Name }
+func (w straddle) KernelCount() int        { return w.spec.KernelCount() }
+func (w straddle) KernelName(i int) string { return fmt.Sprintf("k%d", i) }
+
+func (w straddle) Stream(m workload.Machine, ki, chip, sm, warp int) workload.AccessStream {
+	return &shiftedStream{s: w.spec.NewStream(m, ki, chip, sm, warp), by: w.shift}
+}
+
+// shiftedStream plays s with every line moved up by by.
+type shiftedStream struct {
+	s  *workload.Stream
+	by uint64
+}
+
+func (s *shiftedStream) Next() (workload.Access, bool) {
+	a, ok := s.s.Next()
+	a.Line += s.by
+	return a, ok
+}
+
+func (s *shiftedStream) Len() int64 { return s.s.Len() }
 
 // TestEstimateStraddleGolden pins the estimate rung byte-for-byte on the
 // input class no synthetic spec produces: first-touch homes for pages on
@@ -103,11 +103,11 @@ func TestEstimateStraddleGolden(t *testing.T) {
 	cfg.SMsPerChip = 4
 	cfg.WarpsPerSM = 4
 	cfg.WorkloadScale = 16
-	rep := straddleReplay(t, cfg.Machine())
+	w := newStraddle(t, cfg.Machine())
 
 	got := map[string]*stats.Run{}
 	for _, org := range []llc.Org{llc.MemorySide, llc.SMSide, llc.SAC} {
-		run, err := Run(cfg.WithOrg(org), rep, gpu.RunOpts{Fidelity: Estimate})
+		run, err := Run(cfg.WithOrg(org), w, gpu.RunOpts{Fidelity: Estimate})
 		if err != nil {
 			t.Fatalf("%s: %v", org, err)
 		}
@@ -136,10 +136,7 @@ func TestEstimateStraddleGolden(t *testing.T) {
 // TestEstimateSteadyStateAllocs pins the pooled replay: once a call has
 // warmed the scratch pool, an estimate cell allocates only its page table
 // and result record, not its profiler, streams, cache models or kernel
-// profiles (4 allocations). Under -race the pool drops one scratch in four
-// at random, and a rebuilt one, profiler included, costs 26 more
-// allocations; 20 calls read about 10 per cell, so the pin there is the
-// looser 24.
+// profiles (4 allocations).
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	spec, err := workload.ByName("RN")
 	if err != nil {
@@ -152,14 +149,10 @@ func TestEstimateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	run()
-	limit := 5.0
-	if raceEnabled {
-		limit = 24
-	}
 	n := testing.AllocsPerRun(20, run)
 	t.Logf("%v allocs per cell", n)
-	if n > limit {
-		t.Fatalf("estimate cell allocates %v times in steady state, want <= %v", n, limit)
+	if n > 5 {
+		t.Fatalf("estimate cell allocates %v times in steady state, want <= 5", n)
 	}
 }
 

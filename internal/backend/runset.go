@@ -30,7 +30,7 @@ import (
 //     simulating. A failed, canceled or panicked SAC run publishes nothing.
 //
 // Each cell still runs its own checks, and its bytes are those of a lone
-// Run. Only workload.Spec cells share; a trace replay is a plain Run.
+// Run. Only workload.Spec cells share; any other workload is a plain Run.
 //
 // Profiles and twins live as long as the set: it is scoped to one run-set,
 // not the process. The zero RunSet is ready to use, and safe for concurrent
@@ -82,7 +82,7 @@ func (s *RunSet) RunCell(cfg gpu.Config, w gpu.Workload, o gpu.RunOpts) (run *st
 	case f == "":
 		return s.exact(cfg, spec, o)
 	}
-	if err := checkEstimate(cfg, w, o); err != nil {
+	if err := checkEstimate(cfg, o); err != nil {
 		return nil, false, err
 	}
 	kps, err := s.profile(profileKeyOf(cfg, spec.Name), cfg, w, o)
@@ -176,8 +176,8 @@ func (s *RunSet) replay(key profileKey, p *sharedProfile, cfg gpu.Config, w gpu.
 	if s.OnReplay != nil {
 		s.OnReplay()
 	}
-	pool, sc := takeScratch(cfg)
-	defer giveScratch(pool, sc)
+	sh, sc := takeScratch(cfg)
+	defer giveScratch(sh, sc)
 	kps, err := profile(cfg, w, o, sc)
 	if err == nil {
 		p.kps = slices.Clone(kps) // the scratch goes back to its pool

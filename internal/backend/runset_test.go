@@ -47,11 +47,11 @@ var replayInvariant = map[string]func(*gpu.Config){
 // profileBytes is the binary encoding of spec's profile on cfg.
 func profileBytes(t *testing.T, cfg gpu.Config, spec workload.Spec) []byte {
 	t.Helper()
-	if err := checkEstimate(cfg, spec, gpu.RunOpts{}); err != nil {
+	if err := checkEstimate(cfg, gpu.RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	pool, sc := takeScratch(cfg)
-	defer giveScratch(pool, sc)
+	sh, sc := takeScratch(cfg)
+	defer giveScratch(sh, sc)
 	kps, err := profile(cfg, spec, gpu.RunOpts{}, sc)
 	if err != nil {
 		t.Fatal(err)

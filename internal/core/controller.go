@@ -169,19 +169,8 @@ func (c *Controller) Reset(arch ArchParams, opts Options) {
 // Options returns the effective options.
 func (c *Controller) Options() Options { return c.opts }
 
-// Arch returns the architecture parameters the EAB model currently uses.
+// Arch returns the architecture parameters the EAB model decides against.
 func (c *Controller) Arch() ArchParams { return c.arch }
-
-// SetArch swaps the architecture parameters mid-run. Fault injection uses it
-// to keep the EAB model honest about degraded link, LLC and memory
-// bandwidth; the next Decide evaluates against the new topology.
-func (c *Controller) SetArch(arch ArchParams) error {
-	if err := arch.Validate(); err != nil {
-		return err
-	}
-	c.arch = arch
-	return nil
-}
 
 // Profiler exposes the counter architecture (the gpu package records
 // accesses through it while Profiling returns true).

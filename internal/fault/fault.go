@@ -13,9 +13,13 @@
 // The gpu package consumes plans through an Injector, which turns the event
 // list into a sorted edge schedule (activations and deactivations) and
 // reports, per affected unit, the composed residual scale (the product of
-// all active events on that unit). The SAC controller is notified on every
-// bandwidth-relevant change so it re-profiles against the degraded
-// topology — SAC itself becomes the graceful-degradation mechanism.
+// all active events on that unit). A fault changes what the hardware costs,
+// not what SAC decided: SAC decides once per kernel from its window's
+// counters and the healthy architecture (paper §3.2). With every DRAM
+// channel or every ring link at a quarter from cycle 20,000, SAC matches or
+// beats the better pure organization on 15 of the 16 workloads; BFS, whose
+// K1 kernels stay memory-side, runs 0.82× as fast as SM-side (EXPERIMENTS.md,
+// "SAC under degraded hardware").
 package fault
 
 import (
@@ -479,23 +483,6 @@ func (in *Injector) Advance(now int64) []Change {
 		return x.Unit < y.Unit
 	})
 	return changes
-}
-
-// AvgScale returns the mean residual scale across all units of a domain,
-// given the total unit count of the machine — the factor by which the
-// domain's aggregate bandwidth is currently degraded. Untouched units count
-// as healthy (scale 1).
-func (in *Injector) AvgScale(d Domain, totalUnits int) float64 {
-	if totalUnits <= 0 {
-		return 1
-	}
-	sum := float64(totalUnits)
-	for k, s := range in.scales {
-		if k.d == d {
-			sum += s - 1
-		}
-	}
-	return sum / float64(totalUnits)
 }
 
 // ActiveFaults returns the number of units currently degraded.

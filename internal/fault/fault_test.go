@@ -124,21 +124,12 @@ func TestInjectorEdgesAndComposition(t *testing.T) {
 	if in.ActiveFaults() != 1 {
 		t.Fatalf("active faults = %d, want 1", in.ActiveFaults())
 	}
-	if got := in.AvgScale(DRAM, 4); got != 0.75 {
-		t.Fatalf("AvgScale(DRAM,4) = %v, want 0.75", got)
-	}
-	if got := in.AvgScale(XChip, 8); got != 1 {
-		t.Fatalf("AvgScale(XChip,8) = %v, want 1", got)
-	}
 }
 
 func TestInjectorEmptyPlan(t *testing.T) {
 	for _, in := range []*Injector{NewInjector(nil), NewInjector(&Plan{})} {
 		if in.NextEdge(0) != -1 || in.Advance(1<<40) != nil || in.ActiveFaults() != 0 {
 			t.Fatal("empty injector fired")
-		}
-		if in.AvgScale(LLC, 16) != 1 {
-			t.Fatal("empty injector degraded a domain")
 		}
 	}
 	if (&Plan{}).Key() != "" || (*Plan)(nil).Key() != "" {

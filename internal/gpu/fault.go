@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/xchip"
 )
@@ -40,11 +39,7 @@ func (s *System) InjectFaults(p *fault.Plan) error {
 // device models. It runs at the top of step, so every edge takes effect at
 // its exact cycle regardless of how the preceding idle span was skipped.
 func (s *System) applyFaults() {
-	changes := s.inj.Advance(s.now)
-	if len(changes) == 0 {
-		return
-	}
-	for _, ch := range changes {
+	for _, ch := range s.inj.Advance(s.now) {
 		s.run.FaultEvents++
 		s.traceFaultEdge(ch)
 		c := s.chips[ch.Chip]
@@ -60,7 +55,6 @@ func (s *System) applyFaults() {
 			c.reqNet.SetInPortScale(ch.Unit, ch.Scale)
 		}
 	}
-	s.faultTopologyChanged()
 }
 
 // limitSliceWays applies an LLC capacity remap to one slice, turning the
@@ -74,40 +68,6 @@ func (s *System) limitSliceWays(c *chip, si, usable int) {
 		s.writeback(c, line, home)
 		s.run.DirtyFlushed++
 	})
-}
-
-// faultTopologyChanged tells the SAC controller the machine it is reasoning
-// about no longer matches its ArchParams: the EAB inputs are rebuilt from
-// the composed per-domain degradation and a re-profiling window is
-// requested (served by controlPhase once the system is in stRun).
-func (s *System) faultTopologyChanged() {
-	if s.sac == nil {
-		return
-	}
-	if err := s.sac.SetArch(s.degradedArch()); err != nil {
-		// Unreachable: degradedArch clamps every bandwidth positive.
-		panic(fmt.Sprintf("gpu: degraded arch rejected: %v", err))
-	}
-	s.faultReprofile = true
-}
-
-// degradedArch scales the healthy ArchParams by the injector's mean residual
-// capacity per domain. Bandwidths are clamped to a small positive floor so
-// a full-outage topology still satisfies ArchParams.Validate (the EAB model
-// then simply finds that configuration hopeless rather than dividing by 0).
-func (s *System) degradedArch() core.ArchParams {
-	a := s.cfg.ArchParams()
-	n := s.cfg.Chips
-	a.BInter *= s.inj.AvgScale(fault.XChip, n*2)
-	a.BMem *= s.inj.AvgScale(fault.DRAM, n*s.cfg.ChannelsPerChip)
-	a.BLLC *= s.inj.AvgScale(fault.LLC, n*s.cfg.SlicesPerChip)
-	a.BIntra *= s.inj.AvgScale(fault.NoC, n*s.cfg.ClustersPerChip())
-	const floor = 1e-3 // bytes/cycle
-	a.BIntra = math.Max(a.BIntra, floor)
-	a.BInter = math.Max(a.BInter, floor)
-	a.BLLC = math.Max(a.BLLC, floor)
-	a.BMem = math.Max(a.BMem, floor)
-	return a
 }
 
 // StallError is the progress watchdog's verdict: no request retired (and no

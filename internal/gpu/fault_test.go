@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,32 +156,34 @@ func TestInjectFaultsRejectsOutOfShapePlan(t *testing.T) {
 	}
 }
 
-func TestDegradedArchStaysValid(t *testing.T) {
-	// A machine-wide outage must still produce validatable ArchParams for
-	// the EAB model (clamped, not zero).
-	var events []string
-	for chip := 0; chip < 4; chip++ {
-		events = append(events, "xchip:"+string(rune('0'+chip))+".cw@0*0",
-			"xchip:"+string(rune('0'+chip))+".ccw@0*0")
+// TestFaultKeepsStandingDecision: SAC decides once per kernel, from its
+// window's counters and the healthy ArchParams (paper §3.2). A fault edge
+// after the decision changes what the hardware costs, not what SAC decided:
+// the kernel keeps its organization and the run its reconfiguration count.
+func TestFaultKeepsStandingDecision(t *testing.T) {
+	cfg := tinyConfig().WithOrg(llc.SAC)
+	spec := tinyWorkload()
+	base := mustRun(t, cfg, spec)
+	if len(base.Kernels) != 1 || base.Kernels[0].Org != llc.ModeSMSide.String() {
+		t.Fatalf("unfaulted SAC run %+v: want one kernel decided SM-side, or the test pins nothing", base.Kernels)
 	}
-	plan, err := fault.Parse(strings.Join(events, ";"))
+	edge := base.Cycles / 2
+	if edge <= cfg.SACOpts.WindowCycles {
+		t.Fatalf("edge %d falls inside the %d-cycle window", edge, cfg.SACOpts.WindowCycles)
+	}
+	plan, err := fault.Parse(fmt.Sprintf("dram:0.0@%d*0.5; dram:1.1@%d*0.5", edge, edge))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(tinyConfig().WithOrg(llc.SAC), tinyWorkload())
+	r, err := runFaultsChecked(t, cfg, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.InjectFaults(plan); err != nil {
-		t.Fatal(err)
+	if r.FaultEvents == 0 {
+		t.Fatal("plan applied no fault events")
 	}
-	sys.now = 1
-	sys.applyFaults()
-	arch := sys.sac.Arch()
-	if err := arch.Validate(); err != nil {
-		t.Fatalf("degraded arch invalid: %v", err)
-	}
-	if arch.BInter >= tinyConfig().ArchParams().BInter {
-		t.Fatalf("BInter %v not degraded", arch.BInter)
+	if r.Kernels[0].Org != base.Kernels[0].Org || r.Reconfigs != base.Reconfigs {
+		t.Fatalf("a fault at cycle %d moved the decision: org %s, %d reconfigs; unfaulted %s, %d",
+			edge, r.Kernels[0].Org, r.Reconfigs, base.Kernels[0].Org, base.Reconfigs)
 	}
 }

@@ -3,7 +3,6 @@ package gpu
 import (
 	"context"
 	"strconv"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/llc"
@@ -54,16 +53,22 @@ func RunWith(cfg Config, w Workload, o RunOpts) (*stats.Run, error) {
 // has none, armed either way. The machine goes back to the pool only after
 // a plain run that finished cleanly — no error (a cancel and a watchdog trip
 // are errors), no panic, no fault plan, no observer — so a pooled machine
-// never carries what such a run leaves behind.
+// never carries what such a run leaves behind; any other run drops it.
 func RunWithTwin(cfg Config, w Workload, o RunOpts) (run, twin *stats.Run, err error) {
 	if err := check(cfg, w); err != nil {
 		return nil, nil, err
 	}
-	pool := machines.Of(shapeKeyOf(cfg))
-	sys, _ := pool.Get().(*System)
-	if sys == nil {
+	shape := shapeKeyOf(cfg)
+	sys, ok := machines.Get(shape)
+	if !ok {
 		sys = build(cfg)
 	}
+	handedBack := false
+	defer func() {
+		if !handedBack {
+			machines.Drop()
+		}
+	}()
 	sys.arm(cfg, w)
 	if o.Faults != nil {
 		if err := sys.InjectFaults(o.Faults); err != nil {
@@ -81,20 +86,21 @@ func RunWithTwin(cfg Config, w Workload, o RunOpts) (run, twin *stats.Run, err e
 	}
 	twin = sys.memorySideTwin()
 	if o.Faults.Empty() && !o.Observer.Enabled() {
-		handBack(pool, sys)
+		handBack(shape, sys)
+		handedBack = true
 	}
 	return run, twin, nil
 }
 
 // machines pools built machines by shapeKeyOf.
-var machines ShapePools[Config]
+var machines ShapePools[Config, *System]
 
 // handBack returns a machine whose plain run finished cleanly to its shape's
 // pool, dropping what the run referenced. Tests wrap it to watch hand-backs;
 // nothing else sets it.
-var handBack = func(pool *sync.Pool, s *System) {
+var handBack = func(shape Config, s *System) {
 	*s = System{machine: s.machine}
-	pool.Put(s)
+	machines.Put(shape, s)
 }
 
 // ctxCheckStride is how many cycles pass between context polls. ctx.Err is

@@ -12,8 +12,8 @@ import (
 // repeat: each warp of invocation r runs its stream of BFS kernel order[0]
 // of repeat r and then that of kernel order[1]. The phase change that BFS
 // marks with a kernel boundary falls inside one kernel, where SAC's
-// once-per-kernel decision cannot see it. It implements Workload the way
-// trace.Replay does.
+// once-per-kernel decision cannot see it. It implements Workload directly,
+// streams and all.
 type fusedBFS struct {
 	spec  workload.Spec
 	order [2]int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,9 +29,9 @@ func (s *System) conserved() error {
 // handed back is first passed to seen.
 func watchHandBacks(t *testing.T, seen func(*System)) {
 	orig := handBack
-	handBack = func(pool *sync.Pool, s *System) {
+	handBack = func(shape Config, s *System) {
 		seen(s)
-		orig(pool, s)
+		orig(shape, s)
 	}
 	t.Cleanup(func() { handBack = orig })
 }
@@ -179,6 +180,9 @@ func TestHandBackRule(t *testing.T) {
 		if got := handedBack > before; got != c.handsBk {
 			t.Errorf("%s: handed its machine back %v, want %v", c.name, got, c.handsBk)
 		}
+		if machines.out != 0 {
+			t.Errorf("%s: the pool counts %d machines still out, want 0: a run it does not keep must drop its machine", c.name, machines.out)
+		}
 	}
 }
 
@@ -308,9 +312,6 @@ func TestArmInvariantFields(t *testing.T) {
 // cycle loop needs. A fresh machine of this shape allocates hundreds of
 // times before its first cycle.
 func TestExactSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops sync.Pool items, so a pooled machine is sometimes rebuilt")
-	}
 	cfg := sweepScaleConfig().WithOrg(llc.SMSide)
 	var w Workload = mustSpec(t, "SN")
 	run := func() {
@@ -323,5 +324,39 @@ func TestExactSteadyStateAllocs(t *testing.T) {
 	t.Logf("%v allocs per re-armed run", n)
 	if n > 2 {
 		t.Fatalf("a re-armed exact run allocates %v times, want <= 2 (its run record and kernel records)", n)
+	}
+}
+
+// TestPooledMachineOutlivesGC: a pooled machine waits for the next run of
+// its shape whatever happens in between — two collections, and a run on a
+// fresh goroutine, which the scheduler may put on another P. Each run then
+// allocates only its answer, not a machine. The harness allocates on its
+// own (the goroutine, and the runtime's cleanup after each collection), so
+// the pin is on the runs' allocations beyond those of the same harness
+// around an empty body.
+func TestPooledMachineOutlivesGC(t *testing.T) {
+	cfg := sweepScaleConfig().WithOrg(llc.SMSide)
+	var w Workload = mustSpec(t, "SN")
+	errc := make(chan error)
+	perRun := func(body func() error) float64 {
+		run := func() {
+			go func() { errc <- body() }()
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	harness := perRun(func() error { return nil })
+	n := perRun(func() error {
+		_, _, err := RunWithTwin(cfg, w, RunOpts{})
+		return err
+	})
+	t.Logf("%v allocs per run, %v of them the harness's", n, harness)
+	if n-harness > 4 {
+		t.Fatalf("a run after two collections on a fresh goroutine allocates %v times beyond the harness's %v, want <= 4", n-harness, harness)
 	}
 }

@@ -35,7 +35,7 @@ const (
 )
 
 // Workload is a source of per-warp access streams: the synthetic Table-4
-// specs (workload.Spec) and trace replays (trace.Replay) both implement it.
+// specs (workload.Spec) implement it, and so can a test's own kernels.
 type Workload interface {
 	// SourceName labels the workload in statistics.
 	SourceName() string
@@ -45,16 +45,6 @@ type Workload interface {
 	KernelName(i int) string
 	// Stream builds warp (chip, sm, warp)'s stream for kernel ki on machine m.
 	Stream(m workload.Machine, ki, chip, sm, warp int) workload.AccessStream
-}
-
-// CheckMachine lets a shape-bound workload (a trace replay) reject a machine
-// it was not captured for as a returned error, before any stream is
-// requested; other workloads accept every machine.
-func CheckMachine(w Workload, m workload.Machine) error {
-	if cm, ok := w.(interface{ CheckMachine(workload.Machine) error }); ok {
-		return cm.CheckMachine(m)
-	}
-	return nil
 }
 
 // System is one simulated multi-chip GPU executing one benchmark: a built
@@ -82,8 +72,7 @@ type System struct {
 	afterStep func()
 
 	// Fault injection (nil injector = healthy run).
-	inj            *fault.Injector
-	faultReprofile bool // SAC must re-profile against a changed topology
+	inj *fault.Injector
 
 	// leftMemorySide records that this SAC run stopped being the memory-side
 	// run of its config (memorySideTwin): a kernel began a switch, or a SAC
@@ -165,7 +154,7 @@ func check(cfg Config, spec Workload) error {
 	if spec.KernelCount() == 0 {
 		return fmt.Errorf("gpu: workload %q has no kernels", spec.SourceName())
 	}
-	return CheckMachine(spec, cfg.Machine())
+	return nil
 }
 
 // shapeKeyOf is the key a built machine is pooled under: cfg with the armed
@@ -325,7 +314,7 @@ func (s *System) runKernel() error {
 
 // loadStreams hands every SM its warps' streams for the current kernel. A
 // workload.Spec builds them in place into the machine's storage; any other
-// workload (a trace replay) hands out its own.
+// workload hands out its own.
 func (s *System) loadStreams() {
 	m := s.cfg.Machine()
 	ws := s.warpStreams
@@ -1119,22 +1108,6 @@ func (s *System) controlPhase() {
 			s.state = stDrainRevert
 			s.drainStart = s.now
 		} else {
-			s.sac.Rearm(s.now)
-		}
-	}
-
-	// Fault-driven re-profiling: the topology changed, so any standing
-	// decision was taken against bandwidths that no longer exist. Revert to
-	// memory-side (if needed) and open a fresh window under the degraded
-	// ArchParams. A window already in progress just continues — Decide will
-	// already see the new parameters.
-	if s.sac != nil && s.faultReprofile && s.state == stRun {
-		s.faultReprofile = false
-		switch {
-		case s.mode == llc.ModeSMSide:
-			s.state = stDrainRevert
-			s.drainStart = s.now
-		case !s.sac.Profiling(s.now):
 			s.sac.Rearm(s.now)
 		}
 	}

@@ -31,6 +31,7 @@ var schemaGoldens = []struct {
 	{6, "787ab0829cf6ae1a192e33a8d20b37c0bd309b990cc65f3519a5e1cd211b1a01"},
 	{7, "7a812b7815df49423ca024db351e9049d91be1d404e8f0ee1c58fb3fcfbe2932"},
 	{8, "d29cbc5850f96319abc796d585a88e335dcbda36768996e42074df65a3656b1a"},
+	{9, "6fe8ddb4cd9e47668c33d288cc0a77c15690769a0b1c004fa0183863037cd7a7"},
 }
 
 // TestSchemaPinsGoldens is the protocol for touching the model: goldens

@@ -57,9 +57,10 @@ import (
 // v6 dropped the estimate rung's refused experiments from the sweep golden;
 // v7 dropped the SAC option that reused a kernel's decision across
 // invocations from the config encoding; v8 charged an estimated memory-side
-// run every remote-homed LLC access on the ring, whatever SAC would decide.
-// TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
-const schemaVersion = 8
+// run every remote-homed LLC access on the ring, whatever SAC would decide;
+// v9 stopped a fault edge from sending a decided SAC kernel back to
+// profiling. TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
+const schemaVersion = 9
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields

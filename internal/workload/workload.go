@@ -185,7 +185,7 @@ type Access struct {
 }
 
 // AccessStream is the per-warp sequence consumed by the simulator. The
-// synthetic Stream implements it; so do trace replays.
+// synthetic Stream implements it; so can a test's own kernels.
 type AccessStream interface {
 	// Next returns the stream's next access; ok is false when exhausted.
 	Next() (Access, bool)

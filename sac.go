@@ -110,7 +110,7 @@ func guard(err *error) {
 }
 
 // Workload is any source of per-warp access streams: the built-in synthetic
-// Specs and trace replays (package repro/internal/trace) both implement it.
+// Specs implement it, and a caller's own kernels can too.
 type Workload = gpu.Workload
 
 // Fidelity selects one rung of the simulation fidelity ladder: how much
