@@ -111,6 +111,15 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
+// NoRetry returns a copy of c that makes every call once: a transient
+// failure comes back at once instead of after c's retries and their
+// Retry-After pauses. The copy shares c's transport and its connections.
+func (c *Client) NoRetry() *Client {
+	cp := *c
+	cp.retries = 0
+	return &cp
+}
+
 // do performs one API call with retries, decoding a 2xx JSON body into out
 // (skipped when out is nil). The request body, if any, is re-sent verbatim
 // on every attempt. Retry pacing uses full-jitter exponential backoff: a

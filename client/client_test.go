@@ -92,6 +92,28 @@ func TestRetriesExhaust(t *testing.T) {
 	}
 }
 
+// TestNoRetry: the copy NoRetry returns makes one call on a 503, where the
+// client it was made from retries.
+func TestNoRetry(t *testing.T) {
+	var calls atomic.Int64
+	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+	})
+	_, err := c.NoRetry().Health(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("want 503 APIError, got %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("made %d calls, want 1", calls.Load())
+	}
+	c.Health(context.Background())
+	if calls.Load() != 1+5 {
+		t.Fatalf("the original made %d calls, want 5", calls.Load()-1)
+	}
+}
+
 func TestContextCancelStopsRetries(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {

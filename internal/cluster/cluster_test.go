@@ -73,7 +73,13 @@ func startWorker(t *testing.T, coordURL, id string) *testWorker {
 // closed (nil holds nothing), and whose default rung is fidelity.
 func startWorkerWith(t *testing.T, coordURL, id string, hold <-chan struct{}, fidelity string) *testWorker {
 	t.Helper()
-	s := server.New(server.Config{Workers: 2, DefaultFidelity: fidelity})
+	return startWorkerCfg(t, coordURL, id, server.Config{Workers: 2, DefaultFidelity: fidelity}, hold)
+}
+
+// startWorkerCfg is startWorkerWith for a server configured by cfg.
+func startWorkerCfg(t *testing.T, coordURL, id string, cfg server.Config, hold <-chan struct{}) *testWorker {
+	t.Helper()
+	s := server.New(cfg)
 	s.Start()
 	h := s.Handler()
 	if hold != nil {
@@ -602,65 +608,45 @@ func TestDispatchDoneWithoutResultFails(t *testing.T) {
 
 // TestCancelReachesWorker: a job canceled at the coordinator while its
 // dispatch waits on a worker's watch is canceled on that worker too — the
-// steal-cancel DELETE names the id the worker accepted it under.
+// steal-cancel DELETE names the id the worker accepted it under — and only
+// it: the rest of its submit group runs on to done.
 func TestCancelReachesWorker(t *testing.T) {
-	watching := make(chan struct{}, 1)
-	deleted := make(chan string, 1)
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch":
-			jobs.WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: []client.BatchItem{
-				{Status: &client.JobStatus{ID: "worker-job", State: client.StateQueued}}}})
-		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs:watch":
-			select {
-			case watching <- struct{}{}:
-			default:
-			}
-			<-r.Context().Done()
-		case r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
-			id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-			select {
-			case deleted <- id:
-			default:
-			}
-			jobs.WriteJSON(w, http.StatusOK, client.JobStatus{ID: id, State: client.StateCanceled})
-		default:
-			jobs.WriteError(w, http.StatusNotFound, "no route")
-		}
-	}))
-	t.Cleanup(worker.Close)
-	// The fake never heartbeats: an hour's lapse keeps it in the ring, so
-	// only the cancel can end the dispatch.
-	c := New(Config{Heartbeat: time.Hour})
-	hs := httptest.NewServer(c.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		c.Close()
+	f := startFakeWorker(t)
+	f.hold = make(chan struct{})
+	c, cc := fakeCoordinator(t, f)
+	ids := submitGroup(t, c, cc, f, []client.JobRequest{
+		tinyRequest("RN", "SAC", 600), tinyRequest("RN", "SAC", 608), tinyRequest("RN", "SAC", 616),
 	})
-	if _, err := c.Register(client.WorkerInfo{ID: "fake", URL: worker.URL}); err != nil {
+	f.await(t, "one watch covers the whole group", func() bool {
+		return len(f.batches) == 2 && len(f.batches[1]) == 2 && f.watchingLocked(f.scale[600], f.scale[608], f.scale[616])
+	})
+	f.mu.Lock()
+	victim, mates := f.scale[608], []string{f.scale[600], f.scale[616]}
+	f.mu.Unlock()
+
+	ctx := context.Background()
+	if _, err := cc.Cancel(ctx, ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	cc := newClient(hs.URL)
-	ctx := context.Background()
-	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 0))
+	f.await(t, "the worker receives a DELETE", func() bool { return len(f.deleted) > 0 })
+	for _, wid := range mates {
+		f.finish(wid, client.StateDone)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	final, err := cc.WaitAll(wctx, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-watching:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the coordinator never watched the worker's job")
-	}
-	if _, err := cc.Cancel(ctx, st.ID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case id := <-deleted:
-		if id != "worker-job" {
-			t.Fatalf("worker told to cancel %q, want the job it accepted, worker-job", id)
+	for i, want := range []string{client.StateDone, client.StateCanceled, client.StateDone} {
+		if st := final[ids[i]]; st.State != want {
+			t.Fatalf("job %d %s (%s), want %s", i, st.State, st.Error, want)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the worker never received DELETE /v1/jobs/worker-job")
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.deleted) != 1 || f.deleted[0] != victim {
+		t.Fatalf("worker told to cancel %v, want only the canceled job's %s", f.deleted, victim)
 	}
 }
 

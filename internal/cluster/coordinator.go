@@ -5,9 +5,10 @@
 // the /v1/jobs routes — a coordinator answers them exactly as a sacd does, so
 // any client.Client works against either. This package supplies the
 // executor: consistent-hash placement of each cell on the worker that owns
-// its store key (ring.go), dispatch over the worker's own jobs API, and
-// stealing from workers that die, lapse or leave — and the worker table
-// behind it (registration, heartbeats, health-steered routing).
+// its store key (ring.go), dispatch over the worker's own jobs API in
+// grouped submits and one long-poll per worker (lanes.go), and stealing
+// from workers that die, lapse or leave — and the worker table behind it
+// (registration, heartbeats, health-steered routing).
 package cluster
 
 import (
@@ -69,7 +70,8 @@ var ErrNoWorkers = errors.New("no eligible workers")
 type workerEntry struct {
 	info       client.WorkerInfo
 	cl         *client.Client
-	health     string // last self-reported health; "gone" after lapse/deregister
+	once       *client.Client // cl without retries, for a group's submit
+	health     string         // last self-reported health; "gone" after lapse/deregister
 	lastBeat   time.Time
 	gone       bool
 	inflight   int
@@ -78,6 +80,7 @@ type workerEntry struct {
 	// currently running on this worker, so a lapse or deregistration can
 	// abort them all and trigger steals immediately.
 	attempts map[string]context.CancelFunc
+	lanes    *lanes
 }
 
 // coordMetrics are the coordinator's obs series.
@@ -186,10 +189,12 @@ func (c *Coordinator) Register(info client.WorkerInfo) (client.RegisterResponse,
 	w := c.workers[info.ID]
 	if w == nil {
 		w = &workerEntry{attempts: make(map[string]context.CancelFunc)}
+		w.lanes = newLanes(c, w, info.ID)
 		c.workers[info.ID] = w
 	}
 	w.info = info
 	w.cl = c.cfg.Dial(info.URL)
+	w.once = w.cl.NoRetry()
 	w.health = client.HealthHealthy
 	w.lastBeat = time.Now()
 	w.gone = false
@@ -391,9 +396,10 @@ func (c *Coordinator) pickWorker(key string, tried map[string]bool) (string, *wo
 	return "", nil, false
 }
 
-// dispatch runs one attempt on one worker: a single-item batch submit (so a
-// warm worker answers terminally, result inline, in one round trip), then a
-// long-poll watch until terminal — no ticker, no per-poll request storm. Any
+// dispatch runs one attempt on one worker through its lanes: the submit
+// lane carries the job's request in the next group (a warm worker answers
+// inline, and a group the worker refuses whole is resent item by item), then
+// the watch lane's long-poll brings its terminal status. Any
 // non-permanent error (network death, the worker declared gone, worker-side
 // expiry) sends the caller back into the steal loop; a best-effort
 // steal-cancel tells the abandoned worker to stop burning cycles.
@@ -401,11 +407,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Snapshot the client under the lock: a concurrent re-registration (the
-	// agent re-enrolls after a coordinator restart or heartbeat 404) swaps
-	// w.cl out from under a running dispatch.
 	c.mu.Lock()
-	cl := w.cl
 	w.attempts[j.Key] = cancel
 	w.inflight++
 	w.dispatched++
@@ -430,30 +432,10 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 		}
 		req.TimeoutMS = rem
 	}
-	sts, err := cl.SubmitBatch(ctx, []client.JobRequest{req})
-	if err != nil {
-		return nil, client.JobStatus{}, fmt.Errorf("worker %s: submit: %w", id, err)
-	}
-	st := sts[0]
-	if st.Key != "" && st.Key != j.Key {
-		// Placement and dedup both hang off this key; a worker computing a
-		// different one means version drift, which stealing cannot fix.
-		return nil, st, fmt.Errorf("%w: worker %s key mismatch: %s != %s", errPermanent, id, st.Key, j.Key)
-	}
-	for !st.Done() {
-		resp, werr := cl.Watch(ctx, []string{st.ID}, 0)
-		if werr != nil {
-			c.stealCancel(cl, st.ID, id)
-			return nil, st, fmt.Errorf("worker %s: watch: %w", id, werr)
-		}
-		if len(resp.Unknown) > 0 {
-			// The worker restarted or GC'd the job mid-watch: steal.
-			return nil, st, fmt.Errorf("worker %s: job %s vanished", id, st.ID)
-		}
-		if len(resp.Jobs) > 0 {
-			st = resp.Jobs[0]
-		}
-		// Empty response = long-poll timeout: re-arm (ctx bounds the loop).
+	r := w.lanes.run(ctx, req, j.Key)
+	st := r.st
+	if r.err != nil {
+		return nil, st, r.err
 	}
 	switch st.State {
 	case client.StateDone:

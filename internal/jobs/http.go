@@ -322,28 +322,36 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 		return resp, nil
 	}
 
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// One parked goroutine per pending job; all exit via wctx when the first
-	// fires (the buffered channel absorbs one racing winner, the non-blocking
-	// send drops the rest).
-	fired := make(chan struct{}, 1)
+	// One wake channel for the whole call, on every pending job's watcher
+	// list: settle signals it after closing the job's done channel, so a job
+	// that settles before it is listed is caught by the rescan below, and
+	// one that settles after signals. The buffer keeps the first signal.
+	wake := make(chan struct{}, 1)
 	for _, j := range pending {
-		go func(done <-chan struct{}) {
-			select {
-			case <-done:
-				select {
-				case fired <- struct{}{}:
-				default:
+		j.mu.Lock()
+		j.watchers = append(j.watchers, wake)
+		j.mu.Unlock()
+	}
+	defer func() {
+		for _, j := range pending {
+			j.mu.Lock()
+			for i, c := range j.watchers {
+				if c == wake {
+					j.watchers = append(j.watchers[:i], j.watchers[i+1:]...)
+					break
 				}
-			case <-wctx.Done():
 			}
-		}(j.doneCh)
+			j.mu.Unlock()
+		}
+	}()
+	scan()
+	if len(resp.Jobs) > 0 {
+		return resp, nil
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case <-fired:
+	case <-wake:
 	case <-timer.C:
 		// Answer with whatever the final scan finds (usually nothing — the
 		// empty response tells the client to re-arm).

@@ -175,6 +175,9 @@ type Job struct {
 	cycles   int64
 	started  time.Time
 	finished time.Time
+	// watchers are the wake channels of the Watch calls parked on this job;
+	// settle signals each once doneCh has closed.
+	watchers []chan struct{}
 }
 
 // Done returns the channel that closes when j reaches a terminal state.
@@ -579,6 +582,16 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 	started := j.started
 	j.mu.Unlock()
 	close(j.doneCh)
+	j.mu.Lock()
+	watchers := j.watchers
+	j.watchers = nil
+	j.mu.Unlock()
+	for _, wake := range watchers {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
 
 	m := &t.cfg.Metrics
 	switch state {
