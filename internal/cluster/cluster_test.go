@@ -719,3 +719,39 @@ func TestClusterRejectsUnknownFidelity(t *testing.T) {
 		t.Fatalf("error %q does not name both rungs", apiErr.Message)
 	}
 }
+
+// TestIdentityMemoPerDaemon: a coordinator and its worker in one process
+// keep separate identity memos, each counted on its own /metrics. The worker
+// resolves the cell the coordinator forwards afresh — a process-wide memo
+// would hand it the coordinator's entry — and a resubmission hits the
+// coordinator's memo alone.
+func TestIdentityMemoPerDaemon(t *testing.T) {
+	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	coord, hs := testCoordinator(t, reg)
+	startWorkerCfg(t, hs.URL, "worker-a", server.Config{Workers: 2, Registry: wreg}, nil)
+	waitLive(t, coord, 1)
+	cc := newClient(hs.URL)
+	// Named as the coordinator forwards it, so only scope keeps the
+	// worker's lookup from the coordinator's entry.
+	req := tinyRequest("RN", "SAC", 0)
+	req.Fidelity = client.FidelityExact
+	runWave(t, cc, []client.JobRequest{req})
+	runWave(t, cc, []client.JobRequest{req})
+	for _, c := range []struct {
+		reg  *obs.Registry
+		want []string
+	}{
+		{reg, []string{"saccoord_identity_memo_hits_total 1\n", "saccoord_identity_memo_misses_total 1\n"}},
+		{wreg, []string{"sacd_identity_memo_hits_total 0\n", "sacd_identity_memo_misses_total 1\n"}},
+	} {
+		var b strings.Builder
+		if err := c.reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range c.want {
+			if !strings.Contains(b.String(), line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+		}
+	}
+}

@@ -145,9 +145,9 @@ func New(cfg Config) *Coordinator {
 	}
 	failed := reg.Counter("saccoord_jobs_failed_total", "Jobs that reached a non-done terminal state.")
 	jcfg := jobs.Config{
-		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
-			return server.ResolveRequest(req, cfg.DefaultFidelity)
-		},
+		Resolve: server.NewResolver(cfg.DefaultFidelity,
+			reg.Counter("saccoord_identity_memo_hits_total", "Requests whose cell identity was remembered from an earlier request."),
+			reg.Counter("saccoord_identity_memo_misses_total", "Requests whose cell identity was resolved afresh.")).Resolve,
 		Admit:   c.admit,
 		Execute: c.execute,
 		Metrics: jobs.Metrics{

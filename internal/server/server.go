@@ -116,7 +116,7 @@ func laneIndex(p string) (int, error) {
 	return 0, fmt.Errorf("unknown priority %q", p)
 }
 
-// laneOf is laneIndex for a job ResolveRequest already validated.
+// laneOf is laneIndex for a job whose request passed checkJob.
 func laneOf(j *jobs.Job) int {
 	lane, _ := laneIndex(j.Req.Priority)
 	return lane
@@ -136,6 +136,8 @@ type metrics struct {
 	healthState       *obs.Metric
 	healthTransitions *obs.Metric
 	replays           *obs.Metric
+	identHits         *obs.Metric
+	identMisses       *obs.Metric
 	engine            jobs.Metrics
 }
 
@@ -156,6 +158,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		healthState:       reg.Gauge("sacd_health_state", "Health state: 0 healthy, 1 degraded, 2 draining, 3 unhealthy."),
 		healthTransitions: reg.Counter("sacd_health_transitions_total", "Health-state machine transitions."),
 		replays:           reg.Counter("sacd_estimate_replays_total", "Estimate-rung replays run; cells that reused a batch-mate's profile are not counted."),
+		identHits:         reg.Counter("sacd_identity_memo_hits_total", "Requests whose cell identity was remembered from an earlier request."),
+		identMisses:       reg.Counter("sacd_identity_memo_misses_total", "Requests whose cell identity was resolved afresh."),
 		engine: jobs.Metrics{
 			Accepted:   reg.Counter("sacd_jobs_accepted_total", "Jobs accepted into the queue."),
 			Done:       reg.Counter("sacd_jobs_done_total", "Jobs that finished successfully."),
@@ -226,9 +230,7 @@ func New(cfg Config) *Server {
 	s.cond = sync.NewCond(&s.mu)
 	s.countReplay = s.m.replays.Inc
 	jcfg := jobs.Config{
-		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
-			return ResolveRequest(req, cfg.DefaultFidelity)
-		},
+		Resolve:    NewResolver(cfg.DefaultFidelity, s.m.identHits, s.m.identMisses).Resolve,
 		Admit:      s.admit,
 		Execute:    s.execute,
 		OnTerminal: s.journalDone,
@@ -275,25 +277,45 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // ResolveRequest validates req and resolves its simulation identity.
-// defaultFidelity applies when the request names no rung ("" = exact). The
-// cluster coordinator resolves submissions through it too, to validate them
-// and to place them on Key without running a Server of its own.
+// defaultFidelity applies when the request names no rung ("" = exact). It is
+// the memo-free reference the daemons' Resolver must agree with.
 func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identity, error) {
-	if _, err := laneIndex(req.Priority); err != nil {
+	if err := checkJob(&req); err != nil {
 		return jobs.Identity{}, err
 	}
+	return identityOf(&req, effectiveFidelity(&req, defaultFidelity))
+}
+
+// checkJob validates what req asks of its job rather than of its cell —
+// the priority lane and the deadline budget — so it runs on every request,
+// memoized or not.
+func checkJob(req *client.JobRequest) error {
+	if _, err := laneIndex(req.Priority); err != nil {
+		return err
+	}
 	if req.TimeoutMS < 0 {
-		return jobs.Identity{}, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
+		return fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
 	}
 	// Past this the deadline's duration would wrap into one already passed.
 	if req.TimeoutMS > maxTimeoutMS {
-		return jobs.Identity{}, fmt.Errorf("timeout_ms %d exceeds the limit of %d", req.TimeoutMS, maxTimeoutMS)
+		return fmt.Errorf("timeout_ms %d exceeds the limit of %d", req.TimeoutMS, maxTimeoutMS)
 	}
-	reqFid := req.Fidelity
-	if reqFid == "" {
-		reqFid = defaultFidelity
+	return nil
+}
+
+// effectiveFidelity is the rung req names, else the daemon's default.
+func effectiveFidelity(req *client.JobRequest, defaultFidelity string) string {
+	if req.Fidelity == "" {
+		return defaultFidelity
 	}
-	fid, err := backend.Normalize(reqFid)
+	return req.Fidelity
+}
+
+// identityOf resolves the cell req names at rung fid: a pure function of
+// the request's benchmark, org, preset, config and faults and of fid, which
+// is what lets a Resolver memoize it.
+func identityOf(req *client.JobRequest, fid string) (jobs.Identity, error) {
+	fid, err := backend.Normalize(fid)
 	if err != nil {
 		return jobs.Identity{}, err
 	}
@@ -312,7 +334,7 @@ func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identit
 }
 
 // resolve validates a request and resolves its simulation identity.
-func resolve(req client.JobRequest) (gpu.Config, workload.Spec, *fault.Plan, error) {
+func resolve(req *client.JobRequest) (gpu.Config, workload.Spec, *fault.Plan, error) {
 	spec, err := workload.ByName(req.Benchmark)
 	if err != nil {
 		return gpu.Config{}, workload.Spec{}, nil, err

@@ -178,16 +178,17 @@ func ptr[T any](v T) *T { return &v }
 // TestWarmBatchAllocs pins the allocation cost of the warm serving path end
 // to end: a 64-cell estimate batch, every cell a store hit, submitted with
 // client.SubmitBatch through a loopback HTTP server and answered with inline
-// results. Client and server allocations both count. About 20.3 per cell
-// remain: the job, its id and its status on the daemon, the store key's hex
-// string, the catalog spec copy, the request's config and benchmark string;
-// on the client each status, its id, key and benchmark strings, its two
-// timestamps and its result bytes.
+// results. Client and server allocations both count. About 17.3 per cell
+// remain: the job, its id and its status on the daemon, the request's config
+// and benchmark string; on the client each status, its id, key and
+// benchmark strings, its two timestamps and its result bytes. A warm cell's
+// identity is an identity-memo hit: it copies no catalog spec and
+// hex-encodes no store key.
 func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
 	}
-	const cells, perCell = 64, 22
+	const cells, perCell = 64, 19
 	_, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 4 * cells})
 	var reqs []client.JobRequest
 	for _, org := range []string{"memory-side", "SM-side", "static", "SAC"} {
