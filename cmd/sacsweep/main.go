@@ -162,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// code), distinguishing a wedged run from a broken one.
 	failed, timedOut := 0, false
 	for _, id := range ids {
-		t0 := time.Now()
+		t0, runs0 := time.Now(), r.Runs()
 		if err := runExperiment(stdout, r, strings.TrimSpace(id), *jsonOut); err != nil {
 			var uncovered *backend.CoverageError
 			if *exp == "all" && errors.As(err, &uncovered) {
@@ -177,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "\n# %s done in %.1fs (%d simulations cached)\n", id, time.Since(t0).Seconds(), r.Runs())
+			fmt.Fprintf(stdout, "\n# %s done in %.1fs (%d simulated)\n", id, time.Since(t0).Seconds(), r.Runs()-runs0)
 		}
 	}
 	if timedOut {

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -182,5 +183,37 @@ func TestUnknownFidelityFailsFirst(t *testing.T) {
 	}
 	if lines := strings.Count(errOut.String(), "\n"); lines != 1 || !strings.Contains(errOut.String(), `unknown fidelity "sampled"`) {
 		t.Errorf("want one unknown-fidelity line on stderr, got %d:\n%s", lines, errOut.String())
+	}
+}
+
+// TestDoneLineCountsEachExperiment: an experiment's "done" line counts the
+// cells that experiment simulated, not the sweep's running total. A cold
+// fig12,fig13 sweep (no cells in common) prints what each prints alone, and
+// a warm rerun from its result cache prints 0 for each.
+func TestDoneLineCountsEachExperiment(t *testing.T) {
+	args := []string{"-set", "BP,RN", "-fidelity", "estimate"}
+	doneLine := regexp.MustCompile(`(?m)^# (\w+) done in [\d.]+s \((\d+) simulated\)$`)
+	counts := func(args ...string) map[string]string {
+		out, _ := sweep(t, args...)
+		got := map[string]string{}
+		for _, m := range doneLine.FindAllStringSubmatch(out, -1) {
+			got[m[1]] = m[2]
+		}
+		return got
+	}
+	want := map[string]string{}
+	for _, id := range []string{"fig12", "fig13"} {
+		n := counts(append(args, "-exp", id)...)[id]
+		if n == "" || n == "0" {
+			t.Fatalf("a cold %s alone printed %q simulated, want a count above 0", id, n)
+		}
+		want[id] = n
+	}
+	both := append(args, "-exp", "fig12,fig13", "-cache-dir", t.TempDir())
+	if got := counts(both...); !reflect.DeepEqual(got, want) {
+		t.Errorf("cold sweep printed %v, want each experiment's own count %v", got, want)
+	}
+	if got, want := counts(both...), map[string]string{"fig12": "0", "fig13": "0"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("warm rerun printed %v, want %v", got, want)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -67,16 +69,13 @@ var (
 // designBudget bounds DESIGN.md in bytes: half of the 81,042 it had grown to
 // before it was rewritten to say each thing once. A change that raises it
 // says why in its CHANGES entry.
-const designBudget = 40_750
+const designBudget = 40_500
 
-// moduleIdents maps each package name of this module (the root is sac; main
-// packages and bench/, a module of its own, are left out) to every name its
-// non-test files declare: funcs, methods, types, struct fields, interface
-// methods, vars and consts.
-func moduleIdents(t *testing.T) map[string]map[string]bool {
+// moduleGoFiles returns the root module's non-test Go files: bench/ (a
+// module of its own), testdata/ and dot-directories are left out.
+func moduleGoFiles(t *testing.T) []string {
 	t.Helper()
-	idents := map[string]map[string]bool{}
-	fset := token.NewFileSet()
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -85,17 +84,31 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
 				return filepath.SkipDir
 			}
-			return nil
+		} else if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			paths = append(paths, path)
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// moduleIdents maps each package name of moduleGoFiles (the root is sac;
+// main packages are left out) to every name its files declare: funcs,
+// methods, types, struct fields, interface methods, vars and consts.
+func moduleIdents(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	idents := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range moduleGoFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if f.Name.Name == "main" {
-			return nil
+			continue
 		}
 		names := idents[f.Name.Name]
 		if names == nil {
@@ -120,12 +133,57 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return idents
+}
+
+// The line budgets bound the newline bytes of moduleGoFiles: the whole
+// tree, and the serving stack (servingStack's packages). A change that
+// raises one says why in its CHANGES entry.
+const (
+	treeLineBudget    = 19_571
+	servingLineBudget = 6_574
+)
+
+var servingStack = []string{"client", "internal/jobs", "internal/server", "internal/cluster",
+	"internal/store", "internal/journal", "internal/wire"}
+
+// TestLineBudget holds the tree and the serving stack to their line budgets,
+// and logs each package's count, so a change over budget sees where its
+// lines went.
+func TestLineBudget(t *testing.T) {
+	lines := map[string]int{} // package directory → lines
+	var dirs []string
+	for _, path := range moduleGoFiles(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if _, seen := lines[dir]; !seen {
+			dirs = append(dirs, dir)
+		}
+		lines[dir] += bytes.Count(src, []byte("\n"))
+	}
+	sort.Strings(dirs)
+	tree, serving := 0, 0
+	for _, dir := range dirs {
+		t.Logf("%6d %s", lines[dir], dir)
+		tree += lines[dir]
+		if slices.Contains(servingStack, dir) {
+			serving += lines[dir]
+		}
+	}
+	for _, b := range []struct {
+		name          string
+		count, budget int
+	}{{"the tree", tree, treeLineBudget}, {"the serving stack", serving, servingLineBudget}} {
+		t.Logf("%s: %d lines, budget %d", b.name, b.count, b.budget)
+		if b.count > b.budget {
+			t.Errorf("%s has %d lines of non-test Go, over its budget of %d: a PR that raises it says why in CHANGES",
+				b.name, b.count, b.budget)
+		}
+	}
 }
 
 // docFlagArgs returns the argument of every flag re matches in the

@@ -22,10 +22,10 @@ import (
 // hundreds of thousands of accesses per kernel; the counter architecture's
 // inputs converge long before that, so the cap keeps the rung in the
 // microseconds-to-low-milliseconds band its callers (the sacd synchronous
-// accept path, design-space sweeps) are promised. On the paper-scale
-// machine (2048 warps) the round-robin replay under this cap advances each
-// warp ~16 accesses — inside the depth plateau the warp-step calibration
-// found stable (see defaultEstimateWarpSteps).
+// accept path, design-space sweeps) are promised. At Table 3's scale the
+// cap is too tight: of 16,384 warps, chip 0's first 4,096 each take one
+// burst of estimateBurst = 8 before the chip-major replay reaches 2^15, so
+// no other chip is sampled (ROADMAP item 27(a)).
 const estimateMaxProfiled = 1 << 15
 
 // estimateWarpSteps caps the accesses replayed per warp per kernel (0 =

@@ -720,38 +720,48 @@ func TestClusterRejectsUnknownFidelity(t *testing.T) {
 	}
 }
 
-// TestIdentityMemoPerDaemon: a coordinator and its worker in one process
-// keep separate identity memos, each counted on its own /metrics. The worker
-// resolves the cell the coordinator forwards afresh — a process-wide memo
-// would hand it the coordinator's entry — and a resubmission hits the
-// coordinator's memo alone.
+// TestIdentityMemoPerDaemon: only sacd keeps an identity memo. The
+// coordinator resolves every request afresh and exports no memo series; the
+// worker resolves the cell the coordinator forwards once (one miss, no hit);
+// and a resubmission is the coordinator's flight recall, which never reaches
+// the worker's resolver again.
 func TestIdentityMemoPerDaemon(t *testing.T) {
 	reg, wreg := obs.NewRegistry(), obs.NewRegistry()
 	coord, hs := testCoordinator(t, reg)
 	startWorkerCfg(t, hs.URL, "worker-a", server.Config{Workers: 2, Registry: wreg}, nil)
 	waitLive(t, coord, 1)
 	cc := newClient(hs.URL)
-	// Named as the coordinator forwards it, so only scope keeps the
-	// worker's lookup from the coordinator's entry.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	req := tinyRequest("RN", "SAC", 0)
-	req.Fidelity = client.FidelityExact
-	runWave(t, cc, []client.JobRequest{req})
-	runWave(t, cc, []client.JobRequest{req})
-	for _, c := range []struct {
-		reg  *obs.Registry
-		want []string
-	}{
-		{reg, []string{"saccoord_identity_memo_hits_total 1\n", "saccoord_identity_memo_misses_total 1\n"}},
-		{wreg, []string{"sacd_identity_memo_hits_total 0\n", "sacd_identity_memo_misses_total 1\n"}},
-	} {
-		var b strings.Builder
-		if err := c.reg.WritePrometheus(&b); err != nil {
+	var sources []string
+	for range 2 {
+		st, err := cc.Submit(ctx, req)
+		if err == nil {
+			st, err = cc.Wait(ctx, st.ID)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, line := range c.want {
-			if !strings.Contains(b.String(), line) {
-				t.Errorf("/metrics lacks %q", line)
-			}
+		sources = append(sources, st.Source)
+	}
+	if sources[1] != client.SourceMemo {
+		t.Errorf("sources %q: the resubmission was not the coordinator's flight recall", sources)
+	}
+	metrics := func(reg *obs.Registry) string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if m := metrics(reg); strings.Contains(m, "identity_memo") || !strings.Contains(m, "saccoord_memo_recalls_total 1\n") {
+		t.Errorf("coordinator /metrics: want no identity memo series and one recall:\n%s", m)
+	}
+	w := metrics(wreg)
+	for _, line := range []string{"sacd_identity_memo_hits_total 0\n", "sacd_identity_memo_misses_total 1\n"} {
+		if !strings.Contains(w, line) {
+			t.Errorf("worker /metrics lacks %q", line)
 		}
 	}
 }

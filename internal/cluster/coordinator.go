@@ -145,9 +145,9 @@ func New(cfg Config) *Coordinator {
 	}
 	failed := reg.Counter("saccoord_jobs_failed_total", "Jobs that reached a non-done terminal state.")
 	jcfg := jobs.Config{
-		Resolve: server.NewResolver(cfg.DefaultFidelity,
-			reg.Counter("saccoord_identity_memo_hits_total", "Requests whose cell identity was remembered from an earlier request."),
-			reg.Counter("saccoord_identity_memo_misses_total", "Requests whose cell identity was resolved afresh.")).Resolve,
+		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
+			return server.ResolveRequest(req, cfg.DefaultFidelity)
+		},
 		Admit:   c.admit,
 		Execute: c.execute,
 		Metrics: jobs.Metrics{
@@ -415,9 +415,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 	c.m.dispatches.Inc()
 	defer func() {
 		c.mu.Lock()
-		if w.attempts[j.Key] != nil {
-			delete(w.attempts, j.Key)
-		}
+		delete(w.attempts, j.Key)
 		w.inflight--
 		c.mu.Unlock()
 	}()

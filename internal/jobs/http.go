@@ -41,8 +41,8 @@ func (t *Table) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/jobs", t.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs:batch", t.handleBatch)
 	mux.HandleFunc("GET /v1/jobs:watch", t.handleWatch)
-	mux.HandleFunc("GET /v1/jobs/{id}", t.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", t.handleCancel)
+	mux.HandleFunc("GET /v1/jobs/{id}", statusRoute(t.Status))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", statusRoute(t.Cancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/result", t.handleResult)
 }
 
@@ -192,26 +192,18 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 	}
 }
 
-func (t *Table) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := t.Status(id)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown job %q", id)
-		return
+// statusRoute answers with what of returns for the job the path names: its
+// status (Status), or its status after a cancel (Cancel, idempotent).
+func statusRoute(of func(id string) (client.JobStatus, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		st, ok := of(id)
+		if !ok {
+			WriteError(w, http.StatusNotFound, "unknown job %q", id)
+			return
+		}
+		writeStatus(w, http.StatusOK, &st)
 	}
-	writeStatus(w, http.StatusOK, &st)
-}
-
-// handleCancel answers with the job's (possibly already terminal) status:
-// cancellation is idempotent.
-func (t *Table) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := t.Cancel(id)
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	writeStatus(w, http.StatusOK, &st)
 }
 
 func (t *Table) handleResult(w http.ResponseWriter, r *http.Request) {

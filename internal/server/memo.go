@@ -16,8 +16,8 @@ import (
 // The identity memo. Equal identity fields always resolve to the same
 // identity, yet resolving one — copying the catalog spec, validating the
 // config, hashing the store key's canonical JSON — costs a warm cell more
-// than the store read that answers it. A Resolver remembers what it
-// resolved, so a repeated request resolves once per daemon. It caches
+// than the store read that answers it. A resolver remembers what it
+// resolved, so a repeated request resolves once per sacd. It caches
 // addresses, not results: the store and the flight table stay the only
 // memos of what a cell computes.
 //
@@ -27,7 +27,7 @@ import (
 // step), as TestMemoSharedIdentityStaysUntouched checks under -race.
 
 const (
-	// memoSets × memoWays is how many identities one daemon remembers: each
+	// memoSets × memoWays is how many identities one sacd remembers: each
 	// ≈ 0.5 KiB inline plus the key string and spec kernels it points to.
 	memoSetBits = 7
 	memoSets    = 1 << memoSetBits
@@ -169,10 +169,10 @@ func (s *memoSet) find(h uint64, k *memoKey) int {
 	return -1
 }
 
-// Resolver is ResolveRequest behind a bounded identity memo: sacd's Server
-// and saccoord's Coordinator each own one. It is safe for concurrent use; a
-// hit allocates nothing and a miss no more than ResolveRequest.
-type Resolver struct {
+// resolver is ResolveRequest behind a bounded identity memo, one per sacd
+// Server. It is safe for concurrent use; a hit allocates nothing and a miss
+// no more than ResolveRequest.
+type resolver struct {
 	defaultFidelity string
 	seed            maphash.Seed
 	hits, misses    *obs.Metric
@@ -181,10 +181,10 @@ type Resolver struct {
 	sets *[memoSets]memoSet
 }
 
-// NewResolver returns an empty Resolver applying defaultFidelity to requests
+// newResolver returns an empty resolver applying defaultFidelity to requests
 // that name no rung, counting lookups into hits and misses.
-func NewResolver(defaultFidelity string, hits, misses *obs.Metric) *Resolver {
-	return &Resolver{
+func newResolver(defaultFidelity string, hits, misses *obs.Metric) *resolver {
+	return &resolver{
 		defaultFidelity: defaultFidelity,
 		seed:            maphash.MakeSeed(),
 		hits:            hits,
@@ -196,7 +196,7 @@ func NewResolver(defaultFidelity string, hits, misses *obs.Metric) *Resolver {
 // Resolve is ResolveRequest(req, defaultFidelity), answered from the memo
 // when an earlier request had the same identity fields. The job checks run
 // on every request; only successes are remembered.
-func (r *Resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
+func (r *resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
 	if err := checkJob(&req); err != nil {
 		return jobs.Identity{}, err
 	}
@@ -222,7 +222,7 @@ func (r *Resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
 }
 
 // recall copies the identity set remembers for k into ident.
-func (r *Resolver) recall(set *memoSet, h uint64, k *memoKey, ident *jobs.Identity) bool {
+func (r *resolver) recall(set *memoSet, h uint64, k *memoKey, ident *jobs.Identity) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i := set.find(h, k)
@@ -234,7 +234,7 @@ func (r *Resolver) recall(set *memoSet, h uint64, k *memoKey, ident *jobs.Identi
 
 // remember files ident in set unless a concurrent miss already has; a full
 // set gives up its ways in turn.
-func (r *Resolver) remember(set *memoSet, h uint64, k *memoKey, ident jobs.Identity) {
+func (r *resolver) remember(set *memoSet, h uint64, k *memoKey, ident jobs.Identity) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if set.find(h, k) >= 0 {

@@ -21,13 +21,13 @@ import (
 	"repro/internal/workload"
 )
 
-func testResolver(defaultFidelity string) *Resolver {
+func testResolver(defaultFidelity string) *resolver {
 	reg := obs.NewRegistry()
-	return NewResolver(defaultFidelity, reg.Counter("hits", ""), reg.Counter("misses", ""))
+	return newResolver(defaultFidelity, reg.Counter("hits", ""), reg.Counter("misses", ""))
 }
 
 // occupied counts the identities r remembers.
-func occupied(r *Resolver) int {
+func occupied(r *resolver) int {
 	n := 0
 	for _, set := range r.sets {
 		for _, used := range set.used {
@@ -41,7 +41,7 @@ func occupied(r *Resolver) int {
 
 const testPlan = "xchip:0.cw@0-5000*0.5"
 
-// sameResolve fails unless the Resolver answered req as ResolveRequest does.
+// sameResolve fails unless the resolver answered req as ResolveRequest does.
 func sameResolve(t *testing.T, what string, req client.JobRequest, got jobs.Identity, err error, want jobs.Identity, wantErr error) {
 	t.Helper()
 	switch {
@@ -128,7 +128,7 @@ func TestConfigBitsCoverEveryField(t *testing.T) {
 // TestResolverMatchesResolveRequest is the memo's differential test: over
 // the catalog × every org × {preset, explicit config, explicit config naming
 // another org, θ 0, θ −0} × every rung spelling × {no plan, a plan}, at
-// either daemon default, a Resolver answers exactly as ResolveRequest on the miss that
+// either daemon default, a resolver answers exactly as ResolveRequest on the miss that
 // fills it and on the hit that reads it back. Refusals (estimate with a
 // plan) are answered afresh each time, never remembered.
 func TestResolverMatchesResolveRequest(t *testing.T) {
@@ -336,7 +336,7 @@ func distinctRequests(n int, faults string) []client.JobRequest {
 	return reqs
 }
 
-// TestResolverCapacity: filling a Resolver far past its capacity keeps it at
+// TestResolverCapacity: filling a resolver far past its capacity keeps it at
 // exactly memoSets × memoWays identities, within its footprint budget.
 func TestResolverCapacity(t *testing.T) {
 	const capacity = memoSets * memoWays

@@ -230,7 +230,7 @@ func New(cfg Config) *Server {
 	s.cond = sync.NewCond(&s.mu)
 	s.countReplay = s.m.replays.Inc
 	jcfg := jobs.Config{
-		Resolve:    NewResolver(cfg.DefaultFidelity, s.m.identHits, s.m.identMisses).Resolve,
+		Resolve:    newResolver(cfg.DefaultFidelity, s.m.identHits, s.m.identMisses).Resolve,
 		Admit:      s.admit,
 		Execute:    s.execute,
 		OnTerminal: s.journalDone,
@@ -277,8 +277,8 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // ResolveRequest validates req and resolves its simulation identity.
-// defaultFidelity applies when the request names no rung ("" = exact). It is
-// the memo-free reference the daemons' Resolver must agree with.
+// defaultFidelity applies when the request names no rung ("" = exact).
+// saccoord resolves with it; sacd's memoizing resolver must agree with it.
 func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identity, error) {
 	if err := checkJob(&req); err != nil {
 		return jobs.Identity{}, err
@@ -313,15 +313,47 @@ func effectiveFidelity(req *client.JobRequest, defaultFidelity string) string {
 
 // identityOf resolves the cell req names at rung fid: a pure function of
 // the request's benchmark, org, preset, config and faults and of fid, which
-// is what lets a Resolver memoize it.
+// is what lets a resolver memoize it.
 func identityOf(req *client.JobRequest, fid string) (jobs.Identity, error) {
 	fid, err := backend.Normalize(fid)
 	if err != nil {
 		return jobs.Identity{}, err
 	}
-	cfg, spec, plan, err := resolve(req)
+	spec, err := workload.ByName(req.Benchmark)
 	if err != nil {
 		return jobs.Identity{}, err
+	}
+	org, err := llc.ParseOrg(req.Org)
+	if err != nil {
+		return jobs.Identity{}, err
+	}
+	var cfg gpu.Config
+	switch {
+	case req.Config != nil:
+		cfg = *req.Config
+	case req.Preset == "" || req.Preset == "scaled":
+		cfg = gpu.ScaledConfig()
+	case req.Preset == "paper":
+		cfg = gpu.PaperConfig()
+	case req.Preset == "mcm":
+		cfg = gpu.MCMConfig()
+	case req.Preset == "multisocket":
+		cfg = gpu.MultiSocketConfig()
+	default:
+		return jobs.Identity{}, fmt.Errorf("unknown preset %q", req.Preset)
+	}
+	cfg = cfg.WithOrg(org)
+	if err := cfg.Validate(); err != nil {
+		return jobs.Identity{}, err
+	}
+	var plan *fault.Plan
+	if req.Faults != "" {
+		if plan, err = fault.Parse(req.Faults); err != nil {
+			return jobs.Identity{}, err
+		}
+		if err := plan.Validate(cfg.FaultShape()); err != nil {
+			return jobs.Identity{}, err
+		}
 	}
 	if fid == backend.Estimate && !plan.Empty() {
 		return jobs.Identity{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q",
@@ -331,51 +363,6 @@ func identityOf(req *client.JobRequest, fid string) (jobs.Identity, error) {
 		Cfg: cfg, Spec: spec, Plan: plan, Fidelity: fid,
 		Key: store.KeyAt(cfg, spec.Name, plan.Key(), fid),
 	}, nil
-}
-
-// resolve validates a request and resolves its simulation identity.
-func resolve(req *client.JobRequest) (gpu.Config, workload.Spec, *fault.Plan, error) {
-	spec, err := workload.ByName(req.Benchmark)
-	if err != nil {
-		return gpu.Config{}, workload.Spec{}, nil, err
-	}
-	org, err := llc.ParseOrg(req.Org)
-	if err != nil {
-		return gpu.Config{}, workload.Spec{}, nil, err
-	}
-	var cfg gpu.Config
-	switch {
-	case req.Config != nil:
-		cfg = *req.Config
-	default:
-		switch req.Preset {
-		case "", "scaled":
-			cfg = gpu.ScaledConfig()
-		case "paper":
-			cfg = gpu.PaperConfig()
-		case "mcm":
-			cfg = gpu.MCMConfig()
-		case "multisocket":
-			cfg = gpu.MultiSocketConfig()
-		default:
-			return gpu.Config{}, workload.Spec{}, nil, fmt.Errorf("unknown preset %q", req.Preset)
-		}
-	}
-	cfg = cfg.WithOrg(org)
-	if err := cfg.Validate(); err != nil {
-		return gpu.Config{}, workload.Spec{}, nil, err
-	}
-	var plan *fault.Plan
-	if req.Faults != "" {
-		plan, err = fault.Parse(req.Faults)
-		if err != nil {
-			return gpu.Config{}, workload.Spec{}, nil, err
-		}
-		if err := plan.Validate(cfg.FaultShape()); err != nil {
-			return gpu.Config{}, workload.Spec{}, nil, err
-		}
-	}
-	return cfg, spec, plan, nil
 }
 
 // ---- admission ----
