@@ -114,8 +114,8 @@ fidelitysmoke:
 # clustersmoke is the fleet shortcut: ring properties (balance, minimal key
 # movement), an in-process coordinator + two workers (a worker kill loses no
 # cell; a remote RunAll is byte-identical to in-process runs), the dispatch
-# lanes (grouped submits, one watch per worker, per-item answers for a group
-# refused whole), and the real-binary fleet e2e (saccoord + 2 sacd +
+# lanes (grouped submits, each group watching its own jobs, per-item answers
+# for a group refused whole), and the real-binary fleet e2e (saccoord + 2 sacd +
 # sacsweep -remote byte-identity, SIGKILL steal, fleet-wide exactly-once).
 clustersmoke:
 	$(GO) test -race -count=1 ./internal/cluster

@@ -18,6 +18,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // tinyConfig shrinks the machine so cluster tests simulate in milliseconds
@@ -120,6 +121,16 @@ func testCoordinator(t *testing.T, reg *obs.Registry) (*Coordinator, *httptest.S
 // testCoordinatorAt is testCoordinator whose default rung is fidelity.
 func testCoordinatorAt(t *testing.T, reg *obs.Registry, fidelity string) (*Coordinator, *httptest.Server) {
 	t.Helper()
+	c := bootCoordinator(t, reg, fidelity)
+	hs := httptest.NewServer(c.Handler())
+	t.Cleanup(hs.Close)
+	return c, hs
+}
+
+// bootCoordinator is a coordinator with test-speed heartbeats, closed with
+// the test, that no server serves yet.
+func bootCoordinator(t *testing.T, reg *obs.Registry, fidelity string) *Coordinator {
+	t.Helper()
 	c := New(Config{
 		Heartbeat:       50 * time.Millisecond,
 		Lapse:           250 * time.Millisecond,
@@ -131,12 +142,8 @@ func testCoordinatorAt(t *testing.T, reg *obs.Registry, fidelity string) (*Coord
 				client.WithBackoff(2*time.Millisecond, 10*time.Millisecond))
 		},
 	})
-	hs := httptest.NewServer(c.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		c.Close()
-	})
-	return c, hs
+	t.Cleanup(c.Close)
+	return c
 }
 
 func newClient(url string) *client.Client {
@@ -617,7 +624,7 @@ func TestCancelReachesWorker(t *testing.T) {
 	ids := submitGroup(t, c, cc, f, []client.JobRequest{
 		tinyRequest("RN", "SAC", 600), tinyRequest("RN", "SAC", 608), tinyRequest("RN", "SAC", 616),
 	})
-	f.await(t, "one watch covers the whole group", func() bool {
+	f.await(t, "parked watches name every job of both groups", func() bool {
 		return len(f.batches) == 2 && len(f.batches[1]) == 2 && f.watchingLocked(f.scale[600], f.scale[608], f.scale[616])
 	})
 	f.mu.Lock()
@@ -763,5 +770,92 @@ func TestIdentityMemoPerDaemon(t *testing.T) {
 		if !strings.Contains(w, line) {
 			t.Errorf("worker /metrics lacks %q", line)
 		}
+	}
+}
+
+// TestCoordinatorRestartConverges: saccoord keeps its state in memory only,
+// so a coordinator restarted at the same URL knows no worker and no flight.
+// The workers re-register on its 404 to their heartbeats, and a client that
+// resubmits its batch there converges without simulating anything again:
+// estimate cells come back from the workers' stores and exact cells from
+// the finished flights the workers still hold.
+func TestCoordinatorRestartConverges(t *testing.T) {
+	var api atomic.Value // the http.Handler of the coordinator serving now
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	coord := bootCoordinator(t, nil, "")
+	api.Store(coord.Handler())
+	var stores []*store.Store
+	for _, id := range []string{"worker-a", "worker-b"} {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		stores = append(stores, st)
+		startWorkerCfg(t, hs.URL, id, server.Config{Workers: 2, Store: st}, nil)
+	}
+	waitLive(t, coord, 2)
+
+	var reqs []client.JobRequest
+	for i := range 8 {
+		for _, fidelity := range []string{"exact", "estimate"} {
+			req := tinyRequest("RN", "SAC", 600+8*i)
+			req.Fidelity = fidelity
+			reqs = append(reqs, req)
+		}
+	}
+	cc := newClient(hs.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// run submits reqs and returns their final statuses in request order.
+	run := func() []client.JobStatus {
+		t.Helper()
+		sts, err := cc.SubmitBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(sts))
+		for i, st := range sts {
+			ids[i] = st.ID
+		}
+		final, err := cc.WaitAll(ctx, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if sts[i] = final[id]; sts[i].State != client.StateDone {
+				t.Fatalf("job %d %s: %s", i, sts[i].State, sts[i].Error)
+			}
+		}
+		return sts
+	}
+	// stored sums the workers' store misses, one per simulation, and cells.
+	stored := func() (misses int64, cells int) {
+		for _, st := range stores {
+			misses, cells = misses+st.Misses(), cells+st.Len()
+		}
+		return misses, cells
+	}
+	run()
+	misses, cells := stored()
+
+	coord.Close()
+	coord = bootCoordinator(t, nil, "")
+	api.Store(coord.Handler())
+	waitLive(t, coord, 2)
+	for i, st := range run() {
+		want := client.SourceMemo
+		if reqs[i].Fidelity == "estimate" {
+			want = client.SourceStore
+		}
+		if st.Source != want {
+			t.Errorf("job %d (%s) after the restart: source %q, want %q", i, reqs[i].Fidelity, st.Source, want)
+		}
+	}
+	if after, cellsAfter := stored(); after != misses || cellsAfter != cells {
+		t.Fatalf("the workers simulated again: store misses %d -> %d, cells %d -> %d", misses, after, cells, cellsAfter)
 	}
 }

@@ -6,9 +6,9 @@
 // any client.Client works against either. This package supplies the
 // executor: consistent-hash placement of each cell on the worker that owns
 // its store key (ring.go), dispatch over the worker's own jobs API in
-// grouped submits and one long-poll per worker (lanes.go), and stealing
-// from workers that die, lapse or leave — and the worker table behind it
-// (registration, heartbeats, health-steered routing).
+// submit groups that each long-poll their own unfinished jobs (lanes.go),
+// and stealing from workers that die, lapse or leave — and the worker table
+// behind it (registration, heartbeats, health-steered routing).
 package cluster
 
 import (
@@ -396,13 +396,13 @@ func (c *Coordinator) pickWorker(key string, tried map[string]bool) (string, *wo
 	return "", nil, false
 }
 
-// dispatch runs one attempt on one worker through its lanes: the submit
-// lane carries the job's request in the next group (a warm worker answers
-// inline, and a group the worker refuses whole is resent item by item), then
-// the watch lane's long-poll brings its terminal status. Any
-// non-permanent error (network death, the worker declared gone, worker-side
-// expiry) sends the caller back into the steal loop; a best-effort
-// steal-cancel tells the abandoned worker to stop burning cycles.
+// dispatch runs one attempt on one worker through its lanes: the job's
+// request goes in the next submit group (a warm worker answers inline, and
+// a group the worker refuses whole is resent item by item), whose long-poll
+// then brings its terminal status. Any non-permanent error (network death,
+// the worker declared gone, worker-side expiry) sends the caller back into
+// the steal loop; a best-effort steal-cancel tells the abandoned worker to
+// stop burning cycles.
 func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *workerEntry) (json.RawMessage, client.JobStatus, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -10,15 +10,14 @@ import (
 	"repro/internal/wire"
 )
 
-// lanes carry every dispatch to one worker. The submit lane is a group
+// lanes carry every dispatch to one worker as submit groups. A group is a
 // commit: a dispatch that finds no submit in flight sends everything queued
 // as one SubmitBatch, and dispatches that arrive meanwhile queue for the
-// next. The watch lane keeps one long-poll over every worker job id still
-// outstanding, re-armed when new ids arrive so that none waits on another
-// job's completion, and stopped when none is left. A group's HTTP call
-// belongs to no job's context: each item's deadline travels as its
-// TimeoutMS, and a job that gives up leaves its lane without disturbing the
-// rest of its group.
+// next. Once its submit answers, the group long-polls the jobs the worker
+// accepted without finishing, one watch at a time over exactly the ids
+// still waiting, until none is. A group's HTTP calls belong to no job's
+// context: each item's deadline travels as its TimeoutMS, and a job that
+// gives up leaves its group without disturbing the rest.
 type lanes struct {
 	c  *Coordinator
 	w  *workerEntry
@@ -27,40 +26,32 @@ type lanes struct {
 	mu      sync.Mutex
 	queue   []*laneItem
 	sending bool
-	watched map[string]*laneItem // worker job id → the dispatch waiting on it
-	polling bool
-	// rearm ends the long-poll in flight, so the next covers the current
-	// set; nil while none is in flight.
-	rearm context.CancelFunc
 }
 
 // laneItem is one dispatch attempt as the lanes carry it.
 type laneItem struct {
 	req  client.JobRequest
 	key  string
-	size int // the request's encoded bytes in a batch body
-	// out receives the submit lane's answer and then, for an item it moved
-	// into the watch lane, the watch lane's: a slot for each, so neither
-	// lane blocks on a dispatcher that has not read the first yet.
-	out chan laneResult
+	size int             // the request's encoded bytes in a batch body
+	out  chan laneResult // the item's one final answer
 
 	// Guarded by lanes.mu.
-	group *group         // the submit in flight carrying the item
+	group *group         // the group carrying the item until it is answered
 	cl    *client.Client // the client the worker accepted it through
-	wid   string         // the worker's job id while the watch lane holds it
+	wid   string         // the worker's job id while its group watches it
 	left  bool           // the dispatcher gave up
 }
 
-// laneResult is a lane's answer to one item: a worker status (terminal,
-// unless it comes from the submit lane with the item now watched), or an
-// error.
+// laneResult is the lanes' final answer to one item: a terminal worker
+// status, or an error.
 type laneResult struct {
 	st  client.JobStatus
 	err error
 }
 
-// group is one SubmitBatch in flight. When every item in it has left, its
-// call is canceled.
+// group is one SubmitBatch and the watches that follow it. live counts the
+// items still waiting on it; when the last of them leaves, its call in
+// flight is canceled.
 type group struct {
 	items  []*laneItem
 	live   int
@@ -73,7 +64,7 @@ type group struct {
 const batchFrame = len(`{"jobs":[]}`)
 
 func newLanes(c *Coordinator, w *workerEntry, id string) *lanes {
-	return &lanes{c: c, w: w, id: id, watched: make(map[string]*laneItem)}
+	return &lanes{c: c, w: w, id: id}
 }
 
 // clients snapshots the worker's client and its retry-free copy: a
@@ -84,13 +75,14 @@ func (l *lanes) clients() (cl, once *client.Client) {
 	return l.w.cl, l.w.once
 }
 
-// run carries one dispatch attempt through the lanes and returns its final
-// answer: the submit lane's, or, for a job the worker accepted without
-// finishing it, the watch lane's.
+// run carries one dispatch attempt in the next group and returns its final
+// answer. On ctx's end the item leaves its group; a job the worker already
+// holds is steal-canceled there, now or, if its submit is still in flight,
+// when it answers.
 func (l *lanes) run(ctx context.Context, req client.JobRequest, key string) laneResult {
 	bp := wire.GetBuf()
 	b := client.AppendRequest((*bp)[:0], &req)
-	it := &laneItem{req: req, key: key, size: len(b), out: make(chan laneResult, 2)}
+	it := &laneItem{req: req, key: key, size: len(b), out: make(chan laneResult, 1)}
 	*bp = b[:0]
 	wire.PutBuf(bp)
 
@@ -103,17 +95,6 @@ func (l *lanes) run(ctx context.Context, req client.JobRequest, key string) lane
 	}
 	l.mu.Unlock()
 
-	r := l.await(ctx, it)
-	if r.err == nil && !r.st.Done() {
-		r = l.await(ctx, it)
-	}
-	return r
-}
-
-// await returns the item's next answer. On ctx's end the item leaves its
-// lane; a job the worker already holds is steal-canceled there, now or, if
-// its submit is still in flight, when it answers.
-func (l *lanes) await(ctx context.Context, it *laneItem) laneResult {
 	select {
 	case r := <-it.out:
 		return r
@@ -127,9 +108,6 @@ func (l *lanes) await(ctx context.Context, it *laneItem) laneResult {
 		}
 	}
 	wid, cl := it.wid, it.cl
-	if wid != "" {
-		l.unwatchLocked(wid)
-	}
 	l.mu.Unlock()
 	if wid != "" {
 		l.c.stealCancel(cl, wid, l.id)
@@ -137,8 +115,8 @@ func (l *lanes) await(ctx context.Context, it *laneItem) laneResult {
 	return laneResult{err: fmt.Errorf("worker %s: %w", l.id, ctx.Err())}
 }
 
-// sendLoop is the submit lane: one group per round of what is queued, until
-// the queue is empty.
+// sendLoop submits one group per round of what is queued, until the queue
+// is empty.
 func (l *lanes) sendLoop() {
 	defer l.c.wg.Done()
 	for {
@@ -193,8 +171,16 @@ func (l *lanes) groupLocked(items []*laneItem) *group {
 	return g
 }
 
-// send submits g's items as one SubmitBatch and hands each its answer. sacd
-// admits a batch all-or-nothing, so a full queue, one shed item or one
+// answerLocked hands it its final answer; it waits on its group no more.
+func (l *lanes) answerLocked(it *laneItem, r laneResult) {
+	it.group.live--
+	it.group, it.wid = nil, ""
+	it.out <- r
+}
+
+// send submits g's items as one SubmitBatch, answers each item the worker
+// refused, finished or mismatched, and hands the rest to the group's watch.
+// sacd admits a batch all-or-nothing, so a full queue, one shed item or one
 // invalid item refuses a whole group. A group therefore goes out once,
 // without the client's retries, and if it fails, each of its items still
 // waiting is resent alone: each job gets the answer a one-item submit gets.
@@ -209,15 +195,14 @@ func (l *lanes) send(g *group) {
 		reqs[i] = it.req
 	}
 	sts, err := call.SubmitBatch(g.ctx, reqs)
-	g.cancel()
 	if err == nil && len(sts) != len(reqs) {
 		err = fmt.Errorf("%d statuses for %d jobs", len(sts), len(reqs))
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	watched := make(map[string]*laneItem)
 	for i, it := range g.items {
-		it.group = nil
 		switch {
 		case it.left:
 			if err == nil && !sts[i].Done() {
@@ -231,141 +216,84 @@ func (l *lanes) send(g *group) {
 				l.send(alone)
 			}()
 		case err != nil:
-			it.out <- laneResult{err: fmt.Errorf("worker %s: submit: %w", l.id, err)}
+			l.answerLocked(it, laneResult{err: fmt.Errorf("worker %s: submit: %w", l.id, err)})
+		case sts[i].Key != "" && sts[i].Key != it.key:
+			// Placement and dedup both hang off this key; a worker computing a
+			// different one means version drift, which stealing cannot fix.
+			// Nobody waits on the job it accepted, so it is stopped too.
+			if !sts[i].Done() {
+				l.c.stealCancel(cl, sts[i].ID, l.id)
+			}
+			l.answerLocked(it, laneResult{st: sts[i], err: fmt.Errorf("%w: worker %s key mismatch: %s != %s",
+				errPermanent, l.id, sts[i].Key, it.key)})
+		case sts[i].Done():
+			l.answerLocked(it, laneResult{st: sts[i]})
 		default:
-			it.out <- l.acceptLocked(it, sts[i], cl)
+			it.cl, it.wid = cl, sts[i].ID
+			watched[it.wid] = it
 		}
 	}
-}
-
-// acceptLocked reads the status a worker accepted an item with: a terminal
-// or mismatched one is the item's answer, any other moves the item into the
-// watch lane, whose answer follows.
-func (l *lanes) acceptLocked(it *laneItem, st client.JobStatus, cl *client.Client) laneResult {
-	r := laneResult{st: st}
-	switch {
-	case st.Key != "" && st.Key != it.key:
-		// Placement and dedup both hang off this key; a worker computing a
-		// different one means version drift, which stealing cannot fix.
-		r.err = fmt.Errorf("%w: worker %s key mismatch: %s != %s", errPermanent, l.id, st.Key, it.key)
-	case !st.Done():
-		it.cl, it.wid = cl, st.ID
-		l.watched[st.ID] = it
-		if !l.polling {
-			l.polling = true
-			l.c.wg.Add(1)
-			go l.pollLoop()
-		} else if l.rearm != nil {
-			l.rearm()
-			l.rearm = nil
-		}
+	if len(watched) == 0 {
+		g.cancel()
+		return
 	}
-	return r
+	l.c.wg.Add(1)
+	go l.watch(g, cl, watched)
 }
 
-// unwatchLocked drops a worker job id from the watch lane, ending the
-// long-poll in flight when nothing is left to watch.
-func (l *lanes) unwatchLocked(wid string) {
-	delete(l.watched, wid)
-	if len(l.watched) == 0 && l.rearm != nil {
-		l.rearm()
-		l.rearm = nil
-	}
-}
-
-// finishLocked sends the item watching wid its final answer; false means
-// no item watches wid any more.
-func (l *lanes) finishLocked(wid string, r laneResult) bool {
-	it := l.watched[wid]
-	if it == nil {
-		return false
-	}
-	delete(l.watched, wid)
-	it.wid = ""
-	it.out <- r
-	return true
-}
-
-// pollLoop is the watch lane: one long-poll round per pass over every
-// watched id, fanning each terminal status, unknown id and transport error
-// out to its dispatcher, until nothing is watched.
-func (l *lanes) pollLoop() {
+// watch long-polls the worker for g's accepted, unfinished jobs, watched by
+// worker job id: one call at a time over exactly the ids still waiting,
+// fanning each terminal status, unknown id and transport error out to its
+// item, until none is left. A group holds at most client.MaxBatch items, so
+// one call names them all.
+func (l *lanes) watch(g *group, cl *client.Client, watched map[string]*laneItem) {
 	defer l.c.wg.Done()
+	defer g.cancel()
+	ids := make([]string, 0, len(watched))
 	for {
+		ids = ids[:0]
 		l.mu.Lock()
-		if len(l.watched) == 0 {
-			l.polling = false
-			l.mu.Unlock()
+		for wid, it := range watched {
+			if it.left {
+				delete(watched, wid) // its leave steal-canceled the job
+			} else {
+				ids = append(ids, wid)
+			}
+		}
+		l.mu.Unlock()
+		if len(ids) == 0 {
 			return
 		}
-		ids := make([]string, 0, len(l.watched))
-		for wid := range l.watched {
-			ids = append(ids, wid)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		l.rearm = cancel
-		l.mu.Unlock()
-
-		cl, _ := l.clients()
-		polls := poll(ctx, cl, ids)
-		cancel()
+		resp, err := cl.Watch(g.ctx, ids, 0)
 
 		l.mu.Lock()
-		l.rearm = nil
-		for _, p := range polls {
-			switch {
-			case p.canceled:
-				// Re-armed or abandoned: the next round covers these ids.
-			case p.err != nil:
-				for _, wid := range p.ids {
-					if l.finishLocked(wid, laneResult{err: fmt.Errorf("worker %s: watch: %w", l.id, p.err)}) {
-						l.c.stealCancel(cl, wid, l.id)
-					}
+		// settle answers wid's item; false means it has left.
+		settle := func(wid string, r laneResult) bool {
+			it := watched[wid]
+			delete(watched, wid)
+			if it == nil || it.left {
+				return false
+			}
+			l.answerLocked(it, r)
+			return true
+		}
+		switch {
+		case err != nil:
+			// A call canceled because every item left settles none.
+			for _, wid := range ids {
+				if settle(wid, laneResult{err: fmt.Errorf("worker %s: watch: %w", l.id, err)}) {
+					l.c.stealCancel(cl, wid, l.id)
 				}
-			default:
-				for _, st := range p.resp.Jobs {
-					l.finishLocked(st.ID, laneResult{st: st})
-				}
-				for _, wid := range p.resp.Unknown {
-					// The worker restarted or forgot the job mid-watch: steal.
-					l.finishLocked(wid, laneResult{err: fmt.Errorf("worker %s: job %s vanished", l.id, wid)})
-				}
+			}
+		default:
+			for _, st := range resp.Jobs {
+				settle(st.ID, laneResult{st: st})
+			}
+			for _, wid := range resp.Unknown {
+				// The worker restarted or forgot the job mid-watch: steal.
+				settle(wid, laneResult{err: fmt.Errorf("worker %s: job %s vanished", l.id, wid)})
 			}
 		}
 		l.mu.Unlock()
 	}
-}
-
-// polled is one long-poll's answer over a chunk of ids. canceled marks a
-// call cut short by a re-arm or by another chunk answering first.
-type polled struct {
-	ids      []string
-	resp     client.WatchResponse
-	err      error
-	canceled bool
-}
-
-// poll long-polls ids, client.MaxBatch per call, until the first call
-// answers; that cancels the rest, whose ids the next round covers.
-func poll(ctx context.Context, cl *client.Client, ids []string) []polled {
-	var ps []polled
-	for len(ids) > 0 {
-		n := min(len(ids), client.MaxBatch)
-		ps = append(ps, polled{ids: ids[:n]})
-		ids = ids[n:]
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range ps {
-		wg.Add(1)
-		go func(p *polled) {
-			defer wg.Done()
-			p.resp, p.err = cl.Watch(ctx, p.ids, 0)
-			p.canceled = p.err != nil && ctx.Err() != nil
-			cancel()
-		}(&ps[i])
-	}
-	wg.Wait()
-	return ps
 }

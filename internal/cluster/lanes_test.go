@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -33,6 +34,8 @@ type fakeWorker struct {
 	// caller gives up, which abandoned counts.
 	hold      chan struct{}
 	abandoned int
+	// key, when set, is the store key every accepted job reports.
+	key string
 
 	mu      sync.Mutex
 	changed chan struct{} // closed and replaced on every change
@@ -105,7 +108,7 @@ func (f *fakeWorker) handleBatch(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("wj-%d", len(f.state))
 		f.state[id] = client.StateQueued
 		f.scale[req.Config.WorkloadScale] = id
-		resp.Jobs = append(resp.Jobs, client.BatchItem{Status: &client.JobStatus{ID: id, State: client.StateQueued}})
+		resp.Jobs = append(resp.Jobs, client.BatchItem{Status: &client.JobStatus{ID: id, State: client.StateQueued, Key: f.key}})
 	}
 	f.noteLocked()
 	jobs.WriteJSON(w, http.StatusAccepted, resp)
@@ -181,15 +184,15 @@ func (f *fakeWorker) await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// watchingLocked reports whether the latest watch covers every id; an
-// id not assigned yet ("") is not covered.
+// watchingLocked reports whether every id is named by some parked watch;
+// an id not assigned yet ("") is not.
 func (f *fakeWorker) watchingLocked(ids ...string) bool {
-	if len(f.watches) == 0 {
-		return false
-	}
-	last := f.watches[len(f.watches)-1]
 	for _, id := range ids {
-		if id == "" || !slices.Contains(last, id) {
+		named := false
+		for _, parked := range f.parked {
+			named = named || slices.Contains(parked, id)
+		}
+		if id == "" || !named {
 			return false
 		}
 	}
@@ -217,7 +220,7 @@ func fakeCoordinator(t *testing.T, f *fakeWorker) (*Coordinator, *client.Client)
 	return c, newClient(hs.URL)
 }
 
-// queued reports how many dispatches wait in the workers' submit lanes.
+// queued reports how many dispatches wait in the workers' lane queues.
 func queued(c *Coordinator) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,22 +265,48 @@ func submitGroup(t *testing.T, c *Coordinator, cc *client.Client, f *fakeWorker,
 	return ids
 }
 
-// countingTransport counts a worker client's calls by route. It holds each
-// worker's first submit until release closes, and counts the jobs in it, so
-// a test can let every other dispatch queue behind those; and it holds every
-// watch until releaseWatch closes.
+// countingTransport counts a worker client's calls by route and passes them
+// to next (nil is http.DefaultTransport). After holdSubmits, it holds each
+// worker's next submit until the returned channel closes, and counts the
+// jobs in it, so a test can let every other dispatch queue behind those;
+// when releaseWatch is set, it holds every watch until it closes.
 type countingTransport struct {
-	submits, watches      atomic.Int64
-	release, releaseWatch chan struct{}
+	next             http.RoundTripper
+	submits, watches atomic.Int64
+	releaseWatch     chan struct{}
 
-	mu   sync.Mutex
-	held map[string]int // worker host → jobs in its held first submit
+	mu      sync.Mutex
+	release chan struct{}  // nil holds no submit
+	held    map[string]int // worker host → jobs in its held submit
+}
+
+// holdSubmits holds each worker's next submit until the returned channel
+// closes.
+func (ct *countingTransport) holdSubmits() chan struct{} {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	ct.release, ct.held = make(chan struct{}), map[string]int{}
+	return ct.release
 }
 
 func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	next := ct.next
+	if next == nil {
+		next = http.DefaultTransport
+	}
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch":
 		ct.submits.Add(1)
+		ct.mu.Lock()
+		release := ct.release
+		_, seen := ct.held[r.URL.Host]
+		if release != nil && !seen {
+			ct.held[r.URL.Host] = 0
+		}
+		ct.mu.Unlock()
+		if release == nil || seen {
+			break
+		}
 		b, err := io.ReadAll(r.Body)
 		r.Body.Close()
 		if err != nil {
@@ -290,42 +319,36 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 		r = r.Clone(r.Context())
 		r.Body = io.NopCloser(bytes.NewReader(b))
 		ct.mu.Lock()
-		_, seen := ct.held[r.URL.Host]
-		if !seen {
-			ct.held[r.URL.Host] = len(breq.Jobs)
-		}
+		ct.held[r.URL.Host] = len(breq.Jobs)
 		ct.mu.Unlock()
-		if !seen {
-			select {
-			case <-ct.release:
-			case <-r.Context().Done():
-				return nil, r.Context().Err()
-			}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
 		}
 	case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs:watch":
 		ct.watches.Add(1)
+		if ct.releaseWatch == nil {
+			break
+		}
 		select {
 		case <-ct.releaseWatch:
 		case <-r.Context().Done():
 			return nil, r.Context().Err()
 		}
 	}
-	return http.DefaultTransport.RoundTrip(r)
+	return next.RoundTrip(r)
 }
 
-// TestDispatchBatchesPerWorker: a 64-cell batch on two workers goes out as
-// one held submit per worker and one group behind it, and each worker's
-// finished jobs come back through a long-poll that covers all of them, not
-// a submit and a watch per cell. Watches are held until both workers have
-// finished every job: unheld, a round ends at the first completion, so how
-// many jobs it collects depends on how completions bunch on the host.
-func TestDispatchBatchesPerWorker(t *testing.T) {
-	ct := countingTransport{release: make(chan struct{}), releaseWatch: make(chan struct{}), held: map[string]int{}}
+// countingFleet boots a coordinator whose worker clients call through ct,
+// and two real workers enrolled in it.
+func countingFleet(t *testing.T, ct *countingTransport) (*Coordinator, []*testWorker, *client.Client) {
+	t.Helper()
 	c := New(Config{
 		Heartbeat: 50 * time.Millisecond,
 		Lapse:     time.Hour,
 		Dial: func(url string) *client.Client {
-			return client.New(url, client.WithHTTPClient(&http.Client{Transport: &ct}),
+			return client.New(url, client.WithHTTPClient(&http.Client{Transport: ct}),
 				client.WithRetries(1), client.WithBackoff(2*time.Millisecond, 10*time.Millisecond))
 		},
 	})
@@ -336,16 +359,21 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 	})
 	workers := []*testWorker{startWorker(t, hs.URL, "worker-a"), startWorker(t, hs.URL, "worker-b")}
 	waitLive(t, c, 2)
+	return c, workers, newClient(hs.URL)
+}
 
-	// Distinct keys (MaxCycles is a stop no cell reaches) for one small cell.
+// heldBatch submits 64 distinct cells (MaxCycles, offset by from, is a stop
+// no cell reaches) and returns their ids once each worker's first submit
+// was held until every other dispatch queued behind it, so the rest go out
+// as one group per worker.
+func heldBatch(ctx context.Context, t *testing.T, c *Coordinator, cc *client.Client, ct *countingTransport, from int64) []string {
+	t.Helper()
+	release := ct.holdSubmits()
 	reqs := make([]client.JobRequest, 64)
 	for i := range reqs {
 		reqs[i] = tinyRequest("RN", "SAC", 1<<14)
-		reqs[i].Config.MaxCycles += int64(i)
+		reqs[i].Config.MaxCycles += from + int64(i)
 	}
-	cc := newClient(hs.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	sts, err := cc.SubmitBatch(ctx, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -354,8 +382,6 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 	for i, st := range sts {
 		ids[i] = st.ID
 	}
-	// Each worker's first group is held; once every other dispatch has
-	// queued behind it, the rest go out as one group per worker.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		ct.mu.Lock()
 		n := queued(c)
@@ -370,22 +396,13 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 			t.Fatalf("%d of %d dispatches held or queued", n, len(reqs))
 		}
 	}
-	close(ct.release)
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		accepted, busy := 0, 0
-		for _, w := range workers {
-			h := w.srv.HealthSnapshot()
-			accepted += h.Jobs
-			busy += h.Inflight + h.QueueDepth
-		}
-		if accepted == len(reqs) && busy == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers hold %d jobs, %d unfinished", accepted, busy)
-		}
-	}
-	close(ct.releaseWatch)
+	close(release)
+	return ids
+}
+
+// waitDone waits until every id is done.
+func waitDone(ctx context.Context, t *testing.T, cc *client.Client, ids []string) {
+	t.Helper()
 	final, err := cc.WaitAll(ctx, ids)
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +412,36 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 			t.Fatalf("job %s %s: %s", id, st.State, st.Error)
 		}
 	}
+}
+
+// TestDispatchBatchesPerWorker: a 64-cell batch on two workers goes out as
+// one held submit per worker and one group behind it, and each group's
+// finished jobs come back through one long-poll that covers all of them,
+// not a submit and a watch per cell. Watches are held until both workers
+// have finished every job: unheld, a watch ends at the first completion, so
+// how many jobs it collects depends on how completions bunch on the host.
+func TestDispatchBatchesPerWorker(t *testing.T) {
+	ct := &countingTransport{releaseWatch: make(chan struct{})}
+	c, workers, cc := countingFleet(t, ct)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ids := heldBatch(ctx, t, c, cc, ct, 0)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		accepted, busy := 0, 0
+		for _, w := range workers {
+			h := w.srv.HealthSnapshot()
+			accepted += h.Jobs
+			busy += h.Inflight + h.QueueDepth
+		}
+		if accepted == len(ids) && busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers hold %d jobs, %d unfinished", accepted, busy)
+		}
+	}
+	close(ct.releaseWatch)
+	waitDone(ctx, t, cc, ids)
 	if n := ct.submits.Load(); n > 4 {
 		t.Errorf("%d submit calls for 64 cells on two workers, want at most 4", n)
 	}
@@ -404,10 +451,81 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 	t.Logf("64 cells: %d submit calls, %d watch calls", ct.submits.Load(), ct.watches.Load())
 }
 
+// TestDispatchDialsBounded: 8 sequential 64-cell batches on two workers
+// ride the connections the first batch opened. No long-poll is canceled
+// while its group still waits, so none is closed: the coordinator dials at
+// most 3 connections per worker in all, however many calls they carry.
+// Each batch's first submit per worker is held, as in
+// TestDispatchBatchesPerWorker, so each worker gets two groups per batch:
+// unheld, how many groups form, and so how many long-polls park at once,
+// depends on how fast the coordinator's goroutines reach the lanes.
+func TestDispatchDialsBounded(t *testing.T) {
+	tr := client.DefaultTransport()
+	t.Cleanup(tr.CloseIdleConnections)
+	var mu sync.Mutex
+	dials := map[string]int{} // worker address → connections dialed
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		mu.Lock()
+		dials[addr]++
+		mu.Unlock()
+		return dial(ctx, network, addr)
+	}
+	ct := &countingTransport{next: tr}
+	c, _, cc := countingFleet(t, ct)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	for b := range int64(8) {
+		waitDone(ctx, t, cc, heldBatch(ctx, t, c, cc, ct, 64*b))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for addr, n := range dials {
+		if n > 3 {
+			t.Errorf("worker %s dialed %d times over 8 batches, want at most 3", addr, n)
+		}
+	}
+	t.Logf("8 x 64 cells: dials %v, %d submit calls, %d watch calls", dials, ct.submits.Load(), ct.watches.Load())
+}
+
+// TestKeyMismatchFailsAndStopsWorkerJob: a worker that accepts a job under
+// another store key has drifted from the coordinator's version, which
+// stealing cannot fix: the job fails for good after one dispatch and no
+// steal, and the job the worker accepted, which nobody waits on any more,
+// is canceled there.
+func TestKeyMismatchFailsAndStopsWorkerJob(t *testing.T) {
+	f := startFakeWorker(t)
+	f.key = "drifted"
+	c, cc := fakeCoordinator(t, f)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 600))
+	if err == nil {
+		st, err = cc.Wait(ctx, st.ID)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != client.StateFailed || !strings.Contains(st.Error, errPermanent.Error()) || !strings.Contains(st.Error, "key mismatch") {
+		t.Fatalf("job %s %q, want failed for good by the key mismatch", st.State, st.Error)
+	}
+	if fs := c.Fleet(); fs.Steals != 0 || fs.Workers[0].Dispatched != 1 {
+		t.Fatalf("%d steals, %d dispatches; want none and one", fs.Steals, fs.Workers[0].Dispatched)
+	}
+	f.await(t, "the worker's job is canceled", func() bool {
+		return len(f.deleted) == 1 && f.deleted[0] == f.scale[600]
+	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.batches) != 1 || len(f.watches) != 0 {
+		t.Fatalf("%d submits and %d watches, want one submit and no watch", len(f.batches), len(f.watches))
+	}
+}
+
 // TestLaneSettlesLaterJobFirst: a job that finishes on a worker settles at
 // once, although a job submitted earlier to the same worker is still
-// running: the watch lane re-arms to cover new ids instead of waiting on the
-// ones it already watches.
+// running: the later job's group watches it in a call of its own, which
+// never waits on the ids another group watches.
 func TestLaneSettlesLaterJobFirst(t *testing.T) {
 	f := startFakeWorker(t)
 	_, cc := fakeCoordinator(t, f)
@@ -661,8 +779,8 @@ func TestQueueCapFleetCompletesBatch(t *testing.T) {
 }
 
 // TestWatchLaneSplitsAboveMaxBatch: more outstanding jobs than one watch may
-// name are long-polled client.MaxBatch ids per call, and every one is
-// collected.
+// name are long-polled by their submit groups, each at most client.MaxBatch
+// ids per call, and every one is collected.
 func TestWatchLaneSplitsAboveMaxBatch(t *testing.T) {
 	f := startFakeWorker(t)
 	_, cc := fakeCoordinator(t, f)
