@@ -57,12 +57,14 @@ smoke:
 # durable-before-visible ordering of terminal states, restored jobs keeping
 # their accept order across a runtime compaction, and the real SIGKILL of a
 # sacd process with fsync on. The second line replays a journal in the older
-# format (start records) and compacts one in accept order.
+# format (start records) and compacts one in accept order; the third holds a
+# flight's landing before its leader is seen done.
 chaossmoke: syncsmoke
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal|TestTerminalDurableBeforeVisible|TestCompactionKeepsAcceptOrder' \
 		./internal/server
 	$(GO) test -race -count=1 -run 'TestReplayLiveSet|TestRuntimeCompaction' ./internal/journal
+	$(GO) test -race -count=1 -run 'TestFlightLandsBeforeDone' ./internal/jobs
 
 # syncsmoke SIGKILLs a real sacd with REPRO_JOURNAL_SYNC=1, the fsync path
 # the default (page-cache) journal mode never takes.

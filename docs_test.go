@@ -141,8 +141,8 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 // tree, and the serving stack (servingStack's packages). A change that
 // raises one says why in its CHANGES entry.
 const (
-	treeLineBudget    = 19_499
-	servingLineBudget = 6_502
+	treeLineBudget    = 19_593
+	servingLineBudget = 6_596
 )
 
 var servingStack = []string{"client", "internal/jobs", "internal/server", "internal/cluster",

@@ -157,6 +157,7 @@ func New(cfg Config) *Coordinator {
 			Memo:  reg.Counter("saccoord_memo_recalls_total", "Jobs answered from an already-completed flight."),
 			Latency: reg.Histogram("saccoord_job_seconds", "Job latency from accept to terminal state.",
 				[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}),
+			Retained: reg.Gauge("saccoord_jobs_retained", "Final statuses of finished jobs still queryable, as of the last retention sweep."),
 		},
 	}
 	if cfg.Log != nil {

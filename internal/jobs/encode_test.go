@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -156,13 +157,22 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 
 // TestResultSplicePrecondition pins the invariant the encoder's verbatim
 // result splice relies on: a fresh simulation's result, marshaled by the
-// job it settled, is already what encoding/json would make of it — compact
-// and HTML-escaped — even when its strings need escaping.
+// registered job it settled, is already what encoding/json would make of it
+// — compact and HTML-escaped — even when its strings need escaping.
 func TestResultSplicePrecondition(t *testing.T) {
-	j := &Job{run: &stats.Run{Benchmark: "<a&b>", Org: "SAC\u2028", Cycles: 42}}
-	j.mu.Lock()
-	raw := j.rawLocked()
-	j.mu.Unlock()
+	tb := New(Config{
+		Resolve: func(client.JobRequest) (Identity, error) { return Identity{}, nil },
+		Admit:   func([]*Job) error { return nil },
+		Execute: func(context.Context, *Job) Outcome {
+			return Outcome{Run: &stats.Run{Benchmark: "<a&b>", Org: "SAC\u2028", Cycles: 42}}
+		},
+	})
+	st0, err := tb.Submit(client.JobRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.RunDirect(context.Background(), tb.Get(st0.ID))
+	raw, _, _ := tb.ResultRaw(st0.ID)
 	want, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -290,10 +290,13 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 			continue
 		}
 		seen[id] = true
-		if j := t.Get(id); j == nil {
-			resp.Unknown = append(resp.Unknown, id)
-		} else {
+		switch j, fin := t.find(id); {
+		case fin != nil:
+			resp.Jobs = append(resp.Jobs, fin.status(true))
+		case j != nil:
 			pending = append(pending, j)
+		default:
+			resp.Unknown = append(resp.Unknown, id)
 		}
 	}
 	// scan moves the terminal jobs out of pending into the response.

@@ -22,8 +22,10 @@
 // job's deadline and cancel), a job arriving while the flight is open joins
 // it (source "dedup") for as long as its own deadline and cancel allow, and a
 // job arriving after it completed recalls the result (source "memo"). The
-// leader settles, and a failed flight is evicted, before the waiters wake, so
-// a resubmission retries a failure.
+// leader's terminal hook runs, and its flight completes (a failed one is
+// evicted, so a resubmission retries it), before any waiter wakes and before
+// its own terminal state is published: whoever sees the leader finished and
+// resubmits recalls, never joins.
 //
 // Every path into a terminal state is settle: the daemon's durable hook runs
 // first (sacd appends the journal's done record), then the state is
@@ -31,7 +33,11 @@
 // are counted. A watcher that wakes on the channel therefore never observes
 // a job the journal still calls live.
 //
-// Retention. Sweep drops terminal jobs Retention after they finished and
+// Retention. A registered job that settles leaves the live map: settle builds
+// its final status once (a done job's result bytes inline, shared with the
+// store or the worker's answer) and the table keeps only that, in finish
+// order, so the job record, its request and its channels are garbage.
+// Sweep pops the statuses older than Retention off the front and drops
 // completed flights MemoTTL after they landed; queued and running jobs are
 // never swept. A dropped result is one resubmission away — the store still
 // has it.
@@ -80,9 +86,9 @@ type Identity struct {
 }
 
 // Outcome is what one execution produced. Exactly one of Err, Run and Raw is
-// set: Run for a decoded result (a fresh simulation, marshaled lazily when a
-// wire consumer asks), Raw for bytes that are already in canonical wire form
-// (a verified store object, or a worker's answer relayed untouched).
+// set: Run for a decoded result (a fresh simulation, marshaled once when a
+// registered job settles), Raw for bytes that are already in canonical wire
+// form (a verified store object, or a worker's answer relayed untouched).
 type Outcome struct {
 	Run    *stats.Run
 	Raw    json.RawMessage
@@ -110,6 +116,7 @@ type Metrics struct {
 	Dedup, Memo                     *obs.Metric // flight joins and recalls
 	Latency                         *obs.Histogram
 	RunLatency                      *obs.Histogram
+	Retained                        *obs.Metric // gauge: final statuses held, set by Sweep
 }
 
 // Config is what a daemon plugs into the engine. Execute is required;
@@ -162,14 +169,18 @@ type Job struct {
 	// doneCh closes exactly once, when the terminal state is published.
 	doneCh chan struct{}
 
+	// registered is set before the job is visible: only admitted and
+	// restored jobs are retained as a final status when they settle.
+	registered bool
+
 	mu      sync.Mutex
 	cancel  context.CancelFunc
-	settled bool // claimed by settle; the state may not be published yet
+	settled bool   // claimed by settle; the state may not be published yet
+	final   *final // a registered job's retained status, once settled
 	state   string
 	source  string
 	err     error
-	// run is the decoded result of a fresh simulation, raw the wire form;
-	// raw is marshaled from run on first demand and kept.
+	// run is the decoded result of a fresh simulation, raw the wire form.
 	run      *stats.Run
 	raw      json.RawMessage
 	cycles   int64
@@ -194,18 +205,55 @@ type flight struct {
 	doneAt time.Time
 }
 
-// Table holds a daemon's jobs and flights.
+// land completes f with out, under key: a failure is evicted so a
+// resubmission retries it, a success is stamped for the MemoTTL sweep; then
+// its waiters wake.
+func (t *Table) land(f *flight, key string, out Outcome) {
+	t.mu.Lock()
+	f.out = out
+	if out.Err != nil {
+		delete(t.flights, key)
+	} else {
+		f.doneAt = time.Now()
+	}
+	t.mu.Unlock()
+	close(f.done)
+}
+
+// final is a settled registered job as the table retains it: its last
+// status, whose time pointers point at at (started, finished, deadline), so
+// the whole record is one allocation.
+type final struct {
+	st client.JobStatus
+	at [3]time.Time
+}
+
+func (f *final) status(withResult bool) client.JobStatus {
+	st := f.st
+	if !withResult {
+		st.Result = nil
+	}
+	return st
+}
+
+// Table holds a daemon's live jobs, its retained final statuses and its
+// flights.
 type Table struct {
 	cfg Config
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// done holds final statuses in finish order; seq maps an id to its
+	// sequence number (done[0]'s is head): no pointer, less for the GC.
+	done    []*final
+	head    int
+	seq     map[string]int
 	flights map[string]*flight
 }
 
 // New returns an empty table.
 func New(cfg Config) *Table {
-	return &Table{cfg: cfg, jobs: make(map[string]*Job), flights: make(map[string]*flight)}
+	return &Table{cfg: cfg, jobs: make(map[string]*Job), seq: make(map[string]int), flights: make(map[string]*flight)}
 }
 
 func inc(m *obs.Metric) {
@@ -336,6 +384,7 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 func (t *Table) register(batch []*Job) {
 	t.mu.Lock()
 	for _, j := range batch {
+		j.registered = true
 		t.jobs[j.ID] = j
 	}
 	t.mu.Unlock()
@@ -371,20 +420,7 @@ func (t *Table) Run(j *Job) {
 		f = &flight{done: make(chan struct{})}
 		t.flights[j.Key] = f
 		t.mu.Unlock()
-		f.out = t.exec(context.Background(), j, true)
-		t.mu.Lock()
-		if f.out.Err != nil {
-			// Evicted before the waiters wake: a resubmission retries
-			// instead of recalling the failure.
-			delete(t.flights, j.Key)
-		} else {
-			f.doneAt = time.Now()
-		}
-		t.mu.Unlock()
-		// The leader settles first, so its terminal hook has run before any
-		// joiner wakes.
-		t.settle(j, f.out, "")
-		close(f.done)
+		t.settle(j, t.exec(context.Background(), j, true), "", f)
 		return
 	}
 	t.mu.Unlock()
@@ -392,7 +428,7 @@ func (t *Table) Run(j *Job) {
 	select {
 	case <-f.done:
 		inc(t.cfg.Metrics.Memo)
-		t.settle(j, f.out, client.SourceMemo)
+		t.settle(j, f.out, client.SourceMemo, nil)
 		return
 	default:
 	}
@@ -408,11 +444,11 @@ func (t *Table) Run(j *Job) {
 	}
 	select {
 	case <-f.done:
-		t.settle(j, f.out, client.SourceDedup)
+		t.settle(j, f.out, client.SourceDedup, nil)
 	case <-deadlineC:
-		t.settle(j, Outcome{Err: expiredErr(j)}, "")
+		t.settle(j, Outcome{Err: expiredErr(j)}, "", nil)
 	case <-j.cancelCh:
-		t.settle(j, Outcome{Err: errCanceled}, "")
+		t.settle(j, Outcome{Err: errCanceled}, "", nil)
 	}
 }
 
@@ -432,7 +468,7 @@ func (t *Table) Recall(j *Job) bool {
 	}
 	if t.begin(j) {
 		inc(t.cfg.Metrics.Memo)
-		t.settle(j, f.out, client.SourceMemo)
+		t.settle(j, f.out, client.SourceMemo, nil)
 	}
 	return true
 }
@@ -443,7 +479,7 @@ func (t *Table) Recall(j *Job) bool {
 // run-set.
 func (t *Table) RunDirect(ctx context.Context, j *Job) {
 	if t.begin(j) {
-		t.settle(j, t.exec(ctx, j, false), "")
+		t.settle(j, t.exec(ctx, j, false), "", nil)
 	}
 }
 
@@ -459,7 +495,7 @@ func expiredErr(j *Job) error {
 func (t *Table) begin(j *Job) bool {
 	now := time.Now()
 	if !j.Deadline.IsZero() && now.After(j.Deadline) {
-		t.settle(j, Outcome{Err: expiredErr(j)}, "")
+		t.settle(j, Outcome{Err: expiredErr(j)}, "", nil)
 		return false
 	}
 	j.mu.Lock()
@@ -544,8 +580,10 @@ func WriteBack(j *Job, st *store.Store, sim func() (*stats.Run, error), logf fun
 // settle is the one transition into a terminal state. The error decides the
 // state: a deadline error expires the job, a cancellation cancels it, any
 // other error fails it. source overrides the outcome's own for joins and
-// recalls. Only the first call for a job does anything.
-func (t *Table) settle(j *Job, out Outcome, source string) {
+// recalls. Only the first call for a job does anything, but a leader's
+// always lands its flight f (nil for any other job): a cancel can claim the
+// leader while it runs.
+func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	state := client.StateDone
 	switch {
 	case out.Err == nil:
@@ -562,6 +600,9 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 	j.mu.Lock()
 	if j.settled {
 		j.mu.Unlock()
+		if f != nil {
+			t.land(f, j.Key, out)
+		}
 		return
 	}
 	j.settled = true
@@ -569,6 +610,16 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 
 	if t.cfg.OnTerminal != nil {
 		t.cfg.OnTerminal(j, state, out)
+	}
+	if j.registered && out.Raw == nil && out.Run != nil {
+		// A retained status holds the wire form; the flight keeps the same
+		// bytes for the jobs that join or recall it.
+		if b, err := json.Marshal(out.Run); err == nil {
+			out.Run, out.Raw = nil, b
+		}
+	}
+	if f != nil {
+		t.land(f, j.Key, out)
 	}
 
 	now := time.Now()
@@ -580,7 +631,25 @@ func (t *Table) settle(j *Job, out Outcome, source string) {
 		j.run, j.raw, j.cycles = out.Run, out.Raw, out.Cycles
 	}
 	started := j.started
+	var fin *final
+	if j.registered {
+		fin = &final{}
+		fin.st = j.statusLocked(&fin.at)
+		fin.st.Result = out.Raw // nil unless done
+		j.final = fin
+	}
 	j.mu.Unlock()
+	if fin != nil {
+		// One step from the live map to the retained, so a lookup never
+		// misses the id; a job its refused batch took out is not retained.
+		t.mu.Lock()
+		if t.jobs[j.ID] == j {
+			delete(t.jobs, j.ID)
+			t.seq[j.ID] = t.head + len(t.done)
+			t.done = append(t.done, fin)
+		}
+		t.mu.Unlock()
+	}
 	close(j.doneCh)
 	j.mu.Lock()
 	watchers := j.watchers
@@ -637,19 +706,35 @@ func (t *Table) Requeue(j *Job) {
 
 // ---- queries ----
 
-// Get returns the job registered under id, or nil.
-func (t *Table) Get(id string) *Job {
+// find returns the live job registered under id, or else the final status
+// retained for it; both nil for an unknown id.
+func (t *Table) find(id string) (*Job, *final) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.jobs[id]
+	if n, ok := t.seq[id]; ok {
+		return nil, t.done[n-t.head]
+	}
+	return t.jobs[id], nil
 }
 
-// Len returns how many jobs the table holds: everything live plus the
-// terminal jobs still inside Retention.
+// Get returns the job registered under id, or nil; for a retained id, a
+// stand-in whose Done is closed and whose status is the final one.
+func (t *Table) Get(id string) *Job {
+	j, fin := t.find(id)
+	if fin != nil {
+		j = &Job{ID: id, doneCh: closedCh, settled: true, final: fin, state: fin.st.State}
+	}
+	return j
+}
+
+var closedCh = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Len returns how many jobs the table holds: the live ones plus the final
+// statuses retained since the last Sweep.
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.jobs)
+	return len(t.jobs) + len(t.done)
 }
 
 // Flights returns the flight-table size (executing plus memoized keys).
@@ -666,10 +751,26 @@ func priority(p string) string {
 	return p
 }
 
-// status is the one projection of a job onto the wire. withResult inlines a
-// done job's result bytes, as batch and watch responses do.
+// status is the one projection of a job onto the wire; a settled one
+// answers with its final status. withResult inlines a done job's result
+// bytes, as batch and watch responses do.
 func (t *Table) status(j *Job, withResult bool) client.JobStatus {
 	j.mu.Lock()
+	if fin := j.final; fin != nil {
+		j.mu.Unlock()
+		return fin.status(withResult)
+	}
+	st := j.statusLocked(nil)
+	j.mu.Unlock()
+	if st.State == client.StateQueued && t.cfg.QueueAhead != nil {
+		st.QueueAhead = t.cfg.QueueAhead(j)
+	}
+	return st
+}
+
+// statusLocked projects j, less any result, with its times copied into at
+// (allocated here if nil and any time is set). The caller holds j.mu.
+func (j *Job) statusLocked(at *[3]time.Time) client.JobStatus {
 	st := client.JobStatus{
 		ID:          j.ID,
 		State:       j.state,
@@ -685,60 +786,49 @@ func (t *Table) status(j *Job, withResult bool) client.JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if !j.started.IsZero() {
-		at := j.started
-		st.StartedAt = &at
+	times := [3]time.Time{j.started, j.finished, j.Deadline}
+	if at == nil && times != [3]time.Time{} {
+		at = new([3]time.Time)
 	}
-	if !j.finished.IsZero() {
-		at := j.finished
-		st.FinishedAt = &at
-	}
-	if !j.Deadline.IsZero() {
-		at := j.Deadline
-		st.DeadlineAt = &at
-	}
-	if withResult && j.state == client.StateDone {
-		st.Result = j.rawLocked()
-	}
-	j.mu.Unlock()
-	if st.State == client.StateQueued && t.cfg.QueueAhead != nil {
-		st.QueueAhead = t.cfg.QueueAhead(j)
+	if at != nil {
+		*at = times
+		st.StartedAt, st.FinishedAt, st.DeadlineAt = nonZero(&at[0]), nonZero(&at[1]), nonZero(&at[2])
 	}
 	return st
 }
 
-// rawLocked returns the result in canonical wire form, marshaling a fresh
-// simulation's once. The caller holds j.mu.
-func (j *Job) rawLocked() json.RawMessage {
-	if j.raw == nil && j.run != nil {
-		if b, err := json.Marshal(j.run); err == nil {
-			j.raw = b
-		}
+func nonZero(at *time.Time) *time.Time {
+	if at.IsZero() {
+		return nil
 	}
-	return j.raw
+	return at
+}
+
+// lookup is the status of the job registered under id (withResult as for
+// status); ok is false for ids the table does not hold.
+func (t *Table) lookup(id string, withResult bool) (client.JobStatus, bool) {
+	j, fin := t.find(id)
+	switch {
+	case fin != nil:
+		return fin.status(withResult), true
+	case j != nil:
+		return t.status(j, withResult), true
+	}
+	return client.JobStatus{}, false
 }
 
 // Status reports one job; ok is false for ids the table does not hold.
-func (t *Table) Status(id string) (client.JobStatus, bool) {
-	j := t.Get(id)
-	if j == nil {
-		return client.JobStatus{}, false
-	}
-	return t.status(j, false), true
-}
+func (t *Table) Status(id string) (client.JobStatus, bool) { return t.lookup(id, false) }
 
 // ResultRaw returns a done job's result in canonical wire form — store hits
-// and relayed worker answers untouched, fresh simulations marshaled once.
-// Nil raw with ok true means the job holds no result (not done).
+// and relayed worker answers untouched, fresh simulations marshaled once,
+// when they settle. Nil raw with ok true means the job holds no result (not
+// done).
 func (t *Table) ResultRaw(id string) (json.RawMessage, client.JobStatus, bool) {
-	j := t.Get(id)
-	if j == nil {
-		return nil, client.JobStatus{}, false
-	}
-	st := t.status(j, true)
+	st, ok := t.lookup(id, true)
 	raw := st.Result
 	st.Result = nil
-	return raw, st, true
+	return raw, st, ok
 }
 
 // Cancel stops one job and returns its status, which a running job reaches
@@ -750,12 +840,10 @@ func (t *Table) ResultRaw(id string) (json.RawMessage, client.JobStatus, bool) {
 // race a finishing job — results are content-addressed, and a cancel that
 // loses costs only the work it failed to save.
 func (t *Table) Cancel(id string) (client.JobStatus, bool) {
-	j := t.Get(id)
-	if j == nil {
-		return client.JobStatus{}, false
+	if j, _ := t.find(id); j != nil {
+		t.cancel(j)
 	}
-	t.cancel(j)
-	return t.status(j, false), true
+	return t.lookup(id, false)
 }
 
 func (t *Table) cancel(j *Job) {
@@ -771,11 +859,11 @@ func (t *Table) cancel(j *Job) {
 		// settle and begin claim the job under its lock, so a worker
 		// picking it up right now either never starts it or finds it
 		// canceled before it leads.
-		t.settle(j, Outcome{Err: errCanceled}, "")
+		t.settle(j, Outcome{Err: errCanceled}, "", nil)
 	}
 }
 
-// CancelAll cancels every job the table holds (coordinator shutdown).
+// CancelAll cancels every live job (coordinator shutdown).
 func (t *Table) CancelAll() {
 	t.mu.Lock()
 	all := make([]*Job, 0, len(t.jobs))
@@ -788,9 +876,11 @@ func (t *Table) CancelAll() {
 	}
 }
 
-// Sweep is the retention pass: completed flights older than MemoTTL and
-// terminal jobs older than Retention at now leave the table. The daemons
-// call it on a ticker; tests pass a later now instead of waiting.
+// Sweep is the retention pass: completed flights older than MemoTTL leave
+// the table, and final statuses older than Retention at now are popped off
+// the front of the retention queue, which visits no live job and stops at
+// the first status still inside Retention. It sets Metrics.Retained. The
+// daemons call it on a ticker; tests pass a later now instead of waiting.
 func (t *Table) Sweep(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -799,12 +889,11 @@ func (t *Table) Sweep(now time.Time) {
 			delete(t.flights, key)
 		}
 	}
-	for id, j := range t.jobs {
-		j.mu.Lock()
-		fin := j.finished
-		j.mu.Unlock()
-		if !fin.IsZero() && now.Sub(fin) > Retention {
-			delete(t.jobs, id)
-		}
+	for ; len(t.done) > 0 && now.Sub(t.done[0].at[1]) > Retention; t.head++ {
+		delete(t.seq, t.done[0].st.ID)
+		t.done[0], t.done = nil, t.done[1:]
+	}
+	if g := t.cfg.Metrics.Retained; g != nil {
+		g.Set(float64(len(t.done)))
 	}
 }

@@ -170,6 +170,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			Memo:       reg.Counter("sacd_memo_recalls_total", "Jobs recalled from a result completed earlier this process."),
 			Latency:    reg.Histogram("sacd_job_latency_seconds", "Submit-to-finish latency.", latency),
 			RunLatency: reg.Histogram("sacd_job_run_seconds", "Start-to-finish execution latency.", latency),
+			Retained:   reg.Gauge("sacd_jobs_retained", "Final statuses of finished jobs still queryable, as of the last retention sweep."),
 		},
 	}
 	for i, lane := range lanes {

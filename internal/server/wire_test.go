@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,15 +191,7 @@ func TestWarmBatchAllocs(t *testing.T) {
 	}
 	const cells, perCell = 64, 19
 	_, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 4 * cells})
-	var reqs []client.JobRequest
-	for _, org := range []string{"memory-side", "SM-side", "static", "SAC"} {
-		for _, b := range []string{"RN", "AN", "SN", "CFD", "BFS", "3DC", "BS", "BT",
-			"SRAD", "GEMM", "LUD", "STEN", "3MM", "BP", "DWT", "NN"} {
-			r := tinyRequest(b, org)
-			r.Fidelity = client.FidelityEstimate
-			reqs = append(reqs, r)
-		}
-	}
+	reqs := warmBatch()
 	ctx := context.Background()
 	submit := func() {
 		sts, err := c.SubmitBatch(ctx, reqs)
@@ -216,5 +209,67 @@ func TestWarmBatchAllocs(t *testing.T) {
 	t.Logf("%.1f allocs per cell", allocs)
 	if allocs > perCell {
 		t.Fatalf("warm batch: %.1f allocs per cell, want <= %d", allocs, perCell)
+	}
+}
+
+// warmBatch is 64 estimate cells: the 16 workloads under each of four orgs.
+func warmBatch() []client.JobRequest {
+	var reqs []client.JobRequest
+	for _, org := range []string{"memory-side", "SM-side", "static", "SAC"} {
+		for _, b := range []string{"RN", "AN", "SN", "CFD", "BFS", "3DC", "BS", "BT",
+			"SRAD", "GEMM", "LUD", "STEN", "3MM", "BP", "DWT", "NN"} {
+			r := tinyRequest(b, org)
+			r.Fidelity = client.FidelityEstimate
+			reqs = append(reqs, r)
+		}
+	}
+	return reqs
+}
+
+// TestWarmRetainedBytes pins what an answered warm cell costs the daemon
+// while Retention keeps it queryable: the live heap after a GC grows by at
+// most 512 bytes per cell over 20 warm 64-cell batches (the client's copy of
+// each id included), and every measured id still answers Status and
+// ResultRaw.
+func TestWarmRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures do not hold under -race")
+	}
+	const batches, perCell = 20, 512
+	s, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 256})
+	reqs := warmBatch()
+	ctx := context.Background()
+	if _, err := c.SubmitBatch(ctx, reqs); err != nil { // warm the store
+		t.Fatal(err)
+	}
+	live := func() int64 { // two GCs: the second frees what sync.Pools held
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	ids := make([]string, 0, batches*len(reqs))
+	before := live()
+	for range batches {
+		sts, err := c.SubmitBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range sts {
+			ids = append(ids, st.ID)
+		}
+	}
+	perCellGrowth := float64(live()-before) / float64(len(ids))
+	t.Logf("%.0f bytes retained per cell", perCellGrowth)
+	if perCellGrowth > perCell {
+		t.Errorf("warm cells retain %.0f bytes each, want <= %d", perCellGrowth, perCell)
+	}
+	for _, id := range ids {
+		st, ok := s.Status(id)
+		raw, _, rok := s.ResultRaw(id)
+		if !ok || !rok || st.State != client.StateDone || len(raw) == 0 {
+			t.Fatalf("retained job %s: status known=%v %s, result known=%v with %d bytes", id, ok, st.State, rok, len(raw))
+		}
 	}
 }
