@@ -66,10 +66,10 @@ var (
 	prRe         = regexp.MustCompile(`\bPRs? \d+`)
 )
 
-// designBudget bounds DESIGN.md in bytes: half of the 81,042 it had grown to
-// before it was rewritten to say each thing once. A change that raises it
-// says why in its CHANGES entry.
-const designBudget = 40_500
+// designBudget bounds DESIGN.md in bytes: under half of the 81,042 it had
+// grown to before it was rewritten to say each thing once. A change that
+// raises it says why in its CHANGES entry.
+const designBudget = 40_403
 
 // moduleGoFiles returns the root module's non-test Go files: bench/ (a
 // module of its own), testdata/ and dot-directories are left out.
@@ -141,7 +141,7 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 // tree, and the serving stack (servingStack's packages). A change that
 // raises one says why in its CHANGES entry.
 const (
-	treeLineBudget    = 19_593
+	treeLineBudget    = 19_453
 	servingLineBudget = 6_596
 )
 

@@ -25,12 +25,20 @@ import (
 // written in reverse must give the same Key and the same replay. A plan it
 // rejects must be refused before any cell is keyed: POST /v1/jobs answers
 // 400 and the request never resolves, resolving being the only path to
-// store.KeyAt. The seeds are every -faults plan the documents show.
+// store.KeyAt. The seeds are every -faults plan the documents show, five
+// malformed plans, and two well-formed events on domains the model does not
+// have (LLC slices, NoC ports), which must be refused like any other.
 func FuzzFaultPlan(f *testing.F) {
 	for _, p := range docFlagArgs(f, faultsArgRe) {
 		f.Add(p)
 	}
-	for _, p := range []string{";", "xchip:0.cw@5-1*0.5", "dram:0.0@100--3", "llc:1.2@0*NaN", "noc:0@1e3"} {
+	for _, p := range []string{";", "xchip:0.cw@5-1*0.5", "dram:0.0@100--3", "dram:1.0@0*NaN", "xchip:0@1e3"} {
+		f.Add(p)
+	}
+	for _, p := range []string{"llc:0.1@0*0.5", "noc:0.0@0*0"} {
+		if _, err := fault.Parse(p); err == nil {
+			f.Fatalf("Parse(%q) accepted a domain the model does not have", p)
+		}
 		f.Add(p)
 	}
 	resolved := false

@@ -5,7 +5,7 @@ import "fmt"
 // The array-of-structs cache every level ran on before the struct-of-arrays
 // Cache replaced it, kept — complete and unexported — as the oracle of
 // TestArrayMatchesCache: an independent implementation of the same set hash,
-// LRU, partition, way-limit and flush rules that the production array must
+// LRU, partition and flush rules that the production array must
 // match step for step.
 
 type aosWay struct {
@@ -25,7 +25,6 @@ type aosCache struct {
 	setMask    int // Sets-1 when Sets is a power of two, else -1
 	localWays  int // ways reserved for PartLocal; rest are PartRemote
 	partActive bool
-	usableWays int // ways not disabled by fault injection (Ways when healthy)
 
 	// Counters.
 	Hits        int64
@@ -56,7 +55,7 @@ func newAoS(cfg Config) *aosCache {
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		mask = cfg.Sets - 1
 	}
-	return &aosCache{cfg: cfg, sets: sets, setMask: mask, localWays: cfg.Ways, usableWays: cfg.Ways}
+	return &aosCache{cfg: cfg, sets: sets, setMask: mask, localWays: cfg.Ways}
 }
 
 // Cfg returns the cache's configuration.
@@ -101,53 +100,7 @@ func (c *aosCache) wayRange(p Partition) (lo, hi int) {
 			lo = c.localWays
 		}
 	}
-	// Disabled ways (fault injection) are clipped off the top of every
-	// range; a range that vanishes entirely makes Fill a no-op.
-	if hi > c.usableWays {
-		hi = c.usableWays
-	}
-	if lo > hi {
-		lo = hi
-	}
 	return lo, hi
-}
-
-// LimitWays restricts allocation to the first usable ways of every set —
-// the capacity-remapping model of a partially (or fully) disabled LLC
-// slice. Lines resident in the disabled ways are invalidated; dirty ones
-// are reported through onDirty so the caller can issue their writebacks.
-// usable 0 kills the slice: every lookup misses and fills install nothing,
-// so the slice's traffic falls through to memory. A later call with
-// usable = Ways re-enables the hardware (its contents start cold).
-func (c *aosCache) LimitWays(usable int, onDirty func(line uint64, remote bool)) (dropped int) {
-	if usable < 0 {
-		usable = 0
-	}
-	if usable > c.cfg.Ways {
-		usable = c.cfg.Ways
-	}
-	if usable < c.usableWays {
-		for s := range c.sets {
-			for i := usable; i < c.usableWays; i++ {
-				w := &c.sets[s][i]
-				if !w.valid {
-					continue
-				}
-				if w.dirty && c.cfg.WriteBack {
-					c.Writebacks++
-					if onDirty != nil {
-						onDirty(w.tag, w.remote)
-					}
-				}
-				w.valid = false
-				w.dirty = false
-				c.Invalidates++
-				dropped++
-			}
-		}
-	}
-	c.usableWays = usable
-	return dropped
 }
 
 // Lookup probes for a line (and sector, when sectored). It updates LRU on a
@@ -202,11 +155,6 @@ func (c *aosCache) Fill(line uint64, sector int, p Partition, remote bool) (vict
 		}
 	}
 	lo, hi := c.wayRange(p)
-	if lo >= hi {
-		// No allocatable ways (slice disabled by fault injection): the line
-		// is served but not retained.
-		return Victim{}, false
-	}
 	// Free way in range?
 	for i := lo; i < hi; i++ {
 		if !set[i].valid {

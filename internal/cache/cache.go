@@ -95,7 +95,6 @@ type Cache struct {
 	occRemote int // valid lines with a remote home
 
 	localWays  int // ways reserved for PartLocal; rest are PartRemote
-	usableWays int // ways not disabled by fault injection (Ways when healthy)
 	partActive bool
 
 	// Counters, the same at every level the array serves.
@@ -144,24 +143,23 @@ func NewN(n int, cfg Config) []Cache {
 		w := words[i*nw : (i+1)*nw : (i+1)*nw]
 		f := flags[2*i*lines : 2*(i+1)*lines : 2*(i+1)*lines]
 		cs[i] = Cache{
-			cfg:        cfg,
-			tags:       w[:lines:lines],
-			occ:        w[lines : lines+cfg.Sets : lines+cfg.Sets],
-			ptag:       w[lines+cfg.Sets:],
-			lastUse:    stamps[i*lines : (i+1)*lines : (i+1)*lines],
-			meta:       f[:lines:lines],
-			sectors:    f[lines:],
-			setMask:    mask,
-			rowWords:   rowWords,
-			localWays:  cfg.Ways,
-			usableWays: cfg.Ways,
+			cfg:       cfg,
+			tags:      w[:lines:lines],
+			occ:       w[lines : lines+cfg.Sets : lines+cfg.Sets],
+			ptag:      w[lines+cfg.Sets:],
+			lastUse:   stamps[i*lines : (i+1)*lines : (i+1)*lines],
+			meta:      f[:lines:lines],
+			sectors:   f[lines:],
+			setMask:   mask,
+			rowWords:  rowWords,
+			localWays: cfg.Ways,
 		}
 	}
 	return cs
 }
 
 // Reset empties the cache into the state NewN built it in: no line, no
-// partition, every way usable, counters and LRU clock at zero.
+// partition, counters and LRU clock at zero.
 func (c *Cache) Reset() {
 	clear(c.tags)
 	clear(c.lastUse)
@@ -172,7 +170,7 @@ func (c *Cache) Reset() {
 	*c = Cache{
 		cfg: c.cfg, tags: c.tags, occ: c.occ, ptag: c.ptag, lastUse: c.lastUse,
 		meta: c.meta, sectors: c.sectors, setMask: c.setMask, rowWords: c.rowWords,
-		localWays: c.cfg.Ways, usableWays: c.cfg.Ways,
+		localWays: c.cfg.Ways,
 	}
 }
 
@@ -246,14 +244,6 @@ func (c *Cache) wayRange(p Partition) (lo, hi int) {
 			lo = c.localWays
 		}
 	}
-	// Disabled ways (fault injection) are clipped off the top of every
-	// range; a range that vanishes entirely makes Fill a no-op.
-	if hi > c.usableWays {
-		hi = c.usableWays
-	}
-	if lo > hi {
-		lo = hi
-	}
 	return lo, hi
 }
 
@@ -309,7 +299,7 @@ func (c *Cache) Probe(line uint64, sector int) bool {
 // partition's way range, evicting the LRU way of that range if needed.
 // remote annotates whether the line's home is another chip. The returned
 // victim is valid only when evicted is true; wi is the flat way index now
-// holding the line (what FindLine would return), -1 when it was not retained.
+// holding the line (what FindLine would return).
 func (c *Cache) Fill(line uint64, sector int, p Partition, remote bool) (victim Victim, evicted bool, wi int) {
 	c.tick++
 	set, ptag := c.locate(line)
@@ -340,11 +330,6 @@ func (c *Cache) fill(set, wi int, line, ptag uint64, sector int, p Partition, re
 		return Victim{}, false, wi
 	}
 	lo, hi := c.wayRange(p)
-	if lo >= hi {
-		// No allocatable ways (slice disabled by fault injection): the line
-		// is served but not retained.
-		return Victim{}, false, -1
-	}
 	// Free way in range? First invalid way by index.
 	// (1<<64 wraps to 0, so hi == 64 yields an all-ones upper mask.)
 	rangeMask := (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
@@ -448,45 +433,6 @@ func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
 	dirty := c.meta[wi]&wDirty != 0 && c.cfg.WriteBack
 	c.invalidateWay(set, wi)
 	return true, dirty
-}
-
-// LimitWays restricts allocation to the first usable ways of every set —
-// the capacity-remapping model of a partially (or fully) disabled LLC
-// slice. Lines resident in the disabled ways are invalidated; dirty ones
-// are reported through onDirty so the caller can issue their writebacks.
-// usable 0 kills the slice: every lookup misses and fills install nothing,
-// so the slice's traffic falls through to memory. A later call with
-// usable = Ways re-enables the hardware (its contents start cold).
-func (c *Cache) LimitWays(usable int, onDirty func(line uint64, remote bool)) (dropped int) {
-	if usable < 0 {
-		usable = 0
-	}
-	if usable > c.cfg.Ways {
-		usable = c.cfg.Ways
-	}
-	if usable < c.usableWays {
-		for s := 0; s < c.cfg.Sets; s++ {
-			base := s * c.cfg.Ways
-			for i := usable; i < c.usableWays; i++ {
-				wi := base + i
-				m := c.meta[wi]
-				if m&wValid == 0 {
-					continue
-				}
-				if m&wDirty != 0 && c.cfg.WriteBack {
-					c.Writebacks++
-					if onDirty != nil {
-						onDirty(c.tags[wi], m&wRemote != 0)
-					}
-				}
-				c.invalidateWay(s, wi)
-				c.Invalidates++
-				dropped++
-			}
-		}
-	}
-	c.usableWays = usable
-	return dropped
 }
 
 // FlushAll invalidates every line and returns the number of dirty lines

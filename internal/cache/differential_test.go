@@ -55,8 +55,8 @@ func collidingLines(t *testing.T, a *Cache, ptag uint64, n int) []uint64 {
 // identical random operation streams and asserts bit-identical observable behaviour:
 // every return value, every counter, the occupancy census, and the dirty
 // population. The stream covers lookups, probes, fills in all partitions,
-// accesses (a lookup that fills on a miss), dirty marking, invalidation, way
-// limiting, and all three flush variants.
+// accesses (a lookup that fills on a miss), dirty marking, invalidation, and
+// all three flush variants.
 // A quarter of the accesses go to two groups of lines that share one set and
 // one partial tag each (one of them tag 0, the value of a never-filled way),
 // more lines per group than the set has ways, so the partial-tag row is
@@ -161,19 +161,6 @@ func TestArrayMatchesCache(t *testing.T) {
 					c.ClearPartition()
 					a.ClearPartition()
 					partitioned = false
-				}
-			case op < 97: // fault-injection way limiting
-				usable := rng.Intn(cfg.Ways + 1)
-				var got, want []uint64
-				d1 := c.LimitWays(usable, func(l uint64, r bool) { want = append(want, l) })
-				d2 := a.LimitWays(usable, func(l uint64, r bool) { got = append(got, l) })
-				if d1 != d2 || len(got) != len(want) {
-					t.Fatalf("cfg %d step %d: LimitWays(%d) dropped %d/%d dirty, oracle %d/%d", ci, step, usable, d2, len(got), d1, len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("cfg %d step %d: LimitWays writeback order diverged at %d", ci, step, i)
-					}
 				}
 			default: // flush variants
 				switch rng.Intn(3) {

@@ -19,7 +19,7 @@ func testPlan(t *testing.T) *fault.Plan {
 	t.Helper()
 	p, err := fault.Parse(
 		"xchip:0.cw@2000-30000*0.5; dram:1.0@1000-40000*0.5;" +
-			"llc:2.1@3000*0; noc:3.0@2000-2500*0")
+			"xchip:2.ccw@3000*0.25; dram:3.0@2000-2500*0")
 	if err != nil {
 		t.Fatal(err)
 	}

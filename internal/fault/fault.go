@@ -2,13 +2,13 @@
 // multi-chip GPU simulator and the injector that replays them.
 //
 // A Plan is a schedule of fault events, written in a compact DSL (Parse)
-// or drawn from a seed (Generate), against the hardware health signals real multi-chip parts degrade on: inter-chip ring
-// links losing lanes or dropping out entirely, DRAM channels throttling or
-// failing, LLC slices losing ways (capacity remapping) or dying outright,
-// and NoC input ports stalling. Every event names an exact [Start, End)
-// cycle window and a residual capacity Scale, so a faulted run is a pure
-// function of (config, workload, plan): replaying the same plan — serially
-// or inside a parallel sweep — produces bit-identical statistics.
+// or drawn from a seed (Generate), against two of the hardware health
+// signals real multi-chip parts degrade on: inter-chip ring links losing
+// lanes or dropping out entirely, and DRAM channels throttling or failing.
+// Every event names an exact [Start, End) cycle window and a residual
+// capacity Scale, so a faulted run is a pure function of (config, workload,
+// plan): replaying the same plan — serially or inside a parallel sweep —
+// produces bit-identical statistics.
 //
 // The gpu package consumes plans through an Injector, which turns the event
 // list into a sorted edge schedule (activations and deactivations) and
@@ -41,18 +41,11 @@ const (
 	XChip Domain = iota
 	// DRAM degrades one DRAM channel of a chip's memory partition.
 	DRAM
-	// LLC disables ways of one LLC slice: the slice keeps
-	// round(Scale*ways) usable ways; Scale 0 kills the slice (its traffic
-	// falls through to memory).
-	LLC
-	// NoC throttles one SM-cluster input port of a chip's request crossbar
-	// (Scale 0 stalls the port for the window).
-	NoC
 
 	numDomains
 )
 
-var domainNames = [numDomains]string{"xchip", "dram", "llc", "noc"}
+var domainNames = [numDomains]string{"xchip", "dram"}
 
 // String returns the canonical lower-case domain name.
 func (d Domain) String() string {
@@ -62,19 +55,15 @@ func (d Domain) String() string {
 	return fmt.Sprintf("domain(%d)", int(d))
 }
 
-// ParseDomain resolves a domain name ("cache" is accepted for LLC).
+// ParseDomain resolves a domain name ("link"/"ring" name XChip, "mem" DRAM).
 func ParseDomain(s string) (Domain, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "xchip", "link", "ring":
 		return XChip, nil
 	case "dram", "mem":
 		return DRAM, nil
-	case "llc", "cache", "slice":
-		return LLC, nil
-	case "noc", "port":
-		return NoC, nil
 	}
-	return 0, fmt.Errorf("fault: unknown domain %q (want xchip|dram|llc|noc)", s)
+	return 0, fmt.Errorf("fault: unknown domain %q (want xchip|dram)", s)
 }
 
 // Event is one fault: unit (Domain, Chip, Unit) runs at Scale of its healthy
@@ -134,8 +123,6 @@ func (e Event) Validate() error {
 type Shape struct {
 	Chips           int
 	ChannelsPerChip int
-	SlicesPerChip   int
-	ClustersPerChip int
 }
 
 // compareEvents is the canonical event order: by unit (domain, chip, unit),
@@ -168,19 +155,9 @@ func (p *Plan) Validate(shape Shape) error {
 		if shape.Chips > 0 && e.Chip >= shape.Chips {
 			return fmt.Errorf("event %d: chip %d outside %d chips", i, e.Chip, shape.Chips)
 		}
-		max := 0
-		switch e.Domain {
-		case XChip:
-			max = 2
-		case DRAM:
-			max = shape.ChannelsPerChip
-		case LLC:
-			max = shape.SlicesPerChip
-		case NoC:
-			max = shape.ClustersPerChip
-		}
-		if max > 0 && e.Unit >= max {
-			return fmt.Errorf("event %d: %s unit %d outside %d units", i, e.Domain, e.Unit, max)
+		// Event.Validate bounds an xchip unit to cw and ccw.
+		if n := shape.ChannelsPerChip; e.Domain == DRAM && n > 0 && e.Unit >= n {
+			return fmt.Errorf("event %d: dram unit %d outside %d channels", i, e.Unit, n)
 		}
 	}
 	return nil
@@ -211,7 +188,7 @@ func (p *Plan) String() string { return p.Key() }
 //
 //	domain:chip[.unit]@start[-end][*scale]
 //
-// e.g. "xchip:0.cw@1000-5000*0.5; dram:1.0@2000*0; llc:2.3@500*0.5".
+// e.g. "xchip:0.cw@1000-5000*0.5; dram:1.0@2000*0; dram:2.1@500*0.5".
 // A missing unit defaults to 0, a missing end means permanent, a missing
 // scale means 0 (outage).
 func Parse(s string) (*Plan, error) {
@@ -310,7 +287,7 @@ func parseEvent(item string) (Event, error) {
 }
 
 // Generate derives a deterministic random plan from a seed: n events spread
-// over [0, horizon) cycles across every domain the shape exposes, with
+// over [0, horizon) cycles across both domains and the shape's units, with
 // degradation scales drawn from {0, 0.25, 0.5, 0.75} and window lengths
 // between horizon/64 and horizon/4 (one in eight events is permanent).
 // The same (seed, shape, n, horizon) always yields the same plan.
@@ -328,15 +305,10 @@ func Generate(seed int64, shape Shape, n int, horizon int64) *Plan {
 		var e Event
 		e.Domain = Domain(rng.Intn(int(numDomains)))
 		e.Chip = rng.Intn(chips)
-		switch e.Domain {
-		case XChip:
+		if e.Domain == XChip {
 			e.Unit = rng.Intn(2)
-		case DRAM:
+		} else {
 			e.Unit = rng.Intn(maxInt(shape.ChannelsPerChip, 1))
-		case LLC:
-			e.Unit = rng.Intn(maxInt(shape.SlicesPerChip, 1))
-		case NoC:
-			e.Unit = rng.Intn(maxInt(shape.ClustersPerChip, 1))
 		}
 		e.Start = rng.Int63n(horizon)
 		if rng.Intn(8) != 0 { // 7 in 8 events heal

@@ -6,18 +6,18 @@ import (
 )
 
 func TestParseRoundTrip(t *testing.T) {
-	p, err := Parse("xchip:0.cw@1000-5000*0.5; dram:1.0@2000*0; llc:2.3@500-900*0.25; noc:0.2@100-200*0")
+	p, err := Parse("xchip:0.cw@1000-5000*0.5; dram:1.0@2000*0; xchip:2.ccw@500-900*0.25; dram:0.1@100-200*0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Events) != 4 {
 		t.Fatalf("got %d events, want 4", len(p.Events))
 	}
-	want := []Event{
+	want := []Event{ // canonical order: domain, chip, unit
 		{Domain: XChip, Chip: 0, Unit: 0, Start: 1000, End: 5000, Scale: 0.5},
+		{Domain: XChip, Chip: 2, Unit: 1, Start: 500, End: 900, Scale: 0.25},
+		{Domain: DRAM, Chip: 0, Unit: 1, Start: 100, End: 200, Scale: 0},
 		{Domain: DRAM, Chip: 1, Unit: 0, Start: 2000, Scale: 0},
-		{Domain: LLC, Chip: 2, Unit: 3, Start: 500, End: 900, Scale: 0.25},
-		{Domain: NoC, Chip: 0, Unit: 2, Start: 100, End: 200, Scale: 0},
 	}
 	if !reflect.DeepEqual(p.Events, want) {
 		t.Fatalf("parsed %+v\nwant %+v", p.Events, want)
@@ -41,7 +41,9 @@ func TestParseErrors(t *testing.T) {
 		"xchip:0.cw@10*1.5",    // scale out of range
 		"xchip:0.cw@50-10*0.5", // empty window
 		"dram:-1.0@10*0.5",     // negative chip
-		"llc:a.b@10",           // unparsable indices
+		"dram:a.b@10",          // unparsable indices
+		"llc:0.0@10*0.5",       // no LLC-slice domain
+		"noc:0.0@10*0.5",       // no NoC-port domain
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
@@ -50,7 +52,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestGenerateDeterminism(t *testing.T) {
-	shape := Shape{Chips: 4, ChannelsPerChip: 2, SlicesPerChip: 4, ClustersPerChip: 8}
+	shape := Shape{Chips: 4, ChannelsPerChip: 2}
 	a := Generate(7, shape, 12, 100_000)
 	b := Generate(7, shape, 12, 100_000)
 	if !reflect.DeepEqual(a, b) {
@@ -58,6 +60,13 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 	if err := a.Validate(shape); err != nil {
 		t.Fatalf("generated plan invalid: %v", err)
+	}
+	var seen [numDomains]int
+	for _, e := range a.Events {
+		seen[e.Domain]++
+	}
+	if seen[XChip] == 0 || seen[DRAM] == 0 {
+		t.Fatalf("12 generated events cover domains %v, want both", seen)
 	}
 	c := Generate(8, shape, 12, 100_000)
 	if reflect.DeepEqual(a.Events, c.Events) {
@@ -69,14 +78,18 @@ func TestGenerateDeterminism(t *testing.T) {
 }
 
 func TestValidateShapeBounds(t *testing.T) {
-	shape := Shape{Chips: 2, ChannelsPerChip: 2, SlicesPerChip: 4, ClustersPerChip: 4}
+	shape := Shape{Chips: 2, ChannelsPerChip: 2}
 	p := &Plan{Events: []Event{{Domain: DRAM, Chip: 1, Unit: 5, Start: 0, Scale: 0.5}}}
 	if err := p.Validate(shape); err == nil {
 		t.Fatal("out-of-range channel accepted")
 	}
-	p = &Plan{Events: []Event{{Domain: LLC, Chip: 3, Unit: 0, Start: 0, Scale: 0.5}}}
+	p = &Plan{Events: []Event{{Domain: XChip, Chip: 3, Unit: 0, Start: 0, Scale: 0.5}}}
 	if err := p.Validate(shape); err == nil {
 		t.Fatal("out-of-range chip accepted")
+	}
+	p = &Plan{Events: []Event{{Domain: numDomains, Chip: 0, Unit: 0, Start: 0, Scale: 0.5}}}
+	if err := p.Validate(Shape{}); err == nil {
+		t.Fatal("domain past DRAM accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/fault"
@@ -12,12 +11,7 @@ import (
 // FaultShape returns the fault-plan bounds of this configuration: the unit
 // counts a plan's events are validated against.
 func (c Config) FaultShape() fault.Shape {
-	return fault.Shape{
-		Chips:           c.Chips,
-		ChannelsPerChip: c.ChannelsPerChip,
-		SlicesPerChip:   c.SlicesPerChip,
-		ClustersPerChip: c.ClustersPerChip(),
-	}
+	return fault.Shape{Chips: c.Chips, ChannelsPerChip: c.ChannelsPerChip}
 }
 
 // InjectFaults arms the system with a fault plan. It must be called before
@@ -42,32 +36,12 @@ func (s *System) applyFaults() {
 	for _, ch := range s.inj.Advance(s.now) {
 		s.run.FaultEvents++
 		s.traceFaultEdge(ch)
-		c := s.chips[ch.Chip]
-		switch ch.Domain {
-		case fault.XChip:
+		if ch.Domain == fault.XChip {
 			s.ring.SetLinkScale(ch.Chip, xchip.Direction(ch.Unit), ch.Scale)
-		case fault.DRAM:
-			c.mem.SetChannelScale(ch.Unit, ch.Scale)
-		case fault.LLC:
-			usable := int(math.Round(ch.Scale * float64(s.cfg.LLCWays)))
-			s.limitSliceWays(c, ch.Unit, usable)
-		case fault.NoC:
-			c.reqNet.SetInPortScale(ch.Unit, ch.Scale)
+		} else {
+			s.chips[ch.Chip].mem.SetChannelScale(ch.Unit, ch.Scale)
 		}
 	}
-}
-
-// limitSliceWays applies an LLC capacity remap to one slice, turning the
-// dropped dirty lines into ordinary writeback traffic.
-func (s *System) limitSliceWays(c *chip, si, usable int) {
-	c.slices[si].arr.LimitWays(usable, func(line uint64, remote bool) {
-		home := s.pages.Home(line)
-		if home < 0 {
-			home = c.idx
-		}
-		s.writeback(c, line, home)
-		s.run.DirtyFlushed++
-	})
 }
 
 // StallError is the progress watchdog's verdict: no request retired (and no

@@ -724,7 +724,7 @@ func (s *System) ringResponseArrived(c *chip, req *memsys.Request) {
 func (s *System) fillSlice(c *chip, si int, req *memsys.Request, part cache.Partition, remote bool) {
 	sl := &c.slices[si]
 	// wi is the way now holding the line for the primary and every waiter
-	// (they all wait on req.Line); -1 when a disabled slice kept nothing.
+	// (they all wait on req.Line).
 	victim, evicted, wi := sl.arr.Fill(req.Line, req.Sector, part, remote)
 	if evicted {
 		s.evict(c, victim)

@@ -847,11 +847,11 @@ func (t *Table) Cancel(id string) (client.JobStatus, bool) {
 }
 
 func (t *Table) cancel(j *Job) {
+	j.closeCancel() // first: a leader past its cancelCh check has set j.cancel
 	j.mu.Lock()
 	queued := j.state == client.StateQueued
 	cancel := j.cancel
 	j.mu.Unlock()
-	j.closeCancel()
 	if cancel != nil {
 		cancel()
 	}

@@ -49,14 +49,12 @@ type Sink interface {
 // inPort is one input port: its ingress queue and bandwidth bucket held by
 // value in one record. adv is the cycle the bucket last accrued credit to:
 // buckets accrue lazily — only when a Tick actually consults them — which is
-// exact because refill is linear-with-cap (deferred accrual composes) as
-// long as each span runs at one rate; SetInPortScale settles the bucket at
-// the old rate before switching.
+// exact because refill is linear-with-cap at a rate fixed for the crossbar's
+// life, so deferred accrual composes.
 type inPort struct {
 	queue bwsim.Queue[Message]
 	bkt   bwsim.TokenBucket
 	adv   int64
-	scale float64 // residual health (1 = full bandwidth)
 }
 
 // outPort is one output port's bandwidth bucket and its lazy-accrual mark.
@@ -70,9 +68,8 @@ type Crossbar struct {
 	in      []inPort
 	out     []outPort
 	cfg     Config
-	rr      int   // round-robin pointer over input ports
-	pending int   // queued messages across all input ports
-	lastRef int64 // cycle of the last active tick (rate-change settle point)
+	rr      int // round-robin pointer over input ports
+	pending int // queued messages across all input ports
 	// nonEmpty is a bitmask of input ports with queued messages (bit i =
 	// port i), valid when InPorts <= 64. Tick walks its set bits in
 	// round-robin order instead of scanning every port; the bits it skips
@@ -116,7 +113,7 @@ func (x *Crossbar) Reset(cfg Config) {
 	for i := range x.in {
 		q := x.in[i].queue
 		q.Reset(cfg.IngressBound)
-		x.in[i] = inPort{queue: q, bkt: bwsim.NewBucket(cfg.InBW), scale: 1}
+		x.in[i] = inPort{queue: q, bkt: bwsim.NewBucket(cfg.InBW)}
 	}
 	for o := range x.out {
 		x.out[o] = outPort{bkt: bwsim.NewBucket(cfg.OutBW)}
@@ -125,32 +122,6 @@ func (x *Crossbar) Reset(cfg Config) {
 
 // Cfg returns the crossbar's configuration.
 func (x *Crossbar) Cfg() Config { return x.cfg }
-
-// SetInPortScale throttles (or heals) one input port to scale of its
-// configured bandwidth. Scale 0 stalls the port: queued messages stay
-// queued (CanInject turns false once the ingress bound fills) until a later
-// call restores bandwidth.
-func (x *Crossbar) SetInPortScale(in int, scale float64) {
-	if in < 0 || in >= x.cfg.InPorts {
-		panic(fmt.Sprintf("noc: no input port %d", in))
-	}
-	if scale < 0 {
-		scale = 0
-	} else if scale > 1 {
-		scale = 1
-	}
-	// Settle deferred accrual at the old rate up to the last active tick —
-	// exactly what eager per-tick refills would have credited by now — so
-	// the span after the change accrues wholly at the new rate.
-	ip := &x.in[in]
-	ip.bkt.Advance(x.lastRef - ip.adv)
-	ip.adv = x.lastRef
-	ip.scale = scale
-	ip.bkt.SetRate(x.cfg.InBW * scale)
-}
-
-// InPortScale returns the current residual scale of an input port.
-func (x *Crossbar) InPortScale(in int) float64 { return x.in[in].scale }
 
 // CanInject reports whether input port in has queue space.
 func (x *Crossbar) CanInject(in int) bool { return !x.in[in].queue.Full() }
@@ -198,7 +169,6 @@ func (x *Crossbar) Tick(now int64, sink Sink) {
 	if x.pending == 0 {
 		return
 	}
-	x.lastRef = now
 	blocked := false
 	// Round-robin over input ports; each port drains while it has credit.
 	// Buckets accrue lazily at first consultation this cycle: ports with no

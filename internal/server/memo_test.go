@@ -344,8 +344,8 @@ func TestResolverCapacity(t *testing.T) {
 		t.Fatalf("capacity %d, want at least 1024 identities", capacity)
 	}
 	// The worst plan a remembered request may carry: the most events that
-	// fit in memoMaxFaults bytes.
-	plan := "llc:0@0;llc:1@0;llc:2@0;llc:3@0"
+	// fit in memoMaxFaults bytes ("mem", DRAM's shortest name, fits four).
+	plan := "mem:0@0;mem:1@0;mem:2@0;mem:3@0"
 	if len(plan) > memoMaxFaults {
 		t.Fatalf("plan %q is longer than the memo remembers", plan)
 	}

@@ -32,6 +32,7 @@ var schemaGoldens = []struct {
 	{7, "7a812b7815df49423ca024db351e9049d91be1d404e8f0ee1c58fb3fcfbe2932"},
 	{8, "d29cbc5850f96319abc796d585a88e335dcbda36768996e42074df65a3656b1a"},
 	{9, "6fe8ddb4cd9e47668c33d288cc0a77c15690769a0b1c004fa0183863037cd7a7"},
+	{10, "fa2e4f6cdd5073003bf6791c233042e8296c5976da54471a89ef815fa436eeaa"},
 }
 
 // TestSchemaPinsGoldens is the protocol for touching the model: goldens

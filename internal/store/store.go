@@ -49,18 +49,18 @@ import (
 )
 
 // schemaVersion is baked into every cache key: bump it when the meaning of a
-// stored result changes, so stale entries become unreachable instead of
-// wrong. v2 added the content hash (envelope.Sum); v3 dropped two unused
-// config fields and made fault-plan keys canonical; v4 made the CRD cold
-// after every Reset, which moves SAC's later profiling windows; v5 moved
-// the estimate rung's cache models onto cache.Cache at their real geometry;
-// v6 dropped the estimate rung's refused experiments from the sweep golden;
-// v7 dropped the SAC option that reused a kernel's decision across
-// invocations from the config encoding; v8 charged an estimated memory-side
-// run every remote-homed LLC access on the ring, whatever SAC would decide;
-// v9 stopped a fault edge from sending a decided SAC kernel back to
-// profiling. TestSchemaPinsGoldens fails when a golden is re-recorded without a bump.
-const schemaVersion = 9
+// stored result changes, so stale entries become unreachable instead of wrong.
+// v2 added the content hash (envelope.Sum); v3 dropped two unused config fields
+// and made fault-plan keys canonical; v4 made the CRD cold after every Reset,
+// which moves SAC's later profiling windows; v5 moved the estimate rung's cache
+// models onto cache.Cache at their real geometry; v6 dropped the estimate
+// rung's refused experiments from the sweep golden; v7 dropped the SAC option
+// that reused a kernel's decision across invocations from the config encoding;
+// v8 charged an estimated memory-side run every remote-homed LLC access on the
+// ring, whatever SAC would decide; v9 stopped a fault edge from sending a
+// decided SAC kernel back to profiling; v10 dropped the LLC and NoC fault
+// domains. TestSchemaPinsGoldens fails on a golden re-recorded without a bump.
+const schemaVersion = 10
 
 // KeyMaterial is the canonical identity of one simulation. Hashing its
 // deterministic JSON encoding (json.Marshal's bytes, appended by hand) yields

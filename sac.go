@@ -201,8 +201,8 @@ func NewSystem(cfg Config, spec Spec) (s *System, err error) {
 	return gpu.New(cfg, spec)
 }
 
-// Fault injection — deterministic degradation of links, DRAM channels, LLC
-// slices, and NoC ports at exact cycles (DESIGN.md "Fault model").
+// Fault injection — deterministic degradation of ring links and DRAM
+// channels at exact cycles (DESIGN.md "Fault model").
 
 // FaultPlan is a schedule of fault events, written in the DSL
 // ParseFaultPlan reads or drawn from a seed by GenerateFaultPlan. Plans are
@@ -220,8 +220,6 @@ type FaultDomain = fault.Domain
 const (
 	FaultXChip = fault.XChip // inter-chip ring links
 	FaultDRAM  = fault.DRAM  // DRAM channels
-	FaultLLC   = fault.LLC   // LLC slice ways
-	FaultNoC   = fault.NoC   // intra-chip NoC ingress ports
 )
 
 // ParseFaultPlan parses the compact fault DSL, e.g.
