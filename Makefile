@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race shuffle cover smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check benchcheck fig8 fmt
+.PHONY: build test vet race shuffle cover reach smoke chaossmoke syncsmoke fidelitysmoke clustersmoke fuzz vuln fieldalign check benchcheck fig8 fmt
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,39 @@ cover:
 	@LC_ALL=C comm -23 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: at 0% and not in testdata\/zero_coverage.txt: /' > artifacts/cover-gate.txt
 	@cat artifacts/cover-gate.txt; test ! -s artifacts/cover-gate.txt
 
+# reach is the reachability ledger: the four binaries and bench/ are linked
+# with inlining off and the linker's dependency dump on, and every function
+# the root module's non-test files declare (read from the compiled packages:
+# generic instantiations folded onto their declaration, closures, wrappers and
+# init left out) that no link reaches lands in artifacts/unreached.txt as a
+# "<file> <func>" line. One that testdata/unreached.txt does not list fails
+# the gate; a listed one a link now reaches is named, so the list only
+# shrinks. The list holds what stays on purpose: the sac facade (and
+# fault.Generate, which only its GenerateFaultPlan reaches) and the client
+# API that no binary calls, invariant checkers, the oracles tests compare
+# against, and the accessors and job-table calls tests drive.
+reach:
+	@mkdir -p artifacts/reach
+	@set -e; for d in cmd/sacsim cmd/sacsweep cmd/sacd cmd/saccoord bench; do \
+		dep=artifacts/reach/$${d##*/}.dep; \
+		$(GO) build -C $$d -gcflags=all=-l -ldflags=-dumpdep -o $(CURDIR)/artifacts/reach/ . 2> $$dep || { cat $$dep; exit 1; }; \
+		sed "s|^main\.|repro/$$d.|; s| -> main\.| -> repro/$$d.|" $$dep; \
+	done > artifacts/reach/deps.txt
+	@for f in $$($(GO) list -export -gcflags=all=-l -f '{{.Export}}' ./...); do $(GO) tool objdump "$$f" | grep '^TEXT '; done \
+		> artifacts/reach/text.txt
+	@awk -v root="$$($(GO) list -m -f '{{.Dir}}')/" ' \
+		function fold(s) { while (gsub(/\[[^][]*\]/, "", s)) {} return s } \
+		FNR == NR { n = split($$0, e, " -> "); for (i = 1; i <= n; i++) reached[fold(e[i])] = 1; next } \
+		{ i = index($$0, "(SB) "); name = fold(substr($$0, 6, i - 6)); file = substr($$0, i + 5) } \
+		index(file, root) != 1 || name ~ /\.func[0-9]|\.(defer|go)wrap[0-9]|-fm$$|-range[0-9]|(^|\.)init(\.[0-9]+)?$$/ { next } \
+		{ file = "repro/" substr(file, length(root) + 1); pkg = file; sub(/\/[^\/]*$$/, "", pkg); \
+		  if (name ~ /^main\./) name = pkg substr(name, 5); \
+		  if (!(name in reached)) print file, substr(name, length(pkg) + 2) }' \
+		artifacts/reach/deps.txt artifacts/reach/text.txt | LC_ALL=C sort -u > artifacts/unreached.txt
+	@LC_ALL=C comm -13 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: now reached, drop from testdata\/unreached.txt: /'
+	@LC_ALL=C comm -23 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: unreached and not in testdata\/unreached.txt: /' > artifacts/reach-gate.txt
+	@cat artifacts/reach-gate.txt; test ! -s artifacts/reach-gate.txt
+
 # smoke is the daemon shortcut: build the real sacd binary, start it on an
 # ephemeral port, drive it over HTTP (concurrent dedup, byte-identity with
 # in-process sac.Run, SIGTERM drain, restart from the journal and the
@@ -62,7 +95,7 @@ smoke:
 # worker's start to either stopping the start or canceling the execution.
 chaossmoke: syncsmoke
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedShedsBatchLane|TestCorruptJournal|TestTerminalDurableBeforeVisible|TestCompactionKeepsAcceptOrder' \
+		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedStillAdmits|TestCorruptJournal|TestTerminalDurableBeforeVisible|TestCompactionKeepsAcceptOrder' \
 		./internal/server
 	$(GO) test -race -count=1 -run 'TestReplayLiveSet|TestRuntimeCompaction' ./internal/journal
 	$(GO) test -race -count=1 -run 'TestFlightLandsBeforeDone|TestCancelNeverLeavesExecuteRunning' ./internal/jobs
@@ -181,10 +214,10 @@ fieldalign:
 # check is the CI gate: static analysis, the full suite under the race
 # detector (every daemon, crash-recovery, fidelity and fleet contract — once)
 # and again in shuffled order, the one environment-selected configuration
-# race cannot reach, a fuzz smoke of the decoders, the coverage ledger, the
-# nested benchmark module's own vet + tests (a smoke-size run of all four
+# race cannot reach, a fuzz smoke of the decoders, the coverage and
+# reachability ledgers, the nested benchmark module's own vet + tests (a smoke-size run of all four
 # workloads), and the advisory layout and vulnerability scans.
-check: vet race shuffle syncsmoke fuzz cover benchcheck fieldalign vuln
+check: vet race shuffle syncsmoke fuzz cover reach benchcheck fieldalign vuln
 
 # benchcheck builds and tests bench/, a module of its own that compiles
 # against internal/store, internal/server, internal/cluster and client but

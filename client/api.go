@@ -32,8 +32,8 @@ const (
 )
 
 // Health states reported by /v1/healthz, in degradation order. A degraded
-// daemon sheds batch-lane traffic (429 + Retry-After); an unhealthy one
-// rejects all new work (503 + Retry-After).
+// daemon still accepts work but is slow (saccoord prefers healthy workers);
+// an unhealthy one rejects all new work (503 + Retry-After).
 const (
 	HealthHealthy   = "healthy"
 	HealthDegraded  = "degraded"
@@ -52,13 +52,6 @@ const (
 	SourceStore = "store" // served from the persistent result store
 	SourceDedup = "dedup" // joined another client's in-flight simulation
 	SourceMemo  = "memo"  // recalled a result already completed this process
-)
-
-// Priority lanes, drained in this order.
-const (
-	PriorityHigh   = "high"
-	PriorityNormal = "normal"
-	PriorityBatch  = "batch"
 )
 
 // Fidelity rungs a job may request (sac.Fidelity values). Exact is the
@@ -85,8 +78,6 @@ type JobRequest struct {
 	Config *gpu.Config `json:"config,omitempty"`
 	// Faults is a fault plan in the compact DSL ("" = healthy run).
 	Faults string `json:"faults,omitempty"`
-	// Priority selects the queue lane; "" means normal.
-	Priority string `json:"priority,omitempty"`
 	// Fidelity selects the simulation rung: "estimate" or "exact"
 	// ("" = exact). Unknown values are rejected with HTTP 400.
 	// Estimate jobs never queue — the daemon answers them synchronously and
@@ -105,7 +96,6 @@ type JobStatus struct {
 	State     string `json:"state"`
 	Benchmark string `json:"benchmark"`
 	Org       string `json:"org"`
-	Priority  string `json:"priority"`
 	// Fidelity is the rung the job ran at ("estimate" or "exact").
 	Fidelity string `json:"fidelity"`
 	// Key is the content address of the job's cell in the result store.

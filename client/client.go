@@ -24,8 +24,8 @@ type APIError struct {
 	StatusCode int
 	Message    string
 	// RetryAfter is the server's Retry-After hint (0 = none). The retry
-	// loop honors it as a floor under the jittered backoff, so a shedding
-	// or restarting daemon controls its own comeback pacing.
+	// loop honors it as a floor under the jittered backoff, so a full or
+	// restarting daemon controls its own comeback pacing.
 	RetryAfter time.Duration
 }
 

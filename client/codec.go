@@ -96,9 +96,6 @@ func AppendRequest(b []byte, req *JobRequest) []byte {
 	if req.Faults != "" {
 		b = wire.AppendString(append(b, `,"faults":`...), req.Faults)
 	}
-	if req.Priority != "" {
-		b = wire.AppendString(append(b, `,"priority":`...), req.Priority)
-	}
 	if req.Fidelity != "" {
 		b = wire.AppendString(append(b, `,"fidelity":`...), req.Fidelity)
 	}
@@ -129,7 +126,6 @@ func AppendStatus(b []byte, st *JobStatus) []byte {
 	b = wire.AppendString(append(b, `,"state":`...), st.State)
 	b = wire.AppendString(append(b, `,"benchmark":`...), st.Benchmark)
 	b = wire.AppendString(append(b, `,"org":`...), st.Org)
-	b = wire.AppendString(append(b, `,"priority":`...), st.Priority)
 	b = wire.AppendString(append(b, `,"fidelity":`...), st.Fidelity)
 	if st.Key != "" {
 		b = wire.AppendString(append(b, `,"key":`...), st.Key)
@@ -221,8 +217,6 @@ func decodeRequest(r *wire.Reader, req *JobRequest) {
 			req.Config.DecodeJSON(r)
 		case "faults":
 			req.Faults = string(r.Str())
-		case "priority":
-			req.Priority = intern(r.Str())
 		case "fidelity":
 			req.Fidelity = intern(r.Str())
 		case "timeout_ms":
@@ -264,8 +258,6 @@ func decodeStatus(r *wire.Reader, st *JobStatus) {
 			st.Benchmark = string(r.Str())
 		case "org":
 			st.Org = intern(r.Str())
-		case "priority":
-			st.Priority = intern(r.Str())
 		case "fidelity":
 			st.Fidelity = intern(r.Str())
 		case "key":
@@ -404,7 +396,7 @@ var vocabulary = map[string]string{}
 func init() {
 	for _, s := range []string{
 		StateQueued, StateRunning, StateDone, StateFailed, StateExpired, StateCanceled, StateRequeued,
-		SourceSim, SourceStore, SourceDedup, SourceMemo, PriorityHigh, PriorityNormal, PriorityBatch,
+		SourceSim, SourceStore, SourceDedup, SourceMemo,
 		FidelityEstimate, FidelityExact, "SAC", "memory-side", "SM-side", "static", "dynamic",
 	} {
 		vocabulary[s] = s

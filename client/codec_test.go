@@ -132,7 +132,7 @@ func TestClientBodiesTakeTheHandPath(t *testing.T) {
 	cfg := gpu.ScaledConfig()
 	reqs := []JobRequest{
 		{Benchmark: "BP", Org: "SAC", Config: &cfg, Fidelity: FidelityEstimate},
-		{Benchmark: "RN", Org: "memory-side", Preset: "mcm", Faults: "xchip:0.cw@0-5000*0.5", Priority: PriorityBatch, TimeoutMS: 30000},
+		{Benchmark: "RN", Org: "memory-side", Preset: "mcm", Faults: "xchip:0.cw@0-5000*0.5", TimeoutMS: 30000},
 	}
 	bodies := make(chan []byte, 2)
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
@@ -177,7 +177,7 @@ func TestClientBodiesTakeTheHandPath(t *testing.T) {
 // fails exactly when json.Unmarshal does and otherwise yields the same
 // value.
 func FuzzStatusDecode(f *testing.F) {
-	st := JobStatus{ID: "j1", State: StateDone, Benchmark: "BP", Org: "SAC", Priority: PriorityNormal,
+	st := JobStatus{ID: "j1", State: StateDone, Benchmark: "BP", Org: "SAC",
 		Fidelity: FidelityEstimate, Key: "ab12", Source: SourceStore, Cycles: 42,
 		SubmittedAt: time.Unix(1760000000, 5).UTC(), Result: json.RawMessage(`{"Cycles":42,"Org":"\u003cSAC\u003e"}`)}
 	at := time.Unix(1760000001, 0).In(time.FixedZone("", 3600))

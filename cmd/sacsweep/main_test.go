@@ -12,8 +12,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -153,6 +155,87 @@ func TestSweepGolden(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		b, _ := json.MarshalIndent(got, "", "  ")
 		t.Fatalf("sweep bytes changed; if the change is meant, %s becomes:\n%s", goldenPath, b)
+	}
+}
+
+// readmeLines returns the argument lists of README's sacsweep lines (`go run
+// ./cmd/sacsweep` or a built `./sacsweep`), backslash continuations joined
+// and a trailing comment or `&` cut. Lines naming -faults are left out: only
+// the exact rung injects faults, and TestDocsNameWhatExists already parses
+// their plans.
+func readmeLines(t *testing.T) [][]string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]string
+	command := ""
+	for _, line := range strings.Split(string(src), "\n") {
+		if command += line; strings.HasSuffix(command, "\\") {
+			command = strings.TrimSuffix(command, "\\") + " "
+			continue
+		}
+		cmd, ok := strings.CutPrefix(strings.TrimSpace(command), "go run ./cmd/sacsweep ")
+		if !ok {
+			cmd, ok = strings.CutPrefix(strings.TrimSpace(command), "./sacsweep ")
+		}
+		command = ""
+		if !ok || strings.Contains(cmd, "-faults") {
+			continue
+		}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		lines = append(lines, strings.Fields(strings.TrimSuffix(strings.TrimSpace(cmd), "&")))
+	}
+	if len(lines) == 0 {
+		t.Fatal("no sacsweep lines in README.md")
+	}
+	return lines
+}
+
+// TestReadmeSweeps runs every sacsweep line of README at the estimate rung
+// over one workload, with its cache in a temporary directory, its listener
+// on a free port and its -remote daemon in process. A line either prints
+// results, with one skip line for each experiment the rung does not cover,
+// or names one such experiment and exits 1 with only its refusal.
+func TestReadmeSweeps(t *testing.T) {
+	url, _ := daemon(t)
+	refusal := regexp.MustCompile(`(?m)^sacsweep: (\w+) (skipped|failed): fidelity "estimate" does not model `)
+	for _, args := range readmeLines(t) {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			args = append(args, "-fidelity", "estimate")
+			if !slices.Contains(args, "-set") {
+				args = append(args, "-set", "BP")
+			}
+			for i := 1; i < len(args); i++ {
+				switch args[i-1] {
+				case "-set":
+					args[i] = "BP"
+				case "-cache-dir":
+					args[i] = t.TempDir()
+				case "-metrics-addr":
+					args[i] = "127.0.0.1:0"
+				case "-remote":
+					args[i] = url
+				}
+			}
+			var out, errOut bytes.Buffer
+			code := run(args, &out, &errOut)
+			refused := refusal.FindAllStringSubmatch(errOut.String(), -1)
+			seen := map[string]bool{}
+			for _, m := range refused {
+				if seen[m[1]] {
+					t.Errorf("%s refused twice:\n%s", m[1], errOut.String())
+				}
+				seen[m[1]] = true
+			}
+			switch {
+			case code == 1 && len(refused) == 1 && refused[0][2] == "failed" && out.Len() == 0:
+			case code == 0 && out.Len() > 0 && !strings.Contains(errOut.String(), " failed: "):
+			default:
+				t.Fatalf("exit %d, %d bytes of output:\n%s", code, out.Len(), errOut.String())
+			}
+		})
 	}
 }
 

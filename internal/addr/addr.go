@@ -80,9 +80,9 @@ const denseMaxPages = 1 << 22
 // "never touched". Pages below denseMaxPages are indexed densely (dense[page],
 // grown on demand): Spec line spaces are dense from 0 (region bases stack),
 // so every synthetic workload lives there and a lookup is a slice index, not
-// a hash. The map holds only page numbers at or above the bound, which trace
-// replays with arbitrary addresses can produce. PageTable and Census are the
-// two slot types.
+// a hash. The map holds only page numbers at or above the bound, which no
+// shipped workload reaches: only tests' straddle workloads, shifted past the
+// bound, exercise it. PageTable and Census are the two slot types.
 type pageIndex[S comparable] struct {
 	// One-entry memo of the most recently touched page (valid when last is
 	// non-zero): warp access streams are page-local, so consecutive lookups

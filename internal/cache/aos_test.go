@@ -72,15 +72,6 @@ func (c *aosCache) SetPartition(localWays int) {
 	c.partActive = true
 }
 
-// ClearPartition disables partitioned allocation (all ways for everyone).
-func (c *aosCache) ClearPartition() {
-	c.partActive = false
-	c.localWays = c.cfg.Ways
-}
-
-// LocalWays returns the current local partition size (Ways when unpartitioned).
-func (c *aosCache) LocalWays() int { return c.localWays }
-
 func (c *aosCache) setIndex(line uint64) int {
 	// Lines arriving here were already spread across slices by the PAE hash;
 	// a second small mix decorrelates the set index from the slice index.

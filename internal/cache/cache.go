@@ -188,15 +188,6 @@ func (c *Cache) SetPartition(localWays int) {
 	c.partActive = true
 }
 
-// ClearPartition disables partitioned allocation (all ways for everyone).
-func (c *Cache) ClearPartition() {
-	c.partActive = false
-	c.localWays = c.cfg.Ways
-}
-
-// LocalWays returns the current local partition size (Ways when unpartitioned).
-func (c *Cache) LocalWays() int { return c.localWays }
-
 // locate returns line's set and its partial tag, both cut from one multiply:
 // the set index from the product's middle bits, the partial tag from its top
 // byte.

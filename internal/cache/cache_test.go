@@ -82,10 +82,6 @@ func TestPartitionedAllocation(t *testing.T) {
 	if !ev || !v.Remote {
 		t.Fatalf("remote eviction %+v", v)
 	}
-	c.ClearPartition()
-	if c.LocalWays() != 4 {
-		t.Fatal("ClearPartition did not restore ways")
-	}
 }
 
 func TestSetPartitionPanics(t *testing.T) {

@@ -157,10 +157,6 @@ func TestArrayMatchesCache(t *testing.T) {
 					c.SetPartition(lw)
 					a.SetPartition(lw)
 					partitioned = true
-				} else {
-					c.ClearPartition()
-					a.ClearPartition()
-					partitioned = false
 				}
 			default: // flush variants
 				switch rng.Intn(3) {

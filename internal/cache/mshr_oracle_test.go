@@ -126,8 +126,8 @@ func TestMSHRMatchesMapOracle(t *testing.T) {
 					t.Fatalf("cap %d step %d: Fill(%d) released %d waiters, oracle %d", capacity, step, line, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].ID != want[i].ID {
-						t.Fatalf("cap %d step %d: Fill(%d) waiter %d is request %d, oracle %d (order)", capacity, step, line, i, got[i].ID, want[i].ID)
+					if got[i].IssueCycle != want[i].IssueCycle {
+						t.Fatalf("cap %d step %d: Fill(%d) waiter %d is request %d, oracle %d (order)", capacity, step, line, i, got[i].IssueCycle, want[i].IssueCycle)
 					}
 				}
 			default:

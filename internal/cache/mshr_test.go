@@ -7,7 +7,7 @@ import (
 )
 
 func req(id uint64, line uint64) *memsys.Request {
-	return &memsys.Request{ID: id, Line: line, Kind: memsys.Read}
+	return &memsys.Request{Line: line, IssueCycle: int64(id), Kind: memsys.Read}
 }
 
 func TestMSHRPrimaryAndSecondary(t *testing.T) {

@@ -64,6 +64,15 @@ func (w *testWorker) kill() {
 	w.hs.Close()
 }
 
+// abandon stops the agent's loop WITHOUT deregistering, so the coordinator
+// must detect the death by heartbeat lapse, not by a goodbye.
+func (a *Agent) abandon() {
+	a.once.Do(func() {
+		close(a.stop)
+		<-a.done
+	})
+}
+
 // startWorker boots a real server.Server over httptest and enrolls it.
 func startWorker(t *testing.T, coordURL, id string) *testWorker {
 	t.Helper()
@@ -712,7 +721,8 @@ func TestClusterForwardsResolvedFidelity(t *testing.T) {
 
 // TestClusterRejectsUnknownFidelity: the coordinator resolves a request
 // before placing it, so a rung the ladder does not have is a 400 naming
-// both rungs, even with no worker in the fleet.
+// both rungs, even with no worker in the fleet. So is a body naming a field
+// the request type lacks, such as a priority.
 func TestClusterRejectsUnknownFidelity(t *testing.T) {
 	_, hs := testCoordinator(t, nil)
 	req := tinyRequest("RN", "SAC", 0)
@@ -724,6 +734,15 @@ func TestClusterRejectsUnknownFidelity(t *testing.T) {
 	}
 	if !strings.Contains(apiErr.Message, `"estimate"`) || !strings.Contains(apiErr.Message, `"exact"`) {
 		t.Fatalf("error %q does not name both rungs", apiErr.Message)
+	}
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"benchmark":"RN","org":"SAC","priority":"normal"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a body naming priority: want 400, got %d", resp.StatusCode)
 	}
 }
 

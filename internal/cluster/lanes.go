@@ -180,10 +180,11 @@ func (l *lanes) answerLocked(it *laneItem, r laneResult) {
 
 // send submits g's items as one SubmitBatch, answers each item the worker
 // refused, finished or mismatched, and hands the rest to the group's watch.
-// sacd admits a batch all-or-nothing, so a full queue, one shed item or one
-// invalid item refuses a whole group. A group therefore goes out once,
-// without the client's retries, and if it fails, each of its items still
-// waiting is resent alone: each job gets the answer a one-item submit gets.
+// sacd admits a batch all-or-nothing, so a full queue, an unhealthy or
+// draining worker, or one invalid item refuses a whole group. A group
+// therefore goes out once, without the client's retries, and if it fails,
+// each of its items still waiting is resent alone: each job gets the answer
+// a one-item submit gets.
 func (l *lanes) send(g *group) {
 	cl, once := l.clients()
 	call := cl

@@ -604,25 +604,25 @@ func TestLaneLeaversEndTheirCalls(t *testing.T) {
 
 // TestGroupRefusedWholeKeepsPerItemAnswers: a worker admits a batch
 // all-or-nothing, so one item it will not take refuses a whole group: a
-// degraded worker sheds a batch-lane item with 429, and any worker answers
-// 400 to an invalid one (here the batch-lane item stands for it). The group
-// goes out once, without waiting out its Retry-After, and is resent item by
-// item: its normal jobs run there and only the refused job fails.
+// worker whose queue has no room left sheds it with 429, and any worker
+// answers 400 to an invalid item (here the item at scale 616 stands for
+// both). The group goes out once, without waiting out its Retry-After, and is
+// resent item by item: the other jobs run there and only the refused one
+// fails.
 func TestGroupRefusedWholeKeepsPerItemAnswers(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		code     int
-		degraded bool
+		name string
+		code int
 	}{
-		{"shed", http.StatusTooManyRequests, true},
-		{"invalid", http.StatusBadRequest, false},
+		{"shed", http.StatusTooManyRequests},
+		{"invalid", http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := startFakeWorker(t)
 			f.hold = make(chan struct{})
 			f.refuse = func(w http.ResponseWriter, reqs []client.JobRequest) bool {
 				for _, req := range reqs {
-					if req.Priority == client.PriorityBatch {
+					if req.Config.WorkloadScale == 616 {
 						if len(reqs) > 1 {
 							// Past the fake's await timeout: a group that
 							// waits it out fails the test.
@@ -635,14 +635,8 @@ func TestGroupRefusedWholeKeepsPerItemAnswers(t *testing.T) {
 				return false
 			}
 			c, cc := fakeCoordinator(t, f)
-			if tc.degraded {
-				c.Heartbeat("fake", client.Health{Status: client.HealthDegraded})
-			}
-
-			low := tinyRequest("RN", "SAC", 616)
-			low.Priority = client.PriorityBatch
 			ids := submitGroup(t, c, cc, f, []client.JobRequest{
-				tinyRequest("RN", "SAC", 600), tinyRequest("RN", "SAC", 608), low,
+				tinyRequest("RN", "SAC", 600), tinyRequest("RN", "SAC", 608), tinyRequest("RN", "SAC", 616),
 			})
 			f.await(t, "both normal jobs are admitted", func() bool { return f.scale[600] != "" && f.scale[608] != "" })
 			f.mu.Lock()

@@ -161,16 +161,6 @@ func isNotFound(err error) bool {
 	return errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound
 }
 
-// abandon stops the loop WITHOUT deregistering — the SIGKILL path used by
-// the cluster smoke test: the coordinator must detect the death by
-// heartbeat lapse, not by a goodbye.
-func (a *Agent) abandon() {
-	a.once.Do(func() {
-		close(a.stop)
-		<-a.done
-	})
-}
-
 // Close stops the loop and deregisters (best effort): the coordinator
 // rebalances immediately instead of waiting out the lapse.
 func (a *Agent) Close() {

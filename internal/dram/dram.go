@@ -77,8 +77,8 @@ type Partition struct {
 	// What Tick reads instead of looping over the channels to learn that
 	// none has anything to do. hot counts the hot channels; nextDue is the
 	// earliest headDue over all channels. Both are exact between calls: Tick
-	// recomputes them, and the three calls that heat a channel outside Tick
-	// (Enqueue, SetChannelScale, DrainWriteback) adjust hot; accesses enter
+	// recomputes them, and the two calls that heat a channel outside Tick
+	// (Enqueue, SetChannelScale) adjust hot; accesses enter
 	// and leave flight only inside Tick.
 	hot     int
 	nextDue int64
@@ -280,19 +280,4 @@ func (p *Partition) CheckActivity() error {
 		return fmt.Errorf("dram: hot %d nextDue %d, channels say %d and %d", p.hot, p.nextDue, hot, nextDue)
 	}
 	return nil
-}
-
-// DrainWriteback accounts for a background writeback (e.g. during an LLC
-// flush) without a request object: it consumes channel bandwidth only.
-func (p *Partition) DrainWriteback(ch int, lineBytes int) {
-	if ch < 0 || ch >= p.cfg.Channels {
-		panic("dram: bad channel")
-	}
-	p.Writes++
-	p.BytesMoved += int64(lineBytes)
-	c := &p.chans[ch]
-	c.bytes += int64(lineBytes)
-	was := c.hot()
-	c.bucket.Take(lineBytes)
-	p.rehot(c, was)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func mkReq(id uint64, ch int, kind memsys.AccessKind) *memsys.Request {
-	return &memsys.Request{ID: id, Channel: ch, Kind: kind}
+	return &memsys.Request{Line: id, Channel: ch, Kind: kind}
 }
 
 func TestLatency(t *testing.T) {
@@ -22,7 +22,7 @@ func TestLatency(t *testing.T) {
 		t.Fatal("request completed before latency elapsed")
 	}
 	p.Tick(50, 128, cb)
-	if len(done) != 1 || done[0].ID != 1 {
+	if len(done) != 1 || done[0].Line != 1 {
 		t.Fatalf("done = %v", done)
 	}
 	if p.Reads != 1 || p.Writes != 0 {
@@ -84,14 +84,6 @@ func TestBackPressure(t *testing.T) {
 	}
 	if p.Pending() != 2 {
 		t.Fatalf("Pending = %d", p.Pending())
-	}
-}
-
-func TestDrainWriteback(t *testing.T) {
-	p := New(Config{Channels: 1, ChannelBW: 128, Latency: 1})
-	p.DrainWriteback(0, 128)
-	if p.Writes != 1 || p.BytesMoved != 128 {
-		t.Fatalf("writes=%d bytes=%d", p.Writes, p.BytesMoved)
 	}
 }
 

@@ -69,7 +69,7 @@ func loopNextEvent(p *Partition, now int64) int64 {
 
 // TestTickMatchesChannelLoop drives two partitions through one seeded
 // sequence — Enqueue bursts, a channel failing and healing (scale 0, partial,
-// 1), request-less DrainWritebacks, gaps in now the way fast-forward leaves
+// 1), gaps in now the way fast-forward leaves
 // them, and completions that enqueue a writeback on the partition from inside
 // Tick the way a fill's dirty victim does — one with the shipped Tick, one
 // with the loop it replaced. Every completion must come out on the same cycle
@@ -117,9 +117,8 @@ func TestTickMatchesChannelLoop(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						kind = memsys.Write
 					}
-					line := rng.Uint64() % 512
 					for _, s := range []*side{ship, loop} {
-						s.p.Enqueue(&memsys.Request{ID: id, Line: line, Kind: kind, Channel: ch})
+						s.p.Enqueue(&memsys.Request{Line: id, Kind: kind, Channel: ch})
 					}
 				}
 			}
@@ -132,24 +131,20 @@ func TestTickMatchesChannelLoop(t *testing.T) {
 				ship.p.SetChannelScale(ch, scale)
 				loop.p.SetChannelScale(ch, scale)
 			}
-			if rng.Intn(50) == 0 {
-				ch := rng.Intn(cfg.Channels)
-				ship.p.DrainWriteback(ch, lineBytes)
-				loop.p.DrainWriteback(ch, lineBytes)
-			}
 
 			if ship.p.pending > 0 && ship.p.hot == 0 && now < ship.p.nextDue {
 				skipped++ // this call returns before the channel loop
 			}
 			// Whether a completion spawns a writeback, and where, must not
-			// depend on which side asks: decide it per request id.
+			// depend on which side asks: decide it per request, by the line
+			// that tags it.
 			for _, s := range []*side{ship, loop} {
 				s := s
 				s.tick(now, lineBytes, func(req *memsys.Request) {
-					s.got = append(s.got, completion{req.ID, now})
-					if req.ID%5 == 0 && req.ID < 1<<40 {
-						ch := int(req.ID/5) % cfg.Channels // often a channel Tick has already passed
-						s.p.Enqueue(&memsys.Request{ID: req.ID + 1<<40, Kind: memsys.Write, Channel: ch})
+					s.got = append(s.got, completion{req.Line, now})
+					if req.Line%5 == 0 && req.Line < 1<<40 {
+						ch := int(req.Line/5) % cfg.Channels // often a channel Tick has already passed
+						s.p.Enqueue(&memsys.Request{Line: req.Line + 1<<40, Kind: memsys.Write, Channel: ch})
 					}
 				})
 			}

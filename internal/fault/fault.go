@@ -308,32 +308,18 @@ func Generate(seed int64, shape Shape, n int, horizon int64) *Plan {
 		if e.Domain == XChip {
 			e.Unit = rng.Intn(2)
 		} else {
-			e.Unit = rng.Intn(maxInt(shape.ChannelsPerChip, 1))
+			e.Unit = rng.Intn(max(shape.ChannelsPerChip, 1))
 		}
 		e.Start = rng.Int63n(horizon)
 		if rng.Intn(8) != 0 { // 7 in 8 events heal
-			span := horizon/64 + rng.Int63n(maxInt64(horizon/4, 1))
-			e.End = e.Start + maxInt64(span, 1)
+			span := horizon/64 + rng.Int63n(max(horizon/4, 1))
+			e.End = e.Start + max(span, 1)
 		}
 		e.Scale = float64(rng.Intn(4)) * 0.25
 		p.Events = append(p.Events, e)
 	}
 	slices.SortFunc(p.Events, compareEvents)
 	return p
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // unitKey identifies one faultable hardware unit.

@@ -47,8 +47,7 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 	west := time.FixedZone("west", -8*3600)
 	full := client.JobStatus{
 		ID: "j0123456789abcdef", State: client.StateDone, Benchmark: "RN", Org: "SAC",
-		Priority: client.PriorityNormal, Fidelity: client.FidelityEstimate,
-		Key: "ab12", Source: client.SourceStore, Error: "boom", QueueAhead: 3, Cycles: 123456,
+		Fidelity: client.FidelityEstimate, Key: "ab12", Source: client.SourceStore, Error: "boom", QueueAhead: 3, Cycles: 123456,
 		SubmittedAt: *at(1760000000, 123456789, utc),
 		StartedAt:   at(1760000001, 120000000, utc),
 		FinishedAt:  at(1760000002, 0, utc),
@@ -94,7 +93,7 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 	}
 	for mask := 0; mask < 1<<len(optional); mask++ {
 		st := client.JobStatus{ID: full.ID, State: full.State, Benchmark: full.Benchmark, Org: full.Org,
-			Priority: full.Priority, Fidelity: full.Fidelity, SubmittedAt: full.SubmittedAt}
+			Fidelity: full.Fidelity, SubmittedAt: full.SubmittedAt}
 		for i, set := range optional {
 			if mask&(1<<i) != 0 {
 				set(&st)
@@ -114,8 +113,8 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 		{"line separators", func(st *client.JobStatus) { st.Error = "a\u2028b\u2029c" }},
 		{"non-ASCII", func(st *client.JobStatus) { st.Benchmark, st.Error = "ÜNÏ", "délai dépassé 🕐" }},
 		{"escapes in every string", func(st *client.JobStatus) {
-			st.ID, st.State, st.Benchmark, st.Org, st.Priority = "<", ">", "&", `"`, `\`
-			st.Fidelity, st.Key, st.Source = "\n", "\u2028", "\xff"
+			st.ID, st.State, st.Benchmark, st.Org = "<", ">", "&", `"`
+			st.Fidelity, st.Key, st.Source = `\`, "\n", "\u2028\xff"
 		}},
 		{"zero SubmittedAt", func(st *client.JobStatus) { st.SubmittedAt = time.Time{} }},
 		{"non-UTC zones", func(st *client.JobStatus) {
@@ -197,7 +196,7 @@ func FuzzStatusEncoding(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id, state, bench, errText string, ahead, cycles, unixNano int64, offset int32, present uint8, result []byte) {
 		tm := time.Unix(0, unixNano).In(time.FixedZone("z", int(offset%(24*3600))))
 		st := client.JobStatus{
-			ID: id, State: state, Benchmark: bench, Org: bench + id, Priority: state, Fidelity: errText,
+			ID: id, State: state, Benchmark: bench, Org: bench + id, Fidelity: errText,
 			Key: id, Source: state, Error: errText, QueueAhead: int(ahead), Cycles: cycles, SubmittedAt: tm,
 		}
 		if present&1 != 0 {

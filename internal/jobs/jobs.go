@@ -313,7 +313,7 @@ func (t *Table) Submit(req client.JobRequest) (client.JobStatus, error) {
 // all-or-nothing: if any request fails validation, itemErrs carries one
 // message per offending item (aligned with reqs, "" = valid) and nothing is
 // admitted; if the batch as a whole is refused, err says why (an *AdmitError
-// for backpressure, shedding, drain or shutdown). On success the statuses
+// for backpressure, ill health, drain or shutdown). On success the statuses
 // come back in request order.
 func (t *Table) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, itemErrs []string, err error) {
 	batch, itemErrs, err := t.admit(reqs)
@@ -372,8 +372,8 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 	// boxing the arguments.
 	if logf := t.cfg.Logf; logf != nil {
 		if j := batch[0]; len(batch) == 1 {
-			logf("accepted %s %s/%s lane=%s fidelity=%s key=%.12s",
-				j.ID, j.Spec.Name, j.Cfg.Org, priority(j.Req.Priority), backend.Display(j.Fidelity), j.Key)
+			logf("accepted %s %s/%s fidelity=%s key=%.12s",
+				j.ID, j.Spec.Name, j.Cfg.Org, backend.Display(j.Fidelity), j.Key)
 		} else {
 			logf("accepted batch of %d", len(batch))
 		}
@@ -744,13 +744,6 @@ func (t *Table) Flights() int {
 	return len(t.flights)
 }
 
-func priority(p string) string {
-	if p == "" {
-		return client.PriorityNormal
-	}
-	return p
-}
-
 // status is the one projection of a job onto the wire; a settled one
 // answers with its final status. withResult inlines a done job's result
 // bytes, as batch and watch responses do.
@@ -776,7 +769,6 @@ func (j *Job) statusLocked(at *[3]time.Time) client.JobStatus {
 		State:       j.state,
 		Benchmark:   j.Spec.Name,
 		Org:         j.Cfg.Org.String(),
-		Priority:    priority(j.Req.Priority),
 		Fidelity:    backend.Display(j.Fidelity),
 		Key:         j.Key,
 		Source:      j.source,

@@ -178,15 +178,9 @@ type DynamicController struct {
 	Adjustments int64
 }
 
-// NewDynamicController returns a controller starting at the half/half split.
-func NewDynamicController(ways int, epoch int64, ringCap, dramCap float64) *DynamicController {
-	d := new(DynamicController)
-	d.Reset(ways, epoch, ringCap, dramCap)
-	return d
-}
-
-// Reset gives d the state NewDynamicController returns for the same
-// arguments.
+// Reset starts d afresh at the half/half split of ways, adjusting once per
+// epoch cycles (4096 when epoch <= 0) against a chip's ring and DRAM
+// bandwidths in bytes/cycle.
 func (d *DynamicController) Reset(ways int, epoch int64, ringCap, dramCap float64) {
 	if ways < 2 {
 		panic("llc: dynamic controller needs >= 2 ways")

@@ -91,7 +91,7 @@ func TestRoutePanicsOnUnknownMode(t *testing.T) {
 
 func TestDynamicControllerShiftsTowardRing(t *testing.T) {
 	// Saturated ring, idle DRAM: remote partition must grow (localWays down).
-	d := NewDynamicController(16, 100, 100, 100)
+	d := newDyn(16, 100, 100, 100)
 	for now := int64(0); now < 1000; now++ {
 		d.Observe(100, 0)
 		d.Tick(now)
@@ -105,7 +105,7 @@ func TestDynamicControllerShiftsTowardRing(t *testing.T) {
 }
 
 func TestDynamicControllerShiftsTowardDRAM(t *testing.T) {
-	d := NewDynamicController(16, 100, 100, 100)
+	d := newDyn(16, 100, 100, 100)
 	for now := int64(0); now < 1000; now++ {
 		d.Observe(0, 100)
 		d.Tick(now)
@@ -119,7 +119,7 @@ func TestDynamicControllerShiftsTowardDRAM(t *testing.T) {
 }
 
 func TestDynamicControllerStableWhenBalanced(t *testing.T) {
-	d := NewDynamicController(16, 100, 100, 100)
+	d := newDyn(16, 100, 100, 100)
 	for now := int64(0); now < 1000; now++ {
 		d.Observe(50, 50)
 		d.Tick(now)
@@ -130,7 +130,7 @@ func TestDynamicControllerStableWhenBalanced(t *testing.T) {
 }
 
 func TestDynamicControllerEpochGating(t *testing.T) {
-	d := NewDynamicController(16, 100, 100, 100)
+	d := newDyn(16, 100, 100, 100)
 	d.Observe(1000, 0)
 	if d.Tick(50) { // before epoch boundary
 		t.Fatal("adjusted before epoch elapsed")
@@ -140,11 +140,17 @@ func TestDynamicControllerEpochGating(t *testing.T) {
 	}
 }
 
-func TestNewDynamicControllerPanics(t *testing.T) {
+func TestDynamicControllerResetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("1-way controller did not panic")
 		}
 	}()
-	NewDynamicController(1, 100, 1, 1)
+	newDyn(1, 100, 1, 1)
+}
+
+func newDyn(ways int, epoch int64, ringCap, dramCap float64) *DynamicController {
+	d := new(DynamicController)
+	d.Reset(ways, epoch, ringCap, dramCap)
+	return d
 }

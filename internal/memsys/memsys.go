@@ -154,11 +154,6 @@ func (g Geometry) Validate() error {
 // Word-sized fields come first and the byte-sized ones share the tail, so
 // the record has no interior padding (make fieldalign).
 type Request struct {
-	// ID tags a request for tests that assert ordering (crossbar per-input
-	// FIFO, DRAM completion order, MSHR waiter order); the simulator neither
-	// assigns nor reads it.
-	ID uint64
-
 	// Address identity.
 	Line   uint64 // line index
 	Sector int    // sector within the line (sectored caches)

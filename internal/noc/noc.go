@@ -120,9 +120,6 @@ func (x *Crossbar) Reset(cfg Config) {
 	}
 }
 
-// Cfg returns the crossbar's configuration.
-func (x *Crossbar) Cfg() Config { return x.cfg }
-
 // CanInject reports whether input port in has queue space.
 func (x *Crossbar) CanInject(in int) bool { return !x.in[in].queue.Full() }
 

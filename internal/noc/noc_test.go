@@ -210,7 +210,7 @@ func TestCrossbarConservationProperty(t *testing.T) {
 	injected := 0
 	for i := 0; i < 300; i++ {
 		m := msg(i%3, (i/3)%3, 32)
-		m.Req.ID = uint64(i)
+		m.Req.Line = uint64(i)
 		x.Inject(m)
 		injected++
 	}
@@ -233,7 +233,7 @@ func TestCrossbarConservationProperty(t *testing.T) {
 	recorder := SinkFunc{AcceptF: func(_ int, m Message) { seq = append(seq, m) }}
 	for i := 0; i < 40; i++ {
 		m := msg(i%2, (i/2)%2, 32)
-		m.Req.ID = uint64(i)
+		m.Req.Line = uint64(i)
 		ordered.Inject(m)
 	}
 	for i := 0; i < 200 && ordered.Pending() > 0; i++ {
@@ -241,10 +241,10 @@ func TestCrossbarConservationProperty(t *testing.T) {
 	}
 	last := map[int]uint64{}
 	for _, m := range seq {
-		if prev, ok := last[m.In]; ok && m.Req.ID <= prev {
-			t.Fatalf("per-input order violated on port %d: %d after %d", m.In, m.Req.ID, prev)
+		if prev, ok := last[m.In]; ok && m.Req.Line <= prev {
+			t.Fatalf("per-input order violated on port %d: %d after %d", m.In, m.Req.Line, prev)
 		}
-		last[m.In] = m.Req.ID
+		last[m.In] = m.Req.Line
 	}
 }
 
@@ -289,7 +289,7 @@ func TestCrossbarWidePortsMatchMask(t *testing.T) {
 				continue
 			}
 			id++
-			m := Message{Req: &memsys.Request{ID: id}, In: in, Out: rng.Intn(cfg.OutPorts), Bytes: 8 + 32*rng.Intn(5)}
+			m := Message{Req: &memsys.Request{Line: id}, In: in, Out: rng.Intn(cfg.OutPorts), Bytes: 8 + 32*rng.Intn(5)}
 			mask.Inject(m)
 			scan.Inject(m)
 		}
@@ -321,7 +321,7 @@ func TestCrossbarWidePortsMatchMask(t *testing.T) {
 	}
 	sink := &wideSink{}
 	for _, in := range []int{64, 0, 63} {
-		wide.Inject(Message{Req: &memsys.Request{ID: uint64(in)}, In: in, Out: in % 2, Bytes: 16})
+		wide.Inject(Message{Req: &memsys.Request{Line: uint64(in)}, In: in, Out: in % 2, Bytes: 16})
 	}
 	for now := int64(1); now <= 4 && wide.Pending() > 0; now++ {
 		sink.now = now

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHistogramObserveAndExport(t *testing.T) {
@@ -106,12 +104,10 @@ func TestServeHasTimeoutsAndCloses(t *testing.T) {
 	if !strings.Contains(string(body), "c 1") {
 		t.Fatalf("scrape missing counter: %s", body)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := ms.Shutdown(ctx); err != nil {
+	if err := ms.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := http.Get("http://" + ms.Addr().String() + "/metrics"); err == nil {
-		t.Fatal("listener still accepting after Shutdown")
+		t.Fatal("listener still accepting after Close")
 	}
 }

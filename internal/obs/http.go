@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -47,15 +46,6 @@ func (m *MetricsServer) Close() error {
 		return nil
 	}
 	return m.srv.Close()
-}
-
-// Shutdown stops the listener and waits for in-flight scrapes to finish,
-// bounded by ctx.
-func (m *MetricsServer) Shutdown(ctx context.Context) error {
-	if m == nil {
-		return nil
-	}
-	return m.srv.Shutdown(ctx)
 }
 
 // Serve starts an HTTP server on addr (e.g. ":9090") carrying Mount's routes

@@ -275,11 +275,10 @@ func TestDeadlineCancelsRunningJob(t *testing.T) {
 	_ = s.Drain(ctx)
 }
 
-// TestDegradedShedsBatchLane: once the oldest queued job outlives
-// degradedQueueAge, the daemon reports degraded, keeps accepting
-// normal-lane work, sheds batch-lane work with 429 + Retry-After, and the
-// client surfaces the hint.
-func TestDegradedShedsBatchLane(t *testing.T) {
+// TestDegradedStillAdmits: once the oldest queued job outlives
+// degradedQueueAge, healthz reports degraded with the queue-age reason —
+// the signal saccoord routes around — and the daemon still admits new work.
+func TestDegradedStillAdmits(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16})
 	s.degradedQueueAge = 10 * time.Millisecond
 	// Workers never started: the queue only ages.
@@ -288,43 +287,32 @@ func TestDegradedShedsBatchLane(t *testing.T) {
 	}
 	time.Sleep(25 * time.Millisecond)
 
-	h := s.HealthSnapshot()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := client.New(hs.URL, client.WithRetries(0))
+	h, err := c.Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Status != client.HealthDegraded {
 		t.Fatalf("health %q after queue aged past threshold, want degraded", h.Status)
 	}
-	if len(h.Reasons) == 0 || !strings.Contains(h.Reasons[0], "queued") {
+	if len(h.Reasons) == 0 || !strings.Contains(h.Reasons[0], "oldest queued job waiting") {
 		t.Fatalf("degraded health carries no queue-age reason: %v", h.Reasons)
 	}
 	if h.OldestQueuedMS < 10 {
 		t.Fatalf("oldest_queued_ms %d, want >= threshold", h.OldestQueuedMS)
 	}
 
-	batch := tinyRequest("BP", "SAC")
-	batch.Priority = client.PriorityBatch
-	if _, err := s.Submit(batch); !errors.Is(err, ErrShedding) {
-		t.Fatalf("degraded batch submit returned %v, want ErrShedding", err)
-	}
-	if _, err := s.Submit(tinyRequest("SN", "SAC")); err != nil {
-		t.Fatalf("degraded daemon rejected normal-lane work: %v", err)
-	}
-
-	// Over HTTP the shed is a 429 with a Retry-After the client honors.
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	c := client.New(hs.URL, client.WithRetries(0))
-	_, err := c.Submit(context.Background(), batch)
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != 429 {
-		t.Fatalf("shed over HTTP: want 429, got %v", err)
-	}
-	if apiErr.RetryAfter <= 0 {
-		t.Fatal("shed response carries no Retry-After")
+	st, err := c.Submit(context.Background(), tinyRequest("BP", "SAC"))
+	if err != nil || st.State != client.StateQueued || st.QueueAhead != 1 {
+		t.Fatalf("degraded daemon's answer to a new submission: %+v, %v; want it queued behind 1", st, err)
 	}
 }
 
 // TestStalledWorkersUnhealthy: once every worker has run one job past
 // stallAfter, the daemon reports unhealthy with both stall reasons and
-// refuses normal-lane work.
+// refuses new work.
 func TestStalledWorkersUnhealthy(t *testing.T) {
 	wedged, release := make(chan struct{}), make(chan struct{})
 	s := New(Config{Workers: 1, QueueCap: 16, chaos: Chaos{BeforeRun: func(string) {
@@ -358,7 +346,7 @@ func TestStalledWorkersUnhealthy(t *testing.T) {
 		}
 	}
 	if _, err := s.Submit(tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
-		t.Fatalf("normal-lane submit to a stalled daemon returned %v, want ErrUnhealthy", err)
+		t.Fatalf("submit to a stalled daemon returned %v, want ErrUnhealthy", err)
 	}
 }
 
@@ -491,19 +479,17 @@ func TestChaosSoak(t *testing.T) {
 
 	benchmarks := []string{"RN", "BP", "SN"}
 	orgs := []string{"SAC", "memory-side", "SM-side"}
-	lanesByI := []string{"", client.PriorityHigh, client.PriorityBatch}
 	var accepted []string
 	rejected := 0
 	const jobs = 40
 	for i := 0; i < jobs; i++ {
 		req := tinyRequest(benchmarks[i%len(benchmarks)], orgs[(i/3)%len(orgs)])
-		req.Priority = lanesByI[i%len(lanesByI)]
 		if i%7 == 0 {
 			req.TimeoutMS = 1 // expires in queue or mid-run
 		}
 		jst, err := s.Submit(req)
 		if err != nil {
-			// Shedding/backpressure under chaos is legal — losing an
+			// Backpressure or unhealthiness under chaos is legal — losing an
 			// *accepted* job is not.
 			rejected++
 			continue
@@ -511,7 +497,7 @@ func TestChaosSoak(t *testing.T) {
 		accepted = append(accepted, jst.ID)
 	}
 	if len(accepted) == 0 {
-		t.Fatal("chaos shed every submission; nothing exercised")
+		t.Fatal("chaos refused every submission; nothing exercised")
 	}
 	t.Logf("soak: %d accepted, %d rejected", len(accepted), rejected)
 
@@ -557,9 +543,10 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestCorruptJournalSurfacesRecoveryErrors scribbles over a journal record,
-// journals a request naming a config field this model does not have and one
-// naming a fidelity rung it does not have, and checks recovery proceeds, all
-// three losses are counted, and healthz reports them.
+// journals a request naming a config field this model does not have, one
+// naming a fidelity rung it does not have, one whose config carries a retired
+// field and one naming a queue priority, which sacd no longer has, and checks
+// recovery proceeds, all five losses are counted, and healthz reports them.
 func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "journal.wal")
@@ -577,9 +564,9 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		ids = append(ids, jst.ID)
 	}
 	// Abandon s1 (crash), journal the unknown-field request, one naming a
-	// rung the ladder no longer has and one whose config carries a field the
-	// config no longer has (written by a build that still had it) beside its
-	// accepts, then corrupt the middle accept record on disk — after this
+	// rung the ladder no longer has, one whose config carries a field the
+	// config no longer has and one naming a priority (both written by a build
+	// that still had them) beside its accepts, then corrupt the middle accept record on disk — after this
 	// last Open, whose rewrite would drop a corrupt record.
 	base, err := json.Marshal(tinyRequest("RN", "SAC"))
 	if err != nil {
@@ -587,6 +574,7 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	}
 	req := []byte(strings.Replace(string(base), `"SACOpts":{`, `"SACOpts":{"MinSamples":64,`, 1))
 	retired := []byte(strings.Replace(string(base), "{", `{"fidelity":"sampled",`, 1))
+	prioritized := []byte(strings.Replace(string(base), "{", `{"priority":"normal",`, 1))
 	oldConfig := []byte(strings.Replace(string(base), `"DisableLSU":false,`, `"DisableLSU":false,"ReuseKernelDecisions":false,`, 1))
 	if string(oldConfig) == string(base) {
 		t.Fatalf("request %s has no SACOpts.DisableLSU to follow", base)
@@ -602,6 +590,9 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "retired-field", Req: oldConfig}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpAccept, ID: "retired-priority", Req: prioritized}); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Close(); err != nil {
@@ -626,16 +617,16 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != len(ids)-1 {
-		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field, one unknown fidelity, one retired config field)", n, len(ids)-1)
+		t.Fatalf("restored %d jobs, want %d (one record corrupted, one unknown field, one unknown fidelity, one retired config field, one priority)", n, len(ids)-1)
 	}
-	for _, id := range []string{"unknown-field", "retired-rung", "retired-field"} {
+	for _, id := range []string{"unknown-field", "retired-rung", "retired-field", "retired-priority"} {
 		if _, ok := s2.Status(id); ok {
 			t.Errorf("unrestorable job %s was restored", id)
 		}
 	}
 	h := s2.HealthSnapshot()
-	if h.RecoveryErrors != 4 {
-		t.Fatalf("healthz recovery_errors = %d, want 4", h.RecoveryErrors)
+	if h.RecoveryErrors != 5 {
+		t.Fatalf("healthz recovery_errors = %d, want 5", h.RecoveryErrors)
 	}
 	if h.Status != client.HealthHealthy {
 		t.Fatalf("healthz status = %s %v after dropping unrestorable records, want healthy", h.Status, h.Reasons)
@@ -681,7 +672,7 @@ func TestCompactionKeepsAcceptOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var restored []string
-	for _, j := range s2.queues[laneOf(s2.Get(kept[0]))] {
+	for _, j := range s2.queue {
 		restored = append(restored, j.ID)
 	}
 	if n != len(kept) || strings.Join(restored, " ") != strings.Join(kept, " ") {

@@ -10,7 +10,7 @@ import (
 // Health thresholds.
 const (
 	// degradedQueueAge is how long the oldest queued job may wait before the
-	// daemon turns degraded and sheds batch-lane traffic.
+	// daemon reports itself degraded.
 	degradedQueueAge = 30 * time.Second
 	// stallAfter is how long one job may run before its worker counts as
 	// stalled (degraded; unhealthy when every worker is).
@@ -31,26 +31,22 @@ func healthCode(state string) float64 {
 	return 0
 }
 
-// oldestQueuedLocked returns the age of the oldest still-queued job (the
-// head of each lane, since lanes are FIFO). Zero when the queue is empty.
+// oldestQueuedLocked returns the age of the oldest still-queued job, the
+// head of the FIFO queue. Zero when the queue is empty.
 func (s *Server) oldestQueuedLocked(now time.Time) time.Duration {
-	var oldest time.Duration
-	for lane := range s.queues {
-		if q := s.queues[lane]; len(q) > 0 {
-			if age := now.Sub(q[0].Submitted); age > oldest {
-				oldest = age
-			}
-		}
+	if len(s.queue) == 0 {
+		return 0
 	}
-	return oldest
+	return now.Sub(s.queue[0].Submitted)
 }
 
 // healthLocked evaluates the health-state machine and returns the current
 // state with its reasons. States in degradation order:
 //
 //	healthy   — accepting everything
-//	degraded  — still serving, but shedding batch-lane submissions (429):
-//	            queue age past degradedQueueAge, or a stalled worker
+//	degraded  — still accepting everything, but slow (saccoord routes
+//	            around it): queue age past degradedQueueAge, or a stalled
+//	            worker
 //	draining  — shutting down; no new work (503)
 //	unhealthy — cannot guarantee durability or progress; no new work (503):
 //	            journal append/sync failing, or every worker stalled
@@ -118,7 +114,7 @@ func (s *Server) RetryAfterHint() int {
 	if w < 1 {
 		w = 1
 	}
-	secs := 1 + s.queued/(2*w)
+	secs := 1 + len(s.queue)/(2*w)
 	if secs > 30 {
 		secs = 30
 	}

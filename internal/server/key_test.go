@@ -32,7 +32,7 @@ func keyOfBody(t *testing.T, body string) string {
 // TestKeyCanonical is the store key's canonicality property over
 // ResolveRequest: every spelling of one cell — a preset or the explicit
 // config it names, fidelity "" or "exact", the org by name whatever the
-// config's own Org says, any priority or deadline, a fault plan's events in
+// config's own Org says, any deadline, a fault plan's events in
 // any order, and any JSON spelling of the body, inside the hand codec's subset
 // or not — resolves to one key, and
 // flipping any single hashed field (each config field, the benchmark, the
@@ -46,7 +46,7 @@ func TestKeyCanonical(t *testing.T) {
 		{Benchmark: "RN", Org: "SAC", Preset: "scaled"},
 		{Benchmark: "RN", Org: "SAC", Config: &scaled},
 		{Benchmark: "RN", Org: "SAC", Config: &otherOrg, Fidelity: client.FidelityExact},
-		{Benchmark: "RN", Org: "SAC", Priority: client.PriorityBatch, TimeoutMS: 60_000},
+		{Benchmark: "RN", Org: "SAC", TimeoutMS: 60_000},
 	} {
 		if got := keyOf(t, req); got != base {
 			t.Errorf("%+v keys %.12s, want %.12s", req, got, base)

@@ -175,8 +175,8 @@ func TestResolverMatchesResolveRequest(t *testing.T) {
 }
 
 // TestResolverChecksEveryJob: once a valid twin is remembered, a bad
-// priority or timeout_ms is still a 400, while a good timeout_ms, which is
-// not part of the key, hits.
+// timeout_ms, or a priority the request type lacks, is still a 400, while a
+// good timeout_ms, which is not part of the key, hits.
 func TestResolverChecksEveryJob(t *testing.T) {
 	s, _, url := testDaemonURL(t, Config{})
 	twin := `"benchmark":"BP","org":"SAC","fidelity":"estimate"`
@@ -200,7 +200,6 @@ func TestResolverChecksEveryJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []client.JobRequest{
-		{Benchmark: "BP", Org: "SAC", Priority: "urgent"},
 		{Benchmark: "BP", Org: "SAC", TimeoutMS: -1},
 		{Benchmark: "BP", Org: "SAC", TimeoutMS: maxTimeoutMS + 1},
 		{Benchmark: "BP", Org: "SAC", Fidelity: client.FidelityEstimate, Faults: testPlan},

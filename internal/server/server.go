@@ -3,11 +3,10 @@
 // the singleflight table, terminal transitions, retention and the /v1/jobs
 // routes; this package supplies sacd's side of it —
 //
-//   - the admission gate: a bounded queue with three priority lanes and 429
-//     backpressure, governed by a health-state machine (health.go) under
-//     which a degraded daemon sheds batch-lane traffic and an unhealthy or
-//     draining one sheds everything, all with Retry-After;
-//   - the worker pool that pops the lanes and drives each job through the
+//   - the admission gate: one bounded FIFO queue with 429 backpressure,
+//     governed by a health-state machine (health.go) under which an
+//     unhealthy or draining daemon refuses new work, all with Retry-After;
+//   - the worker pool that pops the queue and drives each job through the
 //     engine's flight table;
 //   - the executor: persistent store lookup (verified bytes, served without
 //     a decode), else a fresh simulation (backend.Run, every rung) written
@@ -24,7 +23,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -53,9 +51,6 @@ var (
 	ErrQueueFull = &jobs.AdmitError{Code: http.StatusTooManyRequests, Msg: "server: job queue full"}
 	// ErrDraining reports a draining daemon (HTTP 503).
 	ErrDraining = &jobs.AdmitError{Code: http.StatusServiceUnavailable, Msg: "server: draining, not accepting jobs"}
-	// ErrShedding reports a degraded daemon shedding batch-lane work
-	// (HTTP 429).
-	ErrShedding = &jobs.AdmitError{Code: http.StatusTooManyRequests, Msg: "server: degraded, shedding batch-lane jobs"}
 	// ErrUnhealthy reports a daemon that cannot guarantee durability or
 	// progress (HTTP 503).
 	ErrUnhealthy = &jobs.AdmitError{Code: http.StatusServiceUnavailable, Msg: "server: unhealthy, not accepting jobs"}
@@ -87,8 +82,8 @@ type Config struct {
 	// (the sacd -pprof flag), so CPU and heap profiles of live serving are
 	// one curl away.
 	EnablePprof bool
-	// QueueCap bounds queued-but-not-started jobs across all lanes; a full
-	// queue rejects submissions with ErrQueueFull. 0 means 256.
+	// QueueCap bounds queued-but-not-started jobs; a full queue rejects
+	// submissions with ErrQueueFull. 0 means 256.
 	QueueCap int
 	// Registry receives serving metrics (queue depth, job latency, inflight
 	// workers); nil keeps them private to the server.
@@ -101,33 +96,11 @@ type Config struct {
 	chaos Chaos
 }
 
-// lanes in pop order.
-var lanes = []string{client.PriorityHigh, client.PriorityNormal, client.PriorityBatch}
-
-func laneIndex(p string) (int, error) {
-	switch p {
-	case client.PriorityHigh:
-		return 0, nil
-	case "", client.PriorityNormal:
-		return 1, nil
-	case client.PriorityBatch:
-		return 2, nil
-	}
-	return 0, fmt.Errorf("unknown priority %q", p)
-}
-
-// laneOf is laneIndex for a job whose request passed checkJob.
-func laneOf(j *jobs.Job) int {
-	lane, _ := laneIndex(j.Req.Priority)
-	return lane
-}
-
 // metrics are the server's obs series.
 type metrics struct {
-	queueDepth        [3]*obs.Metric
+	queueDepth        *obs.Metric
 	inflight          *obs.Metric
 	rejected          *obs.Metric
-	shed              *obs.Metric
 	requeued          *obs.Metric
 	recoveryErrs      *obs.Metric
 	jnlAppends        *obs.Metric
@@ -148,8 +121,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 	latency := []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}
 	m := &metrics{
 		inflight:          reg.Gauge("sacd_inflight_workers", "Jobs currently executing."),
-		rejected:          reg.Counter("sacd_jobs_rejected_total", "Jobs rejected by backpressure, shedding, or drain."),
-		shed:              reg.Counter("sacd_jobs_shed_total", "Batch-lane jobs shed while degraded."),
+		queueDepth:        reg.Gauge("sacd_queue_depth", "Queued jobs."),
+		rejected:          reg.Counter("sacd_jobs_rejected_total", "Jobs rejected by backpressure, ill health, or drain."),
 		requeued:          reg.Counter("sacd_jobs_requeued_total", "Queued jobs carried across a drain for the next daemon life."),
 		recoveryErrs:      reg.Counter("sacd_recovery_errors_total", "Data-loss signals at startup recovery: corrupt journal records and unrestorable jobs."),
 		jnlAppends:        reg.Counter("sacd_journal_appends_total", "Journal records appended."),
@@ -173,9 +146,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			Retained:   reg.Gauge("sacd_jobs_retained", "Final statuses of finished jobs still queryable, as of the last retention sweep."),
 		},
 	}
-	for i, lane := range lanes {
-		m.queueDepth[i] = reg.Gauge("sacd_queue_depth", "Queued jobs per priority lane.", obs.L("lane", lane))
-	}
 	return m
 }
 
@@ -190,10 +160,9 @@ type Server struct {
 	// run-set costs no closure.
 	countReplay func()
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues [3][]*jobs.Job
-	queued int
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []*jobs.Job // FIFO
 	// running maps each job a worker holds to when it was popped.
 	running        map[string]time.Time
 	jnl            *journal.Journal
@@ -288,12 +257,8 @@ func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identit
 }
 
 // checkJob validates what req asks of its job rather than of its cell —
-// the priority lane and the deadline budget — so it runs on every request,
-// memoized or not.
+// the deadline budget — so it runs on every request, memoized or not.
 func checkJob(req *client.JobRequest) error {
-	if _, err := laneIndex(req.Priority); err != nil {
-		return err
-	}
 	if req.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)
 	}
@@ -377,9 +342,6 @@ func (s *Server) admit(batch []*jobs.Job) error {
 	inline, err := s.enqueue(batch)
 	if err != nil {
 		s.m.rejected.Add(float64(len(batch)))
-		if errors.Is(err, ErrShedding) {
-			s.m.shed.Inc()
-		}
 		return err
 	}
 	s.runInline(inline)
@@ -388,8 +350,9 @@ func (s *Server) admit(batch []*jobs.Job) error {
 
 // enqueue applies the health-state machine and the queue cap to a batch and,
 // if it passes, journals and queues every item that needs a worker. Estimate
-// cells gate only on drain — they consume neither of the things shedding and
-// the cap protect — and come back for the caller to run.
+// cells gate only on drain — they consume neither the workers nor the
+// journal that health and the cap protect — and come back for the caller to
+// run.
 func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -399,23 +362,21 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 	health, _ := s.healthLocked(time.Now())
 	nQueued := 0
 	for _, j := range batch {
-		if j.Fidelity == backend.Estimate {
-			continue
-		}
-		nQueued++
-		switch {
-		case health == client.HealthUnhealthy && s.journalErr == nil:
-			// Journal-driven unhealthiness is not a reject here: the accept
-			// append below retries the disk, and its success is what heals
-			// journalErr — otherwise an idle daemon would stay unhealthy
-			// forever after a transient disk error.
-			return nil, ErrUnhealthy
-		case health == client.HealthDegraded && laneOf(j) == 2:
-			return nil, ErrShedding
+		if j.Fidelity != backend.Estimate {
+			nQueued++
 		}
 	}
-	if nQueued > 0 && s.queued+nQueued > s.cfg.QueueCap {
-		return nil, ErrQueueFull
+	if nQueued > 0 {
+		// Journal-driven unhealthiness is not a reject here: the accept
+		// append below retries the disk, and its success is what heals
+		// journalErr — otherwise an idle daemon would stay unhealthy forever
+		// after a transient disk error.
+		if health == client.HealthUnhealthy && s.journalErr == nil {
+			return nil, ErrUnhealthy
+		}
+		if len(s.queue)+nQueued > s.cfg.QueueCap {
+			return nil, ErrQueueFull
+		}
 	}
 	for _, j := range batch {
 		if j.Fidelity == backend.Estimate {
@@ -433,8 +394,8 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 }
 
 // enqueueLocked journals the accept (unless journaled marks it already on
-// disk) and queues the job in its lane. The caller holds s.mu; on error
-// nothing was enqueued.
+// disk) and queues the job. The caller holds s.mu; on error nothing was
+// enqueued.
 func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 	if s.jnl != nil && !journaled {
 		rec := journal.Record{Op: journal.OpAccept, ID: j.ID, Req: client.AppendRequest(nil, &j.Req)}
@@ -450,10 +411,8 @@ func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
 		}
 		s.noteAppendLocked()
 	}
-	lane := laneOf(j)
-	s.queues[lane] = append(s.queues[lane], j)
-	s.queued++
-	s.m.queueDepth[lane].Add(1)
+	s.queue = append(s.queue, j)
+	s.m.queueDepth.Add(1)
 	s.cond.Signal()
 	return nil
 }
@@ -518,16 +477,12 @@ func (s *Server) runInline(estimates []*jobs.Job) {
 func (s *Server) queueAhead(j *jobs.Job) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ahead := 0
-	for lane := 0; lane <= laneOf(j); lane++ {
-		for _, q := range s.queues[lane] {
-			if q == j {
-				return ahead
-			}
-			ahead++
+	for i, q := range s.queue {
+		if q == j {
+			return i
 		}
 	}
-	return ahead
+	return len(s.queue)
 }
 
 // ---- workers ----
@@ -544,23 +499,20 @@ func (s *Server) work() {
 	}
 }
 
-// pop blocks for the next job in priority order; nil means shut down. A job
+// pop blocks for the next job in FIFO order; nil means shut down. A job
 // canceled or expired while it waited costs no execution: the engine settles
 // it the moment the worker presents it.
 func (s *Server) pop() *jobs.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for lane := range s.queues {
-			if q := s.queues[lane]; len(q) > 0 {
-				j := q[0]
-				s.queues[lane] = q[1:]
-				s.queued--
-				s.m.queueDepth[lane].Add(-1)
-				s.running[j.ID] = time.Now()
-				s.m.inflight.Add(1)
-				return j
-			}
+		if len(s.queue) > 0 {
+			j := s.queue[0]
+			s.queue = s.queue[1:]
+			s.m.queueDepth.Add(-1)
+			s.running[j.ID] = time.Now()
+			s.m.inflight.Add(1)
+			return j
 		}
 		if s.closed {
 			return nil
@@ -660,7 +612,7 @@ func (s *Server) HealthSnapshot() client.Health {
 		Draining:       s.draining,
 		Workers:        s.cfg.Workers,
 		Inflight:       len(s.running),
-		QueueDepth:     s.queued,
+		QueueDepth:     len(s.queue),
 		Jobs:           s.Len(),
 		OldestQueuedMS: s.oldestQueuedLocked(now).Milliseconds(),
 		RecoveryErrors: s.recoveryErrors,
@@ -694,12 +646,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	var carried []*jobs.Job
 	if s.jnl != nil {
-		for lane := range s.queues {
-			carried = append(carried, s.queues[lane]...)
-			s.m.queueDepth[lane].Add(-float64(len(s.queues[lane])))
-			s.queues[lane] = nil
-		}
-		s.queued = 0
+		carried, s.queue = s.queue, nil
+		s.m.queueDepth.Add(-float64(len(carried)))
 	}
 	s.closed = true
 	journaled := s.jnl != nil
@@ -742,7 +690,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // opens the journal (replaying and compacting it) and re-enqueues every
 // accepted-but-unfinished job under its original ID and absolute deadline —
 // this is what makes an accept durable across kill -9. Restored jobs bypass
-// the queue cap and load shedding: dropping them now would be the data loss
+// the queue cap and the health gate: dropping them now would be the data loss
 // the journal exists to prevent. Corrupt journal records and unrestorable
 // jobs are counted (healthz recovery_errors, sacd_recovery_errors_total)
 // rather than silently dropped. Call Recover once, between New and serving

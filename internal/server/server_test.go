@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +116,6 @@ func TestValidationRejectedWith400(t *testing.T) {
 		{Benchmark: "no-such-benchmark", Org: "SAC"},
 		{Benchmark: "RN", Org: "no-such-org"},
 		{Benchmark: "RN", Org: "SAC", Preset: "no-such-preset"},
-		{Benchmark: "RN", Org: "SAC", Priority: "no-such-lane"},
 		{Benchmark: "RN", Org: "SAC", Faults: "not a fault plan"},
 		// A duration past ~292 years would wrap into a deadline already
 		// passed.
@@ -148,6 +146,9 @@ func TestValidationRejectedWith400(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("%s: 1e13 ms: want 400, got %d %s", client.TimeoutHeader, resp.StatusCode, msg)
 	}
+	// A field the request type lacks fails decoding, as sacd's queue has no
+	// priority to choose.
+	serve(t, http.MethodPost, url+"/v1/jobs", `{"benchmark":"RN","org":"SAC","priority":"normal"}`, http.StatusBadRequest)
 }
 
 func asAPIError(err error, target **client.APIError) bool {
@@ -197,37 +198,6 @@ func TestQueueOverflow429(t *testing.T) {
 	var apiErr *client.APIError
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 429 {
 		t.Fatalf("overflow: want 429, got %v", err)
-	}
-}
-
-func TestPriorityPopOrder(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 16})
-	// Enqueue before starting workers so lane order, not arrival order,
-	// decides execution.
-	var ids []string
-	for _, pr := range []string{client.PriorityBatch, client.PriorityNormal, client.PriorityHigh} {
-		req := tinyRequest("RN", "SAC")
-		req.Priority = pr
-		st, err := s.Submit(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	if st, _ := s.Status(ids[0]); st.QueueAhead != 2 {
-		t.Fatalf("batch job has %d ahead, want 2 (both other lanes)", st.QueueAhead)
-	}
-	if st, _ := s.Status(ids[2]); st.QueueAhead != 0 {
-		t.Fatalf("high job has %d ahead, want 0", st.QueueAhead)
-	}
-	var order []string
-	for i := 0; i < 3; i++ {
-		j := s.pop()
-		order = append(order, j.ID)
-	}
-	want := []string{ids[2], ids[1], ids[0]} // high, normal, batch
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("pop order %v, want %v", order, want)
 	}
 }
 

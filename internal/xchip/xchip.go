@@ -126,21 +126,6 @@ func (r *Ring) Reset(cfg Config) {
 	}
 }
 
-// Cfg returns the ring's configuration.
-func (r *Ring) Cfg() Config { return r.cfg }
-
-// SetLinkBW reconfigures the per-direction link bandwidth (sensitivity
-// sweeps). Per-link degradation scales are preserved.
-func (r *Ring) SetLinkBW(bw float64) {
-	r.cfg.LinkBW = bw
-	for c := range r.links {
-		for d := 0; d < 2; d++ {
-			l := &r.links[c][d]
-			l.bkt.SetRate(bw * l.scale)
-		}
-	}
-}
-
 // SetLinkScale degrades (or heals) the directional link leaving chip in
 // direction dir to scale of its configured bandwidth. Scale 0 is a full
 // outage: queued messages stay queued and back-pressure propagates to the

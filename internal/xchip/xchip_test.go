@@ -133,24 +133,6 @@ func TestSinkBackPressureRetries(t *testing.T) {
 	}
 }
 
-func TestSetLinkBW(t *testing.T) {
-	r := New(Config{Chips: 4, LinkBW: 96, HopLatency: 1})
-	r.SetLinkBW(12)
-	if r.Cfg().LinkBW != 12 {
-		t.Fatalf("LinkBW = %v", r.Cfg().LinkBW)
-	}
-	s := newSink()
-	for i := 0; i < 100; i++ {
-		r.Inject(ringMsg(0, 1, uint64(i)))
-	}
-	run(r, s, 100)
-	// 12 B/cycle with 32 B msgs ≈ 0.375 msg/cycle ≈ 37 in 100 cycles.
-	got := len(s.arrived[1])
-	if got < 30 || got > 45 {
-		t.Fatalf("delivered %d, want ~37 at reduced bandwidth", got)
-	}
-}
-
 func TestInjectPanicsOnSelf(t *testing.T) {
 	r := New(Config{Chips: 4, LinkBW: 1})
 	defer func() {
