@@ -91,14 +91,15 @@ smoke:
 # their accept order across a runtime compaction, and the real SIGKILL of a
 # sacd process with fsync on. The second line replays a journal in the older
 # format (start records) and compacts one in accept order; the third holds a
-# flight's landing before its leader is seen done, and a cancel racing a
-# worker's start to either stopping the start or canceling the execution.
+# flight's landing before its leader is seen done, a cancel racing a
+# worker's start to either stopping the start or canceling the execution,
+# and a canceled or expired joiner to detaching while its leader runs on.
 chaossmoke: syncsmoke
 	$(GO) test -race -count=1 \
 		-run 'TestCrashRecovery|TestDrainJournalExactlyOnce|TestChaosSoak|TestWorkerPanicContained|TestJournalFailureUnhealthyAndHeals|TestDeadline|TestDegradedStillAdmits|TestCorruptJournal|TestTerminalDurableBeforeVisible|TestCompactionKeepsAcceptOrder' \
 		./internal/server
 	$(GO) test -race -count=1 -run 'TestReplayLiveSet|TestRuntimeCompaction' ./internal/journal
-	$(GO) test -race -count=1 -run 'TestFlightLandsBeforeDone|TestCancelNeverLeavesExecuteRunning' ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestFlightLandsBeforeDone|TestCancelNeverLeavesExecuteRunning|TestJoinerDetaches' ./internal/jobs
 
 # syncsmoke SIGKILLs a real sacd with REPRO_JOURNAL_SYNC=1, the fsync path
 # the default (page-cache) journal mode never takes.

@@ -79,7 +79,9 @@ func WithBackoff(first, max time.Duration) Option {
 // loop instead of parking a sweep, and the idle-connection pool is sized for
 // coordinator fan-out: a saccoord watching many jobs across a handful of
 // worker hosts reuses connections instead of burning a dial (and an
-// ephemeral port) per request.
+// ephemeral port) per request. A connection's 64-KiB write buffer takes a
+// 64-cell batch body whole, instead of handing it to a fresh 32-KiB copy
+// buffer per request.
 func DefaultTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -93,6 +95,7 @@ func DefaultTransport() *http.Transport {
 		MaxIdleConns:          512,
 		MaxIdleConnsPerHost:   64,
 		IdleConnTimeout:       90 * time.Second,
+		WriteBufferSize:       64 << 10,
 	}
 }
 
@@ -285,8 +288,11 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (JobStatus, error) 
 // fetches. The ctx deadline propagates exactly like Submit's.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatus, error) {
 	// The transport may still read a request body after the round trip
-	// returns, so this buffer is the request's own, not a pooled one.
-	b := appendBatchRequest(make([]byte, 0, 1024*len(reqs)+16), reqs)
+	// returns, so the body is an exact-size copy of the pooled encoding.
+	bp := wire.GetBuf()
+	*bp = appendBatchRequest(*bp, reqs)
+	b := bytes.Clone(*bp)
+	wire.PutBuf(bp)
 	var hdr http.Header
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {

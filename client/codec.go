@@ -247,6 +247,7 @@ func decodeBatchRequest(r *wire.Reader, breq *BatchRequest) {
 }
 
 func decodeStatus(r *wire.Reader, st *JobStatus) {
+	var at *[3]time.Time // the times it allocates, in one block
 	r.Open('{')
 	for r.Next('}') {
 		switch string(r.Key()) {
@@ -273,11 +274,11 @@ func decodeStatus(r *wire.Reader, st *JobStatus) {
 		case "submitted_at":
 			decodeTime(r, &st.SubmittedAt)
 		case "started_at":
-			st.StartedAt = decodeTimePtr(r, st.StartedAt)
+			st.StartedAt = decodeTimePtr(r, st.StartedAt, &at, 0)
 		case "finished_at":
-			st.FinishedAt = decodeTimePtr(r, st.FinishedAt)
+			st.FinishedAt = decodeTimePtr(r, st.FinishedAt, &at, 1)
 		case "deadline_at":
-			st.DeadlineAt = decodeTimePtr(r, st.DeadlineAt)
+			st.DeadlineAt = decodeTimePtr(r, st.DeadlineAt, &at, 2)
 		case "result":
 			// json.RawMessage's UnmarshalJSON: one copy of the value's bytes.
 			st.Result = append(st.Result[:0], r.Raw()...)
@@ -295,10 +296,14 @@ func decodeTime(r *wire.Reader, t *time.Time) {
 	}
 }
 
-// decodeTimePtr decodes into t, allocating it if nil, as encoding/json does.
-func decodeTimePtr(r *wire.Reader, t *time.Time) *time.Time {
+// decodeTimePtr decodes into t, or, when t is nil, into a fresh time as
+// encoding/json does: (*at)[i], allocating the block *at on first use.
+func decodeTimePtr(r *wire.Reader, t *time.Time, at **[3]time.Time, i int) *time.Time {
 	if t == nil {
-		t = new(time.Time)
+		if *at == nil {
+			*at = new([3]time.Time)
+		}
+		t = &(*at)[i]
 	}
 	decodeTime(r, t)
 	return t
@@ -325,9 +330,11 @@ func decodeBatchResponse(r *wire.Reader, resp *BatchResponse) {
 }
 
 // decodeBatchItems reads a batch response's items. A repeated status
-// decodes into the first, as under encoding/json.
+// decodes into the first, as under encoding/json. Statuses are carved from
+// blocks that double as the items grow, not allocated one by one.
 func decodeBatchItems(r *wire.Reader) []BatchItem {
 	items := []BatchItem{}
+	var block []JobStatus
 	r.Open('[')
 	for r.Next(']') {
 		var it BatchItem
@@ -340,7 +347,10 @@ func decodeBatchItems(r *wire.Reader) []BatchItem {
 					continue
 				}
 				if it.Status == nil {
-					it.Status = new(JobStatus)
+					if len(block) == 0 {
+						block = make([]JobStatus, max(8, len(items)))
+					}
+					it.Status, block = &block[0], block[1:]
 				}
 				decodeStatus(r, it.Status)
 			case "error":

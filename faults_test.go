@@ -43,7 +43,7 @@ func FuzzFaultPlan(f *testing.F) {
 	}
 	resolved := false
 	tbl := jobs.New(jobs.Config{
-		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
+		Resolve: func(req client.JobRequest) (*jobs.Identity, error) {
 			id, err := server.ResolveRequest(req, "")
 			resolved = resolved || err == nil
 			return id, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -789,6 +790,56 @@ func TestIdentityMemoPerDaemon(t *testing.T) {
 		if !strings.Contains(w, line) {
 			t.Errorf("worker /metrics lacks %q", line)
 		}
+	}
+}
+
+// TestWorkerMemoOnColdFleet reads the workers' identity memos on traffic
+// shaped like the fleet_cold workload: batches of unique exact cells through
+// the coordinator to two journaled workers. No cell repeats on a worker, so
+// every cell a worker resolves is a memo miss, which allocates its identity,
+// and none is a hit.
+func TestWorkerMemoOnColdFleet(t *testing.T) {
+	const batches, cells = 4, 16
+	coord, hs := testCoordinator(t, nil)
+	var regs []*obs.Registry
+	for _, id := range []string{"worker-a", "worker-b"} {
+		reg := obs.NewRegistry()
+		regs = append(regs, reg)
+		startWorkerCfg(t, hs.URL, id, server.Config{Workers: 2, Registry: reg,
+			JournalPath: filepath.Join(t.TempDir(), "journal.wal")}, nil)
+	}
+	waitLive(t, coord, 2)
+	cc := newClient(hs.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	benches := []string{"RN", "BP", "SN", "NN"}
+	for b := range batches {
+		reqs := make([]client.JobRequest, cells)
+		for i := range reqs {
+			reqs[i] = tinyRequest(benches[i%len(benches)], "SAC", 0)
+			reqs[i].Config.MaxCycles += int64(b*cells + i) // a new key, a safety stop no cell reaches
+		}
+		sts, err := cc.SubmitBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(sts))
+		for i, st := range sts {
+			ids[i] = st.ID
+		}
+		if _, err := cc.WaitAll(ctx, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hits, misses float64
+	for i, reg := range regs {
+		h := reg.Counter("sacd_identity_memo_hits_total", "").Value()
+		m := reg.Counter("sacd_identity_memo_misses_total", "").Value()
+		t.Logf("worker %d: %v identity memo hits, %v misses", i, h, m)
+		hits, misses = hits+h, misses+m
+	}
+	if hits != 0 || misses < batches*cells {
+		t.Fatalf("workers: %v hits and %v misses over %d unique cells, want 0 hits and a miss per cell", hits, misses, batches*cells)
 	}
 }
 

@@ -145,7 +145,7 @@ func New(cfg Config) *Coordinator {
 	}
 	failed := reg.Counter("saccoord_jobs_failed_total", "Jobs that reached a non-done terminal state.")
 	jcfg := jobs.Config{
-		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
+		Resolve: func(req client.JobRequest) (*jobs.Identity, error) {
 			return server.ResolveRequest(req, cfg.DefaultFidelity)
 		},
 		Admit:   c.admit,

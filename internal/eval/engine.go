@@ -89,7 +89,7 @@ func (r *Runner) table() *jobs.Table {
 
 // identity resolves a request to its cell. An unknown rung passes through
 // unchanged: it keys a cell of its own and fails in the backend.
-func (r *Runner) identity(q RunRequest) jobs.Identity {
+func (r *Runner) identity(q RunRequest) *jobs.Identity {
 	plan, fid := q.Faults, q.Fidelity
 	if plan == nil {
 		plan = r.Faults
@@ -100,7 +100,7 @@ func (r *Runner) identity(q RunRequest) jobs.Identity {
 	if n, err := backend.Normalize(fid); err == nil {
 		fid = n
 	}
-	return jobs.Identity{Cfg: q.Cfg, Spec: q.Spec, Plan: plan, Fidelity: fid,
+	return &jobs.Identity{Cfg: q.Cfg, Spec: q.Spec, Plan: plan, Fidelity: fid,
 		Key: store.KeyAt(q.Cfg, q.Spec.Name, plan.Key(), fid)}
 }
 

@@ -160,7 +160,7 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 // — compact and HTML-escaped — even when its strings need escaping.
 func TestResultSplicePrecondition(t *testing.T) {
 	tb := New(Config{
-		Resolve: func(client.JobRequest) (Identity, error) { return Identity{}, nil },
+		Resolve: func(client.JobRequest) (*Identity, error) { return &Identity{}, nil },
 		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			return Outcome{Run: &stats.Run{Benchmark: "<a&b>", Org: "SAC\u2028", Cycles: 42}}

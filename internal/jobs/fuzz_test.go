@@ -24,7 +24,7 @@ import (
 func stubTable() *jobs.Table {
 	var t *jobs.Table
 	t = jobs.New(jobs.Config{
-		Resolve: func(req client.JobRequest) (jobs.Identity, error) {
+		Resolve: func(req client.JobRequest) (*jobs.Identity, error) {
 			return server.ResolveRequest(req, "")
 		},
 		Admit: func(batch []*jobs.Job) error {

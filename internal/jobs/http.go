@@ -303,10 +303,9 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 	scan := func() {
 		still := pending[:0]
 		for _, j := range pending {
-			select {
-			case <-j.doneCh:
+			if j.over() {
 				resp.Jobs = append(resp.Jobs, t.status(j, true))
-			default:
+			} else {
 				still = append(still, j)
 			}
 		}
@@ -318,9 +317,9 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 	}
 
 	// One wake channel for the whole call, on every pending job's watcher
-	// list: settle signals it after closing the job's done channel, so a job
-	// that settles before it is listed is caught by the rescan below, and
-	// one that settles after signals. The buffer keeps the first signal.
+	// list: settle signals it after publishing the job's terminal state, so
+	// a job that settles before it is listed is caught by the rescan below,
+	// and one that settles after signals. The buffer keeps the first signal.
 	wake := make(chan struct{}, 1)
 	for _, j := range pending {
 		j.mu.Lock()

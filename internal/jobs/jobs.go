@@ -18,10 +18,11 @@
 // Lifecycle. Admission builds and registers the records and lets Config.Admit
 // accept or refuse the batch as a unit (a refused batch is unregistered). Whoever Admit handed a job to
 // calls Run, which moves it to running and makes the flight decision for its
-// key: the first job leads (Config.Execute runs under a context bound to the
-// job's deadline and cancel), a job arriving while the flight is open joins
-// it (source "dedup") for as long as its own deadline and cancel allow, and a
-// job arriving after it completed recalls the result (source "memo"). The
+// key: the first job leads (Config.Execute runs under a context that the
+// job's deadline and cancel end), a job arriving while the flight is open
+// joins it (source "dedup") and waits under such a context of its own,
+// detaching when it ends, and a job arriving after the flight completed
+// recalls the result (source "memo"). The
 // leader's terminal hook runs, and its flight completes (a failed one is
 // evicted, so a resubmission retries it), before any waiter wakes and before
 // its own terminal state is published: whoever sees the leader finished and
@@ -36,11 +37,11 @@
 // Retention. A registered job that settles leaves the live map: settle builds
 // its final status once (a done job's result bytes inline, shared with the
 // store or the worker's answer) and the table keeps only that, in finish
-// order, so the job record, its request and its channels are garbage.
-// Sweep pops the statuses older than Retention off the front and drops
-// completed flights MemoTTL after they landed; queued and running jobs are
-// never swept. A dropped result is one resubmission away — the store still
-// has it.
+// order, so the job record and its request are garbage. Sweep pops the
+// statuses older than Retention off the front, settle pops the oldest while
+// they hold more than RetainedBytes, and Sweep drops completed flights
+// MemoTTL after they landed; queued and running jobs are never dropped. A
+// dropped result is one resubmission away — the store still has it.
 package jobs
 
 import (
@@ -71,6 +72,13 @@ const (
 	MemoTTL = 15 * time.Minute
 	// Retention is how long a terminal job stays queryable.
 	Retention = 15 * time.Minute
+	// RetainedBytes bounds the final statuses a table keeps, each charged
+	// statusOverhead plus its result bytes: past it the oldest are dropped
+	// as if swept, so a fast stream of cells cannot hold a Retention's worth.
+	RetainedBytes = 256 << 20
+	// statusOverhead is what one retained status costs beyond its result:
+	// the final record, its id and its index entries.
+	statusOverhead = 384
 )
 
 // Identity is a job request validated and resolved to its full simulation
@@ -123,9 +131,9 @@ type Metrics struct {
 // Resolve and Admit are required by the admission paths (Submit, SubmitBatch,
 // the HTTP surface and Restore).
 type Config struct {
-	// Resolve validates one request and resolves its identity; its error is
-	// the per-item 400 message.
-	Resolve func(client.JobRequest) (Identity, error)
+	// Resolve validates one request and resolves its identity, which the
+	// job shares and never writes; its error is the per-item 400 message.
+	Resolve func(client.JobRequest) (*Identity, error)
 	// Admit gates a validated batch as a unit. On nil the daemon owns driving
 	// every job in it through Run (or RunDirect); on error the table forgets
 	// the batch. It runs on the submitting goroutine and may block.
@@ -152,29 +160,29 @@ type Config struct {
 }
 
 // Job is the record of one submission. The exported fields are written once
-// before the job is visible to anyone else and read-only after.
+// before the job is visible to anyone else and read-only after; the
+// Identity is shared, read-only, with every job of the same remembered cell.
 type Job struct {
 	ID  string
 	Req client.JobRequest
-	Identity
+	*Identity
 	// Deadline is the absolute end-to-end deadline (zero = none).
 	Deadline  time.Time
 	Submitted time.Time
-
-	// cancelCh closes when a client cancels the job: a joiner detaches from
-	// its flight, a leader's context (cancel, set while it leads) is
-	// canceled, and a leader that has not started yet never starts.
-	cancelCh   chan struct{}
-	cancelOnce sync.Once
-	// doneCh closes exactly once, when the terminal state is published.
-	doneCh chan struct{}
 
 	// registered is set before the job is visible: only admitted and
 	// restored jobs are retained as a final status when they settle.
 	registered bool
 
-	mu      sync.Mutex
-	cancel  context.CancelFunc
+	mu sync.Mutex
+	// canceled is set by a client's cancel: a job not yet leading or joining
+	// never does. cancel ends the context a leader executes and a joiner
+	// waits under, once Run has bound it.
+	canceled bool
+	cancel   context.CancelFunc
+	// doneCh, made on the first Done call, closes when the terminal state
+	// is published.
+	doneCh  chan struct{}
 	settled bool   // claimed by settle; the state may not be published yet
 	final   *final // a registered job's retained status, once settled
 	state   string
@@ -187,14 +195,30 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	// watchers are the wake channels of the Watch calls parked on this job;
-	// settle signals each once doneCh has closed.
+	// settle signals each once the terminal state is published.
 	watchers []chan struct{}
 }
 
 // Done returns the channel that closes when j reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.doneCh }
+func (j *Job) Done() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.doneCh == nil {
+		j.doneCh = make(chan struct{})
+		if !j.finished.IsZero() {
+			close(j.doneCh)
+		}
+	}
+	return j.doneCh
+}
 
-func (j *Job) closeCancel() { j.cancelOnce.Do(func() { close(j.cancelCh) }) }
+// over reports whether j's terminal state is published: settle stamps
+// finished in the step that publishes it.
+func (j *Job) over() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return !j.finished.IsZero()
+}
 
 // flight is one singleflight execution of a cache key.
 type flight struct {
@@ -228,6 +252,9 @@ type final struct {
 	at [3]time.Time
 }
 
+// charge is what f counts against RetainedBytes.
+func (f *final) charge() int { return statusOverhead + len(f.st.Result) }
+
 func (f *final) status(withResult bool) client.JobStatus {
 	st := f.st
 	if !withResult {
@@ -245,10 +272,12 @@ type Table struct {
 	jobs map[string]*Job
 	// done holds final statuses in finish order; seq maps an id to its
 	// sequence number (done[0]'s is head): no pointer, less for the GC.
-	done    []*final
-	head    int
-	seq     map[string]int
-	flights map[string]*flight
+	// retained is the sum of their charges.
+	done     []*final
+	head     int
+	retained int
+	seq      map[string]int
+	flights  map[string]*flight
 }
 
 // New returns an empty table.
@@ -286,13 +315,8 @@ func newID() string {
 // registered — Submit, SubmitBatch and Restore do that, so that Status,
 // Cancel and Watch can find it — and a caller that drives its own jobs
 // through Run (a local sweep) leaves nothing behind but the flights.
-func NewJob(ident Identity) *Job {
-	return &Job{
-		ID: newID(), Identity: ident, Submitted: time.Now(),
-		cancelCh: make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		state:    client.StateQueued,
-	}
+func NewJob(ident *Identity) *Job {
+	return &Job{ID: newID(), Identity: ident, Submitted: time.Now(), state: client.StateQueued}
 }
 
 // ---- admission ----
@@ -414,41 +438,57 @@ func (t *Table) Run(j *Job) {
 	if !t.begin(j) {
 		return
 	}
+	var lead *flight // j's own, if it leads
 	t.mu.Lock()
 	f := t.flights[j.Key]
 	if f == nil {
 		f = &flight{done: make(chan struct{})}
-		t.flights[j.Key] = f
-		t.mu.Unlock()
-		t.settle(j, t.exec(context.Background(), j, true), "", f)
-		return
+		t.flights[j.Key], lead = f, f
 	}
 	t.mu.Unlock()
+	if lead == nil {
+		select {
+		case <-f.done:
+			inc(t.cfg.Metrics.Memo)
+			t.settle(j, f.out, client.SourceMemo, nil)
+			return
+		default:
+		}
+		inc(t.cfg.Metrics.Dedup)
+	}
 
-	select {
-	case <-f.done:
-		inc(t.cfg.Metrics.Memo)
-		t.settle(j, f.out, client.SourceMemo, nil)
-		return
+	// The leader executes, and a joiner waits, under a context that j's
+	// deadline and a client's cancel end; a joiner then detaches and the
+	// flight runs on for its other waiters.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if j.Deadline.IsZero() {
+		ctx, cancel = context.WithCancel(context.Background())
+	} else {
+		ctx, cancel = context.WithDeadline(context.Background(), j.Deadline)
+	}
+	defer cancel()
+	j.mu.Lock()
+	j.cancel = cancel
+	canceled := j.canceled
+	j.mu.Unlock()
+	switch {
+	case canceled:
+		// Canceled between leaving the queue and binding cancel: don't start.
+		t.settle(j, Outcome{Err: errCanceled}, "", lead)
+	case lead != nil:
+		t.settle(j, t.exec(ctx, j), "", lead)
 	default:
-	}
-	// Another job's identical cell is executing right now: wait for it, but
-	// only as long as this job's own deadline and cancel allow. The flight
-	// keeps running for its other waiters.
-	inc(t.cfg.Metrics.Dedup)
-	var deadlineC <-chan time.Time
-	if !j.Deadline.IsZero() {
-		tm := time.NewTimer(time.Until(j.Deadline))
-		defer tm.Stop()
-		deadlineC = tm.C
-	}
-	select {
-	case <-f.done:
-		t.settle(j, f.out, client.SourceDedup, nil)
-	case <-deadlineC:
-		t.settle(j, Outcome{Err: expiredErr(j)}, "", nil)
-	case <-j.cancelCh:
-		t.settle(j, Outcome{Err: errCanceled}, "", nil)
+		select {
+		case <-f.done:
+			t.settle(j, f.out, client.SourceDedup, nil)
+		case <-ctx.Done():
+			out := Outcome{Err: errCanceled}
+			if ctx.Err() == context.DeadlineExceeded {
+				out.Err = expiredErr(j)
+			}
+			t.settle(j, out, "", nil)
+		}
 	}
 }
 
@@ -479,7 +519,7 @@ func (t *Table) Recall(j *Job) bool {
 // run-set.
 func (t *Table) RunDirect(ctx context.Context, j *Job) {
 	if t.begin(j) {
-		t.settle(j, t.exec(ctx, j, false), "", nil)
+		t.settle(j, t.exec(ctx, j), "", nil)
 	}
 }
 
@@ -521,33 +561,13 @@ func (e *PanicError) Error() string {
 
 // exec calls the executor and contains its panics (chaos injection, poisoned
 // input, a simulator bug in one sweep cell): a failed execution is a failed
-// job, not a dead process. A leader runs under ctx bound to its job's cancel
-// and deadline.
-func (t *Table) exec(ctx context.Context, j *Job, lead bool) (out Outcome) {
+// job, not a dead process.
+func (t *Table) exec(ctx context.Context, j *Job) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = Outcome{Err: &PanicError{ID: j.ID, Value: r, Stack: debug.Stack()}}
 		}
 	}()
-	if lead {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		if !j.Deadline.IsZero() {
-			var cancelDL context.CancelFunc
-			ctx, cancelDL = context.WithDeadline(ctx, j.Deadline)
-			defer cancelDL()
-		}
-		j.mu.Lock()
-		j.cancel = cancel
-		j.mu.Unlock()
-		select {
-		case <-j.cancelCh:
-			// Canceled between leaving the queue and leading: don't start.
-			return Outcome{Err: errCanceled}
-		default:
-		}
-	}
 	return t.cfg.Execute(ctx, j)
 }
 
@@ -584,15 +604,16 @@ func WriteBack(j *Job, st *store.Store, sim func() (*stats.Run, error), logf fun
 // always lands its flight f (nil for any other job): a cancel can claim the
 // leader while it runs.
 func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
-	state := client.StateDone
+	m := &t.cfg.Metrics
+	state, counter := client.StateDone, m.Done
 	switch {
 	case out.Err == nil:
 	case errors.Is(out.Err, context.DeadlineExceeded):
-		state = client.StateExpired
+		state, counter = client.StateExpired, m.Expired
 	case errors.Is(out.Err, context.Canceled):
-		state = client.StateCanceled
+		state, counter = client.StateCanceled, m.Canceled
 	default:
-		state = client.StateFailed
+		state, counter = client.StateFailed, m.Failed
 	}
 	if source != "" {
 		out.Source = source
@@ -630,13 +651,17 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	} else {
 		j.run, j.raw, j.cycles = out.Run, out.Raw, out.Cycles
 	}
-	started := j.started
+	started, watchers := j.started, j.watchers
+	j.watchers = nil
 	var fin *final
 	if j.registered {
 		fin = &final{}
 		fin.st = j.statusLocked(&fin.at)
 		fin.st.Result = out.Raw // nil unless done
 		j.final = fin
+	}
+	if j.doneCh != nil {
+		close(j.doneCh)
 	}
 	j.mu.Unlock()
 	if fin != nil {
@@ -647,32 +672,20 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 			delete(t.jobs, j.ID)
 			t.seq[j.ID] = t.head + len(t.done)
 			t.done = append(t.done, fin)
+			t.retained += fin.charge()
+			for t.retained > RetainedBytes {
+				t.popLocked()
+			}
 		}
 		t.mu.Unlock()
 	}
-	close(j.doneCh)
-	j.mu.Lock()
-	watchers := j.watchers
-	j.watchers = nil
-	j.mu.Unlock()
 	for _, wake := range watchers {
 		select {
 		case wake <- struct{}{}:
 		default:
 		}
 	}
-
-	m := &t.cfg.Metrics
-	switch state {
-	case client.StateDone:
-		inc(m.Done)
-	case client.StateFailed:
-		inc(m.Failed)
-	case client.StateExpired:
-		inc(m.Expired)
-	case client.StateCanceled:
-		inc(m.Canceled)
-	}
+	inc(counter)
 	total := now.Sub(j.Submitted).Seconds()
 	observe(m.Latency, total)
 	if !started.IsZero() {
@@ -716,18 +729,6 @@ func (t *Table) find(id string) (*Job, *final) {
 	}
 	return t.jobs[id], nil
 }
-
-// Get returns the job registered under id, or nil; for a retained id, a
-// stand-in whose Done is closed and whose status is the final one.
-func (t *Table) Get(id string) *Job {
-	j, fin := t.find(id)
-	if fin != nil {
-		j = &Job{ID: id, doneCh: closedCh, settled: true, final: fin, state: fin.st.State}
-	}
-	return j
-}
-
-var closedCh = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // Len returns how many jobs the table holds: the live ones plus the final
 // statuses retained since the last Sweep.
@@ -839,8 +840,10 @@ func (t *Table) Cancel(id string) (client.JobStatus, bool) {
 }
 
 func (t *Table) cancel(j *Job) {
-	j.closeCancel() // first: a leader past its cancelCh check has set j.cancel
 	j.mu.Lock()
+	// Set where Run reads it and binds j.cancel: either Run sees the flag
+	// and never starts, or the cancel func is read here.
+	j.canceled = true
 	queued := j.state == client.StateQueued
 	cancel := j.cancel
 	j.mu.Unlock()
@@ -868,6 +871,15 @@ func (t *Table) CancelAll() {
 	}
 }
 
+// popLocked drops the oldest retained status. The caller holds t.mu.
+func (t *Table) popLocked() {
+	f := t.done[0]
+	t.retained -= f.charge()
+	delete(t.seq, f.st.ID)
+	t.done[0], t.done = nil, t.done[1:]
+	t.head++
+}
+
 // Sweep is the retention pass: completed flights older than MemoTTL leave
 // the table, and final statuses older than Retention at now are popped off
 // the front of the retention queue, which visits no live job and stops at
@@ -881,9 +893,8 @@ func (t *Table) Sweep(now time.Time) {
 			delete(t.flights, key)
 		}
 	}
-	for ; len(t.done) > 0 && now.Sub(t.done[0].at[1]) > Retention; t.head++ {
-		delete(t.seq, t.done[0].st.ID)
-		t.done[0], t.done = nil, t.done[1:]
+	for len(t.done) > 0 && now.Sub(t.done[0].at[1]) > Retention {
+		t.popLocked()
 	}
 	if g := t.cfg.Metrics.Retained; g != nil {
 		g.Set(float64(len(t.done)))

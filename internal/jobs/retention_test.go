@@ -20,7 +20,7 @@ var rawResult = []byte(`{"Cycles":7}`)
 // them, and whose executions answer rawResult at once.
 func testTable(m Metrics) *Table {
 	return New(Config{
-		Resolve: func(req client.JobRequest) (Identity, error) { return Identity{Key: req.Benchmark}, nil },
+		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
 		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			return Outcome{Raw: rawResult, Cycles: 7, Source: client.SourceSim}
@@ -37,7 +37,7 @@ func TestFlightLandsBeforeDone(t *testing.T) {
 	tb := testTable(Metrics{})
 	tb.cfg.Logf = func(string, ...any) { runtime.Gosched() }
 	for i := range 1000 {
-		ident := Identity{Key: fmt.Sprintf("cell-%d", i)}
+		ident := &Identity{Key: fmt.Sprintf("cell-%d", i)}
 		lead := NewJob(ident)
 		go tb.Run(lead)
 		<-lead.Done()
@@ -54,7 +54,7 @@ func TestFlightLandsBeforeDone(t *testing.T) {
 func TestCanceledLeaderLandsFlight(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	tb := New(Config{
-		Resolve: func(req client.JobRequest) (Identity, error) { return Identity{Key: req.Benchmark}, nil },
+		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
 		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			select {
@@ -78,7 +78,7 @@ func TestCanceledLeaderLandsFlight(t *testing.T) {
 		t.Fatalf("leader %s, want canceled", st.State)
 	}
 
-	again := NewJob(Identity{Key: "cell"})
+	again := NewJob(&Identity{Key: "cell"})
 	go tb.Run(again)
 	select {
 	case <-again.Done():
@@ -148,11 +148,61 @@ func TestRetentionQueue(t *testing.T) {
 
 	own := testTable(Metrics{})
 	for i := range 8 {
-		j := NewJob(Identity{Key: fmt.Sprint(i)})
+		j := NewJob(&Identity{Key: fmt.Sprint(i)})
 		own.Run(j)
 		<-j.Done()
 	}
 	if n := own.Len(); n != 0 {
 		t.Fatalf("jobs driven through NewJob and Run left Len = %d, want 0", n)
+	}
+}
+
+// TestRetainedBytesBound pushes four times RetainedBytes of final statuses
+// through a table: what it retains never passes the bound, the newest ids
+// answer, and the ids it dropped answer as swept ones do.
+func TestRetainedBytesBound(t *testing.T) {
+	result := bytes.Repeat([]byte("7"), 1<<20) // shared: charged per status, held once
+	tb := testTable(Metrics{})
+	tb.cfg.Execute = func(context.Context, *Job) Outcome {
+		return Outcome{Raw: result, Cycles: 7, Source: client.SourceSim}
+	}
+	reqs := make([]client.JobRequest, 4*RetainedBytes/len(result))
+	for i := range reqs {
+		reqs[i].Benchmark = fmt.Sprint(i)
+	}
+	sts, _, err := tb.SubmitBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sts {
+		tb.RunDirect(context.Background(), tb.Get(st.ID))
+		tb.mu.Lock()
+		retained := tb.retained
+		tb.mu.Unlock()
+		if retained > RetainedBytes {
+			t.Fatalf("after %s the table retains %d bytes, over its bound of %d", st.ID, retained, RetainedBytes)
+		}
+	}
+	kept := RetainedBytes / (statusOverhead + len(result))
+	for i, st := range sts {
+		status, known := tb.Status(st.ID)
+		raw, _, rawKnown := tb.ResultRaw(st.ID)
+		_, cancelKnown := tb.Cancel(st.ID)
+		resp, err := tb.Watch(context.Background(), []string{st.ID}, time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(sts)-kept {
+			if !known || status.State != client.StateDone || len(raw) != len(result) || len(resp.Jobs) != 1 {
+				t.Fatalf("newest job %d: known=%v %s with %d result bytes, watch %d jobs; want done with its result",
+					i, known, status.State, len(raw), len(resp.Jobs))
+			}
+		} else if known || rawKnown || cancelKnown || len(resp.Unknown) != 1 {
+			t.Fatalf("dropped job %d answers status %v, result %v, cancel %v, watch unknown %v; want unknown as if swept",
+				i, known, rawKnown, cancelKnown, resp.Unknown)
+		}
+	}
+	if n := tb.Len(); n != kept {
+		t.Fatalf("Len = %d, want the %d newest statuses", n, kept)
 	}
 }

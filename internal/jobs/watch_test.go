@@ -15,7 +15,7 @@ import (
 // job to settle wakes it, and it leaves no channel behind on the others.
 func TestWatchParksWithoutGoroutinePerJob(t *testing.T) {
 	tb := New(Config{
-		Resolve: func(req client.JobRequest) (Identity, error) { return Identity{Key: req.Benchmark}, nil },
+		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
 		// Admitted jobs stay queued: nothing runs them.
 		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome { return Outcome{} },

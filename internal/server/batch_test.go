@@ -24,7 +24,7 @@ import (
 )
 
 // openTestStore opens a persistent store in dir and closes it with the test.
-func openTestStore(t *testing.T, dir string) *store.Store {
+func openTestStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {

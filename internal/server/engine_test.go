@@ -14,8 +14,8 @@ import (
 	"repro/internal/jobs"
 )
 
-// TestTerminalDurableBeforeVisible parks a watcher on a job's done channel
-// and reads the journal's live count the instant it wakes: on every path
+// TestTerminalDurableBeforeVisible parks a watch on a job and reads the
+// journal's live count the instant it wakes: on every path
 // into a terminal state — done, failed by a panic on the execution path,
 // expired mid-run, canceled while queued — the done record must already be
 // on disk, so the job's own accept is never still live.
@@ -44,7 +44,12 @@ func TestTerminalDurableBeforeVisible(t *testing.T) {
 		}
 		woke := make(chan int, 1)
 		go func() {
-			<-s.Get(st.ID).Done()
+			for {
+				resp, err := s.Watch(context.Background(), []string{st.ID}, time.Minute)
+				if err != nil || len(resp.Jobs) > 0 {
+					break
+				}
+			}
 			woke <- s.jnl.Live()
 		}()
 		if cancel {

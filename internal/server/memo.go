@@ -21,14 +21,15 @@ import (
 // addresses, not results: the store and the flight table stay the only
 // memos of what a cell computes.
 //
-// A remembered Identity is shared by every job that hits it: its
-// Spec.Kernels array and its *fault.Plan are read, never written, by
-// everything downstream (backend.Run, the gpu and estimate rungs, the store
-// step), as TestMemoSharedIdentityStaysUntouched checks under -race.
+// A remembered *Identity is shared by every job that hits it: the identity,
+// its Spec.Kernels array and its *fault.Plan are read, never written, by
+// everything downstream (the job engine, backend.Run, the gpu and estimate
+// rungs, the store step), as TestMemoSharedIdentityStaysUntouched checks
+// under -race.
 
 const (
 	// memoSets × memoWays is how many identities one sacd remembers: each
-	// ≈ 0.5 KiB inline plus the key string and spec kernels it points to.
+	// ≈ 0.5 KiB plus the key string and spec kernels it points to.
 	memoSetBits = 7
 	memoSets    = 1 << memoSetBits
 	memoWays    = 8
@@ -134,10 +135,10 @@ func (k *memoKey) hash(seed maphash.Seed) uint64 {
 type memoEntry struct {
 	org, preset, faults, fidelity string
 	explicit                      bool
-	ident                         jobs.Identity
+	ident                         *jobs.Identity
 }
 
-func (k *memoKey) entry(ident jobs.Identity) memoEntry {
+func (k *memoKey) entry(ident *jobs.Identity) memoEntry {
 	return memoEntry{org: k.org, preset: k.preset, faults: k.faults, fidelity: k.fidelity,
 		explicit: k.explicit, ident: ident}
 }
@@ -196,9 +197,9 @@ func newResolver(defaultFidelity string, hits, misses *obs.Metric) *resolver {
 // Resolve is ResolveRequest(req, defaultFidelity), answered from the memo
 // when an earlier request had the same identity fields. The job checks run
 // on every request; only successes are remembered.
-func (r *resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
+func (r *resolver) Resolve(req client.JobRequest) (*jobs.Identity, error) {
 	if err := checkJob(&req); err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	fid := effectiveFidelity(&req, r.defaultFidelity)
 	var k memoKey
@@ -208,8 +209,7 @@ func (r *resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
 	}
 	h := k.hash(r.seed)
 	set := &r.sets[h>>(64-memoSetBits)]
-	var ident jobs.Identity
-	if r.recall(set, h, &k, &ident) {
+	if ident := r.recall(set, h, &k); ident != nil {
 		r.hits.Inc()
 		return ident, nil
 	}
@@ -221,20 +221,19 @@ func (r *resolver) Resolve(req client.JobRequest) (jobs.Identity, error) {
 	return ident, err
 }
 
-// recall copies the identity set remembers for k into ident.
-func (r *resolver) recall(set *memoSet, h uint64, k *memoKey, ident *jobs.Identity) bool {
+// recall returns the identity set remembers for k, or nil.
+func (r *resolver) recall(set *memoSet, h uint64, k *memoKey) *jobs.Identity {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := set.find(h, k)
-	if i >= 0 {
-		*ident = set.ways[i].ident
+	if i := set.find(h, k); i >= 0 {
+		return set.ways[i].ident
 	}
-	return i >= 0
+	return nil
 }
 
 // remember files ident in set unless a concurrent miss already has; a full
 // set gives up its ways in turn.
-func (r *resolver) remember(set *memoSet, h uint64, k *memoKey, ident jobs.Identity) {
+func (r *resolver) remember(set *memoSet, h uint64, k *memoKey, ident *jobs.Identity) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if set.find(h, k) >= 0 {

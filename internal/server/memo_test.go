@@ -42,7 +42,7 @@ func occupied(r *resolver) int {
 const testPlan = "xchip:0.cw@0-5000*0.5"
 
 // sameResolve fails unless the resolver answered req as ResolveRequest does.
-func sameResolve(t *testing.T, what string, req client.JobRequest, got jobs.Identity, err error, want jobs.Identity, wantErr error) {
+func sameResolve(t *testing.T, what string, req client.JobRequest, got *jobs.Identity, err error, want *jobs.Identity, wantErr error) {
 	t.Helper()
 	switch {
 	case (err == nil) != (wantErr == nil):
@@ -274,8 +274,9 @@ func cloneIdentity(id jobs.Identity) jobs.Identity {
 
 // TestMemoSharedIdentityStaysUntouched runs concurrent jobs of one
 // remembered cell — exact with a fault plan, and estimate — through the
-// daemon's executor: the Spec.Kernels array and the *fault.Plan every hit
-// shares must come out as they went in (and -race must see no write).
+// daemon's executor: every hit must hand out the memo's own *Identity, each
+// job must hold that pointer, and the identity with its Spec.Kernels array
+// and *fault.Plan must come out as it went in (and -race must see no write).
 func TestMemoSharedIdentityStaysUntouched(t *testing.T) {
 	s := New(Config{})
 	r := testResolver("")
@@ -288,7 +289,7 @@ func TestMemoSharedIdentityStaysUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := cloneIdentity(first)
+		before := cloneIdentity(*first)
 		var wg sync.WaitGroup
 		for range 4 {
 			wg.Add(1)
@@ -299,10 +300,14 @@ func TestMemoSharedIdentityStaysUntouched(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if &id.Spec.Kernels[0] != &first.Spec.Kernels[0] || id.Plan != first.Plan {
-					t.Error("a hit does not share the remembered identity")
+				if id != first {
+					t.Error("a hit does not hand out the remembered identity")
 				}
-				if out := s.execute(context.Background(), jobs.NewJob(id)); out.Err != nil {
+				j := jobs.NewJob(id)
+				if j.Identity != first {
+					t.Error("a job does not hold the remembered identity")
+				}
+				if out := s.execute(context.Background(), j); out.Err != nil {
 					t.Error(out.Err)
 				}
 			}()
@@ -312,7 +317,7 @@ func TestMemoSharedIdentityStaysUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(after, before) || !reflect.DeepEqual(first, before) {
+		if after != first || !reflect.DeepEqual(*first, before) {
 			t.Fatalf("%s: a job wrote the shared identity", req.Fidelity)
 		}
 	}
@@ -378,7 +383,7 @@ func TestResolverConcurrent(t *testing.T) {
 	const workers, hot = 4, 64
 	n := 3 * memoSets * memoWays
 	reqs := distinctRequests(n, "")
-	want := make([]jobs.Identity, n)
+	want := make([]*jobs.Identity, n)
 	for i, req := range reqs {
 		var err error
 		if want[i], err = ResolveRequest(req, ""); err != nil {

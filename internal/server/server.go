@@ -249,9 +249,9 @@ const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 // ResolveRequest validates req and resolves its simulation identity.
 // defaultFidelity applies when the request names no rung ("" = exact).
 // saccoord resolves with it; sacd's memoizing resolver must agree with it.
-func ResolveRequest(req client.JobRequest, defaultFidelity string) (jobs.Identity, error) {
+func ResolveRequest(req client.JobRequest, defaultFidelity string) (*jobs.Identity, error) {
 	if err := checkJob(&req); err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	return identityOf(&req, effectiveFidelity(&req, defaultFidelity))
 }
@@ -280,18 +280,18 @@ func effectiveFidelity(req *client.JobRequest, defaultFidelity string) string {
 // identityOf resolves the cell req names at rung fid: a pure function of
 // the request's benchmark, org, preset, config and faults and of fid, which
 // is what lets a resolver memoize it.
-func identityOf(req *client.JobRequest, fid string) (jobs.Identity, error) {
+func identityOf(req *client.JobRequest, fid string) (*jobs.Identity, error) {
 	fid, err := backend.Normalize(fid)
 	if err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	spec, err := workload.ByName(req.Benchmark)
 	if err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	org, err := llc.ParseOrg(req.Org)
 	if err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	var cfg gpu.Config
 	switch {
@@ -306,26 +306,26 @@ func identityOf(req *client.JobRequest, fid string) (jobs.Identity, error) {
 	case req.Preset == "multisocket":
 		cfg = gpu.MultiSocketConfig()
 	default:
-		return jobs.Identity{}, fmt.Errorf("unknown preset %q", req.Preset)
+		return nil, fmt.Errorf("unknown preset %q", req.Preset)
 	}
 	cfg = cfg.WithOrg(org)
 	if err := cfg.Validate(); err != nil {
-		return jobs.Identity{}, err
+		return nil, err
 	}
 	var plan *fault.Plan
 	if req.Faults != "" {
 		if plan, err = fault.Parse(req.Faults); err != nil {
-			return jobs.Identity{}, err
+			return nil, err
 		}
 		if err := plan.Validate(cfg.FaultShape()); err != nil {
-			return jobs.Identity{}, err
+			return nil, err
 		}
 	}
 	if fid == backend.Estimate && !plan.Empty() {
-		return jobs.Identity{}, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q",
+		return nil, fmt.Errorf("fidelity %q cannot apply a fault plan; use %q",
 			backend.Estimate, backend.Exact)
 	}
-	return jobs.Identity{
+	return &jobs.Identity{
 		Cfg: cfg, Spec: spec, Plan: plan, Fidelity: fid,
 		Key: store.KeyAt(cfg, spec.Name, plan.Key(), fid),
 	}, nil

@@ -42,14 +42,14 @@ func tinyRequest(benchmark, org string) client.JobRequest {
 }
 
 // testDaemon starts a Server over httptest and returns a connected client.
-func testDaemon(t *testing.T, cfg Config) (*Server, *client.Client) {
+func testDaemon(t testing.TB, cfg Config) (*Server, *client.Client) {
 	t.Helper()
 	s, c, _ := testDaemonURL(t, cfg)
 	return s, c
 }
 
 // testDaemonURL is testDaemon that also returns the server's base URL.
-func testDaemonURL(t *testing.T, cfg Config) (*Server, *client.Client, string) {
+func testDaemonURL(t testing.TB, cfg Config) (*Server, *client.Client, string) {
 	t.Helper()
 	s := New(cfg)
 	s.Start()

@@ -179,17 +179,19 @@ func ptr[T any](v T) *T { return &v }
 // TestWarmBatchAllocs pins the allocation cost of the warm serving path end
 // to end: a 64-cell estimate batch, every cell a store hit, submitted with
 // client.SubmitBatch through a loopback HTTP server and answered with inline
-// results. Client and server allocations both count. About 17.3 per cell
-// remain: the job, its id and its status on the daemon, the request's config
-// and benchmark string; on the client each status, its id, key and
-// benchmark strings, its two timestamps and its result bytes. A warm cell's
-// identity is an identity-memo hit: it copies no catalog spec and
-// hex-encodes no store key.
+// results. Client and server allocations both count. About 12.3 per cell
+// remain: on the daemon the job, its id, its final status and the request's
+// config; on the client each status's id and key strings, its result bytes
+// and the one block its times share; short benchmark strings, the blocks
+// statuses are carved from and each batch's HTTP exchange make up the rest.
+// A warm cell's identity is an identity-memo hit that its job points at: it
+// copies no identity or catalog spec and hex-encodes no store key, and the
+// job makes no channel.
 func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
 	}
-	const cells, perCell = 64, 19
+	const cells, perCell = 64, 13
 	_, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 4 * cells})
 	reqs := warmBatch()
 	ctx := context.Background()
@@ -210,6 +212,32 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if allocs > perCell {
 		t.Fatalf("warm batch: %.1f allocs per cell, want <= %d", allocs, perCell)
 	}
+}
+
+// BenchmarkWarmBatch is TestWarmBatchAllocs' path as a per-layer row: one
+// warm 64-cell estimate batch per iteration, submitted with
+// client.SubmitBatch over loopback, both ends counted, reported per cell.
+func BenchmarkWarmBatch(b *testing.B) {
+	_, c := testDaemon(b, Config{Store: openTestStore(b, b.TempDir()), QueueCap: 256})
+	reqs := warmBatch()
+	ctx := context.Background()
+	if _, err := c.SubmitBatch(ctx, reqs); err != nil { // warm the store
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		if _, err := c.SubmitBatch(ctx, reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	cells := float64(b.N * len(reqs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/cells, "B/cell")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/cells, "allocs/cell")
 }
 
 // warmBatch is 64 estimate cells: the 16 workloads under each of four orgs.
