@@ -198,10 +198,9 @@ type FleetStatus struct {
 	Workers []WorkerStatus `json:"workers"`
 	// Live is the number of workers currently in the placement ring.
 	Live int `json:"live"`
-	// Jobs is the number of jobs the coordinator has accepted this life.
+	// Jobs is the number of jobs the coordinator holds, live or retained.
 	Jobs int `json:"jobs"`
-	// Flights is the number of distinct cache keys ever led (the global
-	// singleflight table size).
+	// Flights is the number of its singleflight flights, running or completed.
 	Flights int `json:"flights"`
 	// Steals counts dispatches re-routed to another worker after the first
 	// missed its deadline, died, or errored.
@@ -237,6 +236,9 @@ type BatchItem struct {
 type BatchResponse struct {
 	Error string      `json:"error,omitempty"`
 	Jobs  []BatchItem `json:"jobs"`
+	// statuses, when set before a hand decode, is where the items' statuses
+	// go, in order, before any fresh block; encoding/json never sees it.
+	statuses []JobStatus
 }
 
 // WatchResponse answers GET /v1/jobs:watch: the terminal statuses among the

@@ -299,11 +299,16 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatu
 			hdr = http.Header{TimeoutHeader: []string{strconv.FormatInt(ms, 10)}}
 		}
 	}
-	var resp BatchResponse
+	resp := BatchResponse{statuses: make([]JobStatus, len(reqs))}
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs:batch", b, &resp, hdr); err != nil {
 		return nil, err
 	}
-	sts := make([]JobStatus, len(resp.Jobs))
+	// Item i's status was decoded into statuses[i] unless the answer strayed;
+	// a stray one sits above i, so copying it down loses none unread.
+	sts := resp.statuses
+	if len(sts) != len(resp.Jobs) {
+		sts = make([]JobStatus, len(resp.Jobs))
+	}
 	for i, item := range resp.Jobs {
 		if item.Status == nil {
 			return nil, fmt.Errorf("sacd: batch item %d missing status (error: %s)", i, item.Error)

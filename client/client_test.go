@@ -418,3 +418,36 @@ func TestClientRun(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitBatchStatusesInOrder: SubmitBatch returns item i's status at i
+// whether the answer decodes straight into the returned slice or strays
+// from it: an item whose status is nulled and sent again, an answer off the
+// hand decoder's subset, and one with fewer items than requests.
+func TestSubmitBatchStatusesInOrder(t *testing.T) {
+	reqs := make([]JobRequest, 3)
+	for _, tc := range []struct {
+		name, body string
+		want       []string
+	}{
+		{"canonical", `{"jobs":[{"status":{"id":"a"}},{"status":{"id":"b"}},{"status":{"id":"c"}}]}`, []string{"a", "b", "c"}},
+		{"resent", `{"jobs":[{"status":{"id":"x"},"status":null,"status":{"id":"a"}},{"status":{"id":"b"}},{"status":{"id":"c"}}]}`, []string{"a", "b", "c"}},
+		{"off the subset", `{"jobs":[{"status":{"id":"a"}},{"status":{"ID":"b"}},{"status":{"id":"c"}}]}`, []string{"a", "b", "c"}},
+		{"short", `{"jobs":[{"status":{"id":"a"}},{"status":{"id":"b"}}]}`, []string{"a", "b"}},
+	} {
+		c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, tc.body)
+		})
+		sts, err := c.SubmitBatch(context.Background(), reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var ids []string
+		for _, st := range sts {
+			ids = append(ids, st.ID)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s: statuses %v, want %v", tc.name, ids, tc.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/gpu"
@@ -237,14 +238,22 @@ func decodeBatchRequest(r *wire.Reader, breq *BatchRequest) {
 		if r.Null() {
 			continue
 		}
-		breq.Jobs = []JobRequest{}
+		// Decoded into a pooled scratch and copied out at its final size.
+		sp := requestScratch.Get().(*[]JobRequest)
+		reqs := *sp
 		r.Open('[')
 		for r.Next(']') {
-			breq.Jobs = append(breq.Jobs, JobRequest{})
-			decodeRequest(r, &breq.Jobs[len(breq.Jobs)-1])
+			reqs = append(reqs, JobRequest{})
+			decodeRequest(r, &reqs[len(reqs)-1])
 		}
+		breq.Jobs = append([]JobRequest{}, reqs...)
+		clear(reqs)
+		*sp = reqs[:0]
+		requestScratch.Put(sp)
 	}
 }
+
+var requestScratch = sync.Pool{New: func() any { return new([]JobRequest) }}
 
 func decodeStatus(r *wire.Reader, st *JobStatus) {
 	var at *[3]time.Time // the times it allocates, in one block
@@ -321,7 +330,7 @@ func decodeBatchResponse(r *wire.Reader, resp *BatchResponse) {
 				return
 			}
 			if !r.Null() {
-				resp.Jobs = decodeBatchItems(r)
+				resp.Jobs = decodeBatchItems(r, resp.statuses)
 			}
 		default:
 			r.Fail()
@@ -331,10 +340,9 @@ func decodeBatchResponse(r *wire.Reader, resp *BatchResponse) {
 
 // decodeBatchItems reads a batch response's items. A repeated status
 // decodes into the first, as under encoding/json. Statuses are carved from
-// blocks that double as the items grow, not allocated one by one.
-func decodeBatchItems(r *wire.Reader) []BatchItem {
-	items := []BatchItem{}
-	var block []JobStatus
+// block, then from blocks that double as the items grow.
+func decodeBatchItems(r *wire.Reader, block []JobStatus) []BatchItem {
+	items := make([]BatchItem, 0, len(block))
 	r.Open('[')
 	for r.Next(']') {
 		var it BatchItem

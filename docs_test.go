@@ -69,7 +69,7 @@ var (
 // designBudget bounds DESIGN.md in bytes: under half of the 81,042 it had
 // grown to before it was rewritten to say each thing once. A change that
 // raises it says why in its CHANGES entry.
-const designBudget = 40_361
+const designBudget = 40_360
 
 // moduleGoFiles returns the root module's non-test Go files: bench/ (a
 // module of its own), testdata/ and dot-directories are left out.
@@ -141,8 +141,8 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 // tree, and the serving stack (servingStack's packages). A change that
 // raises one says why in its CHANGES entry.
 const (
-	treeLineBudget    = 19_302
-	servingLineBudget = 6_530
+	treeLineBudget    = 19_295
+	servingLineBudget = 6_523
 )
 
 var servingStack = []string{"client", "internal/jobs", "internal/server", "internal/cluster",

@@ -386,9 +386,9 @@ func TestClusterFailedFlightRetries(t *testing.T) {
 	}
 }
 
-// TestClusterGC pins the memory bounds: done flights fall out of the memo
-// after jobs.MemoTTL and terminal jobs out of the table after
-// jobs.Retention, and a post-GC resubmission re-dispatches (served from the
+// TestClusterGC pins the memory bounds: terminal jobs fall out of the
+// table after jobs.Retention, and the done flights they led out of the memo
+// with them, and a post-GC resubmission re-dispatches (served from the
 // worker's store, not the coordinator memo).
 func TestClusterGC(t *testing.T) {
 	c, hs := testCoordinator(t, nil)

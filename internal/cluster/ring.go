@@ -16,7 +16,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
@@ -169,20 +168,4 @@ func (r *Ring) String() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return fmt.Sprintf("ring{%d members, %d points}", len(r.members), len(r.points))
-}
-
-// Checksum fingerprints the ring topology: equal checksums mean identical
-// placement for every key. Used by tests and the fleet status endpoint to
-// detect rebalances cheaply.
-func (r *Ring) Checksum() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	h := sha256.New()
-	var buf [8]byte
-	for _, p := range r.points {
-		binary.BigEndian.PutUint64(buf[:], p.hash)
-		h.Write(buf[:])
-		h.Write([]byte(p.id))
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
 }

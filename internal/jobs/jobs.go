@@ -38,10 +38,10 @@
 // its final status once (a done job's result bytes inline, shared with the
 // store or the worker's answer) and the table keeps only that, in finish
 // order, so the job record and its request are garbage. Sweep pops the
-// statuses older than Retention off the front, settle pops the oldest while
-// they hold more than RetainedBytes, and Sweep drops completed flights
-// MemoTTL after they landed; queued and running jobs are never dropped. A
-// dropped result is one resubmission away — the store still has it.
+// statuses older than Retention off the front, and settle pops the oldest
+// while they hold more than RetainedBytes, each with the flight its job led;
+// queued and running jobs are never dropped, nor a flight no registered job
+// led (a local sweep's). A dropped result is one resubmission away.
 package jobs
 
 import (
@@ -67,10 +67,8 @@ import (
 
 // How long the table remembers. Both daemons forget on the same schedule.
 const (
-	// MemoTTL is how long a completed flight answers later submissions of
-	// its key as a memo recall.
-	MemoTTL = 15 * time.Minute
-	// Retention is how long a terminal job stays queryable.
+	// Retention is how long a terminal job stays queryable, and the flight
+	// it led answers later submissions of its key as a memo recall.
 	Retention = 15 * time.Minute
 	// RetainedBytes bounds the final statuses a table keeps, each charged
 	// statusOverhead plus its result bytes: past it the oldest are dropped
@@ -222,23 +220,19 @@ func (j *Job) over() bool {
 
 // flight is one singleflight execution of a cache key.
 type flight struct {
-	done chan struct{}
-	out  Outcome
-	// doneAt (guarded by Table.mu) stamps successful completion for the
-	// MemoTTL sweep; failed flights are evicted instead.
-	doneAt time.Time
+	done   chan struct{}
+	out    Outcome
+	leader string // the leading job's id: popping its status retires f
 }
 
-// land completes f with out, under key: a failure is evicted so a
-// resubmission retries it, a success is stamped for the MemoTTL sweep; then
-// its waiters wake.
+// land completes f with out, under key: a failure is evicted, unless another
+// flight holds the key by now, so a resubmission retries it; then its
+// waiters wake.
 func (t *Table) land(f *flight, key string, out Outcome) {
 	t.mu.Lock()
 	f.out = out
-	if out.Err != nil {
+	if out.Err != nil && t.flights[key] == f {
 		delete(t.flights, key)
-	} else {
-		f.doneAt = time.Now()
 	}
 	t.mu.Unlock()
 	close(f.done)
@@ -442,7 +436,7 @@ func (t *Table) Run(j *Job) {
 	t.mu.Lock()
 	f := t.flights[j.Key]
 	if f == nil {
-		f = &flight{done: make(chan struct{})}
+		f = &flight{done: make(chan struct{}), leader: j.ID}
 		t.flights[j.Key], lead = f, f
 	}
 	t.mu.Unlock()
@@ -666,7 +660,7 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	j.mu.Unlock()
 	if fin != nil {
 		// One step from the live map to the retained, so a lookup never
-		// misses the id; a job its refused batch took out is not retained.
+		// misses the id; a refused batch's job keeps neither status nor flight.
 		t.mu.Lock()
 		if t.jobs[j.ID] == j {
 			delete(t.jobs, j.ID)
@@ -676,6 +670,8 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 			for t.retained > RetainedBytes {
 				t.popLocked()
 			}
+		} else if f != nil && t.flights[j.Key] == f {
+			delete(t.flights, j.Key)
 		}
 		t.mu.Unlock()
 	}
@@ -738,7 +734,7 @@ func (t *Table) Len() int {
 	return len(t.jobs) + len(t.done)
 }
 
-// Flights returns the flight-table size (executing plus memoized keys).
+// Flights returns how many flights the table holds, running or completed.
 func (t *Table) Flights() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -871,28 +867,27 @@ func (t *Table) CancelAll() {
 	}
 }
 
-// popLocked drops the oldest retained status. The caller holds t.mu.
+// popLocked drops the oldest retained status and the flight its job led,
+// the one place a table forgets a finished cell. The caller holds t.mu.
 func (t *Table) popLocked() {
-	f := t.done[0]
-	t.retained -= f.charge()
-	delete(t.seq, f.st.ID)
+	fin := t.done[0]
+	t.retained -= fin.charge()
+	delete(t.seq, fin.st.ID)
+	if f := t.flights[fin.st.Key]; f != nil && f.leader == fin.st.ID {
+		delete(t.flights, fin.st.Key)
+	}
 	t.done[0], t.done = nil, t.done[1:]
 	t.head++
 }
 
-// Sweep is the retention pass: completed flights older than MemoTTL leave
-// the table, and final statuses older than Retention at now are popped off
-// the front of the retention queue, which visits no live job and stops at
-// the first status still inside Retention. It sets Metrics.Retained. The
-// daemons call it on a ticker; tests pass a later now instead of waiting.
+// Sweep is the retention pass: final statuses older than Retention at now
+// are popped off the front of the retention queue, with the flights their
+// jobs led; it visits no live job and stops at the first status still inside
+// Retention. It sets Metrics.Retained. The daemons call it on a ticker;
+// tests pass a later now instead of waiting.
 func (t *Table) Sweep(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for key, f := range t.flights {
-		if !f.doneAt.IsZero() && now.Sub(f.doneAt) > MemoTTL {
-			delete(t.flights, key)
-		}
-	}
 	for len(t.done) > 0 && now.Sub(t.done[0].at[1]) > Retention {
 		t.popLocked()
 	}

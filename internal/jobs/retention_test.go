@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -204,5 +205,114 @@ func TestRetainedBytesBound(t *testing.T) {
 	}
 	if n := tb.Len(); n != kept {
 		t.Fatalf("Len = %d, want the %d newest statuses", n, kept)
+	}
+}
+
+// TestFlightsRetireWithStatuses pushes four times RetainedBytes of cells,
+// each leading its own flight, through a table: a completed flight goes
+// when its leader's status is popped, so the flights never outnumber the
+// retained statuses, a popped key executes again, and a retained one still
+// recalls.
+func TestFlightsRetireWithStatuses(t *testing.T) {
+	result := bytes.Repeat([]byte("7"), 1<<20)
+	tb := testTable(Metrics{})
+	executed := 0
+	tb.cfg.Execute = func(context.Context, *Job) Outcome {
+		executed++
+		return Outcome{Raw: result, Cycles: 7, Source: client.SourceSim}
+	}
+	run := func(key string) client.JobStatus {
+		sts, _, err := tb.SubmitBatch([]client.JobRequest{{Benchmark: key}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Run(tb.Get(sts[0].ID))
+		st, _ := tb.Status(sts[0].ID)
+		return st
+	}
+	n := 4 * RetainedBytes / len(result)
+	for i := range n {
+		run(fmt.Sprint(i))
+		if f, s := tb.Flights(), tb.Len(); f > s {
+			t.Fatalf("after cell %d the table holds %d flights for %d statuses", i, f, s)
+		}
+	}
+	if executed != n {
+		t.Fatalf("%d executions for %d unique cells", executed, n)
+	}
+	if st := run("0"); st.Source != client.SourceSim || executed != n+1 {
+		t.Fatalf("a popped key answered source %q after %d executions, want %q after %d",
+			st.Source, executed, client.SourceSim, n+1)
+	}
+	if st := run(fmt.Sprint(n - 1)); st.Source != client.SourceMemo || executed != n+1 {
+		t.Fatalf("a retained key answered source %q after %d executions, want %q after %d",
+			st.Source, executed, client.SourceMemo, n+1)
+	}
+}
+
+// TestPoppedLeaderLeavesNewFlight: a cancel that read its job as queued can
+// settle it after a worker began it and opened its flight, and before the
+// worker's canceled branch lands that flight (TestCanceledLeaderLandsFlight's
+// window; the blocked Execute holds it open here). If the canceled status is
+// popped in that window, its flight is retired and a same-key job leads a new
+// one; the old flight's failed landing must leave the new one in place.
+func TestPoppedLeaderLeavesNewFlight(t *testing.T) {
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	var old *Job
+	tb := testTable(Metrics{})
+	tb.cfg.Execute = func(_ context.Context, j *Job) Outcome {
+		entered <- struct{}{}
+		<-release
+		if j == old {
+			return Outcome{Err: errors.New("failed")}
+		}
+		return Outcome{Raw: rawResult, Cycles: 7, Source: client.SourceSim}
+	}
+	sts, _, err := tb.SubmitBatch([]client.JobRequest{{Benchmark: "cell"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old = tb.Get(sts[0].ID)
+	oldRan := make(chan struct{})
+	go func() { tb.Run(old); close(oldRan) }()
+	<-entered
+	tb.settle(old, Outcome{Err: errCanceled}, "", nil) // cancel's settle, late
+	tb.Sweep(time.Now().Add(Retention + time.Second))
+
+	fresh := NewJob(&Identity{Key: "cell"})
+	go tb.Run(fresh)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a same-key job joined the flight of a leader whose status was popped")
+	}
+	close(release)
+	<-fresh.Done()
+	<-oldRan
+	if again := NewJob(&Identity{Key: "cell"}); tb.Flights() != 1 || !tb.Recall(again) {
+		t.Fatalf("after the old flight failed, %d flights and no recall: it evicted the new one", tb.Flights())
+	}
+}
+
+// TestRefusedLeaderRetiresFlight: a batch refused after some of its jobs
+// were handed on (sacd's journal append failing partway) is unregistered,
+// but those jobs still run. One that leads a flight gets no retained status
+// to retire that flight with, so its settle drops the flight itself.
+func TestRefusedLeaderRetiresFlight(t *testing.T) {
+	tb := testTable(Metrics{})
+	var handed *Job
+	tb.cfg.Admit = func(batch []*Job) error {
+		handed = batch[0]
+		return errors.New("journal append failed")
+	}
+	if _, _, err := tb.SubmitBatch([]client.JobRequest{{Benchmark: "cell"}}); err == nil {
+		t.Fatal("the refused batch was admitted")
+	}
+	tb.Run(handed)
+	if st := tb.status(handed, false); st.State != client.StateDone || st.Source != client.SourceSim {
+		t.Fatalf("the handed-on job ended %s from %q, want done from %q", st.State, st.Source, client.SourceSim)
+	}
+	if n := tb.Flights(); n != 0 {
+		t.Fatalf("the refused batch's leader left %d flights that no status retires", n)
 	}
 }
