@@ -323,10 +323,10 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatu
 // (possibly with an empty re-arm response) before the transport gives up.
 const maxWatchPoll = 45 * time.Second
 
-// Watch long-polls the daemon until at least one of ids reaches a terminal
-// state or timeout passes (0 = the server's default), returning every
-// terminal status among ids — with results inlined — plus any ids the daemon
-// does not know. An empty response means the timeout passed first: re-arm.
+// Watch long-polls the daemon until every one of ids is terminal or timeout
+// passes (0 = the server's default), returning the terminal statuses among
+// ids — results inlined — and the ids the daemon does not know, which end
+// the call at once. Short of some ids, the timeout passed: re-arm.
 func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration) (WatchResponse, error) {
 	if timeout <= 0 || timeout > maxWatchPoll {
 		timeout = maxWatchPoll
@@ -371,10 +371,10 @@ func (c *Client) rearm(ctx context.Context, err error) bool {
 
 // WaitAll blocks until every listed job is terminal (or ctx expires) and
 // returns the terminal statuses by id. It holds one open long-poll over the
-// remaining jobs instead of polling each — collection costs O(completions)
-// round trips, not O(jobs × poll-rate). An id the daemon does not know is an
-// error: the job aged out of retention before it was collected. A
-// backpressured watch re-arms (see rearm) instead of failing the wait.
+// remaining jobs instead of polling each — one round trip per MaxBatch ids
+// plus one per re-arm, not O(jobs × poll-rate). An id the daemon does not
+// know is an error: the job aged out of retention before it was collected.
+// A backpressured watch re-arms (see rearm) instead of failing the wait.
 func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatus, error) {
 	out := make(map[string]JobStatus, len(ids))
 	pending := append([]string(nil), ids...)
@@ -393,7 +393,7 @@ func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatu
 			return out, fmt.Errorf("sacd: %d watched jobs unknown to the daemon (first: %s)",
 				len(resp.Unknown), resp.Unknown[0])
 		}
-		// An empty response is a long-poll timeout: re-arm.
+		// A response short of some ids is a long-poll timeout: re-arm.
 		for _, st := range resp.Jobs {
 			out[st.ID] = st
 		}

@@ -12,7 +12,7 @@
 //
 //	POST /v1/jobs             {"benchmark":"BP","org":"SAC"}  → 202 job status
 //	POST /v1/jobs:batch       submit up to 1024 jobs at once  → 202 batch response
-//	GET  /v1/jobs:watch       long-poll for terminal statuses → 200 watch response
+//	GET  /v1/jobs:watch       long-poll until all ids finish  → 200 watch response
 //	GET  /v1/jobs/{id}        job status (queued/running/done/failed)
 //	GET  /v1/jobs/{id}/result finished job's full statistics
 //	GET  /v1/healthz          daemon health and queue depth

@@ -14,8 +14,8 @@ import (
 // commit: a dispatch that finds no submit in flight sends everything queued
 // as one SubmitBatch, and dispatches that arrive meanwhile queue for the
 // next. Once its submit answers, the group long-polls the jobs the worker
-// accepted without finishing, one watch at a time over exactly the ids
-// still waiting, until none is. A group's HTTP calls belong to no job's
+// accepted without finishing in one watch, which the worker answers when
+// every one of them is terminal. A group's HTTP calls belong to no job's
 // context: each item's deadline travels as its TimeoutMS, and a job that
 // gives up leaves its group without disturbing the rest.
 type lanes struct {
@@ -242,28 +242,20 @@ func (l *lanes) send(g *group) {
 	go l.watch(g, cl, watched)
 }
 
-// watch long-polls the worker for g's accepted, unfinished jobs, watched by
-// worker job id: one call at a time over exactly the ids still waiting,
-// fanning each terminal status, unknown id and transport error out to its
-// item, until none is left. A group holds at most client.MaxBatch items, so
-// one call names them all.
+// watch long-polls the worker for g's accepted, unfinished jobs, by worker
+// job id, and fans each terminal status, unknown id and transport error out
+// to its item. The worker answers a call once every id in it is terminal, so
+// a group makes one call, and another over the ids still unanswered only
+// after a 45-s re-arm or an unknown id. An item that left stays in the call:
+// its leave steal-canceled the job, which ends it. A group holds at most
+// client.MaxBatch items, so one call names them all.
 func (l *lanes) watch(g *group, cl *client.Client, watched map[string]*laneItem) {
 	defer l.c.wg.Done()
 	defer g.cancel()
-	ids := make([]string, 0, len(watched))
-	for {
-		ids = ids[:0]
-		l.mu.Lock()
-		for wid, it := range watched {
-			if it.left {
-				delete(watched, wid) // its leave steal-canceled the job
-			} else {
-				ids = append(ids, wid)
-			}
-		}
-		l.mu.Unlock()
-		if len(ids) == 0 {
-			return
+	for len(watched) > 0 {
+		ids := make([]string, 0, len(watched))
+		for wid := range watched {
+			ids = append(ids, wid)
 		}
 		resp, err := cl.Watch(g.ctx, ids, 0)
 
@@ -278,22 +270,20 @@ func (l *lanes) watch(g *group, cl *client.Client, watched map[string]*laneItem)
 			l.answerLocked(it, r)
 			return true
 		}
-		switch {
-		case err != nil:
+		if err != nil {
 			// A call canceled because every item left settles none.
 			for _, wid := range ids {
 				if settle(wid, laneResult{err: fmt.Errorf("worker %s: watch: %w", l.id, err)}) {
 					l.c.stealCancel(cl, wid, l.id)
 				}
 			}
-		default:
-			for _, st := range resp.Jobs {
-				settle(st.ID, laneResult{st: st})
-			}
-			for _, wid := range resp.Unknown {
-				// The worker restarted or forgot the job mid-watch: steal.
-				settle(wid, laneResult{err: fmt.Errorf("worker %s: job %s vanished", l.id, wid)})
-			}
+		}
+		for _, st := range resp.Jobs {
+			settle(st.ID, laneResult{st: st})
+		}
+		for _, wid := range resp.Unknown {
+			// The worker restarted or forgot the job mid-watch: steal.
+			settle(wid, laneResult{err: fmt.Errorf("worker %s: job %s vanished", l.id, wid)})
 		}
 		l.mu.Unlock()
 	}

@@ -127,18 +127,20 @@ func (f *fakeWorker) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}()
 	for {
 		var resp client.WatchResponse
+		queued := false
 		for _, id := range ids {
 			switch st := f.state[id]; st {
 			case "":
 				resp.Unknown = append(resp.Unknown, id)
 			case client.StateQueued:
+				queued = true
 			case client.StateDone:
 				resp.Jobs = append(resp.Jobs, client.JobStatus{ID: id, State: st, Result: []byte(`{"Cycles":1}`)})
 			default:
 				resp.Jobs = append(resp.Jobs, client.JobStatus{ID: id, State: st})
 			}
 		}
-		if len(resp.Jobs) > 0 || len(resp.Unknown) > 0 {
+		if !queued || len(resp.Unknown) > 0 {
 			jobs.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -268,12 +270,10 @@ func submitGroup(t *testing.T, c *Coordinator, cc *client.Client, f *fakeWorker,
 // countingTransport counts a worker client's calls by route and passes them
 // to next (nil is http.DefaultTransport). After holdSubmits, it holds each
 // worker's next submit until the returned channel closes, and counts the
-// jobs in it, so a test can let every other dispatch queue behind those;
-// when releaseWatch is set, it holds every watch until it closes.
+// jobs in it, so a test can let every other dispatch queue behind those.
 type countingTransport struct {
 	next             http.RoundTripper
 	submits, watches atomic.Int64
-	releaseWatch     chan struct{}
 
 	mu      sync.Mutex
 	release chan struct{}  // nil holds no submit
@@ -328,14 +328,6 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 		}
 	case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs:watch":
 		ct.watches.Add(1)
-		if ct.releaseWatch == nil {
-			break
-		}
-		select {
-		case <-ct.releaseWatch:
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
 	}
 	return next.RoundTrip(r)
 }
@@ -415,40 +407,24 @@ func waitDone(ctx context.Context, t *testing.T, cc *client.Client, ids []string
 }
 
 // TestDispatchBatchesPerWorker: a 64-cell batch on two workers goes out as
-// one held submit per worker and one group behind it, and each group's
-// finished jobs come back through one long-poll that covers all of them,
-// not a submit and a watch per cell. Watches are held until both workers
-// have finished every job: unheld, a watch ends at the first completion, so
-// how many jobs it collects depends on how completions bunch on the host.
+// one held submit per worker and one group behind it, and each group's jobs
+// come back through one long-poll that the worker answers once all of them
+// are done, not a submit and a watch per cell. Every cell is a unique exact
+// one, so no submit answers a job done and every group watches.
 func TestDispatchBatchesPerWorker(t *testing.T) {
-	ct := &countingTransport{releaseWatch: make(chan struct{})}
-	c, workers, cc := countingFleet(t, ct)
+	ct := &countingTransport{}
+	c, _, cc := countingFleet(t, ct)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	ids := heldBatch(ctx, t, c, cc, ct, 0)
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		accepted, busy := 0, 0
-		for _, w := range workers {
-			h := w.srv.HealthSnapshot()
-			accepted += h.Jobs
-			busy += h.Inflight + h.QueueDepth
-		}
-		if accepted == len(ids) && busy == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers hold %d jobs, %d unfinished", accepted, busy)
-		}
+	waitDone(ctx, t, cc, heldBatch(ctx, t, c, cc, ct, 0))
+	submits, watches := ct.submits.Load(), ct.watches.Load()
+	if submits > 4 {
+		t.Errorf("%d submit calls for 64 cells on two workers, want at most 4", submits)
 	}
-	close(ct.releaseWatch)
-	waitDone(ctx, t, cc, ids)
-	if n := ct.submits.Load(); n > 4 {
-		t.Errorf("%d submit calls for 64 cells on two workers, want at most 4", n)
+	if watches != submits {
+		t.Errorf("%d watch calls for %d submit groups, want one per group", watches, submits)
 	}
-	if n := ct.watches.Load(); n >= 64 {
-		t.Errorf("%d watch calls for 64 cells, want fewer than 64", n)
-	}
-	t.Logf("64 cells: %d submit calls, %d watch calls", ct.submits.Load(), ct.watches.Load())
+	t.Logf("64 cells: %d submit calls, %d watch calls", submits, watches)
 }
 
 // TestDispatchDialsBounded: 8 sequential 64-cell batches on two workers
@@ -458,7 +434,9 @@ func TestDispatchBatchesPerWorker(t *testing.T) {
 // Each batch's first submit per worker is held, as in
 // TestDispatchBatchesPerWorker, so each worker gets two groups per batch:
 // unheld, how many groups form, and so how many long-polls park at once,
-// depends on how fast the coordinator's goroutines reach the lanes.
+// depends on how fast the coordinator's goroutines reach the lanes. A
+// worker answers a group's watch once all its jobs are done, so the groups,
+// not how completions bunch, bound the watch calls: at most one per submit.
 func TestDispatchDialsBounded(t *testing.T) {
 	tr := client.DefaultTransport()
 	t.Cleanup(tr.CloseIdleConnections)
@@ -485,7 +463,11 @@ func TestDispatchDialsBounded(t *testing.T) {
 			t.Errorf("worker %s dialed %d times over 8 batches, want at most 3", addr, n)
 		}
 	}
-	t.Logf("8 x 64 cells: dials %v, %d submit calls, %d watch calls", dials, ct.submits.Load(), ct.watches.Load())
+	submits, watches := ct.submits.Load(), ct.watches.Load()
+	if watches > submits {
+		t.Errorf("%d watch calls for %d submit groups, want at most one per group", watches, submits)
+	}
+	t.Logf("8 x 64 cells: dials %v, %d submit calls, %d watch calls", dials, submits, watches)
 }
 
 // TestKeyMismatchFailsAndStopsWorkerJob: a worker that accepts a job under

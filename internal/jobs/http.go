@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,7 +29,7 @@ const (
 //
 //	POST   /v1/jobs             submit a job            → 202 JobStatus
 //	POST   /v1/jobs:batch       submit up to MaxBatch   → 202 BatchResponse
-//	GET    /v1/jobs:watch       long-poll for terminals → 200 WatchResponse
+//	GET    /v1/jobs:watch       long-poll until all end → 200 WatchResponse
 //	GET    /v1/jobs/{id}        job status              → 200 JobStatus
 //	DELETE /v1/jobs/{id}        cancel a job            → 200 JobStatus
 //	GET    /v1/jobs/{id}/result finished job's result   → 200 stats.Run
@@ -273,14 +274,12 @@ func parseWatch(r *http.Request) (ids []string, timeout time.Duration, err error
 	return ids, timeout, nil
 }
 
-// Watch blocks until at least one of ids reaches a terminal state, the
-// timeout passes, or ctx is canceled (a closed client connection), then
-// returns every terminal status among ids, a done job's result bytes inline,
-// plus the ids the table does not hold. It answers immediately when any
-// watched job is already terminal or unknown. Ctx cancellation is an error;
-// a bare timeout is an empty Jobs list, so clients re-arm without
-// special-casing. One parked request replaces per-job interval polling: an
-// idle sweep holds one open connection instead of issuing O(jobs × rate).
+// Watch blocks until every one of ids is terminal, the timeout passes or
+// ctx ends (a closed client connection), then returns the terminal statuses
+// among ids, a done job's result bytes inline, and the ids the table does
+// not hold; an unknown id answers at once. Ctx's end is an error; a timeout
+// answers the terminal subset, so a client re-arms over the rest. A caller
+// collecting a batch parks one request, not one per job or completion.
 func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) (client.WatchResponse, error) {
 	var resp client.WatchResponse
 	var pending []*Job
@@ -299,59 +298,59 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 			resp.Unknown = append(resp.Unknown, id)
 		}
 	}
-	// scan moves the terminal jobs out of pending into the response.
+	// scan moves terminal jobs into the response, swapping each to the back
+	// of pending and shrinking it, so parked keeps every job the call lists
+	// its wake channel on.
 	scan := func() {
-		still := pending[:0]
-		for _, j := range pending {
-			if j.over() {
+		for i := len(pending) - 1; i >= 0; i-- {
+			if j := pending[i]; j.over() {
 				resp.Jobs = append(resp.Jobs, t.status(j, true))
-			} else {
-				still = append(still, j)
+				last := len(pending) - 1
+				pending[i], pending[last] = pending[last], j
+				pending = pending[:last]
 			}
 		}
-		pending = still
 	}
 	scan()
-	if len(resp.Jobs) > 0 || len(resp.Unknown) > 0 || len(pending) == 0 {
+	if len(resp.Unknown) > 0 || len(pending) == 0 {
 		return resp, nil
 	}
 
 	// One wake channel for the whole call, on every pending job's watcher
 	// list: settle signals it after publishing the job's terminal state, so
-	// a job that settles before it is listed is caught by the rescan below,
-	// and one that settles after signals. The buffer keeps the first signal.
+	// a job that settles before it is listed is caught by the next rescan,
+	// and one that settles after signals. The buffer keeps a signal that
+	// arrives while the call rescans.
 	wake := make(chan struct{}, 1)
-	for _, j := range pending {
+	parked := pending
+	for _, j := range parked {
 		j.mu.Lock()
 		j.watchers = append(j.watchers, wake)
 		j.mu.Unlock()
 	}
 	defer func() {
-		for _, j := range pending {
+		for _, j := range parked {
 			j.mu.Lock()
-			for i, c := range j.watchers {
-				if c == wake {
-					j.watchers = append(j.watchers[:i], j.watchers[i+1:]...)
-					break
-				}
+			if i := slices.Index(j.watchers, wake); i >= 0 {
+				j.watchers = slices.Delete(j.watchers, i, i+1)
 			}
 			j.mu.Unlock()
 		}
 	}()
-	scan()
-	if len(resp.Jobs) > 0 {
-		return resp, nil
-	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case <-wake:
-	case <-timer.C:
-		// Answer with whatever the final scan finds (usually nothing — the
-		// empty response tells the client to re-arm).
-	case <-ctx.Done():
-		return client.WatchResponse{}, ctx.Err()
+	for {
+		scan()
+		if len(pending) == 0 {
+			return resp, nil
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			scan()
+			return resp, nil
+		case <-ctx.Done():
+			return client.WatchResponse{}, ctx.Err()
+		}
 	}
-	scan()
-	return resp, nil
 }

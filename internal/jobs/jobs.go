@@ -16,17 +16,17 @@
 // flights.
 //
 // Lifecycle. Admission builds and registers the records and lets Config.Admit
-// accept or refuse the batch as a unit (a refused batch is unregistered). Whoever Admit handed a job to
-// calls Run, which moves it to running and makes the flight decision for its
-// key: the first job leads (Config.Execute runs under a context that the
-// job's deadline and cancel end), a job arriving while the flight is open
-// joins it (source "dedup") and waits under such a context of its own,
-// detaching when it ends, and a job arriving after the flight completed
-// recalls the result (source "memo"). The
-// leader's terminal hook runs, and its flight completes (a failed one is
-// evicted, so a resubmission retries it), before any waiter wakes and before
-// its own terminal state is published: whoever sees the leader finished and
-// resubmits recalls, never joins.
+// accept or refuse the batch as a unit (a refused batch is unregistered, and
+// none of its jobs runs). Whoever Admit handed a job to calls Run, which
+// moves it to running and makes the flight decision for its key: the first
+// job leads (Config.Execute runs under a context that the job's deadline and
+// cancel end), a job arriving while the flight is open joins it (source
+// "dedup") and waits under such a context of its own, detaching when it ends,
+// and a job arriving after the flight completed recalls the result (source
+// "memo"). The leader's terminal hook runs, and its flight completes (a failed
+// one is evicted, so a resubmission retries it), before any waiter wakes and
+// before its own terminal state is published: whoever sees the leader
+// finished and resubmits recalls, never joins.
 //
 // Every path into a terminal state is settle: the daemon's durable hook runs
 // first (sacd appends the journal's done record), then the state is
@@ -134,7 +134,8 @@ type Config struct {
 	Resolve func(client.JobRequest) (*Identity, error)
 	// Admit gates a validated batch as a unit. On nil the daemon owns driving
 	// every job in it through Run (or RunDirect); on error the table forgets
-	// the batch. It runs on the submitting goroutine and may block.
+	// the batch, and none of its jobs may ever run. It runs on the submitting
+	// goroutine and may block.
 	Admit func(batch []*Job) error
 	// Execute produces the result for one job: on behalf of a flight (ctx is
 	// bound to the job's cancel and deadline) or directly (ctx is the one
@@ -660,18 +661,14 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	j.mu.Unlock()
 	if fin != nil {
 		// One step from the live map to the retained, so a lookup never
-		// misses the id; a refused batch's job keeps neither status nor flight.
+		// misses the id.
 		t.mu.Lock()
-		if t.jobs[j.ID] == j {
-			delete(t.jobs, j.ID)
-			t.seq[j.ID] = t.head + len(t.done)
-			t.done = append(t.done, fin)
-			t.retained += fin.charge()
-			for t.retained > RetainedBytes {
-				t.popLocked()
-			}
-		} else if f != nil && t.flights[j.Key] == f {
-			delete(t.flights, j.Key)
+		delete(t.jobs, j.ID)
+		t.seq[j.ID] = t.head + len(t.done)
+		t.done = append(t.done, fin)
+		t.retained += fin.charge()
+		for t.retained > RetainedBytes {
+			t.popLocked()
 		}
 		t.mu.Unlock()
 	}

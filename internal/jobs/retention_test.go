@@ -131,14 +131,26 @@ func TestRetentionQueue(t *testing.T) {
 		t.Fatalf("after the sweep Len = %d and the retained gauge %v, want 2 and 1", n, g)
 	}
 
-	start := time.Now()
-	resp, err := tb.Watch(ctx, []string{young, live}, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited > 10*time.Second || len(resp.Jobs) != 1 || resp.Jobs[0].ID != young ||
-		!bytes.Equal(resp.Jobs[0].Result, rawResult) {
-		t.Fatalf("watch on a retained id answered %+v after %s, want it at once with its result inline", resp, waited)
+	// A watch on a retained and a live id parks until the live one settles,
+	// then answers both, the retained one's result inline.
+	got := make(chan client.WatchResponse, 1)
+	go func() {
+		resp, err := tb.Watch(ctx, []string{young, live}, time.Minute)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- resp
+	}()
+	awaitParked(t, tb.Get(live))
+	tb.RunDirect(ctx, tb.Get(live))
+	select {
+	case resp := <-got:
+		if len(resp.Jobs) != 2 || resp.Jobs[0].ID != young || !bytes.Equal(resp.Jobs[0].Result, rawResult) ||
+			resp.Jobs[1].ID != live || resp.Jobs[1].State != client.StateDone {
+			t.Fatalf("watch answered %+v, want the retained job with its result inline, then the live one done", resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the watch did not answer once the live job settled")
 	}
 	if st, ok := tb.Cancel(young); !ok || !reflect.DeepEqual(st, final) {
 		t.Fatalf("cancel of a retained id answered known=%v %+v, want the final status %+v", ok, st, final)
@@ -291,28 +303,5 @@ func TestPoppedLeaderLeavesNewFlight(t *testing.T) {
 	<-oldRan
 	if again := NewJob(&Identity{Key: "cell"}); tb.Flights() != 1 || !tb.Recall(again) {
 		t.Fatalf("after the old flight failed, %d flights and no recall: it evicted the new one", tb.Flights())
-	}
-}
-
-// TestRefusedLeaderRetiresFlight: a batch refused after some of its jobs
-// were handed on (sacd's journal append failing partway) is unregistered,
-// but those jobs still run. One that leads a flight gets no retained status
-// to retire that flight with, so its settle drops the flight itself.
-func TestRefusedLeaderRetiresFlight(t *testing.T) {
-	tb := testTable(Metrics{})
-	var handed *Job
-	tb.cfg.Admit = func(batch []*Job) error {
-		handed = batch[0]
-		return errors.New("journal append failed")
-	}
-	if _, _, err := tb.SubmitBatch([]client.JobRequest{{Benchmark: "cell"}}); err == nil {
-		t.Fatal("the refused batch was admitted")
-	}
-	tb.Run(handed)
-	if st := tb.status(handed, false); st.State != client.StateDone || st.Source != client.SourceSim {
-		t.Fatalf("the handed-on job ended %s from %q, want done from %q", st.State, st.Source, client.SourceSim)
-	}
-	if n := tb.Flights(); n != 0 {
-		t.Fatalf("the refused batch's leader left %d flights that no status retires", n)
 	}
 }

@@ -184,9 +184,9 @@ func TestBatchMalformed(t *testing.T) {
 	}
 }
 
-// TestWatchFirstTerminal checks the core long-poll contract: a watch over a
-// mixed set returns as soon as any listed job is terminal, reporting only
-// the terminal ones.
+// TestWatchFirstTerminal checks the long-poll's early answer: a watch over
+// a mixed set that names an unknown id returns at once, although a listed
+// job is still running, reporting the terminal ones and the unknown id.
 func TestWatchFirstTerminal(t *testing.T) {
 	// BeforeRun runs on the worker for the exact job and on the accepting
 	// goroutine for the estimate one; only the exact job's id wedges.
@@ -239,7 +239,7 @@ func TestWatchFirstTerminal(t *testing.T) {
 }
 
 // TestWatchBlocksUntilTerminal checks the other half of the contract: a
-// watch armed while every listed job is pending parks until one finishes.
+// watch armed while its job is pending parks until it finishes.
 func TestWatchBlocksUntilTerminal(t *testing.T) {
 	release := make(chan struct{})
 	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})

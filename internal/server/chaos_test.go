@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -395,6 +396,59 @@ func TestJournalFailureUnhealthyAndHeals(t *testing.T) {
 	}
 	if h := s.HealthSnapshot(); h.Status == client.HealthUnhealthy {
 		t.Fatal("daemon still unhealthy after a successful journal append")
+	}
+}
+
+// TestJournalFailureRefusesBatchWhole: an exact batch whose second accept
+// cannot be made durable is refused whole. No job of it is queued, so none
+// runs: the one worker, FIFO, runs a job submitted after the refusal first
+// and alone.
+func TestJournalFailureRefusesBatchWhole(t *testing.T) {
+	var syncs, failAt atomic.Int64
+	var mu sync.Mutex
+	var ran []string
+	s := New(Config{Workers: 1, QueueCap: 16,
+		JournalPath: filepath.Join(t.TempDir(), "journal.wal"),
+		JournalSync: true,
+		chaos: Chaos{
+			JournalSync: func() error {
+				if syncs.Add(1) == failAt.Load() {
+					return errors.New("injected: disk on fire")
+				}
+				return nil
+			},
+			BeforeRun: func(id string) {
+				mu.Lock()
+				ran = append(ran, id)
+				mu.Unlock()
+			},
+		}})
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+
+	failAt.Store(syncs.Load() + 2)
+	reqs := []client.JobRequest{tinyRequest("RN", "SAC"), tinyRequest("BP", "SAC"), tinyRequest("RN", "memory-side")}
+	if _, _, err := s.SubmitBatch(reqs); !errors.Is(err, ErrUnhealthy) {
+		t.Fatalf("batch with a failing second append returned %v, want ErrUnhealthy", err)
+	}
+	later, err := s.Submit(tinyRequest("BP", "memory-side"))
+	if err != nil {
+		t.Fatalf("submit after the failed append: %v", err)
+	}
+	if fin := waitTerminal(t, s, later.ID, 60*time.Second); fin.State != client.StateDone {
+		t.Fatalf("later job %s: %s", fin.State, fin.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0] != later.ID {
+		t.Fatalf("the worker ran %v, want only the later job %s: a refused batch's job ran", ran, later.ID)
 	}
 }
 

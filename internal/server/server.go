@@ -360,13 +360,15 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 		return nil, ErrDraining
 	}
 	health, _ := s.healthLocked(time.Now())
-	nQueued := 0
+	var queued []*jobs.Job
 	for _, j := range batch {
-		if j.Fidelity != backend.Estimate {
-			nQueued++
+		if j.Fidelity == backend.Estimate {
+			inline = append(inline, j)
+		} else {
+			queued = append(queued, j)
 		}
 	}
-	if nQueued > 0 {
+	if len(queued) > 0 {
 		// Journal-driven unhealthiness is not a reject here: the accept
 		// append below retries the disk, and its success is what heals
 		// journalErr — otherwise an idle daemon would stay unhealthy forever
@@ -374,47 +376,40 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 		if health == client.HealthUnhealthy && s.journalErr == nil {
 			return nil, ErrUnhealthy
 		}
-		if len(s.queue)+nQueued > s.cfg.QueueCap {
+		if len(s.queue)+len(queued) > s.cfg.QueueCap {
 			return nil, ErrQueueFull
 		}
 	}
-	for _, j := range batch {
-		if j.Fidelity == backend.Estimate {
-			inline = append(inline, j)
-			continue
+	// A failed append refuses the batch whole before any of it is queued; an
+	// accept already written resumes only in a later life.
+	for _, j := range queued {
+		if s.jnl == nil {
+			break
 		}
-		if err := s.enqueueLocked(j, false); err != nil {
-			// A journal append failed mid-batch: earlier items are journaled
-			// and will run (content-addressed results make that harmless on
-			// retry); the batch as a whole reports the failure.
-			return nil, err
-		}
-	}
-	return inline, nil
-}
-
-// enqueueLocked journals the accept (unless journaled marks it already on
-// disk) and queues the job. The caller holds s.mu; on error nothing was
-// enqueued.
-func (s *Server) enqueueLocked(j *jobs.Job, journaled bool) error {
-	if s.jnl != nil && !journaled {
 		rec := journal.Record{Op: journal.OpAccept, ID: j.ID, Req: client.AppendRequest(nil, &j.Req)}
 		if !j.Deadline.IsZero() {
 			rec.Deadline = j.Deadline.UnixMilli()
 		}
-		if jerr := s.jnl.Append(rec); jerr != nil {
+		if err := s.jnl.Append(rec); err != nil {
 			// The accept may not be durable: refuse to acknowledge it.
 			// journalErr flips the health state to unhealthy so the client's
 			// retry meets a 503 instead of a broken promise.
-			s.journalErr = jerr
-			return fmt.Errorf("%w: %v", ErrUnhealthy, jerr)
+			s.journalErr = err
+			return nil, fmt.Errorf("%w: %v", ErrUnhealthy, err)
 		}
 		s.noteAppendLocked()
 	}
+	for _, j := range queued {
+		s.queueLocked(j)
+	}
+	return inline, nil
+}
+
+// queueLocked hands j to the worker pool. The caller holds s.mu.
+func (s *Server) queueLocked(j *jobs.Job) {
 	s.queue = append(s.queue, j)
 	s.m.queueDepth.Add(1)
 	s.cond.Signal()
-	return nil
 }
 
 // inlineBatch is the context an admitted batch's estimate cells execute
@@ -733,7 +728,7 @@ func (s *Server) Recover() (int, error) {
 		s.mu.Lock()
 		// Open compacted the file to exactly the live set, so the accept is
 		// already on disk.
-		_ = s.enqueueLocked(j, true)
+		s.queueLocked(j)
 		s.mu.Unlock()
 		restored++
 	}

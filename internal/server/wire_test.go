@@ -179,7 +179,7 @@ func ptr[T any](v T) *T { return &v }
 // TestWarmBatchAllocs pins the allocation cost of the warm serving path end
 // to end: a 64-cell estimate batch, every cell a store hit, submitted with
 // client.SubmitBatch through a loopback HTTP server and answered with inline
-// results. Client and server allocations both count. About 12.3 per cell
+// results. Client and server allocations both count. About 12.1 per cell
 // remain: on the daemon the job, its id, its final status and the request's
 // config; on the client each status's id and key strings, its result bytes
 // and the one block its times share; short benchmark strings, the blocks
@@ -191,7 +191,9 @@ func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
 	}
-	const cells, perCell = 64, 13
+	// perCell sits just above the reading (12.1): a fractional bound, so a
+	// few more allocations per batch fail it.
+	const cells, perCell = 64, 12.3
 	_, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 4 * cells})
 	reqs := warmBatch()
 	ctx := context.Background()
@@ -208,9 +210,9 @@ func TestWarmBatchAllocs(t *testing.T) {
 	}
 	submit() // warm the store
 	allocs := testing.AllocsPerRun(20, submit) / cells
-	t.Logf("%.1f allocs per cell", allocs)
+	t.Logf("%.2f allocs per cell", allocs)
 	if allocs > perCell {
-		t.Fatalf("warm batch: %.1f allocs per cell, want <= %d", allocs, perCell)
+		t.Fatalf("warm batch: %.2f allocs per cell, want <= %.1f", allocs, perCell)
 	}
 }
 
