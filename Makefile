@@ -29,9 +29,10 @@ shuffle:
 # instrumented, its total statement coverage, and a gate on the functions no
 # test reaches. A function at 0.0% outside cmd/*/main.go fails the gate
 # unless testdata/zero_coverage.txt lists it ("<file> <func>" lines, sorted
-# bytewise); a listed function that a test now reaches is named, so its line
-# can be dropped and the list only shrinks. Subprocess tests (the real
-# binaries) count for nothing here. Profile and tables land in artifacts/.
+# bytewise), and so does a listed function that a test now reaches or that
+# is gone: the list matches the tree exactly, so it only shrinks. Subprocess
+# tests (the real binaries) count for nothing here. Profile and tables land
+# in artifacts/.
 cover:
 	@mkdir -p artifacts
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=artifacts/cover.out ./...
@@ -39,8 +40,8 @@ cover:
 	@grep '^total:' artifacts/cover.txt
 	@awk '$$NF == "0.0%" && $$1 !~ /\/cmd\/[^\/]+\/main\.go:/ { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
 		artifacts/cover.txt | LC_ALL=C sort > artifacts/zero_coverage.txt
-	@LC_ALL=C comm -13 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: now covered, drop from testdata\/zero_coverage.txt: /'
-	@LC_ALL=C comm -23 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: at 0% and not in testdata\/zero_coverage.txt: /' > artifacts/cover-gate.txt
+	@{ LC_ALL=C comm -23 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: at 0% and not in testdata\/zero_coverage.txt: /'; \
+	   LC_ALL=C comm -13 artifacts/zero_coverage.txt testdata/zero_coverage.txt | sed 's/^/cover: covered or gone, drop from testdata\/zero_coverage.txt: /'; } > artifacts/cover-gate.txt
 	@cat artifacts/cover-gate.txt; test ! -s artifacts/cover-gate.txt
 
 # reach is the reachability ledger: the four binaries and bench/ are linked
@@ -49,11 +50,12 @@ cover:
 # generic instantiations folded onto their declaration, closures, wrappers and
 # init left out) that no link reaches lands in artifacts/unreached.txt as a
 # "<file> <func>" line. One that testdata/unreached.txt does not list fails
-# the gate; a listed one a link now reaches is named, so the list only
-# shrinks. The list holds what stays on purpose: the sac facade (and
-# fault.Generate, which only its GenerateFaultPlan reaches) and the client
-# API that no binary calls, invariant checkers, the oracles tests compare
-# against, and the accessors and job-table calls tests drive.
+# the gate, and so does a listed one that a link now reaches or that is gone:
+# the list matches the tree exactly, so it only shrinks. The list holds what
+# stays on purpose: the sac facade (and fault.Generate, which only its
+# GenerateFaultPlan reaches) and the client API that no binary calls,
+# invariant checkers, the oracles tests compare against, and the accessors
+# tests drive.
 reach:
 	@mkdir -p artifacts/reach
 	@set -e; for d in cmd/sacsim cmd/sacsweep cmd/sacd cmd/saccoord bench; do \
@@ -72,8 +74,8 @@ reach:
 		  if (name ~ /^main\./) name = pkg substr(name, 5); \
 		  if (!(name in reached)) print file, substr(name, length(pkg) + 2) }' \
 		artifacts/reach/deps.txt artifacts/reach/text.txt | LC_ALL=C sort -u > artifacts/unreached.txt
-	@LC_ALL=C comm -13 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: now reached, drop from testdata\/unreached.txt: /'
-	@LC_ALL=C comm -23 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: unreached and not in testdata\/unreached.txt: /' > artifacts/reach-gate.txt
+	@{ LC_ALL=C comm -23 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: unreached and not in testdata\/unreached.txt: /'; \
+	   LC_ALL=C comm -13 artifacts/unreached.txt testdata/unreached.txt | sed 's/^/reach: reached or gone, drop from testdata\/unreached.txt: /'; } > artifacts/reach-gate.txt
 	@cat artifacts/reach-gate.txt; test ! -s artifacts/reach-gate.txt
 
 # smoke is the daemon shortcut: build the real sacd binary, start it on an

@@ -6,10 +6,10 @@
 //
 // The client retries transient failures — connection errors, 429
 // backpressure, 5xx — with capped exponential backoff, propagates contexts
-// into every request, and exposes the raw job lifecycle (Submit/Status/
-// Result), the batch surface (SubmitBatch/Watch/WaitAll, whose terminal
-// statuses carry their results, decoded by JobStatus.Outcome), and a blocking
-// convenience (Run) that submits and parks on the daemon's long-poll.
+// into every request, and exposes the jobs API's four routes (SubmitBatch,
+// Watch/WaitAll/Wait, Status, Cancel; every terminal status carries its
+// result, decoded by JobStatus.Outcome), and a blocking convenience (Run)
+// that submits a batch of one and parks on the daemon's long-poll.
 package client
 
 import (
@@ -115,11 +115,10 @@ type JobStatus struct {
 	// only); preserved across daemon restarts.
 	DeadlineAt *time.Time `json:"deadline_at,omitempty"`
 
-	// Result carries a done job's completed run as raw JSON. The batch and
-	// watch endpoints always populate it, so a warm batch costs one round
-	// trip instead of one per job; submit, status and cancel never do. The
-	// bytes are the store's canonical stats.Run encoding, served without a
-	// decode/re-encode cycle.
+	// Result carries a done job's completed run as raw JSON. Every status a
+	// daemon answers with populates it, so a warm batch costs one round trip
+	// instead of one per job. The bytes are the store's canonical stats.Run
+	// encoding, served without a decode/re-encode cycle.
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

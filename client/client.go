@@ -146,7 +146,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		lastErr = err
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && !apiErr.Temporary() {
-			return err // permanent: 400, 404, 409, ...
+			return err // permanent: 400, 404, 413, ...
 		}
 		if ctx.Err() != nil {
 			return err
@@ -257,35 +257,17 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return Unmarshal(b, out)
 }
 
-// Submit enqueues one job and returns its initial status. Backpressure
-// (429) and draining (503) responses are retried with jittered backoff,
-// honoring the daemon's Retry-After pacing. When the request carries no
-// explicit TimeoutMS but ctx has a deadline, the remaining budget is
-// propagated as the X-Sacd-Timeout-Ms header so the daemon expires the job
-// when the caller would have stopped waiting anyway.
-func (c *Client) Submit(ctx context.Context, req JobRequest) (JobStatus, error) {
-	b := AppendRequest(nil, &req)
-	var hdr http.Header
-	if req.TimeoutMS == 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			if ms := time.Until(dl).Milliseconds(); ms > 0 {
-				hdr = http.Header{TimeoutHeader: []string{strconv.FormatInt(ms, 10)}}
-			}
-		}
-	}
-	var st JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", b, &st, hdr); err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
-}
-
 // SubmitBatch enqueues up to MaxBatch jobs in one round trip and returns
 // their statuses in request order. Admission is all-or-nothing: per-item
 // validation failures reject the whole batch with a 400 whose message counts
-// the offending items. Terminal statuses (warm estimate jobs) carry their
-// results inline (JobStatus.Result), so a warm batch needs no follow-up
-// fetches. The ctx deadline propagates exactly like Submit's.
+// the offending items and names the first one's reason. Terminal statuses
+// (warm estimate jobs, memo recalls) carry their results inline
+// (JobStatus.Result), so a warm batch needs no follow-up fetches.
+// Backpressure (429) and draining (503) responses are retried with jittered
+// backoff, honoring the daemon's Retry-After pacing. When ctx has a
+// deadline, the remaining budget is propagated as the X-Sacd-Timeout-Ms
+// header, so the daemon expires every job that names no TimeoutMS of its
+// own when the caller would have stopped waiting anyway.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatus, error) {
 	// The transport may still read a request body after the round trip
 	// returns, so the body is an exact-size copy of the pooled encoding.
@@ -324,7 +306,8 @@ func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatu
 const maxWatchPoll = 45 * time.Second
 
 // Watch long-polls the daemon until every one of ids is terminal or timeout
-// passes (0 = the server's default), returning the terminal statuses among
+// passes (0, or anything past 45 s, asks for 45 s: under DefaultTransport's
+// response-header timeout), returning the terminal statuses among
 // ids — results inlined — and the ids the daemon does not know, which end
 // the call at once. Short of some ids, the timeout passed: re-arm.
 func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration) (WatchResponse, error) {
@@ -417,17 +400,6 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	return st, nil
 }
 
-// Result fetches the completed result of a job. A job that has not finished
-// yet comes back as a 409 *APIError; a failed job as a 500 carrying its
-// error text.
-func (c *Client) Result(ctx context.Context, id string) (*stats.Run, error) {
-	var run stats.Run
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &run, nil); err != nil {
-		return nil, err
-	}
-	return &run, nil
-}
-
 // Wait blocks until the job reaches a terminal state or ctx expires: WaitAll
 // of one id, so it parks on the daemon's long-poll instead of polling.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
@@ -435,21 +407,25 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 	return out[id], err
 }
 
-// Run submits a job, waits for it, and returns the result — the remote
-// equivalent of sac.Run for one cell. The watched status carries the result,
-// so Run costs a submit and a wait, never a /result fetch.
+// Run submits a job as a batch of one, waits for it, and returns the result
+// — the remote equivalent of sac.Run for one cell. Statuses carry a done
+// job's result, so a warm cell costs one round trip, and any other a submit
+// and a wait.
 func (c *Client) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
-	st, err := c.Submit(ctx, req)
+	sts, err := c.SubmitBatch(ctx, []JobRequest{req})
 	if err != nil {
 		return nil, err
 	}
-	if st, err = c.Wait(ctx, st.ID); err != nil {
-		return nil, err
+	st := sts[0]
+	if !st.Done() {
+		if st, err = c.Wait(ctx, st.ID); err != nil {
+			return nil, err
+		}
 	}
 	return st.Outcome()
 }
 
-// Outcome decodes a terminal status into its result. Batch and watch carry a
+// Outcome decodes a terminal status into its result. Every status carries a
 // done job's result, so a done status without one is an error, not a reason
 // for another round trip; any other state is an error that names it.
 func (s JobStatus) Outcome() (*stats.Run, error) {

@@ -21,6 +21,21 @@ func stubDaemon(t *testing.T, handler http.HandlerFunc) (*Client, *httptest.Serv
 	return New(srv.URL, WithBackoff(time.Millisecond, 4*time.Millisecond)), srv
 }
 
+// accepted writes a batch answer of one item in state st.
+func accepted(w http.ResponseWriter, st JobStatus) {
+	w.WriteHeader(http.StatusAccepted)
+	json.NewEncoder(w).Encode(BatchResponse{Jobs: []BatchItem{{Status: &st}}})
+}
+
+// submitOne submits req as a batch of one and returns its status.
+func submitOne(ctx context.Context, c *Client, req JobRequest) (JobStatus, error) {
+	sts, err := c.SubmitBatch(ctx, []JobRequest{req})
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
 func TestRetriesBackpressureThenSucceeds(t *testing.T) {
 	var calls atomic.Int64
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
@@ -29,9 +44,9 @@ func TestRetriesBackpressureThenSucceeds(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "queue full"})
 			return
 		}
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
+		accepted(w, JobStatus{ID: "j1", State: StateQueued})
 	})
-	st, err := c.Submit(context.Background(), JobRequest{Benchmark: "BP", Org: "SAC"})
+	st, err := submitOne(context.Background(), c, JobRequest{Benchmark: "BP", Org: "SAC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +62,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 		json.NewEncoder(w).Encode(map[string]string{"error": "unknown benchmark"})
 	})
-	_, err := c.Submit(context.Background(), JobRequest{Benchmark: "nope"})
+	_, err := c.SubmitBatch(context.Background(), []JobRequest{{Benchmark: "nope"}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("want 400 APIError, got %v", err)
@@ -236,10 +251,10 @@ func TestSubmitRetryAfterSlowsRetry(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "shedding"})
 			return
 		}
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
+		accepted(w, JobStatus{ID: "j1", State: StateQueued})
 	})
 	start := time.Now()
-	st, err := c.Submit(context.Background(), JobRequest{Benchmark: "BP", Org: "SAC"})
+	st, err := submitOne(context.Background(), c, JobRequest{Benchmark: "BP", Org: "SAC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +266,22 @@ func TestSubmitRetryAfterSlowsRetry(t *testing.T) {
 	}
 }
 
+// TestSubmitPropagatesContextDeadlineHeader: a submission under a deadline
+// carries the remaining budget as the timeout header, and one without a
+// deadline none; an item's own timeout_ms goes in its body, where it wins
+// over the header on the daemon.
 func TestSubmitPropagatesContextDeadlineHeader(t *testing.T) {
-	var gotHeader atomic.Value
+	var gotHeader, gotBody atomic.Value
 	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
 		gotHeader.Store(r.Header.Get(TimeoutHeader))
-		json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
+		var breq BatchRequest
+		json.NewDecoder(r.Body).Decode(&breq)
+		gotBody.Store(breq)
+		accepted(w, JobStatus{ID: "j1", State: StateQueued})
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Submit(ctx, JobRequest{Benchmark: "BP", Org: "SAC"}); err != nil {
+	if _, err := submitOne(ctx, c, JobRequest{Benchmark: "BP", Org: "SAC", TimeoutMS: 123}); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := gotHeader.Load().(string)
@@ -267,13 +289,15 @@ func TestSubmitPropagatesContextDeadlineHeader(t *testing.T) {
 	if err != nil || ms <= 0 || ms > 5000 {
 		t.Fatalf("timeout header %q, want integer ms in (0, 5000]", h)
 	}
+	if breq := gotBody.Load().(BatchRequest); len(breq.Jobs) != 1 || breq.Jobs[0].TimeoutMS != 123 {
+		t.Fatalf("body %+v, want one job with timeout_ms 123", breq)
+	}
 
-	// An explicit TimeoutMS wins: the header is not sent.
-	if _, err := c.Submit(ctx, JobRequest{Benchmark: "BP", Org: "SAC", TimeoutMS: 123}); err != nil {
+	if _, err := submitOne(context.Background(), c, JobRequest{Benchmark: "BP", Org: "SAC"}); err != nil {
 		t.Fatal(err)
 	}
 	if h, _ := gotHeader.Load().(string); h != "" {
-		t.Fatalf("header %q sent alongside explicit timeout_ms", h)
+		t.Fatalf("header %q sent without a context deadline", h)
 	}
 }
 
@@ -373,10 +397,11 @@ func TestWaitPermanentStatusErrorFails(t *testing.T) {
 	}
 }
 
-// TestClientRun drives Run against a daemon whose watch answers each
-// terminal state: the watched status settles the cell by itself, so no case
-// fetches /result, and every state but done-with-result is an error that
-// says which.
+// TestClientRun drives Run against a daemon that answers each terminal
+// state, in the batch answer itself (warm) or in the watch after it: the
+// status settles the cell by itself, so a warm cell is one round trip and a
+// cold one a submit and a watch, and every state but done-with-result is an
+// error that says which.
 func TestClientRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -390,30 +415,40 @@ func TestClientRun(t *testing.T) {
 		{"done without result", JobStatus{State: StateDone}, 0, "without its result"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var fetches atomic.Int64
-			c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
-				switch {
-				case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-					json.NewEncoder(w).Encode(JobStatus{ID: "j1", State: StateQueued})
-				case r.URL.Path == "/v1/jobs:watch":
-					st := tc.final
-					st.ID = "j1"
-					json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{st}})
-				default:
-					fetches.Add(1)
-					w.WriteHeader(http.StatusNotFound)
+			for _, warm := range []bool{false, true} {
+				var watches, others atomic.Int64
+				final := tc.final
+				final.ID = "j1"
+				c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+					switch {
+					case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch" && warm:
+						accepted(w, final)
+					case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs:batch":
+						accepted(w, JobStatus{ID: "j1", State: StateQueued})
+					case r.URL.Path == "/v1/jobs:watch":
+						watches.Add(1)
+						json.NewEncoder(w).Encode(WatchResponse{Jobs: []JobStatus{final}})
+					default:
+						others.Add(1)
+						w.WriteHeader(http.StatusNotFound)
+					}
+				})
+				res, err := c.Run(context.Background(), JobRequest{Benchmark: "BP"})
+				if tc.wantErr == "" {
+					if err != nil || res.Cycles != tc.cycles {
+						t.Fatalf("warm=%v: got %+v, %v; want cycles %d", warm, res, err, tc.cycles)
+					}
+				} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("warm=%v: err %v, want one containing %q", warm, err, tc.wantErr)
 				}
-			})
-			res, err := c.Run(context.Background(), JobRequest{Benchmark: "BP"})
-			if tc.wantErr == "" {
-				if err != nil || res.Cycles != tc.cycles {
-					t.Fatalf("got %+v, %v; want cycles %d", res, err, tc.cycles)
+				want := int64(1)
+				if warm {
+					want = 0
 				}
-			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err %v, want one containing %q", err, tc.wantErr)
-			}
-			if fetches.Load() != 0 {
-				t.Fatalf("%d requests beyond submit and watch, want none", fetches.Load())
+				if watches.Load() != want || others.Load() != 0 {
+					t.Fatalf("warm=%v: %d watches and %d other requests beyond the submit, want %d and none",
+						warm, watches.Load(), others.Load(), want)
+				}
 			}
 		})
 	}

@@ -102,6 +102,15 @@ func newClient(base string) *client.Client {
 	return client.New(base, client.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 }
 
+// submit sends req to c as a batch of one and returns its status.
+func submit(ctx context.Context, c *client.Client, req client.JobRequest) (client.JobStatus, error) {
+	sts, err := c.SubmitBatch(ctx, []client.JobRequest{req})
+	if err != nil {
+		return client.JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
 // waitFleet polls /v1/fleet until n workers are live.
 func waitFleet(t *testing.T, cc *client.Client, n int) {
 	t.Helper()
@@ -198,7 +207,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	ids := make([]string, len(wave))
 	for i, req := range wave {
-		st, err := cc.Submit(ctx, req)
+		st, err := submit(ctx, cc, req)
 		if err != nil {
 			t.Fatalf("wave submit %d: %v", i, err)
 		}
@@ -254,7 +263,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, req client.JobRequest) {
 				defer wg.Done()
-				st, err := cl.Submit(ctx, req)
+				st, err := submit(ctx, cl, req)
 				if err == nil {
 					st, err = cl.Wait(ctx, st.ID)
 				}

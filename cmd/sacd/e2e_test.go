@@ -150,6 +150,15 @@ func newClient(d *daemon) *client.Client {
 	return client.New(d.base, client.WithBackoff(5*time.Millisecond, 100*time.Millisecond))
 }
 
+// submit sends req to c as a batch of one and returns its status.
+func submit(ctx context.Context, c *client.Client, req client.JobRequest) (client.JobStatus, error) {
+	sts, err := c.SubmitBatch(ctx, []client.JobRequest{req})
+	if err != nil {
+		return client.JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
 // TestDaemonEndToEnd is the acceptance scenario: two concurrent clients
 // submitting the same cell share one simulation; the result is byte-
 // identical to an in-process sac.Run; a SIGTERM drain drops no accepted
@@ -178,7 +187,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := newClient(d1)
-			st, err := c.Submit(ctx, tinyRequest("BP", sac.SAC))
+			st, err := submit(ctx, c, tinyRequest("BP", sac.SAC))
 			if err == nil {
 				st, err = c.Wait(ctx, st.ID)
 			}
@@ -187,12 +196,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 				return
 			}
 			sources[i] = st.Source
-			res, err := c.Result(ctx, st.ID)
-			if err != nil {
+			if _, err := st.Outcome(); err != nil {
 				errs[i] = err
 				return
 			}
-			bodies[i], _ = json.Marshal(res)
+			bodies[i] = st.Result
 		}(i)
 	}
 	wg.Wait()
@@ -218,8 +226,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("concurrent clients saw different payloads for the same cell")
 	}
 
-	// Phase 2: byte identity with the in-process API. The daemon's answer
-	// for a cell must be exactly what sac.Run produces locally.
+	// Phase 2: byte identity with the in-process API. The result bytes the
+	// daemon's status carries for a cell must be exactly what sac.Run
+	// produces locally, marshaled.
 	spec, err := sac.Benchmark("BP")
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +255,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	ids := make([]string, len(burst))
 	for i, req := range burst {
-		st, err := c1.Submit(ctx, req)
+		st, err := submit(ctx, c1, req)
 		if err != nil {
 			t.Fatalf("burst submit %d: %v", i, err)
 		}
@@ -258,7 +267,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// source "store" (no simulation), byte-identical to the original.
 	d2 := startDaemon(t, "-cache-dir", cacheDir, "-workers", "2")
 	c2 := newClient(d2)
-	st, err := c2.Submit(ctx, tinyRequest("BP", sac.SAC))
+	st, err := submit(ctx, c2, tinyRequest("BP", sac.SAC))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +278,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if st.Source != client.SourceStore {
 		t.Fatalf("restarted daemon served BP/SAC with source %q, want store", st.Source)
 	}
-	res, err := c2.Result(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restartJSON, _ := json.Marshal(res)
-	if !bytes.Equal(restartJSON, localJSON) {
+	if !bytes.Equal(st.Result, localJSON) {
 		t.Fatal("result across daemon restart differs from in-process sac.Run")
 	}
 	// The store is the one owner of its traffic series on /metrics.
@@ -317,7 +321,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 			continue
 		}
 		// Unknown to the new daemon: it must have completed pre-drain.
-		fin, err := c2.Submit(ctx, burst[i])
+		fin, err := submit(ctx, c2, burst[i])
 		if err != nil {
 			t.Fatalf("resubmitting burst job %d: %v", i, err)
 		}
@@ -372,7 +376,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 	ids := make([]string, len(burst))
 	for i, req := range burst {
-		st, err := c1.Submit(ctx, req)
+		st, err := submit(ctx, c1, req)
 		if err != nil {
 			t.Fatalf("burst submit %d: %v", i, err)
 		}
@@ -414,7 +418,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			if _, err := c2.Status(ctx, id); err == nil {
 				continue
 			}
-			st, err := c2.Submit(ctx, burst[i])
+			st, err := submit(ctx, c2, burst[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,13 +10,14 @@
 //
 // API (see the repro/client package for a typed Go client):
 //
-//	POST /v1/jobs             {"benchmark":"BP","org":"SAC"}  → 202 job status
-//	POST /v1/jobs:batch       submit up to 1024 jobs at once  → 202 batch response
-//	GET  /v1/jobs:watch       long-poll until all ids finish  → 200 watch response
-//	GET  /v1/jobs/{id}        job status (queued/running/done/failed)
-//	GET  /v1/jobs/{id}/result finished job's full statistics
-//	GET  /v1/healthz          daemon health and queue depth
-//	GET  /metrics             Prometheus metrics
+//	POST   /v1/jobs:batch  {"jobs":[{"benchmark":"BP","org":"SAC"}]}  → 202 batch response
+//	GET    /v1/jobs:watch  long-poll until all ids finish            → 200 watch response
+//	GET    /v1/jobs/{id}   job status (queued/running/done/failed)   → 200 job status
+//	DELETE /v1/jobs/{id}   cancel a job                              → 200 job status
+//	GET    /v1/healthz     daemon health and queue depth
+//	GET    /metrics        Prometheus metrics
+//
+// Every status carries a done job's full statistics inline.
 //
 // Every accepted job is recorded in a durable journal
 // (<cache-dir>/journal.wal by default) before the client is acknowledged, so

@@ -23,9 +23,9 @@ import (
 // flags. Parse must never panic. A plan it accepts must round-trip:
 // Parse(p.String()) gives the same events and the same Key. Its events
 // written in reverse must give the same Key and the same replay. A plan it
-// rejects must be refused before any cell is keyed: POST /v1/jobs answers
-// 400 and the request never resolves, resolving being the only path to
-// store.KeyAt. The seeds are every -faults plan the documents show, five
+// rejects must be refused before any cell is keyed: POST /v1/jobs:batch
+// answers 400 and the request never resolves, resolving being the only path
+// to store.KeyAt. The seeds are every -faults plan the documents show, five
 // malformed plans, and two well-formed events on domains the model does not
 // have (LLC slices, NoC ports), which must be refused like any other.
 func FuzzFaultPlan(f *testing.F) {
@@ -77,15 +77,15 @@ func FuzzFaultPlan(f *testing.F) {
 		if s == "" || !utf8.ValidString(s) {
 			return // no plan at all; JSON would alter the text the daemon sees
 		}
-		body, err := json.Marshal(client.JobRequest{Benchmark: "RN", Org: "SAC", Faults: s})
+		body, err := json.Marshal(client.BatchRequest{Jobs: []client.JobRequest{{Benchmark: "RN", Org: "SAC", Faults: s}}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resolved = false
 		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", bytes.NewReader(body)))
 		if w.Code != http.StatusBadRequest || resolved {
-			t.Fatalf("rejected plan %q: POST /v1/jobs answered %d, resolved=%v: %s", s, w.Code, resolved, w.Body.Bytes())
+			t.Fatalf("rejected plan %q: POST /v1/jobs:batch answered %d, resolved=%v: %s", s, w.Code, resolved, w.Body.Bytes())
 		}
 	})
 }

@@ -160,6 +160,15 @@ func newClient(url string) *client.Client {
 	return client.New(url, client.WithBackoff(2*time.Millisecond, 20*time.Millisecond))
 }
 
+// submit sends req to c as a batch of one and returns its status.
+func submit(ctx context.Context, c *client.Client, req client.JobRequest) (client.JobStatus, error) {
+	sts, err := c.SubmitBatch(ctx, []client.JobRequest{req})
+	if err != nil {
+		return client.JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
 // waitLive polls until n workers are in the ring.
 func waitLive(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
@@ -304,7 +313,7 @@ func TestClusterGlobalDedup(t *testing.T) {
 		wg.Add(1)
 		go func(cc *client.Client) {
 			defer wg.Done()
-			st, err := cc.Submit(ctx, req)
+			st, err := submit(ctx, cc, req)
 			admitted.Done()
 			if err == nil {
 				st, err = cc.Wait(ctx, st.ID)
@@ -338,7 +347,7 @@ func TestClusterGlobalDedup(t *testing.T) {
 	}
 
 	// Third submission after completion: answered from the flight memo.
-	st, err := clients[0].Submit(ctx, req)
+	st, err := submit(ctx, clients[0], req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +372,7 @@ func TestClusterFailedFlightRetries(t *testing.T) {
 	req := tinyRequest("RN", "SAC", 0)
 	expiring := req
 	expiring.TimeoutMS = 200
-	st, err := cc.Submit(ctx, expiring)
+	st, err := submit(ctx, cc, expiring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +424,7 @@ func TestClusterGC(t *testing.T) {
 	// worker's own flight memo may answer it instantly — that's the point:
 	// eviction is cheap exactly because the worker still holds the result.
 	before := c.Fleet().Workers[0].Dispatched
-	st, err := cc.Submit(ctx, req)
+	st, err := submit(ctx, cc, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +552,7 @@ func TestAgentReregistersWhenForgotten(t *testing.T) {
 func TestClusterNoWorkers(t *testing.T) {
 	_, hs := testCoordinator(t, nil)
 	cc := newClient(hs.URL)
-	st, err := cc.Submit(context.Background(), func() client.JobRequest {
+	st, err := submit(context.Background(), cc, func() client.JobRequest {
 		r := tinyRequest("RN", "SAC", 0)
 		r.TimeoutMS = 300
 		return r
@@ -583,9 +592,9 @@ func TestCoordinatorHealth(t *testing.T) {
 	}
 }
 
-// TestDispatchDoneWithoutResultFails: batch and watch responses carry a done
-// job's result, so a worker that answers done without one fails the
-// dispatch attempt instead of earning a /result round trip.
+// TestDispatchDoneWithoutResultFails: every status carries a done job's
+// result, so a worker that answers done without one fails the dispatch
+// attempt instead of earning another round trip.
 func TestDispatchDoneWithoutResultFails(t *testing.T) {
 	var submits, fetches atomic.Int64
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -594,9 +603,9 @@ func TestDispatchDoneWithoutResultFails(t *testing.T) {
 			submits.Add(1)
 			jobs.WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: []client.BatchItem{
 				{Status: &client.JobStatus{ID: "w1", State: client.StateDone}}}})
-		case strings.HasSuffix(r.URL.Path, "/result"):
+		case r.Method == http.MethodGet && r.URL.Path == "/v1/jobs/w1":
 			fetches.Add(1)
-			jobs.WriteJSON(w, http.StatusOK, map[string]int{"Cycles": 7})
+			jobs.WriteJSON(w, http.StatusOK, client.JobStatus{ID: "w1", State: client.StateDone, Cycles: 7})
 		default:
 			jobs.WriteError(w, http.StatusNotFound, "no route")
 		}
@@ -608,7 +617,7 @@ func TestDispatchDoneWithoutResultFails(t *testing.T) {
 	}
 	cc := newClient(hs.URL)
 	ctx := context.Background()
-	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 0))
+	st, err := submit(ctx, cc, tinyRequest("RN", "SAC", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +628,7 @@ func TestDispatchDoneWithoutResultFails(t *testing.T) {
 		t.Fatalf("job %s %q, want failed for a result-less done", st.State, st.Error)
 	}
 	if submits.Load() == 0 || fetches.Load() != 0 {
-		t.Fatalf("%d dispatches, %d /result fetches; want some and none", submits.Load(), fetches.Load())
+		t.Fatalf("%d dispatches, %d status fetches; want some and none", submits.Load(), fetches.Load())
 	}
 }
 
@@ -728,7 +737,7 @@ func TestClusterRejectsUnknownFidelity(t *testing.T) {
 	_, hs := testCoordinator(t, nil)
 	req := tinyRequest("RN", "SAC", 0)
 	req.Fidelity = "sampled"
-	_, err := newClient(hs.URL).Submit(context.Background(), req)
+	_, err := submit(context.Background(), newClient(hs.URL), req)
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("want 400, got %v", err)
@@ -736,8 +745,8 @@ func TestClusterRejectsUnknownFidelity(t *testing.T) {
 	if !strings.Contains(apiErr.Message, `"estimate"`) || !strings.Contains(apiErr.Message, `"exact"`) {
 		t.Fatalf("error %q does not name both rungs", apiErr.Message)
 	}
-	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"benchmark":"RN","org":"SAC","priority":"normal"}`))
+	resp, err := http.Post(hs.URL+"/v1/jobs:batch", "application/json",
+		strings.NewReader(`{"jobs":[{"benchmark":"RN","org":"SAC","priority":"normal"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,7 +772,7 @@ func TestIdentityMemoPerDaemon(t *testing.T) {
 	req := tinyRequest("RN", "SAC", 0)
 	var sources []string
 	for range 2 {
-		st, err := cc.Submit(ctx, req)
+		st, err := submit(ctx, cc, req)
 		if err == nil {
 			st, err = cc.Wait(ctx, st.ID)
 		}

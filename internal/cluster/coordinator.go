@@ -93,7 +93,7 @@ type coordMetrics struct {
 }
 
 // Coordinator owns placement for a fleet of sacd workers. The embedded table
-// carries the jobs API: Submit, SubmitBatch, Status, ResultRaw, Cancel.
+// carries the jobs API: SubmitBatch, Watch, Status, Cancel.
 type Coordinator struct {
 	*jobs.Table
 	cfg  Config

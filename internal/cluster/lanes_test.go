@@ -241,7 +241,7 @@ func queued(c *Coordinator) int {
 func submitGroup(t *testing.T, c *Coordinator, cc *client.Client, f *fakeWorker, reqs []client.JobRequest) []string {
 	t.Helper()
 	ctx := context.Background()
-	first, err := cc.Submit(ctx, reqs[0])
+	first, err := submit(ctx, cc, reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestKeyMismatchFailsAndStopsWorkerJob(t *testing.T) {
 	c, cc := fakeCoordinator(t, f)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	st, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 600))
+	st, err := submit(ctx, cc, tinyRequest("RN", "SAC", 600))
 	if err == nil {
 		st, err = cc.Wait(ctx, st.ID)
 	}
@@ -513,12 +513,12 @@ func TestLaneSettlesLaterJobFirst(t *testing.T) {
 	_, cc := fakeCoordinator(t, f)
 	ctx := context.Background()
 
-	slow, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 600))
+	slow, err := submit(ctx, cc, tinyRequest("RN", "SAC", 600))
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.await(t, "the slow job is watched", func() bool { return f.watchingLocked(f.scale[600]) })
-	fast, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 608))
+	fast, err := submit(ctx, cc, tinyRequest("RN", "SAC", 608))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestLaneLeaversEndTheirCalls(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	held, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 600))
+	held, err := submit(ctx, cc, tinyRequest("RN", "SAC", 600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestLaneLeaversEndTheirCalls(t *testing.T) {
 	}
 	f.await(t, "the held submit is abandoned", func() bool { return f.abandoned == 1 })
 
-	watched, err := cc.Submit(ctx, tinyRequest("RN", "SAC", 608))
+	watched, err := submit(ctx, cc, tinyRequest("RN", "SAC", 608))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,3 @@
-// Package cluster is the distributed sweep fabric: a saccoord coordinator
-// that owns job placement over a fleet of sacd workers, and the worker-side
-// Agent that registers with it.
-//
-// Placement is a consistent-hash ring over result-store cache keys
-// (store.KeyAt content addresses), so the same simulation cell always lands
-// on the same worker while the fleet is stable — its warm result store and
-// in-process singleflight then absorb duplicates locally. The coordinator
-// layers a fleet-wide singleflight on top (two clients submitting the same
-// cell through different paths share one execution) and steals jobs from
-// workers that die, lapse, or miss their deadline. Stealing is safe because
-// results are content-addressed and idempotent: a duplicate completion
-// collapses into the same store object.
 package cluster
 
 import (
@@ -36,6 +23,16 @@ type ringPoint struct {
 
 // Ring is a consistent-hash ring mapping cache keys to member IDs. All
 // methods are safe for concurrent use.
+//
+// Placement is this ring over result-store cache keys (store.KeyAt content
+// addresses), so the same simulation cell always lands on the same worker
+// while the fleet is stable — its warm result store and in-process
+// singleflight then absorb duplicates locally. The coordinator layers a
+// fleet-wide singleflight on top (two clients submitting the same cell
+// through different paths share one execution) and steals jobs from workers
+// that die, lapse, or miss their deadline. Stealing is safe because results
+// are content-addressed and idempotent: a duplicate completion collapses into
+// the same store object.
 type Ring struct {
 	mu      sync.RWMutex
 	points  []ringPoint // sorted by hash

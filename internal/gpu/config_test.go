@@ -97,8 +97,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 // TestValidateWaysRange pins that an associativity the set-associative array
-// cannot be built with — these values reach Validate from a POST /v1/jobs
-// body — is an error, never a panic in Validate or in the constructors
+// cannot be built with — these values reach Validate from a POST
+// /v1/jobs:batch body — is an error, never a panic in Validate or in the constructors
 // behind it.
 func TestValidateWaysRange(t *testing.T) {
 	cases := []struct {
@@ -137,9 +137,9 @@ func TestValidateWaysRange(t *testing.T) {
 // the cycle loop need — the MSHR table is sized eagerly from MSHRPerSlice, a
 // chip tracks its busy slices in one 64-bit word and its live SMs in a fixed
 // set of them, an SM its runnable warps in one word — as Validate errors.
-// Every one of these fields reaches Validate from a POST /v1/jobs body, and
-// SMsPerChip and WarpsPerSM size make calls behind it; an accepted value
-// must also build.
+// Every one of these fields reaches Validate from a POST /v1/jobs:batch
+// body, and SMsPerChip and WarpsPerSM size make calls behind it; an accepted
+// value must also build.
 func TestValidateStructuralLimits(t *testing.T) {
 	cases := []struct {
 		name string

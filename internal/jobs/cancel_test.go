@@ -44,10 +44,7 @@ func TestCancelNeverLeavesExecuteRunning(t *testing.T) {
 		},
 	})
 	for i := range 2000 {
-		st, err := tb.Submit(client.JobRequest{Benchmark: fmt.Sprintf("cell-%d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := submit(t, tb, client.JobRequest{Benchmark: fmt.Sprintf("cell-%d", i)})
 		j := tb.Get(st.ID)
 		go tb.Run(j)
 		go tb.Cancel(st.ID)

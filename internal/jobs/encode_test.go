@@ -166,12 +166,10 @@ func TestResultSplicePrecondition(t *testing.T) {
 			return Outcome{Run: &stats.Run{Benchmark: "<a&b>", Org: "SAC\u2028", Cycles: 42}}
 		},
 	})
-	st0, err := tb.Submit(client.JobRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st0 := submit(t, tb, client.JobRequest{})
 	tb.RunDirect(context.Background(), tb.Get(st0.ID))
-	raw, _, _ := tb.ResultRaw(st0.ID)
+	st0, _ = tb.Status(st0.ID)
+	raw := st0.Result
 	want, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)

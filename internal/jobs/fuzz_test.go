@@ -40,21 +40,26 @@ func stubTable() *jobs.Table {
 	return t
 }
 
-// FuzzJobsHTTP feeds arbitrary bodies to the two submission routes and
-// arbitrary query strings to the watch route — the one decoder both daemons
-// expose to the network. Whatever arrives, the handler must not panic, must
-// answer 200, 202 or a 4xx, and must answer in JSON.
+// FuzzJobsHTTP feeds arbitrary bodies to the submission route, arbitrary
+// query strings to the watch route and arbitrary ids to the status and
+// cancel routes — the four routes both daemons expose to the network.
+// Whatever arrives, the handler must not panic, must answer 200, 202 or a
+// 4xx, and must answer in JSON.
 func FuzzJobsHTTP(f *testing.F) {
-	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC"}`))
-	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","timeout_ms":-1}`))
-	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","timeout_ms":10000000000000}`))
-	f.Add(uint8(0), []byte(`{"benchmark":"RN","org":"SAC","config":{"Chips":0}}`))
-	f.Add(uint8(1), []byte(`{"jobs":[{"benchmark":"BP","org":"SAC","fidelity":"estimate"},{"benchmark":"nope","org":"SAC"}]}`))
-	f.Add(uint8(1), []byte(`{"jobs":[]}`))
-	f.Add(uint8(1), []byte(`{"jobs":null`))
-	f.Add(uint8(2), []byte(`ids=a,b,,c&timeout_ms=0`))
-	f.Add(uint8(2), []byte(`ids=%zz&timeout_ms=-5`))
-	f.Add(uint8(2), []byte(`timeout_ms=99999999999999999999`))
+	one := func(job string) []byte { return []byte(`{"jobs":[` + job + `]}`) }
+	f.Add(uint8(0), one(`{"benchmark":"RN","org":"SAC"}`))
+	f.Add(uint8(0), one(`{"benchmark":"RN","org":"SAC","timeout_ms":-1}`))
+	f.Add(uint8(0), one(`{"benchmark":"RN","org":"SAC","timeout_ms":10000000000000}`))
+	f.Add(uint8(0), one(`{"benchmark":"RN","org":"SAC","config":{"Chips":0}}`))
+	f.Add(uint8(0), one(`{"benchmark":"BP","org":"SAC","fidelity":"estimate"},{"benchmark":"nope","org":"SAC"}`))
+	f.Add(uint8(0), []byte(`{"jobs":[]}`))
+	f.Add(uint8(0), []byte(`{"jobs":null`))
+	f.Add(uint8(1), []byte(`ids=a,b,,c&timeout_ms=0`))
+	f.Add(uint8(1), []byte(`ids=%zz&timeout_ms=-5`))
+	f.Add(uint8(1), []byte(`timeout_ms=99999999999999999999`))
+	f.Add(uint8(2), []byte(`jdeadbeef`))
+	f.Add(uint8(2), []byte(`../result`))
+	f.Add(uint8(3), []byte("\x00/%zz"))
 
 	// A config replaces the preset wholesale, so the {"Chips":0} seed above
 	// fails at Validate's first check; only a complete config with one field
@@ -75,36 +80,45 @@ func FuzzJobsHTTP(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint8(0), body)
+		f.Add(uint8(0), one(string(body)))
 	}
 	// A value with anything after it is a 400, never a job and never a
 	// silently dropped second one.
 	for _, body := range trailingBodies {
-		f.Add(uint8(0), []byte(body))
+		f.Add(uint8(0), append(one(snEstimate), strings.TrimPrefix(body, snEstimate)...))
 	}
 
 	mux := http.NewServeMux()
 	stubTable().Mount(mux)
 	f.Fuzz(func(t *testing.T, route uint8, data []byte) {
 		r := &http.Request{Method: http.MethodPost, Header: http.Header{}, Body: http.NoBody}
-		switch route % 3 {
+		switch route % 4 {
 		case 0:
-			r.URL = &url.URL{Path: "/v1/jobs"}
-			r.Body = io.NopCloser(bytes.NewReader(data))
-		case 1:
 			r.URL = &url.URL{Path: "/v1/jobs:batch"}
 			r.Body = io.NopCloser(bytes.NewReader(data))
-		case 2:
+		case 1:
 			r.Method = http.MethodGet
 			r.URL = &url.URL{Path: "/v1/jobs:watch", RawQuery: string(data)}
+		default:
+			// The id is one escaped path segment, so the request always
+			// names the {id} routes, never a path the mux cleans away.
+			r.Method = http.MethodGet
+			if route%4 == 3 {
+				r.Method = http.MethodDelete
+			}
+			u, err := url.Parse("/v1/jobs/j" + url.PathEscape(string(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.URL = u
 		}
 		w := httptest.NewRecorder()
 		mux.ServeHTTP(w, r)
 		if c := w.Code; c != http.StatusOK && c != http.StatusAccepted && c/100 != 4 {
-			t.Fatalf("status %d for route %d input %q", c, route%3, data)
+			t.Fatalf("status %d for route %d input %q", c, route%4, data)
 		}
 		if !json.Valid(w.Body.Bytes()) {
-			t.Fatalf("non-JSON body %q for route %d input %q", w.Body.Bytes(), route%3, data)
+			t.Fatalf("non-JSON body %q for route %d input %q", w.Body.Bytes(), route%4, data)
 		}
 	})
 }
@@ -133,12 +147,9 @@ func post(t *testing.T, route, body string) *httptest.ResponseRecorder {
 }
 
 // TestTrailingBytesRejected: a submission is one JSON value. Trailing text
-// and a second concatenated job are both 400s, with nothing admitted.
+// and a second concatenated value are both 400s, with nothing admitted.
 func TestTrailingBytesRejected(t *testing.T) {
 	for _, body := range trailingBodies {
-		if w := post(t, "/v1/jobs", body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: %d %s, want 400", body, w.Code, w.Body.Bytes())
-		}
 		batch := `{"jobs":[` + snEstimate + `]}` + strings.TrimPrefix(body, snEstimate)
 		if w := post(t, "/v1/jobs:batch", batch); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", batch, w.Code, w.Body.Bytes())
@@ -148,15 +159,14 @@ func TestTrailingBytesRejected(t *testing.T) {
 
 // TestUnknownFieldRejected: a submission naming a field the request or its
 // config does not have, such as a misspelling or a field an older model had,
-// is a 400 on both routes, never an answer for the model its known fields
-// describe.
+// is a 400, never an answer for the model its known fields describe.
 func TestUnknownFieldRejected(t *testing.T) {
 	cfg := gpu.ScaledConfig()
 	explicit, err := json.Marshal(client.JobRequest{Benchmark: "SN", Org: "SAC", Fidelity: "estimate", Config: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := post(t, "/v1/jobs", string(explicit)); w.Code != http.StatusAccepted {
+	if w := post(t, "/v1/jobs:batch", `{"jobs":[`+string(explicit)+`]}`); w.Code != http.StatusAccepted {
 		t.Fatalf("%s: %d %s, want 202", explicit, w.Code, w.Body.Bytes())
 	}
 	for _, body := range []string{
@@ -165,11 +175,8 @@ func TestUnknownFieldRejected(t *testing.T) {
 		strings.Replace(string(explicit), `"SACOpts":{`, `"SACOpts":{"ReuseKernelDecisions":false,`, 1),
 		strings.TrimSuffix(snEstimate, "}") + `,"priority2":"batch"}`,
 	} {
-		if w := post(t, "/v1/jobs", body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: %d %s, want 400", body, w.Code, w.Body.Bytes())
-		}
-		if batch := `{"jobs":[` + body + `]}`; post(t, "/v1/jobs:batch", batch).Code != http.StatusBadRequest {
-			t.Errorf("batch of %s: want 400", body)
+		if w := post(t, "/v1/jobs:batch", `{"jobs":[`+body+`]}`); w.Code != http.StatusBadRequest {
+			t.Errorf("batch of %s: %d %s, want 400", body, w.Code, w.Body.Bytes())
 		}
 	}
 }
@@ -183,12 +190,10 @@ func TestBodyBounded(t *testing.T) {
 	if w := post(t, "/v1/jobs:batch", pad(batch, jobs.MaxBodyBytes)); w.Code != http.StatusAccepted {
 		t.Fatalf("batch at the bound: %d %s, want 202", w.Code, w.Body.Bytes())
 	}
-	for route, body := range map[string]string{"/v1/jobs:batch": batch, "/v1/jobs": snEstimate} {
-		w := post(t, route, pad(body, jobs.MaxBodyBytes+1))
-		var e struct{ Error string }
-		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
-			t.Fatalf("%s past the bound: %d %s, want 413 with an error", route, w.Code, w.Body.Bytes())
-		}
+	w := post(t, "/v1/jobs:batch", pad(batch, jobs.MaxBodyBytes+1))
+	var e struct{ Error string }
+	if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Error == "" {
+		t.Fatalf("batch past the bound: %d %s, want 413 with an error", w.Code, w.Body.Bytes())
 	}
 }
 

@@ -23,28 +23,25 @@ const (
 	MaxWatchTimeout     = 5 * time.Minute
 )
 
-// Mount registers the jobs API on mux — the same six routes, shapes and
+// Mount registers the jobs API on mux — the same four routes, shapes and
 // status codes on sacd and on saccoord, so a client cannot tell which it
 // talks to:
 //
-//	POST   /v1/jobs             submit a job            → 202 JobStatus
-//	POST   /v1/jobs:batch       submit up to MaxBatch   → 202 BatchResponse
-//	GET    /v1/jobs:watch       long-poll until all end → 200 WatchResponse
-//	GET    /v1/jobs/{id}        job status              → 200 JobStatus
-//	DELETE /v1/jobs/{id}        cancel a job            → 200 JobStatus
-//	GET    /v1/jobs/{id}/result finished job's result   → 200 stats.Run
+//	POST   /v1/jobs:batch  submit up to MaxBatch   → 202 BatchResponse
+//	GET    /v1/jobs:watch  long-poll until all end → 200 WatchResponse
+//	GET    /v1/jobs/{id}   job status              → 200 JobStatus
+//	DELETE /v1/jobs/{id}   cancel a job            → 200 JobStatus
 //
+// Every status a route writes carries a done job's result bytes inline.
 // Every error response is JSON: {"error": "..."} with the status code
-// carrying the semantics (400 invalid request, 404 unknown job, 409 result
-// not ready, 410 job expired or canceled, 413 a body past MaxBodyBytes, 429
-// and 503 for an AdmitError, with Retry-After when the daemon sizes one).
+// carrying the semantics (400 invalid request, 404 unknown job, 413 a body
+// past MaxBodyBytes, 429 and 503 for an AdmitError, with Retry-After when the
+// daemon sizes one).
 func (t *Table) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/jobs", t.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs:batch", t.handleBatch)
 	mux.HandleFunc("GET /v1/jobs:watch", t.handleWatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", statusRoute(t.Status))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", statusRoute(t.Cancel))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", t.handleResult)
 }
 
 // WriteJSON writes v with a status code; encode failures are unrecoverable
@@ -112,28 +109,17 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (t *Table) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req client.JobRequest
-	if DecodeBody(w, r, &req) {
-		t.serveAdmit(w, r, []client.JobRequest{req}, true)
-	}
-}
-
+// handleBatch is the one submission handler. The X-Sacd-Timeout-Ms header is
+// how a client propagates its context deadline; it applies to every item
+// that names no timeout_ms of its own. Items that are already done (warm
+// estimate cells, memo recalls) carry their result bytes inline, so a warm
+// batch is one round trip end to end.
 func (t *Table) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq client.BatchRequest
-	if DecodeBody(w, r, &breq) {
-		t.serveAdmit(w, r, breq.Jobs, false)
+	if !DecodeBody(w, r, &breq) {
+		return
 	}
-}
-
-// serveAdmit is the one submission handler; POST /v1/jobs is a batch of one
-// answered in the single-job shape. The X-Sacd-Timeout-Ms header is how a
-// client propagates its context deadline; it applies to every item that
-// names no timeout_ms of its own. A batch response's items that are already
-// done (warm estimate cells, memo recalls) carry their result bytes inline,
-// so a warm batch is one round trip end to end; the single-job shape carries
-// none.
-func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client.JobRequest, single bool) {
+	reqs := breq.Jobs
 	if v := r.Header.Get(client.TimeoutHeader); v != "" {
 		ms, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || ms <= 0 {
@@ -156,25 +142,23 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 		WriteError(w, refused.Code, "%v", err)
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, "%v", err)
-	case itemErrs != nil && single:
-		WriteError(w, http.StatusBadRequest, "%s", itemErrs[0])
 	case itemErrs != nil:
 		// Per-item errors ("" = the item was fine, rejected only because
-		// the batch is all-or-nothing); the top-level Error keeps the shape
-		// the client's retry loop understands.
+		// the batch is all-or-nothing); the top-level Error, all a client's
+		// APIError keeps, counts them and names the first.
 		resp := client.BatchResponse{Jobs: make([]client.BatchItem, len(itemErrs))}
-		n := 0
+		n, first := 0, -1
 		for i, e := range itemErrs {
 			if e != "" {
 				resp.Jobs[i].Error = e
-				n++
+				if n++; first < 0 {
+					first = i
+				}
 			}
 		}
-		resp.Error = fmt.Sprintf("batch rejected: %d of %d jobs invalid", n, len(itemErrs))
+		resp.Error = fmt.Sprintf("batch rejected: %d of %d jobs invalid; job %d: %s",
+			n, len(itemErrs), first, itemErrs[first])
 		WriteJSON(w, http.StatusBadRequest, resp)
-	case single:
-		st := t.status(batch[0], false)
-		writeStatus(w, http.StatusAccepted, &st)
 	default:
 		// A client.BatchResponse of accepted items: no error, every item a
 		// status.
@@ -184,7 +168,7 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 				if i > 0 {
 					b = append(b, ',')
 				}
-				st := t.status(j, true)
+				st := t.status(j)
 				b = append(b, `{"status":`...)
 				b = append(client.AppendStatus(b, &st), '}')
 			}
@@ -194,7 +178,8 @@ func (t *Table) serveAdmit(w http.ResponseWriter, r *http.Request, reqs []client
 }
 
 // statusRoute answers with what of returns for the job the path names: its
-// status (Status), or its status after a cancel (Cancel, idempotent).
+// status (Status), or its status after a cancel (Cancel, idempotent), a done
+// job's result bytes inline either way.
 func statusRoute(of func(id string) (client.JobStatus, bool)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -204,30 +189,6 @@ func statusRoute(of func(id string) (client.JobStatus, bool)) http.HandlerFunc {
 			return
 		}
 		writeStatus(w, http.StatusOK, &st)
-	}
-}
-
-func (t *Table) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	raw, st, ok := t.ResultRaw(id)
-	switch {
-	case !ok:
-		WriteError(w, http.StatusNotFound, "unknown job %q", id)
-	case st.State == client.StateFailed:
-		WriteError(w, http.StatusInternalServerError, "job %s failed: %s", id, st.Error)
-	case st.State == client.StateExpired || st.State == client.StateCanceled:
-		WriteError(w, http.StatusGone, "job %s %s: %s", id, st.State, st.Error)
-	case st.State != client.StateDone:
-		WriteError(w, http.StatusConflict, "job %s is %s, result not ready", id, st.State)
-	case raw == nil:
-		WriteError(w, http.StatusInternalServerError, "result bytes unavailable")
-	default:
-		// The bytes go out as stored or relayed; the trailing newline keeps
-		// the body identical to what a json.Encoder would have written.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(raw)
-		_, _ = w.Write([]byte{'\n'})
 	}
 }
 
@@ -291,7 +252,7 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 		seen[id] = true
 		switch j, fin := t.find(id); {
 		case fin != nil:
-			resp.Jobs = append(resp.Jobs, fin.status(true))
+			resp.Jobs = append(resp.Jobs, fin.st)
 		case j != nil:
 			pending = append(pending, j)
 		default:
@@ -304,7 +265,7 @@ func (t *Table) Watch(ctx context.Context, ids []string, timeout time.Duration) 
 	scan := func() {
 		for i := len(pending) - 1; i >= 0; i-- {
 			if j := pending[i]; j.over() {
-				resp.Jobs = append(resp.Jobs, t.status(j, true))
+				resp.Jobs = append(resp.Jobs, t.status(j))
 				last := len(pending) - 1
 				pending[i], pending[last] = pending[last], j
 				pending = pending[:last]

@@ -126,8 +126,8 @@ type Metrics struct {
 }
 
 // Config is what a daemon plugs into the engine. Execute is required;
-// Resolve and Admit are required by the admission paths (Submit, SubmitBatch,
-// the HTTP surface and Restore).
+// Resolve and Admit are required by the admission paths (SubmitBatch, the
+// HTTP surface and Restore).
 type Config struct {
 	// Resolve validates one request and resolves its identity, which the
 	// job shares and never writes; its error is the per-item 400 message.
@@ -250,14 +250,6 @@ type final struct {
 // charge is what f counts against RetainedBytes.
 func (f *final) charge() int { return statusOverhead + len(f.st.Result) }
 
-func (f *final) status(withResult bool) client.JobStatus {
-	st := f.st
-	if !withResult {
-		st.Result = nil
-	}
-	return st
-}
-
 // Table holds a daemon's live jobs, its retained final statuses and its
 // flights.
 type Table struct {
@@ -307,7 +299,7 @@ func newID() string {
 // NewJob builds a queued job, under a fresh id, for an identity the caller
 // already resolved: what admission does after Resolve. The caller sets Req,
 // Deadline or ID before the job is visible to anyone else. The job is not
-// registered — Submit, SubmitBatch and Restore do that, so that Status,
+// registered — SubmitBatch and Restore do that, so that Status,
 // Cancel and Watch can find it — and a caller that drives its own jobs
 // through Run (a local sweep) leaves nothing behind but the flights.
 func NewJob(ident *Identity) *Job {
@@ -316,24 +308,12 @@ func NewJob(ident *Identity) *Job {
 
 // ---- admission ----
 
-// Submit admits one job: a batch of one.
-func (t *Table) Submit(req client.JobRequest) (client.JobStatus, error) {
-	sts, itemErrs, err := t.SubmitBatch([]client.JobRequest{req})
-	switch {
-	case err != nil:
-		return client.JobStatus{}, err
-	case itemErrs != nil:
-		return client.JobStatus{}, errors.New(itemErrs[0])
-	}
-	return sts[0], nil
-}
-
 // SubmitBatch admits up to client.MaxBatch jobs. Admission is
 // all-or-nothing: if any request fails validation, itemErrs carries one
 // message per offending item (aligned with reqs, "" = valid) and nothing is
 // admitted; if the batch as a whole is refused, err says why (an *AdmitError
 // for backpressure, ill health, drain or shutdown). On success the statuses
-// come back in request order.
+// come back in request order, a done job's result bytes inline.
 func (t *Table) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, itemErrs []string, err error) {
 	batch, itemErrs, err := t.admit(reqs)
 	if batch == nil {
@@ -341,7 +321,7 @@ func (t *Table) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, i
 	}
 	sts = make([]client.JobStatus, len(batch))
 	for i, j := range batch {
-		sts[i] = t.status(j, false)
+		sts[i] = t.status(j)
 	}
 	return sts, nil, nil
 }
@@ -739,13 +719,12 @@ func (t *Table) Flights() int {
 }
 
 // status is the one projection of a job onto the wire; a settled one
-// answers with its final status. withResult inlines a done job's result
-// bytes, as batch and watch responses do.
-func (t *Table) status(j *Job, withResult bool) client.JobStatus {
+// answers with its final status, a done job's result bytes inline.
+func (t *Table) status(j *Job) client.JobStatus {
 	j.mu.Lock()
 	if fin := j.final; fin != nil {
 		j.mu.Unlock()
-		return fin.status(withResult)
+		return fin.st
 	}
 	st := j.statusLocked(nil)
 	j.mu.Unlock()
@@ -790,31 +769,18 @@ func nonZero(at *time.Time) *time.Time {
 	return at
 }
 
-// lookup is the status of the job registered under id (withResult as for
-// status); ok is false for ids the table does not hold.
-func (t *Table) lookup(id string, withResult bool) (client.JobStatus, bool) {
+// Status reports one job, a done job's result bytes inline — store hits and
+// relayed worker answers untouched, fresh simulations marshaled once, when
+// they settle; ok is false for ids the table does not hold.
+func (t *Table) Status(id string) (client.JobStatus, bool) {
 	j, fin := t.find(id)
 	switch {
 	case fin != nil:
-		return fin.status(withResult), true
+		return fin.st, true
 	case j != nil:
-		return t.status(j, withResult), true
+		return t.status(j), true
 	}
 	return client.JobStatus{}, false
-}
-
-// Status reports one job; ok is false for ids the table does not hold.
-func (t *Table) Status(id string) (client.JobStatus, bool) { return t.lookup(id, false) }
-
-// ResultRaw returns a done job's result in canonical wire form — store hits
-// and relayed worker answers untouched, fresh simulations marshaled once,
-// when they settle. Nil raw with ok true means the job holds no result (not
-// done).
-func (t *Table) ResultRaw(id string) (json.RawMessage, client.JobStatus, bool) {
-	st, ok := t.lookup(id, true)
-	raw := st.Result
-	st.Result = nil
-	return raw, st, ok
 }
 
 // Cancel stops one job and returns its status, which a running job reaches
@@ -829,7 +795,7 @@ func (t *Table) Cancel(id string) (client.JobStatus, bool) {
 	if j, _ := t.find(id); j != nil {
 		t.cancel(j)
 	}
-	return t.lookup(id, false)
+	return t.Status(id)
 }
 
 func (t *Table) cancel(j *Job) {

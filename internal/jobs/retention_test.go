@@ -86,7 +86,7 @@ func TestCanceledLeaderLandsFlight(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("a same-key job waited on the canceled leader's flight, which never landed")
 	}
-	if st := tb.status(again, false); st.State != client.StateDone {
+	if st := tb.status(again); st.State != client.StateDone {
 		t.Fatalf("same-key job ended %s (%s), want done", st.State, st.Error)
 	}
 }
@@ -155,8 +155,8 @@ func TestRetentionQueue(t *testing.T) {
 	if st, ok := tb.Cancel(young); !ok || !reflect.DeepEqual(st, final) {
 		t.Fatalf("cancel of a retained id answered known=%v %+v, want the final status %+v", ok, st, final)
 	}
-	if raw, _, _ := tb.ResultRaw(young); !bytes.Equal(raw, rawResult) {
-		t.Fatalf("retained result %s, want %s", raw, rawResult)
+	if !bytes.Equal(final.Result, rawResult) {
+		t.Fatalf("retained status carries result %s, want %s", final.Result, rawResult)
 	}
 
 	own := testTable(Metrics{})
@@ -199,20 +199,20 @@ func TestRetainedBytesBound(t *testing.T) {
 	kept := RetainedBytes / (statusOverhead + len(result))
 	for i, st := range sts {
 		status, known := tb.Status(st.ID)
-		raw, _, rawKnown := tb.ResultRaw(st.ID)
-		_, cancelKnown := tb.Cancel(st.ID)
+		canceled, cancelKnown := tb.Cancel(st.ID)
 		resp, err := tb.Watch(context.Background(), []string{st.ID}, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i >= len(sts)-kept {
-			if !known || status.State != client.StateDone || len(raw) != len(result) || len(resp.Jobs) != 1 {
-				t.Fatalf("newest job %d: known=%v %s with %d result bytes, watch %d jobs; want done with its result",
-					i, known, status.State, len(raw), len(resp.Jobs))
+			if !known || status.State != client.StateDone || len(status.Result) != len(result) ||
+				len(canceled.Result) != len(result) || len(resp.Jobs) != 1 {
+				t.Fatalf("newest job %d: known=%v %s with %d result bytes (cancel %d), watch %d jobs; want done with its result",
+					i, known, status.State, len(status.Result), len(canceled.Result), len(resp.Jobs))
 			}
-		} else if known || rawKnown || cancelKnown || len(resp.Unknown) != 1 {
-			t.Fatalf("dropped job %d answers status %v, result %v, cancel %v, watch unknown %v; want unknown as if swept",
-				i, known, rawKnown, cancelKnown, resp.Unknown)
+		} else if known || cancelKnown || len(resp.Unknown) != 1 {
+			t.Fatalf("dropped job %d answers status %v, cancel %v, watch unknown %v; want unknown as if swept",
+				i, known, cancelKnown, resp.Unknown)
 		}
 	}
 	if n := tb.Len(); n != kept {

@@ -101,7 +101,7 @@ func TestBatchMixedFidelity(t *testing.T) {
 	release := func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
 	ctx := context.Background()
-	blocker, err := c.Submit(ctx, tinyRequest("SN", "SAC"))
+	blocker, err := submit(ctx, c, tinyRequest("SN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +167,9 @@ func TestBatchMalformed(t *testing.T) {
 	if !strings.Contains(bresp.Error, "2 of 3") {
 		t.Errorf("top-level error %q does not count the bad items", bresp.Error)
 	}
+	if len(bresp.Jobs) > 1 && !strings.Contains(bresp.Error, bresp.Jobs[1].Error) {
+		t.Errorf("top-level error %q does not name the first bad item's %q", bresp.Error, bresp.Jobs[1].Error)
+	}
 	if len(bresp.Jobs) != 3 {
 		t.Fatalf("got %d items, want 3", len(bresp.Jobs))
 	}
@@ -204,7 +207,7 @@ func TestWatchFirstTerminal(t *testing.T) {
 
 	// The exact job wedges in BeforeRun; the estimate job is terminal at
 	// submit.
-	slow, err := c.Submit(ctx, tinyRequest("BP", "SAC"))
+	slow, err := submit(ctx, c, tinyRequest("BP", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +215,7 @@ func TestWatchFirstTerminal(t *testing.T) {
 	close(known)
 	est := tinyRequest("RN", "SAC")
 	est.Fidelity = client.FidelityEstimate
-	fast, err := c.Submit(ctx, est)
+	fast, err := submit(ctx, c, est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestWatchBlocksUntilTerminal(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	st, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +285,7 @@ func TestWatchTimeout(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 
-	st, err := s.Submit(client.JobRequest{Benchmark: "RN", Org: "SAC"})
+	st, err := admit(s, client.JobRequest{Benchmark: "RN", Org: "SAC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +317,7 @@ func TestWatchCtxCancel(t *testing.T) {
 	defer close(release)
 	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(string) { <-release }}})
 
-	st, err := c.Submit(context.Background(), tinyRequest("RN", "SAC"))
+	st, err := submit(context.Background(), c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +340,8 @@ func TestWatchCtxCancel(t *testing.T) {
 }
 
 // TestResultServedFromRawBytes pins the zero-copy invariant end to end: the
-// result endpoint's body for a store-hit job is byte-identical to a
-// sim-path job's, and both decode to the same statistics. The hit comes from
+// result bytes the status route serves for a store-hit job are
+// byte-identical to a sim-path job's. The hit comes from
 // a second daemon over the same store, which has no flight of the first
 // daemon's to join.
 func TestResultServedFromRawBytes(t *testing.T) {
@@ -348,16 +351,16 @@ func TestResultServedFromRawBytes(t *testing.T) {
 	_, c2, url2 := testDaemonURL(t, Config{Workers: 2, Store: st})
 	ctx := context.Background()
 
-	first, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	first, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first, err = c.Wait(ctx, first.ID); err != nil {
 		t.Fatal(err)
 	}
-	simRaw := serve(t, "GET", url+"/v1/jobs/"+first.ID+"/result", "", 200)
+	simRaw := servedResult(t, url, first.ID)
 
-	second, err := c2.Submit(ctx, tinyRequest("RN", "SAC"))
+	second, err := submit(ctx, c2, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +370,8 @@ func TestResultServedFromRawBytes(t *testing.T) {
 	if second.Source != client.SourceStore {
 		t.Fatalf("second job source %q, want a store hit", second.Source)
 	}
-	hitRaw := serve(t, "GET", url2+"/v1/jobs/"+second.ID+"/result", "", 200)
-	if !bytes.Equal(simRaw, hitRaw) {
+	hitRaw := servedResult(t, url2, second.ID)
+	if len(simRaw) == 0 || !bytes.Equal(simRaw, hitRaw) {
 		t.Fatalf("store-hit result bytes differ from sim-path bytes:\n%s\nvs\n%s", hitRaw, simRaw)
 	}
 }

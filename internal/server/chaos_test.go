@@ -70,7 +70,7 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Phase 1: one job completes normally — its done record and store
 	// object must prevent any re-execution after the crash.
-	doneSt, err := s1.Submit(tinyRequest("RN", "SAC"))
+	doneSt, err := admit(s1, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCrashRecovery(t *testing.T) {
 	cells := [][2]string{{"BP", "SAC"}, {"SN", "SAC"}, {"BP", "memory-side"}, {"SN", "memory-side"}}
 	var ids []string
 	for _, c := range cells {
-		st, err := s1.Submit(tinyRequest(c[0], c[1]))
+		st, err := admit(s1, tinyRequest(c[0], c[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("restored server executed %d simulations, want %d", got, len(cells))
 	}
 	// The job done before the crash is answered from the store, not re-run.
-	re, err := s2.Submit(tinyRequest("RN", "SAC"))
+	re, err := admit(s2, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 	}
 	var ids []string
 	for _, bm := range []string{"RN", "BP", "SN"} {
-		jst, err := s1.Submit(tinyRequest(bm, "SAC"))
+		jst, err := admit(s1, tinyRequest(bm, "SAC"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestDrainJournalExactlyOnce(t *testing.T) {
 			t.Fatalf("job %s state %q after drain, want requeued", id, jst.State)
 		}
 	}
-	if _, err := s1.Submit(tinyRequest("RN", "SAC")); !errors.Is(err, ErrDraining) {
+	if _, err := admit(s1, tinyRequest("RN", "SAC")); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining submit returned %v, want ErrDraining", err)
 	}
 
@@ -227,7 +227,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16})
 	req := tinyRequest("RN", "SAC")
 	req.TimeoutMS = 25
-	st, err := s.Submit(req)
+	st, err := admit(s, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestDeadlineCancelsRunningJob(t *testing.T) {
 	s.Start()
 	req := tinyRequest("RN", "SAC")
 	req.TimeoutMS = 25
-	st, err := s.Submit(req)
+	st, err := admit(s, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDegradedStillAdmits(t *testing.T) {
 	s := New(Config{Workers: 1, QueueCap: 16})
 	s.degradedQueueAge = 10 * time.Millisecond
 	// Workers never started: the queue only ages.
-	if _, err := s.Submit(tinyRequest("RN", "SAC")); err != nil {
+	if _, err := admit(s, tinyRequest("RN", "SAC")); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(25 * time.Millisecond)
@@ -305,7 +305,7 @@ func TestDegradedStillAdmits(t *testing.T) {
 		t.Fatalf("oldest_queued_ms %d, want >= threshold", h.OldestQueuedMS)
 	}
 
-	st, err := c.Submit(context.Background(), tinyRequest("BP", "SAC"))
+	st, err := submit(context.Background(), c, tinyRequest("BP", "SAC"))
 	if err != nil || st.State != client.StateQueued || st.QueueAhead != 1 {
 		t.Fatalf("degraded daemon's answer to a new submission: %+v, %v; want it queued behind 1", st, err)
 	}
@@ -329,7 +329,7 @@ func TestStalledWorkersUnhealthy(t *testing.T) {
 	})
 	t.Cleanup(func() { close(release) })
 
-	if _, err := s.Submit(tinyRequest("RN", "SAC")); err != nil {
+	if _, err := admit(s, tinyRequest("RN", "SAC")); err != nil {
 		t.Fatal(err)
 	}
 	<-wedged
@@ -346,7 +346,7 @@ func TestStalledWorkersUnhealthy(t *testing.T) {
 			t.Errorf("unhealthy reasons %q lack %q", reasons, want)
 		}
 	}
-	if _, err := s.Submit(tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
+	if _, err := admit(s, tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("submit to a stalled daemon returned %v, want ErrUnhealthy", err)
 	}
 }
@@ -368,12 +368,12 @@ func TestJournalFailureUnhealthyAndHeals(t *testing.T) {
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(tinyRequest("RN", "SAC")); err != nil {
+	if _, err := admit(s, tinyRequest("RN", "SAC")); err != nil {
 		t.Fatalf("healthy submit failed: %v", err)
 	}
 
 	failing.Store(true)
-	if _, err := s.Submit(tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
+	if _, err := admit(s, tinyRequest("BP", "SAC")); !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("submit with failing journal returned %v, want ErrUnhealthy", err)
 	}
 	h := s.HealthSnapshot()
@@ -391,7 +391,7 @@ func TestJournalFailureUnhealthyAndHeals(t *testing.T) {
 	}
 
 	failing.Store(false)
-	if _, err := s.Submit(tinyRequest("BP", "SAC")); err != nil {
+	if _, err := admit(s, tinyRequest("BP", "SAC")); err != nil {
 		t.Fatalf("submit after disk recovery failed: %v", err)
 	}
 	if h := s.HealthSnapshot(); h.Status == client.HealthUnhealthy {
@@ -438,7 +438,7 @@ func TestJournalFailureRefusesBatchWhole(t *testing.T) {
 	if _, _, err := s.SubmitBatch(reqs); !errors.Is(err, ErrUnhealthy) {
 		t.Fatalf("batch with a failing second append returned %v, want ErrUnhealthy", err)
 	}
-	later, err := s.Submit(tinyRequest("BP", "memory-side"))
+	later, err := admit(s, tinyRequest("BP", "memory-side"))
 	if err != nil {
 		t.Fatalf("submit after the failed append: %v", err)
 	}
@@ -470,7 +470,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		_ = s.Drain(ctx)
 	})
 
-	st, err := s.Submit(tinyRequest("RN", "SAC"))
+	st, err := admit(s, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 
 	// Same cell again: the failed flight must not be memoized.
-	st2, err := s.Submit(tinyRequest("RN", "SAC"))
+	st2, err := admit(s, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		t.Fatalf("retry after panic finished %s: %s", fin.State, fin.Error)
 	}
 	// And the worker survived to run a different cell too.
-	st3, err := s.Submit(tinyRequest("BP", "SAC"))
+	st3, err := admit(s, tinyRequest("BP", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestChaosSoak(t *testing.T) {
 		if i%7 == 0 {
 			req.TimeoutMS = 1 // expires in queue or mid-run
 		}
-		jst, err := s.Submit(req)
+		jst, err := admit(s, req)
 		if err != nil {
 			// Backpressure or unhealthiness under chaos is legal — losing an
 			// *accepted* job is not.
@@ -611,7 +611,7 @@ func TestCorruptJournalSurfacesRecoveryErrors(t *testing.T) {
 	}
 	var ids []string
 	for _, bm := range []string{"RN", "BP", "SN"} {
-		jst, err := s1.Submit(tinyRequest(bm, "SAC"))
+		jst, err := admit(s1, tinyRequest(bm, "SAC"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -700,14 +700,14 @@ func TestCompactionKeepsAcceptOrder(t *testing.T) {
 	}
 	var kept []string
 	for i := 0; i < 16; i++ {
-		st, err := s1.Submit(tinyRequest("RN", "SAC"))
+		st, err := admit(s1, tinyRequest("RN", "SAC"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		kept = append(kept, st.ID)
 	}
 	for i := 0; i < 40; i++ {
-		st, err := s1.Submit(tinyRequest("BP", "SAC"))
+		st, err := admit(s1, tinyRequest("BP", "SAC"))
 		if err != nil {
 			t.Fatal(err)
 		}

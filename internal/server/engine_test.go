@@ -38,7 +38,7 @@ func TestTerminalDurableBeforeVisible(t *testing.T) {
 	}
 	liveAtWake := func(req client.JobRequest, cancel bool) (client.JobStatus, int) {
 		t.Helper()
-		st, err := s.Submit(req)
+		st, err := admit(s, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,20 +124,20 @@ func TestServerForgets(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	finished, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	finished, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if finished, err = c.Wait(ctx, finished.ID); err != nil || finished.State != client.StateDone {
 		t.Fatalf("first job: %v %+v", err, finished)
 	}
-	running, err := s.Submit(tinyRequest("BP", "SAC"))
+	running, err := admit(s, tinyRequest("BP", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gated = running.ID
 	close(known)
-	queued, err := s.Submit(tinyRequest("SN", "SAC"))
+	queued, err := admit(s, tinyRequest("SN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestServerForgets(t *testing.T) {
 	}
 	// The first cell's flight was swept with its job: a resubmission is a
 	// store read, not a memo recall.
-	again, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	again, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}

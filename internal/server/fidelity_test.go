@@ -23,7 +23,7 @@ func TestEstimateAnswersOnAcceptPath(t *testing.T) {
 
 	req := tinyRequest("RN", "SAC")
 	req.Fidelity = client.FidelityEstimate
-	st, err := c.Submit(ctx, req)
+	st, err := submit(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestEstimateAnswersOnAcceptPath(t *testing.T) {
 	if st.Source != client.SourceSim {
 		t.Fatalf("cold estimate source = %q, want %q", st.Source, client.SourceSim)
 	}
-	res, err := c.Result(ctx, st.ID)
+	res, err := st.Outcome()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestEstimateUsesStore(t *testing.T) {
 
 	req := tinyRequest("RN", "SAC")
 	req.Fidelity = client.FidelityEstimate
-	first, err := c.Submit(ctx, req)
+	first, err := submit(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Source != client.SourceSim {
 		t.Fatalf("cold estimate source = %q", first.Source)
 	}
-	second, err := c.Submit(ctx, req)
+	second, err := submit(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEstimateUsesStore(t *testing.T) {
 
 	// The exact flavour of the same cell must be a different object: a warm
 	// estimate answering an exact request would silently downgrade fidelity.
-	sub, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	sub, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFidelityValidation(t *testing.T) {
 	for _, rung := range []string{"cheap", "sampled"} {
 		bad := tinyRequest("RN", "SAC")
 		bad.Fidelity = rung
-		_, err := c.Submit(ctx, bad)
+		_, err := submit(ctx, c, bad)
 		if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 			t.Fatalf("fidelity %q: want 400, got %v", rung, err)
 		}
@@ -118,7 +118,7 @@ func TestFidelityValidation(t *testing.T) {
 	faulted := tinyRequest("RN", "SAC")
 	faulted.Fidelity = client.FidelityEstimate
 	faulted.Faults = "dram:0.5@100*0.5"
-	_, err := c.Submit(ctx, faulted)
+	_, err := submit(ctx, c, faulted)
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("estimate with faults: want 400, got %v", err)
 	}
@@ -133,7 +133,7 @@ func TestFidelityProvenanceAndKeys(t *testing.T) {
 
 	estimate := tinyRequest("RN", "SAC")
 	estimate.Fidelity = client.FidelityEstimate
-	sub, err := c.Submit(ctx, estimate)
+	sub, err := submit(ctx, c, estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFidelityProvenanceAndKeys(t *testing.T) {
 		t.Fatalf("estimate job Fidelity = %q", est.Fidelity)
 	}
 
-	sub, err = c.Submit(ctx, tinyRequest("RN", "SAC"))
+	sub, err = submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDefaultFidelityConfig(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1, DefaultFidelity: "estimate"})
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	st, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDefaultFidelityConfig(t *testing.T) {
 
 	named := tinyRequest("RN", "SAC")
 	named.Fidelity = client.FidelityExact
-	sub, err := c.Submit(ctx, named)
+	sub, err := submit(ctx, c, named)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDefaultFidelityConfig(t *testing.T) {
 	}
 
 	_, cBad := testDaemon(t, Config{Workers: 1, DefaultFidelity: "cheap"})
-	_, err = cBad.Submit(ctx, tinyRequest("RN", "SAC"))
+	_, err = submit(ctx, cBad, tinyRequest("RN", "SAC"))
 	var apiErr *client.APIError
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("bogus DefaultFidelity: want 400 at submit, got %v", err)

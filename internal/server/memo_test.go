@@ -180,16 +180,20 @@ func TestResolverMatchesResolveRequest(t *testing.T) {
 func TestResolverChecksEveryJob(t *testing.T) {
 	s, _, url := testDaemonURL(t, Config{})
 	twin := `"benchmark":"BP","org":"SAC","fidelity":"estimate"`
-	serve(t, "POST", url+"/v1/jobs", "{"+twin+"}", 202)
+	post := func(job string, code int) {
+		t.Helper()
+		serve(t, "POST", url+"/v1/jobs:batch", `{"jobs":[{`+job+`}]}`, code)
+	}
+	post(twin, 202)
 	for _, bad := range []string{
 		`"priority":"urgent"`,
 		`"timeout_ms":-1`,
 		fmt.Sprintf(`"timeout_ms":%d`, maxTimeoutMS+1),
 	} {
-		serve(t, "POST", url+"/v1/jobs", "{"+twin+","+bad+"}", http.StatusBadRequest)
+		post(twin+","+bad, http.StatusBadRequest)
 	}
 	hits := s.m.identHits.Value()
-	serve(t, "POST", url+"/v1/jobs", "{"+twin+`,"timeout_ms":60000}`, 202)
+	post(twin+`,"timeout_ms":60000`, 202)
 	if got := s.m.identHits.Value(); got != hits+1 {
 		t.Fatalf("a twin with a deadline: %v identity hits, want %v", got, hits+1)
 	}

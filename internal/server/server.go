@@ -150,7 +150,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 }
 
 // Server is one serving instance. The embedded table carries the jobs API:
-// Submit, SubmitBatch, Status, ResultRaw, Cancel.
+// SubmitBatch, Watch, Status, Cancel.
 type Server struct {
 	*jobs.Table
 	cfg  Config

@@ -64,11 +64,33 @@ func testDaemonURL(t testing.TB, cfg Config) (*Server, *client.Client, string) {
 	return s, c, hs.URL
 }
 
+// submit sends req to the daemon as a batch of one and returns its status.
+func submit(ctx context.Context, c *client.Client, req client.JobRequest) (client.JobStatus, error) {
+	sts, err := c.SubmitBatch(ctx, []client.JobRequest{req})
+	if err != nil {
+		return client.JobStatus{}, err
+	}
+	return sts[0], nil
+}
+
+// admit admits req into s's table as a batch of one; the item's validation
+// error or the batch's refusal is the error.
+func admit(s *Server, req client.JobRequest) (client.JobStatus, error) {
+	sts, itemErrs, err := s.SubmitBatch([]client.JobRequest{req})
+	switch {
+	case err != nil:
+		return client.JobStatus{}, err
+	case itemErrs != nil:
+		return client.JobStatus{}, errors.New(itemErrs[0])
+	}
+	return sts[0], nil
+}
+
 func TestSubmitRunAndFetchResult(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 2})
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	st, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +104,7 @@ func TestSubmitRunAndFetchResult(t *testing.T) {
 	if st.State != client.StateDone || st.Source != client.SourceSim {
 		t.Fatalf("state=%s source=%s, want done/sim", st.State, st.Source)
 	}
-	res, err := c.Result(ctx, st.ID)
+	res, err := st.Outcome()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +143,7 @@ func TestValidationRejectedWith400(t *testing.T) {
 		// passed.
 		{Benchmark: "RN", Org: "SAC", Fidelity: client.FidelityEstimate, TimeoutMS: 1e13},
 	} {
-		_, err := c.Submit(ctx, req)
+		_, err := submit(ctx, c, req)
 		var apiErr *client.APIError
 		if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
 			t.Errorf("request %+v: want 400, got %v", req, err)
@@ -131,8 +153,8 @@ func TestValidationRejectedWith400(t *testing.T) {
 	// The same timeout through the header, which fills timeout_ms before
 	// the request resolves. No client sets a deadline that far out, so the
 	// request is sent by hand.
-	body := strings.NewReader(`{"benchmark":"RN","org":"SAC","fidelity":"estimate"}`)
-	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", body)
+	body := strings.NewReader(`{"jobs":[{"benchmark":"RN","org":"SAC","fidelity":"estimate"}]}`)
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/jobs:batch", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +170,63 @@ func TestValidationRejectedWith400(t *testing.T) {
 	}
 	// A field the request type lacks fails decoding, as sacd's queue has no
 	// priority to choose.
-	serve(t, http.MethodPost, url+"/v1/jobs", `{"benchmark":"RN","org":"SAC","priority":"normal"}`, http.StatusBadRequest)
+	serve(t, http.MethodPost, url+"/v1/jobs:batch", `{"jobs":[{"benchmark":"RN","org":"SAC","priority":"normal"}]}`, http.StatusBadRequest)
+}
+
+// TestOneItemBatchNamesItsError: a batch of one that the daemon refuses
+// reaches the Go caller with the item's own reason, not only a count of bad
+// items, through SubmitBatch and through Run.
+func TestOneItemBatchNamesItsError(t *testing.T) {
+	_, c := testDaemon(t, Config{Workers: 1})
+	ctx := context.Background()
+	req := client.JobRequest{Benchmark: "no-such-benchmark", Org: "SAC"}
+	_, batchErr := c.SubmitBatch(ctx, []client.JobRequest{req})
+	_, runErr := c.Run(ctx, req)
+	for _, err := range []error{batchErr, runErr} {
+		var apiErr *client.APIError
+		if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(apiErr.Message, `unknown benchmark "no-such-benchmark"`) {
+			t.Errorf("got %v, want a 400 APIError naming the unknown benchmark", err)
+		}
+	}
+}
+
+// rewriteTransport sends every request to path instead of where the client
+// addressed it: a client of a route the daemon no longer serves.
+type rewriteTransport string
+
+func (path rewriteTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.URL.Path, r.URL.RawPath, r.URL.RawQuery = string(path), "", ""
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRemovedRoutesAnswerAPIError: the jobs API is its four routes. A
+// per-job submit (POST /v1/jobs) and a result fetch (GET
+// /v1/jobs/{id}/result), even for a done job, are 404s that the client
+// reports as *client.APIError.
+func TestRemovedRoutesAnswerAPIError(t *testing.T) {
+	_, c, url := testDaemonURL(t, Config{Workers: 1})
+	ctx := context.Background()
+	est := tinyRequest("RN", "SAC")
+	est.Fidelity = client.FidelityEstimate
+	done, err := submit(ctx, c, est)
+	if err != nil || done.State != client.StateDone {
+		t.Fatalf("estimate cell: %+v, %v; want done", done, err)
+	}
+	for _, tc := range []struct {
+		route string
+		call  func(*client.Client) error
+	}{
+		{"/v1/jobs", func(c *client.Client) error { _, err := submit(ctx, c, est); return err }},
+		{"/v1/jobs/" + done.ID + "/result", func(c *client.Client) error { _, err := c.Status(ctx, done.ID); return err }},
+	} {
+		old := client.New(url, client.WithRetries(0), client.WithHTTPClient(&http.Client{Transport: rewriteTransport(tc.route)}))
+		var apiErr *client.APIError
+		if err := tc.call(old); !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: got %v, want a 404 APIError", tc.route, err)
+		}
+	}
 }
 
 func asAPIError(err error, target **client.APIError) bool {
@@ -164,21 +242,26 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
-func TestResultBeforeDone409(t *testing.T) {
+// TestStatusBeforeDoneHasNoResult: a job that has not finished answers its
+// status without result bytes, and decoding it names the state.
+func TestStatusBeforeDoneHasNoResult(t *testing.T) {
 	s := New(Config{Workers: 1})
 	// Workers never started: the job stays queued.
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, client.WithRetries(0))
 	ctx := context.Background()
-	st, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	st, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Result(ctx, st.ID)
-	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 409 {
-		t.Fatalf("pending result: want 409, got %v", err)
+	if st, err = c.Status(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Outcome(); st.State != client.StateQueued || st.Result != nil || err == nil ||
+		!strings.Contains(err.Error(), client.StateQueued) {
+		t.Fatalf("pending job: %s with %d result bytes, outcome error %v; want queued, none, an error naming it",
+			st.State, len(st.Result), err)
 	}
 }
 
@@ -190,11 +273,11 @@ func TestQueueOverflow429(t *testing.T) {
 	c := client.New(hs.URL, client.WithRetries(0))
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := c.Submit(ctx, tinyRequest("RN", "SAC")); err != nil {
+		if _, err := submit(ctx, c, tinyRequest("RN", "SAC")); err != nil {
 			t.Fatalf("submit %d within cap failed: %v", i, err)
 		}
 	}
-	_, err := c.Submit(ctx, tinyRequest("RN", "SAC"))
+	_, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	var apiErr *client.APIError
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 429 {
 		t.Fatalf("overflow: want 429, got %v", err)
@@ -217,7 +300,7 @@ func TestConcurrentDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := c.Submit(ctx, tinyRequest("BP", "SAC"))
+			st, err := submit(ctx, c, tinyRequest("BP", "SAC"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -228,7 +311,7 @@ func TestConcurrentDedup(t *testing.T) {
 				return
 			}
 			sources[i] = st.Source
-			res, err := c.Result(ctx, st.ID)
+			res, err := st.Outcome()
 			if err != nil {
 				t.Error(err)
 				return
@@ -293,7 +376,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, c2 := testDaemon(t, Config{Workers: 2, Store: st2})
-	jst, err := c2.Submit(ctx, tinyRequest("RN", "memory-side"))
+	jst, err := submit(ctx, c2, tinyRequest("RN", "memory-side"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +387,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	if jst.Source != client.SourceStore {
 		t.Fatalf("restarted daemon answered with source %q, want store", jst.Source)
 	}
-	res2, err := c2.Result(ctx, jst.ID)
+	res2, err := jst.Outcome()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +463,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	ctx := context.Background()
 
 	// One slow job occupies the single worker; the second stays queued.
-	running, err := c.Submit(ctx, slowTestRequest("RN", "SAC"))
+	running, err := submit(ctx, c, slowTestRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := c.Submit(ctx, slowTestRequest("SN", "SAC"))
+	queued, err := submit(ctx, c, slowTestRequest("SN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +481,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.StartedAt != nil {
 		t.Fatal("canceled-while-queued job claims to have started")
 	}
-	if _, err := c.Result(ctx, queued.ID); err == nil {
-		t.Fatal("result of a canceled job did not error")
+	if _, err := st.Outcome(); err == nil || st.Result != nil {
+		t.Fatal("a canceled job's status decoded to a result")
 	}
 	// Idempotent: canceling again answers the same terminal status.
 	st2, err := c.Cancel(ctx, queued.ID)
@@ -426,7 +509,7 @@ func TestCancelRunningJob(t *testing.T) {
 	_, c := testDaemon(t, Config{Workers: 1})
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, slowTestRequest("GEMM", "SAC"))
+	st, err := submit(ctx, c, slowTestRequest("GEMM", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}

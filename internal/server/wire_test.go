@@ -38,6 +38,16 @@ func serve(t *testing.T, method, url, body string, code int) []byte {
 	return b
 }
 
+// servedResult is the result bytes GET /v1/jobs/{id} serves for a done job.
+func servedResult(t *testing.T, url, id string) json.RawMessage {
+	t.Helper()
+	var st client.JobStatus
+	if err := json.Unmarshal(serve(t, "GET", url+"/v1/jobs/"+id, "", 200), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Result
+}
+
 // sameAsEncodingJSON decodes a served body into its client type, encodes it
 // again with json.NewEncoder and requires the served bytes, and returns the
 // decoded value.
@@ -58,10 +68,10 @@ func sameAsEncodingJSON[T any](t *testing.T, route string, body []byte) T {
 }
 
 // TestStatusRoutesMatchEncodingJSON drives every route that writes a
-// JobStatus — submit, batch and watch (with results), status, cancel — over
-// jobs that carry a deadline, a queue position, a failure error, a
-// cancellation and inline results, and requires each body to be exactly what
-// encoding/json writes for the value it decodes to.
+// JobStatus — batch, watch, status and cancel — over jobs that carry a
+// deadline, a queue position, a failure error, a cancellation and inline
+// results, and requires each body to be exactly what encoding/json writes
+// for the value it decodes to.
 func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	var fail sync.Map // job ids the chaos hook fails
 	s := New(Config{Workers: 1, Store: openTestStore(t, t.TempDir()),
@@ -77,14 +87,18 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	exact, err := json.Marshal(client.JobRequest{Benchmark: "RN", Org: "SAC", Config: ptr(tinyConfig()), TimeoutMS: 3_600_000})
+	exact, err := json.Marshal(client.BatchRequest{Jobs: []client.JobRequest{
+		{Benchmark: "RN", Org: "SAC", Config: ptr(tinyConfig()), TimeoutMS: 3_600_000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	submit := func() client.JobStatus {
+		t.Helper()
+		return *sameAsEncodingJSON[client.BatchResponse](t, "batch", serve(t, "POST", hs.URL+"/v1/jobs:batch", string(exact), 202)).Jobs[0].Status
+	}
 
 	// Workers not started yet: exact jobs stay queued behind each other.
-	first := sameAsEncodingJSON[client.JobStatus](t, "submit", serve(t, "POST", hs.URL+"/v1/jobs", string(exact), 202))
-	second := sameAsEncodingJSON[client.JobStatus](t, "submit", serve(t, "POST", hs.URL+"/v1/jobs", string(exact), 202))
+	first, second := submit(), submit()
 	if second.QueueAhead != 1 || second.DeadlineAt == nil {
 		t.Fatalf("second job: queue_ahead %d, deadline %v; want 1 and set", second.QueueAhead, second.DeadlineAt)
 	}
@@ -130,23 +144,33 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("watch: %d jobs, unknown %v; want %d and one", len(watch.Jobs), watch.Unknown, len(ids)-1)
 	}
 	sameAsEncodingJSON[client.JobStatus](t, "status", serve(t, "GET", hs.URL+"/v1/jobs/"+second.ID, "", 200))
-	sameAsEncodingJSON[client.JobStatus](t, "cancel", serve(t, "DELETE", hs.URL+"/v1/jobs/"+ids[2], "", 200))
+	for _, route := range []string{"GET", "DELETE"} {
+		if st := sameAsEncodingJSON[client.JobStatus](t, route, serve(t, route, hs.URL+"/v1/jobs/"+ids[2], "", 200)); len(st.Result) == 0 {
+			t.Fatalf("%s of a done job: no result inline", route)
+		}
+	}
 }
 
-// TestBatchAndWatchCarryResults: a jobs:batch POST and a jobs:watch GET that
-// ask for nothing but their jobs carry every done job's result bytes, equal
-// to what GET /v1/jobs/{id}/result serves for it — a store-less estimate
-// cell answered in the batch and an exact cell simulated on a worker.
+// TestBatchAndWatchCarryResults: every route that answers with a done job's
+// status carries the same result bytes — a jobs:batch POST and a jobs:watch
+// GET that ask for nothing but their jobs, and GET and DELETE
+// /v1/jobs/{id} — for a store-less estimate cell answered in the batch and an
+// exact cell simulated on a worker.
 func TestBatchAndWatchCarryResults(t *testing.T) {
 	_, _, url := testDaemonURL(t, Config{Workers: 1})
 	sameAsResult := func(route string, st *client.JobStatus) {
 		t.Helper()
-		if st == nil || st.State != client.StateDone {
-			t.Fatalf("%s: status %+v, want done", route, st)
+		if st == nil || st.State != client.StateDone || len(st.Result) == 0 {
+			t.Fatalf("%s: status %+v, want done with a result", route, st)
 		}
-		want := serve(t, "GET", url+"/v1/jobs/"+st.ID+"/result", "", 200)
-		if got := append(append([]byte(nil), st.Result...), '\n'); !bytes.Equal(got, want) {
-			t.Fatalf("%s: inline result %q, want the result route's %q", route, st.Result, want)
+		for _, method := range []string{"GET", "DELETE"} {
+			var got client.JobStatus
+			if err := json.Unmarshal(serve(t, method, url+"/v1/jobs/"+st.ID, "", 200), &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Result, st.Result) {
+				t.Fatalf("%s: inline result %q, but %s /v1/jobs/{id} carries %q", route, st.Result, method, got.Result)
+			}
 		}
 	}
 	estimate := tinyRequest("BP", "SAC")
@@ -259,8 +283,8 @@ func warmBatch() []client.JobRequest {
 // TestWarmRetainedBytes pins what an answered warm cell costs the daemon
 // while Retention keeps it queryable: the live heap after a GC grows by at
 // most 512 bytes per cell over 20 warm 64-cell batches (the client's copy of
-// each id included), and every measured id still answers Status and
-// ResultRaw.
+// each id included), and every measured id still answers Status with its
+// result.
 func TestWarmRetainedBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures do not hold under -race")
@@ -296,10 +320,8 @@ func TestWarmRetainedBytes(t *testing.T) {
 		t.Errorf("warm cells retain %.0f bytes each, want <= %d", perCellGrowth, perCell)
 	}
 	for _, id := range ids {
-		st, ok := s.Status(id)
-		raw, _, rok := s.ResultRaw(id)
-		if !ok || !rok || st.State != client.StateDone || len(raw) == 0 {
-			t.Fatalf("retained job %s: status known=%v %s, result known=%v with %d bytes", id, ok, st.State, rok, len(raw))
+		if st, ok := s.Status(id); !ok || st.State != client.StateDone || len(st.Result) == 0 {
+			t.Fatalf("retained job %s: status known=%v %s with %d result bytes", id, ok, st.State, len(st.Result))
 		}
 	}
 }
