@@ -92,7 +92,9 @@ type JobRequest struct {
 
 // JobStatus is the daemon's view of one job.
 type JobStatus struct {
-	ID        string `json:"id"`
+	// ID is a pending job's handle for Watch, Status and Cancel; a job settled
+	// in its batch response (an estimate cell, a recall) has none.
+	ID        string `json:"id,omitempty"`
 	State     string `json:"state"`
 	Benchmark string `json:"benchmark"`
 	Org       string `json:"org"`

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -73,15 +74,10 @@ func WithBackoff(first, max time.Duration) Option {
 }
 
 // DefaultTransport returns the tuned *http.Transport New installs when no
-// WithHTTPClient override is given. Every phase of a round trip that can
-// hang on a dead or wedged daemon is bounded — dial, TLS handshake, and the
-// wait for response headers — so a vanished host fails fast into the retry
-// loop instead of parking a sweep, and the idle-connection pool is sized for
-// coordinator fan-out: a saccoord watching many jobs across a handful of
-// worker hosts reuses connections instead of burning a dial (and an
-// ephemeral port) per request. A connection's 64-KiB write buffer takes a
-// 64-cell batch body whole, instead of handing it to a fresh 32-KiB copy
-// buffer per request.
+// WithHTTPClient override is given. Dial, TLS handshake and the wait for
+// response headers are bounded, so a vanished host fails fast into the retry
+// loop; the idle pool is sized for a saccoord's fan-out over a handful of
+// workers; a 64-KiB write buffer takes a 64-cell batch body whole.
 func DefaultTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -167,22 +163,14 @@ func (c *Client) retryDelay(attempt int, lastErr error) time.Duration {
 	for i := 1; i < attempt && ceil < c.maxWait; i++ {
 		ceil *= 2
 	}
-	if ceil > c.maxWait {
-		ceil = c.maxWait
-	}
+	ceil = min(ceil, c.maxWait)
 	delay := time.Duration(0)
 	if ceil > 0 {
 		delay = time.Duration(rand.Int63n(int64(ceil) + 1))
 	}
 	var apiErr *APIError
-	if errors.As(lastErr, &apiErr) && apiErr.RetryAfter > 0 {
-		floor := apiErr.RetryAfter
-		if floor > maxRetryAfter {
-			floor = maxRetryAfter
-		}
-		if delay < floor {
-			delay = floor
-		}
+	if errors.As(lastErr, &apiErr) {
+		delay = max(delay, min(apiErr.RetryAfter, maxRetryAfter))
 	}
 	return delay
 }
@@ -258,16 +246,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 }
 
 // SubmitBatch enqueues up to MaxBatch jobs in one round trip and returns
-// their statuses in request order. Admission is all-or-nothing: per-item
-// validation failures reject the whole batch with a 400 whose message counts
-// the offending items and names the first one's reason. Terminal statuses
-// (warm estimate jobs, memo recalls) carry their results inline
-// (JobStatus.Result), so a warm batch needs no follow-up fetches.
-// Backpressure (429) and draining (503) responses are retried with jittered
-// backoff, honoring the daemon's Retry-After pacing. When ctx has a
-// deadline, the remaining budget is propagated as the X-Sacd-Timeout-Ms
-// header, so the daemon expires every job that names no TimeoutMS of its
-// own when the caller would have stopped waiting anyway.
+// their statuses in request order. Admission is all-or-nothing: one invalid
+// item rejects the batch with a 400 naming the first. A job settled in
+// admission (a warm estimate cell, a memo recall) comes back done, its
+// result inline and no id: there is nothing left to fetch. 429 and 503 are
+// retried with jittered backoff under the daemon's Retry-After. ctx's
+// deadline travels as the X-Sacd-Timeout-Ms header, so the daemon expires a
+// job naming no TimeoutMS when the caller would stop waiting anyway.
 func (c *Client) SubmitBatch(ctx context.Context, reqs []JobRequest) ([]JobStatus, error) {
 	// The transport may still read a request body after the round trip
 	// returns, so the body is an exact-size copy of the pooled encoding.
@@ -334,12 +319,10 @@ func (c *Client) Watch(ctx context.Context, ids []string, timeout time.Duration)
 }
 
 // rearm is the rule for a backpressured watch (err is a 429/503 that outlived
-// the retry loop): it does not fail the wait. The watched jobs are accepted
-// and will finish whether or not watches get through, so the caller re-arms
-// after the usual jittered backoff with the daemon's Retry-After hint as a
-// capped floor — the same pacing rule the submit retries use — until ctx
-// runs out. rearm reports whether err was such a refusal, having slept the
-// delay (or until ctx ended) if so.
+// the retry loop): the watched jobs finish whether or not watches get
+// through, so instead of failing the wait the caller re-arms after the
+// submit retries' pacing, until ctx runs out. rearm reports whether err was
+// such a refusal, having slept the delay (or until ctx ended) if so.
 func (c *Client) rearm(ctx context.Context, err error) bool {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || !apiErr.Temporary() {
@@ -352,13 +335,27 @@ func (c *Client) rearm(ctx context.Context, err error) bool {
 	return true
 }
 
+// UnknownError is WaitAll's error for ids the daemon does not hold: aged out
+// of retention, or lost to a restart.
+type UnknownError struct{ IDs []string }
+
+func (e *UnknownError) Error() string {
+	return fmt.Sprintf("sacd: %d watched jobs unknown to the daemon (first: %s)", len(e.IDs), e.IDs[0])
+}
+
 // WaitAll blocks until every listed job is terminal (or ctx expires) and
 // returns the terminal statuses by id. It holds one open long-poll over the
 // remaining jobs instead of polling each — one round trip per MaxBatch ids
-// plus one per re-arm, not O(jobs × poll-rate). An id the daemon does not
-// know is an error: the job aged out of retention before it was collected.
-// A backpressured watch re-arms (see rearm) instead of failing the wait.
+// plus one per re-arm, not O(jobs × poll-rate). An empty id (a status settled
+// in its batch response has none) is refused at once; an id the daemon does
+// not know ends the wait with an *UnknownError beside the statuses collected
+// so far. A backpressured watch re-arms (see rearm) instead of failing.
 func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatus, error) {
+	for i, id := range ids {
+		if id == "" {
+			return nil, fmt.Errorf("sacd: wait item %d has no job id: only a pending job has one", i)
+		}
+	}
 	out := make(map[string]JobStatus, len(ids))
 	pending := append([]string(nil), ids...)
 	for len(pending) > 0 {
@@ -372,14 +369,13 @@ func (c *Client) WaitAll(ctx context.Context, ids []string) (map[string]JobStatu
 		if err != nil {
 			return out, err
 		}
-		if len(resp.Unknown) > 0 {
-			return out, fmt.Errorf("sacd: %d watched jobs unknown to the daemon (first: %s)",
-				len(resp.Unknown), resp.Unknown[0])
-		}
-		// A response short of some ids is a long-poll timeout: re-arm.
 		for _, st := range resp.Jobs {
 			out[st.ID] = st
 		}
+		if len(resp.Unknown) > 0 {
+			return out, &UnknownError{IDs: resp.Unknown}
+		}
+		// A response short of some ids is a long-poll timeout: re-arm.
 		next := pending[:0]
 		for _, id := range pending {
 			if _, settled := out[id]; !settled {
@@ -409,8 +405,8 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 
 // Run submits a job as a batch of one, waits for it, and returns the result
 // — the remote equivalent of sac.Run for one cell. Statuses carry a done
-// job's result, so a warm cell costs one round trip, and any other a submit
-// and a wait.
+// job's result, so a warm cell costs one round trip (its status has no id),
+// and any other a submit and a wait.
 func (c *Client) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
 	sts, err := c.SubmitBatch(ctx, []JobRequest{req})
 	if err != nil {
@@ -428,21 +424,23 @@ func (c *Client) Run(ctx context.Context, req JobRequest) (*stats.Run, error) {
 // Outcome decodes a terminal status into its result. Every status carries a
 // done job's result, so a done status without one is an error, not a reason
 // for another round trip; any other state is an error that names it.
+// A status without an id, settled in its batch response, is named by its key.
 func (s JobStatus) Outcome() (*stats.Run, error) {
+	name := cmp.Or(s.ID, s.Key)
 	switch s.State {
 	case StateDone:
 		if len(s.Result) == 0 {
-			return nil, fmt.Errorf("sacd: job %s done without its result", s.ID)
+			return nil, fmt.Errorf("sacd: job %s done without its result", name)
 		}
 		var run stats.Run
 		if err := json.Unmarshal(s.Result, &run); err != nil {
-			return nil, fmt.Errorf("sacd: job %s result: %w", s.ID, err)
+			return nil, fmt.Errorf("sacd: job %s result: %w", name, err)
 		}
 		return &run, nil
 	case StateFailed:
-		return nil, fmt.Errorf("sacd: job %s failed: %s", s.ID, s.Error)
+		return nil, fmt.Errorf("sacd: job %s failed: %s", name, s.Error)
 	default:
-		return nil, fmt.Errorf("sacd: job %s %s: %s", s.ID, s.State, s.Error)
+		return nil, fmt.Errorf("sacd: job %s %s: %s", name, s.State, s.Error)
 	}
 }
 

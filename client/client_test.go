@@ -397,6 +397,22 @@ func TestWaitPermanentStatusErrorFails(t *testing.T) {
 	}
 }
 
+// TestWaitRefusesEmptyID: a status settled in its batch response has no id,
+// and nothing to wait for. WaitAll and Wait refuse an empty id at once,
+// naming the item, without a request.
+func TestWaitRefusesEmptyID(t *testing.T) {
+	c, _ := stubDaemon(t, func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("unexpected request %s %s", r.Method, r.URL)
+	})
+	ctx := context.Background()
+	if _, err := c.WaitAll(ctx, []string{"j1", ""}); err == nil || !strings.Contains(err.Error(), "item 1") {
+		t.Fatalf("WaitAll with an empty id: %v, want an error naming item 1", err)
+	}
+	if _, err := c.Wait(ctx, ""); err == nil || !strings.Contains(err.Error(), "item 0") {
+		t.Fatalf("Wait with an empty id: %v, want an error naming item 0", err)
+	}
+}
+
 // TestClientRun drives Run against a daemon that answers each terminal
 // state, in the batch answer itself (warm) or in the watch after it: the
 // status settles the cell by itself, so a warm cell is one round trip and a

@@ -123,8 +123,11 @@ func appendBatchRequest(b []byte, reqs []JobRequest) []byte {
 
 // AppendStatus appends st's JSON encoding.
 func AppendStatus(b []byte, st *JobStatus) []byte {
-	b = wire.AppendString(append(b, `{"id":`...), st.ID)
-	b = wire.AppendString(append(b, `,"state":`...), st.State)
+	b = append(b, '{')
+	if st.ID != "" {
+		b = append(wire.AppendString(append(b, `"id":`...), st.ID), ',')
+	}
+	b = wire.AppendString(append(b, `"state":`...), st.State)
 	b = wire.AppendString(append(b, `,"benchmark":`...), st.Benchmark)
 	b = wire.AppendString(append(b, `,"org":`...), st.Org)
 	b = wire.AppendString(append(b, `,"fidelity":`...), st.Fidelity)

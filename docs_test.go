@@ -64,12 +64,39 @@ var (
 	// A section reference inside DESIGN.md: its own unless it says "paper".
 	sectionRefRe = regexp.MustCompile(`(paper )?§(\d+(?:\.\d+)?)`)
 	prRe         = regexp.MustCompile(`\bPRs? \d+`)
+	// A CHANGES.md entry: one line that starts "PR n:".
+	changesEntryRe = regexp.MustCompile(`^PR \d+:`)
 )
 
 // designBudget bounds DESIGN.md in bytes: under half of the 81,042 it had
 // grown to before it was rewritten to say each thing once. A change that
 // raises it says why in its CHANGES entry.
 const designBudget = 40_360
+
+// changesEntryCap bounds the newest "PR n:" line of CHANGES.md in bytes:
+// an entry says what changed and its headline row; test lists and benchmark
+// quartiles belong with the change's review, not in the log.
+const changesEntryCap = 1536
+
+// TestChangesEntryCap holds the newest CHANGES.md entry to changesEntryCap.
+func TestChangesEntryCap(t *testing.T) {
+	b, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest string
+	for _, line := range strings.Split(string(b), "\n") {
+		if changesEntryRe.MatchString(line) {
+			newest = line
+		}
+	}
+	if newest == "" {
+		t.Fatal("CHANGES.md has no \"PR n:\" entry")
+	}
+	if n := len(newest); n > changesEntryCap {
+		t.Errorf("the newest CHANGES.md entry is %d bytes, over its cap of %d: %.60s...", n, changesEntryCap, newest)
+	}
+}
 
 // moduleGoFiles returns the root module's non-test Go files: bench/ (a
 // module of its own), testdata/ and dot-directories are left out.
@@ -141,8 +168,8 @@ func moduleIdents(t *testing.T) map[string]map[string]bool {
 // tree, and the serving stack (servingStack's packages). A change that
 // raises one says why in its CHANGES entry.
 const (
-	treeLineBudget    = 19_176
-	servingLineBudget = 6_403
+	treeLineBudget    = 19_197
+	servingLineBudget = 6_402
 )
 
 var servingStack = []string{"client", "internal/jobs", "internal/server", "internal/cluster",

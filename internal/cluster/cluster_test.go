@@ -346,17 +346,14 @@ func TestClusterGlobalDedup(t *testing.T) {
 		t.Fatalf("fleet dedup hits = %d, want 1: %+v", fs.DedupHits, fs)
 	}
 
-	// Third submission after completion: answered from the flight memo.
+	// Third submission after completion: answered from the flight memo, in
+	// the submission response.
 	st, err := submit(ctx, clients[0], req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = clients[0].Wait(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != client.SourceMemo {
-		t.Fatalf("post-completion source = %q, want memo", st.Source)
+	if st.State != client.StateDone || st.Source != client.SourceMemo {
+		t.Fatalf("post-completion %s, source %q: want done from the memo", st.State, st.Source)
 	}
 }
 
@@ -437,6 +434,56 @@ func TestClusterGC(t *testing.T) {
 	}
 	if after := c.Fleet().Workers[0].Dispatched; after != before+1 {
 		t.Fatalf("post-GC dispatched = %d, want %d (one fresh dispatch)", after, before+1)
+	}
+}
+
+// TestRecallAtAdmissionIsNotKept: a batch that resubmits a finished cell
+// beside a fresh one. The resubmission is recalled in admission: its status
+// is done from the memo, with its result inline and no id, and the
+// coordinator keeps nothing of it. The fresh cell has an id and is retained
+// once done. Len and the saccoord_jobs_retained gauge count the two
+// dispatched jobs alone.
+func TestRecallAtAdmissionIsNotKept(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, hs := testCoordinator(t, reg)
+	startWorker(t, hs.URL, "worker-a")
+	waitLive(t, c, 1)
+	cc := newClient(hs.URL)
+	ctx := context.Background()
+
+	done := tinyRequest("RN", "SAC", 0)
+	first, err := cc.Run(ctx, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts, err := cc.SubmitBatch(ctx, []client.JobRequest{done, tinyRequest("BP", "SAC", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sts[0]; st.State != client.StateDone || st.Source != client.SourceMemo || st.ID != "" || st.Key == "" {
+		t.Fatalf("recalled item: %s, source %q, id %q, key %q; want done from the memo, with its key and no id",
+			st.State, st.Source, st.ID, st.Key)
+	}
+	if run, err := sts[0].Outcome(); err != nil || run.Cycles != first.Cycles {
+		t.Fatalf("recalled item's inline result: %v, %v; want the first run's", run, err)
+	}
+	fresh := sts[1]
+	if fresh.ID == "" {
+		t.Fatalf("fresh item: %s with no id, want an id", fresh.State)
+	}
+	final, err := cc.WaitAll(ctx, []string{fresh.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := final[fresh.ID]; st.State != client.StateDone {
+		t.Fatalf("fresh item finished %s (%s), want done", st.State, st.Error)
+	}
+	if st, ok := c.Status(fresh.ID); !ok || st.State != client.StateDone || len(st.Result) == 0 {
+		t.Fatalf("fresh job after it finished: known=%v %s; want retained done with its result", ok, st.State)
+	}
+	c.Sweep(time.Now())
+	if n, g := c.Len(), reg.Gauge("saccoord_jobs_retained", "").Value(); n != 2 || g != 2 {
+		t.Fatalf("Len = %d, saccoord_jobs_retained = %v after the sweep; want 2 and 2: the recall is not kept", n, g)
 	}
 }
 
@@ -773,7 +820,7 @@ func TestIdentityMemoPerDaemon(t *testing.T) {
 	var sources []string
 	for range 2 {
 		st, err := submit(ctx, cc, req)
-		if err == nil {
+		if err == nil && !st.Done() {
 			st, err = cc.Wait(ctx, st.ID)
 		}
 		if err != nil {

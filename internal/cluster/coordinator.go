@@ -304,28 +304,31 @@ func (c *Coordinator) watchLapses() {
 // ---- execution ----
 
 // admit is the engine's admission hook: an open coordinator admits
-// everything. A job whose key already completed is recalled on the spot, so
-// its submission response is terminal; every other job gets a goroutine that
-// leads or joins the fleet-wide flight for its key — exactly one worker
-// execution happens per unique key no matter how many clients, or items of
-// one batch, submit it.
+// everything. A job whose key already completed is recalled on the spot,
+// untracked; every other job is tracked and gets a goroutine that leads or
+// joins the fleet-wide flight for its key, so one worker execution happens
+// per unique key. It tracks under the lock Close sets closed under, so
+// Close's CancelAll reaches every job it tracks.
 func (c *Coordinator) admit(batch []*jobs.Job) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	c.wg.Add(len(batch))
-	c.mu.Unlock()
+	var pending []*jobs.Job
 	for _, j := range batch {
-		if c.Recall(j) {
-			c.wg.Done()
-			continue
+		if !c.Recall(j) {
+			pending = append(pending, j)
 		}
-		go func(j *jobs.Job) {
+	}
+	c.Track(pending)
+	c.wg.Add(len(pending))
+	c.mu.Unlock()
+	for _, j := range pending {
+		go func() {
 			defer c.wg.Done()
 			c.Run(j)
-		}(j)
+		}()
 	}
 	return nil
 }
@@ -441,7 +444,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 		// Batch and watch responses carry a done job's result inline; a
 		// worker that answers without one fails this attempt.
 		if len(st.Result) == 0 {
-			return nil, st, fmt.Errorf("worker %s: job %s done without its result", id, st.ID)
+			return nil, st, fmt.Errorf("worker %s: cell %.12s done without its result", id, j.Key)
 		}
 		return st.Result, st, nil
 	case client.StateFailed:
@@ -450,7 +453,7 @@ func (c *Coordinator) dispatch(ctx context.Context, j *jobs.Job, id string, w *w
 		// Expired or canceled worker-side: retryable (another worker may
 		// still make the coordinator's deadline, and a cancel usually means
 		// our own steal fired).
-		return nil, st, fmt.Errorf("worker %s: job %s %s: %s", id, st.ID, st.State, st.Error)
+		return nil, st, fmt.Errorf("worker %s: cell %.12s %s: %s", id, j.Key, st.State, st.Error)
 	}
 }
 

@@ -153,6 +153,56 @@ func TestRemoteRunSetOverQueueCap(t *testing.T) {
 	}
 }
 
+// TestRemoteResubmitsAcrossRestart swaps the daemon behind the fleet's URL
+// between a batch's submit and its watch: the new daemon, a fresh sacd over
+// the same store, does not know the old ids. Each such cell is submitted
+// again, once, and the run-set still equals an in-process run.
+func TestRemoteResubmitsAcrossRestart(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	// The first daemon never starts its workers: its jobs stay queued, and
+	// die with it.
+	old, fresh := server.New(server.Config{Workers: 1, Store: st}), server.New(server.Config{Workers: 1, Store: st})
+	fresh.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = old.Drain(ctx)
+		_ = fresh.Drain(ctx)
+	})
+	var batches atomic.Int64
+	oldAPI, freshAPI := old.Handler(), fresh.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/v1/jobs:batch" && batches.Add(1) == 1 {
+			oldAPI.ServeHTTP(w, req)
+			return
+		}
+		freshAPI.ServeHTTP(w, req)
+	}))
+	defer hs.Close()
+
+	r := testRunner("BP")
+	r.Remote = client.New(hs.URL, client.WithBackoff(2*time.Millisecond, 20*time.Millisecond))
+	reqs := distinctCells(t, r, 3)
+	runs, err := r.RunAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := batches.Load(); n != 2 {
+		t.Fatalf("%d submits, want 2: the batch, then its lost cells once", n)
+	}
+	want, err := testRunner("BP").RunAll(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBytes(t, runs, want) {
+		t.Fatal("answers across the restart differ from in-process runs")
+	}
+}
+
 // TestRemoteShortBatchFails answers a batch with fewer statuses than cells:
 // every cell fails with an error that says so, and none is simulated here.
 func TestRemoteShortBatchFails(t *testing.T) {

@@ -202,30 +202,43 @@ func (r *Runner) ship(t *jobs.Table, cells []*jobs.Job) {
 }
 
 // fetch answers a batch from the fleet, one SubmitBatch and one WaitAll, and
-// starts its cells. A cell ships with its full explicit config, so its remote
-// key is its local one and its bytes are an in-process run's.
+// starts its cells. A cell whose id the fleet no longer knows (its sacd
+// restarted between submit and watch) is submitted again, once. A cell ships
+// with its full explicit config, so its remote key is its local one and its
+// bytes are an in-process run's.
 func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
 	reqs := make([]client.JobRequest, len(batch))
 	for i, j := range batch {
 		reqs[i] = client.JobRequest{Benchmark: j.Spec.Name, Org: j.Cfg.Org.String(), Config: &j.Cfg,
 			Faults: j.Plan.String(), Fidelity: j.Fidelity}
 	}
-	sts, err := r.Remote.SubmitBatch(ctx, reqs)
-	if err == nil && len(sts) != len(batch) {
-		sts, err = nil, fmt.Errorf("sacd: a batch of %d cells was answered with %d statuses", len(batch), len(sts))
-	}
-	if err == nil {
+	sts, err := r.submit(ctx, reqs)
+	for again := false; err == nil; again = true {
+		at := make(map[string]int) // a pending id → its cell
 		var pending []string
-		for _, st := range sts {
+		for i, st := range sts {
 			if !st.Done() {
+				at[st.ID] = i
 				pending = append(pending, st.ID)
 			}
 		}
 		var final map[string]client.JobStatus
 		final, err = r.Remote.WaitAll(ctx, pending)
-		for i, st := range sts {
-			if f, ok := final[st.ID]; ok {
-				sts[i] = f
+		for id, st := range final {
+			sts[at[id]] = st
+		}
+		var unknown *client.UnknownError
+		if again || !errors.As(err, &unknown) {
+			break
+		}
+		lost := make([]client.JobRequest, len(unknown.IDs))
+		for k, id := range unknown.IDs {
+			lost[k] = reqs[at[id]]
+		}
+		var fresh []client.JobStatus
+		if fresh, err = r.submit(ctx, lost); err == nil {
+			for k, id := range unknown.IDs {
+				sts[at[id]] = fresh[k]
 			}
 		}
 	}
@@ -237,6 +250,15 @@ func (r *Runner) fetch(ctx context.Context, t *jobs.Table, batch []*jobs.Job) {
 		r.answers.Store(j, a)
 		go t.Run(j)
 	}
+}
+
+// submit sends reqs as one SubmitBatch and requires a status per request.
+func (r *Runner) submit(ctx context.Context, reqs []client.JobRequest) ([]client.JobStatus, error) {
+	sts, err := r.Remote.SubmitBatch(ctx, reqs)
+	if err == nil && len(sts) != len(reqs) {
+		sts, err = nil, fmt.Errorf("sacd: a batch of %d cells was answered with %d statuses", len(reqs), len(sts))
+	}
+	return sts, err
 }
 
 // Runs returns how many cells were simulated: store hits, twins, joins and

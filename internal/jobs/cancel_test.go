@@ -25,9 +25,8 @@ func TestCancelNeverLeavesExecuteRunning(t *testing.T) {
 	}
 	var mu sync.Mutex
 	execs := map[string]*execution{}
-	tb := New(Config{
+	tb := queuing(Config{
 		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
-		Admit:   func([]*Job) error { return nil },
 		Execute: func(ctx context.Context, j *Job) Outcome {
 			e := &execution{exited: make(chan struct{})}
 			mu.Lock()

@@ -156,12 +156,11 @@ func TestStatusEncodingMatchesEncodingJSON(t *testing.T) {
 
 // TestResultSplicePrecondition pins the invariant the encoder's verbatim
 // result splice relies on: a fresh simulation's result, marshaled by the
-// registered job it settled, is already what encoding/json would make of it
+// tracked job it settled, is already what encoding/json would make of it
 // — compact and HTML-escaped — even when its strings need escaping.
 func TestResultSplicePrecondition(t *testing.T) {
-	tb := New(Config{
+	tb := queuing(Config{
 		Resolve: func(client.JobRequest) (*Identity, error) { return &Identity{}, nil },
-		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			return Outcome{Run: &stats.Run{Benchmark: "<a&b>", Org: "SAC\u2028", Cycles: 42}}
 		},

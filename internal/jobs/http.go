@@ -66,22 +66,14 @@ func writeBody(w http.ResponseWriter, code int, fill func(b []byte) []byte) {
 	wire.PutBuf(bp)
 }
 
-// writeStatus writes one JobStatus body.
-func writeStatus(w http.ResponseWriter, code int, st *client.JobStatus) {
-	writeBody(w, code, func(b []byte) []byte { return client.AppendStatus(b, st) })
-}
-
 // WriteError writes the {"error": ...} body every non-2xx response carries.
 func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// MaxBodyBytes bounds every request body either daemon reads. The largest
-// body a client writes is a full batch: client.MaxBatch requests of about
-// 720 bytes each with an explicit config (a batch of 1024 is ≈ 740 KB).
-// Four KiB per request leaves room for long fault plans and for whitespace,
-// so the bound is client.MaxBatch × 4 KiB = 4 MiB; past it the route answers
-// 413 without reading further.
+// MaxBodyBytes bounds every request body either daemon reads, 413 past it:
+// 4 KiB for each of client.MaxBatch requests (one with an explicit config is
+// about 720 bytes), room for long fault plans and whitespace.
 const MaxBodyBytes = client.MaxBatch * 4 << 10
 
 // DecodeBody reads a JSON request body, bounded by MaxBodyBytes, and decodes
@@ -109,11 +101,10 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleBatch is the one submission handler. The X-Sacd-Timeout-Ms header is
-// how a client propagates its context deadline; it applies to every item
-// that names no timeout_ms of its own. Items that are already done (warm
-// estimate cells, memo recalls) carry their result bytes inline, so a warm
-// batch is one round trip end to end.
+// handleBatch is the one submission handler. The X-Sacd-Timeout-Ms header
+// (a client's context deadline) applies to every item naming no timeout_ms.
+// Items settled in admission carry their result bytes inline and no id, so a
+// warm batch is one round trip end to end.
 func (t *Table) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq client.BatchRequest
 	if !DecodeBody(w, r, &breq) {
@@ -188,7 +179,7 @@ func statusRoute(of func(id string) (client.JobStatus, bool)) http.HandlerFunc {
 			WriteError(w, http.StatusNotFound, "unknown job %q", id)
 			return
 		}
-		writeStatus(w, http.StatusOK, &st)
+		writeBody(w, http.StatusOK, func(b []byte) []byte { return client.AppendStatus(b, &st) })
 	}
 }
 

@@ -8,43 +8,39 @@
 // simulation identity, how an admitted batch is gated and started (sacd
 // queues it for its worker pool, saccoord spawns a goroutine per job), and
 // how one execution produces a result (sacd simulates, saccoord dispatches to
-// a worker). Everything a client can observe about a job — its states, its
-// status JSON, when a watcher wakes, how long a finished job stays
-// queryable — is decided here. A local sweep (eval.Runner) skips admission:
-// it builds jobs for identities it resolved itself with NewJob, drives them
-// through Run and reads each Outcome, so it keeps no job records, only
-// flights.
+// a worker). Everything a client can observe about a job is decided here. A
+// local sweep (eval.Runner) skips admission: it builds jobs with NewJob,
+// drives them through Run and reads each Outcome, so it keeps only flights.
 //
-// Lifecycle. Admission builds and registers the records and lets Config.Admit
-// accept or refuse the batch as a unit (a refused batch is unregistered, and
-// none of its jobs runs). Whoever Admit handed a job to calls Run, which
-// moves it to running and makes the flight decision for its key: the first
-// job leads (Config.Execute runs under a context that the job's deadline and
-// cancel end), a job arriving while the flight is open joins it (source
-// "dedup") and waits under such a context of its own, detaching when it ends,
-// and a job arriving after the flight completed recalls the result (source
-// "memo"). The leader's terminal hook runs, and its flight completes (a failed
-// one is evicted, so a resubmission retries it), before any waiter wakes and
-// before its own terminal state is published: whoever sees the leader
+// Lifecycle. Admission builds the records and lets Config.Admit accept or
+// refuse the batch as a unit (none of a refused batch's jobs runs). An id is
+// a handle for a pending job: a job Admit settles (sacd's inline estimate
+// cells, saccoord's recalls) answers in the batch response without one, and
+// the table keeps nothing of it; one it hands on, it first tracks (Track).
+// Run moves a job to running and makes the flight decision for its key: the
+// first job leads (Config.Execute runs under a context that the job's
+// deadline and cancel end), one arriving while the flight is open joins it
+// (source "dedup") under such a context of its own, detaching when it ends,
+// and one arriving after the flight completed recalls it (source "memo"). A
+// leader's flight completes (a failed one is evicted, so a resubmission
+// retries it) before its terminal state is published: whoever sees it
 // finished and resubmits recalls, never joins.
 //
 // Every path into a terminal state is settle: the daemon's durable hook runs
 // first (sacd appends the journal's done record), then the state is
 // published and the job's done channel closes, exactly once, then metrics
-// are counted. A watcher that wakes on the channel therefore never observes
-// a job the journal still calls live.
+// are counted. A watcher never observes a job the journal still calls live.
 //
-// Retention. A registered job that settles leaves the live map: settle builds
-// its final status once (a done job's result bytes inline, shared with the
-// store or the worker's answer) and the table keeps only that, in finish
-// order, so the job record and its request are garbage. Sweep pops the
-// statuses older than Retention off the front, and settle pops the oldest
-// while they hold more than RetainedBytes, each with the flight its job led;
-// queued and running jobs are never dropped, nor a flight no registered job
-// led (a local sweep's). A dropped result is one resubmission away.
+// Retention. A tracked job that settles leaves the live map for its final
+// status (a done job's result bytes inline, shared with the store or the
+// worker's answer), kept in finish order: the job record is garbage. Sweep
+// pops the statuses older than Retention, and settle the oldest past
+// RetainedBytes, each with the flight its job led; live jobs are never
+// dropped, nor a flight no tracked job led (a local sweep's).
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -93,7 +89,7 @@ type Identity struct {
 
 // Outcome is what one execution produced. Exactly one of Err, Run and Raw is
 // set: Run for a decoded result (a fresh simulation, marshaled once when a
-// registered job settles), Raw for bytes that are already in canonical wire
+// tracked job settles), Raw for bytes that are already in canonical wire
 // form (a verified store object, or a worker's answer relayed untouched).
 type Outcome struct {
 	Run    *stats.Run
@@ -125,27 +121,27 @@ type Metrics struct {
 	Retained                        *obs.Metric // gauge: final statuses held, set by Sweep
 }
 
-// Config is what a daemon plugs into the engine. Execute is required;
-// Resolve and Admit are required by the admission paths (SubmitBatch, the
-// HTTP surface and Restore).
+// Config is what a daemon plugs into the engine. Execute is required, and
+// Resolve and Admit by admission (SubmitBatch, the HTTP surface, Restore).
 type Config struct {
 	// Resolve validates one request and resolves its identity, which the
 	// job shares and never writes; its error is the per-item 400 message.
 	Resolve func(client.JobRequest) (*Identity, error)
 	// Admit gates a validated batch as a unit. On nil the daemon owns driving
-	// every job in it through Run (or RunDirect); on error the table forgets
-	// the batch, and none of its jobs may ever run. It runs on the submitting
-	// goroutine and may block.
+	// every job in it through Run (or RunDirect), and tracks (Table.Track)
+	// every job it does not settle before returning; on error the table
+	// forgets the batch, and none of its jobs may ever run. It runs on the
+	// submitting goroutine and may block.
 	Admit func(batch []*Job) error
 	// Execute produces the result for one job: on behalf of a flight (ctx is
 	// bound to the job's cancel and deadline) or directly (ctx is the one
 	// RunDirect was given). A panic inside it fails the job, not the caller.
 	Execute func(ctx context.Context, j *Job) Outcome
 
-	// OnTerminal runs exactly once per job, on the goroutine that settles it
-	// and before the terminal state becomes visible, with what the job
-	// settled with (Source as Outcome reports it). sacd appends its journal's
-	// done record here; a local sweep reports each executed cell.
+	// OnTerminal runs once per job, on the goroutine that settles it, before
+	// the terminal state becomes visible, with what the job settled with.
+	// sacd appends its journal's done record here; a local sweep reports
+	// each executed cell.
 	OnTerminal func(j *Job, state string, out Outcome)
 	// QueueAhead reports how many jobs are ahead of a still-queued one.
 	QueueAhead func(j *Job) int
@@ -153,25 +149,23 @@ type Config struct {
 	RetryAfter func() int
 
 	Metrics Metrics
-	// Logf receives one line per admission and per terminal transition; nil
-	// is silent.
-	Logf func(format string, args ...any)
+	Logf    func(format string, args ...any) // a line per admission and settle
 }
 
 // Job is the record of one submission. The exported fields are written once
 // before the job is visible to anyone else and read-only after; the
 // Identity is shared, read-only, with every job of the same remembered cell.
 type Job struct {
-	ID  string
+	ID  string // set by Track
 	Req client.JobRequest
 	*Identity
 	// Deadline is the absolute end-to-end deadline (zero = none).
 	Deadline  time.Time
 	Submitted time.Time
 
-	// registered is set before the job is visible: only admitted and
-	// restored jobs are retained as a final status when they settle.
-	registered bool
+	// tracked is set by Track, before the job is visible: only a tracked job
+	// is retained as a final status when it settles.
+	tracked bool
 
 	mu sync.Mutex
 	// canceled is set by a client's cancel: a job not yet leading or joining
@@ -183,7 +177,7 @@ type Job struct {
 	// is published.
 	doneCh  chan struct{}
 	settled bool   // claimed by settle; the state may not be published yet
-	final   *final // a registered job's retained status, once settled
+	final   *final // a tracked job's retained status, once settled
 	state   string
 	source  string
 	err     error
@@ -239,7 +233,7 @@ func (t *Table) land(f *flight, key string, out Outcome) {
 	close(f.done)
 }
 
-// final is a settled registered job as the table retains it: its last
+// final is a settled tracked job as the table retains it: its last
 // status, whose time pointers point at at (started, finished, deadline), so
 // the whole record is one allocation.
 type final struct {
@@ -296,14 +290,14 @@ func newID() string {
 	return string(b[:])
 }
 
-// NewJob builds a queued job, under a fresh id, for an identity the caller
-// already resolved: what admission does after Resolve. The caller sets Req,
-// Deadline or ID before the job is visible to anyone else. The job is not
-// registered — SubmitBatch and Restore do that, so that Status,
-// Cancel and Watch can find it — and a caller that drives its own jobs
-// through Run (a local sweep) leaves nothing behind but the flights.
+// NewJob builds a queued job, without an id, for an identity the caller
+// already resolved: what admission does after Resolve. The caller sets Req
+// or Deadline before the job is visible to anyone else. The job is not
+// tracked — Track does that, so that Status, Cancel and Watch can find it —
+// and a caller that drives its own jobs through Run (a local sweep) leaves
+// nothing behind but the flights.
 func NewJob(ident *Identity) *Job {
-	return &Job{ID: newID(), Identity: ident, Submitted: time.Now(), state: client.StateQueued}
+	return &Job{Identity: ident, Submitted: time.Now(), state: client.StateQueued}
 }
 
 // ---- admission ----
@@ -313,7 +307,8 @@ func NewJob(ident *Identity) *Job {
 // message per offending item (aligned with reqs, "" = valid) and nothing is
 // admitted; if the batch as a whole is refused, err says why (an *AdmitError
 // for backpressure, ill health, drain or shutdown). On success the statuses
-// come back in request order, a done job's result bytes inline.
+// come back in request order, a done job's result bytes inline; a job
+// settled in admission has no id and is not kept.
 func (t *Table) SubmitBatch(reqs []client.JobRequest) (sts []client.JobStatus, itemErrs []string, err error) {
 	batch, itemErrs, err := t.admit(reqs)
 	if batch == nil {
@@ -353,13 +348,12 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 	if itemErrs != nil {
 		return nil, itemErrs, nil
 	}
-	// Registered before Admit starts them, so a concurrent Cancel or
-	// CancelAll reaches every job that runs.
-	t.register(batch)
 	if err := t.cfg.Admit(batch); err != nil {
 		t.mu.Lock()
 		for _, j := range batch {
-			delete(t.jobs, j.ID)
+			if j.tracked {
+				delete(t.jobs, j.ID)
+			}
 		}
 		t.mu.Unlock()
 		return nil, nil, err
@@ -372,7 +366,7 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 	if logf := t.cfg.Logf; logf != nil {
 		if j := batch[0]; len(batch) == 1 {
 			logf("accepted %s %s/%s fidelity=%s key=%.12s",
-				j.ID, j.Spec.Name, j.Cfg.Org, backend.Display(j.Fidelity), j.Key)
+				cmp.Or(j.ID, "-"), j.Spec.Name, j.Cfg.Org, backend.Display(j.Fidelity), j.Key)
 		} else {
 			logf("accepted batch of %d", len(batch))
 		}
@@ -380,10 +374,18 @@ func (t *Table) admit(reqs []client.JobRequest) (batch []*Job, itemErrs []string
 	return batch, nil, nil
 }
 
-func (t *Table) register(batch []*Job) {
+// Track gives each job of batch an id, unless it has one, and makes it
+// findable by Status, Watch, Cancel and CancelAll, and retained once it
+// settles. Admit tracks a job before it can run, so a cancel reaches it.
+func (t *Table) Track(batch []*Job) {
+	for _, j := range batch {
+		if j.ID == "" {
+			j.ID = newID()
+		}
+	}
 	t.mu.Lock()
 	for _, j := range batch {
-		j.registered = true
+		j.tracked = true
 		t.jobs[j.ID] = j
 	}
 	t.mu.Unlock()
@@ -400,7 +402,7 @@ func (t *Table) Restore(id string, req client.JobRequest, deadline time.Time) (*
 	}
 	j := NewJob(ident)
 	j.ID, j.Req, j.Deadline = id, req, deadline
-	t.register([]*Job{j})
+	t.Track([]*Job{j})
 	inc(t.cfg.Metrics.Accepted)
 	return j, nil
 }
@@ -525,7 +527,7 @@ func (t *Table) begin(j *Job) bool {
 // PanicError is a panic the engine contained while executing a job: the
 // recovered value and the goroutine's stack at the panic site.
 type PanicError struct {
-	ID    string
+	ID    string // the job's id, else its key
 	Value any
 	Stack []byte
 }
@@ -534,23 +536,21 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("jobs: panic executing %s: %v", e.ID, e.Value)
 }
 
-// exec calls the executor and contains its panics (chaos injection, poisoned
-// input, a simulator bug in one sweep cell): a failed execution is a failed
-// job, not a dead process.
+// exec calls the executor and contains its panics: a failed execution is a
+// failed job, not a dead process.
 func (t *Table) exec(ctx context.Context, j *Job) (out Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Err: &PanicError{ID: j.ID, Value: r, Stack: debug.Stack()}}
+			out = Outcome{Err: &PanicError{ID: cmp.Or(j.ID, j.Key), Value: r, Stack: debug.Stack()}}
 		}
 	}()
 	return t.cfg.Execute(ctx, j)
 }
 
-// Simulate is the store-backed simulate step of the in-process executors,
-// sacd's and a local sweep's: the store's verified bytes when it holds j's
-// cell, otherwise sim's fresh result, written back. A failed write-back never
-// fails the job; the store counts it and logf (nil is silent) reports it. A
-// nil store makes this a plain simulation.
+// Simulate is the store-backed simulate step of sacd's and a local sweep's
+// executors: the store's verified bytes for j's cell, else sim's fresh
+// result, written back. A failed write-back never fails the job; the store
+// counts it and logf (nil is silent) reports it. A nil store just simulates.
 func Simulate(j *Job, st *store.Store, sim func() (*stats.Run, error), logf func(format string, args ...any)) Outcome {
 	if raw, cycles, ok := st.GetRaw(j.Key); ok {
 		return Outcome{Raw: raw, Cycles: cycles, Source: client.SourceStore}
@@ -572,12 +572,10 @@ func WriteBack(j *Job, st *store.Store, sim func() (*stats.Run, error), logf fun
 	return Outcome{Run: res, Cycles: res.Cycles, Source: client.SourceSim}
 }
 
-// settle is the one transition into a terminal state. The error decides the
-// state: a deadline error expires the job, a cancellation cancels it, any
-// other error fails it. source overrides the outcome's own for joins and
-// recalls. Only the first call for a job does anything, but a leader's
-// always lands its flight f (nil for any other job): a cancel can claim the
-// leader while it runs.
+// settle is the one transition into a terminal state, which the error
+// decides (expired, canceled, else failed); source overrides the outcome's
+// own for joins and recalls. Only the first call for a job does anything,
+// but a leader's always lands its flight f: a cancel can claim it mid-run.
 func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	m := &t.cfg.Metrics
 	state, counter := client.StateDone, m.Done
@@ -607,7 +605,7 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	if t.cfg.OnTerminal != nil {
 		t.cfg.OnTerminal(j, state, out)
 	}
-	if j.registered && out.Raw == nil && out.Run != nil {
+	if j.tracked && out.Raw == nil && out.Run != nil {
 		// A retained status holds the wire form; the flight keeps the same
 		// bytes for the jobs that join or recall it.
 		if b, err := json.Marshal(out.Run); err == nil {
@@ -629,7 +627,7 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 	started, watchers := j.started, j.watchers
 	j.watchers = nil
 	var fin *final
-	if j.registered {
+	if j.tracked {
 		fin = &final{}
 		fin.st = j.statusLocked(&fin.at)
 		fin.st.Result = out.Raw // nil unless done
@@ -665,8 +663,9 @@ func (t *Table) settle(j *Job, out Outcome, source string, f *flight) {
 		observe(m.RunLatency, now.Sub(started).Seconds())
 	}
 	if t.cfg.Logf != nil {
+		// An untracked job has no id ("-"): its key names it.
 		t.cfg.Logf("%s %s %s/%s key=%.12s source=%s worker=%s total=%.3fs",
-			state, j.ID, j.Spec.Name, j.Cfg.Org, j.Key, out.Source, out.Worker, total)
+			state, cmp.Or(j.ID, "-"), j.Spec.Name, j.Cfg.Org, j.Key, out.Source, out.Worker, total)
 	}
 }
 
@@ -692,7 +691,7 @@ func (t *Table) Requeue(j *Job) {
 
 // ---- queries ----
 
-// find returns the live job registered under id, or else the final status
+// find returns the live job tracked under id, or else the final status
 // retained for it; both nil for an unknown id.
 func (t *Table) find(id string) (*Job, *final) {
 	t.mu.Lock()
@@ -718,8 +717,9 @@ func (t *Table) Flights() int {
 	return len(t.flights)
 }
 
-// status is the one projection of a job onto the wire; a settled one
-// answers with its final status, a done job's result bytes inline.
+// status is the one projection of a job onto the wire, a done job's result
+// bytes inline: a tracked settled job's final status, or for one settled
+// untracked its result as it settled, marshaled here if it is a fresh run.
 func (t *Table) status(j *Job) client.JobStatus {
 	j.mu.Lock()
 	if fin := j.final; fin != nil {
@@ -727,15 +727,22 @@ func (t *Table) status(j *Job) client.JobStatus {
 		return fin.st
 	}
 	st := j.statusLocked(nil)
+	raw, run := j.raw, j.run
 	j.mu.Unlock()
-	if st.State == client.StateQueued && t.cfg.QueueAhead != nil {
+	switch {
+	case st.State == client.StateQueued && t.cfg.QueueAhead != nil:
 		st.QueueAhead = t.cfg.QueueAhead(j)
+	case raw != nil:
+		st.Result = raw
+	case run != nil:
+		st.Result, _ = json.Marshal(run) // integers and strings: it cannot fail
 	}
 	return st
 }
 
 // statusLocked projects j, less any result, with its times copied into at
-// (allocated here if nil and any time is set). The caller holds j.mu.
+// (with at nil: a settled job's own, which never change again, else a block
+// allocated here if any time is set). The caller holds j.mu.
 func (j *Job) statusLocked(at *[3]time.Time) client.JobStatus {
 	st := client.JobStatus{
 		ID:          j.ID,
@@ -750,6 +757,10 @@ func (j *Job) statusLocked(at *[3]time.Time) client.JobStatus {
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
+	}
+	if at == nil && !j.finished.IsZero() {
+		st.StartedAt, st.FinishedAt, st.DeadlineAt = nonZero(&j.started), nonZero(&j.finished), nonZero(&j.Deadline)
+		return st
 	}
 	times := [3]time.Time{j.started, j.finished, j.Deadline}
 	if at == nil && times != [3]time.Time{} {
@@ -783,14 +794,11 @@ func (t *Table) Status(id string) (client.JobStatus, bool) {
 	return client.JobStatus{}, false
 }
 
-// Cancel stops one job and returns its status, which a running job reaches
-// "canceled" in asynchronously; ok is false for unknown ids. A queued job
-// turns terminal here without ever running; a running leader has its
-// execution context canceled, which cancels the flight (jobs joined to it
-// fail canceled with it, and the evicted flight lets resubmissions retry); a
-// running joiner only detaches. Terminal jobs are untouched, so Cancel may
-// race a finishing job — results are content-addressed, and a cancel that
-// loses costs only the work it failed to save.
+// Cancel stops one job and returns its status; ok is false for unknown ids.
+// A queued job turns terminal here without running; a running leader's
+// context is canceled, and with it the flight and its joiners; a running
+// joiner only detaches, asynchronously in both cases. A terminal job is
+// untouched: a cancel that loses a race costs only the work it failed to save.
 func (t *Table) Cancel(id string) (client.JobStatus, bool) {
 	if j, _ := t.find(id); j != nil {
 		t.cancel(j)
@@ -843,11 +851,9 @@ func (t *Table) popLocked() {
 	t.head++
 }
 
-// Sweep is the retention pass: final statuses older than Retention at now
-// are popped off the front of the retention queue, with the flights their
-// jobs led; it visits no live job and stops at the first status still inside
-// Retention. It sets Metrics.Retained. The daemons call it on a ticker;
-// tests pass a later now instead of waiting.
+// Sweep is the retention pass: it pops the final statuses older than
+// Retention at now, with the flights their jobs led, visiting no live job,
+// and sets Metrics.Retained. The daemons call it on a ticker.
 func (t *Table) Sweep(now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -20,9 +20,8 @@ var rawResult = []byte(`{"Cycles":7}`)
 // testTable is a table whose admitted jobs stay queued until the test runs
 // them, and whose executions answer rawResult at once.
 func testTable(m Metrics) *Table {
-	return New(Config{
+	return queuing(Config{
 		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
-		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			return Outcome{Raw: rawResult, Cycles: 7, Source: client.SourceSim}
 		},
@@ -54,9 +53,8 @@ func TestFlightLandsBeforeDone(t *testing.T) {
 // job with that key joins a flight that never ends.
 func TestCanceledLeaderLandsFlight(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	tb := New(Config{
+	tb := queuing(Config{
 		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
-		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome {
 			select {
 			case entered <- struct{}{}:

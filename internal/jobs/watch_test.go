@@ -32,10 +32,8 @@ func awaitParked(t *testing.T, j *Job) {
 // that settles wakes it to rescan, but it answers only once every job is
 // terminal, and it leaves no channel behind.
 func TestWatchParksWithoutGoroutinePerJob(t *testing.T) {
-	tb := New(Config{
+	tb := queuing(Config{
 		Resolve: func(req client.JobRequest) (*Identity, error) { return &Identity{Key: req.Benchmark}, nil },
-		// Admitted jobs stay queued: nothing runs them.
-		Admit:   func([]*Job) error { return nil },
 		Execute: func(context.Context, *Job) Outcome { return Outcome{} },
 	})
 	reqs := make([]client.JobRequest, 256)
@@ -70,7 +68,7 @@ func TestWatchParksWithoutGoroutinePerJob(t *testing.T) {
 	}
 
 	if _, ok := tb.Cancel(ids[100]); !ok {
-		t.Fatal("cancel missed a registered job")
+		t.Fatal("cancel missed a tracked job")
 	}
 	select {
 	case a := <-got:

@@ -131,6 +131,58 @@ func TestBatchMixedFidelity(t *testing.T) {
 	}
 }
 
+// TestOnlyPendingJobsAreKept pins what a mixed batch leaves in the table.
+// The estimate item settles in admission: its status is done, with its
+// result inline and no id, and the daemon keeps nothing of it. The exact
+// item is pending when the response is written, with an id, and once done
+// its final status is retained. Len and the sacd_jobs_retained gauge count
+// the exact job alone.
+func TestOnlyPendingJobsAreKept(t *testing.T) {
+	// Workers start only once the batch is answered, so its exact item is
+	// still queued then.
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, Registry: reg})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	})
+	c := client.New(hs.URL)
+	ctx := context.Background()
+
+	est := tinyRequest("RN", "SAC")
+	est.Fidelity = client.FidelityEstimate
+	sts, err := c.SubmitBatch(ctx, []client.JobRequest{est, tinyRequest("BP", "SAC")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sts[0]; st.State != client.StateDone || st.ID != "" || st.Key == "" || st.Source == "" || len(st.Result) == 0 {
+		t.Fatalf("estimate item: %s, id %q, key %q, source %q, %d result bytes; want done, with key, source and result inline, and no id",
+			st.State, st.ID, st.Key, st.Source, len(st.Result))
+	}
+	exact := sts[1]
+	if exact.Done() || exact.ID == "" {
+		t.Fatalf("exact item: %s, id %q; want pending, with an id", exact.State, exact.ID)
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len = %d after admission, want 1: the exact job alone", n)
+	}
+	s.Start()
+	final, err := c.WaitAll(ctx, []string{exact.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := s.Status(exact.ID); !ok || st.State != client.StateDone || !bytes.Equal(st.Result, final[exact.ID].Result) {
+		t.Fatalf("exact job after it finished: known=%v %s; want retained done with the result the watch carried", ok, st.State)
+	}
+	s.Sweep(time.Now())
+	if n, g := s.Len(), reg.Gauge("sacd_jobs_retained", "").Value(); n != 1 || g != 1 {
+		t.Fatalf("Len = %d, sacd_jobs_retained = %v after the sweep; want 1 and 1", n, g)
+	}
+}
+
 // TestBatchMalformed sends a batch where some items are invalid: the whole
 // batch must be rejected with 400, no job admitted, and the response must
 // name each bad item's error while leaving valid slots empty.
@@ -191,12 +243,12 @@ func TestBatchMalformed(t *testing.T) {
 // a mixed set that names an unknown id returns at once, although a listed
 // job is still running, reporting the terminal ones and the unknown id.
 func TestWatchFirstTerminal(t *testing.T) {
-	// BeforeRun runs on the worker for the exact job and on the accepting
-	// goroutine for the estimate one; only the exact job's id wedges.
+	// BeforeRun runs on a worker for each exact job; only the slow job's id
+	// wedges.
 	gate := make(chan struct{})
 	var slowID string
 	known := make(chan struct{}) // closed once slowID is set
-	_, c := testDaemon(t, Config{Workers: 1, chaos: Chaos{BeforeRun: func(id string) {
+	_, c := testDaemon(t, Config{Workers: 2, chaos: Chaos{BeforeRun: func(id string) {
 		<-known
 		if id == slowID {
 			<-gate
@@ -205,22 +257,23 @@ func TestWatchFirstTerminal(t *testing.T) {
 	t.Cleanup(func() { close(gate) })
 	ctx := context.Background()
 
-	// The exact job wedges in BeforeRun; the estimate job is terminal at
-	// submit.
+	// The slow job wedges in BeforeRun; the fast one finishes on the other
+	// worker.
 	slow, err := submit(ctx, c, tinyRequest("BP", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	slowID = slow.ID
 	close(known)
-	est := tinyRequest("RN", "SAC")
-	est.Fidelity = client.FidelityEstimate
-	fast, err := submit(ctx, c, est)
+	fast, err := submit(ctx, c, tinyRequest("RN", "SAC"))
+	if err == nil {
+		fast, err = c.Wait(ctx, fast.ID)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast.State != client.StateDone {
-		t.Fatalf("estimate job state %s, want done", fast.State)
+		t.Fatalf("fast job state %s, want done", fast.State)
 	}
 
 	resp, err := c.Watch(ctx, []string{slow.ID, fast.ID, "no-such-job"}, 5*time.Second)

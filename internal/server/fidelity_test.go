@@ -133,11 +133,7 @@ func TestFidelityProvenanceAndKeys(t *testing.T) {
 
 	estimate := tinyRequest("RN", "SAC")
 	estimate.Fidelity = client.FidelityEstimate
-	sub, err := submit(ctx, c, estimate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := c.Wait(ctx, sub.ID)
+	est, err := submit(ctx, c, estimate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +141,7 @@ func TestFidelityProvenanceAndKeys(t *testing.T) {
 		t.Fatalf("estimate job Fidelity = %q", est.Fidelity)
 	}
 
-	sub, err = submit(ctx, c, tinyRequest("RN", "SAC"))
+	sub, err := submit(ctx, c, tinyRequest("RN", "SAC"))
 	if err != nil {
 		t.Fatal(err)
 	}

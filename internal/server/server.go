@@ -8,17 +8,15 @@
 //     unhealthy or draining daemon refuses new work, all with Retry-After;
 //   - the worker pool that pops the queue and drives each job through the
 //     engine's flight table;
-//   - the executor: persistent store lookup (verified bytes, served without
-//     a decode), else a fresh simulation (backend.Run, every rung) written
-//     back to the store — byte-identical to an in-process sac.Run of the
-//     same cell. Estimate-rung cells answer in microseconds, so they run on
-//     the accepting goroutine and never queue;
-//   - crash-safe durability: every queued job is recorded in an append-only
-//     journal (internal/journal) before the client sees its 202, its done
-//     record is appended before its terminal state becomes visible, and a
-//     daemon that dies by panic, OOM or kill -9 re-enqueues exactly the
-//     accepted-but-unfinished set — under the original IDs and absolute
-//     deadlines — on its next start.
+//   - the executor: the store's verified bytes, else a fresh simulation
+//     (backend.Run, every rung) written back — byte-identical to an
+//     in-process sac.Run. Estimate cells answer in microseconds, so they run
+//     on the accepting goroutine, never queue and get no id;
+//   - crash-safe durability: every queued job is journaled
+//     (internal/journal) before its 202 and its done record before its
+//     terminal state is visible, so a daemon killed by panic, OOM or kill -9
+//     re-enqueues the accepted-but-unfinished set, under the original ids
+//     and deadlines, on its next start.
 package server
 
 import (
@@ -333,34 +331,14 @@ func identityOf(req *client.JobRequest, fid string) (*jobs.Identity, error) {
 
 // ---- admission ----
 
-// admit is the engine's admission hook. The batch is gated as a unit under
-// one lock pass — it can never half-land around a concurrent submitter — and
-// then its estimate cells, which took no queue slot, run here on the
-// accepting goroutine, so the submission response already carries their
-// terminal states.
+// admit is the engine's admission hook. The jobs that need a worker are
+// tracked first (the journal files a job under its id, and a worker may pop
+// only a job a cancel can reach; the engine forgets a refused batch's), then
+// gated as a unit under one lock pass, so a batch never half-lands around a
+// concurrent submitter. The estimate cells, which take no queue slot, then
+// run here untracked, and nothing of them stays.
 func (s *Server) admit(batch []*jobs.Job) error {
-	inline, err := s.enqueue(batch)
-	if err != nil {
-		s.m.rejected.Add(float64(len(batch)))
-		return err
-	}
-	s.runInline(inline)
-	return nil
-}
-
-// enqueue applies the health-state machine and the queue cap to a batch and,
-// if it passes, journals and queues every item that needs a worker. Estimate
-// cells gate only on drain — they consume neither the workers nor the
-// journal that health and the cap protect — and come back for the caller to
-// run.
-func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		return nil, ErrDraining
-	}
-	health, _ := s.healthLocked(time.Now())
-	var queued []*jobs.Job
+	var inline, queued []*jobs.Job
 	for _, j := range batch {
 		if j.Fidelity == backend.Estimate {
 			inline = append(inline, j)
@@ -368,16 +346,36 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 			queued = append(queued, j)
 		}
 	}
+	s.Track(queued)
+	if err := s.enqueue(queued); err != nil {
+		s.m.rejected.Add(float64(len(batch)))
+		return err
+	}
+	s.runInline(inline)
+	return nil
+}
+
+// enqueue applies the health-state machine and the queue cap to the jobs of
+// a batch that need a worker and, if they pass, journals and queues them. A
+// batch's estimate cells gate only on drain: they consume neither the
+// workers nor the journal that health and the cap protect.
+func (s *Server) enqueue(queued []*jobs.Job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining || s.closed {
+		return ErrDraining
+	}
+	health, _ := s.healthLocked(time.Now())
 	if len(queued) > 0 {
 		// Journal-driven unhealthiness is not a reject here: the accept
 		// append below retries the disk, and its success is what heals
 		// journalErr — otherwise an idle daemon would stay unhealthy forever
 		// after a transient disk error.
 		if health == client.HealthUnhealthy && s.journalErr == nil {
-			return nil, ErrUnhealthy
+			return ErrUnhealthy
 		}
 		if len(s.queue)+len(queued) > s.cfg.QueueCap {
-			return nil, ErrQueueFull
+			return ErrQueueFull
 		}
 	}
 	// A failed append refuses the batch whole before any of it is queued; an
@@ -395,14 +393,14 @@ func (s *Server) enqueue(batch []*jobs.Job) (inline []*jobs.Job, err error) {
 			// journalErr flips the health state to unhealthy so the client's
 			// retry meets a 503 instead of a broken promise.
 			s.journalErr = err
-			return nil, fmt.Errorf("%w: %v", ErrUnhealthy, err)
+			return fmt.Errorf("%w: %v", ErrUnhealthy, err)
 		}
 		s.noteAppendLocked()
 	}
 	for _, j := range queued {
 		s.queueLocked(j)
 	}
-	return inline, nil
+	return nil
 }
 
 // queueLocked hands j to the worker pool. The caller holds s.mu.
@@ -683,13 +681,11 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Recover restores jobs from previous daemon lives. With a JournalPath it
 // opens the journal (replaying and compacting it) and re-enqueues every
-// accepted-but-unfinished job under its original ID and absolute deadline —
-// this is what makes an accept durable across kill -9. Restored jobs bypass
-// the queue cap and the health gate: dropping them now would be the data loss
-// the journal exists to prevent. Corrupt journal records and unrestorable
-// jobs are counted (healthz recovery_errors, sacd_recovery_errors_total)
-// rather than silently dropped. Call Recover once, between New and serving
-// traffic; jobs submitted before it would bypass the journal.
+// accepted-but-unfinished job under its original id and absolute deadline,
+// past the queue cap and the health gate: dropping them would be the loss
+// the journal exists to prevent. Corrupt records and unrestorable jobs are
+// counted (healthz recovery_errors, sacd_recovery_errors_total). Call it
+// once, between New and serving traffic.
 func (s *Server) Recover() (int, error) {
 	if s.cfg.JournalPath == "" {
 		return 0, nil

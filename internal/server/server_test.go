@@ -208,17 +208,19 @@ func (path rewriteTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 func TestRemovedRoutesAnswerAPIError(t *testing.T) {
 	_, c, url := testDaemonURL(t, Config{Workers: 1})
 	ctx := context.Background()
-	est := tinyRequest("RN", "SAC")
-	est.Fidelity = client.FidelityEstimate
-	done, err := submit(ctx, c, est)
+	req := tinyRequest("RN", "SAC")
+	done, err := submit(ctx, c, req)
+	if err == nil {
+		done, err = c.Wait(ctx, done.ID)
+	}
 	if err != nil || done.State != client.StateDone {
-		t.Fatalf("estimate cell: %+v, %v; want done", done, err)
+		t.Fatalf("exact cell: %+v, %v; want done", done, err)
 	}
 	for _, tc := range []struct {
 		route string
 		call  func(*client.Client) error
 	}{
-		{"/v1/jobs", func(c *client.Client) error { _, err := submit(ctx, c, est); return err }},
+		{"/v1/jobs", func(c *client.Client) error { _, err := submit(ctx, c, req); return err }},
 		{"/v1/jobs/" + done.ID + "/result", func(c *client.Client) error { _, err := c.Status(ctx, done.ID); return err }},
 	} {
 		old := client.New(url, client.WithRetries(0), client.WithHTTPClient(&http.Client{Transport: rewriteTransport(tc.route)}))

@@ -69,9 +69,10 @@ func sameAsEncodingJSON[T any](t *testing.T, route string, body []byte) T {
 
 // TestStatusRoutesMatchEncodingJSON drives every route that writes a
 // JobStatus — batch, watch, status and cancel — over jobs that carry a
-// deadline, a queue position, a failure error, a cancellation and inline
-// results, and requires each body to be exactly what encoding/json writes
-// for the value it decodes to.
+// deadline, a queue position, a failure error, a cancellation, inline
+// results and no id (estimate cells settled in the batch), and requires
+// each body to be exactly what encoding/json writes for the value it
+// decodes to. GET and DELETE name pending exact jobs, the ones with an id.
 func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	var fail sync.Map // job ids the chaos hook fails
 	s := New(Config{Workers: 1, Store: openTestStore(t, t.TempDir()),
@@ -97,8 +98,10 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		return *sameAsEncodingJSON[client.BatchResponse](t, "batch", serve(t, "POST", hs.URL+"/v1/jobs:batch", string(exact), 202)).Jobs[0].Status
 	}
 
-	// Workers not started yet: exact jobs stay queued behind each other.
-	first, second := submit(), submit()
+	// Workers not started yet: exact jobs stay queued behind each other. The
+	// second fails; the third, of the same cell, leads a fresh flight after
+	// it and finishes done.
+	first, second, third := submit(), submit(), submit()
 	if second.QueueAhead != 1 || second.DeadlineAt == nil {
 		t.Fatalf("second job: queue_ahead %d, deadline %v; want 1 and set", second.QueueAhead, second.DeadlineAt)
 	}
@@ -112,8 +115,8 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("cancel: %s %q, want canceled with an error", canceled.State, canceled.Error)
 	}
 
-	// Estimate cells answer inline, with results; the duplicate and the
-	// deadline ride along.
+	// Estimate cells answer inline, with results and without ids; the
+	// duplicate and the deadline ride along.
 	var breq client.BatchRequest
 	for _, b := range []string{"BP", "RN", "BP"} {
 		r := tinyRequest(b, "SAC")
@@ -125,12 +128,10 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	bresp := sameAsEncodingJSON[client.BatchResponse](t, "batch", serve(t, "POST", hs.URL+"/v1/jobs:batch", string(body), 202))
-	ids := []string{second.ID, "jnot<a>job"}
 	for _, item := range bresp.Jobs {
-		if item.Status == nil || item.Status.State != client.StateDone || len(item.Status.Result) == 0 {
-			t.Fatalf("batch item %+v: want done with a result", item)
+		if st := item.Status; st == nil || st.State != client.StateDone || len(st.Result) == 0 || st.ID != "" {
+			t.Fatalf("batch item %+v: want done with a result and no id", item)
 		}
-		ids = append(ids, item.Status.ID)
 	}
 
 	s.Start()
@@ -138,6 +139,8 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	if failed.State != client.StateFailed || !strings.Contains(failed.Error, "<injected>") {
 		t.Fatalf("second job: %s %q, want failed by the chaos hook", failed.State, failed.Error)
 	}
+	waitTerminal(t, s, third.ID, 30*time.Second)
+	ids := []string{first.ID, second.ID, third.ID, "jnot<a>job"}
 	watch := sameAsEncodingJSON[client.WatchResponse](t, "watch",
 		serve(t, "GET", hs.URL+"/v1/jobs:watch?timeout_ms=1000&ids="+strings.Join(ids, ","), "", 200))
 	if len(watch.Jobs) != len(ids)-1 || len(watch.Unknown) != 1 {
@@ -145,34 +148,19 @@ func TestStatusRoutesMatchEncodingJSON(t *testing.T) {
 	}
 	sameAsEncodingJSON[client.JobStatus](t, "status", serve(t, "GET", hs.URL+"/v1/jobs/"+second.ID, "", 200))
 	for _, route := range []string{"GET", "DELETE"} {
-		if st := sameAsEncodingJSON[client.JobStatus](t, route, serve(t, route, hs.URL+"/v1/jobs/"+ids[2], "", 200)); len(st.Result) == 0 {
-			t.Fatalf("%s of a done job: no result inline", route)
+		if st := sameAsEncodingJSON[client.JobStatus](t, route, serve(t, route, hs.URL+"/v1/jobs/"+third.ID, "", 200)); st.State != client.StateDone || len(st.Result) == 0 {
+			t.Fatalf("%s of a done job: %s with %d result bytes, want done with its result inline", route, st.State, len(st.Result))
 		}
 	}
 }
 
 // TestBatchAndWatchCarryResults: every route that answers with a done job's
-// status carries the same result bytes — a jobs:batch POST and a jobs:watch
-// GET that ask for nothing but their jobs, and GET and DELETE
-// /v1/jobs/{id} — for a store-less estimate cell answered in the batch and an
-// exact cell simulated on a worker.
+// status carries its result bytes. A store-less estimate cell answered in
+// its jobs:batch POST has them inline and no id; an exact cell simulated on
+// a worker carries the same bytes in the jobs:watch GET that brings it and
+// in GET and DELETE /v1/jobs/{id}.
 func TestBatchAndWatchCarryResults(t *testing.T) {
 	_, _, url := testDaemonURL(t, Config{Workers: 1})
-	sameAsResult := func(route string, st *client.JobStatus) {
-		t.Helper()
-		if st == nil || st.State != client.StateDone || len(st.Result) == 0 {
-			t.Fatalf("%s: status %+v, want done with a result", route, st)
-		}
-		for _, method := range []string{"GET", "DELETE"} {
-			var got client.JobStatus
-			if err := json.Unmarshal(serve(t, method, url+"/v1/jobs/"+st.ID, "", 200), &got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Result, st.Result) {
-				t.Fatalf("%s: inline result %q, but %s /v1/jobs/{id} carries %q", route, st.Result, method, got.Result)
-			}
-		}
-	}
 	estimate := tinyRequest("BP", "SAC")
 	estimate.Fidelity = client.FidelityEstimate
 	body, err := json.Marshal(client.BatchRequest{Jobs: []client.JobRequest{estimate, tinyRequest("RN", "SAC")}})
@@ -183,17 +171,32 @@ func TestBatchAndWatchCarryResults(t *testing.T) {
 	if err := json.Unmarshal(serve(t, "POST", url+"/v1/jobs:batch", string(body), 202), &bresp); err != nil {
 		t.Fatal(err)
 	}
-	sameAsResult("batch", bresp.Jobs[0].Status)
+	if st := bresp.Jobs[0].Status; st == nil || st.State != client.StateDone || len(st.Result) == 0 || st.ID != "" {
+		t.Fatalf("batch: estimate status %+v, want done with a result and no id", st)
+	}
 	exact := bresp.Jobs[1].Status.ID
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
 		var watch client.WatchResponse
 		if err := json.Unmarshal(serve(t, "GET", url+"/v1/jobs:watch?timeout_ms=1000&ids="+exact, "", 200), &watch); err != nil {
 			t.Fatal(err)
 		}
-		if len(watch.Jobs) == 1 {
-			sameAsResult("watch", &watch.Jobs[0])
-			return
+		if len(watch.Jobs) != 1 {
+			continue
 		}
+		st := watch.Jobs[0]
+		if st.State != client.StateDone || len(st.Result) == 0 {
+			t.Fatalf("watch: status %+v, want done with a result", st)
+		}
+		for _, method := range []string{"GET", "DELETE"} {
+			var got client.JobStatus
+			if err := json.Unmarshal(serve(t, method, url+"/v1/jobs/"+exact, "", 200), &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Result, st.Result) {
+				t.Fatalf("watch: inline result %q, but %s /v1/jobs/{id} carries %q", st.Result, method, got.Result)
+			}
+		}
+		return
 	}
 	t.Fatal("exact job never finished")
 }
@@ -203,21 +206,21 @@ func ptr[T any](v T) *T { return &v }
 // TestWarmBatchAllocs pins the allocation cost of the warm serving path end
 // to end: a 64-cell estimate batch, every cell a store hit, submitted with
 // client.SubmitBatch through a loopback HTTP server and answered with inline
-// results. Client and server allocations both count. About 12.1 per cell
-// remain: on the daemon the job, its id, its final status and the request's
-// config; on the client each status's id and key strings, its result bytes
-// and the one block its times share; short benchmark strings, the blocks
-// statuses are carved from and each batch's HTTP exchange make up the rest.
-// A warm cell's identity is an identity-memo hit that its job points at: it
-// copies no identity or catalog spec and hex-encodes no store key, and the
-// job makes no channel.
+// results. Client and server allocations both count. About 9.1 per cell
+// remain: on the daemon the job and the request's config; on the client
+// each status's key string, its result bytes and the one block its times
+// share; short benchmark strings, the blocks statuses are carved from and
+// each batch's HTTP exchange make up the rest. A warm cell's identity is an
+// identity-memo hit that its job points at: it copies no identity or
+// catalog spec and hex-encodes no store key, the job makes no channel, and,
+// settled in admission, it gets no id and leaves no final status.
 func TestWarmBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under -race")
 	}
-	// perCell sits just above the reading (12.1): a fractional bound, so a
+	// perCell sits just above the reading (9.05): a fractional bound, so a
 	// few more allocations per batch fail it.
-	const cells, perCell = 64, 12.3
+	const cells, perCell = 64, 9.3
 	_, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 4 * cells})
 	reqs := warmBatch()
 	ctx := context.Background()
@@ -281,15 +284,15 @@ func warmBatch() []client.JobRequest {
 }
 
 // TestWarmRetainedBytes pins what an answered warm cell costs the daemon
-// while Retention keeps it queryable: the live heap after a GC grows by at
-// most 512 bytes per cell over 20 warm 64-cell batches (the client's copy of
-// each id included), and every measured id still answers Status with its
-// result.
+// once its batch response is written: nothing. A warm cell settles in
+// admission, so its status carries no id and the table keeps no record of
+// it; the live heap after a GC grows by at most 64 bytes per cell over 20
+// warm 64-cell batches.
 func TestWarmRetainedBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap figures do not hold under -race")
 	}
-	const batches, perCell = 20, 512
+	const batches, perCell = 20, 64
 	s, c := testDaemon(t, Config{Store: openTestStore(t, t.TempDir()), QueueCap: 256})
 	reqs := warmBatch()
 	ctx := context.Background()
@@ -303,7 +306,6 @@ func TestWarmRetainedBytes(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	ids := make([]string, 0, batches*len(reqs))
 	before := live()
 	for range batches {
 		sts, err := c.SubmitBatch(ctx, reqs)
@@ -311,17 +313,18 @@ func TestWarmRetainedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, st := range sts {
-			ids = append(ids, st.ID)
+			if st.State != client.StateDone || len(st.Result) == 0 || st.ID != "" {
+				t.Fatalf("warm cell %s/%s: %s, id %q, %d result bytes; want done, no id, its result inline",
+					st.Benchmark, st.Org, st.State, st.ID, len(st.Result))
+			}
 		}
 	}
-	perCellGrowth := float64(live()-before) / float64(len(ids))
+	perCellGrowth := float64(live()-before) / float64(batches*len(reqs))
 	t.Logf("%.0f bytes retained per cell", perCellGrowth)
 	if perCellGrowth > perCell {
 		t.Errorf("warm cells retain %.0f bytes each, want <= %d", perCellGrowth, perCell)
 	}
-	for _, id := range ids {
-		if st, ok := s.Status(id); !ok || st.State != client.StateDone || len(st.Result) == 0 {
-			t.Fatalf("retained job %s: status known=%v %s with %d result bytes", id, ok, st.State, len(st.Result))
-		}
+	if n := s.Len(); n != 0 {
+		t.Errorf("the table holds %d jobs after warm batches, want 0", n)
 	}
 }
